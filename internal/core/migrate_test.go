@@ -8,17 +8,23 @@ import (
 	"repro/internal/decomp"
 	"repro/internal/dump"
 	"repro/internal/fluid"
+	"repro/internal/msg"
 	"repro/internal/syncfile"
 )
 
 func newTestJob(t *testing.T, cfg *Config2D, until int) (*Job, *JobPrograms2D) {
+	t.Helper()
+	return newTestJobOver(t, cfg, until, HubFactory())
+}
+
+func newTestJobOver(t *testing.T, cfg *Config2D, until int, factory TransportFactory) (*Job, *JobPrograms2D) {
 	t.Helper()
 	sf, err := syncfile.New(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	sf.Poll = time.Millisecond
-	j, jp, err := NewJob2D(cfg, HubFactory(), sf, until)
+	j, jp, err := NewJob2D(cfg, factory, sf, until)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,6 +202,18 @@ func TestMigrateUnknownRank(t *testing.T) {
 	j.Shutdown()
 }
 
+// heldTransport blocks every Recv until gate is closed: a rank computes and
+// sends its first step's boundary data, then waits.
+type heldTransport struct {
+	msg.Transport
+	gate <-chan struct{}
+}
+
+func (h heldTransport) Recv() (msg.Message, error) {
+	<-h.gate
+	return h.Transport.Recv()
+}
+
 // TestMonitorLoop drives the full monitoring program: periodic checks on
 // simulated time, a scripted load scenario, automatic migration, and the
 // usual bitwise-exactness guarantee.
@@ -206,26 +224,42 @@ func TestMonitorLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := channelConfig(t, MethodLB, 2, 2, 24, 16)
-	j, jp := newTestJob(t, cfg, steps)
+	// Every rank holds in its first receive until the scenario has fired,
+	// so whether the monitor finds a job to migrate does not depend on how
+	// fast 60 steps run against the loop's wall-clock poll.
+	gate := make(chan struct{})
+	hub := HubFactory()
+	j, jp := newTestJobOver(t, cfg, steps, func(rank, epoch int) (msg.Transport, error) {
+		tr, err := hub(rank, epoch)
+		return heldTransport{tr, gate}, err
+	})
 	cl := cluster.NewPaperCluster()
 	cl.Advance(30 * time.Minute)
 	if err := j.PlaceOnCluster(cl); err != nil {
 		t.Fatal(err)
 	}
 	j.Start()
+	busyHost := j.HostOf(0)
 
 	migrated, err := j.MonitorLoop(5*time.Minute, cluster.DefaultMigrationPolicy(),
 		func(tick int, c *cluster.Cluster) {
 			if tick == 1 {
-				// A user job lands on rank 0's host at the second check.
-				j.HostOf(0).StartJob()
+				// A user job lands on rank 0's host at the second check
+				// and its load climbs past the threshold; the ranks are
+				// released into the migration that follows.
+				busyHost.StartJob()
+				c.Advance(10 * time.Minute)
+				close(gate)
 			}
 		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if migrated == 0 {
-		t.Error("monitor loop never migrated despite the busy host")
+	if migrated != 1 {
+		t.Errorf("monitor loop migrated %d ranks, want 1 (the busy host's)", migrated)
+	}
+	if newHost := j.HostOf(0); newHost == busyHost || newHost.Assigned() != 0 {
+		t.Error("rank 0 not reassigned to a fresh host")
 	}
 	j.Shutdown()
 	got := jp.Gather(steps)

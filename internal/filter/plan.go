@@ -52,18 +52,29 @@ func NewPlan2D(nx, ny int, mask func(x, y int) fluid.CellType) *Plan2D {
 
 // correctRows computes the fourth-difference correction of rows
 // [y0, y1) into scratch; nodes outside the stencil's reach get zero.
+//
+// The stencil is read through row slices of the raw storage, one per
+// neighbour offset, all indexed by x. Rows within two of an edge hold no
+// applicable node (Applicable2D), so their neighbour rows are never cut.
 func (p *Plan2D) correctRows(y0, y1 int) {
-	f, nx := p.f, p.nx
+	f, nx, sx, d := p.f, p.nx, p.f.Stride(), p.f.Data()
 	for y := y0; y < y1; y++ {
 		row := p.scratch[y*nx : (y+1)*nx]
-		okRow := p.ok[y*nx : (y+1)*nx]
+		if y < 2 || y >= p.ny-2 {
+			clear(row)
+			continue
+		}
+		okRow := p.ok[y*nx:][:nx]
+		at := f.Idx(0, y)
+		c, w2, w1, e1, e2 := d[at:][:nx], d[at-2:][:nx], d[at-1:][:nx], d[at+1:][:nx], d[at+2:][:nx]
+		s2, s1, n1, n2 := d[at-2*sx:][:nx], d[at-sx:][:nx], d[at+sx:][:nx], d[at+2*sx:][:nx]
 		for x := range row {
 			if !okRow[x] {
 				row[x] = 0
 				continue
 			}
-			d4x := f.At(x-2, y) - 4*f.At(x-1, y) + 6*f.At(x, y) - 4*f.At(x+1, y) + f.At(x+2, y)
-			d4y := f.At(x, y-2) - 4*f.At(x, y-1) + 6*f.At(x, y) - 4*f.At(x, y+1) + f.At(x, y+2)
+			d4x := w2[x] - 4*w1[x] + 6*c[x] - 4*e1[x] + e2[x]
+			d4y := s2[x] - 4*s1[x] + 6*c[x] - 4*n1[x] + n2[x]
 			row[x] = d4x + d4y
 		}
 	}
@@ -74,9 +85,10 @@ func (p *Plan2D) updateRows(y0, y1 int) {
 	f, nx, eps := p.f, p.nx, p.eps
 	for y := y0; y < y1; y++ {
 		row := p.scratch[y*nx : (y+1)*nx]
+		out := f.Data()[f.Idx(0, y):][:nx]
 		for x, c := range row {
 			if c != 0 {
-				f.Add(x, y, -eps*c)
+				out[x] += -eps * c
 			}
 		}
 	}
@@ -134,20 +146,29 @@ func NewPlan3D(nx, ny, nz int, mask func(x, y, z int) fluid.CellType) *Plan3D {
 
 // correctPlanes computes corrections for z-planes [z0, z1) into scratch.
 func (p *Plan3D) correctPlanes(z0, z1 int) {
-	f, nx, ny := p.f, p.nx, p.ny
+	f, nx, ny, d := p.f, p.nx, p.ny, p.f.Data()
+	sx, sxy := f.StrideX(), f.StrideXY()
 	for z := z0; z < z1; z++ {
 		for y := 0; y < ny; y++ {
 			base := (z*ny + y) * nx
 			row := p.scratch[base : base+nx]
-			okRow := p.ok[base : base+nx]
+			if y < 2 || y >= ny-2 || z < 2 || z >= p.nz-2 {
+				clear(row)
+				continue
+			}
+			okRow := p.ok[base:][:nx]
+			at := f.Idx(0, y, z)
+			c, w2, w1, e1, e2 := d[at:][:nx], d[at-2:][:nx], d[at-1:][:nx], d[at+1:][:nx], d[at+2:][:nx]
+			s2, s1, n1, n2 := d[at-2*sx:][:nx], d[at-sx:][:nx], d[at+sx:][:nx], d[at+2*sx:][:nx]
+			b2, b1, t1, t2 := d[at-2*sxy:][:nx], d[at-sxy:][:nx], d[at+sxy:][:nx], d[at+2*sxy:][:nx]
 			for x := range row {
 				if !okRow[x] {
 					row[x] = 0
 					continue
 				}
-				d4x := f.At(x-2, y, z) - 4*f.At(x-1, y, z) + 6*f.At(x, y, z) - 4*f.At(x+1, y, z) + f.At(x+2, y, z)
-				d4y := f.At(x, y-2, z) - 4*f.At(x, y-1, z) + 6*f.At(x, y, z) - 4*f.At(x, y+1, z) + f.At(x, y+2, z)
-				d4z := f.At(x, y, z-2) - 4*f.At(x, y, z-1) + 6*f.At(x, y, z) - 4*f.At(x, y, z+1) + f.At(x, y, z+2)
+				d4x := w2[x] - 4*w1[x] + 6*c[x] - 4*e1[x] + e2[x]
+				d4y := s2[x] - 4*s1[x] + 6*c[x] - 4*n1[x] + n2[x]
+				d4z := b2[x] - 4*b1[x] + 6*c[x] - 4*t1[x] + t2[x]
 				row[x] = d4x + d4y + d4z
 			}
 		}
@@ -161,9 +182,10 @@ func (p *Plan3D) updatePlanes(z0, z1 int) {
 		for y := 0; y < ny; y++ {
 			base := (z*ny + y) * nx
 			row := p.scratch[base : base+nx]
+			out := f.Data()[f.Idx(0, y, z):][:nx]
 			for x, c := range row {
 				if c != 0 {
-					f.Set(x, y, z, f.At(x, y, z)-eps*c)
+					out[x] -= eps * c
 				}
 			}
 		}

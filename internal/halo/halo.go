@@ -48,11 +48,10 @@ func (r Region2D) String() string {
 // Extract2D appends the region's values (row-major) to buf and returns the
 // extended buffer.
 func Extract2D(f *grid.Field2D, r Region2D, buf []float64) []float64 {
-	data, s := f.Data(), f.Stride()
+	data := f.Data()
 	for y := r.Y0; y < r.Y0+r.NY; y++ {
 		row := data[f.Idx(r.X0, y) : f.Idx(r.X0, y)+r.NX]
 		buf = append(buf, row...) //detlint:allow allocsteady -- grows only on the first exchange; steady-state callers reuse a full-capacity buffer
-		_ = s
 	}
 	return buf
 }

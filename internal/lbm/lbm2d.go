@@ -25,9 +25,11 @@
 //
 // Every inner phase is per-cell independent, so a rank's subregion is
 // additionally cut into row slabs updated concurrently by the shared
-// worker pool when Workers > 1; writes are disjoint by row and no node's
-// arithmetic changes, so the fields stay bit-identical to the serial
-// sweep at any worker count (see internal/pool).
+// worker pool when Workers > 1; no two nodes write the same address and
+// no node's arithmetic changes, so the fields stay bit-identical to the
+// serial sweep at any worker count (see internal/pool). In 2D, relax and
+// shift are one sweep that pushes each relaxed node into the post-shift
+// buffers (collideStream); the 3D solver still runs them as two.
 package lbm
 
 import (
@@ -94,21 +96,18 @@ type Solver2D struct {
 	scratch []float64
 
 	// Static per-node structure, cached at construction so the hot loops
-	// never call the mask closure: the interior cell types and, per row,
-	// whether every cell is plain Interior (the branch-free fast path).
-	cells   []fluid.CellType
-	rowOpen []bool
-	plan    *filter.Plan2D
+	// never call the mask closure: the interior cell types, whose runs of
+	// plain Interior nodes take the branch-free fast path.
+	cells []fluid.CellType
+	plan  *filter.Plan2D
 
 	// Parallel-kernel machinery: the pool runner, the prebuilt range
-	// closures (built once so the steady-state step allocates nothing),
-	// the population being shifted, and the reused exchange buffer.
-	par                       pool.Runner
-	relaxFn, shiftFn, macroFn func(lo, hi int)
-	runFn                     filter.RunFunc
-	shiftSrc, shiftDst        *grid.Field2D
-	shiftDx, shiftDy          int
-	xbuf                      []float64
+	// closures (built once so the steady-state step allocates nothing)
+	// and the reused exchange buffer.
+	par               pool.Runner
+	streamFn, macroFn func(lo, hi int)
+	runFn             filter.RunFunc
+	xbuf              []float64
 
 	// Filter field list built once at construction so the steady-state
 	// step allocates nothing; Swap exchanges field contents, never these
@@ -135,7 +134,6 @@ func NewSolver2D(nx, ny int, par fluid.Params, mask func(x, y int) fluid.CellTyp
 		Vy:      grid.NewField2D(nx, ny, 1),
 		scratch: make([]float64, nx*ny),
 		cells:   make([]fluid.CellType, nx*ny),
-		rowOpen: make([]bool, ny),
 		plan:    filter.NewPlan2D(nx, ny, mask),
 	}
 	s.filterFields = []*grid.Field2D{s.Rho, s.Vx, s.Vy}
@@ -144,18 +142,11 @@ func NewSolver2D(nx, ny int, par fluid.Params, mask func(x, y int) fluid.CellTyp
 		s.nF[i] = grid.NewField2D(nx, ny, 1)
 	}
 	for y := 0; y < ny; y++ {
-		open := true
 		for x := 0; x < nx; x++ {
-			c := mask(x, y)
-			s.cells[y*nx+x] = c
-			if c != fluid.Interior {
-				open = false
-			}
+			s.cells[y*nx+x] = mask(x, y)
 		}
-		s.rowOpen[y] = open
 	}
-	s.relaxFn = s.relaxRows
-	s.shiftFn = s.shiftRows
+	s.streamFn = s.collideStreamRows
 	s.macroFn = s.macroRows
 	s.runFn = s.run
 	s.Rho.Fill(par.Rho0)
@@ -198,15 +189,8 @@ func (s *Solver2D) InitEquilibrium() {
 
 // feq2 is the D2Q9 BGK equilibrium distribution.
 func feq2(i int, rho, vx, vy float64) float64 {
-	return feq2v(i, rho, vx, vy, vx*vx+vy*vy)
-}
-
-// feq2v is feq2 with the speed-squared hoisted: the relax kernel computes
-// v2 once per node instead of once per population. The expression is
-// identical, so the hoisting is bit-exact.
-func feq2v(i int, rho, vx, vy, v2 float64) float64 {
 	cu := float64(cx2[i])*vx + float64(cy2[i])*vy
-	return w2[i] * rho * (1 + 3*cu + 4.5*cu*cu - 1.5*v2)
+	return w2[i] * rho * (1 + 3*cu + 4.5*cu*cu - 1.5*(vx*vx+vy*vy))
 }
 
 // Phases returns the number of compute phases per step: relax+shift (with
@@ -221,8 +205,7 @@ func (s *Solver2D) Exchanges(phase int) bool { return phase == 0 }
 func (s *Solver2D) Compute(phase int) {
 	switch phase {
 	case 0:
-		s.relax()
-		s.shift()
+		s.collideStream()
 	case 1:
 		s.macroscopics()
 		s.applyFilter()
@@ -231,121 +214,154 @@ func (s *Solver2D) Compute(phase int) {
 	}
 }
 
-// relax applies BGK relaxation toward the equilibrium of the (filtered)
-// fluid variables at every interior node, bounce-back at walls, and
-// equilibrium forcing at inlets and outlets. A body force enters as the
-// standard first-order population shift 3 w_i rho (c_i . g).
-func (s *Solver2D) relax() { s.run(s.Rho.NY, s.relaxFn) }
+// collideStream is phase 0 in one sweep: every node is relaxed (BGK toward
+// the equilibrium of the filtered fluid variables at interior nodes,
+// bounce-back at walls, equilibrium forcing at inlets and outlets; a body
+// force enters as the first-order population shift 3 w_i rho (c_i . g))
+// and its nine post-relax populations are pushed straight to the nearest
+// neighbours in nF, ghost targets included: those collect the outflow the
+// exchange delivers to neighbouring subregions. F is only read, so the
+// sweep is followed by one round of swaps.
+func (s *Solver2D) collideStream() {
+	s.run(s.Rho.NY, s.streamFn)
+	for i := 0; i < Q2; i++ {
+		s.F[i].Swap(s.nF[i])
+	}
+}
 
-// relaxRows relaxes rows [y0, y1). All-Interior rows skip the cell-type
-// dispatch entirely; mixed rows branch on the cached cell types. Each
-// node writes only its own populations, so slabs are write-disjoint.
-func (s *Solver2D) relaxRows(y0, y1 int) {
+// bgk relaxes population f toward feq.
+func bgk(f, feq, invTau float64) float64 { return f + (feq-f)*invTau }
+
+// feqTerm is feq2 with the products shared by a direction and its
+// opposite hoisted: wr = w_i*rho, t = 3*cu, q = (4.5*cu)*cu, k = 1.5*v2.
+// Negating cu negates t and leaves q, bit for bit.
+func feqTerm(wr, t, q, k float64) float64 { return wr * (((1 + t) + q) - k) }
+
+// collideStreamRows relaxes rows [y0, y1) and pushes them into nF rows
+// [y0-1, y1]. Every (population, target) slot has exactly one source
+// node, so neighbouring slabs never write the same address. Runs of
+// Interior nodes take the unrolled branch-free loop over raw rows; wall,
+// inlet and outlet nodes go through boundaryNode one at a time.
+func (s *Solver2D) collideStreamRows(y0, y1 int) {
 	p := s.Par
 	invTau := 1 / s.Tau
 	forced := p.ForceX != 0 || p.ForceY != 0
-	nx := s.Rho.NX
-	for y := y0; y < y1; y++ {
-		open := s.rowOpen[y]
-		for x := 0; x < nx; x++ {
-			if !open {
-				switch s.cells[y*nx+x] {
-				case fluid.Wall:
-					// Full-way bounce-back: reflect the populations that
-					// streamed into the wall during the previous step.
-					for i := 1; i < Q2; i++ {
-						if j := opp2[i]; j > i {
-							a, b := s.F[i].At(x, y), s.F[j].At(x, y)
-							s.F[i].Set(x, y, b)
-							s.F[j].Set(x, y, a)
-						}
-					}
-					continue
-				case fluid.Inlet:
-					for i := 0; i < Q2; i++ {
-						s.F[i].Set(x, y, feq2(i, p.InletRho, p.InletVx, p.InletVy))
-					}
-					continue
-				case fluid.Outlet:
-					// Prescribed density, local velocity: anchors the mean
-					// pressure while letting flow leave.
-					vx, vy := s.Vx.At(x, y), s.Vy.At(x, y)
-					for i := 0; i < Q2; i++ {
-						s.F[i].Set(x, y, feq2(i, p.OutletRho, vx, vy))
-					}
-					continue
-				}
-			}
-			rho, vx, vy := s.Rho.At(x, y), s.Vx.At(x, y), s.Vy.At(x, y)
-			v2 := vx*vx + vy*vy
-			for i := 0; i < Q2; i++ {
-				f := s.F[i].At(x, y)
-				s.F[i].Set(x, y, f+(feq2v(i, rho, vx, vy, v2)-f)*invTau)
-			}
-			if forced {
-				for i := 1; i < Q2; i++ {
-					cg := float64(cx2[i])*p.ForceX + float64(cy2[i])*p.ForceY
-					s.F[i].Add(x, y, 3*w2[i]*rho*cg)
-				}
-			}
-		}
+	var fw, fg [Q2]float64 // force shift factors: 3 w_i and c_i . g
+	for i := 1; i < Q2; i++ {
+		fw[i] = 3 * w2[i]
+		fg[i] = float64(cx2[i])*p.ForceX + float64(cy2[i])*p.ForceY
 	}
-}
-
-// shift streams the relaxed populations to the nearest neighbours: every
-// interior target gathers from its upwind neighbour, and ghost targets
-// collect the outflow that the exchange will deliver to neighbouring
-// subregions. Interior edge values computed from stale ghosts are
-// overwritten by the incoming exchange data.
-//
-// The row sweep (interior rows plus the ghost-column targets at the same
-// y) runs on the pool; the ghost-row strip and corner are finished
-// serially — they are O(nx) of the O(nx*ny) population.
-func (s *Solver2D) shift() {
-	nx, ny := s.Rho.NX, s.Rho.NY
+	w0, wa, wd := w2[0], w2[1], w2[5]
+	nx, sx := s.Rho.NX, s.Rho.Stride()
+	rhoD, vxD, vyD := s.Rho.Data(), s.Vx.Data(), s.Vy.Data()
+	var src, dst [Q2][]float64
 	for i := 0; i < Q2; i++ {
-		dx, dy := cx2[i], cy2[i]
-		src, dst := s.F[i], s.nF[i]
-		s.shiftSrc, s.shiftDst, s.shiftDx, s.shiftDy = src, dst, dx, dy
-		s.run(ny, s.shiftFn)
-		if dx != 0 || dy != 0 {
-			gx := -1
-			if dx > 0 {
-				gx = nx
+		src[i], dst[i] = s.F[i].Data(), s.nF[i].Data()
+	}
+	for y := y0; y < y1; y++ {
+		cells := s.cells[y*nx : (y+1)*nx]
+		row := s.Rho.Idx(0, y)
+		for x := 0; x < nx; {
+			if cells[x] != fluid.Interior {
+				s.boundaryNode(row+x, cells[x])
+				x++
+				continue
 			}
-			gy := -1
-			if dy > 0 {
-				gy = ny
+			a := row + x
+			for x++; x < nx && cells[x] == fluid.Interior; x++ {
 			}
-			if dy != 0 {
-				for x := 0; x < nx; x++ {
-					dst.Set(x, gy, src.At(x-dx, gy-dy))
+			n := row + x - a
+			rho, vx, vy := rhoD[a:][:n], vxD[a:][:n], vyD[a:][:n]
+			f0, f1, f2, f3, f4 := src[0][a:][:n], src[1][a:][:n], src[2][a:][:n], src[3][a:][:n], src[4][a:][:n]
+			f5, f6, f7, f8 := src[5][a:][:n], src[6][a:][:n], src[7][a:][:n], src[8][a:][:n]
+			d0, d1, d2, d3, d4 := dst[0][a:][:n], dst[1][a+1:][:n], dst[2][a+sx:][:n], dst[3][a-1:][:n], dst[4][a-sx:][:n]
+			d5, d6, d7, d8 := dst[5][a+sx+1:][:n], dst[6][a+sx-1:][:n], dst[7][a-sx-1:][:n], dst[8][a-sx+1:][:n]
+			for j := 0; j < n; j++ {
+				r, u, v := rho[j], vx[j], vy[j]
+				k := 1.5 * (u*u + v*v)
+				o0 := bgk(f0[j], feqTerm(w0*r, 0, 0, k), invTau)
+				wr := wa * r
+				t, q := 3*u, (4.5*u)*u
+				o1 := bgk(f1[j], feqTerm(wr, t, q, k), invTau)
+				o3 := bgk(f3[j], feqTerm(wr, -t, q, k), invTau)
+				t, q = 3*v, (4.5*v)*v
+				o2 := bgk(f2[j], feqTerm(wr, t, q, k), invTau)
+				o4 := bgk(f4[j], feqTerm(wr, -t, q, k), invTau)
+				wr = wd * r
+				cu := u + v
+				t, q = 3*cu, (4.5*cu)*cu
+				o5 := bgk(f5[j], feqTerm(wr, t, q, k), invTau)
+				o7 := bgk(f7[j], feqTerm(wr, -t, q, k), invTau)
+				cu = u - v
+				t, q = 3*cu, (4.5*cu)*cu
+				o8 := bgk(f8[j], feqTerm(wr, t, q, k), invTau)
+				o6 := bgk(f6[j], feqTerm(wr, -t, q, k), invTau)
+				if forced {
+					o1 += fw[1] * r * fg[1]
+					o2 += fw[2] * r * fg[2]
+					o3 += fw[3] * r * fg[3]
+					o4 += fw[4] * r * fg[4]
+					o5 += fw[5] * r * fg[5]
+					o6 += fw[6] * r * fg[6]
+					o7 += fw[7] * r * fg[7]
+					o8 += fw[8] * r * fg[8]
 				}
-				if dx != 0 {
-					dst.Set(gx, gy, src.At(gx-dx, gy-dy))
-				}
+				d0[j], d1[j], d2[j], d3[j], d4[j] = o0, o1, o2, o3, o4
+				d5[j], d6[j], d7[j], d8[j] = o5, o6, o7, o8
 			}
 		}
-		src.Swap(dst)
+	}
+	s.zeroInflow(y0, y1)
+}
+
+// boundaryNode handles the node at flat index at: full-way bounce-back
+// at a wall (reflect the populations that streamed in during the previous
+// step), the prescribed equilibrium at an inlet, and prescribed density
+// with the local velocity at an outlet (anchors the mean pressure while
+// letting flow leave).
+func (s *Solver2D) boundaryNode(at int, c fluid.CellType) {
+	p, sx := s.Par, s.Rho.Stride()
+	for i := 0; i < Q2; i++ {
+		var f float64
+		switch c {
+		case fluid.Wall:
+			f = s.F[opp2[i]].Data()[at]
+		case fluid.Inlet:
+			f = feq2(i, p.InletRho, p.InletVx, p.InletVy)
+		case fluid.Outlet:
+			f = feq2(i, p.OutletRho, s.Vx.Data()[at], s.Vy.Data()[at])
+		}
+		s.nF[i].Data()[at+cy2[i]*sx+cx2[i]] = f
 	}
 }
 
-// shiftRows streams the current population into dst rows [y0, y1),
-// including the ghost-column target of each row when the population has
-// an x component. Writes land only in rows [y0, y1) of dst.
-func (s *Solver2D) shiftRows(y0, y1 int) {
-	nx := s.Rho.NX
-	src, dst, dx, dy := s.shiftSrc, s.shiftDst, s.shiftDx, s.shiftDy
-	for y := y0; y < y1; y++ {
-		for x := 0; x < nx; x++ {
-			dst.Set(x, y, src.At(x-dx, y-dy))
-		}
-		if dx != 0 {
-			gx := -1
-			if dx > 0 {
-				gx = nx
+// zeroInflow stores zero in the interior targets of rows [y0, y1) whose
+// upwind source lies outside the subregion. No node pushes into them; a
+// pull sweep would have read an upstream ghost there, which nothing ever
+// writes. The exchange overwrites them wherever a neighbour exists, and
+// at a closed boundary the zero keeps the value nF held two steps ago
+// from re-entering the lattice.
+func (s *Solver2D) zeroInflow(y0, y1 int) {
+	nx, ny := s.Rho.NX, s.Rho.NY
+	for i := 1; i < Q2; i++ {
+		d := s.nF[i]
+		if cx2[i] != 0 {
+			x := 0
+			if cx2[i] < 0 {
+				x = nx - 1
 			}
-			dst.Set(gx, y, src.At(gx-dx, y-dy))
+			for y := y0; y < y1; y++ {
+				d.Set(x, y, 0)
+			}
+		}
+		if cy2[i] != 0 {
+			y := 0
+			if cy2[i] < 0 {
+				y = ny - 1
+			}
+			if y0 <= y && y < y1 {
+				clear(d.Data()[d.Idx(0, y):][:nx])
+			}
 		}
 	}
 }
@@ -355,28 +371,26 @@ func (s *Solver2D) shiftRows(y0, y1 int) {
 // bounce-back transit and carry no fluid state.
 func (s *Solver2D) macroscopics() { s.run(s.Rho.NY, s.macroFn) }
 
-// macroRows recomputes the fluid variables on rows [y0, y1).
+// macroRows recomputes the fluid variables on rows [y0, y1). The sums run
+// in population order with the zero lattice components dropped.
 func (s *Solver2D) macroRows(y0, y1 int) {
 	nx := s.Rho.NX
 	for y := y0; y < y1; y++ {
-		open := s.rowOpen[y]
-		for x := 0; x < nx; x++ {
-			if !open && s.cells[y*nx+x] == fluid.Wall {
-				s.Rho.Set(x, y, s.Par.Rho0)
-				s.Vx.Set(x, y, 0)
-				s.Vy.Set(x, y, 0)
+		cells := s.cells[y*nx : (y+1)*nx]
+		a := s.Rho.Idx(0, y)
+		rho, vx, vy := s.Rho.Data()[a:][:nx], s.Vx.Data()[a:][:nx], s.Vy.Data()[a:][:nx]
+		f0, f1, f2 := s.F[0].Data()[a:][:nx], s.F[1].Data()[a:][:nx], s.F[2].Data()[a:][:nx]
+		f3, f4, f5 := s.F[3].Data()[a:][:nx], s.F[4].Data()[a:][:nx], s.F[5].Data()[a:][:nx]
+		f6, f7, f8 := s.F[6].Data()[a:][:nx], s.F[7].Data()[a:][:nx], s.F[8].Data()[a:][:nx]
+		for x, c := range cells {
+			if c == fluid.Wall {
+				rho[x], vx[x], vy[x] = s.Par.Rho0, 0, 0
 				continue
 			}
-			rho, mx, my := 0.0, 0.0, 0.0
-			for i := 0; i < Q2; i++ {
-				f := s.F[i].At(x, y)
-				rho += f
-				mx += f * float64(cx2[i])
-				my += f * float64(cy2[i])
-			}
-			s.Rho.Set(x, y, rho)
-			s.Vx.Set(x, y, mx/rho)
-			s.Vy.Set(x, y, my/rho)
+			r := f0[x] + f1[x] + f2[x] + f3[x] + f4[x] + f5[x] + f6[x] + f7[x] + f8[x]
+			mx := f1[x] - f3[x] + f5[x] - f6[x] - f7[x] + f8[x]
+			my := f2[x] - f4[x] + f5[x] + f6[x] - f7[x] - f8[x]
+			rho[x], vx[x], vy[x] = r, mx/r, my/r
 		}
 	}
 }

@@ -370,8 +370,10 @@ func TestEquilibriumMomentsProperty(t *testing.T) {
 	}
 }
 
-// TestRelaxConservesProperty: one relax step at a random subsonic state
-// conserves node mass and momentum exactly (no forcing).
+// TestRelaxConservesProperty: one relax+stream sweep at a random subsonic
+// state, wrapped periodically, conserves total mass and momentum (no
+// forcing): relaxation conserves them node by node and streaming only
+// moves populations.
 func TestRelaxConservesProperty(t *testing.T) {
 	f := func(seed int8) bool {
 		p := fluid.DefaultParams()
@@ -401,7 +403,8 @@ func TestRelaxConservesProperty(t *testing.T) {
 				}
 			}
 		}
-		s.relax()
+		s.Compute(0)
+		s.selfExchange(true, true)
 		var m1, px1, py1 float64
 		for i := 0; i < Q2; i++ {
 			m1 += s.F[i].SumInterior()
