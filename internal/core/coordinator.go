@@ -32,7 +32,8 @@ type Job struct {
 	Until   int
 
 	// Rebuild reconstructs a Program from a migration dump; wired by the
-	// constructors to the config's NewProgram + RestoreState.
+	// constructors to the config's RestoreProgram (geometry + RestoreState,
+	// no initial condition).
 	Rebuild func(st *dump.State) (Program, error)
 
 	// WaitTimeout bounds every coordination wait (default 60s).
@@ -105,12 +106,9 @@ func NewJob2D(cfg *Config2D, factory TransportFactory, sync *syncfile.Sync, unti
 	}
 	j := newJob(factory, sync, until, cfg.D.P())
 	j.Rebuild = func(st *dump.State) (Program, error) {
-		p, err := cfg.NewProgram(st.Rank)
+		p, err := cfg.RestoreProgram(st)
 		if err != nil {
-			return nil, err
-		}
-		if err := p.RestoreState(st); err != nil {
-			return nil, err
+			return nil, err // a bare nil, not a typed-nil Program
 		}
 		return p, nil
 	}
@@ -451,12 +449,9 @@ func NewJob3D(cfg *Config3D, factory TransportFactory, sync *syncfile.Sync, unti
 	}
 	j := newJob(factory, sync, until, cfg.D.P())
 	j.Rebuild = func(st *dump.State) (Program, error) {
-		p, err := cfg.NewProgram(st.Rank)
+		p, err := cfg.RestoreProgram(st)
 		if err != nil {
-			return nil, err
-		}
-		if err := p.RestoreState(st); err != nil {
-			return nil, err
+			return nil, err // a bare nil, not a typed-nil Program
 		}
 		return p, nil
 	}

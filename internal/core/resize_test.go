@@ -1,12 +1,15 @@
 package core
 
 import (
+	"maps"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/decomp"
+	"repro/internal/dump"
 	"repro/internal/fluid"
 	"repro/internal/syncfile"
 )
@@ -191,5 +194,88 @@ func TestResizeRequiresFilterOff(t *testing.T) {
 	job.Shutdown()
 	if got := progs.Gather(steps); got.ActiveRegions != 4 {
 		t.Fatalf("gathered ActiveRegions = %d, want 4", got.ActiveRegions)
+	}
+}
+
+// badDumps returns, by name, corruptions of a suspended dump set that the
+// re-split must refuse: a field gone, an array one value short, one rank a
+// step ahead. The originals are left intact (the job resumes from them).
+func badDumps(states []*dump.State) map[string][]*dump.State {
+	corrupt := func(edit func(st *dump.State)) []*dump.State {
+		out := append([]*dump.State(nil), states...)
+		cp := *states[len(states)-1]
+		cp.Fields = maps.Clone(cp.Fields)
+		edit(&cp)
+		out[len(out)-1] = &cp
+		return out
+	}
+	return map[string][]*dump.State{
+		"lack field":      corrupt(func(st *dump.State) { delete(st.Fields, "vx") }),
+		"values, want":    corrupt(func(st *dump.State) { st.Fields["rho"] = st.Fields["rho"][1:] }),
+		"different steps": corrupt(func(st *dump.State) { st.Step++ }),
+	}
+}
+
+// TestResizeFailureLeavesJobIntact: a dump set that fails validation makes
+// Resize return an error that says why, without a panic; the decomposition
+// is untouched, the job resumes at its old width and finishes in the
+// undisturbed run's bits.
+func TestResizeFailureLeavesJobIntact(t *testing.T) {
+	const steps = 60
+	for _, method := range []string{MethodLB, MethodFD} {
+		ref, _, err := RunSequential2D(resizeCfg2D(t, method, 2, 2), steps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{"lack field", "values, want", "different steps"} {
+			t.Run(method+" "+want, func(t *testing.T) {
+				cfg := resizeCfg2D(t, method, 2, 2)
+				job, progs := startJob2D(t, cfg, steps)
+				resplit := job.resplit
+				job.resplit = func(states []*dump.State, sh decomp.Shape) ([]*dump.State, error) {
+					return resplit(badDumps(states)[want], sh)
+				}
+				err := job.Resize(decomp.UniformShape2D(3, 2, 24, 16))
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("resize over bad dumps: err = %v, want one containing %q", err, want)
+				}
+				if cfg.D.JX != 2 || cfg.D.JY != 2 || cfg.D.P() != 4 || job.P() != 4 {
+					t.Fatalf("after the refused resize: decomposition %dx%d (%d ranks), job P = %d; want 2x2, 4, 4",
+						cfg.D.JX, cfg.D.JY, cfg.D.P(), job.P())
+				}
+				if err := job.WaitDone(); err != nil {
+					t.Fatal(err)
+				}
+				job.Shutdown()
+				if ok, x, y, d := resultsEqual(ref, progs.Gather(steps), 0); !ok {
+					t.Errorf("run differs from the reference at (%d,%d) by %g", x, y, d)
+				}
+			})
+		}
+	}
+}
+
+// TestResplitFailureLeavesDecomposition3D calls the 3D re-split directly
+// with each bad dump set: an error, no panic, cfg.D as it was.
+func TestResplitFailureLeavesDecomposition3D(t *testing.T) {
+	for _, method := range []string{MethodLB, MethodFD} {
+		cfg := resizeCfg3D(t, method, 2, 1, 1)
+		states, err := Decompose3D(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := *cfg.D
+		bad := badDumps(states)
+		bad["out of range or repeated"] = []*dump.State{states[0], states[0]}
+		bad["dumps for"] = states[:1]
+		for want, set := range bad {
+			_, err := resplit3D(cfg, set, decomp.UniformShape3D(2, 2, 1, 12, 10, 8))
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s %q: err = %v", method, want, err)
+			}
+			if !reflect.DeepEqual(*cfg.D, before) {
+				t.Fatalf("%s %q: the refused re-split changed cfg.D", method, want)
+			}
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/dump"
 	"repro/internal/fd"
 	"repro/internal/fluid"
+	"repro/internal/grid"
 	"repro/internal/lbm"
 	"repro/internal/msg"
 	"repro/internal/pool"
@@ -70,18 +71,27 @@ func LocalMask2D(d *decomp.Decomp2D, sub *decomp.Subregion2D, m *fluid.Mask2D) f
 	}
 }
 
-// globalAt evaluates an init function at wrapped global coordinates, with a
-// default for nodes beyond a non-periodic domain.
-func (c *Config2D) globalAt(f func(x, y int) float64, gx, gy int, def float64) float64 {
-	gx = wrapCoord(gx, c.D.GX, c.D.PeriodicX)
-	gy = wrapCoord(gy, c.D.GY, c.D.PeriodicY)
-	if gx < 0 || gx >= c.D.GX || gy < 0 || gy >= c.D.GY {
-		return def
-	}
+// fill writes f, evaluated at wrapped global coordinates, into every node of
+// one rank's field, ghosts included: a ghost then holds its neighbour's
+// edge value, exactly the state an exchange would have produced. Nodes
+// beyond a non-periodic domain, and every node when f is nil, get def.
+func (c *Config2D) fill(dst *grid.Field2D, sub *decomp.Subregion2D, f func(x, y int) float64, def float64) {
 	if f == nil {
-		return def
+		dst.Fill(def)
+		return
 	}
-	return f(gx, gy)
+	for y := -1; y <= sub.NY; y++ {
+		gy := wrapCoord(sub.Y0+y, c.D.GY, c.D.PeriodicY)
+		row := dst.Data()[dst.Idx(-1, y):][:sub.NX+2]
+		for i := range row {
+			gx := wrapCoord(sub.X0+i-1, c.D.GX, c.D.PeriodicX)
+			if gx < 0 || gx >= c.D.GX || gy < 0 || gy >= c.D.GY {
+				row[i] = def
+			} else {
+				row[i] = f(gx, gy)
+			}
+		}
+	}
 }
 
 // workerBudget resolves the intra-rank worker count: the explicit Workers
@@ -94,66 +104,91 @@ func (c *Config2D) workerBudget() int {
 	return pool.DefaultPerRank(c.D.P())
 }
 
-// NewMethod2D builds the numerical method instance for one subregion,
-// with fields initialized from the config: the combined initialization +
-// decomposition programs of section 4.1 for a fresh start, plus the
-// intra-rank worker budget.
-func (c *Config2D) NewMethod2D(rank int) (Method2D, error) {
-	m, err := c.newMethod2D(rank)
-	if err != nil {
-		return nil, err
+// geometry builds a rank's method with everything that is not state: storage
+// allocated, mask classified, worker budget set. The two ways to a Program
+// start here — NewMethod2D adds the initial condition, RestoreProgram loads
+// a dump — so a rebuild never computes a state it is about to overwrite.
+func (c *Config2D) geometry(rank int) (Method2D, error) {
+	sub := c.D.ByRank(rank)
+	mask := LocalMask2D(c.D, sub, c.Mask)
+	var m Method2D
+	switch c.Method {
+	case MethodFD:
+		s, err := fd.NewGeometry2D(sub.NX, sub.NY, c.Par, mask)
+		if err != nil {
+			return nil, err
+		}
+		m = s
+	case MethodLB:
+		s, err := lbm.NewGeometry2D(sub.NX, sub.NY, c.Par, mask)
+		if err != nil {
+			return nil, err
+		}
+		m = s
+	default:
+		return nil, fmt.Errorf("core: unknown method %q", c.Method)
 	}
 	m.SetWorkers(c.workerBudget())
 	return m, nil
 }
 
-func (c *Config2D) newMethod2D(rank int) (Method2D, error) {
-	sub := c.D.ByRank(rank)
-	mask := LocalMask2D(c.D, sub, c.Mask)
-	switch c.Method {
-	case MethodFD:
-		s, err := fd.NewSolver2D(sub.NX, sub.NY, c.Par, mask)
-		if err != nil {
-			return nil, err
-		}
-		// Fill interior and ghosts from the global initial state: the
-		// ghost values equal the neighbours' edges, exactly the state an
-		// exchange would have produced.
-		for y := -1; y <= sub.NY; y++ {
-			for x := -1; x <= sub.NX; x++ {
-				gx, gy := sub.X0+x, sub.Y0+y
-				s.Rho.Set(x, y, c.globalAt(c.InitRho, gx, gy, c.Par.Rho0))
-				s.Vx.Set(x, y, c.globalAt(c.InitVx, gx, gy, 0))
-				s.Vy.Set(x, y, c.globalAt(c.InitVy, gx, gy, 0))
-			}
-		}
-		return s, nil
-	case MethodLB:
-		s, err := lbm.NewSolver2D(sub.NX, sub.NY, c.Par, mask)
-		if err != nil {
-			return nil, err
-		}
-		for y := -1; y <= sub.NY; y++ {
-			for x := -1; x <= sub.NX; x++ {
-				gx, gy := sub.X0+x, sub.Y0+y
-				s.Rho.Set(x, y, c.globalAt(c.InitRho, gx, gy, c.Par.Rho0))
-				s.Vx.Set(x, y, c.globalAt(c.InitVx, gx, gy, 0))
-				s.Vy.Set(x, y, c.globalAt(c.InitVy, gx, gy, 0))
-			}
-		}
-		s.InitEquilibrium()
-		return s, nil
+// fields2D returns a method's fluid variables (nil for a foreign method).
+func fields2D(m Method2D) (rho, vx, vy *grid.Field2D) {
+	switch s := m.(type) {
+	case *fd.Solver2D:
+		return s.Rho, s.Vx, s.Vy
+	case *lbm.Solver2D:
+		return s.Rho, s.Vx, s.Vy
 	}
-	return nil, fmt.Errorf("core: unknown method %q", c.Method)
+	return nil, nil, nil
 }
 
-// NewProgram builds the Program for one rank.
+// NewMethod2D builds the numerical method instance for one subregion,
+// with fields initialized from the config: the combined initialization +
+// decomposition programs of section 4.1 for a fresh start, plus the
+// intra-rank worker budget.
+func (c *Config2D) NewMethod2D(rank int) (Method2D, error) {
+	m, err := c.geometry(rank)
+	if err != nil {
+		return nil, err
+	}
+	sub := c.D.ByRank(rank)
+	rho, vx, vy := fields2D(m)
+	c.fill(rho, sub, c.InitRho, c.Par.Rho0)
+	c.fill(vx, sub, c.InitVx, 0)
+	c.fill(vy, sub, c.InitVy, 0)
+	if s, ok := m.(*lbm.Solver2D); ok {
+		s.InitEquilibrium()
+	}
+	return m, nil
+}
+
+// NewProgram builds the Program for one rank at the initial condition.
 func (c *Config2D) NewProgram(rank int) (*Program2D, error) {
 	m, err := c.NewMethod2D(rank)
 	if err != nil {
 		return nil, err
 	}
 	return NewProgram2D(m, c.D, rank), nil
+}
+
+// RestoreProgram builds the Program a dump belongs to: the rank's geometry
+// with the dumped state loaded into it. No initial condition is evaluated —
+// RestoreState overwrites every array one would write, ghosts included,
+// and everything else a solver owns is zero after either construction.
+func (c *Config2D) RestoreProgram(st *dump.State) (*Program2D, error) {
+	if st.Rank < 0 || st.Rank >= c.D.P() {
+		return nil, fmt.Errorf("core: dump of rank %d, decomposition has %d ranks", st.Rank, c.D.P())
+	}
+	m, err := c.geometry(st.Rank)
+	if err != nil {
+		return nil, err
+	}
+	p := NewProgram2D(m, c.D, st.Rank)
+	if err := p.RestoreState(st); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // Decompose2D is the decomposition program: it produces one dump.State per
@@ -178,11 +213,8 @@ func Decompose2D(c *Config2D) ([]*dump.State, error) {
 // from a dump file and wraps it in a Worker whose channels are opened
 // through the factory.
 func Submit2D(c *Config2D, st *dump.State, factory TransportFactory, events chan<- Event) (*Worker, error) {
-	p, err := c.NewProgram(st.Rank)
+	p, err := c.RestoreProgram(st)
 	if err != nil {
-		return nil, err
-	}
-	if err := p.RestoreState(st); err != nil {
 		return nil, err
 	}
 	return NewWorkerAt(p, factory, st.Epoch, events, st.Step)
@@ -216,15 +248,8 @@ func Gather2D(c *Config2D, progs []*Program2D, steps int) *Result2D {
 		res.Rho[i] = c.Par.Rho0
 	}
 	for _, p := range progs {
-		var rho, vx, vy interface {
-			At(x, y int) float64
-		}
-		switch m := p.M.(type) {
-		case *fd.Solver2D:
-			rho, vx, vy = m.Rho, m.Vx, m.Vy
-		case *lbm.Solver2D:
-			rho, vx, vy = m.Rho, m.Vx, m.Vy
-		default:
+		rho, vx, vy := fields2D(p.M)
+		if rho == nil {
 			continue
 		}
 		sub := p.Sub

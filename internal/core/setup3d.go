@@ -7,6 +7,7 @@ import (
 	"repro/internal/dump"
 	"repro/internal/fd"
 	"repro/internal/fluid"
+	"repro/internal/grid"
 	"repro/internal/lbm"
 	"repro/internal/pool"
 )
@@ -58,75 +59,111 @@ func LocalMask3D(d *decomp.Decomp3D, sub *decomp.Subregion3D, m *fluid.Mask3D) f
 	}
 }
 
-func (c *Config3D) globalAt(f func(x, y, z int) float64, gx, gy, gz int, def float64) float64 {
-	gx = wrapCoord(gx, c.D.GX, c.D.PeriodicX)
-	gy = wrapCoord(gy, c.D.GY, c.D.PeriodicY)
-	gz = wrapCoord(gz, c.D.GZ, c.D.PeriodicZ)
-	if gx < 0 || gx >= c.D.GX || gy < 0 || gy >= c.D.GY || gz < 0 || gz >= c.D.GZ {
-		return def
-	}
+// fill is Config2D.fill for a box: f at wrapped global coordinates in every
+// node, ghosts included; def beyond a non-periodic domain or for a nil f.
+func (c *Config3D) fill(dst *grid.Field3D, sub *decomp.Subregion3D, f func(x, y, z int) float64, def float64) {
 	if f == nil {
-		return def
+		dst.Fill(def)
+		return
 	}
-	return f(gx, gy, gz)
+	for z := -1; z <= sub.NZ; z++ {
+		gz := wrapCoord(sub.Z0+z, c.D.GZ, c.D.PeriodicZ)
+		for y := -1; y <= sub.NY; y++ {
+			gy := wrapCoord(sub.Y0+y, c.D.GY, c.D.PeriodicY)
+			outside := gy < 0 || gy >= c.D.GY || gz < 0 || gz >= c.D.GZ
+			row := dst.Data()[dst.Idx(-1, y, z):][:sub.NX+2]
+			for i := range row {
+				gx := wrapCoord(sub.X0+i-1, c.D.GX, c.D.PeriodicX)
+				if outside || gx < 0 || gx >= c.D.GX {
+					row[i] = def
+				} else {
+					row[i] = f(gx, gy, gz)
+				}
+			}
+		}
+	}
 }
 
-// NewMethod3D builds the numerical method for one box with initialized
-// fields and the intra-rank worker budget.
-func (c *Config3D) NewMethod3D(rank int) (Method3D, error) {
-	m, err := c.newMethod3D(rank)
-	if err != nil {
-		return nil, err
+// geometry builds a rank's method with everything that is not state (see
+// Config2D.geometry).
+func (c *Config3D) geometry(rank int) (Method3D, error) {
+	sub := c.D.ByRank(rank)
+	mask := LocalMask3D(c.D, sub, c.Mask)
+	var m Method3D
+	switch c.Method {
+	case MethodFD:
+		s, err := fd.NewGeometry3D(sub.NX, sub.NY, sub.NZ, c.Par, mask)
+		if err != nil {
+			return nil, err
+		}
+		m = s
+	case MethodLB:
+		s, err := lbm.NewGeometry3D(sub.NX, sub.NY, sub.NZ, c.Par, mask)
+		if err != nil {
+			return nil, err
+		}
+		m = s
+	default:
+		return nil, fmt.Errorf("core: unknown method %q", c.Method)
 	}
 	m.SetWorkers(c.workerBudget())
 	return m, nil
 }
 
-func (c *Config3D) newMethod3D(rank int) (Method3D, error) {
-	sub := c.D.ByRank(rank)
-	mask := LocalMask3D(c.D, sub, c.Mask)
-	initFields := func(rho, vx, vy, vz interface {
-		Set(x, y, z int, v float64)
-	}, nx, ny, nz int) {
-		for z := -1; z <= nz; z++ {
-			for y := -1; y <= ny; y++ {
-				for x := -1; x <= nx; x++ {
-					gx, gy, gz := sub.X0+x, sub.Y0+y, sub.Z0+z
-					rho.Set(x, y, z, c.globalAt(c.InitRho, gx, gy, gz, c.Par.Rho0))
-					vx.Set(x, y, z, c.globalAt(c.InitVx, gx, gy, gz, 0))
-					vy.Set(x, y, z, c.globalAt(c.InitVy, gx, gy, gz, 0))
-					vz.Set(x, y, z, c.globalAt(c.InitVz, gx, gy, gz, 0))
-				}
-			}
-		}
+// fields3D returns a method's fluid variables (nil for a foreign method).
+func fields3D(m Method3D) (rho, vx, vy, vz *grid.Field3D) {
+	switch s := m.(type) {
+	case *fd.Solver3D:
+		return s.Rho, s.Vx, s.Vy, s.Vz
+	case *lbm.Solver3D:
+		return s.Rho, s.Vx, s.Vy, s.Vz
 	}
-	switch c.Method {
-	case MethodFD:
-		s, err := fd.NewSolver3D(sub.NX, sub.NY, sub.NZ, c.Par, mask)
-		if err != nil {
-			return nil, err
-		}
-		initFields(s.Rho, s.Vx, s.Vy, s.Vz, sub.NX, sub.NY, sub.NZ)
-		return s, nil
-	case MethodLB:
-		s, err := lbm.NewSolver3D(sub.NX, sub.NY, sub.NZ, c.Par, mask)
-		if err != nil {
-			return nil, err
-		}
-		initFields(s.Rho, s.Vx, s.Vy, s.Vz, sub.NX, sub.NY, sub.NZ)
-		s.InitEquilibrium()
-		return s, nil
-	}
-	return nil, fmt.Errorf("core: unknown method %q", c.Method)
+	return nil, nil, nil, nil
 }
 
-// NewProgram builds the Program for one rank.
+// NewMethod3D builds the numerical method for one box with initialized
+// fields and the intra-rank worker budget.
+func (c *Config3D) NewMethod3D(rank int) (Method3D, error) {
+	m, err := c.geometry(rank)
+	if err != nil {
+		return nil, err
+	}
+	sub := c.D.ByRank(rank)
+	rho, vx, vy, vz := fields3D(m)
+	c.fill(rho, sub, c.InitRho, c.Par.Rho0)
+	c.fill(vx, sub, c.InitVx, 0)
+	c.fill(vy, sub, c.InitVy, 0)
+	c.fill(vz, sub, c.InitVz, 0)
+	if s, ok := m.(*lbm.Solver3D); ok {
+		s.InitEquilibrium()
+	}
+	return m, nil
+}
+
+// NewProgram builds the Program for one rank at the initial condition.
 func (c *Config3D) NewProgram(rank int) (*Program3D, error) {
 	m, err := c.NewMethod3D(rank)
 	if err != nil {
 		return nil, err
 	}
 	return NewProgram3D(m, c.D, rank), nil
+}
+
+// RestoreProgram builds the Program a dump belongs to, evaluating no
+// initial condition (see Config2D.RestoreProgram).
+func (c *Config3D) RestoreProgram(st *dump.State) (*Program3D, error) {
+	if st.Rank < 0 || st.Rank >= c.D.P() {
+		return nil, fmt.Errorf("core: dump of rank %d, decomposition has %d ranks", st.Rank, c.D.P())
+	}
+	m, err := c.geometry(st.Rank)
+	if err != nil {
+		return nil, err
+	}
+	p := NewProgram3D(m, c.D, st.Rank)
+	if err := p.RestoreState(st); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // Decompose3D produces one dump per active box.
@@ -167,15 +204,8 @@ func Gather3D(c *Config3D, progs []*Program3D, steps int) *Result3D {
 		Steps: steps,
 	}
 	for _, p := range progs {
-		var rho, vx, vy, vz interface {
-			At(x, y, z int) float64
-		}
-		switch m := p.M.(type) {
-		case *fd.Solver3D:
-			rho, vx, vy, vz = m.Rho, m.Vx, m.Vy, m.Vz
-		case *lbm.Solver3D:
-			rho, vx, vy, vz = m.Rho, m.Vx, m.Vy, m.Vz
-		default:
+		rho, vx, vy, vz := fields3D(p.M)
+		if rho == nil {
 			continue
 		}
 		sub := p.Sub

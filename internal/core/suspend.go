@@ -104,17 +104,27 @@ func (j *Job) Resume(states []*dump.State) error {
 	if len(states) != j.P() {
 		return fmt.Errorf("core: resume: %d states for %d ranks", len(states), j.P())
 	}
+	if err := j.restart(states); err != nil {
+		return fmt.Errorf("core: resume: %w", err)
+	}
+	return nil
+}
+
+// restart replaces the whole worker set with one fresh worker per state, at
+// the next communication epoch, and starts them. Resume calls it with the
+// suspended rank set, Resize with the re-cut one.
+func (j *Job) restart(states []*dump.State) error {
 	j.epoch++
 	j.done = make(map[int]bool)
-	restarted := make([]*Worker, 0, len(states))
+	j.workers = make(map[int]*Worker, len(states))
 	for _, st := range states {
 		st.Epoch = j.epoch
 		prog, err := j.Rebuild(st)
 		if err != nil {
-			return fmt.Errorf("core: resume: rebuilding rank %d: %w", st.Rank, err)
+			return fmt.Errorf("rebuilding rank %d: %w", st.Rank, err)
 		}
-		// Keep any scheduler-level worker-budget override across the
-		// suspend/resume round trip (Rebuild restores the config default).
+		// Keep any scheduler-level worker-budget override across the round
+		// trip (Rebuild restores the config default).
 		if j.workersOverride > 0 {
 			if p, ok := prog.(workerBudgeted); ok {
 				p.SetWorkers(j.workersOverride)
@@ -122,19 +132,19 @@ func (j *Job) Resume(states []*dump.State) error {
 		}
 		w, err := NewWorkerAt(prog, j.Factory, j.epoch, j.events, st.Step)
 		if err != nil {
-			return fmt.Errorf("core: resume: restarting rank %d: %w", st.Rank, err)
+			return fmt.Errorf("restarting rank %d: %w", st.Rank, err)
 		}
 		j.workers[st.Rank] = w
 		if j.onRebuild != nil {
 			j.onRebuild(st.Rank, prog)
 		}
-		restarted = append(restarted, w)
 	}
-	for _, w := range restarted {
-		j.wireSync(w)
+	// The sync funcs capture P, so wire them once every worker exists.
+	for _, rank := range j.ranks() {
+		j.wireSync(j.workers[rank])
 	}
-	for _, w := range restarted {
-		go w.Start(j.Until)
+	for _, rank := range j.ranks() {
+		go j.workers[rank].Start(j.Until)
 	}
 	return nil
 }

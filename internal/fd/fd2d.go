@@ -43,9 +43,8 @@ import (
 type Solver2D struct {
 	Par fluid.Params
 
-	// Mask gives the cell type at subregion-local coordinates; ghost
-	// offsets (-1, NX, NY) must be answered too (walls beyond the domain,
-	// fluid across a seam).
+	// Mask gives the cell type at subregion-local coordinates. It is
+	// queried once per interior node, at construction.
 	Mask func(x, y int) fluid.CellType
 
 	// Workers is the intra-rank slab count; <= 1 runs the serial sweeps.
@@ -59,8 +58,7 @@ type Solver2D struct {
 
 	// Static per-node structure cached at construction: interior cell
 	// types and per-row all-Interior flags (the branch-light fast path).
-	// Only interior coordinates are cached; ghost queries still go through
-	// Mask (they occur only in the filter plan, precomputed once).
+	// Only interior coordinates are cached; nothing queries a ghost's type.
 	cells   []fluid.CellType
 	rowOpen []bool
 	plan    *filter.Plan2D
@@ -77,10 +75,23 @@ type Solver2D struct {
 	phaseFields  [2][]*grid.Field2D
 }
 
-// NewSolver2D allocates a solver for an nx-by-ny subregion. The fields are
-// initialized to rho = Rho0, V = 0; callers overwrite them for other
-// initial states.
+// NewSolver2D allocates a solver for an nx-by-ny subregion with the fields
+// initialized to rho = Rho0, V = 0 (NewGeometry2D plus that initial
+// condition); callers overwrite them for other initial states.
 func NewSolver2D(nx, ny int, par fluid.Params, mask func(x, y int) fluid.CellType) (*Solver2D, error) {
+	s, err := NewGeometry2D(nx, ny, par, mask)
+	if err != nil {
+		return nil, err
+	}
+	s.Rho.Fill(par.Rho0)
+	return s, nil
+}
+
+// NewGeometry2D builds everything about a solver that is not state: the
+// storage (all zero), the classified interior cell types and the filter
+// plan. The caller supplies the state, as an initial condition or through
+// RestoreFields, which overwrites every array an initial condition writes.
+func NewGeometry2D(nx, ny int, par fluid.Params, mask func(x, y int) fluid.CellType) (*Solver2D, error) {
 	if err := par.Check(); err != nil {
 		return nil, err
 	}
@@ -100,10 +111,7 @@ func NewSolver2D(nx, ny int, par fluid.Params, mask func(x, y int) fluid.CellTyp
 		scratch: make([]float64, nx*ny),
 		cells:   make([]fluid.CellType, nx*ny),
 		rowOpen: make([]bool, ny),
-		plan:    filter.NewPlan2D(nx, ny, mask),
 	}
-	s.filterFields = []*grid.Field2D{s.Rho, s.Vx, s.Vy}
-	s.phaseFields = [2][]*grid.Field2D{{s.Vx, s.Vy}, {s.Rho}}
 	for y := 0; y < ny; y++ {
 		open := true
 		for x := 0; x < nx; x++ {
@@ -115,10 +123,12 @@ func NewSolver2D(nx, ny int, par fluid.Params, mask func(x, y int) fluid.CellTyp
 		}
 		s.rowOpen[y] = open
 	}
+	s.plan = filter.NewPlan2DFromCells(nx, ny, s.cells)
+	s.filterFields = []*grid.Field2D{s.Rho, s.Vx, s.Vy}
+	s.phaseFields = [2][]*grid.Field2D{{s.Vx, s.Vy}, {s.Rho}}
 	s.velFn = s.velocityRows
 	s.denFn = s.densityRows
 	s.runFn = s.run
-	s.Rho.Fill(par.Rho0)
 	return s, nil
 }
 

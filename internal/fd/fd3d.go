@@ -47,8 +47,20 @@ type Solver3D struct {
 	phaseFields  [2][]*grid.Field3D
 }
 
-// NewSolver3D allocates a 3D solver initialized to rho = Rho0, V = 0.
+// NewSolver3D allocates a 3D solver initialized to rho = Rho0, V = 0:
+// NewGeometry3D plus that initial condition.
 func NewSolver3D(nx, ny, nz int, par fluid.Params, mask func(x, y, z int) fluid.CellType) (*Solver3D, error) {
+	s, err := NewGeometry3D(nx, ny, nz, par, mask)
+	if err != nil {
+		return nil, err
+	}
+	s.Rho.Fill(par.Rho0)
+	return s, nil
+}
+
+// NewGeometry3D builds everything about a solver that is not state, with
+// all storage zero (see NewGeometry2D).
+func NewGeometry3D(nx, ny, nz int, par fluid.Params, mask func(x, y, z int) fluid.CellType) (*Solver3D, error) {
 	if err := par.Check(); err != nil {
 		return nil, err
 	}
@@ -69,10 +81,7 @@ func NewSolver3D(nx, ny, nz int, par fluid.Params, mask func(x, y, z int) fluid.
 		scratch: make([]float64, nx*ny*nz),
 		cells:   make([]fluid.CellType, nx*ny*nz),
 		rowOpen: make([]bool, ny*nz),
-		plan:    filter.NewPlan3D(nx, ny, nz, mask),
 	}
-	s.filterFields = []*grid.Field3D{s.Rho, s.Vx, s.Vy, s.Vz}
-	s.phaseFields = [2][]*grid.Field3D{{s.Vx, s.Vy, s.Vz}, {s.Rho}}
 	for z := 0; z < nz; z++ {
 		for y := 0; y < ny; y++ {
 			open := true
@@ -86,10 +95,12 @@ func NewSolver3D(nx, ny, nz int, par fluid.Params, mask func(x, y, z int) fluid.
 			s.rowOpen[z*ny+y] = open
 		}
 	}
+	s.plan = filter.NewPlan3DFromCells(nx, ny, nz, s.cells)
+	s.filterFields = []*grid.Field3D{s.Rho, s.Vx, s.Vy, s.Vz}
+	s.phaseFields = [2][]*grid.Field3D{{s.Vx, s.Vy, s.Vz}, {s.Rho}}
 	s.velFn = s.velocityPlanes
 	s.denFn = s.densityPlanes
 	s.runFn = s.run
-	s.Rho.Fill(par.Rho0)
 	return s, nil
 }
 

@@ -1,7 +1,9 @@
 package fd
 
 import (
+	"maps"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/decomp"
@@ -310,5 +312,32 @@ func TestDumpRestore3D(t *testing.T) {
 	}
 	if a.MethodName() != "fd3d" || b.MethodName() != "fd3d" {
 		t.Error("3D MethodName wrong")
+	}
+}
+
+// TestDumpSchemaMatchesSolvers: DumpSchema2D/3D name exactly what the
+// solvers dump.
+func TestDumpSchemaMatchesSolvers(t *testing.T) {
+	p := fluid.DefaultParams()
+	s2, err := NewSolver2D(6, 5, p, maskFrom(fluid.NewMask2D(6, 5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s3, err := NewSolver3D(6, 5, 4, p, allFluid3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		schema func() (string, []string)
+		method string
+		fields map[string][]float64
+	}{
+		{DumpSchema2D, s2.MethodName(), s2.DumpFields()},
+		{DumpSchema3D, s3.MethodName(), s3.DumpFields()},
+	} {
+		method, names := c.schema()
+		if method != c.method || !slices.Equal(slices.Sorted(slices.Values(names)), slices.Sorted(maps.Keys(c.fields))) {
+			t.Errorf("schema (%q, %v), solver dumps (%q, %v)", method, names, c.method, slices.Sorted(maps.Keys(c.fields)))
+		}
 	}
 }

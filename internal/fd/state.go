@@ -2,78 +2,82 @@ package fd
 
 import "fmt"
 
-// MethodName identifies the 2D finite-difference method in dump files.
-func (s *Solver2D) MethodName() string { return "fd2d" }
+// Method and field names in dump files.
+const (
+	method2D = "fd2d"
+	method3D = "fd3d"
+)
 
-// DumpFields returns deep copies of the raw field storage (ghosts
-// included), keyed by canonical names, for a migration dump file.
-func (s *Solver2D) DumpFields() map[string][]float64 {
-	cp := func(v []float64) []float64 { return append([]float64(nil), v...) }
-	return map[string][]float64{
-		"rho": cp(s.Rho.Data()),
-		"vx":  cp(s.Vx.Data()),
-		"vy":  cp(s.Vy.Data()),
+var (
+	fieldNames2D = []string{"rho", "vx", "vy"}
+	fieldNames3D = []string{"rho", "vx", "vy", "vz"}
+)
+
+// DumpSchema2D returns what a Solver2D dump holds: the method name and the
+// field names (shared; not to be modified). Code that builds or checks dumps
+// without a solver at hand (the resize re-cut) reads it from here.
+func DumpSchema2D() (method string, fields []string) { return method2D, fieldNames2D }
+
+// DumpSchema3D is DumpSchema2D for Solver3D.
+func DumpSchema3D() (method string, fields []string) { return method3D, fieldNames3D }
+
+// dumpFields returns deep copies of the arrays (raw storage, ghosts
+// included) keyed by their names, for a migration dump file.
+func dumpFields(names []string, arrays [][]float64) map[string][]float64 {
+	out := make(map[string][]float64, len(names))
+	for i, name := range names {
+		out[name] = append([]float64(nil), arrays[i]...)
 	}
+	return out
 }
 
-// RestoreFields reloads raw field storage from a dump, reproducing the
-// solver state bit-for-bit.
-func (s *Solver2D) RestoreFields(fields map[string][]float64) error {
-	for _, f := range []struct {
-		name string
-		dst  []float64
-	}{
-		{"rho", s.Rho.Data()},
-		{"vx", s.Vx.Data()},
-		{"vy", s.Vy.Data()},
-	} {
-		name, dst := f.name, f.dst
+// restoreFields reloads every named array from a dump, reproducing the
+// solver state bit for bit.
+func restoreFields(names []string, arrays [][]float64, fields map[string][]float64) error {
+	for i, name := range names {
 		src, ok := fields[name]
 		if !ok {
 			return fmt.Errorf("fd: dump missing field %q", name)
 		}
-		if len(src) != len(dst) {
-			return fmt.Errorf("fd: field %q has %d values, want %d", name, len(src), len(dst))
+		if len(src) != len(arrays[i]) {
+			return fmt.Errorf("fd: field %q has %d values, want %d", name, len(src), len(arrays[i]))
 		}
-		copy(dst, src)
+		copy(arrays[i], src)
 	}
 	return nil
 }
 
+// MethodName identifies the 2D finite-difference method in dump files.
+func (s *Solver2D) MethodName() string { return method2D }
+
+func (s *Solver2D) fieldArrays() [][]float64 {
+	return [][]float64{s.Rho.Data(), s.Vx.Data(), s.Vy.Data()}
+}
+
+// DumpFields returns deep copies of the raw field storage (ghosts
+// included), keyed by canonical names.
+func (s *Solver2D) DumpFields() map[string][]float64 {
+	return dumpFields(fieldNames2D, s.fieldArrays())
+}
+
+// RestoreFields reloads raw field storage from a dump.
+func (s *Solver2D) RestoreFields(fields map[string][]float64) error {
+	return restoreFields(fieldNames2D, s.fieldArrays(), fields)
+}
+
 // MethodName identifies the 3D finite-difference method in dump files.
-func (s *Solver3D) MethodName() string { return "fd3d" }
+func (s *Solver3D) MethodName() string { return method3D }
+
+func (s *Solver3D) fieldArrays() [][]float64 {
+	return [][]float64{s.Rho.Data(), s.Vx.Data(), s.Vy.Data(), s.Vz.Data()}
+}
 
 // DumpFields returns deep copies of the raw 3D field storage.
 func (s *Solver3D) DumpFields() map[string][]float64 {
-	cp := func(v []float64) []float64 { return append([]float64(nil), v...) }
-	return map[string][]float64{
-		"rho": cp(s.Rho.Data()),
-		"vx":  cp(s.Vx.Data()),
-		"vy":  cp(s.Vy.Data()),
-		"vz":  cp(s.Vz.Data()),
-	}
+	return dumpFields(fieldNames3D, s.fieldArrays())
 }
 
 // RestoreFields reloads raw 3D field storage from a dump.
 func (s *Solver3D) RestoreFields(fields map[string][]float64) error {
-	for _, f := range []struct {
-		name string
-		dst  []float64
-	}{
-		{"rho", s.Rho.Data()},
-		{"vx", s.Vx.Data()},
-		{"vy", s.Vy.Data()},
-		{"vz", s.Vz.Data()},
-	} {
-		name, dst := f.name, f.dst
-		src, ok := fields[name]
-		if !ok {
-			return fmt.Errorf("fd: dump missing field %q", name)
-		}
-		if len(src) != len(dst) {
-			return fmt.Errorf("fd: field %q has %d values, want %d", name, len(src), len(dst))
-		}
-		copy(dst, src)
-	}
-	return nil
+	return restoreFields(fieldNames3D, s.fieldArrays(), fields)
 }

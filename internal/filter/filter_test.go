@@ -2,6 +2,7 @@ package filter
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/fluid"
@@ -205,5 +206,50 @@ func TestApplicable2DBounds(t *testing.T) {
 	}
 	if !Applicable2D(5, 5, 10, 10, allFluid) {
 		t.Error("centre node should be filterable")
+	}
+}
+
+// TestPlanApplicabilityMatchesApplicable: the plans' bitmaps, built from a
+// classified cells array, equal Applicable2D/3D evaluated through the mask
+// closure at every node, for random masks of every cell type — and whatever
+// the closure answers beyond the interior, because an applicable node's
+// probes never get there.
+func TestPlanApplicabilityMatchesApplicable(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, size := range [][3]int{{1, 1, 1}, {4, 5, 6}, {5, 5, 5}, {9, 12, 7}, {16, 8, 10}} {
+		nx, ny, nz := size[0], size[1], size[2]
+		for _, beyond := range []fluid.CellType{fluid.Interior, fluid.Wall} {
+			m2, m3 := fluid.NewMask2D(nx, ny), fluid.NewMask3D(nx, ny, nz)
+			for k := 0; k < nx*ny*nz/40; k++ {
+				c := fluid.CellType(1 + rng.Intn(3))
+				m2.Set(rng.Intn(nx), rng.Intn(ny), c)
+				m3.Set(rng.Intn(nx), rng.Intn(ny), rng.Intn(nz), c)
+			}
+			mask2 := func(x, y int) fluid.CellType {
+				if x < 0 || x >= nx || y < 0 || y >= ny {
+					return beyond
+				}
+				return m2.At(x, y)
+			}
+			mask3 := func(x, y, z int) fluid.CellType {
+				if x < 0 || x >= nx || y < 0 || y >= ny || z < 0 || z >= nz {
+					return beyond
+				}
+				return m3.At(x, y, z)
+			}
+			p2, p3 := NewPlan2D(nx, ny, mask2), NewPlan3D(nx, ny, nz, mask3)
+			for z := 0; z < nz; z++ {
+				for y := 0; y < ny; y++ {
+					for x := 0; x < nx; x++ {
+						if z == 0 && p2.ok[y*nx+x] != Applicable2D(x, y, nx, ny, mask2) {
+							t.Fatalf("%v: 2D plan disagrees with Applicable2D at (%d,%d)", size, x, y)
+						}
+						if p3.ok[(z*ny+y)*nx+x] != Applicable3D(x, y, z, nx, ny, nz, mask3) {
+							t.Fatalf("%v: 3D plan disagrees with Applicable3D at (%d,%d,%d)", size, x, y, z)
+						}
+					}
+				}
+			}
+		}
 	}
 }

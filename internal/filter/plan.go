@@ -37,12 +37,32 @@ type Plan2D struct {
 	update  func(lo, hi int)
 }
 
-// NewPlan2D precomputes filter applicability for an nx-by-ny subregion.
+// NewPlan2D precomputes filter applicability for an nx-by-ny subregion
+// from its mask closure, queried at interior coordinates only.
 func NewPlan2D(nx, ny int, mask func(x, y int) fluid.CellType) *Plan2D {
-	p := &Plan2D{nx: nx, ny: ny, ok: make([]bool, nx*ny)}
+	cells := make([]fluid.CellType, nx*ny)
 	for y := 0; y < ny; y++ {
 		for x := 0; x < nx; x++ {
-			p.ok[y*nx+x] = Applicable2D(x, y, nx, ny, mask)
+			cells[y*nx+x] = mask(x, y)
+		}
+	}
+	return NewPlan2DFromCells(nx, ny, cells)
+}
+
+// NewPlan2DFromCells is NewPlan2D over the row-major interior cell types a
+// solver has already classified. An applicable node lies at least two nodes
+// from every side (Applicable2D), so its stencil probes never leave the
+// interior and the cells array answers all of them.
+func NewPlan2DFromCells(nx, ny int, cells []fluid.CellType) *Plan2D {
+	p := &Plan2D{nx: nx, ny: ny, ok: make([]bool, nx*ny)}
+	for y := 2; y < ny-2; y++ {
+		for x := 2; x < nx-2; x++ {
+			i := y*nx + x
+			ok := true
+			for d := -2; d <= 2 && ok; d++ {
+				ok = cells[i+d] == fluid.Interior && cells[i+d*nx] == fluid.Interior
+			}
+			p.ok[i] = ok
 		}
 	}
 	p.correct = p.correctRows
@@ -129,13 +149,35 @@ type Plan3D struct {
 	update  func(lo, hi int)
 }
 
-// NewPlan3D precomputes filter applicability for a box subregion.
+// NewPlan3D precomputes filter applicability for a box subregion from its
+// mask closure, queried at interior coordinates only.
 func NewPlan3D(nx, ny, nz int, mask func(x, y, z int) fluid.CellType) *Plan3D {
-	p := &Plan3D{nx: nx, ny: ny, nz: nz, ok: make([]bool, nx*ny*nz)}
+	cells := make([]fluid.CellType, nx*ny*nz)
 	for z := 0; z < nz; z++ {
 		for y := 0; y < ny; y++ {
 			for x := 0; x < nx; x++ {
-				p.ok[(z*ny+y)*nx+x] = Applicable3D(x, y, z, nx, ny, nz, mask)
+				cells[(z*ny+y)*nx+x] = mask(x, y, z)
+			}
+		}
+	}
+	return NewPlan3DFromCells(nx, ny, nz, cells)
+}
+
+// NewPlan3DFromCells is NewPlan3D over already classified interior cell
+// types, indexed (z*ny+y)*nx+x (see NewPlan2DFromCells).
+func NewPlan3DFromCells(nx, ny, nz int, cells []fluid.CellType) *Plan3D {
+	p := &Plan3D{nx: nx, ny: ny, nz: nz, ok: make([]bool, nx*ny*nz)}
+	sy, sz := nx, nx*ny
+	for z := 2; z < nz-2; z++ {
+		for y := 2; y < ny-2; y++ {
+			for x := 2; x < nx-2; x++ {
+				i := (z*ny+y)*nx + x
+				ok := true
+				for d := -2; d <= 2 && ok; d++ {
+					ok = cells[i+d] == fluid.Interior && cells[i+d*sy] == fluid.Interior &&
+						cells[i+d*sz] == fluid.Interior
+				}
+				p.ok[i] = ok
 			}
 		}
 	}

@@ -116,9 +116,25 @@ type Solver2D struct {
 }
 
 // NewSolver2D allocates a D2Q9 solver for an nx-by-ny subregion,
-// initialized to equilibrium at rho = Rho0, V = 0. The LB sound speed is
-// fixed at c_s = 1/sqrt(3); Par.Cs is ignored by this method.
+// initialized to equilibrium at rho = Rho0, V = 0: the geometry of
+// NewGeometry2D plus that initial condition. The LB sound speed is fixed at
+// c_s = 1/sqrt(3); Par.Cs is ignored by this method.
 func NewSolver2D(nx, ny int, par fluid.Params, mask func(x, y int) fluid.CellType) (*Solver2D, error) {
+	s, err := NewGeometry2D(nx, ny, par, mask)
+	if err != nil {
+		return nil, err
+	}
+	s.Rho.Fill(par.Rho0)
+	s.InitEquilibrium()
+	return s, nil
+}
+
+// NewGeometry2D builds everything about a solver that is not state: the
+// storage (all zero), the classified interior cell types and the filter
+// plan. The caller supplies the state — fluid variables followed by
+// InitEquilibrium for a fresh start, or RestoreFields from a dump, which
+// overwrites every array an initial condition writes.
+func NewGeometry2D(nx, ny int, par fluid.Params, mask func(x, y int) fluid.CellType) (*Solver2D, error) {
 	if err := par.Check(); err != nil {
 		return nil, err
 	}
@@ -134,23 +150,21 @@ func NewSolver2D(nx, ny int, par fluid.Params, mask func(x, y int) fluid.CellTyp
 		Vy:      grid.NewField2D(nx, ny, 1),
 		scratch: make([]float64, nx*ny),
 		cells:   make([]fluid.CellType, nx*ny),
-		plan:    filter.NewPlan2D(nx, ny, mask),
-	}
-	s.filterFields = []*grid.Field2D{s.Rho, s.Vx, s.Vy}
-	for i := 0; i < Q2; i++ {
-		s.F[i] = grid.NewField2D(nx, ny, 1)
-		s.nF[i] = grid.NewField2D(nx, ny, 1)
 	}
 	for y := 0; y < ny; y++ {
 		for x := 0; x < nx; x++ {
 			s.cells[y*nx+x] = mask(x, y)
 		}
 	}
+	s.plan = filter.NewPlan2DFromCells(nx, ny, s.cells)
+	s.filterFields = []*grid.Field2D{s.Rho, s.Vx, s.Vy}
+	for i := 0; i < Q2; i++ {
+		s.F[i] = grid.NewField2D(nx, ny, 1)
+		s.nF[i] = grid.NewField2D(nx, ny, 1)
+	}
 	s.streamFn = s.collideStreamRows
 	s.macroFn = s.macroRows
 	s.runFn = s.run
-	s.Rho.Fill(par.Rho0)
-	s.InitEquilibrium()
 	return s, nil
 }
 
@@ -171,17 +185,20 @@ func (s *Solver2D) run(n int, fn func(lo, hi int)) { s.par.Run(s.Workers, n, fn)
 // Ghosts on periodic or seam sides are overwritten by the exchange before
 // they are ever read.
 func (s *Solver2D) InitEquilibrium() {
-	for y := -1; y <= s.Rho.NY; y++ {
-		for x := -1; x <= s.Rho.NX; x++ {
-			ghost := x < 0 || x >= s.Rho.NX || y < 0 || y >= s.Rho.NY
-			if ghost || s.Mask(x, y) == fluid.Wall {
-				for i := 0; i < Q2; i++ {
-					s.F[i].Set(x, y, 0)
-				}
+	for i := 0; i < Q2; i++ {
+		clear(s.F[i].Data())
+	}
+	nx := s.Rho.NX
+	rho, vx, vy := s.Rho.Data(), s.Vx.Data(), s.Vy.Data()
+	for y := 0; y < s.Rho.NY; y++ {
+		row := s.Rho.Idx(0, y)
+		for x, c := range s.cells[y*nx : (y+1)*nx] {
+			if c == fluid.Wall {
 				continue
 			}
+			at := row + x
 			for i := 0; i < Q2; i++ {
-				s.F[i].Set(x, y, feq2(i, s.Rho.At(x, y), s.Vx.At(x, y), s.Vy.At(x, y)))
+				s.F[i].Data()[at] = feq2(i, rho[at], vx[at], vy[at])
 			}
 		}
 	}

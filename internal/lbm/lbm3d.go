@@ -89,8 +89,20 @@ type Solver3D struct {
 }
 
 // NewSolver3D allocates a D3Q15 solver initialized to equilibrium at
-// rho = Rho0, V = 0.
+// rho = Rho0, V = 0: NewGeometry3D plus that initial condition.
 func NewSolver3D(nx, ny, nz int, par fluid.Params, mask func(x, y, z int) fluid.CellType) (*Solver3D, error) {
+	s, err := NewGeometry3D(nx, ny, nz, par, mask)
+	if err != nil {
+		return nil, err
+	}
+	s.Rho.Fill(par.Rho0)
+	s.InitEquilibrium()
+	return s, nil
+}
+
+// NewGeometry3D builds everything about a solver that is not state, with
+// all storage zero (see NewGeometry2D).
+func NewGeometry3D(nx, ny, nz int, par fluid.Params, mask func(x, y, z int) fluid.CellType) (*Solver3D, error) {
 	if err := par.Check(); err != nil {
 		return nil, err
 	}
@@ -108,12 +120,6 @@ func NewSolver3D(nx, ny, nz int, par fluid.Params, mask func(x, y, z int) fluid.
 		scratch: make([]float64, nx*ny*nz),
 		cells:   make([]fluid.CellType, nx*ny*nz),
 		rowOpen: make([]bool, ny*nz),
-		plan:    filter.NewPlan3D(nx, ny, nz, mask),
-	}
-	s.filterFields = []*grid.Field3D{s.Rho, s.Vx, s.Vy, s.Vz}
-	for i := 0; i < Q3; i++ {
-		s.F[i] = grid.NewField3D(nx, ny, nz, 1)
-		s.nF[i] = grid.NewField3D(nx, ny, nz, 1)
 	}
 	for z := 0; z < nz; z++ {
 		for y := 0; y < ny; y++ {
@@ -128,12 +134,16 @@ func NewSolver3D(nx, ny, nz int, par fluid.Params, mask func(x, y, z int) fluid.
 			s.rowOpen[z*ny+y] = open
 		}
 	}
+	s.plan = filter.NewPlan3DFromCells(nx, ny, nz, s.cells)
+	s.filterFields = []*grid.Field3D{s.Rho, s.Vx, s.Vy, s.Vz}
+	for i := 0; i < Q3; i++ {
+		s.F[i] = grid.NewField3D(nx, ny, nz, 1)
+		s.nF[i] = grid.NewField3D(nx, ny, nz, 1)
+	}
 	s.relaxFn = s.relaxPlanes
 	s.shiftFn = s.shiftPlanes
 	s.macroFn = s.macroPlanes
 	s.runFn = s.run
-	s.Rho.Fill(par.Rho0)
-	s.InitEquilibrium()
 	return s, nil
 }
 
@@ -147,20 +157,21 @@ func (s *Solver3D) run(n int, fn func(lo, hi int)) { s.par.Run(s.Workers, n, fn)
 // making closed boundaries exactly mass-neutral from step zero (see
 // Solver2D.InitEquilibrium).
 func (s *Solver3D) InitEquilibrium() {
-	for z := -1; z <= s.Rho.NZ; z++ {
-		for y := -1; y <= s.Rho.NY; y++ {
-			for x := -1; x <= s.Rho.NX; x++ {
-				ghost := x < 0 || x >= s.Rho.NX || y < 0 || y >= s.Rho.NY ||
-					z < 0 || z >= s.Rho.NZ
-				if ghost || s.Mask(x, y, z) == fluid.Wall {
-					for i := 0; i < Q3; i++ {
-						s.F[i].Set(x, y, z, 0)
-					}
+	for i := 0; i < Q3; i++ {
+		clear(s.F[i].Data())
+	}
+	nx, ny := s.Rho.NX, s.Rho.NY
+	rho, vx, vy, vz := s.Rho.Data(), s.Vx.Data(), s.Vy.Data(), s.Vz.Data()
+	for z := 0; z < s.Rho.NZ; z++ {
+		for y := 0; y < ny; y++ {
+			row := s.Rho.Idx(0, y, z)
+			for x, c := range s.cells[(z*ny+y)*nx:][:nx] {
+				if c == fluid.Wall {
 					continue
 				}
+				at := row + x
 				for i := 0; i < Q3; i++ {
-					s.F[i].Set(x, y, z, feq3(i, s.Rho.At(x, y, z),
-						s.Vx.At(x, y, z), s.Vy.At(x, y, z), s.Vz.At(x, y, z)))
+					s.F[i].Data()[at] = feq3(i, rho[at], vx[at], vy[at], vz[at])
 				}
 			}
 		}

@@ -1,7 +1,9 @@
 package lbm
 
 import (
+	"maps"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -488,5 +490,46 @@ func TestDumpRestoreRoundTrip(t *testing.T) {
 	fields["f3"] = []float64{1, 2}
 	if err := b.RestoreFields(fields); err == nil {
 		t.Error("restore with short field accepted")
+	}
+}
+
+// TestDumpSchemaMatchesSolvers: DumpSchema2D/3D name exactly what the
+// solvers dump, and a geometry-only solver restored from a dump equals one
+// that was built at rest first.
+func TestDumpSchemaMatchesSolvers(t *testing.T) {
+	p := channelParams(0.08, 1e-5)
+	s2, err := NewSolver2D(6, 5, p, allFluid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s3, err := NewSolver3D(6, 5, 4, p, allFluid3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		schema func() (string, []string)
+		method string
+		fields map[string][]float64
+	}{
+		{DumpSchema2D, s2.MethodName(), s2.DumpFields()},
+		{DumpSchema3D, s3.MethodName(), s3.DumpFields()},
+	} {
+		method, names := c.schema()
+		if method != c.method || !slices.Equal(slices.Sorted(slices.Values(names)), slices.Sorted(maps.Keys(c.fields))) {
+			t.Errorf("schema (%q, %v), solver dumps (%q, %v)", method, names, c.method, slices.Sorted(maps.Keys(c.fields)))
+		}
+	}
+
+	g3, err := NewGeometry3D(6, 5, 4, p, allFluid3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g3.RestoreFields(s3.DumpFields()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < Q3; i++ {
+		if !slices.Equal(g3.F[i].Data(), s3.F[i].Data()) || !slices.Equal(g3.nF[i].Data(), s3.nF[i].Data()) {
+			t.Fatalf("population %d of the restored geometry differs from the solver's", i)
+		}
 	}
 }

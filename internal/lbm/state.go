@@ -1,92 +1,102 @@
 package lbm
 
-import (
-	"fmt"
-	"maps"
-	"slices"
+import "fmt"
+
+// Method names in dump files.
+const (
+	method2D = "lb2d"
+	method3D = "lb3d"
 )
 
+// Dump field names: the fluid variables, then the populations f0..f(Q-1).
+var (
+	fieldNames2D = dumpFieldNames(Q2, "rho", "vx", "vy")
+	fieldNames3D = dumpFieldNames(Q3, "rho", "vx", "vy", "vz")
+)
+
+func dumpFieldNames(q int, names ...string) []string {
+	for i := 0; i < q; i++ {
+		names = append(names, fmt.Sprintf("f%d", i))
+	}
+	return names
+}
+
+// DumpSchema2D returns what a Solver2D dump holds: the method name and the
+// field names (shared; not to be modified). Code that builds or checks dumps
+// without a solver at hand (the resize re-cut) reads it from here.
+func DumpSchema2D() (method string, fields []string) { return method2D, fieldNames2D }
+
+// DumpSchema3D is DumpSchema2D for Solver3D.
+func DumpSchema3D() (method string, fields []string) { return method3D, fieldNames3D }
+
+// dumpFields returns deep copies of the arrays (raw storage, ghosts
+// included) keyed by their names.
+func dumpFields(names []string, arrays [][]float64) map[string][]float64 {
+	out := make(map[string][]float64, len(names))
+	for i, name := range names {
+		out[name] = append([]float64(nil), arrays[i]...)
+	}
+	return out
+}
+
+// restoreFields reloads every named array from a dump, bit for bit.
+func restoreFields(names []string, arrays [][]float64, fields map[string][]float64) error {
+	for i, name := range names {
+		src, ok := fields[name]
+		if !ok {
+			return fmt.Errorf("lbm: dump missing field %q", name)
+		}
+		if len(src) != len(arrays[i]) {
+			return fmt.Errorf("lbm: field %q has %d values, want %d", name, len(src), len(arrays[i]))
+		}
+		copy(arrays[i], src)
+	}
+	return nil
+}
+
 // MethodName identifies the 2D lattice Boltzmann method in dump files.
-func (s *Solver2D) MethodName() string { return "lb2d" }
+func (s *Solver2D) MethodName() string { return method2D }
+
+// fieldArrays lists the live storage of the dump fields, in fieldNames2D
+// order.
+func (s *Solver2D) fieldArrays() [][]float64 {
+	out := [][]float64{s.Rho.Data(), s.Vx.Data(), s.Vy.Data()}
+	for _, f := range s.F {
+		out = append(out, f.Data())
+	}
+	return out
+}
 
 // DumpFields returns deep copies of the populations and fluid variables
 // (raw storage, ghosts included).
 func (s *Solver2D) DumpFields() map[string][]float64 {
-	cp := func(v []float64) []float64 { return append([]float64(nil), v...) }
-	out := map[string][]float64{
-		"rho": cp(s.Rho.Data()),
-		"vx":  cp(s.Vx.Data()),
-		"vy":  cp(s.Vy.Data()),
-	}
-	for i := 0; i < Q2; i++ {
-		out[fmt.Sprintf("f%d", i)] = cp(s.F[i].Data())
-	}
-	return out
+	return dumpFields(fieldNames2D, s.fieldArrays())
 }
 
 // RestoreFields reloads populations and fluid variables from a dump.
 func (s *Solver2D) RestoreFields(fields map[string][]float64) error {
-	dsts := map[string][]float64{
-		"rho": s.Rho.Data(),
-		"vx":  s.Vx.Data(),
-		"vy":  s.Vy.Data(),
-	}
-	for i := 0; i < Q2; i++ {
-		dsts[fmt.Sprintf("f%d", i)] = s.F[i].Data()
-	}
-	for _, name := range slices.Sorted(maps.Keys(dsts)) {
-		dst := dsts[name]
-		src, ok := fields[name]
-		if !ok {
-			return fmt.Errorf("lbm: dump missing field %q", name)
-		}
-		if len(src) != len(dst) {
-			return fmt.Errorf("lbm: field %q has %d values, want %d", name, len(src), len(dst))
-		}
-		copy(dst, src)
-	}
-	return nil
+	return restoreFields(fieldNames2D, s.fieldArrays(), fields)
 }
 
 // MethodName identifies the 3D lattice Boltzmann method in dump files.
-func (s *Solver3D) MethodName() string { return "lb3d" }
+func (s *Solver3D) MethodName() string { return method3D }
 
-// DumpFields returns deep copies of the 3D populations and fluid variables.
-func (s *Solver3D) DumpFields() map[string][]float64 {
-	cp := func(v []float64) []float64 { return append([]float64(nil), v...) }
-	out := map[string][]float64{
-		"rho": cp(s.Rho.Data()),
-		"vx":  cp(s.Vx.Data()),
-		"vy":  cp(s.Vy.Data()),
-		"vz":  cp(s.Vz.Data()),
-	}
-	for i := 0; i < Q3; i++ {
-		out[fmt.Sprintf("f%d", i)] = cp(s.F[i].Data())
+// fieldArrays lists the live storage of the dump fields, in fieldNames3D
+// order.
+func (s *Solver3D) fieldArrays() [][]float64 {
+	out := [][]float64{s.Rho.Data(), s.Vx.Data(), s.Vy.Data(), s.Vz.Data()}
+	for _, f := range s.F {
+		out = append(out, f.Data())
 	}
 	return out
 }
 
+// DumpFields returns deep copies of the 3D populations and fluid variables.
+func (s *Solver3D) DumpFields() map[string][]float64 {
+	return dumpFields(fieldNames3D, s.fieldArrays())
+}
+
 // RestoreFields reloads the 3D populations and fluid variables.
 func (s *Solver3D) RestoreFields(fields map[string][]float64) error {
-	dsts := map[string][]float64{
-		"rho": s.Rho.Data(),
-		"vx":  s.Vx.Data(),
-		"vy":  s.Vy.Data(),
-		"vz":  s.Vz.Data(),
-	}
-	for i := 0; i < Q3; i++ {
-		dsts[fmt.Sprintf("f%d", i)] = s.F[i].Data()
-	}
-	for _, name := range slices.Sorted(maps.Keys(dsts)) {
-		dst := dsts[name]
-		src, ok := fields[name]
-		if !ok {
-			return fmt.Errorf("lbm: dump missing field %q", name)
-		}
-		if len(src) != len(dst) {
-			return fmt.Errorf("lbm: field %q has %d values, want %d", name, len(src), len(dst))
-		}
-		copy(dst, src)
-	}
-	return nil
+	return restoreFields(fieldNames3D, s.fieldArrays(), fields)
 }
