@@ -89,127 +89,6 @@ func reportNodesPerSec(b *testing.B, nodes int, method string) {
 }
 
 // ---------------------------------------------------------------------------
-// CI benchmark trajectory: deterministic per-cell kernel cost of each
-// solver at fixed worker budgets. Every b.N iteration integrates the
-// same fixed number of steps on the same lattice, so the gated ns/cell
-// metric is stable even at -benchtime 1x — this is what cmd/benchcmp
-// compares against the committed BENCH_main.json. Worker sub-bench names
-// avoid trailing numeric segments ("w4", not "4") so plain-text
-// normalization can strip GOMAXPROCS suffixes unambiguously.
-
-const stepKernelInner = 8 // fixed steps per b.N iteration
-
-func reportNsPerCell(b *testing.B, nodes int) {
-	cells := float64(nodes) * float64(b.N) * stepKernelInner
-	b.ReportMetric(b.Elapsed().Seconds()*1e9/cells, "ns/cell")
-	b.ReportMetric(cells/b.Elapsed().Seconds(), "nodes/s")
-}
-
-func BenchmarkStepKernels(b *testing.B) {
-	par := fluid.DefaultParams()
-	par.Nu = 0.05
-	par.Eps = 0.01
-	workerSet := []struct {
-		name string
-		n    int
-	}{{"w1", 1}, {"w4", 4}}
-
-	bench2D := func(b *testing.B, step func(int) interface {
-		StepSerial(bool, bool)
-		SetWorkers(int)
-	}) {
-		const nx, ny = 128, 128
-		for _, w := range workerSet {
-			b.Run(w.name, func(b *testing.B) {
-				s := step(w.n)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					for k := 0; k < stepKernelInner; k++ {
-						s.StepSerial(true, false)
-					}
-				}
-				reportNsPerCell(b, nx*ny)
-			})
-		}
-	}
-	bench3D := func(b *testing.B, step func(int) interface {
-		StepSerial(bool, bool, bool)
-		SetWorkers(int)
-	}) {
-		const side = 24
-		for _, w := range workerSet {
-			b.Run(w.name, func(b *testing.B) {
-				s := step(w.n)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					for k := 0; k < stepKernelInner; k++ {
-						s.StepSerial(true, false, true)
-					}
-				}
-				reportNsPerCell(b, side*side*side)
-			})
-		}
-	}
-
-	b.Run("LB2D", func(b *testing.B) {
-		bench2D(b, func(workers int) interface {
-			StepSerial(bool, bool)
-			SetWorkers(int)
-		} {
-			m := fluid.ChannelMask2D(128, 128)
-			s, err := lbm.NewSolver2D(128, 128, par, func(x, y int) fluid.CellType { return m.At(x, y) })
-			if err != nil {
-				b.Fatal(err)
-			}
-			s.SetWorkers(workers)
-			return s
-		})
-	})
-	b.Run("FD2D", func(b *testing.B) {
-		bench2D(b, func(workers int) interface {
-			StepSerial(bool, bool)
-			SetWorkers(int)
-		} {
-			m := fluid.ChannelMask2D(128, 128)
-			s, err := fd.NewSolver2D(128, 128, par, func(x, y int) fluid.CellType { return m.At(x, y) })
-			if err != nil {
-				b.Fatal(err)
-			}
-			s.SetWorkers(workers)
-			return s
-		})
-	})
-	b.Run("LB3D", func(b *testing.B) {
-		bench3D(b, func(workers int) interface {
-			StepSerial(bool, bool, bool)
-			SetWorkers(int)
-		} {
-			m := fluid.ChannelMask3D(24, 24, 24)
-			s, err := lbm.NewSolver3D(24, 24, 24, par, func(x, y, z int) fluid.CellType { return m.At(x, y, z) })
-			if err != nil {
-				b.Fatal(err)
-			}
-			s.SetWorkers(workers)
-			return s
-		})
-	})
-	b.Run("FD3D", func(b *testing.B) {
-		bench3D(b, func(workers int) interface {
-			StepSerial(bool, bool, bool)
-			SetWorkers(int)
-		} {
-			m := fluid.ChannelMask3D(24, 24, 24)
-			s, err := fd.NewSolver3D(24, 24, 24, par, func(x, y, z int) fluid.CellType { return m.At(x, y, z) })
-			if err != nil {
-				b.Fatal(err)
-			}
-			s.SetWorkers(workers)
-			return s
-		})
-	})
-}
-
-// ---------------------------------------------------------------------------
 // Figures 5-8: 2D efficiency and speedup versus subregion size.
 
 func benchFig2D(b *testing.B, method string, speedup bool) {

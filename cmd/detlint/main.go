@@ -26,22 +26,16 @@
 //	               halo-exchange / step-driver kernels allocates
 //	lockorder      mutexes are acquired in one global order across
 //	               the pool/msg/sched/farm layers
-//	eventcomplete  every scheduler path mutating job phase or
-//	               placement emits its typed Event before returning
-//	ckptpair       every field the snapshot side writes is read by
-//	               restore, and vice versa
 //
-// The last four compose across packages: each package's analysis
+// The last two compose across packages: each package's analysis
 // exports a facts summary through the vet .vetx protocol, so a kernel
-// calling into a helper package still sees that helper's allocations,
-// lock orders and checkpoint field sets.
+// calling into a helper package still sees that helper's allocations
+// and lock orders.
 package main
 
 import (
 	"repro/internal/analysis/passes/allocsteady"
-	"repro/internal/analysis/passes/ckptpair"
 	"repro/internal/analysis/passes/errwrap"
-	"repro/internal/analysis/passes/eventcomplete"
 	"repro/internal/analysis/passes/goentropy"
 	"repro/internal/analysis/passes/lockorder"
 	"repro/internal/analysis/passes/maporder"
@@ -59,7 +53,5 @@ func main() {
 		goentropy.Analyzer,
 		allocsteady.Analyzer,
 		lockorder.Analyzer,
-		eventcomplete.Analyzer,
-		ckptpair.Analyzer,
 	)
 }

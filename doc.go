@@ -18,5 +18,5 @@
 // and package map, DESIGN.md for the per-experiment index, and
 // EXPERIMENTS.md for how to run the evaluation and what to expect. The
 // benchmarks in bench_test.go regenerate every table and figure of the
-// paper's evaluation.
+// paper's evaluation; speed is measured with the bench/ module.
 package repro

@@ -34,8 +34,6 @@ type config struct {
 
 	autoscale      func(t time.Duration, ctl AutoscaleControl)
 	autoscaleEvery time.Duration
-
-	logf func(format string, args ...any)
 }
 
 func newConfig(opts []Option) config {
@@ -98,7 +96,6 @@ func (cfg config) apply(s *sched.Scheduler) {
 	s.ScenarioEvery = cfg.scenarioEvery
 	s.Autoscale = cfg.autoscale
 	s.AutoscaleEvery = cfg.autoscaleEvery
-	s.Logf = cfg.logf
 }
 
 // WithPolicy selects the queueing discipline: FIFO (the default),
@@ -183,11 +180,4 @@ func WithScenario(every time.Duration, fn func(t time.Duration, c *cluster.Clust
 // grid, and with it the bit-identity guarantee, changes.
 func WithAutoscaler(every time.Duration, fn func(t time.Duration, ctl AutoscaleControl)) Option {
 	return func(cfg *config) { cfg.autoscaleEvery = every; cfg.autoscale = fn }
-}
-
-// WithLogf attaches a debug log sink — a thin string adapter over the
-// diagnostic events (EASY degrades and the like). Prefer Subscribe for
-// structured consumption.
-func WithLogf(logf func(format string, args ...any)) Option {
-	return func(cfg *config) { cfg.logf = logf }
 }

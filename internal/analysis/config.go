@@ -43,30 +43,12 @@ type Config struct {
 	// pkg.Recv.Name for methods, pointer markers stripped) anchoring
 	// the zero-alloc steady state: every function reachable from a
 	// root must not allocate. These are the collide-stream,
-	// halo-exchange and step-driver kernels whose ns/cell trajectory
-	// BENCH_main.json gates.
+	// halo-exchange and step-driver kernels bench/ measures per layer.
 	AllocRoots []string `json:"alloc_roots"`
 	// LockScope packages have their sync.Mutex/RWMutex acquisition
 	// orders summarized; lockorder flags a pair of locks taken in
 	// opposite orders anywhere across the scope.
 	LockScope []string `json:"lock_scope"`
-	// EventScope packages are bound by the event-completeness
-	// invariant: a function mutating one of EventMutations must reach
-	// one of EventEmitters before returning.
-	EventScope []string `json:"event_scope"`
-	// EventMutations are "pkg.Type.field" keys whose assignment moves a
-	// job's phase or placement.
-	EventMutations []string `json:"event_mutations"`
-	// EventEmitters are the function keys that deliver a typed Event to
-	// the decision stream.
-	EventEmitters []string `json:"event_emitters"`
-	// CkptScope packages participate in snapshot/restore pairing:
-	// their reads and writes of CkptRecords fields are summarized.
-	CkptScope []string `json:"ckpt_scope"`
-	// CkptRecords are the "pkg.Type" record structs whose field sets
-	// must balance: every field written on the save side read on the
-	// restore side, and vice versa.
-	CkptRecords []string `json:"ckpt_records"`
 }
 
 // Default returns the scopes for this repository.
@@ -140,30 +122,6 @@ func Default() *Config {
 			"repro/farm",
 			"repro/farm/workload",
 			"repro/farm/autoscale",
-		},
-		EventScope: []string{
-			"repro/internal/sched",
-		},
-		EventMutations: []string{
-			"repro/internal/sched.jobState.res",
-			"repro/internal/sched.Scheduler.queue",
-			"repro/internal/sched.Scheduler.running",
-			"repro/internal/sched.Scheduler.finished",
-		},
-		EventEmitters: []string{
-			"repro/internal/sched.Scheduler.emit",
-		},
-		CkptScope: []string{
-			"repro/internal/ckpt",
-			"repro/internal/cluster",
-			"repro/internal/sched/...",
-		},
-		CkptRecords: []string{
-			"repro/internal/ckpt.Manifest",
-			"repro/internal/ckpt.JobRecord",
-			"repro/internal/cluster.Snapshot",
-			"repro/internal/cluster.HostState",
-			"repro/internal/cluster.EventState",
 		},
 	}
 }
@@ -240,7 +198,5 @@ func (c *Config) InScope(path string) bool {
 		Match(c.RNGScope, path) ||
 		Match(c.GoroutineScope, path) ||
 		Match(c.AllocPath, path) ||
-		Match(c.LockScope, path) ||
-		Match(c.EventScope, path) ||
-		Match(c.CkptScope, path)
+		Match(c.LockScope, path)
 }

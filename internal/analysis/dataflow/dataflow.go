@@ -163,30 +163,6 @@ func FieldKey(info *types.Info, sel *ast.SelectorExpr) (string, bool) {
 	return v.Pkg().Path() + "." + name + "." + v.Name(), true
 }
 
-// Calls collects the canonical keys of every statically resolvable
-// call inside node (a function body), deduplicated and sorted. Bodies
-// of function literals are included: a closure declared inside the
-// function runs, when it runs, on the same dynamic path.
-func Calls(pass *analysis.Pass, node ast.Node) []string {
-	seen := make(map[string]bool)
-	ast.Inspect(node, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if key, ok := CalleeKey(pass, call); ok {
-			seen[key] = true
-		}
-		return true
-	})
-	keys := make([]string, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // Reach returns every key reachable from the roots over the edge map,
 // including the roots themselves when they appear in the graph, along
 // with a parent edge for reconstructing one witness path. Traversal

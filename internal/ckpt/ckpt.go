@@ -269,12 +269,8 @@ func (m *Manifest) Validate() error {
 	if m.Version != Version {
 		return fmt.Errorf("ckpt: manifest version %d, this build reads version %d", m.Version, Version)
 	}
-	// The save side of Jobs/StatesDir lives downstream in internal/sched,
-	// whose facts cannot flow up the import graph; the write/read pairing
-	// is verified there, where both sides are in view.
-	//detlint:allow ckptpair -- save side is downstream in internal/sched; pairing checked there
 	seen := make(map[string]bool, len(m.Jobs))
-	for i, jr := range m.Jobs { //detlint:allow ckptpair -- save side is downstream in internal/sched; pairing checked there
+	for i, jr := range m.Jobs {
 		if jr.ID == "" {
 			return fmt.Errorf("ckpt: job %d has no ID", i)
 		}
@@ -301,7 +297,6 @@ func (m *Manifest) Validate() error {
 			return fmt.Errorf("ckpt: job %s records %d state steps for %d ranks",
 				jr.ID, n, jr.CurRanks())
 		}
-		//detlint:allow ckptpair -- save side is downstream in internal/sched; pairing checked there
 		if len(jr.StateSteps) > 0 && m.StatesDir == "" {
 			return fmt.Errorf("ckpt: job %s records rank states but the manifest names no states directory", jr.ID)
 		}
@@ -309,9 +304,8 @@ func (m *Manifest) Validate() error {
 			return err
 		}
 	}
-	//detlint:allow ckptpair -- save side is downstream in internal/sched; pairing checked there
 	if m.StatesDir != "" {
-		if _, err := ParseStatesDir(m.StatesDir); err != nil { //detlint:allow ckptpair -- save side is downstream in internal/sched; pairing checked there
+		if _, err := ParseStatesDir(m.StatesDir); err != nil {
 			return err
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"slices"
@@ -101,10 +102,33 @@ func (p *Program3D) SetWorkers(n int) { p.M.SetWorkers(n) }
 // NewJob2D prepares a job for a 2D config. Workers are created immediately
 // (channels open at epoch 0) but do not run until Start.
 func NewJob2D(cfg *Config2D, factory TransportFactory, sync *syncfile.Sync, until int) (*Job, *JobPrograms2D, error) {
-	if err := cfg.Validate(); err != nil {
+	jp := &JobPrograms2D{cfg: cfg}
+	j, err := newJobOver(cfg, cfg.D, &jp.progs, factory, sync, until,
+		func(states []*dump.State, sh decomp.Shape) ([]*dump.State, error) { return resplit2D(cfg, states, sh) })
+	if err != nil {
 		return nil, nil, err
 	}
-	j := newJob(factory, sync, until, cfg.D.P())
+	return j, jp, nil
+}
+
+// jobConfig is what a job needs of its Config2D or Config3D.
+type jobConfig[P Program] interface {
+	Validate() error
+	NewProgram(rank int) (P, error)
+	RestoreProgram(st *dump.State) (P, error)
+}
+
+// newJobOver is the body of NewJob2D and NewJob3D: d is the config's
+// decomposition (read only after Validate vouched for it), progs the
+// rank -> live Program map the caller gathers from, and resplit the
+// config's re-split program.
+func newJobOver[P Program](cfg jobConfig[P], d interface{ P() int }, progs *map[int]P,
+	factory TransportFactory, sync *syncfile.Sync, until int,
+	resplit func([]*dump.State, decomp.Shape) ([]*dump.State, error)) (*Job, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	j := newJob(factory, sync, until, d.P())
 	j.Rebuild = func(st *dump.State) (Program, error) {
 		p, err := cfg.RestoreProgram(st)
 		if err != nil {
@@ -112,34 +136,34 @@ func NewJob2D(cfg *Config2D, factory TransportFactory, sync *syncfile.Sync, unti
 		}
 		return p, nil
 	}
-	jp := &JobPrograms2D{cfg: cfg, progs: make(map[int]*Program2D)}
-	for rank := 0; rank < cfg.D.P(); rank++ {
+	*progs = make(map[int]P)
+	for rank := 0; rank < d.P(); rank++ {
 		p, err := cfg.NewProgram(rank)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		jp.progs[rank] = p
+		(*progs)[rank] = p
 		w, err := NewWorker(p, factory, 0, j.events)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		j.wireSync(w)
 		j.workers[rank] = w
 	}
 	j.onRebuild = func(rank int, prog Program) {
-		jp.progs[rank] = prog.(*Program2D)
+		(*progs)[rank] = prog.(P)
 	}
 	j.resplit = func(states []*dump.State, sh decomp.Shape) ([]*dump.State, error) {
-		out, err := resplit2D(cfg, states, sh)
+		out, err := resplit(states, sh)
 		if err != nil {
 			return nil, err
 		}
 		// The old rank set is gone; onRebuild refills the map as Resize
 		// rebuilds each new rank.
-		jp.progs = make(map[int]*Program2D)
+		*progs = make(map[int]P)
 		return out, nil
 	}
-	return j, jp, nil
+	return j, nil
 }
 
 // JobPrograms2D tracks the live Program of every rank across migrations,
@@ -229,6 +253,11 @@ func (j *Job) PlaceOnCluster(c *cluster.Cluster) error {
 // HostOf returns the host a rank runs on, or nil without a cluster.
 func (j *Job) HostOf(rank int) *cluster.Host { return j.hostOf[rank] }
 
+// ErrWorkerSilent is returned (wrapped) by every coordination wait when no
+// rank reports within the job's WaitTimeout: a hung or dead rank fails
+// its job instead of hanging it. Callers branch with errors.Is.
+var ErrWorkerSilent = errors.New("core: no worker event within the wait timeout")
+
 // nextEvent reads one worker event with a deadline.
 func (j *Job) nextEvent() (Event, error) {
 	select {
@@ -239,7 +268,7 @@ func (j *Job) nextEvent() (Event, error) {
 		return e, nil
 	//detlint:allow nodeterm -- liveness timeout: it only bounds how long we wait for a worker event, and a firing aborts the run; it never reorders or changes delivered events
 	case <-time.After(j.waitTimeout()):
-		return Event{}, fmt.Errorf("core: no worker event within %v", j.waitTimeout())
+		return Event{}, fmt.Errorf("%w (%v)", ErrWorkerSilent, j.waitTimeout())
 	}
 }
 
@@ -444,41 +473,11 @@ func (j *Job) MonitorLoop(checkEvery time.Duration, pol cluster.MigrationPolicy,
 
 // NewJob3D prepares a job for a 3D config, the analogue of NewJob2D.
 func NewJob3D(cfg *Config3D, factory TransportFactory, sync *syncfile.Sync, until int) (*Job, *JobPrograms3D, error) {
-	if err := cfg.Validate(); err != nil {
+	jp := &JobPrograms3D{cfg: cfg}
+	j, err := newJobOver(cfg, cfg.D, &jp.progs, factory, sync, until,
+		func(states []*dump.State, sh decomp.Shape) ([]*dump.State, error) { return resplit3D(cfg, states, sh) })
+	if err != nil {
 		return nil, nil, err
-	}
-	j := newJob(factory, sync, until, cfg.D.P())
-	j.Rebuild = func(st *dump.State) (Program, error) {
-		p, err := cfg.RestoreProgram(st)
-		if err != nil {
-			return nil, err // a bare nil, not a typed-nil Program
-		}
-		return p, nil
-	}
-	jp := &JobPrograms3D{cfg: cfg, progs: make(map[int]*Program3D)}
-	for rank := 0; rank < cfg.D.P(); rank++ {
-		p, err := cfg.NewProgram(rank)
-		if err != nil {
-			return nil, nil, err
-		}
-		jp.progs[rank] = p
-		w, err := NewWorker(p, factory, 0, j.events)
-		if err != nil {
-			return nil, nil, err
-		}
-		j.wireSync(w)
-		j.workers[rank] = w
-	}
-	j.onRebuild = func(rank int, prog Program) {
-		jp.progs[rank] = prog.(*Program3D)
-	}
-	j.resplit = func(states []*dump.State, sh decomp.Shape) ([]*dump.State, error) {
-		out, err := resplit3D(cfg, states, sh)
-		if err != nil {
-			return nil, err
-		}
-		jp.progs = make(map[int]*Program3D)
-		return out, nil
 	}
 	return j, jp, nil
 }

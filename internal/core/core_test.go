@@ -262,7 +262,7 @@ func TestDecomposeSubmitRoundTrip(t *testing.T) {
 		}
 		progs2[i] = np
 	}
-	if err := stepSequential2D(progs2, secondLeg); err != nil {
+	if err := stepSequential(progs2, secondLeg); err != nil {
 		t.Fatal(err)
 	}
 	got := Gather2D(cfgB, progs2, firstLeg+secondLeg)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -266,6 +267,34 @@ func TestMonitorLoop(t *testing.T) {
 	if ok, x, y, d := resultsEqual(ref, got, 0); !ok {
 		t.Errorf("monitored run differs at (%d,%d) by %g", x, y, d)
 	}
+}
+
+// TestSilentRanksFailTyped: when no rank reports within WaitTimeout the
+// coordination wait fails with ErrWorkerSilent, checkable with errors.Is,
+// instead of hanging the job. Every rank is held in its first Recv, so
+// the timeout is the only thing that can end the wait.
+func TestSilentRanksFailTyped(t *testing.T) {
+	const steps = 2
+	gate := make(chan struct{})
+	hub := HubFactory()
+	j, _ := newTestJobOver(t, channelConfig(t, MethodLB, 2, 1, 16, 8), steps,
+		func(rank, epoch int) (msg.Transport, error) {
+			tr, err := hub(rank, epoch)
+			return heldTransport{tr, gate}, err
+		})
+	j.WaitTimeout = 20 * time.Millisecond
+	j.Start()
+	if err := j.WaitDone(); !errors.Is(err, ErrWorkerSilent) {
+		t.Errorf("WaitDone over silent ranks returned %v, want ErrWorkerSilent", err)
+	}
+	// Release the ranks and let the run drain so no goroutine outlives
+	// the test.
+	close(gate)
+	j.WaitTimeout = 30 * time.Second
+	if err := j.WaitDone(); err != nil {
+		t.Fatal(err)
+	}
+	j.Shutdown()
 }
 
 // TestMonitorLoopRequiresCluster: defensive error path.

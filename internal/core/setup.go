@@ -280,22 +280,31 @@ func RunSequential2D(c *Config2D, steps int) (*Result2D, []*Program2D, error) {
 	if err := c.Validate(); err != nil {
 		return nil, nil, err
 	}
-	progs := make([]*Program2D, c.D.P())
-	for rank := range progs {
-		p, err := c.NewProgram(rank)
-		if err != nil {
-			return nil, nil, err
-		}
-		progs[rank] = p
+	progs, err := buildPrograms(c.D.P(), c.NewProgram)
+	if err != nil {
+		return nil, nil, err
 	}
-	if err := stepSequential2D(progs, steps); err != nil {
+	if err := stepSequential(progs, steps); err != nil {
 		return nil, nil, err
 	}
 	return Gather2D(c, progs, steps), progs, nil
 }
 
-// stepSequential2D advances a set of programs in phase lockstep.
-func stepSequential2D(progs []*Program2D, steps int) error {
+// buildPrograms builds the programs of ranks 0..p-1.
+func buildPrograms[P Program](p int, build func(rank int) (P, error)) ([]P, error) {
+	progs := make([]P, p)
+	for rank := range progs {
+		prog, err := build(rank)
+		if err != nil {
+			return nil, err
+		}
+		progs[rank] = prog
+	}
+	return progs, nil
+}
+
+// stepSequential advances a set of programs in phase lockstep.
+func stepSequential[P Program](progs []P, steps int) error {
 	if len(progs) == 0 {
 		return fmt.Errorf("core: no programs")
 	}
@@ -335,18 +344,25 @@ func RunParallel2D(c *Config2D, steps int, factory TransportFactory) (*Result2D,
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	progs := make([]*Program2D, c.D.P())
-	workers := make([]*Worker, c.D.P())
-	events := make(chan Event, 4*c.D.P())
-	for rank := range progs {
-		p, err := c.NewProgram(rank)
-		if err != nil {
-			return nil, err
-		}
-		progs[rank] = p
+	progs, err := buildPrograms(c.D.P(), c.NewProgram)
+	if err != nil {
+		return nil, err
+	}
+	if err := runParallel(progs, steps, factory); err != nil {
+		return nil, err
+	}
+	return Gather2D(c, progs, steps), nil
+}
+
+// runParallel integrates the programs with one worker goroutine each and
+// returns the first worker error once all of them have stopped.
+func runParallel[P Program](progs []P, steps int, factory TransportFactory) error {
+	workers := make([]*Worker, len(progs))
+	events := make(chan Event, 4*len(progs))
+	for rank, p := range progs {
 		w, err := NewWorker(p, factory, 0, events)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		workers[rank] = w
 	}
@@ -365,10 +381,7 @@ func RunParallel2D(c *Config2D, steps int, factory TransportFactory) (*Result2D,
 	for _, w := range workers {
 		w.Close()
 	}
-	if first != nil {
-		return nil, first
-	}
-	return Gather2D(c, progs, steps), nil
+	return first
 }
 
 // HubFactory returns a TransportFactory over a fresh in-process hub.

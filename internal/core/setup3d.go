@@ -229,37 +229,12 @@ func RunSequential3D(c *Config3D, steps int) (*Result3D, []*Program3D, error) {
 	if err := c.Validate(); err != nil {
 		return nil, nil, err
 	}
-	progs := make([]*Program3D, c.D.P())
-	for rank := range progs {
-		p, err := c.NewProgram(rank)
-		if err != nil {
-			return nil, nil, err
-		}
-		progs[rank] = p
+	progs, err := buildPrograms(c.D.P(), c.NewProgram)
+	if err != nil {
+		return nil, nil, err
 	}
-	phases := progs[0].Phases()
-	for s := 0; s < steps; s++ {
-		for ph := 0; ph < phases; ph++ {
-			for _, p := range progs {
-				p.Compute(ph)
-			}
-			type delivery struct {
-				to, dir int
-				data    []float64
-			}
-			var inbox []delivery
-			for _, p := range progs {
-				for _, snd := range p.Sends(ph) {
-					inbox = append(inbox, delivery{
-						to: snd.Peer, dir: snd.Dir,
-						data: append([]float64(nil), snd.Data...),
-					})
-				}
-			}
-			for _, d := range inbox {
-				progs[d.to].Unpack(ph, d.dir, d.data)
-			}
-		}
+	if err := stepSequential(progs, steps); err != nil {
+		return nil, nil, err
 	}
 	return Gather3D(c, progs, steps), progs, nil
 }
@@ -269,38 +244,12 @@ func RunParallel3D(c *Config3D, steps int, factory TransportFactory) (*Result3D,
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	progs := make([]*Program3D, c.D.P())
-	workers := make([]*Worker, c.D.P())
-	events := make(chan Event, 4*c.D.P())
-	for rank := range progs {
-		p, err := c.NewProgram(rank)
-		if err != nil {
-			return nil, err
-		}
-		progs[rank] = p
-		w, err := NewWorker(p, factory, 0, events)
-		if err != nil {
-			return nil, err
-		}
-		workers[rank] = w
+	progs, err := buildPrograms(c.D.P(), c.NewProgram)
+	if err != nil {
+		return nil, err
 	}
-	errs := make(chan error, len(workers))
-	for _, w := range workers {
-		go func(w *Worker) {
-			errs <- w.RunSteps(steps)
-		}(w)
-	}
-	var first error
-	for range workers {
-		if err := <-errs; err != nil && first == nil {
-			first = err
-		}
-	}
-	for _, w := range workers {
-		w.Close()
-	}
-	if first != nil {
-		return nil, first
+	if err := runParallel(progs, steps, factory); err != nil {
+		return nil, err
 	}
 	return Gather3D(c, progs, steps), nil
 }

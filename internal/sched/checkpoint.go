@@ -267,11 +267,11 @@ func Restore(dir string, c *cluster.Cluster, reg WorkloadRegistry) (*Scheduler, 
 		case ckpt.PhasePending:
 			s.pending = append(s.pending, js)
 		case ckpt.PhaseQueued:
-			s.queue = append(s.queue, js) //detlint:allow eventcomplete -- restore rebuilds state whose events the original run already emitted
+			s.queue = append(s.queue, js)
 		case ckpt.PhaseRunning:
-			s.running = append(s.running, js) //detlint:allow eventcomplete -- restore rebuilds state whose events the original run already emitted
+			s.running = append(s.running, js)
 		case ckpt.PhaseFinished:
-			s.finished = append(s.finished, js) //detlint:allow eventcomplete -- restore rebuilds state whose events the original run already emitted
+			s.finished = append(s.finished, js)
 		}
 	}
 	return s, nil
@@ -375,7 +375,7 @@ func restoreJob(dir, statesDir string, jr ckpt.JobRecord, c *cluster.Cluster, re
 		}
 		hosts[rank] = h
 	}
-	js.res = &cluster.Reservation{Owner: jr.ID, Hosts: hosts} //detlint:allow eventcomplete -- re-establishes the placement the manifest recorded; its JobPlaced event predates the checkpoint
+	js.res = &cluster.Reservation{Owner: jr.ID, Hosts: hosts}
 	if err := js.work.Resume(hosts); err != nil {
 		return nil, fmt.Errorf("sched: restore %s: resuming workload: %w", jr.ID, err)
 	}

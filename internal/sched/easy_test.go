@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -65,14 +64,17 @@ func TestProjectedStartPerHostAvailability(t *testing.T) {
 
 // TestEASYDegradeExplicitFallback: when the head's projected start is
 // incomputable EASY falls back to aggressive backfill — but explicitly:
-// the degrade is counted in the metrics summary and reported through the
-// scheduler's debug log, instead of silently eroding the head's
-// protection.
+// the degrade is counted in the metrics summary and announced as an
+// EASYDegraded event, instead of silently eroding the head's protection.
 func TestEASYDegradeExplicitFallback(t *testing.T) {
 	pool := idlePool()
 	s := New(pool, FIFO, 5)
-	var logs []string
-	s.Logf = func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) }
+	var degrades []EASYDegraded
+	s.Events = func(ev Event) {
+		if d, ok := ev.(EASYDegraded); ok {
+			degrades = append(degrades, d)
+		}
+	}
 
 	if err := s.Submit(JobSpec{
 		ID: "a-runner", Method: "lb2d", JX: 5, JY: 4, Side: 200, Steps: 5000,
@@ -113,8 +115,8 @@ func TestEASYDegradeExplicitFallback(t *testing.T) {
 	if s.easyDegraded != 1 {
 		t.Errorf("easyDegraded = %d, want 1", s.easyDegraded)
 	}
-	if len(logs) != 1 || !strings.Contains(logs[0], "degrading to aggressive") || !strings.Contains(logs[0], "b-head") {
-		t.Errorf("degrade not logged: %q", logs)
+	if len(degrades) != 1 || degrades[0] != (EASYDegraded{T: 0, Head: "b-head", Ranks: 25}) {
+		t.Errorf("degrade not announced: %v", degrades)
 	}
 	// The fallback is aggressive: the small job runs even though no
 	// finish-before-shadow guarantee exists; the head stays queued.

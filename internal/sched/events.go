@@ -22,8 +22,7 @@ import (
 //
 // All times are farm-relative virtual times (the same clock the metrics
 // report), and String renders a stable single-line form — the trace
-// tests compare those strings, and the Logf debug hook is a thin
-// adapter over them.
+// tests compare those strings.
 type Event interface {
 	// When returns the farm-relative virtual time of the decision.
 	When() time.Duration
@@ -222,16 +221,10 @@ func (e EASYDegraded) String() string {
 	return fmt.Sprintf("t=%v easy-degraded head=%s ranks=%d", e.T, e.Head, e.Ranks)
 }
 
-// emit delivers one event to the Events hook, if any. The Logf debug
-// hook survives as a thin adapter over the stream: the diagnostic
-// events are rendered to it in the legacy log wording.
+// emit delivers one event to the Events hook, if any.
 func (s *Scheduler) emit(ev Event) {
 	if s.Events != nil {
 		s.Events(ev)
-	}
-	if d, ok := ev.(EASYDegraded); ok {
-		s.logf("sched: EASY shadow incomputable for head %s (%d ranks); degrading to aggressive backfill this round",
-			d.Head, d.Ranks)
 	}
 }
 

@@ -454,3 +454,20 @@ func TestComputeTimerHeterogeneous(t *testing.T) {
 		t.Errorf("step = %v, want the 710's pace %v", sec, want)
 	}
 }
+
+// TestNextTick pins the tick arithmetic Run's three periodic sources
+// (scenario, autoscale, checkpoint) share: the first multiple of the
+// period strictly after t.
+func TestNextTick(t *testing.T) {
+	for _, c := range []struct{ t, every, want time.Duration }{
+		{0, time.Minute, time.Minute},
+		{time.Minute, time.Minute, 2 * time.Minute}, // on a boundary: the next one, never t itself
+		{90 * time.Second, time.Minute, 2 * time.Minute},
+		{time.Second, time.Hour, time.Hour}, // period longer than the farm has run
+		{3*time.Minute - 1, time.Minute, 3 * time.Minute},
+	} {
+		if got := nextTick(c.t, c.every); got != c.want {
+			t.Errorf("nextTick(%v, %v) = %v, want %v", c.t, c.every, got, c.want)
+		}
+	}
+}

@@ -47,13 +47,6 @@ type Scheduler struct {
 	// that reservation (the pre-EASY behaviour); BackfillNone enforces
 	// strict head-of-line order.
 	Backfill BackfillMode
-	// Logf, when set, receives the scheduler's debug log lines (EASY
-	// degrading to aggressive backfill when the head's projected start is
-	// incomputable, and the like). Nil is silent. The lines are a thin
-	// adapter over the structured event stream: they are the String
-	// renderings of the diagnostic events.
-	Logf func(format string, args ...any)
-
 	// Events, when set, receives every structured Event of the
 	// scheduling rounds — admissions, placements, backfills,
 	// preemptions, migrations, completions, host reclaims, checkpoint
@@ -319,7 +312,7 @@ func (s *Scheduler) Close() {
 		for _, js := range s.running {
 			if js.res != nil {
 				js.res.Release()
-				js.res = nil //detlint:allow eventcomplete -- teardown after a failed Run; the event stream is already closed
+				js.res = nil
 			}
 		}
 	}
@@ -457,22 +450,16 @@ func (s *Scheduler) Run() (sum metrics.Summary, err error) {
 		// land at exact virtual times.
 		tick, scale, save := time.Duration(-1), time.Duration(-1), time.Duration(-1)
 		if s.Scenario != nil && s.ScenarioEvery > 0 {
-			tick = t - t%s.ScenarioEvery + s.ScenarioEvery
-			if tick < next {
-				next = tick
-			}
+			tick = nextTick(t, s.ScenarioEvery)
+			next = min(next, tick)
 		}
 		if s.Autoscale != nil && s.AutoscaleEvery > 0 {
-			scale = t - t%s.AutoscaleEvery + s.AutoscaleEvery
-			if scale < next {
-				next = scale
-			}
+			scale = nextTick(t, s.AutoscaleEvery)
+			next = min(next, scale)
 		}
 		if s.CheckpointEvery > 0 {
-			save = t - t%s.CheckpointEvery + s.CheckpointEvery
-			if save < next {
-				next = save
-			}
+			save = nextTick(t, s.CheckpointEvery)
+			next = min(next, save)
 		}
 		if dt := next - t; dt > 0 {
 			s.Cluster.Advance(dt)
@@ -497,6 +484,11 @@ func (s *Scheduler) Run() (sum metrics.Summary, err error) {
 		}
 	}
 	return s.summary(), nil
+}
+
+// nextTick returns the first multiple of every strictly after t.
+func nextTick(t, every time.Duration) time.Duration {
+	return t - t%every + every
 }
 
 // admit moves every job whose arrival time has passed into the queue. A
@@ -704,8 +696,8 @@ func (s *Scheduler) scheduleRound(t time.Duration) error {
 // -1 when running-job completions alone never free enough hosts (the
 // head waits on user activity instead) — no reservation is computable
 // then, and EASY backfill explicitly degrades to the aggressive mode
-// for the round (counted and logged by scheduleRound) until conditions
-// change.
+// for the round (counted and announced by scheduleRound) until
+// conditions change.
 func (s *Scheduler) projectedStart(head *jobState) time.Duration {
 	free := s.Cluster.Capacity(s.Select)
 	need := head.ranks()
@@ -725,13 +717,6 @@ func (s *Scheduler) projectedStart(head *jobState) time.Duration {
 		}
 	}
 	return -1
-}
-
-// logf emits a debug line through the scheduler's Logf hook, if any.
-func (s *Scheduler) logf(format string, args ...any) {
-	if s.Logf != nil {
-		s.Logf(format, args...)
-	}
 }
 
 // chooseShape picks a fresh placement's decomposition shape and returns
@@ -768,7 +753,9 @@ func (s *Scheduler) chooseShape(spec JobSpec, hosts []*cluster.Host) (decomp.Sha
 // tryPlace reserves hosts for the job and starts (or resumes) it. A
 // capacity shortfall returns (false, nil); workload failures are fatal.
 // A non-negative deadline is an EASY backfill window: the placement is
-// abandoned when the job's projected finish would overrun it.
+// abandoned when the job's projected finish would overrun it. The caller
+// announces a successful placement: JobPlaced and JobBackfilled differ by
+// queue position, which tryPlace does not see.
 //
 // A job's decomposition shape is decided here, at its first placement:
 // the speed-weighted shape when it strictly beats uniform splitting on
@@ -804,7 +791,7 @@ func (s *Scheduler) tryPlace(js *jobState, t time.Duration, deadline time.Durati
 	}
 	js.shape = shape
 	js.imbalance = imb
-	js.res = res //detlint:allow eventcomplete -- the caller emits JobPlaced/JobBackfilled, which carry deadline context tryPlace lacks
+	js.res = res
 	js.stepSec = sec
 	js.placedAt = t
 	js.finishAt = finish
@@ -824,7 +811,7 @@ func (s *Scheduler) tryPlace(js *jobState, t time.Duration, deadline time.Durati
 		res.Release()
 		return false, fmt.Errorf("sched: starting %s: %w", js.spec.ID, err)
 	}
-	s.running = append(s.running, js) //detlint:allow eventcomplete -- the caller emits JobPlaced/JobBackfilled, which carry deadline context tryPlace lacks
+	s.running = append(s.running, js)
 	return true, nil
 }
 
