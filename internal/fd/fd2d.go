@@ -54,6 +54,7 @@ type Solver2D struct {
 	Rho, Vx, Vy *grid.Field2D // current state, ghost depth 1
 
 	nVx, nVy, nRho *grid.Field2D // next-step buffers
+	ghostsPaired   bool          // next-step ghost shells equal the current ones (pairGhosts)
 	scratch        []float64     // filter workspace
 
 	// Static per-node structure cached at construction: interior cell
@@ -63,6 +64,8 @@ type Solver2D struct {
 	rowOpen []bool
 	plan    *filter.Plan2D
 
+	// The sweeps and run, bound once so a step builds no method value.
+	// Every sweep and the filter go through runFn.
 	par          pool.Runner
 	velFn, denFn func(lo, hi int)
 	runFn        filter.RunFunc
@@ -136,7 +139,11 @@ func NewGeometry2D(nx, ny int, par fluid.Params, mask func(x, y int) fluid.CellT
 // per-rank budget through here).
 func (s *Solver2D) SetWorkers(n int) { s.Workers = n }
 
-func (s *Solver2D) run(n int, fn func(lo, hi int)) { s.par.Run(s.Workers, n, fn) }
+// run executes fn over n rows cut into at most Workers slabs, fewer on a
+// lattice too small to pay for the hand-off (pool.Slabs).
+func (s *Solver2D) run(n int, fn func(lo, hi int)) {
+	s.par.Run(pool.Slabs(s.Workers, n, s.Rho.NX), n, fn)
+}
 
 // Phases returns the number of compute phases per integration step.
 func (s *Solver2D) Phases() int { return 3 }
@@ -148,6 +155,9 @@ func (s *Solver2D) Exchanges(phase int) bool { return phase == 0 || phase == 1 }
 
 // Compute runs one compute phase on the interior nodes.
 func (s *Solver2D) Compute(phase int) {
+	if !s.ghostsPaired {
+		s.pairGhosts()
+	}
 	switch phase {
 	case 0:
 		s.computeVelocity()
@@ -160,55 +170,81 @@ func (s *Solver2D) Compute(phase int) {
 	}
 }
 
+// pairGhosts copies the current fields over the next-step buffers, ghosts
+// included. A sweep writes interior nodes and swaps the pair, so a ghost
+// that no exchange fills (one beyond a non-periodic domain face) shows the
+// current buffer's value on one step and the next-step buffer's on the
+// other. With the two shells equal such a ghost is constant, and a dump,
+// which holds the current fields only, restores bit for bit at either step
+// parity. It runs before the first sweep after construction or
+// RestoreFields, so it sees an initial condition written into the fields.
+func (s *Solver2D) pairGhosts() {
+	s.nRho.CopyFrom(s.Rho)
+	s.nVx.CopyFrom(s.Vx)
+	s.nVy.CopyFrom(s.Vy)
+	s.ghostsPaired = true
+}
+
 // computeVelocity advances Vx, Vy by one forward-Euler step of the momentum
 // equations 2-3 and applies the velocity boundary conditions. Every node
 // writes only nVx/nVy at its own coordinates, so row slabs are
 // write-disjoint; the swap happens after all slabs finish.
 func (s *Solver2D) computeVelocity() {
-	s.run(s.Vx.NY, s.velFn)
+	s.runFn(s.Vx.NY, s.velFn)
 	s.Vx.Swap(s.nVx)
 	s.Vy.Swap(s.nVy)
 }
 
-// velocityRows updates the velocity of rows [y0, y1).
+// velocityRows updates the velocity of rows [y0, y1) over raw rows: one
+// Data() slice per stencil offset and output, cut once per row and indexed
+// by x. An all-Interior row (open) skips the cell-type switch; a row that
+// crosses a solid runs the same body and branches only on its boundary
+// nodes. The momentum expressions must keep their shape (DESIGN.md).
 func (s *Solver2D) velocityRows(y0, y1 int) {
 	p := s.Par
 	dt, nu, cs2 := p.Dt, p.Nu, p.Cs*p.Cs
-	nx := s.Vx.NX
+	nx, sx := s.Vx.NX, s.Vx.Stride()
+	vxA, vyA, rhoA := s.Vx.Data(), s.Vy.Data(), s.Rho.Data()
+	nvxA, nvyA := s.nVx.Data(), s.nVy.Data()
 	for y := y0; y < y1; y++ {
 		open := s.rowOpen[y]
+		cells := s.cells[y*nx:][:nx]
+		b := s.Vx.Idx(0, y)
+		vxC, vxE, vxW, vxN, vxS := vxA[b:][:nx], vxA[b+1:][:nx], vxA[b-1:][:nx], vxA[b+sx:][:nx], vxA[b-sx:][:nx]
+		vyC, vyE, vyW, vyN, vyS := vyA[b:][:nx], vyA[b+1:][:nx], vyA[b-1:][:nx], vyA[b+sx:][:nx], vyA[b-sx:][:nx]
+		rhoC, rhoE, rhoW, rhoN, rhoS := rhoA[b:][:nx], rhoA[b+1:][:nx], rhoA[b-1:][:nx], rhoA[b+sx:][:nx], rhoA[b-sx:][:nx]
+		nvx, nvy := nvxA[b:][:nx], nvyA[b:][:nx]
 		for x := 0; x < nx; x++ {
+			vx, vy := vxC[x], vyC[x]
 			if !open {
-				switch s.cells[y*nx+x] {
+				switch cells[x] {
 				case fluid.Wall:
-					s.nVx.Set(x, y, 0)
-					s.nVy.Set(x, y, 0)
+					nvx[x], nvy[x] = 0, 0
 					continue
 				case fluid.Inlet:
-					s.nVx.Set(x, y, p.InletVx)
-					s.nVy.Set(x, y, p.InletVy)
+					nvx[x], nvy[x] = p.InletVx, p.InletVy
 					continue
 				case fluid.Outlet:
 					// Open boundary: velocity convects out unchanged.
-					s.nVx.Set(x, y, s.Vx.At(x, y))
-					s.nVy.Set(x, y, s.Vy.At(x, y))
+					nvx[x], nvy[x] = vx, vy
 					continue
 				}
 			}
-			vx, vy := s.Vx.At(x, y), s.Vy.At(x, y)
-			rho := s.Rho.At(x, y)
+			rho := rhoC[x]
+			xe, xw, xn, xs := vxE[x], vxW[x], vxN[x], vxS[x]
+			ye, yw, yn, ys := vyE[x], vyW[x], vyN[x], vyS[x]
 
-			dVxdx := 0.5 * (s.Vx.At(x+1, y) - s.Vx.At(x-1, y))
-			dVxdy := 0.5 * (s.Vx.At(x, y+1) - s.Vx.At(x, y-1))
-			dVydx := 0.5 * (s.Vy.At(x+1, y) - s.Vy.At(x-1, y))
-			dVydy := 0.5 * (s.Vy.At(x, y+1) - s.Vy.At(x, y-1))
-			dRdx := 0.5 * (s.Rho.At(x+1, y) - s.Rho.At(x-1, y))
-			dRdy := 0.5 * (s.Rho.At(x, y+1) - s.Rho.At(x, y-1))
-			lapVx := s.Vx.At(x+1, y) + s.Vx.At(x-1, y) + s.Vx.At(x, y+1) + s.Vx.At(x, y-1) - 4*vx
-			lapVy := s.Vy.At(x+1, y) + s.Vy.At(x-1, y) + s.Vy.At(x, y+1) + s.Vy.At(x, y-1) - 4*vy
+			dVxdx := 0.5 * (xe - xw)
+			dVxdy := 0.5 * (xn - xs)
+			dVydx := 0.5 * (ye - yw)
+			dVydy := 0.5 * (yn - ys)
+			dRdx := 0.5 * (rhoE[x] - rhoW[x])
+			dRdy := 0.5 * (rhoN[x] - rhoS[x])
+			lapVx := xe + xw + xn + xs - 4*vx
+			lapVy := ye + yw + yn + ys - 4*vy
 
-			s.nVx.Set(x, y, vx+dt*(-vx*dVxdx-vy*dVxdy-cs2/rho*dRdx+nu*lapVx+p.ForceX))
-			s.nVy.Set(x, y, vy+dt*(-vx*dVydx-vy*dVydy-cs2/rho*dRdy+nu*lapVy+p.ForceY))
+			nvx[x] = vx + dt*(-vx*dVxdx-vy*dVxdy-cs2/rho*dRdx+nu*lapVx+p.ForceX)
+			nvy[x] = vy + dt*(-vx*dVydx-vy*dVydy-cs2/rho*dRdy+nu*lapVy+p.ForceY)
 		}
 	}
 }
@@ -217,34 +253,41 @@ func (s *Solver2D) velocityRows(y0, y1 int) {
 // just-updated velocities, then applies the density boundary conditions.
 // The flux form conserves mass exactly over the interior.
 func (s *Solver2D) computeDensity() {
-	s.run(s.Rho.NY, s.denFn)
+	s.runFn(s.Rho.NY, s.denFn)
 	s.Rho.Swap(s.nRho)
 }
 
-// densityRows updates the density of rows [y0, y1).
+// densityRows updates the density of rows [y0, y1) over raw rows (see
+// velocityRows).
 func (s *Solver2D) densityRows(y0, y1 int) {
 	p := s.Par
 	dt := p.Dt
-	nx := s.Rho.NX
+	nx, sx := s.Rho.NX, s.Rho.Stride()
+	rhoA, vxA, vyA, nrhoA := s.Rho.Data(), s.Vx.Data(), s.Vy.Data(), s.nRho.Data()
 	for y := y0; y < y1; y++ {
 		open := s.rowOpen[y]
+		cells := s.cells[y*nx:][:nx]
+		b := s.Rho.Idx(0, y)
+		rhoC, rhoE, rhoW, rhoN, rhoS := rhoA[b:][:nx], rhoA[b+1:][:nx], rhoA[b-1:][:nx], rhoA[b+sx:][:nx], rhoA[b-sx:][:nx]
+		vxE, vxW, vyN, vyS := vxA[b+1:][:nx], vxA[b-1:][:nx], vyA[b+sx:][:nx], vyA[b-sx:][:nx]
+		nrho := nrhoA[b:][:nx]
 		for x := 0; x < nx; x++ {
 			if !open {
-				switch s.cells[y*nx+x] {
+				switch cells[x] {
 				case fluid.Inlet:
-					s.nRho.Set(x, y, p.InletRho)
+					nrho[x] = p.InletRho
 					continue
 				case fluid.Outlet:
-					s.nRho.Set(x, y, p.OutletRho)
+					nrho[x] = p.OutletRho
 					continue
 				}
 			}
 			// Walls evolve by the same flux form; with V = 0 at wall
 			// nodes the normal flux at the wall face vanishes and mass
 			// stays where it is.
-			dFxdx := 0.5 * (s.Rho.At(x+1, y)*s.Vx.At(x+1, y) - s.Rho.At(x-1, y)*s.Vx.At(x-1, y))
-			dFydy := 0.5 * (s.Rho.At(x, y+1)*s.Vy.At(x, y+1) - s.Rho.At(x, y-1)*s.Vy.At(x, y-1))
-			s.nRho.Set(x, y, s.Rho.At(x, y)-dt*(dFxdx+dFydy))
+			dFxdx := 0.5 * (rhoE[x]*vxE[x] - rhoW[x]*vxW[x])
+			dFydy := 0.5 * (rhoN[x]*vyN[x] - rhoS[x]*vyS[x])
+			nrho[x] = rhoC[x] - dt*(dFxdx+dFydy)
 		}
 	}
 }

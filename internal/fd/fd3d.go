@@ -29,6 +29,7 @@ type Solver3D struct {
 	Rho, Vx, Vy, Vz *grid.Field3D
 
 	nVx, nVy, nVz, nRho *grid.Field3D
+	ghostsPaired        bool // see Solver2D.pairGhosts
 	scratch             []float64
 
 	// Static per-node structure cached at construction (see Solver2D).
@@ -107,7 +108,10 @@ func NewGeometry3D(nx, ny, nz int, par fluid.Params, mask func(x, y, z int) flui
 // SetWorkers sets the intra-rank slab count.
 func (s *Solver3D) SetWorkers(n int) { s.Workers = n }
 
-func (s *Solver3D) run(n int, fn func(lo, hi int)) { s.par.Run(s.Workers, n, fn) }
+// run executes fn over n z-planes (see Solver2D.run).
+func (s *Solver3D) run(n int, fn func(lo, hi int)) {
+	s.par.Run(pool.Slabs(s.Workers, n, s.Rho.NX*s.Rho.NY), n, fn)
+}
 
 // Phases returns the number of compute phases per step.
 func (s *Solver3D) Phases() int { return 3 }
@@ -126,6 +130,9 @@ func (s *Solver3D) ExchangeDirs(phase int) []decomp.Dir3 {
 
 // Compute runs one compute phase.
 func (s *Solver3D) Compute(phase int) {
+	if !s.ghostsPaired {
+		s.pairGhosts()
+	}
 	switch phase {
 	case 0:
 		s.computeVelocity()
@@ -138,107 +145,131 @@ func (s *Solver3D) Compute(phase int) {
 	}
 }
 
+// pairGhosts is Solver2D.pairGhosts for the 3D fields.
+func (s *Solver3D) pairGhosts() {
+	s.nRho.CopyFrom(s.Rho)
+	s.nVx.CopyFrom(s.Vx)
+	s.nVy.CopyFrom(s.Vy)
+	s.nVz.CopyFrom(s.Vz)
+	s.ghostsPaired = true
+}
+
 func (s *Solver3D) computeVelocity() {
-	s.run(s.Vx.NZ, s.velFn)
+	s.runFn(s.Vx.NZ, s.velFn)
 	s.Vx.Swap(s.nVx)
 	s.Vy.Swap(s.nVy)
 	s.Vz.Swap(s.nVz)
 }
 
-// velocityPlanes updates the velocity of z-planes [z0, z1). The momentum
-// derivatives are written out term by term (the serial version's grad/lap
-// helper closures, manually inlined with identical expressions) so the hot
-// loop builds no closures.
+// velocityPlanes updates the velocity of z-planes [z0, z1) over raw rows:
+// per row, one Data() slice per stencil offset (centre, x+-1, y+-1 at the
+// row stride, z+-1 at the plane stride) and per output, all indexed by x
+// (see Solver2D.velocityRows). The momentum expressions must keep their
+// shape (DESIGN.md).
 func (s *Solver3D) velocityPlanes(z0, z1 int) {
 	p := s.Par
 	dt, nu, cs2 := p.Dt, p.Nu, p.Cs*p.Cs
 	nx, ny := s.Vx.NX, s.Vx.NY
+	sx, sxy := s.Vx.StrideX(), s.Vx.StrideXY()
+	vxA, vyA, vzA, rhoA := s.Vx.Data(), s.Vy.Data(), s.Vz.Data(), s.Rho.Data()
+	nvxA, nvyA, nvzA := s.nVx.Data(), s.nVy.Data(), s.nVz.Data()
 	for z := z0; z < z1; z++ {
 		for y := 0; y < ny; y++ {
 			open := s.rowOpen[z*ny+y]
-			row := (z*ny + y) * nx
+			cells := s.cells[(z*ny+y)*nx:][:nx]
+			b := s.Vx.Idx(0, y, z)
+			vxC, vxE, vxW := vxA[b:][:nx], vxA[b+1:][:nx], vxA[b-1:][:nx]
+			vxN, vxS, vxU, vxD := vxA[b+sx:][:nx], vxA[b-sx:][:nx], vxA[b+sxy:][:nx], vxA[b-sxy:][:nx]
+			vyC, vyE, vyW := vyA[b:][:nx], vyA[b+1:][:nx], vyA[b-1:][:nx]
+			vyN, vyS, vyU, vyD := vyA[b+sx:][:nx], vyA[b-sx:][:nx], vyA[b+sxy:][:nx], vyA[b-sxy:][:nx]
+			vzC, vzE, vzW := vzA[b:][:nx], vzA[b+1:][:nx], vzA[b-1:][:nx]
+			vzN, vzS, vzU, vzD := vzA[b+sx:][:nx], vzA[b-sx:][:nx], vzA[b+sxy:][:nx], vzA[b-sxy:][:nx]
+			rhoC, rhoE, rhoW := rhoA[b:][:nx], rhoA[b+1:][:nx], rhoA[b-1:][:nx]
+			rhoN, rhoS, rhoU, rhoD := rhoA[b+sx:][:nx], rhoA[b-sx:][:nx], rhoA[b+sxy:][:nx], rhoA[b-sxy:][:nx]
+			nvx, nvy, nvz := nvxA[b:][:nx], nvyA[b:][:nx], nvzA[b:][:nx]
 			for x := 0; x < nx; x++ {
+				vx, vy, vz := vxC[x], vyC[x], vzC[x]
 				if !open {
-					switch s.cells[row+x] {
+					switch cells[x] {
 					case fluid.Wall:
-						s.nVx.Set(x, y, z, 0)
-						s.nVy.Set(x, y, z, 0)
-						s.nVz.Set(x, y, z, 0)
+						nvx[x], nvy[x], nvz[x] = 0, 0, 0
 						continue
 					case fluid.Inlet:
-						s.nVx.Set(x, y, z, p.InletVx)
-						s.nVy.Set(x, y, z, p.InletVy)
-						s.nVz.Set(x, y, z, p.InletVz)
+						nvx[x], nvy[x], nvz[x] = p.InletVx, p.InletVy, p.InletVz
 						continue
 					case fluid.Outlet:
-						s.nVx.Set(x, y, z, s.Vx.At(x, y, z))
-						s.nVy.Set(x, y, z, s.Vy.At(x, y, z))
-						s.nVz.Set(x, y, z, s.Vz.At(x, y, z))
+						nvx[x], nvy[x], nvz[x] = vx, vy, vz
 						continue
 					}
 				}
-				vx, vy, vz := s.Vx.At(x, y, z), s.Vy.At(x, y, z), s.Vz.At(x, y, z)
-				rho := s.Rho.At(x, y, z)
+				rho := rhoC[x]
+				xe, xw, xn, xs, xu, xd := vxE[x], vxW[x], vxN[x], vxS[x], vxU[x], vxD[x]
+				ye, yw, yn, ys, yu, yd := vyE[x], vyW[x], vyN[x], vyS[x], vyU[x], vyD[x]
+				ze, zw, zn, zs, zu, zd := vzE[x], vzW[x], vzN[x], vzS[x], vzU[x], vzD[x]
 
-				gxx := 0.5 * (s.Vx.At(x+1, y, z) - s.Vx.At(x-1, y, z))
-				gxy := 0.5 * (s.Vx.At(x, y+1, z) - s.Vx.At(x, y-1, z))
-				gxz := 0.5 * (s.Vx.At(x, y, z+1) - s.Vx.At(x, y, z-1))
-				gyx := 0.5 * (s.Vy.At(x+1, y, z) - s.Vy.At(x-1, y, z))
-				gyy := 0.5 * (s.Vy.At(x, y+1, z) - s.Vy.At(x, y-1, z))
-				gyz := 0.5 * (s.Vy.At(x, y, z+1) - s.Vy.At(x, y, z-1))
-				gzx := 0.5 * (s.Vz.At(x+1, y, z) - s.Vz.At(x-1, y, z))
-				gzy := 0.5 * (s.Vz.At(x, y+1, z) - s.Vz.At(x, y-1, z))
-				gzz := 0.5 * (s.Vz.At(x, y, z+1) - s.Vz.At(x, y, z-1))
-				rx := 0.5 * (s.Rho.At(x+1, y, z) - s.Rho.At(x-1, y, z))
-				ry := 0.5 * (s.Rho.At(x, y+1, z) - s.Rho.At(x, y-1, z))
-				rz := 0.5 * (s.Rho.At(x, y, z+1) - s.Rho.At(x, y, z-1))
-				lapVx := s.Vx.At(x+1, y, z) + s.Vx.At(x-1, y, z) +
-					s.Vx.At(x, y+1, z) + s.Vx.At(x, y-1, z) +
-					s.Vx.At(x, y, z+1) + s.Vx.At(x, y, z-1) - 6*s.Vx.At(x, y, z)
-				lapVy := s.Vy.At(x+1, y, z) + s.Vy.At(x-1, y, z) +
-					s.Vy.At(x, y+1, z) + s.Vy.At(x, y-1, z) +
-					s.Vy.At(x, y, z+1) + s.Vy.At(x, y, z-1) - 6*s.Vy.At(x, y, z)
-				lapVz := s.Vz.At(x+1, y, z) + s.Vz.At(x-1, y, z) +
-					s.Vz.At(x, y+1, z) + s.Vz.At(x, y-1, z) +
-					s.Vz.At(x, y, z+1) + s.Vz.At(x, y, z-1) - 6*s.Vz.At(x, y, z)
+				gxx := 0.5 * (xe - xw)
+				gxy := 0.5 * (xn - xs)
+				gxz := 0.5 * (xu - xd)
+				gyx := 0.5 * (ye - yw)
+				gyy := 0.5 * (yn - ys)
+				gyz := 0.5 * (yu - yd)
+				gzx := 0.5 * (ze - zw)
+				gzy := 0.5 * (zn - zs)
+				gzz := 0.5 * (zu - zd)
+				rx := 0.5 * (rhoE[x] - rhoW[x])
+				ry := 0.5 * (rhoN[x] - rhoS[x])
+				rz := 0.5 * (rhoU[x] - rhoD[x])
+				lapVx := xe + xw + xn + xs + xu + xd - 6*vx
+				lapVy := ye + yw + yn + ys + yu + yd - 6*vy
+				lapVz := ze + zw + zn + zs + zu + zd - 6*vz
 
-				s.nVx.Set(x, y, z, vx+dt*(-(vx*gxx+vy*gxy+vz*gxz)-cs2/rho*rx+nu*lapVx+p.ForceX))
-				s.nVy.Set(x, y, z, vy+dt*(-(vx*gyx+vy*gyy+vz*gyz)-cs2/rho*ry+nu*lapVy+p.ForceY))
-				s.nVz.Set(x, y, z, vz+dt*(-(vx*gzx+vy*gzy+vz*gzz)-cs2/rho*rz+nu*lapVz+p.ForceZ))
+				nvx[x] = vx + dt*(-(vx*gxx+vy*gxy+vz*gxz)-cs2/rho*rx+nu*lapVx+p.ForceX)
+				nvy[x] = vy + dt*(-(vx*gyx+vy*gyy+vz*gyz)-cs2/rho*ry+nu*lapVy+p.ForceY)
+				nvz[x] = vz + dt*(-(vx*gzx+vy*gzy+vz*gzz)-cs2/rho*rz+nu*lapVz+p.ForceZ)
 			}
 		}
 	}
 }
 
 func (s *Solver3D) computeDensity() {
-	s.run(s.Rho.NZ, s.denFn)
+	s.runFn(s.Rho.NZ, s.denFn)
 	s.Rho.Swap(s.nRho)
 }
 
-// densityPlanes updates the density of z-planes [z0, z1).
+// densityPlanes updates the density of z-planes [z0, z1) over raw rows
+// (see velocityPlanes).
 func (s *Solver3D) densityPlanes(z0, z1 int) {
 	p := s.Par
 	dt := p.Dt
 	nx, ny := s.Rho.NX, s.Rho.NY
+	sx, sxy := s.Rho.StrideX(), s.Rho.StrideXY()
+	rhoA, vxA, vyA, vzA, nrhoA := s.Rho.Data(), s.Vx.Data(), s.Vy.Data(), s.Vz.Data(), s.nRho.Data()
 	for z := z0; z < z1; z++ {
 		for y := 0; y < ny; y++ {
 			open := s.rowOpen[z*ny+y]
-			row := (z*ny + y) * nx
+			cells := s.cells[(z*ny+y)*nx:][:nx]
+			b := s.Rho.Idx(0, y, z)
+			rhoC, rhoE, rhoW := rhoA[b:][:nx], rhoA[b+1:][:nx], rhoA[b-1:][:nx]
+			rhoN, rhoS, rhoU, rhoD := rhoA[b+sx:][:nx], rhoA[b-sx:][:nx], rhoA[b+sxy:][:nx], rhoA[b-sxy:][:nx]
+			vxE, vxW := vxA[b+1:][:nx], vxA[b-1:][:nx]
+			vyN, vyS := vyA[b+sx:][:nx], vyA[b-sx:][:nx]
+			vzU, vzD := vzA[b+sxy:][:nx], vzA[b-sxy:][:nx]
+			nrho := nrhoA[b:][:nx]
 			for x := 0; x < nx; x++ {
 				if !open {
-					switch s.cells[row+x] {
+					switch cells[x] {
 					case fluid.Inlet:
-						s.nRho.Set(x, y, z, p.InletRho)
+						nrho[x] = p.InletRho
 						continue
 					case fluid.Outlet:
-						s.nRho.Set(x, y, z, p.OutletRho)
+						nrho[x] = p.OutletRho
 						continue
 					}
 				}
-				dFx := 0.5 * (s.Rho.At(x+1, y, z)*s.Vx.At(x+1, y, z) - s.Rho.At(x-1, y, z)*s.Vx.At(x-1, y, z))
-				dFy := 0.5 * (s.Rho.At(x, y+1, z)*s.Vy.At(x, y+1, z) - s.Rho.At(x, y-1, z)*s.Vy.At(x, y-1, z))
-				dFz := 0.5 * (s.Rho.At(x, y, z+1)*s.Vz.At(x, y, z+1) - s.Rho.At(x, y, z-1)*s.Vz.At(x, y, z-1))
-				s.nRho.Set(x, y, z, s.Rho.At(x, y, z)-dt*(dFx+dFy+dFz))
+				dFx := 0.5 * (rhoE[x]*vxE[x] - rhoW[x]*vxW[x])
+				dFy := 0.5 * (rhoN[x]*vyN[x] - rhoS[x]*vyS[x])
+				dFz := 0.5 * (rhoU[x]*vzU[x] - rhoD[x]*vzD[x])
+				nrho[x] = rhoC[x] - dt*(dFx+dFy+dFz)
 			}
 		}
 	}

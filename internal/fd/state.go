@@ -60,8 +60,11 @@ func (s *Solver2D) DumpFields() map[string][]float64 {
 	return dumpFields(fieldNames2D, s.fieldArrays())
 }
 
-// RestoreFields reloads raw field storage from a dump.
+// RestoreFields reloads raw field storage from a dump. The next-step
+// buffers are not in a dump; the next Compute pairs their ghosts with the
+// restored fields' (pairGhosts).
 func (s *Solver2D) RestoreFields(fields map[string][]float64) error {
+	s.ghostsPaired = false
 	return restoreFields(fieldNames2D, s.fieldArrays(), fields)
 }
 
@@ -77,7 +80,8 @@ func (s *Solver3D) DumpFields() map[string][]float64 {
 	return dumpFields(fieldNames3D, s.fieldArrays())
 }
 
-// RestoreFields reloads raw 3D field storage from a dump.
+// RestoreFields reloads raw 3D field storage from a dump (see the 2D one).
 func (s *Solver3D) RestoreFields(fields map[string][]float64) error {
+	s.ghostsPaired = false
 	return restoreFields(fieldNames3D, s.fieldArrays(), fields)
 }

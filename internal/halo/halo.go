@@ -26,6 +26,7 @@ package halo
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/decomp"
 	"repro/internal/grid"
@@ -48,23 +49,81 @@ func (r Region2D) String() string {
 // Extract2D appends the region's values (row-major) to buf and returns the
 // extended buffer.
 func Extract2D(f *grid.Field2D, r Region2D, buf []float64) []float64 {
-	data := f.Data()
-	for y := r.Y0; y < r.Y0+r.NY; y++ {
-		row := data[f.Idx(r.X0, y) : f.Idx(r.X0, y)+r.NX]
-		buf = append(buf, row...) //detlint:allow allocsteady -- grows only on the first exchange; steady-state callers reuse a full-capacity buffer
-	}
-	return buf
+	return extract(f.Data(), f.Idx(r.X0, r.Y0), box{r.NX, r.NY, 1, f.Stride(), 0, f.H}, buf)
 }
 
 // Inject2D copies len(r) values from buf into the region and returns the
 // remainder of buf.
 func Inject2D(f *grid.Field2D, r Region2D, buf []float64) []float64 {
-	for y := r.Y0; y < r.Y0+r.NY; y++ {
-		row := f.Data()[f.Idx(r.X0, y) : f.Idx(r.X0, y)+r.NX]
-		copy(row, buf[:r.NX])
-		buf = buf[r.NX:]
+	return inject(f.Data(), f.Idx(r.X0, r.Y0), box{r.NX, r.NY, 1, f.Stride(), 0, f.H}, buf)
+}
+
+// box is a region of a field's raw storage as extract and inject walk it:
+// the extents, the row and plane strides, and the field's ghost depth. A
+// 2D region is one plane.
+type box struct {
+	nx, ny, nz int
+	sx, sxy    int
+	h          int
+}
+
+// extract appends the box whose first value is data[at] to buf, x fastest,
+// then y, then z; the room is reserved once. Rows wider than the ghost
+// depth are copied whole. A narrower box is an x-face or a corner: every
+// value sits on a cache line, and often a page, of its own, so what it
+// costs is how many of those misses the processor keeps in flight, and
+// that is set by how few instructions separate two loads. Each of its
+// columns is therefore walked down a plane in the tightest loop there is,
+// one load, one store and the stride; a slice and a copy per value cost
+// twice as much.
+func extract(data []float64, at int, b box, buf []float64) []float64 {
+	n := len(buf)
+	buf = slices.Grow(buf, b.nx*b.ny*b.nz)[:n+b.nx*b.ny*b.nz] //detlint:allow allocsteady -- grows only on the first exchange; steady-state callers reuse a full-capacity buffer
+	out := buf[n:]
+	for z := 0; z < b.nz; z++ {
+		plane := out[z*b.nx*b.ny:][:b.nx*b.ny]
+		a := at + z*b.sxy
+		if b.nx > b.h {
+			for ; len(plane) > 0; plane = plane[b.nx:] {
+				copy(plane[:b.nx], data[a:a+b.nx])
+				a += b.sx
+			}
+			continue
+		}
+		for i := 0; i < b.nx; i++ {
+			c := a + i
+			for k := i; k < len(plane); k += b.nx {
+				plane[k] = data[c]
+				c += b.sx
+			}
+		}
 	}
 	return buf
+}
+
+// inject stores the leading values of buf into the box whose first value
+// is data[at], in extract's order and by the same two walks, and returns
+// the remainder of buf.
+func inject(data []float64, at int, b box, buf []float64) []float64 {
+	for z := 0; z < b.nz; z++ {
+		plane := buf[z*b.nx*b.ny:][:b.nx*b.ny]
+		a := at + z*b.sxy
+		if b.nx > b.h {
+			for ; len(plane) > 0; plane = plane[b.nx:] {
+				copy(data[a:a+b.nx], plane[:b.nx])
+				a += b.sx
+			}
+			continue
+		}
+		for i := 0; i < b.nx; i++ {
+			c := a + i
+			for k := i; k < len(plane); k += b.nx {
+				data[c] = plane[k]
+				c += b.sx
+			}
+		}
+	}
+	return buf[b.nx*b.ny*b.nz:]
 }
 
 // sideSpans returns the x-span and y-span of the strip on side dir of an

@@ -18,25 +18,12 @@ func (r Region3D) Len() int { return r.NX * r.NY * r.NZ }
 
 // Extract3D appends the region's values (x fastest, then y, then z) to buf.
 func Extract3D(f *grid.Field3D, r Region3D, buf []float64) []float64 {
-	for z := r.Z0; z < r.Z0+r.NZ; z++ {
-		for y := r.Y0; y < r.Y0+r.NY; y++ {
-			row := f.Data()[f.Idx(r.X0, y, z) : f.Idx(r.X0, y, z)+r.NX]
-			buf = append(buf, row...) //detlint:allow allocsteady -- grows only on the first exchange; steady-state callers reuse a full-capacity buffer
-		}
-	}
-	return buf
+	return extract(f.Data(), f.Idx(r.X0, r.Y0, r.Z0), box{r.NX, r.NY, r.NZ, f.StrideX(), f.StrideXY(), f.H}, buf)
 }
 
 // Inject3D copies region values from buf into f and returns the remainder.
 func Inject3D(f *grid.Field3D, r Region3D, buf []float64) []float64 {
-	for z := r.Z0; z < r.Z0+r.NZ; z++ {
-		for y := r.Y0; y < r.Y0+r.NY; y++ {
-			row := f.Data()[f.Idx(r.X0, y, z) : f.Idx(r.X0, y, z)+r.NX]
-			copy(row, buf[:r.NX])
-			buf = buf[r.NX:]
-		}
-	}
-	return buf
+	return inject(f.Data(), f.Idx(r.X0, r.Y0, r.Z0), box{r.NX, r.NY, r.NZ, f.StrideX(), f.StrideXY(), f.H}, buf)
 }
 
 // faceSpans returns the strip on face dir, interior or ghost. Face strips

@@ -1,6 +1,9 @@
 package halo
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -71,5 +74,111 @@ func TestSendRecvRegionsComplementProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// refExtract2D and refExtract3D are the per-row slice-and-append packers
+// Extract2D/3D were before the shared extract, kept as the oracle.
+func refExtract2D(f *grid.Field2D, r Region2D, buf []float64) []float64 {
+	data := f.Data()
+	for y := r.Y0; y < r.Y0+r.NY; y++ {
+		row := data[f.Idx(r.X0, y) : f.Idx(r.X0, y)+r.NX]
+		buf = append(buf, row...)
+	}
+	return buf
+}
+
+func refExtract3D(f *grid.Field3D, r Region3D, buf []float64) []float64 {
+	for z := r.Z0; z < r.Z0+r.NZ; z++ {
+		for y := r.Y0; y < r.Y0+r.NY; y++ {
+			row := f.Data()[f.Idx(r.X0, y, z) : f.Idx(r.X0, y, z)+r.NX]
+			buf = append(buf, row...)
+		}
+	}
+	return buf
+}
+
+// checkStrip holds one strip of one field to the narrow-path contract.
+// extract and inject are the product pair bound to a field holding
+// distinct values and to a second field of the same shape; want is the
+// oracle's packing of the strip.
+func checkStrip(t *testing.T, name string, want []float64, data, other []float64,
+	extract func(buf []float64) []float64, injectOther func(buf []float64) []float64) {
+	t.Helper()
+	// Appending to a non-empty buffer keeps the prefix.
+	prefix := []float64{-1, -2, -3}
+	got := extract(slices.Clone(prefix))
+	if !slices.Equal(got[:len(prefix)], prefix) {
+		t.Fatalf("%s: prefix clobbered: %v", name, got[:len(prefix)])
+	}
+	if !slices.Equal(got[len(prefix):], want) {
+		t.Fatalf("%s: extract = %v, want %v", name, got[len(prefix):], want)
+	}
+	// Inject(Extract) reproduces the strip in a second field, consumes
+	// exactly the strip and touches nothing else.
+	before := slices.Clone(other)
+	if rest := injectOther(append(slices.Clone(want), 42)); len(rest) != 1 || rest[0] != 42 {
+		t.Fatalf("%s: inject left %v, want the one trailing value", name, rest)
+	}
+	changed := 0
+	for i := range other {
+		if other[i] != before[i] {
+			if other[i] != data[i] {
+				t.Fatalf("%s: slot %d injected as %v, source holds %v", name, i, other[i], data[i])
+			}
+			changed++
+		}
+	}
+	if changed != len(want) {
+		t.Fatalf("%s: inject changed %d slots, strip has %d", name, changed, len(want))
+	}
+	// A second call on a full-capacity buffer allocates nothing.
+	buf := extract(nil)
+	if allocs := testing.AllocsPerRun(5, func() { buf = extract(buf[:0]) }); allocs != 0 {
+		t.Fatalf("%s: %v allocs per steady-state extract, want 0", name, allocs)
+	}
+}
+
+// TestStripsMatchReference: for random field sizes, ghost depths 1 and 2,
+// every direction and both strip depths, the shared extract packs exactly
+// what the per-row append packer did (x-faces and corners take the narrow
+// walk, the rest the row copy), round-trips through inject, appends behind
+// a prefix and allocates nothing once the buffer has its capacity.
+func TestStripsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261003))
+	distinct := func(data []float64, sign float64) {
+		for i := range data {
+			data[i] = sign * float64(i+1)
+		}
+	}
+	for trial := 0; trial < 60; trial++ {
+		h := 1 + trial%2
+		nx, ny, nz := h+rng.Intn(9), h+rng.Intn(9), h+rng.Intn(6)
+
+		f2, g2 := grid.NewField2D(nx, ny, h), grid.NewField2D(nx, ny, h)
+		distinct(f2.Data(), 1)
+		for dir := decomp.Dir(0); dir < 8; dir++ {
+			for _, interior := range []bool{true, false} {
+				r := sideSpans(nx, ny, h, dir, interior)
+				distinct(g2.Data(), -1)
+				checkStrip(t, fmt.Sprintf("2D %dx%d h%d %v interior=%v", nx, ny, h, dir, interior),
+					refExtract2D(f2, r, nil), f2.Data(), g2.Data(),
+					func(buf []float64) []float64 { return Extract2D(f2, r, buf) },
+					func(buf []float64) []float64 { return Inject2D(g2, r, buf) })
+			}
+		}
+
+		f3, g3 := grid.NewField3D(nx, ny, nz, h), grid.NewField3D(nx, ny, nz, h)
+		distinct(f3.Data(), 1)
+		for _, dir := range decomp.Dirs3() {
+			for _, interior := range []bool{true, false} {
+				r := faceSpans(nx, ny, nz, h, dir, interior)
+				distinct(g3.Data(), -1)
+				checkStrip(t, fmt.Sprintf("3D %dx%dx%d h%d %v interior=%v", nx, ny, nz, h, dir, interior),
+					refExtract3D(f3, r, nil), f3.Data(), g3.Data(),
+					func(buf []float64) []float64 { return Extract3D(f3, r, buf) },
+					func(buf []float64) []float64 { return Inject3D(g3, r, buf) })
+			}
+		}
 	}
 }

@@ -172,9 +172,11 @@ func NewGeometry2D(nx, ny int, par fluid.Params, mask func(x, y int) fluid.CellT
 // per-rank budget through here).
 func (s *Solver2D) SetWorkers(n int) { s.Workers = n }
 
-// run executes fn over [0, n) on the shared pool with the configured
-// worker count.
-func (s *Solver2D) run(n int, fn func(lo, hi int)) { s.par.Run(s.Workers, n, fn) }
+// run executes fn over n rows on the shared pool, cut into at most Workers
+// slabs, fewer on a lattice too small to pay for the hand-off (pool.Slabs).
+func (s *Solver2D) run(n int, fn func(lo, hi int)) {
+	s.par.Run(pool.Slabs(s.Workers, n, s.Rho.NX), n, fn)
+}
 
 // InitEquilibrium sets every interior fluid population to the equilibrium
 // of the current Rho, Vx, Vy fields, and zeroes ghost and wall populations.
@@ -240,7 +242,7 @@ func (s *Solver2D) Compute(phase int) {
 // exchange delivers to neighbouring subregions. F is only read, so the
 // sweep is followed by one round of swaps.
 func (s *Solver2D) collideStream() {
-	s.run(s.Rho.NY, s.streamFn)
+	s.runFn(s.Rho.NY, s.streamFn)
 	for i := 0; i < Q2; i++ {
 		s.F[i].Swap(s.nF[i])
 	}
@@ -386,7 +388,7 @@ func (s *Solver2D) zeroInflow(y0, y1 int) {
 // macroscopics recomputes rho, Vx, Vy from the populations at interior
 // nodes. Wall nodes keep rho = Rho0, V = 0: their populations are in
 // bounce-back transit and carry no fluid state.
-func (s *Solver2D) macroscopics() { s.run(s.Rho.NY, s.macroFn) }
+func (s *Solver2D) macroscopics() { s.runFn(s.Rho.NY, s.macroFn) }
 
 // macroRows recomputes the fluid variables on rows [y0, y1). The sums run
 // in population order with the zero lattice components dropped.

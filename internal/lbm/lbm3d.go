@@ -150,7 +150,10 @@ func NewGeometry3D(nx, ny, nz int, par fluid.Params, mask func(x, y, z int) flui
 // SetWorkers sets the intra-rank slab count.
 func (s *Solver3D) SetWorkers(n int) { s.Workers = n }
 
-func (s *Solver3D) run(n int, fn func(lo, hi int)) { s.par.Run(s.Workers, n, fn) }
+// run executes fn over n z-planes (see Solver2D.run).
+func (s *Solver3D) run(n int, fn func(lo, hi int)) {
+	s.par.Run(pool.Slabs(s.Workers, n, s.Rho.NX*s.Rho.NY), n, fn)
+}
 
 // InitEquilibrium sets every interior fluid population to the equilibrium
 // of the current fluid variables and zeroes ghost and wall populations,
@@ -237,7 +240,7 @@ func (s *Solver3D) Compute(phase int) {
 	}
 }
 
-func (s *Solver3D) relax() { s.run(s.Rho.NZ, s.relaxFn) }
+func (s *Solver3D) relax() { s.runFn(s.Rho.NZ, s.relaxFn) }
 
 // relaxPlanes relaxes z-planes [z0, z1). All-Interior rows skip the
 // cell-type dispatch; each node writes only its own populations.
@@ -300,7 +303,7 @@ func (s *Solver3D) shift() {
 	for i := 0; i < Q3; i++ {
 		s.shiftSrc, s.shiftDst = s.F[i], s.nF[i]
 		s.shiftDx, s.shiftDy, s.shiftDz = cx3[i], cy3[i], cz3[i]
-		s.run(s.Rho.NZ, s.shiftFn)
+		s.runFn(s.Rho.NZ, s.shiftFn)
 		s.F[i].Swap(s.nF[i])
 	}
 }
@@ -319,7 +322,7 @@ func (s *Solver3D) shiftPlanes(z0, z1 int) {
 	}
 }
 
-func (s *Solver3D) macroscopics() { s.run(s.Rho.NZ, s.macroFn) }
+func (s *Solver3D) macroscopics() { s.runFn(s.Rho.NZ, s.macroFn) }
 
 // macroPlanes recomputes the fluid variables on z-planes [z0, z1).
 func (s *Solver3D) macroPlanes(z0, z1 int) {

@@ -3,6 +3,7 @@ package lbm
 import (
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/fluid"
@@ -51,6 +52,20 @@ func workerCounts() []int {
 	return []int{1, 2, 7, runtime.GOMAXPROCS(0)}
 }
 
+// cutAlways sets the worker count and replaces the solver's parallel-for
+// with one that has no minimum slab size, as it was before pool.Slabs: the
+// lattices in these tests are far below the minimum, and the seams between
+// slabs are what the tests are about.
+func (s *Solver2D) cutAlways(w int) {
+	s.Workers = w
+	s.runFn = func(n int, fn func(lo, hi int)) { s.par.Run(w, n, fn) }
+}
+
+func (s *Solver3D) cutAlways(w int) {
+	s.Workers = w
+	s.runFn = func(n int, fn func(lo, hi int)) { s.par.Run(w, n, fn) }
+}
+
 // TestParallelIdentity2D requires the worker-slab step to be bit-identical
 // to the serial step at every worker count — same populations, same
 // macroscopic fields, after enough steps for boundary effects to cross
@@ -74,7 +89,7 @@ func TestParallelIdentity2D(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s.SetWorkers(w)
+			s.cutAlways(w)
 			for n := 0; n < steps; n++ {
 				s.StepSerial(false, false)
 			}
@@ -107,7 +122,7 @@ func TestParallelIdentity3D(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s.SetWorkers(w)
+			s.cutAlways(w)
 			for n := 0; n < steps; n++ {
 				s.StepSerial(false, false, true)
 			}
@@ -165,8 +180,8 @@ func TestStepZeroAlloc(t *testing.T) {
 	}
 	// The parallel path allocates nothing on the submitting goroutine
 	// either (tasks are sent by value to the warm shared pool).
-	s2.SetWorkers(2)
-	s3.SetWorkers(2)
+	s2.cutAlways(2)
+	s3.cutAlways(2)
 	s2.StepSerial(true, false)
 	s3.StepSerial(false, false, true)
 	if allocs := testing.AllocsPerRun(10, func() { s2.StepSerial(true, false) }); allocs != 0 {
@@ -174,5 +189,36 @@ func TestStepZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(10, func() { s3.StepSerial(false, false, true) }); allocs != 0 {
 		t.Errorf("3D/w2: %v allocs per step, want 0", allocs)
+	}
+}
+
+// TestTinyLatticeStaysSerial: below pool.Slabs' minimum a solver runs a
+// sweep as one slab on the caller whatever its worker budget; above it the
+// budget is honoured.
+func TestTinyLatticeStaysSerial(t *testing.T) {
+	slabs := func(run func(n int, fn func(lo, hi int)), n int) int {
+		var count atomic.Int32
+		run(n, func(lo, hi int) { count.Add(1) })
+		return int(count.Load())
+	}
+	for _, c := range []struct{ nx, ny, want int }{{24, 19, 1}, {512, 64, 4}} {
+		s, err := NewSolver2D(c.nx, c.ny, testParams(), allFluid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SetWorkers(4)
+		if got := slabs(s.runFn, c.ny); got != c.want {
+			t.Errorf("%dx%d with 4 workers: %d slabs, want %d", c.nx, c.ny, got, c.want)
+		}
+	}
+	for _, c := range []struct{ nx, ny, nz, want int }{{10, 9, 8, 1}, {64, 64, 8, 4}} {
+		s, err := NewSolver3D(c.nx, c.ny, c.nz, testParams(), allFluid3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SetWorkers(4)
+		if got := slabs(s.runFn, c.nz); got != c.want {
+			t.Errorf("%dx%dx%d with 4 workers: %d slabs, want %d", c.nx, c.ny, c.nz, got, c.want)
+		}
 	}
 }

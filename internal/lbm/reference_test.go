@@ -194,7 +194,7 @@ func TestFusedMatchesReference2D(t *testing.T) {
 			t.Fatal(err)
 		}
 		want, _ := NewSolver2D(nx, ny, par, maskFrom(m))
-		got.SetWorkers(w)
+		got.cutAlways(w)
 		// A rough initial state: every step then moves every bit.
 		for y := 0; y < ny; y++ {
 			for x := 0; x < nx; x++ {

@@ -107,6 +107,20 @@ func (r *Runner) Run(workers, n int, fn func(lo, hi int)) {
 	r.fn = nil
 }
 
+// minSlabCells is the least work worth a hand-off to another goroutine: a
+// slab of a few thousand cells runs for tens of microseconds, against a
+// few for the fork/join, so below it a lattice is faster on the caller.
+const minSlabCells = 4096
+
+// Slabs returns the slab count for Run over `units` rows or planes of
+// cellsPerUnit (> 0) cells each: the budget `workers`, lowered until no
+// slab Run cuts holds fewer than minSlabCells cells. A lattice too small
+// for two such slabs gets 0 or 1 and runs on the caller.
+func Slabs(workers, units, cellsPerUnit int) int {
+	unitsPerSlab := (minSlabCells + cellsPerUnit - 1) / cellsPerUnit
+	return min(workers, units/unitsPerSlab)
+}
+
 // DefaultPerRank returns the default intra-rank worker budget for a job
 // of `ranks` parallel subprocesses: an even share of GOMAXPROCS, at
 // least 1. Co-scheduled ranks run as goroutines in this process, so each
