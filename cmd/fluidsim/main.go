@@ -167,7 +167,12 @@ func cmdRun(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	startStep := states[0].Step
+	// The final dumps are saved in place, rank by rank; a run killed
+	// mid-save leaves a set no restart can use.
+	startStep, err := dump.CommonStep(states)
+	if err != nil {
+		log.Fatalf("run: %v (re-run init, or restore the set from a backup)", err)
+	}
 	until := startStep + *steps
 
 	factory := core.HubFactory()
@@ -186,11 +191,8 @@ func cmdRun(args []string) {
 	workers := make([]*core.Worker, 0, cfg.D.P())
 	progs := make([]*core.Program2D, 0, cfg.D.P())
 	for _, st := range states {
-		p, err := cfg.NewProgram(st.Rank)
+		p, err := cfg.RestoreProgram(st)
 		if err != nil {
-			log.Fatal(err)
-		}
-		if err := p.RestoreState(st); err != nil {
 			log.Fatal(err)
 		}
 		progs = append(progs, p)

@@ -45,7 +45,6 @@ func TestNewRejectsInvalidOptions(t *testing.T) {
 		{"scenario-nil-callback", []farm.Option{farm.WithScenario(time.Minute, nil)}},
 		{"checkpoint-negative-interval", []farm.Option{farm.WithCheckpoint(t.TempDir(), -time.Second, 0)}},
 		{"checkpoint-interval-without-dir", []farm.Option{farm.WithCheckpoint("", time.Minute, 0)}},
-		{"workers-negative", []farm.Option{farm.WithWorkers(-1)}},
 	}
 	for _, tc := range cases {
 		if _, err := farm.New(quietPool(), tc.opts...); !errors.Is(err, farm.ErrInvalidSpec) {

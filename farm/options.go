@@ -23,8 +23,6 @@ type config struct {
 
 	timer StepTimer
 
-	workers int
-
 	ckptDir   string
 	ckptEvery time.Duration
 	ckptGap   time.Duration
@@ -71,10 +69,6 @@ func (cfg config) validate() error {
 		return fmt.Errorf("farm: %w: WithCheckpoint interval %v without a directory",
 			ErrInvalidSpec, cfg.ckptEvery)
 	}
-	if cfg.workers < 0 {
-		return fmt.Errorf("farm: %w: WithWorkers count %d is negative",
-			ErrInvalidSpec, cfg.workers)
-	}
 	return nil
 }
 
@@ -88,7 +82,6 @@ func (cfg config) apply(s *sched.Scheduler) {
 	if cfg.timer != nil {
 		s.Timer = cfg.timer
 	}
-	s.Workers = cfg.workers
 	s.CheckpointDir = cfg.ckptDir
 	s.CheckpointEvery = cfg.ckptEvery
 	s.CheckpointGap = cfg.ckptGap
@@ -117,20 +110,6 @@ func WithBackfill(m BackfillMode) Option {
 // network. Not persisted in checkpoints — re-pass it to Restore.
 func WithTimer(t StepTimer) Option {
 	return func(cfg *config) { cfg.timer = t }
-}
-
-// WithWorkers sets the intra-rank worker-slab budget applied to every
-// placed workload whose solvers accept one (the core jobs do): each
-// rank's collide-stream kernels run as n concurrent row or z-plane slabs
-// on the shared process pool. Zero (the default) leaves each job its own
-// budget — an even share of GOMAXPROCS across its ranks, so co-scheduled
-// ranks don't oversubscribe the machine. Solver fields are bit-identical
-// at every value — the knob trades wall-clock speed only — and the
-// virtual-time pricing still reflects the paper's serial-equivalent
-// per-rank work, so figures are unaffected. Not persisted in checkpoints
-// — re-pass it to Restore.
-func WithWorkers(n int) Option {
-	return func(cfg *config) { cfg.workers = n }
 }
 
 // WithSeed seeds the randomized placement scan (default 1). A fixed

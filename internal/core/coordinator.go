@@ -32,24 +32,23 @@ type Job struct {
 	Sync    *syncfile.Sync
 	Until   int
 
-	// Rebuild reconstructs a Program from a migration dump; wired by the
-	// constructors to the config's RestoreProgram (geometry + RestoreState,
-	// no initial condition).
+	// Rebuild reconstructs a rank's Program from its dump (the config's
+	// RestoreProgram: geometry + RestoreState, no initial condition) and
+	// makes it the rank's live Program, the one JobPrograms gathers from.
 	Rebuild func(st *dump.State) (Program, error)
 
 	// WaitTimeout bounds every coordination wait (default 60s).
 	WaitTimeout time.Duration
 
-	events    chan Event
-	workers   map[int]*Worker
-	epoch     int
-	round     int
-	done      map[int]bool
-	onRebuild func(rank int, prog Program)
+	events  chan Event
+	workers map[int]*Worker
+	p       int // rank count; changes only in Resize
+	epoch   int
+	round   int
+	done    map[int]bool
 
 	// resplit re-cuts a full set of same-step dumps onto a new decomposition
-	// shape; wired by the constructors to resplit2D/resplit3D over the
-	// config. See Job.Resize.
+	// shape (resplit2D/resplit3D over the config). See Job.Resize.
 	resplit func(states []*dump.State, sh decomp.Shape) ([]*dump.State, error)
 
 	// Optional virtual-cluster placement.
@@ -58,33 +57,6 @@ type Job struct {
 
 	// Migrations counts completed migrations.
 	Migrations int
-
-	// workersOverride, when positive, replaces the config's intra-rank
-	// worker budget on every live solver and on every solver rebuilt
-	// after a migration (the scheduler threads farm.WithWorkers here).
-	workersOverride int
-}
-
-// workerBudgeted is implemented by programs whose method accepts an
-// intra-rank worker budget (both Program2D and Program3D).
-type workerBudgeted interface{ SetWorkers(n int) }
-
-// SetWorkers overrides the intra-rank worker budget of every rank's
-// solver, now and across future migrations. Fields are bit-identical at
-// every value. Call before Start (or while every worker is paused): the
-// budget is plain solver state, not synchronized with running compute
-// phases. n <= 0 clears the override (rebuilt solvers fall back to the
-// config default).
-func (j *Job) SetWorkers(n int) {
-	j.workersOverride = n
-	if n <= 0 {
-		return
-	}
-	for _, rank := range j.ranks() {
-		if p, ok := j.workers[rank].Prog.(workerBudgeted); ok {
-			p.SetWorkers(n)
-		}
-	}
 }
 
 // ranks returns the job's worker ranks in ascending order, so every
@@ -93,106 +65,89 @@ func (j *Job) ranks() []int {
 	return slices.Sorted(maps.Keys(j.workers))
 }
 
-// SetWorkers forwards the intra-rank worker budget to the method.
-func (p *Program2D) SetWorkers(n int) { p.M.SetWorkers(n) }
+// jobPrograms tracks the live Program of every rank across migrations and
+// resizes, so the final solution can be gathered.
+type jobPrograms[C any, P Program, R any] struct {
+	cfg    C
+	progs  map[int]P
+	gather func(C, []P, int) R
+}
 
-// SetWorkers forwards the intra-rank worker budget to the method.
-func (p *Program3D) SetWorkers(n int) { p.M.SetWorkers(n) }
+// JobPrograms2D is the live rank -> Program2D map of a 2D job.
+type JobPrograms2D = jobPrograms[*Config2D, *Program2D, *Result2D]
+
+// JobPrograms3D is the live rank -> Program3D map of a 3D job.
+type JobPrograms3D = jobPrograms[*Config3D, *Program3D, *Result3D]
+
+// Gather assembles the global solution from the current programs.
+func (jp *jobPrograms[C, P, R]) Gather(steps int) R {
+	ordered := make([]P, 0, len(jp.progs))
+	for _, rank := range slices.Sorted(maps.Keys(jp.progs)) {
+		ordered = append(ordered, jp.progs[rank])
+	}
+	return jp.gather(jp.cfg, ordered, steps)
+}
 
 // NewJob2D prepares a job for a 2D config. Workers are created immediately
 // (channels open at epoch 0) but do not run until Start.
 func NewJob2D(cfg *Config2D, factory TransportFactory, sync *syncfile.Sync, until int) (*Job, *JobPrograms2D, error) {
-	jp := &JobPrograms2D{cfg: cfg}
-	j, err := newJobOver(cfg, cfg.D, &jp.progs, factory, sync, until,
-		func(states []*dump.State, sh decomp.Shape) ([]*dump.State, error) { return resplit2D(cfg, states, sh) })
+	return newJob(cfg, Gather2D, resplit2D, factory, sync, until)
+}
+
+// NewJob3D prepares a job for a 3D config, the analogue of NewJob2D.
+func NewJob3D(cfg *Config3D, factory TransportFactory, sync *syncfile.Sync, until int) (*Job, *JobPrograms3D, error) {
+	return newJob(cfg, Gather3D, resplit3D, factory, sync, until)
+}
+
+// newJob is the body of NewJob2D and NewJob3D over the config's gather and
+// re-split programs.
+func newJob[C setup[P], P built, R any](cfg C, gather func(C, []P, int) R,
+	resplit func(C, []*dump.State, decomp.Shape) ([]*dump.State, error),
+	factory TransportFactory, sync *syncfile.Sync, until int) (*Job, *jobPrograms[C, P, R], error) {
+	progs, err := buildAll[P](cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	return j, jp, nil
-}
-
-// jobConfig is what a job needs of its Config2D or Config3D.
-type jobConfig[P Program] interface {
-	Validate() error
-	NewProgram(rank int) (P, error)
-	RestoreProgram(st *dump.State) (P, error)
-}
-
-// newJobOver is the body of NewJob2D and NewJob3D: d is the config's
-// decomposition (read only after Validate vouched for it), progs the
-// rank -> live Program map the caller gathers from, and resplit the
-// config's re-split program.
-func newJobOver[P Program](cfg jobConfig[P], d interface{ P() int }, progs *map[int]P,
-	factory TransportFactory, sync *syncfile.Sync, until int,
-	resplit func([]*dump.State, decomp.Shape) ([]*dump.State, error)) (*Job, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	j := newJob(factory, sync, until, d.P())
-	j.Rebuild = func(st *dump.State) (Program, error) {
-		p, err := cfg.RestoreProgram(st)
-		if err != nil {
-			return nil, err // a bare nil, not a typed-nil Program
-		}
-		return p, nil
-	}
-	*progs = make(map[int]P)
-	for rank := 0; rank < d.P(); rank++ {
-		p, err := cfg.NewProgram(rank)
-		if err != nil {
-			return nil, err
-		}
-		(*progs)[rank] = p
-		w, err := NewWorker(p, factory, 0, j.events)
-		if err != nil {
-			return nil, err
-		}
-		j.wireSync(w)
-		j.workers[rank] = w
-	}
-	j.onRebuild = func(rank int, prog Program) {
-		(*progs)[rank] = prog.(P)
-	}
-	j.resplit = func(states []*dump.State, sh decomp.Shape) ([]*dump.State, error) {
-		out, err := resplit(states, sh)
-		if err != nil {
-			return nil, err
-		}
-		// The old rank set is gone; onRebuild refills the map as Resize
-		// rebuilds each new rank.
-		*progs = make(map[int]P)
-		return out, nil
-	}
-	return j, nil
-}
-
-// JobPrograms2D tracks the live Program of every rank across migrations,
-// so the final solution can be gathered.
-type JobPrograms2D struct {
-	cfg   *Config2D
-	progs map[int]*Program2D
-}
-
-// Gather assembles the global solution from the current programs.
-func (jp *JobPrograms2D) Gather(steps int) *Result2D {
-	ordered := make([]*Program2D, 0, len(jp.progs))
-	for _, rank := range slices.Sorted(maps.Keys(jp.progs)) {
-		ordered = append(ordered, jp.progs[rank])
-	}
-	return Gather2D(jp.cfg, ordered, steps)
-}
-
-func newJob(factory TransportFactory, sync *syncfile.Sync, until, p int) *Job {
-	return &Job{
+	jp := &jobPrograms[C, P, R]{cfg: cfg, progs: make(map[int]P), gather: gather}
+	j := &Job{
 		Factory:     factory,
 		Sync:        sync,
 		Until:       until,
 		WaitTimeout: 60 * time.Second,
-		events:      make(chan Event, 32*p),
+		events:      make(chan Event, 32*len(progs)),
 		workers:     make(map[int]*Worker),
+		p:           len(progs),
 		done:        make(map[int]bool),
 		hostOf:      make(map[int]*cluster.Host),
 	}
+	j.Rebuild = func(st *dump.State) (Program, error) {
+		p, err := restoreProgram(cfg, st)
+		if err != nil {
+			return nil, err // a bare nil, not a typed-nil Program
+		}
+		jp.progs[st.Rank] = p
+		return p, nil
+	}
+	j.resplit = func(states []*dump.State, sh decomp.Shape) ([]*dump.State, error) {
+		out, err := resplit(cfg, states, sh)
+		if err != nil {
+			return nil, err
+		}
+		// The old rank set is gone; Rebuild refills the map as Resize
+		// launches each new rank.
+		clear(jp.progs)
+		return out, nil
+	}
+	for rank, p := range progs {
+		jp.progs[rank] = p
+		w, err := NewWorker(p, factory, 0, j.events)
+		if err != nil {
+			return nil, nil, err
+		}
+		j.wireSync(w)
+		j.workers[rank] = w
+	}
+	return j, jp, nil
 }
 
 func (j *Job) wireSync(w *Worker) {
@@ -209,14 +164,8 @@ func (j *Job) waitTimeout() time.Duration {
 	return 60 * time.Second
 }
 
-// P returns the number of parallel subprocesses. It counts created
-// workers, which is fixed for the life of the job.
-func (j *Job) P() int {
-	if n := len(j.workers); n > 0 {
-		return n
-	}
-	return 1
-}
+// P returns the number of parallel subprocesses; only Resize changes it.
+func (j *Job) P() int { return j.p }
 
 // Worker returns the current worker of a rank (it changes on migration).
 func (j *Job) Worker(rank int) *Worker { return j.workers[rank] }
@@ -226,10 +175,6 @@ func (j *Job) Epoch() int { return j.epoch }
 
 // Start launches every worker on its own goroutine.
 func (j *Job) Start() {
-	// The sync funcs capture P; re-wire now that all workers exist.
-	for _, rank := range j.ranks() {
-		j.wireSync(j.workers[rank])
-	}
 	for _, rank := range j.ranks() {
 		go j.workers[rank].Start(j.Until)
 	}
@@ -294,9 +239,75 @@ func (j *Job) Shutdown() {
 	}
 }
 
+// pauseAll is steps 1-2 of the protocol: signal every process to
+// synchronize (kill -USR2 to all) and wait until all of them have reached
+// the synchronization step. Done events from finishing workers may
+// interleave.
+func (j *Job) pauseAll() error {
+	j.round++
+	for _, rank := range j.ranks() {
+		j.workers[rank].RequestPause(j.round)
+	}
+	paused := map[int]bool{}
+	for len(paused) < j.P() {
+		e, err := j.nextEvent()
+		if err != nil {
+			return fmt.Errorf("waiting for pause: %w", err)
+		}
+		switch e.Kind {
+		case EventPaused:
+			paused[e.Rank] = true
+		case EventDone:
+			j.done[e.Rank] = true
+		}
+	}
+	return nil
+}
+
+// collect is step 3: the given (paused) ranks save their state and exit.
+// The dumps come back in the order the ranks were given.
+func (j *Job) collect(ranks []int) ([]*dump.State, error) {
+	for _, r := range ranks {
+		j.workers[r].RequestMigrate()
+	}
+	byRank := map[int]*dump.State{}
+	for len(byRank) < len(ranks) {
+		e, err := j.nextEvent()
+		if err != nil {
+			return nil, fmt.Errorf("waiting for dumps: %w", err)
+		}
+		if e.Kind == EventMigrated {
+			byRank[e.Rank] = e.State.(*dump.State)
+		}
+	}
+	states := make([]*dump.State, len(ranks))
+	for i, r := range ranks {
+		states[i] = byRank[r]
+	}
+	return states, nil
+}
+
+// launch is step 4: the rank is rebuilt from its dump as a fresh worker
+// with channels at the current epoch, ready to Start.
+func (j *Job) launch(st *dump.State) error {
+	st.Epoch = j.epoch
+	prog, err := j.Rebuild(st)
+	if err != nil {
+		return fmt.Errorf("rebuilding rank %d: %w", st.Rank, err)
+	}
+	w, err := NewWorkerAt(prog, j.Factory, j.epoch, j.events, st.Step)
+	if err != nil {
+		return fmt.Errorf("restarting rank %d: %w", st.Rank, err)
+	}
+	j.wireSync(w)
+	j.workers[st.Rank] = w
+	delete(j.done, st.Rank)
+	return nil
+}
+
 // MigrateRanks executes the full migration protocol for the given ranks:
 // global synchronization, dump, restart at the next epoch, resume. The
-// onNewHost callback (optional) reports each migrated rank's dump so the
+// onDump callback (optional) reports each migrated rank's dump so the
 // caller can reassign cluster hosts or persist the dump file.
 func (j *Job) MigrateRanks(ranks []int, onDump func(rank int, st *dump.State)) error {
 	if len(ranks) == 0 {
@@ -309,75 +320,22 @@ func (j *Job) MigrateRanks(ranks []int, onDump func(rank int, st *dump.State)) e
 		}
 		migrating[r] = true
 	}
-
-	// 1. Signal every process to synchronize (kill -USR2 to all).
-	j.round++
-	for _, rank := range j.ranks() {
-		j.workers[rank].RequestPause(j.round)
+	if err := j.pauseAll(); err != nil {
+		return fmt.Errorf("core: migrate: %w", err)
 	}
-	// 2. Wait until all processes reach the synchronization step. Done
-	// events from finishing workers may interleave.
-	paused := map[int]bool{}
-	for len(paused) < j.P() {
-		e, err := j.nextEvent()
-		if err != nil {
-			return fmt.Errorf("core: waiting for pause: %w", err)
-		}
-		switch e.Kind {
-		case EventPaused:
-			paused[e.Rank] = true
-		case EventDone:
-			j.done[e.Rank] = true
-		}
-	}
-
-	// 3. Migrating processes save their state and exit.
 	j.epoch++
-	states := map[int]*dump.State{}
-	for _, r := range ranks {
-		j.workers[r].RequestMigrate()
+	states, err := j.collect(ranks)
+	if err != nil {
+		return fmt.Errorf("core: migrate: %w", err)
 	}
-	for len(states) < len(ranks) {
-		e, err := j.nextEvent()
-		if err != nil {
-			return fmt.Errorf("core: waiting for dumps: %w", err)
+	for _, st := range states {
+		if onDump != nil {
+			onDump(st.Rank, st)
 		}
-		if e.Kind == EventMigrated {
-			st := e.State.(*dump.State)
-			states[e.Rank] = st
-			if onDump != nil {
-				onDump(e.Rank, st)
-			}
+		if err := j.launch(st); err != nil {
+			return fmt.Errorf("core: migrate: %w", err)
 		}
-	}
-
-	// 4. Restart each migrated process on its new host from the dump,
-	// with channels at the new epoch.
-	for _, r := range ranks {
-		st := states[r]
-		st.Epoch = j.epoch
-		prog, err := j.Rebuild(st)
-		if err != nil {
-			return fmt.Errorf("core: rebuilding rank %d: %w", r, err)
-		}
-		// Rebuild restores the config's worker budget; keep any
-		// scheduler-level override across the migration.
-		if j.workersOverride > 0 {
-			if p, ok := prog.(workerBudgeted); ok {
-				p.SetWorkers(j.workersOverride)
-			}
-		}
-		w, err := NewWorkerAt(prog, j.Factory, j.epoch, j.events, st.Step)
-		if err != nil {
-			return fmt.Errorf("core: restarting rank %d: %w", r, err)
-		}
-		j.wireSync(w)
-		j.workers[r] = w
-		if j.onRebuild != nil {
-			j.onRebuild(r, prog)
-		}
-		delete(j.done, r)
-		go w.Start(j.Until)
+		go j.workers[st.Rank].Start(j.Until)
 	}
 
 	// 5. CONT: the waiting processes re-open their channels and the
@@ -469,30 +427,4 @@ func (j *Job) MonitorLoop(checkEvery time.Duration, pol cluster.MigrationPolicy,
 		migrations += len(ranks)
 	}
 	return migrations, nil
-}
-
-// NewJob3D prepares a job for a 3D config, the analogue of NewJob2D.
-func NewJob3D(cfg *Config3D, factory TransportFactory, sync *syncfile.Sync, until int) (*Job, *JobPrograms3D, error) {
-	jp := &JobPrograms3D{cfg: cfg}
-	j, err := newJobOver(cfg, cfg.D, &jp.progs, factory, sync, until,
-		func(states []*dump.State, sh decomp.Shape) ([]*dump.State, error) { return resplit3D(cfg, states, sh) })
-	if err != nil {
-		return nil, nil, err
-	}
-	return j, jp, nil
-}
-
-// JobPrograms3D tracks the live Program of every rank across migrations.
-type JobPrograms3D struct {
-	cfg   *Config3D
-	progs map[int]*Program3D
-}
-
-// Gather assembles the global 3D solution from the current programs.
-func (jp *JobPrograms3D) Gather(steps int) *Result3D {
-	ordered := make([]*Program3D, 0, len(jp.progs))
-	for _, rank := range slices.Sorted(maps.Keys(jp.progs)) {
-		ordered = append(ordered, jp.progs[rank])
-	}
-	return Gather3D(jp.cfg, ordered, steps)
 }

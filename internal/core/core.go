@@ -10,16 +10,23 @@
 //     (examples and cmd/fluidsim construct masks and fields);
 //   - decomposition program   -> Decompose2D/Decompose3D, which produce one
 //     dump.State per active subregion;
-//   - job-submit program      -> Submit2D/Submit3D plus Coordinator.Start,
-//     which place workers and open their communication channels;
-//   - monitoring program      -> Coordinator.Monitor and the migration
-//     protocol in coordinator.go.
+//   - job-submit program      -> NewJob2D/NewJob3D plus Job.Start, which
+//     create the workers, open their communication channels and run them
+//     (Config2D/3D.RestoreProgram + NewWorkerAt for a rank at a time);
+//   - monitoring program      -> Job.MonitorOnce/MonitorLoop and the
+//     migration protocol in coordinator.go.
 //
 // A Program is one parallel subprocess's view of the computation; Worker
 // runs a Program against a Transport. The same Program code runs under the
 // in-process channel transport, the TCP transport, and the serial
 // reference executor, which is how the paper's "serial program = parallel
 // program minus communication" modularity is expressed here.
+//
+// The driver is written once, with the dimension as a value: a 2D
+// subregion is a box one plane thick (lattice.go), the solvers of both
+// dimensions implement one contract (method), and everything above
+// Compute(phase) — Program, build, restore, decompose, gather, re-split,
+// run, job — has one body. The 2D/3D names are its two instantiations.
 package core
 
 import (
@@ -67,211 +74,205 @@ type Expect struct {
 	Dir  int
 }
 
-// Method2D is the per-subregion interface both 2D solvers implement.
-type Method2D interface {
+// direction is a neighbour direction of either dimension: decomp.Dir or
+// decomp.Dir3. Its integer value is the direction code on the wire.
+type direction[D any] interface {
+	~int
+	Opposite() D
+}
+
+// method is the per-subregion contract all four solvers implement, over
+// the directions D of their dimension.
+type method[D any] interface {
 	Phases() int
-	Exchanges(phase int) bool
+	// ExchangeDirs lists the neighbours exchanged with after a phase, in
+	// message order; empty for a phase that does not communicate. The slice
+	// is shared and must not be modified.
+	ExchangeDirs(phase int) []D
 	Compute(phase int)
-	Pack(phase int, dir decomp.Dir, buf []float64) []float64
-	Unpack(phase int, dir decomp.Dir, buf []float64)
-	Stencil() decomp.Stencil
+	Pack(phase int, dir D, buf []float64) []float64
+	Unpack(phase int, dir D, buf []float64)
 	MethodName() string
 	DumpFields() map[string][]float64
 	RestoreFields(map[string][]float64) error
+	// FluidFields returns the live storage of rho, vx, vy[, vz], ghosts
+	// included, in the layout of a dump array.
+	FluidFields() [][]float64
 	// SetWorkers sets the intra-rank worker-slab budget for the compute
 	// phases. Results are bit-identical at every value (see internal/pool).
 	SetWorkers(n int)
+}
+
+// Method2D is the contract of the 2D solvers.
+type Method2D = method[decomp.Dir]
+
+// Method3D is the contract of the 3D solvers. The per-phase face sets
+// differ between the methods (the LB sweeps).
+type Method3D = method[decomp.Dir3]
+
+// maxDirs bounds a direction code: the eight of the full 2D stencil (3D
+// has six faces).
+const maxDirs = 8
+
+// peer is the neighbour in one direction: its rank (-1 where the lattice
+// ends or the subregion is inactive) and the direction it sees us in.
+type peer struct{ rank, back int }
+
+// program is the Program of either dimension: a method bound to one rank
+// of a decomposition, its interior box and its neighbours looked up once.
+type program[D direction[D]] struct {
+	M method[D]
+
+	rank int
+	at   box
+	peer [maxDirs]peer
+
+	// Reused by Sends and Expects, so a steady step allocates nothing.
+	buf     []float64
+	sends   []Send
+	expects []Expect
+}
+
+// bind ties a method to its rank and box, with no neighbours yet.
+func bind[D direction[D]](m method[D], rank int, at box) program[D] {
+	p := program[D]{M: m, rank: rank, at: at}
+	for i := range p.peer {
+		p.peer[i].rank = -1
+	}
+	return p
+}
+
+// link records the active neighbour in direction dir.
+func (p *program[D]) link(dir D, rank int) {
+	p.peer[dir] = peer{rank: rank, back: int(dir.Opposite())}
+}
+
+// Rank returns the subregion's dense rank.
+func (p *program[D]) Rank() int { return p.rank }
+
+// Phases returns the method's phase count.
+func (p *program[D]) Phases() int { return p.M.Phases() }
+
+// Compute runs one local phase.
+func (p *program[D]) Compute(phase int) { p.M.Compute(phase) }
+
+// Sends packs one message per neighbour the phase exchanges with. The
+// direction code is the receiver's view: data sent toward dir arrives at
+// the neighbour from dir.Opposite().
+func (p *program[D]) Sends(phase int) []Send {
+	p.buf, p.sends = p.buf[:0], p.sends[:0]
+	for _, dir := range p.M.ExchangeDirs(phase) {
+		to := p.peer[dir]
+		if to.rank < 0 {
+			continue
+		}
+		start := len(p.buf)
+		p.buf = p.M.Pack(phase, dir, p.buf)
+		p.sends = append(p.sends, Send{Peer: to.rank, Dir: to.back, Data: p.buf[start:]})
+	}
+	return p.sends
+}
+
+// Expects lists the messages due after a phase: one from every neighbour
+// it exchanges with, identified by the direction the neighbour lies in.
+func (p *program[D]) Expects(phase int) []Expect {
+	p.expects = p.expects[:0]
+	for _, dir := range p.M.ExchangeDirs(phase) {
+		if from := p.peer[dir]; from.rank >= 0 {
+			p.expects = append(p.expects, Expect{Peer: from.rank, Dir: int(dir)})
+		}
+	}
+	return p.expects
+}
+
+// Unpack stores a received payload into the method's halo regions.
+func (p *program[D]) Unpack(phase int, dirCode int, data []float64) {
+	p.M.Unpack(phase, D(dirCode), data)
+}
+
+// DumpState serializes the subregion state.
+func (p *program[D]) DumpState(step, epoch int) *dump.State {
+	return &dump.State{
+		Rank:   p.rank,
+		Step:   step,
+		Epoch:  epoch,
+		Method: p.M.MethodName(),
+		NX:     p.at.nx, NY: p.at.ny, NZ: p.at.nz,
+		Fields: p.M.DumpFields(),
+	}
+}
+
+// RestoreState reloads a dump into the method.
+func (p *program[D]) RestoreState(st *dump.State) error {
+	if st.Method != p.M.MethodName() {
+		return fmt.Errorf("core: dump method %q, solver is %q", st.Method, p.M.MethodName())
+	}
+	if st.NX != p.at.nx || st.NY != p.at.ny || st.NZ != p.at.nz {
+		return fmt.Errorf("core: dump geometry %dx%dx%d, subregion is %dx%dx%d",
+			st.NX, st.NY, st.NZ, p.at.nx, p.at.ny, p.at.nz)
+	}
+	return p.M.RestoreFields(st.Fields)
+}
+
+// start writes the initial condition into a program built at rest: every
+// fluid variable filled from its initial field (nil: rho0 in rho, zero in
+// the velocities), then a lattice Boltzmann method's populations set to
+// the equilibrium of those fields.
+func (p *program[D]) start(lat lattice, initial []initField, rho0 float64) {
+	for k, data := range p.M.FluidFields() {
+		def := 0.0
+		if k == 0 {
+			def = rho0
+		}
+		lat.fill(data, p.at, initial[k], def)
+	}
+	if lb, ok := p.M.(interface{ InitEquilibrium() }); ok {
+		lb.InitEquilibrium()
+	}
+}
+
+// stitch copies the interior of every fluid variable into the global
+// arrays, given in FluidFields order.
+func (p *program[D]) stitch(lat lattice, global [][]float64) {
+	for k, data := range p.M.FluidFields() {
+		lat.stitch(global[k], p.at, data)
+	}
 }
 
 // Program2D binds a Method2D to one subregion of a 2D decomposition.
 type Program2D struct {
-	M   Method2D
+	program[decomp.Dir]
 	D   *decomp.Decomp2D
 	Sub *decomp.Subregion2D
-
-	buf []float64
 }
 
 // NewProgram2D builds the Program for the subregion with the given rank.
 func NewProgram2D(m Method2D, d *decomp.Decomp2D, rank int) *Program2D {
-	return &Program2D{M: m, D: d, Sub: d.ByRank(rank)}
-}
-
-// Rank returns the subregion's dense rank.
-func (p *Program2D) Rank() int { return p.Sub.Rank }
-
-// Phases returns the method's phase count.
-func (p *Program2D) Phases() int { return p.M.Phases() }
-
-// Compute runs one local phase.
-func (p *Program2D) Compute(phase int) { p.M.Compute(phase) }
-
-// Sends packs one message per neighbour for exchanging phases. The
-// direction code is the receiver's view: data sent toward dir arrives at
-// the neighbour from dir.Opposite().
-func (p *Program2D) Sends(phase int) []Send {
-	if !p.M.Exchanges(phase) {
-		return nil
-	}
-	var out []Send
-	p.buf = p.buf[:0]
-	for _, dir := range decomp.Dirs(p.M.Stencil()) {
-		n := p.D.Neighbor(p.Sub, dir)
-		if n == nil {
-			continue
-		}
-		start := len(p.buf)
-		p.buf = p.M.Pack(phase, dir, p.buf)
-		out = append(out, Send{
-			Peer: n.Rank,
-			Dir:  int(dir.Opposite()),
-			Data: p.buf[start:],
-		})
-	}
-	return out
-}
-
-// Expects lists the messages due after an exchanging phase: one from every
-// neighbour, identified by the direction it lies in.
-func (p *Program2D) Expects(phase int) []Expect {
-	if !p.M.Exchanges(phase) {
-		return nil
-	}
-	var out []Expect
-	for _, dir := range decomp.Dirs(p.M.Stencil()) {
-		if n := p.D.Neighbor(p.Sub, dir); n != nil {
-			out = append(out, Expect{Peer: n.Rank, Dir: int(dir)})
+	sub := d.ByRank(rank)
+	p := &Program2D{program: bind(m, rank, box2D(sub)), D: d, Sub: sub}
+	for _, dir := range decomp.Dirs(decomp.Full) {
+		if n := d.Neighbor(sub, dir); n != nil {
+			p.link(dir, n.Rank)
 		}
 	}
-	return out
-}
-
-// Unpack stores a received payload into the method's halo regions.
-func (p *Program2D) Unpack(phase int, dirCode int, data []float64) {
-	p.M.Unpack(phase, decomp.Dir(dirCode), data)
-}
-
-// DumpState serializes the subregion state.
-func (p *Program2D) DumpState(step, epoch int) *dump.State {
-	return &dump.State{
-		Rank:   p.Sub.Rank,
-		Step:   step,
-		Epoch:  epoch,
-		Method: p.M.MethodName(),
-		NX:     p.Sub.NX, NY: p.Sub.NY, NZ: 1,
-		Fields: p.M.DumpFields(),
-	}
-}
-
-// RestoreState reloads a dump into the method.
-func (p *Program2D) RestoreState(st *dump.State) error {
-	if st.Method != p.M.MethodName() {
-		return fmt.Errorf("core: dump method %q, solver is %q", st.Method, p.M.MethodName())
-	}
-	if st.NX != p.Sub.NX || st.NY != p.Sub.NY {
-		return fmt.Errorf("core: dump geometry %dx%d, subregion is %dx%d",
-			st.NX, st.NY, p.Sub.NX, p.Sub.NY)
-	}
-	return p.M.RestoreFields(st.Fields)
-}
-
-// Method3D is the per-subregion interface both 3D solvers implement. The
-// per-phase face sets differ between the methods (the LB sweeps), so the
-// interface exposes them explicitly.
-type Method3D interface {
-	Phases() int
-	Exchanges(phase int) bool
-	ExchangeDirs(phase int) []decomp.Dir3
-	Compute(phase int)
-	Pack(phase int, dir decomp.Dir3, buf []float64) []float64
-	Unpack(phase int, dir decomp.Dir3, buf []float64)
-	MethodName() string
-	DumpFields() map[string][]float64
-	RestoreFields(map[string][]float64) error
-	// SetWorkers sets the intra-rank worker-slab budget for the compute
-	// phases. Results are bit-identical at every value (see internal/pool).
-	SetWorkers(n int)
+	return p
 }
 
 // Program3D binds a Method3D to one box of a 3D decomposition.
 type Program3D struct {
-	M   Method3D
+	program[decomp.Dir3]
 	D   *decomp.Decomp3D
 	Sub *decomp.Subregion3D
-
-	buf []float64
 }
 
 // NewProgram3D builds the Program for the box with the given rank.
 func NewProgram3D(m Method3D, d *decomp.Decomp3D, rank int) *Program3D {
-	return &Program3D{M: m, D: d, Sub: d.ByRank(rank)}
-}
-
-// Rank returns the box's dense rank.
-func (p *Program3D) Rank() int { return p.Sub.Rank }
-
-// Phases returns the method's phase count.
-func (p *Program3D) Phases() int { return p.M.Phases() }
-
-// Compute runs one local phase.
-func (p *Program3D) Compute(phase int) { p.M.Compute(phase) }
-
-// Sends packs one message per exchanged face of the phase.
-func (p *Program3D) Sends(phase int) []Send {
-	var out []Send
-	p.buf = p.buf[:0]
-	for _, dir := range p.M.ExchangeDirs(phase) {
-		n := p.D.Neighbor(p.Sub, dir)
-		if n == nil {
-			continue
-		}
-		start := len(p.buf)
-		p.buf = p.M.Pack(phase, dir, p.buf)
-		out = append(out, Send{
-			Peer: n.Rank,
-			Dir:  int(dir.Opposite()),
-			Data: p.buf[start:],
-		})
-	}
-	return out
-}
-
-// Expects lists the per-face messages due after a phase.
-func (p *Program3D) Expects(phase int) []Expect {
-	var out []Expect
-	for _, dir := range p.M.ExchangeDirs(phase) {
-		if n := p.D.Neighbor(p.Sub, dir); n != nil {
-			out = append(out, Expect{Peer: n.Rank, Dir: int(dir)})
+	sub := d.ByRank(rank)
+	p := &Program3D{program: bind(m, rank, box3D(sub)), D: d, Sub: sub}
+	for _, dir := range decomp.Dirs3() {
+		if n := d.Neighbor(sub, dir); n != nil {
+			p.link(dir, n.Rank)
 		}
 	}
-	return out
-}
-
-// Unpack stores a received payload into the method's halo regions.
-func (p *Program3D) Unpack(phase int, dirCode int, data []float64) {
-	p.M.Unpack(phase, decomp.Dir3(dirCode), data)
-}
-
-// DumpState serializes the box state.
-func (p *Program3D) DumpState(step, epoch int) *dump.State {
-	return &dump.State{
-		Rank:   p.Sub.Rank,
-		Step:   step,
-		Epoch:  epoch,
-		Method: p.M.MethodName(),
-		NX:     p.Sub.NX, NY: p.Sub.NY, NZ: p.Sub.NZ,
-		Fields: p.M.DumpFields(),
-	}
-}
-
-// RestoreState reloads a dump into the method.
-func (p *Program3D) RestoreState(st *dump.State) error {
-	if st.Method != p.M.MethodName() {
-		return fmt.Errorf("core: dump method %q, solver is %q", st.Method, p.M.MethodName())
-	}
-	if st.NX != p.Sub.NX || st.NY != p.Sub.NY || st.NZ != p.Sub.NZ {
-		return fmt.Errorf("core: dump geometry %dx%dx%d, box is %dx%dx%d",
-			st.NX, st.NY, st.NZ, p.Sub.NX, p.Sub.NY, p.Sub.NZ)
-	}
-	return p.M.RestoreFields(st.Fields)
+	return p
 }

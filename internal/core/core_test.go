@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sync"
 	"testing"
 
 	"repro/internal/decomp"
@@ -332,72 +331,5 @@ func TestConfigValidation(t *testing.T) {
 	bad.Par.Nu = -1
 	if err := bad.Validate(); err == nil {
 		t.Error("bad params accepted")
-	}
-}
-
-// TestUDPMatchesHub: the appendix-D datagram transport (program-level
-// acks and retransmission) produces the same solution as the channel
-// transport.
-func TestUDPMatchesHub(t *testing.T) {
-	cfgA := channelConfig(t, MethodLB, 2, 2, 24, 16)
-	cfgB := channelConfig(t, MethodLB, 2, 2, 24, 16)
-	const steps = 10
-	a, err := RunParallel2D(cfgA, steps, HubFactory())
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg, err := registry.New(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	udpFactory := func(rank, epoch int) (msg.Transport, error) {
-		return msg.NewUDP(rank, epoch, reg)
-	}
-	b, err := RunParallel2D(cfgB, steps, udpFactory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok, x, y, d := resultsEqual(a, b, 0); !ok {
-		t.Errorf("UDP differs from hub at (%d,%d) by %g", x, y, d)
-	}
-}
-
-// TestUDPLossyStillExact: with every fifth datagram dropped on first
-// transmission, the retransmission protocol keeps the parallel solution
-// bitwise exact — the robustness appendix D claims for UDP under network
-// errors.
-func TestUDPLossyStillExact(t *testing.T) {
-	cfgA := channelConfig(t, MethodLB, 2, 1, 20, 12)
-	cfgB := channelConfig(t, MethodLB, 2, 1, 20, 12)
-	const steps = 8
-	a, err := RunParallel2D(cfgA, steps, HubFactory())
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg, err := registry.New(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	n := 0
-	lossyFactory := func(rank, epoch int) (msg.Transport, error) {
-		u, err := msg.NewUDP(rank, epoch, reg)
-		if err != nil {
-			return nil, err
-		}
-		u.Drop = func() bool {
-			mu.Lock()
-			defer mu.Unlock()
-			n++
-			return n%5 == 0
-		}
-		return u, nil
-	}
-	b, err := RunParallel2D(cfgB, steps, lossyFactory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok, x, y, d := resultsEqual(a, b, 0); !ok {
-		t.Errorf("lossy UDP differs at (%d,%d) by %g", x, y, d)
 	}
 }

@@ -17,6 +17,16 @@ func weightedChannelConfig(t *testing.T, method string, d *decomp.Decomp2D) *Con
 	return cfg
 }
 
+// weighted2D builds a speed-weighted decomposition the way production does:
+// the weighted shape, then the shaped constructor.
+func weighted2D(jx, jy, gx, gy int, st decomp.Stencil, speed []float64) (*decomp.Decomp2D, error) {
+	sh, err := decomp.WeightedShape2D(jx, jy, gx, gy, speed)
+	if err != nil {
+		return nil, err
+	}
+	return decomp.New2DShaped(sh, st)
+}
+
 // TestWeightedEqualSpeedsBitIdenticalDumps is the degenerate-case
 // guarantee at the dump level: decomposing a problem with the
 // speed-weighted splitter under equal speeds produces rank dump states
@@ -32,7 +42,7 @@ func TestWeightedEqualSpeedsBitIdenticalDumps(t *testing.T) {
 		for i := range speed {
 			speed[i] = 39132
 		}
-		wd, err := decomp.New2DWeighted(3, 2, 35, 17, st, speed) // remainders on both axes
+		wd, err := weighted2D(3, 2, 35, 17, st, speed) // remainders on both axes
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +71,7 @@ func TestWeightedEqualSpeedsBitIdenticalDumps(t *testing.T) {
 func TestWeightedParallelMatchesSequential(t *testing.T) {
 	const steps = 25
 	mk := func() *Config2D {
-		d, err := decomp.New2DWeighted(3, 1, 36, 12, decomp.Full, []float64{2, 1, 1})
+		d, err := weighted2D(3, 1, 36, 12, decomp.Full, []float64{2, 1, 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,0 +1,200 @@
+package core
+
+import (
+	"fmt"
+
+	"repro/internal/decomp"
+	"repro/internal/dump"
+)
+
+// box is one rank's interior in global coordinates. A 2D subregion is a box
+// one plane thick.
+type box struct{ x0, y0, z0, nx, ny, nz int }
+
+func box2D(s *decomp.Subregion2D) box { return box{x0: s.X0, y0: s.Y0, nx: s.NX, ny: s.NY, nz: 1} }
+
+func box3D(s *decomp.Subregion3D) box { return box{s.X0, s.Y0, s.Z0, s.NX, s.NY, s.NZ} }
+
+// lattice is the descriptor the driver is written over: the global grid,
+// its periodic axes, and the boxes of the active ranks, by rank. hz is the
+// ghost depth of a rank's arrays along z: 1 in 3D; 0 in 2D, whose arrays
+// are ny+2 rows of nx+2 values and nothing else. A rank's array — live
+// solver storage or a dump of it, the layout is the same — holds one ghost
+// layer on every other side.
+type lattice struct {
+	gx, gy, gz int
+	px, py, pz bool
+	hz         int
+	boxes      []box
+}
+
+// initField is an initial fluid variable at global coordinates (z = 0 in
+// 2D); nil means the variable's rest value everywhere.
+type initField func(x, y, z int) float64
+
+// wrapCoord folds a global coordinate into [0, g) on periodic axes.
+func wrapCoord(v, g int, periodic bool) int {
+	if !periodic {
+		return v
+	}
+	return ((v % g) + g) % g
+}
+
+// values is the length of a box's arrays.
+func (lat lattice) values(b box) int { return (b.nx + 2) * (b.ny + 2) * (b.nz + 2*lat.hz) }
+
+// row is the offset, in a box's array, of local node (-1, y, z).
+func (lat lattice) row(b box, y, z int) int { return ((z+lat.hz)*(b.ny+2) + y + 1) * (b.nx + 2) }
+
+// fill writes f, evaluated at wrapped global coordinates, into every node of
+// a rank's array, ghosts included: a ghost then holds its neighbour's edge
+// value, exactly the state an exchange would have produced. Nodes beyond a
+// non-periodic face, and every node when f is nil, get def.
+func (lat lattice) fill(data []float64, b box, f initField, def float64) {
+	if f == nil {
+		for i := range data {
+			data[i] = def
+		}
+		return
+	}
+	for z := -lat.hz; z < b.nz+lat.hz; z++ {
+		gz := wrapCoord(b.z0+z, lat.gz, lat.pz)
+		for y := -1; y <= b.ny; y++ {
+			gy := wrapCoord(b.y0+y, lat.gy, lat.py)
+			outside := gy < 0 || gy >= lat.gy || gz < 0 || gz >= lat.gz
+			row := data[lat.row(b, y, z):][:b.nx+2]
+			for i := range row {
+				gx := wrapCoord(b.x0+i-1, lat.gx, lat.px)
+				if outside || gx < 0 || gx >= lat.gx {
+					row[i] = def
+				} else {
+					row[i] = f(gx, gy, gz)
+				}
+			}
+		}
+	}
+}
+
+// stitch copies a rank's interior rows from its array into the global
+// array. Interiors are authoritative at a step boundary; ghosts are not read.
+func (lat lattice) stitch(global []float64, b box, data []float64) {
+	for z := 0; z < b.nz; z++ {
+		for y := 0; y < b.ny; y++ {
+			g := ((b.z0+z)*lat.gy+b.y0+y)*lat.gx + b.x0
+			copy(global[g:g+b.nx], data[lat.row(b, y, z)+1:])
+		}
+	}
+}
+
+// cut builds a new rank's dump array from the global one: interior rows by
+// copy, ghosts from the wrapped global coordinate — the new neighbour's
+// edge value, which is what the last exchange would have left there. A
+// node beyond a non-periodic face is in nobody's interior and gets outside.
+func (lat lattice) cut(global []float64, b box, outside float64) []float64 {
+	data := make([]float64, lat.values(b))
+	west := wrapCoord(b.x0-1, lat.gx, lat.px)
+	east := wrapCoord(b.x0+b.nx, lat.gx, lat.px)
+	for z := -lat.hz; z < b.nz+lat.hz; z++ {
+		gz := wrapCoord(b.z0+z, lat.gz, lat.pz)
+		for y := -1; y <= b.ny; y++ {
+			gy := wrapCoord(b.y0+y, lat.gy, lat.py)
+			row := data[lat.row(b, y, z):][:b.nx+2]
+			if gz < 0 || gz >= lat.gz || gy < 0 || gy >= lat.gy {
+				for i := range row {
+					row[i] = outside
+				}
+				continue
+			}
+			g := global[(gz*lat.gy+gy)*lat.gx:][:lat.gx]
+			copy(row[1:], g[b.x0:b.x0+b.nx])
+			row[0], row[b.nx+1] = outside, outside
+			if west >= 0 {
+				row[0] = g[west]
+			}
+			if east < lat.gx {
+				row[b.nx+1] = g[east]
+			}
+		}
+	}
+	return data
+}
+
+// recut is the re-split of either dimension: one complete set of dumps over
+// the old lattice's boxes in, one dump per box of the next lattice out, at
+// the same step. It builds no Program and changes nothing it is given.
+// Everything is validated first — the filter off, the next lattice over
+// the same grid, one dump per old rank at a common step, the config's
+// method and geometry, every field present at full length — so a bad set
+// is an error before anything is allocated. Then each field is stitched
+// into one global array and cut again.
+//
+// Nodes beyond a non-periodic face get what a fresh rank holds there:
+// Rho0 in rho, zero in the velocities and in the populations
+// (InitEquilibrium zeroes ghost populations). Enclosed domains never read
+// them; the rule only keeps the cut equal to a fresh build, bit for bit.
+func recut[P any](cfg, next setup[P], states []*dump.State) ([]*dump.State, error) {
+	par := cfg.physics()
+	if par.Eps != 0 {
+		return nil, fmt.Errorf("resize requires the fourth-order filter off (Par.Eps = %v, want 0): filter applicability is seam-dependent, so a re-split would change the results", par.Eps)
+	}
+	lat, to := cfg.lattice(), next.lattice()
+	if to.gx != lat.gx || to.gy != lat.gy || to.gz != lat.gz {
+		return nil, fmt.Errorf("shape covers %dx%dx%d, grid is %dx%dx%d", to.gx, to.gy, to.gz, lat.gx, lat.gy, lat.gz)
+	}
+	if len(states) != len(lat.boxes) {
+		return nil, fmt.Errorf("%d dumps for %d ranks", len(states), len(lat.boxes))
+	}
+	if _, err := dump.CommonStep(states); err != nil {
+		return nil, err
+	}
+	method, fields := cfg.dumpSchema()
+	seen := make([]bool, len(lat.boxes))
+	for _, st := range states {
+		if st.Rank < 0 || st.Rank >= len(seen) || seen[st.Rank] {
+			return nil, fmt.Errorf("dump of rank %d is out of range or repeated (%d ranks)", st.Rank, len(seen))
+		}
+		seen[st.Rank] = true
+		b := lat.boxes[st.Rank]
+		switch {
+		case st.Method != method:
+			return nil, fmt.Errorf("rank %d dump method %q, solver is %q", st.Rank, st.Method, method)
+		case st.NX != b.nx || st.NY != b.ny || st.NZ != b.nz:
+			return nil, fmt.Errorf("rank %d dump geometry %dx%dx%d, subregion is %dx%dx%d",
+				st.Rank, st.NX, st.NY, st.NZ, b.nx, b.ny, b.nz)
+		}
+		for _, name := range fields {
+			data, ok := st.Fields[name]
+			if !ok {
+				return nil, fmt.Errorf("old dumps lack field %q (rank %d)", name, st.Rank)
+			}
+			if len(data) != lat.values(b) {
+				return nil, fmt.Errorf("rank %d field %q has %d values, want %d", st.Rank, name, len(data), lat.values(b))
+			}
+		}
+	}
+
+	out := make([]*dump.State, len(to.boxes))
+	for rank, b := range to.boxes {
+		out[rank] = &dump.State{
+			Rank: rank, Step: states[0].Step, Method: method,
+			NX: b.nx, NY: b.ny, NZ: b.nz,
+			Fields: make(map[string][]float64, len(fields)),
+		}
+	}
+	// The old boxes tile the lattice, so every stitch overwrites the whole
+	// array and one serves all fields.
+	global := make([]float64, lat.gx*lat.gy*lat.gz)
+	for _, name := range fields {
+		for _, st := range states {
+			lat.stitch(global, lat.boxes[st.Rank], st.Fields[name])
+		}
+		outside := 0.0
+		if name == "rho" {
+			outside = par.Rho0
+		}
+		for rank, b := range to.boxes {
+			out[rank].Fields[name] = to.cut(global, b, outside)
+		}
+	}
+	return out, nil
+}

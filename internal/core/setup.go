@@ -7,7 +7,6 @@ import (
 	"repro/internal/dump"
 	"repro/internal/fd"
 	"repro/internal/fluid"
-	"repro/internal/grid"
 	"repro/internal/lbm"
 	"repro/internal/msg"
 	"repro/internal/pool"
@@ -18,6 +17,201 @@ const (
 	MethodFD = "fd" // explicit finite differences
 	MethodLB = "lb" // lattice Boltzmann
 )
+
+// setup is what the driver needs of a Config2D or a Config3D, whose
+// Program type is P; build, restore, decompose, run, re-split and job are
+// written once over it.
+type setup[P any] interface {
+	Validate() error
+	// lattice describes the decomposition (valid once Validate passed).
+	lattice() lattice
+	// geometry builds a rank's Program with everything that is not state:
+	// storage allocated (all zero), mask classified, worker budget set. The
+	// two ways to a live Program start here — newProgram adds the initial
+	// condition, restoreProgram loads a dump — so a rebuild never computes
+	// a state it is about to overwrite.
+	geometry(rank int) (P, error)
+	// initial returns the initial fluid variables in FluidFields order.
+	initial() []initField
+	physics() fluid.Params
+	// dumpSchema returns the method name and field names of the dumps the
+	// ranks write.
+	dumpSchema() (method string, fields []string)
+}
+
+// built is a Program the driver constructed, so one whose method's fluid
+// variables it can fill and gather (Program2D and Program3D).
+type built interface {
+	Program
+	start(lat lattice, initial []initField, rho0 float64)
+	stitch(lat lattice, global [][]float64)
+}
+
+// workerBudget resolves the intra-rank worker count: the config's Workers
+// knob if set, else an even share of GOMAXPROCS across the ranks so
+// co-scheduled ranks don't oversubscribe the machine.
+func workerBudget(workers, ranks int) int {
+	if workers > 0 {
+		return workers
+	}
+	return pool.DefaultPerRank(ranks)
+}
+
+// newProgram builds the Program for one rank at the initial condition: the
+// combined initialization + decomposition programs of section 4.1 for a
+// fresh start.
+func newProgram[P built](c setup[P], rank int) (P, error) {
+	p, err := c.geometry(rank)
+	if err != nil {
+		return p, err
+	}
+	p.start(c.lattice(), c.initial(), c.physics().Rho0)
+	return p, nil
+}
+
+// restoreProgram builds the Program a dump belongs to: the rank's geometry
+// with the dumped state loaded into it. No initial condition is evaluated —
+// RestoreState overwrites every array one would write, ghosts included,
+// and everything else a solver owns is zero after either construction.
+func restoreProgram[P built](c setup[P], st *dump.State) (P, error) {
+	var none P
+	if ranks := len(c.lattice().boxes); st.Rank < 0 || st.Rank >= ranks {
+		return none, fmt.Errorf("core: dump of rank %d, decomposition has %d ranks", st.Rank, ranks)
+	}
+	p, err := c.geometry(st.Rank)
+	if err != nil {
+		return none, err
+	}
+	if err := p.RestoreState(st); err != nil {
+		return none, err
+	}
+	return p, nil
+}
+
+// buildAll validates the config and builds every rank at the initial
+// condition.
+func buildAll[P built](c setup[P]) ([]P, error) {
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	progs := make([]P, len(c.lattice().boxes))
+	for rank := range progs {
+		p, err := newProgram(c, rank)
+		if err != nil {
+			return nil, err
+		}
+		progs[rank] = p
+	}
+	return progs, nil
+}
+
+// decompose is the decomposition program: it produces one dump.State per
+// active subregion, each containing everything a workstation needs to
+// participate.
+func decompose[P built](c setup[P]) ([]*dump.State, error) {
+	progs, err := buildAll(c)
+	if err != nil {
+		return nil, err
+	}
+	states := make([]*dump.State, len(progs))
+	for rank, p := range progs {
+		states[rank] = p.DumpState(0, 0)
+	}
+	return states, nil
+}
+
+// run builds the decomposed problem, integrates it with exec and gathers
+// the global solution.
+func run[C setup[P], P built, R any](c C, steps int, exec func([]P, int) error, gather func(C, []P, int) R) (R, []P, error) {
+	var none R
+	progs, err := buildAll[P](c)
+	if err != nil {
+		return none, nil, err
+	}
+	if err := exec(progs, steps); err != nil {
+		return none, nil, err
+	}
+	return gather(c, progs, steps), progs, nil
+}
+
+// stepSequential advances a set of programs in one goroutine, delivering
+// messages directly between them in phase lockstep. It is the serial
+// reference: identical numerics to the parallel run (including the
+// filter's seam behaviour), with no transports involved.
+func stepSequential[P Program](progs []P, steps int) error {
+	if len(progs) == 0 {
+		return fmt.Errorf("core: no programs")
+	}
+	phases := progs[0].Phases()
+	for s := 0; s < steps; s++ {
+		for ph := 0; ph < phases; ph++ {
+			for _, p := range progs {
+				p.Compute(ph)
+			}
+			// Deliver all sends after all computes: every payload is
+			// copied immediately, so in-place solver buffers are safe.
+			type delivery struct {
+				to, dir int
+				data    []float64
+			}
+			var inbox []delivery
+			for _, p := range progs {
+				for _, snd := range p.Sends(ph) {
+					inbox = append(inbox, delivery{
+						to: snd.Peer, dir: snd.Dir,
+						data: append([]float64(nil), snd.Data...),
+					})
+				}
+			}
+			for _, d := range inbox {
+				progs[d.to].Unpack(ph, d.dir, d.data)
+			}
+		}
+	}
+	return nil
+}
+
+// overTransport returns the parallel executor: one worker goroutine per
+// program over the given transport factory (channel hub or TCP) — the
+// job-submit program plus the parallel program of section 4. It returns
+// the first worker error once all of them have stopped.
+func overTransport[P Program](factory TransportFactory) func([]P, int) error {
+	return func(progs []P, steps int) error {
+		workers := make([]*Worker, len(progs))
+		events := make(chan Event, 4*len(progs))
+		for rank, p := range progs {
+			w, err := NewWorker(p, factory, 0, events)
+			if err != nil {
+				return err
+			}
+			workers[rank] = w
+		}
+		errs := make(chan error, len(workers))
+		for _, w := range workers {
+			go func(w *Worker) {
+				errs <- w.RunSteps(steps)
+			}(w)
+		}
+		var first error
+		for range workers {
+			if err := <-errs; err != nil && first == nil {
+				first = err
+			}
+		}
+		for _, w := range workers {
+			w.Close()
+		}
+		return first
+	}
+}
+
+// HubFactory returns a TransportFactory over a fresh in-process hub.
+func HubFactory() TransportFactory {
+	hub := msg.NewHub()
+	return func(rank, epoch int) (msg.Transport, error) {
+		return hub.Join(rank), nil
+	}
+}
 
 // Config2D describes a complete 2D simulation: the initialization program's
 // output (global mask and initial fields), the physical parameters, the
@@ -52,14 +246,6 @@ func (c *Config2D) Validate() error {
 	return c.Par.Check()
 }
 
-// wrapCoord folds a global coordinate into [0, g) on periodic axes.
-func wrapCoord(v, g int, periodic bool) int {
-	if !periodic {
-		return v
-	}
-	return ((v % g) + g) % g
-}
-
 // LocalMask2D adapts the global mask to one subregion's local coordinates,
 // respecting the decomposition's periodic axes. Coordinates outside a
 // non-periodic domain read as Wall (the region is enclosed by walls).
@@ -71,154 +257,67 @@ func LocalMask2D(d *decomp.Decomp2D, sub *decomp.Subregion2D, m *fluid.Mask2D) f
 	}
 }
 
-// fill writes f, evaluated at wrapped global coordinates, into every node of
-// one rank's field, ghosts included: a ghost then holds its neighbour's
-// edge value, exactly the state an exchange would have produced. Nodes
-// beyond a non-periodic domain, and every node when f is nil, get def.
-func (c *Config2D) fill(dst *grid.Field2D, sub *decomp.Subregion2D, f func(x, y int) float64, def float64) {
-	if f == nil {
-		dst.Fill(def)
-		return
+func (c *Config2D) lattice() lattice {
+	lat := lattice{gx: c.D.GX, gy: c.D.GY, gz: 1, px: c.D.PeriodicX, py: c.D.PeriodicY, boxes: make([]box, c.D.P())}
+	for rank := range lat.boxes {
+		lat.boxes[rank] = box2D(c.D.ByRank(rank))
 	}
-	for y := -1; y <= sub.NY; y++ {
-		gy := wrapCoord(sub.Y0+y, c.D.GY, c.D.PeriodicY)
-		row := dst.Data()[dst.Idx(-1, y):][:sub.NX+2]
-		for i := range row {
-			gx := wrapCoord(sub.X0+i-1, c.D.GX, c.D.PeriodicX)
-			if gx < 0 || gx >= c.D.GX || gy < 0 || gy >= c.D.GY {
-				row[i] = def
-			} else {
-				row[i] = f(gx, gy)
-			}
-		}
-	}
+	return lat
 }
 
-// workerBudget resolves the intra-rank worker count: the explicit Workers
-// knob if set, else an even share of GOMAXPROCS across the ranks so
-// co-scheduled ranks don't oversubscribe the machine.
-func (c *Config2D) workerBudget() int {
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	return pool.DefaultPerRank(c.D.P())
-}
-
-// geometry builds a rank's method with everything that is not state: storage
-// allocated, mask classified, worker budget set. The two ways to a Program
-// start here — NewMethod2D adds the initial condition, RestoreProgram loads
-// a dump — so a rebuild never computes a state it is about to overwrite.
-func (c *Config2D) geometry(rank int) (Method2D, error) {
+func (c *Config2D) geometry(rank int) (*Program2D, error) {
 	sub := c.D.ByRank(rank)
 	mask := LocalMask2D(c.D, sub, c.Mask)
 	var m Method2D
+	var err error
 	switch c.Method {
 	case MethodFD:
-		s, err := fd.NewGeometry2D(sub.NX, sub.NY, c.Par, mask)
-		if err != nil {
-			return nil, err
-		}
-		m = s
+		m, err = fd.NewGeometry2D(sub.NX, sub.NY, c.Par, mask)
 	case MethodLB:
-		s, err := lbm.NewGeometry2D(sub.NX, sub.NY, c.Par, mask)
-		if err != nil {
-			return nil, err
-		}
-		m = s
+		m, err = lbm.NewGeometry2D(sub.NX, sub.NY, c.Par, mask)
 	default:
-		return nil, fmt.Errorf("core: unknown method %q", c.Method)
+		err = fmt.Errorf("core: unknown method %q", c.Method)
+	}
+	if err != nil {
+		return nil, err
 	}
 	m.SetWorkers(c.workerBudget())
-	return m, nil
-}
-
-// fields2D returns a method's fluid variables (nil for a foreign method).
-func fields2D(m Method2D) (rho, vx, vy *grid.Field2D) {
-	switch s := m.(type) {
-	case *fd.Solver2D:
-		return s.Rho, s.Vx, s.Vy
-	case *lbm.Solver2D:
-		return s.Rho, s.Vx, s.Vy
-	}
-	return nil, nil, nil
-}
-
-// NewMethod2D builds the numerical method instance for one subregion,
-// with fields initialized from the config: the combined initialization +
-// decomposition programs of section 4.1 for a fresh start, plus the
-// intra-rank worker budget.
-func (c *Config2D) NewMethod2D(rank int) (Method2D, error) {
-	m, err := c.geometry(rank)
-	if err != nil {
-		return nil, err
-	}
-	sub := c.D.ByRank(rank)
-	rho, vx, vy := fields2D(m)
-	c.fill(rho, sub, c.InitRho, c.Par.Rho0)
-	c.fill(vx, sub, c.InitVx, 0)
-	c.fill(vy, sub, c.InitVy, 0)
-	if s, ok := m.(*lbm.Solver2D); ok {
-		s.InitEquilibrium()
-	}
-	return m, nil
-}
-
-// NewProgram builds the Program for one rank at the initial condition.
-func (c *Config2D) NewProgram(rank int) (*Program2D, error) {
-	m, err := c.NewMethod2D(rank)
-	if err != nil {
-		return nil, err
-	}
 	return NewProgram2D(m, c.D, rank), nil
 }
 
-// RestoreProgram builds the Program a dump belongs to: the rank's geometry
-// with the dumped state loaded into it. No initial condition is evaluated —
-// RestoreState overwrites every array one would write, ghosts included,
-// and everything else a solver owns is zero after either construction.
-func (c *Config2D) RestoreProgram(st *dump.State) (*Program2D, error) {
-	if st.Rank < 0 || st.Rank >= c.D.P() {
-		return nil, fmt.Errorf("core: dump of rank %d, decomposition has %d ranks", st.Rank, c.D.P())
-	}
-	m, err := c.geometry(st.Rank)
-	if err != nil {
-		return nil, err
-	}
-	p := NewProgram2D(m, c.D, st.Rank)
-	if err := p.RestoreState(st); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// Decompose2D is the decomposition program: it produces one dump.State per
-// active subregion, each containing everything a workstation needs to
-// participate.
-func Decompose2D(c *Config2D) ([]*dump.State, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	states := make([]*dump.State, 0, c.D.P())
-	for rank := 0; rank < c.D.P(); rank++ {
-		p, err := c.NewProgram(rank)
-		if err != nil {
-			return nil, err
+func (c *Config2D) initial() []initField {
+	lift := func(f func(x, y int) float64) initField {
+		if f == nil {
+			return nil
 		}
-		states = append(states, p.DumpState(0, 0))
+		return func(x, y, _ int) float64 { return f(x, y) }
 	}
-	return states, nil
+	return []initField{lift(c.InitRho), lift(c.InitVx), lift(c.InitVy)}
 }
 
-// Submit2D is the job-submit program for one rank: it rebuilds the Program
-// from a dump file and wraps it in a Worker whose channels are opened
-// through the factory.
-func Submit2D(c *Config2D, st *dump.State, factory TransportFactory, events chan<- Event) (*Worker, error) {
-	p, err := c.RestoreProgram(st)
-	if err != nil {
-		return nil, err
+func (c *Config2D) physics() fluid.Params { return c.Par }
+
+// dumpSchema: Validate admits only the two methods; any other falls to the
+// last and fails recut's check of the dumps' own method.
+func (c *Config2D) dumpSchema() (method string, fields []string) {
+	if c.Method == MethodFD {
+		return fd.DumpSchema2D()
 	}
-	return NewWorkerAt(p, factory, st.Epoch, events, st.Step)
+	return lbm.DumpSchema2D()
 }
+
+func (c *Config2D) workerBudget() int { return workerBudget(c.Workers, c.D.P()) }
+
+// NewProgram builds the Program for one rank at the initial condition.
+func (c *Config2D) NewProgram(rank int) (*Program2D, error) { return newProgram(c, rank) }
+
+// RestoreProgram builds the Program a dump belongs to, evaluating no
+// initial condition.
+func (c *Config2D) RestoreProgram(st *dump.State) (*Program2D, error) { return restoreProgram(c, st) }
+
+// Decompose2D is the decomposition program: one dump.State per active
+// subregion.
+func Decompose2D(c *Config2D) ([]*dump.State, error) { return decompose(c) }
 
 // Result2D is a gathered global solution.
 type Result2D struct {
@@ -233,34 +332,22 @@ type Result2D struct {
 func (r *Result2D) At(f []float64, x, y int) float64 { return f[y*r.NX+x] }
 
 // Gather2D assembles the global fields from per-rank programs, inverting
-// the decomposition.
+// the decomposition. Deactivated subregions read as fluid at rest.
 func Gather2D(c *Config2D, progs []*Program2D, steps int) *Result2D {
+	n := c.D.GX * c.D.GY
 	res := &Result2D{
 		NX: c.D.GX, NY: c.D.GY,
-		Rho:           make([]float64, c.D.GX*c.D.GY),
-		Vx:            make([]float64, c.D.GX*c.D.GY),
-		Vy:            make([]float64, c.D.GX*c.D.GY),
-		Vorticity:     make([]float64, c.D.GX*c.D.GY),
+		Rho: make([]float64, n), Vx: make([]float64, n), Vy: make([]float64, n),
+		Vorticity:     make([]float64, n),
 		Steps:         steps,
 		ActiveRegions: c.D.P(),
 	}
 	for i := range res.Rho {
 		res.Rho[i] = c.Par.Rho0
 	}
+	lat, global := c.lattice(), [][]float64{res.Rho, res.Vx, res.Vy}
 	for _, p := range progs {
-		rho, vx, vy := fields2D(p.M)
-		if rho == nil {
-			continue
-		}
-		sub := p.Sub
-		for y := 0; y < sub.NY; y++ {
-			for x := 0; x < sub.NX; x++ {
-				g := (sub.Y0+y)*c.D.GX + (sub.X0 + x)
-				res.Rho[g] = rho.At(x, y)
-				res.Vx[g] = vx.At(x, y)
-				res.Vy[g] = vy.At(x, y)
-			}
-		}
+		p.stitch(lat, global)
 	}
 	// Vorticity from the gathered velocity (interior nodes only).
 	for y := 1; y < res.NY-1; y++ {
@@ -272,122 +359,15 @@ func Gather2D(c *Config2D, progs []*Program2D, steps int) *Result2D {
 	return res
 }
 
-// RunSequential2D executes the decomposed problem in one goroutine,
-// delivering messages directly between programs in phase lockstep. It is
-// the serial reference: identical numerics to the parallel run (including
-// the filter's seam behaviour), with no transports involved.
+// RunSequential2D executes the decomposed problem in one goroutine, in
+// phase lockstep (stepSequential): the serial reference.
 func RunSequential2D(c *Config2D, steps int) (*Result2D, []*Program2D, error) {
-	if err := c.Validate(); err != nil {
-		return nil, nil, err
-	}
-	progs, err := buildPrograms(c.D.P(), c.NewProgram)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := stepSequential(progs, steps); err != nil {
-		return nil, nil, err
-	}
-	return Gather2D(c, progs, steps), progs, nil
-}
-
-// buildPrograms builds the programs of ranks 0..p-1.
-func buildPrograms[P Program](p int, build func(rank int) (P, error)) ([]P, error) {
-	progs := make([]P, p)
-	for rank := range progs {
-		prog, err := build(rank)
-		if err != nil {
-			return nil, err
-		}
-		progs[rank] = prog
-	}
-	return progs, nil
-}
-
-// stepSequential advances a set of programs in phase lockstep.
-func stepSequential[P Program](progs []P, steps int) error {
-	if len(progs) == 0 {
-		return fmt.Errorf("core: no programs")
-	}
-	phases := progs[0].Phases()
-	for s := 0; s < steps; s++ {
-		for ph := 0; ph < phases; ph++ {
-			for _, p := range progs {
-				p.Compute(ph)
-			}
-			// Deliver all sends after all computes: every payload is
-			// copied immediately, so in-place solver buffers are safe.
-			type delivery struct {
-				to, dir int
-				data    []float64
-			}
-			var inbox []delivery
-			for _, p := range progs {
-				for _, snd := range p.Sends(ph) {
-					inbox = append(inbox, delivery{
-						to: snd.Peer, dir: snd.Dir,
-						data: append([]float64(nil), snd.Data...),
-					})
-				}
-			}
-			for _, d := range inbox {
-				progs[d.to].Unpack(ph, d.dir, d.data)
-			}
-		}
-	}
-	return nil
+	return run(c, steps, stepSequential[*Program2D], Gather2D)
 }
 
 // RunParallel2D runs the decomposed problem with one goroutine per
-// subregion over the given transport factory (channel hub or TCP): the
-// job-submit program plus the parallel program of section 4.
+// subregion over the given transport factory (overTransport).
 func RunParallel2D(c *Config2D, steps int, factory TransportFactory) (*Result2D, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	progs, err := buildPrograms(c.D.P(), c.NewProgram)
-	if err != nil {
-		return nil, err
-	}
-	if err := runParallel(progs, steps, factory); err != nil {
-		return nil, err
-	}
-	return Gather2D(c, progs, steps), nil
-}
-
-// runParallel integrates the programs with one worker goroutine each and
-// returns the first worker error once all of them have stopped.
-func runParallel[P Program](progs []P, steps int, factory TransportFactory) error {
-	workers := make([]*Worker, len(progs))
-	events := make(chan Event, 4*len(progs))
-	for rank, p := range progs {
-		w, err := NewWorker(p, factory, 0, events)
-		if err != nil {
-			return err
-		}
-		workers[rank] = w
-	}
-	errs := make(chan error, len(workers))
-	for _, w := range workers {
-		go func(w *Worker) {
-			errs <- w.RunSteps(steps)
-		}(w)
-	}
-	var first error
-	for range workers {
-		if err := <-errs; err != nil && first == nil {
-			first = err
-		}
-	}
-	for _, w := range workers {
-		w.Close()
-	}
-	return first
-}
-
-// HubFactory returns a TransportFactory over a fresh in-process hub.
-func HubFactory() TransportFactory {
-	hub := msg.NewHub()
-	return func(rank, epoch int) (msg.Transport, error) {
-		return hub.Join(rank), nil
-	}
+	res, _, err := run(c, steps, overTransport[*Program2D](factory), Gather2D)
+	return res, err
 }

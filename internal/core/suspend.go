@@ -19,53 +19,16 @@ import (
 //
 // After Suspend no workers are running; only Resume is valid next.
 func (j *Job) Suspend() ([]*dump.State, error) {
-	// 1-2. Signal every process to synchronize and wait for all of them
-	// to reach the synchronization step (done events may interleave).
-	j.round++
-	for _, rank := range j.ranks() {
-		j.workers[rank].RequestPause(j.round)
+	if err := j.pauseAll(); err != nil {
+		return nil, fmt.Errorf("core: suspend: %w", err)
 	}
-	paused := map[int]bool{}
-	for len(paused) < j.P() {
-		e, err := j.nextEvent()
-		if err != nil {
-			return nil, fmt.Errorf("core: suspend: waiting for pause: %w", err)
-		}
-		switch e.Kind {
-		case EventPaused:
-			paused[e.Rank] = true
-		case EventDone:
-			j.done[e.Rank] = true
-		}
-	}
-
-	// 3. Every process saves its state and exits.
-	states := map[int]*dump.State{}
-	for _, rank := range j.ranks() {
-		j.workers[rank].RequestMigrate()
-	}
-	for len(states) < j.P() {
-		e, err := j.nextEvent()
-		if err != nil {
-			return nil, fmt.Errorf("core: suspend: waiting for dumps: %w", err)
-		}
-		if e.Kind == EventMigrated {
-			states[e.Rank] = e.State.(*dump.State)
-		}
-	}
-	out := make([]*dump.State, 0, j.P())
-	for rank := 0; rank < j.P(); rank++ {
-		st, ok := states[rank]
-		if !ok {
-			return nil, fmt.Errorf("core: suspend: no dump for rank %d", rank)
-		}
-		out = append(out, st)
+	states, err := j.collect(j.ranks())
+	if err != nil {
+		return nil, fmt.Errorf("core: suspend: %w", err)
 	}
 	// The compute goroutines have exited; retire their controllers too.
-	for _, rank := range j.ranks() {
-		j.workers[rank].Shutdown()
-	}
-	return out, nil
+	j.Shutdown()
+	return states, nil
 }
 
 // Snapshot checkpoints a running job without giving up its hosts: the
@@ -112,40 +75,23 @@ func (j *Job) Resume(states []*dump.State) error {
 
 // restart replaces the whole worker set with one fresh worker per state, at
 // the next communication epoch, and starts them. Resume calls it with the
-// suspended rank set, Resize with the re-cut one.
+// suspended rank set, Resize with the re-cut one. A set at mixed steps is
+// refused before anything changes: started, the ranks that are behind would
+// wait for messages their neighbours will never send.
 func (j *Job) restart(states []*dump.State) error {
+	if _, err := dump.CommonStep(states); err != nil {
+		return err
+	}
 	j.epoch++
+	j.p = len(states)
 	j.done = make(map[int]bool)
 	j.workers = make(map[int]*Worker, len(states))
 	for _, st := range states {
-		st.Epoch = j.epoch
-		prog, err := j.Rebuild(st)
-		if err != nil {
-			return fmt.Errorf("rebuilding rank %d: %w", st.Rank, err)
-		}
-		// Keep any scheduler-level worker-budget override across the round
-		// trip (Rebuild restores the config default).
-		if j.workersOverride > 0 {
-			if p, ok := prog.(workerBudgeted); ok {
-				p.SetWorkers(j.workersOverride)
-			}
-		}
-		w, err := NewWorkerAt(prog, j.Factory, j.epoch, j.events, st.Step)
-		if err != nil {
-			return fmt.Errorf("restarting rank %d: %w", st.Rank, err)
-		}
-		j.workers[st.Rank] = w
-		if j.onRebuild != nil {
-			j.onRebuild(st.Rank, prog)
+		if err := j.launch(st); err != nil {
+			return err
 		}
 	}
-	// The sync funcs capture P, so wire them once every worker exists.
-	for _, rank := range j.ranks() {
-		j.wireSync(j.workers[rank])
-	}
-	for _, rank := range j.ranks() {
-		go j.workers[rank].Start(j.Until)
-	}
+	j.Start()
 	return nil
 }
 

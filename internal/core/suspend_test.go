@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/dump"
 )
 
 // TestSuspendResumePreservesSolution checkpoints a whole running job
@@ -52,6 +54,49 @@ func TestSuspendResumePreservesSolution(t *testing.T) {
 	}
 	if j.Epoch() != 1 {
 		t.Errorf("epoch = %d, want 1 after one suspend/resume", j.Epoch())
+	}
+}
+
+// TestResumeRefusesMixedSteps: a dump set with one rank a step ahead — what
+// a rank-by-rank save killed part-way leaves behind — is refused up front
+// with dump.ErrMixedSteps and nothing changed, instead of starting workers
+// of which the one behind waits for a message its neighbour will never
+// send (the job then dies a WaitTimeout later as ErrWorkerSilent). The job
+// still resumes from the consistent set and ends in the reference's bits.
+func TestResumeRefusesMixedSteps(t *testing.T) {
+	const steps = 40
+	ref, _, err := RunSequential2D(channelConfig(t, MethodLB, 2, 2, 24, 16), steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, jp := newTestJob(t, channelConfig(t, MethodLB, 2, 2, 24, 16), steps)
+	j.WaitTimeout = 2 * time.Second // what an accepted mixed set costs to find out
+	j.Start()
+	states, err := j.Suspend()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ahead := *states[2]
+	ahead.Step++
+	mixed := []*dump.State{states[0], states[1], &ahead, states[3]}
+	if err := j.Resume(mixed); !errors.Is(err, dump.ErrMixedSteps) {
+		if err == nil {
+			err = j.WaitDone()
+		}
+		t.Fatalf("resume from mixed steps: %v, want dump.ErrMixedSteps", err)
+	}
+	if j.Epoch() != 0 {
+		t.Errorf("epoch = %d after the refused resume, want 0", j.Epoch())
+	}
+	if err := j.Resume(states); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.WaitDone(); err != nil {
+		t.Fatal(err)
+	}
+	j.Shutdown()
+	if ok, x, y, d := resultsEqual(ref, jp.Gather(steps), 0); !ok {
+		t.Errorf("run differs from reference at (%d,%d) by %g", x, y, d)
 	}
 }
 

@@ -66,14 +66,14 @@ func solverWorkers(t *testing.T, jp *JobPrograms2D) map[int]int {
 	return out
 }
 
-// TestSetWorkersSurvivesRebuilds: a scheduler-level override applied
-// before Start must stick across the migration and resume rebuild paths,
-// which construct fresh solvers from the config.
+// TestSetWorkersSurvivesRebuilds: the config's worker budget must be set
+// on every solver the migration and resume rebuild paths construct, not
+// only on the ones NewJob2D built.
 func TestSetWorkersSurvivesRebuilds(t *testing.T) {
 	const steps = 60
 	cfg := channelConfig(t, MethodLB, 2, 2, 24, 16)
+	cfg.Workers = 5
 	j, jp := newTestJob(t, cfg, steps)
-	j.SetWorkers(5)
 	j.Start()
 
 	time.Sleep(10 * time.Millisecond)

@@ -353,40 +353,6 @@ func New3DShaped(sh Shape) (*Decomp3D, error) {
 	return d, nil
 }
 
-// New2DWeighted builds a speed-weighted (jx x jy) decomposition of a
-// gx x gy grid: per-rank host speeds (rank order row-major) size the
-// spans so every subprocess finishes its local compute at about the same
-// time. Equal speeds reproduce New2D bit for bit.
-func New2DWeighted(jx, jy, gx, gy int, st Stencil, speed []float64) (*Decomp2D, error) {
-	if jx <= 0 || jy <= 0 {
-		return nil, fmt.Errorf("decomp: invalid decomposition (%d x %d)", jx, jy)
-	}
-	if gx < jx || gy < jy {
-		return nil, fmt.Errorf("decomp: grid %dx%d smaller than decomposition (%d x %d)", gx, gy, jx, jy)
-	}
-	sh, err := WeightedShape2D(jx, jy, gx, gy, speed)
-	if err != nil {
-		return nil, err
-	}
-	return New2DShaped(sh, st)
-}
-
-// New3DWeighted builds a speed-weighted (jx x jy x jz) decomposition of
-// a gx x gy x gz grid, the 3D analogue of New2DWeighted.
-func New3DWeighted(jx, jy, jz, gx, gy, gz int, speed []float64) (*Decomp3D, error) {
-	if jx <= 0 || jy <= 0 || jz <= 0 {
-		return nil, fmt.Errorf("decomp: invalid decomposition (%d x %d x %d)", jx, jy, jz)
-	}
-	if gx < jx || gy < jy || gz < jz {
-		return nil, fmt.Errorf("decomp: grid %dx%dx%d smaller than (%d x %d x %d)", gx, gy, gz, jx, jy, jz)
-	}
-	sh, err := WeightedShape3D(jx, jy, jz, gx, gy, gz, speed)
-	if err != nil {
-		return nil, err
-	}
-	return New3DShaped(sh)
-}
-
 // ShapeOf extracts the per-axis spans of an existing 2D decomposition
 // (row 0's columns and column 0's rows; shaped decompositions are
 // lattice-aligned by construction).

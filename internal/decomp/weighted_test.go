@@ -64,6 +64,26 @@ func TestWeightedSpansProportional(t *testing.T) {
 	}
 }
 
+// weighted2D builds a speed-weighted decomposition the way production does
+// (sched.WeightedShape, then the shaped constructor): spans from the
+// per-rank host speeds, rank order row-major, then the lattice over them.
+func weighted2D(jx, jy, gx, gy int, st Stencil, speed []float64) (*Decomp2D, error) {
+	sh, err := WeightedShape2D(jx, jy, gx, gy, speed)
+	if err != nil {
+		return nil, err
+	}
+	return New2DShaped(sh, st)
+}
+
+// weighted3D is weighted2D for a box lattice.
+func weighted3D(jx, jy, jz, gx, gy, gz int, speed []float64) (*Decomp3D, error) {
+	sh, err := WeightedShape3D(jx, jy, jz, gx, gy, gz, speed)
+	if err != nil {
+		return nil, err
+	}
+	return New3DShaped(sh)
+}
+
 // TestNew2DWeightedEqualSpeedsBitIdentical: with equal speeds the whole
 // weighted decomposition — every subregion struct, rank and offset — is
 // bit-identical to the uniform one (the ISSUE's degenerate-case
@@ -73,7 +93,7 @@ func TestNew2DWeightedEqualSpeedsBitIdentical(t *testing.T) {
 	for i := range speed {
 		speed[i] = 39132
 	}
-	got, err := New2DWeighted(5, 4, 203, 161, Full, speed) // remainders on both axes
+	got, err := weighted2D(5, 4, 203, 161, Full, speed) // remainders on both axes
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +109,7 @@ func TestNew2DWeightedEqualSpeedsBitIdentical(t *testing.T) {
 	for i := range speed3 {
 		speed3[i] = 1
 	}
-	got3, err := New3DWeighted(2, 2, 3, 17, 9, 11, speed3)
+	got3, err := weighted3D(2, 2, 3, 17, 9, 11, speed3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +127,7 @@ func TestNew2DWeightedEqualSpeedsBitIdentical(t *testing.T) {
 // proportional to its own host's speed and contiguity holds.
 func TestNew2DWeightedChainExact(t *testing.T) {
 	speed := []float64{2, 1, 1}
-	d, err := New2DWeighted(3, 1, 120, 40, Star, speed)
+	d, err := weighted2D(3, 1, 120, 40, Star, speed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +158,7 @@ func TestNew2DWeightedChainExact(t *testing.T) {
 // every east-west neighbour pair shares its y span (the message length).
 func TestWeightedNeighborsAligned(t *testing.T) {
 	speed := []float64{1.0, 0.84, 0.86, 1.0, 0.84, 0.86} // (3 x 2) mixed models
-	d, err := New2DWeighted(3, 2, 121, 81, Full, speed)
+	d, err := weighted2D(3, 2, 121, 81, Full, speed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +195,7 @@ func TestWeightedNeighborsAligned(t *testing.T) {
 // from the neighbour topology — exactly as it does for uniform spans.
 func TestDeactivateRenumbersWeightedSpans(t *testing.T) {
 	speed := []float64{2, 1, 1, 1, 1, 2} // (3 x 2), deliberately lopsided
-	d, err := New2DWeighted(3, 2, 100, 60, Star, speed)
+	d, err := weighted2D(3, 2, 100, 60, Star, speed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +300,7 @@ func TestShapeNodesAndEqual(t *testing.T) {
 // its marginal speed and keeps boxes contiguous.
 func TestNew3DWeightedSpans(t *testing.T) {
 	// (2 x 1 x 1): x axis split 2:1 by the two hosts' speeds.
-	d, err := New3DWeighted(2, 1, 1, 90, 30, 30, []float64{2, 1})
+	d, err := weighted3D(2, 1, 1, 90, 30, 30, []float64{2, 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -186,3 +186,26 @@ func LoadAll(dir string, p int) ([]*State, error) {
 	}
 	return out, nil
 }
+
+// ErrMixedSteps is returned (wrapped, naming both steps) by CommonStep for
+// a dump set whose ranks do not all stand at one step. Callers branch with
+// errors.Is.
+var ErrMixedSteps = errors.New("dump: dumps at different steps")
+
+// CommonStep returns the step every dump of a set stands at. A set at
+// mixed steps — a rank-by-rank save killed part-way leaves one — cannot be
+// restarted: the rank that is behind would wait for a message its
+// neighbour, already past that step, will never send.
+func CommonStep(states []*State) (int, error) {
+	if len(states) == 0 {
+		return 0, fmt.Errorf("dump: no dumps")
+	}
+	first := states[0]
+	for _, st := range states[1:] {
+		if st.Step != first.Step {
+			return 0, fmt.Errorf("%w (rank %d at step %d, rank %d at step %d)",
+				ErrMixedSteps, first.Rank, first.Step, st.Rank, st.Step)
+		}
+	}
+	return first.Step, nil
+}

@@ -153,6 +153,19 @@ func (s *Solver2D) Phases() int { return 3 }
 // filter phase needs no communication.
 func (s *Solver2D) Exchanges(phase int) bool { return phase == 0 || phase == 1 }
 
+// starDirs2 is fixed at package level so ExchangeDirs stays allocation-free
+// on the step path.
+var starDirs2 = decomp.Dirs(decomp.Star)
+
+// ExchangeDirs returns the neighbours exchanged with after a phase: the
+// four sides after the velocity and density phases, none after the filter.
+func (s *Solver2D) ExchangeDirs(phase int) []decomp.Dir {
+	if s.Exchanges(phase) {
+		return starDirs2
+	}
+	return nil
+}
+
 // Compute runs one compute phase on the interior nodes.
 func (s *Solver2D) Compute(phase int) {
 	if !s.ghostsPaired {

@@ -119,11 +119,14 @@ func (s *Solver3D) Phases() int { return 3 }
 // Exchanges reports whether a halo exchange follows the phase.
 func (s *Solver3D) Exchanges(phase int) bool { return phase == 0 || phase == 1 }
 
+// faces3, like starDirs2, keeps ExchangeDirs allocation-free.
+var faces3 = decomp.Dirs3()
+
 // ExchangeDirs returns the faces exchanged after a phase: all six for the
 // velocity and density phases (star stencil, no sweep ordering needed).
 func (s *Solver3D) ExchangeDirs(phase int) []decomp.Dir3 {
 	if s.Exchanges(phase) {
-		return decomp.Dirs3()
+		return faces3
 	}
 	return nil
 }

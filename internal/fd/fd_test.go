@@ -241,6 +241,15 @@ func TestPhaseContract(t *testing.T) {
 		if s.Exchanges(ph) != w {
 			t.Errorf("Exchanges(%d) = %v, want %v", ph, s.Exchanges(ph), w)
 		}
+		// The driver asks ExchangeDirs only: the stencil's directions after
+		// an exchanging phase, none otherwise.
+		var dirs []decomp.Dir
+		if w {
+			dirs = decomp.Dirs(s.Stencil())
+		}
+		if got := s.ExchangeDirs(ph); !slices.Equal(got, dirs) {
+			t.Errorf("ExchangeDirs(%d) = %v, want %v", ph, got, dirs)
+		}
 	}
 	// Message lengths: phase 0 carries 2 fields, phase 1 carries 1.
 	len0 := s.MsgLen(0, decomp.East)

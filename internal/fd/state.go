@@ -50,14 +50,17 @@ func restoreFields(names []string, arrays [][]float64, fields map[string][]float
 // MethodName identifies the 2D finite-difference method in dump files.
 func (s *Solver2D) MethodName() string { return method2D }
 
-func (s *Solver2D) fieldArrays() [][]float64 {
+// FluidFields returns the live storage (ghosts included) of the fluid
+// variables rho, vx, vy — which is also everything a dump holds, in
+// DumpSchema2D order. The driver fills and gathers through it.
+func (s *Solver2D) FluidFields() [][]float64 {
 	return [][]float64{s.Rho.Data(), s.Vx.Data(), s.Vy.Data()}
 }
 
 // DumpFields returns deep copies of the raw field storage (ghosts
 // included), keyed by canonical names.
 func (s *Solver2D) DumpFields() map[string][]float64 {
-	return dumpFields(fieldNames2D, s.fieldArrays())
+	return dumpFields(fieldNames2D, s.FluidFields())
 }
 
 // RestoreFields reloads raw field storage from a dump. The next-step
@@ -65,23 +68,24 @@ func (s *Solver2D) DumpFields() map[string][]float64 {
 // restored fields' (pairGhosts).
 func (s *Solver2D) RestoreFields(fields map[string][]float64) error {
 	s.ghostsPaired = false
-	return restoreFields(fieldNames2D, s.fieldArrays(), fields)
+	return restoreFields(fieldNames2D, s.FluidFields(), fields)
 }
 
 // MethodName identifies the 3D finite-difference method in dump files.
 func (s *Solver3D) MethodName() string { return method3D }
 
-func (s *Solver3D) fieldArrays() [][]float64 {
+// FluidFields is Solver2D.FluidFields for rho, vx, vy, vz.
+func (s *Solver3D) FluidFields() [][]float64 {
 	return [][]float64{s.Rho.Data(), s.Vx.Data(), s.Vy.Data(), s.Vz.Data()}
 }
 
 // DumpFields returns deep copies of the raw 3D field storage.
 func (s *Solver3D) DumpFields() map[string][]float64 {
-	return dumpFields(fieldNames3D, s.fieldArrays())
+	return dumpFields(fieldNames3D, s.FluidFields())
 }
 
 // RestoreFields reloads raw 3D field storage from a dump (see the 2D one).
 func (s *Solver3D) RestoreFields(fields map[string][]float64) error {
 	s.ghostsPaired = false
-	return restoreFields(fieldNames3D, s.fieldArrays(), fields)
+	return restoreFields(fieldNames3D, s.FluidFields(), fields)
 }

@@ -220,6 +220,19 @@ func (s *Solver2D) Phases() int { return 2 }
 // relax+shift phase communicates (one message per neighbour per step).
 func (s *Solver2D) Exchanges(phase int) bool { return phase == 0 }
 
+// fullDirs2 is fixed at package level so ExchangeDirs stays allocation-free
+// on the step path.
+var fullDirs2 = decomp.Dirs(decomp.Full)
+
+// ExchangeDirs returns the neighbours exchanged with after a phase: all
+// eight (sides and corners) after relax+shift, none after macroscopics.
+func (s *Solver2D) ExchangeDirs(phase int) []decomp.Dir {
+	if s.Exchanges(phase) {
+		return fullDirs2
+	}
+	return nil
+}
+
 // Compute runs one compute phase.
 func (s *Solver2D) Compute(phase int) {
 	switch phase {

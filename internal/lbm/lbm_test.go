@@ -349,6 +349,25 @@ func TestMsgLenMatchesPack(t *testing.T) {
 	}
 }
 
+// TestExchangeDirs2D: what the driver asks of the 2D solver — the full
+// stencil's directions after the relax+shift phase, none after the
+// macroscopics phase.
+func TestExchangeDirs2D(t *testing.T) {
+	s, err := NewSolver2D(9, 7, fluid.DefaultParams(), allFluid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ph := 0; ph < s.Phases(); ph++ {
+		var want []decomp.Dir
+		if s.Exchanges(ph) {
+			want = decomp.Dirs(s.Stencil())
+		}
+		if got := s.ExchangeDirs(ph); !slices.Equal(got, want) {
+			t.Errorf("ExchangeDirs(%d) = %v, want %v", ph, got, want)
+		}
+	}
+}
+
 // TestEquilibriumMomentsProperty: the D2Q9 equilibrium reproduces density
 // and momentum for arbitrary (subsonic) states — the invariant that makes
 // BGK relaxation conserve mass and momentum.

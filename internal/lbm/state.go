@@ -57,10 +57,16 @@ func restoreFields(names []string, arrays [][]float64, fields map[string][]float
 // MethodName identifies the 2D lattice Boltzmann method in dump files.
 func (s *Solver2D) MethodName() string { return method2D }
 
+// FluidFields returns the live storage (ghosts included) of the fluid
+// variables rho, vx, vy. The driver fills and gathers through it.
+func (s *Solver2D) FluidFields() [][]float64 {
+	return [][]float64{s.Rho.Data(), s.Vx.Data(), s.Vy.Data()}
+}
+
 // fieldArrays lists the live storage of the dump fields, in fieldNames2D
 // order.
 func (s *Solver2D) fieldArrays() [][]float64 {
-	out := [][]float64{s.Rho.Data(), s.Vx.Data(), s.Vy.Data()}
+	out := s.FluidFields()
 	for _, f := range s.F {
 		out = append(out, f.Data())
 	}
@@ -81,10 +87,15 @@ func (s *Solver2D) RestoreFields(fields map[string][]float64) error {
 // MethodName identifies the 3D lattice Boltzmann method in dump files.
 func (s *Solver3D) MethodName() string { return method3D }
 
+// FluidFields is Solver2D.FluidFields for rho, vx, vy, vz.
+func (s *Solver3D) FluidFields() [][]float64 {
+	return [][]float64{s.Rho.Data(), s.Vx.Data(), s.Vy.Data(), s.Vz.Data()}
+}
+
 // fieldArrays lists the live storage of the dump fields, in fieldNames3D
 // order.
 func (s *Solver3D) fieldArrays() [][]float64 {
-	out := [][]float64{s.Rho.Data(), s.Vx.Data(), s.Vy.Data(), s.Vz.Data()}
+	out := s.FluidFields()
 	for _, f := range s.F {
 		out = append(out, f.Data())
 	}

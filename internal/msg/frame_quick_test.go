@@ -43,29 +43,3 @@ func TestFrameRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestDatagramRoundTripProperty: the UDP data-datagram encoding preserves
-// messages bit-for-bit too.
-func TestDatagramRoundTripProperty(t *testing.T) {
-	f := func(seq uint32, from uint8, step int16, data []float64) bool {
-		in := Message{From: int(from), Step: int(step), Data: data}
-		pkt := encodeData(seq, in)
-		out, err := decodeFrame(pkt[8:])
-		if err != nil {
-			return false
-		}
-		if out.From != in.From || out.Step != in.Step || len(out.Data) != len(in.Data) {
-			return false
-		}
-		for i := range in.Data {
-			a, b := in.Data[i], out.Data[i]
-			if a != b && !(math.IsNaN(a) && math.IsNaN(b)) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}

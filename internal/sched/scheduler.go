@@ -33,13 +33,6 @@ type Scheduler struct {
 	// defaults to ComputeTimer. Use PerfTimer for network-aware
 	// estimates.
 	Timer StepTimer
-	// Workers, when positive, overrides the intra-rank worker-slab
-	// budget of every placed workload that accepts one (WorkerBudgeted;
-	// farm.WithWorkers threads through here). Zero keeps each job's own
-	// default — an even share of GOMAXPROCS across its ranks. Solver
-	// results are bit-identical at every value; only wall-clock speed
-	// changes, and the virtual-time pricing (Timer) is unaffected.
-	Workers int
 	// Backfill lets jobs behind a blocked queue head run in the gaps its
 	// ranks cannot fill. The default is BackfillEASY: a backfilled job
 	// must finish before the head's projected start, so a steady stream
@@ -798,11 +791,6 @@ func (s *Scheduler) tryPlace(js *jobState, t time.Duration, deadline time.Durati
 	if !js.started {
 		js.started = true
 		js.firstStart = t
-		if s.Workers > 0 {
-			if wb, ok := js.work.(WorkerBudgeted); ok {
-				wb.SetWorkers(s.Workers)
-			}
-		}
 		err = js.work.Start(res.Hosts)
 	} else {
 		err = js.work.Resume(res.Hosts)

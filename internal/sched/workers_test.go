@@ -11,13 +11,13 @@ import (
 	"repro/internal/syncfile"
 )
 
-// TestSchedulerWorkersBitIdentical: the scheduler's Workers knob reaches
-// a placed CoreWorkload before Start, and the parallel-slab run it
-// triggers produces a solution bitwise identical to the sequential
-// single-threaded reference — through the whole scheduler lifecycle.
+// TestSchedulerWorkersBitIdentical: a job whose config asks for three
+// worker slabs per rank, run through the whole scheduler lifecycle,
+// produces a solution bitwise identical to the sequential reference at
+// the default budget.
 func TestSchedulerWorkersBitIdentical(t *testing.T) {
 	const steps = 30
-	mkCfg := func() *core.Config2D {
+	mkCfg := func(workers int) *core.Config2D {
 		d, err := decomp.New2D(2, 2, 24, 16, decomp.Full)
 		if err != nil {
 			t.Fatal(err)
@@ -28,13 +28,14 @@ func TestSchedulerWorkersBitIdentical(t *testing.T) {
 		par.Eps = 0.01
 		par.ForceX = 1e-5
 		return &core.Config2D{
-			Method: core.MethodLB,
-			Par:    par,
-			Mask:   fluid.ChannelMask2D(24, 16),
-			D:      d,
+			Method:  core.MethodLB,
+			Par:     par,
+			Mask:    fluid.ChannelMask2D(24, 16),
+			D:       d,
+			Workers: workers,
 		}
 	}
-	ref, _, err := core.RunSequential2D(mkCfg(), steps)
+	ref, _, err := core.RunSequential2D(mkCfg(0), steps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,14 +45,13 @@ func TestSchedulerWorkersBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	sf.Poll = time.Millisecond
-	job, progs, err := core.NewJob2D(mkCfg(), core.HubFactory(), sf, steps)
+	job, progs, err := core.NewJob2D(mkCfg(3), core.HubFactory(), sf, steps)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	pool := idlePool()
 	s := New(pool, FIFO, 1)
-	s.Workers = 3
 	if err := s.Submit(JobSpec{
 		ID: "sim", Method: "lb2d", JX: 2, JY: 2, Side: 24, Steps: steps,
 	}, &CoreWorkload{Job: job, Cluster: pool}); err != nil {

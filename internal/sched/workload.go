@@ -46,14 +46,6 @@ type Workload interface {
 	Restore(states []*dump.State) error
 }
 
-// WorkerBudgeted is implemented by workloads whose solvers accept an
-// intra-rank worker-slab budget. The scheduler applies its Workers knob
-// through this interface at first placement; the budget then survives
-// the workload's own suspend/resume and migration rebuilds.
-type WorkerBudgeted interface {
-	SetWorkers(n int)
-}
-
 // NullWorkload replays scheduling decisions only — no simulation runs.
 // Trace replays and policy experiments use it: all metrics come from the
 // virtual-time accounting.
@@ -82,15 +74,6 @@ type CoreWorkload struct {
 	Cluster *cluster.Cluster
 
 	states []*dump.State
-}
-
-// SetWorkers forwards the intra-rank worker budget to the job, which
-// re-applies it across migration and suspend/resume rebuilds. The
-// scheduler calls it before Start, never while workers are running.
-func (c *CoreWorkload) SetWorkers(n int) {
-	if c.Job != nil {
-		c.Job.SetWorkers(n)
-	}
 }
 
 // Start places the job (if a cluster is attached) and launches it.
