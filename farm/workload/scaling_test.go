@@ -1,0 +1,95 @@
+package workload_test
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"repro/farm"
+	"repro/farm/workload"
+)
+
+// scalingSpec is bench/'s farm_sweep stream at a chosen length: three
+// cohorts (lb2d, lb3d, fd2d), two priorities and a reclaim storm every
+// five virtual minutes, arrivals paced so the 25-host pool stays loaded
+// and the queue stays short. With the queue bounded, Record's cost per
+// job should not depend on how many jobs the stream holds.
+func scalingSpec(jobs int) *workload.Spec {
+	per := jobs / 3
+	horizon := 10000 * time.Hour
+	gap := 270 * time.Second
+	return &workload.Spec{
+		Name:    "record-scaling",
+		Horizon: horizon,
+		Cohorts: []workload.Cohort{
+			{
+				Name: "cfd", Weight: 2,
+				Arrivals: workload.Arrivals{Process: workload.Poisson, MeanGap: gap},
+				Jobs: workload.JobDist{
+					Shapes: []workload.ShapeChoice{
+						{Method: "lb2d", JX: 4, JY: 2, Weight: 3},
+						{Method: "lb2d", JX: 3, JY: 2, Weight: 1},
+					},
+					SideMin: 20, SideMax: 40,
+					Steps: workload.StepsDist{Median: 3000, Sigma: 0.4},
+				},
+				Priorities: []workload.IntChoice{{Value: 1, Weight: 3}, {Value: 5, Weight: 1}},
+				MaxJobs:    per,
+			},
+			{
+				Name: "duct", Weight: 1,
+				Arrivals: workload.Arrivals{Process: workload.Gamma, MeanGap: gap, Shape: 2, Start: time.Minute},
+				Jobs: workload.JobDist{
+					Shapes:  []workload.ShapeChoice{{Method: "lb3d", JX: 2, JY: 2, JZ: 2}},
+					SideMin: 12, SideMax: 20,
+					Steps: workload.StepsDist{Median: 1500, Sigma: 0.5},
+				},
+				Priorities: []workload.IntChoice{{Value: 1, Weight: 1}, {Value: 5, Weight: 1}},
+				MaxJobs:    per,
+			},
+			{
+				Name: "cal", Weight: 1,
+				Arrivals: workload.Arrivals{Process: workload.Weibull, MeanGap: gap, Shape: 0.8, Start: 2 * time.Minute},
+				Jobs: workload.JobDist{
+					Shapes:  []workload.ShapeChoice{{Method: "fd2d", JX: 3, JY: 3}, {Method: "fd2d", JX: 2, JY: 2}},
+					SideMin: 30, SideMax: 60,
+					Steps: workload.StepsDist{Median: 4000, Sigma: 0.3},
+				},
+				Priorities: []workload.IntChoice{{Value: 1, Weight: 1}},
+				MaxJobs:    jobs - 2*per,
+			},
+		},
+		Scenario: &workload.Scenario{
+			Every: time.Minute,
+			Events: []workload.Event{
+				{Kind: workload.ReclaimStorm, At: 5 * time.Minute, Until: horizon,
+					Every: 5 * time.Minute, Hosts: 2, Dwell: 2 * time.Minute},
+			},
+		},
+	}
+}
+
+// BenchmarkRecordScaling records the same seeded stream at three lengths
+// and reports jobs retired per wall second. The rows are read against
+// each other: a scheduler whose round costs its placements holds the
+// rate as the stream grows; one that rescans every not-yet-arrived job
+// each iteration loses it with the square of the length. Ungated — CI
+// runs it once and writes the three rates to the step summary.
+func BenchmarkRecordScaling(b *testing.B) {
+	cfg := workload.RunConfig{Policy: farm.Priority, Backfill: farm.BackfillEASY, Seed: 1}
+	for _, jobs := range []int{2000, 8000, 14000} {
+		spec := scalingSpec(jobs)
+		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_, sum, err := workload.Record(spec, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(sum.Jobs) != jobs {
+					b.Fatalf("%d of %d jobs finished", len(sum.Jobs), jobs)
+				}
+			}
+			b.ReportMetric(float64(jobs)*float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
+		})
+	}
+}

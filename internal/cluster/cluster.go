@@ -14,6 +14,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 )
@@ -42,20 +43,24 @@ func (m Model) String() string {
 	return fmt.Sprintf("Model(%d)", int(m))
 }
 
+// speedTable is the section-7 table of relative speeds: a row per method,
+// in speedMethods' order, a column per Model.
+var speedTable = [4][3]float64{
+	{HP715: 1.0, HP710: 0.84, HP720: 0.86},
+	{HP715: 0.51, HP710: 0.40, HP720: 0.42},
+	{HP715: 1.24, HP710: 1.08, HP720: 1.17},
+	{HP715: 1.0, HP710: 0.85, HP720: 0.94},
+}
+var speedMethods = []string{"lb2d", "lb3d", "fd2d", "fd3d"}
+
 // SpeedFactor returns the model's relative speed for the given method and
-// dimensionality, from the section-7 speed table.
+// dimensionality, from the section-7 speed table. An unknown method reads
+// the LB 2D row; an unknown model has speed 0.
 func (m Model) SpeedFactor(method string) float64 {
-	table := map[string]map[Model]float64{
-		"lb2d": {HP715: 1.0, HP710: 0.84, HP720: 0.86},
-		"lb3d": {HP715: 0.51, HP710: 0.40, HP720: 0.42},
-		"fd2d": {HP715: 1.24, HP710: 1.08, HP720: 1.17},
-		"fd3d": {HP715: 1.0, HP710: 0.85, HP720: 0.94},
+	if m < 0 || int(m) >= len(speedTable[0]) {
+		return 0
 	}
-	if row, ok := table[method]; ok {
-		return row[m]
-	}
-	// Unknown method: fall back to the LB 2D relative speeds.
-	return map[Model]float64{HP715: 1.0, HP710: 0.84, HP720: 0.86}[m]
+	return speedTable[max(0, slices.Index(speedMethods, method))][m]
 }
 
 // BaseNodesPerSecond is the absolute speed corresponding to relative speed
@@ -166,18 +171,18 @@ func (h *Host) Unassign() {
 // capacity decisions (see the userLoads field).
 func (h *Host) UserLoad15() float64 { return h.userLoads[2] }
 
-// advance evolves the load averages toward the current job count over dt,
-// and accumulates user idle time. A parallel subprocess contributes a full
-// unit of load (it is a full-time process, merely niced), so the observable
-// load includes it when present.
-func (h *Host) advance(dt time.Duration) {
+// advance evolves the load averages toward the current job count over dt
+// (decay[i] is the share of the gap that closes over dt at loadTaus[i];
+// Cluster.Advance computes it once for the pool) and accumulates user idle
+// time. A parallel subprocess contributes a full unit of load (it is a
+// full-time process, merely niced), so the observable load includes it.
+func (h *Host) advance(dt time.Duration, decay [3]float64) {
 	target := float64(h.jobs)
 	if h.assigned >= 0 {
 		target++
 	}
 	user := float64(h.jobs)
-	for i, tau := range loadTaus {
-		a := 1 - math.Exp(-dt.Seconds()/tau.Seconds())
+	for i, a := range decay {
 		h.loads[i] += (target - h.loads[i]) * a
 		h.userLoads[i] += (user - h.userLoads[i]) * a
 	}
@@ -199,7 +204,8 @@ type Cluster struct {
 	now   time.Duration
 
 	// events is the pending host event stream (see events.go).
-	events []HostEvent
+	events       []HostEvent
+	idle, active []*Host // reservable's scratch (see reserve.go)
 }
 
 // NewPaperCluster builds the paper's pool: sixteen 715/50s, six 720s and
@@ -224,8 +230,12 @@ func (c *Cluster) Now() time.Duration { return c.now }
 // Advance moves simulated time forward, evolving every host.
 func (c *Cluster) Advance(dt time.Duration) {
 	c.now += dt
+	var decay [3]float64
+	for i, tau := range loadTaus {
+		decay[i] = 1 - math.Exp(-dt.Seconds()/tau.Seconds())
+	}
 	for _, h := range c.Hosts {
-		h.advance(dt)
+		h.advance(dt, decay)
 	}
 }
 

@@ -20,7 +20,9 @@ func TestPaperClusterComposition(t *testing.T) {
 }
 
 func TestSpeedTable(t *testing.T) {
-	// The section-7 speed table, relative to the 715/50.
+	// The section-7 speed table, relative to the 715/50, cell by cell
+	// against literals; an unknown method reads the LB 2D row and an
+	// unknown model has no speed.
 	cases := []struct {
 		method string
 		model  Model
@@ -30,13 +32,25 @@ func TestSpeedTable(t *testing.T) {
 		{"lb3d", HP715, 0.51}, {"lb3d", HP710, 0.40}, {"lb3d", HP720, 0.42},
 		{"fd2d", HP715, 1.24}, {"fd2d", HP710, 1.08}, {"fd2d", HP720, 1.17},
 		{"fd3d", HP715, 1.0}, {"fd3d", HP710, 0.85}, {"fd3d", HP720, 0.94},
+		{"spectral", HP715, 1.0}, {"spectral", HP710, 0.84}, {"spectral", HP720, 0.86},
+		{"", HP710, 0.84},
+		{"lb2d", Model(3), 0}, {"fd3d", Model(-1), 0}, {"spectral", Model(7), 0},
 	}
 	for _, c := range cases {
 		if got := c.model.SpeedFactor(c.method); got != c.want {
 			t.Errorf("SpeedFactor(%s, %v) = %v, want %v", c.method, c.model, got, c.want)
 		}
 	}
+	h := NewHost("x", HP720)
+	h.StartJob()
+	base, factor := 39132.0, 1.17 // variables: float64 products, not exact constant ones
+	if got, want := h.Speed("fd2d"), base*factor/2; got != want {
+		t.Errorf("Speed(fd2d) on a 720 beside one job = %v, want %v", got, want)
+	}
 }
+
+// tick advances one host by a second.
+func tick(h *Host) { (&Cluster{Hosts: []*Host{h}}).Advance(time.Second) }
 
 func TestLoadAverageConverges(t *testing.T) {
 	h := NewHost("x", HP715)
@@ -44,7 +58,7 @@ func TestLoadAverageConverges(t *testing.T) {
 	// After 5 minutes, the 1-minute average is nearly 1; the 15-minute
 	// average lags behind.
 	for i := 0; i < 300; i++ {
-		h.advance(time.Second)
+		tick(h)
 	}
 	l1, l5, l15 := h.Uptime()
 	if l1 < 0.95 {
@@ -58,7 +72,7 @@ func TestLoadAverageConverges(t *testing.T) {
 	}
 	h.StopJob()
 	for i := 0; i < 3600; i++ {
-		h.advance(time.Second)
+		tick(h)
 	}
 	l1, _, l15 = h.Uptime()
 	if l1 > 0.01 || l15 > 0.05 {
@@ -70,7 +84,7 @@ func TestAssignedSubprocessContributesLoad(t *testing.T) {
 	h := NewHost("x", HP715)
 	h.Assign(3)
 	for i := 0; i < 1200; i++ {
-		h.advance(time.Second)
+		tick(h)
 	}
 	_, l5, _ := h.Uptime()
 	if l5 < 0.9 {
@@ -80,7 +94,7 @@ func TestAssignedSubprocessContributesLoad(t *testing.T) {
 	// the migration threshold.
 	h.StartJob()
 	for i := 0; i < 1200; i++ {
-		h.advance(time.Second)
+		tick(h)
 	}
 	_, l5, _ = h.Uptime()
 	if l5 < 1.6 {

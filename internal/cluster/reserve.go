@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -27,8 +28,13 @@ func (h *Host) ReservableWhenFree(pol SelectionPolicy) bool {
 	return !h.reclaimed && h.UserLoad15() < pol.MaxLoad15
 }
 
+// ErrShortfall reports fewer reservable hosts than Reserve or Migrate was
+// asked for; it comes back before anything is allocated or drawn from the RNG.
+var ErrShortfall = errors.New("cluster: not enough reservable hosts")
+
 // reservable returns the hosts a farm scheduler may claim, split into the
-// preferred idle-user group and the active-user group of section 4.1.
+// preferred idle-user group and the active-user group of section 4.1 — in
+// the cluster's scratch, which the next call overwrites (see take).
 //
 // It differs from SelectFree in two deliberate ways. First, the load
 // threshold applies to the user-attributable load (UserLoad15) rather
@@ -40,6 +46,7 @@ func (h *Host) ReservableWhenFree(pol SelectionPolicy) bool {
 // user's load shows up in the averages — otherwise the farm would claim
 // back the very machine it just vacated.
 func (c *Cluster) reservable(pol SelectionPolicy) (idle, active []*Host) {
+	idle, active = c.idle[:0], c.active[:0]
 	for _, h := range c.Hosts {
 		if h.assigned >= 0 || !h.ReservableWhenFree(pol) {
 			continue
@@ -50,6 +57,7 @@ func (c *Cluster) reservable(pol SelectionPolicy) (idle, active []*Host) {
 			active = append(active, h)
 		}
 	}
+	c.idle, c.active = idle, active
 	return idle, active
 }
 
@@ -57,6 +65,15 @@ func (c *Cluster) reservable(pol SelectionPolicy) (idle, active []*Host) {
 func (c *Cluster) Capacity(pol SelectionPolicy) int {
 	idle, active := c.reservable(pol)
 	return len(idle) + len(active)
+}
+
+// take orders the two tiers for a reservation scan and returns a fresh
+// slice of the first n hosts, idle-user tier first.
+func take(n int, idle, active []*Host, rng *rand.Rand) []*Host {
+	orderTiers(idle, active, rng)
+	hosts := make([]*Host, n)
+	copy(hosts[copy(hosts, idle):], active)
+	return hosts
 }
 
 // Reserve claims n hosts for the named owner, assigning rank i to the
@@ -73,12 +90,9 @@ func (c *Cluster) Reserve(owner string, n int, pol SelectionPolicy, rng *rand.Ra
 	}
 	idle, active := c.reservable(pol)
 	if len(idle)+len(active) < n {
-		return nil, fmt.Errorf("cluster: reserve %d hosts for %q: only %d reservable",
-			n, owner, len(idle)+len(active))
+		return nil, ErrShortfall
 	}
-	orderTiers(idle, active, rng)
-	all := append(idle, active...)
-	r := &Reservation{Owner: owner, Hosts: all[:n:n]}
+	r := &Reservation{Owner: owner, Hosts: take(n, idle, active, rng)}
 	for i, h := range r.Hosts {
 		h.AssignTo(owner, i)
 	}
@@ -153,13 +167,11 @@ func (c *Cluster) Migrate(r *Reservation, busy []*Host, pol SelectionPolicy, rng
 	}
 	idle, active := c.reservable(pol)
 	if len(idle)+len(active) < len(busy) {
-		return nil, nil, fmt.Errorf("cluster: migrate %d ranks of %q: only %d reservable hosts",
-			len(busy), r.Owner, len(idle)+len(active))
+		return nil, nil, fmt.Errorf("cluster: migrate %d ranks of %q: only %d reservable hosts: %w",
+			len(busy), r.Owner, len(idle)+len(active), ErrShortfall)
 	}
-	orderTiers(idle, active, rng)
-	all := append(idle, active...)
 	ranks = r.Shrink(busy)
-	repl = all[:len(ranks):len(ranks)]
+	repl = take(len(ranks), idle, active, rng)
 	for i, rank := range ranks {
 		repl[i].AssignTo(r.Owner, rank)
 		r.Hosts[rank] = repl[i]

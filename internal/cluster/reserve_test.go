@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
@@ -247,11 +248,113 @@ func TestReserveRandomizedScanVaries(t *testing.T) {
 
 func TestReserveRejectsBadCount(t *testing.T) {
 	c := idlePaperCluster()
-	if _, err := c.Reserve("j", 0, DefaultPolicy(), nil); err == nil {
-		t.Error("n=0 reservation accepted")
+	if _, err := c.Reserve("j", 0, DefaultPolicy(), nil); err == nil || errors.Is(err, ErrShortfall) {
+		t.Errorf("n=0 reservation: err = %v, want an error that is not a shortfall", err)
 	}
-	if _, err := c.Reserve("j", 26, DefaultPolicy(), nil); err == nil {
-		t.Error("reservation beyond pool size accepted")
+	if _, err := c.Reserve("j", 26, DefaultPolicy(), nil); !errors.Is(err, ErrShortfall) {
+		t.Errorf("reservation beyond pool size: err = %v, want ErrShortfall", err)
+	}
+}
+
+// TestShortfallLeavesRNGUntouched: a Reserve or Migrate that fails for
+// lack of hosts draws nothing, so a scheduler may try and fail any number
+// of placements without moving the placement scan's random stream.
+func TestShortfallLeavesRNGUntouched(t *testing.T) {
+	pol := DefaultPolicy()
+	next := func(fail bool) int64 {
+		c := idlePaperCluster()
+		rng := rand.New(rand.NewSource(42))
+		res, err := c.Reserve("held", 23, pol, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fail {
+			if _, err := c.Reserve("wide", 3, pol, rng); !errors.Is(err, ErrShortfall) {
+				t.Fatalf("Reserve(3) with 2 hosts free: err = %v, want ErrShortfall", err)
+			}
+			for _, h := range c.Hosts {
+				if h.Assigned() < 0 {
+					c.Reclaim(h) // the last two free hosts go to their users
+				}
+			}
+			if _, _, err := c.Migrate(res, res.Hosts[:1], pol, rng); !errors.Is(err, ErrShortfall) {
+				t.Fatalf("Migrate with no host free: err = %v, want ErrShortfall", err)
+			}
+		}
+		return rng.Int63()
+	}
+	if with, without := next(true), next(false); with != without {
+		t.Errorf("next draw after failed calls = %d, without them = %d", with, without)
+	}
+}
+
+// TestReservationOwnsItsHosts: the hosts a Reservation lists are its own
+// copy — a later scan of the pool, which reuses the cluster's scratch,
+// must not rewrite them.
+func TestReservationOwnsItsHosts(t *testing.T) {
+	c := idlePaperCluster()
+	pol := DefaultPolicy()
+	rng := rand.New(rand.NewSource(7))
+	a, err := c.Reserve("a", 4, pol, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]*Host(nil), a.Hosts...)
+	b, err := c.Reserve("b", 6, pol, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, repl, err := c.Migrate(b, b.Hosts[:2], pol, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replWant := append([]*Host(nil), repl...)
+	c.Capacity(pol)
+	if _, err := c.Reserve("c", 5, pol, rng); err != nil {
+		t.Fatal(err)
+	}
+	for i, h := range a.Hosts {
+		if h != want[i] || h.Owner() != "a" || h.Assigned() != i {
+			t.Errorf("a.Hosts[%d] = %s (owner %q, rank %d) after later scans, want %s held as rank %d",
+				i, h.Name, h.Owner(), h.Assigned(), want[i].Name, i)
+		}
+	}
+	for i, h := range repl {
+		if h != replWant[i] || h.Owner() != "b" {
+			t.Errorf("Migrate's replacement %d = %s (owner %q) after a later Reserve, want %s held by b",
+				i, h.Name, h.Owner(), replWant[i].Name)
+		}
+	}
+}
+
+// TestRoundAllocatesNothingOnAShortfall gates the calls a scheduling
+// round makes for every queued job that does not fit: reading a host's
+// speed, counting capacity, and a Reserve that fails for lack of hosts.
+func TestRoundAllocatesNothingOnAShortfall(t *testing.T) {
+	c := idlePaperCluster()
+	pol := DefaultPolicy()
+	rng := rand.New(rand.NewSource(1))
+	if _, err := c.Reserve("held", 20, pol, rng); err != nil {
+		t.Fatal(err)
+	}
+	h := c.Hosts[0]
+	sink := 0.0
+	gates := []struct {
+		name string
+		fn   func()
+	}{
+		{"Host.Speed", func() { sink += h.Speed("lb3d") + h.Speed("unknown") }},
+		{"Cluster.Capacity", func() { sink += float64(c.Capacity(pol)) }},
+		{"Reserve short of hosts", func() {
+			if _, err := c.Reserve("wide", 8, pol, rng); err != ErrShortfall {
+				t.Fatalf("Reserve(8) with 5 hosts free: err = %v, want ErrShortfall itself", err)
+			}
+		}},
+	}
+	for _, g := range gates {
+		if n := testing.AllocsPerRun(100, g.fn); n != 0 {
+			t.Errorf("%s allocates %v times a call, want 0", g.name, n)
+		}
 	}
 }
 

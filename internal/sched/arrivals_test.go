@@ -1,0 +1,297 @@
+package sched
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/cluster"
+	"repro/internal/decomp"
+)
+
+// linearAdmit is the admission scan the scheduler ran before pending
+// became a heap, kept verbatim as the oracle for the order of JobQueued:
+// walk every pending job in submission order, clamp a live one's arrival
+// to now, admit what is due and keep the rest in order.
+func linearAdmit(pending []*jobState, t time.Duration) (admitted, keep []*jobState) {
+	keep = pending[:0]
+	for _, js := range pending {
+		if js.live && js.spec.Submit < t {
+			js.spec.Submit = t
+		}
+		if js.spec.Submit <= t {
+			admitted = append(admitted, js)
+		} else {
+			keep = append(keep, js)
+		}
+	}
+	return admitted, keep
+}
+
+// linearNext is the matching scan behind nextEvent's arrival half.
+func linearNext(pending []*jobState) time.Duration {
+	best := time.Duration(-1)
+	for _, js := range pending {
+		if best < 0 || js.spec.Submit < best {
+			best = js.spec.Submit
+		}
+	}
+	return best
+}
+
+// TestAdmitOrderMatchesLinearScan drives admit with seeded batches of
+// submissions — arrival times out of submission order, drawn from a
+// handful of values so most tie, some submitted live with arrivals
+// already past — and requires the JobQueued order, every clamped arrival
+// time, the next arrival nextEvent sees and the pending listing to equal
+// the linear scan's at every step.
+func TestAdmitOrderMatchesLinearScan(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := New(idlePool(), FIFO, seed)
+		var queued []string
+		s.Events = func(ev Event) {
+			if q, ok := ev.(JobQueued); ok {
+				queued = append(queued, fmt.Sprintf("%v %s", q.T, q.ID))
+			}
+		}
+		var oracle []*jobState
+		n := 0
+		for now := time.Duration(0); now <= 12*time.Minute; now += time.Minute {
+			s.looping = now > 0 // submissions after the first round are live
+			for k := rng.Intn(6); k > 0; k-- {
+				spec := JobSpec{ID: fmt.Sprintf("j%03d", n), Method: "lb2d", JX: 1, JY: 1, Side: 10, Steps: 10,
+					Submit: time.Duration(rng.Intn(7)) * 2 * time.Minute}
+				n++
+				if err := s.Submit(spec, nil); err != nil {
+					t.Fatal(err)
+				}
+				oracle = append(oracle, &jobState{spec: spec, live: s.looping})
+			}
+
+			var want []string
+			var admitted []*jobState
+			admitted, oracle = linearAdmit(oracle, now)
+			for _, js := range admitted {
+				want = append(want, fmt.Sprintf("%v %s", now, js.spec.ID))
+			}
+			queued = nil
+			before := len(s.queue)
+			s.admit(now)
+			if !reflect.DeepEqual(queued, want) {
+				t.Fatalf("seed %d, t=%v: queued %v, the linear scan gives %v", seed, now, queued, want)
+			}
+			for i, js := range s.queue[before:] {
+				if js.spec != admitted[i].spec {
+					t.Fatalf("seed %d, t=%v: queue slot %d holds %+v, the linear scan gives %+v",
+						seed, now, before+i, js.spec, admitted[i].spec)
+				}
+			}
+			s.running = nil // only arrivals should feed nextEvent here
+			next, ok := s.nextEvent()
+			if lin := linearNext(oracle); ok != (lin >= 0) || (ok && next != lin) {
+				t.Fatalf("seed %d, t=%v: next arrival %v (%v), the linear scan gives %v", seed, now, next, ok, lin)
+			}
+			var listed, left []string
+			for _, info := range s.Jobs() {
+				if info.Phase == PhasePending {
+					listed = append(listed, info.ID)
+				}
+			}
+			for _, js := range oracle {
+				left = append(left, js.spec.ID)
+			}
+			if !reflect.DeepEqual(listed, left) {
+				t.Fatalf("seed %d, t=%v: Jobs() lists pending %v, submission order is %v", seed, now, listed, left)
+			}
+		}
+	}
+}
+
+// arrivalFarm is a small FIFO farm whose submissions arrive out of
+// order, tie, and come in live while it runs: three jobs share the 4m
+// arrival, one submitted before an earlier arrival; at 2m two more are
+// submitted live, one already overdue (clamped to 2m) and one due at 4m
+// with the others. tick runs after the script's actions.
+func arrivalFarm(t *testing.T, tick func(s *Scheduler, vt time.Duration)) *Scheduler {
+	t.Helper()
+	s := New(idlePool(), FIFO, 3)
+	submit := func(id string, at time.Duration) {
+		t.Helper()
+		spec := JobSpec{ID: id, Method: "fd2d", JX: 2, JY: 1, Side: 30, Steps: 4000, Submit: at}
+		if err := s.Submit(spec, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	submit("m-tie4", 4*time.Minute)
+	submit("c-late9", 9*time.Minute)
+	submit("z-tie4", 4*time.Minute)
+	submit("k-now", 0)
+	submit("a-tie4", 4*time.Minute)
+	submit("b-first1", time.Minute)
+	s.ScenarioEvery = time.Minute
+	s.Scenario = func(vt time.Duration, _ *cluster.Cluster) {
+		if vt == 2*time.Minute {
+			submit("y-overdue", time.Minute)
+			submit("d-tie4", 4*time.Minute)
+			submit("x-overdue", 0)
+			s.Close()
+		}
+		tick(s, vt)
+	}
+	return s
+}
+
+// TestQueuedOrderDuringRun pins the admission order of a whole Run
+// against what the linear scan gave: at each instant, the jobs due in
+// the order they were submitted, a live overdue job at the time it
+// appeared.
+func TestQueuedOrderDuringRun(t *testing.T) {
+	var queued []string
+	s := arrivalFarm(t, func(*Scheduler, time.Duration) {})
+	s.Events = func(ev Event) {
+		if _, ok := ev.(JobQueued); ok {
+			queued = append(queued, ev.String())
+		}
+	}
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"t=0s queued k-now",
+		"t=1m0s queued b-first1",
+		"t=2m0s queued y-overdue", "t=2m0s queued x-overdue",
+		"t=4m0s queued m-tie4", "t=4m0s queued z-tie4", "t=4m0s queued a-tie4", "t=4m0s queued d-tie4",
+		"t=9m0s queued c-late9",
+	}
+	if !reflect.DeepEqual(queued, want) {
+		t.Errorf("JobQueued order:\n got %s\nwant %s", strings.Join(queued, "\n     "), strings.Join(want, "\n     "))
+	}
+}
+
+// TestCheckpointKeepsPendingOrder: a checkpoint taken while jobs still
+// wait on pending — out of arrival order, tied, one of them live —
+// restores to the same Jobs() listing, and the restored farm emits
+// exactly the events the original had left.
+func TestCheckpointKeepsPendingOrder(t *testing.T) {
+	const at = 3 * time.Minute
+	var whole []string
+	ref := arrivalFarm(t, func(*Scheduler, time.Duration) {})
+	ref.Events = func(ev Event) { whole = append(whole, ev.String()) }
+	if _, err := ref.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	var head []string
+	s1 := arrivalFarm(t, func(s *Scheduler, vt time.Duration) {
+		if vt != at {
+			return
+		}
+		if err := s.Checkpoint(dir); err != nil {
+			t.Errorf("checkpoint: %v", err)
+		}
+		s.Interrupt()
+	})
+	s1.Events = func(ev Event) { head = append(head, ev.String()) }
+	if _, err := s1.Run(); !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("Run returned %v, want ErrInterrupted at the checkpoint tick", err)
+	}
+	var pending []string
+	for _, info := range s1.Jobs() {
+		if info.Phase == PhasePending {
+			pending = append(pending, info.ID)
+		}
+	}
+	if want := []string{"m-tie4", "c-late9", "z-tie4", "a-tie4", "d-tie4"}; !reflect.DeepEqual(pending, want) {
+		t.Fatalf("pending at %v = %v, want submission order %v", at, pending, want)
+	}
+
+	s2, err := Restore(dir, cluster.NewPaperCluster(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := s2.Jobs(), s1.Jobs(); !reflect.DeepEqual(got, want) {
+		t.Errorf("restored Jobs() = %v, the checkpointed farm's = %v", got, want)
+	}
+	var tail []string
+	s2.Events = func(ev Event) { tail = append(tail, ev.String()) }
+	s2.ScenarioEvery = time.Minute
+	s2.Scenario = func(time.Duration, *cluster.Cluster) {}
+	if _, err := s2.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// s1 announces its own checkpoint commit; the uninterrupted run has no
+	// such line, every other one must match.
+	var joined []string
+	for _, ev := range append(head, tail...) {
+		if !strings.Contains(ev, "checkpoint") {
+			joined = append(joined, ev)
+		}
+	}
+	if !reflect.DeepEqual(joined, whole) {
+		t.Errorf("checkpointed at %v and restored, the farm emitted\n%s\nuninterrupted it emits\n%s",
+			at, strings.Join(joined, "\n"), strings.Join(whole, "\n"))
+	}
+}
+
+// TestPlacementErrorsAreNotShortfalls: only cluster.ErrShortfall means
+// "does not fit now, try the next job"; any other Reserve failure is a
+// fault of the farm and stops the round. A queued job with no ranks —
+// which Submit's validation never lets through — stands in for one.
+func TestPlacementErrorsAreNotShortfalls(t *testing.T) {
+	s := New(idlePool(), FIFO, 1)
+	s.queue = []*jobState{{spec: JobSpec{ID: "rankless", Method: "lb2d"}, work: NullWorkload{}}}
+	err := s.scheduleRound(0)
+	if err == nil || errors.Is(err, cluster.ErrShortfall) || !strings.Contains(err.Error(), "rankless") {
+		t.Errorf("scheduleRound with an unreservable job returned %v, want a fatal error naming it", err)
+	}
+	if len(s.queue) != 1 || len(s.running) != 0 {
+		t.Errorf("the failed round moved the job: %d queued, %d running", len(s.queue), len(s.running))
+	}
+
+	// A real shortfall still just leaves the job queued.
+	s = New(idlePool(), FIFO, 1)
+	if _, err := s.Cluster.Reserve("other", 24, s.Select, nil); err != nil {
+		t.Fatal(err)
+	}
+	s.queue = []*jobState{{spec: JobSpec{ID: "wide", Method: "lb2d", JX: 2, JY: 1, Side: 10, Steps: 10},
+		work: NullWorkload{}, remaining: 10}}
+	if err := s.scheduleRound(0); err != nil || len(s.queue) != 1 {
+		t.Errorf("shortfall: err = %v with %d queued, want the job left waiting", err, len(s.queue))
+	}
+}
+
+// TestPricingAllocatesNothing gates the two pricing calls a placement
+// attempt makes per job: on an 8-rank mixed-model placement with the
+// job's shape resolved, neither ComputeTimer nor Imbalance allocates.
+func TestPricingAllocatesNothing(t *testing.T) {
+	pool := idlePool()
+	spec := JobSpec{ID: "j", Method: "lb2d", JX: 4, JY: 2, Side: 30, Steps: 100}
+	hosts := append(append([]*cluster.Host(nil), pool.Hosts[12:18]...), pool.Hosts[23:]...) // 715s, 720s, 710s
+	weighted, err := WeightedShape(spec, hosts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sh := range []struct {
+		name  string
+		shape decomp.Shape
+	}{{"uniform", UniformShape(spec)}, {"weighted", weighted}} {
+		for name, price := range map[string]func(JobSpec, decomp.Shape, []*cluster.Host) (float64, error){
+			"ComputeTimer": ComputeTimer, "Imbalance": Imbalance,
+		} {
+			n := testing.AllocsPerRun(100, func() {
+				if v, err := price(spec, sh.shape, hosts); err != nil || v <= 0 {
+					t.Fatalf("%s(%s) = %v, %v", name, sh.name, v, err)
+				}
+			})
+			if n != 0 {
+				t.Errorf("%s on the %s shape allocates %v times a call, want 0", name, sh.name, n)
+			}
+		}
+	}
+}

@@ -158,10 +158,7 @@ func (s *Scheduler) Checkpoint(dir string) error {
 		return nil
 	}
 
-	s.mu.Lock()
-	pending := append([]*jobState(nil), s.pending...)
-	s.mu.Unlock()
-	for _, js := range pending {
+	for _, js := range s.pendingInOrder() {
 		if err := add(js, ckpt.PhasePending); err != nil {
 			return err
 		}
@@ -265,7 +262,7 @@ func Restore(dir string, c *cluster.Cluster, reg WorkloadRegistry) (*Scheduler, 
 		// stream, and re-emitting them here would double-count.
 		switch jr.Phase {
 		case ckpt.PhasePending:
-			s.pending = append(s.pending, js)
+			s.arrive(js)
 		case ckpt.PhaseQueued:
 			s.queue = append(s.queue, js)
 		case ckpt.PhaseRunning:

@@ -1,8 +1,12 @@
 package sched
 
 import (
+	"cmp"
+	"container/heap"
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -106,7 +110,8 @@ type Scheduler struct {
 	// mu guards the fields shared with Submit/Close callers on other
 	// goroutines; everything else is owned by the Run loop.
 	mu          sync.Mutex
-	pending     []*jobState // submitted, not yet admitted to the queue
+	pending     arrivals // submitted, not yet admitted to the queue
+	submitted   int      // jobs ever put on pending; the next one's seq
 	ids         map[string]bool
 	closed      bool
 	looping     bool
@@ -130,6 +135,7 @@ type Scheduler struct {
 type jobState struct {
 	spec JobSpec
 	work Workload
+	seq  int // submission sequence number: the tie-break among equal arrivals on pending
 
 	remaining float64 // integration steps left (fractional across preemptions)
 	stepSec   float64 // current per-step estimate
@@ -275,7 +281,7 @@ func (s *Scheduler) Submit(spec JobSpec, w Workload) error {
 		return fmt.Errorf("sched: submit %q: %w", spec.ID, ErrDuplicateID)
 	}
 	s.ids[spec.ID] = true
-	s.pending = append(s.pending, &jobState{
+	s.arrive(&jobState{
 		spec:       spec,
 		work:       w,
 		remaining:  float64(spec.Steps),
@@ -484,25 +490,58 @@ func nextTick(t, every time.Duration) time.Duration {
 	return t - t%every + every
 }
 
-// admit moves every job whose arrival time has passed into the queue. A
-// live submission's arrival is clamped to the current farm time, so its
-// queue wait never counts time before it existed.
+// arrivals holds the jobs not yet admitted as a min-heap on (Submit,
+// seq), so the event loop reads the next arrival off the top instead of
+// scanning every job still to come.
+type arrivals []*jobState
+
+func (a arrivals) Len() int      { return len(a) }
+func (a arrivals) Swap(i, j int) { a[i], a[j] = a[j], a[i] }
+func (a arrivals) Less(i, j int) bool {
+	return cmp.Or(cmp.Compare(a[i].spec.Submit, a[j].spec.Submit), cmp.Compare(a[i].seq, a[j].seq)) < 0
+}
+func (a *arrivals) Push(x any) { *a = append(*a, x.(*jobState)) }
+func (a *arrivals) Pop() any {
+	js := (*a)[len(*a)-1]
+	*a = (*a)[:len(*a)-1]
+	return js
+}
+
+// arrive numbers the job and puts it on pending, under s.mu (or in Restore, before s is shared).
+func (s *Scheduler) arrive(js *jobState) {
+	js.seq = s.submitted
+	s.submitted++
+	heap.Push(&s.pending, js)
+}
+
+// pendingInOrder lists the pending jobs in submission order, for Checkpoint and Jobs.
+func (s *Scheduler) pendingInOrder() []*jobState {
+	s.mu.Lock()
+	pending := slices.Clone([]*jobState(s.pending))
+	s.mu.Unlock()
+	bySeq(pending)
+	return pending
+}
+
+func bySeq(jobs []*jobState) {
+	slices.SortFunc(jobs, func(a, b *jobState) int { return cmp.Compare(a.seq, b.seq) })
+}
+
+// admit moves every job whose arrival time has passed into the queue, in
+// submission order. A live submission's arrival is clamped to the current
+// farm time, so its queue wait never counts time before it existed.
 func (s *Scheduler) admit(t time.Duration) {
 	s.mu.Lock()
 	var admitted []*jobState
-	keep := s.pending[:0]
-	for _, js := range s.pending {
+	for len(s.pending) > 0 && s.pending[0].spec.Submit <= t {
+		js := heap.Pop(&s.pending).(*jobState)
 		if js.live && js.spec.Submit < t {
 			js.spec.Submit = t
 		}
-		if js.spec.Submit <= t {
-			s.queue = append(s.queue, js)
-			admitted = append(admitted, js)
-		} else {
-			keep = append(keep, js)
-		}
+		admitted = append(admitted, js)
 	}
-	s.pending = keep
+	bySeq(admitted)
+	s.queue = append(s.queue, admitted...)
 	s.mu.Unlock()
 	// Emit outside the lock: the Events hook may fan out to subscriber
 	// bookkeeping of its own.
@@ -550,10 +589,13 @@ func (s *Scheduler) handleReclaims(t time.Duration) error {
 // it falls back to suspending the whole job.
 func (s *Scheduler) migrateOff(js *jobState, busy []*cluster.Host, t time.Duration) error {
 	ranks, repl, err := s.Cluster.Migrate(js.res, busy, s.Select, s.rng)
-	if err != nil {
+	if errors.Is(err, cluster.ErrShortfall) {
 		// Not enough reservable hosts to rehost the displaced ranks: the
 		// job checkpoints off the pool entirely and waits in the queue.
 		return s.preempt(js, t)
+	}
+	if err != nil {
+		return fmt.Errorf("sched: migrating %s: %w", js.spec.ID, err)
 	}
 	// Progress so far ran at the old placement's pace; credit it before
 	// the new estimate replaces stepSec.
@@ -757,8 +799,11 @@ func (s *Scheduler) chooseShape(spec JobSpec, hosts []*cluster.Host) (decomp.Sha
 // migrations reprice the same geometry on the new hosts.
 func (s *Scheduler) tryPlace(js *jobState, t time.Duration, deadline time.Duration) (bool, error) {
 	res, err := s.Cluster.Reserve(js.spec.ID, js.ranks(), s.Select, s.rng)
+	if errors.Is(err, cluster.ErrShortfall) {
+		return false, nil // Reserve draws nothing from the RNG on a shortfall
+	}
 	if err != nil {
-		return false, nil // capacity shortfall; Reserve shuffles nothing on failure
+		return false, fmt.Errorf("sched: placing %s: %w", js.spec.ID, err)
 	}
 	shape, sec := js.shape, 0.0
 	if !js.started {
@@ -889,10 +934,8 @@ func (s *Scheduler) preempt(v *jobState, t time.Duration) error {
 func (s *Scheduler) nextEvent() (time.Duration, bool) {
 	best := time.Duration(-1)
 	s.mu.Lock()
-	for _, js := range s.pending {
-		if best < 0 || js.spec.Submit < best {
-			best = js.spec.Submit
-		}
+	if len(s.pending) > 0 {
+		best = s.pending[0].spec.Submit
 	}
 	s.mu.Unlock()
 	for _, js := range s.running {
@@ -1005,11 +1048,9 @@ type JobInfo struct {
 // run, track the event stream instead.
 func (s *Scheduler) Jobs() []JobInfo {
 	var infos []JobInfo
-	s.mu.Lock()
-	for _, js := range s.pending {
+	for _, js := range s.pendingInOrder() {
 		infos = append(infos, JobInfo{ID: js.spec.ID, Phase: PhasePending})
 	}
-	s.mu.Unlock()
 	for _, js := range s.queue {
 		infos = append(infos, JobInfo{ID: js.spec.ID, Phase: PhaseQueued})
 	}

@@ -126,10 +126,8 @@ func Imbalance(spec JobSpec, shape decomp.Shape, hosts []*cluster.Host) (float64
 			worst = t
 		}
 		total += nodes
+		speed += hosts[rank].Speed(spec.Method)
 	})
-	for i := 0; i < spec.Ranks(); i++ {
-		speed += hosts[i].Speed(spec.Method)
-	}
 	ideal := float64(total) / speed
 	if ideal <= 0 {
 		return 0, fmt.Errorf("sched: job %s: degenerate placement (no nodes or no speed)", spec.ID)
