@@ -348,7 +348,7 @@ func BenchmarkBusSimulation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	specs, err := perf.Build2D(d, perf.LB2D, perf.PaperHosts(20))
+	specs, err := perf.Build(d, perf.LB2D, perf.PaperHosts(20))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -92,11 +92,7 @@ func buildConfig(cf configFile) (*core.Config2D, error) {
 	default:
 		return nil, fmt.Errorf("unknown geometry %q", cf.Geom)
 	}
-	st := decomp.Full
-	if cf.Method == core.MethodFD {
-		st = decomp.Star
-	}
-	d, err := decomp.New2D(cf.JX, cf.JY, cf.NX, cf.NY, st)
+	d, err := decomp.New2D(cf.JX, cf.JY, cf.NX, cf.NY, decomp.StencilFor(cf.Method))
 	if err != nil {
 		return nil, err
 	}

@@ -48,7 +48,7 @@ type Job struct {
 	done    map[int]bool
 
 	// resplit re-cuts a full set of same-step dumps onto a new decomposition
-	// shape (resplit2D/resplit3D over the config). See Job.Resize.
+	// shape (resplit over the config). See Job.Resize.
 	resplit func(states []*dump.State, sh decomp.Shape) ([]*dump.State, error)
 
 	// Optional virtual-cluster placement.
@@ -91,18 +91,17 @@ func (jp *jobPrograms[C, P, R]) Gather(steps int) R {
 // NewJob2D prepares a job for a 2D config. Workers are created immediately
 // (channels open at epoch 0) but do not run until Start.
 func NewJob2D(cfg *Config2D, factory TransportFactory, sync *syncfile.Sync, until int) (*Job, *JobPrograms2D, error) {
-	return newJob(cfg, Gather2D, resplit2D, factory, sync, until)
+	return newJob(cfg, Gather2D, factory, sync, until)
 }
 
 // NewJob3D prepares a job for a 3D config, the analogue of NewJob2D.
 func NewJob3D(cfg *Config3D, factory TransportFactory, sync *syncfile.Sync, until int) (*Job, *JobPrograms3D, error) {
-	return newJob(cfg, Gather3D, resplit3D, factory, sync, until)
+	return newJob(cfg, Gather3D, factory, sync, until)
 }
 
-// newJob is the body of NewJob2D and NewJob3D over the config's gather and
-// re-split programs.
+// newJob is the body of NewJob2D and NewJob3D over the config's gather
+// program.
 func newJob[C setup[P], P built, R any](cfg C, gather func(C, []P, int) R,
-	resplit func(C, []*dump.State, decomp.Shape) ([]*dump.State, error),
 	factory TransportFactory, sync *syncfile.Sync, until int) (*Job, *jobPrograms[C, P, R], error) {
 	progs, err := buildAll[P](cfg)
 	if err != nil {
@@ -129,7 +128,7 @@ func newJob[C setup[P], P built, R any](cfg C, gather func(C, []P, int) R,
 		return p, nil
 	}
 	j.resplit = func(states []*dump.State, sh decomp.Shape) ([]*dump.State, error) {
-		out, err := resplit(cfg, states, sh)
+		out, err := resplit[P](cfg, states, sh)
 		if err != nil {
 			return nil, err
 		}

@@ -24,7 +24,7 @@
 //
 // The driver is written once, with the dimension as a value: a 2D
 // subregion is a box one plane thick (lattice.go), the solvers of both
-// dimensions implement one contract (method), and everything above
+// dimensions implement one contract (Method), and everything above
 // Compute(phase) — Program, build, restore, decompose, gather, re-split,
 // run, job — has one body. The 2D/3D names are its two instantiations.
 package core
@@ -74,24 +74,17 @@ type Expect struct {
 	Dir  int
 }
 
-// direction is a neighbour direction of either dimension: decomp.Dir or
-// decomp.Dir3. Its integer value is the direction code on the wire.
-type direction[D any] interface {
-	~int
-	Opposite() D
-}
-
-// method is the per-subregion contract all four solvers implement, over
-// the directions D of their dimension.
-type method[D any] interface {
+// Method is the per-subregion contract all four solvers implement.
+type Method interface {
 	Phases() int
 	// ExchangeDirs lists the neighbours exchanged with after a phase, in
 	// message order; empty for a phase that does not communicate. The slice
-	// is shared and must not be modified.
-	ExchangeDirs(phase int) []D
+	// is shared and must not be modified. The per-phase sets differ between
+	// the methods (all sides and corners at once, or the LB sweeps).
+	ExchangeDirs(phase int) []decomp.Dir
 	Compute(phase int)
-	Pack(phase int, dir D, buf []float64) []float64
-	Unpack(phase int, dir D, buf []float64)
+	Pack(phase int, dir decomp.Dir, buf []float64) []float64
+	Unpack(phase int, dir decomp.Dir, buf []float64)
 	MethodName() string
 	DumpFields() map[string][]float64
 	RestoreFields(map[string][]float64) error
@@ -103,29 +96,20 @@ type method[D any] interface {
 	SetWorkers(n int)
 }
 
-// Method2D is the contract of the 2D solvers.
-type Method2D = method[decomp.Dir]
-
-// Method3D is the contract of the 3D solvers. The per-phase face sets
-// differ between the methods (the LB sweeps).
-type Method3D = method[decomp.Dir3]
-
-// maxDirs bounds a direction code: the eight of the full 2D stencil (3D
-// has six faces).
-const maxDirs = 8
-
 // peer is the neighbour in one direction: its rank (-1 where the lattice
 // ends or the subregion is inactive) and the direction it sees us in.
 type peer struct{ rank, back int }
 
 // program is the Program of either dimension: a method bound to one rank
 // of a decomposition, its interior box and its neighbours looked up once.
-type program[D direction[D]] struct {
-	M method[D]
+// Program2D and Program3D embed it.
+type program struct {
+	M   Method
+	D   *decomp.Decomp
+	Sub *decomp.Subregion
 
-	rank int
 	at   box
-	peer [maxDirs]peer
+	peer [decomp.NumDirs]peer
 
 	// Reused by Sends and Expects, so a steady step allocates nothing.
 	buf     []float64
@@ -133,33 +117,34 @@ type program[D direction[D]] struct {
 	expects []Expect
 }
 
-// bind ties a method to its rank and box, with no neighbours yet.
-func bind[D direction[D]](m method[D], rank int, at box) program[D] {
-	p := program[D]{M: m, rank: rank, at: at}
-	for i := range p.peer {
-		p.peer[i].rank = -1
+// bind ties a method to the subregion with the given rank and records its
+// active neighbours; a direction outside the decomposition's stencil has
+// none.
+func bind(m Method, d *decomp.Decomp, rank int) program {
+	sub := d.ByRank(rank)
+	p := program{M: m, D: d, Sub: sub, at: boxOf(sub)}
+	for dir := range p.peer {
+		p.peer[dir].rank = -1
+		if n := d.Neighbor(sub, decomp.Dir(dir)); n != nil {
+			p.peer[dir] = peer{rank: n.Rank, back: int(decomp.Dir(dir).Opposite())}
+		}
 	}
 	return p
 }
 
-// link records the active neighbour in direction dir.
-func (p *program[D]) link(dir D, rank int) {
-	p.peer[dir] = peer{rank: rank, back: int(dir.Opposite())}
-}
-
 // Rank returns the subregion's dense rank.
-func (p *program[D]) Rank() int { return p.rank }
+func (p *program) Rank() int { return p.Sub.Rank }
 
 // Phases returns the method's phase count.
-func (p *program[D]) Phases() int { return p.M.Phases() }
+func (p *program) Phases() int { return p.M.Phases() }
 
 // Compute runs one local phase.
-func (p *program[D]) Compute(phase int) { p.M.Compute(phase) }
+func (p *program) Compute(phase int) { p.M.Compute(phase) }
 
 // Sends packs one message per neighbour the phase exchanges with. The
 // direction code is the receiver's view: data sent toward dir arrives at
 // the neighbour from dir.Opposite().
-func (p *program[D]) Sends(phase int) []Send {
+func (p *program) Sends(phase int) []Send {
 	p.buf, p.sends = p.buf[:0], p.sends[:0]
 	for _, dir := range p.M.ExchangeDirs(phase) {
 		to := p.peer[dir]
@@ -175,7 +160,7 @@ func (p *program[D]) Sends(phase int) []Send {
 
 // Expects lists the messages due after a phase: one from every neighbour
 // it exchanges with, identified by the direction the neighbour lies in.
-func (p *program[D]) Expects(phase int) []Expect {
+func (p *program) Expects(phase int) []Expect {
 	p.expects = p.expects[:0]
 	for _, dir := range p.M.ExchangeDirs(phase) {
 		if from := p.peer[dir]; from.rank >= 0 {
@@ -186,14 +171,14 @@ func (p *program[D]) Expects(phase int) []Expect {
 }
 
 // Unpack stores a received payload into the method's halo regions.
-func (p *program[D]) Unpack(phase int, dirCode int, data []float64) {
-	p.M.Unpack(phase, D(dirCode), data)
+func (p *program) Unpack(phase int, dirCode int, data []float64) {
+	p.M.Unpack(phase, decomp.Dir(dirCode), data)
 }
 
 // DumpState serializes the subregion state.
-func (p *program[D]) DumpState(step, epoch int) *dump.State {
+func (p *program) DumpState(step, epoch int) *dump.State {
 	return &dump.State{
-		Rank:   p.rank,
+		Rank:   p.Sub.Rank,
 		Step:   step,
 		Epoch:  epoch,
 		Method: p.M.MethodName(),
@@ -203,7 +188,7 @@ func (p *program[D]) DumpState(step, epoch int) *dump.State {
 }
 
 // RestoreState reloads a dump into the method.
-func (p *program[D]) RestoreState(st *dump.State) error {
+func (p *program) RestoreState(st *dump.State) error {
 	if st.Method != p.M.MethodName() {
 		return fmt.Errorf("core: dump method %q, solver is %q", st.Method, p.M.MethodName())
 	}
@@ -218,7 +203,7 @@ func (p *program[D]) RestoreState(st *dump.State) error {
 // fluid variable filled from its initial field (nil: rho0 in rho, zero in
 // the velocities), then a lattice Boltzmann method's populations set to
 // the equilibrium of those fields.
-func (p *program[D]) start(lat lattice, initial []initField, rho0 float64) {
+func (p *program) start(lat lattice, initial []initField, rho0 float64) {
 	for k, data := range p.M.FluidFields() {
 		def := 0.0
 		if k == 0 {
@@ -233,46 +218,24 @@ func (p *program[D]) start(lat lattice, initial []initField, rho0 float64) {
 
 // stitch copies the interior of every fluid variable into the global
 // arrays, given in FluidFields order.
-func (p *program[D]) stitch(lat lattice, global [][]float64) {
+func (p *program) stitch(lat lattice, global [][]float64) {
 	for k, data := range p.M.FluidFields() {
 		lat.stitch(global[k], p.at, data)
 	}
 }
 
-// Program2D binds a Method2D to one subregion of a 2D decomposition.
-type Program2D struct {
-	program[decomp.Dir]
-	D   *decomp.Decomp2D
-	Sub *decomp.Subregion2D
-}
+// Program2D binds a method to one subregion of a planar decomposition.
+type Program2D struct{ program }
 
 // NewProgram2D builds the Program for the subregion with the given rank.
-func NewProgram2D(m Method2D, d *decomp.Decomp2D, rank int) *Program2D {
-	sub := d.ByRank(rank)
-	p := &Program2D{program: bind(m, rank, box2D(sub)), D: d, Sub: sub}
-	for _, dir := range decomp.Dirs(decomp.Full) {
-		if n := d.Neighbor(sub, dir); n != nil {
-			p.link(dir, n.Rank)
-		}
-	}
-	return p
+func NewProgram2D(m Method, d *decomp.Decomp, rank int) *Program2D {
+	return &Program2D{bind(m, d, rank)}
 }
 
-// Program3D binds a Method3D to one box of a 3D decomposition.
-type Program3D struct {
-	program[decomp.Dir3]
-	D   *decomp.Decomp3D
-	Sub *decomp.Subregion3D
-}
+// Program3D binds a method to one box of a box decomposition.
+type Program3D struct{ program }
 
 // NewProgram3D builds the Program for the box with the given rank.
-func NewProgram3D(m Method3D, d *decomp.Decomp3D, rank int) *Program3D {
-	sub := d.ByRank(rank)
-	p := &Program3D{program: bind(m, rank, box3D(sub)), D: d, Sub: sub}
-	for _, dir := range decomp.Dirs3() {
-		if n := d.Neighbor(sub, dir); n != nil {
-			p.link(dir, n.Rank)
-		}
-	}
-	return p
+func NewProgram3D(m Method, d *decomp.Decomp, rank int) *Program3D {
+	return &Program3D{bind(m, d, rank)}
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/decomp"
@@ -331,5 +333,50 @@ func TestConfigValidation(t *testing.T) {
 	bad.Par.Nu = -1
 	if err := bad.Validate(); err == nil {
 		t.Error("bad params accepted")
+	}
+}
+
+// TestLBOnStarDecompositionIsRefused: on a star decomposition a lattice
+// Boltzmann Program has no diagonal neighbours, its corner populations are
+// never exchanged and the run is silently wrong (a 2x2 periodic 16x16 run
+// differed from the full-stencil one in every node after 20 steps). The
+// stencil is a value the method determines, so Validate refuses the
+// mismatch naming both, and nothing runs; finite differences are correct on
+// either stencil and give the same bits on both.
+func TestLBOnStarDecompositionIsRefused(t *testing.T) {
+	config := func(method string, st decomp.Stencil) *Config2D {
+		d, err := decomp.New2D(2, 2, 16, 16, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.PeriodicX, d.PeriodicY = true, true
+		return &Config2D{Method: method, Par: fluid.DefaultParams(), Mask: fluid.NewMask2D(16, 16), D: d,
+			InitRho: func(x, y int) float64 { return 1 + 0.01*math.Sin(float64(x+2*y)) }}
+	}
+	err := config(MethodLB, decomp.Star).Validate()
+	if err == nil {
+		t.Fatal("lattice Boltzmann on a star decomposition accepted")
+	}
+	for _, word := range []string{`"lb"`, "star", "full"} {
+		if !strings.Contains(err.Error(), word) {
+			t.Errorf("error %q does not name %s", err, word)
+		}
+	}
+	if _, _, err := RunSequential2D(config(MethodLB, decomp.Star), 1); err == nil {
+		t.Error("lattice Boltzmann on a star decomposition ran")
+	}
+	if err := config(MethodLB, decomp.Full).Validate(); err != nil {
+		t.Errorf("lattice Boltzmann on a full decomposition refused: %v", err)
+	}
+	star, _, err := RunSequential2D(config(MethodFD, decomp.Star), 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, _, err := RunSequential2D(config(MethodFD, decomp.Full), 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(star.Rho, full.Rho) || !slices.Equal(star.Vx, full.Vx) || !slices.Equal(star.Vy, full.Vy) {
+		t.Error("finite differences differ between a star and a full decomposition")
 	}
 }

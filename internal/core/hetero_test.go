@@ -9,7 +9,7 @@ import (
 
 // weightedChannelConfig rebuilds channelConfig over an explicit
 // decomposition, so the same problem can run uniform and weighted.
-func weightedChannelConfig(t *testing.T, method string, d *decomp.Decomp2D) *Config2D {
+func weightedChannelConfig(t *testing.T, method string, d *decomp.Decomp) *Config2D {
 	t.Helper()
 	cfg := channelConfig(t, method, d.JX, d.JY, d.GX, d.GY)
 	d.PeriodicX = true
@@ -19,12 +19,12 @@ func weightedChannelConfig(t *testing.T, method string, d *decomp.Decomp2D) *Con
 
 // weighted2D builds a speed-weighted decomposition the way production does:
 // the weighted shape, then the shaped constructor.
-func weighted2D(jx, jy, gx, gy int, st decomp.Stencil, speed []float64) (*decomp.Decomp2D, error) {
-	sh, err := decomp.WeightedShape2D(jx, jy, gx, gy, speed)
+func weighted2D(jx, jy, gx, gy int, st decomp.Stencil, speed []float64) (*decomp.Decomp, error) {
+	sh, err := decomp.WeightedShape(jx, jy, 0, gx, gy, 0, speed)
 	if err != nil {
 		return nil, err
 	}
-	return decomp.New2DShaped(sh, st)
+	return decomp.NewShaped(sh, st)
 }
 
 // TestWeightedEqualSpeedsBitIdenticalDumps is the degenerate-case

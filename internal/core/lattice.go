@@ -11,9 +11,7 @@ import (
 // one plane thick.
 type box struct{ x0, y0, z0, nx, ny, nz int }
 
-func box2D(s *decomp.Subregion2D) box { return box{x0: s.X0, y0: s.Y0, nx: s.NX, ny: s.NY, nz: 1} }
-
-func box3D(s *decomp.Subregion3D) box { return box{s.X0, s.Y0, s.Z0, s.NX, s.NY, s.NZ} }
+func boxOf(s *decomp.Subregion) box { return box{s.X0, s.Y0, s.Z0, s.NX, s.NY, s.NZ} }
 
 // lattice is the descriptor the driver is written over: the global grid,
 // its periodic axes, and the boxes of the active ranks, by rank. hz is the
@@ -31,6 +29,20 @@ type lattice struct {
 // initField is an initial fluid variable at global coordinates (z = 0 in
 // 2D); nil means the variable's rest value everywhere.
 type initField func(x, y, z int) float64
+
+// latticeOf describes a decomposition whose ranks' arrays have hz ghost
+// layers along z.
+func latticeOf(d *decomp.Decomp, hz int) lattice {
+	lat := lattice{
+		gx: d.GX, gy: d.GY, gz: d.GZ,
+		px: d.PeriodicX, py: d.PeriodicY, pz: d.PeriodicZ,
+		hz: hz, boxes: make([]box, d.P()),
+	}
+	for rank := range lat.boxes {
+		lat.boxes[rank] = boxOf(d.ByRank(rank))
+	}
+	return lat
+}
 
 // wrapCoord folds a global coordinate into [0, g) on periodic axes.
 func wrapCoord(v, g int, periodic bool) int {

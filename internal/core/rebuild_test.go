@@ -60,10 +60,10 @@ func TestRebuildRunsNoInitialCondition(t *testing.T) {
 			if err := job.Resume(states); err != nil {
 				t.Fatalf("resume: %v", err)
 			}
-			if err := job.Resize(decomp.UniformShape2D(3, 2, 24, 16)); err != nil {
+			if err := job.Resize(decomp.UniformShape(3, 2, 0, 24, 16, 0)); err != nil {
 				t.Fatalf("grow: %v", err)
 			}
-			if err := job.Resize(decomp.UniformShape2D(2, 1, 24, 16)); err != nil {
+			if err := job.Resize(decomp.UniformShape(2, 1, 0, 24, 16, 0)); err != nil {
 				t.Fatalf("shrink: %v", err)
 			}
 			if err := job.WaitDone(); err != nil {

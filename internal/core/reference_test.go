@@ -50,7 +50,7 @@ func refNewProgram2D(c *Config2D, rank int) (*Program2D, error) {
 			}
 		}
 	}
-	var m Method2D
+	var m Method
 	switch c.Method {
 	case MethodFD:
 		s, err := fd.NewSolver2D(sub.NX, sub.NY, c.Par, mask)
@@ -114,7 +114,7 @@ func refNewProgram3D(c *Config3D, rank int) (*Program3D, error) {
 			}
 		}
 	}
-	var m Method3D
+	var m Method
 	switch c.Method {
 	case MethodFD:
 		s, err := fd.NewSolver3D(sub.NX, sub.NY, sub.NZ, c.Par, mask)
@@ -176,7 +176,7 @@ func refResplit2D(cfg *Config2D, states []*dump.State, sh decomp.Shape) ([]*dump
 	if err != nil {
 		return nil, err
 	}
-	newD, err := decomp.New2DShaped(sh, cfg.D.Stencil)
+	newD, err := decomp.NewShaped(sh, cfg.D.Stencil)
 	if err != nil {
 		return nil, err
 	}
@@ -248,7 +248,7 @@ func refResplit3D(cfg *Config3D, states []*dump.State, sh decomp.Shape) ([]*dump
 	if err != nil {
 		return nil, err
 	}
-	newD, err := decomp.New3DShaped(sh)
+	newD, err := decomp.NewShaped(sh, decomp.Star)
 	if err != nil {
 		return nil, err
 	}
@@ -520,7 +520,7 @@ func randomize(rng *rand.Rand, states []*dump.State) {
 // combination, and a mask with walls, inlets and outlets on the seams.
 func TestResplitMatchesReference2D(t *testing.T) {
 	const gx, gy = 24, 18
-	uniform := func(jx, jy int) decomp.Shape { return decomp.UniformShape2D(jx, jy, gx, gy) }
+	uniform := func(jx, jy int) decomp.Shape { return decomp.UniformShape(jx, jy, 0, gx, gy, 0) }
 	moves := []struct {
 		name     string
 		from, to decomp.Shape
@@ -536,7 +536,7 @@ func TestResplitMatchesReference2D(t *testing.T) {
 		for per := 0; per < 4; per++ {
 			for _, mv := range moves {
 				name := fmt.Sprintf("%s periodic=%02b %s", method, per, mv.name)
-				d, err := decomp.New2DShaped(mv.from, decomp.Full)
+				d, err := decomp.NewShaped(mv.from, decomp.Full)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -563,7 +563,7 @@ func TestResplitMatchesReference2D(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: reference: %v", name, err)
 				}
-				got, err := resplit2D(&newCfg, old, mv.to)
+				got, err := resplit[*Program2D](&newCfg, old, mv.to)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -595,7 +595,7 @@ func TestResplitMatchesReference3D(t *testing.T) {
 		for per := 0; per < 8; per++ {
 			for _, mv := range moves {
 				name := fmt.Sprintf("%s periodic=%03b %s", method, per, mv.name)
-				d, err := decomp.New3DShaped(mv.from)
+				d, err := decomp.NewShaped(mv.from, decomp.Star)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -622,7 +622,7 @@ func TestResplitMatchesReference3D(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: reference: %v", name, err)
 				}
-				got, err := resplit3D(&newCfg, old, mv.to)
+				got, err := resplit[*Program3D](&newCfg, old, mv.to)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -646,7 +646,7 @@ func TestResplitOutsideGhostIsRho0(t *testing.T) {
 		t.Fatal(err)
 	}
 	randomize(rand.New(rand.NewSource(5)), old)
-	got, err := resplit3D(cfg, old, decomp.UniformShape3D(1, 2, 1, 12, 10, 8))
+	got, err := resplit[*Program3D](cfg, old, decomp.UniformShape3D(1, 2, 1, 12, 10, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -686,7 +686,7 @@ func TestRebuildMatchesReference(t *testing.T) {
 			par := fluid.DefaultParams()
 			par.Nu, par.Eps, par.ForceX = 0.1, eps, 1e-5
 
-			d2, err := decomp.New2DShaped(decomp.Shape{X: []int{13, 11}, Y: []int{8, 10}}, decomp.Full)
+			d2, err := decomp.NewShaped(decomp.Shape{X: []int{13, 11}, Y: []int{8, 10}}, decomp.Full)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -696,7 +696,7 @@ func TestRebuildMatchesReference(t *testing.T) {
 				InitRho: func(x, y int) float64 { return 1 + 0.001*math.Sin(float64(x)/3) },
 				InitVy:  func(x, y int) float64 { return 1e-4 * float64(y%5) },
 			}
-			d3, err := decomp.New3DShaped(decomp.Shape{X: []int{7, 5}, Y: []int{9}, Z: []int{3, 5}})
+			d3, err := decomp.NewShaped(decomp.Shape{X: []int{7, 5}, Y: []int{9}, Z: []int{3, 5}}, decomp.Star)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -73,45 +73,30 @@ func (j *Job) Resize(sh decomp.Shape) error {
 	return nil
 }
 
-// resplit2D is the 2D re-split program: old-shape dumps in, new-shape dumps
-// out, both at the same step (recut). What is 2D about it is how the next
-// decomposition is made, and that a 2D one can have deactivated subregions.
-// On success, and only then, the config's decomposition is replaced in
-// place, so the job's Rebuild closure and the caller's gather path follow
-// the new lattice.
-func resplit2D(cfg *Config2D, states []*dump.State, sh decomp.Shape) ([]*dump.State, error) {
-	if cfg.D.P() != cfg.D.Total() {
+// resplit is the re-split program of either dimension: old-shape dumps in,
+// new-shape dumps out, both at the same step (recut). The next
+// decomposition keeps the stencil, the periodic axes and the dimension of
+// the old one. On success, and only then, the config's decomposition is
+// replaced in place, so the job's Rebuild closure and the caller's gather
+// path follow the new lattice.
+func resplit[P any](cfg setup[P], states []*dump.State, sh decomp.Shape) ([]*dump.State, error) {
+	d := cfg.decomposition()
+	if d.P() != d.Total() {
 		return nil, fmt.Errorf("resize of a decomposition with %d of %d subregions deactivated",
-			cfg.D.Total()-cfg.D.P(), cfg.D.Total())
+			d.Total()-d.P(), d.Total())
 	}
-	newD, err := decomp.New2DShaped(sh, cfg.D.Stencil)
+	newD, err := decomp.NewShaped(sh, d.Stencil)
 	if err != nil {
 		return nil, err
 	}
-	newD.PeriodicX, newD.PeriodicY = cfg.D.PeriodicX, cfg.D.PeriodicY
-	next := *cfg
-	next.D = newD
-	out, err := recut(cfg, &next, states)
+	if newD.Planar() != d.Planar() {
+		return nil, fmt.Errorf("shape with %d z spans for the decomposition %v", len(sh.Z), d)
+	}
+	newD.PeriodicX, newD.PeriodicY, newD.PeriodicZ = d.PeriodicX, d.PeriodicY, d.PeriodicZ
+	out, err := recut(cfg, cfg.over(newD), states)
 	if err != nil {
 		return nil, err
 	}
-	*cfg.D = *newD
-	return out, nil
-}
-
-// resplit3D is the 3D analogue of resplit2D.
-func resplit3D(cfg *Config3D, states []*dump.State, sh decomp.Shape) ([]*dump.State, error) {
-	newD, err := decomp.New3DShaped(sh)
-	if err != nil {
-		return nil, err
-	}
-	newD.PeriodicX, newD.PeriodicY, newD.PeriodicZ = cfg.D.PeriodicX, cfg.D.PeriodicY, cfg.D.PeriodicZ
-	next := *cfg
-	next.D = newD
-	out, err := recut(cfg, &next, states)
-	if err != nil {
-		return nil, err
-	}
-	*cfg.D = *newD
+	*d = *newD
 	return out, nil
 }

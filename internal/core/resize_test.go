@@ -90,14 +90,14 @@ func TestResize2DBitIdentical(t *testing.T) {
 			cfg := resizeCfg2D(t, method, 2, 2)
 			job, progs := startJob2D(t, cfg, steps)
 			// Grow 4 -> 6 ranks.
-			if err := job.Resize(decomp.UniformShape2D(3, 2, 24, 16)); err != nil {
+			if err := job.Resize(decomp.UniformShape(3, 2, 0, 24, 16, 0)); err != nil {
 				t.Fatalf("grow: %v", err)
 			}
 			if got := job.P(); got != 6 {
 				t.Fatalf("after grow P = %d, want 6", got)
 			}
 			// Shrink 6 -> 2 ranks.
-			if err := job.Resize(decomp.UniformShape2D(2, 1, 24, 16)); err != nil {
+			if err := job.Resize(decomp.UniformShape(2, 1, 0, 24, 16, 0)); err != nil {
 				t.Fatalf("shrink: %v", err)
 			}
 			if got := job.P(); got != 2 {
@@ -180,7 +180,7 @@ func TestResizeRequiresFilterOff(t *testing.T) {
 		t.Fatal(err)
 	}
 	job, progs := startJob2D(t, cfg, steps)
-	err = job.Resize(decomp.UniformShape2D(3, 2, 24, 16))
+	err = job.Resize(decomp.UniformShape(3, 2, 0, 24, 16, 0))
 	if err == nil || !strings.Contains(err.Error(), "filter") {
 		t.Fatalf("resize with Eps != 0: err = %v, want filter precondition error", err)
 	}
@@ -235,7 +235,7 @@ func TestResizeFailureLeavesJobIntact(t *testing.T) {
 				job.resplit = func(states []*dump.State, sh decomp.Shape) ([]*dump.State, error) {
 					return resplit(badDumps(states)[want], sh)
 				}
-				err := job.Resize(decomp.UniformShape2D(3, 2, 24, 16))
+				err := job.Resize(decomp.UniformShape(3, 2, 0, 24, 16, 0))
 				if err == nil || !strings.Contains(err.Error(), want) {
 					t.Fatalf("resize over bad dumps: err = %v, want one containing %q", err, want)
 				}
@@ -269,7 +269,7 @@ func TestResplitFailureLeavesDecomposition3D(t *testing.T) {
 		bad["out of range or repeated"] = []*dump.State{states[0], states[0]}
 		bad["dumps for"] = states[:1]
 		for want, set := range bad {
-			_, err := resplit3D(cfg, set, decomp.UniformShape3D(2, 2, 1, 12, 10, 8))
+			_, err := resplit[*Program3D](cfg, set, decomp.UniformShape3D(2, 2, 1, 12, 10, 8))
 			if err == nil || !strings.Contains(err.Error(), want) {
 				t.Errorf("%s %q: err = %v", method, want, err)
 			}

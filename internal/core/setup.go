@@ -23,6 +23,10 @@ const (
 // written once over it.
 type setup[P any] interface {
 	Validate() error
+	// decomposition returns the config's decomposition; over returns a copy
+	// of the config on another one.
+	decomposition() *decomp.Decomp
+	over(d *decomp.Decomp) setup[P]
 	// lattice describes the decomposition (valid once Validate passed).
 	lattice() lattice
 	// geometry builds a rank's Program with everything that is not state:
@@ -220,7 +224,7 @@ type Config2D struct {
 	Method string // MethodFD or MethodLB
 	Par    fluid.Params
 	Mask   *fluid.Mask2D
-	D      *decomp.Decomp2D
+	D      *decomp.Decomp
 
 	// Workers is the intra-rank worker-slab budget handed to each rank's
 	// solver; 0 means an even share of GOMAXPROCS across the ranks
@@ -239,9 +243,18 @@ func (c *Config2D) Validate() error {
 	if c.Mask == nil || c.D == nil {
 		return fmt.Errorf("core: mask and decomposition are required")
 	}
+	if !c.D.Planar() {
+		return fmt.Errorf("core: 2D config on the box decomposition %v", c.D)
+	}
 	if c.Mask.NX != c.D.GX || c.Mask.NY != c.D.GY {
 		return fmt.Errorf("core: mask %dx%d does not match decomposition grid %dx%d",
 			c.Mask.NX, c.Mask.NY, c.D.GX, c.D.GY)
+	}
+	// The stencil is a value the method determines: on a star decomposition
+	// the corner populations of lattice Boltzmann would never be exchanged.
+	// Finite differences are correct on either.
+	if need := decomp.StencilFor(c.Method); need == decomp.Full && c.D.Stencil != need {
+		return fmt.Errorf("core: method %q needs a %v-stencil decomposition, this one is %v", c.Method, need, c.D.Stencil)
 	}
 	return c.Par.Check()
 }
@@ -249,7 +262,7 @@ func (c *Config2D) Validate() error {
 // LocalMask2D adapts the global mask to one subregion's local coordinates,
 // respecting the decomposition's periodic axes. Coordinates outside a
 // non-periodic domain read as Wall (the region is enclosed by walls).
-func LocalMask2D(d *decomp.Decomp2D, sub *decomp.Subregion2D, m *fluid.Mask2D) func(x, y int) fluid.CellType {
+func LocalMask2D(d *decomp.Decomp, sub *decomp.Subregion, m *fluid.Mask2D) func(x, y int) fluid.CellType {
 	return func(x, y int) fluid.CellType {
 		gx := wrapCoord(sub.X0+x, d.GX, d.PeriodicX)
 		gy := wrapCoord(sub.Y0+y, d.GY, d.PeriodicY)
@@ -257,18 +270,20 @@ func LocalMask2D(d *decomp.Decomp2D, sub *decomp.Subregion2D, m *fluid.Mask2D) f
 	}
 }
 
-func (c *Config2D) lattice() lattice {
-	lat := lattice{gx: c.D.GX, gy: c.D.GY, gz: 1, px: c.D.PeriodicX, py: c.D.PeriodicY, boxes: make([]box, c.D.P())}
-	for rank := range lat.boxes {
-		lat.boxes[rank] = box2D(c.D.ByRank(rank))
-	}
-	return lat
+func (c *Config2D) decomposition() *decomp.Decomp { return c.D }
+
+func (c *Config2D) over(d *decomp.Decomp) setup[*Program2D] {
+	next := *c
+	next.D = d
+	return &next
 }
+
+func (c *Config2D) lattice() lattice { return latticeOf(c.D, 0) }
 
 func (c *Config2D) geometry(rank int) (*Program2D, error) {
 	sub := c.D.ByRank(rank)
 	mask := LocalMask2D(c.D, sub, c.Mask)
-	var m Method2D
+	var m Method
 	var err error
 	switch c.Method {
 	case MethodFD:

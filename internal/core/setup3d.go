@@ -15,7 +15,7 @@ type Config3D struct {
 	Method string
 	Par    fluid.Params
 	Mask   *fluid.Mask3D
-	D      *decomp.Decomp3D
+	D      *decomp.Decomp
 
 	// Workers is the intra-rank worker-slab budget per solver; 0 means an
 	// even share of GOMAXPROCS across ranks (pool.DefaultPerRank).
@@ -32,6 +32,9 @@ func (c *Config3D) Validate() error {
 	if c.Mask == nil || c.D == nil {
 		return fmt.Errorf("core: mask and decomposition are required")
 	}
+	if c.D.Planar() {
+		return fmt.Errorf("core: 3D config on the planar decomposition %v", c.D)
+	}
 	if c.Mask.NX != c.D.GX || c.Mask.NY != c.D.GY || c.Mask.NZ != c.D.GZ {
 		return fmt.Errorf("core: mask %dx%dx%d does not match grid %dx%dx%d",
 			c.Mask.NX, c.Mask.NY, c.Mask.NZ, c.D.GX, c.D.GY, c.D.GZ)
@@ -40,7 +43,7 @@ func (c *Config3D) Validate() error {
 }
 
 // LocalMask3D adapts the global mask to one box's local coordinates.
-func LocalMask3D(d *decomp.Decomp3D, sub *decomp.Subregion3D, m *fluid.Mask3D) func(x, y, z int) fluid.CellType {
+func LocalMask3D(d *decomp.Decomp, sub *decomp.Subregion, m *fluid.Mask3D) func(x, y, z int) fluid.CellType {
 	return func(x, y, z int) fluid.CellType {
 		gx := wrapCoord(sub.X0+x, d.GX, d.PeriodicX)
 		gy := wrapCoord(sub.Y0+y, d.GY, d.PeriodicY)
@@ -49,22 +52,20 @@ func LocalMask3D(d *decomp.Decomp3D, sub *decomp.Subregion3D, m *fluid.Mask3D) f
 	}
 }
 
-func (c *Config3D) lattice() lattice {
-	lat := lattice{
-		gx: c.D.GX, gy: c.D.GY, gz: c.D.GZ,
-		px: c.D.PeriodicX, py: c.D.PeriodicY, pz: c.D.PeriodicZ,
-		hz: 1, boxes: make([]box, c.D.P()),
-	}
-	for rank := range lat.boxes {
-		lat.boxes[rank] = box3D(c.D.ByRank(rank))
-	}
-	return lat
+func (c *Config3D) decomposition() *decomp.Decomp { return c.D }
+
+func (c *Config3D) over(d *decomp.Decomp) setup[*Program3D] {
+	next := *c
+	next.D = d
+	return &next
 }
+
+func (c *Config3D) lattice() lattice { return latticeOf(c.D, 1) }
 
 func (c *Config3D) geometry(rank int) (*Program3D, error) {
 	sub := c.D.ByRank(rank)
 	mask := LocalMask3D(c.D, sub, c.Mask)
-	var m Method3D
+	var m Method
 	var err error
 	switch c.Method {
 	case MethodFD:

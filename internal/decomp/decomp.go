@@ -1,11 +1,12 @@
-// Package decomp implements the static rectangular domain decompositions of
-// the paper: a global uniform grid is split into a (J x K) array of
-// subregions in 2D, or (J x K x L) in 3D, and each active subregion is
-// assigned to one parallel subprocess (sections 2-3). Subregions are
-// identical-shaped under the uniform splitters (New2D/New3D); the
-// speed-weighted splitters of weighted.go size spans proportionally to
-// per-rank host speed for heterogeneous pools, with uniform splitting as
-// the degenerate equal-weights case.
+// Package decomp implements the static rectangular domain decomposition of
+// the paper: a global uniform grid is split into a (J x K x L) array of
+// boxes and each active box is assigned to one parallel subprocess
+// (sections 2-3). The 2D decompositions of the paper, (J x K), are the
+// same thing one plane thick: JZ = GZ = 1, every subregion at K = 0 with
+// NZ = 1. Subregions are identical-shaped under the uniform splitters
+// (New2D/New3D); the speed-weighted shapes of weighted.go size spans
+// proportionally to per-rank host speed for heterogeneous pools, with
+// uniform splitting as the degenerate equal-weights case.
 //
 // The package also computes the decomposition-geometry constant m of
 // section 8 (the surface factor in N_c = m N^{1/2} or m N^{2/3}), the
@@ -14,7 +15,10 @@
 // paper's figure-2 run leaves unassigned: 15 of 24 subregions employed).
 package decomp
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Stencil identifies the local-interaction pattern (figure 4 of the paper).
 type Stencil int
@@ -22,7 +26,8 @@ type Stencil int
 const (
 	// Star couples a node to neighbours along the coordinate axes only.
 	Star Stencil = iota
-	// Full couples a node to all neighbours including diagonals.
+	// Full couples a node to all neighbours including the in-plane
+	// diagonals.
 	Full
 )
 
@@ -33,125 +38,162 @@ func (s Stencil) String() string {
 	return "full"
 }
 
-// Dir is a neighbour direction in 2D. The first four are the star
-// directions; the last four complete the full stencil.
+// StencilFor returns the stencil a method's halo exchange needs, by the
+// method's name in either plane ("lb", "lb2d", "lb3d" or "fd", "fd2d",
+// "fd3d"): Full for lattice Boltzmann, whose diagonal populations cross
+// subregion corners, Star for finite differences. A finite-difference run
+// is also correct on a Full decomposition; a planar lattice Boltzmann run
+// on a Star one never exchanges its corner populations. (The 3D lattice
+// Boltzmann sweeps carry theirs through the faces, so on a box lattice
+// either stencil serves.)
+func StencilFor(method string) Stencil {
+	if strings.HasPrefix(method, "lb") {
+		return Full
+	}
+	return Star
+}
+
+// Dir is a neighbour direction: an offset of -1, 0 or +1 along each axis
+// of the lattice. The six faces come first, then the four diagonals of the
+// x-y plane that complete the full stencil. Its integer value is the
+// direction code on the wire.
 type Dir int
 
 const (
-	West Dir = iota
-	East
-	South
-	North
+	West  Dir = iota // -x
+	East             // +x
+	South            // -y
+	North            // +y
+	Down             // -z
+	Up               // +z
 	SouthWest
 	SouthEast
 	NorthWest
 	NorthEast
-	numDirs
+	// NumDirs bounds a direction code.
+	NumDirs int = iota
 )
+
+// dirTable is where a direction is spelled out: its name and offset.
+// Opposite and String are read from it.
+var dirTable = [NumDirs]struct {
+	name       string
+	dx, dy, dz int
+}{
+	West: {"W", -1, 0, 0}, East: {"E", 1, 0, 0},
+	South: {"S", 0, -1, 0}, North: {"N", 0, 1, 0},
+	Down: {"D", 0, 0, -1}, Up: {"U", 0, 0, 1},
+	SouthWest: {"SW", -1, -1, 0}, SouthEast: {"SE", 1, -1, 0},
+	NorthWest: {"NW", -1, 1, 0}, NorthEast: {"NE", 1, 1, 0},
+}
+
+// opposites pairs every direction with the one of negated offset.
+var opposites = func() (opp [NumDirs]Dir) {
+	for d, a := range dirTable {
+		for o, b := range dirTable {
+			if a.dx == -b.dx && a.dy == -b.dy && a.dz == -b.dz {
+				opp[d] = Dir(o)
+			}
+		}
+	}
+	return opp
+}()
 
 // Opposite returns the direction pointing back at the sender; halo exchange
 // pairs each send in direction d with a receive from Opposite(d).
-func (d Dir) Opposite() Dir {
-	switch d {
-	case West:
-		return East
-	case East:
-		return West
-	case South:
-		return North
-	case North:
-		return South
-	case SouthWest:
-		return NorthEast
-	case SouthEast:
-		return NorthWest
-	case NorthWest:
-		return SouthEast
-	case NorthEast:
-		return SouthWest
-	}
-	panic(fmt.Sprintf("decomp: invalid direction %d", d))
-}
+func (d Dir) Opposite() Dir { return opposites[d] }
 
-// Delta returns the (dx, dy) grid offset of direction d.
-func (d Dir) Delta() (int, int) {
-	switch d {
-	case West:
-		return -1, 0
-	case East:
-		return 1, 0
-	case South:
-		return 0, -1
-	case North:
-		return 0, 1
-	case SouthWest:
-		return -1, -1
-	case SouthEast:
-		return 1, -1
-	case NorthWest:
-		return -1, 1
-	case NorthEast:
-		return 1, 1
-	}
-	panic(fmt.Sprintf("decomp: invalid direction %d", d))
+// Delta returns the (dx, dy, dz) lattice offset of direction d.
+func (d Dir) Delta() (dx, dy, dz int) {
+	e := &dirTable[d]
+	return e.dx, e.dy, e.dz
 }
 
 func (d Dir) String() string {
-	names := [...]string{"W", "E", "S", "N", "SW", "SE", "NW", "NE"}
-	if d < 0 || int(d) >= len(names) {
+	if d < 0 || int(d) >= NumDirs {
 		return fmt.Sprintf("Dir(%d)", int(d))
 	}
-	return names[d]
+	return dirTable[d].name
 }
 
-// Dirs returns the directions that participate in a stencil, in a fixed
-// deterministic order.
+// The direction lists, shared and in message order: the faces, whose first
+// four are the star stencil of a plane, and the full stencil of a plane.
+var (
+	faces    = []Dir{West, East, South, North, Down, Up}
+	fullDirs = []Dir{West, East, South, North, SouthWest, SouthEast, NorthWest, NorthEast}
+)
+
+// Dirs returns the in-plane directions of a stencil in a fixed order. The
+// slice is shared and must not be modified.
 func Dirs(s Stencil) []Dir {
 	if s == Star {
-		return []Dir{West, East, South, North}
+		return faces[:4:4]
 	}
-	return []Dir{West, East, South, North, SouthWest, SouthEast, NorthWest, NorthEast}
+	return fullDirs
 }
 
-// Subregion2D describes one rectangular piece of a 2D decomposition.
-type Subregion2D struct {
-	Rank   int // dense rank among active subregions; -1 if inactive
-	I, J   int // position in the decomposition lattice (column, row)
-	X0, Y0 int // global coordinates of the subregion's first interior node
-	NX, NY int // interior node counts
-	Active bool
+// Faces returns the six face directions, the star stencil of a box, in a
+// fixed order. The slice is shared and must not be modified.
+func Faces() []Dir { return faces }
+
+// Subregion describes one box of a decomposition. In a planar
+// decomposition K = Z0 = 0 and NZ = 1.
+type Subregion struct {
+	Rank       int // dense rank among active subregions; -1 if inactive
+	I, J, K    int // position in the decomposition lattice (column, row, plane)
+	X0, Y0, Z0 int // global coordinates of the subregion's first interior node
+	NX, NY, NZ int // interior node counts
+	Active     bool
 }
 
 // Nodes returns the number of interior nodes N of the subregion, the
 // parallel grain size of section 3.
-func (s Subregion2D) Nodes() int { return s.NX * s.NY }
+func (s Subregion) Nodes() int { return s.NX * s.NY * s.NZ }
 
-// Decomp2D is a (J x K) decomposition of a GX x GY global grid.
-type Decomp2D struct {
-	JX, JY  int // subregion counts in x and y ("(5 x 4)" is JX=5, JY=4)
-	GX, GY  int // global grid size
+// Decomp is a (JX x JY x JZ) decomposition of a GX x GY x GZ global grid;
+// "(5 x 4)" is JX = 5, JY = 4 and JZ = GZ = 1.
+type Decomp struct {
+	JX, JY, JZ int // subregion counts per axis
+	GX, GY, GZ int // global grid size
+	// Stencil says whether the in-plane diagonals are neighbours. The face
+	// directions always are.
 	Stencil Stencil
 
-	// PeriodicX and PeriodicY make the lattice wrap around, so the
-	// rightmost subregion neighbours the leftmost. The channel test
-	// problem of section 7 is periodic in the flow direction.
-	PeriodicX, PeriodicY bool
+	// Periodic axes make the lattice wrap around, so the rightmost
+	// subregion neighbours the leftmost. The channel test problem of
+	// section 7 is periodic in the flow direction.
+	PeriodicX, PeriodicY, PeriodicZ bool
 
-	subs   []Subregion2D // row-major by (J, I)
+	subs   []Subregion // row-major by (K, J, I), planes outermost
 	active int
+	planar bool // built from a shape without z spans
 }
 
-// New2D builds a uniform decomposition. The global grid need not divide
-// evenly: the remainder nodes are distributed one per leading subregion,
-// keeping shapes as close to identical as the paper's uniform scheme allows.
-func New2D(jx, jy, gx, gy int, st Stencil) (*Decomp2D, error) {
+// New2D builds a uniform planar decomposition. The global grid need not
+// divide evenly: the remainder nodes are distributed one per leading
+// subregion, keeping shapes as close to identical as the paper's uniform
+// scheme allows.
+func New2D(jx, jy, gx, gy int, st Stencil) (*Decomp, error) {
+	return newUniform(jx, jy, 0, gx, gy, 0, st)
+}
+
+// New3D builds a uniform box decomposition; remainders are distributed one
+// node per leading subregion along each axis.
+func New3D(jx, jy, jz, gx, gy, gz int) (*Decomp, error) {
+	if jz < 1 {
+		return nil, fmt.Errorf("decomp: invalid decomposition (%d x %d x %d)", jx, jy, jz)
+	}
+	return newUniform(jx, jy, jz, gx, gy, gz, Star)
+}
+
+func newUniform(jx, jy, jz, gx, gy, gz int, st Stencil) (*Decomp, error) {
 	if jx <= 0 || jy <= 0 {
-		return nil, fmt.Errorf("decomp: invalid decomposition (%d x %d)", jx, jy)
+		return nil, fmt.Errorf("decomp: invalid decomposition (%d x %d x %d)", jx, jy, jz)
 	}
-	if gx < jx || gy < jy {
-		return nil, fmt.Errorf("decomp: grid %dx%d smaller than decomposition (%d x %d)", gx, gy, jx, jy)
+	if gx < jx || gy < jy || gz < jz {
+		return nil, fmt.Errorf("decomp: grid %dx%dx%d smaller than decomposition (%d x %d x %d)", gx, gy, gz, jx, jy, jz)
 	}
-	return New2DShaped(UniformShape2D(jx, jy, gx, gy), st)
+	return NewShaped(UniformShape(jx, jy, jz, gx, gy, gz), st)
 }
 
 // span splits g nodes into p pieces; piece i gets its offset and length.
@@ -165,26 +207,104 @@ func span(g, p, i int) (off, n int) {
 	return rem*(base+1) + (i-rem)*base, base
 }
 
+// onePlane is the z axis of a planar decomposition.
+var onePlane = []int{1}
+
+// NewShaped builds a decomposition with explicit per-axis spans: planar
+// when the shape has no z spans, a box lattice otherwise. The global grid
+// is the sum of the spans; New2D and New3D are the uniform special case.
+// Subregions stay contiguous (X0 of column i+1 is X0+NX of column i), so
+// halo exchange works unchanged.
+func NewShaped(sh Shape, st Stencil) (*Decomp, error) {
+	if len(sh.X) == 0 || len(sh.Y) == 0 {
+		return nil, fmt.Errorf("decomp: shape needs x and y spans (got %d/%d/%d)", len(sh.X), len(sh.Y), len(sh.Z))
+	}
+	sum := func(spans []int) (g int) {
+		for _, n := range spans {
+			g += n
+		}
+		return g
+	}
+	zs := sh.Z
+	if len(zs) == 0 {
+		zs = onePlane
+	}
+	d := &Decomp{
+		JX: len(sh.X), JY: len(sh.Y), JZ: len(zs),
+		GX: sum(sh.X), GY: sum(sh.Y), GZ: sum(zs),
+		Stencil: st, planar: len(sh.Z) == 0,
+	}
+	if err := sh.Check(d.JX, d.JY, len(sh.Z), d.GX, d.GY, d.GZ); err != nil {
+		return nil, err
+	}
+	d.subs = make([]Subregion, 0, d.Total())
+	z0 := 0
+	for k, nz := range zs {
+		y0 := 0
+		for j, ny := range sh.Y {
+			x0 := 0
+			for i, nx := range sh.X {
+				d.subs = append(d.subs, Subregion{
+					Rank: len(d.subs), I: i, J: j, K: k,
+					X0: x0, Y0: y0, Z0: z0, NX: nx, NY: ny, NZ: nz,
+					Active: true,
+				})
+				x0 += nx
+			}
+			y0 += ny
+		}
+		z0 += nz
+	}
+	d.active = len(d.subs)
+	return d, nil
+}
+
+// ShapeOf extracts the per-axis spans of the decomposition (row 0's
+// columns, column 0's rows, and for a box lattice the planes; shaped
+// decompositions are lattice-aligned by construction). A planar
+// decomposition's shape carries no z spans, so it reads as it was written.
+func (d *Decomp) ShapeOf() Shape {
+	sh := Shape{X: make([]int, d.JX), Y: make([]int, d.JY)}
+	for i := range sh.X {
+		sh.X[i] = d.Sub(i, 0, 0).NX
+	}
+	for j := range sh.Y {
+		sh.Y[j] = d.Sub(0, j, 0).NY
+	}
+	if !d.planar {
+		sh.Z = make([]int, d.JZ)
+		for k := range sh.Z {
+			sh.Z[k] = d.Sub(0, 0, k).NZ
+		}
+	}
+	return sh
+}
+
+// Planar reports whether the decomposition is one plane thick by
+// construction: built by New2D or from a shape without z spans.
+func (d *Decomp) Planar() bool { return d.planar }
+
 // P returns the number of active subregions, i.e. the processor count.
-func (d *Decomp2D) P() int { return d.active }
+func (d *Decomp) P() int { return d.active }
 
 // Total returns the total number of subregions, active or not.
-func (d *Decomp2D) Total() int { return d.JX * d.JY }
+func (d *Decomp) Total() int { return d.JX * d.JY * d.JZ }
 
-// Sub returns the subregion at lattice position (i, j).
-func (d *Decomp2D) Sub(i, j int) *Subregion2D {
-	if i < 0 || i >= d.JX || j < 0 || j >= d.JY {
-		panic(fmt.Sprintf("decomp: lattice position (%d,%d) outside (%d x %d)", i, j, d.JX, d.JY))
+// Sub returns the subregion at lattice position (i, j, k); k is 0 in a
+// planar decomposition.
+func (d *Decomp) Sub(i, j, k int) *Subregion {
+	if i < 0 || i >= d.JX || j < 0 || j >= d.JY || k < 0 || k >= d.JZ {
+		panic(fmt.Sprintf("decomp: lattice position (%d,%d,%d) outside (%d x %d x %d)", i, j, k, d.JX, d.JY, d.JZ))
 	}
-	return &d.subs[j*d.JX+i]
+	return &d.subs[(k*d.JY+j)*d.JX+i]
 }
 
 // Subregions returns all subregions in deterministic row-major order.
-func (d *Decomp2D) Subregions() []Subregion2D { return d.subs }
+func (d *Decomp) Subregions() []Subregion { return d.subs }
 
 // ActiveSubregions returns only the active subregions, rank order.
-func (d *Decomp2D) ActiveSubregions() []Subregion2D {
-	out := make([]Subregion2D, 0, d.active)
+func (d *Decomp) ActiveSubregions() []Subregion {
+	out := make([]Subregion, 0, d.active)
 	for _, s := range d.subs {
 		if s.Active {
 			out = append(out, s)
@@ -193,12 +313,12 @@ func (d *Decomp2D) ActiveSubregions() []Subregion2D {
 	return out
 }
 
-// Deactivate marks subregion (i, j) inactive (entirely solid wall) and
+// Deactivate marks subregion (i, j, k) inactive (entirely solid wall) and
 // recomputes the dense ranks of the remaining active subregions. It mirrors
 // the paper's figure-2 configuration where 9 of 24 subregions are walls and
 // only 15 workstations are employed.
-func (d *Decomp2D) Deactivate(i, j int) {
-	s := d.Sub(i, j)
+func (d *Decomp) Deactivate(i, j, k int) {
+	s := d.Sub(i, j, k)
 	if !s.Active {
 		return
 	}
@@ -207,9 +327,11 @@ func (d *Decomp2D) Deactivate(i, j int) {
 }
 
 // DeactivateWalls deactivates every subregion whose nodes are all solid
-// according to the mask, which must be GX x GY with true = solid wall.
-// It returns the number of subregions deactivated.
-func (d *Decomp2D) DeactivateWalls(solid func(x, y int) bool) int {
+// according to the mask, which must be GX x GY with true = solid wall: a
+// subregion goes when its whole x-y footprint is solid, so under a box
+// lattice the mask describes geometry that does not vary along z. It
+// returns the number of subregions deactivated.
+func (d *Decomp) DeactivateWalls(solid func(x, y int) bool) int {
 	n := 0
 	for idx := range d.subs {
 		s := &d.subs[idx]
@@ -237,7 +359,7 @@ func (d *Decomp2D) DeactivateWalls(solid func(x, y int) bool) int {
 	return n
 }
 
-func (d *Decomp2D) renumber() {
+func (d *Decomp) renumber() {
 	r := 0
 	for i := range d.subs {
 		if d.subs[i].Active {
@@ -251,7 +373,7 @@ func (d *Decomp2D) renumber() {
 }
 
 // ByRank returns the active subregion with the given dense rank.
-func (d *Decomp2D) ByRank(rank int) *Subregion2D {
+func (d *Decomp) ByRank(rank int) *Subregion {
 	for i := range d.subs {
 		if d.subs[i].Active && d.subs[i].Rank == rank {
 			return &d.subs[i]
@@ -260,67 +382,44 @@ func (d *Decomp2D) ByRank(rank int) *Subregion2D {
 	panic(fmt.Sprintf("decomp: no active subregion with rank %d", rank))
 }
 
+// step moves a lattice coordinate by one offset along an axis of n
+// subregions, wrapping on a periodic axis; -1 is off the lattice.
+func step(i, n int, periodic bool) int {
+	if periodic {
+		return (i + n) % n
+	}
+	if i < 0 || i >= n {
+		return -1
+	}
+	return i
+}
+
 // Neighbor returns the active neighbour of s in direction dir, or nil if
-// the neighbour is outside the lattice or inactive. Only directions in the
-// decomposition's stencil yield neighbours.
-func (d *Decomp2D) Neighbor(s *Subregion2D, dir Dir) *Subregion2D {
-	inStencil := false
-	for _, dd := range Dirs(d.Stencil) {
-		if dd == dir {
-			inStencil = true
-			break
-		}
-	}
-	if !inStencil {
+// the neighbour is outside the lattice or inactive. A diagonal yields a
+// neighbour only under the Full stencil. It allocates nothing.
+func (d *Decomp) Neighbor(s *Subregion, dir Dir) *Subregion {
+	if dir > Up && d.Stencil != Full {
 		return nil
 	}
-	dx, dy := dir.Delta()
-	ni, nj := s.I+dx, s.J+dy
-	if d.PeriodicX {
-		ni = (ni + d.JX) % d.JX
-	}
-	if d.PeriodicY {
-		nj = (nj + d.JY) % d.JY
-	}
-	if ni < 0 || ni >= d.JX || nj < 0 || nj >= d.JY {
+	dx, dy, dz := dir.Delta()
+	i := step(s.I+dx, d.JX, d.PeriodicX)
+	j := step(s.J+dy, d.JY, d.PeriodicY)
+	k := step(s.K+dz, d.JZ, d.PeriodicZ)
+	if i < 0 || j < 0 || k < 0 {
 		return nil
 	}
-	n := d.Sub(ni, nj)
-	if !n.Active {
-		return nil
+	if n := d.Sub(i, j, k); n.Active {
+		return n
 	}
-	return n
+	return nil
 }
 
-// Neighbors returns the active neighbours of s under the stencil, keyed by
-// direction, in Dirs order.
-func (d *Decomp2D) Neighbors(s *Subregion2D) map[Dir]*Subregion2D {
-	out := make(map[Dir]*Subregion2D)
-	for _, dir := range Dirs(d.Stencil) {
-		if n := d.Neighbor(s, dir); n != nil {
-			out[dir] = n
-		}
-	}
-	return out
-}
-
-// SideCount returns the number of communicating sides (star directions with
-// an active neighbour) of subregion s.
-func (d *Decomp2D) SideCount(s *Subregion2D) int {
+// SideCount returns the number of communicating sides (faces with an
+// active neighbour) of subregion s.
+func (d *Decomp) SideCount(s *Subregion) int {
 	n := 0
-	for _, dir := range []Dir{West, East, South, North} {
-		dx, dy := dir.Delta()
-		ni, nj := s.I+dx, s.J+dy
-		if d.PeriodicX {
-			ni = (ni + d.JX) % d.JX
-		}
-		if d.PeriodicY {
-			nj = (nj + d.JY) % d.JY
-		}
-		if ni < 0 || ni >= d.JX || nj < 0 || nj >= d.JY {
-			continue
-		}
-		if d.Sub(ni, nj).Active {
+	for _, dir := range faces {
+		if d.Neighbor(s, dir) != nil {
 			n++
 		}
 	}
@@ -330,11 +429,12 @@ func (d *Decomp2D) SideCount(s *Subregion2D) int {
 // SurfaceFactor returns the decomposition constant m of section 8, defined
 // here as the maximum number of communicating sides over the active
 // subregions: the slowest subregion's surface sets the communication time
-// each step. This reproduces the paper's table for (P x 1), (2 x 2),
-// (4 x 4) and (5 x 4); for (3 x 3) the paper lists m = 3 (the average
-// rounded) where the maximum is 4 — PaperM reproduces the published table
-// verbatim for the decompositions the paper names.
-func (d *Decomp2D) SurfaceFactor() int {
+// each step, N_c = m N^{1/2} in a plane and m N^{2/3} in a box (eq. 16).
+// This reproduces the paper's table for (P x 1), (2 x 2), (4 x 4) and
+// (5 x 4); for (3 x 3) the paper lists m = 3 (the average rounded) where
+// the maximum is 4 — PaperM reproduces the published table verbatim for
+// the decompositions the paper names.
+func (d *Decomp) SurfaceFactor() int {
 	m := 0
 	for i := range d.subs {
 		if !d.subs[i].Active {
@@ -349,7 +449,7 @@ func (d *Decomp2D) SurfaceFactor() int {
 
 // MeanSideCount returns the average number of communicating sides over
 // active subregions.
-func (d *Decomp2D) MeanSideCount() float64 {
+func (d *Decomp) MeanSideCount() float64 {
 	if d.active == 0 {
 		return 0
 	}
@@ -363,23 +463,26 @@ func (d *Decomp2D) MeanSideCount() float64 {
 }
 
 // PaperM returns the constant m exactly as tabulated in section 8 of the
-// paper for the decompositions used in its performance measurements:
+// paper for the planar decompositions used in its performance
+// measurements:
 //
 //	(P x 1) -> 2, (2 x 2) -> 2, (3 x 3) -> 3, (4 x 4) -> 4, (5 x 4) -> 4.
 //
 // For decompositions outside the table it falls back to SurfaceFactor.
-func (d *Decomp2D) PaperM() int {
-	switch {
-	case d.JY == 1 || d.JX == 1:
-		return 2
-	case d.JX == 2 && d.JY == 2:
-		return 2
-	case d.JX == 3 && d.JY == 3:
-		return 3
-	case d.JX == 4 && d.JY == 4:
-		return 4
-	case (d.JX == 5 && d.JY == 4) || (d.JX == 4 && d.JY == 5):
-		return 4
+func (d *Decomp) PaperM() int {
+	if d.JZ == 1 {
+		switch {
+		case d.JY == 1 || d.JX == 1:
+			return 2
+		case d.JX == 2 && d.JY == 2:
+			return 2
+		case d.JX == 3 && d.JY == 3:
+			return 3
+		case d.JX == 4 && d.JY == 4:
+			return 4
+		case (d.JX == 5 && d.JY == 4) || (d.JX == 4 && d.JY == 5):
+			return 4
+		}
 	}
 	return d.SurfaceFactor()
 }
@@ -387,18 +490,19 @@ func (d *Decomp2D) PaperM() int {
 // MaxUnsyncSteps returns the largest possible difference in integration
 // step between two processes when one process stops (appendix A):
 // max(J,K)-1 under a full stencil (eq. 22), (J-1)+(K-1) under a star
-// stencil (eq. 23).
-func (d *Decomp2D) MaxUnsyncSteps() int {
+// stencil (eq. 23); a box lattice adds its third axis to either.
+func (d *Decomp) MaxUnsyncSteps() int {
 	if d.Stencil == Full {
-		if d.JX > d.JY {
-			return d.JX - 1
-		}
-		return d.JY - 1
+		return max(d.JX, d.JY, d.JZ) - 1
 	}
-	return (d.JX - 1) + (d.JY - 1)
+	return (d.JX - 1) + (d.JY - 1) + (d.JZ - 1)
 }
 
-func (d *Decomp2D) String() string {
-	return fmt.Sprintf("(%d x %d) of %dx%d, %d active, %s stencil",
-		d.JX, d.JY, d.GX, d.GY, d.active, d.Stencil)
+func (d *Decomp) String() string {
+	if d.planar {
+		return fmt.Sprintf("(%d x %d) of %dx%d, %d active, %s stencil",
+			d.JX, d.JY, d.GX, d.GY, d.active, d.Stencil)
+	}
+	return fmt.Sprintf("(%d x %d x %d) of %dx%dx%d, %d active",
+		d.JX, d.JY, d.JZ, d.GX, d.GY, d.GZ, d.active)
 }

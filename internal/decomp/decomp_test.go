@@ -1,6 +1,8 @@
 package decomp
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -55,7 +57,7 @@ func TestNew2DBasic(t *testing.T) {
 	if d.P() != 20 || d.Total() != 20 {
 		t.Fatalf("P = %d, Total = %d, want 20, 20", d.P(), d.Total())
 	}
-	s := d.Sub(0, 0)
+	s := d.Sub(0, 0, 0)
 	if s.X0 != 0 || s.Y0 != 0 || s.NX != 160 || s.NY != 125 {
 		t.Errorf("sub(0,0) = %+v", s)
 	}
@@ -78,61 +80,183 @@ func TestNew2DErrors(t *testing.T) {
 	}
 }
 
+// neighbours counts the active neighbours of s over the given directions.
+func neighbours(d *Decomp, s *Subregion, dirs []Dir) int {
+	n := 0
+	for _, dir := range dirs {
+		if d.Neighbor(s, dir) != nil {
+			n++
+		}
+	}
+	return n
+}
+
 func TestNeighborTopologyStar(t *testing.T) {
 	d, _ := New2D(3, 3, 90, 90, Star)
-	center := d.Sub(1, 1)
-	nbrs := d.Neighbors(center)
-	if len(nbrs) != 4 {
-		t.Fatalf("center has %d star neighbours, want 4", len(nbrs))
+	center := d.Sub(1, 1, 0)
+	if got := neighbours(d, center, Dirs(Full)); got != 4 {
+		t.Fatalf("center has %d star neighbours, want 4", got)
 	}
-	if nbrs[West].I != 0 || nbrs[East].I != 2 || nbrs[South].J != 0 || nbrs[North].J != 2 {
-		t.Errorf("bad neighbour positions: %+v", nbrs)
+	if d.Neighbor(center, West).I != 0 || d.Neighbor(center, East).I != 2 ||
+		d.Neighbor(center, South).J != 0 || d.Neighbor(center, North).J != 2 {
+		t.Error("bad neighbour positions")
 	}
-	corner := d.Sub(0, 0)
-	if got := len(d.Neighbors(corner)); got != 2 {
+	if got := neighbours(d, d.Sub(0, 0, 0), Dirs(Full)); got != 2 {
 		t.Errorf("corner has %d neighbours, want 2", got)
 	}
-	// Diagonal lookups return nil under a star stencil.
+	// Diagonal lookups return nil under a star stencil, and a plane has
+	// nothing below or above it.
 	if d.Neighbor(center, NorthEast) != nil {
 		t.Error("star stencil returned a diagonal neighbour")
+	}
+	if d.Neighbor(center, Down) != nil || d.Neighbor(center, Up) != nil {
+		t.Error("planar decomposition returned a neighbour along z")
 	}
 }
 
 func TestNeighborTopologyFull(t *testing.T) {
 	d, _ := New2D(3, 3, 90, 90, Full)
-	center := d.Sub(1, 1)
-	if got := len(d.Neighbors(center)); got != 8 {
+	if got := neighbours(d, d.Sub(1, 1, 0), Dirs(Full)); got != 8 {
 		t.Fatalf("center has %d full neighbours, want 8", got)
 	}
-	corner := d.Sub(2, 2)
-	if got := len(d.Neighbors(corner)); got != 3 {
+	if got := neighbours(d, d.Sub(2, 2, 0), Dirs(Full)); got != 3 {
 		t.Errorf("corner has %d full neighbours, want 3", got)
 	}
 }
 
+// TestNeighborDoesNotAllocate: Neighbor and the direction lists are on the
+// pricing path of every placement.
+func TestNeighborDoesNotAllocate(t *testing.T) {
+	d, _ := New2D(3, 3, 90, 90, Full)
+	s := d.Sub(1, 1, 0)
+	if allocs := testing.AllocsPerRun(100, func() {
+		for _, dir := range Dirs(d.Stencil) {
+			_ = d.Neighbor(s, dir)
+		}
+		for _, dir := range Faces() {
+			_ = d.Neighbor(s, dir)
+		}
+	}); allocs != 0 {
+		t.Errorf("%v allocs per neighbour scan, want 0", allocs)
+	}
+}
+
+// TestNeighborReciprocity is the lattice table for both dimensions: planar
+// and box lattices under every combination of periodic axes, with
+// deactivated subregions, and with one or two subregions along a periodic
+// axis, where west and east are the subregion itself or the same rank. On
+// each, ranks are row-major with planes outermost, n := Neighbor(s, d)
+// implies Neighbor(n, d.Opposite()) == s, and a neighbour sits at the
+// direction's offset.
 func TestNeighborReciprocity(t *testing.T) {
-	d, _ := New2D(4, 3, 120, 90, Full)
-	for idx := range d.Subregions() {
-		s := &d.Subregions()[idx]
-		for dir, n := range d.Neighbors(s) {
-			back := d.Neighbor(n, dir.Opposite())
-			if back == nil || back.I != s.I || back.J != s.J {
-				t.Fatalf("neighbour reciprocity broken at (%d,%d) dir %v", s.I, s.J, dir)
+	type hole struct{ i, j, k int }
+	lattices := []struct {
+		name       string
+		jx, jy, jz int // jz = 0: planar
+		holes      []hole
+	}{
+		{"4x3", 4, 3, 0, nil},
+		{"1x3", 1, 3, 0, nil},
+		{"2x2", 2, 2, 0, nil},
+		{"3x2 with a hole", 3, 2, 0, []hole{{1, 0, 0}}},
+		{"2x3x2", 2, 3, 2, nil},
+		{"1x2x3", 1, 2, 3, nil},
+		{"3x2x2 with holes", 3, 2, 2, []hole{{0, 0, 0}, {2, 1, 1}}},
+	}
+	for _, l := range lattices {
+		for periodic := 0; periodic < 8; periodic++ {
+			var d *Decomp
+			var err error
+			if l.jz == 0 {
+				d, err = New2D(l.jx, l.jy, 10*l.jx+1, 10*l.jy, Full)
+			} else {
+				d, err = New3D(l.jx, l.jy, l.jz, 10*l.jx+1, 10*l.jy, 10*l.jz+2)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.PeriodicX, d.PeriodicY, d.PeriodicZ = periodic&1 != 0, periodic&2 != 0, periodic&4 != 0
+			for _, h := range l.holes {
+				d.Deactivate(h.i, h.j, h.k)
+			}
+			name := fmt.Sprintf("%s periodic %03b", l.name, periodic)
+
+			rank := 0
+			for idx := range d.Subregions() {
+				s := &d.Subregions()[idx]
+				if s != d.Sub(s.I, s.J, s.K) || idx != (s.K*d.JY+s.J)*d.JX+s.I {
+					t.Fatalf("%s: subregion %d sits at (%d,%d,%d)", name, idx, s.I, s.J, s.K)
+				}
+				if !s.Active {
+					continue
+				}
+				if s.Rank != rank || d.ByRank(rank) != s {
+					t.Fatalf("%s: (%d,%d,%d) has rank %d, want %d", name, s.I, s.J, s.K, s.Rank, rank)
+				}
+				rank++
+				for dir := West; int(dir) < NumDirs; dir++ {
+					n := d.Neighbor(s, dir)
+					if n == nil {
+						continue
+					}
+					if back := d.Neighbor(n, dir.Opposite()); back != s {
+						t.Fatalf("%s: reciprocity broken at rank %d dir %v", name, s.Rank, dir)
+					}
+					dx, dy, dz := dir.Delta()
+					mod := func(v, n int) int { return ((v % n) + n) % n }
+					if n.I != mod(s.I+dx, d.JX) || n.J != mod(s.J+dy, d.JY) || n.K != mod(s.K+dz, d.JZ) {
+						t.Fatalf("%s: rank %d dir %v leads to (%d,%d,%d)", name, s.Rank, dir, n.I, n.J, n.K)
+					}
+				}
+			}
+			if rank != d.P() {
+				t.Fatalf("%s: %d ranks, P = %d", name, rank, d.P())
 			}
 		}
 	}
 }
 
+// TestPlanarIsABoxOnePlaneThick: New2D and New3D with one plane of one
+// node agree on every subregion's box; what differs is that the planar
+// one's shape has no z spans.
+func TestPlanarIsABoxOnePlaneThick(t *testing.T) {
+	planar, err := New2D(3, 2, 31, 17, Star)
+	if err != nil {
+		t.Fatal(err)
+	}
+	box, err := New3D(3, 2, 1, 31, 17, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(planar.Subregions(), box.Subregions()) {
+		t.Errorf("boxes differ:\n%+v\n%+v", planar.Subregions(), box.Subregions())
+	}
+	if !planar.Planar() || box.Planar() {
+		t.Errorf("Planar() = %v, %v; want true, false", planar.Planar(), box.Planar())
+	}
+	if sh := planar.ShapeOf(); sh.Z != nil || !sh.Equal(UniformShape(3, 2, 0, 31, 17, 0)) {
+		t.Errorf("planar shape %v carries z spans or is not the uniform one", sh)
+	}
+	if sh := box.ShapeOf(); !sh.Equal(UniformShape(3, 2, 1, 31, 17, 1)) {
+		t.Errorf("box shape %v is not the one it was built from", sh)
+	}
+}
+
+// TestDirOppositeInvolution: over all ten directions Opposite is an
+// involution and negates Delta, and the shared lists keep their orders.
 func TestDirOppositeInvolution(t *testing.T) {
-	for d := West; d < numDirs; d++ {
-		if d.Opposite().Opposite() != d {
+	for d := West; int(d) < NumDirs; d++ {
+		if d.Opposite().Opposite() != d || d.Opposite() == d {
 			t.Errorf("Opposite not an involution for %v", d)
 		}
-		dx, dy := d.Delta()
-		ox, oy := d.Opposite().Delta()
-		if dx != -ox || dy != -oy {
+		dx, dy, dz := d.Delta()
+		ox, oy, oz := d.Opposite().Delta()
+		if dx != -ox || dy != -oy || dz != -oz {
 			t.Errorf("Opposite(%v) delta mismatch", d)
 		}
+	}
+	if got := fmt.Sprint(Dirs(Star), Dirs(Full), Faces()); got != "[W E S N] [W E S N SW SE NW NE] [W E S N D U]" {
+		t.Errorf("direction lists are %s", got)
 	}
 }
 
@@ -141,7 +265,7 @@ func TestDeactivateRenumbers(t *testing.T) {
 	// Mimic figure 2: deactivate 9 all-wall subregions.
 	walls := [][2]int{{0, 0}, {1, 0}, {2, 0}, {3, 0}, {4, 0}, {0, 1}, {5, 3}, {5, 2}, {0, 2}}
 	for _, w := range walls {
-		d.Deactivate(w[0], w[1])
+		d.Deactivate(w[0], w[1], 0)
 	}
 	if d.P() != 15 {
 		t.Fatalf("active = %d, want 15", d.P())
@@ -155,7 +279,7 @@ func TestDeactivateRenumbers(t *testing.T) {
 		seen[s.Rank] = true
 	}
 	// Inactive subregions are not returned as neighbours.
-	s := d.Sub(1, 1)
+	s := d.Sub(1, 1, 0)
 	if d.Neighbor(s, South) != nil {
 		t.Error("inactive subregion returned as neighbour")
 	}
@@ -175,10 +299,10 @@ func TestDeactivateWalls(t *testing.T) {
 	if n != 2 || d.P() != 2 {
 		t.Fatalf("deactivated %d, active %d; want 2, 2", n, d.P())
 	}
-	if d.Sub(0, 0).Active || d.Sub(0, 1).Active {
+	if d.Sub(0, 0, 0).Active || d.Sub(0, 1, 0).Active {
 		t.Error("solid subregions still active")
 	}
-	if !d.Sub(1, 0).Active || !d.Sub(1, 1).Active {
+	if !d.Sub(1, 0, 0).Active || !d.Sub(1, 1, 0).Active {
 		t.Error("fluid subregions deactivated")
 	}
 }
@@ -269,11 +393,11 @@ func TestNew3DErrors(t *testing.T) {
 func Test3DNeighborsAndFaces(t *testing.T) {
 	d, _ := New3D(3, 3, 3, 30, 30, 30)
 	center := d.Sub(1, 1, 1)
-	if got := d.FaceCount(center); got != 6 {
+	if got := d.SideCount(center); got != 6 {
 		t.Errorf("center faces = %d, want 6", got)
 	}
 	corner := d.Sub(0, 0, 0)
-	if got := d.FaceCount(corner); got != 3 {
+	if got := d.SideCount(corner); got != 3 {
 		t.Errorf("corner faces = %d, want 3", got)
 	}
 	if got := d.SurfaceFactor(); got != 6 {
@@ -283,35 +407,5 @@ func Test3DNeighborsAndFaces(t *testing.T) {
 	p, _ := New3D(8, 1, 1, 200, 25, 25)
 	if got := p.SurfaceFactor(); got != 2 {
 		t.Errorf("pencil SurfaceFactor = %d, want 2", got)
-	}
-}
-
-func TestDir3OppositeInvolution(t *testing.T) {
-	for d := West3; d < numDirs3; d++ {
-		if d.Opposite().Opposite() != d {
-			t.Errorf("Opposite not an involution for %v", d)
-		}
-		dx, dy, dz := d.Delta()
-		ox, oy, oz := d.Opposite().Delta()
-		if dx != -ox || dy != -oy || dz != -oz {
-			t.Errorf("Opposite(%v) delta mismatch", d)
-		}
-	}
-}
-
-func Test3DNeighborReciprocity(t *testing.T) {
-	d, _ := New3D(2, 3, 2, 20, 30, 20)
-	for idx := range d.Subregions() {
-		s := &d.Subregions()[idx]
-		for _, dir := range Dirs3() {
-			n := d.Neighbor(s, dir)
-			if n == nil {
-				continue
-			}
-			back := d.Neighbor(n, dir.Opposite())
-			if back == nil || back.Rank != s.Rank {
-				t.Fatalf("3D reciprocity broken at rank %d dir %v", s.Rank, dir)
-			}
-		}
 	}
 }

@@ -9,7 +9,7 @@
 // Sends/Expects) is untouched: a weighted decomposition exchanges exactly
 // the same messages as a uniform one, just with different boundary
 // lengths. Uniform splitting is the degenerate equal-weights case, bit
-// for bit: WeightedSpans with equal weights reproduces UniformSpans, so
+// for bit: WeightedSpans with equal weights reproduces the uniform spans, so
 // homogeneous pools see no change at all.
 package decomp
 
@@ -85,9 +85,9 @@ func (s Shape) Check(jx, jy, jz, gx, gy, gz int) error {
 	return nil
 }
 
-// UniformSpans splits g nodes into p equal pieces, remainder distributed
+// uniformSpans splits g nodes into p equal pieces, remainder distributed
 // one node per leading piece — exactly the spans New2D/New3D assign.
-func UniformSpans(g, p int) []int {
+func uniformSpans(g, p int) []int {
 	out := make([]int, p)
 	for i := range out {
 		_, out[i] = span(g, p, i)
@@ -95,15 +95,20 @@ func UniformSpans(g, p int) []int {
 	return out
 }
 
-// UniformShape2D returns the uniform shape of a (jx x jy) decomposition.
-func UniformShape2D(jx, jy, gx, gy int) Shape {
-	return Shape{X: UniformSpans(gx, jx), Y: UniformSpans(gy, jy)}
+// UniformShape returns the uniform shape of a (jx x jy x jz) decomposition
+// of a gx x gy x gz grid; jz < 1 is a planar decomposition, whose shape has
+// no z spans.
+func UniformShape(jx, jy, jz, gx, gy, gz int) Shape {
+	sh := Shape{X: uniformSpans(gx, jx), Y: uniformSpans(gy, jy)}
+	if jz > 0 {
+		sh.Z = uniformSpans(gz, jz)
+	}
+	return sh
 }
 
-// UniformShape3D returns the uniform shape of a (jx x jy x jz) box
-// decomposition.
+// UniformShape3D is UniformShape under the name bench/ calls.
 func UniformShape3D(jx, jy, jz, gx, gy, gz int) Shape {
-	return Shape{X: UniformSpans(gx, jx), Y: UniformSpans(gy, jy), Z: UniformSpans(gz, jz)}
+	return UniformShape(jx, jy, jz, gx, gy, gz)
 }
 
 // WeightedSpans splits g nodes into len(w) contiguous pieces with piece i
@@ -111,7 +116,7 @@ func UniformShape3D(jx, jy, jz, gx, gy, gz int) Shape {
 // piece gets the floor of its exact quota, and the leftover nodes go one
 // each to the pieces with the largest fractional parts (ties to the
 // lower index). Every piece gets at least one node. Equal weights
-// reproduce UniformSpans bit for bit: all quotas tie, so the leading
+// reproduce the uniform spans bit for bit: all quotas tie, so the leading
 // pieces take the remainder, exactly as the uniform splitter does.
 func WeightedSpans(g int, w []float64) ([]int, error) {
 	p := len(w)
@@ -171,213 +176,37 @@ func WeightedSpans(g int, w []float64) ([]int, error) {
 	return spans, nil
 }
 
-// SpeedWeights2D turns per-rank host speeds into per-axis weights for a
-// (jx x jy) lattice, rank order row-major (rank = j*jx + i): the column
-// weight is the mean speed of the column's hosts, the row weight the
-// mean of the row's. For chain decompositions (jx = 1 or jy = 1) the
-// marginal is exact — each subregion's span is proportional to its own
-// host's speed; for general lattices it is the best rectangular
-// approximation that keeps spans lattice-aligned.
-func SpeedWeights2D(jx, jy int, speed []float64) (wx, wy []float64, err error) {
-	if len(speed) != jx*jy {
-		return nil, nil, fmt.Errorf("decomp: %d speeds for a (%d x %d) lattice", len(speed), jx, jy)
+// WeightedShape computes the speed-weighted shape of a (jx x jy x jz)
+// decomposition of a gx x gy x gz grid (jz < 1: planar, no z spans) from
+// per-rank host speeds, rank order row-major with planes outermost (rank =
+// (k*jy + j)*jx + i). The weight of a column, row or plane is the summed
+// speed of its hosts. For chain decompositions the marginal is exact —
+// each subregion's span is proportional to its own host's speed; for
+// general lattices it is the best rectangular approximation that keeps
+// spans lattice-aligned. Equal speeds yield the uniform shape bit for bit.
+func WeightedShape(jx, jy, jz, gx, gy, gz int, speed []float64) (Shape, error) {
+	planes := max(jz, 1)
+	if len(speed) != jx*jy*planes {
+		return Shape{}, fmt.Errorf("decomp: %d speeds for a (%d x %d x %d) lattice", len(speed), jx, jy, jz)
 	}
-	for i, s := range speed {
+	w := [3][]float64{make([]float64, jx), make([]float64, jy), make([]float64, planes)}
+	for rank, s := range speed {
 		if s <= 0 {
-			return nil, nil, fmt.Errorf("decomp: speed of rank %d is %v, want > 0", i, s)
+			return Shape{}, fmt.Errorf("decomp: speed of rank %d is %v, want > 0", rank, s)
+		}
+		w[0][rank%jx] += s
+		w[1][rank/jx%jy] += s
+		w[2][rank/(jx*jy)] += s
+	}
+	var spans [3][]int
+	for axis, g := range [3]int{gx, gy, gz} {
+		if axis == 2 && jz < 1 {
+			break
+		}
+		var err error
+		if spans[axis], err = WeightedSpans(g, w[axis]); err != nil {
+			return Shape{}, err
 		}
 	}
-	wx = make([]float64, jx)
-	wy = make([]float64, jy)
-	for j := 0; j < jy; j++ {
-		for i := 0; i < jx; i++ {
-			s := speed[j*jx+i]
-			wx[i] += s
-			wy[j] += s
-		}
-	}
-	return wx, wy, nil
-}
-
-// SpeedWeights3D is the 3D analogue of SpeedWeights2D, rank order
-// (k*jy + j)*jx + i.
-func SpeedWeights3D(jx, jy, jz int, speed []float64) (wx, wy, wz []float64, err error) {
-	if len(speed) != jx*jy*jz {
-		return nil, nil, nil, fmt.Errorf("decomp: %d speeds for a (%d x %d x %d) lattice", len(speed), jx, jy, jz)
-	}
-	for i, s := range speed {
-		if s <= 0 {
-			return nil, nil, nil, fmt.Errorf("decomp: speed of rank %d is %v, want > 0", i, s)
-		}
-	}
-	wx = make([]float64, jx)
-	wy = make([]float64, jy)
-	wz = make([]float64, jz)
-	for k := 0; k < jz; k++ {
-		for j := 0; j < jy; j++ {
-			for i := 0; i < jx; i++ {
-				s := speed[(k*jy+j)*jx+i]
-				wx[i] += s
-				wy[j] += s
-				wz[k] += s
-			}
-		}
-	}
-	return wx, wy, wz, nil
-}
-
-// WeightedShape2D computes the speed-weighted shape of a (jx x jy)
-// decomposition of a gx x gy grid from per-rank host speeds. Equal
-// speeds yield the uniform shape bit for bit.
-func WeightedShape2D(jx, jy, gx, gy int, speed []float64) (Shape, error) {
-	wx, wy, err := SpeedWeights2D(jx, jy, speed)
-	if err != nil {
-		return Shape{}, err
-	}
-	sx, err := WeightedSpans(gx, wx)
-	if err != nil {
-		return Shape{}, err
-	}
-	sy, err := WeightedSpans(gy, wy)
-	if err != nil {
-		return Shape{}, err
-	}
-	return Shape{X: sx, Y: sy}, nil
-}
-
-// WeightedShape3D computes the speed-weighted shape of a (jx x jy x jz)
-// box decomposition of a gx x gy x gz grid from per-rank host speeds.
-func WeightedShape3D(jx, jy, jz, gx, gy, gz int, speed []float64) (Shape, error) {
-	wx, wy, wz, err := SpeedWeights3D(jx, jy, jz, speed)
-	if err != nil {
-		return Shape{}, err
-	}
-	sx, err := WeightedSpans(gx, wx)
-	if err != nil {
-		return Shape{}, err
-	}
-	sy, err := WeightedSpans(gy, wy)
-	if err != nil {
-		return Shape{}, err
-	}
-	sz, err := WeightedSpans(gz, wz)
-	if err != nil {
-		return Shape{}, err
-	}
-	return Shape{X: sx, Y: sy, Z: sz}, nil
-}
-
-// New2DShaped builds a 2D decomposition with explicit per-axis spans.
-// The global grid is the sum of the spans; New2D is the uniform special
-// case. Subregions stay contiguous (X0 of column i+1 is X0+NX of column
-// i), so halo exchange works unchanged.
-func New2DShaped(sh Shape, st Stencil) (*Decomp2D, error) {
-	jx, jy := len(sh.X), len(sh.Y)
-	if jx == 0 || jy == 0 || len(sh.Z) != 0 {
-		return nil, fmt.Errorf("decomp: 2D shape needs x and y spans only (got %d/%d/%d)",
-			len(sh.X), len(sh.Y), len(sh.Z))
-	}
-	gx, gy := 0, 0
-	for _, n := range sh.X {
-		gx += n
-	}
-	for _, n := range sh.Y {
-		gy += n
-	}
-	if err := sh.Check(jx, jy, 0, gx, gy, 0); err != nil {
-		return nil, err
-	}
-	d := &Decomp2D{JX: jx, JY: jy, GX: gx, GY: gy, Stencil: st}
-	d.subs = make([]Subregion2D, jx*jy)
-	y0 := 0
-	for j := 0; j < jy; j++ {
-		x0 := 0
-		for i := 0; i < jx; i++ {
-			d.subs[j*jx+i] = Subregion2D{
-				Rank: j*jx + i, I: i, J: j,
-				X0: x0, Y0: y0, NX: sh.X[i], NY: sh.Y[j],
-				Active: true,
-			}
-			x0 += sh.X[i]
-		}
-		y0 += sh.Y[j]
-	}
-	d.active = jx * jy
-	return d, nil
-}
-
-// New3DShaped builds a 3D decomposition with explicit per-axis spans,
-// the analogue of New2DShaped.
-func New3DShaped(sh Shape) (*Decomp3D, error) {
-	jx, jy, jz := len(sh.X), len(sh.Y), len(sh.Z)
-	if jx == 0 || jy == 0 || jz == 0 {
-		return nil, fmt.Errorf("decomp: 3D shape needs x, y and z spans (got %d/%d/%d)",
-			len(sh.X), len(sh.Y), len(sh.Z))
-	}
-	gx, gy, gz := 0, 0, 0
-	for _, n := range sh.X {
-		gx += n
-	}
-	for _, n := range sh.Y {
-		gy += n
-	}
-	for _, n := range sh.Z {
-		gz += n
-	}
-	if err := sh.Check(jx, jy, jz, gx, gy, gz); err != nil {
-		return nil, err
-	}
-	d := &Decomp3D{JX: jx, JY: jy, JZ: jz, GX: gx, GY: gy, GZ: gz}
-	d.subs = make([]Subregion3D, jx*jy*jz)
-	r := 0
-	z0 := 0
-	for k := 0; k < jz; k++ {
-		y0 := 0
-		for j := 0; j < jy; j++ {
-			x0 := 0
-			for i := 0; i < jx; i++ {
-				d.subs[(k*jy+j)*jx+i] = Subregion3D{
-					Rank: r, I: i, J: j, K: k,
-					X0: x0, Y0: y0, Z0: z0,
-					NX: sh.X[i], NY: sh.Y[j], NZ: sh.Z[k],
-					Active: true,
-				}
-				r++
-				x0 += sh.X[i]
-			}
-			y0 += sh.Y[j]
-		}
-		z0 += sh.Z[k]
-	}
-	d.active = r
-	return d, nil
-}
-
-// ShapeOf extracts the per-axis spans of an existing 2D decomposition
-// (row 0's columns and column 0's rows; shaped decompositions are
-// lattice-aligned by construction).
-func (d *Decomp2D) ShapeOf() Shape {
-	sh := Shape{X: make([]int, d.JX), Y: make([]int, d.JY)}
-	for i := 0; i < d.JX; i++ {
-		sh.X[i] = d.Sub(i, 0).NX
-	}
-	for j := 0; j < d.JY; j++ {
-		sh.Y[j] = d.Sub(0, j).NY
-	}
-	return sh
-}
-
-// ShapeOf extracts the per-axis spans of an existing 3D decomposition.
-func (d *Decomp3D) ShapeOf() Shape {
-	sh := Shape{X: make([]int, d.JX), Y: make([]int, d.JY), Z: make([]int, d.JZ)}
-	for i := 0; i < d.JX; i++ {
-		sh.X[i] = d.Sub(i, 0, 0).NX
-	}
-	for j := 0; j < d.JY; j++ {
-		sh.Y[j] = d.Sub(0, j, 0).NY
-	}
-	for k := 0; k < d.JZ; k++ {
-		sh.Z[k] = d.Sub(0, 0, k).NZ
-	}
-	return sh
+	return Shape{X: spans[0], Y: spans[1], Z: spans[2]}, nil
 }

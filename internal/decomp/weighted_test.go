@@ -20,7 +20,7 @@ func TestWeightedSpansEqualWeightsBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("WeightedSpans(%d, equal x%d): %v", tc.g, tc.p, err)
 		}
-		want := UniformSpans(tc.g, tc.p)
+		want := uniformSpans(tc.g, tc.p)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("g=%d p=%d: weighted %v != uniform %v", tc.g, tc.p, got, want)
 		}
@@ -67,21 +67,21 @@ func TestWeightedSpansProportional(t *testing.T) {
 // weighted2D builds a speed-weighted decomposition the way production does
 // (sched.WeightedShape, then the shaped constructor): spans from the
 // per-rank host speeds, rank order row-major, then the lattice over them.
-func weighted2D(jx, jy, gx, gy int, st Stencil, speed []float64) (*Decomp2D, error) {
-	sh, err := WeightedShape2D(jx, jy, gx, gy, speed)
+func weighted2D(jx, jy, gx, gy int, st Stencil, speed []float64) (*Decomp, error) {
+	sh, err := WeightedShape(jx, jy, 0, gx, gy, 0, speed)
 	if err != nil {
 		return nil, err
 	}
-	return New2DShaped(sh, st)
+	return NewShaped(sh, st)
 }
 
 // weighted3D is weighted2D for a box lattice.
-func weighted3D(jx, jy, jz, gx, gy, gz int, speed []float64) (*Decomp3D, error) {
-	sh, err := WeightedShape3D(jx, jy, jz, gx, gy, gz, speed)
+func weighted3D(jx, jy, jz, gx, gy, gz int, speed []float64) (*Decomp, error) {
+	sh, err := WeightedShape(jx, jy, jz, gx, gy, gz, speed)
 	if err != nil {
 		return nil, err
 	}
-	return New3DShaped(sh)
+	return NewShaped(sh, Star)
 }
 
 // TestNew2DWeightedEqualSpeedsBitIdentical: with equal speeds the whole
@@ -134,7 +134,7 @@ func TestNew2DWeightedChainExact(t *testing.T) {
 	wantNX := []int{60, 30, 30}
 	x0 := 0
 	for i := 0; i < 3; i++ {
-		s := d.Sub(i, 0)
+		s := d.Sub(i, 0, 0)
 		if s.NX != wantNX[i] {
 			t.Errorf("column %d: NX = %d, want %d", i, s.NX, wantNX[i])
 		}
@@ -148,8 +148,8 @@ func TestNew2DWeightedChainExact(t *testing.T) {
 	}
 	// The faster host's subregion computes 2x the nodes: balanced at 2x
 	// speed.
-	if d.Sub(0, 0).Nodes() != 2*d.Sub(1, 0).Nodes() {
-		t.Errorf("node ratio %d:%d, want 2:1", d.Sub(0, 0).Nodes(), d.Sub(1, 0).Nodes())
+	if d.Sub(0, 0, 0).Nodes() != 2*d.Sub(1, 0, 0).Nodes() {
+		t.Errorf("node ratio %d:%d, want 2:1", d.Sub(0, 0, 0).Nodes(), d.Sub(1, 0, 0).Nodes())
 	}
 }
 
@@ -167,9 +167,9 @@ func TestWeightedNeighborsAligned(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range d.Subregions() {
-		us := u.Sub(s.I, s.J)
+		us := u.Sub(s.I, s.J, 0)
 		for _, dir := range Dirs(Full) {
-			n := d.Neighbor(d.Sub(s.I, s.J), dir)
+			n := d.Neighbor(d.Sub(s.I, s.J, 0), dir)
 			un := u.Neighbor(us, dir)
 			if (n == nil) != (un == nil) {
 				t.Fatalf("(%d,%d) dir %v: weighted neighbour %v, uniform %v", s.I, s.J, dir, n, un)
@@ -179,7 +179,7 @@ func TestWeightedNeighborsAligned(t *testing.T) {
 					s.I, s.J, dir, n.I, n.J, un.I, un.J)
 			}
 		}
-		if e := d.Neighbor(d.Sub(s.I, s.J), East); e != nil {
+		if e := d.Neighbor(d.Sub(s.I, s.J, 0), East); e != nil {
 			if e.NY != s.NY || e.Y0 != s.Y0 {
 				t.Errorf("(%d,%d): east neighbour y span %d@%d, self %d@%d — halo mismatch",
 					s.I, s.J, e.NY, e.Y0, s.NY, s.Y0)
@@ -199,15 +199,15 @@ func TestDeactivateRenumbersWeightedSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Deactivate(1, 0)
-	d.Deactivate(2, 1)
+	d.Deactivate(1, 0, 0)
+	d.Deactivate(2, 1, 0)
 	if d.P() != 4 {
 		t.Fatalf("P = %d after two deactivations of 6, want 4", d.P())
 	}
 	// Dense ranks in row-major order over the active subregions.
 	want := map[[2]int]int{{0, 0}: 0, {2, 0}: 1, {0, 1}: 2, {1, 1}: 3}
 	for pos, rank := range want {
-		s := d.Sub(pos[0], pos[1])
+		s := d.Sub(pos[0], pos[1], 0)
 		if !s.Active || s.Rank != rank {
 			t.Errorf("(%d,%d): rank %d active %v, want rank %d active", pos[0], pos[1], s.Rank, s.Active, rank)
 		}
@@ -216,15 +216,15 @@ func TestDeactivateRenumbersWeightedSpans(t *testing.T) {
 		}
 	}
 	for _, pos := range [][2]int{{1, 0}, {2, 1}} {
-		if s := d.Sub(pos[0], pos[1]); s.Active || s.Rank != -1 {
+		if s := d.Sub(pos[0], pos[1], 0); s.Active || s.Rank != -1 {
 			t.Errorf("(%d,%d): still active (rank %d)", pos[0], pos[1], s.Rank)
 		}
 	}
 	// The hole is gone from the topology, and spans survive untouched.
-	if n := d.Neighbor(d.Sub(0, 0), East); n != nil {
+	if n := d.Neighbor(d.Sub(0, 0, 0), East); n != nil {
 		t.Errorf("(0,0) east neighbour is inactive (1,0), got rank %d", n.Rank)
 	}
-	if n := d.Neighbor(d.Sub(1, 1), West); n == nil || n.Rank != 2 {
+	if n := d.Neighbor(d.Sub(1, 1, 0), West); n == nil || n.Rank != 2 {
 		t.Errorf("(1,1) west neighbour = %v, want rank 2 at (0,1)", n)
 	}
 	// Column marginals 3:2:3 over 100 nodes: quotas 37.5/25/37.5, the
@@ -264,11 +264,11 @@ func TestShapeCheck(t *testing.T) {
 			t.Errorf("%s accepted", tc.name)
 		}
 	}
-	if _, err := New2DShaped(Shape{X: []int{3, 0}, Y: []int{4}}, Star); err == nil {
-		t.Error("New2DShaped accepted a zero span")
+	if _, err := NewShaped(Shape{X: []int{3, 0}, Y: []int{4}}, Star); err == nil {
+		t.Error("NewShaped accepted a zero span")
 	}
-	if _, err := New3DShaped(Shape{X: []int{3}, Y: []int{4}}); err == nil {
-		t.Error("New3DShaped accepted a shape without z spans")
+	if _, err := NewShaped(Shape{X: []int{3}, Z: []int{4}}, Star); err == nil {
+		t.Error("NewShaped accepted a shape without y spans")
 	}
 }
 

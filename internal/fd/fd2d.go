@@ -153,15 +153,11 @@ func (s *Solver2D) Phases() int { return 3 }
 // filter phase needs no communication.
 func (s *Solver2D) Exchanges(phase int) bool { return phase == 0 || phase == 1 }
 
-// starDirs2 is fixed at package level so ExchangeDirs stays allocation-free
-// on the step path.
-var starDirs2 = decomp.Dirs(decomp.Star)
-
 // ExchangeDirs returns the neighbours exchanged with after a phase: the
 // four sides after the velocity and density phases, none after the filter.
 func (s *Solver2D) ExchangeDirs(phase int) []decomp.Dir {
 	if s.Exchanges(phase) {
-		return starDirs2
+		return decomp.Dirs(decomp.Star)
 	}
 	return nil
 }
@@ -322,24 +318,14 @@ func (s *Solver2D) fields(phase int) []*grid.Field2D {
 // given phase: the interior edge strips of the fields updated in that
 // phase (ghost-fill convention).
 func (s *Solver2D) Pack(phase int, dir decomp.Dir, buf []float64) []float64 {
-	return halo.PackSend2D(s.fields(phase), dir, true, buf)
+	return halo.PackSend(s.fields(phase), dir, true, buf)
 }
 
 // Unpack stores boundary data received from the neighbour at dir into the
 // ghost strips on that side.
 func (s *Solver2D) Unpack(phase int, dir decomp.Dir, buf []float64) {
-	halo.UnpackRecv2D(s.fields(phase), dir, true, buf)
+	halo.UnpackRecv(s.fields(phase), dir, true, buf)
 }
-
-// MsgLen returns the message length (float64 count) for a phase and
-// direction; the transports use it to size receive buffers.
-func (s *Solver2D) MsgLen(phase int, dir decomp.Dir) int {
-	return halo.MsgLen2D(s.fields(phase), dir)
-}
-
-// Stencil returns the neighbour stencil the method needs: star, because
-// centered differences couple axis neighbours only.
-func (s *Solver2D) Stencil() decomp.Stencil { return decomp.Star }
 
 // StepSerial advances a standalone (single-subregion) solver one full step,
 // wrapping or reflecting its own ghosts between phases. periodicX/Y select

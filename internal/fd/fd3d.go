@@ -119,14 +119,11 @@ func (s *Solver3D) Phases() int { return 3 }
 // Exchanges reports whether a halo exchange follows the phase.
 func (s *Solver3D) Exchanges(phase int) bool { return phase == 0 || phase == 1 }
 
-// faces3, like starDirs2, keeps ExchangeDirs allocation-free.
-var faces3 = decomp.Dirs3()
-
 // ExchangeDirs returns the faces exchanged after a phase: all six for the
 // velocity and density phases (star stencil, no sweep ordering needed).
-func (s *Solver3D) ExchangeDirs(phase int) []decomp.Dir3 {
+func (s *Solver3D) ExchangeDirs(phase int) []decomp.Dir {
 	if s.Exchanges(phase) {
-		return faces3
+		return decomp.Faces()
 	}
 	return nil
 }
@@ -291,19 +288,14 @@ func (s *Solver3D) fields(phase int) []*grid.Field3D {
 
 // Pack extracts the interior face strip sent to the neighbour at dir after
 // the given phase (ghost-fill convention; star stencil, faces only).
-func (s *Solver3D) Pack(phase int, dir decomp.Dir3, buf []float64) []float64 {
-	return halo.PackSend3D(s.fields(phase), dir, true, buf)
+func (s *Solver3D) Pack(phase int, dir decomp.Dir, buf []float64) []float64 {
+	return halo.PackSend(s.fields(phase), dir, true, buf)
 }
 
 // Unpack stores data received from the neighbour at dir into the ghost
 // face strip on that side.
-func (s *Solver3D) Unpack(phase int, dir decomp.Dir3, buf []float64) {
-	halo.UnpackRecv3D(s.fields(phase), dir, true, buf)
-}
-
-// MsgLen returns the message length for a phase and face direction.
-func (s *Solver3D) MsgLen(phase int, dir decomp.Dir3) int {
-	return halo.MsgLen3D(s.fields(phase), dir)
+func (s *Solver3D) Unpack(phase int, dir decomp.Dir, buf []float64) {
+	halo.UnpackRecv(s.fields(phase), dir, true, buf)
 }
 
 // StepSerial advances a standalone solver one step with periodic wrapping
@@ -318,19 +310,19 @@ func (s *Solver3D) StepSerial(periodicX, periodicY, periodicZ bool) {
 }
 
 func (s *Solver3D) selfExchange(phase int, px, py, pz bool) {
-	wrap := func(a, b decomp.Dir3) {
+	wrap := func(a, b decomp.Dir) {
 		s.xbuf = s.Pack(phase, a, s.xbuf[:0])
 		s.Unpack(phase, b, s.xbuf)
 		s.xbuf = s.Pack(phase, b, s.xbuf[:0])
 		s.Unpack(phase, a, s.xbuf)
 	}
 	if px {
-		wrap(decomp.East3, decomp.West3)
+		wrap(decomp.East, decomp.West)
 	}
 	if py {
-		wrap(decomp.North3, decomp.South3)
+		wrap(decomp.North, decomp.South)
 	}
 	if pz {
-		wrap(decomp.Up3, decomp.Down3)
+		wrap(decomp.Up, decomp.Down)
 	}
 }

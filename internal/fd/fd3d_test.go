@@ -108,14 +108,13 @@ func TestPhaseContract3D(t *testing.T) {
 		t.Error("exchange pattern wrong")
 	}
 	// Velocity message: 3 fields x face area; density: 1 field.
-	if got := s.MsgLen(0, decomp.East3); got != 3*7*8 {
-		t.Errorf("velocity MsgLen = %d, want %d", got, 3*7*8)
+	if got := len(s.Pack(0, decomp.East, nil)); got != 3*7*8 {
+		t.Errorf("velocity message = %d values, want %d", got, 3*7*8)
 	}
-	if got := s.MsgLen(1, decomp.Up3); got != 6*7 {
-		t.Errorf("density MsgLen = %d, want %d", got, 6*7)
+	if got := len(s.Pack(1, decomp.Up, nil)); got != 6*7 {
+		t.Errorf("density message = %d values, want %d", got, 6*7)
 	}
-	buf := s.Pack(0, decomp.North3, nil)
-	if len(buf) != s.MsgLen(0, decomp.North3) {
-		t.Errorf("Pack length %d != MsgLen %d", len(buf), s.MsgLen(0, decomp.North3))
+	if got := len(s.Pack(0, decomp.North, nil)); got != 3*6*8 {
+		t.Errorf("velocity message = %d values, want %d", got, 3*6*8)
 	}
 }

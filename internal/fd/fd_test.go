@@ -245,17 +245,17 @@ func TestPhaseContract(t *testing.T) {
 		// an exchanging phase, none otherwise.
 		var dirs []decomp.Dir
 		if w {
-			dirs = decomp.Dirs(s.Stencil())
+			dirs = decomp.Dirs(decomp.Star)
 		}
 		if got := s.ExchangeDirs(ph); !slices.Equal(got, dirs) {
 			t.Errorf("ExchangeDirs(%d) = %v, want %v", ph, got, dirs)
 		}
 	}
 	// Message lengths: phase 0 carries 2 fields, phase 1 carries 1.
-	len0 := s.MsgLen(0, decomp.East)
-	len1 := s.MsgLen(1, decomp.East)
+	len0 := len(s.Pack(0, decomp.East, nil))
+	len1 := len(s.Pack(1, decomp.East, nil))
 	if len0 != 2*8 || len1 != 8 {
-		t.Errorf("MsgLen = %d, %d; want 16, 8", len0, len1)
+		t.Errorf("message lengths = %d, %d; want 16, 8", len0, len1)
 	}
 }
 

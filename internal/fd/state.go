@@ -1,6 +1,6 @@
 package fd
 
-import "fmt"
+import "repro/internal/dump"
 
 // Method and field names in dump files.
 const (
@@ -21,32 +21,6 @@ func DumpSchema2D() (method string, fields []string) { return method2D, fieldNam
 // DumpSchema3D is DumpSchema2D for Solver3D.
 func DumpSchema3D() (method string, fields []string) { return method3D, fieldNames3D }
 
-// dumpFields returns deep copies of the arrays (raw storage, ghosts
-// included) keyed by their names, for a migration dump file.
-func dumpFields(names []string, arrays [][]float64) map[string][]float64 {
-	out := make(map[string][]float64, len(names))
-	for i, name := range names {
-		out[name] = append([]float64(nil), arrays[i]...)
-	}
-	return out
-}
-
-// restoreFields reloads every named array from a dump, reproducing the
-// solver state bit for bit.
-func restoreFields(names []string, arrays [][]float64, fields map[string][]float64) error {
-	for i, name := range names {
-		src, ok := fields[name]
-		if !ok {
-			return fmt.Errorf("fd: dump missing field %q", name)
-		}
-		if len(src) != len(arrays[i]) {
-			return fmt.Errorf("fd: field %q has %d values, want %d", name, len(src), len(arrays[i]))
-		}
-		copy(arrays[i], src)
-	}
-	return nil
-}
-
 // MethodName identifies the 2D finite-difference method in dump files.
 func (s *Solver2D) MethodName() string { return method2D }
 
@@ -60,7 +34,7 @@ func (s *Solver2D) FluidFields() [][]float64 {
 // DumpFields returns deep copies of the raw field storage (ghosts
 // included), keyed by canonical names.
 func (s *Solver2D) DumpFields() map[string][]float64 {
-	return dumpFields(fieldNames2D, s.FluidFields())
+	return dump.CopyFields(fieldNames2D, s.FluidFields())
 }
 
 // RestoreFields reloads raw field storage from a dump. The next-step
@@ -68,7 +42,7 @@ func (s *Solver2D) DumpFields() map[string][]float64 {
 // restored fields' (pairGhosts).
 func (s *Solver2D) RestoreFields(fields map[string][]float64) error {
 	s.ghostsPaired = false
-	return restoreFields(fieldNames2D, s.FluidFields(), fields)
+	return dump.RestoreFields(fieldNames2D, s.FluidFields(), fields)
 }
 
 // MethodName identifies the 3D finite-difference method in dump files.
@@ -81,11 +55,11 @@ func (s *Solver3D) FluidFields() [][]float64 {
 
 // DumpFields returns deep copies of the raw 3D field storage.
 func (s *Solver3D) DumpFields() map[string][]float64 {
-	return dumpFields(fieldNames3D, s.FluidFields())
+	return dump.CopyFields(fieldNames3D, s.FluidFields())
 }
 
 // RestoreFields reloads raw 3D field storage from a dump (see the 2D one).
 func (s *Solver3D) RestoreFields(fields map[string][]float64) error {
 	s.ghostsPaired = false
-	return restoreFields(fieldNames3D, s.FluidFields(), fields)
+	return dump.RestoreFields(fieldNames3D, s.FluidFields(), fields)
 }

@@ -47,6 +47,18 @@ func AvoidPageResonance(n int) int {
 	return n
 }
 
+// Layout is a field's raw storage as the halo layer walks it, the same
+// for both field types: the flat array, the index of interior node
+// (0, 0, 0), the interior extents, the row and plane strides and the ghost
+// depth. A Field2D is one plane: NZ = 1, no plane stride, no ghosts along z.
+type Layout struct {
+	Data       []float64
+	Origin     int
+	NX, NY, NZ int
+	SX, SXY    int
+	H          int
+}
+
 // Field2D is a scalar field on a 2D uniform orthogonal grid with H ghost
 // layers on each side. Interior nodes are addressed 0 <= x < NX,
 // 0 <= y < NY; ghost nodes extend to -H and NX+H-1 (resp. NY+H-1).
@@ -79,6 +91,11 @@ func (f *Field2D) Stride() int { return f.sx }
 // Data exposes the raw storage including ghost nodes. Index with
 // (y+H)*Stride() + (x+H). Intended for the solvers' inner loops.
 func (f *Field2D) Data() []float64 { return f.data }
+
+// Layout hands out the field's raw layout; it follows a Swap.
+func (f *Field2D) Layout() Layout {
+	return Layout{Data: f.data, Origin: f.Idx(0, 0), NX: f.NX, NY: f.NY, NZ: 1, SX: f.sx, H: f.H}
+}
 
 // Idx returns the flat index of interior node (x, y). Ghost nodes are
 // reached with x in [-H, NX+H) and y in [-H, NY+H).
@@ -207,6 +224,11 @@ func (f *Field3D) StrideXY() int { return f.sxy }
 
 // Data exposes the raw storage including ghosts.
 func (f *Field3D) Data() []float64 { return f.data }
+
+// Layout hands out the field's raw layout; it follows a Swap.
+func (f *Field3D) Layout() Layout {
+	return Layout{Data: f.data, Origin: f.Idx(0, 0, 0), NX: f.NX, NY: f.NY, NZ: f.NZ, SX: f.sx, SXY: f.sxy, H: f.H}
+}
 
 // Idx returns the flat index of node (x, y, z); ghost offsets are legal.
 func (f *Field3D) Idx(x, y, z int) int {

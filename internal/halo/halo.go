@@ -9,19 +9,21 @@
 //
 //   - Ghost fill (finite differences): each process sends its interior edge
 //     strip, and the receiver stores it into the ghost strip on the facing
-//     side. Regions: SendInterior -> RecvGhost.
+//     side: the interior Strip toward dir goes into the ghost Strip.
 //
 //   - Outflow delivery (lattice Boltzmann): the shift step writes populations
 //     that leave the subregion into the ghost strip; each process sends its
 //     ghost strip and the receiver stores it into its interior edge strip.
-//     Regions: SendGhost -> RecvInterior.
+//     The ghost Strip toward dir goes into the interior Strip.
 //
-// The package is deliberately dumb about meaning: it extracts and injects
-// rectangular regions of grid fields into flat buffers, and packs several
-// fields into a single buffer so that a method can send all its boundary
-// data in one message (the paper notes LB sends one message per neighbour
-// per step versus FD's two, which matters on a network with per-message
-// overhead).
+// The package is written once for both dimensions, over the raw layout
+// grid.Field2D and grid.Field3D both hand out: a planar field is a box one
+// plane thick and a direction is an offset per axis. It is deliberately
+// dumb about meaning: it extracts and injects rectangular regions of grid
+// fields into flat buffers, and packs several fields into a single buffer
+// so that a method can send all its boundary data in one message (the
+// paper notes LB sends one message per neighbour per step versus FD's two,
+// which matters on a network with per-message overhead).
 package halo
 
 import (
@@ -32,212 +34,135 @@ import (
 	"repro/internal/grid"
 )
 
-// Region2D is a rectangle in field-local coordinates; ghost offsets
-// (negative, or >= NX/NY) are legal.
-type Region2D struct {
-	X0, Y0 int
-	NX, NY int
+// Field is a grid field of either dimension.
+type Field interface{ Layout() grid.Layout }
+
+// Region is a box in field-local coordinates; ghost offsets (negative, or
+// >= the interior extent) are legal. A region of a planar field has Z0 = 0
+// and NZ = 1.
+type Region struct {
+	X0, Y0, Z0 int
+	NX, NY, NZ int
 }
 
 // Len returns the node count of the region.
-func (r Region2D) Len() int { return r.NX * r.NY }
+func (r Region) Len() int { return r.NX * r.NY * r.NZ }
 
-func (r Region2D) String() string {
-	return fmt.Sprintf("[%d:%d)x[%d:%d)", r.X0, r.X0+r.NX, r.Y0, r.Y0+r.NY)
-}
+// start is the index of the region's first value in the field's storage.
+func start(l grid.Layout, r Region) int { return l.Origin + r.Z0*l.SXY + r.Y0*l.SX + r.X0 }
 
-// Extract2D appends the region's values (row-major) to buf and returns the
-// extended buffer.
-func Extract2D(f *grid.Field2D, r Region2D, buf []float64) []float64 {
-	return extract(f.Data(), f.Idx(r.X0, r.Y0), box{r.NX, r.NY, 1, f.Stride(), 0, f.H}, buf)
-}
-
-// Inject2D copies len(r) values from buf into the region and returns the
-// remainder of buf.
-func Inject2D(f *grid.Field2D, r Region2D, buf []float64) []float64 {
-	return inject(f.Data(), f.Idx(r.X0, r.Y0), box{r.NX, r.NY, 1, f.Stride(), 0, f.H}, buf)
-}
-
-// box is a region of a field's raw storage as extract and inject walk it:
-// the extents, the row and plane strides, and the field's ghost depth. A
-// 2D region is one plane.
-type box struct {
-	nx, ny, nz int
-	sx, sxy    int
-	h          int
-}
-
-// extract appends the box whose first value is data[at] to buf, x fastest,
-// then y, then z; the room is reserved once. Rows wider than the ghost
-// depth are copied whole. A narrower box is an x-face or a corner: every
-// value sits on a cache line, and often a page, of its own, so what it
-// costs is how many of those misses the processor keeps in flight, and
-// that is set by how few instructions separate two loads. Each of its
-// columns is therefore walked down a plane in the tightest loop there is,
-// one load, one store and the stride; a slice and a copy per value cost
-// twice as much.
-func extract(data []float64, at int, b box, buf []float64) []float64 {
+// Extract appends the region's values to buf, x fastest, then y, then z,
+// and returns the extended buffer; the room is reserved once. Rows wider
+// than the ghost depth are copied whole. A narrower region is an x-face or
+// a corner: every value sits on a cache line, and often a page, of its
+// own, so what it costs is how many of those misses the processor keeps in
+// flight, and that is set by how few instructions separate two loads. Each
+// of its columns is therefore walked down a plane in the tightest loop
+// there is, one load, one store and the stride; a slice and a copy per
+// value cost twice as much.
+func Extract(l grid.Layout, r Region, buf []float64) []float64 {
 	n := len(buf)
-	buf = slices.Grow(buf, b.nx*b.ny*b.nz)[:n+b.nx*b.ny*b.nz] //detlint:allow allocsteady -- grows only on the first exchange; steady-state callers reuse a full-capacity buffer
-	out := buf[n:]
-	for z := 0; z < b.nz; z++ {
-		plane := out[z*b.nx*b.ny:][:b.nx*b.ny]
-		a := at + z*b.sxy
-		if b.nx > b.h {
-			for ; len(plane) > 0; plane = plane[b.nx:] {
-				copy(plane[:b.nx], data[a:a+b.nx])
-				a += b.sx
+	buf = slices.Grow(buf, r.Len())[:n+r.Len()] //detlint:allow allocsteady -- grows only on the first exchange; steady-state callers reuse a full-capacity buffer
+	out, data, at, nx, sx := buf[n:], l.Data, start(l, r), r.NX, l.SX
+	for z := 0; z < r.NZ; z++ {
+		plane := out[z*nx*r.NY:][:nx*r.NY]
+		a := at + z*l.SXY
+		if nx > l.H {
+			for ; len(plane) > 0; plane = plane[nx:] {
+				copy(plane[:nx], data[a:a+nx])
+				a += sx
 			}
 			continue
 		}
-		for i := 0; i < b.nx; i++ {
+		for i := 0; i < nx; i++ {
 			c := a + i
-			for k := i; k < len(plane); k += b.nx {
+			for k := i; k < len(plane); k += nx {
 				plane[k] = data[c]
-				c += b.sx
+				c += sx
 			}
 		}
 	}
 	return buf
 }
 
-// inject stores the leading values of buf into the box whose first value
-// is data[at], in extract's order and by the same two walks, and returns
-// the remainder of buf.
-func inject(data []float64, at int, b box, buf []float64) []float64 {
-	for z := 0; z < b.nz; z++ {
-		plane := buf[z*b.nx*b.ny:][:b.nx*b.ny]
-		a := at + z*b.sxy
-		if b.nx > b.h {
-			for ; len(plane) > 0; plane = plane[b.nx:] {
-				copy(data[a:a+b.nx], plane[:b.nx])
-				a += b.sx
+// Inject stores the leading Len values of buf into the region, in
+// Extract's order and by the same two walks, and returns the remainder of
+// buf.
+func Inject(l grid.Layout, r Region, buf []float64) []float64 {
+	data, at, nx, sx := l.Data, start(l, r), r.NX, l.SX
+	for z := 0; z < r.NZ; z++ {
+		plane := buf[z*nx*r.NY:][:nx*r.NY]
+		a := at + z*l.SXY
+		if nx > l.H {
+			for ; len(plane) > 0; plane = plane[nx:] {
+				copy(data[a:a+nx], plane[:nx])
+				a += sx
 			}
 			continue
 		}
-		for i := 0; i < b.nx; i++ {
+		for i := 0; i < nx; i++ {
 			c := a + i
-			for k := i; k < len(plane); k += b.nx {
+			for k := i; k < len(plane); k += nx {
 				data[c] = plane[k]
-				c += b.sx
+				c += sx
 			}
 		}
 	}
-	return buf[b.nx*b.ny*b.nz:]
+	return buf[r.Len():]
 }
 
-// sideSpans returns the x-span and y-span of the strip on side dir of an
-// nx-by-ny interior with h layers, at depth inside (true = interior strip,
-// false = ghost strip).
-func sideSpans(nx, ny, h int, dir decomp.Dir, interior bool) Region2D {
-	switch dir {
-	case decomp.West:
-		if interior {
-			return Region2D{0, 0, h, ny}
-		}
-		return Region2D{-h, 0, h, ny}
-	case decomp.East:
-		if interior {
-			return Region2D{nx - h, 0, h, ny}
-		}
-		return Region2D{nx, 0, h, ny}
-	case decomp.South:
-		if interior {
-			return Region2D{0, 0, nx, h}
-		}
-		return Region2D{0, -h, nx, h}
-	case decomp.North:
-		if interior {
-			return Region2D{0, ny - h, nx, h}
-		}
-		return Region2D{0, ny, nx, h}
-	case decomp.SouthWest:
-		if interior {
-			return Region2D{0, 0, h, h}
-		}
-		return Region2D{-h, -h, h, h}
-	case decomp.SouthEast:
-		if interior {
-			return Region2D{nx - h, 0, h, h}
-		}
-		return Region2D{nx, -h, h, h}
-	case decomp.NorthWest:
-		if interior {
-			return Region2D{0, ny - h, h, h}
-		}
-		return Region2D{-h, ny, h, h}
-	case decomp.NorthEast:
-		if interior {
-			return Region2D{nx - h, ny - h, h, h}
-		}
-		return Region2D{nx, ny, h, h}
+// axisSpan is the strip rule along one axis of n interior nodes and h
+// ghost layers, from the direction's offset on that axis: 0 spans the
+// whole interior extent; -1 and +1 the h layers at that end, the interior
+// ones or the ghost ones beyond them.
+func axisSpan(n, h, off int, interior bool) (x0, nx int) {
+	switch {
+	case off == 0:
+		return 0, n
+	case off < 0 && interior:
+		return 0, h
+	case off < 0:
+		return -h, h
+	case interior:
+		return n - h, h
 	}
-	panic(fmt.Sprintf("halo: invalid direction %v", dir))
+	return n, h
 }
 
-// SendInterior2D is the interior strip adjacent to side dir: what a
-// ghost-fill method sends to the neighbour at dir.
-func SendInterior2D(f *grid.Field2D, dir decomp.Dir) Region2D {
-	return sideSpans(f.NX, f.NY, f.H, dir, true)
+// Strip returns the strip of a field on side dir: a face spans the
+// interior extent of its tangential axes, an in-plane corner is h by h.
+// The interior strip is what a ghost-fill method sends to the neighbour at
+// dir and where an outflow-delivery method stores what arrives from it;
+// the ghost strip is where a ghost-fill method stores what arrives from
+// dir and what an outflow-delivery method (LB after shifting) sends there.
+func Strip(l grid.Layout, dir decomp.Dir, interior bool) Region {
+	dx, dy, dz := dir.Delta()
+	var r Region
+	r.X0, r.NX = axisSpan(l.NX, l.H, dx, interior)
+	r.Y0, r.NY = axisSpan(l.NY, l.H, dy, interior)
+	r.Z0, r.NZ = axisSpan(l.NZ, l.H, dz, interior)
+	return r
 }
 
-// RecvGhost2D is the ghost strip on side dir: where a ghost-fill method
-// stores data received from the neighbour at dir.
-func RecvGhost2D(f *grid.Field2D, dir decomp.Dir) Region2D {
-	return sideSpans(f.NX, f.NY, f.H, dir, false)
-}
-
-// SendGhost2D is the ghost strip on side dir: what an outflow-delivery
-// method (LB after shifting) sends to the neighbour at dir.
-func SendGhost2D(f *grid.Field2D, dir decomp.Dir) Region2D {
-	return sideSpans(f.NX, f.NY, f.H, dir, false)
-}
-
-// RecvInterior2D is the interior strip adjacent to side dir: where an
-// outflow-delivery method stores data received from the neighbour at dir.
-func RecvInterior2D(f *grid.Field2D, dir decomp.Dir) Region2D {
-	return sideSpans(f.NX, f.NY, f.H, dir, true)
-}
-
-// PackSend2D extracts the send regions of every field for direction dir
-// under the given convention (ghostFill true = SendInterior) into one
-// buffer, so all boundary data for a neighbour travels in one message.
-func PackSend2D(fields []*grid.Field2D, dir decomp.Dir, ghostFill bool, buf []float64) []float64 {
+// PackSend extracts the send strips of every field for direction dir
+// under the given convention (ghostFill true = the interior strips) into
+// one buffer, so all boundary data for a neighbour travels in one message.
+func PackSend[F Field](fields []F, dir decomp.Dir, ghostFill bool, buf []float64) []float64 {
 	for _, f := range fields {
-		var r Region2D
-		if ghostFill {
-			r = SendInterior2D(f, dir)
-		} else {
-			r = SendGhost2D(f, dir)
-		}
-		buf = Extract2D(f, r, buf)
+		l := f.Layout()
+		buf = Extract(l, Strip(l, dir, ghostFill), buf)
 	}
 	return buf
 }
 
-// UnpackRecv2D injects a buffer produced by PackSend2D on the neighbour at
-// dir into the receive regions of every field.
-func UnpackRecv2D(fields []*grid.Field2D, dir decomp.Dir, ghostFill bool, buf []float64) {
+// UnpackRecv injects a buffer produced by PackSend on the neighbour at dir
+// into the receive strips of every field.
+func UnpackRecv[F Field](fields []F, dir decomp.Dir, ghostFill bool, buf []float64) {
 	for _, f := range fields {
-		var r Region2D
-		if ghostFill {
-			r = RecvGhost2D(f, dir)
-		} else {
-			r = RecvInterior2D(f, dir)
-		}
-		buf = Inject2D(f, r, buf)
+		l := f.Layout()
+		buf = Inject(l, Strip(l, dir, !ghostFill), buf)
 	}
 	if len(buf) != 0 {
 		panic(fmt.Sprintf("halo: %d leftover values after unpack", len(buf)))
 	}
-}
-
-// MsgLen2D returns the number of float64 values a PackSend2D message
-// carries for the given fields and direction.
-func MsgLen2D(fields []*grid.Field2D, dir decomp.Dir) int {
-	n := 0
-	for _, f := range fields {
-		n += SendInterior2D(f, dir).Len()
-	}
-	return n
 }

@@ -27,11 +27,11 @@ func TestExtractInjectProperty(t *testing.T) {
 				src.Set(x, y, float64(1000*y+x))
 			}
 		}
-		r := Region2D{X0: x0, Y0: y0, NX: w, NY: h}
-		buf := Extract2D(src, r, nil)
+		r := Region{X0: x0, Y0: y0, NX: w, NY: h, NZ: 1}
+		buf := Extract(src.Layout(), r, nil)
 		dst := grid.NewField2D(nx, ny, 1)
 		dst.Fill(-9)
-		Inject2D(dst, r, buf)
+		Inject(dst.Layout(), r, buf)
 		for y := -1; y <= ny; y++ {
 			for x := -1; x <= nx; x++ {
 				in := x >= x0 && x < x0+w && y >= y0 && y < y0+h
@@ -58,10 +58,10 @@ func TestExtractInjectProperty(t *testing.T) {
 func TestSendRecvRegionsComplementProperty(t *testing.T) {
 	f := func(nx8, ny8, dir8 uint8) bool {
 		nx, ny := int(nx8%30)+2, int(ny8%30)+2
-		dir := decomp.Dir(dir8 % 8)
-		fl := grid.NewField2D(nx, ny, 1)
-		send := SendInterior2D(fl, dir)
-		recv := RecvGhost2D(fl, dir)
+		dir := decomp.Dirs(decomp.Full)[dir8%8]
+		fl := grid.NewField2D(nx, ny, 1).Layout()
+		send := Strip(fl, dir, true)
+		recv := Strip(fl, dir, false)
 		if send.Len() != recv.Len() || send.Len() == 0 {
 			return false
 		}
@@ -78,8 +78,8 @@ func TestSendRecvRegionsComplementProperty(t *testing.T) {
 }
 
 // refExtract2D and refExtract3D are the per-row slice-and-append packers
-// Extract2D/3D were before the shared extract, kept as the oracle.
-func refExtract2D(f *grid.Field2D, r Region2D, buf []float64) []float64 {
+// Extract was, per dimension, before the shared one, kept as the oracle.
+func refExtract2D(f *grid.Field2D, r Region, buf []float64) []float64 {
 	data := f.Data()
 	for y := r.Y0; y < r.Y0+r.NY; y++ {
 		row := data[f.Idx(r.X0, y) : f.Idx(r.X0, y)+r.NX]
@@ -88,7 +88,7 @@ func refExtract2D(f *grid.Field2D, r Region2D, buf []float64) []float64 {
 	return buf
 }
 
-func refExtract3D(f *grid.Field3D, r Region3D, buf []float64) []float64 {
+func refExtract3D(f *grid.Field3D, r Region, buf []float64) []float64 {
 	for z := r.Z0; z < r.Z0+r.NZ; z++ {
 		for y := r.Y0; y < r.Y0+r.NY; y++ {
 			row := f.Data()[f.Idx(r.X0, y, z) : f.Idx(r.X0, y, z)+r.NX]
@@ -157,27 +157,27 @@ func TestStripsMatchReference(t *testing.T) {
 
 		f2, g2 := grid.NewField2D(nx, ny, h), grid.NewField2D(nx, ny, h)
 		distinct(f2.Data(), 1)
-		for dir := decomp.Dir(0); dir < 8; dir++ {
+		for _, dir := range decomp.Dirs(decomp.Full) {
 			for _, interior := range []bool{true, false} {
-				r := sideSpans(nx, ny, h, dir, interior)
+				r := Strip(f2.Layout(), dir, interior)
 				distinct(g2.Data(), -1)
 				checkStrip(t, fmt.Sprintf("2D %dx%d h%d %v interior=%v", nx, ny, h, dir, interior),
 					refExtract2D(f2, r, nil), f2.Data(), g2.Data(),
-					func(buf []float64) []float64 { return Extract2D(f2, r, buf) },
-					func(buf []float64) []float64 { return Inject2D(g2, r, buf) })
+					func(buf []float64) []float64 { return Extract(f2.Layout(), r, buf) },
+					func(buf []float64) []float64 { return Inject(g2.Layout(), r, buf) })
 			}
 		}
 
 		f3, g3 := grid.NewField3D(nx, ny, nz, h), grid.NewField3D(nx, ny, nz, h)
 		distinct(f3.Data(), 1)
-		for _, dir := range decomp.Dirs3() {
+		for dir := decomp.West; int(dir) < decomp.NumDirs; dir++ {
 			for _, interior := range []bool{true, false} {
-				r := faceSpans(nx, ny, nz, h, dir, interior)
+				r := Strip(f3.Layout(), dir, interior)
 				distinct(g3.Data(), -1)
 				checkStrip(t, fmt.Sprintf("3D %dx%dx%d h%d %v interior=%v", nx, ny, nz, h, dir, interior),
 					refExtract3D(f3, r, nil), f3.Data(), g3.Data(),
-					func(buf []float64) []float64 { return Extract3D(f3, r, buf) },
-					func(buf []float64) []float64 { return Inject3D(g3, r, buf) })
+					func(buf []float64) []float64 { return Extract(f3.Layout(), r, buf) },
+					func(buf []float64) []float64 { return Inject(g3.Layout(), r, buf) })
 			}
 		}
 	}

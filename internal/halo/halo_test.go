@@ -19,13 +19,13 @@ func fillCoords(f *grid.Field2D) {
 func TestExtractInjectRoundTrip(t *testing.T) {
 	f := grid.NewField2D(6, 5, 1)
 	fillCoords(f)
-	r := Region2D{X0: 2, Y0: 1, NX: 3, NY: 2}
-	buf := Extract2D(f, r, nil)
+	r := Region{X0: 2, Y0: 1, NX: 3, NY: 2, NZ: 1}
+	buf := Extract(f.Layout(), r, nil)
 	if len(buf) != r.Len() {
 		t.Fatalf("extracted %d values, want %d", len(buf), r.Len())
 	}
 	g := grid.NewField2D(6, 5, 1)
-	rest := Inject2D(g, r, buf)
+	rest := Inject(g.Layout(), r, buf)
 	if len(rest) != 0 {
 		t.Fatalf("leftover %d values", len(rest))
 	}
@@ -38,37 +38,78 @@ func TestExtractInjectRoundTrip(t *testing.T) {
 	}
 	// Outside the region g is untouched.
 	if g.At(0, 0) != 0 || g.At(5, 4) != 0 {
-		t.Error("Inject2D wrote outside the region")
+		t.Error("Inject wrote outside the region")
 	}
 }
 
+// TestSideRegionsGeometry pins the strips of a planar and of a box field:
+// the interior strip (ghost-fill send, outflow-delivery receive) and the
+// ghost strip beyond it (ghost-fill receive, outflow-delivery send).
 func TestSideRegionsGeometry(t *testing.T) {
-	f := grid.NewField2D(8, 5, 2)
+	planar := grid.NewField2D(8, 5, 2).Layout()
+	box := grid.NewField3D(5, 6, 7, 1).Layout()
 	cases := []struct {
-		dir  decomp.Dir
-		send Region2D
-		recv Region2D
+		l        grid.Layout
+		dir      decomp.Dir
+		interior Region
+		ghost    Region
 	}{
-		{decomp.West, Region2D{0, 0, 2, 5}, Region2D{-2, 0, 2, 5}},
-		{decomp.East, Region2D{6, 0, 2, 5}, Region2D{8, 0, 2, 5}},
-		{decomp.South, Region2D{0, 0, 8, 2}, Region2D{0, -2, 8, 2}},
-		{decomp.North, Region2D{0, 3, 8, 2}, Region2D{0, 5, 8, 2}},
-		{decomp.SouthWest, Region2D{0, 0, 2, 2}, Region2D{-2, -2, 2, 2}},
-		{decomp.NorthEast, Region2D{6, 3, 2, 2}, Region2D{8, 5, 2, 2}},
+		{planar, decomp.West, Region{0, 0, 0, 2, 5, 1}, Region{-2, 0, 0, 2, 5, 1}},
+		{planar, decomp.East, Region{6, 0, 0, 2, 5, 1}, Region{8, 0, 0, 2, 5, 1}},
+		{planar, decomp.South, Region{0, 0, 0, 8, 2, 1}, Region{0, -2, 0, 8, 2, 1}},
+		{planar, decomp.North, Region{0, 3, 0, 8, 2, 1}, Region{0, 5, 0, 8, 2, 1}},
+		{planar, decomp.SouthWest, Region{0, 0, 0, 2, 2, 1}, Region{-2, -2, 0, 2, 2, 1}},
+		{planar, decomp.NorthEast, Region{6, 3, 0, 2, 2, 1}, Region{8, 5, 0, 2, 2, 1}},
+		{box, decomp.West, Region{0, 0, 0, 1, 6, 7}, Region{-1, 0, 0, 1, 6, 7}},
+		{box, decomp.East, Region{4, 0, 0, 1, 6, 7}, Region{5, 0, 0, 1, 6, 7}},
+		{box, decomp.North, Region{0, 5, 0, 5, 1, 7}, Region{0, 6, 0, 5, 1, 7}},
+		{box, decomp.Down, Region{0, 0, 0, 5, 6, 1}, Region{0, 0, -1, 5, 6, 1}},
+		{box, decomp.Up, Region{0, 0, 6, 5, 6, 1}, Region{0, 0, 7, 5, 6, 1}},
+		{box, decomp.SouthEast, Region{4, 0, 0, 1, 1, 7}, Region{5, -1, 0, 1, 1, 7}},
 	}
 	for _, c := range cases {
-		if got := SendInterior2D(f, c.dir); got != c.send {
-			t.Errorf("SendInterior2D(%v) = %v, want %v", c.dir, got, c.send)
+		if got := Strip(c.l, c.dir, true); got != c.interior {
+			t.Errorf("interior strip toward %v = %v, want %v", c.dir, got, c.interior)
 		}
-		if got := RecvGhost2D(f, c.dir); got != c.recv {
-			t.Errorf("RecvGhost2D(%v) = %v, want %v", c.dir, got, c.recv)
+		if got := Strip(c.l, c.dir, false); got != c.ghost {
+			t.Errorf("ghost strip toward %v = %v, want %v", c.dir, got, c.ghost)
 		}
-		// Outflow-delivery regions mirror ghost-fill regions.
-		if got := SendGhost2D(f, c.dir); got != c.recv {
-			t.Errorf("SendGhost2D(%v) = %v, want %v", c.dir, got, c.recv)
-		}
-		if got := RecvInterior2D(f, c.dir); got != c.send {
-			t.Errorf("RecvInterior2D(%v) = %v, want %v", c.dir, got, c.send)
+	}
+}
+
+// TestStripsPairUp: what is sent toward d is stored at the neighbour on the
+// side it arrives from, d.Opposite(): the two strips have equal extents
+// for every direction, ghost depths 1 and 2, under both conventions, on
+// planar and box fields (of different sizes along the axes d moves along,
+// as weighted neighbours are).
+func TestStripsPairUp(t *testing.T) {
+	for h := 1; h <= 2; h++ {
+		for dir := decomp.West; int(dir) < decomp.NumDirs; dir++ {
+			dx, dy, dz := dir.Delta()
+			grow := func(n, off int) int {
+				if off != 0 {
+					return n + 3
+				}
+				return n
+			}
+			pairs := [][2]grid.Layout{{
+				grid.NewField3D(5, 6, 7, h).Layout(),
+				grid.NewField3D(grow(5, dx), grow(6, dy), grow(7, dz), h).Layout(),
+			}}
+			if dz == 0 {
+				pairs = append(pairs, [2]grid.Layout{
+					grid.NewField2D(8, 5, h).Layout(),
+					grid.NewField2D(grow(8, dx), grow(5, dy), h).Layout(),
+				})
+			}
+			for _, p := range pairs {
+				for _, ghostFill := range []bool{true, false} {
+					send, recv := Strip(p[0], dir, ghostFill), Strip(p[1], dir.Opposite(), !ghostFill)
+					if send.NX != recv.NX || send.NY != recv.NY || send.NZ != recv.NZ || send.Len() == 0 {
+						t.Errorf("h %d dir %v ghostFill %v: send %v, receive %v", h, dir, ghostFill, send, recv)
+					}
+				}
+			}
 		}
 	}
 }
@@ -87,10 +128,11 @@ func TestGhostFillExchange(t *testing.T) {
 		}
 	}
 	// left sends East interior edge -> right's West ghost, and vice versa.
-	buf := Extract2D(left, SendInterior2D(left, decomp.East), nil)
-	Inject2D(right, RecvGhost2D(right, decomp.West), buf)
-	buf = Extract2D(right, SendInterior2D(right, decomp.West), nil)
-	Inject2D(left, RecvGhost2D(left, decomp.East), buf)
+	l, r := left.Layout(), right.Layout()
+	buf := Extract(l, Strip(l, decomp.East, true), nil)
+	Inject(r, Strip(r, decomp.West, false), buf)
+	buf = Extract(r, Strip(r, decomp.West, true), nil)
+	Inject(l, Strip(l, decomp.East, false), buf)
 
 	for y := 0; y < 3; y++ {
 		if got, want := right.At(-1, y), float64(100*y+3); got != want {
@@ -112,15 +154,15 @@ func TestPackUnpackMultiField(t *testing.T) {
 		}
 	}
 	fields := []*grid.Field2D{a, b}
-	buf := PackSend2D(fields, decomp.North, true, nil)
-	if len(buf) != MsgLen2D(fields, decomp.North) {
-		t.Fatalf("message length %d, want %d", len(buf), MsgLen2D(fields, decomp.North))
+	buf := PackSend(fields, decomp.North, true, nil)
+	if len(buf) != 2*5 {
+		t.Fatalf("message length %d, want two fields of a 5-node side", len(buf))
 	}
 	// Receiver side: two fresh fields; the buffer fills their South ghosts
 	// (data from the neighbour to the South arrives from direction South).
 	ra := grid.NewField2D(5, 4, 1)
 	rb := grid.NewField2D(5, 4, 1)
-	UnpackRecv2D([]*grid.Field2D{ra, rb}, decomp.South, true, buf)
+	UnpackRecv([]*grid.Field2D{ra, rb}, decomp.South, true, buf)
 	for x := 0; x < 5; x++ {
 		if got, want := ra.At(x, -1), a.At(x, 3); got != want {
 			t.Errorf("ra ghost (%d,-1) = %v, want %v", x, got, want)
@@ -135,11 +177,11 @@ func TestUnpackLengthMismatchPanics(t *testing.T) {
 	f := grid.NewField2D(4, 4, 1)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("UnpackRecv2D with oversized buffer did not panic")
+			t.Fatal("UnpackRecv with oversized buffer did not panic")
 		}
 	}()
-	buf := make([]float64, RecvGhost2D(f, decomp.West).Len()+3)
-	UnpackRecv2D([]*grid.Field2D{f}, decomp.West, true, buf)
+	buf := make([]float64, Strip(f.Layout(), decomp.West, false).Len()+3)
+	UnpackRecv([]*grid.Field2D{f}, decomp.West, true, buf)
 }
 
 func fillCoords3(f *grid.Field3D) {
@@ -155,13 +197,13 @@ func fillCoords3(f *grid.Field3D) {
 func TestExtractInject3DRoundTrip(t *testing.T) {
 	f := grid.NewField3D(4, 4, 4, 1)
 	fillCoords3(f)
-	r := Region3D{X0: 1, Y0: 0, Z0: 2, NX: 2, NY: 3, NZ: 2}
-	buf := Extract3D(f, r, nil)
+	r := Region{X0: 1, Y0: 0, Z0: 2, NX: 2, NY: 3, NZ: 2}
+	buf := Extract(f.Layout(), r, nil)
 	if len(buf) != r.Len() {
 		t.Fatalf("extracted %d, want %d", len(buf), r.Len())
 	}
 	g := grid.NewField3D(4, 4, 4, 1)
-	Inject3D(g, r, buf)
+	Inject(g.Layout(), r, buf)
 	for z := 2; z < 4; z++ {
 		for y := 0; y < 3; y++ {
 			for x := 1; x < 3; x++ {
@@ -169,28 +211,6 @@ func TestExtractInject3DRoundTrip(t *testing.T) {
 					t.Fatalf("(%d,%d,%d) mismatch", x, y, z)
 				}
 			}
-		}
-	}
-}
-
-func TestFaceRegions3D(t *testing.T) {
-	f := grid.NewField3D(5, 6, 7, 1)
-	cases := []struct {
-		dir  decomp.Dir3
-		send Region3D
-		recv Region3D
-	}{
-		{decomp.West3, Region3D{0, 0, 0, 1, 6, 7}, Region3D{-1, 0, 0, 1, 6, 7}},
-		{decomp.East3, Region3D{4, 0, 0, 1, 6, 7}, Region3D{5, 0, 0, 1, 6, 7}},
-		{decomp.North3, Region3D{0, 5, 0, 5, 1, 7}, Region3D{0, 6, 0, 5, 1, 7}},
-		{decomp.Up3, Region3D{0, 0, 6, 5, 6, 1}, Region3D{0, 0, 7, 5, 6, 1}},
-	}
-	for _, c := range cases {
-		if got := SendInterior3D(f, c.dir); got != c.send {
-			t.Errorf("SendInterior3D(%v) = %v, want %v", c.dir, got, c.send)
-		}
-		if got := RecvGhost3D(f, c.dir); got != c.recv {
-			t.Errorf("RecvGhost3D(%v) = %v, want %v", c.dir, got, c.recv)
 		}
 	}
 }
@@ -207,10 +227,10 @@ func TestGhostFillExchange3D(t *testing.T) {
 			}
 		}
 	}
-	buf := PackSend3D([]*grid.Field3D{lo}, decomp.Up3, true, nil)
-	UnpackRecv3D([]*grid.Field3D{hi}, decomp.Down3, true, buf)
-	buf = PackSend3D([]*grid.Field3D{hi}, decomp.Down3, true, nil)
-	UnpackRecv3D([]*grid.Field3D{lo}, decomp.Up3, true, buf)
+	buf := PackSend([]*grid.Field3D{lo}, decomp.Up, true, nil)
+	UnpackRecv([]*grid.Field3D{hi}, decomp.Down, true, buf)
+	buf = PackSend([]*grid.Field3D{hi}, decomp.Down, true, nil)
+	UnpackRecv([]*grid.Field3D{lo}, decomp.Up, true, buf)
 	for y := 0; y < 3; y++ {
 		for x := 0; x < 3; x++ {
 			if got, want := hi.At(x, y, -1), float64(100*2+10*y+x); got != want {
@@ -223,10 +243,12 @@ func TestGhostFillExchange3D(t *testing.T) {
 	}
 }
 
-func TestMsgLen3DCounts(t *testing.T) {
+// TestPackSendCounts: a face message of five variables, as in 3D LB, is
+// five values per face node.
+func TestPackSendCounts(t *testing.T) {
 	f := grid.NewField3D(10, 20, 30, 1)
-	fields := []*grid.Field3D{f, f, f, f, f} // 5 variables as in 3D LB
-	if got := MsgLen3D(fields, decomp.East3); got != 5*20*30 {
-		t.Errorf("MsgLen3D = %d, want %d", got, 5*20*30)
+	fields := []*grid.Field3D{f, f, f, f, f}
+	if got := len(PackSend(fields, decomp.East, true, nil)); got != 5*20*30 {
+		t.Errorf("packed %d values, want %d", got, 5*20*30)
 	}
 }

@@ -58,8 +58,9 @@ var (
 
 // outgoing2 lists, for each 2D direction, the population indices whose
 // lattice vector points into that direction's neighbour: the populations
-// that must be communicated across that side or corner.
-var outgoing2 = map[decomp.Dir][]int{
+// that must be communicated across that side or corner. It is indexed by
+// direction, so Pack and Unpack look nothing up.
+var outgoing2 = [decomp.NumDirs][]int{
 	decomp.East:      {1, 5, 8},
 	decomp.West:      {3, 6, 7},
 	decomp.North:     {2, 5, 6},
@@ -220,15 +221,11 @@ func (s *Solver2D) Phases() int { return 2 }
 // relax+shift phase communicates (one message per neighbour per step).
 func (s *Solver2D) Exchanges(phase int) bool { return phase == 0 }
 
-// fullDirs2 is fixed at package level so ExchangeDirs stays allocation-free
-// on the step path.
-var fullDirs2 = decomp.Dirs(decomp.Full)
-
 // ExchangeDirs returns the neighbours exchanged with after a phase: all
 // eight (sides and corners) after relax+shift, none after macroscopics.
 func (s *Solver2D) ExchangeDirs(phase int) []decomp.Dir {
 	if s.Exchanges(phase) {
-		return fullDirs2
+		return decomp.Dirs(decomp.Full)
 	}
 	return nil
 }
@@ -437,15 +434,15 @@ func (s *Solver2D) applyFilter() {
 // one node whose source lies outside the interior: that value travels on
 // the corner path of the adjacent neighbour instead, so trimming keeps
 // exactly one writer per receiving node.
-func (s *Solver2D) sendRegion(i int, dir decomp.Dir) halo.Region2D {
-	r := halo.SendGhost2D(s.F[i], dir)
+func (s *Solver2D) sendRegion(i int, dir decomp.Dir) halo.Region {
+	r := halo.Strip(s.F[i].Layout(), dir, false)
 	return trim2(r, dir, cx2[i], cy2[i])
 }
 
 // recvRegion returns the interior-edge region where population i arriving
 // from dir is stored; it mirrors the sender's trimmed region.
-func (s *Solver2D) recvRegion(i int, dir decomp.Dir) halo.Region2D {
-	r := halo.RecvInterior2D(s.F[i], dir)
+func (s *Solver2D) recvRegion(i int, dir decomp.Dir) halo.Region {
+	r := halo.Strip(s.F[i].Layout(), dir, true)
 	return trim2(r, dir.Opposite(), cx2[i], cy2[i])
 }
 
@@ -453,7 +450,7 @@ func (s *Solver2D) recvRegion(i int, dir decomp.Dir) halo.Region2D {
 // (dx, dy) crossing side dir: along a vertical side the strip loses the
 // node at the end the population slants away from, and symmetrically for
 // horizontal sides. Corner regions (1x1) are never trimmed.
-func trim2(r halo.Region2D, dir decomp.Dir, dx, dy int) halo.Region2D {
+func trim2(r halo.Region, dir decomp.Dir, dx, dy int) halo.Region {
 	switch dir {
 	case decomp.East, decomp.West:
 		if dy > 0 {
@@ -475,7 +472,7 @@ func trim2(r halo.Region2D, dir decomp.Dir, dx, dy int) halo.Region2D {
 // it (outflow-delivery convention; all boundary data in one message).
 func (s *Solver2D) Pack(phase int, dir decomp.Dir, buf []float64) []float64 {
 	for _, i := range outgoing2[dir] {
-		buf = halo.Extract2D(s.F[i], s.sendRegion(i, dir), buf)
+		buf = halo.Extract(s.F[i].Layout(), s.sendRegion(i, dir), buf)
 	}
 	return buf
 }
@@ -486,27 +483,12 @@ func (s *Solver2D) Pack(phase int, dir decomp.Dir, buf []float64) []float64 {
 // populations entering this subregion from dir.
 func (s *Solver2D) Unpack(phase int, dir decomp.Dir, buf []float64) {
 	for _, i := range outgoing2[dir.Opposite()] {
-		buf = halo.Inject2D(s.F[i], s.recvRegion(i, dir), buf)
+		buf = halo.Inject(s.F[i].Layout(), s.recvRegion(i, dir), buf)
 	}
 	if len(buf) != 0 {
 		panic(fmt.Sprintf("lbm: %d leftover values after unpack", len(buf)))
 	}
 }
-
-// MsgLen returns the message length for a direction: roughly 3 populations
-// per side node (exactly 3L-2 per side of length L after corner trimming),
-// 1 value per corner.
-func (s *Solver2D) MsgLen(phase int, dir decomp.Dir) int {
-	n := 0
-	for _, i := range outgoing2[dir] {
-		n += s.sendRegion(i, dir).Len()
-	}
-	return n
-}
-
-// Stencil returns the neighbour stencil: full, because diagonal
-// populations cross subregion corners.
-func (s *Solver2D) Stencil() decomp.Stencil { return decomp.Full }
 
 // StepSerial advances a standalone solver one step with periodic wrapping
 // on the requested axes. ("Serial" refers to the absence of a transport —

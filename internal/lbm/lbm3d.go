@@ -205,14 +205,14 @@ func (s *Solver3D) Exchanges(phase int) bool { return phase <= 2 }
 // Face pairs exchanged after each compute phase, fixed at package level
 // so ExchangeDirs stays allocation-free on the step path.
 var (
-	xFaces3 = []decomp.Dir3{decomp.West3, decomp.East3}
-	yFaces3 = []decomp.Dir3{decomp.South3, decomp.North3}
-	zFaces3 = []decomp.Dir3{decomp.Down3, decomp.Up3}
+	xFaces3 = []decomp.Dir{decomp.West, decomp.East}
+	yFaces3 = []decomp.Dir{decomp.South, decomp.North}
+	zFaces3 = []decomp.Dir{decomp.Down, decomp.Up}
 )
 
 // ExchangeDirs returns the faces exchanged after the given phase: x faces
 // after relax, then y faces, then z faces.
-func (s *Solver3D) ExchangeDirs(phase int) []decomp.Dir3 {
+func (s *Solver3D) ExchangeDirs(phase int) []decomp.Dir {
 	switch phase {
 	case 0:
 		return xFaces3
@@ -364,7 +364,7 @@ func (s *Solver3D) applyFilter() {
 // positive velocity component along it — Pack/Unpack run in the hot
 // exchange path and must not allocate.
 var crossingTab3 = func() (tab [6][]int) {
-	for _, dir := range decomp.Dirs3() {
+	for _, dir := range decomp.Faces() {
 		dx, dy, dz := dir.Delta()
 		for i := 1; i < Q3; i++ {
 			if cx3[i]*dx+cy3[i]*dy+cz3[i]*dz > 0 {
@@ -377,21 +377,16 @@ var crossingTab3 = func() (tab [6][]int) {
 
 // crossing3 returns the population indices with a positive velocity
 // component along face direction dir.
-func crossing3(dir decomp.Dir3) []int { return crossingTab3[dir] }
+func crossing3(dir decomp.Dir) []int { return crossingTab3[dir] }
 
 // sweepRegion returns the send (interior) or receive (ghost) strip for a
 // face, extended over the ghost layers of the axes swept before it.
-func (s *Solver3D) sweepRegion(dir decomp.Dir3, interior bool) halo.Region3D {
-	var r halo.Region3D
-	if interior {
-		r = halo.SendInterior3D(s.F[0], dir)
-	} else {
-		r = halo.RecvGhost3D(s.F[0], dir)
-	}
+func (s *Solver3D) sweepRegion(dir decomp.Dir, interior bool) halo.Region {
+	r := halo.Strip(s.F[0].Layout(), dir, interior)
 	switch dir {
-	case decomp.South3, decomp.North3: // y sweep: extend over x ghosts
+	case decomp.South, decomp.North: // y sweep: extend over x ghosts
 		r.X0, r.NX = r.X0-1, r.NX+2
-	case decomp.Down3, decomp.Up3: // z sweep: extend over x and y ghosts
+	case decomp.Down, decomp.Up: // z sweep: extend over x and y ghosts
 		r.X0, r.NX = r.X0-1, r.NX+2
 		r.Y0, r.NY = r.Y0-1, r.NY+2
 	}
@@ -401,10 +396,10 @@ func (s *Solver3D) sweepRegion(dir decomp.Dir3, interior bool) halo.Region3D {
 // Pack extracts the populations crossing face dir from the (extended)
 // interior strip: the data the neighbour's ghost layer needs before it can
 // shift.
-func (s *Solver3D) Pack(phase int, dir decomp.Dir3, buf []float64) []float64 {
+func (s *Solver3D) Pack(phase int, dir decomp.Dir, buf []float64) []float64 {
 	r := s.sweepRegion(dir, true)
 	for _, i := range crossing3(dir) {
-		buf = halo.Extract3D(s.F[i], r, buf)
+		buf = halo.Extract(s.F[i].Layout(), r, buf)
 	}
 	return buf
 }
@@ -412,20 +407,14 @@ func (s *Solver3D) Pack(phase int, dir decomp.Dir3, buf []float64) []float64 {
 // Unpack stores populations received from the neighbour at dir into the
 // (extended) ghost strip on that side. The sender packed the populations
 // crossing its Opposite(dir) face, which point into this subregion.
-func (s *Solver3D) Unpack(phase int, dir decomp.Dir3, buf []float64) {
+func (s *Solver3D) Unpack(phase int, dir decomp.Dir, buf []float64) {
 	r := s.sweepRegion(dir, false)
 	for _, i := range crossing3(dir.Opposite()) {
-		buf = halo.Inject3D(s.F[i], r, buf)
+		buf = halo.Inject(s.F[i].Layout(), r, buf)
 	}
 	if len(buf) != 0 {
 		panic(fmt.Sprintf("lbm: %d leftover values after 3D unpack", len(buf)))
 	}
-}
-
-// MsgLen returns the message length for a face: 5 populations per strip
-// node.
-func (s *Solver3D) MsgLen(phase int, dir decomp.Dir3) int {
-	return len(crossing3(dir)) * s.sweepRegion(dir, true).Len()
 }
 
 // StepSerial advances a standalone solver one step with periodic wrapping,
@@ -440,11 +429,11 @@ func (s *Solver3D) StepSerial(px, py, pz bool) {
 		for _, d := range s.ExchangeDirs(ph) {
 			var wraps bool
 			switch d {
-			case decomp.West3, decomp.East3:
+			case decomp.West, decomp.East:
 				wraps = px
-			case decomp.South3, decomp.North3:
+			case decomp.South, decomp.North:
 				wraps = py
-			case decomp.Down3, decomp.Up3:
+			case decomp.Down, decomp.Up:
 				wraps = pz
 			}
 			if !wraps {

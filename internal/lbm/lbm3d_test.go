@@ -131,25 +131,26 @@ func TestSweepRegions(t *testing.T) {
 		t.Fatal(err)
 	}
 	// x sweep: bare faces.
-	r := s.sweepRegion(decomp.East3, true)
+	r := s.sweepRegion(decomp.East, true)
 	if r.NX != 1 || r.NY != 6 || r.NZ != 7 || r.X0 != 4 {
 		t.Errorf("east sweep region %+v", r)
 	}
 	// y sweep: extended over x ghosts.
-	r = s.sweepRegion(decomp.North3, true)
+	r = s.sweepRegion(decomp.North, true)
 	if r.NX != 7 || r.X0 != -1 || r.NY != 1 || r.Y0 != 5 {
 		t.Errorf("north sweep region %+v", r)
 	}
 	// z sweep: extended over x and y ghosts.
-	r = s.sweepRegion(decomp.Up3, false)
+	r = s.sweepRegion(decomp.Up, false)
 	if r.NX != 7 || r.NY != 8 || r.NZ != 1 || r.Z0 != 7 || r.Y0 != -1 {
 		t.Errorf("up sweep region %+v", r)
 	}
-	// MsgLen = 5 populations x strip nodes and matches Pack.
-	for _, d := range decomp.Dirs3() {
-		buf := s.Pack(0, d, nil)
-		if len(buf) != s.MsgLen(0, d) {
-			t.Errorf("dir %v: packed %d, MsgLen %d", d, len(buf), s.MsgLen(0, d))
+	// A message is 5 populations x strip nodes, the strip extended over
+	// the ghost rows of the axes swept before it.
+	want := []int{5 * 6 * 7, 5 * 6 * 7, 5 * 7 * 7, 5 * 7 * 7, 5 * 7 * 8, 5 * 7 * 8}
+	for i, d := range decomp.Faces() {
+		if got := len(s.Pack(0, d, nil)); got != want[i] {
+			t.Errorf("dir %v: packed %d values, want %d", d, got, want[i])
 		}
 	}
 }
@@ -163,10 +164,10 @@ func TestPhaseContract3D(t *testing.T) {
 	if s.Phases() != 4 {
 		t.Fatalf("Phases = %d, want 4", s.Phases())
 	}
-	wantDirs := [][]decomp.Dir3{
-		{decomp.West3, decomp.East3},
-		{decomp.South3, decomp.North3},
-		{decomp.Down3, decomp.Up3},
+	wantDirs := [][]decomp.Dir{
+		{decomp.West, decomp.East},
+		{decomp.South, decomp.North},
+		{decomp.Down, decomp.Up},
 		nil,
 	}
 	for ph := 0; ph < 4; ph++ {

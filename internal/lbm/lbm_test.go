@@ -87,7 +87,7 @@ func TestOppositesAndOutgoing(t *testing.T) {
 		if len(outgoing2[d]) != 3 {
 			t.Errorf("side %v carries %d populations, want 3", d, len(outgoing2[d]))
 		}
-		dx, dy := d.Delta()
+		dx, dy, _ := d.Delta()
 		for _, i := range outgoing2[d] {
 			if cx2[i]*dx+cy2[i]*dy <= 0 {
 				t.Errorf("population %d does not cross side %v", i, d)
@@ -95,7 +95,7 @@ func TestOppositesAndOutgoing(t *testing.T) {
 		}
 	}
 	// 3D: five populations cross each face (the paper's 5 variables/node).
-	for _, d := range decomp.Dirs3() {
+	for _, d := range decomp.Faces() {
 		if got := len(crossing3(d)); got != 5 {
 			t.Errorf("face %v carries %d populations, want 5", d, got)
 		}
@@ -335,16 +335,21 @@ func TestTrimRegions(t *testing.T) {
 	}
 }
 
-// TestMsgLenMatchesPack checks MsgLen agrees with the actual packed size.
+// TestMsgLenMatchesPack checks the packed sizes against section 6: three
+// populations per side node less the two the corners carry (3L-2 for a side
+// of length L), one value per corner.
 func TestMsgLenMatchesPack(t *testing.T) {
 	s, err := NewSolver2D(9, 7, fluid.DefaultParams(), allFluid)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := map[decomp.Dir]int{
+		decomp.West: 3*7 - 2, decomp.East: 3*7 - 2, decomp.South: 3*9 - 2, decomp.North: 3*9 - 2,
+		decomp.SouthWest: 1, decomp.SouthEast: 1, decomp.NorthWest: 1, decomp.NorthEast: 1,
+	}
 	for _, d := range decomp.Dirs(decomp.Full) {
-		buf := s.Pack(0, d, nil)
-		if len(buf) != s.MsgLen(0, d) {
-			t.Errorf("dir %v: packed %d, MsgLen %d", d, len(buf), s.MsgLen(0, d))
+		if got := len(s.Pack(0, d, nil)); got != want[d] {
+			t.Errorf("dir %v: packed %d values, want %d", d, got, want[d])
 		}
 	}
 }
@@ -360,7 +365,7 @@ func TestExchangeDirs2D(t *testing.T) {
 	for ph := 0; ph < s.Phases(); ph++ {
 		var want []decomp.Dir
 		if s.Exchanges(ph) {
-			want = decomp.Dirs(s.Stencil())
+			want = decomp.Dirs(decomp.Full)
 		}
 		if got := s.ExchangeDirs(ph); !slices.Equal(got, want) {
 			t.Errorf("ExchangeDirs(%d) = %v, want %v", ph, got, want)

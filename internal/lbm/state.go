@@ -1,6 +1,10 @@
 package lbm
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/dump"
+)
 
 // Method names in dump files.
 const (
@@ -29,31 +33,6 @@ func DumpSchema2D() (method string, fields []string) { return method2D, fieldNam
 // DumpSchema3D is DumpSchema2D for Solver3D.
 func DumpSchema3D() (method string, fields []string) { return method3D, fieldNames3D }
 
-// dumpFields returns deep copies of the arrays (raw storage, ghosts
-// included) keyed by their names.
-func dumpFields(names []string, arrays [][]float64) map[string][]float64 {
-	out := make(map[string][]float64, len(names))
-	for i, name := range names {
-		out[name] = append([]float64(nil), arrays[i]...)
-	}
-	return out
-}
-
-// restoreFields reloads every named array from a dump, bit for bit.
-func restoreFields(names []string, arrays [][]float64, fields map[string][]float64) error {
-	for i, name := range names {
-		src, ok := fields[name]
-		if !ok {
-			return fmt.Errorf("lbm: dump missing field %q", name)
-		}
-		if len(src) != len(arrays[i]) {
-			return fmt.Errorf("lbm: field %q has %d values, want %d", name, len(src), len(arrays[i]))
-		}
-		copy(arrays[i], src)
-	}
-	return nil
-}
-
 // MethodName identifies the 2D lattice Boltzmann method in dump files.
 func (s *Solver2D) MethodName() string { return method2D }
 
@@ -76,12 +55,12 @@ func (s *Solver2D) fieldArrays() [][]float64 {
 // DumpFields returns deep copies of the populations and fluid variables
 // (raw storage, ghosts included).
 func (s *Solver2D) DumpFields() map[string][]float64 {
-	return dumpFields(fieldNames2D, s.fieldArrays())
+	return dump.CopyFields(fieldNames2D, s.fieldArrays())
 }
 
 // RestoreFields reloads populations and fluid variables from a dump.
 func (s *Solver2D) RestoreFields(fields map[string][]float64) error {
-	return restoreFields(fieldNames2D, s.fieldArrays(), fields)
+	return dump.RestoreFields(fieldNames2D, s.fieldArrays(), fields)
 }
 
 // MethodName identifies the 3D lattice Boltzmann method in dump files.
@@ -104,10 +83,10 @@ func (s *Solver3D) fieldArrays() [][]float64 {
 
 // DumpFields returns deep copies of the 3D populations and fluid variables.
 func (s *Solver3D) DumpFields() map[string][]float64 {
-	return dumpFields(fieldNames3D, s.fieldArrays())
+	return dump.CopyFields(fieldNames3D, s.fieldArrays())
 }
 
 // RestoreFields reloads the 3D populations and fluid variables.
 func (s *Solver3D) RestoreFields(fields map[string][]float64) error {
-	return restoreFields(fieldNames3D, s.fieldArrays(), fields)
+	return dump.RestoreFields(fieldNames3D, s.fieldArrays(), fields)
 }

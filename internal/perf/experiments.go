@@ -67,7 +67,7 @@ func PaperHosts(p int) []*cluster.Host {
 // the decomposition (grid = l*JX by l*JY), hosts come from the paper pool,
 // and T_1 is the 715/50 integrating the whole grid.
 func Efficiency2D(jx, jy, l int, method string, net netsim.Network) (f, speedup float64, stats netsim.Stats, err error) {
-	d, err := decomp.New2D(jx, jy, l*jx, l*jy, stencilFor(method))
+	d, err := decomp.New2D(jx, jy, l*jx, l*jy, decomp.StencilFor(method))
 	if err != nil {
 		return 0, 0, netsim.Stats{}, err
 	}
@@ -75,7 +75,7 @@ func Efficiency2D(jx, jy, l int, method string, net netsim.Network) (f, speedup 
 	if len(hosts) < d.P() {
 		return 0, 0, netsim.Stats{}, fmt.Errorf("perf: pool exhausted at P=%d", d.P())
 	}
-	specs, err := Build2D(d, method, hosts)
+	specs, err := Build(d, method, hosts)
 	if err != nil {
 		return 0, 0, netsim.Stats{}, err
 	}
@@ -98,7 +98,7 @@ func Efficiency3D(jx, jy, jz, l int, method string, net netsim.Network) (f, spee
 	if len(hosts) < d.P() {
 		return 0, 0, netsim.Stats{}, fmt.Errorf("perf: pool exhausted at P=%d", d.P())
 	}
-	specs, err := Build3D(d, method, hosts)
+	specs, err := Build(d, method, hosts)
 	if err != nil {
 		return 0, 0, netsim.Stats{}, err
 	}
@@ -109,13 +109,6 @@ func Efficiency3D(jx, jy, jz, l int, method string, net netsim.Network) (f, spee
 	t1 := SerialTime(d.GX*d.GY*d.GZ, method)
 	f = t1 / (float64(d.P()) * perStep)
 	return f, f * float64(d.P()), stats, nil
-}
-
-func stencilFor(method string) decomp.Stencil {
-	if method == LB2D || method == LB3D {
-		return decomp.Full
-	}
-	return decomp.Star
 }
 
 // fig5Decomps are the decompositions of figures 5-8.
@@ -296,7 +289,7 @@ func AblationFCFS(p, l int, spikeProb float64) (fcfs, strict float64, err error)
 	if err != nil {
 		return 0, 0, err
 	}
-	specs, err := Build2D(d, LB2D, PaperHosts(p))
+	specs, err := Build(d, LB2D, PaperHosts(p))
 	if err != nil {
 		return 0, 0, err
 	}
@@ -386,7 +379,7 @@ func DynamicVsMigration(p, l, steps int, slowFactor float64) (ignore, migrate, d
 		return 0, 0, 0, err
 	}
 	hosts := PaperHosts(p)
-	specs, err := Build2D(d, LB2D, hosts)
+	specs, err := Build(d, LB2D, hosts)
 	if err != nil {
 		return 0, 0, 0, err
 	}

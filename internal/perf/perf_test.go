@@ -115,12 +115,12 @@ func TestBuild2DPattern(t *testing.T) {
 		t.Fatal(err)
 	}
 	hosts := Hosts715(9)
-	specs, err := Build2D(d, LB2D, hosts)
+	specs, err := Build(d, LB2D, hosts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The centre subregion has 8 neighbours: 4 sides + 4 corners.
-	center := specs[d.Sub(1, 1).Rank]
+	center := specs[d.Sub(1, 1, 0).Rank]
 	if len(center.Out[0]) != 8 || center.Expect[0] != 8 {
 		t.Errorf("centre has %d out, %d expected; want 8, 8", len(center.Out[0]), center.Expect[0])
 	}
@@ -144,11 +144,11 @@ func TestBuild2DPattern(t *testing.T) {
 	}
 
 	// FD: star neighbours only, two messages per neighbour.
-	fdSpecs, err := Build2D(d, FD2D, hosts)
+	fdSpecs, err := Build(d, FD2D, hosts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc := fdSpecs[d.Sub(1, 1).Rank]
+	fc := fdSpecs[d.Sub(1, 1, 0).Rank]
 	if len(fc.Out[0]) != 4 || len(fc.Out[1]) != 4 || len(fc.Out[2]) != 0 {
 		t.Errorf("FD message counts %d/%d/%d, want 4/4/0",
 			len(fc.Out[0]), len(fc.Out[1]), len(fc.Out[2]))
@@ -163,7 +163,7 @@ func TestBuild3DPattern(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs, err := Build3D(d, LB3D, Hosts715(2))
+	specs, err := Build(d, LB3D, Hosts715(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestBuild3DPattern(t *testing.T) {
 func TestEfficiencyPerfectNetwork(t *testing.T) {
 	// With free communication and homogeneous 715 hosts, efficiency ~1.
 	d, _ := decomp.New2D(4, 4, 400, 400, decomp.Full)
-	specs, err := Build2D(d, LB2D, Hosts715(16))
+	specs, err := Build(d, LB2D, Hosts715(16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestStrictOrderAblation(t *testing.T) {
 
 func TestJitterDeterminism(t *testing.T) {
 	d, _ := decomp.New2D(4, 1, 200, 50, decomp.Full)
-	specs, _ := Build2D(d, LB2D, Hosts715(4))
+	specs, _ := Build(d, LB2D, Hosts715(4))
 	run := func() float64 {
 		res, err := Run(&Spec{
 			Workers: specs, Steps: 10, Bus: netsim.DefaultEthernet(),

@@ -196,11 +196,11 @@ func TestEqualSpeedPoolBitIdenticalToUniform(t *testing.T) {
 // for the weighted checkpoint round trip.
 func weightedSimConfig(t *testing.T) *core.Config2D {
 	t.Helper()
-	sh, err := decomp.WeightedShape2D(2, 1, 24, 16, []float64{1.0, 0.84})
+	sh, err := decomp.WeightedShape(2, 1, 0, 24, 16, 0, []float64{1.0, 0.84})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := decomp.New2DShaped(sh, decomp.Full)
+	d, err := decomp.NewShaped(sh, decomp.Full)
 	if err != nil {
 		t.Fatal(err)
 	}

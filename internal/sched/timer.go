@@ -25,12 +25,8 @@ func shapeOrUniform(spec JobSpec, shape decomp.Shape) (decomp.Shape, error) {
 	if shape.IsZero() {
 		return UniformShape(spec), nil
 	}
-	jz := spec.JZ
-	if !spec.Is3D() {
-		jz = 0
-	}
 	gx, gy, gz := spec.Grid()
-	if err := shape.Check(spec.JX, spec.JY, jz, gx, gy, gz); err != nil {
+	if err := shape.Check(spec.JX, spec.JY, spec.JZ, gx, gy, gz); err != nil {
 		return decomp.Shape{}, fmt.Errorf("sched: job %s: %w", spec.ID, err)
 	}
 	return shape, nil
@@ -40,10 +36,7 @@ func shapeOrUniform(spec JobSpec, shape decomp.Shape) (decomp.Shape, error) {
 // degenerate case every job priced before speed weighting used.
 func UniformShape(spec JobSpec) decomp.Shape {
 	gx, gy, gz := spec.Grid()
-	if spec.Is3D() {
-		return decomp.UniformShape3D(spec.JX, spec.JY, spec.JZ, gx, gy, gz)
-	}
-	return decomp.UniformShape2D(spec.JX, spec.JY, gx, gy)
+	return decomp.UniformShape(spec.JX, spec.JY, spec.JZ, gx, gy, gz)
 }
 
 // WeightedShape returns the spec's speed-weighted shape for a placement:
@@ -59,10 +52,7 @@ func WeightedShape(spec JobSpec, hosts []*cluster.Host) (decomp.Shape, error) {
 		speed[i] = hosts[i].Speed(spec.Method)
 	}
 	gx, gy, gz := spec.Grid()
-	if spec.Is3D() {
-		return decomp.WeightedShape3D(spec.JX, spec.JY, spec.JZ, gx, gy, gz, speed)
-	}
-	return decomp.WeightedShape2D(spec.JX, spec.JY, gx, gy, speed)
+	return decomp.WeightedShape(spec.JX, spec.JY, spec.JZ, gx, gy, gz, speed)
 }
 
 // forEachRank walks the spec's lattice in rank order (row-major, planes
@@ -153,29 +143,13 @@ func PerfTimer(netFn func() netsim.Network) StepTimer {
 		if err != nil {
 			return 0, err
 		}
-		var workers []perf.WorkerSpec
-		if spec.Is3D() {
-			d, err := decomp.New3DShaped(sh)
-			if err != nil {
-				return 0, err
-			}
-			workers, err = perf.Build3D(d, spec.Method, hosts)
-			if err != nil {
-				return 0, err
-			}
-		} else {
-			stencil := decomp.Star
-			if spec.Method == perf.LB2D {
-				stencil = decomp.Full
-			}
-			d, err := decomp.New2DShaped(sh, stencil)
-			if err != nil {
-				return 0, err
-			}
-			workers, err = perf.Build2D(d, spec.Method, hosts)
-			if err != nil {
-				return 0, err
-			}
+		d, err := decomp.NewShaped(sh, decomp.StencilFor(spec.Method))
+		if err != nil {
+			return 0, err
+		}
+		workers, err := perf.Build(d, spec.Method, hosts)
+		if err != nil {
+			return 0, err
 		}
 		sec, _, err := perf.Measure(workers, netFn(), 0)
 		return sec, err
