@@ -243,7 +243,7 @@ func (f *Farm) Run(ctx context.Context) (Summary, error) {
 	}
 	stop := make(chan struct{})
 	watcherDone := make(chan struct{})
-	//detlint:allow goentropy -- the watcher only forwards ctx cancellation to InterruptCheckpoint, which the scheduler applies at its next step boundary; it cannot reorder scheduler decisions
+	//detlint:allow entropy -- the watcher only forwards ctx cancellation to InterruptCheckpoint, which the scheduler applies at its next step boundary; it cannot reorder scheduler decisions
 	go func() {
 		defer close(watcherDone)
 		select {

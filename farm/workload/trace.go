@@ -257,7 +257,7 @@ func run(f *farm.Farm, jobs []farm.JobSpec) (farm.Summary, []string, error) {
 	sub := f.SubscribeBuffered(1 << 14)
 	var lines []string
 	done := make(chan struct{})
-	//detlint:allow goentropy -- subscriber drain: the goroutine only copies the already-ordered event stream into lines, and the reader joins on done before touching them
+	//detlint:allow entropy -- subscriber drain: the goroutine only copies the already-ordered event stream into lines, and the reader joins on done before touching them
 	go func() {
 		defer close(done)
 		for ev := range sub.Events() {

@@ -9,7 +9,7 @@ import (
 // The escape hatch. A finding that is understood and deliberate is
 // suppressed with a directive comment:
 //
-//	//detlint:allow goentropy -- watcher only forwards ctx cancellation
+//	//detlint:allow entropy -- watcher only forwards ctx cancellation
 //
 // The grammar is `//detlint:allow name[,name...] -- reason`, in a line
 // comment or a `/*detlint:allow ...*/` block comment. The directive

@@ -7,8 +7,10 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/analysis/analysistest"
 
-	// Registers maporder so a directive naming it — a real pass that is
-	// not part of this invocation — validates without being a typo.
+	// Registers entropy and maporder so a directive naming one — a real
+	// pass that is not part of this invocation — validates without
+	// being a typo, while the names entropy replaced do not.
+	_ "repro/internal/analysis/passes/entropy"
 	_ "repro/internal/analysis/passes/maporder"
 )
 

@@ -61,22 +61,6 @@ type Diagnostic struct {
 	Pos      token.Pos
 	Analyzer string
 	Message  string
-	// Fixes holds machine-applicable edits that resolve the finding;
-	// the driver applies them under -fix.
-	Fixes []SuggestedFix
-}
-
-// A SuggestedFix is one self-contained repair: all its edits are
-// applied together or not at all.
-type SuggestedFix struct {
-	Message string
-	Edits   []TextEdit
-}
-
-// A TextEdit replaces [Pos, End) with NewText. Pos == End inserts.
-type TextEdit struct {
-	Pos, End token.Pos
-	NewText  string
 }
 
 // Reportf records a finding at pos.
@@ -86,13 +70,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// Report records a fully-formed finding (used by passes that attach
-// suggested fixes).
-func (p *Pass) Report(d Diagnostic) {
-	d.Analyzer = p.Analyzer.Name
-	*p.diags = append(*p.diags, d)
 }
 
 // Allowed reports whether a well-formed //detlint:allow directive for
@@ -120,18 +97,12 @@ func (p *Pass) IsTestFile(f *ast.File) bool {
 	return strings.HasSuffix(p.Fset.Position(f.Package).Filename, "_test.go")
 }
 
-// Run applies the analyzers to the package, filters the findings
+// RunFacts applies the analyzers to the package, filters the findings
 // through the //detlint:allow directives in the source, validates those
 // directives (a directive must carry a reason, and must name a
 // registered analyzer), and returns the surviving diagnostics ordered
-// by position. It is RunFacts without cross-package facts — the
-// single-package harness.
-func Run(pkg *Package, cfg *Config, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return RunFacts(pkg, cfg, analyzers, nil)
-}
-
-// RunFacts is Run with a fact store: analyzers see the facts the
-// store's dependencies exported and their own exports land in it.
+// by position. Analyzers see the facts the store's dependencies
+// exported and their own exports land in it.
 func RunFacts(pkg *Package, cfg *Config, analyzers []*Analyzer, facts *FactStore) ([]Diagnostic, error) {
 	idx := buildAllowIndex(pkg.Fset, pkg.Files)
 	var out []Diagnostic

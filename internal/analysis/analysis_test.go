@@ -1,10 +1,6 @@
 package analysis
 
-import (
-	"os"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 func TestMatch(t *testing.T) {
 	cases := []struct {
@@ -33,52 +29,20 @@ func TestDefaultScopes(t *testing.T) {
 	cfg := Default()
 	for _, path := range []string{
 		"repro/internal/sched", "repro/internal/sched/metrics",
-		"repro/internal/core", "repro/internal/lbm", "repro/internal/fd",
-		"repro/internal/decomp", "repro/farm", "repro/farm/workload",
-		"repro/farm/autoscale",
+		"repro/internal/cluster", "repro/internal/core",
+		"repro/internal/lbm", "repro/internal/fd", "repro/internal/decomp",
+		"repro/farm", "repro/farm/workload", "repro/farm/autoscale",
 	} {
 		if !Match(cfg.Deterministic, path) {
 			t.Errorf("deterministic scope misses %s", path)
 		}
 	}
-	// The sanctioned concurrency runtimes stay out of goentropy's way.
-	for _, path := range []string{"repro/internal/pool", "repro/internal/core"} {
-		if Match(cfg.GoroutineScope, path) {
-			t.Errorf("goroutine scope should not cover the sanctioned runtime %s", path)
-		}
+	// The worker slabs are the sanctioned concurrency runtime (their
+	// reduction order is fixed by slab index), so entropy stays out.
+	if Match(cfg.Deterministic, "repro/internal/pool") {
+		t.Error("deterministic scope should not cover repro/internal/pool")
 	}
 	if cfg.InScope("math/rand") || cfg.InScope("fmt") {
 		t.Error("std packages must be out of scope entirely")
-	}
-	if !cfg.InScope("repro/internal/cluster") {
-		t.Error("cluster should be in the strayrng scope")
-	}
-}
-
-func TestLoadForFindsRepoConfig(t *testing.T) {
-	// Walking up from this package's directory must find the
-	// committed detlint.json at the module root and agree with the
-	// built-in defaults on the headline scopes.
-	wd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := LoadFor(wd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !Match(cfg.Deterministic, "repro/farm") || !Match(cfg.ErrorSurface, "repro/farm") {
-		t.Errorf("repo detlint.json does not cover repro/farm: %+v", cfg)
-	}
-}
-
-func TestLoadRejectsUnknownFields(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "detlint.json")
-	if err := os.WriteFile(path, []byte(`{"determinstic": ["typo"]}`), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(path); err == nil {
-		t.Error("Load accepted a config with a misspelled field; scope typos must be loud")
 	}
 }

@@ -55,43 +55,6 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, cfg *analysis.Config, p
 	}
 }
 
-// RunFixes analyzes one package, applies every suggested fix, and
-// compares each rewritten file byte-for-byte against its committed
-// <name>.golden sibling. Files without fixes must have no golden.
-func RunFixes(t *testing.T, dir string, a *analysis.Analyzer, cfg *analysis.Config, pkg string) {
-	t.Helper()
-	pkgDir := filepath.Join(dir, "src", pkg)
-	fset := token.NewFileSet()
-	files, err := parseDir(fset, pkgDir)
-	if err != nil {
-		t.Fatalf("%s: %v", pkg, err)
-	}
-	diags := analyze(t, fset, files, pkg, a, cfg,
-		stubImporter{make(map[string]*types.Package)}, analysis.NewFactStore())
-	fixed, err := analysis.ApplyFixes(fset, diags, os.ReadFile)
-	if err != nil {
-		t.Fatalf("%s: applying fixes: %v", pkg, err)
-	}
-	for name, got := range fixed {
-		golden := name + ".golden"
-		want, err := os.ReadFile(golden)
-		if err != nil {
-			t.Errorf("%s: fixes rewrote the file but no golden exists:\n%s", name, got)
-			continue
-		}
-		if string(got) != string(want) {
-			t.Errorf("%s: fixed output differs from golden:\n%s",
-				name, analysis.Diff(golden, want, got))
-		}
-	}
-	goldens, _ := filepath.Glob(filepath.Join(pkgDir, "*.golden"))
-	for _, g := range goldens {
-		if _, ok := fixed[strings.TrimSuffix(g, ".golden")]; !ok {
-			t.Errorf("%s exists but fixes did not rewrite its source file", g)
-		}
-	}
-}
-
 func runOne(t *testing.T, dir, pkgPath string, a *analysis.Analyzer, cfg *analysis.Config, imp stubImporter, facts *analysis.FactStore) {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -99,27 +62,6 @@ func runOne(t *testing.T, dir, pkgPath string, a *analysis.Analyzer, cfg *analys
 	if err != nil {
 		t.Fatalf("%s: %v", pkgPath, err)
 	}
-	diags := analyze(t, fset, files, pkgPath, a, cfg, imp, facts)
-
-	wants := collectWants(t, fset, files)
-	for _, d := range diags {
-		posn := fset.Position(d.Pos)
-		key := lineKey{posn.Filename, posn.Line}
-		if !wants.match(key, d.Message) {
-			t.Errorf("%s: unexpected diagnostic: %s", posn, d.Message)
-		}
-	}
-	for key, ws := range wants {
-		for _, w := range ws {
-			if !w.matched {
-				t.Errorf("%s:%d: no diagnostic matching %q", key.file, key.line, w.re.String())
-			}
-		}
-	}
-}
-
-func analyze(t *testing.T, fset *token.FileSet, files []*ast.File, pkgPath string, a *analysis.Analyzer, cfg *analysis.Config, imp stubImporter, facts *analysis.FactStore) []analysis.Diagnostic {
-	t.Helper()
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -137,7 +79,6 @@ func analyze(t *testing.T, fset *token.FileSet, files []*ast.File, pkgPath strin
 		pkg.MarkComplete()
 		imp.pkgs[pkgPath] = pkg
 	}
-
 	diags, err := analysis.RunFacts(&analysis.Package{
 		Fset:  fset,
 		Files: files,
@@ -148,7 +89,22 @@ func analyze(t *testing.T, fset *token.FileSet, files []*ast.File, pkgPath strin
 	if err != nil {
 		t.Fatalf("%s: %v", pkgPath, err)
 	}
-	return diags
+
+	wants := collectWants(t, fset, files)
+	for _, d := range diags {
+		posn := fset.Position(d.Pos)
+		key := lineKey{posn.Filename, posn.Line}
+		if !wants.match(key, d.Message) {
+			t.Errorf("%s: unexpected diagnostic: %s", posn, d.Message)
+		}
+	}
+	for key, ws := range wants {
+		for _, w := range ws {
+			if !w.matched {
+				t.Errorf("%s:%d: no diagnostic matching %q", key.file, key.line, w.re.String())
+			}
+		}
+	}
 }
 
 func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {

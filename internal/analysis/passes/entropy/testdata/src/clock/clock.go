@@ -1,6 +1,7 @@
-// Package a is nodeterm golden input: ambient clock reads and global
-// RNG draws in a deterministic-scope package.
-package a
+// Package clock is entropy golden input (the old nodeterm question):
+// ambient clock reads and global or crypto RNG draws in a
+// deterministic-scope package.
+package clock
 
 import (
 	crand "crypto/rand"
@@ -22,21 +23,21 @@ func globalRNG() {
 	_, _ = crand.Read(nil) // want `crypto/rand.Read is irreproducible entropy`
 }
 
-func constructorsAreStrayrngsJob(src mrand.Source) {
-	// Building a generator over an explicit source is vetted by
-	// strayrng, not here.
-	_ = mrand.New(src)
+// A generator over an explicit source that is not a SplitMix holds
+// state the checkpoint cannot see.
+func constructOverSource(src mrand.Source) {
+	_ = mrand.New(src) // want `rand.New over a non-SplitMix source`
 }
 
 func allowed() {
-	_ = time.Now() //detlint:allow nodeterm -- golden test: trailing directive suppresses this line
+	_ = time.Now() //detlint:allow entropy -- golden test: trailing directive suppresses this line
 
-	//detlint:allow nodeterm -- golden test: directive above covers the next line
+	//detlint:allow entropy -- golden test: directive above covers the next line
 	_ = time.Now()
 }
 
 func malformed() {
-	_ = time.Now() //detlint:allow nodeterm // want `detlint:allow needs a reason` `time.Now reads the ambient wall clock`
+	_ = time.Now() //detlint:allow entropy // want `detlint:allow needs a reason` `time.Now reads the ambient wall clock`
 }
 
 func unknownName() {

@@ -1,6 +1,6 @@
 // Test files are exempt: wall-clock timeouts in tests do not touch
 // the shipped simulation path.
-package a
+package clock
 
 import "time"
 

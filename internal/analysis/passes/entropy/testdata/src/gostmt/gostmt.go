@@ -1,6 +1,6 @@
-// Package a is goentropy golden input: go statements on the
-// step/decision path.
-package a
+// Package gostmt is entropy golden input (the old goentropy question):
+// go statements in a deterministic-scope package.
+package gostmt
 
 func compute() {}
 
@@ -19,7 +19,7 @@ func closures() {
 func allowedDrain(events chan int) {
 	done := make(chan struct{})
 	var seen []int
-	//detlint:allow goentropy -- drain preserves the channel's own order and is joined before seen is read
+	//detlint:allow entropy -- drain preserves the channel's own order and is joined before seen is read
 	go func() {
 		defer close(done)
 		for ev := range events {

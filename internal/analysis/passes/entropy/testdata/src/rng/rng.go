@@ -1,6 +1,6 @@
-// Package a is strayrng golden input: RNG state that the checkpoint
-// manifest can and cannot serialize.
-package a
+// Package rng is entropy golden input (the old strayrng question):
+// generators not built over SplitMix in a deterministic-scope package.
+package rng
 
 import "math/rand"
 
@@ -29,7 +29,7 @@ func strays() {
 	_ = &rand.Rand{}                // want `rand.Rand literal holds RNG state outside the checkpoint`
 }
 
-func allowed() {
-	//detlint:allow strayrng -- golden test: throwaway generator feeds no persisted state
+func allowedStray() {
+	//detlint:allow entropy -- golden test: throwaway generator feeds no persisted state
 	_ = rand.New(rand.NewSource(7))
 }

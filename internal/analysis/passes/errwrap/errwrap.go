@@ -17,7 +17,6 @@
 package errwrap
 
 import (
-	"fmt"
 	"go/ast"
 	"go/constant"
 	"go/token"
@@ -74,9 +73,7 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
 }
 
 // checkErrorf lines the format verbs up with the arguments and flags
-// error-typed arguments rendered by anything but %w, attaching the
-// one-character %v→%w repair when the format is a plain string
-// literal.
+// error-typed arguments rendered by anything but %w.
 func checkErrorf(pass *analysis.Pass, call *ast.CallExpr) {
 	if len(call.Args) < 2 || pass.TypesInfo == nil {
 		return
@@ -86,58 +83,26 @@ func checkErrorf(pass *analysis.Pass, call *ast.CallExpr) {
 		return
 	}
 	vs := verbs(constant.StringVal(tv.Value))
-	// When the format is written in place as a literal, the same scan
-	// over its source text yields the verb offsets for the fix. The two
-	// scans agree verb-for-verb unless an escape sequence encodes a '%'
-	// — then counts differ and the fix is dropped.
-	var srcVerbs []verbAt
-	lit, isLit := call.Args[0].(*ast.BasicLit)
-	if isLit {
-		srcVerbs = verbsAt(lit.Value)
-		if len(srcVerbs) != len(vs) {
-			srcVerbs = nil
-		}
-	}
 	for i, arg := range call.Args[1:] {
 		if i >= len(vs) {
 			return // malformed format; govet's printf check owns that
 		}
-		if vs[i].ch == 'w' {
+		if vs[i] == 'w' {
 			continue
 		}
 		atv, ok := pass.TypesInfo.Types[arg]
 		if !ok || !analysis.IsErrorType(atv.Type) {
 			continue
 		}
-		d := analysis.Diagnostic{
-			Pos: arg.Pos(),
-			Message: fmt.Sprintf(
-				"error argument formatted with %%%c; use %%w so errors.Is/As still see the sentinel chain", vs[i].ch),
-		}
-		if srcVerbs != nil {
-			pos := lit.ValuePos + token.Pos(srcVerbs[i].off)
-			d.Fixes = append(d.Fixes, analysis.SuggestedFix{
-				Message: fmt.Sprintf("replace %%%c with %%w", vs[i].ch),
-				Edits:   []analysis.TextEdit{{Pos: pos, End: pos + 1, NewText: "w"}},
-			})
-		}
-		pass.Report(d)
+		pass.Reportf(arg.Pos(),
+			"error argument formatted with %%%c; use %%w so errors.Is/As still see the sentinel chain", vs[i])
 	}
-}
-
-// verbAt is one fmt verb: its letter and the byte offset of that
-// letter in the scanned string.
-type verbAt struct {
-	ch  rune
-	off int
 }
 
 // verbs returns fmt verbs in argument order; '*' width and precision
 // arguments appear as '*' entries.
-func verbs(format string) []verbAt { return verbsAt(format) }
-
-func verbsAt(format string) []verbAt {
-	var out []verbAt
+func verbs(format string) []rune {
+	var out []rune
 	for i := 0; i < len(format); i++ {
 		if format[i] != '%' {
 			continue
@@ -149,7 +114,7 @@ func verbsAt(format string) []verbAt {
 			case c == '%':
 				// literal %%
 			case c == '*':
-				out = append(out, verbAt{'*', i})
+				out = append(out, '*')
 				i++
 				continue
 			case c == '+' || c == '-' || c == '#' || c == ' ' || c == '0' || c == '.' || ('0' <= c && c <= '9'):
@@ -160,7 +125,7 @@ func verbsAt(format string) []verbAt {
 				// matching; bail out for this format.
 				return nil
 			default:
-				out = append(out, verbAt{rune(c), i})
+				out = append(out, rune(c))
 			}
 			break
 		}

@@ -12,10 +12,3 @@ func TestErrwrap(t *testing.T) {
 	cfg := &analysis.Config{ErrorSurface: []string{"a"}}
 	analysistest.Run(t, "testdata", errwrap.Analyzer, cfg, "a")
 }
-
-// TestFixes applies the %v/%s → %w verb repairs and compares the
-// rewritten file byte-for-byte with its golden.
-func TestFixes(t *testing.T) {
-	cfg := &analysis.Config{ErrorSurface: []string{"fix"}}
-	analysistest.RunFixes(t, "testdata", errwrap.Analyzer, cfg, "fix")
-}

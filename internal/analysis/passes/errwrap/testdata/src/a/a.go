@@ -30,6 +30,11 @@ func wrapS(err error) error {
 	return fmt.Errorf("farm: %w: %s", ErrClosed, err) // want `use %w so errors.Is/As still see the sentinel chain`
 }
 
+// Width and flag characters sit between % and the verb.
+func wrapFlags(n int, err error) error {
+	return fmt.Errorf("farm: rank %03d: %+v", n, err) // want `error argument formatted with %v; use %w`
+}
+
 func notAnError(n int) error {
 	return fmt.Errorf("farm: %d ranks", n)
 }

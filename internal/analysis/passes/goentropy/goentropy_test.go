@@ -1,3 +1,5 @@
+// Package goentropy_test keeps the go-statement question's test under
+// the name it had before the goentropy pass was folded into entropy.
 package goentropy_test
 
 import (
@@ -5,10 +7,10 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/analysistest"
-	"repro/internal/analysis/passes/goentropy"
+	"repro/internal/analysis/passes/entropy"
 )
 
 func TestGoentropy(t *testing.T) {
-	cfg := &analysis.Config{GoroutineScope: []string{"a"}}
-	analysistest.Run(t, "testdata", goentropy.Analyzer, cfg, "a")
+	cfg := &analysis.Config{Deterministic: []string{"gostmt"}}
+	analysistest.Run(t, "../entropy/testdata", entropy.Analyzer, cfg, "gostmt")
 }

@@ -21,13 +21,9 @@
 package maporder
 
 import (
-	"bytes"
-	"fmt"
 	"go/ast"
-	"go/printer"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"repro/internal/analysis"
 )
@@ -68,7 +64,7 @@ func run(pass *analysis.Pass) error {
 				return false
 			case *ast.RangeStmt:
 				if len(stack) > 0 && isMapRange(pass, n) {
-					checkMapRange(pass, n, stack[len(stack)-1], f)
+					checkMapRange(pass, n, stack[len(stack)-1])
 				}
 				return true
 			}
@@ -91,7 +87,7 @@ func isMapRange(pass *analysis.Pass, rs *ast.RangeStmt) bool {
 	return isMap
 }
 
-func checkMapRange(pass *analysis.Pass, rs *ast.RangeStmt, fnBody *ast.BlockStmt, file *ast.File) {
+func checkMapRange(pass *analysis.Pass, rs *ast.RangeStmt, fnBody *ast.BlockStmt) {
 	var appendTargets []types.Object
 	var sensitive string // first order-sensitive operation found
 	note := func(why string) {
@@ -142,182 +138,18 @@ func checkMapRange(pass *analysis.Pass, rs *ast.RangeStmt, fnBody *ast.BlockStmt
 	})
 
 	if sensitive != "" {
-		d := analysis.Diagnostic{
-			Pos:     rs.For,
-			Message: fmt.Sprintf("range over a map %s; iteration order is nondeterministic — iterate sorted keys", sensitive),
-		}
-		if fix, ok := sortKeysFix(pass, rs, file); ok {
-			d.Fixes = append(d.Fixes, fix)
-		}
-		pass.Report(d)
+		pass.Reportf(rs.For,
+			"range over a map %s; iteration order is nondeterministic — iterate sorted keys", sensitive)
 		return
 	}
 	for _, obj := range appendTargets {
 		if !sortedInFunc(pass, fnBody, obj) {
-			d := analysis.Diagnostic{
-				Pos: rs.For,
-				Message: fmt.Sprintf(
-					"range over a map appends to %s in map order; sort %s afterwards (sort.*/slices.Sort*) or iterate sorted keys",
-					obj.Name(), obj.Name()),
-			}
-			if fix, ok := sortAfterFix(pass, rs, file, obj); ok {
-				d.Fixes = append(d.Fixes, fix)
-			}
-			pass.Report(d)
+			pass.Reportf(rs.For,
+				"range over a map appends to %s in map order; sort %s afterwards (sort.Strings, sort.Slice, slices.Sort, …) or iterate sorted keys",
+				obj.Name(), obj.Name())
 			return
 		}
 	}
-}
-
-// sortKeysFix rewrites an order-sensitive map range into the
-// sanctioned shape: collect the keys, sort them, iterate the sorted
-// slice, and rebind the value inside the loop.
-//
-//	for k, v := range m { use(k, v) }
-//
-// becomes
-//
-//	keys := make([]string, 0, len(m))
-//	for k := range m {
-//		keys = append(keys, k)
-//	}
-//	sort.Strings(keys)
-//	for _, k := range m ↦ keys {
-//		v := m[k]
-//		use(k, v)
-//	}
-//
-// The fix applies only to the clean case: a := range with a named key
-// of a plain sortable type, and no visible "keys" to collide with.
-func sortKeysFix(pass *analysis.Pass, rs *ast.RangeStmt, file *ast.File) (analysis.SuggestedFix, bool) {
-	keyID, ok := rs.Key.(*ast.Ident)
-	if !ok || keyID.Name == "_" || keyID.Name == "keys" || rs.Tok != token.DEFINE {
-		return analysis.SuggestedFix{}, false
-	}
-	tv, ok := typeOf(pass, rs.X)
-	if !ok || tv.Type == nil {
-		return analysis.SuggestedFix{}, false
-	}
-	mt, ok := tv.Type.Underlying().(*types.Map)
-	if !ok {
-		return analysis.SuggestedFix{}, false
-	}
-	basic, ok := mt.Key().(*types.Basic)
-	if !ok {
-		return analysis.SuggestedFix{}, false
-	}
-	sortFn, ok := sortCallFor(basic)
-	if !ok {
-		return analysis.SuggestedFix{}, false
-	}
-	mapSrc, ok := exprSource(pass.Fset, rs.X)
-	if !ok {
-		return analysis.SuggestedFix{}, false
-	}
-	indent := indentFor(pass, rs.For)
-
-	var edits []analysis.TextEdit
-	collect := fmt.Sprintf("keys := make([]%s, 0, len(%s))\n%sfor %s := range %s {\n%s\tkeys = append(keys, %s)\n%s}\n%s%s(keys)\n%s",
-		basic.Name(), mapSrc, indent, keyID.Name, mapSrc, indent, keyID.Name, indent, indent, sortFn, indent)
-	edits = append(edits, analysis.TextEdit{Pos: rs.For, End: rs.For, NewText: collect})
-	header := fmt.Sprintf("for _, %s := range keys {", keyID.Name)
-	edits = append(edits, analysis.TextEdit{Pos: rs.For, End: rs.Body.Lbrace + 1, NewText: header})
-	if valID, okv := rs.Value.(*ast.Ident); okv && valID.Name != "_" {
-		bind := fmt.Sprintf("\n%s\t%s := %s[%s]", indent, valID.Name, mapSrc, keyID.Name)
-		edits = append(edits, analysis.TextEdit{Pos: rs.Body.Lbrace + 1, End: rs.Body.Lbrace + 1, NewText: bind})
-	}
-	edits = append(edits, importSortEdits(file)...)
-	return analysis.SuggestedFix{Message: "iterate sorted keys", Edits: edits}, true
-}
-
-// sortAfterFix appends the missing sort call right after a
-// collect-only loop.
-func sortAfterFix(pass *analysis.Pass, rs *ast.RangeStmt, file *ast.File, obj types.Object) (analysis.SuggestedFix, bool) {
-	sl, ok := obj.Type().Underlying().(*types.Slice)
-	if !ok {
-		return analysis.SuggestedFix{}, false
-	}
-	basic, ok := sl.Elem().(*types.Basic)
-	if !ok {
-		return analysis.SuggestedFix{}, false
-	}
-	sortFn, ok := sortCallFor(basic)
-	if !ok {
-		return analysis.SuggestedFix{}, false
-	}
-	indent := indentFor(pass, rs.For)
-	edits := []analysis.TextEdit{{
-		Pos: rs.End(), End: rs.End(),
-		NewText: fmt.Sprintf("\n%s%s(%s)", indent, sortFn, obj.Name()),
-	}}
-	edits = append(edits, importSortEdits(file)...)
-	return analysis.SuggestedFix{Message: "sort " + obj.Name() + " after the loop", Edits: edits}, true
-}
-
-func sortCallFor(b *types.Basic) (string, bool) {
-	switch b.Kind() {
-	case types.String:
-		return "sort.Strings", true
-	case types.Int:
-		return "sort.Ints", true
-	case types.Float64:
-		return "sort.Float64s", true
-	}
-	return "", false
-}
-
-func exprSource(fset *token.FileSet, e ast.Expr) (string, bool) {
-	var buf bytes.Buffer
-	if err := printer.Fprint(&buf, fset, e); err != nil {
-		return "", false
-	}
-	s := buf.String()
-	if strings.ContainsAny(s, "\n") {
-		return "", false
-	}
-	return s, true
-}
-
-// indentFor reproduces the leading indentation of the line holding
-// pos. gofmt'd sources indent with tabs, one column per tab.
-func indentFor(pass *analysis.Pass, pos token.Pos) string {
-	col := pass.Fset.Position(pos).Column
-	if col < 1 {
-		col = 1
-	}
-	return strings.Repeat("\t", col-1)
-}
-
-// importSortEdits adds `"sort"` to the file's imports when absent.
-func importSortEdits(file *ast.File) []analysis.TextEdit {
-	for _, imp := range file.Imports {
-		if imp.Path.Value == `"sort"` {
-			return nil
-		}
-	}
-	for _, decl := range file.Decls {
-		gd, ok := decl.(*ast.GenDecl)
-		if !ok || gd.Tok != token.IMPORT {
-			continue
-		}
-		if gd.Lparen.IsValid() {
-			if len(gd.Specs) == 0 {
-				return []analysis.TextEdit{{Pos: gd.Lparen + 1, End: gd.Lparen + 1, NewText: "\n\t\"sort\"\n"}}
-			}
-			// Keep the group sorted: insert before the first path that
-			// follows "sort", or after the last spec.
-			for _, spec := range gd.Specs {
-				is := spec.(*ast.ImportSpec)
-				if is.Path.Value > `"sort"` {
-					return []analysis.TextEdit{{Pos: is.Pos(), End: is.Pos(), NewText: "\"sort\"\n\t"}}
-				}
-			}
-			last := gd.Specs[len(gd.Specs)-1]
-			return []analysis.TextEdit{{Pos: last.End(), End: last.End(), NewText: "\n\t\"sort\""}}
-		}
-		return []analysis.TextEdit{{Pos: gd.Pos(), End: gd.Pos(), NewText: "import \"sort\"\n\n"}}
-	}
-	return []analysis.TextEdit{{Pos: file.Name.End(), End: file.Name.End(), NewText: "\n\nimport \"sort\""}}
 }
 
 func typeOf(pass *analysis.Pass, e ast.Expr) (types.TypeAndValue, bool) {
@@ -375,9 +207,18 @@ func accumulatesOrderSensitively(pass *analysis.Pass, lhs ast.Expr) bool {
 	return b.Info()&(types.IsFloat|types.IsComplex|types.IsString) != 0
 }
 
+// sorters are the calls that leave their slice argument sorted. Any
+// other sort.* or slices.* call (Contains, Clone, SearchStrings, …)
+// only reads the slice, still in map order.
+var sorters = map[string]map[string]bool{
+	"sort": {"Strings": true, "Ints": true, "Float64s": true,
+		"Sort": true, "Stable": true, "Slice": true, "SliceStable": true},
+	"slices": {"Sort": true, "SortFunc": true, "SortStableFunc": true},
+}
+
 // sortedInFunc reports whether the function visibly sorts the
-// collected slice: a call to sort.* or slices.Sort* with the object as
-// an argument anywhere in the enclosing function body.
+// collected slice: a call to one of the sorters with the object as an
+// argument anywhere in the enclosing function body.
 func sortedInFunc(pass *analysis.Pass, fnBody *ast.BlockStmt, obj types.Object) bool {
 	found := false
 	ast.Inspect(fnBody, func(n ast.Node) bool {
@@ -385,8 +226,8 @@ func sortedInFunc(pass *analysis.Pass, fnBody *ast.BlockStmt, obj types.Object) 
 		if !ok || found {
 			return !found
 		}
-		path, _, ok := analysis.CalleeOf(pass.TypesInfo, call)
-		if !ok || (path != "sort" && path != "slices") {
+		path, name, ok := analysis.CalleeOf(pass.TypesInfo, call)
+		if !ok || !sorters[path][name] {
 			return true
 		}
 		for _, arg := range call.Args {

@@ -12,10 +12,3 @@ func TestMaporder(t *testing.T) {
 	cfg := &analysis.Config{Deterministic: []string{"a"}}
 	analysistest.Run(t, "testdata", maporder.Analyzer, cfg, "a")
 }
-
-// TestFixes applies the sorted-keys rewrite and the sort-after-collect
-// repair and compares the rewritten file byte-for-byte with its golden.
-func TestFixes(t *testing.T) {
-	cfg := &analysis.Config{Deterministic: []string{"fix"}}
-	analysistest.RunFixes(t, "testdata", maporder.Analyzer, cfg, "fix")
-}

@@ -4,6 +4,7 @@ package a
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -40,6 +41,41 @@ func appendSorted(m map[string]int) []string {
 	}
 	sort.Strings(keys)
 	return keys
+}
+
+func appendSlicesSorted(m map[string]int) []string {
+	var keys []string
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// Only a sorting call proves the slice sorted: these read it, still
+// in map order.
+func appendContains(m map[string]int, x string) ([]string, bool) {
+	var keys []string
+	for k := range m { // want `appends to keys in map order`
+		keys = append(keys, k)
+	}
+	return keys, slices.Contains(keys, x)
+}
+
+func appendClone(m map[string]int) []string {
+	var keys []string
+	for k := range m { // want `appends to keys in map order`
+		keys = append(keys, k)
+	}
+	return slices.Clone(keys)
+}
+
+func appendSearch(m map[string]int, x string) ([]string, int) {
+	var keys []string
+	for k := range m { // want `appends to keys in map order`
+		keys = append(keys, k)
+	}
+	return keys, sort.SearchStrings(keys, x)
 }
 
 func floatAccumulate(m map[string]float64) float64 {

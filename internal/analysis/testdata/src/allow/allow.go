@@ -71,3 +71,10 @@ func typo() {
 	//detlint:allow allowtst -- typo in the pass name // want `detlint:allow names unknown analyzer allowtst`
 	boom() // want `boom called`
 }
+
+// The three passes entropy replaced are not registered any more: a
+// directive still naming them is reported, not silently obeyed.
+func retiredNames() {
+	//detlint:allow nodeterm,strayrng,goentropy -- names from before entropy // want `unknown analyzer nodeterm` `unknown analyzer strayrng` `unknown analyzer goentropy`
+	boom() // want `boom called`
+}

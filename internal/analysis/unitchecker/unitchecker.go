@@ -65,71 +65,39 @@ func Main(analyzers ...*analysis.Analyzer) {
 	log.SetFlags(0)
 	log.SetPrefix(progname + ": ")
 
-	var (
-		versionFlag string
-		printFlags  bool
-		jsonOut     bool
-		fixFlag     bool
-		diffFlag    bool
-		configPath  string
-	)
-	fs := newFlagSet(&versionFlag, &printFlags, &jsonOut, &fixFlag, &diffFlag, &configPath)
-	if err := fs.parse(os.Args[1:]); err != nil {
+	version, printFlags, args, err := parseFlags(os.Args[1:])
+	if err != nil {
 		log.Fatal(err)
 	}
 
 	switch {
-	case versionFlag != "":
-		if versionFlag != "full" {
-			log.Fatalf("unsupported flag value: -V=%s", versionFlag)
+	case version != "":
+		if version != "full" {
+			log.Fatalf("unsupported flag value: -V=%s", version)
 		}
 		printVersion()
 		os.Exit(0)
 	case printFlags:
-		fs.printJSON()
+		printFlagsJSON()
 		os.Exit(0)
 	}
 
-	args := fs.args
 	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(run(args[0], analyzers, runOpts{jsonOut, fixFlag, diffFlag, configPath}))
+		os.Exit(run(args[0], analysis.Default(), analyzers))
 	}
-	os.Exit(reexec(jsonOut, fixFlag, diffFlag, configPath, args))
+	os.Exit(reexec(args))
 }
 
-// runOpts carries the per-invocation flags into run.
-type runOpts struct {
-	json   bool
-	fix    bool
-	diff   bool
-	config string
-}
-
-// flagSet is a hand-rolled parser: cmd/go passes flags in -name=value
-// form, and the -flags reply must enumerate exactly what we accept.
-type flagSet struct {
-	version *string
-	print   *bool
-	json    *bool
-	fix     *bool
-	diff    *bool
-	config  *string
-	args    []string
-}
-
-func newFlagSet(version *string, print, jsonOut, fix, diff *bool, config *string) *flagSet {
-	return &flagSet{version: version, print: print, json: jsonOut, fix: fix, diff: diff, config: config}
-}
-
-func (fs *flagSet) parse(args []string) error {
-	for i := 0; i < len(args); i++ {
-		a := args[i]
+// parseFlags is a hand-rolled parser for the two protocol flags: cmd/go
+// passes them in -name=value form, and the -flags reply must enumerate
+// exactly what we accept.
+func parseFlags(argv []string) (version string, printFlags bool, args []string, err error) {
+	for i, a := range argv {
 		if a == "--" {
-			fs.args = append(fs.args, args[i+1:]...)
-			return nil
+			return version, printFlags, append(args, argv[i+1:]...), nil
 		}
 		if !strings.HasPrefix(a, "-") {
-			fs.args = append(fs.args, a)
+			args = append(args, a)
 			continue
 		}
 		name, value, hasValue := strings.Cut(strings.TrimLeft(a, "-"), "=")
@@ -138,34 +106,19 @@ func (fs *flagSet) parse(args []string) error {
 			if !hasValue {
 				value = "full"
 			}
-			*fs.version = value
+			version = value
 		case "flags":
-			*fs.print = true
-		case "json":
-			*fs.json = value != "false"
-		case "fix":
-			*fs.fix = value != "false"
-		case "diff":
-			*fs.diff = value != "false"
-		case "config":
-			if !hasValue {
-				if i+1 >= len(args) {
-					return fmt.Errorf("flag -config needs a path")
-				}
-				i++
-				value = args[i]
-			}
-			*fs.config = value
+			printFlags = true
 		default:
-			return fmt.Errorf("unknown flag -%s", name)
+			return "", false, nil, fmt.Errorf("unknown flag -%s", name)
 		}
 	}
-	return nil
+	return version, printFlags, args, nil
 }
 
-// printJSON answers `tool -flags` in the shape cmd/go's vet flag
+// printFlagsJSON answers `tool -flags` in the shape cmd/go's vet flag
 // validation decodes.
-func (fs *flagSet) printJSON() {
+func printFlagsJSON() {
 	type jsonFlag struct {
 		Name  string
 		Bool  bool
@@ -174,10 +127,6 @@ func (fs *flagSet) printJSON() {
 	flags := []jsonFlag{
 		{"V", false, "print version and exit"},
 		{"flags", true, "print flags in JSON and exit"},
-		{"json", true, "emit machine-readable JSON diagnostics on stdout"},
-		{"fix", true, "apply suggested fixes to the source tree"},
-		{"diff", true, "print suggested fixes as a unified diff without applying (dry run)"},
-		{"config", false, "path to a detlint.json scope config"},
 	}
 	data, err := json.Marshal(flags)
 	if err != nil {
@@ -206,27 +155,14 @@ func printVersion() {
 	fmt.Printf("%s version devel detlint buildID=%02x\n", exe, string(h.Sum(nil)))
 }
 
-// reexec turns a direct `detlint [flags] ./...` invocation into
-// `go vet -vettool=<self> [flags] ./...`.
-func reexec(jsonOut, fix, diff bool, configPath string, args []string) int {
+// reexec turns a direct `detlint ./...` invocation into
+// `go vet -vettool=<self> ./...`.
+func reexec(args []string) int {
 	exe, err := os.Executable()
 	if err != nil {
 		log.Fatal(err)
 	}
-	vetArgs := []string{"vet", "-vettool=" + exe}
-	if jsonOut {
-		vetArgs = append(vetArgs, "-json")
-	}
-	if fix {
-		vetArgs = append(vetArgs, "-fix")
-	}
-	if diff {
-		vetArgs = append(vetArgs, "-diff")
-	}
-	if configPath != "" {
-		vetArgs = append(vetArgs, "-config="+configPath)
-	}
-	cmd := exec.Command("go", append(vetArgs, args...)...)
+	cmd := exec.Command("go", append([]string{"vet", "-vettool=" + exe}, args...)...)
 	cmd.Stdout, cmd.Stderr, cmd.Stdin = os.Stdout, os.Stderr, os.Stdin
 	if err := cmd.Run(); err != nil {
 		if ee, ok := err.(*exec.ExitError); ok {
@@ -237,7 +173,9 @@ func reexec(jsonOut, fix, diff bool, configPath string, args []string) int {
 	return 0
 }
 
-func run(cfgFile string, analyzers []*analysis.Analyzer, opts runOpts) int {
+// run analyzes the package a vet.cfg describes against the given
+// scopes and returns the process exit code.
+func run(cfgFile string, scopes *analysis.Config, analyzers []*analysis.Analyzer) int {
 	cfg, err := readConfig(cfgFile)
 	if err != nil {
 		log.Fatal(err)
@@ -280,16 +218,12 @@ func run(cfgFile string, analyzers []*analysis.Analyzer, opts runOpts) int {
 		}
 	}
 
-	dcfg, err := resolveScopes(opts.config, cfg.Dir)
-	if err != nil {
-		log.Fatal(err)
-	}
 	// Packages outside every scope — all of std, every dependency
 	// beyond this module — are not analyzed, but their vetx must still
 	// relay dependency facts so a scope gap never severs the chain.
-	if !dcfg.InScope(cfg.ImportPath) {
+	if !scopes.InScope(cfg.ImportPath) {
 		writeVetx()
-		return emit(nil, cfg, nil, opts, analyzers)
+		return 0
 	}
 
 	fset := token.NewFileSet()
@@ -322,35 +256,15 @@ func run(cfgFile string, analyzers []*analysis.Analyzer, opts runOpts) int {
 		Path:  cfg.ImportPath,
 		Types: pkg,
 		Info:  info,
-	}, dcfg, analyzers, facts)
+	}, scopes, analyzers, facts)
 	if err != nil {
 		log.Fatal(err)
 	}
 	writeVetx()
-
-	if opts.fix || opts.diff {
-		fixed, err := analysis.ApplyFixes(fset, diags, os.ReadFile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, name := range sortedKeys(fixed) {
-			if opts.diff {
-				old, err := os.ReadFile(name)
-				if err != nil {
-					log.Fatal(err)
-				}
-				fmt.Print(analysis.Diff(name, old, fixed[name]))
-			} else {
-				if err := os.WriteFile(name, fixed[name], 0o666); err != nil {
-					log.Fatal(err)
-				}
-			}
-		}
-	}
-	return emit(diags, cfg, fset, opts, analyzers)
+	return emit(diags, cfg, fset)
 }
 
-func sortedKeys[V any](m map[string]V) []string {
+func sortedKeys(m map[string]string) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
@@ -369,13 +283,6 @@ func readConfig(path string) (*Config, error) {
 		return nil, fmt.Errorf("parsing vet config %s: %w", path, err)
 	}
 	return cfg, nil
-}
-
-func resolveScopes(configPath, dir string) (*analysis.Config, error) {
-	if configPath != "" {
-		return analysis.Load(configPath)
-	}
-	return analysis.LoadFor(dir)
 }
 
 // typeCheck loads the package from source plus per-dependency export
@@ -433,33 +340,10 @@ func (ci canonicalImporter) Import(path string) (*types.Package, error) {
 	return ci.base.Import(path)
 }
 
-// emit prints diagnostics and returns the process exit code: JSON mode
-// writes a {package: {analyzer: [findings]}} object to stdout and
-// always exits 0 (matching `go vet -json`); plain mode writes
-// file:line:col lines to stderr and exits 2 when anything was found.
-func emit(diags []analysis.Diagnostic, cfg *Config, fset *token.FileSet, opts runOpts, analyzers []*analysis.Analyzer) int {
+// emit prints diagnostics as file:line:col lines on stderr and returns
+// the process exit code: 2 when anything was found, else 0.
+func emit(diags []analysis.Diagnostic, cfg *Config, fset *token.FileSet) int {
 	if cfg.VetxOnly {
-		return 0
-	}
-	if opts.json {
-		type jsonDiag struct {
-			Posn    string `json:"posn"`
-			Message string `json:"message"`
-		}
-		byAnalyzer := make(map[string][]jsonDiag)
-		for _, d := range diags {
-			byAnalyzer[d.Analyzer] = append(byAnalyzer[d.Analyzer], jsonDiag{
-				Posn:    fset.Position(d.Pos).String(),
-				Message: d.Message,
-			})
-		}
-		tree := map[string]map[string][]jsonDiag{cfg.ID: byAnalyzer}
-		data, err := json.MarshalIndent(tree, "", "\t")
-		if err != nil {
-			log.Fatal(err)
-		}
-		os.Stdout.Write(data)
-		fmt.Println()
 		return 0
 	}
 	for _, d := range diags {

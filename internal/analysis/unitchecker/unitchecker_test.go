@@ -55,7 +55,7 @@ func TestFactsRoundTrip(t *testing.T) {
 	yGo := write("y/y.go", "package y\n\nfunc Y() {}\n")
 	zGo := write("z/z.go", "package z\n\nfunc Z() {}\n")
 	// x and y are in scope; z is not, so it must relay facts unanalyzed.
-	scopes := write("detlint.json", `{"deterministic": ["x", "y"]}`)
+	scopes := &analysis.Config{Deterministic: []string{"x", "y"}}
 
 	vetCfg := func(name string, cfg Config) string {
 		t.Helper()
@@ -69,7 +69,6 @@ func TestFactsRoundTrip(t *testing.T) {
 	xVetx := filepath.Join(dir, "x.vetx")
 	yVetx := filepath.Join(dir, "y.vetx")
 	zVetx := filepath.Join(dir, "z.vetx")
-	opts := runOpts{config: scopes}
 	suite := []*analysis.Analyzer{roundtrip}
 
 	// Leaf package: nothing imported, fact exported.
@@ -77,7 +76,7 @@ func TestFactsRoundTrip(t *testing.T) {
 		ID: "x", ImportPath: "x", Dir: dir, GoVersion: "go1.24",
 		GoFiles: []string{xGo}, VetxOutput: xVetx,
 	})
-	if code := run(xCfg, suite, opts); code != 0 {
+	if code := run(xCfg, scopes, suite); code != 0 {
 		t.Fatalf("run(x) = %d, want 0 (no dependency facts to report)", code)
 	}
 	xFacts := decodeVetx(t, xVetx)
@@ -92,7 +91,7 @@ func TestFactsRoundTrip(t *testing.T) {
 		GoFiles: []string{yGo}, VetxOutput: yVetx,
 		PackageVetx: map[string]string{"x": xVetx},
 	})
-	if code := run(yCfg, suite, opts); code != 2 {
+	if code := run(yCfg, scopes, suite); code != 2 {
 		t.Fatalf("run(y) = %d, want 2 (the fact from x must surface as a finding)", code)
 	}
 	yFacts := decodeVetx(t, yVetx)
@@ -110,7 +109,7 @@ func TestFactsRoundTrip(t *testing.T) {
 		GoFiles: []string{zGo}, VetxOutput: zVetx,
 		PackageVetx: map[string]string{"y": yVetx},
 	})
-	if code := run(zCfg, suite, opts); code != 0 {
+	if code := run(zCfg, scopes, suite); code != 0 {
 		t.Fatalf("run(z) = %d, want 0 (out of scope, never analyzed)", code)
 	}
 	zFacts := decodeVetx(t, zVetx)

@@ -175,6 +175,7 @@ func (j *Job) Epoch() int { return j.epoch }
 // Start launches every worker on its own goroutine.
 func (j *Job) Start() {
 	for _, rank := range j.ranks() {
+		//detlint:allow entropy -- rank goroutine, one per workstation process: every exchange is rank-addressed and the coordinator acts on events by rank, so the interleaving never reaches the bits
 		go j.workers[rank].Start(j.Until)
 	}
 }
@@ -210,7 +211,7 @@ func (j *Job) nextEvent() (Event, error) {
 			return e, fmt.Errorf("core: rank %d failed at step %d: %w", e.Rank, e.Step, e.Err)
 		}
 		return e, nil
-	//detlint:allow nodeterm -- liveness timeout: it only bounds how long we wait for a worker event, and a firing aborts the run; it never reorders or changes delivered events
+	//detlint:allow entropy -- liveness timeout: it only bounds how long we wait for a worker event, and a firing aborts the run; it never reorders or changes delivered events
 	case <-time.After(j.waitTimeout()):
 		return Event{}, fmt.Errorf("%w (%v)", ErrWorkerSilent, j.waitTimeout())
 	}
@@ -334,6 +335,7 @@ func (j *Job) MigrateRanks(ranks []int, onDump func(rank int, st *dump.State)) e
 		if err := j.launch(st); err != nil {
 			return fmt.Errorf("core: migrate: %w", err)
 		}
+		//detlint:allow entropy -- relaunch of a migrated rank: its exchanges are rank-addressed and it resumes from the dump at the agreed sync step, so the interleaving never reaches the bits
 		go j.workers[st.Rank].Start(j.Until)
 	}
 
@@ -412,7 +414,7 @@ func (j *Job) MonitorLoop(checkEvery time.Duration, pol cluster.MigrationPolicy,
 				j.done[e.Rank] = true
 			}
 			continue
-		//detlint:allow nodeterm -- poll pacing only: the tick bounds how fast the monitor spins between drains; decisions are driven by tick count and virtual cluster time, not by this wall-clock delay
+		//detlint:allow entropy -- poll pacing only: the tick bounds how fast the monitor spins between drains; decisions are driven by tick count and virtual cluster time, not by this wall-clock delay
 		case <-time.After(time.Millisecond):
 		}
 		if scenario != nil {

@@ -192,6 +192,7 @@ func overTransport[P Program](factory TransportFactory) func([]P, int) error {
 		}
 		errs := make(chan error, len(workers))
 		for _, w := range workers {
+			//detlint:allow entropy -- rank goroutine: halo exchanges are rank-addressed, so the fields do not depend on the interleaving; only which of several rank errors is returned first does
 			go func(w *Worker) {
 				errs <- w.RunSteps(steps)
 			}(w)

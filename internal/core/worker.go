@@ -232,6 +232,7 @@ func (w *Worker) RunSteps(until int) error {
 // role of the UNIX signal handler: it services synchronization requests
 // even while the compute loop is blocked in a receive.
 func (w *Worker) Start(until int) {
+	//detlint:allow entropy -- the section-5.1 signal handler: it only services sync requests, which take effect at the step boundary the coordinator names, never mid-step
 	go w.controller(until)
 	doneSent := false
 	for {
