@@ -47,11 +47,13 @@ type Program interface {
 	Phases() int
 	// Compute runs one local phase.
 	Compute(phase int)
-	// Sends returns the messages to emit after a phase. The returned
-	// payload slices are only valid until the next call.
+	// Sends returns the messages to emit after a phase, at most one per
+	// direction. The returned payload slices are only valid until the next
+	// call.
 	Sends(phase int) []Send
 	// Expects returns the (peer, dirCode) pairs the Program must receive
-	// after a phase before the next phase may start.
+	// after a phase before the next phase may start, at most one per
+	// direction.
 	Expects(phase int) []Expect
 	// Unpack consumes a received payload for a phase and direction code.
 	Unpack(phase int, dirCode int, data []float64)

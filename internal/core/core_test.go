@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -147,29 +148,43 @@ func TestFilterSeamEffectIsSmall(t *testing.T) {
 	}
 }
 
-// TestTCPMatchesHub: the TCP transport on loopback produces the same
-// solution as the in-process channel transport.
-func TestTCPMatchesHub(t *testing.T) {
-	cfgA := channelConfig(t, MethodLB, 2, 2, 24, 16)
-	cfgB := channelConfig(t, MethodLB, 2, 2, 24, 16)
-	const steps = 10
-	a, err := RunParallel2D(cfgA, steps, HubFactory())
-	if err != nil {
-		t.Fatal(err)
-	}
+// tcpFactory opens TCP transports that publish in a fresh registry.
+func tcpFactory(t *testing.T) TransportFactory {
+	t.Helper()
 	reg, err := registry.New(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	tcpFactory := func(rank, epoch int) (msg.Transport, error) {
+	return func(rank, epoch int) (msg.Transport, error) {
 		return msg.NewTCP(rank, epoch, reg)
 	}
-	b, err := RunParallel2D(cfgB, steps, tcpFactory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok, x, y, d := resultsEqual(a, b, 0); !ok {
-		t.Errorf("TCP differs from hub at (%d,%d) by %g", x, y, d)
+}
+
+// TestTCPMatchesHub: the TCP transport on loopback produces the same
+// solution as the in-process channel transport, on a 2x2 lattice
+// Boltzmann run (sides and corners) and on a periodic finite-difference
+// ring of three, where every phase's batch goes to two peers.
+func TestTCPMatchesHub(t *testing.T) {
+	for _, c := range []struct {
+		method                string
+		jx, jy, gx, gy, steps int
+	}{
+		{MethodLB, 2, 2, 24, 16, 10},
+		{MethodFD, 3, 1, 36, 12, 15},
+	} {
+		t.Run(fmt.Sprintf("%s_%dx%d", c.method, c.jx, c.jy), func(t *testing.T) {
+			a, err := RunParallel2D(channelConfig(t, c.method, c.jx, c.jy, c.gx, c.gy), c.steps, HubFactory())
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := RunParallel2D(channelConfig(t, c.method, c.jx, c.jy, c.gx, c.gy), c.steps, tcpFactory(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok, x, y, d := resultsEqual(a, b, 0); !ok {
+				t.Errorf("TCP differs from hub at (%d,%d) by %g", x, y, d)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"sync/atomic"
 	"testing"
@@ -81,6 +82,56 @@ func reordering[P Program](k int, swapped *atomic.Int64) func([]P, int) error {
 				pulled: map[[2]int]int{}, swapped: swapped}, nil
 		}
 		return overTransport[P](factory)(progs, steps)
+	}
+}
+
+// sendLog records the messages its Send is given and counts the batches
+// its SendAll is given; both pass on to the transport it wraps.
+type sendLog struct {
+	msg.Transport
+	sent    []msg.Message
+	batches int
+}
+
+func (l *sendLog) Send(m msg.Message) error {
+	l.sent = append(l.sent, m)
+	return l.Transport.Send(m)
+}
+
+func (l *sendLog) SendAll(ms []msg.Message) error {
+	l.batches++
+	return msg.SendAll(l.Transport, ms)
+}
+
+// TestSendAllThroughTheReorderDecorator: the reorder transport overrides
+// Recv only and embeds the msg.Transport interface, so it has no SendAll
+// even over a transport that has one; msg.SendAll then calls its Send once
+// per message, in the batch's order, and stops at the first error.
+func TestSendAllThroughTheReorderDecorator(t *testing.T) {
+	hub := msg.NewHub()
+	for rank := 1; rank <= 2; rank++ {
+		defer hub.Join(rank).Close()
+	}
+	log := &sendLog{Transport: hub.Join(0)}
+	batch := []msg.Message{{To: 1, Dir: 0}, {To: 2, Dir: 1}, {To: 1, Dir: 2}, {To: 2, Dir: 3}}
+	if err := msg.SendAll(log, batch); err != nil || log.batches != 1 || len(log.sent) != 0 {
+		t.Fatalf("SendAll on the batching transport: err %v, %d batches, %d single sends; want one batch", err, log.batches, len(log.sent))
+	}
+	r := &reorderTransport{Transport: log, k: 3, pulled: map[[2]int]int{}}
+	if err := msg.SendAll(r, batch); err != nil {
+		t.Fatal(err)
+	}
+	if log.batches != 1 || len(log.sent) != len(batch) {
+		t.Fatalf("through the decorator: %d batches, %d sends; want 1 (the earlier one) and %d", log.batches, len(log.sent), len(batch))
+	}
+	for i, m := range log.sent {
+		if m.To != batch[i].To || m.Dir != batch[i].Dir {
+			t.Errorf("send %d went to rank %d dir %d, want rank %d dir %d", i, m.To, m.Dir, batch[i].To, batch[i].Dir)
+		}
+	}
+	log.Transport.Close()
+	if err := msg.SendAll(r, batch); !errors.Is(err, msg.ErrClosed) || len(log.sent) != len(batch)+1 {
+		t.Errorf("on a closed transport: err %v after %d more sends; want ErrClosed after 1", err, len(log.sent)-len(batch))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"repro/internal/decomp"
 	"repro/internal/msg"
 )
 
@@ -112,7 +113,11 @@ type Worker struct {
 
 	t       msg.Transport
 	pending map[pkey][]float64
-	want    map[pkey]bool // await's scratch set, reused so the step loop stays allocation-free
+	// A phase exchanges at most one message per direction each way, so a
+	// phase's outgoing batch and await's outstanding messages fit in
+	// arrays the step loop reuses.
+	out  [decomp.NumDirs]msg.Message
+	want [decomp.NumDirs]Expect
 
 	step    atomic.Int64 // mirror of Step, readable by the controller
 	pauseAt atomic.Int64 // sync step to hold at; pauseNone / pausePending
@@ -142,7 +147,6 @@ func NewWorkerAt(prog Program, factory TransportFactory, epoch int, events chan<
 		Epoch:   epoch,
 		t:       t,
 		pending: make(map[pkey][]float64),
-		want:    make(map[pkey]bool),
 		ctrl:    make(chan ctrlMsg, 8),
 		paused:  make(chan ctrlMsg, 8),
 		wake:    make(chan struct{}, 1),
@@ -156,23 +160,22 @@ func NewWorkerAt(prog Program, factory TransportFactory, epoch int, events chan<
 // Rank returns the worker's rank.
 func (w *Worker) Rank() int { return w.Prog.Rank() }
 
-// RunStep advances one full integration step: every phase computes and
-// exchanges.
+// RunStep advances one full integration step: every phase computes, hands
+// its messages to the transport in one batch and awaits its neighbours'.
 func (w *Worker) RunStep() error {
 	for ph := 0; ph < w.Prog.Phases(); ph++ {
 		w.Prog.Compute(ph)
-		for _, s := range w.Prog.Sends(ph) {
-			err := w.t.Send(msg.Message{
-				To:    s.Peer,
-				Step:  w.Step,
-				Phase: ph,
-				Dir:   s.Dir,
-				Data:  s.Data,
-			})
-			if err != nil {
-				return fmt.Errorf("rank %d step %d phase %d: send to %d: %w",
-					w.Rank(), w.Step, ph, s.Peer, err)
-			}
+		sends := w.Prog.Sends(ph)
+		if len(sends) > len(w.out) {
+			return fmt.Errorf("rank %d phase %d: %d messages to send, more than one per direction",
+				w.Rank(), ph, len(sends))
+		}
+		out := w.out[:len(sends)]
+		for i, s := range sends {
+			out[i] = msg.Message{To: s.Peer, Step: w.Step, Phase: ph, Dir: s.Dir, Data: s.Data}
+		}
+		if err := msg.SendAll(w.t, out); err != nil {
+			return fmt.Errorf("rank %d step %d phase %d: send: %w", w.Rank(), w.Step, ph, err)
 		}
 		if err := w.await(ph); err != nil {
 			return err
@@ -186,33 +189,52 @@ func (w *Worker) RunStep() error {
 // await blocks until every expected message of (w.Step, phase) has been
 // unpacked, buffering messages that belong to later steps.
 func (w *Worker) await(phase int) error {
-	want := w.want
-	clear(want)
-	for _, e := range w.Prog.Expects(phase) {
+	expects := w.Prog.Expects(phase)
+	if len(expects) > len(w.want) {
+		return fmt.Errorf("rank %d phase %d: %d messages expected, more than one per direction",
+			w.Rank(), phase, len(expects))
+	}
+	want := w.want[:0]
+	for _, e := range expects {
 		k := pkey{w.Step, phase, e.Dir, e.Peer}
 		if data, ok := w.pending[k]; ok {
 			delete(w.pending, k)
 			w.Prog.Unpack(phase, e.Dir, data)
 			continue
 		}
-		want[k] = true
+		want = want[:len(want)+1]
+		want[len(want)-1] = e
 	}
 	for len(want) > 0 {
 		m, err := w.t.Recv()
 		if err != nil {
 			return fmt.Errorf("rank %d step %d phase %d: recv: %w", w.Rank(), w.Step, phase, err)
 		}
-		k := pkey{m.Step, m.Phase, m.Dir, m.From}
-		if want[k] {
-			delete(want, k)
+		if i := w.awaited(want, phase, m); i >= 0 {
+			want[i] = want[len(want)-1]
+			want = want[:len(want)-1]
 			w.Prog.Unpack(phase, m.Dir, m.Data)
 			continue
 		}
 		// A message for a later step: buffer it. Neighbours can run
 		// several steps ahead (appendix A).
-		w.pending[k] = m.Data
+		w.pending[pkey{m.Step, m.Phase, m.Dir, m.From}] = m.Data
 	}
 	return nil
+}
+
+// awaited returns the index in want of the slot m fills, or -1 when m
+// belongs to another step or phase.
+func (w *Worker) awaited(want []Expect, phase int, m msg.Message) int {
+	if m.Step != w.Step || m.Phase != phase {
+		return -1
+	}
+	for i, e := range want {
+		if e.Dir == m.Dir && e.Peer == m.From {
+			return i
+		}
+	}
+	return -1
 }
 
 // RunSteps advances until Step reaches until, without any control-plane

@@ -2,9 +2,12 @@ package core
 
 import (
 	"errors"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/decomp"
 	"repro/internal/dump"
 	"repro/internal/msg"
 )
@@ -68,6 +71,152 @@ func TestWorkerBuffersEarlyMessages(t *testing.T) {
 		if prog.unpacked[s] != float64(100+s) {
 			t.Errorf("step %d consumed %v, want %v", s, prog.unpacked[s], float64(100+s))
 		}
+	}
+}
+
+// recvCounter counts Recv calls and passes batches on whole, so a TCP
+// transport under it still writes once per peer.
+type recvCounter struct {
+	msg.Transport
+	recvs int
+}
+
+func (c *recvCounter) Recv() (msg.Message, error) {
+	c.recvs++
+	return c.Transport.Recv()
+}
+
+func (c *recvCounter) SendAll(ms []msg.Message) error { return msg.SendAll(c.Transport, ms) }
+
+// TestAwaitServedFromPending: a peer that ran ahead has delivered the
+// messages of steps 1-4 before that of step 0, so the step-0 await buffers
+// them and the awaits of steps 1-4 take every expected message from
+// pending without calling Recv. Over TCP the payloads unpacked are
+// bit-equal to the hub's.
+func TestAwaitServedFromPending(t *testing.T) {
+	hub := msg.NewHub()
+	tcp := tcpFactory(t)
+	var unpacked [2][]float64
+	for i, open := range []TransportFactory{
+		func(rank, epoch int) (msg.Transport, error) { return hub.Join(rank), nil },
+		tcp,
+	} {
+		var rc *recvCounter
+		prog := &stubProgram{rank: 1, peer: 0}
+		w, err := NewWorker(prog, func(rank, epoch int) (msg.Transport, error) {
+			tr, err := open(rank, epoch)
+			rc = &recvCounter{Transport: tr}
+			return rc, err
+		}, 0, make(chan Event, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		peer, err := open(0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer peer.Close()
+		for s := 4; s >= 0; s-- {
+			if err := peer.Send(msg.Message{To: 1, Step: s, Data: []float64{float64(s) + 0.1}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.RunSteps(1); err != nil {
+			t.Fatal(err)
+		}
+		if rc.recvs != 5 {
+			t.Fatalf("step 0 received %d messages, want all 5", rc.recvs)
+		}
+		if err := w.RunSteps(5); err != nil {
+			t.Fatal(err)
+		}
+		if rc.recvs != 5 {
+			t.Errorf("steps 1-4 called Recv %d times with every expected message pending", rc.recvs-5)
+		}
+		unpacked[i] = prog.unpacked
+	}
+	for s := 0; s < 5; s++ {
+		hub, tcp := unpacked[0][s], unpacked[1][s]
+		if math.Float64bits(hub) != math.Float64bits(float64(s)+0.1) || math.Float64bits(tcp) != math.Float64bits(hub) {
+			t.Errorf("step %d unpacked %v over the hub and %v over TCP, want %v", s, hub, tcp, float64(s)+0.1)
+		}
+	}
+}
+
+// TestTCPStepAllocatesOnePerFrame: a two-rank finite-difference step over
+// TCP allocates one object per frame received, its payload (which may
+// wait in pending for a later step), and nothing to send or await.
+func TestTCPStepAllocatesOnePerFrame(t *testing.T) {
+	cfg := channelConfig(t, MethodFD, 2, 1, 32, 16)
+	factory := tcpFactory(t)
+	var ws [2]*Worker
+	frames := 0
+	for rank := range ws {
+		p, err := cfg.NewProgram(rank)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ws[rank], err = NewWorker(p, factory, 0, make(chan Event, 1)); err != nil {
+			t.Fatal(err)
+		}
+		defer ws[rank].Close()
+		for ph := 0; ph < p.Phases(); ph++ {
+			frames += len(p.Expects(ph))
+		}
+	}
+	// Rank 1 steps on its own goroutine, one step per token; the hand-off
+	// is two channel operations, which allocate nothing.
+	token, done := make(chan struct{}), make(chan error, 1)
+	go func() {
+		for range token {
+			done <- ws[1].RunStep()
+		}
+	}()
+	defer close(token)
+	step := func() {
+		token <- struct{}{}
+		if err := ws[0].RunStep(); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		step() // dial, and grow the buffers to size
+	}
+	allocs := testing.AllocsPerRun(50, step)
+	t.Logf("%.2f allocations a step for %d frames received", allocs, frames)
+	if allocs > float64(frames) {
+		t.Errorf("%.2f allocations a step, more than the %d frames received", allocs, frames)
+	}
+}
+
+// floodProgram lists given numbers of messages to send and expect.
+type floodProgram struct {
+	stubProgram
+	sends, expects int
+}
+
+func (p *floodProgram) Sends(int) []Send     { return make([]Send, p.sends) }
+func (p *floodProgram) Expects(int) []Expect { return make([]Expect, p.expects) }
+
+// TestWorkerRefusesTwoMessagesPerDirection: a phase that lists more
+// messages than there are directions fails its step with an error instead
+// of overrunning the worker's per-direction arrays.
+func TestWorkerRefusesTwoMessagesPerDirection(t *testing.T) {
+	hub := msg.NewHub()
+	factory := func(rank, epoch int) (msg.Transport, error) { return hub.Join(rank), nil }
+	for _, p := range []*floodProgram{{sends: decomp.NumDirs + 1}, {expects: decomp.NumDirs + 1}} {
+		w, err := NewWorker(p, factory, 0, make(chan Event, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.RunStep(); err == nil || !strings.Contains(err.Error(), "more than one per direction") {
+			t.Errorf("%d sends, %d expects: RunStep error %v", p.sends, p.expects, err)
+		}
+		w.Close()
 	}
 }
 

@@ -71,11 +71,12 @@ type Solver2D struct {
 	runFn        filter.RunFunc
 	xbuf         []float64
 
-	// Field lists built once at construction so the steady-state step
-	// allocates nothing; Swap exchanges field contents, never these
-	// pointers, so they stay valid across steps.
+	// Field and layout lists built once at construction so the
+	// steady-state step allocates nothing; Swap exchanges field contents,
+	// never these pointers, and a field's Layout follows its Swaps, so
+	// they stay valid across steps.
 	filterFields []*grid.Field2D
-	phaseFields  [2][]*grid.Field2D
+	phaseLayouts [2][]*grid.Layout
 }
 
 // NewSolver2D allocates a solver for an nx-by-ny subregion with the fields
@@ -128,7 +129,7 @@ func NewGeometry2D(nx, ny int, par fluid.Params, mask func(x, y int) fluid.CellT
 	}
 	s.plan = filter.NewPlan2DFromCells(nx, ny, s.cells)
 	s.filterFields = []*grid.Field2D{s.Rho, s.Vx, s.Vy}
-	s.phaseFields = [2][]*grid.Field2D{{s.Vx, s.Vy}, {s.Rho}}
+	s.phaseLayouts = [2][]*grid.Layout{{s.Vx.Layout(), s.Vy.Layout()}, {s.Rho.Layout()}}
 	s.velFn = s.velocityRows
 	s.denFn = s.densityRows
 	s.runFn = s.run
@@ -306,25 +307,25 @@ func (s *Solver2D) applyFilter() {
 	s.plan.Apply(s.filterFields, s.Par.Eps, s.scratch, s.runFn)
 }
 
-// fields returns the state fields in the fixed exchange order.
-func (s *Solver2D) fields(phase int) []*grid.Field2D {
+// layouts returns the state fields' layouts in the fixed exchange order.
+func (s *Solver2D) layouts(phase int) []*grid.Layout {
 	if phase == 0 {
-		return s.phaseFields[0]
+		return s.phaseLayouts[0]
 	}
-	return s.phaseFields[1]
+	return s.phaseLayouts[1]
 }
 
 // Pack extracts the boundary data sent to the neighbour at dir after the
 // given phase: the interior edge strips of the fields updated in that
 // phase (ghost-fill convention).
 func (s *Solver2D) Pack(phase int, dir decomp.Dir, buf []float64) []float64 {
-	return halo.PackSend(s.fields(phase), dir, true, buf)
+	return halo.PackSend(s.layouts(phase), dir, true, buf)
 }
 
 // Unpack stores boundary data received from the neighbour at dir into the
 // ghost strips on that side.
 func (s *Solver2D) Unpack(phase int, dir decomp.Dir, buf []float64) {
-	halo.UnpackRecv(s.fields(phase), dir, true, buf)
+	halo.UnpackRecv(s.layouts(phase), dir, true, buf)
 }
 
 // StepSerial advances a standalone (single-subregion) solver one full step,

@@ -42,10 +42,10 @@ type Solver3D struct {
 	runFn        filter.RunFunc
 	xbuf         []float64
 
-	// Field lists built once at construction so the steady-state step
-	// allocates nothing (see Solver2D).
+	// Field and layout lists built once at construction so the
+	// steady-state step allocates nothing (see Solver2D).
 	filterFields []*grid.Field3D
-	phaseFields  [2][]*grid.Field3D
+	phaseLayouts [2][]*grid.Layout
 }
 
 // NewSolver3D allocates a 3D solver initialized to rho = Rho0, V = 0:
@@ -98,7 +98,7 @@ func NewGeometry3D(nx, ny, nz int, par fluid.Params, mask func(x, y, z int) flui
 	}
 	s.plan = filter.NewPlan3DFromCells(nx, ny, nz, s.cells)
 	s.filterFields = []*grid.Field3D{s.Rho, s.Vx, s.Vy, s.Vz}
-	s.phaseFields = [2][]*grid.Field3D{{s.Vx, s.Vy, s.Vz}, {s.Rho}}
+	s.phaseLayouts = [2][]*grid.Layout{{s.Vx.Layout(), s.Vy.Layout(), s.Vz.Layout()}, {s.Rho.Layout()}}
 	s.velFn = s.velocityPlanes
 	s.denFn = s.densityPlanes
 	s.runFn = s.run
@@ -279,23 +279,23 @@ func (s *Solver3D) applyFilter() {
 	s.plan.Apply(s.filterFields, s.Par.Eps, s.scratch, s.runFn)
 }
 
-func (s *Solver3D) fields(phase int) []*grid.Field3D {
+func (s *Solver3D) layouts(phase int) []*grid.Layout {
 	if phase == 0 {
-		return s.phaseFields[0]
+		return s.phaseLayouts[0]
 	}
-	return s.phaseFields[1]
+	return s.phaseLayouts[1]
 }
 
 // Pack extracts the interior face strip sent to the neighbour at dir after
 // the given phase (ghost-fill convention; star stencil, faces only).
 func (s *Solver3D) Pack(phase int, dir decomp.Dir, buf []float64) []float64 {
-	return halo.PackSend(s.fields(phase), dir, true, buf)
+	return halo.PackSend(s.layouts(phase), dir, true, buf)
 }
 
 // Unpack stores data received from the neighbour at dir into the ghost
 // face strip on that side.
 func (s *Solver3D) Unpack(phase int, dir decomp.Dir, buf []float64) {
-	halo.UnpackRecv(s.fields(phase), dir, true, buf)
+	halo.UnpackRecv(s.layouts(phase), dir, true, buf)
 }
 
 // StepSerial advances a standalone solver one step with periodic wrapping

@@ -51,6 +51,8 @@ func AvoidPageResonance(n int) int {
 // for both field types: the flat array, the index of interior node
 // (0, 0, 0), the interior extents, the row and plane strides and the ghost
 // depth. A Field2D is one plane: NZ = 1, no plane stride, no ghosts along z.
+// Each field holds its Layout and hands out a pointer to it, so a halo
+// copy of a few values does not first copy the 80-byte description.
 type Layout struct {
 	Data       []float64
 	Origin     int
@@ -63,10 +65,9 @@ type Layout struct {
 // layers on each side. Interior nodes are addressed 0 <= x < NX,
 // 0 <= y < NY; ghost nodes extend to -H and NX+H-1 (resp. NY+H-1).
 type Field2D struct {
-	NX, NY int // interior node counts
-	H      int // ghost layers per side
-	sx     int // row stride = NX + 2H
-	data   []float64
+	NX, NY int    // interior node counts
+	H      int    // ghost layers per side
+	lay    Layout // the storage; row stride NX + 2H
 }
 
 // NewField2D allocates a zeroed field with nx-by-ny interior nodes and h
@@ -80,47 +81,46 @@ func NewField2D(nx, ny, h int) *Field2D {
 	n := sx * (ny + 2*h)
 	return &Field2D{
 		NX: nx, NY: ny, H: h,
-		sx:   sx,
-		data: make([]float64, n, AvoidPageResonance(n)),
+		lay: Layout{Data: make([]float64, n, AvoidPageResonance(n)), Origin: h*sx + h,
+			NX: nx, NY: ny, NZ: 1, SX: sx, H: h},
 	}
 }
 
 // Stride returns the row stride of the underlying storage.
-func (f *Field2D) Stride() int { return f.sx }
+func (f *Field2D) Stride() int { return f.lay.SX }
 
 // Data exposes the raw storage including ghost nodes. Index with
 // (y+H)*Stride() + (x+H). Intended for the solvers' inner loops.
-func (f *Field2D) Data() []float64 { return f.data }
+func (f *Field2D) Data() []float64 { return f.lay.Data }
 
-// Layout hands out the field's raw layout; it follows a Swap.
-func (f *Field2D) Layout() Layout {
-	return Layout{Data: f.data, Origin: f.Idx(0, 0), NX: f.NX, NY: f.NY, NZ: 1, SX: f.sx, H: f.H}
-}
+// Layout hands out the field's raw layout, to be read only; it follows a
+// Swap.
+func (f *Field2D) Layout() *Layout { return &f.lay }
 
 // Idx returns the flat index of interior node (x, y). Ghost nodes are
 // reached with x in [-H, NX+H) and y in [-H, NY+H).
-func (f *Field2D) Idx(x, y int) int { return (y+f.H)*f.sx + (x + f.H) }
+func (f *Field2D) Idx(x, y int) int { return (y+f.H)*f.lay.SX + (x + f.H) }
 
 // At returns the value at node (x, y); ghost offsets are legal.
-func (f *Field2D) At(x, y int) float64 { return f.data[f.Idx(x, y)] }
+func (f *Field2D) At(x, y int) float64 { return f.lay.Data[f.Idx(x, y)] }
 
 // Set stores v at node (x, y); ghost offsets are legal.
-func (f *Field2D) Set(x, y int, v float64) { f.data[f.Idx(x, y)] = v }
+func (f *Field2D) Set(x, y int, v float64) { f.lay.Data[f.Idx(x, y)] = v }
 
 // Add adds v to node (x, y).
-func (f *Field2D) Add(x, y int, v float64) { f.data[f.Idx(x, y)] += v }
+func (f *Field2D) Add(x, y int, v float64) { f.lay.Data[f.Idx(x, y)] += v }
 
 // Fill sets every node, ghosts included, to v.
 func (f *Field2D) Fill(v float64) {
-	for i := range f.data {
-		f.data[i] = v
+	for i := range f.lay.Data {
+		f.lay.Data[i] = v
 	}
 }
 
 // FillInterior sets every interior node to v, leaving ghosts untouched.
 func (f *Field2D) FillInterior(v float64) {
 	for y := 0; y < f.NY; y++ {
-		row := f.data[f.Idx(0, y) : f.Idx(0, y)+f.NX]
+		row := f.lay.Data[f.Idx(0, y) : f.Idx(0, y)+f.NX]
 		for i := range row {
 			row[i] = v
 		}
@@ -130,7 +130,7 @@ func (f *Field2D) FillInterior(v float64) {
 // Clone returns a deep copy of the field.
 func (f *Field2D) Clone() *Field2D {
 	g := NewField2D(f.NX, f.NY, f.H)
-	copy(g.data, f.data)
+	copy(g.lay.Data, f.lay.Data)
 	return g
 }
 
@@ -140,7 +140,7 @@ func (f *Field2D) CopyFrom(src *Field2D) {
 	if f.NX != src.NX || f.NY != src.NY || f.H != src.H {
 		panic("grid: CopyFrom geometry mismatch")
 	}
-	copy(f.data, src.data)
+	copy(f.lay.Data, src.lay.Data)
 }
 
 // Swap exchanges the storage of f and g, which must have identical
@@ -149,7 +149,7 @@ func (f *Field2D) Swap(g *Field2D) {
 	if f.NX != g.NX || f.NY != g.NY || f.H != g.H {
 		panic("grid: Swap geometry mismatch")
 	}
-	f.data, g.data = g.data, f.data
+	f.lay.Data, g.lay.Data = g.lay.Data, f.lay.Data
 }
 
 // InteriorEqual reports whether the interior nodes of f and g agree within
@@ -199,8 +199,7 @@ func (f *Field2D) SumInterior() float64 {
 type Field3D struct {
 	NX, NY, NZ int
 	H          int
-	sx, sxy    int
-	data       []float64
+	lay        Layout // the storage; row stride NX + 2H, plane stride SX * (NY + 2H)
 }
 
 // NewField3D allocates a zeroed 3D field with ghost layers.
@@ -213,48 +212,47 @@ func NewField3D(nx, ny, nz, h int) *Field3D {
 	n := sxy * (nz + 2*h)
 	return &Field3D{
 		NX: nx, NY: ny, NZ: nz, H: h,
-		sx: sx, sxy: sxy,
-		data: make([]float64, n, AvoidPageResonance(n)),
+		lay: Layout{Data: make([]float64, n, AvoidPageResonance(n)), Origin: h*sxy + h*sx + h,
+			NX: nx, NY: ny, NZ: nz, SX: sx, SXY: sxy, H: h},
 	}
 }
 
 // StrideX returns the x-row stride; StrideXY the z-plane stride.
-func (f *Field3D) StrideX() int  { return f.sx }
-func (f *Field3D) StrideXY() int { return f.sxy }
+func (f *Field3D) StrideX() int  { return f.lay.SX }
+func (f *Field3D) StrideXY() int { return f.lay.SXY }
 
 // Data exposes the raw storage including ghosts.
-func (f *Field3D) Data() []float64 { return f.data }
+func (f *Field3D) Data() []float64 { return f.lay.Data }
 
-// Layout hands out the field's raw layout; it follows a Swap.
-func (f *Field3D) Layout() Layout {
-	return Layout{Data: f.data, Origin: f.Idx(0, 0, 0), NX: f.NX, NY: f.NY, NZ: f.NZ, SX: f.sx, SXY: f.sxy, H: f.H}
-}
+// Layout hands out the field's raw layout, to be read only; it follows a
+// Swap.
+func (f *Field3D) Layout() *Layout { return &f.lay }
 
 // Idx returns the flat index of node (x, y, z); ghost offsets are legal.
 func (f *Field3D) Idx(x, y, z int) int {
-	return (z+f.H)*f.sxy + (y+f.H)*f.sx + (x + f.H)
+	return (z+f.H)*f.lay.SXY + (y+f.H)*f.lay.SX + (x + f.H)
 }
 
 // At returns the value at node (x, y, z).
-func (f *Field3D) At(x, y, z int) float64 { return f.data[f.Idx(x, y, z)] }
+func (f *Field3D) At(x, y, z int) float64 { return f.lay.Data[f.Idx(x, y, z)] }
 
 // Set stores v at node (x, y, z).
-func (f *Field3D) Set(x, y, z int, v float64) { f.data[f.Idx(x, y, z)] = v }
+func (f *Field3D) Set(x, y, z int, v float64) { f.lay.Data[f.Idx(x, y, z)] = v }
 
 // Add adds v to node (x, y, z).
-func (f *Field3D) Add(x, y, z int, v float64) { f.data[f.Idx(x, y, z)] += v }
+func (f *Field3D) Add(x, y, z int, v float64) { f.lay.Data[f.Idx(x, y, z)] += v }
 
 // Fill sets every node, ghosts included, to v.
 func (f *Field3D) Fill(v float64) {
-	for i := range f.data {
-		f.data[i] = v
+	for i := range f.lay.Data {
+		f.lay.Data[i] = v
 	}
 }
 
 // Clone returns a deep copy.
 func (f *Field3D) Clone() *Field3D {
 	g := NewField3D(f.NX, f.NY, f.NZ, f.H)
-	copy(g.data, f.data)
+	copy(g.lay.Data, f.lay.Data)
 	return g
 }
 
@@ -263,7 +261,7 @@ func (f *Field3D) CopyFrom(src *Field3D) {
 	if f.NX != src.NX || f.NY != src.NY || f.NZ != src.NZ || f.H != src.H {
 		panic("grid: CopyFrom geometry mismatch")
 	}
-	copy(f.data, src.data)
+	copy(f.lay.Data, src.lay.Data)
 }
 
 // Swap exchanges storage with g (identical geometry required).
@@ -271,7 +269,7 @@ func (f *Field3D) Swap(g *Field3D) {
 	if f.NX != g.NX || f.NY != g.NY || f.NZ != g.NZ || f.H != g.H {
 		panic("grid: Swap geometry mismatch")
 	}
-	f.data, g.data = g.data, f.data
+	f.lay.Data, g.lay.Data = g.lay.Data, f.lay.Data
 }
 
 // InteriorEqual reports whether interiors agree within tol.

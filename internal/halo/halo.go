@@ -34,9 +34,6 @@ import (
 	"repro/internal/grid"
 )
 
-// Field is a grid field of either dimension.
-type Field interface{ Layout() grid.Layout }
-
 // Region is a box in field-local coordinates; ghost offsets (negative, or
 // >= the interior extent) are legal. A region of a planar field has Z0 = 0
 // and NZ = 1.
@@ -49,7 +46,7 @@ type Region struct {
 func (r Region) Len() int { return r.NX * r.NY * r.NZ }
 
 // start is the index of the region's first value in the field's storage.
-func start(l grid.Layout, r Region) int { return l.Origin + r.Z0*l.SXY + r.Y0*l.SX + r.X0 }
+func start(l *grid.Layout, r Region) int { return l.Origin + r.Z0*l.SXY + r.Y0*l.SX + r.X0 }
 
 // Extract appends the region's values to buf, x fastest, then y, then z,
 // and returns the extended buffer; the room is reserved once. Rows wider
@@ -60,7 +57,7 @@ func start(l grid.Layout, r Region) int { return l.Origin + r.Z0*l.SXY + r.Y0*l.
 // of its columns is therefore walked down a plane in the tightest loop
 // there is, one load, one store and the stride; a slice and a copy per
 // value cost twice as much.
-func Extract(l grid.Layout, r Region, buf []float64) []float64 {
+func Extract(l *grid.Layout, r Region, buf []float64) []float64 {
 	n := len(buf)
 	buf = slices.Grow(buf, r.Len())[:n+r.Len()] //detlint:allow allocsteady -- grows only on the first exchange; steady-state callers reuse a full-capacity buffer
 	out, data, at, nx, sx := buf[n:], l.Data, start(l, r), r.NX, l.SX
@@ -88,7 +85,7 @@ func Extract(l grid.Layout, r Region, buf []float64) []float64 {
 // Inject stores the leading Len values of buf into the region, in
 // Extract's order and by the same two walks, and returns the remainder of
 // buf.
-func Inject(l grid.Layout, r Region, buf []float64) []float64 {
+func Inject(l *grid.Layout, r Region, buf []float64) []float64 {
 	data, at, nx, sx := l.Data, start(l, r), r.NX, l.SX
 	for z := 0; z < r.NZ; z++ {
 		plane := buf[z*nx*r.NY:][:nx*r.NY]
@@ -135,7 +132,7 @@ func axisSpan(n, h, off int, interior bool) (x0, nx int) {
 // dir and where an outflow-delivery method stores what arrives from it;
 // the ghost strip is where a ghost-fill method stores what arrives from
 // dir and what an outflow-delivery method (LB after shifting) sends there.
-func Strip(l grid.Layout, dir decomp.Dir, interior bool) Region {
+func Strip(l *grid.Layout, dir decomp.Dir, interior bool) Region {
 	dx, dy, dz := dir.Delta()
 	var r Region
 	r.X0, r.NX = axisSpan(l.NX, l.H, dx, interior)
@@ -144,12 +141,12 @@ func Strip(l grid.Layout, dir decomp.Dir, interior bool) Region {
 	return r
 }
 
-// PackSend extracts the send strips of every field for direction dir
-// under the given convention (ghostFill true = the interior strips) into
-// one buffer, so all boundary data for a neighbour travels in one message.
-func PackSend[F Field](fields []F, dir decomp.Dir, ghostFill bool, buf []float64) []float64 {
-	for _, f := range fields {
-		l := f.Layout()
+// PackSend extracts the send strips of every field, given by its layout,
+// for direction dir under the given convention (ghostFill true = the
+// interior strips) into one buffer, so all boundary data for a neighbour
+// travels in one message.
+func PackSend(fields []*grid.Layout, dir decomp.Dir, ghostFill bool, buf []float64) []float64 {
+	for _, l := range fields {
 		buf = Extract(l, Strip(l, dir, ghostFill), buf)
 	}
 	return buf
@@ -157,9 +154,8 @@ func PackSend[F Field](fields []F, dir decomp.Dir, ghostFill bool, buf []float64
 
 // UnpackRecv injects a buffer produced by PackSend on the neighbour at dir
 // into the receive strips of every field.
-func UnpackRecv[F Field](fields []F, dir decomp.Dir, ghostFill bool, buf []float64) {
-	for _, f := range fields {
-		l := f.Layout()
+func UnpackRecv(fields []*grid.Layout, dir decomp.Dir, ghostFill bool, buf []float64) {
+	for _, l := range fields {
 		buf = Inject(l, Strip(l, dir, !ghostFill), buf)
 	}
 	if len(buf) != 0 {

@@ -49,7 +49,7 @@ func TestSideRegionsGeometry(t *testing.T) {
 	planar := grid.NewField2D(8, 5, 2).Layout()
 	box := grid.NewField3D(5, 6, 7, 1).Layout()
 	cases := []struct {
-		l        grid.Layout
+		l        *grid.Layout
 		dir      decomp.Dir
 		interior Region
 		ghost    Region
@@ -92,12 +92,12 @@ func TestStripsPairUp(t *testing.T) {
 				}
 				return n
 			}
-			pairs := [][2]grid.Layout{{
+			pairs := [][2]*grid.Layout{{
 				grid.NewField3D(5, 6, 7, h).Layout(),
 				grid.NewField3D(grow(5, dx), grow(6, dy), grow(7, dz), h).Layout(),
 			}}
 			if dz == 0 {
-				pairs = append(pairs, [2]grid.Layout{
+				pairs = append(pairs, [2]*grid.Layout{
 					grid.NewField2D(8, 5, h).Layout(),
 					grid.NewField2D(grow(8, dx), grow(5, dy), h).Layout(),
 				})
@@ -153,7 +153,7 @@ func TestPackUnpackMultiField(t *testing.T) {
 			b.Set(x, y, float64(-(1000*y + x)))
 		}
 	}
-	fields := []*grid.Field2D{a, b}
+	fields := []*grid.Layout{a.Layout(), b.Layout()}
 	buf := PackSend(fields, decomp.North, true, nil)
 	if len(buf) != 2*5 {
 		t.Fatalf("message length %d, want two fields of a 5-node side", len(buf))
@@ -162,7 +162,7 @@ func TestPackUnpackMultiField(t *testing.T) {
 	// (data from the neighbour to the South arrives from direction South).
 	ra := grid.NewField2D(5, 4, 1)
 	rb := grid.NewField2D(5, 4, 1)
-	UnpackRecv([]*grid.Field2D{ra, rb}, decomp.South, true, buf)
+	UnpackRecv([]*grid.Layout{ra.Layout(), rb.Layout()}, decomp.South, true, buf)
 	for x := 0; x < 5; x++ {
 		if got, want := ra.At(x, -1), a.At(x, 3); got != want {
 			t.Errorf("ra ghost (%d,-1) = %v, want %v", x, got, want)
@@ -181,7 +181,7 @@ func TestUnpackLengthMismatchPanics(t *testing.T) {
 		}
 	}()
 	buf := make([]float64, Strip(f.Layout(), decomp.West, false).Len()+3)
-	UnpackRecv([]*grid.Field2D{f}, decomp.West, true, buf)
+	UnpackRecv([]*grid.Layout{f.Layout()}, decomp.West, true, buf)
 }
 
 func fillCoords3(f *grid.Field3D) {
@@ -227,10 +227,10 @@ func TestGhostFillExchange3D(t *testing.T) {
 			}
 		}
 	}
-	buf := PackSend([]*grid.Field3D{lo}, decomp.Up, true, nil)
-	UnpackRecv([]*grid.Field3D{hi}, decomp.Down, true, buf)
-	buf = PackSend([]*grid.Field3D{hi}, decomp.Down, true, nil)
-	UnpackRecv([]*grid.Field3D{lo}, decomp.Up, true, buf)
+	buf := PackSend([]*grid.Layout{lo.Layout()}, decomp.Up, true, nil)
+	UnpackRecv([]*grid.Layout{hi.Layout()}, decomp.Down, true, buf)
+	buf = PackSend([]*grid.Layout{hi.Layout()}, decomp.Down, true, nil)
+	UnpackRecv([]*grid.Layout{lo.Layout()}, decomp.Up, true, buf)
 	for y := 0; y < 3; y++ {
 		for x := 0; x < 3; x++ {
 			if got, want := hi.At(x, y, -1), float64(100*2+10*y+x); got != want {
@@ -247,7 +247,8 @@ func TestGhostFillExchange3D(t *testing.T) {
 // five values per face node.
 func TestPackSendCounts(t *testing.T) {
 	f := grid.NewField3D(10, 20, 30, 1)
-	fields := []*grid.Field3D{f, f, f, f, f}
+	l := f.Layout()
+	fields := []*grid.Layout{l, l, l, l, l}
 	if got := len(PackSend(fields, decomp.East, true, nil)); got != 5*20*30 {
 		t.Errorf("packed %d values, want %d", got, 5*20*30)
 	}

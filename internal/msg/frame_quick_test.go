@@ -17,11 +17,7 @@ func TestFrameRoundTripProperty(t *testing.T) {
 			Dir:   int(dir % 8),
 			Data:  data,
 		}
-		var buf bytes.Buffer
-		if err := writeFrame(&buf, in); err != nil {
-			return false
-		}
-		out, err := readFrame(&buf)
+		out, err := newFrameReader(bytes.NewReader(appendFrame(nil, in))).next()
 		if err != nil {
 			return false
 		}

@@ -18,15 +18,22 @@
 // first-come-first-served communication via select outperforms strict
 // ordering because delayed processes do not stall the others); the driver
 // matches arrived messages to (step, phase, direction) slots itself.
+//
+// A driver hands a phase's messages over at once with SendAll. TCP then
+// writes each peer's frames with one write; any other transport gets one
+// Send per message. The frames and their order on every connection are
+// the same either way.
 package msg
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -55,6 +62,28 @@ type Transport interface {
 	Recv() (Message, error)
 	// Close tears the transport down; blocked Recv calls return ErrClosed.
 	Close() error
+}
+
+// batchSender is the optional batch half of a Transport. It is not on the
+// interface: a decorator that embeds a Transport and overrides Send would
+// otherwise inherit the inner transport's SendAll and be bypassed by it.
+type batchSender interface {
+	SendAll(ms []Message) error
+}
+
+// SendAll sends ms in order with the same contract as Send: through t's
+// own SendAll when it has one, otherwise with one Send per message,
+// stopping at the first error.
+func SendAll(t Transport, ms []Message) error {
+	if b, ok := t.(batchSender); ok {
+		return b.SendAll(ms)
+	}
+	for _, m := range ms {
+		if err := t.Send(m); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // queueCap bounds in-flight messages per transport. The un-synchronization
@@ -171,7 +200,17 @@ func (c *Chan) Close() error {
 const (
 	frameMagic  = 0x50415331 // "PAS1", after the paper's author
 	headerBytes = 6 * 4
+	// maxValues bounds the payload length a header may declare.
+	maxValues = 1 << 26
+	// readBufBytes sizes each connection's read buffer: one read takes in
+	// every frame that has arrived, and a payload is decoded from the
+	// buffer in pieces of at most this size.
+	readBufBytes = 64 << 10
 )
+
+// errBadFrame marks a frame that is not one: bad magic or an implausible
+// length. The connection's read loop stops at it.
+var errBadFrame = errors.New("msg: bad frame")
 
 // TCP is the real-socket transport. One goroutine per accepted connection
 // reads frames into a single receive channel, which is the Go expression of
@@ -192,7 +231,8 @@ type TCP struct {
 
 type peerConn struct {
 	conn net.Conn
-	wmu  sync.Mutex // serializes frame writes
+	wmu  sync.Mutex // serializes frame writes and guards wbuf
+	wbuf []byte     // the frames of one SendAll call, reused
 }
 
 // DialTimeout bounds how long Send waits for a peer to publish its address
@@ -262,8 +302,9 @@ func (t *TCP) acceptLoop() {
 
 func (t *TCP) readLoop(conn net.Conn) {
 	defer t.wg.Done()
+	fr := newFrameReader(conn)
 	for {
-		m, err := readFrame(conn)
+		m, err := fr.next()
 		if err != nil {
 			return
 		}
@@ -343,20 +384,54 @@ func (t *TCP) dial(to int) (*peerConn, error) {
 
 // Send frames and writes m to rank m.To, dialing on first use.
 func (t *TCP) Send(m Message) error {
+	return t.SendAll([]Message{m})
+}
+
+// SendAll frames ms and writes every destination's frames, in their order
+// in ms, with one write on that peer's connection, dialing on first use.
+// Peers are written in the order they first appear in ms.
+func (t *TCP) SendAll(ms []Message) error {
 	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
+	closed := t.closed
+	t.mu.Unlock()
+	if closed {
 		return ErrClosed
 	}
-	t.mu.Unlock()
-	pc, err := t.dial(m.To)
+next:
+	for i := range ms {
+		to := ms[i].To
+		for _, m := range ms[:i] {
+			if m.To == to {
+				continue next // written with the peer's first message
+			}
+		}
+		if err := t.write(to, ms[i:]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// write sends the frames of the messages in ms addressed to rank to with
+// one write on that peer's connection.
+func (t *TCP) write(to int, ms []Message) error {
+	pc, err := t.dial(to)
 	if err != nil {
 		return err
 	}
-	m.From = t.rank
 	pc.wmu.Lock()
 	defer pc.wmu.Unlock()
-	return writeFrame(pc.conn, m)
+	pc.wbuf = pc.wbuf[:0]
+	for _, m := range ms {
+		if m.To == to {
+			m.From = t.rank
+			pc.wbuf = appendFrame(pc.wbuf, m)
+		}
+	}
+	if _, err := pc.conn.Write(pc.wbuf); err != nil {
+		return fmt.Errorf("msg: rank %d write to rank %d: %w", t.rank, to, err)
+	}
+	return nil
 }
 
 // Recv blocks until any peer delivers a message (FCFS).
@@ -392,30 +467,49 @@ func (t *TCP) Close() error {
 	return nil
 }
 
-// writeFrame encodes a message as a fixed header plus float64 payload.
-func writeFrame(w io.Writer, m Message) error {
-	buf := make([]byte, headerBytes+8*len(m.Data))
-	binary.LittleEndian.PutUint32(buf[0:], frameMagic)
-	binary.LittleEndian.PutUint32(buf[4:], uint32(m.From))
-	binary.LittleEndian.PutUint32(buf[8:], uint32(int32(m.Step)))
-	binary.LittleEndian.PutUint32(buf[12:], uint32(int32(m.Phase)))
-	binary.LittleEndian.PutUint32(buf[16:], uint32(int32(m.Dir)))
-	binary.LittleEndian.PutUint32(buf[20:], uint32(len(m.Data)))
+// appendFrame appends m's frame, a fixed header plus float64 payload, to
+// buf and returns the extended buffer.
+func appendFrame(buf []byte, m Message) []byte {
+	n := len(buf)
+	size := headerBytes + 8*len(m.Data)
+	buf = slices.Grow(buf, size)[:n+size]
+	f := buf[n:]
+	binary.LittleEndian.PutUint32(f[0:], frameMagic)
+	binary.LittleEndian.PutUint32(f[4:], uint32(m.From))
+	binary.LittleEndian.PutUint32(f[8:], uint32(int32(m.Step)))
+	binary.LittleEndian.PutUint32(f[12:], uint32(int32(m.Phase)))
+	binary.LittleEndian.PutUint32(f[16:], uint32(int32(m.Dir)))
+	binary.LittleEndian.PutUint32(f[20:], uint32(len(m.Data)))
+	p := f[headerBytes:]
 	for i, v := range m.Data {
-		binary.LittleEndian.PutUint64(buf[headerBytes+8*i:], math.Float64bits(v))
+		binary.LittleEndian.PutUint64(p[8*i:], math.Float64bits(v))
 	}
-	_, err := w.Write(buf)
-	return err
+	return buf
 }
 
-// readFrame decodes one frame.
-func readFrame(r io.Reader) (Message, error) {
-	var hdr [headerBytes]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// frameReader decodes the frames arriving on one connection. Reads go
+// through a buffer, so one read usually takes in every frame that has
+// arrived; the header is copied into an array the reader owns and the
+// payload is decoded straight out of the buffer.
+type frameReader struct {
+	r   *bufio.Reader
+	hdr [headerBytes]byte
+}
+
+func newFrameReader(r io.Reader) *frameReader {
+	return &frameReader{r: bufio.NewReaderSize(r, readBufBytes)}
+}
+
+// next decodes one frame. The only allocation is the payload, and it
+// grows with the bytes that have arrived, one buffer's worth at a time: a
+// header declaring more values than follow costs at most one buffer.
+func (fr *frameReader) next() (Message, error) {
+	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		return Message{}, err
 	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != frameMagic {
-		return Message{}, fmt.Errorf("msg: bad frame magic %#x", binary.LittleEndian.Uint32(hdr[0:]))
+	hdr := fr.hdr[:]
+	if magic := binary.LittleEndian.Uint32(hdr[0:]); magic != frameMagic {
+		return Message{}, fmt.Errorf("%w: magic %#x", errBadFrame, magic)
 	}
 	m := Message{
 		From:  int(binary.LittleEndian.Uint32(hdr[4:])),
@@ -424,16 +518,24 @@ func readFrame(r io.Reader) (Message, error) {
 		Dir:   int(int32(binary.LittleEndian.Uint32(hdr[16:]))),
 	}
 	n := int(binary.LittleEndian.Uint32(hdr[20:]))
-	if n < 0 || n > 1<<26 {
-		return Message{}, fmt.Errorf("msg: implausible payload length %d", n)
+	if n < 0 || n > maxValues {
+		return Message{}, fmt.Errorf("%w: implausible payload length %d", errBadFrame, n)
 	}
-	payload := make([]byte, 8*n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return Message{}, err
-	}
-	m.Data = make([]float64, n)
-	for i := range m.Data {
-		m.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
+	const chunk = readBufBytes / 8
+	m.Data = make([]float64, 0, min(n, chunk))
+	for len(m.Data) < n {
+		k := min(n-len(m.Data), chunk)
+		p, err := fr.r.Peek(8 * k)
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF // the header promised more
+			}
+			return Message{}, err
+		}
+		for ; len(p) > 0; p = p[8:] {
+			m.Data = append(m.Data, math.Float64frombits(binary.LittleEndian.Uint64(p)))
+		}
+		_, _ = fr.r.Discard(8 * k) // cannot fail: Peek has buffered these bytes
 	}
 	return m, nil
 }

@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -295,7 +296,7 @@ func TestFrameRejectsGarbage(t *testing.T) {
 		w.Write([]byte("this is not a frame header......"))
 		w.Close()
 	}()
-	if _, err := readFrame(r); err == nil {
-		t.Error("garbage frame accepted")
+	if _, err := newFrameReader(r).next(); !errors.Is(err, errBadFrame) {
+		t.Errorf("garbage frame: %v, want errBadFrame", err)
 	}
 }
