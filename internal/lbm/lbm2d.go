@@ -29,7 +29,9 @@
 // no node's arithmetic changes, so the fields stay bit-identical to the
 // serial sweep at any worker count (see internal/pool). In 2D, relax and
 // shift are one sweep that pushes each relaxed node into the post-shift
-// buffers (collideStream); the 3D solver still runs them as two.
+// buffers (collideStream). In 3D the ghost-fill sweeps sit between them:
+// relax runs in place, and after the exchange one sweep pulls each node's
+// populations into the post-shift buffers and sums its moments.
 package lbm
 
 import (

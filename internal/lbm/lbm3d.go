@@ -52,7 +52,9 @@ func init() {
 // single exchange per step, matching the paper's one-message count; fuller
 // 3D lattices pay one message per face per step.
 //
-// When Workers > 1 the inner phases are cut into z-plane slabs on the
+// A step is two sweeps over raw rows: relax in place, then, after the
+// ghost-fill sweeps, one pull of every population into nF that also sums
+// the moments. When Workers > 1 each is cut into z-plane slabs on the
 // shared pool; writes are disjoint by plane and per-node arithmetic is
 // unchanged, so fields stay bit-identical to the serial sweep.
 type Solver3D struct {
@@ -72,16 +74,13 @@ type Solver3D struct {
 	scratch []float64
 
 	// Static per-node structure cached at construction (see Solver2D).
-	cells   []fluid.CellType
-	rowOpen []bool // indexed z*ny + y
-	plan    *filter.Plan3D
+	cells []fluid.CellType
+	plan  *filter.Plan3D
 
-	par                       pool.Runner
-	relaxFn, shiftFn, macroFn func(lo, hi int)
-	runFn                     filter.RunFunc
-	shiftSrc, shiftDst        *grid.Field3D
-	shiftDx, shiftDy, shiftDz int
-	xbuf                      []float64
+	par               pool.Runner
+	relaxFn, streamFn func(lo, hi int)
+	runFn             filter.RunFunc
+	xbuf              []float64
 
 	// Filter field list built once at construction so the steady-state
 	// step allocates nothing (see Solver2D).
@@ -119,19 +118,12 @@ func NewGeometry3D(nx, ny, nz int, par fluid.Params, mask func(x, y, z int) flui
 		Vz:      grid.NewField3D(nx, ny, nz, 1),
 		scratch: make([]float64, nx*ny*nz),
 		cells:   make([]fluid.CellType, nx*ny*nz),
-		rowOpen: make([]bool, ny*nz),
 	}
 	for z := 0; z < nz; z++ {
 		for y := 0; y < ny; y++ {
-			open := true
 			for x := 0; x < nx; x++ {
-				c := mask(x, y, z)
-				s.cells[(z*ny+y)*nx+x] = c
-				if c != fluid.Interior {
-					open = false
-				}
+				s.cells[(z*ny+y)*nx+x] = mask(x, y, z)
 			}
-			s.rowOpen[z*ny+y] = open
 		}
 	}
 	s.plan = filter.NewPlan3DFromCells(nx, ny, nz, s.cells)
@@ -141,8 +133,7 @@ func NewGeometry3D(nx, ny, nz int, par fluid.Params, mask func(x, y, z int) flui
 		s.nF[i] = grid.NewField3D(nx, ny, nz, 1)
 	}
 	s.relaxFn = s.relaxPlanes
-	s.shiftFn = s.shiftPlanes
-	s.macroFn = s.macroPlanes
+	s.streamFn = s.streamPlanes
 	s.runFn = s.run
 	return s, nil
 }
@@ -183,18 +174,12 @@ func (s *Solver3D) InitEquilibrium() {
 
 // feq3 is the D3Q15 BGK equilibrium distribution.
 func feq3(i int, rho, vx, vy, vz float64) float64 {
-	return feq3v(i, rho, vx, vy, vz, vx*vx+vy*vy+vz*vz)
-}
-
-// feq3v is feq3 with the speed-squared hoisted out of the per-population
-// loop; the expression is identical, so the hoisting is bit-exact.
-func feq3v(i int, rho, vx, vy, vz, v2 float64) float64 {
 	cu := float64(cx3[i])*vx + float64(cy3[i])*vy + float64(cz3[i])*vz
-	return w3[i] * rho * (1 + 3*cu + 4.5*cu*cu - 1.5*v2)
+	return w3[i] * rho * (1 + 3*cu + 4.5*cu*cu - 1.5*(vx*vx+vy*vy+vz*vz))
 }
 
 // Phases returns the compute-phase count: relax, then one no-op phase per
-// sweep axis (y, z), then shift+macroscopics+filter. The x-face exchange
+// sweep axis (y, z), then stream+macroscopics+filter. The x-face exchange
 // follows the relax phase.
 func (s *Solver3D) Phases() int { return 4 }
 
@@ -228,136 +213,220 @@ func (s *Solver3D) ExchangeDirs(phase int) []decomp.Dir {
 func (s *Solver3D) Compute(phase int) {
 	switch phase {
 	case 0:
-		s.relax()
+		s.runFn(s.Rho.NZ, s.relaxFn)
 	case 1, 2:
 		// Sweep barriers: no local work, only the y/z face exchanges.
 	case 3:
-		s.shift()
-		s.macroscopics()
-		s.applyFilter()
+		s.stream()
+		s.plan.Apply(s.filterFields, s.Par.Eps, s.scratch, s.runFn)
 	default:
 		panic(fmt.Sprintf("lbm: invalid phase %d", phase))
 	}
 }
 
-func (s *Solver3D) relax() { s.runFn(s.Rho.NZ, s.relaxFn) }
-
-// relaxPlanes relaxes z-planes [z0, z1). All-Interior rows skip the
-// cell-type dispatch; each node writes only its own populations.
+// relaxPlanes relaxes z-planes [z0, z1) in place: BGK toward the
+// equilibrium of the filtered fluid variables at interior nodes, plus the
+// body-force shift 3 w_i rho (c_i . g). Runs of Interior nodes take the
+// unrolled loops over raw rows, with feqTerm's products shared between
+// each direction and its opposite; wall, inlet and outlet nodes go through
+// boundaryNode one at a time. Each node writes only its own populations.
+//
+// A run is relaxed in three passes over population groups — rest and
+// axes, the diagonals with c_x = c_y, the diagonals with c_x = -c_y —
+// which is possible because a population's relaxation reads only its own
+// value and the fluid variables. Every field is page-aligned, so element j
+// of all nineteen arrays falls in one L1 set and one 4K-alias class; one
+// loop over all of them measured 2.4x slower than three passes over at
+// most eleven. The per-node expressions are those of a one-pass loop.
 func (s *Solver3D) relaxPlanes(z0, z1 int) {
 	p := s.Par
 	invTau := 1 / s.Tau
 	forced := p.ForceX != 0 || p.ForceY != 0 || p.ForceZ != 0
+	var fw, fg [Q3]float64 // force shift factors: 3 w_i and c_i . g
+	for i := 1; i < Q3; i++ {
+		fw[i] = 3 * w3[i]
+		fg[i] = float64(cx3[i])*p.ForceX + float64(cy3[i])*p.ForceY + float64(cz3[i])*p.ForceZ
+	}
+	w0, wa, wd := w3[0], w3[1], w3[7]
 	nx, ny := s.Rho.NX, s.Rho.NY
+	rhoD, vxD, vyD, vzD := s.Rho.Data(), s.Vx.Data(), s.Vy.Data(), s.Vz.Data()
+	var fD [Q3][]float64
+	for i := range fD {
+		fD[i] = s.F[i].Data()
+	}
 	for z := z0; z < z1; z++ {
 		for y := 0; y < ny; y++ {
-			open := s.rowOpen[z*ny+y]
-			row := (z*ny + y) * nx
-			for x := 0; x < nx; x++ {
-				if !open {
-					switch s.cells[row+x] {
-					case fluid.Wall:
-						for i := 1; i < Q3; i++ {
-							if j := opp3[i]; j > i {
-								a, b := s.F[i].At(x, y, z), s.F[j].At(x, y, z)
-								s.F[i].Set(x, y, z, b)
-								s.F[j].Set(x, y, z, a)
-							}
-						}
-						continue
-					case fluid.Inlet:
-						for i := 0; i < Q3; i++ {
-							s.F[i].Set(x, y, z, feq3(i, p.InletRho, p.InletVx, p.InletVy, p.InletVz))
-						}
-						continue
-					case fluid.Outlet:
-						vx, vy, vz := s.Vx.At(x, y, z), s.Vy.At(x, y, z), s.Vz.At(x, y, z)
-						for i := 0; i < Q3; i++ {
-							s.F[i].Set(x, y, z, feq3(i, p.OutletRho, vx, vy, vz))
-						}
-						continue
-					}
+			cells := s.cells[(z*ny+y)*nx:][:nx]
+			row := s.Rho.Idx(0, y, z)
+			for x := 0; x < nx; {
+				if cells[x] != fluid.Interior {
+					s.boundaryNode(row+x, cells[x])
+					x++
+					continue
 				}
-				rho := s.Rho.At(x, y, z)
-				vx, vy, vz := s.Vx.At(x, y, z), s.Vy.At(x, y, z), s.Vz.At(x, y, z)
-				v2 := vx*vx + vy*vy + vz*vz
-				for i := 0; i < Q3; i++ {
-					f := s.F[i].At(x, y, z)
-					s.F[i].Set(x, y, z, f+(feq3v(i, rho, vx, vy, vz, v2)-f)*invTau)
+				a := row + x
+				for x++; x < nx && cells[x] == fluid.Interior; x++ {
 				}
-				if forced {
-					for i := 1; i < Q3; i++ {
-						cg := float64(cx3[i])*p.ForceX + float64(cy3[i])*p.ForceY + float64(cz3[i])*p.ForceZ
-						s.F[i].Add(x, y, z, 3*w3[i]*rho*cg)
+				n := row + x - a
+				rho, vx, vy, vz := rhoD[a:][:n], vxD[a:][:n], vyD[a:][:n], vzD[a:][:n]
+
+				f0, f1, f2, f3 := fD[0][a:][:n], fD[1][a:][:n], fD[2][a:][:n], fD[3][a:][:n]
+				f4, f5, f6 := fD[4][a:][:n], fD[5][a:][:n], fD[6][a:][:n]
+				for j := 0; j < n; j++ {
+					r, u, v, w := rho[j], vx[j], vy[j], vz[j]
+					k := 1.5 * (u*u + v*v + w*w)
+					o0 := bgk(f0[j], feqTerm(w0*r, 0, 0, k), invTau)
+					wr := wa * r
+					t, q := 3*u, (4.5*u)*u
+					o1 := bgk(f1[j], feqTerm(wr, t, q, k), invTau)
+					o2 := bgk(f2[j], feqTerm(wr, -t, q, k), invTau)
+					t, q = 3*v, (4.5*v)*v
+					o3 := bgk(f3[j], feqTerm(wr, t, q, k), invTau)
+					o4 := bgk(f4[j], feqTerm(wr, -t, q, k), invTau)
+					t, q = 3*w, (4.5*w)*w
+					o5 := bgk(f5[j], feqTerm(wr, t, q, k), invTau)
+					o6 := bgk(f6[j], feqTerm(wr, -t, q, k), invTau)
+					if forced {
+						o1 += fw[1] * r * fg[1]
+						o2 += fw[2] * r * fg[2]
+						o3 += fw[3] * r * fg[3]
+						o4 += fw[4] * r * fg[4]
+						o5 += fw[5] * r * fg[5]
+						o6 += fw[6] * r * fg[6]
 					}
+					f0[j], f1[j], f2[j], f3[j], f4[j], f5[j], f6[j] = o0, o1, o2, o3, o4, o5, o6
+				}
+
+				f7, f8, f13, f14 := fD[7][a:][:n], fD[8][a:][:n], fD[13][a:][:n], fD[14][a:][:n]
+				for j := 0; j < n; j++ {
+					r, u, v, w := rho[j], vx[j], vy[j], vz[j]
+					k := 1.5 * (u*u + v*v + w*w)
+					wr, uv := wd*r, u+v
+					cu := uv + w
+					t, q := 3*cu, (4.5*cu)*cu
+					o7 := bgk(f7[j], feqTerm(wr, t, q, k), invTau)
+					o14 := bgk(f14[j], feqTerm(wr, -t, q, k), invTau)
+					cu = uv - w
+					t, q = 3*cu, (4.5*cu)*cu
+					o8 := bgk(f8[j], feqTerm(wr, t, q, k), invTau)
+					o13 := bgk(f13[j], feqTerm(wr, -t, q, k), invTau)
+					if forced {
+						o7 += fw[7] * r * fg[7]
+						o8 += fw[8] * r * fg[8]
+						o13 += fw[13] * r * fg[13]
+						o14 += fw[14] * r * fg[14]
+					}
+					f7[j], f8[j], f13[j], f14[j] = o7, o8, o13, o14
+				}
+
+				f9, f10, f11, f12 := fD[9][a:][:n], fD[10][a:][:n], fD[11][a:][:n], fD[12][a:][:n]
+				for j := 0; j < n; j++ {
+					r, u, v, w := rho[j], vx[j], vy[j], vz[j]
+					k := 1.5 * (u*u + v*v + w*w)
+					wr, uv := wd*r, u-v
+					cu := uv + w
+					t, q := 3*cu, (4.5*cu)*cu
+					o9 := bgk(f9[j], feqTerm(wr, t, q, k), invTau)
+					o12 := bgk(f12[j], feqTerm(wr, -t, q, k), invTau)
+					cu = uv - w
+					t, q = 3*cu, (4.5*cu)*cu
+					o10 := bgk(f10[j], feqTerm(wr, t, q, k), invTau)
+					o11 := bgk(f11[j], feqTerm(wr, -t, q, k), invTau)
+					if forced {
+						o9 += fw[9] * r * fg[9]
+						o10 += fw[10] * r * fg[10]
+						o11 += fw[11] * r * fg[11]
+						o12 += fw[12] * r * fg[12]
+					}
+					f9[j], f10[j], f11[j], f12[j] = o9, o10, o11, o12
 				}
 			}
 		}
 	}
 }
 
-// shift streams populations to interior targets, reading ghost sources
-// filled by the three exchange sweeps. Targets are interior-only, so the
-// z-plane slabs cover the whole write range.
-func (s *Solver3D) shift() {
+// boundaryNode relaxes the node at flat index at in place: full-way
+// bounce-back at a wall (swap each population with its opposite), the
+// prescribed equilibrium at an inlet, and prescribed density with the
+// local velocity at an outlet.
+func (s *Solver3D) boundaryNode(at int, c fluid.CellType) {
+	p := s.Par
+	switch c {
+	case fluid.Wall:
+		for i := 1; i < Q3; i++ {
+			if j := opp3[i]; j > i {
+				fi, fj := s.F[i].Data(), s.F[j].Data()
+				fi[at], fj[at] = fj[at], fi[at]
+			}
+		}
+	case fluid.Inlet:
+		for i := 0; i < Q3; i++ {
+			s.F[i].Data()[at] = feq3(i, p.InletRho, p.InletVx, p.InletVy, p.InletVz)
+		}
+	case fluid.Outlet:
+		vx, vy, vz := s.Vx.Data()[at], s.Vy.Data()[at], s.Vz.Data()[at]
+		for i := 0; i < Q3; i++ {
+			s.F[i].Data()[at] = feq3(i, p.OutletRho, vx, vy, vz)
+		}
+	}
+}
+
+// stream is the shift and the macroscopics in one sweep, followed by one
+// round of swaps.
+func (s *Solver3D) stream() {
+	s.runFn(s.Rho.NZ, s.streamFn)
 	for i := 0; i < Q3; i++ {
-		s.shiftSrc, s.shiftDst = s.F[i], s.nF[i]
-		s.shiftDx, s.shiftDy, s.shiftDz = cx3[i], cy3[i], cz3[i]
-		s.runFn(s.Rho.NZ, s.shiftFn)
 		s.F[i].Swap(s.nF[i])
 	}
 }
 
-// shiftPlanes streams the current population into dst z-planes [z0, z1).
-func (s *Solver3D) shiftPlanes(z0, z1 int) {
+// streamPlanes pulls every population of z-planes [z0, z1) from its
+// upwind neighbour, F[i] at (x-cx, y-cy, z-cz) — a ghost on the subregion
+// faces, filled by the three exchange sweeps — into nF, and recomputes
+// the fluid variables from the pulled values. A row is pulled with one
+// copy per population, then its moments are summed from nF while the row
+// is in L1. Pulled node by node, the next node's loads follow fifteen
+// stores at the same page offset (the fields are page-aligned) and wait
+// on them; that sweep measured 3.9x slower. The sums run in population
+// order with the zero lattice components dropped. Wall nodes pull too
+// (their populations are in bounce-back transit) but keep rho = Rho0,
+// V = 0. Only interior nodes are written, so the slabs never share an
+// address.
+func (s *Solver3D) streamPlanes(z0, z1 int) {
 	nx, ny := s.Rho.NX, s.Rho.NY
-	src, dst := s.shiftSrc, s.shiftDst
-	dx, dy, dz := s.shiftDx, s.shiftDy, s.shiftDz
-	for z := z0; z < z1; z++ {
-		for y := 0; y < ny; y++ {
-			for x := 0; x < nx; x++ {
-				dst.Set(x, y, z, src.At(x-dx, y-dy, z-dz))
-			}
-		}
+	sx, sxy := s.Rho.StrideX(), s.Rho.StrideXY()
+	rho0 := s.Par.Rho0
+	rhoD, vxD, vyD, vzD := s.Rho.Data(), s.Vx.Data(), s.Vy.Data(), s.Vz.Data()
+	var src, dst [Q3][]float64
+	var off [Q3]int
+	for i := 0; i < Q3; i++ {
+		src[i], dst[i] = s.F[i].Data(), s.nF[i].Data()
+		off[i] = cz3[i]*sxy + cy3[i]*sx + cx3[i]
 	}
-}
-
-func (s *Solver3D) macroscopics() { s.runFn(s.Rho.NZ, s.macroFn) }
-
-// macroPlanes recomputes the fluid variables on z-planes [z0, z1).
-func (s *Solver3D) macroPlanes(z0, z1 int) {
-	nx, ny := s.Rho.NX, s.Rho.NY
 	for z := z0; z < z1; z++ {
 		for y := 0; y < ny; y++ {
-			open := s.rowOpen[z*ny+y]
-			row := (z*ny + y) * nx
-			for x := 0; x < nx; x++ {
-				if !open && s.cells[row+x] == fluid.Wall {
-					s.Rho.Set(x, y, z, s.Par.Rho0)
-					s.Vx.Set(x, y, z, 0)
-					s.Vy.Set(x, y, z, 0)
-					s.Vz.Set(x, y, z, 0)
+			cells := s.cells[(z*ny+y)*nx:][:nx]
+			a := s.Rho.Idx(0, y, z)
+			for i := 0; i < Q3; i++ {
+				copy(dst[i][a:][:nx], src[i][a-off[i]:])
+			}
+			rho, vx, vy, vz := rhoD[a:][:nx], vxD[a:][:nx], vyD[a:][:nx], vzD[a:][:nx]
+			g0, g1, g2, g3, g4 := dst[0][a:][:nx], dst[1][a:][:nx], dst[2][a:][:nx], dst[3][a:][:nx], dst[4][a:][:nx]
+			g5, g6, g7, g8, g9 := dst[5][a:][:nx], dst[6][a:][:nx], dst[7][a:][:nx], dst[8][a:][:nx], dst[9][a:][:nx]
+			g10, g11, g12, g13, g14 := dst[10][a:][:nx], dst[11][a:][:nx], dst[12][a:][:nx], dst[13][a:][:nx], dst[14][a:][:nx]
+			for x, c := range cells {
+				if c == fluid.Wall {
+					rho[x], vx[x], vy[x], vz[x] = rho0, 0, 0, 0
 					continue
 				}
-				rho, mx, my, mz := 0.0, 0.0, 0.0, 0.0
-				for i := 0; i < Q3; i++ {
-					f := s.F[i].At(x, y, z)
-					rho += f
-					mx += f * float64(cx3[i])
-					my += f * float64(cy3[i])
-					mz += f * float64(cz3[i])
-				}
-				s.Rho.Set(x, y, z, rho)
-				s.Vx.Set(x, y, z, mx/rho)
-				s.Vy.Set(x, y, z, my/rho)
-				s.Vz.Set(x, y, z, mz/rho)
+				r := g0[x] + g1[x] + g2[x] + g3[x] + g4[x] + g5[x] + g6[x] + g7[x] + g8[x] + g9[x] + g10[x] + g11[x] + g12[x] + g13[x] + g14[x]
+				mx := g1[x] - g2[x] + g7[x] + g8[x] + g9[x] + g10[x] - g11[x] - g12[x] - g13[x] - g14[x]
+				my := g3[x] - g4[x] + g7[x] + g8[x] - g9[x] - g10[x] + g11[x] + g12[x] - g13[x] - g14[x]
+				mz := g5[x] - g6[x] + g7[x] - g8[x] + g9[x] - g10[x] + g11[x] - g12[x] + g13[x] - g14[x]
+				rho[x], vx[x], vy[x], vz[x] = r, mx/r, my/r, mz/r
 			}
 		}
 	}
-}
-
-func (s *Solver3D) applyFilter() {
-	s.plan.Apply(s.filterFields, s.Par.Eps, s.scratch, s.runFn)
 }
 
 // crossingTab3 caches, per face direction, the population indices with a
@@ -423,24 +492,27 @@ func (s *Solver3D) Unpack(phase int, dir decomp.Dir, buf []float64) {
 func (s *Solver3D) StepSerial(px, py, pz bool) {
 	for ph := 0; ph < s.Phases(); ph++ {
 		s.Compute(ph)
-		if !s.Exchanges(ph) {
+		s.selfExchange(ph, px, py, pz)
+	}
+}
+
+// selfExchange runs the ghost-fill sweep that follows phase, wrapping each
+// face onto the opposite one of this solver on the periodic axes.
+func (s *Solver3D) selfExchange(phase int, px, py, pz bool) {
+	for _, d := range s.ExchangeDirs(phase) {
+		var wraps bool
+		switch d {
+		case decomp.West, decomp.East:
+			wraps = px
+		case decomp.South, decomp.North:
+			wraps = py
+		case decomp.Down, decomp.Up:
+			wraps = pz
+		}
+		if !wraps {
 			continue
 		}
-		for _, d := range s.ExchangeDirs(ph) {
-			var wraps bool
-			switch d {
-			case decomp.West, decomp.East:
-				wraps = px
-			case decomp.South, decomp.North:
-				wraps = py
-			case decomp.Down, decomp.Up:
-				wraps = pz
-			}
-			if !wraps {
-				continue
-			}
-			s.xbuf = s.Pack(ph, d, s.xbuf[:0])
-			s.Unpack(ph, d.Opposite(), s.xbuf)
-		}
+		s.xbuf = s.Pack(phase, d, s.xbuf[:0])
+		s.Unpack(phase, d.Opposite(), s.xbuf)
 	}
 }

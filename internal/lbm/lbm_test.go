@@ -1,6 +1,7 @@
 package lbm
 
 import (
+	"fmt"
 	"maps"
 	"math"
 	"slices"
@@ -396,10 +397,10 @@ func TestEquilibriumMomentsProperty(t *testing.T) {
 	}
 }
 
-// TestRelaxConservesProperty: one relax+stream sweep at a random subsonic
+// TestRelaxConservesProperty: one relax+stream step at a random subsonic
 // state, wrapped periodically, conserves total mass and momentum (no
-// forcing): relaxation conserves them node by node and streaming only
-// moves populations.
+// forcing), on both lattices: relaxation conserves them node by node and
+// streaming only moves populations.
 func TestRelaxConservesProperty(t *testing.T) {
 	f := func(seed int8) bool {
 		p := fluid.DefaultParams()
@@ -446,6 +447,70 @@ func TestRelaxConservesProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
+
+	// D3Q15: relax, the three ghost-fill sweeps and the pull stream in a
+	// periodic 4x4x4 box.
+	const n = 4
+	moments3 := func(s *Solver3D) (m [4]float64) {
+		for i := 0; i < Q3; i++ {
+			for z := 0; z < n; z++ {
+				for y := 0; y < n; y++ {
+					for x := 0; x < n; x++ {
+						f := s.F[i].At(x, y, z)
+						m[0] += f
+						m[1] += f * float64(cx3[i])
+						m[2] += f * float64(cy3[i])
+						m[3] += f * float64(cz3[i])
+					}
+				}
+			}
+		}
+		return m
+	}
+	f3 := func(seed int8) bool {
+		p := fluid.DefaultParams()
+		p.Nu = 0.08
+		p.Eps = 0
+		s, err := NewSolver3D(n, n, n, p, allFluid3)
+		if err != nil {
+			return false
+		}
+		// Perturb populations deterministically from the seed, then set the
+		// fluid variables to the perturbed moments, as the previous step's
+		// stream would have.
+		for z := 0; z < n; z++ {
+			for y := 0; y < n; y++ {
+				for x := 0; x < n; x++ {
+					rho, mx, my, mz := 0.0, 0.0, 0.0, 0.0
+					for i := 0; i < Q3; i++ {
+						d := float64((int(seed)+i*7+x*3+y*5+z*11)%13) / 5000
+						f := s.F[i].At(x, y, z) + d
+						s.F[i].Set(x, y, z, f)
+						rho += f
+						mx += f * float64(cx3[i])
+						my += f * float64(cy3[i])
+						mz += f * float64(cz3[i])
+					}
+					s.Rho.Set(x, y, z, rho)
+					s.Vx.Set(x, y, z, mx/rho)
+					s.Vy.Set(x, y, z, my/rho)
+					s.Vz.Set(x, y, z, mz/rho)
+				}
+			}
+		}
+		m0 := moments3(s)
+		s.StepSerial(true, true, true)
+		m1 := moments3(s)
+		for k := range m0 {
+			if math.Abs(m1[k]-m0[k]) >= 1e-12 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f3, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
+	}
 }
 
 // TestInletOutletThroughflow: a jet enters from the left inlet and leaves
@@ -477,8 +542,8 @@ func TestInletOutletThroughflow(t *testing.T) {
 	}
 }
 
-// TestDumpRestoreRoundTrip: DumpFields/RestoreFields reproduce the solver
-// bit-for-bit, including ghost storage, mid-simulation.
+// TestDumpRestoreRoundTrip: DumpFields/RestoreFields reproduce the 2D and
+// 3D solvers bit-for-bit, including ghost storage, mid-simulation.
 func TestDumpRestoreRoundTrip(t *testing.T) {
 	nx, ny := 12, 10
 	p := channelParams(0.08, 1e-5)
@@ -514,6 +579,50 @@ func TestDumpRestoreRoundTrip(t *testing.T) {
 	fields["f3"] = []float64{1, 2}
 	if err := b.RestoreFields(fields); err == nil {
 		t.Error("restore with short field accepted")
+	}
+
+	// 3D, restored after an odd and after an even step count: a step swaps
+	// F with nF, which no dump holds.
+	m3 := jetMask3D(9, 7, 6)
+	mask3 := mask3From(m3)
+	p3 := testParams()
+	for _, at := range []int{13, 14} {
+		a, err := NewSolver3D(9, 7, 6, p3, mask3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < at; i++ {
+			a.StepSerial(false, false, true)
+		}
+		fields := a.DumpFields()
+		b, err := NewGeometry3D(9, 7, 6, p3, mask3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.RestoreFields(fields); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 10; i++ {
+			a.StepSerial(false, false, true)
+			b.StepSerial(false, false, true)
+		}
+		name := fmt.Sprintf("3D restored after %d steps: ", at)
+		for i := 0; i < Q3; i++ {
+			compareBits(t, name+fmt.Sprintf("F[%d]", i), a.F[i].Data(), b.F[i].Data())
+		}
+		compareBits(t, name+"Rho", a.Rho.Data(), b.Rho.Data())
+		compareBits(t, name+"Vx", a.Vx.Data(), b.Vx.Data())
+		compareBits(t, name+"Vy", a.Vy.Data(), b.Vy.Data())
+		compareBits(t, name+"Vz", a.Vz.Data(), b.Vz.Data())
+
+		delete(fields, "vz")
+		if err := b.RestoreFields(fields); err == nil {
+			t.Error("3D restore with missing field accepted")
+		}
+		fields["vz"] = []float64{1, 2}
+		if err := b.RestoreFields(fields); err == nil {
+			t.Error("3D restore with short field accepted")
+		}
 	}
 }
 

@@ -98,11 +98,14 @@ const queueCap = 1024
 type Hub struct {
 	mu    sync.Mutex
 	boxes map[int]chan Message
+
+	// joinWait bounds how long Send waits for an unjoined rank.
+	joinWait time.Duration
 }
 
 // NewHub creates an empty hub; ranks join with Join.
 func NewHub() *Hub {
-	return &Hub{boxes: make(map[int]chan Message)}
+	return &Hub{boxes: make(map[int]chan Message), joinWait: DialTimeout}
 }
 
 // Join registers a rank and returns its transport. Joining an occupied
@@ -134,8 +137,8 @@ type Chan struct {
 
 // Send delivers m to the mailbox of rank m.To. If the destination has not
 // joined yet (it may be re-opening its channels after a migration), Send
-// waits up to DialTimeout for it, mirroring the TCP transport's dial
-// behaviour.
+// waits up to DialTimeout for it (NewHub's bound), mirroring the TCP
+// transport's dial behaviour.
 func (c *Chan) Send(m Message) error {
 	c.mu.Lock()
 	closed := c.closed
@@ -145,10 +148,11 @@ func (c *Chan) Send(m Message) error {
 	}
 	box, ok := c.hub.lookup(m.To)
 	if !ok {
-		deadline := time.Now().Add(DialTimeout)
+		wait := c.hub.joinWait
+		deadline := time.Now().Add(wait)
 		for !ok {
 			if time.Now().After(deadline) {
-				return fmt.Errorf("msg: rank %d not joined within %v", m.To, DialTimeout)
+				return fmt.Errorf("msg: rank %d not joined within %v", m.To, wait)
 			}
 			time.Sleep(time.Millisecond)
 			c.mu.Lock()

@@ -52,10 +52,15 @@ func TestChanPayloadIsCopied(t *testing.T) {
 
 func TestChanSendToUnknownRank(t *testing.T) {
 	hub := NewHub()
+	hub.joinWait = 20 * time.Millisecond
 	a := hub.Join(0)
 	defer a.Close()
+	t0 := time.Now()
 	if err := a.Send(Message{To: 42}); err == nil {
 		t.Error("send to unjoined rank succeeded")
+	}
+	if d := time.Since(t0); d < hub.joinWait {
+		t.Errorf("send gave up after %v, before the %v bound", d, hub.joinWait)
 	}
 }
 

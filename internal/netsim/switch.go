@@ -19,13 +19,8 @@ type Network interface {
 	Reset()
 }
 
-// Transmit adapts the Bus to the Network interface (the bus ignores
-// endpoints: every frame occupies the single shared segment).
-func (b *Bus) TransmitNet(t float64, src, dst, payloadBytes int) float64 {
-	return b.Transmit(t, payloadBytes)
-}
-
-// busNet wraps Bus as a Network.
+// busNet wraps Bus as a Network. The bus ignores endpoints: every frame
+// occupies the single shared segment.
 type busNet struct{ *Bus }
 
 func (b busNet) Transmit(t float64, src, dst, payloadBytes int) float64 {
