@@ -4,9 +4,9 @@
 // to the standard library, so rather than vendoring x/tools the package
 // defines the same shapes — Analyzer, Pass, Diagnostic — over go/ast and
 // go/types, plus the //detlint:allow escape-hatch filtering every driver
-// shares. The cmd/detlint driver speaks the cmd/go vet tool protocol
-// (internal/analysis/unitchecker), so analyzers written against this
-// package run under plain `go vet -vettool=`.
+// shares. Two tests run analyzers: analysistest runs one over golden
+// fixtures, and TestTreeIsClean runs the suite over the module as part
+// of `go test ./...`.
 package analysis
 
 import (
@@ -23,7 +23,7 @@ type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in
 	// //detlint:allow directives. It must be a single lower-case word.
 	Name string
-	// Doc is the one-paragraph description shown by `detlint help`.
+	// Doc is a one-paragraph description of what the analyzer checks.
 	Doc string
 	// Run inspects the package and reports findings via pass.Reportf.
 	Run func(*Pass) error

@@ -13,8 +13,6 @@ func TestMatch(t *testing.T) {
 		{[]string{"repro/farm/..."}, "repro/farm", true},
 		{[]string{"repro/farm/..."}, "repro/farm/workload", true},
 		{[]string{"repro/farm/..."}, "repro/farmhouse", false},
-		// cmd/go's test-augmented variant of an in-scope package.
-		{[]string{"repro/farm"}, "repro/farm [repro/farm.test]", true},
 		{[]string{"repro/internal/sched/..."}, "repro/internal/sched/metrics", true},
 		{nil, "repro/farm", false},
 	}

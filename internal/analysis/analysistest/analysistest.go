@@ -43,7 +43,7 @@ import (
 // Packages share one fact store and one importer: a later package that
 // imports an earlier one (by its directory name as import path) sees
 // both its real type information and the facts the analyzer exported
-// for it, mirroring how cmd/go threads vetx files through a build.
+// for it, the way TestTreeIsClean threads facts through the module.
 // Order the packages dependency-first.
 func Run(t *testing.T, dir string, a *analysis.Analyzer, cfg *analysis.Config, pkgs ...string) {
 	t.Helper()

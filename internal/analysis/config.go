@@ -6,7 +6,8 @@ import "strings"
 // enforces. Scopes are lists of import-path patterns: an exact path,
 // or a prefix pattern ending in "/..." matching the package and
 // everything below it. This repository's scopes are Default, the one
-// copy cmd/detlint and CI use; tests build their own Config values.
+// copy TestTreeIsClean checks the module against; fixture tests build
+// their own Config values.
 type Config struct {
 	// Deterministic packages form the simulation path whose results
 	// must replay bit-identically: entropy (clocks, RNG state outside
@@ -100,11 +101,6 @@ func Default() *Config {
 // Match reports whether the import path matches any pattern in the
 // scope list.
 func Match(patterns []string, path string) bool {
-	// cmd/go vets a package's test-augmented variant under an import
-	// path like "repro/farm [repro/farm.test]"; scope-match the base.
-	if i := strings.Index(path, " ["); i >= 0 {
-		path = path[:i]
-	}
 	for _, p := range patterns {
 		if rest, ok := strings.CutSuffix(p, "/..."); ok {
 			if path == rest || strings.HasPrefix(path, rest+"/") {
@@ -120,8 +116,8 @@ func Match(patterns []string, path string) bool {
 }
 
 // InScope reports whether any analyzer scope covers the import path;
-// the unitchecker skips type-checking packages no analyzer cares
-// about (all of std, and every dependency outside this module).
+// TestTreeIsClean parses and type-checks only those packages, and
+// reads the rest (all of std among them) from export data.
 func (c *Config) InScope(path string) bool {
 	return Match(c.Deterministic, path) ||
 		Match(c.ErrorSurface, path) ||

@@ -3,10 +3,10 @@
 // per-function walker that pairs each declaration with its key, static
 // callee resolution, and a reachability closure over call-edge maps.
 // Passes build per-package summaries keyed by these names, export them
-// through the facts protocol, and stitch dependency summaries back in
-// at the importing package — which is how a single-package vet
-// invocation ends up reasoning about a call chain that crosses from
-// internal/lbm through internal/halo into internal/grid.
+// as facts, and stitch dependency summaries back in at the importing
+// package — which is how a pass that sees one package at a time
+// reasons about a call chain that crosses from internal/lbm through
+// internal/halo into internal/grid.
 //
 // Keys are flat strings so they survive the JSON fact round trip:
 //

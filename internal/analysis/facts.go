@@ -9,89 +9,44 @@ import (
 // The facts layer is what turns detlint's single-file AST checks into
 // cross-package dataflow. Each analyzer may export one package fact — a
 // JSON-serializable summary of the package it just analyzed (function
-// call edges, allocation sites, lock acquisition orders, checkpoint
-// field sets) — and read the facts every dependency exported. cmd/go's
-// vet protocol already moves a facts file (.vetx) from each package to
-// its dependents and caches it alongside the export data, so the same
-// binary composes across packages under plain `go vet -vettool`.
-//
-// Facts are re-exported transitively: a package's facts file carries
-// its own facts plus everything it imported, so a dependent two hops
-// away still sees them regardless of how deep cmd/go's PackageVetx map
-// reaches.
+// call edges, allocation sites, lock acquisition orders) — and read the
+// facts of the packages analyzed before it. Packages are walked
+// dependency-first through one FactStore, sealed after each, so
+// every dependency's facts are in view when a package is analyzed:
+// TestTreeIsClean walks the module in `go list -deps` order, and
+// analysistest walks its fixture list. Facts are stored marshaled, so
+// each reader decodes its own copy.
 
-// PackageFacts maps analyzer name -> that analyzer's fact blob for one
+// packageFacts maps analyzer name -> that analyzer's fact blob for one
 // package.
-type PackageFacts map[string]json.RawMessage
+type packageFacts map[string]json.RawMessage
 
 // A FactStore carries the facts visible to one package's analysis run:
-// everything imported from dependencies, plus what the current run
-// exports.
+// everything sealed by earlier runs, plus what the current run exports.
 type FactStore struct {
-	// imported maps dependency import path -> its facts.
-	imported map[string]PackageFacts
+	// imported maps a sealed package's import path -> its facts.
+	imported map[string]packageFacts
 	// exported holds the current package's facts, by analyzer.
-	exported PackageFacts
+	exported packageFacts
 }
 
 // NewFactStore returns an empty store.
 func NewFactStore() *FactStore {
 	return &FactStore{
-		imported: make(map[string]PackageFacts),
-		exported: make(PackageFacts),
-	}
-}
-
-// AddImported merges one dependency facts file (decoded) into the
-// store. Later adds win on conflict, which cannot happen in a valid
-// build (each package is analyzed exactly once).
-func (s *FactStore) AddImported(facts map[string]PackageFacts) {
-	for path, pf := range facts {
-		s.imported[path] = pf
+		imported: make(map[string]packageFacts),
+		exported: make(packageFacts),
 	}
 }
 
 // Seal moves the current package's exported facts into the imported
 // set under pkgPath and resets the export slot, so one store can walk
-// a dependency chain package by package — the analysistest harness
-// analyzes testdata packages in order through a single store, exactly
-// as cmd/go threads vetx files through a build.
+// a dependency chain package by package. A package that exported
+// nothing leaves no entry.
 func (s *FactStore) Seal(pkgPath string) {
 	if len(s.exported) > 0 {
 		s.imported[pkgPath] = s.exported
 	}
-	s.exported = make(PackageFacts)
-}
-
-// DecodeFacts parses the wire form of a facts file: import path ->
-// analyzer -> blob. Empty files (the pre-facts format, and the output
-// for out-of-scope packages) decode to nil.
-func DecodeFacts(data []byte) (map[string]PackageFacts, error) {
-	if len(data) == 0 {
-		return nil, nil
-	}
-	var m map[string]PackageFacts
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("decoding facts: %w", err)
-	}
-	return m, nil
-}
-
-// Encode serializes the store for the current package's facts file:
-// every imported package's facts plus the current package's own, so
-// facts propagate transitively.
-func (s *FactStore) Encode(pkgPath string) ([]byte, error) {
-	all := make(map[string]PackageFacts, len(s.imported)+1)
-	for path, pf := range s.imported {
-		all[path] = pf
-	}
-	if len(s.exported) > 0 {
-		all[pkgPath] = s.exported
-	}
-	if len(all) == 0 {
-		return nil, nil
-	}
-	return json.Marshal(all)
+	s.exported = make(packageFacts)
 }
 
 // ExportFact records v (JSON-marshaled) as the analyzer's package fact
@@ -108,8 +63,8 @@ func (p *Pass) ExportFact(v any) error {
 	return nil
 }
 
-// ImportFact decodes the fact the analyzer exported for dependency
-// pkgPath into v. It returns false when that package exported no fact
+// ImportFact decodes the fact the analyzer exported for the sealed
+// package pkgPath into v. It returns false when that package exported no fact
 // for this analyzer.
 func (p *Pass) ImportFact(pkgPath string, v any) (bool, error) {
 	if p.facts == nil {
@@ -125,8 +80,9 @@ func (p *Pass) ImportFact(pkgPath string, v any) (bool, error) {
 	return true, nil
 }
 
-// FactPackages returns, sorted, the dependency import paths that
-// exported a fact for this analyzer. Sorting keeps every traversal of
+// FactPackages returns, sorted, the sealed packages that exported a
+// fact for this analyzer: every dependency, and whatever else was
+// analyzed first. Sorting keeps every traversal of
 // the fact set deterministic — detlint holds itself to its own
 // invariants.
 func (p *Pass) FactPackages() []string {

@@ -3,8 +3,8 @@
 // Compute kernels, the halo Pack/Unpack pair, the worker step driver)
 // may allocate. The runtime tests sample a few configurations with
 // testing.AllocsPerRun; this pass closes the gap by walking the whole
-// call graph at vet time, across packages, via per-function summaries
-// exported through the facts protocol.
+// call graph statically, across packages, via per-function summaries
+// exported as facts.
 //
 // Flagged forms: make, new, append (its growth reallocates), map and
 // slice literals, heap-escaping composite literals (&T{...}), escaping
@@ -37,11 +37,11 @@ import (
 var Analyzer = analysis.Register(&analysis.Analyzer{
 	Name: "allocsteady",
 	Doc: "flag allocations in functions reachable from the zero-alloc kernel roots " +
-		"(config alloc_roots), following calls across packages via exported summaries",
+		"(Config.AllocRoots), following calls across packages via exported summaries",
 	Run: run,
 })
 
-// fact is the per-package summary exported through the vetx file.
+// fact is the per-package summary dependent packages import.
 type fact struct {
 	Funcs map[string]funcSummary `json:"funcs"`
 }

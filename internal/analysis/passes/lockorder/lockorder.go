@@ -1,13 +1,13 @@
 // Package lockorder enforces a consistent mutex acquisition order
-// across the packages in config lock_scope. Each package exports two
-// summaries through the facts protocol: per-function lock operations
-// and call edges (so a callee's acquisitions count against the locks
-// its caller holds), and the resulting order edges "A held while B
-// acquired". A package reports a conflict when one of its own edges
-// opposes any edge in view — its own or a dependency's — which is
-// where cross-package inversions become visible, since holding a lock
-// across a call into another package is exactly the importing side's
-// doing.
+// across the packages in Config.LockScope. Each package exports two
+// summaries as facts: per-function lock operations and call edges (so
+// a callee's acquisitions count against the locks its caller holds),
+// and the resulting order edges "A held while B acquired". A package
+// reports a conflict when one of its own edges opposes any edge in
+// view: its own, or one exported by a package analyzed before it
+// (every dependency is). That is where cross-package inversions become
+// visible, since holding a lock across a call into another package is
+// exactly the importing side's doing.
 //
 // Lock identity is structural: a package-level mutex variable is
 // "pkg.name", a mutex struct field is "pkg.Type.field". Function-local
@@ -29,7 +29,7 @@ import (
 var Analyzer = analysis.Register(&analysis.Analyzer{
 	Name: "lockorder",
 	Doc: "flag pairs of mutexes acquired in opposite orders anywhere across the " +
-		"lock_scope packages, following calls through exported summaries",
+		"LockScope packages, following calls through exported summaries",
 	Run: run,
 })
 
