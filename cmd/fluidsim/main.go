@@ -69,6 +69,9 @@ type configFile struct {
 func configPath(dir string) string { return filepath.Join(dir, "problem.gob") }
 
 func buildConfig(cf configFile) (*core.Config2D, error) {
+	if cf.NX <= 0 || cf.NY <= 0 {
+		return nil, fmt.Errorf("grid %dx%d: both extents must be positive", cf.NX, cf.NY)
+	}
 	var mask *fluid.Mask2D
 	par := fluid.DefaultParams()
 	periodicX := false

@@ -260,15 +260,10 @@ func (c *Config2D) Validate() error {
 	return c.Par.Check()
 }
 
-// LocalMask2D adapts the global mask to one subregion's local coordinates,
-// respecting the decomposition's periodic axes. Coordinates outside a
-// non-periodic domain read as Wall (the region is enclosed by walls).
+// LocalMask2D is LocalMask3D over the planar mask, on its one plane.
 func LocalMask2D(d *decomp.Decomp, sub *decomp.Subregion, m *fluid.Mask2D) func(x, y int) fluid.CellType {
-	return func(x, y int) fluid.CellType {
-		gx := wrapCoord(sub.X0+x, d.GX, d.PeriodicX)
-		gy := wrapCoord(sub.Y0+y, d.GY, d.PeriodicY)
-		return m.At(gx, gy)
-	}
+	at := LocalMask3D(d, sub, &m.Mask)
+	return func(x, y int) fluid.CellType { return at(x, y, 0) }
 }
 
 func (c *Config2D) decomposition() *decomp.Decomp { return c.D }

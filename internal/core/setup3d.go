@@ -42,13 +42,13 @@ func (c *Config3D) Validate() error {
 	return c.Par.Check()
 }
 
-// LocalMask3D adapts the global mask to one box's local coordinates.
+// LocalMask3D adapts the global mask to one box's local coordinates,
+// respecting the decomposition's periodic axes. Coordinates outside a
+// non-periodic domain read as Wall (the region is enclosed by walls).
 func LocalMask3D(d *decomp.Decomp, sub *decomp.Subregion, m *fluid.Mask3D) func(x, y, z int) fluid.CellType {
 	return func(x, y, z int) fluid.CellType {
-		gx := wrapCoord(sub.X0+x, d.GX, d.PeriodicX)
-		gy := wrapCoord(sub.Y0+y, d.GY, d.PeriodicY)
-		gz := wrapCoord(sub.Z0+z, d.GZ, d.PeriodicZ)
-		return m.At(gx, gy, gz)
+		return m.At(wrapCoord(sub.X0+x, d.GX, d.PeriodicX), wrapCoord(sub.Y0+y, d.GY, d.PeriodicY),
+			wrapCoord(sub.Z0+z, d.GZ, d.PeriodicZ))
 	}
 }
 

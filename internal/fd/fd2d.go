@@ -29,6 +29,7 @@ package fd
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/decomp"
 	"repro/internal/filter"
@@ -42,10 +43,6 @@ import (
 // isothermal Navier-Stokes equations.
 type Solver2D struct {
 	Par fluid.Params
-
-	// Mask gives the cell type at subregion-local coordinates. It is
-	// queried once per interior node, at construction.
-	Mask func(x, y int) fluid.CellType
 
 	// Workers is the intra-rank slab count; <= 1 runs the serial sweeps.
 	// Results are bit-identical at every value.
@@ -104,7 +101,6 @@ func NewGeometry2D(nx, ny int, par fluid.Params, mask func(x, y int) fluid.CellT
 	}
 	s := &Solver2D{
 		Par:  par,
-		Mask: mask,
 		Rho:  grid.NewField2D(nx, ny, 1),
 		Vx:   grid.NewField2D(nx, ny, 1),
 		Vy:   grid.NewField2D(nx, ny, 1),
@@ -113,20 +109,9 @@ func NewGeometry2D(nx, ny int, par fluid.Params, mask func(x, y int) fluid.CellT
 		nRho: grid.NewField2D(nx, ny, 1),
 
 		scratch: make([]float64, nx*ny),
-		cells:   make([]fluid.CellType, nx*ny),
-		rowOpen: make([]bool, ny),
+		cells:   fluid.Classify(nx, ny, 1, func(x, y, _ int) fluid.CellType { return mask(x, y) }),
 	}
-	for y := 0; y < ny; y++ {
-		open := true
-		for x := 0; x < nx; x++ {
-			c := mask(x, y)
-			s.cells[y*nx+x] = c
-			if c != fluid.Interior {
-				open = false
-			}
-		}
-		s.rowOpen[y] = open
-	}
+	s.rowOpen = openRows(s.cells, nx)
 	s.plan = filter.NewPlan2DFromCells(nx, ny, s.cells)
 	s.filterFields = []*grid.Field2D{s.Rho, s.Vx, s.Vy}
 	s.phaseLayouts = [2][]*grid.Layout{{s.Vx.Layout(), s.Vy.Layout()}, {s.Rho.Layout()}}
@@ -134,6 +119,15 @@ func NewGeometry2D(nx, ny int, par fluid.Params, mask func(x, y int) fluid.CellT
 	s.denFn = s.densityRows
 	s.runFn = s.run
 	return s, nil
+}
+
+// openRows reports, per row of nx cells, whether every cell is Interior.
+func openRows(cells []fluid.CellType, nx int) []bool {
+	open := make([]bool, len(cells)/nx)
+	for r := range open {
+		open[r] = !slices.ContainsFunc(cells[r*nx:][:nx], func(c fluid.CellType) bool { return c != fluid.Interior })
+	}
+	return open
 }
 
 // SetWorkers sets the intra-rank slab count (the core setup threads the
@@ -213,7 +207,7 @@ func (s *Solver2D) computeVelocity() {
 func (s *Solver2D) velocityRows(y0, y1 int) {
 	p := s.Par
 	dt, nu, cs2 := p.Dt, p.Nu, p.Cs*p.Cs
-	nx, sx := s.Vx.NX, s.Vx.Stride()
+	nx, sx := s.Vx.NX, s.Vx.Layout().SX
 	vxA, vyA, rhoA := s.Vx.Data(), s.Vy.Data(), s.Rho.Data()
 	nvxA, nvyA := s.nVx.Data(), s.nVy.Data()
 	for y := y0; y < y1; y++ {
@@ -272,7 +266,7 @@ func (s *Solver2D) computeDensity() {
 func (s *Solver2D) densityRows(y0, y1 int) {
 	p := s.Par
 	dt := p.Dt
-	nx, sx := s.Rho.NX, s.Rho.Stride()
+	nx, sx := s.Rho.NX, s.Rho.Layout().SX
 	rhoA, vxA, vyA, nrhoA := s.Rho.Data(), s.Vx.Data(), s.Vy.Data(), s.nRho.Data()
 	for y := y0; y < y1; y++ {
 		open := s.rowOpen[y]

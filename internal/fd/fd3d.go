@@ -21,8 +21,6 @@ import (
 type Solver3D struct {
 	Par fluid.Params
 
-	Mask func(x, y, z int) fluid.CellType
-
 	// Workers is the intra-rank slab count; <= 1 runs the serial sweeps.
 	Workers int
 
@@ -70,7 +68,6 @@ func NewGeometry3D(nx, ny, nz int, par fluid.Params, mask func(x, y, z int) flui
 	}
 	s := &Solver3D{
 		Par:     par,
-		Mask:    mask,
 		Rho:     grid.NewField3D(nx, ny, nz, 1),
 		Vx:      grid.NewField3D(nx, ny, nz, 1),
 		Vy:      grid.NewField3D(nx, ny, nz, 1),
@@ -80,22 +77,9 @@ func NewGeometry3D(nx, ny, nz int, par fluid.Params, mask func(x, y, z int) flui
 		nVz:     grid.NewField3D(nx, ny, nz, 1),
 		nRho:    grid.NewField3D(nx, ny, nz, 1),
 		scratch: make([]float64, nx*ny*nz),
-		cells:   make([]fluid.CellType, nx*ny*nz),
-		rowOpen: make([]bool, ny*nz),
+		cells:   fluid.Classify(nx, ny, nz, mask),
 	}
-	for z := 0; z < nz; z++ {
-		for y := 0; y < ny; y++ {
-			open := true
-			for x := 0; x < nx; x++ {
-				c := mask(x, y, z)
-				s.cells[(z*ny+y)*nx+x] = c
-				if c != fluid.Interior {
-					open = false
-				}
-			}
-			s.rowOpen[z*ny+y] = open
-		}
-	}
+	s.rowOpen = openRows(s.cells, nx)
 	s.plan = filter.NewPlan3DFromCells(nx, ny, nz, s.cells)
 	s.filterFields = []*grid.Field3D{s.Rho, s.Vx, s.Vy, s.Vz}
 	s.phaseLayouts = [2][]*grid.Layout{{s.Vx.Layout(), s.Vy.Layout(), s.Vz.Layout()}, {s.Rho.Layout()}}
@@ -170,7 +154,7 @@ func (s *Solver3D) velocityPlanes(z0, z1 int) {
 	p := s.Par
 	dt, nu, cs2 := p.Dt, p.Nu, p.Cs*p.Cs
 	nx, ny := s.Vx.NX, s.Vx.NY
-	sx, sxy := s.Vx.StrideX(), s.Vx.StrideXY()
+	sx, sxy := s.Vx.Layout().SX, s.Vx.Layout().SXY
 	vxA, vyA, vzA, rhoA := s.Vx.Data(), s.Vy.Data(), s.Vz.Data(), s.Rho.Data()
 	nvxA, nvyA, nvzA := s.nVx.Data(), s.nVy.Data(), s.nVz.Data()
 	for z := z0; z < z1; z++ {
@@ -242,7 +226,7 @@ func (s *Solver3D) densityPlanes(z0, z1 int) {
 	p := s.Par
 	dt := p.Dt
 	nx, ny := s.Rho.NX, s.Rho.NY
-	sx, sxy := s.Rho.StrideX(), s.Rho.StrideXY()
+	sx, sxy := s.Rho.Layout().SX, s.Rho.Layout().SXY
 	rhoA, vxA, vyA, vzA, nrhoA := s.Rho.Data(), s.Vx.Data(), s.Vy.Data(), s.Vz.Data(), s.nRho.Data()
 	for z := z0; z < z1; z++ {
 		for y := 0; y < ny; y++ {

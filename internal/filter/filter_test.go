@@ -253,3 +253,32 @@ func TestPlanApplicabilityMatchesApplicable(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanCutsInSolverUnits: a plan hands its sweeps to the runner in the
+// units the solvers size their slabs by, rows of a planar plan and planes
+// of a box one. Were a planar plan cut by its one plane, a multi-slab
+// runner would run its filter as one slab.
+func TestPlanCutsInSolverUnits(t *testing.T) {
+	var units []int
+	slabs := 0
+	count := func(n int, fn func(lo, hi int)) {
+		units = append(units, n)
+		for i := 0; i < 4; i++ {
+			if lo, hi := i*n/4, (i+1)*n/4; lo < hi {
+				slabs++
+				fn(lo, hi)
+			}
+		}
+	}
+	p2 := NewPlan2D(16, 12, allFluid)
+	p2.Apply([]*grid.Field2D{grid.NewField2D(16, 12, 1)}, 0.01, make([]float64, 16*12), count)
+	if len(units) != 2 || units[0] != 12 || units[1] != 12 || slabs != 8 {
+		t.Errorf("planar 16x12: runner saw units %v in %d slabs, want rows [12 12] in 8", units, slabs)
+	}
+	units, slabs = nil, 0
+	p3 := NewPlan3D(10, 9, 8, allFluid3)
+	p3.Apply([]*grid.Field3D{grid.NewField3D(10, 9, 8, 1)}, 0.01, make([]float64, 10*9*8), count)
+	if len(units) != 2 || units[0] != 8 || units[1] != 8 || slabs != 8 {
+		t.Errorf("box 10x9x8: runner saw units %v in %d slabs, want planes [8 8] in 8", units, slabs)
+	}
+}

@@ -29,16 +29,11 @@ const (
 	Outlet
 )
 
+var cellNames = [...]string{Interior: "fluid", Wall: "wall", Inlet: "inlet", Outlet: "outlet"}
+
 func (c CellType) String() string {
-	switch c {
-	case Interior:
-		return "fluid"
-	case Wall:
-		return "wall"
-	case Inlet:
-		return "inlet"
-	case Outlet:
-		return "outlet"
+	if int(c) < len(cellNames) {
+		return cellNames[c]
 	}
 	return fmt.Sprintf("CellType(%d)", uint8(c))
 }
@@ -107,47 +102,89 @@ func DefaultParams() Params {
 	}
 }
 
-// Mask2D is the cell-type mask of a 2D region, global or per subregion.
-type Mask2D struct {
-	NX, NY int
-	cells  []CellType
+// Mask is the cell-type mask of a box, global or per subregion, x fastest;
+// a planar mask is one plane (NZ = 1). Mask3D is another name for it, and
+// Mask2D embeds it.
+type Mask struct {
+	NX, NY, NZ int
+	cells      []CellType
 }
 
-// NewMask2D returns an all-Interior mask.
-func NewMask2D(nx, ny int) *Mask2D {
-	if nx <= 0 || ny <= 0 {
-		panic(fmt.Sprintf("fluid: invalid mask size %dx%d", nx, ny))
+// Mask3D is the Mask, addressed (x, y, z).
+type Mask3D = Mask
+
+// NewMask3D returns an all-Interior mask; a mask of no extent panics.
+func NewMask3D(nx, ny, nz int) *Mask3D {
+	if nx <= 0 || ny <= 0 || nz <= 0 {
+		panic(fmt.Sprintf("fluid: invalid mask size %dx%dx%d", nx, ny, nz))
 	}
-	return &Mask2D{NX: nx, NY: ny, cells: make([]CellType, nx*ny)}
+	return &Mask{NX: nx, NY: ny, NZ: nz, cells: make([]CellType, nx*ny*nz)}
 }
 
-// At returns the cell type at (x, y). Coordinates outside the mask are
-// reported as Wall: the region is enclosed by walls (figure 1), so anything
-// beyond the grid behaves as solid.
-func (m *Mask2D) At(x, y int) CellType {
-	if x < 0 || x >= m.NX || y < 0 || y >= m.NY {
+func (m *Mask) inside(x, y, z int) bool {
+	return x >= 0 && x < m.NX && y >= 0 && y < m.NY && z >= 0 && z < m.NZ
+}
+
+// At returns the cell type at (x, y, z). Coordinates outside the mask,
+// off its plane for a planar one, are reported as Wall: the region is
+// enclosed by walls (figure 1), so anything beyond the grid behaves as
+// solid.
+func (m *Mask) At(x, y, z int) CellType {
+	if !m.inside(x, y, z) {
 		return Wall
 	}
-	return m.cells[y*m.NX+x]
+	return m.cells[(z*m.NY+y)*m.NX+x]
 }
 
-// Set assigns the cell type at (x, y); out-of-range panics.
-func (m *Mask2D) Set(x, y int, c CellType) {
-	if x < 0 || x >= m.NX || y < 0 || y >= m.NY {
-		panic(fmt.Sprintf("fluid: mask index (%d,%d) out of range %dx%d", x, y, m.NX, m.NY))
+// Set assigns the cell type at (x, y, z); out-of-range panics.
+func (m *Mask) Set(x, y, z int, c CellType) {
+	if !m.inside(x, y, z) {
+		panic(fmt.Sprintf("fluid: mask index (%d,%d,%d) out of range %dx%dx%d", x, y, z, m.NX, m.NY, m.NZ))
 	}
-	m.cells[y*m.NX+x] = c
+	m.cells[(z*m.NY+y)*m.NX+x] = c
 }
 
-// FillRect sets the rectangle [x0,x1) x [y0,y1) to cell type c, clipped to
-// the mask.
-func (m *Mask2D) FillRect(x0, y0, x1, y1 int, c CellType) {
-	for y := max(y0, 0); y < min(y1, m.NY); y++ {
-		for x := max(x0, 0); x < min(x1, m.NX); x++ {
-			m.cells[y*m.NX+x] = c
+// fill sets the box [x0,x1) x [y0,y1) x [z0,z1) to c, clipped to the mask.
+func (m *Mask) fill(x0, y0, z0, x1, y1, z1 int, c CellType) {
+	for z := max(z0, 0); z < min(z1, m.NZ); z++ {
+		for y := max(y0, 0); y < min(y1, m.NY); y++ {
+			for x := max(x0, 0); x < min(x1, m.NX); x++ {
+				m.cells[(z*m.NY+y)*m.NX+x] = c
+			}
 		}
 	}
 }
+
+// Classify returns the cell types of an nx-by-ny-by-nz box, indexed
+// (z*ny+y)*nx+x, calling at once per node: what the solvers and the
+// filter plan read instead of the closure.
+func Classify(nx, ny, nz int, at func(x, y, z int) CellType) []CellType {
+	cells := make([]CellType, 0, nx*ny*nz)
+	for z := 0; z < nz; z++ {
+		for y := 0; y < ny; y++ {
+			for x := 0; x < nx; x++ {
+				cells = append(cells, at(x, y, z))
+			}
+		}
+	}
+	return cells
+}
+
+// Mask2D is a planar Mask addressed (x, y).
+type Mask2D struct{ Mask }
+
+// NewMask2D returns an all-Interior mask.
+func NewMask2D(nx, ny int) *Mask2D { return &Mask2D{*NewMask3D(nx, ny, 1)} }
+
+// At returns the cell type at (x, y); outside the mask is Wall.
+func (m *Mask2D) At(x, y int) CellType { return m.Mask.At(x, y, 0) }
+
+// Set assigns the cell type at (x, y); out-of-range panics.
+func (m *Mask2D) Set(x, y int, c CellType) { m.Mask.Set(x, y, 0, c) }
+
+// FillRect sets the rectangle [x0,x1) x [y0,y1) to cell type c, clipped to
+// the mask.
+func (m *Mask2D) FillRect(x0, y0, x1, y1 int, c CellType) { m.fill(x0, y0, 0, x1, y1, 1, c) }
 
 // Border sets the outermost layer of the mask to cell type c, the paper's
 // dark-gray enclosing walls.
@@ -158,57 +195,15 @@ func (m *Mask2D) Border(c CellType) {
 	m.FillRect(m.NX-1, 0, m.NX, m.NY, c)
 }
 
-// CountType returns the number of nodes with cell type c.
-func (m *Mask2D) CountType(c CellType) int {
-	n := 0
-	for _, v := range m.cells {
-		if v == c {
-			n++
-		}
-	}
-	return n
-}
-
 // Solid reports whether (x, y) is a wall; used by decomp.DeactivateWalls.
 func (m *Mask2D) Solid(x, y int) bool { return m.At(x, y) == Wall }
-
-// Mask3D is the 3D cell-type mask.
-type Mask3D struct {
-	NX, NY, NZ int
-	cells      []CellType
-}
-
-// NewMask3D returns an all-Interior 3D mask.
-func NewMask3D(nx, ny, nz int) *Mask3D {
-	if nx <= 0 || ny <= 0 || nz <= 0 {
-		panic(fmt.Sprintf("fluid: invalid mask size %dx%dx%d", nx, ny, nz))
-	}
-	return &Mask3D{NX: nx, NY: ny, NZ: nz, cells: make([]CellType, nx*ny*nz)}
-}
-
-// At returns the cell type at (x, y, z); outside the mask is Wall.
-func (m *Mask3D) At(x, y, z int) CellType {
-	if x < 0 || x >= m.NX || y < 0 || y >= m.NY || z < 0 || z >= m.NZ {
-		return Wall
-	}
-	return m.cells[(z*m.NY+y)*m.NX+x]
-}
-
-// Set assigns the cell type at (x, y, z).
-func (m *Mask3D) Set(x, y, z int, c CellType) {
-	if x < 0 || x >= m.NX || y < 0 || y >= m.NY || z < 0 || z >= m.NZ {
-		panic(fmt.Sprintf("fluid: mask index (%d,%d,%d) out of range", x, y, z))
-	}
-	m.cells[(z*m.NY+y)*m.NX+x] = c
-}
 
 // ChannelMask2D returns the Hagen-Poiseuille geometry of section 7: a
 // rectangular channel with solid walls along y = 0 and y = NY-1 and
 // periodic flow in x driven by a body force.
 func ChannelMask2D(nx, ny int) *Mask2D {
 	m := NewMask2D(nx, ny)
-	m.FillRect(0, 0, nx, 1, Wall)
-	m.FillRect(0, ny-1, nx, ny, Wall)
+	m.channel()
 	return m
 }
 
@@ -217,13 +212,15 @@ func ChannelMask2D(nx, ny int) *Mask2D {
 // the section-7 test problem with a known parabolic profile.
 func ChannelMask3D(nx, ny, nz int) *Mask3D {
 	m := NewMask3D(nx, ny, nz)
-	for z := 0; z < nz; z++ {
-		for x := 0; x < nx; x++ {
-			m.Set(x, 0, z, Wall)
-			m.Set(x, ny-1, z, Wall)
-		}
-	}
+	m.channel()
 	return m
+}
+
+// channel is the one channel builder: walls on the planes y = 0 and
+// y = NY-1, so ChannelMask2D is one plane of ChannelMask3D.
+func (m *Mask) channel() {
+	m.fill(0, 0, 0, m.NX, 1, m.NZ, Wall)
+	m.fill(0, m.NY-1, 0, m.NX, m.NY, m.NZ, Wall)
 }
 
 // PoiseuilleProfile returns the steady Hagen-Poiseuille velocity profile

@@ -47,13 +47,27 @@ func TestMask2DOutsideIsWall(t *testing.T) {
 	if m.At(2, 2) != Interior {
 		t.Error("interior node not fluid by default")
 	}
+	// A planar mask is one plane: every other plane is outside it.
+	for _, z := range []int{-1, 1, 2} {
+		if m.Mask.At(2, 2, z) != Wall {
+			t.Errorf("At(2,2,%d) off the plane = %v, want Wall", z, m.Mask.At(2, 2, z))
+		}
+	}
 }
 
 func TestMask2DFillRectAndBorder(t *testing.T) {
 	m := NewMask2D(6, 5)
 	m.Border(Wall)
-	if m.CountType(Wall) != 6*5-4*3 {
-		t.Errorf("border wall count = %d, want %d", m.CountType(Wall), 6*5-4*3)
+	walls := 0
+	for y := 0; y < 5; y++ {
+		for x := 0; x < 6; x++ {
+			if m.At(x, y) == Wall {
+				walls++
+			}
+		}
+	}
+	if walls != 6*5-4*3 {
+		t.Errorf("border wall count = %d, want %d", walls, 6*5-4*3)
 	}
 	m.FillRect(2, 2, 4, 3, Inlet)
 	if m.At(2, 2) != Inlet || m.At(3, 2) != Inlet {
@@ -93,6 +107,17 @@ func TestChannelMasks(t *testing.T) {
 	}
 	if m3.At(2, 3, 0) != Interior || m3.At(0, 3, 3) != Interior {
 		t.Error("3D channel should be open in x and z")
+	}
+	// The 2D channel is every plane of the 3D one.
+	m2 := ChannelMask2D(5, 6)
+	for z := 0; z < 7; z++ {
+		for y := -1; y <= 6; y++ {
+			for x := -1; x <= 5; x++ {
+				if m2.At(x, y) != m3.At(x, y, z) {
+					t.Fatalf("(%d,%d): 2D channel %v, plane z=%d of the 3D one %v", x, y, m2.At(x, y), z, m3.At(x, y, z))
+				}
+			}
+		}
 	}
 }
 

@@ -50,8 +50,8 @@ func TestAvoidPageResonanceProperty(t *testing.T) {
 
 func TestField2DIndexing(t *testing.T) {
 	f := NewField2D(4, 3, 2)
-	if f.Stride() != 8 {
-		t.Fatalf("stride = %d, want 8", f.Stride())
+	if sx := f.Layout().SX; sx != 8 {
+		t.Fatalf("stride = %d, want 8", sx)
 	}
 	// Write a unique value at every node including ghosts; check round-trip.
 	for y := -2; y < 5; y++ {
@@ -88,22 +88,6 @@ func TestField2DIdxIsBijective(t *testing.T) {
 	}
 }
 
-func TestField2DFillInteriorLeavesGhosts(t *testing.T) {
-	f := NewField2D(3, 3, 1)
-	f.Fill(-7)
-	f.FillInterior(2)
-	if f.At(-1, 0) != -7 || f.At(3, 2) != -7 || f.At(0, -1) != -7 || f.At(2, 3) != -7 {
-		t.Error("ghost values clobbered by FillInterior")
-	}
-	for y := 0; y < 3; y++ {
-		for x := 0; x < 3; x++ {
-			if f.At(x, y) != 2 {
-				t.Errorf("interior (%d,%d) = %v, want 2", x, y, f.At(x, y))
-			}
-		}
-	}
-}
-
 func TestField2DCloneAndSwap(t *testing.T) {
 	f := NewField2D(5, 4, 1)
 	f.Set(2, 2, 11)
@@ -124,7 +108,11 @@ func TestField2DCloneAndSwap(t *testing.T) {
 func TestField2DSumAndMax(t *testing.T) {
 	f := NewField2D(3, 2, 1)
 	f.Fill(1000) // ghosts must not contribute
-	f.FillInterior(0)
+	for y := range 2 {
+		for x := range 3 {
+			f.Set(x, y, 0)
+		}
+	}
 	f.Set(0, 0, 1.5)
 	f.Set(2, 1, -4.25)
 	if got := f.SumInterior(); math.Abs(got-(1.5-4.25)) > 1e-15 {
@@ -241,5 +229,27 @@ func TestFieldStoragePaddedAgainstResonance(t *testing.T) {
 	f := NewField2D(510, 6, 1) // (510+2)*(6+2) = 4096 elements
 	if cap(f.Data())*8%PageBytes <= resonanceSlack {
 		t.Errorf("storage capacity %d elems is page-resonant", cap(f.Data()))
+	}
+	// The storage of each field kind, fixed: a planar field has no z
+	// ghosts and no plane stride, a box one plane deep has both, and a
+	// page-resonant length is padded by 32 values.
+	for _, c := range []struct {
+		name string
+		lay  *Layout
+		want [5]int // len, cap, Origin, SX, SXY
+	}{
+		{"planar 510x6 h1 (resonant)", NewField2D(510, 6, 1).Layout(), [5]int{4096, 4128, 513, 512, 0}},
+		{"planar 4x4 h1", NewField2D(4, 4, 1).Layout(), [5]int{36, 36, 7, 6, 0}},
+		{"planar 3x3 h2", NewField2D(3, 3, 2).Layout(), [5]int{49, 49, 16, 7, 0}},
+		{"planar 1022x510 h1 (resonant)", NewField2D(1022, 510, 1).Layout(), [5]int{524288, 524320, 1025, 1024, 0}},
+		{"box 4x4x1 h1", NewField3D(4, 4, 1, 1).Layout(), [5]int{108, 108, 43, 6, 36}},
+		{"box 10x10x10 h1", NewField3D(10, 10, 10, 1).Layout(), [5]int{1728, 1728, 157, 12, 144}},
+		{"box 14x14x6 h1 (resonant)", NewField3D(14, 14, 6, 1).Layout(), [5]int{2048, 2080, 273, 16, 256}},
+		{"box 3x4x5 h2 (resonant, 64 bytes short)", NewField3D(3, 4, 5, 2).Layout(), [5]int{504, 536, 128, 7, 56}},
+	} {
+		got := [5]int{len(c.lay.Data), cap(c.lay.Data), c.lay.Origin, c.lay.SX, c.lay.SXY}
+		if got != c.want {
+			t.Errorf("%s: len, cap, Origin, SX, SXY = %v, want %v", c.name, got, c.want)
+		}
 	}
 }

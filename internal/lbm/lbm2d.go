@@ -85,8 +85,6 @@ type Solver2D struct {
 	Par fluid.Params
 	Tau float64 // BGK relaxation time, from Par.Nu
 
-	Mask func(x, y int) fluid.CellType
-
 	// Workers is the intra-rank slab count; <= 1 runs the serial sweeps.
 	// Results are bit-identical at every value.
 	Workers int
@@ -147,17 +145,11 @@ func NewGeometry2D(nx, ny int, par fluid.Params, mask func(x, y int) fluid.CellT
 	s := &Solver2D{
 		Par:     par,
 		Tau:     TauFromNu(par.Nu),
-		Mask:    mask,
 		Rho:     grid.NewField2D(nx, ny, 1),
 		Vx:      grid.NewField2D(nx, ny, 1),
 		Vy:      grid.NewField2D(nx, ny, 1),
 		scratch: make([]float64, nx*ny),
-		cells:   make([]fluid.CellType, nx*ny),
-	}
-	for y := 0; y < ny; y++ {
-		for x := 0; x < nx; x++ {
-			s.cells[y*nx+x] = mask(x, y)
-		}
+		cells:   fluid.Classify(nx, ny, 1, func(x, y, _ int) fluid.CellType { return mask(x, y) }),
 	}
 	s.plan = filter.NewPlan2DFromCells(nx, ny, s.cells)
 	s.filterFields = []*grid.Field2D{s.Rho, s.Vx, s.Vy}
@@ -283,7 +275,7 @@ func (s *Solver2D) collideStreamRows(y0, y1 int) {
 		fg[i] = float64(cx2[i])*p.ForceX + float64(cy2[i])*p.ForceY
 	}
 	w0, wa, wd := w2[0], w2[1], w2[5]
-	nx, sx := s.Rho.NX, s.Rho.Stride()
+	nx, sx := s.Rho.NX, s.Rho.Layout().SX
 	rhoD, vxD, vyD := s.Rho.Data(), s.Vx.Data(), s.Vy.Data()
 	var src, dst [Q2][]float64
 	for i := 0; i < Q2; i++ {
@@ -351,7 +343,7 @@ func (s *Solver2D) collideStreamRows(y0, y1 int) {
 // with the local velocity at an outlet (anchors the mean pressure while
 // letting flow leave).
 func (s *Solver2D) boundaryNode(at int, c fluid.CellType) {
-	p, sx := s.Par, s.Rho.Stride()
+	p, sx := s.Par, s.Rho.Layout().SX
 	for i := 0; i < Q2; i++ {
 		var f float64
 		switch c {

@@ -61,8 +61,6 @@ type Solver3D struct {
 	Par fluid.Params
 	Tau float64
 
-	Mask func(x, y, z int) fluid.CellType
-
 	// Workers is the intra-rank slab count; <= 1 runs the serial sweeps.
 	Workers int
 
@@ -111,20 +109,12 @@ func NewGeometry3D(nx, ny, nz int, par fluid.Params, mask func(x, y, z int) flui
 	s := &Solver3D{
 		Par:     par,
 		Tau:     TauFromNu(par.Nu),
-		Mask:    mask,
 		Rho:     grid.NewField3D(nx, ny, nz, 1),
 		Vx:      grid.NewField3D(nx, ny, nz, 1),
 		Vy:      grid.NewField3D(nx, ny, nz, 1),
 		Vz:      grid.NewField3D(nx, ny, nz, 1),
 		scratch: make([]float64, nx*ny*nz),
-		cells:   make([]fluid.CellType, nx*ny*nz),
-	}
-	for z := 0; z < nz; z++ {
-		for y := 0; y < ny; y++ {
-			for x := 0; x < nx; x++ {
-				s.cells[(z*ny+y)*nx+x] = mask(x, y, z)
-			}
-		}
+		cells:   fluid.Classify(nx, ny, nz, mask),
 	}
 	s.plan = filter.NewPlan3DFromCells(nx, ny, nz, s.cells)
 	s.filterFields = []*grid.Field3D{s.Rho, s.Vx, s.Vy, s.Vz}
@@ -394,7 +384,7 @@ func (s *Solver3D) stream() {
 // address.
 func (s *Solver3D) streamPlanes(z0, z1 int) {
 	nx, ny := s.Rho.NX, s.Rho.NY
-	sx, sxy := s.Rho.StrideX(), s.Rho.StrideXY()
+	sx, sxy := s.Rho.Layout().SX, s.Rho.Layout().SXY
 	rho0 := s.Par.Rho0
 	rhoD, vxD, vyD, vzD := s.Rho.Data(), s.Vx.Data(), s.Vy.Data(), s.Vz.Data()
 	var src, dst [Q3][]float64

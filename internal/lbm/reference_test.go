@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/filter"
 	"repro/internal/fluid"
 	"repro/internal/grid"
 )
@@ -13,8 +12,8 @@ import (
 // The functions below are the two-pass kernels Solver2D ran before phase 0
 // became one fused sweep, frozen as the oracle: an in-place relax through
 // the Field accessors, nine pull copies into nF, table-driven macroscopics
-// and the mask-probing filter.Apply2D. They share nothing with the product
-// kernels but the lattice tables and feq2.
+// and the mask-probing filter oracle (filterOracle2D). They share nothing
+// with the product kernels but the lattice tables and feq2.
 
 func refRelax(s *Solver2D) {
 	p := s.Par
@@ -118,12 +117,12 @@ func refMacro(s *Solver2D) {
 
 // refStep is StepSerial over the frozen kernels; the exchange between the
 // phases is the product's (this PR does not touch it).
-func refStep(s *Solver2D, periodicX, periodicY bool) {
+func refStep(s *Solver2D, mask func(x, y int) fluid.CellType, periodicX, periodicY bool) {
 	refRelax(s)
 	refShift(s)
 	s.selfExchange(periodicX, periodicY)
 	refMacro(s)
-	filter.Apply2D([]*grid.Field2D{s.Rho, s.Vx, s.Vy}, s.Par.Eps, s.Mask, s.scratch)
+	filterOracle2D([]*grid.Field2D{s.Rho, s.Vx, s.Vy}, s.Par.Eps, mask, s.scratch)
 }
 
 // randomMask2D scatters wall blocks, wall rows touching the subregion
@@ -193,7 +192,8 @@ func TestFusedMatchesReference2D(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := NewSolver2D(nx, ny, par, maskFrom(m))
+		wantMask := maskFrom(m)
+		want, _ := NewSolver2D(nx, ny, par, wantMask)
 		got.cutAlways(w)
 		// A rough initial state: every step then moves every bit.
 		for y := 0; y < ny; y++ {
@@ -211,7 +211,7 @@ func TestFusedMatchesReference2D(t *testing.T) {
 
 		for n := 1; n <= steps; n++ {
 			got.StepSerial(px, py)
-			refStep(want, px, py)
+			refStep(want, wantMask, px, py)
 			at := fmt.Sprintf("%s step %d ", name, n)
 			for i := 0; i < Q2; i++ {
 				compareBits(t, at+fmt.Sprintf("F[%d]", i), want.F[i].Data(), got.F[i].Data())
@@ -226,7 +226,7 @@ func TestFusedMatchesReference2D(t *testing.T) {
 // The functions below are the accessor kernels Solver3D ran before its
 // phases went onto raw rows, frozen as the 3D oracle: an in-place relax
 // through At/Set, fifteen full-lattice shift copies and table-driven
-// macroscopics, followed by the mask-probing filter.Apply3D. They share
+// macroscopics, followed by the mask-probing filterOracle3D. They share
 // nothing with the product kernels but the lattice tables and feq3.
 
 // feq3v is feq3 with the speed-squared hoisted out of the per-population
@@ -331,14 +331,14 @@ func refMacro3(s *Solver3D) {
 
 // refStep3 is StepSerial over the frozen kernels; the x, y, z ghost-fill
 // sweeps between relax and shift are the product's.
-func refStep3(s *Solver3D, px, py, pz bool) {
+func refStep3(s *Solver3D, mask func(x, y, z int) fluid.CellType, px, py, pz bool) {
 	refRelax3(s)
 	for ph := 0; ph < 3; ph++ {
 		s.selfExchange(ph, px, py, pz)
 	}
 	refShift3(s)
 	refMacro3(s)
-	filter.Apply3D([]*grid.Field3D{s.Rho, s.Vx, s.Vy, s.Vz}, s.Par.Eps, s.Mask, s.scratch)
+	filterOracle3D([]*grid.Field3D{s.Rho, s.Vx, s.Vy, s.Vz}, s.Par.Eps, mask, s.scratch)
 }
 
 // randomMask3D is randomMask2D a dimension up: solid planes on faces, full
@@ -418,7 +418,8 @@ func TestFusedMatchesReference3D(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := NewSolver3D(nx, ny, nz, par, mask3From(m))
+		wantMask := mask3From(m)
+		want, _ := NewSolver3D(nx, ny, nz, par, wantMask)
 		got.cutAlways(w)
 		// A rough initial state: every step then moves every bit.
 		for z := 0; z < nz; z++ {
@@ -440,7 +441,7 @@ func TestFusedMatchesReference3D(t *testing.T) {
 
 		for n := 1; n <= steps; n++ {
 			got.StepSerial(px, py, pz)
-			refStep3(want, px, py, pz)
+			refStep3(want, wantMask, px, py, pz)
 			at := fmt.Sprintf("%s step %d ", name, n)
 			for i := 0; i < Q3; i++ {
 				compareBits(t, at+fmt.Sprintf("F[%d]", i), want.F[i].Data(), got.F[i].Data())

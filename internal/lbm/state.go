@@ -25,6 +25,15 @@ func dumpFieldNames(q int, names ...string) []string {
 	return names
 }
 
+// populations appends the populations' live storage to the fluid
+// variables': the dump field arrays, in fieldNames2D/3D order.
+func populations[F interface{ Data() []float64 }](arrays [][]float64, pops []F) [][]float64 {
+	for _, f := range pops {
+		arrays = append(arrays, f.Data())
+	}
+	return arrays
+}
+
 // DumpSchema2D returns what a Solver2D dump holds: the method name and the
 // field names (shared; not to be modified). Code that builds or checks dumps
 // without a solver at hand (the resize re-cut) reads it from here.
@@ -42,25 +51,15 @@ func (s *Solver2D) FluidFields() [][]float64 {
 	return [][]float64{s.Rho.Data(), s.Vx.Data(), s.Vy.Data()}
 }
 
-// fieldArrays lists the live storage of the dump fields, in fieldNames2D
-// order.
-func (s *Solver2D) fieldArrays() [][]float64 {
-	out := s.FluidFields()
-	for _, f := range s.F {
-		out = append(out, f.Data())
-	}
-	return out
-}
-
 // DumpFields returns deep copies of the populations and fluid variables
 // (raw storage, ghosts included).
 func (s *Solver2D) DumpFields() map[string][]float64 {
-	return dump.CopyFields(fieldNames2D, s.fieldArrays())
+	return dump.CopyFields(fieldNames2D, populations(s.FluidFields(), s.F[:]))
 }
 
 // RestoreFields reloads populations and fluid variables from a dump.
 func (s *Solver2D) RestoreFields(fields map[string][]float64) error {
-	return dump.RestoreFields(fieldNames2D, s.fieldArrays(), fields)
+	return dump.RestoreFields(fieldNames2D, populations(s.FluidFields(), s.F[:]), fields)
 }
 
 // MethodName identifies the 3D lattice Boltzmann method in dump files.
@@ -71,22 +70,12 @@ func (s *Solver3D) FluidFields() [][]float64 {
 	return [][]float64{s.Rho.Data(), s.Vx.Data(), s.Vy.Data(), s.Vz.Data()}
 }
 
-// fieldArrays lists the live storage of the dump fields, in fieldNames3D
-// order.
-func (s *Solver3D) fieldArrays() [][]float64 {
-	out := s.FluidFields()
-	for _, f := range s.F {
-		out = append(out, f.Data())
-	}
-	return out
-}
-
 // DumpFields returns deep copies of the 3D populations and fluid variables.
 func (s *Solver3D) DumpFields() map[string][]float64 {
-	return dump.CopyFields(fieldNames3D, s.fieldArrays())
+	return dump.CopyFields(fieldNames3D, populations(s.FluidFields(), s.F[:]))
 }
 
 // RestoreFields reloads the 3D populations and fluid variables.
 func (s *Solver3D) RestoreFields(fields map[string][]float64) error {
-	return dump.RestoreFields(fieldNames3D, s.fieldArrays(), fields)
+	return dump.RestoreFields(fieldNames3D, populations(s.FluidFields(), s.F[:]), fields)
 }
