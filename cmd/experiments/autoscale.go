@@ -1,16 +1,17 @@
 package main
 
 import (
-	"flag"
+	"errors"
 	"fmt"
-	"log"
+	"io"
 	"time"
 
 	"repro/farm"
 	"repro/farm/workload"
 )
 
-var autoSeed = flag.Int64("autoscale-seed", 11, "autoscale: workload seed for the diurnal-churn comparison")
+// autoscaleSeed is the workload seed of both autoscale regimes.
+const autoscaleSeed = 11
 
 // autoscaleSpec is the diurnal-churn regime the autoscaler is built
 // for: a sparse night-time stream of mid-size jobs on the mostly idle
@@ -127,43 +128,43 @@ func autoscalePlan() *workload.AutoscalePlan {
 
 // autoscaleExp runs the diurnal-churn workload twice at the same seed —
 // static ranks vs the supply/demand autoscaler — trace-verifies the
-// autoscaled run (the v1.1 determinism pin), and exits non-zero unless
+// autoscaled run (the v1.1 determinism pin), and fails unless
 // the autoscaler improves makespan or mean utilization: the regression
-// gate CI runs.
-func autoscaleExp() {
-	header("Malleable farm: supply/demand autoscaler vs static ranks (diurnal churn)")
+// gate. A second, shrink-heavy regime must hand ranks back.
+func autoscaleExp(w io.Writer) error {
+	header(w, "Malleable farm: supply/demand autoscaler vs static ranks (diurnal churn)")
 	spec := autoscaleSpec()
-	static := workload.RunConfig{Seed: *autoSeed, Policy: farm.FIFO, Backfill: farm.BackfillEASY}
+	static := workload.RunConfig{Seed: autoscaleSeed, Policy: farm.FIFO, Backfill: farm.BackfillEASY}
 	scaled := static
 	scaled.Autoscale = autoscalePlan()
 
 	trS, sumS, err := workload.Record(spec, static)
 	if err != nil {
-		log.Fatalf("autoscale: static baseline: %v", err)
+		return fmt.Errorf("static baseline: %w", err)
 	}
 	trA, sumA, err := workload.Record(spec, scaled)
 	if err != nil {
-		log.Fatalf("autoscale: autoscaled run: %v", err)
+		return fmt.Errorf("autoscaled run: %w", err)
 	}
 	if trA.Minor != workload.TraceMinor {
-		log.Fatalf("autoscale: autoscaled trace written at v%d.%d, want v%d.%d",
+		return fmt.Errorf("autoscaled trace written at v%d.%d, want v%d.%d",
 			trA.Version, trA.Minor, workload.TraceVersion, workload.TraceMinor)
 	}
 	// Both runs must replay byte-identically: the static one pins the
 	// v1 path, the autoscaled one pins v1.1 with the engine re-compiled
 	// from the recorded plan.
 	if err := trS.Verify(); err != nil {
-		log.Fatalf("autoscale: static trace: %v", err)
+		return fmt.Errorf("static trace: %w", err)
 	}
 	if err := trA.Verify(); err != nil {
-		log.Fatalf("autoscale: autoscaled trace: %v", err)
+		return fmt.Errorf("autoscaled trace: %w", err)
 	}
 
-	fmt.Printf("%d jobs at seed %d, FIFO + EASY, compute timer\n\n", len(trS.Jobs), *autoSeed)
-	fmt.Printf("%-12s %12s %12s %8s %8s %6s %6s\n",
+	fmt.Fprintf(w, "%d jobs at seed %d, FIFO + EASY, compute timer\n\n", len(trS.Jobs), autoscaleSeed)
+	fmt.Fprintf(w, "%-12s %12s %12s %8s %8s %6s %6s\n",
 		"ranks", "makespan", "mean wait", "util", "resizes", "+rk", "-rk")
 	row := func(label string, s farm.Summary) {
-		fmt.Printf("%-12s %12s %12s %8.3f %8d %6d %6d\n",
+		fmt.Fprintf(w, "%-12s %12s %12s %8.3f %8d %6d %6d\n",
 			label, s.Makespan.Round(time.Second), s.MeanWait.Round(time.Second),
 			s.Utilization, s.Resizes, s.GrowRanks, s.ShrinkRanks)
 	}
@@ -171,40 +172,41 @@ func autoscaleExp() {
 	row("autoscaled", sumA)
 
 	if sumA.Resizes == 0 {
-		log.Fatal("autoscale: the control loop never resized; the scenario exercises nothing")
+		return errors.New("the control loop never resized; the scenario exercises nothing")
 	}
 	dMake := sumS.Makespan - sumA.Makespan
 	dUtil := sumA.Utilization - sumS.Utilization
-	fmt.Printf("\nmakespan %+v, utilization %+.3f vs static\n", -dMake, dUtil)
+	fmt.Fprintf(w, "\nmakespan %+v, utilization %+.3f vs static\n", -dMake, dUtil)
 	if dMake <= 0 && dUtil <= 0 {
-		log.Fatal("autoscale: REGRESSION — autoscaler improved neither makespan nor utilization")
+		return errors.New("REGRESSION — autoscaler improved neither makespan nor utilization")
 	}
-	fmt.Println("gate passed: autoscaler improves on static ranks")
+	fmt.Fprintln(w, "gate passed: autoscaler improves on static ranks")
 
 	// Shrink-heavy regime: demand collapse. The diurnal scenario above
 	// proves growth; unit tests prove Resize shrink in isolation; this
 	// run proves the control loop chooses shrink end-to-end when supply
 	// is withdrawn under grown jobs and the residual wide demand cannot
 	// be seated without clawing lent ranks back.
-	header("Malleable farm: demand collapse (shrink-heavy regime)")
+	header(w, "Malleable farm: demand collapse (shrink-heavy regime)")
 	cSpec := autoscaleCollapseSpec()
 	trC, sumC, err := workload.Record(cSpec, scaled)
 	if err != nil {
-		log.Fatalf("autoscale: collapse run: %v", err)
+		return fmt.Errorf("collapse run: %w", err)
 	}
 	if err := trC.Verify(); err != nil {
-		log.Fatalf("autoscale: collapse trace: %v", err)
+		return fmt.Errorf("collapse trace: %w", err)
 	}
-	fmt.Printf("%d jobs at seed %d, FIFO + EASY, compute timer\n\n", len(trC.Jobs), *autoSeed)
-	fmt.Printf("%-12s %12s %12s %8s %8s %6s %6s\n",
+	fmt.Fprintf(w, "%d jobs at seed %d, FIFO + EASY, compute timer\n\n", len(trC.Jobs), autoscaleSeed)
+	fmt.Fprintf(w, "%-12s %12s %12s %8s %8s %6s %6s\n",
 		"ranks", "makespan", "mean wait", "util", "resizes", "+rk", "-rk")
 	row("autoscaled", sumC)
 	if sumC.GrowRanks == 0 {
-		log.Fatal("autoscale: collapse regime never grew; there is nothing to hand back")
+		return errors.New("collapse regime never grew; there is nothing to hand back")
 	}
 	if sumC.ShrinkRanks == 0 {
-		log.Fatal("autoscale: collapse regime never shrank; the owner-return wave forced no Resize shrink")
+		return errors.New("collapse regime never shrank; the owner-return wave forced no Resize shrink")
 	}
-	fmt.Printf("\ngate passed: demand collapse forced shrink (%d ranks handed back over %d resizes)\n",
+	fmt.Fprintf(w, "\ngate passed: demand collapse forced shrink (%d ranks handed back over %d resizes)\n",
 		sumC.ShrinkRanks, sumC.Resizes)
+	return nil
 }

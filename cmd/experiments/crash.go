@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"reflect"
 	"time"
@@ -48,70 +48,78 @@ func crashStorm(t time.Duration, c *cluster.Cluster) {
 // run, and the two summaries must match bit for bit: the manifest
 // carries the virtual clock, RNG state, queue order, per-job accounting
 // and full cluster snapshot, so recovery replays the exact future the
-// crash stole. Any mismatch is a fatal error (CI runs this as a smoke
-// test).
-func crashRecovery() {
+// crash stole. Any mismatch is the entry's error.
+func crashRecovery(w io.Writer) error {
 	const crashAt = 12 * time.Minute
-	header("Coordinator crash recovery: checkpoint mid-storm, kill, restore (seed 1, FIFO)")
+	header(w, "Coordinator crash recovery: checkpoint mid-storm, kill, restore (seed 1, FIFO)")
 	specs := stormMix()
-	fmt.Printf("%d jobs; a user reclaims a reserved host every 10 virtual minutes and\n", len(specs))
-	fmt.Printf("leaves at the +5 marks; the coordinator dies at t=%v and is restored\n\n", crashAt)
+	fmt.Fprintf(w, "%d jobs; a user reclaims a reserved host every 10 virtual minutes and\n", len(specs))
+	fmt.Fprintf(w, "leaves at the +5 marks; the coordinator dies at t=%v and is restored\n\n", crashAt)
 
-	setup := func(scenario func(time.Duration, *cluster.Cluster)) *farm.Farm {
+	setup := func(scenario func(time.Duration, *cluster.Cluster)) (*farm.Farm, error) {
 		f, err := farm.New(quietPaperPool(),
 			farm.WithSeed(1),
 			farm.WithScenario(time.Minute, scenario))
 		if err != nil {
-			log.Fatal(err)
+			return nil, err
 		}
 		for _, sp := range specs {
 			if _, err := f.Submit(sp, nil); err != nil {
-				log.Fatal(err)
+				return nil, err
 			}
 		}
 		f.Drain()
-		return f
+		return f, nil
 	}
 
 	// The uninterrupted reference.
-	want, err := setup(crashStorm).Run(context.Background())
+	ref, err := setup(crashStorm)
 	if err != nil {
-		log.Fatal(err)
+		return err
+	}
+	want, err := ref.Run(context.Background())
+	if err != nil {
+		return err
 	}
 
 	// The doomed coordinator: same trace, but at crashAt it persists the
 	// farm and "dies" (the in-memory farm is discarded).
 	dir, err := os.MkdirTemp("", "fluidsim-crash-*")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer os.RemoveAll(dir)
 	var doomed *farm.Farm
+	var ckptErr error
 	crashed := false
-	doomed = setup(func(t time.Duration, c *cluster.Cluster) {
+	doomed, err = setup(func(t time.Duration, c *cluster.Cluster) {
 		crashStorm(t, c)
 		if t >= crashAt && !crashed {
 			crashed = true
-			if err := doomed.Checkpoint(dir); err != nil {
-				log.Fatal(err)
-			}
+			ckptErr = doomed.Checkpoint(dir)
 			doomed.Interrupt()
 		}
 	})
+	if err != nil {
+		return err
+	}
 	if _, err := doomed.Run(context.Background()); !errors.Is(err, farm.ErrInterrupted) {
-		log.Fatalf("crashed run: %v (want ErrInterrupted)", err)
+		return fmt.Errorf("crashed run: %v (want ErrInterrupted)", err)
 	}
 	doomed.Drain() // hand the doomed pool's reservations back (idempotent)
+	if ckptErr != nil {
+		return ckptErr
+	}
 
 	m, err := ckpt.Load(dir)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	byPhase := map[string]int{}
 	for _, jr := range m.Jobs {
 		byPhase[jr.Phase]++
 	}
-	fmt.Printf("checkpoint at t=%v: %d jobs (%d running, %d queued, %d pending, %d finished), %d reclaims so far\n",
+	fmt.Fprintf(w, "checkpoint at t=%v: %d jobs (%d running, %d queued, %d pending, %d finished), %d reclaims so far\n",
 		m.SavedAt, len(m.Jobs), byPhase[ckpt.PhaseRunning], byPhase[ckpt.PhaseQueued],
 		byPhase[ckpt.PhasePending], byPhase[ckpt.PhaseFinished], m.Reclaims)
 
@@ -120,29 +128,30 @@ func crashRecovery() {
 	restored, err := farm.Restore(dir, cluster.NewPaperCluster(), nil,
 		farm.WithScenario(time.Minute, crashStorm))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	got, err := restored.Run(context.Background())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("\n%-14s %12s %12s %12s %9s %9s %9s\n",
+	fmt.Fprintf(w, "\n%-14s %12s %12s %12s %9s %9s %9s\n",
 		"run", "makespan", "mean wait", "max wait", "util", "reclaims", "migr")
 	for _, row := range []struct {
 		name string
 		sum  farm.Summary
 	}{{"uninterrupted", want}, {"restored", got}} {
-		fmt.Printf("%-14s %12s %12s %12s %9.3f %9d %9d\n",
+		fmt.Fprintf(w, "%-14s %12s %12s %12s %9.3f %9d %9d\n",
 			row.name, row.sum.Makespan.Round(time.Second), row.sum.MeanWait.Round(time.Second),
 			row.sum.MaxWait.Round(time.Second), row.sum.Utilization, row.sum.Reclaims, row.sum.Migrations)
 	}
 
 	if !reflect.DeepEqual(want, got) {
-		log.Fatalf("IDENTITY MISMATCH: the restored farm's summary differs from the uninterrupted run\nwant:\n%v\ngot:\n%v", want, got)
+		return fmt.Errorf("IDENTITY MISMATCH: the restored farm's summary differs from the uninterrupted run\nwant:\n%v\ngot:\n%v", want, got)
 	}
-	fmt.Println("\nevery per-job field and aggregate metric of the restored run is")
-	fmt.Println("bit-identical to the uninterrupted one: the manifest (virtual clock,")
-	fmt.Println("RNG state, queue order, fair-share credit, cluster snapshot) plus the")
-	fmt.Println("per-rank dump files are a complete coordinator state.")
+	fmt.Fprintln(w, "\nevery per-job field and aggregate metric of the restored run is")
+	fmt.Fprintln(w, "bit-identical to the uninterrupted one: the manifest (virtual clock,")
+	fmt.Fprintln(w, "RNG state, queue order, fair-share credit, cluster snapshot) plus the")
+	fmt.Fprintln(w, "per-rank dump files are a complete coordinator state.")
+	return nil
 }

@@ -2,12 +2,24 @@ package main
 
 import (
 	"fmt"
-	"log"
+	"io"
 	"time"
 
 	"repro/farm"
+	"repro/internal/cluster"
 	"repro/internal/perf"
 )
+
+// quietPaperPool returns the paper's 25-host pool with half an hour of
+// idle time elapsed, so the load averages have decayed and every user
+// counts as idle — the common starting condition of the farm, reclaim,
+// crash and hetero scenes, kept in one place so their pools cannot
+// drift apart.
+func quietPaperPool() *cluster.Cluster {
+	c := cluster.NewPaperCluster()
+	c.Advance(30 * time.Minute)
+	return c
+}
 
 // farmMix is the reproducible workload of the farm experiment: eight jobs
 // built from the example setups — 2D LB ducts (examples/fluepipe and the
@@ -39,27 +51,28 @@ func farmMix() []farm.JobSpec {
 // mix, replayed deterministically in virtual time on the paper's
 // 25-host pool with the perf engine pricing each job's steps (compute +
 // halo exchange on the modelled Ethernet).
-func farmExp() {
-	header("Simulation farm: FIFO vs priority vs weighted-fair (seed 1)")
-	fmt.Printf("%d jobs on the 25-host pool; step times from the perf engine\n\n", len(farmMix()))
-	fmt.Printf("%-10s %12s %12s %12s %12s %9s %9s\n",
+func farmExp(w io.Writer) error {
+	header(w, "Simulation farm: FIFO vs priority vs weighted-fair (seed 1)")
+	fmt.Fprintf(w, "%d jobs on the 25-host pool; step times from the perf engine\n\n", len(farmMix()))
+	fmt.Fprintf(w, "%-10s %12s %12s %12s %12s %9s %9s\n",
 		"policy", "makespan", "mean wait", "max wait", "util", "preempts", "bfills")
 	var prioSum fmt.Stringer
 	for _, pol := range []farm.Policy{farm.FIFO, farm.Priority, farm.WeightedFair} {
 		sum, err := farm.Replay(quietPaperPool(), pol, 1, farm.PerfTimer(perf.Ethernet), farmMix())
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("%-10s %12s %12s %12s %12.3f %9d %9d\n",
+		fmt.Fprintf(w, "%-10s %12s %12s %12s %12.3f %9d %9d\n",
 			pol, sum.Makespan.Round(time.Second), sum.MeanWait.Round(time.Second),
 			sum.MaxWait.Round(time.Second), sum.Utilization, sum.Preemptions, sum.Backfills)
 		if pol == farm.Priority {
 			prioSum = sum
 		}
 	}
-	fmt.Println("\nper-job detail under the priority policy:")
-	fmt.Print(prioSum)
-	fmt.Println("\npreemption suspends a job through the section-5.1 migration dump")
-	fmt.Println("and resumes it later — the preempted simulation's results stay")
-	fmt.Println("bit-identical (internal/sched TestFarmPreemptsRealCoreJob).")
+	fmt.Fprintln(w, "\nper-job detail under the priority policy:")
+	fmt.Fprint(w, prioSum)
+	fmt.Fprintln(w, "\npreemption suspends a job through the section-5.1 migration dump")
+	fmt.Fprintln(w, "and resumes it later — the preempted simulation's results stay")
+	fmt.Fprintln(w, "bit-identical (internal/sched TestFarmPreemptsRealCoreJob).")
+	return nil
 }

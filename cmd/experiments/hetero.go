@@ -2,7 +2,7 @@ package main
 
 import (
 	"fmt"
-	"log"
+	"io"
 	"time"
 
 	"repro/farm"
@@ -21,15 +21,14 @@ func uniformPricing(spec farm.JobSpec, _ decomp.Shape, hosts []*cluster.Host) (f
 // hetero compares uniform and speed-weighted decomposition on
 // mixed-model placements: per-step compute and perf-engine prices with
 // their load-imbalance ratios, then a full farm replay priced both ways.
-// It exits non-zero when weighting regresses — a weighted step not
-// strictly cheaper than the uniform one on a mixed placement, or a
-// weighted imbalance ratio drifting from balance — so CI runs it as a
-// smoke test.
-func hetero() {
-	header("Heterogeneous pool: uniform vs speed-weighted decomposition")
-	fmt.Println("spans sized by per-rank host speed (section 7's 715/720/710 mix);")
-	fmt.Println("uniform splitting runs every job at its slowest host's pace")
-	fmt.Println()
+// It fails when weighting regresses: a weighted step not strictly
+// cheaper than the uniform one on a mixed placement, a weighted
+// imbalance ratio drifting from balance, or a longer weighted replay.
+func hetero(w io.Writer) error {
+	header(w, "Heterogeneous pool: uniform vs speed-weighted decomposition")
+	fmt.Fprintln(w, "spans sized by per-rank host speed (section 7's 715/720/710 mix);")
+	fmt.Fprintln(w, "uniform splitting runs every job at its slowest host's pace")
+	fmt.Fprintln(w)
 
 	host := func(m cluster.Model, i int) *cluster.Host {
 		return cluster.NewHost(fmt.Sprintf("%v-%02d", m, i), m)
@@ -47,67 +46,71 @@ func hetero() {
 			[]*cluster.Host{host(cluster.HP715, 0), host(cluster.HP710, 1)}},
 	}
 
-	fmt.Printf("%-18s %-9s %14s %14s %10s\n", "job", "decomp", "compute s/step", "perf s/step", "imbalance")
+	fmt.Fprintf(w, "%-18s %-9s %14s %14s %10s\n", "job", "decomp", "compute s/step", "perf s/step", "imbalance")
 	perfTimer := farm.PerfTimer(perf.Ethernet)
 	for _, tc := range cases {
 		wsh, err := farm.WeightedShape(tc.spec, tc.hosts)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		row := func(label string, sh decomp.Shape) (compute, imb float64) {
-			compute, err := farm.ComputeTimer(tc.spec, sh, tc.hosts)
-			if err != nil {
-				log.Fatal(err)
+		row := func(label string, sh decomp.Shape) (compute, imb float64, err error) {
+			if compute, err = farm.ComputeTimer(tc.spec, sh, tc.hosts); err != nil {
+				return 0, 0, err
 			}
 			net, err := perfTimer(tc.spec, sh, tc.hosts)
 			if err != nil {
-				log.Fatal(err)
+				return 0, 0, err
 			}
-			imb, err = farm.Imbalance(tc.spec, sh, tc.hosts)
-			if err != nil {
-				log.Fatal(err)
+			if imb, err = farm.Imbalance(tc.spec, sh, tc.hosts); err != nil {
+				return 0, 0, err
 			}
-			fmt.Printf("%-18s %-9s %14.4f %14.4f %10.3f\n", tc.name, label, compute, net, imb)
-			return compute, imb
+			fmt.Fprintf(w, "%-18s %-9s %14.4f %14.4f %10.3f\n", tc.name, label, compute, net, imb)
+			return compute, imb, nil
 		}
-		uniSec, uniImb := row("uniform", decomp.Shape{})
-		wSec, wImb := row("weighted", wsh)
-		fmt.Printf("%-18s compute speedup %.3fx\n", "", uniSec/wSec)
+		uniSec, uniImb, err := row("uniform", decomp.Shape{})
+		if err != nil {
+			return err
+		}
+		wSec, wImb, err := row("weighted", wsh)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "%-18s compute speedup %.3fx\n", "", uniSec/wSec)
 
-		// The CI gates: weighting must strictly beat the uniform split on
+		// The gates: weighting must strictly beat the uniform split on
 		// every mixed placement and land near perfect balance.
 		if !(wSec < uniSec) {
-			log.Fatalf("REGRESSION: weighted step %.6f not strictly below uniform %.6f for %s", wSec, uniSec, tc.name)
+			return fmt.Errorf("REGRESSION: weighted step %.6f not strictly below uniform %.6f for %s", wSec, uniSec, tc.name)
 		}
 		if !(wImb < uniImb) {
-			log.Fatalf("REGRESSION: weighted imbalance %.4f not below uniform %.4f for %s", wImb, uniImb, tc.name)
+			return fmt.Errorf("REGRESSION: weighted imbalance %.4f not below uniform %.4f for %s", wImb, uniImb, tc.name)
 		}
 		if wImb > 1.10 {
-			log.Fatalf("REGRESSION: weighted imbalance %.4f above the 1.10 ceiling for %s", wImb, tc.name)
+			return fmt.Errorf("REGRESSION: weighted imbalance %.4f above the 1.10 ceiling for %s", wImb, tc.name)
 		}
 	}
 
-	fmt.Println("\nfarm replay on the paper pool (seed 1, FIFO), same trace priced")
-	fmt.Println("uniform vs weighted (jobs on mixed-model reservations benefit):")
-	fmt.Printf("\n%-10s %12s %12s %12s %9s %15s\n",
+	fmt.Fprintln(w, "\nfarm replay on the paper pool (seed 1, FIFO), same trace priced")
+	fmt.Fprintln(w, "uniform vs weighted (jobs on mixed-model reservations benefit):")
+	fmt.Fprintf(w, "\n%-10s %12s %12s %12s %9s %15s\n",
 		"pricing", "makespan", "mean wait", "util", "weighted", "imbalance (max)")
-	replay := func(label string, timer farm.StepTimer) farm.Summary {
+	var makespans []time.Duration // uniform, weighted
+	for i, timer := range []farm.StepTimer{uniformPricing, nil} {
 		sum, err := farm.Replay(quietPaperPool(), farm.FIFO, 1, timer, farmMix())
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("%-10s %12s %12s %12.3f %9d %15.3f\n",
-			label, sum.Makespan.Round(time.Second), sum.MeanWait.Round(time.Second),
+		fmt.Fprintf(w, "%-10s %12s %12s %12.3f %9d %15.3f\n",
+			[]string{"uniform", "weighted"}[i], sum.Makespan.Round(time.Second), sum.MeanWait.Round(time.Second),
 			sum.Utilization, sum.Weighted, sum.MaxImbalance)
-		return sum
+		makespans = append(makespans, sum.Makespan)
 	}
-	uni := replay("uniform", uniformPricing)
-	w := replay("weighted", nil)
-	if w.Makespan > uni.Makespan {
-		log.Fatalf("REGRESSION: weighted pricing lengthened the farm makespan (%v > %v)", w.Makespan, uni.Makespan)
+	if makespans[1] > makespans[0] {
+		return fmt.Errorf("REGRESSION: weighted pricing lengthened the farm makespan (%v > %v)", makespans[1], makespans[0])
 	}
 
-	fmt.Println("\nweighted spans keep subregions lattice-aligned, so the halo-exchange")
-	fmt.Println("topology — and the bitwise reproducibility guarantees — are unchanged;")
-	fmt.Println("equal-speed pools reproduce the uniform decomposition bit for bit.")
+	fmt.Fprintln(w, "\nweighted spans keep subregions lattice-aligned, so the halo-exchange")
+	fmt.Fprintln(w, "topology — and the bitwise reproducibility guarantees — are unchanged;")
+	fmt.Fprintln(w, "equal-speed pools reproduce the uniform decomposition bit for bit.")
+	return nil
 }

@@ -3,7 +3,7 @@ package main
 import (
 	"context"
 	"fmt"
-	"log"
+	"io"
 	"time"
 
 	"repro/farm"
@@ -39,11 +39,11 @@ func stormMix() []farm.JobSpec {
 // its patched placement — instead of squatting beside the user. The same
 // trace replays under EASY and aggressive backfill, exposing the
 // head-of-line starvation EASY closes.
-func reclaimStorm() {
-	header("Reclaim storm: users take hosts back mid-run (seed 1, FIFO)")
-	fmt.Printf("%d jobs; a user reclaims one reserved host every 10 virtual minutes\n", len(stormMix()))
-	fmt.Printf("and leaves 30 minutes later; displaced ranks migrate the same round\n\n")
-	fmt.Printf("%-12s %12s %12s %12s %9s %9s %9s %9s %9s\n",
+func reclaimStorm(w io.Writer) error {
+	header(w, "Reclaim storm: users take hosts back mid-run (seed 1, FIFO)")
+	fmt.Fprintf(w, "%d jobs; a user reclaims one reserved host every 10 virtual minutes\n", len(stormMix()))
+	fmt.Fprintf(w, "and leaves 30 minutes later; displaced ranks migrate the same round\n\n")
+	fmt.Fprintf(w, "%-12s %12s %12s %12s %9s %9s %9s %9s %9s\n",
 		"backfill", "makespan", "mean wait", "head wait", "util", "bfills", "reclaims", "migr", "repriced")
 	for _, mode := range []farm.BackfillMode{farm.BackfillEASY, farm.BackfillAggressive} {
 		reclaimAt := make(map[*cluster.Host]time.Duration)
@@ -69,13 +69,13 @@ func reclaimStorm() {
 				}
 			}))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		var head *farm.Job
 		for _, sp := range stormMix() {
 			j, err := f.Submit(sp, nil)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			if sp.ID == "head-wide" {
 				head = j
@@ -84,19 +84,20 @@ func reclaimStorm() {
 		f.Drain()
 		sum, err := f.Run(context.Background())
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		headRec, ok := head.Metrics()
 		if !ok {
-			log.Fatalf("head-wide has no metrics after the run (status %v)", head.Status())
+			return fmt.Errorf("head-wide has no metrics after the run (status %v)", head.Status())
 		}
-		fmt.Printf("%-12s %12s %12s %12s %9.3f %9d %9d %9d %9d\n",
+		fmt.Fprintf(w, "%-12s %12s %12s %12s %9.3f %9d %9d %9d %9d\n",
 			mode, sum.Makespan.Round(time.Second), sum.MeanWait.Round(time.Second),
 			headRec.Wait().Round(time.Second), sum.Utilization,
 			sum.Backfills, sum.Reclaims, sum.Migrations, sum.Repricings)
 	}
-	fmt.Println("\nEASY backfill holds the wide head's projected start (computed from the")
-	fmt.Println("running jobs' virtual finish times) and only backfills jobs that finish")
-	fmt.Println("before it; aggressive backfill lets the small-job stream starve the head.")
-	fmt.Println("Either way every reclaimed host is vacated in the round the user returns.")
+	fmt.Fprintln(w, "\nEASY backfill holds the wide head's projected start (computed from the")
+	fmt.Fprintln(w, "running jobs' virtual finish times) and only backfills jobs that finish")
+	fmt.Fprintln(w, "before it; aggressive backfill lets the small-job stream starve the head.")
+	fmt.Fprintln(w, "Either way every reclaimed host is vacated in the round the user returns.")
+	return nil
 }

@@ -2,10 +2,8 @@ package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
-	"log"
-	"os"
+	"io"
 	"time"
 
 	"repro/farm"
@@ -13,15 +11,15 @@ import (
 	"repro/internal/perf"
 )
 
-var (
-	sweepSeedCount = flag.Int("sweep-seeds", 2, "sweep: seeds per (spec, policy, backfill) cell, numbered 1..N")
-	sweepOut       = flag.String("sweep-out", "", "sweep: also write the JSON summary table to this file")
+const (
+	// sweepTimer is the registry name of the sweep's step timer: the
+	// perf discrete-event engine on the paper's shared 10 Mbps Ethernet,
+	// the same pricing the farm experiment uses.
+	sweepTimer = "perf-ethernet"
+	// sweepSeeds is the number of seeds per (spec, policy, backfill)
+	// cell, numbered 1..sweepSeeds.
+	sweepSeeds = 2
 )
-
-// sweepTimer is the registry name of the sweep's step timer: the perf
-// discrete-event engine on the paper's shared 10 Mbps Ethernet, the
-// same pricing the farm experiment uses.
-const sweepTimer = "perf-ethernet"
 
 // sweepSpecs are the built-in scenario family: a quiet baseline, the
 // section-5.1 reclaim regime, and a bursty diurnal pool with churn and
@@ -139,11 +137,10 @@ type sweepTable struct {
 
 // sweep fans the built-in scenario specs across seeds and scheduling
 // knobs: each cell generates the workload at its seed, records the full
-// event trace, re-runs it in verify mode (exiting non-zero if the
-// replay is not byte-identical — the determinism regression pin), and
-// reports the run's metrics. The table prints as text and as JSON
-// (stdout, plus -sweep-out to write a file).
-func sweep() {
+// event trace, re-runs it in verify mode (failing if the replay is not
+// byte-identical — the determinism regression pin), and reports the
+// run's metrics. The table prints as text and as JSON.
+func sweep(w io.Writer) error {
 	workload.RegisterTimer(sweepTimer, farm.PerfTimer(perf.Ethernet))
 	knobs := []struct {
 		policy   farm.Policy
@@ -154,33 +151,29 @@ func sweep() {
 		{farm.Priority, farm.BackfillEASY},
 		{farm.WeightedFair, farm.BackfillEASY},
 	}
-	seeds := *sweepSeedCount
-	if seeds < 1 {
-		seeds = 1
-	}
 	table := sweepTable{Format: "farm-sweep-summary", Version: 1, Timer: sweepTimer}
 	for _, spec := range sweepSpecs() {
-		header(fmt.Sprintf("Sweep %q: %d knob sets x %d seeds (trace-verified)", spec.Name, len(knobs), seeds))
-		fmt.Printf("%-10s %-12s %5s %5s %12s %12s %8s %9s %7s %6s\n",
+		header(w, fmt.Sprintf("Sweep %q: %d knob sets x %d seeds (trace-verified)", spec.Name, len(knobs), sweepSeeds))
+		fmt.Fprintf(w, "%-10s %-12s %5s %5s %12s %12s %8s %9s %7s %6s\n",
 			"policy", "backfill", "seed", "jobs", "makespan", "mean wait", "util", "preempts", "bfills", "migr")
 		for _, k := range knobs {
-			for seed := int64(1); seed <= int64(seeds); seed++ {
+			for seed := int64(1); seed <= sweepSeeds; seed++ {
 				cfg := workload.RunConfig{
 					Seed: seed, Policy: k.policy, Backfill: k.backfill, Timer: sweepTimer,
 				}
 				tr, sum, err := workload.Record(spec, cfg)
 				if err != nil {
-					log.Fatalf("sweep %s/%s/%s seed %d: %v", spec.Name, k.policy, k.backfill, seed, err)
+					return fmt.Errorf("%s/%s/%s seed %d: %w", spec.Name, k.policy, k.backfill, seed, err)
 				}
 				if err := tr.Verify(); err != nil {
-					log.Fatalf("sweep %s/%s/%s seed %d: %v", spec.Name, k.policy, k.backfill, seed, err)
+					return fmt.Errorf("%s/%s/%s seed %d: %w", spec.Name, k.policy, k.backfill, seed, err)
 				}
 				table.Rows = append(table.Rows, sweepRow{
 					Spec: spec.Name, Seed: seed,
 					Policy: k.policy.String(), Backfill: k.backfill.String(),
 					Jobs: len(tr.Jobs), Summary: sum,
 				})
-				fmt.Printf("%-10s %-12s %5d %5d %12s %12s %8.3f %9d %7d %6d\n",
+				fmt.Fprintf(w, "%-10s %-12s %5d %5d %12s %12s %8.3f %9d %7d %6d\n",
 					k.policy, k.backfill, seed, len(tr.Jobs),
 					sum.Makespan.Round(time.Second), sum.MeanWait.Round(time.Second),
 					sum.Utilization, sum.Preemptions, sum.Backfills, sum.Migrations)
@@ -189,13 +182,8 @@ func sweep() {
 	}
 	data, err := json.MarshalIndent(table, "", "  ")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nJSON summary table (%d rows):\n%s\n", len(table.Rows), data)
-	if *sweepOut != "" {
-		if err := os.WriteFile(*sweepOut, append(data, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *sweepOut)
-	}
+	fmt.Fprintf(w, "\nJSON summary table (%d rows):\n%s\n", len(table.Rows), data)
+	return nil
 }

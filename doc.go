@@ -16,7 +16,7 @@
 // The rest of the library lives under internal/; see README.md for the
 // architecture
 // and package map, DESIGN.md for the per-experiment index, and
-// EXPERIMENTS.md for how to run the evaluation and what to expect. The
-// benchmarks in bench_test.go regenerate every table and figure of the
-// paper's evaluation; speed is measured with the bench/ module.
+// EXPERIMENTS.md for how to run the evaluation and what to expect.
+// cmd/experiments regenerates every table and figure of the paper's
+// evaluation; speed is measured with the bench/ module.
 package repro

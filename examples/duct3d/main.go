@@ -1,10 +1,11 @@
 // Duct3d: the three-dimensional story of figure 9. Runs plane-Poiseuille
 // flow between plates with the D3Q15 lattice Boltzmann method on a
 // (2 x 2 x 2) decomposition — eight worker goroutines exchanging five
-// populations per face node through the x/y/z sweep protocol — validates
-// the profile against the exact solution, and then asks the performance
-// plane what the same decomposition would have cost on the paper's shared
-// Ethernet versus the networks its conclusion predicted.
+// populations per face node through the x/y/z sweep protocol — and
+// validates the profile against the exact solution. What a 3D
+// decomposition costs on the paper's shared Ethernet versus the networks
+// its conclusion predicted (P x 1 x 1, 25^3 nodes per processor) is
+// `go run ./cmd/experiments -exp=networks`.
 //
 //	go run ./examples/duct3d
 package main
@@ -12,12 +13,11 @@ package main
 import (
 	"fmt"
 	"log"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/decomp"
 	"repro/internal/fluid"
-	"repro/internal/netsim"
-	"repro/internal/perf"
 )
 
 func main() {
@@ -57,37 +57,9 @@ func main() {
 		got := res.At(res.Vx, nx/2, y, nz/2)
 		want := fluid.PoiseuilleProfile(float64(y), y0, y1, g, nu)
 		fmt.Printf("%4d %12.6g %12.6g\n", y, got, want)
-		if rel := abs(got-want) / umax; rel > worst {
+		if rel := math.Abs(got-want) / umax; rel > worst {
 			worst = rel
 		}
 	}
-	fmt.Printf("\nworst relative error: %.3g\n\n", worst)
-
-	// What would this cost on 1994 networks? (25^3-per-processor scaled
-	// problem of figure 9, P = 8.)
-	fmt.Println("the same (P x 1 x 1) 3D workload at 25^3 nodes per processor, P = 8:")
-	for _, n := range []struct {
-		name string
-		net  netsim.Network
-	}{
-		{"shared 10 Mbps Ethernet  ", perf.Ethernet()},
-		{"switched 10 Mbps Ethernet", netsim.SwitchedEthernet()},
-		{"FDDI 100 Mbps            ", netsim.FDDI()},
-		{"ATM 155 Mbps             ", netsim.ATM()},
-	} {
-		f, _, _, err := perf.Efficiency3D(8, 1, 1, 25, perf.LB3D, n.net)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("  %s  efficiency %.3f\n", n.name, f)
-	}
-	fmt.Println("\nthe shared bus is why the paper calls 3D impractical; the predicted")
-	fmt.Println("future networks fix it (see EXPERIMENTS.md, 'networks').")
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
+	fmt.Printf("\nworst relative error: %.3g\n", worst)
 }

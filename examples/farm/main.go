@@ -44,6 +44,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"time"
@@ -56,10 +57,10 @@ import (
 	"repro/internal/syncfile"
 )
 
-func config() *core.Config2D {
+func config() (*core.Config2D, error) {
 	d, err := decomp.New2D(2, 2, 40, 24, decomp.Full)
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
 	d.PeriodicX = true
 	par := fluid.DefaultParams()
@@ -71,32 +72,48 @@ func config() *core.Config2D {
 		Par:    par,
 		Mask:   fluid.ChannelMask2D(40, 24),
 		D:      d,
-	}
+	}, nil
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run drives the scenario, narrating to w, and returns an error if any
+// step fails or the final solution is not bitwise identical to the
+// undisturbed run.
+func run(w io.Writer) error {
 	const steps = 200
 
 	// Reference: the same flow with the farm to itself.
-	ref, _, err := core.RunSequential2D(config(), steps)
+	refCfg, err := config()
 	if err != nil {
-		log.Fatal(err)
+		return err
+	}
+	ref, _, err := core.RunSequential2D(refCfg, steps)
+	if err != nil {
+		return err
 	}
 
 	syncDir, err := os.MkdirTemp("", "fluidsim-farm-*")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer os.RemoveAll(syncDir)
 	sf, err := syncfile.New(syncDir)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	sf.Poll = time.Millisecond
 
-	job, progs, err := core.NewJob2D(config(), core.HubFactory(), sf, steps)
+	cfg, err := config()
 	if err != nil {
-		log.Fatal(err)
+		return err
+	}
+	job, progs, err := core.NewJob2D(cfg, core.HubFactory(), sf, steps)
+	if err != nil {
+		return err
 	}
 
 	pool := farm.NewPaperCluster()
@@ -107,7 +124,7 @@ func main() {
 	// round trip, so it keeps its hosts and its results stay identical.
 	ckptDir, err := os.MkdirTemp("", "fluidsim-ckpt-*")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer os.RemoveAll(ckptDir)
 
@@ -131,7 +148,7 @@ func main() {
 			}
 		}))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Tap the structured decision stream before running; the interesting
@@ -145,7 +162,7 @@ func main() {
 		Priority: 0,
 	}, &farm.CoreWorkload{Job: job, Cluster: pool})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	// The burst: 22 ranks, high priority, five virtual minutes in. Only
 	// 21 hosts are free then, so the scheduler must preempt.
@@ -153,40 +170,40 @@ func main() {
 		ID: "param-sweep", Method: "lb2d", JX: 11, JY: 2, Side: 40, Steps: 2000,
 		Priority: 9, Submit: 5 * time.Minute,
 	}, nil); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Println("running the farm (priority policy, EASY backfill, seed 42)...")
+	fmt.Fprintln(w, "running the farm (priority policy, EASY backfill, seed 42)...")
 	f.Drain() // no more submissions: Run drains the farm and returns
 	sum, err := f.Run(context.Background())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Print(sum)
+	fmt.Fprint(w, sum)
 
-	fmt.Println("\nlifecycle events (from the farm's structured stream):")
+	fmt.Fprintln(w, "\nlifecycle events (from the farm's structured stream):")
 	checkpoints := 0
 	for ev := range sub.Events() {
 		switch ev.(type) {
 		case farm.JobPreempted, farm.HostReclaimed, farm.JobMigrated:
-			fmt.Printf("  %s\n", ev)
+			fmt.Fprintf(w, "  %s\n", ev)
 		case farm.CheckpointSaved:
 			checkpoints++
 		}
 	}
-	fmt.Printf("  (plus %d periodic checkpoint commits, every 4 virtual minutes)\n", checkpoints)
+	fmt.Fprintf(w, "  (plus %d periodic checkpoint commits, every 4 virtual minutes)\n", checkpoints)
 
 	got := progs.Gather(steps)
 	for i := range ref.Rho {
 		if ref.Rho[i] != got.Rho[i] || ref.Vx[i] != got.Vx[i] || ref.Vy[i] != got.Vy[i] {
-			log.Fatalf("solution differs at node %d after preemption + migration", i)
+			return fmt.Errorf("solution differs at node %d after preemption + migration", i)
 		}
 	}
 	simRec, _ := sim.Metrics()
-	fmt.Printf("\nthe simulation survived %d preemption(s) and %d mid-run migration(s)\n",
+	fmt.Fprintf(w, "\nthe simulation survived %d preemption(s) and %d mid-run migration(s)\n",
 		simRec.Preemptions, simRec.Migrations)
-	fmt.Printf("and its %d-step solution is bitwise identical to the undisturbed run\n", steps)
-	fmt.Printf("(communication epoch %d after the dump/rebuild round trips)\n", job.Epoch())
+	fmt.Fprintf(w, "and its %d-step solution is bitwise identical to the undisturbed run\n", steps)
+	fmt.Fprintf(w, "(communication epoch %d after the dump/rebuild round trips)\n", job.Epoch())
 
 	if m, err := ckpt.Load(ckptDir); err == nil {
 		saved := 0
@@ -195,9 +212,10 @@ func main() {
 				saved++
 			}
 		}
-		fmt.Printf("\nlast auto-checkpoint: t=%v, %d jobs in the manifest (%d with rank\n",
+		fmt.Fprintf(w, "\nlast auto-checkpoint: t=%v, %d jobs in the manifest (%d with rank\n",
 			m.SavedAt, len(m.Jobs), saved)
-		fmt.Println("states on disk) — a crashed coordinator would restore from it with")
-		fmt.Println("farm.Restore and finish this exact farm, bit-identically")
+		fmt.Fprintln(w, "states on disk) — a crashed coordinator would restore from it with")
+		fmt.Fprintln(w, "farm.Restore and finish this exact farm, bit-identically")
 	}
+	return nil
 }

@@ -63,7 +63,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sf.Poll = time.Millisecond
 
 	job, progs, err := core.NewJob2D(config(), core.HubFactory(), sf, steps)
 	if err != nil {

@@ -152,15 +152,8 @@ func newJob[C setup[P], P built, R any](cfg C, gather func(C, []P, int) R,
 func (j *Job) wireSync(w *Worker) {
 	p := j.P()
 	w.Sync = func(round, rank, step int) (int, error) {
-		return j.Sync.SyncStep(round, rank, step, p, j.waitTimeout())
+		return j.Sync.SyncStep(round, rank, step, p, j.WaitTimeout)
 	}
-}
-
-func (j *Job) waitTimeout() time.Duration {
-	if j.WaitTimeout > 0 {
-		return j.WaitTimeout
-	}
-	return 60 * time.Second
 }
 
 // P returns the number of parallel subprocesses; only Resize changes it.
@@ -212,8 +205,8 @@ func (j *Job) nextEvent() (Event, error) {
 		}
 		return e, nil
 	//detlint:allow entropy -- liveness timeout: it only bounds how long we wait for a worker event, and a firing aborts the run; it never reorders or changes delivered events
-	case <-time.After(j.waitTimeout()):
-		return Event{}, fmt.Errorf("%w (%v)", ErrWorkerSilent, j.waitTimeout())
+	case <-time.After(j.WaitTimeout):
+		return Event{}, fmt.Errorf("%w (%v)", ErrWorkerSilent, j.WaitTimeout)
 	}
 }
 

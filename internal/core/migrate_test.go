@@ -24,7 +24,6 @@ func newTestJobOver(t *testing.T, cfg *Config2D, until int, factory TransportFac
 	if err != nil {
 		t.Fatal(err)
 	}
-	sf.Poll = time.Millisecond
 	j, jp, err := NewJob2D(cfg, factory, sf, until)
 	if err != nil {
 		t.Fatal(err)
@@ -339,7 +338,6 @@ func TestMigration3D(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sf.Poll = time.Millisecond
 	j, jp, err := NewJob3D(mkCfg(), HubFactory(), sf, steps)
 	if err != nil {
 		t.Fatal(err)

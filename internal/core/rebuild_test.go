@@ -4,7 +4,6 @@ import (
 	"math"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/decomp"
 	"repro/internal/syncfile"
@@ -102,7 +101,6 @@ func TestRebuildRunsNoInitialCondition(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sf.Poll = time.Millisecond
 			job, progs, err := NewJob3D(cfg, HubFactory(), sf, steps)
 			if err != nil {
 				t.Fatal(err)

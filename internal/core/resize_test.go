@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/decomp"
 	"repro/internal/dump"
@@ -66,7 +65,6 @@ func startJob2D(t *testing.T, cfg *Config2D, steps int) (*Job, *JobPrograms2D) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sf.Poll = time.Millisecond
 	job, progs, err := NewJob2D(cfg, HubFactory(), sf, steps)
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +136,6 @@ func TestResize3DBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sf.Poll = time.Millisecond
 			job, progs, err := NewJob3D(cfg, HubFactory(), sf, steps)
 			if err != nil {
 				t.Fatal(err)

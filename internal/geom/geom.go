@@ -83,8 +83,10 @@ func FluePipe(nx, ny int) *fluid.Mask2D {
 // long channel before impinging the sharp edge, the outlet is at the top
 // (the air tends to move upwards after impinging the edge), and the
 // bottom-left of the enclosure is solid wall, producing entirely-solid
-// subregions that the decomposition can leave unassigned (the paper
-// employs 15 workstations for a (6 x 4) = 24 decomposition).
+// subregions that the decomposition can leave unassigned. The paper
+// employs 15 workstations for a (6 x 4) = 24 decomposition; at 240x160
+// this geometry leaves only 1 subregion all wall, so 23 are needed
+// (cmd/experiments TestFig2ActiveSubregions pins it, DESIGN.md "fig2").
 func FluePipeChannel(nx, ny int) *fluid.Mask2D {
 	m := FluePipe(nx, ny)
 

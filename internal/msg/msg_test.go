@@ -279,7 +279,6 @@ func TestTCPEpochIsolation(t *testing.T) {
 	// A transport in epoch 1 must not connect to a peer published only in
 	// epoch 0: re-opened channels after migration use fresh addresses.
 	reg, _ := registry.New(t.TempDir())
-	reg.Poll = time.Millisecond
 	a, err := NewTCP(0, 0, reg)
 	if err != nil {
 		t.Fatal(err)

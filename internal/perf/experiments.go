@@ -71,21 +71,7 @@ func Efficiency2D(jx, jy, l int, method string, net netsim.Network) (f, speedup 
 	if err != nil {
 		return 0, 0, netsim.Stats{}, err
 	}
-	hosts := PaperHosts(d.P())
-	if len(hosts) < d.P() {
-		return 0, 0, netsim.Stats{}, fmt.Errorf("perf: pool exhausted at P=%d", d.P())
-	}
-	specs, err := Build(d, method, hosts)
-	if err != nil {
-		return 0, 0, netsim.Stats{}, err
-	}
-	perStep, stats, err := Measure(specs, net, 0)
-	if err != nil {
-		return 0, 0, netsim.Stats{}, err
-	}
-	t1 := SerialTime(d.GX*d.GY, method)
-	f = t1 / (float64(d.P()) * perStep)
-	return f, f * float64(d.P()), stats, nil
+	return efficiency(d, method, net)
 }
 
 // Efficiency3D measures a 3D decomposition with cubic subregions of side l.
@@ -94,6 +80,12 @@ func Efficiency3D(jx, jy, jz, l int, method string, net netsim.Network) (f, spee
 	if err != nil {
 		return 0, 0, netsim.Stats{}, err
 	}
+	return efficiency(d, method, net)
+}
+
+// efficiency prices one step of d on the paper pool over net and compares
+// it with a 715/50 integrating the whole grid (a 2D grid is one plane thick).
+func efficiency(d *decomp.Decomp, method string, net netsim.Network) (f, speedup float64, stats netsim.Stats, err error) {
 	hosts := PaperHosts(d.P())
 	if len(hosts) < d.P() {
 		return 0, 0, netsim.Stats{}, fmt.Errorf("perf: pool exhausted at P=%d", d.P())
@@ -214,19 +206,18 @@ func Fig10() ([]Series, error) {
 
 // Fig11 regenerates figure 11: 3D speedup versus total problem size; finer
 // decompositions do not help because the network is the bottleneck.
+// It re-plots figure 10's points: speedup is efficiency times P.
 func Fig11() ([]Series, error) {
-	var out []Series
-	for _, dc := range fig10Decomps {
-		s := Series{Label: dc.label}
-		for _, l := range fig10Sides {
-			_, sp, _, err := Efficiency3D(dc.jx, dc.jy, dc.jz, l, LB3D, Ethernet())
-			if err != nil {
-				return nil, err
-			}
-			total := float64(dc.jx*dc.jy*dc.jz) * float64(l*l*l)
-			s.Points = append(s.Points, Point{X: total, Y: sp})
+	out, err := Fig10()
+	if err != nil {
+		return nil, err
+	}
+	for i, dc := range fig10Decomps {
+		p := float64(dc.jx * dc.jy * dc.jz)
+		for j, l := range fig10Sides {
+			pt := &out[i].Points[j]
+			pt.X, pt.Y = p*float64(l*l*l), pt.Y*p
 		}
-		out = append(out, s)
 	}
 	return out, nil
 }

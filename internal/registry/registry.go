@@ -21,12 +21,12 @@ import (
 	"time"
 )
 
+// pollInterval is the interval between lookup retries.
+const pollInterval = 2 * time.Millisecond
+
 // Registry is a shared-directory address registry.
 type Registry struct {
 	Dir string
-	// Poll is the interval between lookup retries; the zero value means
-	// 2ms. Tests shorten it; real deployments on NFS would lengthen it.
-	Poll time.Duration
 }
 
 // New creates (if needed) and wraps a shared registry directory.
@@ -35,13 +35,6 @@ func New(dir string) (*Registry, error) {
 		return nil, fmt.Errorf("registry: %w", err)
 	}
 	return &Registry{Dir: dir}, nil
-}
-
-func (r *Registry) poll() time.Duration {
-	if r.Poll > 0 {
-		return r.Poll
-	}
-	return 2 * time.Millisecond
 }
 
 func (r *Registry) path(epoch, rank int) string {
@@ -88,7 +81,7 @@ func (r *Registry) Lookup(epoch, rank int, timeout time.Duration) (string, error
 		if time.Now().After(deadline) {
 			return "", fmt.Errorf("registry: rank %d epoch %d not published within %v", rank, epoch, timeout)
 		}
-		time.Sleep(r.poll())
+		time.Sleep(pollInterval)
 	}
 }
 

@@ -26,7 +26,6 @@ func TestPublishLookup(t *testing.T) {
 
 func TestLookupTimesOut(t *testing.T) {
 	r, _ := New(t.TempDir())
-	r.Poll = time.Millisecond
 	start := time.Now()
 	if _, err := r.Lookup(0, 9, 30*time.Millisecond); err == nil {
 		t.Error("lookup of unpublished rank succeeded")
@@ -38,7 +37,6 @@ func TestLookupTimesOut(t *testing.T) {
 
 func TestLookupWaitsForLatePublish(t *testing.T) {
 	r, _ := New(t.TempDir())
-	r.Poll = time.Millisecond
 	go func() {
 		time.Sleep(20 * time.Millisecond)
 		r.Publish(0, 1, "late:1")
@@ -54,7 +52,6 @@ func TestLookupWaitsForLatePublish(t *testing.T) {
 
 func TestEpochNamespacing(t *testing.T) {
 	r, _ := New(t.TempDir())
-	r.Poll = time.Millisecond
 	r.Publish(0, 1, "old")
 	r.Publish(1, 1, "new")
 	a0, _ := r.Lookup(0, 1, time.Second)
@@ -89,7 +86,6 @@ func TestUnpublishIdempotent(t *testing.T) {
 
 func TestConcurrentPublishers(t *testing.T) {
 	r, _ := New(t.TempDir())
-	r.Poll = time.Millisecond
 	const n = 20
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {

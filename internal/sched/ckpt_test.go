@@ -49,7 +49,6 @@ func newSimJob(t *testing.T, cfg *core.Config2D, steps int) (*core.Job, *core.Jo
 	if err != nil {
 		t.Fatal(err)
 	}
-	sf.Poll = time.Millisecond
 	job, progs, err := core.NewJob2D(cfg, core.HubFactory(), sf, steps)
 	if err != nil {
 		t.Fatal(err)

@@ -47,7 +47,6 @@ func TestReclaimMigratesBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sf.Poll = time.Millisecond
 	job, progs, err := core.NewJob2D(mkCfg(), core.HubFactory(), sf, steps)
 	if err != nil {
 		t.Fatal(err)

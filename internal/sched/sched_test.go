@@ -193,7 +193,6 @@ func TestFarmPreemptsRealCoreJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sf.Poll = time.Millisecond
 	job, progs, err := core.NewJob2D(mkCfg(), core.HubFactory(), sf, steps)
 	if err != nil {
 		t.Fatal(err)

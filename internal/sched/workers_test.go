@@ -3,7 +3,6 @@ package sched
 import (
 	"math"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/decomp"
@@ -44,7 +43,6 @@ func TestSchedulerWorkersBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sf.Poll = time.Millisecond
 	job, progs, err := core.NewJob2D(mkCfg(3), core.HubFactory(), sf, steps)
 	if err != nil {
 		t.Fatal(err)

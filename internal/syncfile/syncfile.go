@@ -24,11 +24,12 @@ import (
 	"time"
 )
 
+// pollInterval is the interval between WaitAll retries.
+const pollInterval = 2 * time.Millisecond
+
 // Sync coordinates synchronization rounds through a shared directory.
 type Sync struct {
 	Dir string
-	// Poll is the interval between WaitAll retries (default 2ms).
-	Poll time.Duration
 }
 
 // New creates the shared directory if needed.
@@ -37,13 +38,6 @@ func New(dir string) (*Sync, error) {
 		return nil, fmt.Errorf("syncfile: %w", err)
 	}
 	return &Sync{Dir: dir}, nil
-}
-
-func (s *Sync) poll() time.Duration {
-	if s.Poll > 0 {
-		return s.Poll
-	}
-	return 2 * time.Millisecond
 }
 
 func (s *Sync) path(round int) string {
@@ -115,7 +109,7 @@ func (s *Sync) WaitAll(round, p int, timeout time.Duration) (int, error) {
 			return 0, fmt.Errorf("syncfile: round %d: %d of %d processes announced within %v",
 				round, len(steps), p, timeout)
 		}
-		time.Sleep(s.poll())
+		time.Sleep(pollInterval)
 	}
 }
 

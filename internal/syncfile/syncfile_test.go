@@ -33,7 +33,6 @@ func TestReadMissingRoundIsEmpty(t *testing.T) {
 
 func TestWaitAllReturnsTmaxPlusOne(t *testing.T) {
 	s, _ := New(t.TempDir())
-	s.Poll = time.Millisecond
 	s.Announce(1, 0, 10)
 	s.Announce(1, 1, 14)
 	s.Announce(1, 2, 12)
@@ -48,7 +47,6 @@ func TestWaitAllReturnsTmaxPlusOne(t *testing.T) {
 
 func TestWaitAllTimesOut(t *testing.T) {
 	s, _ := New(t.TempDir())
-	s.Poll = time.Millisecond
 	s.Announce(2, 0, 5)
 	if _, err := s.WaitAll(2, 3, 30*time.Millisecond); err == nil {
 		t.Error("WaitAll with missing announcements succeeded")
@@ -59,7 +57,6 @@ func TestWaitAllTimesOut(t *testing.T) {
 // parallel processes do on a migration signal: all must agree on the step.
 func TestConcurrentSyncStep(t *testing.T) {
 	s, _ := New(t.TempDir())
-	s.Poll = time.Millisecond
 	const p = 8
 	// Un-synchronized current steps, max 23 -> sync step 24.
 	steps := [p]int{20, 23, 21, 22, 20, 21, 23, 19}
@@ -86,7 +83,6 @@ func TestConcurrentSyncStep(t *testing.T) {
 
 func TestRoundsAreIsolated(t *testing.T) {
 	s, _ := New(t.TempDir())
-	s.Poll = time.Millisecond
 	s.Announce(0, 0, 100)
 	s.Announce(1, 0, 5)
 	got, err := s.WaitAll(1, 1, time.Second)
