@@ -128,9 +128,10 @@ func autoscalePlan() *workload.AutoscalePlan {
 
 // autoscaleExp runs the diurnal-churn workload twice at the same seed —
 // static ranks vs the supply/demand autoscaler — trace-verifies the
-// autoscaled run (the v1.1 determinism pin), and fails unless
-// the autoscaler improves makespan or mean utilization: the regression
-// gate. A second, shrink-heavy regime must hand ranks back.
+// autoscaled run (the v1.1 determinism pin), and fails unless the
+// autoscaler's makespan is no worse than static's and its makespan or
+// mean utilization is strictly better: the regression gate. A second,
+// shrink-heavy regime must hand ranks back.
 func autoscaleExp(w io.Writer) error {
 	header(w, "Malleable farm: supply/demand autoscaler vs static ranks (diurnal churn)")
 	spec := autoscaleSpec()
@@ -177,8 +178,12 @@ func autoscaleExp(w io.Writer) error {
 	dMake := sumS.Makespan - sumA.Makespan
 	dUtil := sumA.Utilization - sumS.Utilization
 	fmt.Fprintf(w, "\nmakespan %+v, utilization %+.3f vs static\n", -dMake, dUtil)
-	if dMake <= 0 && dUtil <= 0 {
-		return errors.New("REGRESSION — autoscaler improved neither makespan nor utilization")
+	// A resize that slows its job raises utilization, so utilization
+	// counts only at a makespan no worse than static's.
+	if dMake < 0 || (dMake == 0 && dUtil <= 0) {
+		return fmt.Errorf("REGRESSION — autoscaled makespan %v against static %v, utilization %+.3f: "+
+			"want the makespan no worse and one of the two strictly better",
+			sumA.Makespan.Round(time.Second), sumS.Makespan.Round(time.Second), dUtil)
 	}
 	fmt.Fprintln(w, "gate passed: autoscaler improves on static ranks")
 

@@ -4,11 +4,13 @@ import (
 	"encoding/gob"
 	"fmt"
 	"os"
+	"path/filepath"
 )
 
-// saveGob writes a value atomically (temp + rename).
+// saveGob writes a value atomically (temp + rename), the temp file beside
+// its target so the rename never crosses a filesystem.
 func saveGob(path string, v interface{}) error {
-	tmp, err := os.CreateTemp(".", ".tmp-gob-*")
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-gob-*")
 	if err != nil {
 		return fmt.Errorf("save %s: %w", path, err)
 	}

@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"os"
+	"testing"
+)
 
 // TestBuildConfigRejectsBadSizes: a non-positive grid extent, from the init
 // flags or from a problem.gob written by hand, is an error from
@@ -30,5 +33,28 @@ func TestBuildConfigRejectsBadSizes(t *testing.T) {
 	cf = configFile{Method: "lb", Geom: "channel", NX: 24, NY: 12, JX: 2, JY: 1}
 	if _, err := buildConfig(cf); err != nil {
 		t.Errorf("channel 24x12: %v", err)
+	}
+}
+
+// TestSaveGobWritesBesideTarget: the temp file is made in the target's
+// directory, not the working one. The working directory here is removed
+// before the save, so a temp file made there fails with ENOENT (root
+// included), and the target directory is left holding only the target.
+func TestSaveGobWritesBesideTarget(t *testing.T) {
+	gone := t.TempDir()
+	t.Chdir(gone)
+	if err := os.Remove(gone); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := saveGob(configPath(dir), configFile{Method: "lb", Geom: "channel", NX: 24, NY: 12, JX: 2, JY: 1}); err != nil {
+		t.Fatalf("save with the working directory removed: %v", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "problem.gob" {
+		t.Errorf("%s holds %v, want only problem.gob", dir, entries)
 	}
 }

@@ -9,7 +9,7 @@
 // etiquette even for whole-farm saves.
 //
 // Every save writes its state files into a fresh generation directory
-// (states-<seq>/<jobID>/dump-rankNNNN.gob, named by the manifest's
+// (states-<seq>/<jobID>/dump-rankNNNN.dump, named by the manifest's
 // StatesDir) and only then renames the manifest into place — the commit
 // point. A coordinator that dies mid-save therefore leaves the previous
 // checkpoint fully intact: the old manifest still points at the old,
@@ -35,10 +35,11 @@ import (
 )
 
 // Version is the manifest format version this build reads and writes.
-// Bump it on any incompatible change to Manifest or the directory layout;
+// Bump it on any incompatible change to Manifest, the directory layout or
+// the rank dump format (version 2: flat, checksummed dumps replaced gob);
 // Load refuses other versions so a restore never misinterprets a
 // checkpoint.
-const Version = 1
+const Version = 2
 
 // ManifestName is the manifest file inside a checkpoint directory.
 const ManifestName = "MANIFEST.json"

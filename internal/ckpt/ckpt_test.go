@@ -1,6 +1,7 @@
 package ckpt
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -110,10 +111,14 @@ func TestLoadRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	data, _ := os.ReadFile(ManifestPath(skewed))
-	data = []byte(strings.Replace(string(data), `"Version": 1`, `"Version": 99`, 1))
-	os.WriteFile(ManifestPath(skewed), data, 0o644)
-	if _, err := Load(skewed); err == nil || !strings.Contains(err.Error(), "version 99") {
-		t.Errorf("version skew: %v", err)
+	// Version 1 named gob rank dumps; this build writes flat ones, so an old
+	// manifest is refused like any other skew.
+	for _, v := range []int{99, 1} {
+		skew := strings.Replace(string(data), fmt.Sprintf(`"Version": %d`, Version), fmt.Sprintf(`"Version": %d`, v), 1)
+		os.WriteFile(ManifestPath(skewed), []byte(skew), 0o644)
+		if _, err := Load(skewed); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d,", v)) {
+			t.Errorf("version skew to %d: %v", v, err)
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/decomp"
 	"repro/internal/dump"
+	"repro/internal/pool"
 	"repro/internal/syncfile"
 )
 
@@ -32,11 +33,6 @@ type Job struct {
 	Sync    *syncfile.Sync
 	Until   int
 
-	// Rebuild reconstructs a rank's Program from its dump (the config's
-	// RestoreProgram: geometry + RestoreState, no initial condition) and
-	// makes it the rank's live Program, the one JobPrograms gathers from.
-	Rebuild func(st *dump.State) (Program, error)
-
 	// WaitTimeout bounds every coordination wait (default 60s).
 	WaitTimeout time.Duration
 
@@ -46,6 +42,10 @@ type Job struct {
 	epoch   int
 	round   int
 	done    map[int]bool
+
+	// rebuild reconstructs the Programs of a set of dumps (RestoreProgram)
+	// and makes them their ranks' live Programs, which JobPrograms gathers.
+	rebuild func(states []*dump.State) ([]Program, error)
 
 	// resplit re-cuts a full set of same-step dumps onto a new decomposition
 	// shape (resplit over the config). See Job.Resize.
@@ -119,21 +119,33 @@ func newJob[C setup[P], P built, R any](cfg C, gather func(C, []P, int) R,
 		done:        make(map[int]bool),
 		hostOf:      make(map[int]*cluster.Host),
 	}
-	j.Rebuild = func(st *dump.State) (Program, error) {
-		p, err := restoreProgram(cfg, st)
-		if err != nil {
-			return nil, err // a bare nil, not a typed-nil Program
+	j.rebuild = func(states []*dump.State) ([]Program, error) {
+		// One rank a slab of the shared pool (restoreProgram gives the pool
+		// no work of its own); the map is written on this goroutine.
+		built := make([]P, len(states))
+		errs := make([]error, len(states))
+		var r pool.Runner
+		r.Run(len(states), len(states), func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				built[i], errs[i] = restoreProgram(cfg, states[i])
+			}
+		})
+		progs := make([]Program, len(states))
+		for i, p := range built {
+			if errs[i] != nil {
+				return nil, fmt.Errorf("rebuilding rank %d: %w", states[i].Rank, errs[i])
+			}
+			jp.progs[states[i].Rank], progs[i] = p, p
 		}
-		jp.progs[st.Rank] = p
-		return p, nil
+		return progs, nil
 	}
 	j.resplit = func(states []*dump.State, sh decomp.Shape) ([]*dump.State, error) {
 		out, err := resplit[P](cfg, states, sh)
 		if err != nil {
 			return nil, err
 		}
-		// The old rank set is gone; Rebuild refills the map as Resize
-		// launches each new rank.
+		// The old rank set is gone; rebuild refills the map as Resize
+		// launches the new ranks.
 		clear(jp.progs)
 		return out, nil
 	}
@@ -166,9 +178,12 @@ func (j *Job) Worker(rank int) *Worker { return j.workers[rank] }
 func (j *Job) Epoch() int { return j.epoch }
 
 // Start launches every worker on its own goroutine.
-func (j *Job) Start() {
-	for _, rank := range j.ranks() {
-		//detlint:allow entropy -- rank goroutine, one per workstation process: every exchange is rank-addressed and the coordinator acts on events by rank, so the interleaving never reaches the bits
+func (j *Job) Start() { j.start(j.ranks()) }
+
+// start launches the given ranks' workers, each on its own goroutine.
+func (j *Job) start(ranks []int) {
+	for _, rank := range ranks {
+		//detlint:allow entropy -- rank goroutine, one per workstation process: every exchange is rank-addressed and the coordinator acts on events by rank, and a relaunched rank resumes from its dump at the agreed sync step, so the interleaving never reaches the bits
 		go j.workers[rank].Start(j.Until)
 	}
 }
@@ -257,11 +272,12 @@ func (j *Job) pauseAll() error {
 	return nil
 }
 
-// collect is step 3: the given (paused) ranks save their state and exit.
-// The dumps come back in the order the ranks were given.
-func (j *Job) collect(ranks []int) ([]*dump.State, error) {
+// collect is step 3: the given (paused) ranks save their state, then exit
+// (a migration) or keep holding (a snapshot). The dumps come back in the
+// order the ranks were given.
+func (j *Job) collect(ranks []int, exit bool) ([]*dump.State, error) {
 	for _, r := range ranks {
-		j.workers[r].RequestMigrate()
+		j.workers[r].requestDump(exit)
 	}
 	byRank := map[int]*dump.State{}
 	for len(byRank) < len(ranks) {
@@ -269,8 +285,8 @@ func (j *Job) collect(ranks []int) ([]*dump.State, error) {
 		if err != nil {
 			return nil, fmt.Errorf("waiting for dumps: %w", err)
 		}
-		if e.Kind == EventMigrated {
-			byRank[e.Rank] = e.State.(*dump.State)
+		if st, ok := e.State.(*dump.State); ok {
+			byRank[e.Rank] = st
 		}
 	}
 	states := make([]*dump.State, len(ranks))
@@ -280,22 +296,63 @@ func (j *Job) collect(ranks []int) ([]*dump.State, error) {
 	return states, nil
 }
 
-// launch is step 4: the rank is rebuilt from its dump as a fresh worker
-// with channels at the current epoch, ready to Start.
-func (j *Job) launch(st *dump.State) error {
-	st.Epoch = j.epoch
-	prog, err := j.Rebuild(st)
+// launch is step 4: the ranks of a set of dumps are rebuilt from them as
+// fresh workers with channels at the current epoch, ready to start.
+func (j *Job) launch(states []*dump.State) error {
+	progs, err := j.rebuild(states)
 	if err != nil {
-		return fmt.Errorf("rebuilding rank %d: %w", st.Rank, err)
+		return err
 	}
-	w, err := NewWorkerAt(prog, j.Factory, j.epoch, j.events, st.Step)
-	if err != nil {
-		return fmt.Errorf("restarting rank %d: %w", st.Rank, err)
+	for i, st := range states {
+		st.Epoch = j.epoch
+		w, err := NewWorkerAt(progs[i], j.Factory, j.epoch, j.events, st.Step)
+		if err != nil {
+			return fmt.Errorf("restarting rank %d: %w", st.Rank, err)
+		}
+		j.wireSync(w)
+		j.workers[st.Rank] = w
+		delete(j.done, st.Rank)
 	}
-	j.wireSync(w)
-	j.workers[st.Rank] = w
-	delete(j.done, st.Rank)
 	return nil
+}
+
+// cycle is the section-5.1 protocol around a set of dumps, the body of
+// MigrateRanks and Snapshot: every rank synchronizes and holds (steps 1-2),
+// the epoch advances, and the given ranks save their state (step 3). With
+// move they exit and are relaunched from their dumps (step 4), onDump
+// seeing each first; every rank that held continues as it was (step 5).
+func (j *Job) cycle(ranks []int, move bool, onDump func(rank int, st *dump.State)) ([]*dump.State, error) {
+	if err := j.pauseAll(); err != nil {
+		return nil, err
+	}
+	j.epoch++
+	states, err := j.collect(ranks, move)
+	if err != nil {
+		return nil, err
+	}
+	if move {
+		for _, st := range states {
+			if onDump != nil {
+				onDump(st.Rank, st)
+			}
+		}
+		if err := j.launch(states); err != nil {
+			return nil, err
+		}
+		j.start(ranks)
+	}
+	// 5. CONT: the waiting processes re-open their channels and the
+	// distributed computation continues.
+	for _, rank := range j.ranks() {
+		if move && slices.Contains(ranks, rank) {
+			continue
+		}
+		if err := <-j.workers[rank].RequestResume(j.epoch); err != nil {
+			return nil, fmt.Errorf("resuming rank %d: %w", rank, err)
+		}
+		delete(j.done, rank) // resumed workers re-announce completion
+	}
+	return states, nil
 }
 
 // MigrateRanks executes the full migration protocol for the given ranks:
@@ -306,42 +363,13 @@ func (j *Job) MigrateRanks(ranks []int, onDump func(rank int, st *dump.State)) e
 	if len(ranks) == 0 {
 		return nil
 	}
-	migrating := map[int]bool{}
 	for _, r := range ranks {
 		if _, ok := j.workers[r]; !ok {
 			return fmt.Errorf("core: no worker with rank %d", r)
 		}
-		migrating[r] = true
 	}
-	if err := j.pauseAll(); err != nil {
+	if _, err := j.cycle(ranks, true, onDump); err != nil {
 		return fmt.Errorf("core: migrate: %w", err)
-	}
-	j.epoch++
-	states, err := j.collect(ranks)
-	if err != nil {
-		return fmt.Errorf("core: migrate: %w", err)
-	}
-	for _, st := range states {
-		if onDump != nil {
-			onDump(st.Rank, st)
-		}
-		if err := j.launch(st); err != nil {
-			return fmt.Errorf("core: migrate: %w", err)
-		}
-		//detlint:allow entropy -- relaunch of a migrated rank: its exchanges are rank-addressed and it resumes from the dump at the agreed sync step, so the interleaving never reaches the bits
-		go j.workers[st.Rank].Start(j.Until)
-	}
-
-	// 5. CONT: the waiting processes re-open their channels and the
-	// distributed computation continues.
-	for _, rank := range j.ranks() {
-		if migrating[rank] {
-			continue
-		}
-		if err := <-j.workers[rank].RequestResume(j.epoch); err != nil {
-			return fmt.Errorf("core: resuming rank %d: %w", rank, err)
-		}
-		delete(j.done, rank) // resumed workers re-announce completion
 	}
 	j.Migrations += len(ranks)
 	return nil

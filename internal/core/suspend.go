@@ -22,7 +22,7 @@ func (j *Job) Suspend() ([]*dump.State, error) {
 	if err := j.pauseAll(); err != nil {
 		return nil, fmt.Errorf("core: suspend: %w", err)
 	}
-	states, err := j.collect(j.ranks())
+	states, err := j.collect(j.ranks(), true)
 	if err != nil {
 		return nil, fmt.Errorf("core: suspend: %w", err)
 	}
@@ -31,32 +31,19 @@ func (j *Job) Suspend() ([]*dump.State, error) {
 	return states, nil
 }
 
-// Snapshot checkpoints a running job without giving up its hosts: the
-// suspend protocol runs in full — every rank synchronizes, dumps its
-// state and exits — and the job immediately resumes from the captured
-// states on the same placement. The returned states are frozen at the
-// save point (Resume re-stamps epochs on its own copies), so a farm
-// coordinator can persist them to disk while the computation continues;
-// the suspend/resume round trip carries the same bit-identity guarantee
-// as a migration, so taking a snapshot never changes the results.
+// Snapshot checkpoints a running job in place: every rank synchronizes,
+// dumps its state and keeps holding, and the whole job continues at the
+// next epoch — section 5.1's protocol with no process moving, so every
+// rank keeps its Program and its host, and nothing is rebuilt. The dumps
+// are deep copies frozen at the save point, so a farm coordinator can
+// persist them to disk while the computation continues, and taking a
+// snapshot never changes the results.
 func (j *Job) Snapshot() ([]*dump.State, error) {
-	states, err := j.Suspend()
+	states, err := j.cycle(j.ranks(), false, nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: snapshot: %w", err)
 	}
-	// Resume overwrites each state's Epoch for the restarted workers; hand
-	// the caller shallow copies so the persisted checkpoint keeps the save
-	// point's view. The field arrays are never mutated after a dump
-	// (RestoreState copies out of them), so sharing them is safe.
-	out := make([]*dump.State, len(states))
-	for i, st := range states {
-		cp := *st
-		out[i] = &cp
-	}
-	if err := j.Resume(states); err != nil {
-		return nil, fmt.Errorf("core: snapshot: %w", err)
-	}
-	return out, nil
+	return states, nil
 }
 
 // Resume restarts a suspended job from the states Suspend returned: every
@@ -86,10 +73,8 @@ func (j *Job) restart(states []*dump.State) error {
 	j.p = len(states)
 	j.done = make(map[int]bool)
 	j.workers = make(map[int]*Worker, len(states))
-	for _, st := range states {
-		if err := j.launch(st); err != nil {
-			return err
-		}
+	if err := j.launch(states); err != nil {
+		return err
 	}
 	j.Start()
 	return nil

@@ -2,11 +2,13 @@ package core
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/dump"
+	"repro/internal/syncfile"
 )
 
 // TestSuspendResumePreservesSolution checkpoints a whole running job
@@ -166,6 +168,91 @@ func TestSnapshotKeepsRunning(t *testing.T) {
 	if ok, x, y, d := resultsEqual(ref, got2, 0); !ok {
 		t.Errorf("restored run differs from reference at (%d,%d) by %g", x, y, d)
 	}
+}
+
+// TestSnapshotRebuildsNothing: a snapshot is section 5.1's protocol with no
+// process moving, so it rebuilds no Program and replaces no worker. Every
+// rank keeps its live Program, the epoch advances by one per snapshot, and
+// the run still ends in the sequential reference's bits.
+func TestSnapshotRebuildsNothing(t *testing.T) {
+	const steps = 40
+	t.Run("fd2D", func(t *testing.T) {
+		ref, _, err := RunSequential2D(channelConfig(t, MethodFD, 2, 2, 24, 16), steps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		job, jp := newTestJob(t, channelConfig(t, MethodFD, 2, 2, 24, 16), steps)
+		snapshotInPlace(t, job, func(rank int) Program { return jp.progs[rank] })
+		if ok, x, y, d := resultsEqual(ref, jp.Gather(steps), 0); !ok {
+			t.Errorf("snapshotted run differs from reference at (%d,%d) by %g", x, y, d)
+		}
+	})
+	t.Run("lb3D", func(t *testing.T) {
+		ref, _, err := RunSequential3D(resizeCfg3D(t, MethodLB, 2, 2, 1), steps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sf, err := syncfile.New(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		job, jp, err := NewJob3D(resizeCfg3D(t, MethodLB, 2, 2, 1), HubFactory(), sf, steps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snapshotInPlace(t, job, func(rank int) Program { return jp.progs[rank] })
+		got := jp.Gather(steps)
+		for i := range ref.Rho {
+			for _, pair := range [][2][]float64{{ref.Rho, got.Rho}, {ref.Vx, got.Vx}, {ref.Vy, got.Vy}, {ref.Vz, got.Vz}} {
+				if math.Float64bits(pair[0][i]) != math.Float64bits(pair[1][i]) {
+					t.Fatalf("snapshotted 3D run differs from reference at index %d", i)
+				}
+			}
+		}
+	})
+}
+
+// snapshotInPlace starts the job, snapshots it twice while it runs, checks
+// that nothing was rebuilt or replaced, and waits for it to finish.
+func snapshotInPlace(t *testing.T, job *Job, live func(rank int) Program) {
+	t.Helper()
+	rebuilt := 0
+	rebuild := job.rebuild
+	job.rebuild = func(states []*dump.State) ([]Program, error) {
+		rebuilt += len(states)
+		return rebuild(states)
+	}
+	progs := make([]Program, job.P())
+	workers := make([]*Worker, job.P())
+	for rank := range progs {
+		progs[rank], workers[rank] = live(rank), job.Worker(rank)
+	}
+	job.Start()
+	for k := 0; k < 2; k++ {
+		epoch := job.Epoch()
+		states, err := job.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(states) != job.P() {
+			t.Fatalf("snapshot %d returned %d states for %d ranks", k, len(states), job.P())
+		}
+		if job.Epoch() != epoch+1 {
+			t.Errorf("snapshot %d: epoch %d -> %d, want one step", k, epoch, job.Epoch())
+		}
+	}
+	if rebuilt != 0 {
+		t.Errorf("two snapshots rebuilt %d Programs, want 0", rebuilt)
+	}
+	for rank, p := range progs {
+		if live(rank) != p || job.Worker(rank) != workers[rank] || job.Worker(rank).Prog != p {
+			t.Errorf("rank %d: the snapshot replaced its live Program or its worker", rank)
+		}
+	}
+	if err := job.WaitDone(); err != nil {
+		t.Fatal(err)
+	}
+	job.Shutdown()
 }
 
 // TestSuspendTwice exercises repeated preemption of the same job.

@@ -39,7 +39,7 @@ const (
 	ctrlPause   ctrlKind = iota // sync, run to the sync step, then hold
 	ctrlResume                  // re-open channels and continue
 	ctrlMigrate                 // dump state and exit (while paused)
-	ctrlStop                    // exit without dumping (while paused)
+	ctrlDump                    // dump state and keep holding (while paused)
 )
 
 // Event is a worker lifecycle notification to the coordinator.
@@ -48,7 +48,7 @@ type Event struct {
 	Kind  EventKind
 	Step  int
 	Err   error
-	State interface{} // *dump.State for EventMigrated
+	State interface{} // *dump.State for EventMigrated and eventDumped
 }
 
 // EventKind enumerates worker notifications.
@@ -64,6 +64,8 @@ const (
 	EventMigrated
 	// EventError: the worker failed.
 	EventError
+	// eventDumped: the paused worker dumped its state and holds on.
+	eventDumped
 )
 
 func (k EventKind) String() string {
@@ -76,6 +78,8 @@ func (k EventKind) String() string {
 		return "migrated"
 	case EventError:
 		return "error"
+	case eventDumped:
+		return "dumped"
 	}
 	return fmt.Sprintf("EventKind(%d)", int(k))
 }
@@ -329,7 +333,7 @@ func (w *Worker) controller(until int) {
 			w.nudge()
 			c.ok()
 		default:
-			// Resume/migrate/stop apply to a paused worker.
+			// Resume/migrate/dump apply to a paused worker.
 			w.paused <- c
 		}
 	}
@@ -358,7 +362,7 @@ func (c ctrlMsg) fail(err error) {
 }
 
 // holdPaused processes commands while paused at the sync step. It returns
-// false when the worker exits (migration or stop).
+// false when the worker exits (migration).
 func (w *Worker) holdPaused() bool {
 	for c := range w.paused {
 		switch c.kind {
@@ -379,9 +383,10 @@ func (w *Worker) holdPaused() bool {
 			c.ok()
 			w.events <- Event{Rank: w.Rank(), Kind: EventMigrated, Step: w.Step, State: st}
 			return false
-		case ctrlStop:
+		case ctrlDump:
+			st := w.Prog.DumpState(w.Step, w.Epoch)
 			c.ok()
-			return false
+			w.events <- Event{Rank: w.Rank(), Kind: eventDumped, Step: w.Step, State: st}
 		default:
 			c.fail(fmt.Errorf("rank %d: unexpected control %d while paused", w.Rank(), c.kind))
 		}
@@ -403,11 +408,14 @@ func (w *Worker) RequestResume(epoch int) chan error {
 	return reply
 }
 
-// RequestMigrate tells a paused worker to dump its state and exit.
-func (w *Worker) RequestMigrate() chan error {
-	reply := make(chan error, 1)
-	w.ctrl <- ctrlMsg{kind: ctrlMigrate, reply: reply}
-	return reply
+// requestDump tells a paused worker to dump its state, then exit (a
+// migration) or keep holding (a snapshot).
+func (w *Worker) requestDump(exit bool) {
+	if exit {
+		w.ctrl <- ctrlMsg{kind: ctrlMigrate}
+		return
+	}
+	w.ctrl <- ctrlMsg{kind: ctrlDump}
 }
 
 // Shutdown closes the control plane; a running worker finishes its steps,

@@ -9,16 +9,35 @@
 // parallel processes save their state one after the other, with time gaps
 // in between, so that simultaneous multi-megabyte writes cannot saturate
 // the shared network and file server.
+//
+// A dump file is flat. Every integer is a little-endian uint64 (an int
+// as its two's complement), and a string is its byte length then its bytes:
+//
+//	magic "DUMPFILE", version
+//	rank, step, epoch, method, NX, NY, NZ, field count
+//	per field, in name order: name, value count, values as math.Float64bits
+//	CRC-32C (Castagnoli) of every byte before it, as a little-endian uint32
 package dump
 
 import (
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"maps"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 )
+
+// magic and version open every dump file.
+const magic, version = "DUMPFILE", 1
+
+// ErrFormat is returned (wrapped, saying what is wrong) by Load for any
+// file that is not a well-formed dump. Callers branch with errors.Is.
+var ErrFormat = errors.New("dump: malformed dump file")
 
 // State is the complete integration state of one subregion. Field arrays
 // are raw storage including ghost layers, so a restore reproduces the
@@ -79,7 +98,7 @@ func RestoreFields(names []string, arrays [][]float64, fields map[string][]float
 
 // Path returns the canonical dump file name for a rank inside dir.
 func Path(dir string, rank int) string {
-	return filepath.Join(dir, fmt.Sprintf("dump-rank%04d.gob", rank))
+	return filepath.Join(dir, fmt.Sprintf("dump-rank%04d.dump", rank))
 }
 
 // Save writes the state atomically (temp file + rename), so a monitoring
@@ -96,39 +115,125 @@ func Save(path string, st *State) error {
 	if err != nil {
 		return fmt.Errorf("dump: save: %w", err)
 	}
-	name := tmp.Name()
-	enc := gob.NewEncoder(tmp)
-	if err := enc.Encode(st); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return fmt.Errorf("dump: encode: %w", err)
+	_, err = tmp.Write(encode(st))
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("dump: save: %w", err)
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
+	if err != nil {
+		os.Remove(tmp.Name())
 		return fmt.Errorf("dump: save: %w", err)
 	}
 	return nil
 }
 
-// Load reads and validates a dump file.
+// Load reads a dump file in one read and decodes it; a malformed file is
+// an ErrFormat.
 func Load(path string) (*State, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("dump: load: %w", err)
 	}
-	defer f.Close()
-	var st State
-	if err := gob.NewDecoder(f).Decode(&st); err != nil {
-		return nil, fmt.Errorf("dump: decode %s: %w", path, err)
-	}
-	if err := st.Validate(); err != nil {
+	st, err := decode(data)
+	if err != nil {
 		return nil, fmt.Errorf("dump: %s: %w", path, err)
 	}
-	return &st, nil
+	return st, nil
+}
+
+// encode returns a state's file bytes, in one buffer of the exact size.
+func encode(st *State) []byte {
+	names := slices.Sorted(maps.Keys(st.Fields))
+	size := len(magic) + 9*8 + len(st.Method) + 4
+	for _, name := range names {
+		size += 2*8 + len(name) + 8*len(st.Fields[name])
+	}
+	b := make([]byte, 0, size)
+	b = append(b, magic...)
+	for _, v := range [...]int{version, st.Rank, st.Step, st.Epoch, len(st.Method)} {
+		b = binary.LittleEndian.AppendUint64(b, uint64(v))
+	}
+	b = append(b, st.Method...)
+	for _, v := range [...]int{st.NX, st.NY, st.NZ, len(names)} {
+		b = binary.LittleEndian.AppendUint64(b, uint64(v))
+	}
+	for _, name := range names {
+		vals := st.Fields[name]
+		b = binary.LittleEndian.AppendUint64(b, uint64(len(name)))
+		b = append(b, name...)
+		b = binary.LittleEndian.AppendUint64(b, uint64(len(vals)))
+		at := len(b)
+		b = b[:at+8*len(vals)]
+		for i, v := range vals {
+			binary.LittleEndian.PutUint64(b[at+8*i:], math.Float64bits(v))
+		}
+	}
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli)))
+}
+
+// decode parses a dump file's bytes. Every length is checked against the
+// bytes present before anything is allocated for it, so a file cannot make
+// decode allocate more than its own size.
+func decode(data []byte) (*State, error) {
+	end := len(data) - 4 // the checksum's offset
+	if end < len(magic) || string(data[:len(magic)]) != magic {
+		return nil, fmt.Errorf("%w: no %q magic", ErrFormat, magic)
+	}
+	rest, short := data[len(magic):end], false
+	next := func(n uint64) []byte { // the next n bytes, or nil once they are not all present
+		if short || n > uint64(len(rest)) {
+			short = true
+			return nil
+		}
+		b := rest[:n]
+		rest = rest[n:]
+		return b
+	}
+	u64 := func() uint64 {
+		if b := next(8); b != nil {
+			return binary.LittleEndian.Uint64(b)
+		}
+		return 0
+	}
+	num := func() int { return int(int64(u64())) }
+	str := func() string { return string(next(u64())) }
+	if v := u64(); !short && v != version {
+		return nil, fmt.Errorf("%w: layout version %d, this build reads %d", ErrFormat, v, version)
+	}
+	// A struct literal's reads run in the order written: the file's order.
+	st := &State{Rank: num(), Step: num(), Epoch: num(), Method: str(), NX: num(), NY: num(), NZ: num(),
+		Fields: map[string][]float64{}}
+	prev := ""
+	for i, fields := uint64(0), u64(); i < fields && !short; i++ {
+		name, n := str(), u64()
+		if i > 0 && name <= prev {
+			return nil, fmt.Errorf("%w: field %q after %q, not in name order", ErrFormat, name, prev)
+		}
+		short = short || n > uint64(len(rest))/8
+		b := next(8 * n)
+		if short {
+			break
+		}
+		vals := make([]float64, n)
+		for k := range vals {
+			vals[k] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*k:]))
+		}
+		st.Fields[name], prev = vals, name
+	}
+	switch {
+	case short:
+		return nil, fmt.Errorf("%w: a length runs past the end of the file", ErrFormat)
+	case len(rest) != 0:
+		return nil, fmt.Errorf("%w: %d bytes after the last field", ErrFormat, len(rest))
+	case crc32.Checksum(data[:end], crc32.MakeTable(crc32.Castagnoli)) != binary.LittleEndian.Uint32(data[end:]):
+		return nil, fmt.Errorf("%w: checksum mismatch", ErrFormat)
+	}
+	if err := st.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrFormat, err)
+	}
+	return st, nil
 }
 
 // Sequencer serializes the saving of parallel states (section 5.2). Ranks
@@ -183,7 +288,7 @@ func (s *Sequencer) SaveAll(dir string, states []*State) error {
 // checkpoint disagrees with what it believes about the simulation instead
 // of restarting a wrong one.
 func LoadAll(dir string, p int) ([]*State, error) {
-	extra, err := filepath.Glob(filepath.Join(dir, "dump-rank*.gob"))
+	extra, err := filepath.Glob(filepath.Join(dir, "dump-rank*.dump"))
 	if err != nil {
 		return nil, fmt.Errorf("dump: scan %s: %w", dir, err)
 	}

@@ -1,8 +1,14 @@
 package dump
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -60,11 +66,113 @@ func TestLoadMissingAndCorrupt(t *testing.T) {
 	if _, err := Load(Path(dir, 0)); err == nil {
 		t.Error("loading a missing dump succeeded")
 	}
-	bad := filepath.Join(dir, "corrupt.gob")
-	os.WriteFile(bad, []byte("not a gob stream"), 0o644)
-	if _, err := Load(bad); err == nil {
-		t.Error("loading a corrupt dump succeeded")
+	bad := filepath.Join(dir, "corrupt.dump")
+	os.WriteFile(bad, []byte("not a dump file"), 0o644)
+	if _, err := Load(bad); !errors.Is(err, ErrFormat) {
+		t.Errorf("loading a corrupt dump: %v, want ErrFormat", err)
 	}
+}
+
+// TestEncodeDecodeExact: a state with awkward values (negative zero, NaN
+// payloads, infinities, the smallest subnormal, an empty field) comes back
+// bit for bit, and encodes to the same bytes again.
+func TestEncodeDecodeExact(t *testing.T) {
+	st := sampleState(5)
+	st.Epoch = -3
+	st.Fields["f"] = []float64{math.Copysign(0, -1), math.Float64frombits(0x7ff8_dead_beef_0001),
+		math.Inf(-1), math.SmallestNonzeroFloat64, math.MaxFloat64}
+	st.Fields["empty"] = []float64{}
+	data := encode(st)
+	got, err := decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Rank != st.Rank || got.Step != st.Step || got.Epoch != st.Epoch || got.Method != st.Method ||
+		got.NX != st.NX || got.NY != st.NY || got.NZ != st.NZ || len(got.Fields) != len(st.Fields) {
+		t.Fatalf("header: got %+v, want %+v", got, st)
+	}
+	for name, want := range st.Fields {
+		vals := got.Fields[name]
+		if len(vals) != len(want) {
+			t.Fatalf("field %q: %d values, want %d", name, len(vals), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(vals[i]) != math.Float64bits(want[i]) {
+				t.Errorf("field %q[%d] = %#x, want %#x", name, i, math.Float64bits(vals[i]), math.Float64bits(want[i]))
+			}
+		}
+	}
+	if again := encode(got); !bytes.Equal(again, data) {
+		t.Error("re-encoding the decoded state changed the bytes")
+	}
+}
+
+// TestDecodeRejectsDamage: every proper prefix of a dump file and every
+// single-bit flip in it is an ErrFormat, never a state.
+func TestDecodeRejectsDamage(t *testing.T) {
+	data := encode(sampleState(1))
+	for n := 0; n < len(data); n++ {
+		if _, err := decode(data[:n]); !errors.Is(err, ErrFormat) {
+			t.Fatalf("%d-byte prefix of %d: %v, want ErrFormat", n, len(data), err)
+		}
+	}
+	flipped := make([]byte, len(data))
+	for bit := 0; bit < 8*len(data); bit++ {
+		copy(flipped, data)
+		flipped[bit/8] ^= 1 << (bit % 8)
+		if _, err := decode(flipped); !errors.Is(err, ErrFormat) {
+			t.Fatalf("bit %d flipped: %v, want ErrFormat", bit, err)
+		}
+	}
+}
+
+// TestDecodeBoundsAllocation: a header whose one field claims 2^40 values,
+// followed by a checksum and the end of the file, is refused before
+// anything is allocated for the values: a file of about a hundred bytes costs Load well
+// under 64 KB.
+func TestDecodeBoundsAllocation(t *testing.T) {
+	st := sampleState(0)
+	st.Fields = map[string][]float64{"rho": nil}
+	data := encode(st)
+	data = data[:len(data)-12] // the field's zero count and the checksum
+	data = binary.LittleEndian.AppendUint64(data, 1<<40)
+	data = binary.LittleEndian.AppendUint32(data, crc32.Checksum(data, crc32.MakeTable(crc32.Castagnoli)))
+	path := filepath.Join(t.TempDir(), "huge.dump")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Load(path)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrFormat) {
+		t.Errorf("a field of 2^40 values in %d bytes: %v, want ErrFormat", len(data), err)
+	}
+	grew := after.TotalAlloc - before.TotalAlloc
+	t.Logf("a %d-byte file claiming 2^40 values: %d bytes allocated", len(data), grew)
+	if grew >= 64<<10 {
+		t.Errorf("Load allocated %d bytes, want < 64 KB", grew)
+	}
+}
+
+// FuzzDecode: any bytes decode to an ErrFormat or to a State that encodes
+// back to exactly those bytes. The committed corpus (testdata/fuzz) holds
+// a rank file of a 2x2x2 LB3D job and damaged copies of it, plus a file in
+// the gob encoding dumps used before this layout.
+func FuzzDecode(f *testing.F) {
+	f.Add(encode(sampleState(0)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, err := decode(data)
+		if err != nil {
+			if !errors.Is(err, ErrFormat) {
+				t.Fatalf("error %v is not an ErrFormat", err)
+			}
+			return
+		}
+		if again := encode(st); !bytes.Equal(again, data) {
+			t.Fatalf("decoded %d bytes into a state that encodes to %d other bytes", len(data), len(again))
+		}
+	})
 }
 
 func TestSaveIsAtomic(t *testing.T) {

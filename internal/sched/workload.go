@@ -154,9 +154,9 @@ func (c *CoreWorkload) Resize(shape decomp.Shape, hosts []*cluster.Host) error {
 
 // Checkpoint returns the job's per-rank dump states for persistence. A
 // suspended job hands over the checkpoint it already holds; a running job
-// snapshots through core.Job.Snapshot — the full suspend protocol
-// followed by an immediate resume on the same hosts, so the job never
-// leaves its machines and the results stay bit-identical.
+// snapshots through core.Job.Snapshot — every rank pauses at the sync
+// step, dumps and continues in place, so the job never leaves its machines,
+// nothing is rebuilt and the results stay bit-identical.
 func (c *CoreWorkload) Checkpoint() ([]*dump.State, error) {
 	if c.Job == nil {
 		return nil, fmt.Errorf("sched: CoreWorkload without a Job")

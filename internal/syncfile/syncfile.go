@@ -21,15 +21,22 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"time"
 )
 
-// pollInterval is the interval between WaitAll retries.
+// pollInterval is the interval between WaitAll retries, which is how a
+// waiter hears announcers in other processes.
 const pollInterval = 2 * time.Millisecond
 
 // Sync coordinates synchronization rounds through a shared directory.
 type Sync struct {
 	Dir string
+
+	// bell is closed by the next Announce, so a round among in-process
+	// ranks ends on its last announcement; nil until a waiter takes it.
+	mu   sync.Mutex
+	bell chan struct{}
 }
 
 // New creates the shared directory if needed.
@@ -55,6 +62,12 @@ func (s *Sync) Announce(round, rank, step int) error {
 	if _, err := fmt.Fprintf(f, "%d %d\n", rank, step); err != nil {
 		return fmt.Errorf("syncfile: announce: %w", err)
 	}
+	s.mu.Lock()
+	if s.bell != nil {
+		close(s.bell)
+		s.bell = nil
+	}
+	s.mu.Unlock()
 	return nil
 }
 
@@ -85,13 +98,22 @@ func (s *Sync) ReadRound(round int) (map[int]int, error) {
 	return out, sc.Err()
 }
 
-// WaitAll polls until p processes have announced, then returns the chosen
-// synchronization step T_max + 1: the smallest step every process can still
-// reach (no process may already be past it, by the un-synchronization bound
-// of appendix A).
+// WaitAll re-reads the round until p processes have announced, then returns
+// the chosen synchronization step T_max + 1: the smallest step every process
+// can still reach (no process may already be past it, by the
+// un-synchronization bound of appendix A). It re-reads when an in-process
+// Announce rings the bell, or after pollInterval.
 func (s *Sync) WaitAll(round, p int, timeout time.Duration) (int, error) {
 	deadline := time.Now().Add(timeout)
 	for {
+		// Take the bell before reading, so an announcement that lands
+		// after the read still wakes this waiter.
+		s.mu.Lock()
+		if s.bell == nil {
+			s.bell = make(chan struct{})
+		}
+		bell := s.bell
+		s.mu.Unlock()
 		steps, err := s.ReadRound(round)
 		if err != nil {
 			return 0, err
@@ -109,7 +131,10 @@ func (s *Sync) WaitAll(round, p int, timeout time.Duration) (int, error) {
 			return 0, fmt.Errorf("syncfile: round %d: %d of %d processes announced within %v",
 				round, len(steps), p, timeout)
 		}
-		time.Sleep(pollInterval)
+		select {
+		case <-bell:
+		case <-time.After(pollInterval):
+		}
 	}
 }
 

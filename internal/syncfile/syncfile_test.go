@@ -1,6 +1,7 @@
 package syncfile
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -118,5 +119,49 @@ func TestRankReannouncementTakesLatest(t *testing.T) {
 	steps, _ := s.ReadRound(4)
 	if steps[0] != 9 {
 		t.Errorf("rank 0 step = %d, want 9", steps[0])
+	}
+}
+
+// TestAnnounceRingsParkedWaiter: an in-process Announce closes the bell a
+// parked WaitAll holds, so the waiter re-reads the round on the last
+// announcement instead of at its next poll. The check is on the channel,
+// not on a clock.
+func TestAnnounceRingsParkedWaiter(t *testing.T) {
+	s, _ := New(t.TempDir())
+	if err := s.Announce(7, 0, 3); err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		step int
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		step, err := s.WaitAll(7, 2, 10*time.Second)
+		done <- result{step, err}
+	}()
+	// One of two ranks has announced, so the waiter takes a bell and parks.
+	var bell chan struct{}
+	for bell == nil {
+		select {
+		case r := <-done:
+			t.Fatalf("WaitAll returned %d, %v before the second announcement", r.step, r.err)
+		default:
+		}
+		runtime.Gosched()
+		s.mu.Lock()
+		bell = s.bell
+		s.mu.Unlock()
+	}
+	if err := s.Announce(7, 1, 5); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-bell:
+	default:
+		t.Fatal("Announce left the parked waiter's bell open")
+	}
+	if r := <-done; r.err != nil || r.step != 6 {
+		t.Errorf("WaitAll = %d, %v; want 6 (T_max + 1)", r.step, r.err)
 	}
 }
