@@ -22,10 +22,11 @@ func quietPaperPool() *cluster.Cluster {
 }
 
 // farmMix is the reproducible workload of the farm experiment: eight jobs
-// built from the example setups — 2D LB ducts (examples/fluepipe and the
-// figure-5 scaling duct), 3D boxes (examples/duct3d), 2D FD acoustics
-// (examples/acoustics) — with mixed sizes, tenants and priorities
-// arriving over the first simulated hour.
+// built from the repository's setups — 2D LB ducts (the figure-1 flue
+// pipe of cmd/fluidsim and the figure-5 scaling duct), 3D boxes
+// (core.ExampleRunParallel3D), 2D FD acoustics (the acoustics entry) —
+// with mixed sizes, tenants and priorities arriving over the first
+// simulated hour.
 func farmMix() []farm.JobSpec {
 	return []farm.JobSpec{
 		{ID: "duct-wide", User: "cfd", Method: "lb2d", JX: 5, JY: 4, Side: 40,

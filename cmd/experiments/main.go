@@ -14,9 +14,9 @@
 //
 // The experiments table below is the one list of entries; DESIGN.md's
 // per-experiment index carries the same names and sources. Entries with
-// a pass/fail gate (crash, hetero, sweep, autoscale, convergence) return
-// the failure as an error and the command exits 1; `go test
-// ./cmd/experiments` runs every entry.
+// a pass/fail gate (crash, hetero, sweep, autoscale, convergence,
+// acoustics) return the failure as an error and the command exits 1;
+// `go test ./cmd/experiments` runs every entry.
 package main
 
 import (
@@ -69,6 +69,7 @@ var experiments = []experiment{
 	{"ablation", "Appendix C: FCFS vs strict-order communication", ablation},
 	{"migration", "Section 5.1 migration cost", migration},
 	{"convergence", "Sections 6-7: both solvers vs exact Hagen-Poiseuille", convergence},
+	{"acoustics", "Section 6, equation 4", acoustics},
 	{"networks", "Conclusion: switched/FDDI/ATM outlook", seriesTable(
 		"Conclusion outlook: 3D (P x 1 x 1, 25^3/proc) on future networks", perf.FutureNetworks,
 		"\nswitched/FDDI/ATM fabrics lift the 3D efficiency the shared bus\ndestroys - the paper's closing prediction, quantified.\n")},

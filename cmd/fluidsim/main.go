@@ -20,6 +20,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -41,15 +42,19 @@ func main() {
 	if len(os.Args) < 2 {
 		usage()
 	}
+	var err error
 	switch os.Args[1] {
 	case "init":
-		cmdInit(os.Args[2:])
+		err = cmdInit(os.Args[2:])
 	case "run":
-		cmdRun(os.Args[2:])
+		err = cmdRun(os.Args[2:])
 	case "status":
-		cmdStatus(os.Args[2:])
+		err = cmdStatus(os.Args[2:], os.Stdout)
 	default:
 		usage()
+	}
+	if err != nil {
+		log.Fatal(err)
 	}
 }
 
@@ -108,7 +113,7 @@ func buildConfig(cf configFile) (*core.Config2D, error) {
 	return &core.Config2D{Method: cf.Method, Par: par, Mask: mask, D: d}, nil
 }
 
-func cmdInit(args []string) {
+func cmdInit(args []string) error {
 	fs := flag.NewFlagSet("init", flag.ExitOnError)
 	dir := fs.String("dir", "", "work directory (required)")
 	method := fs.String("method", "lb", "numerical method: lb or fd")
@@ -119,58 +124,66 @@ func cmdInit(args []string) {
 	jy := fs.Int("jy", 4, "subregions in y")
 	fs.Parse(args)
 	if *dir == "" {
-		log.Fatal("init: -dir is required")
+		return fmt.Errorf("init: -dir is required")
 	}
 	cf := configFile{Method: *method, Geom: *geomName, NX: *nx, NY: *ny, JX: *jx, JY: *jy}
 	cfg, err := buildConfig(cf)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	states, err := core.Decompose2D(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := os.MkdirAll(*dir, 0o755); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := saveGob(configPath(*dir), cf); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for _, st := range states {
 		if err := dump.Save(dump.Path(*dir, st.Rank), st); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	log.Printf("decomposed %dx%d %s/%s into %d dump files under %s",
 		*nx, *ny, *method, *geomName, len(states), *dir)
+	return nil
 }
 
-func cmdRun(args []string) {
+// loadProblem reads the problem file init left in dir and rebuilds its
+// configuration.
+func loadProblem(dir string) (configFile, *core.Config2D, error) {
+	var cf configFile
+	if err := loadGob(configPath(dir), &cf); err != nil {
+		return cf, nil, err
+	}
+	cfg, err := buildConfig(cf)
+	return cf, cfg, err
+}
+
+func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	dir := fs.String("dir", "", "work directory (required)")
 	steps := fs.Int("steps", 500, "integration steps to add")
 	useTCP := fs.Bool("tcp", false, "communicate over TCP sockets instead of channels")
 	fs.Parse(args)
 	if *dir == "" {
-		log.Fatal("run: -dir is required")
+		return fmt.Errorf("run: -dir is required")
 	}
-	var cf configFile
-	if err := loadGob(configPath(*dir), &cf); err != nil {
-		log.Fatal(err)
-	}
-	cfg, err := buildConfig(cf)
+	_, cfg, err := loadProblem(*dir)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	states, err := dump.LoadAll(*dir, cfg.D.P())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	// The final dumps are saved in place, rank by rank; a run killed
 	// mid-save leaves a set no restart can use.
 	startStep, err := dump.CommonStep(states)
 	if err != nil {
-		log.Fatalf("run: %v (re-run init, or restore the set from a backup)", err)
+		return fmt.Errorf("run: %w (re-run init, or restore the set from a backup)", err)
 	}
 	until := startStep + *steps
 
@@ -178,7 +191,7 @@ func cmdRun(args []string) {
 	if *useTCP {
 		reg, err := registry.New(filepath.Join(*dir, "registry"))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		run := time.Now().UnixNano() // fresh epoch namespace per run
 		factory = func(rank, epoch int) (msg.Transport, error) {
@@ -192,12 +205,12 @@ func cmdRun(args []string) {
 	for _, st := range states {
 		p, err := cfg.RestoreProgram(st)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		progs = append(progs, p)
 		w, err := core.NewWorkerAt(p, factory, st.Epoch, events, st.Step)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		workers = append(workers, w)
 	}
@@ -208,7 +221,7 @@ func cmdRun(args []string) {
 	}
 	for range workers {
 		if err := <-errs; err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	for _, w := range workers {
@@ -226,45 +239,50 @@ func cmdRun(args []string) {
 		finals[i] = p.DumpState(until, 0)
 	}
 	if err := seq.SaveAll(*dir, finals); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	res := core.Gather2D(cfg, progs, until)
 	out := filepath.Join(*dir, "vorticity.pgm")
 	f, err := os.Create(out)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	defer f.Close()
 	lo, hi := viz.SymmetricRange(res.Vorticity)
 	if err := viz.WritePGM(f, res.NX, res.NY, res.Vorticity, lo, hi); err != nil {
-		log.Fatal(err)
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
 	}
 	log.Printf("saved dumps and %s", out)
+	return nil
 }
 
-func cmdStatus(args []string) {
+// cmdStatus writes the problem and one line per rank dump to w. Every
+// rank of the decomposition must have a readable dump: a missing or
+// damaged file is an error naming it.
+func cmdStatus(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("status", flag.ExitOnError)
 	dir := fs.String("dir", "", "work directory (required)")
 	fs.Parse(args)
 	if *dir == "" {
-		log.Fatal("status: -dir is required")
+		return fmt.Errorf("status: -dir is required")
 	}
-	var cf configFile
-	if err := loadGob(configPath(*dir), &cf); err != nil {
-		log.Fatal(err)
+	cf, cfg, err := loadProblem(*dir)
+	if err != nil {
+		return err
 	}
-	fmt.Printf("problem: %s %s %dx%d, decomposition (%d x %d)\n",
+	fmt.Fprintf(w, "problem: %s %s %dx%d, decomposition (%d x %d)\n",
 		cf.Method, cf.Geom, cf.NX, cf.NY, cf.JX, cf.JY)
-	for rank := 0; ; rank++ {
-		st, err := dump.Load(dump.Path(*dir, rank))
-		if err != nil {
-			if rank == 0 {
-				log.Fatal(err)
-			}
-			break
-		}
-		fmt.Printf("rank %3d: step %6d, %2d fields, %dx%d interior\n",
+	states, err := dump.LoadAll(*dir, cfg.D.P())
+	if err != nil {
+		return err
+	}
+	for _, st := range states {
+		fmt.Fprintf(w, "rank %3d: step %6d, %2d fields, %dx%d interior\n",
 			st.Rank, st.Step, len(st.Fields), st.NX, st.NY)
 	}
+	return nil
 }

@@ -1,8 +1,19 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
 	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/dump"
+	"repro/internal/viz"
 )
 
 // TestBuildConfigRejectsBadSizes: a non-positive grid extent, from the init
@@ -56,5 +67,107 @@ func TestSaveGobWritesBesideTarget(t *testing.T) {
 	}
 	if len(entries) != 1 || entries[0].Name() != "problem.gob" {
 		t.Errorf("%s holds %v, want only problem.gob", dir, entries)
+	}
+}
+
+// TestInitRunStatus drives the commands in process on a small flue pipe:
+// run writes the PGM that core.RunParallel2D gives on the same problem,
+// a second run continues from the saved dumps to the bits of one longer
+// run, and status lists every rank at the final step.
+func TestInitRunStatus(t *testing.T) {
+	dir := t.TempDir()
+	if err := cmdInit([]string{"-dir", dir, "-geom", "fluepipe", "-nx", "40", "-ny", "25", "-jx", "2", "-jy", "2"}); err != nil {
+		t.Fatal(err)
+	}
+	_, cfg, err := loadProblem(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reference := func(steps int) *core.Result2D {
+		res, err := core.RunParallel2D(cfg, steps, core.HubFactory())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	samePGM := func(res *core.Result2D) {
+		t.Helper()
+		var want bytes.Buffer
+		lo, hi := viz.SymmetricRange(res.Vorticity)
+		if err := viz.WritePGM(&want, res.NX, res.NY, res.Vorticity, lo, hi); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, "vorticity.pgm"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("vorticity.pgm after %d steps differs from core.RunParallel2D's", res.Steps)
+		}
+	}
+
+	if err := cmdRun([]string{"-dir", dir, "-steps", "20"}); err != nil {
+		t.Fatal(err)
+	}
+	samePGM(reference(20))
+
+	if err := cmdRun([]string{"-dir", dir, "-steps", "10"}); err != nil {
+		t.Fatal(err)
+	}
+	want := reference(30)
+	samePGM(want)
+	states, err := dump.LoadAll(dir, cfg.D.P())
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs := make([]*core.Program2D, len(states))
+	for i, st := range states {
+		if progs[i], err = cfg.RestoreProgram(st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := core.Gather2D(cfg, progs, 30)
+	if !slices.Equal(got.Rho, want.Rho) || !slices.Equal(got.Vx, want.Vx) || !slices.Equal(got.Vy, want.Vy) {
+		t.Error("20 + 10 steps through the saved dumps differ from one 30-step run")
+	}
+
+	var out strings.Builder
+	if err := cmdStatus([]string{"-dir", dir}, &out); err != nil {
+		t.Fatal(err)
+	}
+	for rank := range cfg.D.P() {
+		if line := fmt.Sprintf("rank %3d: step %6d,", rank, 30); !strings.Contains(out.String(), line) {
+			t.Errorf("status lacks %q:\n%s", line, out.String())
+		}
+	}
+}
+
+// TestStatusRejectsDamagedSet: a rank file that does not decode, or one
+// that is missing, is an error naming it, not the end of the set.
+func TestStatusRejectsDamagedSet(t *testing.T) {
+	initSet := func() string {
+		dir := t.TempDir()
+		if err := cmdInit([]string{"-dir", dir, "-geom", "channel", "-nx", "24", "-ny", "12", "-jx", "2", "-jy", "2"}); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+
+	dir := initSet()
+	if err := os.WriteFile(dump.Path(dir, 1), []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := cmdStatus([]string{"-dir", dir}, io.Discard)
+	if !errors.Is(err, dump.ErrFormat) || !strings.Contains(fmt.Sprint(err), "dump-rank0001") {
+		t.Errorf("rank 1 holds garbage: status returned %v, want a dump.ErrFormat naming its file", err)
+	}
+
+	dir = initSet()
+	if err := os.Remove(dump.Path(dir, 2)); err != nil {
+		t.Fatal(err)
+	}
+	err = cmdStatus([]string{"-dir", dir}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "ranks [2] missing") {
+		t.Errorf("rank 2's file removed: status returned %v, want an error naming rank 2", err)
 	}
 }

@@ -31,7 +31,7 @@
 // fast the attached workloads really compute.
 //
 // The boundary this package draws is intra-module: consumers inside
-// this repository (experiments, examples, future subsystems) compile
+// this repository (experiments, tests, future subsystems) compile
 // against farm only, never against internal/sched, so the scheduler's
 // internals can keep evolving freely. The data types are deliberately
 // re-exported as aliases — farm is a control-plane surface, not a

@@ -379,7 +379,7 @@ func (j *Job) MigrateRanks(ranks []int, onDump func(rank int, st *dump.State)) e
 // every few minutes whether the parallel processes are progressing
 // correctly"; section 5.1: migrate when the five-minute load exceeds the
 // threshold). It returns the ranks migrated.
-func (j *Job) MonitorOnce(pol cluster.MigrationPolicy, onDump func(int, *dump.State)) ([]int, error) {
+func (j *Job) MonitorOnce(pol cluster.MigrationPolicy) ([]int, error) {
 	if j.Cluster == nil {
 		return nil, nil
 	}
@@ -399,7 +399,7 @@ func (j *Job) MonitorOnce(pol cluster.MigrationPolicy, onDump func(int, *dump.St
 	if len(repl) < len(ranks) {
 		return nil, fmt.Errorf("core: need %d free hosts for migration, found %d", len(ranks), len(repl))
 	}
-	if err := j.MigrateRanks(ranks, onDump); err != nil {
+	if err := j.MigrateRanks(ranks, nil); err != nil {
 		return nil, err
 	}
 	for i, h := range freed {
@@ -415,9 +415,9 @@ func (j *Job) MonitorOnce(pol cluster.MigrationPolicy, onDump func(int, *dump.St
 // the virtual cluster and performs a MonitorOnce check (section 4.1: "the
 // monitoring program checks every few minutes whether the parallel
 // processes are progressing correctly"). The loop drives simulated time,
-// so tests and examples control load scenarios through the scenario
-// callback, which is invoked before each check and may start or stop jobs
-// on hosts. It returns the total number of migrations performed.
+// so callers control load scenarios through the scenario callback, which
+// is invoked before each check and may start or stop jobs on hosts. It
+// returns the total number of migrations performed.
 func (j *Job) MonitorLoop(checkEvery time.Duration, pol cluster.MigrationPolicy,
 	scenario func(tick int, c *cluster.Cluster)) (int, error) {
 	if j.Cluster == nil {
@@ -442,7 +442,7 @@ func (j *Job) MonitorLoop(checkEvery time.Duration, pol cluster.MigrationPolicy,
 			scenario(tick, j.Cluster)
 		}
 		j.Cluster.Advance(checkEvery)
-		ranks, err := j.MonitorOnce(pol, nil)
+		ranks, err := j.MonitorOnce(pol)
 		if err != nil {
 			return migrations, err
 		}

@@ -7,7 +7,7 @@
 // The paper's four control modules map onto this package as follows:
 //
 //   - initialization program  -> the caller builds a global initial state
-//     (examples and cmd/fluidsim construct masks and fields);
+//     (cmd/fluidsim and the package examples construct masks and fields);
 //   - decomposition program   -> Decompose2D/Decompose3D, which produce one
 //     dump.State per active subregion;
 //   - job-submit program      -> NewJob2D/NewJob3D plus Job.Start, which

@@ -155,7 +155,7 @@ func TestMonitorDrivenMigration(t *testing.T) {
 	j.Start()
 
 	// No migration needed while hosts are quiet.
-	if ranks, err := j.MonitorOnce(cluster.DefaultMigrationPolicy(), nil); err != nil || len(ranks) != 0 {
+	if ranks, err := j.MonitorOnce(cluster.DefaultMigrationPolicy()); err != nil || len(ranks) != 0 {
 		t.Fatalf("spurious migration: %v %v", ranks, err)
 	}
 
@@ -164,7 +164,7 @@ func TestMonitorDrivenMigration(t *testing.T) {
 	busyHost.StartJob()
 	cl.Advance(10 * time.Minute) // load climbs past 1.5
 
-	ranks, err := j.MonitorOnce(cluster.DefaultMigrationPolicy(), nil)
+	ranks, err := j.MonitorOnce(cluster.DefaultMigrationPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}

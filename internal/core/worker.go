@@ -242,7 +242,7 @@ func (w *Worker) awaited(want []Expect, phase int, m msg.Message) int {
 }
 
 // RunSteps advances until Step reaches until, without any control-plane
-// interaction. It is the simple path used by tests and examples.
+// interaction. It is the simple path used by tests and cmd/fluidsim.
 func (w *Worker) RunSteps(until int) error {
 	for w.Step < until {
 		if err := w.RunStep(); err != nil {

@@ -238,7 +238,7 @@ func PoiseuilleMax(y0, y1, g, nu float64) float64 {
 
 // AcousticPulse2D returns the density perturbation of a Gaussian acoustic
 // pulse of amplitude a and width w centred at (cx, cy), used by the
-// acoustics example to demonstrate the wave propagation that forces the
+// acoustics experiment to show the wave propagation that forces the
 // small time steps of equation 4.
 func AcousticPulse2D(x, y, cx, cy, a, w float64) float64 {
 	r2 := (x-cx)*(x-cx) + (y-cy)*(y-cy)

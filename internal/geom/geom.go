@@ -5,7 +5,7 @@
 // resonant cavity; the gray areas are walls and the dark-gray enclosing
 // walls demarcate the inlet and the outlet.
 //
-// The geometries are parameterized by grid size so the examples can run
+// The geometries are parameterized by grid size so callers can run
 // scaled-down versions of the paper's 800x500 and 1107x700 grids; all
 // features are placed at fixed fractions of the domain.
 package geom
