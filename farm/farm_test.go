@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -356,6 +357,25 @@ func TestSubmitTypedErrors(t *testing.T) {
 	f2 := mustNew(t, quietPool())
 	if _, err := f2.Submit(farm.JobSpec{ID: "huge", Method: "lb2d", JX: 5, JY: 5, Side: 4, Steps: 1}, nil); err != nil {
 		t.Errorf("25-rank job on the 25-host pool rejected: %v", err)
+	}
+}
+
+// TestTimerPriceChecked: a step timer's price that is not finite and
+// positive fails Run with an error naming the job and the price, instead
+// of finishing the job at a meaningless virtual time.
+func TestTimerPriceChecked(t *testing.T) {
+	for _, price := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		timer := func(farm.JobSpec, farm.Shape, []*farm.Host) (float64, error) { return price, nil }
+		f := mustNew(t, quietPool(), farm.WithTimer(timer))
+		if _, err := f.Submit(farm.JobSpec{ID: "priced", Method: "lb2d", JX: 2, JY: 2, Side: 10, Steps: 100}, nil); err != nil {
+			t.Fatal(err)
+		}
+		f.Drain()
+		sum, err := f.Run(context.Background())
+		if err == nil || !strings.Contains(err.Error(), "priced") || !strings.Contains(err.Error(), fmt.Sprint(price)) {
+			t.Errorf("price %v: Run returned %v (%d jobs done), want an error naming the job and the price",
+				price, err, len(sum.Jobs))
+		}
 	}
 }
 

@@ -107,7 +107,8 @@ func WithBackfill(m BackfillMode) Option {
 
 // WithTimer prices one integration step per placement or migration. The
 // default is the compute-only ComputeTimer; PerfTimer adds the modelled
-// network. Not persisted in checkpoints — re-pass it to Restore.
+// network. A price that is not finite and positive fails Run. Not
+// persisted in checkpoints — re-pass it to Restore.
 func WithTimer(t StepTimer) Option {
 	return func(cfg *config) { cfg.timer = t }
 }

@@ -68,6 +68,11 @@ type JobRecord struct {
 	JZ     int `json:",omitempty"`
 	Side   int
 	Steps  int
+	// GridX/Y/Z persist the spec's explicitly pinned global grid, zero
+	// when the grid derives from the lattice.
+	GridX int `json:",omitempty"`
+	GridY int `json:",omitempty"`
+	GridZ int `json:",omitempty"`
 
 	Priority int           `json:",omitempty"`
 	User     string        `json:",omitempty"`
@@ -75,36 +80,8 @@ type JobRecord struct {
 	Submit   time.Duration `json:",omitempty"`
 
 	Phase string
-
-	Remaining  float64
-	StepSec    float64       `json:",omitempty"`
-	PlacedAt   time.Duration `json:",omitempty"`
-	FinishAt   time.Duration `json:",omitempty"`
-	Started    bool          `json:",omitempty"`
-	Live       bool          `json:",omitempty"`
-	FirstStart time.Duration
-	DoneAt     time.Duration `json:",omitempty"`
-	Served     time.Duration `json:",omitempty"`
-	Preempts   int           `json:",omitempty"`
-	Backfilled bool          `json:",omitempty"`
-	Migrations int           `json:",omitempty"`
-	Repricings int           `json:",omitempty"`
-
-	// CurJX/CurJY/CurJZ record the job's current decomposition lattice
-	// when resizes moved it off the spec's (all zero otherwise); the
-	// rank dumps, placement and spans below all follow it. GridX/Y/Z
-	// persist the spec's explicitly pinned global grid, zero when the
-	// grid derives from the lattice. Resizes/GrowRanks/ShrinkRanks are
-	// the malleability accounting.
-	CurJX       int `json:",omitempty"`
-	CurJY       int `json:",omitempty"`
-	CurJZ       int `json:",omitempty"`
-	GridX       int `json:",omitempty"`
-	GridY       int `json:",omitempty"`
-	GridZ       int `json:",omitempty"`
-	Resizes     int `json:",omitempty"`
-	GrowRanks   int `json:",omitempty"`
-	ShrinkRanks int `json:",omitempty"`
+	// Untagged, so encoding/json flattens the fields into the record.
+	Accounting
 
 	Hosts      []string `json:",omitempty"`
 	StateSteps []int    `json:",omitempty"`
@@ -117,6 +94,38 @@ type JobRecord struct {
 	SpansX []int `json:",omitempty"`
 	SpansY []int `json:",omitempty"`
 	SpansZ []int `json:",omitempty"`
+}
+
+// Accounting is the scheduler's per-job bookkeeping: the one field set
+// the live scheduler (embedded in its job state) and the manifest
+// (embedded in JobRecord) share, so a checkpoint copies it whole.
+type Accounting struct {
+	// Remaining counts the steps left (fractional across preemptions);
+	// run from PlacedAt at StepSec s per step, the job ends at FinishAt.
+	Remaining  float64
+	StepSec    float64       `json:",omitempty"`
+	PlacedAt   time.Duration `json:",omitempty"`
+	FinishAt   time.Duration `json:",omitempty"`
+	Started    bool          `json:",omitempty"`
+	Live       bool          `json:",omitempty"` // submitted while the farm was running
+	FirstStart time.Duration
+	DoneAt     time.Duration `json:",omitempty"`
+	Served     time.Duration `json:",omitempty"`
+	Preempts   int           `json:",omitempty"`
+	Backfilled bool          `json:",omitempty"`
+	Migrations int           `json:",omitempty"`
+	Repricings int           `json:",omitempty"`
+
+	// CurJX/CurJY/CurJZ record the job's current decomposition lattice
+	// when resizes moved it off the spec's (all zero otherwise); the
+	// rank dumps, placement and spans all follow it. Resizes/GrowRanks/
+	// ShrinkRanks are the malleability accounting.
+	CurJX       int `json:",omitempty"`
+	CurJY       int `json:",omitempty"`
+	CurJZ       int `json:",omitempty"`
+	Resizes     int `json:",omitempty"`
+	GrowRanks   int `json:",omitempty"`
+	ShrinkRanks int `json:",omitempty"`
 	// Imbalance is the job's load-imbalance ratio at its last pricing
 	// (1.0 is perfect balance; zero if the job never ran).
 	Imbalance float64 `json:",omitempty"`

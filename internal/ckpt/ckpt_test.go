@@ -1,9 +1,13 @@
 package ckpt
 
 import (
+	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -29,13 +33,13 @@ func sampleManifest() *Manifest {
 		},
 		Jobs: []JobRecord{
 			{ID: "waiting", Method: "lb2d", JX: 2, JY: 2, Side: 40, Steps: 100,
-				Phase: PhaseQueued, Remaining: 100, FirstStart: -1},
+				Phase: PhaseQueued, Accounting: Accounting{Remaining: 100, FirstStart: -1}},
 			{ID: "active", Method: "lb2d", JX: 1, JY: 2, Side: 40, Steps: 200,
-				Phase: PhaseRunning, Remaining: 120.5, StepSec: 0.04,
-				Started: true, Hosts: []string{"hp715-00", "hp715-01"},
+				Phase: PhaseRunning, Accounting: Accounting{Remaining: 120.5, StepSec: 0.04,
+					Started: true}, Hosts: []string{"hp715-00", "hp715-01"},
 				StateSteps: []int{80, 79}},
 			{ID: "done", Method: "fd2d", JX: 1, JY: 1, Side: 10, Steps: 5,
-				Phase: PhaseFinished, Started: true, DoneAt: time.Minute},
+				Phase: PhaseFinished, Accounting: Accounting{Started: true, DoneAt: time.Minute}},
 		},
 		Cluster: c.Snapshot(),
 	}
@@ -258,5 +262,56 @@ func TestCheckJobID(t *testing.T) {
 	}
 	if err := CheckJobID("duct-wide.2"); err != nil {
 		t.Errorf("ordinary ID rejected: %v", err)
+	}
+}
+
+// TestJobRecordKeys pins a job record's manifest keys: every saved
+// checkpoint names its fields by these, so a field that nests (a tagged
+// Accounting, say), is renamed or disappears orphans them. The record is
+// marshalled with every field set, so no omitempty key goes missing.
+func TestJobRecordKeys(t *testing.T) {
+	want := []string{
+		"Backfilled", "CurJX", "CurJY", "CurJZ", "DoneAt", "FinishAt", "FirstStart",
+		"GridX", "GridY", "GridZ", "GrowRanks", "Hosts", "ID", "Imbalance", "JX", "JY", "JZ",
+		"Live", "Method", "Migrations", "Phase", "PlacedAt", "Preempts", "Priority",
+		"Remaining", "Repricings", "Resizes", "Served", "ShrinkRanks", "Side",
+		"SpansX", "SpansY", "SpansZ", "Started", "StateSteps", "StepSec", "Steps",
+		"Submit", "User", "Weight",
+	}
+	var jr JobRecord
+	setAll(t, reflect.ValueOf(&jr).Elem())
+	data, err := json.Marshal(jr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(data, &keys); err != nil {
+		t.Fatal(err)
+	}
+	if got := slices.Sorted(maps.Keys(keys)); !slices.Equal(got, want) {
+		t.Errorf("a job record marshals to keys\n%q\nwant\n%q", got, want)
+	}
+}
+
+// setAll gives every leaf of v a non-zero value.
+func setAll(t *testing.T, v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			setAll(t, v.Field(i))
+		}
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 1, 1))
+		setAll(t, v.Index(0))
+	case reflect.String:
+		v.SetString("x")
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int64:
+		v.SetInt(1)
+	case reflect.Float64:
+		v.SetFloat(1)
+	default:
+		t.Fatalf("setAll: no value for a %v field", v.Type())
 	}
 }

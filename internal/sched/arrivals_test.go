@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ckpt"
 	"repro/internal/cluster"
 	"repro/internal/decomp"
 )
@@ -20,7 +21,7 @@ import (
 func linearAdmit(pending []*jobState, t time.Duration) (admitted, keep []*jobState) {
 	keep = pending[:0]
 	for _, js := range pending {
-		if js.live && js.spec.Submit < t {
+		if js.Live && js.spec.Submit < t {
 			js.spec.Submit = t
 		}
 		if js.spec.Submit <= t {
@@ -70,7 +71,7 @@ func TestAdmitOrderMatchesLinearScan(t *testing.T) {
 				if err := s.Submit(spec, nil); err != nil {
 					t.Fatal(err)
 				}
-				oracle = append(oracle, &jobState{spec: spec, live: s.looping})
+				oracle = append(oracle, &jobState{spec: spec, Accounting: ckpt.Accounting{Live: s.looping}})
 			}
 
 			var want []string
@@ -256,11 +257,11 @@ func TestPlacementErrorsAreNotShortfalls(t *testing.T) {
 
 	// A real shortfall still just leaves the job queued.
 	s = New(idlePool(), FIFO, 1)
-	if _, err := s.Cluster.Reserve("other", 24, s.Select, nil); err != nil {
+	if _, err := s.Cluster.Reserve("other", 24, s.selection, nil); err != nil {
 		t.Fatal(err)
 	}
 	s.queue = []*jobState{{spec: JobSpec{ID: "wide", Method: "lb2d", JX: 2, JY: 1, Side: 10, Steps: 10},
-		work: NullWorkload{}, remaining: 10}}
+		work: NullWorkload{}, Accounting: ckpt.Accounting{Remaining: 10}}}
 	if err := s.scheduleRound(0); err != nil || len(s.queue) != 1 {
 		t.Errorf("shortfall: err = %v with %d queued, want the job left waiting", err, len(s.queue))
 	}

@@ -24,7 +24,7 @@ func (c AutoscaleControl) Sample() Sample {
 	sm := Sample{
 		T:          c.t,
 		QueueDepth: len(s.queue),
-		FreeHosts:  s.Cluster.Capacity(s.Select),
+		FreeHosts:  s.Cluster.Capacity(s.selection),
 		TotalHosts: len(s.Cluster.Hosts),
 	}
 	for _, js := range s.running {
@@ -98,12 +98,9 @@ type JobSample struct {
 
 // jobSample extrapolates a job's progress to the tick's instant.
 func jobSample(js *jobState, t time.Duration, running bool) JobSample {
-	rem := js.remaining
-	if running && js.stepSec > 0 {
-		rem -= (t - js.placedAt).Seconds() / js.stepSec
-		if rem < 0 {
-			rem = 0
-		}
+	rem := js.Remaining
+	if running && js.StepSec > 0 {
+		rem = js.remainingAt(t)
 	}
 	p := 0.0
 	if js.spec.Steps > 0 {
@@ -122,7 +119,7 @@ func jobSample(js *jobState, t time.Duration, running bool) JobSample {
 		Steps:     js.spec.Steps,
 		Remaining: rem,
 		Progress:  p,
-		StepSec:   js.stepSec,
+		StepSec:   js.StepSec,
 		Running:   running,
 	}
 }

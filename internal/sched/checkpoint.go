@@ -3,7 +3,7 @@ package sched
 import (
 	"errors"
 	"fmt"
-	"time"
+	"maps"
 
 	"repro/internal/ckpt"
 	"repro/internal/cluster"
@@ -125,12 +125,9 @@ func (s *Scheduler) Checkpoint(dir string) error {
 		Closed:       s.isClosed(),
 		Reclaims:     s.reclaims,
 		EASYDegraded: s.easyDegraded,
-		ServedByUser: make(map[string]time.Duration, len(s.servedByUser)),
+		ServedByUser: maps.Clone(s.servedByUser),
 		StatesDir:    gen,
 		Cluster:      s.Cluster.Snapshot(),
-	}
-	for user, d := range s.servedByUser {
-		m.ServedByUser[user] = d
 	}
 
 	seq := dump.NewSequencer(s.CheckpointGap)
@@ -139,7 +136,7 @@ func (s *Scheduler) Checkpoint(dir string) error {
 			return err
 		}
 		jr := recordJob(js, phase)
-		if js.started && (phase == ckpt.PhaseQueued || phase == ckpt.PhaseRunning) {
+		if js.Started && (phase == ckpt.PhaseQueued || phase == ckpt.PhaseRunning) {
 			states, err := js.work.Checkpoint()
 			if err != nil {
 				return fmt.Errorf("sched: checkpoint %s: %w", js.spec.ID, err)
@@ -158,24 +155,12 @@ func (s *Scheduler) Checkpoint(dir string) error {
 		return nil
 	}
 
-	for _, js := range s.pendingInOrder() {
-		if err := add(js, ckpt.PhasePending); err != nil {
-			return err
-		}
-	}
-	for _, js := range s.queue {
-		if err := add(js, ckpt.PhaseQueued); err != nil {
-			return err
-		}
-	}
-	for _, js := range s.running {
-		if err := add(js, ckpt.PhaseRunning); err != nil {
-			return err
-		}
-	}
-	for _, js := range s.finished {
-		if err := add(js, ckpt.PhaseFinished); err != nil {
-			return err
+	// A Phase's name is the manifest's (ckpt.PhasePending, ...).
+	for p, jobs := range s.byPhase() {
+		for _, js := range jobs {
+			if err := add(js, Phase(p).String()); err != nil {
+				return err
+			}
 		}
 	}
 	if err := ckpt.Save(dir, m); err != nil {
@@ -200,11 +185,12 @@ func (s *Scheduler) Checkpoint(dir string) error {
 // fair-share credit continue where the dead coordinator stopped — so the
 // restored Run finishes bit-identically to one that never crashed.
 //
-// Scenario, ScenarioEvery and the CheckpointEvery/Dir/Gap knobs are not
-// persisted (a function pointer and operator-local paths don't belong in
-// a manifest); re-attach them before Run exactly as originally
-// configured, or the restored run's tick grid — and with it the
-// bit-identity guarantee — changes.
+// Timer, Events, Scenario/ScenarioEvery, Autoscale/AutoscaleEvery and
+// the CheckpointEvery/Dir/Gap knobs are not persisted (function values
+// and operator-local paths don't belong in a manifest); re-attach them
+// before Run exactly as originally configured, or the restored run's
+// prices and tick grid — and with them the bit-identity guarantee —
+// change.
 //
 // Corrupt, partial or mismatched checkpoints fail with descriptive
 // errors; on failure the cluster and any partially resumed workloads
@@ -247,9 +233,7 @@ func Restore(dir string, c *cluster.Cluster, reg WorkloadRegistry) (*Scheduler, 
 		}
 		s.ckptSeq = seq
 	}
-	for user, d := range m.ServedByUser {
-		s.servedByUser[user] = d
-	}
+	maps.Copy(s.servedByUser, m.ServedByUser)
 
 	for _, jr := range m.Jobs {
 		js, err := restoreJob(dir, m.StatesDir, jr, c, reg)
@@ -289,16 +273,13 @@ func restoreJob(dir, statesDir string, jr ckpt.JobRecord, c *cluster.Cluster, re
 	if err := spec.Validate(); err != nil {
 		return nil, fmt.Errorf("sched: restore: %w", err)
 	}
-	// The factory and shape checks see the job's effective geometry: the
-	// current lattice with the original grid pinned, when resizes moved
-	// the job off its spec (mirroring jobState.espec).
-	espec := spec
-	if jr.CurJX > 0 {
-		espec.GX, espec.GY, espec.GZ = spec.Grid()
-		espec.JX, espec.JY, espec.JZ = jr.CurJX, jr.CurJY, jr.CurJZ
-		if err := espec.Validate(); err != nil {
-			return nil, fmt.Errorf("sched: restore %s: resized lattice: %w", jr.ID, err)
-		}
+	js := &jobState{spec: spec, shape: jr.Shape(), Accounting: jr.Accounting}
+	// The factory sees the job's effective geometry: the current lattice
+	// with the original grid pinned, when resizes moved the job off its
+	// spec.
+	espec := js.espec()
+	if err := espec.Validate(); err != nil {
+		return nil, fmt.Errorf("sched: restore %s: resized lattice: %w", jr.ID, err)
 	}
 	var states []*dump.State
 	if len(jr.StateSteps) > 0 {
@@ -309,51 +290,24 @@ func restoreJob(dir, statesDir string, jr ckpt.JobRecord, c *cluster.Cluster, re
 		}
 	}
 
-	var w Workload
 	if f := reg[jr.ID]; f != nil {
 		var err error
-		w, err = f(espec)
-		if err != nil {
+		if js.work, err = f(espec); err != nil {
 			return nil, fmt.Errorf("sched: restore %s: workload factory: %w", jr.ID, err)
 		}
 	}
-	if w == nil {
+	if js.work == nil {
 		if len(states) > 0 {
 			return nil, fmt.Errorf(
 				"sched: restore %s: checkpoint holds %d rank states but the registry has no workload factory for it",
 				jr.ID, len(states))
 		}
-		w = NullWorkload{}
+		js.work = NullWorkload{}
 	}
 	if len(states) > 0 {
-		if err := w.Restore(states); err != nil {
+		if err := js.work.Restore(states); err != nil {
 			return nil, fmt.Errorf("sched: restore %s: %w", jr.ID, err)
 		}
-	}
-
-	js := &jobState{
-		spec:       spec,
-		work:       w,
-		remaining:  jr.Remaining,
-		stepSec:    jr.StepSec,
-		placedAt:   jr.PlacedAt,
-		finishAt:   jr.FinishAt,
-		shape:      jr.Shape(),
-		imbalance:  jr.Imbalance,
-		started:    jr.Started,
-		live:       jr.Live,
-		firstStart: jr.FirstStart,
-		doneAt:     jr.DoneAt,
-		served:     jr.Served,
-		preempts:   jr.Preempts,
-		backfilled: jr.Backfilled,
-		migrations: jr.Migrations,
-		repricings: jr.Repricings,
-
-		curJX: jr.CurJX, curJY: jr.CurJY, curJZ: jr.CurJZ,
-		resizes:     jr.Resizes,
-		growRanks:   jr.GrowRanks,
-		shrinkRanks: jr.ShrinkRanks,
 	}
 	if jr.Phase != ckpt.PhaseRunning {
 		return js, nil
@@ -387,31 +341,12 @@ func recordJob(js *jobState, phase string) ckpt.JobRecord {
 		JX: js.spec.JX, JY: js.spec.JY, JZ: js.spec.JZ,
 		Side: js.spec.Side, Steps: js.spec.Steps,
 		GridX: js.spec.GX, GridY: js.spec.GY, GridZ: js.spec.GZ,
-		CurJX: js.curJX, CurJY: js.curJY, CurJZ: js.curJZ,
 		Priority: js.spec.Priority, User: js.spec.User,
 		Weight: js.spec.Weight, Submit: js.spec.Submit,
 
-		Phase:       phase,
-		Resizes:     js.resizes,
-		GrowRanks:   js.growRanks,
-		ShrinkRanks: js.shrinkRanks,
-		Remaining:   js.remaining,
-		StepSec:     js.stepSec,
-		PlacedAt:    js.placedAt,
-		FinishAt:    js.finishAt,
-		SpansX:      js.shape.X,
-		SpansY:      js.shape.Y,
-		SpansZ:      js.shape.Z,
-		Imbalance:   js.imbalance,
-		Started:     js.started,
-		Live:        js.live,
-		FirstStart:  js.firstStart,
-		DoneAt:      js.doneAt,
-		Served:      js.served,
-		Preempts:    js.preempts,
-		Backfilled:  js.backfilled,
-		Migrations:  js.migrations,
-		Repricings:  js.repricings,
+		Phase:      phase,
+		Accounting: js.Accounting,
+		SpansX:     js.shape.X, SpansY: js.shape.Y, SpansZ: js.shape.Z,
 	}
 	if phase == ckpt.PhaseRunning {
 		jr.Hosts = make([]string, len(js.res.Hosts))

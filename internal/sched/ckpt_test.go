@@ -567,8 +567,8 @@ func TestFairShareCredit(t *testing.T) {
 	s.creditService(b, 20*time.Second)
 	s.creditService(c, 30*time.Second)
 
-	if a.served != 40*time.Second || s.servedByUser["u"] != 40*time.Second {
-		t.Errorf("job a served %v, tenant u %v", a.served, s.servedByUser["u"])
+	if a.Served != 40*time.Second || s.servedByUser["u"] != 40*time.Second {
+		t.Errorf("job a served %v, tenant u %v", a.Served, s.servedByUser["u"])
 	}
 	if got := s.fairShare(a); got != 10 {
 		t.Errorf("fairShare(a) = %v, want 40s/weight 4 = 10", got)

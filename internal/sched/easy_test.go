@@ -39,8 +39,8 @@ func TestProjectedStartPerHostAvailability(t *testing.T) {
 	// Baseline: 5 free + the runner's 20 hosts cover the 25-rank head at
 	// the runner's virtual finish.
 	s, pool, runner := place(t)
-	if got := s.projectedStart(head); got != runner.finishAt {
-		t.Fatalf("projected start = %v, want the runner's finish %v", got, runner.finishAt)
+	if got := s.projectedStart(head); got != runner.FinishAt {
+		t.Fatalf("projected start = %v, want the runner's finish %v", got, runner.FinishAt)
 	}
 
 	// A regular user reclaims one of the runner's hosts: that host will
@@ -130,7 +130,7 @@ func TestEASYDegradeExplicitFallback(t *testing.T) {
 	if running["b-head"] || len(s.queue) != 1 || s.queue[0].spec.ID != "b-head" {
 		t.Error("head should still be queued")
 	}
-	if !s.running[len(s.running)-1].backfilled {
+	if !s.running[len(s.running)-1].Backfilled {
 		t.Error("small job not marked backfilled")
 	}
 }

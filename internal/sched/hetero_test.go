@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -121,6 +122,17 @@ func TestWeightedBeatsUniformOnMixedPool(t *testing.T) {
 	if want, err := s.Timer(spec, sh, hosts); err != nil || sec != want {
 		t.Errorf("chooseShape price %v, want the shape's own pricing %v (%v)", sec, want, err)
 	}
+	// A weighted price that is not finite and positive falls back to
+	// uniform, as a timer error does.
+	s.Timer = func(spec JobSpec, sh decomp.Shape, hosts []*cluster.Host) (float64, error) {
+		if !sh.IsZero() && !sh.Equal(UniformShape(spec)) {
+			return math.NaN(), nil
+		}
+		return ComputeTimer(spec, sh, hosts)
+	}
+	if sh, _, err := s.chooseShape(spec, hosts); err != nil || !sh.IsZero() {
+		t.Errorf("chooseShape with a NaN weighted price = %v, %v, want zero (uniform)", sh, err)
+	}
 }
 
 // TestFarmRunsWeightedOnMixedPool: a chain job reserving a mixed-model
@@ -133,11 +145,11 @@ func TestFarmRunsWeightedOnMixedPool(t *testing.T) {
 		return mixedPool(cluster.HP715, cluster.HP715, cluster.HP720, cluster.HP710)
 	}
 
-	weighted, err := Replay(pool(), FIFO, 1, nil, specs)
+	weighted, err := replay(pool(), FIFO, 1, nil, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	uniform, err := Replay(pool(), FIFO, 1, uniformTimer, specs)
+	uniform, err := replay(pool(), FIFO, 1, uniformTimer, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,11 +187,11 @@ func TestEqualSpeedPoolBitIdenticalToUniform(t *testing.T) {
 		c.Advance(30 * time.Minute)
 		return c
 	}
-	got, err := Replay(pool(), FIFO, 42, nil, farmMix())
+	got, err := replay(pool(), FIFO, 42, nil, farmMix())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Replay(pool(), FIFO, 42, uniformTimer, farmMix())
+	want, err := replay(pool(), FIFO, 42, uniformTimer, farmMix())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +358,7 @@ func TestWeightedJobCheckpointRestoreRoundTrip(t *testing.T) {
 func TestManifestRejectsCorruptSpans(t *testing.T) {
 	base := ckpt.JobRecord{
 		ID: "x", Method: "lb2d", JX: 2, JY: 1, Side: 10, Steps: 5,
-		Phase: ckpt.PhaseQueued, Remaining: 5,
+		Phase: ckpt.PhaseQueued, Accounting: ckpt.Accounting{Remaining: 5},
 	}
 	mk := func(mut func(*ckpt.JobRecord)) *ckpt.Manifest {
 		jr := base

@@ -1,0 +1,316 @@
+package sched
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"slices"
+	"sort"
+	"time"
+
+	"repro/internal/cluster"
+	"repro/internal/decomp"
+)
+
+// less orders the queue under the active policy; every policy falls back
+// to (Submit, ID) so rounds are deterministic.
+func (s *Scheduler) less(a, b *jobState) bool {
+	switch s.Policy {
+	case Priority:
+		if a.spec.Priority != b.spec.Priority {
+			return a.spec.Priority > b.spec.Priority
+		}
+	case WeightedFair:
+		if fa, fb := s.fairShare(a), s.fairShare(b); fa != fb {
+			return fa < fb
+		}
+	}
+	if a.spec.Submit != b.spec.Submit {
+		return a.spec.Submit < b.spec.Submit
+	}
+	return a.spec.ID < b.spec.ID
+}
+
+// scheduleRound places as many queued jobs as capacity (and, under
+// Priority, preemption) allows. Each placement re-sorts the queue — a
+// placement changes capacity and, under WeightedFair, shares. Under
+// BackfillEASY a candidate behind the blocked head must finish before the
+// head's projected start (its virtual-finish-time reservation).
+func (s *Scheduler) scheduleRound(t time.Duration) error {
+	degradeCounted := false
+	for {
+		sort.SliceStable(s.queue, func(i, j int) bool { return s.less(s.queue[i], s.queue[j]) })
+		placed := -1
+		shadow, shadowSet := time.Duration(-1), false
+		for i, js := range s.queue {
+			deadline := time.Duration(-1)
+			if i > 0 && s.Backfill == BackfillEASY {
+				if !shadowSet {
+					shadow = s.projectedStart(s.queue[0])
+					shadowSet = true
+					if shadow < 0 && !degradeCounted {
+						// No reservation is computable for the head:
+						// completions alone never free enough usable hosts.
+						// Fall back to aggressive backfill for this round —
+						// explicitly, so operators can see the head's
+						// protection lapse instead of it eroding silently.
+						// (The shadow is re-derived after every placement;
+						// the round degrades once, however many passes run.)
+						degradeCounted = true
+						s.easyDegraded++
+						s.emit(EASYDegraded{T: t, Head: s.queue[0].spec.ID, Ranks: s.queue[0].ranks()})
+					}
+				}
+				deadline = shadow
+			}
+			ok, err := s.tryPlace(js, t, deadline)
+			if err != nil {
+				return err
+			}
+			if ok {
+				placed = i
+				break
+			}
+			if i == 0 && s.Policy == Priority {
+				ok, err := s.tryPreempt(js, t)
+				if err != nil {
+					return err
+				}
+				if ok {
+					placed = 0
+					break
+				}
+			}
+			if s.Backfill == BackfillNone {
+				break
+			}
+		}
+		if placed < 0 {
+			return nil
+		}
+		js := s.queue[placed]
+		s.queue = append(s.queue[:placed], s.queue[placed+1:]...)
+		if placed > 0 {
+			js.Backfilled = true
+			s.emit(JobBackfilled{T: t, ID: js.spec.ID, Hosts: hostNames(js.res.Hosts),
+				StepSec: js.StepSec, Finish: js.FinishAt, Weighted: !js.shape.IsZero()})
+		} else {
+			s.emit(JobPlaced{T: t, ID: js.spec.ID, Hosts: hostNames(js.res.Hosts),
+				StepSec: js.StepSec, Finish: js.FinishAt, Weighted: !js.shape.IsZero()})
+		}
+	}
+}
+
+// projectedStart estimates when the blocked queue head could start: the
+// earliest virtual time at which enough hosts are reservable, assuming
+// every running job returns its hosts at its virtual finish time and
+// host conditions stay as they are. The shadow walk counts each
+// finishing job's hosts individually — a host whose regular user has
+// reclaimed it mid-run, or whose user load sits above the selection
+// threshold, does not come back reservable when the job releases it, so
+// it must not inflate the head's reservation. (Counting whole rank
+// counts, as this walk once did, made the estimate optimistic under
+// reclaim storms and silently eroded the head's protection.) It returns
+// -1 when running-job completions alone never free enough hosts (the
+// head waits on user activity instead) — no reservation is computable
+// then, and EASY backfill explicitly degrades to the aggressive mode
+// for the round (counted and announced by scheduleRound) until
+// conditions change.
+func (s *Scheduler) projectedStart(head *jobState) time.Duration {
+	free := s.Cluster.Capacity(s.selection)
+	need := head.ranks()
+	run := append([]*jobState(nil), s.running...)
+	sort.SliceStable(run, func(i, j int) bool { return run[i].FinishAt < run[j].FinishAt })
+	for _, r := range run {
+		if free >= need {
+			break
+		}
+		if free += s.reusable(r); free >= need {
+			return r.FinishAt
+		}
+	}
+	return -1
+}
+
+// price is the one call of the step timer, and checks what it returns:
+// a step priced at zero, below zero, or not finite would finish the job
+// at a meaningless virtual time, so it is an error naming the job.
+func (s *Scheduler) price(spec JobSpec, shape decomp.Shape, hosts []*cluster.Host) (float64, error) {
+	sec, err := s.Timer(spec, shape, hosts)
+	if err == nil && !(sec > 0 && sec <= math.MaxFloat64) {
+		return 0, fmt.Errorf("sched: job %s: step timer priced a step at %v s", spec.ID, sec)
+	}
+	return sec, err
+}
+
+// reusable counts the job's hosts that come back reservable when it
+// releases them: a host whose regular user got busy since the job was
+// placed frees no usable capacity.
+func (s *Scheduler) reusable(js *jobState) int {
+	n := 0
+	for _, h := range js.res.Hosts {
+		if h != nil && h.ReservableWhenFree(s.selection) {
+			n++
+		}
+	}
+	return n
+}
+
+// chooseShape picks a fresh placement's decomposition shape and returns
+// it with its per-step price: the speed-weighted shape when it strictly
+// beats the uniform one under the scheduler's own step pricing, the
+// zero shape (= uniform splitting) otherwise. Comparing through price —
+// not a fixed compute bound — matters under PerfTimer, where a weighted
+// shape's longer boundary spans can cost more in halo exchange than its
+// balanced compute saves; the comparison guarantees weighting never
+// prices a placement worse than the identical-spans split would have,
+// whichever timer the farm runs. Equal speeds produce a weighted shape
+// bit-identical to the uniform one, so homogeneous pools always fall
+// through to uniform. Returning the price lets tryPlace reuse it
+// instead of running the timer — a whole discrete-event simulation
+// under PerfTimer — a second time on the winning shape.
+func (s *Scheduler) chooseShape(spec JobSpec, hosts []*cluster.Host) (decomp.Shape, float64, error) {
+	uni := UniformShape(spec)
+	if w, err := WeightedShape(spec, hosts); err == nil && !w.Equal(uni) {
+		wb, errW := s.price(spec, w, hosts)
+		ub, errU := s.price(spec, uni, hosts)
+		if errW == nil && errU == nil && wb < ub {
+			return w, wb, nil
+		}
+		if errU == nil {
+			return decomp.Shape{}, ub, nil
+		}
+		// The uniform pricing itself failed; re-run it below so the
+		// caller sees the error exactly as a direct pricing would.
+	}
+	sec, err := s.price(spec, decomp.Shape{}, hosts)
+	return decomp.Shape{}, sec, err
+}
+
+// tryPlace reserves hosts for the job and starts (or resumes) it. A
+// capacity shortfall returns (false, nil); workload failures are fatal.
+// A non-negative deadline is an EASY backfill window: the placement is
+// abandoned when the job's projected finish would overrun it. The caller
+// announces a successful placement: JobPlaced and JobBackfilled differ by
+// queue position, which tryPlace does not see.
+//
+// A job's decomposition shape is decided here, at its first placement:
+// the speed-weighted shape when it strictly beats uniform splitting on
+// the reserved hosts, uniform otherwise (chooseShape). A job that has
+// started before keeps the shape it dumped with — resumptions and
+// migrations reprice the same geometry on the new hosts.
+func (s *Scheduler) tryPlace(js *jobState, t time.Duration, deadline time.Duration) (bool, error) {
+	res, err := s.Cluster.Reserve(js.spec.ID, js.ranks(), s.selection, s.rng)
+	if errors.Is(err, cluster.ErrShortfall) {
+		return false, nil // Reserve draws nothing from the RNG on a shortfall
+	}
+	if err != nil {
+		return false, fmt.Errorf("sched: placing %s: %w", js.spec.ID, err)
+	}
+	shape, sec := js.shape, 0.0
+	if !js.Started {
+		shape, sec, err = s.chooseShape(js.spec, res.Hosts)
+	} else {
+		// A resized job resumes on its current lattice (espec), with the
+		// shape it dumped under.
+		sec, err = s.price(js.espec(), shape, res.Hosts)
+	}
+	if err != nil {
+		res.Release()
+		return false, err
+	}
+	finish := js.finish(t, sec)
+	if deadline >= 0 && finish > deadline {
+		res.Release()
+		return false, nil
+	}
+	imb, err := Imbalance(js.espec(), shape, res.Hosts)
+	if err != nil {
+		res.Release()
+		return false, err
+	}
+	js.shape = shape
+	js.Imbalance = imb
+	js.res = res
+	js.StepSec = sec
+	js.PlacedAt = t
+	js.FinishAt = finish
+	if !js.Started {
+		js.Started = true
+		js.FirstStart = t
+		err = js.work.Start(res.Hosts)
+	} else {
+		err = js.work.Resume(res.Hosts)
+	}
+	if err != nil {
+		res.Release()
+		return false, fmt.Errorf("sched: starting %s: %w", js.spec.ID, err)
+	}
+	s.running = append(s.running, js)
+	return true, nil
+}
+
+// tryPreempt makes room for the blocked queue head by suspending running
+// jobs of strictly lower priority — lowest priority first, most recently
+// placed first among equals — then places the head.
+func (s *Scheduler) tryPreempt(js *jobState, t time.Duration) (bool, error) {
+	need := js.ranks() - s.Cluster.Capacity(s.selection)
+	if need <= 0 {
+		return false, nil
+	}
+	var victims []*jobState
+	for _, r := range s.running {
+		if r.spec.Priority < js.spec.Priority {
+			victims = append(victims, r)
+		}
+	}
+	sort.SliceStable(victims, func(i, j int) bool {
+		a, b := victims[i], victims[j]
+		if a.spec.Priority != b.spec.Priority {
+			return a.spec.Priority < b.spec.Priority
+		}
+		if a.PlacedAt != b.PlacedAt {
+			return a.PlacedAt > b.PlacedAt
+		}
+		return a.spec.ID > b.spec.ID
+	})
+	got := 0
+	var chosen []*jobState
+	for _, v := range victims {
+		// Suspending a victim that frees no reusable host would checkpoint
+		// a job without unblocking the head.
+		freed := s.reusable(v)
+		if freed == 0 {
+			continue
+		}
+		chosen = append(chosen, v)
+		if got += freed; got >= need {
+			break
+		}
+	}
+	if got < need {
+		return false, nil
+	}
+	for _, v := range chosen {
+		if err := s.preempt(v, t); err != nil {
+			return false, err
+		}
+	}
+	return s.tryPlace(js, t, -1)
+}
+
+// preempt suspends a running job through its workload's checkpoint path,
+// releases its hosts and requeues it with the progress it made credited.
+func (s *Scheduler) preempt(v *jobState, t time.Duration) error {
+	s.settle(v, t)
+	v.Preempts++
+	if err := v.work.Suspend(); err != nil {
+		return fmt.Errorf("sched: suspending %s: %w", v.spec.ID, err)
+	}
+	v.res.Release()
+	v.res = nil
+	s.running = slices.DeleteFunc(s.running, func(r *jobState) bool { return r == v })
+	s.queue = append(s.queue, v)
+	s.emit(JobPreempted{T: t, ID: v.spec.ID, Remaining: v.Remaining})
+	return nil
+}

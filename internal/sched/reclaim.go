@@ -1,0 +1,82 @@
+package sched
+
+import (
+	"errors"
+	"fmt"
+	"time"
+
+	"repro/internal/cluster"
+)
+
+// handleReclaims drains the cluster's host event stream and vacates every
+// reserved host whose regular user came back: the displaced ranks migrate
+// to replacement hosts through the section-5.1 dump/rebuild path and the
+// job is repriced on its new placement, or — when no replacements are
+// reservable — the whole job is suspended and requeued. Either way the
+// farm never squats beside a returned user.
+func (s *Scheduler) handleReclaims(t time.Duration) error {
+	for _, ev := range s.Cluster.DrainEvents() {
+		if ev.Kind == cluster.EventReclaim {
+			s.reclaims++
+			s.emit(HostReclaimed{T: ev.At - s.start, Host: ev.Host.Name, Owner: ev.Owner})
+		}
+	}
+	busy := s.Cluster.NeedsMigration(s.migration)
+	if len(busy) == 0 {
+		return nil
+	}
+	byOwner := make(map[string][]*cluster.Host)
+	for _, h := range busy {
+		byOwner[h.Owner()] = append(byOwner[h.Owner()], h)
+	}
+	// Iterate over a copy: a fallback suspension mutates s.running.
+	for _, js := range append([]*jobState(nil), s.running...) {
+		hosts := byOwner[js.spec.ID]
+		if len(hosts) == 0 {
+			continue
+		}
+		if err := s.migrateOff(js, hosts, t); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// migrateOff moves a running job's displaced ranks off the busy hosts and
+// reprices the job on the patched placement; without replacement capacity
+// it falls back to suspending the whole job.
+func (s *Scheduler) migrateOff(js *jobState, busy []*cluster.Host, t time.Duration) error {
+	ranks, repl, err := s.Cluster.Migrate(js.res, busy, s.selection, s.rng)
+	if errors.Is(err, cluster.ErrShortfall) {
+		// Not enough reservable hosts to rehost the displaced ranks: the
+		// job checkpoints off the pool entirely and waits in the queue.
+		return s.preempt(js, t)
+	}
+	if err != nil {
+		return fmt.Errorf("sched: migrating %s: %w", js.spec.ID, err)
+	}
+	// Progress so far ran at the old placement's pace; credit it before
+	// the new estimate replaces StepSec.
+	s.settle(js, t)
+	if err := js.work.Migrate(ranks, repl); err != nil {
+		return fmt.Errorf("sched: migrating %s: %w", js.spec.ID, err)
+	}
+	// The weighted shape was fixed when the job first dumped; reprice the
+	// same geometry on the patched placement.
+	sec, err := s.price(js.espec(), js.shape, js.res.Hosts)
+	if err != nil {
+		return err
+	}
+	imb, err := Imbalance(js.espec(), js.shape, js.res.Hosts)
+	if err != nil {
+		return err
+	}
+	js.Imbalance = imb
+	js.StepSec = sec
+	js.retime(t)
+	js.Migrations += len(ranks)
+	js.Repricings++
+	s.emit(JobMigrated{T: t, ID: js.spec.ID, Ranks: append([]int(nil), ranks...),
+		Hosts: hostNames(repl), StepSec: sec, Finish: js.FinishAt})
+	return nil
+}

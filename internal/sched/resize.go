@@ -107,58 +107,57 @@ func (s *Scheduler) resize(js *jobState, n int, t time.Duration) error {
 
 	// The run so far went at the old placement's pace; credit it and
 	// re-anchor before anything can fail, so the accounting never
-	// double-counts whatever happens next. On failure the job keeps its
-	// old pace and the finish estimate is re-derived from the new anchor.
-	elapsed := t - js.placedAt
-	js.remaining -= elapsed.Seconds() / js.stepSec
-	if js.remaining < 0 {
-		js.remaining = 0
+	// double-counts whatever happens next. Success or failure, the
+	// finish estimate is re-derived from the new anchor.
+	s.settle(js, t)
+	err = s.regrid(js, next, n)
+	js.retime(t)
+	if err != nil {
+		return fmt.Errorf("sched: resize %s %d->%d: %w", js.spec.ID, cur, n, err)
 	}
-	s.creditService(js, elapsed)
-	js.placedAt = t
-
-	var hosts []*cluster.Host
-	if n > cur {
-		add, err := s.Cluster.Reserve(js.spec.ID, n-cur, s.Select, s.rng)
-		if err != nil {
-			js.finishAt = t + time.Duration(js.remaining*js.stepSec*float64(time.Second))
-			return fmt.Errorf("sched: resize %s %d->%d: %w (%v)", js.spec.ID, cur, n, ErrNoCapacity, err)
-		}
-		// Reserve numbered the extras from rank 0; re-number the merged
-		// placement so hosts[rank] serves rank. The old hosts keep their
-		// ranks (they lead the list), so a failed re-split needs no
-		// un-renumbering — releasing the extras restores the placement.
-		hosts = append(append([]*cluster.Host(nil), js.res.Hosts...), add.Hosts...)
-		for rank, h := range hosts {
-			h.AssignTo(js.spec.ID, rank)
-		}
-		if err := s.applyResize(js, next, hosts); err != nil {
-			add.Release()
-			js.finishAt = t + time.Duration(js.remaining*js.stepSec*float64(time.Second))
-			return fmt.Errorf("sched: resize %s %d->%d: %w", js.spec.ID, cur, n, err)
-		}
-		js.res.Hosts = hosts
-		js.growRanks += n - cur
-	} else {
-		// Shrink: re-split onto the leading n hosts first — the workload
-		// refusing (filter on, deactivated subregions) must leave the
-		// reservation whole — then release the tail.
-		hosts = js.res.Hosts[:n:n]
-		if err := s.applyResize(js, next, hosts); err != nil {
-			js.finishAt = t + time.Duration(js.remaining*js.stepSec*float64(time.Second))
-			return fmt.Errorf("sched: resize %s %d->%d: %w", js.spec.ID, cur, n, err)
-		}
-		drop := append([]*cluster.Host(nil), js.res.Hosts[n:]...)
-		js.res.Shrink(drop)
-		js.res.Hosts = js.res.Hosts[:n]
-		js.shrinkRanks += cur - n
-	}
-	js.curJX, js.curJY, js.curJZ = jx, jy, jz
-	js.finishAt = t + time.Duration(js.remaining*js.stepSec*float64(time.Second))
-	js.resizes++
-	js.repricings++
+	js.CurJX, js.CurJY, js.CurJZ = jx, jy, jz
+	js.Resizes++
+	js.Repricings++
 	s.emit(JobResized{T: t, ID: js.spec.ID, From: cur, To: n,
-		Hosts: hostNames(js.res.Hosts), StepSec: js.stepSec, Finish: js.finishAt})
+		Hosts: hostNames(js.res.Hosts), StepSec: js.StepSec, Finish: js.FinishAt})
+	return nil
+}
+
+// regrid moves a running job's reservation and workload onto n ranks
+// of the next lattice; on failure the reservation is as it was.
+func (s *Scheduler) regrid(js *jobState, next JobSpec, n int) error {
+	cur := js.ranks()
+	if n < cur {
+		// Re-split onto the leading n hosts first — the workload refusing
+		// (filter on, deactivated subregions) must leave the reservation
+		// whole — then release the tail.
+		hosts := js.res.Hosts[:n:n]
+		if err := s.applyResize(js, next, hosts); err != nil {
+			return err
+		}
+		js.res.Shrink(append([]*cluster.Host(nil), js.res.Hosts[n:]...))
+		js.res.Hosts = hosts
+		js.ShrinkRanks += cur - n
+		return nil
+	}
+	add, err := s.Cluster.Reserve(js.spec.ID, n-cur, s.selection, s.rng)
+	if err != nil {
+		return fmt.Errorf("%w (%v)", ErrNoCapacity, err)
+	}
+	// Reserve numbered the extras from rank 0; re-number the merged
+	// placement so hosts[rank] serves rank. The old hosts keep their
+	// ranks (they lead the list), so a failed re-split needs no
+	// un-renumbering — releasing the extras restores the placement.
+	hosts := append(append([]*cluster.Host(nil), js.res.Hosts...), add.Hosts...)
+	for rank, h := range hosts {
+		h.AssignTo(js.spec.ID, rank)
+	}
+	if err := s.applyResize(js, next, hosts); err != nil {
+		add.Release()
+		return err
+	}
+	js.res.Hosts = hosts
+	js.GrowRanks += n - cur
 	return nil
 }
 
@@ -182,8 +181,8 @@ func (s *Scheduler) applyResize(js *jobState, next JobSpec, hosts []*cluster.Hos
 		return err
 	}
 	js.shape = shape
-	js.stepSec = sec
-	js.imbalance = imb
+	js.StepSec = sec
+	js.Imbalance = imb
 	return nil
 }
 

@@ -589,3 +589,46 @@ func TestSampleUtilization(t *testing.T) {
 		t.Errorf("empty sample utilization = %v, want 0", u)
 	}
 }
+
+// TestScenarioBeforeAutoscale pins the same-instant order of the two
+// script ticks: when both fall on one virtual instant, the scenario runs
+// first, so the autoscaler samples the host reclaim the scenario made at
+// that instant.
+func TestScenarioBeforeAutoscale(t *testing.T) {
+	s := New(idlePool(), FIFO, 1)
+	s.Timer = fixedTimer
+	if err := s.Submit(JobSpec{ID: "long", Method: "lb2d", JX: 1, JY: 1, Side: 10, Steps: 600}, nil); err != nil {
+		t.Fatal(err)
+	}
+	before, afterReclaim, sampled := -1, -1, -1
+	s.ScenarioEvery, s.AutoscaleEvery = time.Minute, time.Minute
+	s.Scenario = func(vt time.Duration, c *cluster.Cluster) {
+		if vt != time.Minute {
+			return
+		}
+		before = c.Capacity(s.selection)
+		for _, h := range c.Hosts {
+			if h.Assigned() < 0 {
+				c.Reclaim(h)
+				break
+			}
+		}
+		afterReclaim = c.Capacity(s.selection)
+		s.Close()
+	}
+	s.Autoscale = func(vt time.Duration, ctl AutoscaleControl) {
+		if vt == time.Minute {
+			sampled = ctl.Sample().FreeHosts
+		}
+	}
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if afterReclaim != before-1 {
+		t.Fatalf("the scenario's reclaim left %d free hosts of %d, want one fewer", afterReclaim, before)
+	}
+	if sampled != afterReclaim {
+		t.Errorf("the autoscaler sampled %d free hosts at 1m, want %d: it ran before the scenario's reclaim of the same instant",
+			sampled, afterReclaim)
+	}
+}

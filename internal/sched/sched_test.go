@@ -17,6 +17,24 @@ import (
 	"repro/internal/syncfile"
 )
 
+// replay submits every spec with a NullWorkload, closes the farm and
+// runs it to completion under the given timer (nil keeps the default) —
+// the deterministic policy comparison the tests share. The product route
+// is farm.Replay.
+func replay(c *cluster.Cluster, policy Policy, seed int64, timer StepTimer, specs []JobSpec) (metrics.Summary, error) {
+	s := New(c, policy, seed)
+	if timer != nil {
+		s.Timer = timer
+	}
+	for _, sp := range specs {
+		if err := s.Submit(sp, nil); err != nil {
+			return metrics.Summary{}, err
+		}
+	}
+	s.Close()
+	return s.Run()
+}
+
 func idlePool() *cluster.Cluster {
 	c := cluster.NewPaperCluster()
 	c.Advance(30 * time.Minute)
@@ -45,7 +63,7 @@ func farmMix() []JobSpec {
 
 func replayMix(t *testing.T, pol Policy) metrics.Summary {
 	t.Helper()
-	sum, err := Replay(idlePool(), pol, 42, nil, farmMix())
+	sum, err := replay(idlePool(), pol, 42, nil, farmMix())
 	if err != nil {
 		t.Fatalf("%v replay: %v", pol, err)
 	}
@@ -136,7 +154,7 @@ func TestWeightedFairInterleavesTenants(t *testing.T) {
 		mk("h1", "heavy", 4), mk("h2", "heavy", 4),
 		mk("l1", "light", 1), mk("l2", "light", 1),
 	}
-	sum, err := Replay(idlePool(), WeightedFair, 1, nil, specs)
+	sum, err := replay(idlePool(), WeightedFair, 1, nil, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +167,7 @@ func TestWeightedFairInterleavesTenants(t *testing.T) {
 			done("h1"), done("l1"), done("h2"), done("l2"))
 	}
 	// FIFO on the same trace drains heavy's backlog first.
-	fifo, err := Replay(idlePool(), FIFO, 1, nil, specs)
+	fifo, err := replay(idlePool(), FIFO, 1, nil, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,8 +303,8 @@ func TestPreemptSkipsUserBusyVictims(t *testing.T) {
 	if err := s.scheduleRound(30 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if victim.preempts != 0 {
-		t.Errorf("victim checkpointed %d times despite freeing no capacity", victim.preempts)
+	if victim.Preempts != 0 {
+		t.Errorf("victim checkpointed %d times despite freeing no capacity", victim.Preempts)
 	}
 	if len(s.running) != 1 || s.running[0] != victim {
 		t.Errorf("victim no longer running after futile preemption attempt")
@@ -331,8 +349,8 @@ func TestOversizedJobRejectedAtSubmit(t *testing.T) {
 	if !errors.Is(err, ErrNoCapacity) {
 		t.Fatalf("30-rank job on a 25-host pool: err = %v, want ErrNoCapacity", err)
 	}
-	// Replay surfaces the same typed rejection.
-	if _, err := Replay(idlePool(), FIFO, 1, nil,
+	// replay surfaces the same typed rejection.
+	if _, err := replay(idlePool(), FIFO, 1, nil,
 		[]JobSpec{{ID: "huge", Method: "lb2d", JX: 6, JY: 5, Side: 10, Steps: 10}}); !errors.Is(err, ErrNoCapacity) {
 		t.Fatalf("replay of an oversized job: err = %v, want ErrNoCapacity", err)
 	}

@@ -3,16 +3,14 @@ package sched
 import (
 	"cmp"
 	"container/heap"
-	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
+	"repro/internal/ckpt"
 	"repro/internal/cluster"
-	"repro/internal/decomp"
 	"repro/internal/sched/metrics"
 )
 
@@ -27,15 +25,9 @@ import (
 type Scheduler struct {
 	Cluster *cluster.Cluster
 	Policy  Policy
-	// Select holds the section-4.1 thresholds used for capacity checks
-	// and reservations.
-	Select cluster.SelectionPolicy
-	// Migration holds the section-5.1 trigger deciding when a reserved
-	// host has become busy with its regular user's work.
-	Migration cluster.MigrationPolicy
 	// Timer prices one integration step per placement or migration;
-	// defaults to ComputeTimer. Use PerfTimer for network-aware
-	// estimates.
+	// defaults to ComputeTimer, and PerfTimer adds the network. A price
+	// that is not finite and positive fails the run.
 	Timer StepTimer
 	// Backfill lets jobs behind a blocked queue head run in the gaps its
 	// ranks cannot fill. The default is BackfillEASY: a backfilled job
@@ -83,6 +75,11 @@ type Scheduler struct {
 	CheckpointDir   string
 	CheckpointGap   time.Duration
 
+	// selection holds the section-4.1 thresholds of capacity checks and
+	// reservations, migration the section-5.1 trigger; New fixes both.
+	selection cluster.SelectionPolicy
+	migration cluster.MigrationPolicy
+
 	rng      *rand.Rand
 	src      *SplitMix // rng's source, persisted by Checkpoint
 	queue    []*jobState
@@ -97,7 +94,7 @@ type Scheduler struct {
 	// the cluster time it was entered at, unless Restore pre-set it to
 	// the original run's anchor so a restored farm continues on the same
 	// clock. Later Runs of the same farm keep the anchor — every job
-	// time (Submit, placedAt, finishAt) is relative to it, so a farm
+	// time (Submit, PlacedAt, FinishAt) is relative to it, so a farm
 	// resumed after an interrupt must not re-base them.
 	start    time.Duration
 	anchored bool
@@ -131,105 +128,6 @@ type Scheduler struct {
 	servedByUser map[string]time.Duration
 }
 
-// jobState is the scheduler's view of one job.
-type jobState struct {
-	spec JobSpec
-	work Workload
-	seq  int // submission sequence number: the tie-break among equal arrivals on pending
-
-	remaining float64 // integration steps left (fractional across preemptions)
-	stepSec   float64 // current per-step estimate
-	res       *cluster.Reservation
-	placedAt  time.Duration
-	finishAt  time.Duration
-
-	// shape is the job's per-axis span assignment, fixed at the first
-	// placement (speed-weighted when that strictly beats uniform on the
-	// mixed pool) and preserved across suspensions and migrations — the
-	// rank dumps only fit one geometry. Zero means uniform.
-	shape decomp.Shape
-	// imbalance is the placement's load-imbalance ratio (slowest rank
-	// over perfectly balanced; 1.0 is ideal), refreshed at every pricing.
-	imbalance float64
-
-	// curJX/curJY/curJZ is the job's current decomposition lattice after
-	// resizes; all zero means the spec's lattice. The spec itself is
-	// never mutated — it remains the submitted job — so the effective
-	// spec (espec) carries the current lattice with the original grid
-	// pinned whenever the scheduler prices or validates a resized job.
-	curJX, curJY, curJZ int
-
-	started    bool
-	live       bool // submitted while the farm was running
-	firstStart time.Duration
-	doneAt     time.Duration
-	served     time.Duration
-	preempts   int
-	backfilled bool
-	migrations int
-	repricings int
-	// resizes counts completed resizes; growRanks/shrinkRanks total the
-	// ranks added and removed by them.
-	resizes     int
-	growRanks   int
-	shrinkRanks int
-}
-
-// resized reports whether the job currently runs a lattice other than
-// its spec's.
-func (j *jobState) resized() bool { return j.curJX > 0 }
-
-// ranks returns the job's current rank count.
-func (j *jobState) ranks() int {
-	if !j.resized() {
-		return j.spec.Ranks()
-	}
-	jz := j.curJZ
-	if jz < 1 {
-		jz = 1
-	}
-	return j.curJX * j.curJY * jz
-}
-
-// espec returns the job's effective spec: the submitted spec until the
-// first resize, afterwards a copy carrying the current lattice with the
-// original global grid pinned, so every pricing, shape validation and
-// rank-count decision measures the same problem on the new rank count.
-func (j *jobState) espec() JobSpec {
-	if !j.resized() {
-		return j.spec
-	}
-	e := j.spec
-	e.GX, e.GY, e.GZ = j.spec.Grid()
-	e.JX, e.JY, e.JZ = j.curJX, j.curJY, j.curJZ
-	return e
-}
-
-// userKey returns the job's tenant; an unnamed user makes the job its
-// own tenant.
-func (j *jobState) userKey() string {
-	if j.spec.User != "" {
-		return j.spec.User
-	}
-	return j.spec.ID
-}
-
-// fairShare is the WeightedFair key: the tenant's virtual service time
-// per unit weight.
-func (s *Scheduler) fairShare(j *jobState) float64 {
-	w := j.spec.Weight
-	if w <= 0 {
-		w = 1
-	}
-	return s.servedByUser[j.userKey()].Seconds() / w
-}
-
-// creditService charges served time to the job and its tenant.
-func (s *Scheduler) creditService(j *jobState, d time.Duration) {
-	j.served += d
-	s.servedByUser[j.userKey()] += d
-}
-
 // New builds a scheduler over the cluster with the default selection and
 // migration policies, the compute-only step timer, EASY backfill, and a
 // seeded RNG for the randomized placement scan.
@@ -238,8 +136,8 @@ func New(c *cluster.Cluster, policy Policy, seed int64) *Scheduler {
 	return &Scheduler{
 		Cluster:      c,
 		Policy:       policy,
-		Select:       cluster.DefaultPolicy(),
-		Migration:    cluster.DefaultMigrationPolicy(),
+		selection:    cluster.DefaultPolicy(),
+		migration:    cluster.DefaultMigrationPolicy(),
 		Timer:        ComputeTimer,
 		Backfill:     BackfillEASY,
 		rng:          rand.New(src),
@@ -281,13 +179,8 @@ func (s *Scheduler) Submit(spec JobSpec, w Workload) error {
 		return fmt.Errorf("sched: submit %q: %w", spec.ID, ErrDuplicateID)
 	}
 	s.ids[spec.ID] = true
-	s.arrive(&jobState{
-		spec:       spec,
-		work:       w,
-		remaining:  float64(spec.Steps),
-		firstStart: -1,
-		live:       s.looping,
-	})
+	s.arrive(&jobState{spec: spec, work: w, Accounting: ckpt.Accounting{
+		Remaining: float64(spec.Steps), FirstStart: -1, Live: s.looping}})
 	s.mu.Unlock()
 	s.wakeup()
 	return nil
@@ -446,7 +339,9 @@ func (s *Scheduler) Run() (sum metrics.Summary, err error) {
 		}
 		// Scenario, autoscale and auto-checkpoint ticks cap the advance so
 		// scripted user activity, control-loop samples and periodic saves
-		// land at exact virtual times.
+		// land at exact virtual times. At one instant they run in that
+		// order, then completions retire; the loop top follows (interrupt
+		// check, admissions, reclaims, resize requests, placement).
 		tick, scale, save := time.Duration(-1), time.Duration(-1), time.Duration(-1)
 		if s.Scenario != nil && s.ScenarioEvery > 0 {
 			tick = nextTick(t, s.ScenarioEvery)
@@ -514,15 +409,6 @@ func (s *Scheduler) arrive(js *jobState) {
 	heap.Push(&s.pending, js)
 }
 
-// pendingInOrder lists the pending jobs in submission order, for Checkpoint and Jobs.
-func (s *Scheduler) pendingInOrder() []*jobState {
-	s.mu.Lock()
-	pending := slices.Clone([]*jobState(s.pending))
-	s.mu.Unlock()
-	bySeq(pending)
-	return pending
-}
-
 func bySeq(jobs []*jobState) {
 	slices.SortFunc(jobs, func(a, b *jobState) int { return cmp.Compare(a.seq, b.seq) })
 }
@@ -535,7 +421,7 @@ func (s *Scheduler) admit(t time.Duration) {
 	var admitted []*jobState
 	for len(s.pending) > 0 && s.pending[0].spec.Submit <= t {
 		js := heap.Pop(&s.pending).(*jobState)
-		if js.live && js.spec.Submit < t {
+		if js.Live && js.spec.Submit < t {
 			js.spec.Submit = t
 		}
 		admitted = append(admitted, js)
@@ -550,386 +436,6 @@ func (s *Scheduler) admit(t time.Duration) {
 	}
 }
 
-// handleReclaims drains the cluster's host event stream and vacates every
-// reserved host whose regular user came back: the displaced ranks migrate
-// to replacement hosts through the section-5.1 dump/rebuild path and the
-// job is repriced on its new placement, or — when no replacements are
-// reservable — the whole job is suspended and requeued. Either way the
-// farm never squats beside a returned user.
-func (s *Scheduler) handleReclaims(t time.Duration) error {
-	for _, ev := range s.Cluster.DrainEvents() {
-		if ev.Kind == cluster.EventReclaim {
-			s.reclaims++
-			s.emit(HostReclaimed{T: ev.At - s.start, Host: ev.Host.Name, Owner: ev.Owner})
-		}
-	}
-	busy := s.Cluster.NeedsMigration(s.Migration)
-	if len(busy) == 0 {
-		return nil
-	}
-	byOwner := make(map[string][]*cluster.Host)
-	for _, h := range busy {
-		byOwner[h.Owner()] = append(byOwner[h.Owner()], h)
-	}
-	// Iterate over a copy: a fallback suspension mutates s.running.
-	for _, js := range append([]*jobState(nil), s.running...) {
-		hosts := byOwner[js.spec.ID]
-		if len(hosts) == 0 {
-			continue
-		}
-		if err := s.migrateOff(js, hosts, t); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// migrateOff moves a running job's displaced ranks off the busy hosts and
-// reprices the job on the patched placement; without replacement capacity
-// it falls back to suspending the whole job.
-func (s *Scheduler) migrateOff(js *jobState, busy []*cluster.Host, t time.Duration) error {
-	ranks, repl, err := s.Cluster.Migrate(js.res, busy, s.Select, s.rng)
-	if errors.Is(err, cluster.ErrShortfall) {
-		// Not enough reservable hosts to rehost the displaced ranks: the
-		// job checkpoints off the pool entirely and waits in the queue.
-		return s.preempt(js, t)
-	}
-	if err != nil {
-		return fmt.Errorf("sched: migrating %s: %w", js.spec.ID, err)
-	}
-	// Progress so far ran at the old placement's pace; credit it before
-	// the new estimate replaces stepSec.
-	elapsed := t - js.placedAt
-	js.remaining -= elapsed.Seconds() / js.stepSec
-	if js.remaining < 0 {
-		js.remaining = 0
-	}
-	s.creditService(js, elapsed)
-	if err := js.work.Migrate(ranks, repl); err != nil {
-		return fmt.Errorf("sched: migrating %s: %w", js.spec.ID, err)
-	}
-	// The weighted shape was fixed when the job first dumped; reprice the
-	// same geometry on the patched placement.
-	sec, err := s.Timer(js.espec(), js.shape, js.res.Hosts)
-	if err != nil {
-		return err
-	}
-	imb, err := Imbalance(js.espec(), js.shape, js.res.Hosts)
-	if err != nil {
-		return err
-	}
-	js.imbalance = imb
-	js.stepSec = sec
-	js.placedAt = t
-	js.finishAt = t + time.Duration(js.remaining*sec*float64(time.Second))
-	js.migrations += len(ranks)
-	js.repricings++
-	s.emit(JobMigrated{T: t, ID: js.spec.ID, Ranks: append([]int(nil), ranks...),
-		Hosts: hostNames(repl), StepSec: sec, Finish: js.finishAt})
-	return nil
-}
-
-// less orders the queue under the active policy; every policy falls back
-// to (Submit, ID) so rounds are deterministic.
-func (s *Scheduler) less(a, b *jobState) bool {
-	switch s.Policy {
-	case Priority:
-		if a.spec.Priority != b.spec.Priority {
-			return a.spec.Priority > b.spec.Priority
-		}
-	case WeightedFair:
-		if fa, fb := s.fairShare(a), s.fairShare(b); fa != fb {
-			return fa < fb
-		}
-	}
-	if a.spec.Submit != b.spec.Submit {
-		return a.spec.Submit < b.spec.Submit
-	}
-	return a.spec.ID < b.spec.ID
-}
-
-// scheduleRound places as many queued jobs as capacity (and, under
-// Priority, preemption) allows. Each placement re-sorts the queue — a
-// placement changes capacity and, under WeightedFair, shares. Under
-// BackfillEASY a candidate behind the blocked head must finish before the
-// head's projected start (its virtual-finish-time reservation).
-func (s *Scheduler) scheduleRound(t time.Duration) error {
-	degradeCounted := false
-	for {
-		sort.SliceStable(s.queue, func(i, j int) bool { return s.less(s.queue[i], s.queue[j]) })
-		placed := -1
-		shadow, shadowSet := time.Duration(-1), false
-		for i, js := range s.queue {
-			deadline := time.Duration(-1)
-			if i > 0 && s.Backfill == BackfillEASY {
-				if !shadowSet {
-					shadow = s.projectedStart(s.queue[0])
-					shadowSet = true
-					if shadow < 0 && !degradeCounted {
-						// No reservation is computable for the head:
-						// completions alone never free enough usable hosts.
-						// Fall back to aggressive backfill for this round —
-						// explicitly, so operators can see the head's
-						// protection lapse instead of it eroding silently.
-						// (The shadow is re-derived after every placement;
-						// the round degrades once, however many passes run.)
-						degradeCounted = true
-						s.easyDegraded++
-						s.emit(EASYDegraded{T: t, Head: s.queue[0].spec.ID, Ranks: s.queue[0].ranks()})
-					}
-				}
-				deadline = shadow
-			}
-			ok, err := s.tryPlace(js, t, deadline)
-			if err != nil {
-				return err
-			}
-			if ok {
-				placed = i
-				break
-			}
-			if i == 0 && s.Policy == Priority {
-				ok, err := s.tryPreempt(js, t)
-				if err != nil {
-					return err
-				}
-				if ok {
-					placed = 0
-					break
-				}
-			}
-			if s.Backfill == BackfillNone {
-				break
-			}
-		}
-		if placed < 0 {
-			return nil
-		}
-		js := s.queue[placed]
-		s.queue = append(s.queue[:placed], s.queue[placed+1:]...)
-		if placed > 0 {
-			js.backfilled = true
-			s.emit(JobBackfilled{T: t, ID: js.spec.ID, Hosts: hostNames(js.res.Hosts),
-				StepSec: js.stepSec, Finish: js.finishAt, Weighted: !js.shape.IsZero()})
-		} else {
-			s.emit(JobPlaced{T: t, ID: js.spec.ID, Hosts: hostNames(js.res.Hosts),
-				StepSec: js.stepSec, Finish: js.finishAt, Weighted: !js.shape.IsZero()})
-		}
-	}
-}
-
-// projectedStart estimates when the blocked queue head could start: the
-// earliest virtual time at which enough hosts are reservable, assuming
-// every running job returns its hosts at its virtual finish time and
-// host conditions stay as they are. The shadow walk counts each
-// finishing job's hosts individually — a host whose regular user has
-// reclaimed it mid-run, or whose user load sits above the selection
-// threshold, does not come back reservable when the job releases it, so
-// it must not inflate the head's reservation. (Counting whole rank
-// counts, as this walk once did, made the estimate optimistic under
-// reclaim storms and silently eroded the head's protection.) It returns
-// -1 when running-job completions alone never free enough hosts (the
-// head waits on user activity instead) — no reservation is computable
-// then, and EASY backfill explicitly degrades to the aggressive mode
-// for the round (counted and announced by scheduleRound) until
-// conditions change.
-func (s *Scheduler) projectedStart(head *jobState) time.Duration {
-	free := s.Cluster.Capacity(s.Select)
-	need := head.ranks()
-	run := append([]*jobState(nil), s.running...)
-	sort.SliceStable(run, func(i, j int) bool { return run[i].finishAt < run[j].finishAt })
-	for _, r := range run {
-		if free >= need {
-			break
-		}
-		for _, h := range r.res.Hosts {
-			if h != nil && h.ReservableWhenFree(s.Select) {
-				free++
-			}
-		}
-		if free >= need {
-			return r.finishAt
-		}
-	}
-	return -1
-}
-
-// chooseShape picks a fresh placement's decomposition shape and returns
-// it with its per-step price: the speed-weighted shape when it strictly
-// beats the uniform one under the scheduler's own step pricing, the
-// zero shape (= uniform splitting) otherwise. Comparing with s.Timer —
-// not a fixed compute bound — matters under PerfTimer, where a weighted
-// shape's longer boundary spans can cost more in halo exchange than its
-// balanced compute saves; the comparison guarantees weighting never
-// prices a placement worse than the identical-spans split would have,
-// whichever timer the farm runs. Equal speeds produce a weighted shape
-// bit-identical to the uniform one, so homogeneous pools always fall
-// through to uniform. Returning the price lets tryPlace reuse it
-// instead of running the timer — a whole discrete-event simulation
-// under PerfTimer — a second time on the winning shape.
-func (s *Scheduler) chooseShape(spec JobSpec, hosts []*cluster.Host) (decomp.Shape, float64, error) {
-	uni := UniformShape(spec)
-	if w, err := WeightedShape(spec, hosts); err == nil && !w.Equal(uni) {
-		wb, errW := s.Timer(spec, w, hosts)
-		ub, errU := s.Timer(spec, uni, hosts)
-		if errW == nil && errU == nil && wb < ub {
-			return w, wb, nil
-		}
-		if errU == nil {
-			return decomp.Shape{}, ub, nil
-		}
-		// The uniform pricing itself failed; re-run it below so the
-		// caller sees the error exactly as a direct pricing would.
-	}
-	sec, err := s.Timer(spec, decomp.Shape{}, hosts)
-	return decomp.Shape{}, sec, err
-}
-
-// tryPlace reserves hosts for the job and starts (or resumes) it. A
-// capacity shortfall returns (false, nil); workload failures are fatal.
-// A non-negative deadline is an EASY backfill window: the placement is
-// abandoned when the job's projected finish would overrun it. The caller
-// announces a successful placement: JobPlaced and JobBackfilled differ by
-// queue position, which tryPlace does not see.
-//
-// A job's decomposition shape is decided here, at its first placement:
-// the speed-weighted shape when it strictly beats uniform splitting on
-// the reserved hosts, uniform otherwise (chooseShape). A job that has
-// started before keeps the shape it dumped with — resumptions and
-// migrations reprice the same geometry on the new hosts.
-func (s *Scheduler) tryPlace(js *jobState, t time.Duration, deadline time.Duration) (bool, error) {
-	res, err := s.Cluster.Reserve(js.spec.ID, js.ranks(), s.Select, s.rng)
-	if errors.Is(err, cluster.ErrShortfall) {
-		return false, nil // Reserve draws nothing from the RNG on a shortfall
-	}
-	if err != nil {
-		return false, fmt.Errorf("sched: placing %s: %w", js.spec.ID, err)
-	}
-	shape, sec := js.shape, 0.0
-	if !js.started {
-		shape, sec, err = s.chooseShape(js.spec, res.Hosts)
-	} else {
-		// A resized job resumes on its current lattice (espec), with the
-		// shape it dumped under.
-		sec, err = s.Timer(js.espec(), shape, res.Hosts)
-	}
-	if err != nil {
-		res.Release()
-		return false, err
-	}
-	finish := t + time.Duration(js.remaining*sec*float64(time.Second))
-	if deadline >= 0 && finish > deadline {
-		res.Release()
-		return false, nil
-	}
-	imb, err := Imbalance(js.espec(), shape, res.Hosts)
-	if err != nil {
-		res.Release()
-		return false, err
-	}
-	js.shape = shape
-	js.imbalance = imb
-	js.res = res
-	js.stepSec = sec
-	js.placedAt = t
-	js.finishAt = finish
-	if !js.started {
-		js.started = true
-		js.firstStart = t
-		err = js.work.Start(res.Hosts)
-	} else {
-		err = js.work.Resume(res.Hosts)
-	}
-	if err != nil {
-		res.Release()
-		return false, fmt.Errorf("sched: starting %s: %w", js.spec.ID, err)
-	}
-	s.running = append(s.running, js)
-	return true, nil
-}
-
-// tryPreempt makes room for the blocked queue head by suspending running
-// jobs of strictly lower priority — lowest priority first, most recently
-// placed first among equals — then places the head.
-func (s *Scheduler) tryPreempt(js *jobState, t time.Duration) (bool, error) {
-	need := js.ranks() - s.Cluster.Capacity(s.Select)
-	if need <= 0 {
-		return false, nil
-	}
-	var victims []*jobState
-	for _, r := range s.running {
-		if r.spec.Priority < js.spec.Priority {
-			victims = append(victims, r)
-		}
-	}
-	sort.SliceStable(victims, func(i, j int) bool {
-		a, b := victims[i], victims[j]
-		if a.spec.Priority != b.spec.Priority {
-			return a.spec.Priority < b.spec.Priority
-		}
-		if a.placedAt != b.placedAt {
-			return a.placedAt > b.placedAt
-		}
-		return a.spec.ID > b.spec.ID
-	})
-	got := 0
-	var chosen []*jobState
-	for _, v := range victims {
-		// Count only the victim's hosts that will actually be reservable
-		// once released: a host whose regular user got busy since the
-		// victim was placed frees no usable capacity, and suspending for
-		// it would checkpoint a job without unblocking the head.
-		freed := 0
-		for _, h := range v.res.Hosts {
-			if h.ReservableWhenFree(s.Select) {
-				freed++
-			}
-		}
-		if freed == 0 {
-			continue
-		}
-		chosen = append(chosen, v)
-		if got += freed; got >= need {
-			break
-		}
-	}
-	if got < need {
-		return false, nil
-	}
-	for _, v := range chosen {
-		if err := s.preempt(v, t); err != nil {
-			return false, err
-		}
-	}
-	return s.tryPlace(js, t, -1)
-}
-
-// preempt suspends a running job through its workload's checkpoint path,
-// releases its hosts and requeues it with the progress it made credited.
-func (s *Scheduler) preempt(v *jobState, t time.Duration) error {
-	elapsed := t - v.placedAt
-	v.remaining -= elapsed.Seconds() / v.stepSec
-	if v.remaining < 0 {
-		v.remaining = 0
-	}
-	s.creditService(v, elapsed)
-	v.preempts++
-	if err := v.work.Suspend(); err != nil {
-		return fmt.Errorf("sched: suspending %s: %w", v.spec.ID, err)
-	}
-	v.res.Release()
-	v.res = nil
-	for i, r := range s.running {
-		if r == v {
-			s.running = append(s.running[:i], s.running[i+1:]...)
-			break
-		}
-	}
-	s.queue = append(s.queue, v)
-	s.emit(JobPreempted{T: t, ID: v.spec.ID, Remaining: v.remaining})
-	return nil
-}
-
 // nextEvent returns the earliest upcoming arrival or completion.
 func (s *Scheduler) nextEvent() (time.Duration, bool) {
 	best := time.Duration(-1)
@@ -939,8 +445,8 @@ func (s *Scheduler) nextEvent() (time.Duration, bool) {
 	}
 	s.mu.Unlock()
 	for _, js := range s.running {
-		if best < 0 || js.finishAt < best {
-			best = js.finishAt
+		if best < 0 || js.FinishAt < best {
+			best = js.FinishAt
 		}
 	}
 	return best, best >= 0
@@ -951,13 +457,13 @@ func (s *Scheduler) nextEvent() (time.Duration, bool) {
 func (s *Scheduler) complete(t time.Duration) error {
 	for i := 0; i < len(s.running); {
 		js := s.running[i]
-		if js.finishAt > t {
+		if js.FinishAt > t {
 			i++
 			continue
 		}
-		s.creditService(js, js.finishAt-js.placedAt)
-		js.remaining = 0
-		js.doneAt = js.finishAt
+		s.creditService(js, js.FinishAt-js.PlacedAt)
+		js.Remaining = 0
+		js.DoneAt = js.FinishAt
 		if err := js.work.Finish(); err != nil {
 			return fmt.Errorf("sched: finishing %s: %w", js.spec.ID, err)
 		}
@@ -965,31 +471,9 @@ func (s *Scheduler) complete(t time.Duration) error {
 		js.res = nil
 		s.running = append(s.running[:i], s.running[i+1:]...)
 		s.finished = append(s.finished, js)
-		s.emit(JobFinished{T: js.doneAt, ID: js.spec.ID, Job: metricsJob(js)})
+		s.emit(JobFinished{T: js.DoneAt, ID: js.spec.ID, Job: metricsJob(js)})
 	}
 	return nil
-}
-
-// metricsJob converts a job's accounting into its metrics record.
-func metricsJob(js *jobState) metrics.Job {
-	return metrics.Job{
-		ID:          js.spec.ID,
-		Ranks:       js.ranks(),
-		Priority:    js.spec.Priority,
-		Submit:      js.spec.Submit,
-		FirstStart:  js.firstStart,
-		Done:        js.doneAt,
-		Served:      js.served,
-		Preemptions: js.preempts,
-		Backfilled:  js.backfilled,
-		Migrations:  js.migrations,
-		Repricings:  js.repricings,
-		Resizes:     js.resizes,
-		GrowRanks:   js.growRanks,
-		ShrinkRanks: js.shrinkRanks,
-		Weighted:    !js.shape.IsZero(),
-		Imbalance:   js.imbalance,
-	}
 }
 
 // summary converts the finished jobs into the metrics report.
@@ -1048,36 +532,24 @@ type JobInfo struct {
 // run, track the event stream instead.
 func (s *Scheduler) Jobs() []JobInfo {
 	var infos []JobInfo
-	for _, js := range s.pendingInOrder() {
-		infos = append(infos, JobInfo{ID: js.spec.ID, Phase: PhasePending})
-	}
-	for _, js := range s.queue {
-		infos = append(infos, JobInfo{ID: js.spec.ID, Phase: PhaseQueued})
-	}
-	for _, js := range s.running {
-		infos = append(infos, JobInfo{ID: js.spec.ID, Phase: PhaseRunning})
-	}
-	for _, js := range s.finished {
-		infos = append(infos, JobInfo{ID: js.spec.ID, Phase: PhaseFinished,
-			Metrics: metricsJob(js), HasMetrics: true})
+	for p, jobs := range s.byPhase() {
+		for _, js := range jobs {
+			info := JobInfo{ID: js.spec.ID, Phase: Phase(p)}
+			if info.Phase == PhaseFinished {
+				info.Metrics, info.HasMetrics = metricsJob(js), true
+			}
+			infos = append(infos, info)
+		}
 	}
 	return infos
 }
 
-// Replay is the trace-replay convenience: it submits every spec with a
-// NullWorkload, closes the farm and runs it to completion — the
-// deterministic policy-comparison entry point cmd/experiments and tests
-// use.
-func Replay(c *cluster.Cluster, policy Policy, seed int64, timer StepTimer, specs []JobSpec) (metrics.Summary, error) {
-	s := New(c, policy, seed)
-	if timer != nil {
-		s.Timer = timer
-	}
-	for _, sp := range specs {
-		if err := s.Submit(sp, nil); err != nil {
-			return metrics.Summary{}, err
-		}
-	}
-	s.Close()
-	return s.Run()
+// byPhase lists every job the farm holds, indexed by Phase: pending in
+// submission order, then the queue, running and finished lists in order.
+func (s *Scheduler) byPhase() [4][]*jobState {
+	s.mu.Lock()
+	pending := slices.Clone([]*jobState(s.pending))
+	s.mu.Unlock()
+	bySeq(pending)
+	return [4][]*jobState{pending, s.queue, s.running, s.finished}
 }
