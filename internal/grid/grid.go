@@ -15,12 +15,14 @@
 // kept away from near-multiples of 4096 bytes per appendix E of the paper,
 // which reports a 2x slowdown on HP9000/700 hardware when array lengths land
 // near the virtual-memory page size; AvoidPageResonance reproduces the
-// paper's fix of lengthening such arrays by a few hundred bytes.
+// paper's fix of lengthening such arrays by a few hundred bytes, and
+// storage gives the starts of large fields the same treatment.
 package grid
 
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 )
 
 // PageBytes is the virtual-memory page size the appendix-E padding rule
@@ -35,6 +37,26 @@ const resonanceSlack = 64
 // padElems is the extra padding, in float64 elements, appended to a resonant
 // array. 32 elements = 256 bytes, matching the paper's 200-300 bytes.
 const padElems = 32
+
+// Go puts allocations of 32 KiB and more on page boundaries, so element j
+// of every large field would share one page offset, and a store to one
+// would alias loads from the others in their low 12 bits. storage starts
+// each field of at least staggerMin bytes staggerStep bytes further into
+// the page than the last (starts counts them); smaller ones keep the
+// varied offsets Go's size classes give them.
+const staggerMin, staggerStep = 32 << 10, 64
+
+var starts atomic.Uint64
+
+// storage returns zeroed field storage of length n and capacity c,
+// staggered within the page when it is at least staggerMin bytes.
+func storage(n, c int) []float64 {
+	if c*8 < staggerMin {
+		return make([]float64, n, c)
+	}
+	off := int(starts.Add(1)%(PageBytes/staggerStep)) * (staggerStep / 8)
+	return make([]float64, off+c)[off : off+n : off+c]
+}
 
 // AvoidPageResonance returns a slice capacity >= n (in float64 elements)
 // whose byte length is not a near multiple of the 4096-byte page size.
@@ -89,7 +111,7 @@ func newField(nx, ny, nz, h, hz int) Field {
 	plane := sx * (ny + 2*h)
 	n := plane * (nz + 2*hz)
 	return Field{NX: nx, NY: ny, NZ: nz, H: h,
-		lay: Layout{Data: make([]float64, n, AvoidPageResonance(n)), Origin: hz*plane + h*sx + h,
+		lay: Layout{Data: storage(n, AvoidPageResonance(n)), Origin: hz*plane + h*sx + h,
 			NX: nx, NY: ny, NZ: nz, SX: sx, SXY: plane, H: h}}
 }
 
@@ -115,7 +137,7 @@ func (f *Field) Fill(v float64) {
 // clone is a deep copy of the field.
 func (f *Field) clone() Field {
 	g := *f
-	g.lay.Data = make([]float64, len(f.lay.Data), cap(f.lay.Data))
+	g.lay.Data = storage(len(f.lay.Data), cap(f.lay.Data))
 	copy(g.lay.Data, f.lay.Data)
 	return g
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestAvoidPageResonance(t *testing.T) {
@@ -251,5 +252,45 @@ func TestFieldStoragePaddedAgainstResonance(t *testing.T) {
 		if got != c.want {
 			t.Errorf("%s: len, cap, Origin, SX, SXY = %v, want %v", c.name, got, c.want)
 		}
+	}
+}
+
+func TestLargeFieldStartsStaggered(t *testing.T) {
+	// The slot of a field's first element: its 64-byte line within the
+	// page. Without the stagger every large field starts in slot 0.
+	slot := func(f *Field) int {
+		return int(uintptr(unsafe.Pointer(&f.Data()[0])) % PageBytes / staggerStep)
+	}
+	next := func(s int) int { return (s + 1) % (PageBytes / staggerStep) }
+	large := func() *Field { return &NewField2D(126, 30, 1).Field } // 128*32 values = 32 KiB, padded: the smallest staggered
+
+	// 21 large fields back to back, as a D2Q9 solver allocates its
+	// populations, post-shift buffers and fluid variables: element j of
+	// each must fall in a line of its own.
+	seen := map[int]int{}
+	for i := range 21 {
+		s := slot(large())
+		if j, ok := seen[s]; ok {
+			t.Fatalf("fields %d and %d both start in slot %d of the page", j, i, s)
+		}
+		seen[s] = i
+	}
+
+	// A clone is staggered as a new field is: it takes the next slot.
+	f := large()
+	if g := f.clone(); slot(&g) != next(slot(f)) {
+		t.Errorf("clone starts in slot %d, want %d (its original is in %d)", slot(&g), next(slot(f)), slot(f))
+	}
+
+	// A field under 32 KiB is left to Go's allocator: its length and
+	// capacity are its own, and neither it nor its clone takes a slot.
+	before := slot(large())
+	small := NewField2D(125, 30, 1) // 127*32 values, just under 32 KiB
+	if got := [2]int{len(small.Data()), cap(small.Data())}; got != [2]int{4064, 4064} {
+		t.Errorf("small field len, cap = %v, want [4064 4064]", got)
+	}
+	small.Clone()
+	if after := slot(large()); after != next(before) {
+		t.Errorf("after a small field and its clone, a large field starts in slot %d, want %d", after, next(before))
 	}
 }

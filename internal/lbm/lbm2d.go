@@ -263,8 +263,15 @@ func feqTerm(wr, t, q, k float64) float64 { return wr * (((1 + t) + q) - k) }
 // collideStreamRows relaxes rows [y0, y1) and pushes them into nF rows
 // [y0-1, y1]. Every (population, target) slot has exactly one source
 // node, so neighbouring slabs never write the same address. Runs of
-// Interior nodes take the unrolled branch-free loop over raw rows; wall,
+// Interior nodes take the unrolled branch-free loops over raw rows; wall,
 // inlet and outlet nodes go through boundaryNode one at a time.
+//
+// A run is pushed in two passes, rest and axes then the diagonals, which
+// is possible because a population's relaxation reads only its own value
+// and the fluid variables. One loop over all 21 row slices keeps more
+// pointers live than amd64 has registers, so Go reloads them from the
+// stack at every node; each pass holds at most 13. The per-node
+// expressions are those of a one-pass loop.
 func (s *Solver2D) collideStreamRows(y0, y1 int) {
 	p := s.Par
 	invTau := 1 / s.Tau
@@ -295,10 +302,9 @@ func (s *Solver2D) collideStreamRows(y0, y1 int) {
 			}
 			n := row + x - a
 			rho, vx, vy := rhoD[a:][:n], vxD[a:][:n], vyD[a:][:n]
+
 			f0, f1, f2, f3, f4 := src[0][a:][:n], src[1][a:][:n], src[2][a:][:n], src[3][a:][:n], src[4][a:][:n]
-			f5, f6, f7, f8 := src[5][a:][:n], src[6][a:][:n], src[7][a:][:n], src[8][a:][:n]
 			d0, d1, d2, d3, d4 := dst[0][a:][:n], dst[1][a+1:][:n], dst[2][a+sx:][:n], dst[3][a-1:][:n], dst[4][a-sx:][:n]
-			d5, d6, d7, d8 := dst[5][a+sx+1:][:n], dst[6][a+sx-1:][:n], dst[7][a-sx-1:][:n], dst[8][a-sx+1:][:n]
 			for j := 0; j < n; j++ {
 				r, u, v := rho[j], vx[j], vy[j]
 				k := 1.5 * (u*u + v*v)
@@ -310,9 +316,23 @@ func (s *Solver2D) collideStreamRows(y0, y1 int) {
 				t, q = 3*v, (4.5*v)*v
 				o2 := bgk(f2[j], feqTerm(wr, t, q, k), invTau)
 				o4 := bgk(f4[j], feqTerm(wr, -t, q, k), invTau)
-				wr = wd * r
+				if forced {
+					o1 += fw[1] * r * fg[1]
+					o2 += fw[2] * r * fg[2]
+					o3 += fw[3] * r * fg[3]
+					o4 += fw[4] * r * fg[4]
+				}
+				d0[j], d1[j], d2[j], d3[j], d4[j] = o0, o1, o2, o3, o4
+			}
+
+			f5, f6, f7, f8 := src[5][a:][:n], src[6][a:][:n], src[7][a:][:n], src[8][a:][:n]
+			d5, d6, d7, d8 := dst[5][a+sx+1:][:n], dst[6][a+sx-1:][:n], dst[7][a-sx-1:][:n], dst[8][a-sx+1:][:n]
+			for j := 0; j < n; j++ {
+				r, u, v := rho[j], vx[j], vy[j]
+				k := 1.5 * (u*u + v*v)
+				wr := wd * r
 				cu := u + v
-				t, q = 3*cu, (4.5*cu)*cu
+				t, q := 3*cu, (4.5*cu)*cu
 				o5 := bgk(f5[j], feqTerm(wr, t, q, k), invTau)
 				o7 := bgk(f7[j], feqTerm(wr, -t, q, k), invTau)
 				cu = u - v
@@ -320,16 +340,11 @@ func (s *Solver2D) collideStreamRows(y0, y1 int) {
 				o8 := bgk(f8[j], feqTerm(wr, t, q, k), invTau)
 				o6 := bgk(f6[j], feqTerm(wr, -t, q, k), invTau)
 				if forced {
-					o1 += fw[1] * r * fg[1]
-					o2 += fw[2] * r * fg[2]
-					o3 += fw[3] * r * fg[3]
-					o4 += fw[4] * r * fg[4]
 					o5 += fw[5] * r * fg[5]
 					o6 += fw[6] * r * fg[6]
 					o7 += fw[7] * r * fg[7]
 					o8 += fw[8] * r * fg[8]
 				}
-				d0[j], d1[j], d2[j], d3[j], d4[j] = o0, o1, o2, o3, o4
 				d5[j], d6[j], d7[j], d8[j] = o5, o6, o7, o8
 			}
 		}
