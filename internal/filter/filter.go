@@ -171,6 +171,32 @@ func (p *Plan) updateRows(lo, hi int) {
 	}
 }
 
+// Row writes row y of the filtered field into out from the unfiltered
+// rows y-2 .. y+2 in win, each nx long, by Apply's per-node expression
+// and with no scratch. Only win[2] is read at eps = 0 or within two rows
+// of a side. Its loop is kept apart from correctRows, which FD runs.
+func (p *Plan2D) Row(y int, eps float64, win [5][]float64, out []float64) {
+	nx, c := p.nx, win[2]
+	if eps == 0 || y < 2 || y >= p.ny-2 || nx < 5 {
+		copy(out[:nx], c[:nx])
+		return
+	}
+	copy(out[:2], c)
+	copy(out[nx-2:nx], c[nx-2:nx])
+	m := nx - 4 // every slice is indexed by x-2, over the nodes Apply may filter
+	ok, o := p.ok[y*nx+2:][:m], out[2:][:m]
+	w2, w1, u, e1, e2 := c[:m], c[1:][:m], c[2:][:m], c[3:][:m], c[4:][:m]
+	s2, s1, n1, n2 := win[0][2:][:m], win[1][2:][:m], win[3][2:][:m], win[4][2:][:m]
+	for j, v := range u {
+		if ok[j] {
+			if d := d4(w2[j], w1[j], v, e1[j], e2[j]) + d4(s2[j], s1[j], v, n1[j], n2[j]); d != 0 {
+				v -= eps * d
+			}
+		}
+		o[j] = v
+	}
+}
+
 // apply filters the fields in place with strength eps. scratch must hold
 // at least nx*ny*nz values; run executes the sweeps (Serial for the serial
 // path). The correction sweep of a field completes before its update

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/fluid"
@@ -131,6 +132,53 @@ func TestPlanMatchesReference(t *testing.T) {
 				for i := range want3 {
 					sameBits(t, name+" 3D", want3[i].Data(), got3[i].Data())
 				}
+			}
+		}
+	}
+}
+
+// TestRowMatchesApply builds every row of a field from a five-row window,
+// as the D2Q9 solver's phase 1 does, and requires Row to leave the bits
+// Plan2D.Apply leaves, slot by slot: under seeded masks with walls, inlets
+// and outlets, at sizes below the stencil's reach on either axis, with the
+// filter on and off, and on fields holding +0 and -0 (a node whose
+// correction is zero, of either sign, keeps its own). Window rows beyond the field are
+// nil, so a Row that read them would panic.
+func TestRowMatchesApply(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	kinds := []fluid.CellType{fluid.Wall, fluid.Inlet, fluid.Outlet}
+	for trial, size := range [][2]int{{1, 1}, {3, 3}, {4, 9}, {9, 4}, {2, 7}, {7, 2}, {5, 5}, {6, 8}, {17, 12}, {33, 20}} {
+		nx, ny := size[0], size[1]
+		m := fluid.NewMask2D(nx, ny)
+		for k := rng.Intn(4); k > 0 && trial%3 != 0; k-- {
+			m.Set(rng.Intn(nx), rng.Intn(ny), kinds[rng.Intn(len(kinds))])
+		}
+		p := NewPlan2D(nx, ny, m.At)
+		f := grid.NewField2D(nx, ny, 1)
+		d := f.Data()
+		// Every other field holds only +0 and -0, so its corrections are
+		// zeros of either sign; the rest mix signed zeros and values.
+		for i := range d {
+			switch v := rng.Intn(4); {
+			case v < 2 || trial%2 == 0:
+				d[i] = math.Copysign(0, float64(v%2)-0.5)
+			default:
+				d[i] = (rng.Float64() - 0.5) * 0.1
+			}
+		}
+		for _, eps := range []float64{0, 0.01} {
+			want := f.Clone()
+			p.Apply([]*grid.Field2D{want}, eps, make([]float64, nx*ny), Serial)
+			for y := 0; y < ny; y++ {
+				var win [5][]float64
+				for k := range win {
+					if r := y - 2 + k; 0 <= r && r < ny {
+						win[k] = slices.Clone(d[f.Idx(0, r):][:nx])
+					}
+				}
+				got := make([]float64, nx)
+				p.Row(y, eps, win, got)
+				sameBits(t, fmt.Sprintf("%dx%d eps %v row %d", nx, ny, eps, y), want.Data()[want.Idx(0, y):][:nx], got)
 			}
 		}
 	}

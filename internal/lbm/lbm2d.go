@@ -29,13 +29,16 @@
 // no node's arithmetic changes, so the fields stay bit-identical to the
 // serial sweep at any worker count (see internal/pool). In 2D, relax and
 // shift are one sweep that pushes each relaxed node into the post-shift
-// buffers (collideStream). In 3D the ghost-fill sweeps sit between them:
-// relax runs in place, and after the exchange one sweep pulls each node's
-// populations into the post-shift buffers and sums its moments.
+// buffers (collideStream), and calculate and filter are one sweep from a
+// five-row window per slab (calcFilterRows). In 3D the ghost-fill sweeps
+// sit between relax and shift: relax runs in place, and after the
+// exchange one sweep pulls each node's populations into the post-shift
+// buffers and sums its moments.
 package lbm
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/decomp"
 	"repro/internal/filter"
@@ -85,16 +88,14 @@ type Solver2D struct {
 	Par fluid.Params
 	Tau float64 // BGK relaxation time, from Par.Nu
 
-	// Workers is the intra-rank slab count; <= 1 runs the serial sweeps.
-	// Results are bit-identical at every value.
+	// Workers is the intra-rank slab count, set through SetWorkers; <= 1
+	// runs the serial sweeps. Results are bit-identical at every value.
 	Workers int
 
 	F  [Q2]*grid.Field2D // populations, ghost depth 1
 	nF [Q2]*grid.Field2D // post-shift buffers
 
 	Rho, Vx, Vy *grid.Field2D // fluid variables (ghost layers unused)
-
-	scratch []float64
 
 	// Static per-node structure, cached at construction so the hot loops
 	// never call the mask closure: the interior cell types, whose runs of
@@ -105,15 +106,16 @@ type Solver2D struct {
 	// Parallel-kernel machinery: the pool runner, the prebuilt range
 	// closures (built once so the steady-state step allocates nothing)
 	// and the reused exchange buffer.
-	par               pool.Runner
-	streamFn, macroFn func(lo, hi int)
-	runFn             filter.RunFunc
-	xbuf              []float64
+	par                pool.Runner
+	streamFn, phase1Fn func(lo, hi int)
+	runFn              filter.RunFunc
+	xbuf               []float64
 
-	// Filter field list built once at construction so the steady-state
-	// step allocates nothing; Swap exchanges field contents, never these
-	// pointers, so it stays valid across steps.
-	filterFields []*grid.Field2D
+	// Phase 1's windows, one for each slab a sweep can cut (at most
+	// Workers). A slab claims the next one; which it gets varies between
+	// runs, but it writes each window row before reading it.
+	windows [][]float64
+	claimed atomic.Int32
 }
 
 // NewSolver2D allocates a D2Q9 solver for an nx-by-ny subregion,
@@ -143,29 +145,34 @@ func NewGeometry2D(nx, ny int, par fluid.Params, mask func(x, y int) fluid.CellT
 		return nil, fmt.Errorf("lbm: nil mask")
 	}
 	s := &Solver2D{
-		Par:     par,
-		Tau:     TauFromNu(par.Nu),
-		Rho:     grid.NewField2D(nx, ny, 1),
-		Vx:      grid.NewField2D(nx, ny, 1),
-		Vy:      grid.NewField2D(nx, ny, 1),
-		scratch: make([]float64, nx*ny),
-		cells:   fluid.Classify(nx, ny, 1, func(x, y, _ int) fluid.CellType { return mask(x, y) }),
+		Par:   par,
+		Tau:   TauFromNu(par.Nu),
+		Rho:   grid.NewField2D(nx, ny, 1),
+		Vx:    grid.NewField2D(nx, ny, 1),
+		Vy:    grid.NewField2D(nx, ny, 1),
+		cells: fluid.Classify(nx, ny, 1, func(x, y, _ int) fluid.CellType { return mask(x, y) }),
 	}
 	s.plan = filter.NewPlan2DFromCells(nx, ny, s.cells)
-	s.filterFields = []*grid.Field2D{s.Rho, s.Vx, s.Vy}
 	for i := 0; i < Q2; i++ {
 		s.F[i] = grid.NewField2D(nx, ny, 1)
 		s.nF[i] = grid.NewField2D(nx, ny, 1)
 	}
 	s.streamFn = s.collideStreamRows
-	s.macroFn = s.macroRows
+	s.phase1Fn = s.calcFilterRows
 	s.runFn = s.run
+	s.SetWorkers(0)
 	return s, nil
 }
 
 // SetWorkers sets the intra-rank slab count (the core setup threads the
-// per-rank budget through here).
-func (s *Solver2D) SetWorkers(n int) { s.Workers = n }
+// per-rank budget through here) and gives every slab a phase-1 window.
+func (s *Solver2D) SetWorkers(n int) {
+	s.Workers = n
+	s.windows = make([][]float64, max(1, min(n, s.Rho.NY)))
+	for i := range s.windows {
+		s.windows[i] = make([]float64, 15*s.Rho.NX)
+	}
+}
 
 // run executes fn over n rows on the shared pool, cut into at most Workers
 // slabs, fewer on a lattice too small to pay for the hand-off (pool.Slabs).
@@ -230,8 +237,8 @@ func (s *Solver2D) Compute(phase int) {
 	case 0:
 		s.collideStream()
 	case 1:
-		s.macroscopics()
-		s.applyFilter()
+		s.claimed.Store(0)
+		s.runFn(s.Rho.NY, s.phase1Fn)
 	default:
 		panic(fmt.Sprintf("lbm: invalid phase %d", phase))
 	}
@@ -404,37 +411,54 @@ func (s *Solver2D) zeroInflow(y0, y1 int) {
 	}
 }
 
-// macroscopics recomputes rho, Vx, Vy from the populations at interior
-// nodes. Wall nodes keep rho = Rho0, V = 0: their populations are in
-// bounce-back transit and carry no fluid state.
-func (s *Solver2D) macroscopics() { s.runFn(s.Rho.NY, s.macroFn) }
-
-// macroRows recomputes the fluid variables on rows [y0, y1). The sums run
-// in population order with the zero lattice components dropped.
-func (s *Solver2D) macroRows(y0, y1 int) {
-	nx := s.Rho.NX
-	for y := y0; y < y1; y++ {
-		cells := s.cells[y*nx : (y+1)*nx]
-		a := s.Rho.Idx(0, y)
-		rho, vx, vy := s.Rho.Data()[a:][:nx], s.Vx.Data()[a:][:nx], s.Vy.Data()[a:][:nx]
-		f0, f1, f2 := s.F[0].Data()[a:][:nx], s.F[1].Data()[a:][:nx], s.F[2].Data()[a:][:nx]
-		f3, f4, f5 := s.F[3].Data()[a:][:nx], s.F[4].Data()[a:][:nx], s.F[5].Data()[a:][:nx]
-		f6, f7, f8 := s.F[6].Data()[a:][:nx], s.F[7].Data()[a:][:nx], s.F[8].Data()[a:][:nx]
-		for x, c := range cells {
-			if c == fluid.Wall {
-				rho[x], vx[x], vy[x] = s.Par.Rho0, 0, 0
-				continue
+// calcFilterRows is phase 1 on rows [y0, y1): "Calculate rho, Vx, Vy
+// from F_i" and "Filter rho, Vx, Vy" in one sweep. The slab's window holds
+// the latest five rows of the three fields, unfiltered (row r of field f
+// at (r%5*3 + f)*nx), and each row is filtered from it straight into Rho,
+// Vx, Vy. Phase 1 only reads F, so the slab computes the two rows beyond
+// each of its sides that the filter reads rather than wait for them.
+func (s *Solver2D) calcFilterRows(y0, y1 int) {
+	w, nx := s.windows[s.claimed.Add(1)-1], s.Rho.NX
+	for r := y0 - 2; r < y1+2; r++ {
+		if 0 <= r && r < s.Rho.NY {
+			s.macroRow(r, w[r%5*3*nx:])
+		}
+		y := r - 2 // row y's window is complete once row y+2 is in
+		if y < y0 {
+			continue
+		}
+		for f, out := range [3]*grid.Field2D{s.Rho, s.Vx, s.Vy} {
+			var rows [5][]float64
+			for k := range rows {
+				rows[k] = w[((y+3+k)%5*3+f)*nx:] // row y-2+k
 			}
-			r := f0[x] + f1[x] + f2[x] + f3[x] + f4[x] + f5[x] + f6[x] + f7[x] + f8[x]
-			mx := f1[x] - f3[x] + f5[x] - f6[x] - f7[x] + f8[x]
-			my := f2[x] - f4[x] + f5[x] + f6[x] - f7[x] - f8[x]
-			rho[x], vx[x], vy[x] = r, mx/r, my/r
+			s.plan.Row(y, s.Par.Eps, rows, out.Data()[out.Idx(0, y):])
 		}
 	}
 }
 
-func (s *Solver2D) applyFilter() {
-	s.plan.Apply(s.filterFields, s.Par.Eps, s.scratch, s.runFn)
+// macroRow computes the fluid variables of row y at interior nodes into
+// win's first three rows. Wall nodes keep rho = Rho0, V = 0: their
+// populations are in bounce-back transit and carry no fluid state. The
+// sums run in population order with the zero lattice components dropped.
+func (s *Solver2D) macroRow(y int, win []float64) {
+	nx := s.Rho.NX
+	cells := s.cells[y*nx : (y+1)*nx]
+	a := s.Rho.Idx(0, y)
+	rho, vx, vy := win[:nx], win[nx:][:nx], win[2*nx:][:nx]
+	f0, f1, f2 := s.F[0].Data()[a:][:nx], s.F[1].Data()[a:][:nx], s.F[2].Data()[a:][:nx]
+	f3, f4, f5 := s.F[3].Data()[a:][:nx], s.F[4].Data()[a:][:nx], s.F[5].Data()[a:][:nx]
+	f6, f7, f8 := s.F[6].Data()[a:][:nx], s.F[7].Data()[a:][:nx], s.F[8].Data()[a:][:nx]
+	for x, c := range cells {
+		if c == fluid.Wall {
+			rho[x], vx[x], vy[x] = s.Par.Rho0, 0, 0
+			continue
+		}
+		r := f0[x] + f1[x] + f2[x] + f3[x] + f4[x] + f5[x] + f6[x] + f7[x] + f8[x]
+		mx := f1[x] - f3[x] + f5[x] - f6[x] - f7[x] + f8[x]
+		my := f2[x] - f4[x] + f5[x] + f6[x] - f7[x] - f8[x]
+		rho[x], vx[x], vy[x] = r, mx/r, my/r
+	}
 }
 
 // sendRegion returns the ghost-strip region of population i's outflow

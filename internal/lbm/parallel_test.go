@@ -57,7 +57,7 @@ func workerCounts() []int {
 // lattices in these tests are far below the minimum, and the seams between
 // slabs are what the tests are about.
 func (s *Solver2D) cutAlways(w int) {
-	s.Workers = w
+	s.SetWorkers(w)
 	s.runFn = func(n int, fn func(lo, hi int)) { s.par.Run(w, n, fn) }
 }
 
@@ -219,6 +219,38 @@ func TestTinyLatticeStaysSerial(t *testing.T) {
 		s.SetWorkers(4)
 		if got := slabs(s.runFn, c.nz); got != c.want {
 			t.Errorf("%dx%dx%d with 4 workers: %d slabs, want %d", c.nx, c.ny, c.nz, got, c.want)
+		}
+	}
+}
+
+// TestWindowPerSlab: under pool.Slabs' cuts and under cutAlways at every
+// worker count, each phase-1 slab claims a window no other slab holds.
+// Claims are numbered, so that is one claim per slab, all of them within
+// the windows SetWorkers sized.
+func TestWindowPerSlab(t *testing.T) {
+	for _, c := range []struct {
+		nx, ny int
+		cut    bool
+	}{{9, 6, true}, {5, 1, true}, {512, 64, false}, {24, 19, false}} {
+		for w := 0; w <= min(c.ny+2, 9); w++ {
+			s, err := NewSolver2D(c.nx, c.ny, testParams(), allFluid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.cut {
+				s.cutAlways(w)
+			} else {
+				s.SetWorkers(w)
+			}
+			var slabs atomic.Int32
+			run := s.runFn
+			s.runFn = func(n int, fn func(lo, hi int)) {
+				run(n, func(lo, hi int) { slabs.Add(1); fn(lo, hi) })
+			}
+			s.Compute(1)
+			if got, want := s.claimed.Load(), slabs.Load(); got != want || int(got) > len(s.windows) {
+				t.Errorf("%dx%d w%d cut %v: %d claims for %d slabs, %d windows", c.nx, c.ny, w, c.cut, got, want, len(s.windows))
+			}
 		}
 	}
 }

@@ -122,7 +122,7 @@ func refStep(s *Solver2D, mask func(x, y int) fluid.CellType, periodicX, periodi
 	refShift(s)
 	s.selfExchange(periodicX, periodicY)
 	refMacro(s)
-	filterOracle2D([]*grid.Field2D{s.Rho, s.Vx, s.Vy}, s.Par.Eps, mask, s.scratch)
+	filterOracle2D([]*grid.Field2D{s.Rho, s.Vx, s.Vy}, s.Par.Eps, mask, make([]float64, s.Rho.NX*s.Rho.NY))
 }
 
 // randomMask2D scatters wall blocks, wall rows touching the subregion
