@@ -7,23 +7,20 @@
 // submitted width, and a grown job squats on capacity a queued job
 // needs. The control loop closes that gap over the farm's malleability
 // primitive (Job.Resize): analyze a per-tick Sample of the farm, decide
-// grow/shrink/hold per job through a Policy, and actuate through the
-// AutoscaleControl handle — all synchronously on the scheduling
-// goroutine at exact virtual times, so an autoscaled farm replays
-// deterministically and its simulations stay bit-identical.
+// grow/shrink/hold per job with the SupplyDemand policy, and actuate
+// through the AutoscaleControl handle — all synchronously on the
+// scheduling goroutine at exact virtual times, so an autoscaled farm
+// replays deterministically and its simulations stay bit-identical.
 //
-// The three stages are separable: Policy is pure (Sample in, Decisions
-// out — unit-testable on handmade samples), Engine adds the temporal
-// smoothing every real control loop needs (hysteresis: a decision must
-// persist for Confirm consecutive ticks; cooldown: a just-resized job is
-// left alone for a while), and the farm's WithAutoscaler option is the
-// clock. Wire it up with:
+// The three stages are separable: SupplyDemand.Decide is pure (Sample
+// in, Decisions out — unit-testable on handmade samples), Engine adds
+// the temporal smoothing every real control loop needs (hysteresis: a
+// decision must persist for Confirm consecutive ticks; cooldown: a
+// just-resized job is left alone for a while), and the farm's
+// WithAutoscaler option is the clock. The zero Engine runs
+// SupplyDemand's defaults and actuates at once. Wire it up with:
 //
-//	eng := &autoscale.Engine{
-//		Policy:   autoscale.SupplyDemand{},
-//		Confirm:  2,
-//		Cooldown: 2 * time.Minute,
-//	}
+//	eng := &autoscale.Engine{Confirm: 2, Cooldown: 2 * time.Minute}
 //	f, err := farm.New(pool, eng.Option(30*time.Second))
 package autoscale
 
@@ -35,7 +32,7 @@ import (
 	"repro/farm"
 )
 
-// Action is what a policy wants done to one job's rank count.
+// Action is what the policy wants done to one job's rank count.
 type Action int
 
 const (
@@ -45,7 +42,7 @@ const (
 	// Grow adds ranks to a running job.
 	Grow
 	// Shrink removes ranks from a running job (never below its
-	// submitted width under the bundled policy).
+	// submitted width).
 	Shrink
 )
 
@@ -72,15 +69,11 @@ type Decision struct {
 	Reason string
 }
 
-// Policy proposes per-job decisions from one control-tick sample. It
-// must be pure and deterministic: same sample, same decisions, in a
-// stable order — the engine replays it on the scheduling goroutine and
-// the farm's bit-reproducibility depends on it.
-type Policy interface {
-	Decide(s farm.Sample) []Decision
-}
-
-// SupplyDemand is the bundled market-clearing policy.
+// SupplyDemand is the market-clearing policy. It proposes per-job
+// decisions from one control-tick sample and is pure and deterministic:
+// same sample, same decisions, in a stable order — the engine runs it
+// on the scheduling goroutine and the farm's bit-reproducibility
+// depends on it.
 //
 // When no demand waits (the queue is empty) and more than Spare hosts
 // are free, it grows the running job farthest from completion — the one
@@ -122,7 +115,7 @@ func defInt(v, def int) int {
 	return v
 }
 
-// Decide implements Policy.
+// Decide proposes the tick's decisions.
 func (p SupplyDemand) Decide(s farm.Sample) []Decision {
 	if s.QueueDepth == 0 {
 		return p.growIntoIdle(s)
@@ -216,7 +209,7 @@ type streak struct {
 	n      int
 }
 
-// Engine turns a pure Policy into the farm's control loop, adding the
+// Engine turns the pure policy into the farm's control loop, adding the
 // temporal smoothing that keeps a noisy market from thrashing jobs
 // through the (cheap but not free) suspend/re-split/resume cycle:
 // hysteresis — a non-hold proposal must persist for Confirm consecutive
@@ -231,8 +224,8 @@ type streak struct {
 // tick grid matches. Not safe for concurrent use; the farm invokes Tick
 // on the scheduling goroutine only.
 type Engine struct {
-	// Policy proposes the decisions. Required.
-	Policy Policy
+	// Policy proposes the decisions; the zero value runs its defaults.
+	Policy SupplyDemand
 	// Confirm is how many consecutive ticks must propose the same action
 	// for a job before the engine actuates it. < 2 actuates immediately.
 	Confirm int
@@ -254,9 +247,6 @@ func (e *Engine) Option(every time.Duration) farm.Option {
 // Tick runs one control cycle: sample, decide, smooth, actuate. It is
 // the function WithAutoscaler invokes; call it directly only in tests.
 func (e *Engine) Tick(t time.Duration, ctl farm.AutoscaleControl) {
-	if e.Policy == nil {
-		return
-	}
 	if e.streaks == nil {
 		e.streaks = make(map[string]streak)
 		e.last = make(map[string]time.Duration)

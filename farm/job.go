@@ -77,41 +77,8 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 // on the next: it reports ErrStopped only for the run generation that
 // actually ended without finishing the job.
 func (j *Job) Wait(ctx context.Context) error {
-	if ctx == nil {
-		ctx = context.Background() // tolerate nil like Farm.Run does
-	}
-	f := j.f
-	for {
-		f.mu.Lock()
-		rs := f.run
-		f.mu.Unlock()
-		select {
-		case <-j.done:
-			return nil
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-rs.done:
-			// That run returned; the job may have finished in its last
-			// round.
-			select {
-			case <-j.done:
-				return nil
-			default:
-			}
-			f.mu.Lock()
-			superseded := f.run != rs
-			f.mu.Unlock()
-			if superseded {
-				// A newer Run took over while this waiter slept; wait on
-				// it instead of reporting a stale generation's ending.
-				continue
-			}
-			if rs.err != nil {
-				return fmt.Errorf("farm: job %s: %w: %w", j.id, ErrStopped, rs.err)
-			}
-			return fmt.Errorf("farm: job %s: %w", j.id, ErrStopped)
-		}
-	}
+	_, err := awaitRun(ctx, j.f, j.done, "job "+j.id)
+	return err
 }
 
 // Resize asks the farm to re-decompose the running job onto n ranks at
@@ -129,38 +96,52 @@ func (j *Job) Wait(ctx context.Context) error {
 // with the seam-dependent filter enabled cannot resize) — and leave the
 // job running on its old decomposition.
 func (j *Job) Resize(ctx context.Context, n int) error {
-	if ctx == nil {
-		ctx = context.Background()
+	answer, err := awaitRun(ctx, j.f, j.f.s.RequestResize(j.id, n), "resize "+j.id)
+	if err != nil {
+		return err
 	}
-	f := j.f
-	ch := f.s.RequestResize(j.id, n)
+	return answer
+}
+
+// awaitRun receives from ch, or returns ctx.Err() when the context is
+// done first, or an error wrapping ErrStopped (and the run's own error
+// when it failed) when the farm's Run returns without ch delivering.
+// what names the waiter in that error. A waiter that outlives one Run
+// re-arms on the next: ErrStopped is reported only for the run
+// generation that actually ended.
+func awaitRun[T any](ctx context.Context, f *Farm, ch <-chan T, what string) (T, error) {
+	if ctx == nil {
+		ctx = context.Background() // tolerate nil like Farm.Run does
+	}
+	var zero T
 	for {
 		f.mu.Lock()
 		rs := f.run
 		f.mu.Unlock()
 		select {
-		case err := <-ch:
-			return err
+		case v := <-ch:
+			return v, nil
 		case <-ctx.Done():
-			return ctx.Err()
+			return zero, ctx.Err()
 		case <-rs.done:
-			// That run returned; the request may have been answered in its
-			// last iteration — and a newer Run may yet drain the queue.
+			// That run returned; ch may have delivered in its last round.
 			select {
-			case err := <-ch:
-				return err
+			case v := <-ch:
+				return v, nil
 			default:
 			}
 			f.mu.Lock()
 			superseded := f.run != rs
 			f.mu.Unlock()
 			if superseded {
+				// A newer Run took over while this waiter slept; wait on
+				// it instead of reporting a stale generation's ending.
 				continue
 			}
 			if rs.err != nil {
-				return fmt.Errorf("farm: resize %s: %w: %w", j.id, ErrStopped, rs.err)
+				return zero, fmt.Errorf("farm: %s: %w: %w", what, ErrStopped, rs.err)
 			}
-			return fmt.Errorf("farm: resize %s: %w", j.id, ErrStopped)
+			return zero, fmt.Errorf("farm: %s: %w", what, ErrStopped)
 		}
 	}
 }

@@ -36,9 +36,6 @@ type JobSpec = sched.JobSpec
 // a spec-only replay.
 type Workload = sched.Workload
 
-// NullWorkload replays scheduling decisions only — no simulation runs.
-type NullWorkload = sched.NullWorkload
-
 // CoreWorkload drives a real core.Job under the farm: preemption and
 // migration go through the section-5.1 dump/rebuild protocol, so the
 // simulation's results stay bit-identical to an undisturbed run.
@@ -148,7 +145,7 @@ func NewRNG(seed int64) *RNG { return sched.NewSplitMix(seed) }
 
 // Shape is a decomposition's per-axis span assignment — the zero value
 // means uniform splitting. StepTimer implementations receive the shape
-// being priced; UniformShape and WeightedShape build them.
+// being priced; WeightedShape builds them.
 type Shape = decomp.Shape
 
 // StepTimer estimates the wall-clock seconds one integration step of a
@@ -167,21 +164,18 @@ func ComputeTimer(spec JobSpec, shape decomp.Shape, hosts []*cluster.Host) (floa
 // the compute-only estimate ignores.
 func PerfTimer(netFn func() netsim.Network) StepTimer { return sched.PerfTimer(netFn) }
 
-// UniformShape returns the spec's uniform (equal-spans) decomposition
-// shape; WeightedShape sizes per-rank spans proportionally to host
-// speed for a placement; Imbalance is the placement's load-imbalance
-// ratio (1.0 is perfect balance). The hetero experiment builds on them.
-func UniformShape(spec JobSpec) decomp.Shape { return sched.UniformShape(spec) }
-
 // WeightedShape returns the spec's speed-weighted shape for a
-// placement: hosts[rank] serves rank. Equal speeds reproduce
-// UniformShape bit for bit.
+// placement: hosts[rank] serves rank, and per-rank spans are sized
+// proportionally to host speed. Equal speeds reproduce the uniform
+// (equal-spans) shape bit for bit. The hetero experiment builds on it
+// and on Imbalance.
 func WeightedShape(spec JobSpec, hosts []*cluster.Host) (decomp.Shape, error) {
 	return sched.WeightedShape(spec, hosts)
 }
 
 // Imbalance returns a placement's load-imbalance ratio under a shape:
-// the slowest rank's compute time over the perfectly balanced ideal.
+// the slowest rank's compute time over the perfectly balanced ideal
+// (1.0 is perfect balance).
 func Imbalance(spec JobSpec, shape decomp.Shape, hosts []*cluster.Host) (float64, error) {
 	return sched.Imbalance(spec, shape, hosts)
 }

@@ -86,6 +86,9 @@ func (s *Scenario) Validate() error {
 		if e.At < 0 {
 			return bad("event %d: negative start %v", i, e.At)
 		}
+		if e.Dwell < 0 {
+			return bad("event %d: negative dwell %v", i, e.Dwell)
+		}
 		if e.Until != 0 && e.Until < e.At {
 			return bad("event %d: window end %v before start %v", i, e.Until, e.At)
 		}

@@ -33,7 +33,7 @@ const (
 // Trace sentinels, checkable with errors.Is.
 var (
 	// ErrBadTrace: the trace is unreadable — wrong format or version,
-	// or it names a timer or pool this process has not registered.
+	// or it names a timer this process has not registered.
 	ErrBadTrace = errors.New("unsupported trace")
 	// ErrTraceDiverged: a Verify re-run produced a different event
 	// stream than the trace recorded.
@@ -46,15 +46,13 @@ var (
 // list, the scheduling knobs, the cluster-side scenario and the
 // checkpoint grid. Durations serialize as nanoseconds.
 //
-// Two replays are supported. Verify re-runs the recorded configuration
-// and asserts the stream is byte-identical — the regression pin.
-// ReplayOpenLoop re-submits the recorded arrivals open-loop against
-// different knobs (policy, backfill, seed, timer, pool) — the
-// policy-comparison path. Timers and pools are functions, so the trace
-// carries registry names (RegisterTimer, RegisterPool), not values;
-// checkpoint directories are operator-local and deliberately absent
-// (event String forms omit them too), so Verify checkpoints into a
-// throwaway directory on the recorded virtual-time grid.
+// Verify re-runs the recorded configuration on a fresh quiet paper pool
+// and asserts the stream is byte-identical — the regression pin. A
+// timer is a function, so the trace carries its registry name
+// (RegisterTimer), not a value; checkpoint directories are
+// operator-local and deliberately absent (event String forms omit them
+// too), so Verify checkpoints into a throwaway directory on the
+// recorded virtual-time grid.
 type Trace struct {
 	Format  string `json:"format"`
 	Version int    `json:"version"`
@@ -67,7 +65,6 @@ type Trace struct {
 	Policy          string         `json:"policy"`
 	Backfill        string         `json:"backfill"`
 	Timer           string         `json:"timer,omitempty"`
-	Pool            string         `json:"pool,omitempty"`
 	CheckpointEvery time.Duration  `json:"checkpoint_every,omitempty"`
 	CheckpointGap   time.Duration  `json:"checkpoint_gap,omitempty"`
 	Scenario        *Scenario      `json:"scenario,omitempty"`
@@ -107,17 +104,17 @@ func (p *AutoscalePlan) Compile() (farm.Option, error) {
 	return eng.Option(p.Every), nil
 }
 
-// RunConfig is the knob set of one recorded or replayed run. The zero
+// RunConfig is the knob set of one recorded or verified run. The zero
 // value is the farm's defaults: seed 0, FIFO, EASY backfill, the
-// compute-only timer, the quiet paper pool, no checkpointing.
+// compute-only timer, no checkpointing. Every run starts on the quiet
+// paper pool (see build).
 type RunConfig struct {
 	Seed     int64
 	Policy   farm.Policy
 	Backfill farm.BackfillMode
-	// Timer and Pool are registry names (RegisterTimer, RegisterPool);
-	// empty means TimerCompute and PoolPaperQuiet.
+	// Timer is a registry name (RegisterTimer); empty means
+	// TimerCompute.
 	Timer string
-	Pool  string
 	// CheckpointEvery arms periodic checkpointing into CheckpointDir
 	// (Record requires a directory when the interval is set; Verify
 	// supplies its own throwaway directory). The interval is recorded in
@@ -131,35 +128,17 @@ type RunConfig struct {
 	Autoscale *AutoscalePlan
 }
 
-// Built-in registry names.
-const (
-	// TimerCompute is the communication-free step timer, the farm's
-	// default.
-	TimerCompute = "compute"
-	// PoolPaper is the paper's 25-host pool at time zero.
-	PoolPaper = "paper"
-	// PoolPaperQuiet is the paper pool after 30 idle minutes — load
-	// averages decayed, every user idle — the experiments' common
-	// starting condition and the default.
-	PoolPaperQuiet = "paper-quiet"
-)
+// TimerCompute is the registry name of the communication-free step
+// timer, the farm's default.
+const TimerCompute = "compute"
 
-// The timer and pool registries. Traces reference both by name so a
-// trace file stays a pure data artifact; a process replaying a trace
-// that uses a custom timer or pool registers it first under the
-// recorded name.
+// The timer registry. Traces reference timers by name so a trace file
+// stays a pure data artifact; a process verifying a trace that uses a
+// custom timer registers it first under the recorded name.
 var (
 	regMu  sync.Mutex
 	timers = map[string]farm.StepTimer{
 		TimerCompute: farm.ComputeTimer,
-	}
-	pools = map[string]func() *farm.Cluster{
-		PoolPaper: farm.NewPaperCluster,
-		PoolPaperQuiet: func() *farm.Cluster {
-			c := farm.NewPaperCluster()
-			c.Advance(30 * time.Minute)
-			return c
-		},
 	}
 )
 
@@ -169,14 +148,6 @@ func RegisterTimer(name string, t farm.StepTimer) {
 	regMu.Lock()
 	defer regMu.Unlock()
 	timers[name] = t
-}
-
-// RegisterPool names a pool constructor for traces. The constructor
-// must build a fresh, identically shaped pool on every call.
-func RegisterPool(name string, fn func() *farm.Cluster) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	pools[name] = fn
 }
 
 // timerFor resolves a timer name ("" = compute).
@@ -193,28 +164,12 @@ func timerFor(name string) (farm.StepTimer, error) {
 	return t, nil
 }
 
-// poolFor resolves a pool name ("" = quiet paper pool) to a fresh pool.
-func poolFor(name string) (*farm.Cluster, error) {
-	if name == "" {
-		name = PoolPaperQuiet
-	}
-	regMu.Lock()
-	fn, ok := pools[name]
-	regMu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("workload: %w: pool %q is not registered", ErrBadTrace, name)
-	}
-	return fn(), nil
-}
-
-// build assembles the farm for one run: pool and timer from the
-// registries, the scenario compiled onto WithScenario, checkpointing on
-// the given grid.
+// build assembles the farm for one run: the quiet paper pool (the
+// paper's 25 hosts after 30 idle minutes — load averages decayed, every
+// user idle — the experiments' common starting condition), the timer
+// from the registry, the scenario compiled onto WithScenario,
+// checkpointing on the given grid.
 func build(cfg RunConfig, sc *Scenario) (*farm.Farm, error) {
-	pool, err := poolFor(cfg.Pool)
-	if err != nil {
-		return nil, err
-	}
 	timer, err := timerFor(cfg.Timer)
 	if err != nil {
 		return nil, err
@@ -245,6 +200,8 @@ func build(cfg RunConfig, sc *Scenario) (*farm.Farm, error) {
 		}
 		opts = append(opts, farm.WithCheckpoint(cfg.CheckpointDir, cfg.CheckpointEvery, cfg.CheckpointGap))
 	}
+	pool := farm.NewPaperCluster()
+	pool.Advance(30 * time.Minute)
 	return farm.New(pool, opts...)
 }
 
@@ -320,7 +277,6 @@ func Record(spec *Spec, cfg RunConfig) (*Trace, farm.Summary, error) {
 		Policy:          cfg.Policy.String(),
 		Backfill:        cfg.Backfill.String(),
 		Timer:           cfg.Timer,
-		Pool:            cfg.Pool,
 		CheckpointEvery: cfg.CheckpointEvery,
 		CheckpointGap:   cfg.CheckpointGap,
 		Scenario:        spec.Scenario,
@@ -331,10 +287,13 @@ func Record(spec *Spec, cfg RunConfig) (*Trace, farm.Summary, error) {
 }
 
 // hasResizeEvents reports whether any recorded event line is a resize
-// or an autoscale decision (their stable String forms).
+// or an autoscale decision. It reads the kind token, the second field
+// of the stable `t=<time> <kind> ...` String form, so a job ID that
+// happens to contain " resized " does not count.
 func hasResizeEvents(lines []string) bool {
 	for _, l := range lines {
-		if strings.Contains(l, " resized ") || strings.Contains(l, " autoscale ") {
+		_, rest, _ := strings.Cut(l, " ")
+		if kind, _, _ := strings.Cut(rest, " "); kind == "resized" || kind == "autoscale" {
 			return true
 		}
 	}
@@ -357,7 +316,6 @@ func (tr *Trace) config(ckptDir string) (RunConfig, error) {
 		Policy:          policy,
 		Backfill:        backfill,
 		Timer:           tr.Timer,
-		Pool:            tr.Pool,
 		CheckpointEvery: tr.CheckpointEvery,
 		CheckpointGap:   tr.CheckpointGap,
 		CheckpointDir:   ckptDir,
@@ -366,7 +324,7 @@ func (tr *Trace) config(ckptDir string) (RunConfig, error) {
 }
 
 // Verify re-runs the trace's recorded configuration — same jobs, seed,
-// knobs, scenario and checkpoint grid, a fresh pool from the registry —
+// knobs, scenario and checkpoint grid, a fresh quiet paper pool —
 // and asserts the event stream is byte-identical to the recording.
 // A mismatch wraps ErrTraceDiverged and pinpoints the first divergent
 // event. This is the regression pin CI runs: any drift in scheduling
@@ -418,24 +376,6 @@ func diffEvents(want, got []string) error {
 		return fmt.Errorf("workload: %w: recorded %d events, replayed %d", ErrTraceDiverged, len(want), len(got))
 	}
 	return nil
-}
-
-// ReplayOpenLoop re-submits the trace's recorded arrivals open-loop
-// under different knobs: the job list (IDs, shapes, sizes, arrival
-// times) is held fixed while cfg chooses the policy, backfill mode,
-// seed, timer and pool. The trace's cluster-side scenario stays
-// attached — the recorded world, a different scheduler. This is the
-// policy-comparison path: one recorded workload, a table of summaries.
-func ReplayOpenLoop(tr *Trace, cfg RunConfig) (farm.Summary, error) {
-	if err := tr.check(); err != nil {
-		return farm.Summary{}, err
-	}
-	f, err := build(cfg, tr.Scenario)
-	if err != nil {
-		return farm.Summary{}, err
-	}
-	sum, _, err := run(f, tr.Jobs)
-	return sum, err
 }
 
 // check rejects traces this package does not understand — including

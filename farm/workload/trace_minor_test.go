@@ -126,3 +126,28 @@ func TestTraceMinorRejections(t *testing.T) {
 		t.Errorf("zero-tick plan: %v, want ErrInvalidSpec", err)
 	}
 }
+
+// TestTraceMinorReadsEventKind: a plain run whose job IDs contain the
+// words " resized " and " autoscale " is still plain v1 — the minor
+// follows the events' kind, not words inside their job IDs — and a
+// v1.0 trace holding such IDs verifies instead of being rejected as
+// corrupt.
+func TestTraceMinorReadsEventKind(t *testing.T) {
+	spec := malleableSpec()
+	spec.Cohorts[0].Name = "was resized by autoscale here"
+	tr, _, err := workload.Record(spec, workload.RunConfig{Seed: 11, Policy: farm.FIFO, Backfill: farm.BackfillEASY})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(strings.Join(tr.Events, "\n"), " resized by autoscale ") {
+		t.Fatal("no event line carries the job ID; the test would be vacuous")
+	}
+	if tr.Minor != 0 {
+		t.Errorf("plain trace with resize words in its job IDs: minor = %d, want 0", tr.Minor)
+	}
+	plain := *tr
+	plain.Minor = 0
+	if err := plain.Verify(); err != nil {
+		t.Errorf("v1.0 trace with resize words in its job IDs: %v", err)
+	}
+}

@@ -1,6 +1,6 @@
 // Package workload is the farm's scenario engine: seeded synthetic
-// workload generation plus a versioned trace format for recording and
-// replaying farm runs.
+// workload generation plus a versioned trace format for recording farm
+// runs and verifying them byte for byte.
 //
 // The paper's evaluation — and this repository's first experiments —
 // rest on a handful of hand-built job lists. This package turns those
@@ -29,14 +29,12 @@
 //   - Traces. Record captures a run's structured event stream (the
 //     farm.Subscribe surface) together with everything needed to
 //     reproduce it into a versioned, self-describing Trace file.
-//     ReplayOpenLoop re-submits the recorded arrivals against any
-//     policy, backfill mode, seed or pool — the policy-comparison
-//     path — while Verify re-runs the recorded configuration and
-//     asserts the event stream is byte-identical, the regression pin
-//     CI runs (`go run ./cmd/experiments -exp=sweep`).
+//     Verify re-runs the recorded configuration and asserts the event
+//     stream is byte-identical, the regression pin CI runs
+//     (`go run ./cmd/experiments -exp=sweep`).
 //
 // All times are the farm's virtual times; nothing here depends on wall
-// clocks, so generation and replay are deterministic everywhere.
+// clocks, so generation and verification are deterministic everywhere.
 package workload
 
 import (
