@@ -74,6 +74,6 @@ func farmExp(w io.Writer) error {
 	fmt.Fprint(w, prioSum)
 	fmt.Fprintln(w, "\npreemption suspends a job through the section-5.1 migration dump")
 	fmt.Fprintln(w, "and resumes it later — the preempted simulation's results stay")
-	fmt.Fprintln(w, "bit-identical (internal/sched TestFarmPreemptsRealCoreJob).")
+	fmt.Fprintln(w, "bit-identical (farm TestFarmPreemptsRealCoreJob).")
 	return nil
 }

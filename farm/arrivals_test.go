@@ -1,4 +1,4 @@
-package sched
+package farm
 
 import (
 	"errors"
@@ -53,13 +53,8 @@ func linearNext(pending []*jobState) time.Duration {
 func TestAdmitOrderMatchesLinearScan(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		s := New(idlePool(), FIFO, seed)
-		var queued []string
-		s.Events = func(ev Event) {
-			if q, ok := ev.(JobQueued); ok {
-				queued = append(queued, fmt.Sprintf("%v %s", q.T, q.ID))
-			}
-		}
+		s := newFarm(idlePool(), FIFO, seed)
+		events := tap(t, s)
 		var oracle []*jobState
 		n := 0
 		for now := time.Duration(0); now <= 12*time.Minute; now += time.Minute {
@@ -68,7 +63,7 @@ func TestAdmitOrderMatchesLinearScan(t *testing.T) {
 				spec := JobSpec{ID: fmt.Sprintf("j%03d", n), Method: "lb2d", JX: 1, JY: 1, Side: 10, Steps: 10,
 					Submit: time.Duration(rng.Intn(7)) * 2 * time.Minute}
 				n++
-				if err := s.Submit(spec, nil); err != nil {
+				if _, err := s.Submit(spec, nil); err != nil {
 					t.Fatal(err)
 				}
 				oracle = append(oracle, &jobState{spec: spec, Accounting: ckpt.Accounting{Live: s.looping}})
@@ -80,9 +75,14 @@ func TestAdmitOrderMatchesLinearScan(t *testing.T) {
 			for _, js := range admitted {
 				want = append(want, fmt.Sprintf("%v %s", now, js.spec.ID))
 			}
-			queued = nil
 			before := len(s.queue)
 			s.admit(now)
+			var queued []string
+			for _, ev := range events() {
+				if q, ok := ev.(JobQueued); ok {
+					queued = append(queued, fmt.Sprintf("%v %s", q.T, q.ID))
+				}
+			}
 			if !reflect.DeepEqual(queued, want) {
 				t.Fatalf("seed %d, t=%v: queued %v, the linear scan gives %v", seed, now, queued, want)
 			}
@@ -98,16 +98,14 @@ func TestAdmitOrderMatchesLinearScan(t *testing.T) {
 				t.Fatalf("seed %d, t=%v: next arrival %v (%v), the linear scan gives %v", seed, now, next, ok, lin)
 			}
 			var listed, left []string
-			for _, info := range s.Jobs() {
-				if info.Phase == PhasePending {
-					listed = append(listed, info.ID)
-				}
+			for _, js := range s.byPhase()[StatusPending] {
+				listed = append(listed, js.spec.ID)
 			}
 			for _, js := range oracle {
 				left = append(left, js.spec.ID)
 			}
 			if !reflect.DeepEqual(listed, left) {
-				t.Fatalf("seed %d, t=%v: Jobs() lists pending %v, submission order is %v", seed, now, listed, left)
+				t.Fatalf("seed %d, t=%v: byPhase lists pending %v, submission order is %v", seed, now, listed, left)
 			}
 		}
 	}
@@ -118,13 +116,13 @@ func TestAdmitOrderMatchesLinearScan(t *testing.T) {
 // arrival, one submitted before an earlier arrival; at 2m two more are
 // submitted live, one already overdue (clamped to 2m) and one due at 4m
 // with the others. tick runs after the script's actions.
-func arrivalFarm(t *testing.T, tick func(s *Scheduler, vt time.Duration)) *Scheduler {
+func arrivalFarm(t *testing.T, tick func(s *Farm, vt time.Duration)) *Farm {
 	t.Helper()
-	s := New(idlePool(), FIFO, 3)
+	s := newFarm(idlePool(), FIFO, 3)
 	submit := func(id string, at time.Duration) {
 		t.Helper()
 		spec := JobSpec{ID: id, Method: "fd2d", JX: 2, JY: 1, Side: 30, Steps: 4000, Submit: at}
-		if err := s.Submit(spec, nil); err != nil {
+		if _, err := s.Submit(spec, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -134,13 +132,13 @@ func arrivalFarm(t *testing.T, tick func(s *Scheduler, vt time.Duration)) *Sched
 	submit("k-now", 0)
 	submit("a-tie4", 4*time.Minute)
 	submit("b-first1", time.Minute)
-	s.ScenarioEvery = time.Minute
-	s.Scenario = func(vt time.Duration, _ *cluster.Cluster) {
+	s.scenarioEvery = time.Minute
+	s.scenario = func(vt time.Duration, _ *cluster.Cluster) {
 		if vt == 2*time.Minute {
 			submit("y-overdue", time.Minute)
 			submit("d-tie4", 4*time.Minute)
 			submit("x-overdue", 0)
-			s.Close()
+			s.Drain()
 		}
 		tick(s, vt)
 	}
@@ -152,15 +150,16 @@ func arrivalFarm(t *testing.T, tick func(s *Scheduler, vt time.Duration)) *Sched
 // the order they were submitted, a live overdue job at the time it
 // appeared.
 func TestQueuedOrderDuringRun(t *testing.T) {
+	s := arrivalFarm(t, func(*Farm, time.Duration) {})
+	events := tap(t, s)
+	if _, err := s.loop(); err != nil {
+		t.Fatal(err)
+	}
 	var queued []string
-	s := arrivalFarm(t, func(*Scheduler, time.Duration) {})
-	s.Events = func(ev Event) {
+	for _, ev := range events() {
 		if _, ok := ev.(JobQueued); ok {
 			queued = append(queued, ev.String())
 		}
-	}
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
 	}
 	want := []string{
 		"t=0s queued k-now",
@@ -176,20 +175,19 @@ func TestQueuedOrderDuringRun(t *testing.T) {
 
 // TestCheckpointKeepsPendingOrder: a checkpoint taken while jobs still
 // wait on pending — out of arrival order, tied, one of them live —
-// restores to the same Jobs() listing, and the restored farm emits
+// restores to the same listing of jobs and handles, and the restored farm emits
 // exactly the events the original had left.
 func TestCheckpointKeepsPendingOrder(t *testing.T) {
 	const at = 3 * time.Minute
-	var whole []string
-	ref := arrivalFarm(t, func(*Scheduler, time.Duration) {})
-	ref.Events = func(ev Event) { whole = append(whole, ev.String()) }
-	if _, err := ref.Run(); err != nil {
+	ref := arrivalFarm(t, func(*Farm, time.Duration) {})
+	refEvents := tap(t, ref)
+	if _, err := ref.loop(); err != nil {
 		t.Fatal(err)
 	}
+	whole := traceOf(refEvents())
 
 	dir := t.TempDir()
-	var head []string
-	s1 := arrivalFarm(t, func(s *Scheduler, vt time.Duration) {
+	s1 := arrivalFarm(t, func(s *Farm, vt time.Duration) {
 		if vt != at {
 			return
 		}
@@ -198,15 +196,14 @@ func TestCheckpointKeepsPendingOrder(t *testing.T) {
 		}
 		s.Interrupt()
 	})
-	s1.Events = func(ev Event) { head = append(head, ev.String()) }
-	if _, err := s1.Run(); !errors.Is(err, ErrInterrupted) {
+	s1Events := tap(t, s1)
+	if _, err := s1.loop(); !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("Run returned %v, want ErrInterrupted at the checkpoint tick", err)
 	}
+	head := traceOf(s1Events())
 	var pending []string
-	for _, info := range s1.Jobs() {
-		if info.Phase == PhasePending {
-			pending = append(pending, info.ID)
-		}
+	for _, js := range s1.byPhase()[StatusPending] {
+		pending = append(pending, js.spec.ID)
 	}
 	if want := []string{"m-tie4", "c-late9", "z-tie4", "a-tie4", "d-tie4"}; !reflect.DeepEqual(pending, want) {
 		t.Fatalf("pending at %v = %v, want submission order %v", at, pending, want)
@@ -216,16 +213,16 @@ func TestCheckpointKeepsPendingOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := s2.Jobs(), s1.Jobs(); !reflect.DeepEqual(got, want) {
-		t.Errorf("restored Jobs() = %v, the checkpointed farm's = %v", got, want)
+	if got, want := listing(s2), listing(s1); !reflect.DeepEqual(got, want) {
+		t.Errorf("restored farm lists %v, the checkpointed farm %v", got, want)
 	}
-	var tail []string
-	s2.Events = func(ev Event) { tail = append(tail, ev.String()) }
-	s2.ScenarioEvery = time.Minute
-	s2.Scenario = func(time.Duration, *cluster.Cluster) {}
-	if _, err := s2.Run(); err != nil {
+	s2Events := tap(t, s2)
+	s2.scenarioEvery = time.Minute
+	s2.scenario = func(time.Duration, *cluster.Cluster) {}
+	if _, err := s2.loop(); err != nil {
 		t.Fatal(err)
 	}
+	tail := traceOf(s2Events())
 	// s1 announces its own checkpoint commit; the uninterrupted run has no
 	// such line, every other one must match.
 	var joined []string
@@ -240,13 +237,35 @@ func TestCheckpointKeepsPendingOrder(t *testing.T) {
 	}
 }
 
+// traceOf renders events in their trace form.
+func traceOf(evs []Event) []string {
+	trace := make([]string, len(evs))
+	for i, ev := range evs {
+		trace[i] = ev.String()
+	}
+	return trace
+}
+
+// listing names every job the farm holds, in byPhase order, with the
+// status it sits in and the status its handle reports.
+func listing(f *Farm) []string {
+	var l []string
+	for st, jobs := range f.byPhase() {
+		for _, js := range jobs {
+			j, _ := f.Job(js.spec.ID)
+			l = append(l, fmt.Sprintf("%s %v %v", js.spec.ID, Status(st), j.Status()))
+		}
+	}
+	return l
+}
+
 // TestPlacementErrorsAreNotShortfalls: only cluster.ErrShortfall means
 // "does not fit now, try the next job"; any other Reserve failure is a
 // fault of the farm and stops the round. A queued job with no ranks —
 // which Submit's validation never lets through — stands in for one.
 func TestPlacementErrorsAreNotShortfalls(t *testing.T) {
-	s := New(idlePool(), FIFO, 1)
-	s.queue = []*jobState{{spec: JobSpec{ID: "rankless", Method: "lb2d"}, work: NullWorkload{}}}
+	s := newFarm(idlePool(), FIFO, 1)
+	s.queue = []*jobState{{spec: JobSpec{ID: "rankless", Method: "lb2d"}, work: nullWorkload{}}}
 	err := s.scheduleRound(0)
 	if err == nil || errors.Is(err, cluster.ErrShortfall) || !strings.Contains(err.Error(), "rankless") {
 		t.Errorf("scheduleRound with an unreservable job returned %v, want a fatal error naming it", err)
@@ -256,12 +275,12 @@ func TestPlacementErrorsAreNotShortfalls(t *testing.T) {
 	}
 
 	// A real shortfall still just leaves the job queued.
-	s = New(idlePool(), FIFO, 1)
-	if _, err := s.Cluster.Reserve("other", 24, s.selection, nil); err != nil {
+	s = newFarm(idlePool(), FIFO, 1)
+	if _, err := s.cluster.Reserve("other", 24, s.selection, nil); err != nil {
 		t.Fatal(err)
 	}
 	s.queue = []*jobState{{spec: JobSpec{ID: "wide", Method: "lb2d", JX: 2, JY: 1, Side: 10, Steps: 10},
-		work: NullWorkload{}, Accounting: ckpt.Accounting{Remaining: 10}}}
+		work: nullWorkload{}, Accounting: ckpt.Accounting{Remaining: 10}}}
 	if err := s.scheduleRound(0); err != nil || len(s.queue) != 1 {
 		t.Errorf("shortfall: err = %v with %d queued, want the job left waiting", err, len(s.queue))
 	}
@@ -281,7 +300,7 @@ func TestPricingAllocatesNothing(t *testing.T) {
 	for _, sh := range []struct {
 		name  string
 		shape decomp.Shape
-	}{{"uniform", UniformShape(spec)}, {"weighted", weighted}} {
+	}{{"uniform", uniformShape(spec)}, {"weighted", weighted}} {
 		for name, price := range map[string]func(JobSpec, decomp.Shape, []*cluster.Host) (float64, error){
 			"ComputeTimer": ComputeTimer, "Imbalance": Imbalance,
 		} {

@@ -1,15 +1,16 @@
-package sched
+package farm
 
 import "time"
 
-// AutoscaleControl is the deterministic handle the Autoscale hook
-// receives each tick: it samples the farm's supply/demand state and
-// actuates resize decisions, all synchronously on the scheduling
-// goroutine at one virtual instant — the control loop in farm/autoscale
-// is pure policy over this interface. The handle is only valid inside
-// the hook invocation that received it.
+// AutoscaleControl is the deterministic handle a WithAutoscaler
+// callback receives each control tick: Sample captures the farm's
+// supply/demand state, Resize actuates a decision and Decide records one
+// on the event stream without acting, all synchronously on the
+// scheduling goroutine at one virtual instant — the control loop in
+// farm/autoscale is pure policy over this handle. The handle is only
+// valid inside the callback invocation that received it.
 type AutoscaleControl struct {
-	s *Scheduler
+	f *Farm
 	t time.Duration
 }
 
@@ -20,17 +21,17 @@ func (c AutoscaleControl) Now() time.Duration { return c.t }
 // total hosts, and one JobSample per running and queued job, with
 // progress extrapolated to the tick's instant.
 func (c AutoscaleControl) Sample() Sample {
-	s := c.s
+	f := c.f
 	sm := Sample{
 		T:          c.t,
-		QueueDepth: len(s.queue),
-		FreeHosts:  s.Cluster.Capacity(s.selection),
-		TotalHosts: len(s.Cluster.Hosts),
+		QueueDepth: len(f.queue),
+		FreeHosts:  f.cluster.Capacity(f.selection),
+		TotalHosts: len(f.cluster.Hosts),
 	}
-	for _, js := range s.running {
+	for _, js := range f.running {
 		sm.Running = append(sm.Running, jobSample(js, c.t, true))
 	}
-	for _, js := range s.queue {
+	for _, js := range f.queue {
 		sm.Queued = append(sm.Queued, jobSample(js, c.t, false))
 	}
 	return sm
@@ -42,17 +43,18 @@ func (c AutoscaleControl) Sample() Sample {
 // ErrNoCapacity, or the workload's refusal) and leave the job running
 // on its old decomposition.
 func (c AutoscaleControl) Resize(id string, n int) error {
-	return c.s.resizeByID(id, n, c.t)
+	return c.f.resizeByID(id, n, c.t)
 }
 
 // Decide records a policy decision on the event stream without acting
 // on it, so hold decisions and the reasons behind grows/shrinks show up
 // in traces. The policy calls it before (or instead of) Resize.
 func (c AutoscaleControl) Decide(id, action string, from, to int, reason string) {
-	c.s.emit(AutoscaleDecision{T: c.t, ID: id, Action: action, From: from, To: to, Reason: reason})
+	c.f.emit(AutoscaleDecision{T: c.t, ID: id, Action: action, From: from, To: to, Reason: reason})
 }
 
-// Sample is one control tick's view of the farm.
+// Sample is one control tick's view of the farm; the farm/autoscale
+// policies decide over it.
 type Sample struct {
 	T time.Duration
 	// QueueDepth counts the admitted jobs waiting for placement.

@@ -1,4 +1,4 @@
-package sched
+package farm
 
 import (
 	"errors"
@@ -17,7 +17,6 @@ import (
 	"repro/internal/decomp"
 	"repro/internal/dump"
 	"repro/internal/fluid"
-	"repro/internal/sched/metrics"
 	"repro/internal/syncfile"
 )
 
@@ -82,18 +81,18 @@ func TestKillAndRestoreBitIdentical(t *testing.T) {
 	// Reference farm run: no checkpoint, but the same scenario tick grid
 	// (virtual-time advances must visit the same instants for the load
 	// averages to evolve bit-identically).
-	runRef := func() metrics.Summary {
+	runRef := func() Summary {
 		t.Helper()
-		s := New(idlePool(), Priority, 42)
-		s.ScenarioEvery = time.Minute
-		s.Scenario = func(time.Duration, *cluster.Cluster) {}
+		s := newFarm(idlePool(), Priority, 42)
+		s.scenarioEvery = time.Minute
+		s.scenario = func(time.Duration, *cluster.Cluster) {}
 		for _, sp := range specs {
-			if err := s.Submit(sp, nil); err != nil {
+			if _, err := s.Submit(sp, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
-		s.Close()
-		sum, err := s.Run()
+		s.Drain()
+		sum, err := s.loop()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,11 +108,11 @@ func TestKillAndRestoreBitIdentical(t *testing.T) {
 	// checkpoint at t=5m followed by a "crash".
 	dir := t.TempDir()
 	pool1 := idlePool()
-	s1 := New(pool1, Priority, 42)
+	s1 := newFarm(pool1, Priority, 42)
 	job1, _ := newSimJob(t, simConfig(t, 2, 2), steps)
-	s1.ScenarioEvery = time.Minute
+	s1.scenarioEvery = time.Minute
 	crashed := false
-	s1.Scenario = func(vt time.Duration, _ *cluster.Cluster) {
+	s1.scenario = func(vt time.Duration, _ *cluster.Cluster) {
 		if vt < 5*time.Minute || crashed {
 			return
 		}
@@ -123,14 +122,14 @@ func TestKillAndRestoreBitIdentical(t *testing.T) {
 		}
 		s1.Interrupt()
 	}
-	if err := s1.Submit(specs[0], nil); err != nil {
+	if _, err := s1.Submit(specs[0], nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s1.Submit(specs[1], &CoreWorkload{Job: job1, Cluster: pool1}); err != nil {
+	if _, err := s1.Submit(specs[1], &CoreWorkload{Job: job1, Cluster: pool1}); err != nil {
 		t.Fatal(err)
 	}
-	s1.Close()
-	if _, err := s1.Run(); !errors.Is(err, ErrInterrupted) {
+	s1.Drain()
+	if _, err := s1.loop(); !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("crashed run returned %v, want ErrInterrupted", err)
 	}
 	if !crashed {
@@ -174,9 +173,9 @@ func TestKillAndRestoreBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2.ScenarioEvery = time.Minute
-	s2.Scenario = func(time.Duration, *cluster.Cluster) {}
-	got, err := s2.Run()
+	s2.scenarioEvery = time.Minute
+	s2.scenario = func(time.Duration, *cluster.Cluster) {}
+	got, err := s2.loop()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,26 +207,26 @@ func TestAutoCheckpointRestore(t *testing.T) {
 		{ID: "c-late", Method: "fd2d", JX: 3, JY: 2, Side: 30, Steps: 9000,
 			Submit: 10 * time.Minute},
 	}
-	run := func(dir string, crashAt time.Duration) (metrics.Summary, *Scheduler, error) {
+	run := func(dir string, crashAt time.Duration) (Summary, *Farm, error) {
 		t.Helper()
-		s := New(idlePool(), FIFO, 7)
-		s.CheckpointEvery = 2 * time.Minute
-		s.CheckpointDir = dir
-		s.ScenarioEvery = time.Minute
+		s := newFarm(idlePool(), FIFO, 7)
+		s.ckptEvery = 2 * time.Minute
+		s.ckptDir = dir
+		s.scenarioEvery = time.Minute
 		crashed := false
-		s.Scenario = func(vt time.Duration, _ *cluster.Cluster) {
+		s.scenario = func(vt time.Duration, _ *cluster.Cluster) {
 			if crashAt > 0 && vt >= crashAt && !crashed {
 				crashed = true
 				s.Interrupt()
 			}
 		}
 		for _, sp := range specs {
-			if err := s.Submit(sp, nil); err != nil {
+			if _, err := s.Submit(sp, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
-		s.Close()
-		sum, err := s.Run()
+		s.Drain()
+		sum, err := s.loop()
 		return sum, s, err
 	}
 
@@ -263,11 +262,11 @@ func TestAutoCheckpointRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2.CheckpointEvery = 2 * time.Minute
-	s2.CheckpointDir = t.TempDir()
-	s2.ScenarioEvery = time.Minute
-	s2.Scenario = func(time.Duration, *cluster.Cluster) {}
-	got, err := s2.Run()
+	s2.ckptEvery = 2 * time.Minute
+	s2.ckptDir = t.TempDir()
+	s2.scenarioEvery = time.Minute
+	s2.scenario = func(time.Duration, *cluster.Cluster) {}
+	got, err := s2.loop()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,11 +321,11 @@ func TestRestoreRejectsCorruptCheckpoints(t *testing.T) {
 	const steps = 30
 	dir := t.TempDir()
 	pool := idlePool()
-	s := New(pool, FIFO, 3)
+	s := newFarm(pool, FIFO, 3)
 	job, _ := newSimJob(t, simConfig(t, 2, 1), steps)
 	done := false
-	s.ScenarioEvery = time.Minute
-	s.Scenario = func(vt time.Duration, _ *cluster.Cluster) {
+	s.scenarioEvery = time.Minute
+	s.scenario = func(vt time.Duration, _ *cluster.Cluster) {
 		if vt < 2*time.Minute || done {
 			return
 		}
@@ -336,13 +335,13 @@ func TestRestoreRejectsCorruptCheckpoints(t *testing.T) {
 		}
 		s.Interrupt()
 	}
-	if err := s.Submit(JobSpec{
+	if _, err := s.Submit(JobSpec{
 		ID: "sim", Method: "lb2d", JX: 2, JY: 1, Side: 1000, Steps: steps,
 	}, &CoreWorkload{Job: job, Cluster: pool}); err != nil {
 		t.Fatal(err)
 	}
-	s.Close()
-	if _, err := s.Run(); !errors.Is(err, ErrInterrupted) {
+	s.Drain()
+	if _, err := s.loop(); !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("run returned %v, want ErrInterrupted", err)
 	}
 
@@ -432,21 +431,21 @@ func TestRestoreRejectsCorruptCheckpoints(t *testing.T) {
 // coordinator's scheduler is torn down before being replaced.
 func TestCloseAfterFailedRunIdempotent(t *testing.T) {
 	pool := idlePool()
-	s := New(pool, FIFO, 1)
-	s.ScenarioEvery = time.Minute
+	s := newFarm(pool, FIFO, 1)
+	s.scenarioEvery = time.Minute
 	fired := false
-	s.Scenario = func(vt time.Duration, _ *cluster.Cluster) {
+	s.scenario = func(vt time.Duration, _ *cluster.Cluster) {
 		if !fired {
 			fired = true
 			s.Interrupt()
 		}
 	}
-	if err := s.Submit(JobSpec{
+	if _, err := s.Submit(JobSpec{
 		ID: "x", Method: "lb2d", JX: 3, JY: 2, Side: 200, Steps: 5000,
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(); !errors.Is(err, ErrInterrupted) {
+	if _, err := s.loop(); !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("run returned %v, want ErrInterrupted", err)
 	}
 
@@ -460,7 +459,7 @@ func TestCloseAfterFailedRunIdempotent(t *testing.T) {
 		t.Fatalf("%d hosts assigned after the failed run, want 6 still held", assigned)
 	}
 
-	s.Close()
+	s.Drain()
 	for _, h := range pool.Hosts {
 		if h.Assigned() >= 0 {
 			t.Fatalf("host %s still assigned after Close", h.Name)
@@ -471,7 +470,7 @@ func TestCloseAfterFailedRunIdempotent(t *testing.T) {
 	if _, err := pool.Reserve("other", 6, cluster.DefaultPolicy(), nil); err != nil {
 		t.Fatal(err)
 	}
-	s.Close()
+	s.Drain()
 	reserved := 0
 	for _, h := range pool.Hosts {
 		if h.Assigned() >= 0 {
@@ -481,7 +480,7 @@ func TestCloseAfterFailedRunIdempotent(t *testing.T) {
 	if reserved != 6 {
 		t.Errorf("double Close disturbed another owner's reservation: %d hosts held, want 6", reserved)
 	}
-	if err := s.Submit(JobSpec{
+	if _, err := s.Submit(JobSpec{
 		ID: "late", Method: "lb2d", JX: 1, JY: 1, Side: 4, Steps: 1,
 	}, nil); err == nil {
 		t.Error("Submit accepted after Close")
@@ -502,14 +501,14 @@ func TestWeightedFairServiceRatio(t *testing.T) {
 		specs = append(specs, mk("h"+string(rune('1'+i)), "heavy", 3))
 		specs = append(specs, mk("l"+string(rune('1'+i)), "light", 1))
 	}
-	s := New(idlePool(), WeightedFair, 11)
+	s := newFarm(idlePool(), WeightedFair, 11)
 	for _, sp := range specs {
-		if err := s.Submit(sp, nil); err != nil {
+		if _, err := s.Submit(sp, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s.Close()
-	sum, err := s.Run()
+	s.Drain()
+	sum, err := s.loop()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +517,7 @@ func TestWeightedFairServiceRatio(t *testing.T) {
 	}
 
 	// 20-rank jobs serialize on the 25-host pool: order by completion.
-	order := append([]metrics.Job(nil), sum.Jobs...)
+	order := append([]JobMetrics(nil), sum.Jobs...)
 	sort.Slice(order, func(i, j int) bool { return order[i].Done < order[j].Done })
 	heavyIn := func(n int) int {
 		c := 0
@@ -558,7 +557,7 @@ func TestWeightedFairServiceRatio(t *testing.T) {
 // by weight, defaults the weight to 1, and an unnamed user makes the job
 // its own tenant.
 func TestFairShareCredit(t *testing.T) {
-	s := New(idlePool(), WeightedFair, 1)
+	s := newFarm(idlePool(), WeightedFair, 1)
 	a := &jobState{spec: JobSpec{ID: "a", User: "u", Weight: 4}}
 	b := &jobState{spec: JobSpec{ID: "b", User: "v"}} // weight defaults to 1
 	c := &jobState{spec: JobSpec{ID: "c"}}            // own tenant

@@ -1,4 +1,4 @@
-package sched
+package farm
 
 import (
 	"fmt"
@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/sched/metrics"
 )
 
 // TestProjectedStartPerHostAvailability: the EASY shadow walk must count
@@ -17,11 +16,11 @@ import (
 func TestProjectedStartPerHostAvailability(t *testing.T) {
 	head := &jobState{spec: JobSpec{ID: "head", Method: "lb2d", JX: 5, JY: 5, Side: 40, Steps: 100}}
 
-	place := func(t *testing.T) (*Scheduler, *cluster.Cluster, *jobState) {
+	place := func(t *testing.T) (*Farm, *cluster.Cluster, *jobState) {
 		t.Helper()
 		pool := idlePool()
-		s := New(pool, FIFO, 5)
-		if err := s.Submit(JobSpec{
+		s := newFarm(pool, FIFO, 5)
+		if _, err := s.Submit(JobSpec{
 			ID: "runner", Method: "lb2d", JX: 5, JY: 4, Side: 200, Steps: 5000,
 		}, nil); err != nil {
 			t.Fatal(err)
@@ -68,15 +67,10 @@ func TestProjectedStartPerHostAvailability(t *testing.T) {
 // EASYDegraded event, instead of silently eroding the head's protection.
 func TestEASYDegradeExplicitFallback(t *testing.T) {
 	pool := idlePool()
-	s := New(pool, FIFO, 5)
-	var degrades []EASYDegraded
-	s.Events = func(ev Event) {
-		if d, ok := ev.(EASYDegraded); ok {
-			degrades = append(degrades, d)
-		}
-	}
+	s := newFarm(pool, FIFO, 5)
+	events := tap(t, s)
 
-	if err := s.Submit(JobSpec{
+	if _, err := s.Submit(JobSpec{
 		ID: "a-runner", Method: "lb2d", JX: 5, JY: 4, Side: 200, Steps: 5000,
 	}, nil); err != nil {
 		t.Fatal(err)
@@ -97,12 +91,12 @@ func TestEASYDegradeExplicitFallback(t *testing.T) {
 			break
 		}
 	}
-	if err := s.Submit(JobSpec{
+	if _, err := s.Submit(JobSpec{
 		ID: "b-head", Method: "lb2d", JX: 5, JY: 5, Side: 40, Steps: 100,
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Submit(JobSpec{
+	if _, err := s.Submit(JobSpec{
 		ID: "c-small", Method: "lb2d", JX: 2, JY: 2, Side: 40, Steps: 15000,
 	}, nil); err != nil {
 		t.Fatal(err)
@@ -112,6 +106,12 @@ func TestEASYDegradeExplicitFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	var degrades []EASYDegraded
+	for _, ev := range events() {
+		if d, ok := ev.(EASYDegraded); ok {
+			degrades = append(degrades, d)
+		}
+	}
 	if s.easyDegraded != 1 {
 		t.Errorf("easyDegraded = %d, want 1", s.easyDegraded)
 	}
@@ -162,15 +162,15 @@ func stormSpecs() []JobSpec {
 // returning, so the head's reservation was optimistic and quietly
 // stopped protecting it.
 func TestEASYHeadWaitBoundUnderReclaimStorm(t *testing.T) {
-	run := func(mode BackfillMode) metrics.Summary {
+	run := func(mode BackfillMode) Summary {
 		t.Helper()
 		c := cluster.NewPaperCluster()
 		c.Advance(30 * time.Minute)
-		s := New(c, FIFO, 1)
-		s.Backfill = mode
+		s := newFarm(c, FIFO, 1)
+		s.backfill = mode
 		reclaimAt := make(map[*cluster.Host]time.Duration)
-		s.ScenarioEvery = time.Minute
-		s.Scenario = func(vt time.Duration, c *cluster.Cluster) {
+		s.scenarioEvery = time.Minute
+		s.scenario = func(vt time.Duration, c *cluster.Cluster) {
 			for h, at := range reclaimAt {
 				if at >= 0 && vt-at >= 30*time.Minute {
 					c.UserGone(h)
@@ -189,12 +189,12 @@ func TestEASYHeadWaitBoundUnderReclaimStorm(t *testing.T) {
 			}
 		}
 		for _, sp := range stormSpecs() {
-			if err := s.Submit(sp, nil); err != nil {
+			if _, err := s.Submit(sp, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
-		s.Close()
-		sum, err := s.Run()
+		s.Drain()
+		sum, err := s.loop()
 		if err != nil {
 			t.Fatalf("backfill %v: %v", mode, err)
 		}

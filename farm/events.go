@@ -1,211 +1,232 @@
 package farm
 
 import (
-	"sync"
+	"fmt"
+	"strings"
+	"time"
 
-	"repro/internal/sched"
+	"repro/internal/cluster"
 )
 
-// Event is one structured entry of the farm's decision stream; see the
-// concrete types below. Events are emitted at every decision point of a
-// scheduling round, in a deterministic order for a fixed seed —
-// including across a checkpoint/restore boundary, where a restored farm
-// emits exactly the events the dead coordinator had not yet emitted.
-// String renders a stable single-line trace form.
-type Event = sched.Event
-
-// The concrete event types.
-type (
-	// JobQueued: a job was admitted to the queue.
-	JobQueued = sched.JobQueued
-	// JobPlaced: the queue head started (or resumed) on a reservation.
-	JobPlaced = sched.JobPlaced
-	// JobBackfilled: a job behind the blocked head started in its gaps.
-	JobBackfilled = sched.JobBackfilled
-	// JobPreempted: a running job was suspended off the pool and requeued.
-	JobPreempted = sched.JobPreempted
-	// JobMigrated: displaced ranks moved to replacement hosts mid-run.
-	JobMigrated = sched.JobMigrated
-	// JobResized: a running job re-decomposed onto a new rank count at a
-	// step boundary (Job.Resize or an autoscale decision).
-	JobResized = sched.JobResized
-	// AutoscaleDecision: the control loop recorded a grow/shrink/hold
-	// decision (and its reason) on the stream, whether or not it acted.
-	AutoscaleDecision = sched.AutoscaleDecision
-	// JobFinished: a job completed; carries its final metrics record.
-	JobFinished = sched.JobFinished
-	// HostReclaimed: a regular user sat back down at a reserved host.
-	HostReclaimed = sched.HostReclaimed
-	// CheckpointSaved: a farm checkpoint committed to disk.
-	CheckpointSaved = sched.CheckpointSaved
-	// EASYDegraded: a round's EASY shadow was incomputable; backfill
-	// explicitly fell back to the aggressive mode for the round.
-	EASYDegraded = sched.EASYDegraded
-)
-
-// DefaultSubscriptionBuffer is Subscribe's channel capacity. A farm
-// emits a handful of events per scheduling round, so the default rides
-// out a subscriber that drains in batches; size it explicitly with
-// SubscribeBuffered when collecting full traces of long storms.
-const DefaultSubscriptionBuffer = 1024
-
-// Subscription is one bounded tap on the farm's event stream.
+// Event is one structured entry of the farm's decision stream. The
+// event loop emits an Event at every decision point of a scheduling
+// round — admission, placement, backfill, preemption, migration,
+// resize, autoscale decision, completion, host reclaim, checkpoint
+// commit, EASY degrade — to the subscriptions, synchronously on the
+// scheduling goroutine, so for a fixed seed the stream is
+// deterministic: two runs of the same trace produce byte-identical
+// event sequences, including across a checkpoint/restore boundary (a
+// restored farm emits exactly the events the dead coordinator had not
+// yet emitted, never the ones it had).
 //
-// Delivery never blocks the scheduling round: events are sent
-// non-blockingly into the subscription's buffered channel, and when the
-// buffer is full the new event is dropped and counted — Dropped
-// reports how many. A subscriber that must see every event sizes its
-// buffer for the trace (SubscribeBuffered) or drains concurrently; a
-// slow or abandoned subscriber costs the farm nothing.
-//
-// The channel is closed when the stream is over — a drained farm's Run
-// returned successfully, ending any range loop over Events. A farm
-// whose Run returned an error may Run again (after an interrupt or
-// cancellation), so its subscriptions survive the gap and observe the
-// next run; the farm cannot know whether a resume is coming, so a
-// consumer that will not resume after an errored Run must Close its
-// subscription to end the stream — ranging on without closing parks
-// that goroutine forever.
-type Subscription struct {
-	f *Farm
-
-	mu      sync.Mutex
-	ch      chan Event
-	dropped int
-	closed  bool
+// All times are farm-relative virtual times (the same clock the metrics
+// report), and String renders a stable single-line form — the trace
+// tests compare those strings.
+type Event interface {
+	// When returns the farm-relative virtual time of the decision.
+	When() time.Duration
+	fmt.Stringer
 }
 
-// Subscribe taps the farm's event stream with the default buffer.
-// Subscribe before Run to see the whole stream; a subscription made
-// mid-run starts at the current round.
-func (f *Farm) Subscribe() *Subscription {
-	return f.SubscribeBuffered(DefaultSubscriptionBuffer)
+// JobQueued records a job's admission: its arrival time passed (or it
+// was submitted live) and it now waits in the queue.
+type JobQueued struct {
+	T  time.Duration
+	ID string
 }
 
-// SubscribeBuffered taps the farm's event stream with an explicit
-// buffer capacity (minimum 1). See Subscription for the overflow
-// policy. A subscription made after a drained farm's Run has returned
-// arrives already closed: the stream it would have observed is over,
-// so a range over Events ends immediately instead of blocking on a
-// channel nothing will ever close.
-func (f *Farm) SubscribeBuffered(n int) *Subscription {
-	if n < 1 {
-		n = 1
+func (e JobQueued) When() time.Duration { return e.T }
+func (e JobQueued) String() string {
+	return fmt.Sprintf("t=%v queued %s", e.T, e.ID)
+}
+
+// JobPlaced records the queue head starting (or resuming) on a fresh
+// reservation.
+type JobPlaced struct {
+	T  time.Duration
+	ID string
+	// Hosts is the placement, indexed by rank.
+	Hosts []string
+	// StepSec is the priced per-step estimate on this placement and
+	// Finish the projected virtual completion time it implies.
+	StepSec float64
+	Finish  time.Duration
+	// Weighted reports a speed-weighted decomposition shape.
+	Weighted bool
+}
+
+func (e JobPlaced) When() time.Duration { return e.T }
+func (e JobPlaced) String() string {
+	return fmt.Sprintf("t=%v placed %s on [%s] step=%.6gs finish=%v weighted=%v",
+		e.T, e.ID, strings.Join(e.Hosts, " "), e.StepSec, e.Finish, e.Weighted)
+}
+
+// JobBackfilled records a job behind the blocked queue head starting in
+// the gaps the head cannot fill (under EASY, only because its projected
+// finish lands before the head's reservation).
+type JobBackfilled struct {
+	T        time.Duration
+	ID       string
+	Hosts    []string
+	StepSec  float64
+	Finish   time.Duration
+	Weighted bool
+}
+
+func (e JobBackfilled) When() time.Duration { return e.T }
+func (e JobBackfilled) String() string {
+	return fmt.Sprintf("t=%v backfilled %s on [%s] step=%.6gs finish=%v weighted=%v",
+		e.T, e.ID, strings.Join(e.Hosts, " "), e.StepSec, e.Finish, e.Weighted)
+}
+
+// JobPreempted records a running job suspended off the pool — a
+// priority preemption, or the whole-job fallback when a reclaimed
+// host's ranks found no replacement — through the section-5.1 dump
+// path. The job is requeued with Remaining integration steps left.
+type JobPreempted struct {
+	T         time.Duration
+	ID        string
+	Remaining float64
+}
+
+func (e JobPreempted) When() time.Duration { return e.T }
+func (e JobPreempted) String() string {
+	return fmt.Sprintf("t=%v preempted %s remaining=%.6g", e.T, e.ID, e.Remaining)
+}
+
+// JobMigrated records displaced ranks moving to replacement hosts
+// mid-run (the section-5.1 dump/rebuild round trip) after their hosts'
+// regular users returned; the job was repriced on the patched
+// placement.
+type JobMigrated struct {
+	T  time.Duration
+	ID string
+	// Ranks are the displaced ranks; Hosts[i] is rank Ranks[i]'s new
+	// home.
+	Ranks   []int
+	Hosts   []string
+	StepSec float64
+	Finish  time.Duration
+}
+
+func (e JobMigrated) When() time.Duration { return e.T }
+func (e JobMigrated) String() string {
+	parts := make([]string, len(e.Ranks))
+	for i, r := range e.Ranks {
+		parts[i] = fmt.Sprintf("%d>%s", r, e.Hosts[i])
 	}
-	sub := &Subscription{f: f, ch: make(chan Event, n)}
-	f.mu.Lock()
-	select {
-	case <-f.run.done:
-		// rs.err is valid once done is closed; a nil error means the
-		// farm drained to completion and no further run will come.
-		if f.run.err == nil {
-			f.mu.Unlock()
-			sub.shut()
-			return sub
+	return fmt.Sprintf("t=%v migrated %s [%s] step=%.6gs finish=%v",
+		e.T, e.ID, strings.Join(parts, " "), e.StepSec, e.Finish)
+}
+
+// JobFinished records a job's completion, with its full metrics record.
+type JobFinished struct {
+	T   time.Duration
+	ID  string
+	Job JobMetrics
+}
+
+func (e JobFinished) When() time.Duration { return e.T }
+func (e JobFinished) String() string {
+	return fmt.Sprintf("t=%v finished %s wait=%v served=%v preempts=%d migr=%d",
+		e.T, e.ID, e.Job.Wait(), e.Job.Served, e.Job.Preemptions, e.Job.Migrations)
+}
+
+// JobResized records a running job re-decomposed onto a new rank count
+// mid-run (the malleable-job extension of migration): the reservation
+// grew or shrank, the workload re-split at a step boundary, and the job
+// was repriced on the new placement.
+type JobResized struct {
+	T  time.Duration
+	ID string
+	// From and To are the old and new rank counts.
+	From, To int
+	// Hosts is the new placement, indexed by rank.
+	Hosts   []string
+	StepSec float64
+	Finish  time.Duration
+}
+
+func (e JobResized) When() time.Duration { return e.T }
+func (e JobResized) String() string {
+	return fmt.Sprintf("t=%v resized %s %d>%d on [%s] step=%.6gs finish=%v",
+		e.T, e.ID, e.From, e.To, strings.Join(e.Hosts, " "), e.StepSec, e.Finish)
+}
+
+// AutoscaleDecision records one control-loop decision — grow, shrink or
+// hold, with the policy's reason — whether or not it was actuated, so
+// traces show why the rank counts moved (or did not).
+type AutoscaleDecision struct {
+	T  time.Duration
+	ID string
+	// Action is the policy's verdict ("grow", "shrink", "hold").
+	Action   string
+	From, To int
+	Reason   string
+}
+
+func (e AutoscaleDecision) When() time.Duration { return e.T }
+func (e AutoscaleDecision) String() string {
+	return fmt.Sprintf("t=%v autoscale %s %s %d>%d reason=%q",
+		e.T, e.Action, e.ID, e.From, e.To, e.Reason)
+}
+
+// HostReclaimed records a regular user sitting back down at a
+// workstation a farm job had reserved: the scheduler vacates the host
+// (migration or suspension) within the same round.
+type HostReclaimed struct {
+	T    time.Duration
+	Host string
+	// Owner is the job holding the host when the user returned; empty
+	// when the reclaimed host was not reserved.
+	Owner string
+}
+
+func (e HostReclaimed) When() time.Duration { return e.T }
+func (e HostReclaimed) String() string {
+	return fmt.Sprintf("t=%v reclaimed %s owner=%q", e.T, e.Host, e.Owner)
+}
+
+// CheckpointSaved records a committed farm checkpoint: the manifest was
+// atomically renamed into place pointing at generation Gen, with Jobs
+// job records. The directory path is deliberately omitted from String —
+// it is operator-local and would break trace comparison across runs.
+type CheckpointSaved struct {
+	T   time.Duration
+	Dir string
+	Gen string
+	// Jobs counts the job records in the committed manifest.
+	Jobs int
+}
+
+func (e CheckpointSaved) When() time.Duration { return e.T }
+func (e CheckpointSaved) String() string {
+	return fmt.Sprintf("t=%v checkpoint %s jobs=%d", e.T, e.Gen, e.Jobs)
+}
+
+// EASYDegraded records a scheduling round whose blocked head had no
+// computable projected start (completions alone never free enough
+// usable hosts), so EASY backfill explicitly fell back to the
+// aggressive mode for the round instead of silently eroding the head's
+// protection.
+type EASYDegraded struct {
+	T     time.Duration
+	Head  string
+	Ranks int
+}
+
+func (e EASYDegraded) When() time.Duration { return e.T }
+func (e EASYDegraded) String() string {
+	return fmt.Sprintf("t=%v easy-degraded head=%s ranks=%d", e.T, e.Head, e.Ranks)
+}
+
+// hostNames copies a placement's host names, indexed by rank.
+func hostNames(hosts []*cluster.Host) []string {
+	names := make([]string, len(hosts))
+	for i, h := range hosts {
+		if h != nil {
+			names[i] = h.Name
 		}
-	default:
 	}
-	f.subs = append(f.subs, sub)
-	f.mu.Unlock()
-	return sub
-}
-
-// Events returns the subscription's channel. It is closed when the
-// stream ends — a drained farm's Run returned — or the subscription is
-// closed.
-func (sub *Subscription) Events() <-chan Event { return sub.ch }
-
-// Dropped reports how many events overflowed the buffer and were
-// discarded.
-func (sub *Subscription) Dropped() int {
-	sub.mu.Lock()
-	defer sub.mu.Unlock()
-	return sub.dropped
-}
-
-// Close detaches the subscription from the farm and closes its channel.
-// Idempotent; buffered events remain readable until drained.
-func (sub *Subscription) Close() {
-	f := sub.f
-	f.mu.Lock()
-	for i, s := range f.subs {
-		if s == sub {
-			f.subs = append(f.subs[:i], f.subs[i+1:]...)
-			break
-		}
-	}
-	f.mu.Unlock()
-	sub.shut()
-}
-
-// send delivers one event without ever blocking; overflow drops it.
-func (sub *Subscription) send(ev Event) {
-	sub.mu.Lock()
-	defer sub.mu.Unlock()
-	if sub.closed {
-		return
-	}
-	select {
-	case sub.ch <- ev:
-	default:
-		sub.dropped++
-	}
-}
-
-// shut closes the channel once.
-func (sub *Subscription) shut() {
-	sub.mu.Lock()
-	defer sub.mu.Unlock()
-	if !sub.closed {
-		sub.closed = true
-		close(sub.ch)
-	}
-}
-
-// dispatch is the scheduler's Events hook: it updates the job handles,
-// then fans the event out to every subscription. It runs synchronously
-// on the scheduling goroutine, so handle state and subscriber order are
-// deterministic for a fixed seed.
-func (f *Farm) dispatch(ev Event) {
-	f.track(ev)
-	f.mu.Lock()
-	subs := append([]*Subscription(nil), f.subs...)
-	f.mu.Unlock()
-	for _, sub := range subs {
-		sub.send(ev)
-	}
-}
-
-// track folds one event into the job-handle lifecycle.
-func (f *Farm) track(ev Event) {
-	var (
-		id string
-		st Status
-	)
-	switch e := ev.(type) {
-	case JobQueued:
-		id, st = e.ID, StatusQueued
-	case JobPlaced:
-		id, st = e.ID, StatusRunning
-	case JobBackfilled:
-		id, st = e.ID, StatusRunning
-	case JobPreempted:
-		id, st = e.ID, StatusQueued
-	case JobFinished:
-		f.mu.Lock()
-		j := f.jobs[e.ID]
-		f.mu.Unlock()
-		if j != nil {
-			j.finish(e.Job)
-		}
-		return
-	default:
-		return // migrations and resizes keep the job running; host/checkpoint/autoscale events carry no job state
-	}
-	f.mu.Lock()
-	j := f.jobs[id]
-	f.mu.Unlock()
-	if j != nil {
-		j.setStatus(st)
-	}
+	return names
 }

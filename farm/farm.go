@@ -1,12 +1,23 @@
-// Package farm is the supported public surface for running a
-// simulation farm: many queued jobs sharing one virtual workstation
-// pool, with admission, capacity-aware placement, EASY backfill,
-// migration-based preemption, host-reclaim migration, durable
-// checkpointing and crash recovery. It wraps the internal scheduler
-// behind a stable control-plane API — functional-option construction,
-// typed job handles, sentinel errors, context-aware lifecycle and a
-// structured event stream — so the internals can keep evolving freely
-// underneath it.
+// Package farm runs a simulation farm: many queued jobs sharing one
+// virtual workstation pool, with admission, capacity-aware placement,
+// EASY backfill, migration-based preemption, host-reclaim migration,
+// durable checkpointing and crash recovery, behind a control-plane API
+// of functional options, typed job handles, sentinel errors, a
+// context-aware lifecycle and a structured event stream.
+//
+// The paper (section 5.1) prescribes process migration so a single
+// parallel job can vacate a workstation its owner reclaims. The farm
+// reuses that exact machinery as a scheduling primitive: preempting a
+// low-priority job is Job.Suspend — every rank synchronizes, dumps its
+// state and exits — and resuming it later is Job.Resume, so a preempted
+// simulation still produces bit-identical results to an undisturbed run.
+//
+// Placement extends cluster.SelectFree into a reservation API
+// (cluster.Reserve): host slots are claimed per job and released on
+// completion or preemption, and the greedy scan order is re-randomized
+// every round — within the section-4.1 preference tiers — following Lee &
+// Wright's observation that random permutations avoid the adversarial
+// worst cases a fixed cyclic order admits.
 //
 // A farm is built over a cluster with functional options:
 //
@@ -28,44 +39,114 @@
 //
 // Everything runs in the cluster's virtual time, so multi-job traces —
 // and their event streams — replay deterministically regardless of how
-// fast the attached workloads really compute.
-//
-// The boundary this package draws is intra-module: consumers inside
-// this repository (experiments, tests, future subsystems) compile
-// against farm only, never against internal/sched, so the scheduler's
-// internals can keep evolving freely. The data types are deliberately
-// re-exported as aliases — farm is a control-plane surface, not a
-// serialization layer — and the pool entry points (Cluster,
-// NewPaperCluster) are re-exported so the common path needs no
-// internal import; richer pool construction still lives in
-// internal/cluster.
+// fast the attached workloads really compute: job runtimes come from a
+// StepTimer, either the compute-only host-speed estimate or the perf
+// discrete-event engine (PerfTimer), which replays each job's
+// halo-exchange pattern over the modelled network. The metrics (queue
+// wait, makespan, utilization, preemptions, backfills) are aggregated by
+// internal/metrics. The pool entry points (Cluster, NewPaperCluster) are
+// re-exported so the common path needs no internal import; richer pool
+// construction lives in internal/cluster.
 package farm
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
+	"time"
 
+	"repro/internal/ckpt"
 	"repro/internal/cluster"
-	"repro/internal/sched"
 )
 
-// Farm is one simulation farm: a scheduler over a shared cluster plus
-// the handle, subscription and lifecycle bookkeeping of the public API.
-// Build it with New or Restore.
+// Farm is one simulation farm: it admits, queues, places, runs and
+// preempts many jobs on one shared cluster. It is long-running and
+// online: Submit works before and during Run, the event loop idles
+// (blocking, with virtual time frozen) while the farm is empty, and
+// Drain lets it finish. Scheduling itself is single-threaded and runs in
+// the cluster's virtual time: the loop jumps between arrivals,
+// completions and scenario ticks. Build it with New or Restore.
 type Farm struct {
-	s *sched.Scheduler
+	cluster *cluster.Cluster
+	policy  Policy
 
-	mu   sync.Mutex
+	// The knobs the With* options set; each is documented there.
+	backfill       BackfillMode
+	timer          StepTimer
+	scenario       func(t time.Duration, c *cluster.Cluster)
+	scenarioEvery  time.Duration
+	autoscale      func(t time.Duration, ctl AutoscaleControl)
+	autoscaleEvery time.Duration
+	ckptDir        string
+	ckptEvery      time.Duration
+	ckptGap        time.Duration
+
+	// selection holds the section-4.1 thresholds of capacity checks and
+	// reservations, migration the section-5.1 trigger; prepare fixes both.
+	selection cluster.SelectionPolicy
+	migration cluster.MigrationPolicy
+
+	rng      *rand.Rand
+	src      *RNG // rng's source, persisted by Checkpoint
+	queue    []*jobState
+	running  []*jobState
+	finished []*jobState
+	reclaims int
+	// easyDegraded counts the scheduling rounds whose EASY shadow was
+	// incomputable, so backfill explicitly fell back to aggressive.
+	easyDegraded int
+
+	// start anchors the farm-relative clock: the first Run sets it to
+	// the cluster time it was entered at, unless Restore pre-set it to
+	// the original run's anchor so a restored farm continues on the same
+	// clock. Later Runs of the same farm keep the anchor — every job
+	// time (Submit, PlacedAt, FinishAt) is relative to it, so a farm
+	// resumed after an interrupt must not re-base them.
+	start    time.Duration
+	anchored bool
+	restored bool
+	// ckptSeq numbers the save generations inside a checkpoint
+	// directory; each Checkpoint writes into a fresh states-<seq>
+	// directory so a crash mid-save never damages the last committed
+	// checkpoint.
+	ckptSeq int
+
+	// mu guards the scheduling state shared with Submit, Drain,
+	// Interrupt and Job.Resize callers on other goroutines; everything
+	// else above is owned by the event loop.
+	mu          sync.Mutex
+	pending     arrivals // submitted, not yet admitted to the queue
+	submitted   int      // jobs ever put on pending; the next one's seq
+	closed      bool
+	looping     bool
+	interrupted bool
+	// ckptOnInterrupt makes the interrupted loop persist the farm into
+	// ckptDir before returning ErrInterrupted — the context-cancellation
+	// path of Run.
+	ckptOnInterrupt bool
+	runFailed       bool // last Run exited with an error, reservations still held
+	wake            chan struct{}
+	// resizeReqs queues Job.Resize calls for the event loop, which
+	// drains them at the current virtual time each iteration.
+	resizeReqs []resizeReq
+
+	// servedByUser accumulates virtual service time per tenant, the
+	// WeightedFair bookkeeping.
+	servedByUser map[string]time.Duration
+
+	// hmu guards the handle bookkeeping: every accepted job's handle,
+	// the subscriptions, and the current run generation. run's done
+	// channel is closed when that Run returns, with err valid from then
+	// on. It exists from construction (and is recycled at the next Run)
+	// so a Wait that starts before Run still observes the run ending,
+	// and a Wait that wakes on a superseded generation re-waits on the
+	// new one.
+	hmu  sync.Mutex
 	jobs map[string]*Job
 	subs []*Subscription
-	// run is the current run generation: its done channel is closed when
-	// that Run returns, with err valid from then on. It exists from
-	// construction (and is recycled at the next Run) so a Wait that
-	// starts before Run still observes the run ending, and a Wait that
-	// wakes on a superseded generation re-waits on the new one.
-	run *runState
+	run  *runState
 }
 
 // runState is one Run generation's termination signal.
@@ -83,99 +164,94 @@ type runState struct {
 // is not positive, which would otherwise arm a callback that never
 // fires.
 func New(c *cluster.Cluster, opts ...Option) (*Farm, error) {
-	cfg := newConfig(opts)
-	if err := cfg.validate(); err != nil {
+	f := &Farm{policy: FIFO, backfill: BackfillEASY, timer: ComputeTimer}
+	for _, o := range opts {
+		o(f)
+	}
+	if err := f.validate(); err != nil {
 		return nil, err
 	}
-	s := sched.New(c, cfg.policy, cfg.seed)
-	cfg.apply(s)
-	return wrap(s), nil
-}
-
-// Restore rebuilds a farm from a checkpoint directory written by a
-// previous farm's checkpointing (periodic, scenario-driven, or the
-// cancellation path of Run): the cluster — an identically shaped,
-// typically freshly built pool — is overwritten from the manifest's
-// snapshot, every job is reconstructed in its checkpointed phase (with
-// handles: Farm.Job finds them, and finished jobs already carry their
-// metrics), real workloads are rebuilt through the registry, and the
-// restored Run finishes bit-identically to one that never crashed.
-//
-// Policy, backfill mode and RNG state belong to the manifest, so
-// WithPolicy, WithBackfill and WithSeed are rejected here. Scenario,
-// timer and checkpoint options are not persisted (function pointers and
-// operator-local paths); re-attach them exactly as originally
-// configured, or the restored run's virtual-time grid — and with it the
-// bit-identity guarantee — changes. Subscriptions do not survive a
-// coordinator either: Subscribe on the restored farm before Run to
-// re-attach; the stream continues with exactly the events the dead
-// coordinator had not yet emitted.
-func Restore(dir string, c *cluster.Cluster, reg WorkloadRegistry, opts ...Option) (*Farm, error) {
-	cfg := newConfig(opts)
-	if err := cfg.validate(); err != nil {
-		return nil, err
+	if f.src == nil {
+		f.src = NewRNG(1)
 	}
-	if cfg.policySet || cfg.backfillSet || cfg.seedSet {
-		return nil, fmt.Errorf("farm: restore: policy, backfill and seed come from the checkpoint manifest; drop WithPolicy/WithBackfill/WithSeed")
-	}
-	s, err := sched.Restore(dir, c, reg)
-	if err != nil {
-		return nil, err
-	}
-	cfg.apply(s)
-	f := wrap(s)
-	for _, info := range s.Jobs() {
-		j := newJob(f, info.ID)
-		j.status = info.Phase // Status is the scheduler's Phase
-		if info.Phase == sched.PhaseFinished {
-			j.rec, j.hasRec = info.Metrics, true
-			close(j.done)
-		}
-		f.jobs[info.ID] = j
-	}
+	f.prepare(c)
 	return f, nil
 }
 
-// wrap builds the public farm around a configured scheduler and wires
-// the event dispatch.
-func wrap(s *sched.Scheduler) *Farm {
-	f := &Farm{s: s, jobs: make(map[string]*Job), run: &runState{done: make(chan struct{})}}
-	s.Events = f.dispatch
-	return f
+// prepare gives a configured farm its cluster and the state every farm
+// starts with.
+func (f *Farm) prepare(c *cluster.Cluster) {
+	f.cluster = c
+	f.selection = cluster.DefaultPolicy()
+	f.migration = cluster.DefaultMigrationPolicy()
+	f.rng = rand.New(f.src)
+	f.wake = make(chan struct{}, 1)
+	f.servedByUser = make(map[string]time.Duration)
+	f.jobs = make(map[string]*Job)
+	f.run = &runState{done: make(chan struct{})}
 }
 
 // Submit queues a job and returns its handle. A nil workload replays
 // the spec in virtual time without running a simulation. Submit is safe
-// from any goroutine and works while Run is active (live submissions
-// are admitted at the current virtual time). Rejections are typed:
-// branch with errors.Is against ErrInvalidSpec, ErrNoCapacity,
-// ErrClosed and ErrDuplicateID — the sentinels are the contract; the
-// error strings are diagnostics and not stable across releases.
+// from any goroutine and works while Run is active: a live submission
+// whose arrival time has already passed on the farm clock is admitted
+// at the current virtual time.
+//
+// Rejections are typed: branch with errors.Is against ErrInvalidSpec
+// (every spec-validation failure), ErrNoCapacity (more ranks than the
+// pool has hosts: no round could ever place the job, so it is refused
+// here instead of stalling the farm later), ErrClosed (after Drain) and
+// ErrDuplicateID — the sentinels are the contract; the error strings are
+// diagnostics and not stable across releases.
 func (f *Farm) Submit(spec JobSpec, w Workload) (*Job, error) {
 	j := newJob(f, spec.ID)
-	// Register the handle before the scheduler can emit events for the
-	// job: a live submission may be admitted (and finish) while Submit
-	// is still returning.
-	f.mu.Lock()
+	// Register the handle before the loop can emit events for the job: a
+	// live submission may be admitted (and finish) while Submit is still
+	// returning.
+	f.hmu.Lock()
 	if f.jobs[spec.ID] != nil {
-		f.mu.Unlock()
+		f.hmu.Unlock()
 		return nil, fmt.Errorf("farm: submit %q: %w", spec.ID, ErrDuplicateID)
 	}
 	f.jobs[spec.ID] = j
-	f.mu.Unlock()
-	if err := f.s.Submit(spec, w); err != nil {
-		f.mu.Lock()
+	f.hmu.Unlock()
+	if err := f.submit(spec, w); err != nil {
+		f.hmu.Lock()
 		delete(f.jobs, spec.ID)
-		f.mu.Unlock()
+		f.hmu.Unlock()
 		return nil, err
 	}
 	return j, nil
 }
 
+// submit validates the spec and puts the job on pending.
+func (f *Farm) submit(spec JobSpec, w Workload) error {
+	if err := spec.Validate(); err != nil {
+		return err
+	}
+	if n := spec.Ranks(); n > len(f.cluster.Hosts) {
+		return fmt.Errorf("farm: submit %s: %d ranks on a %d-host pool: %w",
+			spec.ID, n, len(f.cluster.Hosts), ErrNoCapacity)
+	}
+	if w == nil {
+		w = nullWorkload{}
+	}
+	f.mu.Lock()
+	if f.closed {
+		f.mu.Unlock()
+		return fmt.Errorf("farm: submit %s: %w", spec.ID, ErrClosed)
+	}
+	f.arrive(&jobState{spec: spec, work: w, Accounting: ckpt.Accounting{
+		Remaining: float64(spec.Steps), FirstStart: -1, Live: f.looping}})
+	f.mu.Unlock()
+	f.wakeup()
+	return nil
+}
+
 // Job returns the handle of a previously submitted (or restored) job.
 func (f *Farm) Job(id string) (*Job, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	f.hmu.Lock()
+	defer f.hmu.Unlock()
 	j, ok := f.jobs[id]
 	return j, ok
 }
@@ -184,34 +260,36 @@ func (f *Farm) Job(id string) (*Job, bool) {
 // already accepted and returns. Safe from any goroutine; Submit after
 // Drain fails with ErrClosed.
 //
-// Draining after a Run returned with an error also finalizes the farm:
-// the interrupted jobs' reservations are handed back to the pool, so a
-// later Run reports an error instead of resuming — use Restore to
-// continue from a checkpoint. To resume in memory instead, call Run
-// again without draining in between.
-func (f *Farm) Drain() { f.s.Close() }
-
-// Interrupt aborts a running event loop without draining it: Run
-// returns an error wrapping ErrInterrupted at its next check,
-// abandoning the in-memory farm the way a coordinator crash would.
-// Pair it with Checkpoint (from a scenario callback) to script crash
-// experiments; prefer cancelling Run's context for graceful shutdown.
-func (f *Farm) Interrupt() { f.s.Interrupt() }
-
-// Checkpoint persists the whole farm into dir — every job's accounting
-// and rank states, queue order, RNG state, fair-share credit and a full
-// cluster snapshot — committed atomically, so a crash at any point
-// leaves the previous complete checkpoint restorable by Restore. It
-// must run on the scheduling goroutine: either before Run starts, after
-// it returns, or from a scenario callback at an exact virtual time
-// (periodic saves are WithCheckpoint's job).
-func (f *Farm) Checkpoint(dir string) error { return f.s.Checkpoint(dir) }
+// Draining after a Run returned with an error — a workload failure, a
+// stall, an interrupt — also finalizes the farm: the placed jobs'
+// reservations are handed back to the pool, so a later Run reports an
+// error instead of resuming — use Restore to continue from a
+// checkpoint. To resume in memory instead, call Run again without
+// draining in between. Drain is idempotent: a second call releases
+// nothing twice. The release happens under the farm's lock and only
+// once a Run has actually exited with an error, never while the loop is
+// live.
+func (f *Farm) Drain() {
+	f.mu.Lock()
+	f.closed = true
+	if f.runFailed && !f.looping {
+		for _, js := range f.running {
+			if js.res != nil {
+				js.res.Release()
+				js.res = nil
+			}
+		}
+	}
+	f.mu.Unlock()
+	f.wakeup()
+}
 
 // Run drives the farm: jobs are admitted as their arrival times pass,
 // reclaimed hosts are vacated by migration, completions retire in
 // virtual time, and the loop blocks (virtual time frozen) whenever the
 // farm is empty and still open. After Drain it returns the metrics
-// summary once everything accepted has finished.
+// summary once everything accepted has finished. All reported times are
+// relative to the cluster clock at the first Run.
 //
 // Cancelling the context stops the farm: when a checkpoint directory is
 // configured (WithCheckpoint) the farm is persisted first, so the run
@@ -222,7 +300,7 @@ func (f *Farm) Run(ctx context.Context) (Summary, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	f.mu.Lock()
+	f.hmu.Lock()
 	select {
 	case <-f.run.done:
 		// A previous Run already retired; this run is a new generation.
@@ -233,41 +311,41 @@ func (f *Farm) Run(ctx context.Context) (Summary, error) {
 		// waiters that started before Run already hold.
 	}
 	rs := f.run
-	f.mu.Unlock()
+	f.hmu.Unlock()
 
 	// An already-canceled context stops the run at its first check,
 	// deterministically; the watcher goroutine handles cancellation
 	// arriving mid-run.
 	if ctx.Err() != nil {
-		f.s.InterruptCheckpoint()
+		f.interruptCheckpoint()
 	}
 	stop := make(chan struct{})
 	watcherDone := make(chan struct{})
-	//detlint:allow entropy -- the watcher only forwards ctx cancellation to InterruptCheckpoint, which the scheduler applies at its next step boundary; it cannot reorder scheduler decisions
+	//detlint:allow entropy -- the watcher only forwards ctx cancellation to interruptCheckpoint, which the loop applies at its next step boundary; it cannot reorder scheduling decisions
 	go func() {
 		defer close(watcherDone)
 		select {
 		case <-ctx.Done():
-			f.s.InterruptCheckpoint()
+			f.interruptCheckpoint()
 		case <-stop:
 		}
 	}()
-	sum, err := f.s.Run()
+	sum, err := f.loop()
 	close(stop)
 	<-watcherDone
 	if ctx.Err() != nil {
 		// The watcher may have fired just as the loop exited on its own;
 		// a stale, unconsumed interrupt must not poison the next Run.
-		f.s.ClearInterrupt()
+		f.clearInterrupt()
 	}
 	if errors.Is(err, ErrInterrupted) && ctx.Err() != nil {
 		// Wrap both chains: errors.Is finds the context cause, and a
 		// failed cancellation checkpoint stays diagnosable through the
-		// scheduler's error.
+		// loop's error.
 		err = fmt.Errorf("farm: run canceled: %w (%w)", context.Cause(ctx), err)
 	}
 
-	f.mu.Lock()
+	f.hmu.Lock()
 	rs.err = err
 	// A Run only returns nil once the farm is drained and every job has
 	// finished — the farm is over for good, so closing the channels ends
@@ -280,7 +358,7 @@ func (f *Farm) Run(ctx context.Context) (Summary, error) {
 		f.subs = nil
 	}
 	close(rs.done)
-	f.mu.Unlock()
+	f.hmu.Unlock()
 	for _, sub := range subs {
 		sub.shut()
 	}
@@ -292,11 +370,7 @@ func (f *Farm) Run(ctx context.Context) (Summary, error) {
 // deterministic policy-comparison entry point the experiments use. A
 // nil timer keeps the compute-only default.
 func Replay(c *cluster.Cluster, policy Policy, seed int64, timer StepTimer, specs []JobSpec) (Summary, error) {
-	opts := []Option{WithPolicy(policy), WithSeed(seed)}
-	if timer != nil {
-		opts = append(opts, WithTimer(timer))
-	}
-	f, err := New(c, opts...)
+	f, err := New(c, WithPolicy(policy), WithSeed(seed), WithTimer(timer))
 	if err != nil {
 		return Summary{}, err
 	}

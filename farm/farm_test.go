@@ -12,7 +12,7 @@ import (
 
 	"repro/farm"
 	"repro/internal/cluster"
-	"repro/internal/sched"
+	"repro/internal/dump"
 )
 
 func quietPool() *cluster.Cluster {
@@ -250,47 +250,6 @@ func TestEventTraceAcrossRestore(t *testing.T) {
 
 	if wantS, gotS := strings.Join(want, "\n"), strings.Join(got, "\n"); wantS != gotS {
 		t.Errorf("crash+restore event stream differs from the uninterrupted one:\n--- uninterrupted ---\n%s\n--- crashed+restored ---\n%s", wantS, gotS)
-	}
-}
-
-// TestFarmMatchesRawScheduler: the reclaim-storm experiment driven
-// through the public farm API produces a summary bit-identical to the
-// raw internal scheduler configured by struct fields — the redesign
-// changed the surface, not the schedule.
-func TestFarmMatchesRawScheduler(t *testing.T) {
-	for _, mode := range []farm.BackfillMode{farm.BackfillEASY, farm.BackfillAggressive} {
-		raw := sched.New(quietPool(), sched.FIFO, 1)
-		raw.Backfill = mode
-		raw.ScenarioEvery = time.Minute
-		raw.Scenario = storm
-		for _, sp := range stormMix() {
-			if err := raw.Submit(sp, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		raw.Close()
-		want, err := raw.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		f := mustNew(t, quietPool(),
-			farm.WithSeed(1),
-			farm.WithBackfill(mode),
-			farm.WithScenario(time.Minute, storm))
-		for _, sp := range stormMix() {
-			if _, err := f.Submit(sp, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		f.Drain()
-		got, err := f.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("backfill %v: farm summary differs from the raw scheduler\nraw:\n%v\nfarm:\n%v", mode, want, got)
-		}
 	}
 }
 
@@ -628,28 +587,89 @@ func TestRunResumesBitIdentical(t *testing.T) {
 	}
 }
 
+// stateProbe is a spec-only workload that holds one canned rank state
+// per host, so a checkpoint has dumps to persist, and records whether
+// it was resumed.
+type stateProbe struct {
+	states  []*dump.State
+	resumed bool
+}
+
+func (w *stateProbe) Start(hosts []*farm.Host) error {
+	w.states = make([]*dump.State, len(hosts))
+	for r := range w.states {
+		w.states[r] = &dump.State{Rank: r, Step: 7, Method: "lb2d", NX: 1, NY: 1, NZ: 1,
+			Fields: map[string][]float64{"rho": {1}}}
+	}
+	return nil
+}
+func (w *stateProbe) Suspend() error                        { return nil }
+func (w *stateProbe) Resume([]*farm.Host) error             { w.resumed = true; return nil }
+func (w *stateProbe) Migrate([]int, []*farm.Host) error     { return nil }
+func (w *stateProbe) Resize(farm.Shape, []*farm.Host) error { return nil }
+func (w *stateProbe) Finish() error                         { return nil }
+func (w *stateProbe) Checkpoint() ([]*dump.State, error)    { return w.states, nil }
+func (w *stateProbe) Restore(states []*dump.State) error    { w.states = states; return nil }
+
 // TestRestoreRejectsManifestOptions: policy, backfill and seed belong
-// to the checkpoint manifest; Restore refuses overrides.
+// to the checkpoint manifest, so Restore refuses overrides, as it does
+// an invalid option. Each refusal comes before restoring touches the
+// pool: the checkpoint holds a running job, and a refused Restore has
+// reserved none of its hosts and resumed no worker.
 func TestRestoreRejectsManifestOptions(t *testing.T) {
 	dir := t.TempDir()
-	f := mustNew(t, quietPool(), farm.WithSeed(7))
-	if _, err := f.Submit(farm.JobSpec{ID: "a", Method: "lb2d", JX: 1, JY: 1, Side: 4, Steps: 10}, nil); err != nil {
+	var f *farm.Farm
+	f = mustNew(t, quietPool(), farm.WithSeed(7),
+		farm.WithScenario(time.Minute, func(time.Duration, *cluster.Cluster) {
+			if err := f.Checkpoint(dir); err != nil {
+				t.Error(err)
+			}
+			f.Interrupt()
+		}))
+	if _, err := f.Submit(farm.JobSpec{ID: "a", Method: "lb2d", JX: 2, JY: 1, Side: 40, Steps: 10000}, &stateProbe{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Checkpoint(dir); err != nil {
-		t.Fatal(err)
+	if _, err := f.Run(context.Background()); !errors.Is(err, farm.ErrInterrupted) {
+		t.Fatalf("checkpointing run: %v, want ErrInterrupted", err)
+	}
+
+	restore := func(opts ...farm.Option) (*cluster.Cluster, *stateProbe, error) {
+		pool, w := cluster.NewPaperCluster(), &stateProbe{}
+		reg := farm.WorkloadRegistry{"a": func(farm.JobSpec) (farm.Workload, error) { return w, nil }}
+		_, err := farm.Restore(dir, pool, reg, opts...)
+		return pool, w, err
 	}
 	for _, opt := range []farm.Option{
 		farm.WithPolicy(farm.Priority),
 		farm.WithBackfill(farm.BackfillNone),
 		farm.WithSeed(9),
+		farm.WithScenario(0, func(time.Duration, *cluster.Cluster) {}),
 	} {
-		if _, err := farm.Restore(dir, cluster.NewPaperCluster(), nil, opt); err == nil {
-			t.Error("Restore accepted a manifest-owned option override")
+		pool, w, err := restore(opt)
+		if err == nil {
+			t.Error("Restore accepted a manifest-owned or invalid option")
+		}
+		for _, h := range pool.Hosts {
+			if h.Assigned() >= 0 {
+				t.Errorf("refused Restore reserved host %s for %q", h.Name, h.Owner())
+			}
+		}
+		if w.resumed {
+			t.Error("refused Restore resumed the running job's workers")
 		}
 	}
-	if _, err := farm.Restore(dir, cluster.NewPaperCluster(), nil); err != nil {
-		t.Errorf("plain Restore failed: %v", err)
+	pool, w, err := restore()
+	if err != nil {
+		t.Fatalf("plain Restore failed: %v", err)
+	}
+	held := 0
+	for _, h := range pool.Hosts {
+		if h.Owner() == "a" {
+			held++
+		}
+	}
+	if held != 2 || !w.resumed {
+		t.Errorf("plain Restore holds %d hosts for the running job (resumed %v), want 2 and resumed", held, w.resumed)
 	}
 }
 

@@ -1,4 +1,4 @@
-package sched
+package farm
 
 import (
 	"errors"
@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/decomp"
 	"repro/internal/fluid"
-	"repro/internal/sched/metrics"
 )
 
 // mixedPool builds an idle pool with one host per model given, in order.
@@ -106,10 +105,10 @@ func TestWeightedBeatsUniformOnMixedPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !eq.Equal(UniformShape(spec)) {
-		t.Errorf("equal-speed weighted shape %v differs from uniform %v", eq, UniformShape(spec))
+	if !eq.Equal(uniformShape(spec)) {
+		t.Errorf("equal-speed weighted shape %v differs from uniform %v", eq, uniformShape(spec))
 	}
-	s := New(idlePool(), FIFO, 1)
+	s := newFarm(idlePool(), FIFO, 1)
 	if sh, _, err := s.chooseShape(spec, same); err != nil || !sh.IsZero() {
 		t.Errorf("chooseShape on equal speeds = %v, %v, want zero (uniform)", sh, err)
 	}
@@ -119,13 +118,13 @@ func TestWeightedBeatsUniformOnMixedPool(t *testing.T) {
 	}
 	// The returned price is the winning shape's own pricing, which
 	// tryPlace reuses instead of re-running the timer.
-	if want, err := s.Timer(spec, sh, hosts); err != nil || sec != want {
+	if want, err := s.timer(spec, sh, hosts); err != nil || sec != want {
 		t.Errorf("chooseShape price %v, want the shape's own pricing %v (%v)", sec, want, err)
 	}
 	// A weighted price that is not finite and positive falls back to
 	// uniform, as a timer error does.
-	s.Timer = func(spec JobSpec, sh decomp.Shape, hosts []*cluster.Host) (float64, error) {
-		if !sh.IsZero() && !sh.Equal(UniformShape(spec)) {
+	s.timer = func(spec JobSpec, sh decomp.Shape, hosts []*cluster.Host) (float64, error) {
+		if !sh.IsZero() && !sh.Equal(uniformShape(spec)) {
 			return math.NaN(), nil
 		}
 		return ComputeTimer(spec, sh, hosts)
@@ -145,11 +144,11 @@ func TestFarmRunsWeightedOnMixedPool(t *testing.T) {
 		return mixedPool(cluster.HP715, cluster.HP715, cluster.HP720, cluster.HP710)
 	}
 
-	weighted, err := replay(pool(), FIFO, 1, nil, specs)
+	weighted, err := Replay(pool(), FIFO, 1, nil, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	uniform, err := replay(pool(), FIFO, 1, uniformTimer, specs)
+	uniform, err := Replay(pool(), FIFO, 1, uniformTimer, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,11 +186,11 @@ func TestEqualSpeedPoolBitIdenticalToUniform(t *testing.T) {
 		c.Advance(30 * time.Minute)
 		return c
 	}
-	got, err := replay(pool(), FIFO, 42, nil, farmMix())
+	got, err := Replay(pool(), FIFO, 42, nil, farmMix())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := replay(pool(), FIFO, 42, uniformTimer, farmMix())
+	want, err := Replay(pool(), FIFO, 42, uniformTimer, farmMix())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,16 +246,16 @@ func TestWeightedJobCheckpointRestoreRoundTrip(t *testing.T) {
 	pool := func() *cluster.Cluster { return mixedPool(cluster.HP715, cluster.HP710) }
 
 	// Uninterrupted reference farm on the same scenario grid.
-	runRef := func() metrics.Summary {
+	runRef := func() Summary {
 		t.Helper()
-		s := New(pool(), FIFO, 9)
-		s.ScenarioEvery = time.Minute
-		s.Scenario = func(time.Duration, *cluster.Cluster) {}
-		if err := s.Submit(spec, nil); err != nil {
+		s := newFarm(pool(), FIFO, 9)
+		s.scenarioEvery = time.Minute
+		s.scenario = func(time.Duration, *cluster.Cluster) {}
+		if _, err := s.Submit(spec, nil); err != nil {
 			t.Fatal(err)
 		}
-		s.Close()
-		sum, err := s.Run()
+		s.Drain()
+		sum, err := s.loop()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,11 +269,11 @@ func TestWeightedJobCheckpointRestoreRoundTrip(t *testing.T) {
 	// The doomed coordinator, with the real weighted simulation attached.
 	dir := t.TempDir()
 	pool1 := pool()
-	s1 := New(pool1, FIFO, 9)
+	s1 := newFarm(pool1, FIFO, 9)
 	job1, _ := newSimJob(t, weightedSimConfig(t), steps)
 	crashed := false
-	s1.ScenarioEvery = time.Minute
-	s1.Scenario = func(vt time.Duration, _ *cluster.Cluster) {
+	s1.scenarioEvery = time.Minute
+	s1.scenario = func(vt time.Duration, _ *cluster.Cluster) {
 		if vt < 5*time.Minute || crashed {
 			return
 		}
@@ -284,11 +283,11 @@ func TestWeightedJobCheckpointRestoreRoundTrip(t *testing.T) {
 		}
 		s1.Interrupt()
 	}
-	if err := s1.Submit(spec, &CoreWorkload{Job: job1, Cluster: pool1}); err != nil {
+	if _, err := s1.Submit(spec, &CoreWorkload{Job: job1, Cluster: pool1}); err != nil {
 		t.Fatal(err)
 	}
-	s1.Close()
-	if _, err := s1.Run(); !errors.Is(err, ErrInterrupted) {
+	s1.Drain()
+	if _, err := s1.loop(); !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("crashed run returned %v, want ErrInterrupted", err)
 	}
 	if !crashed {
@@ -332,9 +331,9 @@ func TestWeightedJobCheckpointRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2.ScenarioEvery = time.Minute
-	s2.Scenario = func(time.Duration, *cluster.Cluster) {}
-	got, err := s2.Run()
+	s2.scenarioEvery = time.Minute
+	s2.scenario = func(time.Duration, *cluster.Cluster) {}
+	got, err := s2.loop()
 	if err != nil {
 		t.Fatal(err)
 	}

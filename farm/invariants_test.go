@@ -1,4 +1,4 @@
-package sched
+package farm
 
 import (
 	"errors"
@@ -15,11 +15,11 @@ import (
 	"repro/internal/dump"
 )
 
-// stateWorkload is a NullWorkload that holds one canned rank state per
+// stateWorkload is a nullWorkload that holds one canned rank state per
 // rank of its current decomposition, so the checkpoint path has dumps to
 // persist and reload without a solver running.
 type stateWorkload struct {
-	NullWorkload
+	nullWorkload
 	states []*dump.State
 }
 
@@ -56,13 +56,13 @@ func (w *stateWorkload) Restore(states []*dump.State) error                 { w.
 //
 // tick runs on the scheduling goroutine after the script's actions of
 // each scenario instant.
-func stormFarm(t *testing.T, tick func(s *Scheduler, vt time.Duration)) *Scheduler {
+func stormFarm(t *testing.T, tick func(s *Farm, vt time.Duration)) *Farm {
 	t.Helper()
 	pool := idlePool()
-	s := New(pool, Priority, 7)
+	s := newFarm(pool, Priority, 7)
 	submit := func(spec JobSpec, w Workload) {
 		t.Helper()
-		if err := s.Submit(spec, w); err != nil {
+		if _, err := s.Submit(spec, w); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -96,8 +96,8 @@ func stormFarm(t *testing.T, tick func(s *Scheduler, vt time.Duration)) *Schedul
 		}
 	}
 	var firstUser *cluster.Host
-	s.ScenarioEvery = time.Minute
-	s.Scenario = func(vt time.Duration, c *cluster.Cluster) {
+	s.scenarioEvery = time.Minute
+	s.scenario = func(vt time.Duration, c *cluster.Cluster) {
 		switch vt {
 		case 1 * time.Minute:
 			firstUser = hostOf("a-wide", 0)
@@ -107,7 +107,7 @@ func stormFarm(t *testing.T, tick func(s *Scheduler, vt time.Duration)) *Schedul
 		case 3 * time.Minute:
 			submit(JobSpec{ID: "e-urgent", Method: "lb2d", JX: 2, JY: 2, Side: 40, Steps: 6000,
 				Priority: 9}, nil)
-			s.Close()
+			s.Drain()
 		case 4 * time.Minute:
 			resize(vt, "c-box", 4)
 		case 6 * time.Minute:
@@ -145,7 +145,7 @@ func stormFarm(t *testing.T, tick func(s *Scheduler, vt time.Duration)) *Schedul
 // fails here until the fixture exercises it and both sides carry it.
 func TestCheckpointFixedPoint(t *testing.T) {
 	dir1, dir2 := t.TempDir(), t.TempDir()
-	s1 := stormFarm(t, func(s *Scheduler, vt time.Duration) {
+	s1 := stormFarm(t, func(s *Farm, vt time.Duration) {
 		if vt != 6*time.Minute {
 			return
 		}
@@ -154,7 +154,7 @@ func TestCheckpointFixedPoint(t *testing.T) {
 		}
 		s.Interrupt()
 	})
-	if _, err := s1.Run(); !errors.Is(err, ErrInterrupted) {
+	if _, err := s1.loop(); !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("Run returned %v, want ErrInterrupted at the checkpoint tick", err)
 	}
 	m1, err := ckpt.Load(dir1)
@@ -232,32 +232,32 @@ func diffRecords(t *testing.T, path string, a, b reflect.Value, nonZero map[stri
 
 // shadowJob is what the event stream alone says about one job.
 type shadowJob struct {
-	phase Phase
+	phase Status
 	hosts []string // by rank; nil unless running
 }
 
 // foldEvent applies one event to the shadow farm.
 func foldEvent(shadow map[string]*shadowJob, ev Event) {
-	set := func(id string, phase Phase, hosts []string) {
+	set := func(id string, phase Status, hosts []string) {
 		shadow[id] = &shadowJob{phase: phase, hosts: append([]string(nil), hosts...)}
 	}
 	switch e := ev.(type) {
 	case JobQueued:
-		set(e.ID, PhaseQueued, nil)
+		set(e.ID, StatusQueued, nil)
 	case JobPlaced:
-		set(e.ID, PhaseRunning, e.Hosts)
+		set(e.ID, StatusRunning, e.Hosts)
 	case JobBackfilled:
-		set(e.ID, PhaseRunning, e.Hosts)
+		set(e.ID, StatusRunning, e.Hosts)
 	case JobResized:
-		set(e.ID, PhaseRunning, e.Hosts)
+		set(e.ID, StatusRunning, e.Hosts)
 	case JobMigrated:
 		for i, rank := range e.Ranks {
 			shadow[e.ID].hosts[rank] = e.Hosts[i]
 		}
 	case JobPreempted:
-		set(e.ID, PhaseQueued, nil)
+		set(e.ID, StatusQueued, nil)
 	case JobFinished:
-		set(e.ID, PhaseFinished, nil)
+		set(e.ID, StatusFinished, nil)
 	}
 }
 
@@ -265,10 +265,10 @@ func foldEvent(shadow map[string]*shadowJob, ev Event) {
 // folded from its events: every job in the phase the events say, every
 // running job on the hosts they say, and no job the events never
 // announced anywhere but pending.
-func checkShadow(t *testing.T, s *Scheduler, shadow map[string]*shadowJob, when string) {
+func checkShadow(t *testing.T, s *Farm, shadow map[string]*shadowJob, when string) {
 	t.Helper()
 	seen := 0
-	check := func(list []*jobState, phase Phase) {
+	check := func(list []*jobState, phase Status) {
 		t.Helper()
 		for _, js := range list {
 			id := js.spec.ID
@@ -278,7 +278,7 @@ func checkShadow(t *testing.T, s *Scheduler, shadow map[string]*shadowJob, when 
 			}
 			sh := shadow[id]
 			if sh == nil {
-				if phase != PhasePending {
+				if phase != StatusPending {
 					t.Errorf("%s: job %s is %v in the scheduler, but no event ever announced it", when, id, phase)
 				}
 				continue
@@ -295,16 +295,16 @@ func checkShadow(t *testing.T, s *Scheduler, shadow map[string]*shadowJob, when 
 	s.mu.Lock()
 	pending := append([]*jobState(nil), s.pending...)
 	s.mu.Unlock()
-	check(pending, PhasePending)
-	check(s.queue, PhaseQueued)
-	check(s.running, PhaseRunning)
-	check(s.finished, PhaseFinished)
+	check(pending, StatusPending)
+	check(s.queue, StatusQueued)
+	check(s.running, StatusRunning)
+	check(s.finished, StatusFinished)
 	if seen != len(shadow) {
 		t.Errorf("%s: the event stream announced %d jobs, the scheduler holds %d of them", when, len(shadow), seen)
 	}
 }
 
-// TestEventsSufficient is the event-completeness invariant: the Events
+// TestEventsSufficient is the event-completeness invariant: the event
 // stream alone is enough to reconstruct every job's phase and placement.
 // A shadow farm folded from the events is compared with the scheduler's
 // own lists at every scenario tick of the storm script and after Run, so
@@ -313,19 +313,25 @@ func checkShadow(t *testing.T, s *Scheduler, shadow map[string]*shadowJob, when 
 func TestEventsSufficient(t *testing.T) {
 	shadow := make(map[string]*shadowJob)
 	counts := make(map[string]int)
-	s := stormFarm(t, func(s *Scheduler, vt time.Duration) {
+	var events func() []Event
+	fold := func() {
+		for _, ev := range events() {
+			counts[fmt.Sprintf("%T", ev)]++
+			foldEvent(shadow, ev)
+		}
+	}
+	s := stormFarm(t, func(s *Farm, vt time.Duration) {
+		fold()
 		if !t.Failed() { // the first diverging tick names the culprit; later ones repeat it
 			checkShadow(t, s, shadow, fmt.Sprintf("tick %v", vt))
 		}
 	})
-	s.Events = func(ev Event) {
-		counts[fmt.Sprintf("%T", ev)]++
-		foldEvent(shadow, ev)
-	}
-	sum, err := s.Run()
+	events = tap(t, s)
+	sum, err := s.loop()
 	if err != nil {
 		t.Fatal(err)
 	}
+	fold()
 	checkShadow(t, s, shadow, "after Run")
 	if len(sum.Jobs) != 8 {
 		t.Errorf("%d jobs finished, want 8", len(sum.Jobs))
@@ -333,9 +339,9 @@ func TestEventsSufficient(t *testing.T) {
 	// The script must keep reaching every transition, or the comparison
 	// above proves less than it claims.
 	for ev, min := range map[string]int{
-		"sched.JobQueued": 8, "sched.JobPlaced": 1, "sched.JobBackfilled": 1,
-		"sched.JobPreempted": 2, "sched.JobMigrated": 2, "sched.JobResized": 2,
-		"sched.JobFinished": 8, "sched.HostReclaimed": 3, "sched.EASYDegraded": 1,
+		"farm.JobQueued": 8, "farm.JobPlaced": 1, "farm.JobBackfilled": 1,
+		"farm.JobPreempted": 2, "farm.JobMigrated": 2, "farm.JobResized": 2,
+		"farm.JobFinished": 8, "farm.HostReclaimed": 3, "farm.EASYDegraded": 1,
 	} {
 		if counts[ev] < min {
 			t.Errorf("storm script produced %d %s events, want at least %d", counts[ev], ev, min)

@@ -5,31 +5,43 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-
-	"repro/internal/sched"
 )
 
 // ErrStopped is returned by Job.Wait when the farm's Run returned —
 // drained, interrupted or failed — before the job finished.
 var ErrStopped = errors.New("farm run ended before the job finished")
 
-// Status is a job's position in the farm lifecycle — the scheduler's
-// Phase, shared so the two can never drift.
-type Status = sched.Phase
+// Status is a job's position in the farm lifecycle. Its names are the
+// checkpoint manifest's job phases.
+type Status int
 
 const (
 	// StatusPending: submitted, arrival time not yet reached.
-	StatusPending = sched.PhasePending
+	StatusPending Status = iota
 	// StatusQueued: admitted (or preempted back), waiting for placement.
-	StatusQueued = sched.PhaseQueued
+	StatusQueued
 	// StatusRunning: placed on a reservation, accruing virtual time.
-	StatusRunning = sched.PhaseRunning
+	StatusRunning
 	// StatusFinished: completed; Metrics is final.
-	StatusFinished = sched.PhaseFinished
+	StatusFinished
 )
 
+func (st Status) String() string {
+	switch st {
+	case StatusPending:
+		return "pending"
+	case StatusQueued:
+		return "queued"
+	case StatusRunning:
+		return "running"
+	case StatusFinished:
+		return "finished"
+	}
+	return fmt.Sprintf("Status(%d)", int(st))
+}
+
 // Job is the typed handle Submit returns: it tracks one job through the
-// farm without exposing scheduler internals. All methods are safe from
+// farm without exposing its scheduling state. All methods are safe from
 // any goroutine while the farm runs.
 type Job struct {
 	id string
@@ -96,7 +108,7 @@ func (j *Job) Wait(ctx context.Context) error {
 // with the seam-dependent filter enabled cannot resize) — and leave the
 // job running on its old decomposition.
 func (j *Job) Resize(ctx context.Context, n int) error {
-	answer, err := awaitRun(ctx, j.f, j.f.s.RequestResize(j.id, n), "resize "+j.id)
+	answer, err := awaitRun(ctx, j.f, j.f.requestResize(j.id, n), "resize "+j.id)
 	if err != nil {
 		return err
 	}
@@ -115,9 +127,9 @@ func awaitRun[T any](ctx context.Context, f *Farm, ch <-chan T, what string) (T,
 	}
 	var zero T
 	for {
-		f.mu.Lock()
+		f.hmu.Lock()
 		rs := f.run
-		f.mu.Unlock()
+		f.hmu.Unlock()
 		select {
 		case v := <-ch:
 			return v, nil
@@ -130,9 +142,9 @@ func awaitRun[T any](ctx context.Context, f *Farm, ch <-chan T, what string) (T,
 				return v, nil
 			default:
 			}
-			f.mu.Lock()
+			f.hmu.Lock()
 			superseded := f.run != rs
-			f.mu.Unlock()
+			f.hmu.Unlock()
 			if superseded {
 				// A newer Run took over while this waiter slept; wait on
 				// it instead of reporting a stale generation's ending.

@@ -1,4 +1,4 @@
-package sched
+package farm
 
 import (
 	"time"
@@ -6,7 +6,6 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/cluster"
 	"repro/internal/decomp"
-	"repro/internal/sched/metrics"
 )
 
 // jobState is the scheduler's view of one job: its spec and workload,
@@ -60,18 +59,18 @@ func (j *jobState) userKey() string {
 
 // fairShare is the WeightedFair key: the tenant's virtual service time
 // per unit weight.
-func (s *Scheduler) fairShare(j *jobState) float64 {
+func (f *Farm) fairShare(j *jobState) float64 {
 	w := j.spec.Weight
 	if w <= 0 {
 		w = 1
 	}
-	return s.servedByUser[j.userKey()].Seconds() / w
+	return f.servedByUser[j.userKey()].Seconds() / w
 }
 
 // creditService charges served time to the job and its tenant.
-func (s *Scheduler) creditService(j *jobState, d time.Duration) {
+func (f *Farm) creditService(j *jobState, d time.Duration) {
 	j.Served += d
-	s.servedByUser[j.userKey()] += d
+	f.servedByUser[j.userKey()] += d
 }
 
 // remainingAt extrapolates the steps a running job has left at t, at
@@ -87,9 +86,9 @@ func (j *jobState) remainingAt(t time.Duration) float64 {
 // settle credits the progress a running job made since PlacedAt at its
 // old pace, then re-anchors it at t, so a new price or a suspension
 // never re-counts the run so far.
-func (s *Scheduler) settle(j *jobState, t time.Duration) {
+func (f *Farm) settle(j *jobState, t time.Duration) {
 	j.Remaining = j.remainingAt(t)
-	s.creditService(j, t-j.PlacedAt)
+	f.creditService(j, t-j.PlacedAt)
 	j.PlacedAt = t
 }
 
@@ -103,8 +102,8 @@ func (j *jobState) finish(t time.Duration, sec float64) time.Duration {
 func (j *jobState) retime(t time.Duration) { j.FinishAt = j.finish(t, j.StepSec) }
 
 // metricsJob converts a job's accounting into its metrics record.
-func metricsJob(js *jobState) metrics.Job {
-	return metrics.Job{
+func metricsJob(js *jobState) JobMetrics {
+	return JobMetrics{
 		ID:          js.spec.ID,
 		Ranks:       js.ranks(),
 		Priority:    js.spec.Priority,

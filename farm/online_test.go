@@ -1,4 +1,4 @@
-package sched
+package farm
 
 import (
 	"testing"
@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/decomp"
 	"repro/internal/fluid"
-	"repro/internal/sched/metrics"
 	"repro/internal/syncfile"
 )
 
@@ -53,10 +52,10 @@ func TestReclaimMigratesBitIdentical(t *testing.T) {
 	}
 
 	pool := idlePool()
-	s := New(pool, FIFO, 42)
+	s := newFarm(pool, FIFO, 42)
 	// Side inflates the virtual workload so the reclaim lands mid-run on
 	// the scheduler's clock.
-	err = s.Submit(JobSpec{
+	_, err = s.Submit(JobSpec{
 		ID: "sim", Method: "lb2d", JX: 2, JY: 2, Side: 1000, Steps: steps,
 	}, &CoreWorkload{Job: job, Cluster: pool})
 	if err != nil {
@@ -65,8 +64,8 @@ func TestReclaimMigratesBitIdentical(t *testing.T) {
 	// Five virtual minutes in, a user sits down at one of the sim's
 	// workstations.
 	reclaimed := false
-	s.ScenarioEvery = time.Minute
-	s.Scenario = func(vt time.Duration, c *cluster.Cluster) {
+	s.scenarioEvery = time.Minute
+	s.scenario = func(vt time.Duration, c *cluster.Cluster) {
 		if vt < 5*time.Minute || reclaimed {
 			return
 		}
@@ -78,8 +77,8 @@ func TestReclaimMigratesBitIdentical(t *testing.T) {
 			}
 		}
 	}
-	s.Close()
-	sum, err := s.Run()
+	s.Drain()
+	sum, err := s.loop()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,23 +122,23 @@ func TestReclaimMigratesBitIdentical(t *testing.T) {
 // checkpoints off the pool and requeues until capacity returns.
 func TestReclaimFallsBackToSuspend(t *testing.T) {
 	pool := idlePool()
-	s := New(pool, FIFO, 7)
+	s := newFarm(pool, FIFO, 7)
 	// The victim holds 4 hosts, the filler the other 21: zero spare.
-	err := s.Submit(JobSpec{
+	_, err := s.Submit(JobSpec{
 		ID: "victim", Method: "lb2d", JX: 2, JY: 2, Side: 200, Steps: 2000,
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = s.Submit(JobSpec{
+	_, err = s.Submit(JobSpec{
 		ID: "filler", Method: "lb2d", JX: 7, JY: 3, Side: 200, Steps: 1000,
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reclaimed := false
-	s.ScenarioEvery = time.Minute
-	s.Scenario = func(vt time.Duration, c *cluster.Cluster) {
+	s.scenarioEvery = time.Minute
+	s.scenario = func(vt time.Duration, c *cluster.Cluster) {
 		if vt < 2*time.Minute || reclaimed {
 			return
 		}
@@ -151,8 +150,8 @@ func TestReclaimFallsBackToSuspend(t *testing.T) {
 			}
 		}
 	}
-	s.Close()
-	sum, err := s.Run()
+	s.Drain()
+	sum, err := s.loop()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,31 +173,31 @@ func TestReclaimFallsBackToSuspend(t *testing.T) {
 // TestSubmitDuringRun: the farm accepts and schedules work submitted
 // after Run started, idles while empty, and drains cleanly on Close.
 func TestSubmitDuringRun(t *testing.T) {
-	s := New(idlePool(), FIFO, 7)
+	s := newFarm(idlePool(), FIFO, 7)
 	type result struct {
-		sum metrics.Summary
+		sum Summary
 		err error
 	}
 	done := make(chan result, 1)
 	go func() {
-		sum, err := s.Run()
+		sum, err := s.loop()
 		done <- result{sum, err}
 	}()
 
-	if err := s.Submit(JobSpec{
+	if _, err := s.Submit(JobSpec{
 		ID: "live-a", Method: "lb2d", JX: 2, JY: 2, Side: 40, Steps: 100,
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Submit(JobSpec{
+	if _, err := s.Submit(JobSpec{
 		ID: "live-b", Method: "fd2d", JX: 1, JY: 1, Side: 40, Steps: 100,
 		Submit: 30 * time.Second,
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
-	s.Close()
+	s.Drain()
 
-	if err := s.Submit(JobSpec{
+	if _, err := s.Submit(JobSpec{
 		ID: "late", Method: "lb2d", JX: 1, JY: 1, Side: 4, Steps: 1,
 	}, nil); err == nil {
 		t.Error("Submit accepted after Close")
@@ -239,17 +238,17 @@ func TestEASYBoundsHeadWait(t *testing.T) {
 			Side: 40, Steps: 15000, Submit: time.Duration(k) * 5 * time.Minute,
 		})
 	}
-	run := func(mode BackfillMode) metrics.Summary {
+	run := func(mode BackfillMode) Summary {
 		t.Helper()
-		s := New(idlePool(), FIFO, 3)
-		s.Backfill = mode
+		s := newFarm(idlePool(), FIFO, 3)
+		s.backfill = mode
 		for _, sp := range specs {
-			if err := s.Submit(sp, nil); err != nil {
+			if _, err := s.Submit(sp, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
-		s.Close()
-		sum, err := s.Run()
+		s.Drain()
+		sum, err := s.loop()
 		if err != nil {
 			t.Fatalf("backfill %v: %v", mode, err)
 		}

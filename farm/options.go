@@ -5,119 +5,77 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/sched"
 )
 
 // Option configures a farm at construction (New) or restoration
-// (Restore). Options replace the old poke-the-scheduler-struct wiring;
-// unspecified knobs keep the documented defaults.
-type Option func(*config)
+// (Restore); unspecified knobs keep the documented defaults.
+type Option func(*Farm)
 
-type config struct {
-	policy      Policy
-	policySet   bool
-	backfill    BackfillMode
-	backfillSet bool
-	seed        int64
-	seedSet     bool
-
-	timer StepTimer
-
-	ckptDir   string
-	ckptEvery time.Duration
-	ckptGap   time.Duration
-
-	scenario      func(t time.Duration, c *cluster.Cluster)
-	scenarioEvery time.Duration
-
-	autoscale      func(t time.Duration, ctl AutoscaleControl)
-	autoscaleEvery time.Duration
-}
-
-func newConfig(opts []Option) config {
-	cfg := config{policy: FIFO, seed: 1}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return cfg
-}
-
-// validate rejects option combinations the event loop would otherwise
+// validate rejects knob combinations the event loop would otherwise
 // accept and silently ignore. Every failure wraps ErrInvalidSpec.
-func (cfg config) validate() error {
-	if cfg.scenario != nil && cfg.scenarioEvery <= 0 {
+func (f *Farm) validate() error {
+	if f.scenario != nil && f.scenarioEvery <= 0 {
 		return fmt.Errorf("farm: %w: WithScenario interval %v is not positive; the callback would never fire",
-			ErrInvalidSpec, cfg.scenarioEvery)
+			ErrInvalidSpec, f.scenarioEvery)
 	}
-	if cfg.scenario == nil && cfg.scenarioEvery > 0 {
+	if f.scenario == nil && f.scenarioEvery > 0 {
 		return fmt.Errorf("farm: %w: WithScenario interval %v with a nil callback",
-			ErrInvalidSpec, cfg.scenarioEvery)
+			ErrInvalidSpec, f.scenarioEvery)
 	}
-	if cfg.autoscale != nil && cfg.autoscaleEvery <= 0 {
+	if f.autoscale != nil && f.autoscaleEvery <= 0 {
 		return fmt.Errorf("farm: %w: WithAutoscaler interval %v is not positive; the control loop would never tick",
-			ErrInvalidSpec, cfg.autoscaleEvery)
+			ErrInvalidSpec, f.autoscaleEvery)
 	}
-	if cfg.autoscale == nil && cfg.autoscaleEvery > 0 {
+	if f.autoscale == nil && f.autoscaleEvery > 0 {
 		return fmt.Errorf("farm: %w: WithAutoscaler interval %v with a nil callback",
-			ErrInvalidSpec, cfg.autoscaleEvery)
+			ErrInvalidSpec, f.autoscaleEvery)
 	}
-	if cfg.ckptEvery < 0 {
+	if f.ckptEvery < 0 {
 		return fmt.Errorf("farm: %w: WithCheckpoint interval %v is negative",
-			ErrInvalidSpec, cfg.ckptEvery)
+			ErrInvalidSpec, f.ckptEvery)
 	}
-	if cfg.ckptEvery > 0 && cfg.ckptDir == "" {
+	if f.ckptEvery > 0 && f.ckptDir == "" {
 		return fmt.Errorf("farm: %w: WithCheckpoint interval %v without a directory",
-			ErrInvalidSpec, cfg.ckptEvery)
+			ErrInvalidSpec, f.ckptEvery)
 	}
 	return nil
-}
-
-// apply transfers the configured knobs onto the scheduler. Policy and
-// seed are constructor arguments (New) or manifest state (Restore), so
-// they are not re-applied here.
-func (cfg config) apply(s *sched.Scheduler) {
-	if cfg.backfillSet {
-		s.Backfill = cfg.backfill
-	}
-	if cfg.timer != nil {
-		s.Timer = cfg.timer
-	}
-	s.CheckpointDir = cfg.ckptDir
-	s.CheckpointEvery = cfg.ckptEvery
-	s.CheckpointGap = cfg.ckptGap
-	s.Scenario = cfg.scenario
-	s.ScenarioEvery = cfg.scenarioEvery
-	s.Autoscale = cfg.autoscale
-	s.AutoscaleEvery = cfg.autoscaleEvery
 }
 
 // WithPolicy selects the queueing discipline: FIFO (the default),
 // Priority (preempting), or WeightedFair (per-tenant shares). Rejected
 // by Restore — a checkpoint manifest carries its own policy.
 func WithPolicy(p Policy) Option {
-	return func(cfg *config) { cfg.policy = p; cfg.policySet = true }
+	return func(f *Farm) { f.policy = p }
 }
 
 // WithBackfill selects how jobs behind a blocked queue head may use the
-// gaps its ranks cannot fill: BackfillEASY (the default), aggressive,
-// or none. Rejected by Restore.
+// gaps its ranks cannot fill. The default, BackfillEASY, makes a
+// backfilled job finish before the head's projected start, so a steady
+// stream of small jobs cannot starve a wide head; BackfillAggressive
+// drops that reservation (the pre-EASY behaviour) and BackfillNone
+// enforces strict head-of-line order. Rejected by Restore.
 func WithBackfill(m BackfillMode) Option {
-	return func(cfg *config) { cfg.backfill = m; cfg.backfillSet = true }
+	return func(f *Farm) { f.backfill = m }
 }
 
 // WithTimer prices one integration step per placement or migration. The
-// default is the compute-only ComputeTimer; PerfTimer adds the modelled
-// network. A price that is not finite and positive fails Run. Not
-// persisted in checkpoints — re-pass it to Restore.
+// default (also kept for a nil t) is the compute-only ComputeTimer;
+// PerfTimer adds the modelled network. A price that is not finite and
+// positive fails Run. Not persisted in checkpoints — re-pass it to
+// Restore.
 func WithTimer(t StepTimer) Option {
-	return func(cfg *config) { cfg.timer = t }
+	return func(f *Farm) {
+		if t != nil {
+			f.timer = t
+		}
+	}
 }
 
 // WithSeed seeds the randomized placement scan (default 1). A fixed
 // seed makes a farm's trace — and its event stream — deterministic.
 // Rejected by Restore — the manifest carries the mid-run RNG state.
 func WithSeed(seed int64) Option {
-	return func(cfg *config) { cfg.seed = seed; cfg.seedSet = true }
+	return func(f *Farm) { f.src = NewRNG(seed) }
 }
 
 // WithCheckpoint makes the farm durable in dir: the event loop persists
@@ -129,13 +87,14 @@ func WithSeed(seed int64) Option {
 // every of zero arms the directory for cancellation saves only. Not
 // persisted in checkpoints — re-pass it to Restore.
 func WithCheckpoint(dir string, every, gap time.Duration) Option {
-	return func(cfg *config) { cfg.ckptDir = dir; cfg.ckptEvery = every; cfg.ckptGap = gap }
+	return func(f *Farm) { f.ckptDir, f.ckptEvery, f.ckptGap = dir, every, gap }
 }
 
 // WithScenario invokes fn on the scheduling goroutine at every multiple
-// of every of virtual time while the farm has work. Experiments script
-// user activity through it (cluster.Reclaim / cluster.UserGone storms)
-// and may Submit new jobs or call Farm.Checkpoint / Farm.Interrupt;
+// of every of virtual time while the farm has work, before completions
+// are retired. Experiments script user activity through it
+// (cluster.Reclaim / cluster.UserGone storms) and may Submit new jobs
+// (live arrivals) or call Farm.Checkpoint / Farm.Interrupt;
 // farm/workload compiles declarative scenario scripts onto this hook.
 // The interval must be positive when fn is set: New and Restore reject
 // every <= 0 with ErrInvalidSpec instead of arming a callback that
@@ -143,7 +102,7 @@ func WithCheckpoint(dir string, every, gap time.Duration) Option {
 // stateless function to a restored farm or its virtual-time grid
 // changes.
 func WithScenario(every time.Duration, fn func(t time.Duration, c *cluster.Cluster)) Option {
-	return func(cfg *config) { cfg.scenarioEvery = every; cfg.scenario = fn }
+	return func(f *Farm) { f.scenarioEvery, f.scenario = every, fn }
 }
 
 // WithAutoscaler attaches a resize control loop: fn is invoked on the
@@ -153,11 +112,12 @@ func WithScenario(every time.Duration, fn func(t time.Duration, c *cluster.Clust
 // to. The control handle samples queue depth, pool utilization and
 // per-job progress, and actuates grow/shrink decisions synchronously —
 // farm/autoscale provides a ready-made supply/demand policy with
-// hysteresis and cooldown to plug in here. The interval must be
-// positive when fn is set: New and Restore reject every <= 0 with
-// ErrInvalidSpec. Not persisted in checkpoints — re-attach the same
-// controller to a restored farm (like WithScenario) or the virtual-time
-// grid, and with it the bit-identity guarantee, changes.
+// hysteresis and cooldown to plug in here; this hook is only its
+// deterministic clock. The interval must be positive when fn is set:
+// New and Restore reject every <= 0 with ErrInvalidSpec. Not persisted
+// in checkpoints — re-attach the same controller to a restored farm
+// (like WithScenario) or the virtual-time grid, and with it the
+// bit-identity guarantee, changes.
 func WithAutoscaler(every time.Duration, fn func(t time.Duration, ctl AutoscaleControl)) Option {
-	return func(cfg *config) { cfg.autoscaleEvery = every; cfg.autoscale = fn }
+	return func(f *Farm) { f.autoscaleEvery, f.autoscale = every, fn }
 }

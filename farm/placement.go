@@ -1,4 +1,4 @@
-package sched
+package farm
 
 import (
 	"errors"
@@ -14,14 +14,14 @@ import (
 
 // less orders the queue under the active policy; every policy falls back
 // to (Submit, ID) so rounds are deterministic.
-func (s *Scheduler) less(a, b *jobState) bool {
-	switch s.Policy {
+func (f *Farm) less(a, b *jobState) bool {
+	switch f.policy {
 	case Priority:
 		if a.spec.Priority != b.spec.Priority {
 			return a.spec.Priority > b.spec.Priority
 		}
 	case WeightedFair:
-		if fa, fb := s.fairShare(a), s.fairShare(b); fa != fb {
+		if fa, fb := f.fairShare(a), f.fairShare(b); fa != fb {
 			return fa < fb
 		}
 	}
@@ -36,17 +36,17 @@ func (s *Scheduler) less(a, b *jobState) bool {
 // placement changes capacity and, under WeightedFair, shares. Under
 // BackfillEASY a candidate behind the blocked head must finish before the
 // head's projected start (its virtual-finish-time reservation).
-func (s *Scheduler) scheduleRound(t time.Duration) error {
+func (f *Farm) scheduleRound(t time.Duration) error {
 	degradeCounted := false
 	for {
-		sort.SliceStable(s.queue, func(i, j int) bool { return s.less(s.queue[i], s.queue[j]) })
+		sort.SliceStable(f.queue, func(i, j int) bool { return f.less(f.queue[i], f.queue[j]) })
 		placed := -1
 		shadow, shadowSet := time.Duration(-1), false
-		for i, js := range s.queue {
+		for i, js := range f.queue {
 			deadline := time.Duration(-1)
-			if i > 0 && s.Backfill == BackfillEASY {
+			if i > 0 && f.backfill == BackfillEASY {
 				if !shadowSet {
-					shadow = s.projectedStart(s.queue[0])
+					shadow = f.projectedStart(f.queue[0])
 					shadowSet = true
 					if shadow < 0 && !degradeCounted {
 						// No reservation is computable for the head:
@@ -57,13 +57,13 @@ func (s *Scheduler) scheduleRound(t time.Duration) error {
 						// (The shadow is re-derived after every placement;
 						// the round degrades once, however many passes run.)
 						degradeCounted = true
-						s.easyDegraded++
-						s.emit(EASYDegraded{T: t, Head: s.queue[0].spec.ID, Ranks: s.queue[0].ranks()})
+						f.easyDegraded++
+						f.emit(EASYDegraded{T: t, Head: f.queue[0].spec.ID, Ranks: f.queue[0].ranks()})
 					}
 				}
 				deadline = shadow
 			}
-			ok, err := s.tryPlace(js, t, deadline)
+			ok, err := f.tryPlace(js, t, deadline)
 			if err != nil {
 				return err
 			}
@@ -71,8 +71,8 @@ func (s *Scheduler) scheduleRound(t time.Duration) error {
 				placed = i
 				break
 			}
-			if i == 0 && s.Policy == Priority {
-				ok, err := s.tryPreempt(js, t)
+			if i == 0 && f.policy == Priority {
+				ok, err := f.tryPreempt(js, t)
 				if err != nil {
 					return err
 				}
@@ -81,21 +81,21 @@ func (s *Scheduler) scheduleRound(t time.Duration) error {
 					break
 				}
 			}
-			if s.Backfill == BackfillNone {
+			if f.backfill == BackfillNone {
 				break
 			}
 		}
 		if placed < 0 {
 			return nil
 		}
-		js := s.queue[placed]
-		s.queue = append(s.queue[:placed], s.queue[placed+1:]...)
+		js := f.queue[placed]
+		f.queue = append(f.queue[:placed], f.queue[placed+1:]...)
 		if placed > 0 {
 			js.Backfilled = true
-			s.emit(JobBackfilled{T: t, ID: js.spec.ID, Hosts: hostNames(js.res.Hosts),
+			f.emit(JobBackfilled{T: t, ID: js.spec.ID, Hosts: hostNames(js.res.Hosts),
 				StepSec: js.StepSec, Finish: js.FinishAt, Weighted: !js.shape.IsZero()})
 		} else {
-			s.emit(JobPlaced{T: t, ID: js.spec.ID, Hosts: hostNames(js.res.Hosts),
+			f.emit(JobPlaced{T: t, ID: js.spec.ID, Hosts: hostNames(js.res.Hosts),
 				StepSec: js.StepSec, Finish: js.FinishAt, Weighted: !js.shape.IsZero()})
 		}
 	}
@@ -116,16 +116,16 @@ func (s *Scheduler) scheduleRound(t time.Duration) error {
 // then, and EASY backfill explicitly degrades to the aggressive mode
 // for the round (counted and announced by scheduleRound) until
 // conditions change.
-func (s *Scheduler) projectedStart(head *jobState) time.Duration {
-	free := s.Cluster.Capacity(s.selection)
+func (f *Farm) projectedStart(head *jobState) time.Duration {
+	free := f.cluster.Capacity(f.selection)
 	need := head.ranks()
-	run := append([]*jobState(nil), s.running...)
+	run := append([]*jobState(nil), f.running...)
 	sort.SliceStable(run, func(i, j int) bool { return run[i].FinishAt < run[j].FinishAt })
 	for _, r := range run {
 		if free >= need {
 			break
 		}
-		if free += s.reusable(r); free >= need {
+		if free += f.reusable(r); free >= need {
 			return r.FinishAt
 		}
 	}
@@ -135,10 +135,10 @@ func (s *Scheduler) projectedStart(head *jobState) time.Duration {
 // price is the one call of the step timer, and checks what it returns:
 // a step priced at zero, below zero, or not finite would finish the job
 // at a meaningless virtual time, so it is an error naming the job.
-func (s *Scheduler) price(spec JobSpec, shape decomp.Shape, hosts []*cluster.Host) (float64, error) {
-	sec, err := s.Timer(spec, shape, hosts)
+func (f *Farm) price(spec JobSpec, shape decomp.Shape, hosts []*cluster.Host) (float64, error) {
+	sec, err := f.timer(spec, shape, hosts)
 	if err == nil && !(sec > 0 && sec <= math.MaxFloat64) {
-		return 0, fmt.Errorf("sched: job %s: step timer priced a step at %v s", spec.ID, sec)
+		return 0, fmt.Errorf("farm: job %s: step timer priced a step at %v s", spec.ID, sec)
 	}
 	return sec, err
 }
@@ -146,10 +146,10 @@ func (s *Scheduler) price(spec JobSpec, shape decomp.Shape, hosts []*cluster.Hos
 // reusable counts the job's hosts that come back reservable when it
 // releases them: a host whose regular user got busy since the job was
 // placed frees no usable capacity.
-func (s *Scheduler) reusable(js *jobState) int {
+func (f *Farm) reusable(js *jobState) int {
 	n := 0
 	for _, h := range js.res.Hosts {
-		if h != nil && h.ReservableWhenFree(s.selection) {
+		if h != nil && h.ReservableWhenFree(f.selection) {
 			n++
 		}
 	}
@@ -169,11 +169,11 @@ func (s *Scheduler) reusable(js *jobState) int {
 // through to uniform. Returning the price lets tryPlace reuse it
 // instead of running the timer — a whole discrete-event simulation
 // under PerfTimer — a second time on the winning shape.
-func (s *Scheduler) chooseShape(spec JobSpec, hosts []*cluster.Host) (decomp.Shape, float64, error) {
-	uni := UniformShape(spec)
+func (f *Farm) chooseShape(spec JobSpec, hosts []*cluster.Host) (decomp.Shape, float64, error) {
+	uni := uniformShape(spec)
 	if w, err := WeightedShape(spec, hosts); err == nil && !w.Equal(uni) {
-		wb, errW := s.price(spec, w, hosts)
-		ub, errU := s.price(spec, uni, hosts)
+		wb, errW := f.price(spec, w, hosts)
+		ub, errU := f.price(spec, uni, hosts)
 		if errW == nil && errU == nil && wb < ub {
 			return w, wb, nil
 		}
@@ -183,7 +183,7 @@ func (s *Scheduler) chooseShape(spec JobSpec, hosts []*cluster.Host) (decomp.Sha
 		// The uniform pricing itself failed; re-run it below so the
 		// caller sees the error exactly as a direct pricing would.
 	}
-	sec, err := s.price(spec, decomp.Shape{}, hosts)
+	sec, err := f.price(spec, decomp.Shape{}, hosts)
 	return decomp.Shape{}, sec, err
 }
 
@@ -199,21 +199,21 @@ func (s *Scheduler) chooseShape(spec JobSpec, hosts []*cluster.Host) (decomp.Sha
 // the reserved hosts, uniform otherwise (chooseShape). A job that has
 // started before keeps the shape it dumped with — resumptions and
 // migrations reprice the same geometry on the new hosts.
-func (s *Scheduler) tryPlace(js *jobState, t time.Duration, deadline time.Duration) (bool, error) {
-	res, err := s.Cluster.Reserve(js.spec.ID, js.ranks(), s.selection, s.rng)
+func (f *Farm) tryPlace(js *jobState, t time.Duration, deadline time.Duration) (bool, error) {
+	res, err := f.cluster.Reserve(js.spec.ID, js.ranks(), f.selection, f.rng)
 	if errors.Is(err, cluster.ErrShortfall) {
 		return false, nil // Reserve draws nothing from the RNG on a shortfall
 	}
 	if err != nil {
-		return false, fmt.Errorf("sched: placing %s: %w", js.spec.ID, err)
+		return false, fmt.Errorf("farm: placing %s: %w", js.spec.ID, err)
 	}
 	shape, sec := js.shape, 0.0
 	if !js.Started {
-		shape, sec, err = s.chooseShape(js.spec, res.Hosts)
+		shape, sec, err = f.chooseShape(js.spec, res.Hosts)
 	} else {
 		// A resized job resumes on its current lattice (espec), with the
 		// shape it dumped under.
-		sec, err = s.price(js.espec(), shape, res.Hosts)
+		sec, err = f.price(js.espec(), shape, res.Hosts)
 	}
 	if err != nil {
 		res.Release()
@@ -244,22 +244,22 @@ func (s *Scheduler) tryPlace(js *jobState, t time.Duration, deadline time.Durati
 	}
 	if err != nil {
 		res.Release()
-		return false, fmt.Errorf("sched: starting %s: %w", js.spec.ID, err)
+		return false, fmt.Errorf("farm: starting %s: %w", js.spec.ID, err)
 	}
-	s.running = append(s.running, js)
+	f.running = append(f.running, js)
 	return true, nil
 }
 
 // tryPreempt makes room for the blocked queue head by suspending running
 // jobs of strictly lower priority — lowest priority first, most recently
 // placed first among equals — then places the head.
-func (s *Scheduler) tryPreempt(js *jobState, t time.Duration) (bool, error) {
-	need := js.ranks() - s.Cluster.Capacity(s.selection)
+func (f *Farm) tryPreempt(js *jobState, t time.Duration) (bool, error) {
+	need := js.ranks() - f.cluster.Capacity(f.selection)
 	if need <= 0 {
 		return false, nil
 	}
 	var victims []*jobState
-	for _, r := range s.running {
+	for _, r := range f.running {
 		if r.spec.Priority < js.spec.Priority {
 			victims = append(victims, r)
 		}
@@ -279,7 +279,7 @@ func (s *Scheduler) tryPreempt(js *jobState, t time.Duration) (bool, error) {
 	for _, v := range victims {
 		// Suspending a victim that frees no reusable host would checkpoint
 		// a job without unblocking the head.
-		freed := s.reusable(v)
+		freed := f.reusable(v)
 		if freed == 0 {
 			continue
 		}
@@ -292,25 +292,25 @@ func (s *Scheduler) tryPreempt(js *jobState, t time.Duration) (bool, error) {
 		return false, nil
 	}
 	for _, v := range chosen {
-		if err := s.preempt(v, t); err != nil {
+		if err := f.preempt(v, t); err != nil {
 			return false, err
 		}
 	}
-	return s.tryPlace(js, t, -1)
+	return f.tryPlace(js, t, -1)
 }
 
 // preempt suspends a running job through its workload's checkpoint path,
 // releases its hosts and requeues it with the progress it made credited.
-func (s *Scheduler) preempt(v *jobState, t time.Duration) error {
-	s.settle(v, t)
+func (f *Farm) preempt(v *jobState, t time.Duration) error {
+	f.settle(v, t)
 	v.Preempts++
 	if err := v.work.Suspend(); err != nil {
-		return fmt.Errorf("sched: suspending %s: %w", v.spec.ID, err)
+		return fmt.Errorf("farm: suspending %s: %w", v.spec.ID, err)
 	}
 	v.res.Release()
 	v.res = nil
-	s.running = slices.DeleteFunc(s.running, func(r *jobState) bool { return r == v })
-	s.queue = append(s.queue, v)
-	s.emit(JobPreempted{T: t, ID: v.spec.ID, Remaining: v.Remaining})
+	f.running = slices.DeleteFunc(f.running, func(r *jobState) bool { return r == v })
+	f.queue = append(f.queue, v)
+	f.emit(JobPreempted{T: t, ID: v.spec.ID, Remaining: v.Remaining})
 	return nil
 }

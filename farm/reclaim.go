@@ -1,4 +1,4 @@
-package sched
+package farm
 
 import (
 	"errors"
@@ -14,14 +14,14 @@ import (
 // job is repriced on its new placement, or — when no replacements are
 // reservable — the whole job is suspended and requeued. Either way the
 // farm never squats beside a returned user.
-func (s *Scheduler) handleReclaims(t time.Duration) error {
-	for _, ev := range s.Cluster.DrainEvents() {
+func (f *Farm) handleReclaims(t time.Duration) error {
+	for _, ev := range f.cluster.DrainEvents() {
 		if ev.Kind == cluster.EventReclaim {
-			s.reclaims++
-			s.emit(HostReclaimed{T: ev.At - s.start, Host: ev.Host.Name, Owner: ev.Owner})
+			f.reclaims++
+			f.emit(HostReclaimed{T: ev.At - f.start, Host: ev.Host.Name, Owner: ev.Owner})
 		}
 	}
-	busy := s.Cluster.NeedsMigration(s.migration)
+	busy := f.cluster.NeedsMigration(f.migration)
 	if len(busy) == 0 {
 		return nil
 	}
@@ -30,12 +30,12 @@ func (s *Scheduler) handleReclaims(t time.Duration) error {
 		byOwner[h.Owner()] = append(byOwner[h.Owner()], h)
 	}
 	// Iterate over a copy: a fallback suspension mutates s.running.
-	for _, js := range append([]*jobState(nil), s.running...) {
+	for _, js := range append([]*jobState(nil), f.running...) {
 		hosts := byOwner[js.spec.ID]
 		if len(hosts) == 0 {
 			continue
 		}
-		if err := s.migrateOff(js, hosts, t); err != nil {
+		if err := f.migrateOff(js, hosts, t); err != nil {
 			return err
 		}
 	}
@@ -45,25 +45,25 @@ func (s *Scheduler) handleReclaims(t time.Duration) error {
 // migrateOff moves a running job's displaced ranks off the busy hosts and
 // reprices the job on the patched placement; without replacement capacity
 // it falls back to suspending the whole job.
-func (s *Scheduler) migrateOff(js *jobState, busy []*cluster.Host, t time.Duration) error {
-	ranks, repl, err := s.Cluster.Migrate(js.res, busy, s.selection, s.rng)
+func (f *Farm) migrateOff(js *jobState, busy []*cluster.Host, t time.Duration) error {
+	ranks, repl, err := f.cluster.Migrate(js.res, busy, f.selection, f.rng)
 	if errors.Is(err, cluster.ErrShortfall) {
 		// Not enough reservable hosts to rehost the displaced ranks: the
 		// job checkpoints off the pool entirely and waits in the queue.
-		return s.preempt(js, t)
+		return f.preempt(js, t)
 	}
 	if err != nil {
-		return fmt.Errorf("sched: migrating %s: %w", js.spec.ID, err)
+		return fmt.Errorf("farm: migrating %s: %w", js.spec.ID, err)
 	}
 	// Progress so far ran at the old placement's pace; credit it before
 	// the new estimate replaces StepSec.
-	s.settle(js, t)
+	f.settle(js, t)
 	if err := js.work.Migrate(ranks, repl); err != nil {
-		return fmt.Errorf("sched: migrating %s: %w", js.spec.ID, err)
+		return fmt.Errorf("farm: migrating %s: %w", js.spec.ID, err)
 	}
 	// The weighted shape was fixed when the job first dumped; reprice the
 	// same geometry on the patched placement.
-	sec, err := s.price(js.espec(), js.shape, js.res.Hosts)
+	sec, err := f.price(js.espec(), js.shape, js.res.Hosts)
 	if err != nil {
 		return err
 	}
@@ -76,7 +76,7 @@ func (s *Scheduler) migrateOff(js *jobState, busy []*cluster.Host, t time.Durati
 	js.retime(t)
 	js.Migrations += len(ranks)
 	js.Repricings++
-	s.emit(JobMigrated{T: t, ID: js.spec.ID, Ranks: append([]int(nil), ranks...),
+	f.emit(JobMigrated{T: t, ID: js.spec.ID, Ranks: append([]int(nil), ranks...),
 		Hosts: hostNames(repl), StepSec: sec, Finish: js.FinishAt})
 	return nil
 }

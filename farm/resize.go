@@ -1,4 +1,4 @@
-package sched
+package farm
 
 import (
 	"errors"
@@ -20,58 +20,55 @@ var (
 	ErrNotRunning = errors.New("job is not running")
 )
 
-// resizeReq is one queued RequestResize call, answered on ch.
+// resizeReq is one queued Job.Resize call, answered on ch.
 type resizeReq struct {
 	id string
 	n  int
 	ch chan error
 }
 
-// RequestResize asks the event loop to resize the running job to n ranks
+// requestResize asks the event loop to resize the running job to n ranks
 // at the loop's current virtual time. It is safe from any goroutine —
-// the public farm API calls it from Job.Resize — and returns a buffered
+// Job.Resize calls it — and returns a buffered
 // channel that receives exactly one result: nil once the resize
 // committed, or the typed error (ErrUnknownJob, ErrNotRunning,
 // ErrNoCapacity, or a workload refusal) if it did not. The request is
 // processed in the next loop iteration, after reclaims and before the
 // scheduling round, so a resize never interleaves with a migration of
 // the same job inside one round.
-func (s *Scheduler) RequestResize(id string, n int) <-chan error {
+func (f *Farm) requestResize(id string, n int) <-chan error {
 	ch := make(chan error, 1)
-	s.mu.Lock()
-	s.resizeReqs = append(s.resizeReqs, resizeReq{id: id, n: n, ch: ch})
-	s.mu.Unlock()
-	s.wakeup()
+	f.mu.Lock()
+	f.resizeReqs = append(f.resizeReqs, resizeReq{id: id, n: n, ch: ch})
+	f.mu.Unlock()
+	f.wakeup()
 	return ch
 }
 
-// handleResizeRequests drains the queued RequestResize calls at the
+// handleResizeRequests drains the queued requestResize calls at the
 // current virtual time, answering each caller's channel.
-func (s *Scheduler) handleResizeRequests(t time.Duration) {
-	s.mu.Lock()
-	reqs := s.resizeReqs
-	s.resizeReqs = nil
-	s.mu.Unlock()
+func (f *Farm) handleResizeRequests(t time.Duration) {
+	f.mu.Lock()
+	reqs := f.resizeReqs
+	f.resizeReqs = nil
+	f.mu.Unlock()
 	for _, r := range reqs {
-		r.ch <- s.resizeByID(r.id, r.n, t)
+		r.ch <- f.resizeByID(r.id, r.n, t)
 	}
 }
 
 // resizeByID locates a running job by ID and resizes it; jobs the farm
 // knows but is not running get ErrNotRunning, strangers ErrUnknownJob.
-func (s *Scheduler) resizeByID(id string, n int, t time.Duration) error {
-	for _, js := range s.running {
+func (f *Farm) resizeByID(id string, n int, t time.Duration) error {
+	for _, js := range f.running {
 		if js.spec.ID == id {
-			return s.resize(js, n, t)
+			return f.resize(js, n, t)
 		}
 	}
-	s.mu.Lock()
-	known := s.ids[id]
-	s.mu.Unlock()
-	if known {
-		return fmt.Errorf("sched: resize %s: %w", id, ErrNotRunning)
+	if _, known := f.Job(id); known {
+		return fmt.Errorf("farm: resize %s: %w", id, ErrNotRunning)
 	}
-	return fmt.Errorf("sched: resize %q: %w", id, ErrUnknownJob)
+	return fmt.Errorf("farm: resize %q: %w", id, ErrUnknownJob)
 }
 
 // resize re-decomposes a running job onto n ranks at the current virtual
@@ -84,22 +81,22 @@ func (s *Scheduler) resizeByID(id string, n int, t time.Duration) error {
 // decomposition and reservation: a grow that cannot reserve or re-split
 // releases the extra hosts; a shrink re-splits before any host is
 // released, so its failure changes nothing.
-func (s *Scheduler) resize(js *jobState, n int, t time.Duration) error {
+func (f *Farm) resize(js *jobState, n int, t time.Duration) error {
 	cur := js.ranks()
 	if n == cur {
 		return nil
 	}
 	if n < 1 {
-		return fmt.Errorf("sched: resize %s to %d ranks", js.spec.ID, n)
+		return fmt.Errorf("farm: resize %s to %d ranks", js.spec.ID, n)
 	}
-	if n > len(s.Cluster.Hosts) {
-		return fmt.Errorf("sched: resize %s to %d ranks on a %d-host pool: %w",
-			js.spec.ID, n, len(s.Cluster.Hosts), ErrNoCapacity)
+	if n > len(f.cluster.Hosts) {
+		return fmt.Errorf("farm: resize %s to %d ranks on a %d-host pool: %w",
+			js.spec.ID, n, len(f.cluster.Hosts), ErrNoCapacity)
 	}
 	espec := js.espec()
 	jx, jy, jz, err := chooseLattice(n, espec)
 	if err != nil {
-		return fmt.Errorf("sched: resize %s: %w", js.spec.ID, err)
+		return fmt.Errorf("farm: resize %s: %w", js.spec.ID, err)
 	}
 	next := espec
 	next.GX, next.GY, next.GZ = espec.Grid()
@@ -109,30 +106,30 @@ func (s *Scheduler) resize(js *jobState, n int, t time.Duration) error {
 	// re-anchor before anything can fail, so the accounting never
 	// double-counts whatever happens next. Success or failure, the
 	// finish estimate is re-derived from the new anchor.
-	s.settle(js, t)
-	err = s.regrid(js, next, n)
+	f.settle(js, t)
+	err = f.regrid(js, next, n)
 	js.retime(t)
 	if err != nil {
-		return fmt.Errorf("sched: resize %s %d->%d: %w", js.spec.ID, cur, n, err)
+		return fmt.Errorf("farm: resize %s %d->%d: %w", js.spec.ID, cur, n, err)
 	}
 	js.CurJX, js.CurJY, js.CurJZ = jx, jy, jz
 	js.Resizes++
 	js.Repricings++
-	s.emit(JobResized{T: t, ID: js.spec.ID, From: cur, To: n,
+	f.emit(JobResized{T: t, ID: js.spec.ID, From: cur, To: n,
 		Hosts: hostNames(js.res.Hosts), StepSec: js.StepSec, Finish: js.FinishAt})
 	return nil
 }
 
 // regrid moves a running job's reservation and workload onto n ranks
 // of the next lattice; on failure the reservation is as it was.
-func (s *Scheduler) regrid(js *jobState, next JobSpec, n int) error {
+func (f *Farm) regrid(js *jobState, next JobSpec, n int) error {
 	cur := js.ranks()
 	if n < cur {
 		// Re-split onto the leading n hosts first — the workload refusing
 		// (filter on, deactivated subregions) must leave the reservation
 		// whole — then release the tail.
 		hosts := js.res.Hosts[:n:n]
-		if err := s.applyResize(js, next, hosts); err != nil {
+		if err := f.applyResize(js, next, hosts); err != nil {
 			return err
 		}
 		js.res.Shrink(append([]*cluster.Host(nil), js.res.Hosts[n:]...))
@@ -140,9 +137,9 @@ func (s *Scheduler) regrid(js *jobState, next JobSpec, n int) error {
 		js.ShrinkRanks += cur - n
 		return nil
 	}
-	add, err := s.Cluster.Reserve(js.spec.ID, n-cur, s.selection, s.rng)
+	add, err := f.cluster.Reserve(js.spec.ID, n-cur, f.selection, f.rng)
 	if err != nil {
-		return fmt.Errorf("%w (%v)", ErrNoCapacity, err)
+		return fmt.Errorf("%w (%w)", ErrNoCapacity, err)
 	}
 	// Reserve numbered the extras from rank 0; re-number the merged
 	// placement so hosts[rank] serves rank. The old hosts keep their
@@ -152,7 +149,7 @@ func (s *Scheduler) regrid(js *jobState, next JobSpec, n int) error {
 	for rank, h := range hosts {
 		h.AssignTo(js.spec.ID, rank)
 	}
-	if err := s.applyResize(js, next, hosts); err != nil {
+	if err := f.applyResize(js, next, hosts); err != nil {
 		add.Release()
 		return err
 	}
@@ -164,8 +161,8 @@ func (s *Scheduler) regrid(js *jobState, next JobSpec, n int) error {
 // applyResize picks the new lattice's shape on the target hosts, drives
 // the workload's re-split, and commits the job's shape, price and
 // imbalance. It mutates nothing on failure.
-func (s *Scheduler) applyResize(js *jobState, next JobSpec, hosts []*cluster.Host) error {
-	shape, sec, err := s.chooseShape(next, hosts)
+func (f *Farm) applyResize(js *jobState, next JobSpec, hosts []*cluster.Host) error {
+	shape, sec, err := f.chooseShape(next, hosts)
 	if err != nil {
 		return err
 	}

@@ -1,0 +1,293 @@
+package farm
+
+import (
+	"cmp"
+	"container/heap"
+	"fmt"
+	"slices"
+	"time"
+
+	"repro/internal/metrics"
+)
+
+// wakeup nudges an idle event loop; the buffered token makes the signal
+// level-triggered, so it is never lost between the loop's empty-check
+// and its block.
+func (f *Farm) wakeup() {
+	select {
+	case f.wake <- struct{}{}:
+	default:
+	}
+}
+
+// isClosed reports whether Drain was called.
+func (f *Farm) isClosed() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.closed
+}
+
+// isInterrupted reports whether Interrupt was called.
+func (f *Farm) isInterrupted() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.interrupted
+}
+
+// now returns the farm-relative virtual time.
+func (f *Farm) now() time.Duration { return f.cluster.Now() - f.start }
+
+// drained reports whether the farm holds no work at all.
+func (f *Farm) drained() bool {
+	if len(f.queue) > 0 || len(f.running) > 0 {
+		return false
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return len(f.pending) == 0
+}
+
+// loop is Run's event loop: jobs are admitted as their arrival times
+// pass (or the moment they are submitted live), reclaimed hosts are
+// vacated by migration, and completions retire in virtual time. When
+// the farm goes empty the loop blocks until another Submit or Drain
+// arrives; after Drain it returns the metrics summary once everything
+// accepted has finished.
+func (f *Farm) loop() (sum Summary, err error) {
+	f.mu.Lock()
+	// An interrupted farm may Run again — unless Drain already finalized
+	// it: Drain after a failed Run hands the placed jobs' reservations
+	// back to the pool, so those jobs can no longer be completed or
+	// migrated in memory. Refuse cleanly here instead of panicking on a
+	// nil reservation rounds later. The check lives in the same critical
+	// section that raises looping, so it serializes with Drain's
+	// !looping finalize path.
+	for _, js := range f.running {
+		if js.res == nil {
+			f.mu.Unlock()
+			return Summary{}, fmt.Errorf(
+				"farm: running job %s holds no reservation (Drain finalized this farm after an interrupted run); Restore from a checkpoint instead of re-running",
+				js.spec.ID)
+		}
+	}
+	if f.restored {
+		// A restored farm continues on the interrupted run's clock.
+		f.restored = false
+	} else if !f.anchored {
+		f.start = f.cluster.Now()
+	}
+	f.anchored = true
+	f.looping = true
+	f.runFailed = false
+	f.mu.Unlock()
+	now := f.now
+	defer func() {
+		// Flag an early exit in the same critical section that retires
+		// the loop, so a concurrent Drain never observes the loop gone
+		// without also seeing whether reservations need handing back.
+		f.mu.Lock()
+		f.looping = false
+		f.runFailed = err != nil
+		f.mu.Unlock()
+	}()
+	stallSince := time.Duration(-1)
+	for {
+		if f.isInterrupted() {
+			return Summary{}, f.interruptExit()
+		}
+		t := now()
+		f.admit(t)
+		if err := f.handleReclaims(t); err != nil {
+			return Summary{}, err
+		}
+		f.handleResizeRequests(t)
+		if err := f.scheduleRound(t); err != nil {
+			return Summary{}, err
+		}
+		if f.drained() {
+			if f.isClosed() {
+				break
+			}
+			// Idle: no work anywhere and the farm is still open. Block
+			// until a submission or Drain arrives; virtual time stands
+			// still while nobody is computing.
+			<-f.wake
+			continue
+		}
+		next, ok := f.nextEvent()
+		if !ok {
+			// Nothing running and no arrivals due: the queue is blocked
+			// on host conditions (user load, idle thresholds). Let
+			// virtual time pass so loads decay and users go idle; give
+			// up after a simulated week without progress.
+			next = t + time.Minute
+			if stallSince < 0 {
+				stallSince = t
+			}
+			if t-stallSince > 7*24*time.Hour {
+				return Summary{}, fmt.Errorf("farm: stalled for a simulated week with %d jobs queued (pool %d hosts)",
+					len(f.queue), len(f.cluster.Hosts))
+			}
+		} else {
+			stallSince = -1
+		}
+		// Scenario, autoscale and auto-checkpoint ticks cap the advance so
+		// scripted user activity, control-loop samples and periodic saves
+		// land at exact virtual times. At one instant they run in that
+		// order, then completions retire; the loop top follows (interrupt
+		// check, admissions, reclaims, resize requests, placement).
+		tick, scale, save := time.Duration(-1), time.Duration(-1), time.Duration(-1)
+		if f.scenario != nil && f.scenarioEvery > 0 {
+			tick = nextTick(t, f.scenarioEvery)
+			next = min(next, tick)
+		}
+		if f.autoscale != nil && f.autoscaleEvery > 0 {
+			scale = nextTick(t, f.autoscaleEvery)
+			next = min(next, scale)
+		}
+		if f.ckptEvery > 0 {
+			save = nextTick(t, f.ckptEvery)
+			next = min(next, save)
+		}
+		if dt := next - t; dt > 0 {
+			f.cluster.Advance(dt)
+		}
+		t = now()
+		if tick >= 0 && t == tick {
+			f.scenario(t, f.cluster)
+			if f.isInterrupted() {
+				return Summary{}, f.interruptExit()
+			}
+		}
+		if scale >= 0 && t == scale {
+			f.autoscale(t, AutoscaleControl{f: f, t: t})
+		}
+		if save >= 0 && t == save {
+			if err := f.Checkpoint(f.ckptDir); err != nil {
+				return Summary{}, fmt.Errorf("farm: auto-checkpoint at %v: %w", t, err)
+			}
+		}
+		if err := f.complete(t); err != nil {
+			return Summary{}, err
+		}
+	}
+	return f.summary(), nil
+}
+
+// nextTick returns the first multiple of every strictly after t.
+func nextTick(t, every time.Duration) time.Duration {
+	return t - t%every + every
+}
+
+// arrivals holds the jobs not yet admitted as a min-heap on (Submit,
+// seq), so the event loop reads the next arrival off the top instead of
+// scanning every job still to come.
+type arrivals []*jobState
+
+func (a arrivals) Len() int      { return len(a) }
+func (a arrivals) Swap(i, j int) { a[i], a[j] = a[j], a[i] }
+func (a arrivals) Less(i, j int) bool {
+	return cmp.Or(cmp.Compare(a[i].spec.Submit, a[j].spec.Submit), cmp.Compare(a[i].seq, a[j].seq)) < 0
+}
+func (a *arrivals) Push(x any) { *a = append(*a, x.(*jobState)) }
+func (a *arrivals) Pop() any {
+	js := (*a)[len(*a)-1]
+	*a = (*a)[:len(*a)-1]
+	return js
+}
+
+// arrive numbers the job and puts it on pending, under f.mu (or in
+// Restore, before f is shared).
+func (f *Farm) arrive(js *jobState) {
+	js.seq = f.submitted
+	f.submitted++
+	heap.Push(&f.pending, js)
+}
+
+func bySeq(jobs []*jobState) {
+	slices.SortFunc(jobs, func(a, b *jobState) int { return cmp.Compare(a.seq, b.seq) })
+}
+
+// admit moves every job whose arrival time has passed into the queue, in
+// submission order. A live submission's arrival is clamped to the current
+// farm time, so its queue wait never counts time before it existed.
+func (f *Farm) admit(t time.Duration) {
+	f.mu.Lock()
+	var admitted []*jobState
+	for len(f.pending) > 0 && f.pending[0].spec.Submit <= t {
+		js := heap.Pop(&f.pending).(*jobState)
+		if js.Live && js.spec.Submit < t {
+			js.spec.Submit = t
+		}
+		admitted = append(admitted, js)
+	}
+	bySeq(admitted)
+	f.queue = append(f.queue, admitted...)
+	f.mu.Unlock()
+	// Emit outside the lock: emit takes the handle lock.
+	for _, js := range admitted {
+		f.emit(JobQueued{T: t, ID: js.spec.ID})
+	}
+}
+
+// nextEvent returns the earliest upcoming arrival or completion.
+func (f *Farm) nextEvent() (time.Duration, bool) {
+	best := time.Duration(-1)
+	f.mu.Lock()
+	if len(f.pending) > 0 {
+		best = f.pending[0].spec.Submit
+	}
+	f.mu.Unlock()
+	for _, js := range f.running {
+		if best < 0 || js.FinishAt < best {
+			best = js.FinishAt
+		}
+	}
+	return best, best >= 0
+}
+
+// complete retires every running job whose virtual finish time has
+// arrived, letting the workload drain and releasing the hosts.
+func (f *Farm) complete(t time.Duration) error {
+	for i := 0; i < len(f.running); {
+		js := f.running[i]
+		if js.FinishAt > t {
+			i++
+			continue
+		}
+		f.creditService(js, js.FinishAt-js.PlacedAt)
+		js.Remaining = 0
+		js.DoneAt = js.FinishAt
+		if err := js.work.Finish(); err != nil {
+			return fmt.Errorf("farm: finishing %s: %w", js.spec.ID, err)
+		}
+		js.res.Release()
+		js.res = nil
+		f.running = append(f.running[:i], f.running[i+1:]...)
+		f.finished = append(f.finished, js)
+		f.emit(JobFinished{T: js.DoneAt, ID: js.spec.ID, Job: metricsJob(js)})
+	}
+	return nil
+}
+
+// summary converts the finished jobs into the metrics report.
+func (f *Farm) summary() Summary {
+	jobs := make([]JobMetrics, len(f.finished))
+	for i, js := range f.finished {
+		jobs[i] = metricsJob(js)
+	}
+	sum := metrics.Summarize(jobs, len(f.cluster.Hosts))
+	sum.Reclaims = f.reclaims
+	sum.EASYDegraded = f.easyDegraded
+	return sum
+}
+
+// byPhase lists every job the farm holds, indexed by Status: pending in
+// submission order, then the queue, running and finished lists in order.
+func (f *Farm) byPhase() [4][]*jobState {
+	f.mu.Lock()
+	pending := slices.Clone([]*jobState(f.pending))
+	f.mu.Unlock()
+	bySeq(pending)
+	return [4][]*jobState{pending, f.queue, f.running, f.finished}
+}

@@ -1,4 +1,4 @@
-package sched
+package farm
 
 import (
 	"errors"
@@ -13,26 +13,37 @@ import (
 	"repro/internal/decomp"
 	"repro/internal/fluid"
 	"repro/internal/perf"
-	"repro/internal/sched/metrics"
 	"repro/internal/syncfile"
 )
 
-// replay submits every spec with a NullWorkload, closes the farm and
-// runs it to completion under the given timer (nil keeps the default) —
-// the deterministic policy comparison the tests share. The product route
-// is farm.Replay.
-func replay(c *cluster.Cluster, policy Policy, seed int64, timer StepTimer, specs []JobSpec) (metrics.Summary, error) {
-	s := New(c, policy, seed)
-	if timer != nil {
-		s.Timer = timer
+// newFarm builds a farm with a policy and a seed, options that cannot
+// fail validation.
+func newFarm(c *cluster.Cluster, pol Policy, seed int64) *Farm {
+	f, err := New(c, WithPolicy(pol), WithSeed(seed))
+	if err != nil {
+		panic(err)
 	}
-	for _, sp := range specs {
-		if err := s.Submit(sp, nil); err != nil {
-			return metrics.Summary{}, err
+	return f
+}
+
+// tap subscribes to f's events; each call of the returned function
+// hands over the events delivered since the last one. Delivery is
+// synchronous with the scheduling round, so a call from a scenario tick
+// sees every event emitted before it.
+func tap(t testing.TB, f *Farm) func() []Event {
+	// Far above any test's trace: a dropped event fails the test.
+	sub := f.SubscribeBuffered(1 << 16)
+	return func() []Event {
+		t.Helper()
+		if n := sub.Dropped(); n > 0 {
+			t.Fatalf("tap dropped %d events", n)
 		}
+		var evs []Event
+		for len(sub.ch) > 0 {
+			evs = append(evs, <-sub.ch)
+		}
+		return evs
 	}
-	s.Close()
-	return s.Run()
 }
 
 func idlePool() *cluster.Cluster {
@@ -61,16 +72,16 @@ func farmMix() []JobSpec {
 	}
 }
 
-func replayMix(t *testing.T, pol Policy) metrics.Summary {
+func replayMix(t *testing.T, pol Policy) Summary {
 	t.Helper()
-	sum, err := replay(idlePool(), pol, 42, nil, farmMix())
+	sum, err := Replay(idlePool(), pol, 42, nil, farmMix())
 	if err != nil {
 		t.Fatalf("%v replay: %v", pol, err)
 	}
 	return sum
 }
 
-func jobByID(t *testing.T, sum metrics.Summary, id string) metrics.Job {
+func jobByID(t *testing.T, sum Summary, id string) JobMetrics {
 	t.Helper()
 	for _, j := range sum.Jobs {
 		if j.ID == id {
@@ -78,7 +89,7 @@ func jobByID(t *testing.T, sum metrics.Summary, id string) metrics.Job {
 		}
 	}
 	t.Fatalf("job %s missing from summary", id)
-	return metrics.Job{}
+	return JobMetrics{}
 }
 
 // TestFarmPoliciesDeterministic replays the mixed workload under each of
@@ -93,7 +104,7 @@ func TestFarmPoliciesDeterministic(t *testing.T) {
 
 	for _, tc := range []struct {
 		pol Policy
-		sum metrics.Summary
+		sum Summary
 	}{{FIFO, fifo}, {Priority, prio}, {WeightedFair, fair}} {
 		if len(tc.sum.Jobs) != 8 {
 			t.Fatalf("%v: %d jobs completed, want 8", tc.pol, len(tc.sum.Jobs))
@@ -154,7 +165,7 @@ func TestWeightedFairInterleavesTenants(t *testing.T) {
 		mk("h1", "heavy", 4), mk("h2", "heavy", 4),
 		mk("l1", "light", 1), mk("l2", "light", 1),
 	}
-	sum, err := replay(idlePool(), WeightedFair, 1, nil, specs)
+	sum, err := Replay(idlePool(), WeightedFair, 1, nil, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +178,7 @@ func TestWeightedFairInterleavesTenants(t *testing.T) {
 			done("h1"), done("l1"), done("h2"), done("l2"))
 	}
 	// FIFO on the same trace drains heavy's backlog first.
-	fifo, err := replay(idlePool(), FIFO, 1, nil, specs)
+	fifo, err := Replay(idlePool(), FIFO, 1, nil, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,10 +228,10 @@ func TestFarmPreemptsRealCoreJob(t *testing.T) {
 	}
 
 	pool := idlePool()
-	s := New(pool, Priority, 42)
+	s := newFarm(pool, Priority, 42)
 	// The sim job: 4 ranks, low priority, long virtual runtime (the Side
 	// inflates the virtual workload so the burst arrives mid-run).
-	err = s.Submit(JobSpec{
+	_, err = s.Submit(JobSpec{
 		ID: "sim", Method: "lb2d", JX: 2, JY: 2, Side: 1000, Steps: steps, Priority: 0,
 	}, &CoreWorkload{Job: job, Cluster: pool})
 	if err != nil {
@@ -228,7 +239,7 @@ func TestFarmPreemptsRealCoreJob(t *testing.T) {
 	}
 	// The burst: 22 ranks at t = 5 virtual minutes. 21 hosts are free, so
 	// the scheduler must preempt the sim.
-	err = s.Submit(JobSpec{
+	_, err = s.Submit(JobSpec{
 		ID: "burst", Method: "lb2d", JX: 11, JY: 2, Side: 40, Steps: 100, Priority: 9,
 		Submit: 5 * time.Minute,
 	}, nil)
@@ -236,8 +247,8 @@ func TestFarmPreemptsRealCoreJob(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s.Close()
-	sum, err := s.Run()
+	s.Drain()
+	sum, err := s.loop()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,13 +280,13 @@ func TestFarmPreemptsRealCoreJob(t *testing.T) {
 // unblock the head.
 func TestPreemptSkipsUserBusyVictims(t *testing.T) {
 	pool := idlePool()
-	s := New(pool, Priority, 1)
-	if err := s.Submit(JobSpec{
+	s := newFarm(pool, Priority, 1)
+	if _, err := s.Submit(JobSpec{
 		ID: "victim", Method: "lb2d", JX: 2, JY: 2, Side: 1000, Steps: 10000, Priority: 0,
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Submit(JobSpec{
+	if _, err := s.Submit(JobSpec{
 		ID: "head", Method: "lb2d", JX: 11, JY: 2, Side: 40, Steps: 100, Priority: 9,
 		Submit: 30 * time.Minute,
 	}, nil); err != nil {
@@ -344,13 +355,13 @@ func TestPerfTimerAddsCommunication(t *testing.T) {
 // never run, so Submit refuses it with ErrNoCapacity instead of letting
 // the farm stall on it later.
 func TestOversizedJobRejectedAtSubmit(t *testing.T) {
-	s := New(idlePool(), FIFO, 1)
-	err := s.Submit(JobSpec{ID: "huge", Method: "lb2d", JX: 6, JY: 5, Side: 10, Steps: 10}, nil)
+	s := newFarm(idlePool(), FIFO, 1)
+	_, err := s.Submit(JobSpec{ID: "huge", Method: "lb2d", JX: 6, JY: 5, Side: 10, Steps: 10}, nil)
 	if !errors.Is(err, ErrNoCapacity) {
 		t.Fatalf("30-rank job on a 25-host pool: err = %v, want ErrNoCapacity", err)
 	}
-	// replay surfaces the same typed rejection.
-	if _, err := replay(idlePool(), FIFO, 1, nil,
+	// Replay surfaces the same typed rejection.
+	if _, err := Replay(idlePool(), FIFO, 1, nil,
 		[]JobSpec{{ID: "huge", Method: "lb2d", JX: 6, JY: 5, Side: 10, Steps: 10}}); !errors.Is(err, ErrNoCapacity) {
 		t.Fatalf("replay of an oversized job: err = %v, want ErrNoCapacity", err)
 	}
@@ -365,43 +376,44 @@ func TestStalledFarmReportsError(t *testing.T) {
 	for _, h := range pool.Hosts {
 		pool.Reclaim(h) // every user present: nothing is reservable, ever
 	}
-	s := New(pool, FIFO, 1)
-	if err := s.Submit(JobSpec{ID: "blocked", Method: "lb2d", JX: 1, JY: 1, Side: 4, Steps: 1}, nil); err != nil {
+	s := newFarm(pool, FIFO, 1)
+	if _, err := s.Submit(JobSpec{ID: "blocked", Method: "lb2d", JX: 1, JY: 1, Side: 4, Steps: 1}, nil); err != nil {
 		t.Fatal(err)
 	}
-	s.Close()
-	_, err := s.Run()
+	s.Drain()
+	_, err := s.loop()
 	if err == nil || !strings.Contains(err.Error(), "stalled for a simulated week") {
 		t.Fatalf("fully reclaimed pool: err = %v, want the week-long-stall report", err)
 	}
 }
 
-// TestSubmitTypedErrors: every rejection class is a sentinel checkable
-// with errors.Is — invalid specs, duplicate IDs, capacity, closed farm.
-func TestSubmitTypedErrors(t *testing.T) {
-	s := New(idlePool(), FIFO, 1)
+// TestSchedulerSubmitTypedErrors: each rejection at the submit path
+// wraps its sentinel — duplicate ID, invalid spec (also from Validate on
+// its own), and submission after Drain.
+func TestSchedulerSubmitTypedErrors(t *testing.T) {
+	s := newFarm(idlePool(), FIFO, 1)
 	ok := JobSpec{ID: "x", Method: "lb2d", JX: 1, JY: 1, Side: 4, Steps: 1}
-	if err := s.Submit(ok, nil); err != nil {
+	if _, err := s.Submit(ok, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Submit(ok, nil); !errors.Is(err, ErrDuplicateID) {
+	if _, err := s.Submit(ok, nil); !errors.Is(err, ErrDuplicateID) {
 		t.Errorf("duplicate ID: err = %v, want ErrDuplicateID", err)
 	}
-	if err := s.Submit(JobSpec{ID: "bad", Method: "nope", JX: 1, JY: 1, Side: 4, Steps: 1}, nil); !errors.Is(err, ErrInvalidSpec) {
+	if _, err := s.Submit(JobSpec{ID: "bad", Method: "nope", JX: 1, JY: 1, Side: 4, Steps: 1}, nil); !errors.Is(err, ErrInvalidSpec) {
 		t.Errorf("invalid spec: err = %v, want ErrInvalidSpec", err)
 	}
 	if err := (JobSpec{ID: "neg", Method: "lb2d", JX: 1, JY: 1, Side: 4, Steps: 1, Submit: -1}).Validate(); !errors.Is(err, ErrInvalidSpec) {
 		t.Errorf("Validate: err = %v, want ErrInvalidSpec", err)
 	}
-	s.Close()
-	if err := s.Submit(JobSpec{ID: "late", Method: "lb2d", JX: 1, JY: 1, Side: 4, Steps: 1}, nil); !errors.Is(err, ErrClosed) {
-		t.Errorf("submit after Close: err = %v, want ErrClosed", err)
+	s.Drain()
+	if _, err := s.Submit(JobSpec{ID: "late", Method: "lb2d", JX: 1, JY: 1, Side: 4, Steps: 1}, nil); !errors.Is(err, ErrClosed) {
+		t.Errorf("submit after Drain: err = %v, want ErrClosed", err)
 	}
 }
 
 // TestSubmitValidation covers the spec checks and duplicate IDs.
 func TestSubmitValidation(t *testing.T) {
-	s := New(idlePool(), FIFO, 1)
+	s := newFarm(idlePool(), FIFO, 1)
 	bad := []JobSpec{
 		{},
 		{ID: "x", Method: "nope", JX: 1, JY: 1, Side: 4, Steps: 1},
@@ -416,15 +428,15 @@ func TestSubmitValidation(t *testing.T) {
 		{ID: "..", Method: "lb2d", JX: 1, JY: 1, Side: 4, Steps: 1},            // ID escaping the ckpt dir
 	}
 	for i, sp := range bad {
-		if err := s.Submit(sp, nil); !errors.Is(err, ErrInvalidSpec) {
+		if _, err := s.Submit(sp, nil); !errors.Is(err, ErrInvalidSpec) {
 			t.Errorf("bad spec %d: err = %v, want ErrInvalidSpec (%+v)", i, err, sp)
 		}
 	}
 	ok := JobSpec{ID: "x", Method: "lb2d", JX: 1, JY: 1, Side: 4, Steps: 1}
-	if err := s.Submit(ok, nil); err != nil {
+	if _, err := s.Submit(ok, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Submit(ok, nil); err == nil {
+	if _, err := s.Submit(ok, nil); err == nil {
 		t.Error("duplicate ID accepted")
 	}
 }

@@ -1,29 +1,4 @@
-// Package sched turns the paper's pool of non-dedicated workstations into
-// a shared simulation farm: many queued jobs competing for one
-// cluster.Cluster, with admission, capacity-aware placement, backfill,
-// and migration-based preemption.
-//
-// The paper (section 5.1) prescribes process migration so a single
-// parallel job can vacate a workstation its owner reclaims. This package
-// reuses that exact machinery as a scheduling primitive: preempting a
-// low-priority job is Job.Suspend — every rank synchronizes, dumps its
-// state and exits — and resuming it later is Job.Resume, so a preempted
-// simulation still produces bit-identical results to an undisturbed run.
-//
-// Placement extends cluster.SelectFree into a reservation API
-// (cluster.Reserve): host slots are claimed per job and released on
-// completion or preemption, and the greedy scan order is re-randomized
-// every round — within the section-4.1 preference tiers — following Lee &
-// Wright's observation that random permutations avoid the adversarial
-// worst cases a fixed cyclic order admits.
-//
-// The scheduler runs in the cluster's virtual time, so multi-job traces
-// replay deterministically: job runtimes come from a StepTimer, either
-// the compute-only host-speed estimate or the perf discrete-event engine
-// (PerfTimer), which replays each job's halo-exchange pattern over the
-// modelled network. Metrics (queue wait, makespan, utilization,
-// preemptions, backfills) live in the sched/metrics sub-package.
-package sched
+package farm
 
 import (
 	"errors"
@@ -36,7 +11,7 @@ import (
 // Sentinel errors returned (wrapped, with job context) by Submit;
 // callers branch on them with errors.Is.
 var (
-	// ErrClosed rejects a submission after Close: the farm is draining.
+	// ErrClosed rejects a submission after Drain.
 	ErrClosed = errors.New("farm is closed to new submissions")
 	// ErrDuplicateID rejects a job ID the farm has already accepted.
 	ErrDuplicateID = errors.New("duplicate job ID")
@@ -84,7 +59,7 @@ func ParsePolicy(s string) (Policy, error) {
 	case "fair":
 		return WeightedFair, nil
 	}
-	return 0, fmt.Errorf("sched: unknown policy %q (fifo, priority, fair)", s)
+	return 0, fmt.Errorf("farm: unknown policy %q (fifo, priority, fair)", s)
 }
 
 // BackfillMode selects how jobs behind a blocked queue head may use the
@@ -129,7 +104,7 @@ func ParseBackfill(s string) (BackfillMode, error) {
 	case "easy":
 		return BackfillEASY, nil
 	}
-	return 0, fmt.Errorf("sched: unknown backfill mode %q (none, aggressive, easy)", s)
+	return 0, fmt.Errorf("farm: unknown backfill mode %q (none, aggressive, easy)", s)
 }
 
 // methodDims maps the section-7 method names to their dimensionality.
@@ -222,44 +197,44 @@ func (s JobSpec) NodesPerRank() int {
 // rejections with errors.Is.
 func (s JobSpec) Validate() error {
 	if s.ID == "" {
-		return fmt.Errorf("sched: %w: job needs an ID", ErrInvalidSpec)
+		return fmt.Errorf("farm: %w: job needs an ID", ErrInvalidSpec)
 	}
 	// IDs name checkpoint subdirectories; reject at submission what
 	// Checkpoint would otherwise choke on mid-run.
 	if err := ckpt.CheckJobID(s.ID); err != nil {
-		return fmt.Errorf("sched: %w: job %s: %v", ErrInvalidSpec, s.ID, err)
+		return fmt.Errorf("farm: %w: job %s: %w", ErrInvalidSpec, s.ID, err)
 	}
 	dim, ok := methodDims[s.Method]
 	if !ok {
-		return fmt.Errorf("sched: %w: job %s: unknown method %q", ErrInvalidSpec, s.ID, s.Method)
+		return fmt.Errorf("farm: %w: job %s: unknown method %q", ErrInvalidSpec, s.ID, s.Method)
 	}
 	if dim == 3 && s.JZ < 1 {
-		return fmt.Errorf("sched: %w: job %s: 3D method needs JZ >= 1", ErrInvalidSpec, s.ID)
+		return fmt.Errorf("farm: %w: job %s: 3D method needs JZ >= 1", ErrInvalidSpec, s.ID)
 	}
 	if dim == 2 && s.JZ > 1 {
-		return fmt.Errorf("sched: %w: job %s: 2D method with JZ = %d", ErrInvalidSpec, s.ID, s.JZ)
+		return fmt.Errorf("farm: %w: job %s: 2D method with JZ = %d", ErrInvalidSpec, s.ID, s.JZ)
 	}
 	if s.JX < 1 || s.JY < 1 {
-		return fmt.Errorf("sched: %w: job %s: decomposition %dx%dx%d", ErrInvalidSpec, s.ID, s.JX, s.JY, s.JZ)
+		return fmt.Errorf("farm: %w: job %s: decomposition %dx%dx%d", ErrInvalidSpec, s.ID, s.JX, s.JY, s.JZ)
 	}
 	if s.Side < 1 {
-		return fmt.Errorf("sched: %w: job %s: subregion side %d", ErrInvalidSpec, s.ID, s.Side)
+		return fmt.Errorf("farm: %w: job %s: subregion side %d", ErrInvalidSpec, s.ID, s.Side)
 	}
 	if s.GX < 0 || s.GY < 0 || s.GZ < 0 {
-		return fmt.Errorf("sched: %w: job %s: negative grid %dx%dx%d", ErrInvalidSpec, s.ID, s.GX, s.GY, s.GZ)
+		return fmt.Errorf("farm: %w: job %s: negative grid %dx%dx%d", ErrInvalidSpec, s.ID, s.GX, s.GY, s.GZ)
 	}
 	if s.GZ > 0 && dim == 2 {
-		return fmt.Errorf("sched: %w: job %s: 2D method with GZ = %d", ErrInvalidSpec, s.ID, s.GZ)
+		return fmt.Errorf("farm: %w: job %s: 2D method with GZ = %d", ErrInvalidSpec, s.ID, s.GZ)
 	}
 	if gx, gy, gz := s.Grid(); gx < s.JX || gy < s.JY || (s.Is3D() && gz < s.JZ) {
-		return fmt.Errorf("sched: %w: job %s: grid %dx%dx%d cannot give every subregion of the %dx%dx%d lattice a node",
+		return fmt.Errorf("farm: %w: job %s: grid %dx%dx%d cannot give every subregion of the %dx%dx%d lattice a node",
 			ErrInvalidSpec, s.ID, gx, gy, gz, s.JX, s.JY, s.JZ)
 	}
 	if s.Steps < 1 {
-		return fmt.Errorf("sched: %w: job %s: %d steps", ErrInvalidSpec, s.ID, s.Steps)
+		return fmt.Errorf("farm: %w: job %s: %d steps", ErrInvalidSpec, s.ID, s.Steps)
 	}
 	if s.Submit < 0 {
-		return fmt.Errorf("sched: %w: job %s: negative submit time", ErrInvalidSpec, s.ID)
+		return fmt.Errorf("farm: %w: job %s: negative submit time", ErrInvalidSpec, s.ID)
 	}
 	return nil
 }

@@ -1,0 +1,170 @@
+package farm
+
+import "sync"
+
+// DefaultSubscriptionBuffer is Subscribe's channel capacity. A farm
+// emits a handful of events per scheduling round, so the default rides
+// out a subscriber that drains in batches; size it explicitly with
+// SubscribeBuffered when collecting full traces of long storms.
+const DefaultSubscriptionBuffer = 1024
+
+// Subscription is one bounded tap on the farm's event stream.
+//
+// Delivery never blocks the scheduling round: events are sent
+// non-blockingly into the subscription's buffered channel, and when the
+// buffer is full the new event is dropped and counted — Dropped
+// reports how many. A subscriber that must see every event sizes its
+// buffer for the trace (SubscribeBuffered) or drains concurrently; a
+// slow or abandoned subscriber costs the farm nothing.
+//
+// The channel is closed when the stream is over — a drained farm's Run
+// returned successfully, ending any range loop over Events. A farm
+// whose Run returned an error may Run again (after an interrupt or
+// cancellation), so its subscriptions survive the gap and observe the
+// next run; the farm cannot know whether a resume is coming, so a
+// consumer that will not resume after an errored Run must Close its
+// subscription to end the stream — ranging on without closing parks
+// that goroutine forever.
+type Subscription struct {
+	f *Farm
+
+	mu      sync.Mutex
+	ch      chan Event
+	dropped int
+	closed  bool
+}
+
+// Subscribe taps the farm's event stream with the default buffer.
+// Subscribe before Run to see the whole stream; a subscription made
+// mid-run starts at the current round.
+func (f *Farm) Subscribe() *Subscription {
+	return f.SubscribeBuffered(DefaultSubscriptionBuffer)
+}
+
+// SubscribeBuffered taps the farm's event stream with an explicit
+// buffer capacity (minimum 1). See Subscription for the overflow
+// policy. A subscription made after a drained farm's Run has returned
+// arrives already closed: the stream it would have observed is over,
+// so a range over Events ends immediately instead of blocking on a
+// channel nothing will ever close.
+func (f *Farm) SubscribeBuffered(n int) *Subscription {
+	if n < 1 {
+		n = 1
+	}
+	sub := &Subscription{f: f, ch: make(chan Event, n)}
+	f.hmu.Lock()
+	select {
+	case <-f.run.done:
+		// rs.err is valid once done is closed; a nil error means the
+		// farm drained to completion and no further run will come.
+		if f.run.err == nil {
+			f.hmu.Unlock()
+			sub.shut()
+			return sub
+		}
+	default:
+	}
+	f.subs = append(f.subs, sub)
+	f.hmu.Unlock()
+	return sub
+}
+
+// Events returns the subscription's channel. It is closed when the
+// stream ends — a drained farm's Run returned — or the subscription is
+// closed.
+func (sub *Subscription) Events() <-chan Event { return sub.ch }
+
+// Dropped reports how many events overflowed the buffer and were
+// discarded.
+func (sub *Subscription) Dropped() int {
+	sub.mu.Lock()
+	defer sub.mu.Unlock()
+	return sub.dropped
+}
+
+// Close detaches the subscription from the farm and closes its channel.
+// Idempotent; buffered events remain readable until drained.
+func (sub *Subscription) Close() {
+	f := sub.f
+	f.hmu.Lock()
+	for i, s := range f.subs {
+		if s == sub {
+			f.subs = append(f.subs[:i], f.subs[i+1:]...)
+			break
+		}
+	}
+	f.hmu.Unlock()
+	sub.shut()
+}
+
+// send delivers one event without ever blocking; overflow drops it.
+func (sub *Subscription) send(ev Event) {
+	sub.mu.Lock()
+	defer sub.mu.Unlock()
+	if sub.closed {
+		return
+	}
+	select {
+	case sub.ch <- ev:
+	default:
+		sub.dropped++
+	}
+}
+
+// shut closes the channel once.
+func (sub *Subscription) shut() {
+	sub.mu.Lock()
+	defer sub.mu.Unlock()
+	if !sub.closed {
+		sub.closed = true
+		close(sub.ch)
+	}
+}
+
+// emit delivers one event of a scheduling round: it updates the job
+// handles, then fans the event out to every subscription. It runs
+// synchronously on the scheduling goroutine, so handle state and
+// subscriber order are deterministic for a fixed seed.
+func (f *Farm) emit(ev Event) {
+	f.track(ev)
+	f.hmu.Lock()
+	subs := append([]*Subscription(nil), f.subs...)
+	f.hmu.Unlock()
+	for _, sub := range subs {
+		sub.send(ev)
+	}
+}
+
+// track folds one event into the job-handle lifecycle.
+func (f *Farm) track(ev Event) {
+	var (
+		id string
+		st Status
+	)
+	switch e := ev.(type) {
+	case JobQueued:
+		id, st = e.ID, StatusQueued
+	case JobPlaced:
+		id, st = e.ID, StatusRunning
+	case JobBackfilled:
+		id, st = e.ID, StatusRunning
+	case JobPreempted:
+		id, st = e.ID, StatusQueued
+	case JobFinished:
+		f.hmu.Lock()
+		j := f.jobs[e.ID]
+		f.hmu.Unlock()
+		if j != nil {
+			j.finish(e.Job)
+		}
+		return
+	default:
+		return // migrations and resizes keep the job running; host/checkpoint/autoscale events carry no job state
+	}
+	f.hmu.Lock()
+	j := f.jobs[id]
+	f.hmu.Unlock()
+	if j != nil {
+		j.setStatus(st)
+	}
+}

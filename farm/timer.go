@@ -1,4 +1,4 @@
-package sched
+package farm
 
 import (
 	"fmt"
@@ -23,18 +23,18 @@ type StepTimer func(spec JobSpec, shape decomp.Shape, hosts []*cluster.Host) (fl
 // validates a non-zero one against the spec's lattice and grid.
 func shapeOrUniform(spec JobSpec, shape decomp.Shape) (decomp.Shape, error) {
 	if shape.IsZero() {
-		return UniformShape(spec), nil
+		return uniformShape(spec), nil
 	}
 	gx, gy, gz := spec.Grid()
 	if err := shape.Check(spec.JX, spec.JY, spec.JZ, gx, gy, gz); err != nil {
-		return decomp.Shape{}, fmt.Errorf("sched: job %s: %w", spec.ID, err)
+		return decomp.Shape{}, fmt.Errorf("farm: job %s: %w", spec.ID, err)
 	}
 	return shape, nil
 }
 
-// UniformShape returns the spec's uniform (equal-spans) shape, the
+// uniformShape returns the spec's uniform (equal-spans) shape, the
 // degenerate case every job priced before speed weighting used.
-func UniformShape(spec JobSpec) decomp.Shape {
+func uniformShape(spec JobSpec) decomp.Shape {
 	gx, gy, gz := spec.Grid()
 	return decomp.UniformShape(spec.JX, spec.JY, spec.JZ, gx, gy, gz)
 }
@@ -42,10 +42,11 @@ func UniformShape(spec JobSpec) decomp.Shape {
 // WeightedShape returns the spec's speed-weighted shape for a placement:
 // hosts[rank] serves rank, and each subregion's spans are sized
 // proportionally to its host's speed (per-axis marginals). Equal speeds
-// reproduce UniformShape bit for bit.
+// reproduce the uniform shape bit for bit. The hetero experiment builds
+// on it and on Imbalance.
 func WeightedShape(spec JobSpec, hosts []*cluster.Host) (decomp.Shape, error) {
 	if len(hosts) < spec.Ranks() {
-		return decomp.Shape{}, fmt.Errorf("sched: %d hosts for %d ranks of %s", len(hosts), spec.Ranks(), spec.ID)
+		return decomp.Shape{}, fmt.Errorf("farm: %d hosts for %d ranks of %s", len(hosts), spec.Ranks(), spec.ID)
 	}
 	speed := make([]float64, spec.Ranks())
 	for i := range speed {
@@ -82,7 +83,7 @@ func forEachRank(spec JobSpec, shape decomp.Shape, f func(rank, nodes int)) {
 // pools stop paying the worst-host penalty.
 func ComputeTimer(spec JobSpec, shape decomp.Shape, hosts []*cluster.Host) (float64, error) {
 	if len(hosts) < spec.Ranks() {
-		return 0, fmt.Errorf("sched: %d hosts for %d ranks of %s", len(hosts), spec.Ranks(), spec.ID)
+		return 0, fmt.Errorf("farm: %d hosts for %d ranks of %s", len(hosts), spec.Ranks(), spec.ID)
 	}
 	sh, err := shapeOrUniform(spec, shape)
 	if err != nil {
@@ -101,10 +102,10 @@ func ComputeTimer(spec JobSpec, shape decomp.Shape, hosts []*cluster.Host) (floa
 // rank's compute time over the ideal perfectly balanced time (total
 // nodes spread over the hosts' aggregate speed). 1.0 is perfect balance;
 // a uniform split of a mixed-model pool sits strictly above it. The
-// scheduler records the ratio per job and sched/metrics aggregates it.
+// farm records the ratio per job and internal/metrics aggregates it.
 func Imbalance(spec JobSpec, shape decomp.Shape, hosts []*cluster.Host) (float64, error) {
 	if len(hosts) < spec.Ranks() {
-		return 0, fmt.Errorf("sched: %d hosts for %d ranks of %s", len(hosts), spec.Ranks(), spec.ID)
+		return 0, fmt.Errorf("farm: %d hosts for %d ranks of %s", len(hosts), spec.Ranks(), spec.ID)
 	}
 	sh, err := shapeOrUniform(spec, shape)
 	if err != nil {
@@ -120,7 +121,7 @@ func Imbalance(spec JobSpec, shape decomp.Shape, hosts []*cluster.Host) (float64
 	})
 	ideal := float64(total) / speed
 	if ideal <= 0 {
-		return 0, fmt.Errorf("sched: job %s: degenerate placement (no nodes or no speed)", spec.ID)
+		return 0, fmt.Errorf("farm: job %s: degenerate placement (no nodes or no speed)", spec.ID)
 	}
 	return worst / ideal, nil
 }
@@ -137,7 +138,7 @@ func Imbalance(spec JobSpec, shape decomp.Shape, hosts []*cluster.Host) (float64
 func PerfTimer(netFn func() netsim.Network) StepTimer {
 	return func(spec JobSpec, shape decomp.Shape, hosts []*cluster.Host) (float64, error) {
 		if len(hosts) < spec.Ranks() {
-			return 0, fmt.Errorf("sched: %d hosts for %d ranks of %s", len(hosts), spec.Ranks(), spec.ID)
+			return 0, fmt.Errorf("farm: %d hosts for %d ranks of %s", len(hosts), spec.Ranks(), spec.ID)
 		}
 		sh, err := shapeOrUniform(spec, shape)
 		if err != nil {

@@ -1,4 +1,4 @@
-package sched
+package farm
 
 import (
 	"math"
@@ -49,14 +49,14 @@ func TestSchedulerWorkersBitIdentical(t *testing.T) {
 	}
 
 	pool := idlePool()
-	s := New(pool, FIFO, 1)
-	if err := s.Submit(JobSpec{
+	s := newFarm(pool, FIFO, 1)
+	if _, err := s.Submit(JobSpec{
 		ID: "sim", Method: "lb2d", JX: 2, JY: 2, Side: 24, Steps: steps,
 	}, &CoreWorkload{Job: job, Cluster: pool}); err != nil {
 		t.Fatal(err)
 	}
-	s.Close()
-	if _, err := s.Run(); err != nil {
+	s.Drain()
+	if _, err := s.loop(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,4 +1,4 @@
-package sched
+package farm
 
 import (
 	"fmt"
@@ -46,19 +46,19 @@ type Workload interface {
 	Restore(states []*dump.State) error
 }
 
-// NullWorkload replays scheduling decisions only — no simulation runs.
+// nullWorkload replays scheduling decisions only — no simulation runs.
 // Trace replays and policy experiments use it: all metrics come from the
 // virtual-time accounting.
-type NullWorkload struct{}
+type nullWorkload struct{}
 
-func (NullWorkload) Start([]*cluster.Host) error                { return nil }
-func (NullWorkload) Suspend() error                             { return nil }
-func (NullWorkload) Resume([]*cluster.Host) error               { return nil }
-func (NullWorkload) Migrate([]int, []*cluster.Host) error       { return nil }
-func (NullWorkload) Resize(decomp.Shape, []*cluster.Host) error { return nil }
-func (NullWorkload) Finish() error                              { return nil }
-func (NullWorkload) Checkpoint() ([]*dump.State, error)         { return nil, nil }
-func (NullWorkload) Restore([]*dump.State) error                { return nil }
+func (nullWorkload) Start([]*cluster.Host) error                { return nil }
+func (nullWorkload) Suspend() error                             { return nil }
+func (nullWorkload) Resume([]*cluster.Host) error               { return nil }
+func (nullWorkload) Migrate([]int, []*cluster.Host) error       { return nil }
+func (nullWorkload) Resize(decomp.Shape, []*cluster.Host) error { return nil }
+func (nullWorkload) Finish() error                              { return nil }
+func (nullWorkload) Checkpoint() ([]*dump.State, error)         { return nil, nil }
+func (nullWorkload) Restore([]*dump.State) error                { return nil }
 
 // CoreWorkload drives a real core.Job under the scheduler: Start launches
 // the workers, Suspend checkpoints every rank through the section-5.1
@@ -79,7 +79,7 @@ type CoreWorkload struct {
 // Start places the job (if a cluster is attached) and launches it.
 func (c *CoreWorkload) Start(hosts []*cluster.Host) error {
 	if c.Job == nil {
-		return fmt.Errorf("sched: CoreWorkload without a Job")
+		return fmt.Errorf("farm: CoreWorkload without a Job")
 	}
 	if c.Cluster != nil {
 		if err := c.Job.PlaceOn(c.Cluster, hosts); err != nil {
@@ -106,7 +106,7 @@ func (c *CoreWorkload) Suspend() error {
 // Resume restarts the job from its checkpoint on the new hosts.
 func (c *CoreWorkload) Resume(hosts []*cluster.Host) error {
 	if c.states == nil {
-		return fmt.Errorf("sched: resume of %d-rank job without a checkpoint", c.Job.P())
+		return fmt.Errorf("farm: resume of %d-rank job without a checkpoint", c.Job.P())
 	}
 	if c.Cluster != nil {
 		if err := c.Job.PlaceOn(c.Cluster, hosts); err != nil {
@@ -139,7 +139,7 @@ func (c *CoreWorkload) Migrate(ranks []int, hosts []*cluster.Host) error {
 // cleared it — the old map's ranks no longer exist).
 func (c *CoreWorkload) Resize(shape decomp.Shape, hosts []*cluster.Host) error {
 	if c.Job == nil {
-		return fmt.Errorf("sched: CoreWorkload without a Job")
+		return fmt.Errorf("farm: CoreWorkload without a Job")
 	}
 	if err := c.Job.Resize(shape); err != nil {
 		return err
@@ -159,7 +159,7 @@ func (c *CoreWorkload) Resize(shape decomp.Shape, hosts []*cluster.Host) error {
 // nothing is rebuilt and the results stay bit-identical.
 func (c *CoreWorkload) Checkpoint() ([]*dump.State, error) {
 	if c.Job == nil {
-		return nil, fmt.Errorf("sched: CoreWorkload without a Job")
+		return nil, fmt.Errorf("farm: CoreWorkload without a Job")
 	}
 	if c.states != nil {
 		return c.states, nil
@@ -172,13 +172,13 @@ func (c *CoreWorkload) Checkpoint() ([]*dump.State, error) {
 // next Resume rebuilds every rank from these states.
 func (c *CoreWorkload) Restore(states []*dump.State) error {
 	if c.Job == nil {
-		return fmt.Errorf("sched: CoreWorkload without a Job")
+		return fmt.Errorf("farm: CoreWorkload without a Job")
 	}
 	if len(states) != c.Job.P() {
-		return fmt.Errorf("sched: restoring %d states into a %d-rank job", len(states), c.Job.P())
+		return fmt.Errorf("farm: restoring %d states into a %d-rank job", len(states), c.Job.P())
 	}
 	if c.states != nil {
-		return fmt.Errorf("sched: restore over an existing %d-rank checkpoint", len(c.states))
+		return fmt.Errorf("farm: restore over an existing %d-rank checkpoint", len(c.states))
 	}
 	c.states = states
 	return nil

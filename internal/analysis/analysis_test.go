@@ -13,7 +13,7 @@ func TestMatch(t *testing.T) {
 		{[]string{"repro/farm/..."}, "repro/farm", true},
 		{[]string{"repro/farm/..."}, "repro/farm/workload", true},
 		{[]string{"repro/farm/..."}, "repro/farmhouse", false},
-		{[]string{"repro/internal/sched/..."}, "repro/internal/sched/metrics", true},
+		{[]string{"repro/internal/..."}, "repro/internal/metrics", true},
 		{nil, "repro/farm", false},
 	}
 	for _, c := range cases {
@@ -26,7 +26,7 @@ func TestMatch(t *testing.T) {
 func TestDefaultScopes(t *testing.T) {
 	cfg := Default()
 	for _, path := range []string{
-		"repro/internal/sched", "repro/internal/sched/metrics",
+		"repro/internal/metrics",
 		"repro/internal/cluster", "repro/internal/core",
 		"repro/internal/lbm", "repro/internal/fd", "repro/internal/decomp",
 		"repro/farm", "repro/farm/workload", "repro/farm/autoscale",

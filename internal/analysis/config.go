@@ -11,8 +11,8 @@ import "strings"
 type Config struct {
 	// Deterministic packages form the simulation path whose results
 	// must replay bit-identically: entropy (clocks, RNG state outside
-	// sched.SplitMix, go statements) and maporder (map-iteration
-	// order) apply here.
+	// farm.RNG, go statements) and maporder (map-iteration order) apply
+	// here.
 	Deterministic []string
 	// ErrorSurface packages are the supported public API: errwrap
 	// enforces %w wrapping and errors.Is-comparable sentinels here.
@@ -37,9 +37,9 @@ type Config struct {
 func Default() *Config {
 	return &Config{
 		// The cluster's randomized reservation scan consumes the
-		// scheduler's stream, so it is on the simulation path too.
+		// farm's stream, so it is on the simulation path too.
 		Deterministic: []string{
-			"repro/internal/sched/...",
+			"repro/internal/metrics",
 			"repro/internal/cluster",
 			"repro/internal/core",
 			"repro/internal/lbm",
@@ -90,7 +90,7 @@ func Default() *Config {
 		LockScope: []string{
 			"repro/internal/pool",
 			"repro/internal/msg",
-			"repro/internal/sched/...",
+			"repro/internal/metrics",
 			"repro/farm",
 			"repro/farm/workload",
 			"repro/farm/autoscale",

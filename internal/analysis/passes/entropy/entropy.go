@@ -13,11 +13,11 @@
 //   - random state outside the one serializable source: math/rand's
 //     package-level draws and Seed use the process-global generator,
 //     rand.NewSource / new(rand.Rand) / a rand.Rand literal / rand.New
-//     over anything but a *SplitMix hold state the checkpoint manifest
+//     over anything but a *farm.RNG hold state the checkpoint manifest
 //     cannot persist, and crypto/rand is irreproducible by design. The
-//     one sanctioned construction is rand.New over a sched.SplitMix (or
-//     a substream from its Derive), which lets the scheduler borrow
-//     rand.Rand's distribution helpers while SplitMix owns the state;
+//     one sanctioned construction is rand.New over a farm.RNG (or a
+//     substream from its Derive), which lets the farm borrow rand.Rand's
+//     distribution helpers while the RNG owns the state;
 //   - a `go` statement, which lets the runtime scheduler pick an
 //     interleaving that can leak into event order, trace bytes or float
 //     reduction order.
@@ -38,8 +38,8 @@ import (
 
 var Analyzer = analysis.Register(&analysis.Analyzer{
 	Name: "entropy",
-	Doc: "forbid wall-clock reads, RNG state outside sched.SplitMix/Derive and go statements " +
-		"in deterministic packages; take time from the virtual clock and randomness from a SplitMix substream",
+	Doc: "forbid wall-clock reads, RNG state outside farm.RNG/Derive and go statements " +
+		"in deterministic packages; take time from the virtual clock and randomness from a farm.RNG substream",
 	Run: run,
 })
 
@@ -84,7 +84,7 @@ func run(pass *analysis.Pass) error {
 			case *ast.CompositeLit:
 				if isRandRand(pass, n.Type) {
 					pass.Reportf(n.Pos(),
-						"rand.Rand literal holds RNG state outside the checkpoint; draw a substream with sched.SplitMix.Derive")
+						"rand.Rand literal holds RNG state outside the checkpoint; draw a substream with farm.RNG.Derive")
 				}
 			}
 			return true
@@ -111,13 +111,13 @@ func checkMember(pass *analysis.Pass, sel *ast.SelectorExpr) {
 		switch {
 		case ambientRand[name]:
 			pass.Reportf(sel.Pos(),
-				"rand.%s draws from the process-global generator; route randomness through the job's sched.SplitMix substream", name)
+				"rand.%s draws from the process-global generator; route randomness through the job's farm.RNG substream", name)
 		case name == "Seed":
 			pass.Reportf(sel.Pos(),
-				"rand.Seed reseeds the process-global generator; seed a sched.SplitMix and pass it explicitly")
+				"rand.Seed reseeds the process-global generator; seed a farm.RNG and pass it explicitly")
 		case name == "NewSource" || name == "NewPCG" || name == "NewChaCha8":
 			pass.Reportf(sel.Pos(),
-				"rand.%s creates a source the checkpoint manifest cannot serialize; derive one with sched.SplitMix.Derive", name)
+				"rand.%s creates a source the checkpoint manifest cannot serialize; derive one with farm.RNG.Derive", name)
 		}
 	case "crypto/rand":
 		pass.Reportf(sel.Pos(),
@@ -126,12 +126,12 @@ func checkMember(pass *analysis.Pass, sel *ast.SelectorExpr) {
 }
 
 // checkConstruction flags a rand.Rand built over anything but a
-// *SplitMix: new(rand.Rand), or rand.New over another source.
+// *farm.RNG: new(rand.Rand), or rand.New over another source.
 func checkConstruction(pass *analysis.Pass, call *ast.CallExpr) {
 	if analysis.BuiltinNameOf(pass.TypesInfo, call.Fun) == "new" && len(call.Args) == 1 {
 		if isRandRand(pass, call.Args[0]) {
 			pass.Reportf(call.Pos(),
-				"new(rand.Rand) holds RNG state outside the checkpoint; draw a substream with sched.SplitMix.Derive")
+				"new(rand.Rand) holds RNG state outside the checkpoint; draw a substream with farm.RNG.Derive")
 		}
 		return
 	}
@@ -139,11 +139,11 @@ func checkConstruction(pass *analysis.Pass, call *ast.CallExpr) {
 	if !ok || (path != "math/rand" && path != "math/rand/v2") || name != "New" {
 		return
 	}
-	if len(call.Args) == 1 && fedBySplitMix(pass, call.Args[0]) {
+	if len(call.Args) == 1 && fedByRNG(pass, call.Args[0]) {
 		return
 	}
 	pass.Reportf(call.Pos(),
-		"rand.New over a non-SplitMix source breaks checkpoint round-trips; construct it from sched.NewSplitMix or Derive")
+		"rand.New over a non-RNG source breaks checkpoint round-trips; construct it from farm.NewRNG or Derive")
 }
 
 func isRandRand(pass *analysis.Pass, e ast.Expr) bool {
@@ -151,9 +151,9 @@ func isRandRand(pass *analysis.Pass, e ast.Expr) bool {
 	return ok && (path == "math/rand" || path == "math/rand/v2") && name == "Rand"
 }
 
-// fedBySplitMix reports whether the expression's static type is
-// *SplitMix (the sched package's serializable source).
-func fedBySplitMix(pass *analysis.Pass, e ast.Expr) bool {
+// fedByRNG reports whether the expression's static type is *RNG (the
+// farm package's serializable source).
+func fedByRNG(pass *analysis.Pass, e ast.Expr) bool {
 	if pass.TypesInfo == nil {
 		return false
 	}
@@ -166,5 +166,5 @@ func fedBySplitMix(pass *analysis.Pass, e ast.Expr) bool {
 		t = p.Elem()
 	}
 	named, okN := t.(*types.Named)
-	return okN && named.Obj().Name() == "SplitMix"
+	return okN && named.Obj().Name() == "RNG"
 }

@@ -23,10 +23,10 @@ func globalRNG() {
 	_, _ = crand.Read(nil) // want `crypto/rand.Read is irreproducible entropy`
 }
 
-// A generator over an explicit source that is not a SplitMix holds
+// A generator over an explicit source that is not an RNG holds
 // state the checkpoint cannot see.
 func constructOverSource(src mrand.Source) {
-	_ = mrand.New(src) // want `rand.New over a non-SplitMix source`
+	_ = mrand.New(src) // want `rand.New over a non-RNG source`
 }
 
 func allowed() {

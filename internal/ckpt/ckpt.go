@@ -156,7 +156,7 @@ func (r JobRecord) CurRanks() int {
 
 // grid returns the job's global grid extents: the pinned GridX/Y/Z when
 // set, Side times the spec lattice otherwise (gz is zero for 2D jobs) —
-// mirroring sched.JobSpec.Grid.
+// mirroring farm.JobSpec.Grid.
 func (r JobRecord) grid() (gx, gy, gz int) {
 	gx, gy, gz = r.GridX, r.GridY, r.GridZ
 	if gx == 0 {

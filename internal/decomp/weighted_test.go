@@ -65,7 +65,7 @@ func TestWeightedSpansProportional(t *testing.T) {
 }
 
 // weighted2D builds a speed-weighted decomposition the way production does
-// (sched.WeightedShape, then the shaped constructor): spans from the
+// (farm.WeightedShape, then the shaped constructor): spans from the
 // per-rank host speeds, rank order row-major, then the lattice over them.
 func weighted2D(jx, jy, gx, gy int, st Stencil, speed []float64) (*Decomp, error) {
 	sh, err := WeightedShape(jx, jy, 0, gx, gy, 0, speed)

@@ -57,7 +57,7 @@ const bytesPerValue = 8
 // move along, and a corner message the row's corner values.
 //
 // The pattern is checked against what the solvers send
-// (sched.TestModelledTrafficMatchesSolvers): destinations, counts and order
+// (farm.TestModelledTrafficMatchesSolvers): destinations, counts and order
 // agree for all four methods, and sizes for fd2d, fd3d and lb2d. One
 // finding: the lb3d solver's y- and z-sweep messages are longer than the
 // 5 x face modelled here, by exactly the ghost rows of the axes already
