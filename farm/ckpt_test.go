@@ -125,7 +125,7 @@ func TestKillAndRestoreBitIdentical(t *testing.T) {
 	if _, err := s1.Submit(specs[0], nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s1.Submit(specs[1], &CoreWorkload{Job: job1, Cluster: pool1}); err != nil {
+	if _, err := s1.Submit(specs[1], &CoreWorkload{Job: job1}); err != nil {
 		t.Fatal(err)
 	}
 	s1.Drain()
@@ -166,7 +166,7 @@ func TestKillAndRestoreBitIdentical(t *testing.T) {
 		"sim": func(spec JobSpec) (Workload, error) {
 			job2, p2 := newSimJob(t, simConfig(t, spec.JX, spec.JY), spec.Steps)
 			progs2 = p2
-			return &CoreWorkload{Job: job2, Cluster: pool2}, nil
+			return &CoreWorkload{Job: job2}, nil
 		},
 	}
 	s2, err := Restore(dir, pool2, reg)
@@ -337,7 +337,7 @@ func TestRestoreRejectsCorruptCheckpoints(t *testing.T) {
 	}
 	if _, err := s.Submit(JobSpec{
 		ID: "sim", Method: "lb2d", JX: 2, JY: 1, Side: 1000, Steps: steps,
-	}, &CoreWorkload{Job: job, Cluster: pool}); err != nil {
+	}, &CoreWorkload{Job: job}); err != nil {
 		t.Fatal(err)
 	}
 	s.Drain()

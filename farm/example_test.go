@@ -250,7 +250,7 @@ func preemptAndMigrate(w io.Writer) error {
 	// when the 22-rank burst arrives, so the scheduler must preempt.
 	sim, err := f.Submit(farm.JobSpec{
 		ID: "channel-sim", Method: "lb2d", JX: 2, JY: 2, Side: 1000, Steps: steps,
-	}, &farm.CoreWorkload{Job: job, Cluster: pool})
+	}, &farm.CoreWorkload{Job: job})
 	if err != nil {
 		return err
 	}

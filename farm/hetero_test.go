@@ -283,7 +283,7 @@ func TestWeightedJobCheckpointRestoreRoundTrip(t *testing.T) {
 		}
 		s1.Interrupt()
 	}
-	if _, err := s1.Submit(spec, &CoreWorkload{Job: job1, Cluster: pool1}); err != nil {
+	if _, err := s1.Submit(spec, &CoreWorkload{Job: job1}); err != nil {
 		t.Fatal(err)
 	}
 	s1.Drain()
@@ -324,7 +324,7 @@ func TestWeightedJobCheckpointRestoreRoundTrip(t *testing.T) {
 		"wsim": func(sp JobSpec) (Workload, error) {
 			job2, p2 := newSimJob(t, weightedSimConfig(t), sp.Steps)
 			progs2 = p2
-			return &CoreWorkload{Job: job2, Cluster: pool2}, nil
+			return &CoreWorkload{Job: job2}, nil
 		},
 	}
 	s2, err := Restore(dir, pool2, reg)

@@ -12,13 +12,38 @@ import (
 )
 
 // TestReclaimMigratesBitIdentical is the online farm's acceptance
-// scenario: a real 2D LB simulation runs on four hosts, a regular user
-// reclaims one of them mid-run, and the farm migrates the displaced rank
-// to a fresh host within the next scheduling round — repricing the job —
-// while the finished solution stays bitwise identical to an undisturbed
-// run (the suspend_test.go identity-check pattern, applied to the
-// farm-driven partial migration).
+// scenario and section 5.1's migration end to end: a real 2D LB simulation
+// runs on four hosts, a regular user comes back to one of them mid-run,
+// and the farm migrates the displaced rank to a fresh host within the next
+// scheduling round — repricing the job — while the finished solution stays
+// bitwise identical to an undisturbed run (the suspend_test.go
+// identity-check pattern, applied to the farm-driven partial migration).
+// The user comes back two ways: through the Reclaim event, and by starting
+// a full-time job that the farm's clock lets push the host's five-minute
+// load past 1.5.
 func TestReclaimMigratesBitIdentical(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		disturb  func(c *cluster.Cluster, h *cluster.Host)
+		reclaims int
+	}{
+		{"reclaim", (*cluster.Cluster).Reclaim, 1},
+		{"load", func(_ *cluster.Cluster, h *cluster.Host) { h.StartJob() }, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			busy := reclaimMidRun(t, tc.disturb, tc.reclaims)
+			if busy.Assigned() >= 0 {
+				t.Errorf("farm still squats on %s beside its user", busy.Name)
+			}
+		})
+	}
+}
+
+// reclaimMidRun runs the acceptance scenario with one disturbance of a
+// sim host at five virtual minutes, checks the farm's counts and the bits,
+// and returns the disturbed host.
+func reclaimMidRun(t *testing.T, disturb func(*cluster.Cluster, *cluster.Host), reclaims int) *cluster.Host {
+	t.Helper()
 	const steps = 40
 	mkCfg := func() *core.Config2D {
 		d, err := decomp.New2D(2, 2, 24, 16, decomp.Full)
@@ -51,28 +76,27 @@ func TestReclaimMigratesBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pool := idlePool()
-	s := newFarm(pool, FIFO, 42)
-	// Side inflates the virtual workload so the reclaim lands mid-run on
-	// the scheduler's clock.
+	s := newFarm(idlePool(), FIFO, 42)
+	// Side inflates the virtual workload so the disturbance lands mid-run
+	// on the scheduler's clock.
 	_, err = s.Submit(JobSpec{
 		ID: "sim", Method: "lb2d", JX: 2, JY: 2, Side: 1000, Steps: steps,
-	}, &CoreWorkload{Job: job, Cluster: pool})
+	}, &CoreWorkload{Job: job})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Five virtual minutes in, a user sits down at one of the sim's
 	// workstations.
-	reclaimed := false
+	var busy *cluster.Host
 	s.scenarioEvery = time.Minute
 	s.scenario = func(vt time.Duration, c *cluster.Cluster) {
-		if vt < 5*time.Minute || reclaimed {
+		if vt < 5*time.Minute || busy != nil {
 			return
 		}
 		for _, h := range c.Hosts {
 			if h.Owner() == "sim" {
-				c.Reclaim(h)
-				reclaimed = true
+				busy = h
+				disturb(c, h)
 				return
 			}
 		}
@@ -83,11 +107,11 @@ func TestReclaimMigratesBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if !reclaimed {
+	if busy == nil {
 		t.Fatal("scenario never fired; the sim finished before 5 virtual minutes")
 	}
-	if sum.Reclaims != 1 {
-		t.Errorf("reclaims = %d, want 1", sum.Reclaims)
+	if sum.Reclaims != reclaims {
+		t.Errorf("reclaims = %d, want %d", sum.Reclaims, reclaims)
 	}
 	sim := jobByID(t, sum, "sim")
 	if sim.Migrations != 1 {
@@ -102,12 +126,6 @@ func TestReclaimMigratesBitIdentical(t *testing.T) {
 	if job.Migrations != 1 {
 		t.Errorf("core job recorded %d migrations, want 1", job.Migrations)
 	}
-	// The user's machine must be free of the farm.
-	for _, h := range pool.Hosts {
-		if h.Reclaimed() && h.Assigned() >= 0 {
-			t.Errorf("farm still squats on reclaimed host %s", h.Name)
-		}
-	}
 
 	got := progs.Gather(steps)
 	for i := range ref.Rho {
@@ -115,6 +133,7 @@ func TestReclaimMigratesBitIdentical(t *testing.T) {
 			t.Fatalf("migrated simulation differs from reference at node %d", i)
 		}
 	}
+	return busy
 }
 
 // TestReclaimFallsBackToSuspend: when no replacement host is reservable

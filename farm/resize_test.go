@@ -106,7 +106,7 @@ func TestResizeLifecycleBitIdentical(t *testing.T) {
 	}
 
 	job, progs := newSimJob(t, resizeCfg(t, 2, 2), steps)
-	if _, err := s.Submit(resizeSpec("sim", 2, 2, steps), &CoreWorkload{Job: job, Cluster: pool}); err != nil {
+	if _, err := s.Submit(resizeSpec("sim", 2, 2, steps), &CoreWorkload{Job: job}); err != nil {
 		t.Fatal(err)
 	}
 	s.Drain()
@@ -317,7 +317,7 @@ func TestResizeWithReclaimSameRound(t *testing.T) {
 	}
 
 	job, progs := newSimJob(t, resizeCfg(t, 2, 2), steps)
-	if _, err := s.Submit(resizeSpec("sim", 2, 2, steps), &CoreWorkload{Job: job, Cluster: pool}); err != nil {
+	if _, err := s.Submit(resizeSpec("sim", 2, 2, steps), &CoreWorkload{Job: job}); err != nil {
 		t.Fatal(err)
 	}
 	s.Drain()
@@ -417,7 +417,7 @@ func TestCheckpointRestoreAcrossResize(t *testing.T) {
 	}
 	s1.autoscaleEvery = 5 * time.Second
 	s1.autoscale = growAt5
-	if _, err := s1.Submit(spec, &CoreWorkload{Job: job1, Cluster: pool1}); err != nil {
+	if _, err := s1.Submit(spec, &CoreWorkload{Job: job1}); err != nil {
 		t.Fatal(err)
 	}
 	s1.Drain()
@@ -470,7 +470,7 @@ func TestCheckpointRestoreAcrossResize(t *testing.T) {
 			}
 			job2, p2 := newSimJob(t, resizeCfg(t, spec.JX, spec.JY), spec.Steps)
 			progs2 = p2
-			return &CoreWorkload{Job: job2, Cluster: pool2}, nil
+			return &CoreWorkload{Job: job2}, nil
 		},
 	}
 	s2, err := Restore(dir, pool2, reg)

@@ -233,7 +233,7 @@ func TestFarmPreemptsRealCoreJob(t *testing.T) {
 	// inflates the virtual workload so the burst arrives mid-run).
 	_, err = s.Submit(JobSpec{
 		ID: "sim", Method: "lb2d", JX: 2, JY: 2, Side: 1000, Steps: steps, Priority: 0,
-	}, &CoreWorkload{Job: job, Cluster: pool})
+	}, &CoreWorkload{Job: job})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,7 +52,7 @@ func TestSchedulerWorkersBitIdentical(t *testing.T) {
 	s := newFarm(pool, FIFO, 1)
 	if _, err := s.Submit(JobSpec{
 		ID: "sim", Method: "lb2d", JX: 2, JY: 2, Side: 24, Steps: steps,
-	}, &CoreWorkload{Job: job, Cluster: pool}); err != nil {
+	}, &CoreWorkload{Job: job}); err != nil {
 		t.Fatal(err)
 	}
 	s.Drain()

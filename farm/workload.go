@@ -66,25 +66,20 @@ func (nullWorkload) Restore([]*dump.State) error                { return nil }
 // communication epoch, and Finish waits for completion and shuts the job
 // down. The dump/rebuild round trip is what makes preemption safe — the
 // preempted simulation's results stay bit-identical to an unpreempted
-// run.
+// run. The farm's reservation places the job: the hosts go unread.
 type CoreWorkload struct {
 	Job *core.Job
-	// Cluster, when set, records host placements on the job so HostOf
-	// works and released hosts are unassigned on suspension.
+	// Deprecated: ignored; the farm's reservation places the job. Kept
+	// only for callers that still set it.
 	Cluster *cluster.Cluster
 
 	states []*dump.State
 }
 
-// Start places the job (if a cluster is attached) and launches it.
-func (c *CoreWorkload) Start(hosts []*cluster.Host) error {
+// Start launches the job.
+func (c *CoreWorkload) Start([]*cluster.Host) error {
 	if c.Job == nil {
 		return fmt.Errorf("farm: CoreWorkload without a Job")
-	}
-	if c.Cluster != nil {
-		if err := c.Job.PlaceOn(c.Cluster, hosts); err != nil {
-			return err
-		}
 	}
 	c.Job.Start()
 	return nil
@@ -97,21 +92,13 @@ func (c *CoreWorkload) Suspend() error {
 		return err
 	}
 	c.states = states
-	if c.Cluster != nil {
-		c.Job.ReleaseHosts()
-	}
 	return nil
 }
 
 // Resume restarts the job from its checkpoint on the new hosts.
-func (c *CoreWorkload) Resume(hosts []*cluster.Host) error {
+func (c *CoreWorkload) Resume([]*cluster.Host) error {
 	if c.states == nil {
 		return fmt.Errorf("farm: resume of %d-rank job without a checkpoint", c.Job.P())
-	}
-	if c.Cluster != nil {
-		if err := c.Job.PlaceOn(c.Cluster, hosts); err != nil {
-			return err
-		}
 	}
 	err := c.Job.Resume(c.states)
 	c.states = nil
@@ -123,33 +110,17 @@ func (c *CoreWorkload) Resume(hosts []*cluster.Host) error {
 // and they restart from their dumps at the next communication epoch on
 // the new hosts. The rest of the job never leaves its machines, and the
 // computation stays bit-identical.
-func (c *CoreWorkload) Migrate(ranks []int, hosts []*cluster.Host) error {
-	if c.Cluster != nil {
-		for i, r := range ranks {
-			c.Job.Rehost(r, hosts[i])
-		}
-	}
+func (c *CoreWorkload) Migrate(ranks []int, _ []*cluster.Host) error {
 	return c.Job.MigrateRanks(ranks, nil)
 }
 
-// Resize re-splits the job onto the new lattice at a step boundary and
-// records the new placement: hosts[rank] serves new rank. The scheduler
-// has already renumbered the cluster-side assignments; PlaceOn only
-// refreshes the job's own rank->host bookkeeping (core.Job.Resize
-// cleared it — the old map's ranks no longer exist).
-func (c *CoreWorkload) Resize(shape decomp.Shape, hosts []*cluster.Host) error {
+// Resize re-splits the job onto the new lattice at a step boundary; the
+// scheduler has already renumbered the cluster-side assignments.
+func (c *CoreWorkload) Resize(shape decomp.Shape, _ []*cluster.Host) error {
 	if c.Job == nil {
 		return fmt.Errorf("farm: CoreWorkload without a Job")
 	}
-	if err := c.Job.Resize(shape); err != nil {
-		return err
-	}
-	if c.Cluster != nil {
-		if err := c.Job.PlaceOn(c.Cluster, hosts); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.Job.Resize(shape)
 }
 
 // Checkpoint returns the job's per-rank dump states for persistence. A
@@ -190,8 +161,5 @@ func (c *CoreWorkload) Finish() error {
 		return err
 	}
 	c.Job.Shutdown()
-	if c.Cluster != nil {
-		c.Job.ReleaseHosts()
-	}
 	return nil
 }

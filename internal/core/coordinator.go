@@ -7,7 +7,6 @@ import (
 	"slices"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/decomp"
 	"repro/internal/dump"
 	"repro/internal/pool"
@@ -15,10 +14,9 @@ import (
 )
 
 // Job owns a distributed simulation: its workers, their communication
-// epoch, the synchronization machinery and (optionally) the virtual
-// cluster the workers are placed on. It implements the job-submit and
-// monitoring programs of section 4.1 and the migration protocol of
-// section 5.1:
+// epoch and the synchronization machinery. It implements the job-submit
+// program of section 4.1 and the migration protocol of section 5.1, which
+// the monitoring program (farm) drives:
 //
 //	the affected process receives a signal to migrate;
 //	all the processes get synchronized;
@@ -50,10 +48,6 @@ type Job struct {
 	// resplit re-cuts a full set of same-step dumps onto a new decomposition
 	// shape (resplit over the config). See Job.Resize.
 	resplit func(states []*dump.State, sh decomp.Shape) ([]*dump.State, error)
-
-	// Optional virtual-cluster placement.
-	Cluster *cluster.Cluster
-	hostOf  map[int]*cluster.Host
 
 	// Migrations counts completed migrations.
 	Migrations int
@@ -117,7 +111,6 @@ func newJob[C setup[P], P built, R any](cfg C, gather func(C, []P, int) R,
 		workers:     make(map[int]*Worker),
 		p:           len(progs),
 		done:        make(map[int]bool),
-		hostOf:      make(map[int]*cluster.Host),
 	}
 	j.rebuild = func(states []*dump.State) ([]Program, error) {
 		// One rank a slab of the shared pool (restoreProgram gives the pool
@@ -188,24 +181,6 @@ func (j *Job) start(ranks []int) {
 	}
 }
 
-// PlaceOnCluster assigns each rank to a free host of the virtual cluster
-// using the section-4.1 selection policy.
-func (j *Job) PlaceOnCluster(c *cluster.Cluster) error {
-	hosts := c.SelectFree(j.P(), cluster.DefaultPolicy())
-	if len(hosts) < j.P() {
-		return fmt.Errorf("core: cluster has %d free hosts, need %d", len(hosts), j.P())
-	}
-	j.Cluster = c
-	for rank := 0; rank < j.P(); rank++ {
-		hosts[rank].Assign(rank)
-		j.hostOf[rank] = hosts[rank]
-	}
-	return nil
-}
-
-// HostOf returns the host a rank runs on, or nil without a cluster.
-func (j *Job) HostOf(rank int) *cluster.Host { return j.hostOf[rank] }
-
 // ErrWorkerSilent is returned (wrapped) by every coordination wait when no
 // rank reports within the job's WaitTimeout: a hung or dead rank fails
 // its job instead of hanging it. Callers branch with errors.Is.
@@ -226,7 +201,7 @@ func (j *Job) nextEvent() (Event, error) {
 }
 
 // WaitDone blocks until every rank reports completion, servicing nothing
-// else. Call MonitorLoop instead to interleave migration checks.
+// else.
 func (j *Job) WaitDone() error {
 	for len(j.done) < j.P() {
 		e, err := j.nextEvent()
@@ -358,7 +333,7 @@ func (j *Job) cycle(ranks []int, move bool, onDump func(rank int, st *dump.State
 // MigrateRanks executes the full migration protocol for the given ranks:
 // global synchronization, dump, restart at the next epoch, resume. The
 // onDump callback (optional) reports each migrated rank's dump so the
-// caller can reassign cluster hosts or persist the dump file.
+// caller can persist the dump file.
 func (j *Job) MigrateRanks(ranks []int, onDump func(rank int, st *dump.State)) error {
 	if len(ranks) == 0 {
 		return nil
@@ -373,80 +348,4 @@ func (j *Job) MigrateRanks(ranks []int, onDump func(rank int, st *dump.State)) e
 	}
 	j.Migrations += len(ranks)
 	return nil
-}
-
-// MonitorOnce performs one monitoring-program check (section 4.1: "checks
-// every few minutes whether the parallel processes are progressing
-// correctly"; section 5.1: migrate when the five-minute load exceeds the
-// threshold). It returns the ranks migrated.
-func (j *Job) MonitorOnce(pol cluster.MigrationPolicy) ([]int, error) {
-	if j.Cluster == nil {
-		return nil, nil
-	}
-	busy := j.Cluster.NeedsMigration(pol)
-	if len(busy) == 0 {
-		return nil, nil
-	}
-	var ranks []int
-	var freed []*cluster.Host
-	for _, h := range busy {
-		ranks = append(ranks, h.Assigned())
-		freed = append(freed, h)
-	}
-	// Select replacement hosts before unassigning, so the busy hosts
-	// cannot be re-picked.
-	repl := j.Cluster.SelectFree(len(ranks), cluster.DefaultPolicy())
-	if len(repl) < len(ranks) {
-		return nil, fmt.Errorf("core: need %d free hosts for migration, found %d", len(ranks), len(repl))
-	}
-	if err := j.MigrateRanks(ranks, nil); err != nil {
-		return nil, err
-	}
-	for i, h := range freed {
-		h.Unassign()
-		repl[i].Assign(ranks[i])
-		j.hostOf[ranks[i]] = repl[i]
-	}
-	return ranks, nil
-}
-
-// MonitorLoop runs the monitoring program until every rank completes: it
-// waits for worker events, and every checkEvery simulated minutes advances
-// the virtual cluster and performs a MonitorOnce check (section 4.1: "the
-// monitoring program checks every few minutes whether the parallel
-// processes are progressing correctly"). The loop drives simulated time,
-// so callers control load scenarios through the scenario callback, which
-// is invoked before each check and may start or stop jobs on hosts. It
-// returns the total number of migrations performed.
-func (j *Job) MonitorLoop(checkEvery time.Duration, pol cluster.MigrationPolicy,
-	scenario func(tick int, c *cluster.Cluster)) (int, error) {
-	if j.Cluster == nil {
-		return 0, fmt.Errorf("core: MonitorLoop requires PlaceOnCluster")
-	}
-	migrations := 0
-	for tick := 0; len(j.done) < j.P(); tick++ {
-		// Drain any pending events without blocking for long.
-		select {
-		case e := <-j.events:
-			if e.Kind == EventError {
-				return migrations, fmt.Errorf("core: rank %d failed at step %d: %w", e.Rank, e.Step, e.Err)
-			}
-			if e.Kind == EventDone {
-				j.done[e.Rank] = true
-			}
-			continue
-		//detlint:allow entropy -- poll pacing only: the tick bounds how fast the monitor spins between drains; decisions are driven by tick count and virtual cluster time, not by this wall-clock delay
-		case <-time.After(time.Millisecond):
-		}
-		if scenario != nil {
-			scenario(tick, j.Cluster)
-		}
-		j.Cluster.Advance(checkEvery)
-		ranks, err := j.MonitorOnce(pol)
-		if err != nil {
-			return migrations, err
-		}
-		migrations += len(ranks)
-	}
-	return migrations, nil
 }

@@ -13,8 +13,9 @@
 //   - job-submit program      -> NewJob2D/NewJob3D plus Job.Start, which
 //     create the workers, open their communication channels and run them
 //     (Config2D/3D.RestoreProgram + NewWorkerAt for a rank at a time);
-//   - monitoring program      -> Job.MonitorOnce/MonitorLoop and the
-//     migration protocol in coordinator.go.
+//   - monitoring program      -> the farm (farm/reclaim.go), which moves
+//     ranks through the migration protocol in coordinator.go: this
+//     package runs a job, and the farm places it.
 //
 // A Program is one parallel subprocess's view of the computation; Worker
 // runs a Program against a Transport. The same Program code runs under the

@@ -2,10 +2,10 @@ package core
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/decomp"
 	"repro/internal/dump"
 	"repro/internal/fluid"
@@ -44,21 +44,23 @@ func TestMigrationPreservesSolution(t *testing.T) {
 	}
 
 	cfg := channelConfig(t, MethodLB, 2, 2, 24, 16)
-	j, jp := newTestJob(t, cfg, steps)
+	hold := newStepHold(7, 20)
+	j, jp := newTestJobOver(t, cfg, steps, hold.over(HubFactory()))
 	j.Start()
 
-	// Let the computation get going, then migrate rank 1, then rank 3.
-	time.Sleep(20 * time.Millisecond)
-	var dumps []*dump.State
-	if err := j.MigrateRanks([]int{1}, func(rank int, st *dump.State) {
-		dumps = append(dumps, st)
-	}); err != nil {
+	// Migrate rank 1 mid-run, then rank 3.
+	at := hold.wait(j)
+	dumps, err := migrated(j, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(10 * time.Millisecond)
-	if err := j.MigrateRanks([]int{3}, nil); err != nil {
+	midRun(t, "first migration", dumps, at, steps)
+	at = hold.wait(j)
+	second, err := migrated(j, 3)
+	if err != nil {
 		t.Fatal(err)
 	}
+	midRun(t, "second migration", second, at, steps)
 	if err := j.WaitDone(); err != nil {
 		t.Fatal(err)
 	}
@@ -89,12 +91,18 @@ func TestSimultaneousMigration(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := channelConfig(t, MethodFD, 2, 2, 24, 16)
-	j, jp := newTestJob(t, cfg, steps)
+	hold := newStepHold(10)
+	j, jp := newTestJobOver(t, cfg, steps, hold.over(HubFactory()))
 	j.Start()
-	time.Sleep(15 * time.Millisecond)
-	if err := j.MigrateRanks([]int{0, 2}, nil); err != nil {
+	at := hold.wait(j)
+	dumps, err := migrated(j, 0, 2)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if len(dumps) != 2 {
+		t.Fatalf("onDump saw %d dumps, want 2", len(dumps))
+	}
+	midRun(t, "migration", dumps, at, steps)
 	if err := j.WaitDone(); err != nil {
 		t.Fatal(err)
 	}
@@ -134,60 +142,6 @@ func TestMigrationAfterCompletion(t *testing.T) {
 	}
 }
 
-// TestMonitorDrivenMigration wires the virtual cluster to the job: a
-// background job lands on a workstation, the five-minute load crosses 1.5,
-// MonitorOnce migrates the affected rank to a free host, and the solution
-// is unharmed.
-func TestMonitorDrivenMigration(t *testing.T) {
-	const steps = 40
-	ref, _, err := RunSequential2D(channelConfig(t, MethodLB, 2, 2, 24, 16), steps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := channelConfig(t, MethodLB, 2, 2, 24, 16)
-	j, jp := newTestJob(t, cfg, steps)
-
-	cl := cluster.NewPaperCluster()
-	cl.Advance(30 * time.Minute) // all users idle
-	if err := j.PlaceOnCluster(cl); err != nil {
-		t.Fatal(err)
-	}
-	j.Start()
-
-	// No migration needed while hosts are quiet.
-	if ranks, err := j.MonitorOnce(cluster.DefaultMigrationPolicy()); err != nil || len(ranks) != 0 {
-		t.Fatalf("spurious migration: %v %v", ranks, err)
-	}
-
-	// A regular user starts a full-time job on rank 2's host.
-	busyHost := j.HostOf(2)
-	busyHost.StartJob()
-	cl.Advance(10 * time.Minute) // load climbs past 1.5
-
-	ranks, err := j.MonitorOnce(cluster.DefaultMigrationPolicy())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ranks) != 1 || ranks[0] != 2 {
-		t.Fatalf("migrated ranks %v, want [2]", ranks)
-	}
-	if busyHost.Assigned() != -1 {
-		t.Error("busy host still has the subprocess assigned")
-	}
-	if newHost := j.HostOf(2); newHost == busyHost || newHost.Assigned() != 2 {
-		t.Error("rank 2 not reassigned to a fresh host")
-	}
-
-	if err := j.WaitDone(); err != nil {
-		t.Fatal(err)
-	}
-	j.Shutdown()
-	got := jp.Gather(steps)
-	if ok, x, y, d := resultsEqual(ref, got, 0); !ok {
-		t.Errorf("monitored run differs at (%d,%d) by %g", x, y, d)
-	}
-}
-
 // TestMigrateUnknownRank: protocol rejects ranks that do not exist.
 func TestMigrateUnknownRank(t *testing.T) {
 	cfg := channelConfig(t, MethodLB, 2, 1, 16, 8)
@@ -214,57 +168,94 @@ func (h heldTransport) Recv() (msg.Message, error) {
 	return h.Transport.Recv()
 }
 
-// TestMonitorLoop drives the full monitoring program: periodic checks on
-// simulated time, a scripted load scenario, automatic migration, and the
-// usual bitwise-exactness guarantee.
-func TestMonitorLoop(t *testing.T) {
-	const steps = 60
-	ref, _, err := RunSequential2D(channelConfig(t, MethodLB, 2, 2, 24, 16), steps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := channelConfig(t, MethodLB, 2, 2, 24, 16)
-	// Every rank holds in its first receive until the scenario has fired,
-	// so whether the monitor finds a job to migrate does not depend on how
-	// fast 60 steps run against the loop's wall-clock poll.
-	gate := make(chan struct{})
-	hub := HubFactory()
-	j, jp := newTestJobOver(t, cfg, steps, func(rank, epoch int) (msg.Transport, error) {
-		tr, err := hub(rank, epoch)
-		return heldTransport{tr, gate}, err
-	})
-	cl := cluster.NewPaperCluster()
-	cl.Advance(30 * time.Minute)
-	if err := j.PlaceOnCluster(cl); err != nil {
-		t.Fatal(err)
-	}
-	j.Start()
-	busyHost := j.HostOf(0)
+// stepHold places a disturbance mid-run at a chosen step. Its transport
+// holds every rank at its first send of each listed step, in turn; wait
+// returns once all of a job's ranks are held and arms the release, which
+// comes when the next pause round has been announced. Every rank then
+// announces step k, the synchronization step is k+1, and the disturbance
+// dumps at exactly k+1, however fast the steps run.
+type stepHold struct {
+	arrived chan int // the rank of each rank as it is held
 
-	migrated, err := j.MonitorLoop(5*time.Minute, cluster.DefaultMigrationPolicy(),
-		func(tick int, c *cluster.Cluster) {
-			if tick == 1 {
-				// A user job lands on rank 0's host at the second check
-				// and its load climbs past the threshold; the ranks are
-				// released into the migration that follows.
-				busyHost.StartJob()
-				c.Advance(10 * time.Minute)
-				close(gate)
-			}
-		})
-	if err != nil {
-		t.Fatal(err)
+	mu      sync.Mutex
+	steps   []int         // steps still to hold at, in order
+	release chan struct{} // closed to let the held ranks go on
+}
+
+func newStepHold(steps ...int) *stepHold {
+	return &stepHold{arrived: make(chan int, 64), steps: steps, release: make(chan struct{})}
+}
+
+// over decorates a factory's transports with the hold. The rank is the
+// factory's: Message.From is set by the transport underneath.
+func (h *stepHold) over(factory TransportFactory) TransportFactory {
+	return func(rank, epoch int) (msg.Transport, error) {
+		tr, err := factory(rank, epoch)
+		return holdingTransport{tr, h, rank}, err
 	}
-	if migrated != 1 {
-		t.Errorf("monitor loop migrated %d ranks, want 1 (the busy host's)", migrated)
+}
+
+type holdingTransport struct {
+	msg.Transport
+	h    *stepHold
+	rank int
+}
+
+func (t holdingTransport) Send(m msg.Message) error {
+	t.h.mu.Lock()
+	held := len(t.h.steps) > 0 && m.Step == t.h.steps[0]
+	release := t.h.release
+	t.h.mu.Unlock()
+	if held {
+		t.h.arrived <- t.rank
+		<-release
 	}
-	if newHost := j.HostOf(0); newHost == busyHost || newHost.Assigned() != 0 {
-		t.Error("rank 0 not reassigned to a fresh host")
+	return t.Transport.Send(m)
+}
+
+// wait blocks until every rank of j is held at the current step, moves the
+// hold on to the next listed step, and wraps each worker's SyncFunc so the
+// held ranks go on once the pause round that follows has been announced.
+// It returns the step the next disturbance dumps at.
+func (h *stepHold) wait(j *Job) int {
+	for range j.P() {
+		<-h.arrived
 	}
-	j.Shutdown()
-	got := jp.Gather(steps)
-	if ok, x, y, d := resultsEqual(ref, got, 0); !ok {
-		t.Errorf("monitored run differs at (%d,%d) by %g", x, y, d)
+	h.mu.Lock()
+	at := h.steps[0]
+	h.steps = h.steps[1:]
+	release := h.release
+	h.release = make(chan struct{})
+	h.mu.Unlock()
+	var once sync.Once
+	for _, rank := range j.ranks() {
+		w := j.workers[rank]
+		inner := w.Sync
+		w.Sync = func(round, rank, step int) (int, error) {
+			s, err := inner(round, rank, step)
+			// Every rank has announced once any rank's sync returns.
+			once.Do(func() { close(release) })
+			return s, err
+		}
+	}
+	return at + 1
+}
+
+// migrated migrates the given ranks and returns their dumps.
+func migrated(j *Job, ranks ...int) ([]*dump.State, error) {
+	var dumps []*dump.State
+	err := j.MigrateRanks(ranks, func(_ int, st *dump.State) { dumps = append(dumps, st) })
+	return dumps, err
+}
+
+// midRun fails the test unless every dump landed at the step the hold
+// placed it at, before the job's last step.
+func midRun(t *testing.T, what string, states []*dump.State, want, until int) {
+	t.Helper()
+	for _, st := range states {
+		if st.Step != want || st.Step >= until {
+			t.Errorf("%s: rank %d dumped at step %d, want %d (the job ends at %d)", what, st.Rank, st.Step, want, until)
+		}
 	}
 }
 
@@ -290,20 +281,6 @@ func TestSilentRanksFailTyped(t *testing.T) {
 	// the test.
 	close(gate)
 	j.WaitTimeout = 30 * time.Second
-	if err := j.WaitDone(); err != nil {
-		t.Fatal(err)
-	}
-	j.Shutdown()
-}
-
-// TestMonitorLoopRequiresCluster: defensive error path.
-func TestMonitorLoopRequiresCluster(t *testing.T) {
-	cfg := channelConfig(t, MethodLB, 2, 1, 16, 8)
-	j, _ := newTestJob(t, cfg, 2)
-	if _, err := j.MonitorLoop(time.Minute, cluster.DefaultMigrationPolicy(), nil); err == nil {
-		t.Error("MonitorLoop without a cluster accepted")
-	}
-	j.Start()
 	if err := j.WaitDone(); err != nil {
 		t.Fatal(err)
 	}
@@ -338,15 +315,18 @@ func TestMigration3D(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, jp, err := NewJob3D(mkCfg(), HubFactory(), sf, steps)
+	hold := newStepHold(6)
+	j, jp, err := NewJob3D(mkCfg(), hold.over(HubFactory()), sf, steps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	j.Start()
-	time.Sleep(10 * time.Millisecond)
-	if err := j.MigrateRanks([]int{2}, nil); err != nil {
+	at := hold.wait(j)
+	dumps, err := migrated(j, 2)
+	if err != nil {
 		t.Fatal(err)
 	}
+	midRun(t, "migration", dumps, at, steps)
 	if err := j.WaitDone(); err != nil {
 		t.Fatal(err)
 	}

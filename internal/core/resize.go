@@ -60,13 +60,6 @@ func (j *Job) Resize(sh decomp.Shape) error {
 		return fmt.Errorf("core: resize: %w", err)
 	}
 
-	// The old rank->host map describes ranks that no longer exist; clear
-	// it so a later ReleaseHosts cannot unassign hosts a scheduler gave
-	// away. The caller re-places the resized job (PlaceOn). A failed
-	// resplit above keeps the map — the rollback resumed the job on its
-	// old placement.
-	clear(j.hostOf)
-
 	if err := j.restart(newStates); err != nil {
 		return fmt.Errorf("core: resize: %w", err)
 	}

@@ -2,10 +2,7 @@ package core
 
 import (
 	"fmt"
-	"maps"
-	"slices"
 
-	"repro/internal/cluster"
 	"repro/internal/dump"
 )
 
@@ -78,42 +75,4 @@ func (j *Job) restart(states []*dump.State) error {
 	}
 	j.Start()
 	return nil
-}
-
-// PlaceOn records an externally chosen placement — a scheduler's
-// reservation — instead of selecting hosts itself as PlaceOnCluster does:
-// hosts[rank] serves rank. Hosts the caller has not assigned yet are
-// assigned here.
-func (j *Job) PlaceOn(c *cluster.Cluster, hosts []*cluster.Host) error {
-	if len(hosts) < j.P() {
-		return fmt.Errorf("core: placement has %d hosts, need %d", len(hosts), j.P())
-	}
-	j.Cluster = c
-	for rank := 0; rank < j.P(); rank++ {
-		if hosts[rank].Assigned() < 0 {
-			hosts[rank].Assign(rank)
-		}
-		j.hostOf[rank] = hosts[rank]
-	}
-	return nil
-}
-
-// Rehost records that a rank now runs on a different host. The farm's
-// reclaim path uses it together with MigrateRanks: the cluster-side swap
-// (cluster.Migrate) has already unassigned the reclaimed host and
-// assigned the replacement, so only the job's own rank->host bookkeeping
-// needs to follow.
-func (j *Job) Rehost(rank int, h *cluster.Host) {
-	j.hostOf[rank] = h
-}
-
-// ReleaseHosts unassigns every host of the job's current placement, for a
-// suspension or a completed run handing the pool back to a scheduler.
-func (j *Job) ReleaseHosts() {
-	for _, rank := range slices.Sorted(maps.Keys(j.hostOf)) {
-		if h := j.hostOf[rank]; h != nil {
-			h.Unassign()
-		}
-		delete(j.hostOf, rank)
-	}
 }

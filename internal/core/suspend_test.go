@@ -2,11 +2,11 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/dump"
 	"repro/internal/syncfile"
 )
@@ -23,9 +23,10 @@ func TestSuspendResumePreservesSolution(t *testing.T) {
 	}
 
 	cfg := channelConfig(t, MethodLB, 2, 2, 24, 16)
-	j, jp := newTestJob(t, cfg, steps)
+	hold := newStepHold(12)
+	j, jp := newTestJobOver(t, cfg, steps, hold.over(HubFactory()))
 	j.Start()
-	time.Sleep(15 * time.Millisecond)
+	at := hold.wait(j)
 
 	states, err := j.Suspend()
 	if err != nil {
@@ -34,6 +35,7 @@ func TestSuspendResumePreservesSolution(t *testing.T) {
 	if len(states) != 4 {
 		t.Fatalf("suspend returned %d states, want 4", len(states))
 	}
+	midRun(t, "suspend", states, at, steps)
 	for rank, st := range states {
 		if st.Rank != rank {
 			t.Errorf("state %d has rank %d, want sorted by rank", rank, st.Rank)
@@ -116,9 +118,10 @@ func TestSnapshotKeepsRunning(t *testing.T) {
 	}
 
 	cfg := channelConfig(t, MethodLB, 2, 2, 24, 16)
-	j, jp := newTestJob(t, cfg, steps)
+	hold := newStepHold(12)
+	j, jp := newTestJobOver(t, cfg, steps, hold.over(HubFactory()))
 	j.Start()
-	time.Sleep(15 * time.Millisecond)
+	at := hold.wait(j)
 
 	states, err := j.Snapshot()
 	if err != nil {
@@ -127,6 +130,7 @@ func TestSnapshotKeepsRunning(t *testing.T) {
 	if len(states) != 4 {
 		t.Fatalf("snapshot returned %d states, want 4", len(states))
 	}
+	midRun(t, "snapshot", states, at, steps)
 	savedSteps := make([]int, len(states))
 	for rank, st := range states {
 		if st.Rank != rank {
@@ -263,14 +267,16 @@ func TestSuspendTwice(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := channelConfig(t, MethodFD, 2, 1, 16, 8)
-	j, jp := newTestJob(t, cfg, steps)
+	hold := newStepHold(5, 15)
+	j, jp := newTestJobOver(t, cfg, steps, hold.over(HubFactory()))
 	j.Start()
 	for i := 0; i < 2; i++ {
-		time.Sleep(5 * time.Millisecond)
+		at := hold.wait(j)
 		states, err := j.Suspend()
 		if err != nil {
 			t.Fatalf("suspend %d: %v", i, err)
 		}
+		midRun(t, fmt.Sprintf("suspend %d", i), states, at, steps)
 		if err := j.Resume(states); err != nil {
 			t.Fatalf("resume %d: %v", i, err)
 		}
@@ -319,39 +325,4 @@ func TestSuspendAfterCompletion(t *testing.T) {
 	if ok, x, y, d := resultsEqual(ref, got, 0); !ok {
 		t.Errorf("post-completion suspend corrupted state at (%d,%d) by %g", x, y, d)
 	}
-}
-
-// TestPlaceOnAndRelease: an external scheduler's reservation flows into
-// the job's host bookkeeping and back out.
-func TestPlaceOnAndRelease(t *testing.T) {
-	cfg := channelConfig(t, MethodLB, 2, 1, 16, 8)
-	j, _ := newTestJob(t, cfg, 3)
-	cl := cluster.NewPaperCluster()
-	cl.Advance(30 * time.Minute)
-	res, err := cl.Reserve("job-a", j.P(), cluster.DefaultPolicy(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.PlaceOn(cl, res.Hosts); err != nil {
-		t.Fatal(err)
-	}
-	for rank := 0; rank < j.P(); rank++ {
-		h := j.HostOf(rank)
-		if h == nil || h.Assigned() != rank {
-			t.Fatalf("rank %d not placed: %v", rank, h)
-		}
-	}
-	j.ReleaseHosts()
-	if j.HostOf(0) != nil {
-		t.Error("ReleaseHosts kept the placement")
-	}
-	if res.Hosts[0].Assigned() != -1 {
-		t.Error("ReleaseHosts left the host assigned")
-	}
-	res.Release() // idempotent after the job released its hosts
-	j.Start()
-	if err := j.WaitDone(); err != nil {
-		t.Fatal(err)
-	}
-	j.Shutdown()
 }

@@ -3,7 +3,9 @@ package core
 import (
 	"errors"
 	"math"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -242,9 +244,9 @@ func TestWorkerUnsyncDrift(t *testing.T) {
 	errs := make(chan error, 2)
 	go func() { errs <- a.RunSteps(steps) }()
 	go func() {
-		// The slow worker dribbles its steps.
+		// The slow worker yields before every step.
 		for i := 0; i < steps; i++ {
-			time.Sleep(100 * time.Microsecond)
+			runtime.Gosched()
 			if err := b.RunStep(); err != nil {
 				errs <- err
 				return
@@ -270,14 +272,18 @@ func TestWorkerErrorEventOnClosedTransport(t *testing.T) {
 	hub := msg.NewHub()
 	factory := func(rank, epoch int) (msg.Transport, error) { return hub.Join(rank), nil }
 	events := make(chan Event, 8)
-	w, err := NewWorker(&stubProgram{rank: 0, peer: 1}, factory, 0, events)
+	receiving := make(chan struct{})
+	w, err := NewWorker(&stubProgram{rank: 0, peer: 1}, func(rank, epoch int) (msg.Transport, error) {
+		tr, err := factory(rank, epoch)
+		return &recvSignal{Transport: tr, entered: receiving}, err
+	}, 0, events)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// No peer exists; the worker will block in Recv. Close the transport
+	// No peer exists; the worker blocks in Recv. Close the transport
 	// underneath it.
 	go w.Start(3)
-	time.Sleep(10 * time.Millisecond)
+	<-receiving
 	w.Close()
 	select {
 	case e := <-events:
@@ -293,6 +299,18 @@ func TestWorkerErrorEventOnClosedTransport(t *testing.T) {
 	w.Shutdown()
 }
 
+// recvSignal closes entered when its first Recv begins.
+type recvSignal struct {
+	msg.Transport
+	entered chan struct{}
+	once    sync.Once
+}
+
+func (r *recvSignal) Recv() (msg.Message, error) {
+	r.once.Do(func() { close(r.entered) })
+	return r.Transport.Recv()
+}
+
 // TestWorkerPauseWithoutSyncFuncFails: the pause path requires the
 // shared-file sync machinery; without it the control command reports an
 // error instead of wedging the worker.
@@ -305,7 +323,11 @@ func TestWorkerPauseWithoutSyncFuncFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go w.Start(2)
+	exited := make(chan struct{})
+	go func() {
+		w.Start(2)
+		close(exited)
+	}()
 	// Wait for completion.
 	for e := range events {
 		if e.Kind == EventDone {
@@ -313,9 +335,13 @@ func TestWorkerPauseWithoutSyncFuncFails(t *testing.T) {
 		}
 	}
 	w.RequestPause(1) // no SyncFunc wired
-	// The worker must stay alive and responsive.
-	time.Sleep(20 * time.Millisecond)
+	// The refused pause leaves the worker responsive: Shutdown ends it.
 	w.Shutdown()
+	select {
+	case <-exited:
+	case <-time.After(5 * time.Second):
+		t.Fatal("worker still running 5s after Shutdown that followed a refused pause")
+	}
 }
 
 // TestRestoredWorkerStartsAtDumpStep: NewWorkerAt seeds the step counter.

@@ -1,10 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"testing"
-	"time"
 
-	"repro/internal/dump"
 	"repro/internal/lbm"
 )
 
@@ -24,18 +23,22 @@ func TestWorkerBudgetBitIdenticalThroughLifecycle(t *testing.T) {
 	for _, workers := range []int{1, 3, 7} {
 		cfg := channelConfig(t, MethodLB, 2, 2, 24, 16)
 		cfg.Workers = workers
-		j, jp := newTestJob(t, cfg, steps)
+		hold := newStepHold(10, 25)
+		j, jp := newTestJobOver(t, cfg, steps, hold.over(HubFactory()))
 		j.Start()
 
-		time.Sleep(15 * time.Millisecond)
-		if err := j.MigrateRanks([]int{2}, nil); err != nil {
+		at := hold.wait(j)
+		dumps, err := migrated(j, 2)
+		if err != nil {
 			t.Fatalf("workers=%d: migrate: %v", workers, err)
 		}
-		time.Sleep(10 * time.Millisecond)
+		midRun(t, fmt.Sprintf("workers=%d: migrate", workers), dumps, at, steps)
+		at = hold.wait(j)
 		states, err := j.Suspend()
 		if err != nil {
 			t.Fatalf("workers=%d: suspend: %v", workers, err)
 		}
+		midRun(t, fmt.Sprintf("workers=%d: suspend", workers), states, at, steps)
 		if err := j.Resume(states); err != nil {
 			t.Fatalf("workers=%d: resume: %v", workers, err)
 		}
@@ -73,23 +76,28 @@ func TestSetWorkersSurvivesRebuilds(t *testing.T) {
 	const steps = 60
 	cfg := channelConfig(t, MethodLB, 2, 2, 24, 16)
 	cfg.Workers = 5
-	j, jp := newTestJob(t, cfg, steps)
+	hold := newStepHold(10, 30)
+	j, jp := newTestJobOver(t, cfg, steps, hold.over(HubFactory()))
 	j.Start()
 
-	time.Sleep(10 * time.Millisecond)
-	if err := j.MigrateRanks([]int{1}, func(rank int, st *dump.State) {}); err != nil {
+	at := hold.wait(j)
+	dumps, err := migrated(j, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
+	midRun(t, "migrate", dumps, at, steps)
 	for rank, w := range solverWorkers(t, jp) {
 		if w != 5 {
 			t.Errorf("after migrate: rank %d workers = %d, want 5", rank, w)
 		}
 	}
 
+	at = hold.wait(j)
 	states, err := j.Suspend()
 	if err != nil {
 		t.Fatal(err)
 	}
+	midRun(t, "suspend", states, at, steps)
 	if err := j.Resume(states); err != nil {
 		t.Fatal(err)
 	}

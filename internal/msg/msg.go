@@ -94,51 +94,60 @@ const queueCap = 1024
 // ---------------------------------------------------------------------------
 // Channel transport
 
-// Hub connects a set of in-process Chan transports.
+// Hub connects a set of in-process Chan transports. A rank's mailbox is
+// made by the first Send to it or by its Join, whichever comes first, and
+// Join takes it over: a sender never waits for its peer to join, and a
+// rank that never joins fails its job through the coordinator's
+// WaitTimeout. This is safe across migrations because at a pause every
+// rank stops at the same step, having received all that was sent for the
+// steps before it, so no old-epoch message can reach a new mailbox.
 type Hub struct {
 	mu    sync.Mutex
-	boxes map[int]chan Message
+	boxes map[int]*mailbox
+}
 
-	// joinWait bounds how long Send waits for an unjoined rank.
-	joinWait time.Duration
+// mailbox is one rank's queue; joined is set once a Chan reads it.
+type mailbox struct {
+	ch     chan Message
+	joined bool
 }
 
 // NewHub creates an empty hub; ranks join with Join.
-func NewHub() *Hub {
-	return &Hub{boxes: make(map[int]chan Message), joinWait: DialTimeout}
+func NewHub() *Hub { return &Hub{boxes: make(map[int]*mailbox)} }
+
+// box returns rank's mailbox, made on first use, or made anew for a join
+// when the current one is joined already. h.mu must be held.
+func (h *Hub) box(rank int, join bool) *mailbox {
+	b, ok := h.boxes[rank]
+	if !ok || join && b.joined {
+		b = &mailbox{ch: make(chan Message, queueCap)}
+		h.boxes[rank] = b
+	}
+	b.joined = b.joined || join
+	return b
 }
 
-// Join registers a rank and returns its transport. Joining an occupied
-// rank replaces the mailbox (used when a migrated worker rejoins).
+// Join registers a rank and returns its transport, taking over the
+// messages sent to it before the join. Joining a joined rank replaces its
+// mailbox.
 func (h *Hub) Join(rank int) *Chan {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	box := make(chan Message, queueCap)
-	h.boxes[rank] = box
-	return &Chan{hub: h, rank: rank, box: box}
-}
-
-func (h *Hub) lookup(rank int) (chan Message, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	c, ok := h.boxes[rank]
-	return c, ok
+	return &Chan{hub: h, rank: rank, box: h.box(rank, true)}
 }
 
 // Chan is the in-process transport of one rank.
 type Chan struct {
 	hub  *Hub
 	rank int
-	box  chan Message
+	box  *mailbox
 
 	mu     sync.Mutex
 	closed bool
 }
 
-// Send delivers m to the mailbox of rank m.To. If the destination has not
-// joined yet (it may be re-opening its channels after a migration), Send
-// waits up to DialTimeout for it (NewHub's bound), mirroring the TCP
-// transport's dial behaviour.
+// Send delivers m to the mailbox of rank m.To, which need not have joined
+// yet (it may be re-opening its channels after a migration).
 func (c *Chan) Send(m Message) error {
 	c.mu.Lock()
 	closed := c.closed
@@ -146,24 +155,9 @@ func (c *Chan) Send(m Message) error {
 	if closed {
 		return ErrClosed
 	}
-	box, ok := c.hub.lookup(m.To)
-	if !ok {
-		wait := c.hub.joinWait
-		deadline := time.Now().Add(wait)
-		for !ok {
-			if time.Now().After(deadline) {
-				return fmt.Errorf("msg: rank %d not joined within %v", m.To, wait)
-			}
-			time.Sleep(time.Millisecond)
-			c.mu.Lock()
-			closed := c.closed
-			c.mu.Unlock()
-			if closed {
-				return ErrClosed
-			}
-			box, ok = c.hub.lookup(m.To)
-		}
-	}
+	c.hub.mu.Lock()
+	box := c.hub.box(m.To, false).ch
+	c.hub.mu.Unlock()
 	m.From = c.rank
 	// Copy the payload: the sender reuses its pack buffer.
 	m.Data = append([]float64(nil), m.Data...)
@@ -173,7 +167,7 @@ func (c *Chan) Send(m Message) error {
 
 // Recv blocks until a message arrives.
 func (c *Chan) Recv() (Message, error) {
-	m, ok := <-c.box
+	m, ok := <-c.box.ch
 	if !ok {
 		return Message{}, ErrClosed
 	}
@@ -193,7 +187,7 @@ func (c *Chan) Close() error {
 		delete(c.hub.boxes, c.rank)
 	}
 	c.hub.mu.Unlock()
-	close(c.box)
+	close(c.box.ch)
 	return nil
 }
 
@@ -230,6 +224,9 @@ type TCP struct {
 	mu     sync.Mutex
 	peers  map[int]*peerConn
 	closed bool
+	// joined is closed and remade on every accepted connection, and closed
+	// for good by Close: a higher rank waits on it for its peer to dial.
+	joined chan struct{}
 	wg     sync.WaitGroup
 }
 
@@ -255,12 +252,13 @@ func NewTCP(rank, epoch int, reg *registry.Registry) (*TCP, error) {
 		return nil, err
 	}
 	t := &TCP{
-		rank:  rank,
-		epoch: epoch,
-		reg:   reg,
-		ln:    ln,
-		recv:  make(chan Message, queueCap),
-		peers: make(map[int]*peerConn),
+		rank:   rank,
+		epoch:  epoch,
+		reg:    reg,
+		ln:     ln,
+		recv:   make(chan Message, queueCap),
+		peers:  make(map[int]*peerConn),
+		joined: make(chan struct{}),
 	}
 	t.wg.Add(1)
 	go t.acceptLoop()
@@ -294,6 +292,10 @@ func (t *TCP) acceptLoop() {
 		}
 		t.peers[from] = pc
 		closed := t.closed
+		if !closed {
+			close(t.joined)
+			t.joined = make(chan struct{})
+		}
 		t.mu.Unlock()
 		if closed {
 			conn.Close()
@@ -338,11 +340,12 @@ func (t *TCP) dial(to int) (*peerConn, error) {
 
 	if t.rank > to {
 		// The peer dials us; wait for its connection to be accepted.
-		deadline := time.Now().Add(DialTimeout)
+		deadline := time.NewTimer(DialTimeout)
+		defer deadline.Stop()
 		for {
 			t.mu.Lock()
 			pc, ok := t.peers[to]
-			closed := t.closed
+			closed, joined := t.closed, t.joined
 			t.mu.Unlock()
 			if closed {
 				return nil, ErrClosed
@@ -350,10 +353,11 @@ func (t *TCP) dial(to int) (*peerConn, error) {
 			if ok {
 				return pc, nil
 			}
-			if time.Now().After(deadline) {
+			select {
+			case <-joined:
+			case <-deadline.C:
 				return nil, fmt.Errorf("msg: rank %d: no connection from rank %d within %v", t.rank, to, DialTimeout)
 			}
-			time.Sleep(time.Millisecond)
 		}
 	}
 
@@ -457,6 +461,7 @@ func (t *TCP) Close() error {
 		return nil
 	}
 	t.closed = true
+	close(t.joined)
 	peers := t.peers
 	t.peers = map[int]*peerConn{}
 	t.mu.Unlock()

@@ -50,17 +50,33 @@ func TestChanPayloadIsCopied(t *testing.T) {
 	}
 }
 
-func TestChanSendToUnknownRank(t *testing.T) {
+// TestChanSentBeforeJoinDeliveredAfter: a send to a rank that has not
+// joined yet (a migrated rank re-opening its channels) returns at once,
+// and the rank reads the message when it joins.
+func TestChanSentBeforeJoinDeliveredAfter(t *testing.T) {
 	hub := NewHub()
-	hub.joinWait = 20 * time.Millisecond
 	a := hub.Join(0)
 	defer a.Close()
-	t0 := time.Now()
-	if err := a.Send(Message{To: 42}); err == nil {
-		t.Error("send to unjoined rank succeeded")
+	if err := a.Send(Message{To: 1, Step: 4, Data: []float64{2.5}}); err != nil {
+		t.Fatalf("send before join: %v", err)
 	}
-	if d := time.Since(t0); d < hub.joinWait {
-		t.Errorf("send gave up after %v, before the %v bound", d, hub.joinWait)
+	b := hub.Join(1)
+	defer b.Close()
+	m, err := b.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.From != 0 || m.Step != 4 || len(m.Data) != 1 || m.Data[0] != 2.5 {
+		t.Errorf("message sent before the join arrived as %+v", m)
+	}
+	// A second join of a joined rank gets a mailbox of its own.
+	c := hub.Join(1)
+	defer c.Close()
+	if err := a.Send(Message{To: 1, Step: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := c.Recv(); err != nil || m.Step != 5 {
+		t.Errorf("rejoined rank read %+v, %v; want step 5", m, err)
 	}
 }
 
@@ -272,6 +288,36 @@ func TestTCPCloseUnblocksRecv(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("Recv did not unblock")
+	}
+}
+
+// TestTCPCloseUnblocksAcceptWait: a higher rank waits for its lower peer
+// to dial it. When the peer never does, Close ends the wait with
+// ErrClosed at once instead of after DialTimeout.
+func TestTCPCloseUnblocksAcceptWait(t *testing.T) {
+	reg, err := registry.New(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewTCP(1, 0, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- b.Send(Message{To: 0, Step: 1}) }()
+	select {
+	case err := <-done:
+		t.Fatalf("Send to a peer that never dials returned %v before Close", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	b.Close()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrClosed) {
+			t.Errorf("Send after Close = %v, want ErrClosed", err)
+		}
+	case <-time.After(100 * time.Millisecond):
+		t.Fatal("Send still waiting for the peer 100ms after Close")
 	}
 }
 
