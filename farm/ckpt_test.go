@@ -55,6 +55,18 @@ func newSimJob(t *testing.T, cfg *core.Config2D, steps int) (*core.Job, *core.Jo
 	return job, progs
 }
 
+// stopAbandoned suspends, once the test is over, a job whose coordinator
+// the test kills: no farm is left to finish its ranks, which would run on
+// after the test.
+func stopAbandoned(t *testing.T, job *core.Job) {
+	t.Helper()
+	t.Cleanup(func() {
+		if _, err := job.Suspend(); err != nil {
+			t.Errorf("stopping the abandoned job: %v", err)
+		}
+	})
+}
+
 // TestKillAndRestoreBitIdentical is the subsystem's acceptance scenario.
 // A farm runs a real 2D LB simulation (high priority, placed by
 // preempting a wide background job, which sits suspended in the queue)
@@ -110,6 +122,7 @@ func TestKillAndRestoreBitIdentical(t *testing.T) {
 	pool1 := idlePool()
 	s1 := newFarm(pool1, Priority, 42)
 	job1, _ := newSimJob(t, simConfig(t, 2, 2), steps)
+	stopAbandoned(t, job1)
 	s1.scenarioEvery = time.Minute
 	crashed := false
 	s1.scenario = func(vt time.Duration, _ *cluster.Cluster) {
@@ -323,6 +336,7 @@ func TestRestoreRejectsCorruptCheckpoints(t *testing.T) {
 	pool := idlePool()
 	s := newFarm(pool, FIFO, 3)
 	job, _ := newSimJob(t, simConfig(t, 2, 1), steps)
+	stopAbandoned(t, job)
 	done := false
 	s.scenarioEvery = time.Minute
 	s.scenario = func(vt time.Duration, _ *cluster.Cluster) {

@@ -271,6 +271,7 @@ func TestWeightedJobCheckpointRestoreRoundTrip(t *testing.T) {
 	pool1 := pool()
 	s1 := newFarm(pool1, FIFO, 9)
 	job1, _ := newSimJob(t, weightedSimConfig(t), steps)
+	stopAbandoned(t, job1)
 	crashed := false
 	s1.scenarioEvery = time.Minute
 	s1.scenario = func(vt time.Duration, _ *cluster.Cluster) {

@@ -403,6 +403,7 @@ func TestCheckpointRestoreAcrossResize(t *testing.T) {
 	s1 := newFarm(pool1, FIFO, 42)
 	s1.timer = fixedTimer
 	job1, _ := newSimJob(t, resizeCfg(t, 2, 2), steps)
+	stopAbandoned(t, job1)
 	crashed := false
 	s1.scenarioEvery = 5 * time.Second
 	s1.scenario = func(vt time.Duration, _ *cluster.Cluster) {

@@ -41,8 +41,8 @@ type Job struct {
 	round   int
 	done    map[int]bool
 
-	// rebuild reconstructs the Programs of a set of dumps (RestoreProgram)
-	// and makes them their ranks' live Programs, which JobPrograms gathers.
+	// rebuild restores a set of dumps into their ranks' live Programs, or
+	// into fresh ones (RestoreProgram) that become live, as JobPrograms has.
 	rebuild func(states []*dump.State) ([]Program, error)
 
 	// resplit re-cuts a full set of same-step dumps onto a new decomposition
@@ -113,14 +113,19 @@ func newJob[C setup[P], P built, R any](cfg C, gather func(C, []P, int) R,
 		done:        make(map[int]bool),
 	}
 	j.rebuild = func(states []*dump.State) ([]Program, error) {
-		// One rank a slab of the shared pool (restoreProgram gives the pool
-		// no work of its own); the map is written on this goroutine.
+		// One rank a slab of the shared pool (a restore gives the pool no
+		// work of its own); the map is written on this goroutine. A rank
+		// in it has exited, and resplit empties it when the boxes change.
 		built := make([]P, len(states))
 		errs := make([]error, len(states))
 		var r pool.Runner
 		r.Run(len(states), len(states), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				built[i], errs[i] = restoreProgram(cfg, states[i])
+				if p, ok := jp.progs[states[i].Rank]; ok {
+					built[i], errs[i] = p, p.RestoreState(states[i])
+				} else {
+					built[i], errs[i] = restoreProgram(cfg, states[i])
+				}
 			}
 		})
 		progs := make([]Program, len(states))
@@ -271,9 +276,15 @@ func (j *Job) collect(ranks []int, exit bool) ([]*dump.State, error) {
 	return states, nil
 }
 
-// launch is step 4: the ranks of a set of dumps are rebuilt from them as
-// fresh workers with channels at the current epoch, ready to start.
+// launch is step 4: the ranks of a set of dumps are restored from them and
+// get fresh workers with channels at the current epoch, ready to start.
+// The workers they replace, whose compute loops have exited, shut down.
 func (j *Job) launch(states []*dump.State) error {
+	for _, st := range states {
+		if w := j.workers[st.Rank]; w != nil {
+			w.Shutdown()
+		}
+	}
 	progs, err := j.rebuild(states)
 	if err != nil {
 		return err
@@ -333,7 +344,9 @@ func (j *Job) cycle(ranks []int, move bool, onDump func(rank int, st *dump.State
 // MigrateRanks executes the full migration protocol for the given ranks:
 // global synchronization, dump, restart at the next epoch, resume. The
 // onDump callback (optional) reports each migrated rank's dump so the
-// caller can persist the dump file.
+// caller can persist the dump file. The dump's fields are views of the
+// rank's live arrays, valid only during the callback: the rank is
+// restored into the same Program and computes on.
 func (j *Job) MigrateRanks(ranks []int, onDump func(rank int, st *dump.State)) error {
 	if len(ranks) == 0 {
 		return nil

@@ -32,6 +32,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/decomp"
 	"repro/internal/dump"
@@ -89,11 +90,13 @@ type Method interface {
 	Pack(phase int, dir decomp.Dir, buf []float64) []float64
 	Unpack(phase int, dir decomp.Dir, buf []float64)
 	MethodName() string
-	DumpFields() map[string][]float64
-	RestoreFields(map[string][]float64) error
-	// FluidFields returns the live storage of rho, vx, vy[, vz], ghosts
-	// included, in the layout of a dump array.
-	FluidFields() [][]float64
+	// StateFields returns the dump's field names and the live storage of
+	// each, ghosts included, in the layout of a dump array: rho, vx,
+	// vy[, vz] first, then whatever else the method's state holds.
+	StateFields() (names []string, arrays [][]float64)
+	// ClearScratch zeroes everything beyond the StateFields, as the
+	// method's geometry constructor leaves it.
+	ClearScratch()
 	// SetWorkers sets the intra-rank worker-slab budget for the compute
 	// phases. Results are bit-identical at every value (see internal/pool).
 	SetWorkers(n int)
@@ -178,19 +181,32 @@ func (p *program) Unpack(phase int, dirCode int, data []float64) {
 	p.M.Unpack(phase, decomp.Dir(dirCode), data)
 }
 
-// DumpState serializes the subregion state.
-func (p *program) DumpState(step, epoch int) *dump.State {
-	return &dump.State{
-		Rank:   p.Sub.Rank,
-		Step:   step,
-		Epoch:  epoch,
-		Method: p.M.MethodName(),
-		NX:     p.at.nx, NY: p.at.ny, NZ: p.at.nz,
-		Fields: p.M.DumpFields(),
+// DumpState serializes the subregion state as deep copies, which stay
+// valid while the rank computes on.
+func (p *program) DumpState(step, epoch int) *dump.State { return p.dump(step, epoch, true) }
+
+// dump is DumpState with the fields copied or, for a rank that stops
+// computing, as views of its live arrays, valid until it is restored.
+func (p *program) dump(step, epoch int, copied bool) *dump.State {
+	names, arrays := p.M.StateFields()
+	fields := make(map[string][]float64, len(names))
+	for i, name := range names {
+		if copied {
+			arrays[i] = slices.Clone(arrays[i])
+		}
+		fields[name] = arrays[i]
 	}
+	return &dump.State{Rank: p.Sub.Rank, Step: step, Epoch: epoch, Method: p.M.MethodName(),
+		NX: p.at.nx, NY: p.at.ny, NZ: p.at.nz, Fields: fields}
 }
 
-// RestoreState reloads a dump into the method.
+// RestoreState reloads a dump into the method, bit for bit. A dump whose
+// every field is a view of the array it would be copied into — the
+// handover of a rank that stopped computing — is already in place: the
+// Program is as it was dumped and computes on untouched, as a Snapshot's
+// does. Any other dump first clears everything it does not hold, so a used
+// Program ends equal to a fresh one restored from the same dump. A dump
+// that does not fit is refused before anything changes.
 func (p *program) RestoreState(st *dump.State) error {
 	if st.Method != p.M.MethodName() {
 		return fmt.Errorf("core: dump method %q, solver is %q", st.Method, p.M.MethodName())
@@ -199,7 +215,24 @@ func (p *program) RestoreState(st *dump.State) error {
 		return fmt.Errorf("core: dump geometry %dx%dx%d, subregion is %dx%dx%d",
 			st.NX, st.NY, st.NZ, p.at.nx, p.at.ny, p.at.nz)
 	}
-	return p.M.RestoreFields(st.Fields)
+	names, arrays := p.M.StateFields()
+	inPlace := true
+	for i, name := range names {
+		src, ok := st.Fields[name]
+		if !ok || len(src) != len(arrays[i]) {
+			return fmt.Errorf("core: dump field %q missing or not %d values long", name, len(arrays[i]))
+		}
+		inPlace = inPlace && &src[0] == &arrays[i][0]
+	}
+	if inPlace {
+		return nil
+	}
+	p.M.ClearScratch()
+	p.buf, p.sends, p.expects = p.buf[:0], p.sends[:0], p.expects[:0]
+	for i, name := range names {
+		copy(arrays[i], st.Fields[name])
+	}
+	return nil
 }
 
 // start writes the initial condition into a program built at rest: every
@@ -207,12 +240,13 @@ func (p *program) RestoreState(st *dump.State) error {
 // the velocities), then a lattice Boltzmann method's populations set to
 // the equilibrium of those fields.
 func (p *program) start(lat lattice, initial []initField, rho0 float64) {
-	for k, data := range p.M.FluidFields() {
+	_, arrays := p.M.StateFields()
+	for k, f := range initial {
 		def := 0.0
 		if k == 0 {
 			def = rho0
 		}
-		lat.fill(data, p.at, initial[k], def)
+		lat.fill(arrays[k], p.at, f, def)
 	}
 	if lb, ok := p.M.(interface{ InitEquilibrium() }); ok {
 		lb.InitEquilibrium()
@@ -220,10 +254,11 @@ func (p *program) start(lat lattice, initial []initField, rho0 float64) {
 }
 
 // stitch copies the interior of every fluid variable into the global
-// arrays, given in FluidFields order.
+// arrays, given in StateFields order.
 func (p *program) stitch(lat lattice, global [][]float64) {
-	for k, data := range p.M.FluidFields() {
-		lat.stitch(global[k], p.at, data)
+	_, arrays := p.M.StateFields()
+	for k, g := range global {
+		lat.stitch(g, p.at, arrays[k])
 	}
 }
 

@@ -1,0 +1,298 @@
+package core
+
+import (
+	"fmt"
+	"maps"
+	"math"
+	"math/rand"
+	"slices"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/decomp"
+	"repro/internal/dump"
+	"repro/internal/fluid"
+	"repro/internal/syncfile"
+)
+
+// TestReusedRankEqualsFresh: a copied dump restored into the used Program
+// it came from leaves that Program equal, in every field the reflection
+// walk reaches, to restoreProgram of the same dump — hidden double-swap
+// buffers, filter scratch and exchange slices included. A dump of views
+// (the handover of an exiting rank) is already in place and changes
+// nothing. Either way the two step on to equal Programs. Both methods,
+// both dimensions, the filter on and off, restored after an odd and an
+// even step count.
+func TestReusedRankEqualsFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(181))
+	for _, method := range []string{MethodLB, MethodFD} {
+		for _, eps := range []float64{0, 0.01} {
+			par := fluid.DefaultParams()
+			par.Nu, par.Eps, par.ForceX = 0.1, eps, 1e-5
+			d2, err := decomp.NewShaped(decomp.Shape{X: []int{13, 11}, Y: []int{8, 10}}, decomp.Full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d2.PeriodicX = true
+			cfg2 := &Config2D{
+				Method: method, Par: par, Mask: seamMask2D(rng, 24, 18), D: d2,
+				InitRho: func(x, y int) float64 { return 1 + 0.001*math.Sin(float64(x)/3) },
+				InitVy:  func(x, y int) float64 { return 1e-4 * float64(y%5) },
+			}
+			d3, err := decomp.NewShaped(decomp.Shape{X: []int{7, 5}, Y: []int{9}, Z: []int{3, 5}}, decomp.Star)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d3.PeriodicX, d3.PeriodicZ = true, true
+			cfg3 := &Config3D{
+				Method: method, Par: par, Mask: seamMask3D(rng, 12, 9, 8), D: d3,
+				InitRho: func(x, y, z int) float64 { return 1 + 0.001*math.Sin(float64(x+z)/3) },
+				InitVx:  func(x, y, z int) float64 { return 1e-4 * float64(y%4) },
+			}
+			for _, at := range []int{3, 4} {
+				name := fmt.Sprintf("%s eps=%v after %d steps", method, eps, at)
+				reuseMatchesFresh(t, name+" 2D", d2.P(), at,
+					func(rank int) (Program, error) { return cfg2.NewProgram(rank) },
+					func(st *dump.State) (Program, error) { return restoreProgram(cfg2, st) })
+				reuseMatchesFresh(t, name+" 3D", d3.P(), at,
+					func(rank int) (Program, error) { return cfg3.NewProgram(rank) },
+					func(st *dump.State) (Program, error) { return restoreProgram(cfg3, st) })
+			}
+		}
+	}
+}
+
+// reuseMatchesFresh steps every rank of a fresh job at steps, restores each
+// into itself and into a fresh Program, and compares the two after two
+// more steps, and before them where the dump was copied.
+func reuseMatchesFresh(t *testing.T, name string, ranks, at int,
+	fresh func(rank int) (Program, error), restore func(st *dump.State) (Program, error)) {
+	t.Helper()
+	var used, want []Program
+	for rank := 0; rank < ranks; rank++ {
+		p, err := fresh(rank)
+		if err != nil {
+			t.Fatal(err)
+		}
+		used = append(used, p)
+	}
+	stepLockstep(used, at)
+	for rank, p := range used {
+		views := rank%2 == 0
+		st := p.(built).dump(at, 0, !views)
+		w, err := restore(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.RestoreState(st); err != nil {
+			t.Fatal(err)
+		}
+		if !views {
+			sameSolver(t, fmt.Sprintf("%s rank %d", name, rank), w, p)
+		}
+		want = append(want, w)
+	}
+	stepLockstep(want, 2)
+	stepLockstep(used, 2)
+	for rank := range want {
+		sameSolver(t, fmt.Sprintf("%s rank %d, 2 steps on", name, rank), want[rank], used[rank])
+	}
+}
+
+// TestRestoreStateRefusesMisfits: a dump without one of the method's
+// fields, or with one of the wrong length, is refused before the Program
+// changes, and the Program still takes a dump that fits.
+func TestRestoreStateRefusesMisfits(t *testing.T) {
+	cfg := resizeCfg2D(t, MethodLB, 1, 1)
+	var twins []Program
+	for range 2 {
+		p, err := cfg.NewProgram(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stepLockstep([]Program{p}, 3)
+		twins = append(twins, p)
+	}
+	p, q := twins[0], twins[1]
+	for name, edit := range map[string]func(st *dump.State){
+		"missing f3": func(st *dump.State) { delete(st.Fields, "f3") },
+		"short rho":  func(st *dump.State) { st.Fields["rho"] = st.Fields["rho"][1:] },
+		"method":     func(st *dump.State) { st.Method = "fd2d" },
+		"geometry":   func(st *dump.State) { st.NX++ },
+	} {
+		st := p.DumpState(3, 0)
+		edit(st)
+		if err := p.RestoreState(st); err == nil {
+			t.Errorf("%s: restore accepted", name)
+		}
+		sameSolver(t, name+": the refused restore changed the Program", q, p)
+	}
+	if err := p.RestoreState(q.DumpState(3, 0)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// countedConfig2D is a Config2D that counts the Programs its geometry
+// builds; a job over it says how many ranks it rebuilt from scratch.
+type countedConfig2D struct {
+	*Config2D
+	built *atomic.Int64
+}
+
+func (c countedConfig2D) geometry(rank int) (*Program2D, error) {
+	c.built.Add(1)
+	return c.Config2D.geometry(rank)
+}
+
+func gatherCounted(c countedConfig2D, progs []*Program2D, steps int) *Result2D {
+	return Gather2D(c.Config2D, progs, steps)
+}
+
+// TestMigrationRebuildsNothing is TestSnapshotRebuildsNothing's twin for
+// the operations that do stop ranks. A migration and a suspend+resume
+// restore every stopped rank into the Program it came from: the live
+// Programs are the same pointers, geometry runs zero times, and the run
+// ends in the sequential reference's bits. A resize changes the boxes, so
+// its ranks are fresh Programs, one geometry each.
+func TestMigrationRebuildsNothing(t *testing.T) {
+	const steps = 40
+	for _, method := range []string{MethodLB, MethodFD} {
+		t.Run(method, func(t *testing.T) {
+			ref, _, err := RunSequential2D(resizeCfg2D(t, method, 2, 2), steps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var built atomic.Int64
+			cfg := countedConfig2D{resizeCfg2D(t, method, 2, 2), &built}
+			sf, err := syncfile.New(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			hold := newStepHold(7, 14, 21)
+			j, jp, err := newJob(cfg, gatherCounted, hold.over(HubFactory()), sf, steps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j.WaitTimeout = 30 * time.Second
+			live := maps.Clone(jp.progs)
+			same := func(what string) {
+				t.Helper()
+				if n := built.Load(); n != int64(len(live)) {
+					t.Errorf("%s: geometry ran %d times after NewJob, want 0", what, n-int64(len(live)))
+				}
+				for rank, p := range live {
+					if jp.progs[rank] != p || j.Worker(rank).Prog != Program(p) {
+						t.Errorf("%s: rank %d has a new Program", what, rank)
+					}
+				}
+			}
+			j.Start()
+
+			hold.wait(j)
+			moved := j.Worker(1)
+			if err := j.MigrateRanks([]int{1}, nil); err != nil {
+				t.Fatal(err)
+			}
+			if j.Worker(1) == moved {
+				t.Error("migration kept the rank's worker")
+			}
+			same("migration")
+
+			hold.wait(j)
+			states, err := j.Suspend()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Resume(states); err != nil {
+				t.Fatal(err)
+			}
+			same("suspend and resume")
+
+			hold.wait(j)
+			if err := j.Resize(decomp.UniformShape(3, 2, 0, 24, 16, 0)); err != nil {
+				t.Fatal(err)
+			}
+			if n := built.Load() - int64(len(live)); n != 6 {
+				t.Errorf("resize to 6 ranks ran geometry %d times, want 6", n)
+			}
+			old := slices.Collect(maps.Values(live))
+			for rank, p := range jp.progs {
+				if slices.Contains(old, p) {
+					t.Errorf("resize: rank %d kept an old Program", rank)
+				}
+			}
+			if err := j.WaitDone(); err != nil {
+				t.Fatal(err)
+			}
+			j.Shutdown()
+			if ok, x, y, d := resultsEqual(ref, jp.Gather(steps), 0); !ok {
+				t.Errorf("run differs from the reference at (%d,%d) by %g", x, y, d)
+			}
+		})
+	}
+}
+
+// TestReplacedWorkersLeakNothing: every worker a migration, a resume or a
+// resize replaces has its controller goroutine ended, and with it its hold
+// on the rank's Program.
+func TestReplacedWorkersLeakNothing(t *testing.T) {
+	const steps = 30
+	j, _ := startJob2D(t, resizeCfg2D(t, MethodLB, 2, 2), steps)
+	ended := func(what string, w *Worker) {
+		t.Helper()
+		bound := time.After(5 * time.Second)
+		for {
+			select {
+			case _, open := <-w.wake: // closed by the controller as it returns
+				if !open {
+					return
+				}
+			case <-bound:
+				t.Errorf("%s: the replaced worker's controller is still running", what)
+				return
+			}
+		}
+	}
+	old := j.Worker(2)
+	if err := j.MigrateRanks([]int{2}, nil); err != nil {
+		t.Fatal(err)
+	}
+	ended("migration", old)
+
+	olds := []*Worker{j.Worker(0), j.Worker(1), j.Worker(2), j.Worker(3)}
+	states, err := j.Suspend()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Resume(states); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range olds {
+		ended("suspend and resume", w)
+	}
+
+	olds = []*Worker{j.Worker(0), j.Worker(1), j.Worker(2), j.Worker(3)}
+	if err := j.Resize(decomp.UniformShape(3, 2, 0, 24, 16, 0)); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range olds {
+		ended("resize", w)
+	}
+	if err := j.WaitDone(); err != nil {
+		t.Fatal(err)
+	}
+	j.Shutdown()
+}
+
+// TestShutdownIsIdempotent: Suspend has already retired every worker's
+// control plane, so a Shutdown after it — or a second Shutdown — does
+// nothing, where it used to close a closed channel.
+func TestShutdownIsIdempotent(t *testing.T) {
+	j, _ := startJob2D(t, resizeCfg2D(t, MethodFD, 2, 1), 20)
+	if _, err := j.Suspend(); err != nil {
+		t.Fatal(err)
+	}
+	j.Shutdown()
+	j.Shutdown()
+}

@@ -35,7 +35,7 @@ type setup[P any] interface {
 	// condition, restoreProgram loads a dump — so a rebuild never computes
 	// a state it is about to overwrite.
 	geometry(rank int) (P, error)
-	// initial returns the initial fluid variables in FluidFields order.
+	// initial returns the initial fluid variables in StateFields order.
 	initial() []initField
 	physics() fluid.Params
 	// dumpSchema returns the method name and field names of the dumps the
@@ -44,11 +44,13 @@ type setup[P any] interface {
 }
 
 // built is a Program the driver constructed, so one whose method's fluid
-// variables it can fill and gather (Program2D and Program3D).
+// variables it can fill and gather, and whose dump can hand over views
+// (Program2D and Program3D).
 type built interface {
 	Program
 	start(lat lattice, initial []initField, rho0 float64)
 	stitch(lat lattice, global [][]float64)
+	dump(step, epoch int, copied bool) *dump.State
 }
 
 // workerBudget resolves the intra-rank worker count: the config's Workers
@@ -75,8 +77,8 @@ func newProgram[P built](c setup[P], rank int) (P, error) {
 
 // restoreProgram builds the Program a dump belongs to: the rank's geometry
 // with the dumped state loaded into it. No initial condition is evaluated —
-// RestoreState overwrites every array one would write, ghosts included,
-// and everything else a solver owns is zero after either construction.
+// the dump overwrites every array one would write, ghosts included, and
+// everything else a solver owns is zero after either construction.
 func restoreProgram[P built](c setup[P], st *dump.State) (P, error) {
 	var none P
 	if ranks := len(c.lattice().boxes); st.Rank < 0 || st.Rank >= ranks {

@@ -14,6 +14,9 @@ import (
 // the same guarantee migration gives, reused as a scheduling primitive so
 // a farm can preempt a low-priority job and give its hosts to another.
 //
+// The states' fields are views of the ranks' live arrays, valid until the
+// next Resume or Resize; Resume restores them in place, copying nothing.
+//
 // After Suspend no workers are running; only Resume is valid next.
 func (j *Job) Suspend() ([]*dump.State, error) {
 	if err := j.pauseAll(); err != nil {
@@ -44,7 +47,7 @@ func (j *Job) Snapshot() ([]*dump.State, error) {
 }
 
 // Resume restarts a suspended job from the states Suspend returned: every
-// rank's Program is rebuilt from its dump and a fresh worker starts at
+// rank's Program is restored from its dump and a fresh worker starts at
 // the next communication epoch, exactly as step 4 of the migration
 // protocol restarts a single migrated process.
 func (j *Job) Resume(states []*dump.State) error {

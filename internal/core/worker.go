@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/decomp"
@@ -127,6 +128,7 @@ type Worker struct {
 	pauseAt atomic.Int64 // sync step to hold at; pauseNone / pausePending
 
 	ctrl   chan ctrlMsg
+	stop   sync.Once     // closes ctrl once (Shutdown)
 	paused chan ctrlMsg  // resume/migrate/stop commands, forwarded
 	wake   chan struct{} // nudges a done worker to re-check pauseAt
 	events chan<- Event
@@ -379,7 +381,9 @@ func (w *Worker) holdPaused() bool {
 			c.ok()
 			return true
 		case ctrlMigrate:
-			st := w.Prog.DumpState(w.Step, w.Epoch)
+			// The rank stops computing, so its Program (one a Job built)
+			// hands its arrays over as views.
+			st := w.Prog.(built).dump(w.Step, w.Epoch, false)
 			c.ok()
 			w.events <- Event{Rank: w.Rank(), Kind: EventMigrated, Step: w.Step, State: st}
 			return false
@@ -419,9 +423,10 @@ func (w *Worker) requestDump(exit bool) {
 }
 
 // Shutdown closes the control plane; a running worker finishes its steps,
-// a done worker exits.
+// a done worker exits. Its controller goroutine ends either way, and a
+// second Shutdown does nothing.
 func (w *Worker) Shutdown() {
-	close(w.ctrl)
+	w.stop.Do(func() { close(w.ctrl) })
 }
 
 // Close tears down the worker's transport (used by simple non-Start runs).

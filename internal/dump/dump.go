@@ -70,32 +70,6 @@ func (st *State) Validate() error {
 	return nil
 }
 
-// CopyFields returns deep copies of a solver's arrays (raw storage, ghosts
-// included) keyed by their names: the Fields of its dump.
-func CopyFields(names []string, arrays [][]float64) map[string][]float64 {
-	out := make(map[string][]float64, len(names))
-	for i, name := range names {
-		out[name] = append([]float64(nil), arrays[i]...)
-	}
-	return out
-}
-
-// RestoreFields reloads every named array from a dump's Fields, bit for
-// bit; a missing field or one of the wrong length is an error.
-func RestoreFields(names []string, arrays [][]float64, fields map[string][]float64) error {
-	for i, name := range names {
-		src, ok := fields[name]
-		if !ok {
-			return fmt.Errorf("dump: missing field %q", name)
-		}
-		if len(src) != len(arrays[i]) {
-			return fmt.Errorf("dump: field %q has %d values, want %d", name, len(src), len(arrays[i]))
-		}
-		copy(arrays[i], src)
-	}
-	return nil
-}
-
 // Path returns the canonical dump file name for a rank inside dir.
 func Path(dir string, rank int) string {
 	return filepath.Join(dir, fmt.Sprintf("dump-rank%04d.dump", rank))

@@ -90,8 +90,9 @@ func NewSolver2D(nx, ny int, par fluid.Params, mask func(x, y int) fluid.CellTyp
 
 // NewGeometry2D builds everything about a solver that is not state: the
 // storage (all zero), the classified interior cell types and the filter
-// plan. The caller supplies the state, as an initial condition or through
-// RestoreFields, which overwrites every array an initial condition writes.
+// plan. The caller supplies the state, as an initial condition or as a dump
+// written into its StateFields, which overwrites every array an initial
+// condition writes.
 func NewGeometry2D(nx, ny int, par fluid.Params, mask func(x, y int) fluid.CellType) (*Solver2D, error) {
 	if err := par.Check(); err != nil {
 		return nil, err
@@ -181,7 +182,8 @@ func (s *Solver2D) Compute(phase int) {
 // other. With the two shells equal such a ghost is constant, and a dump,
 // which holds the current fields only, restores bit for bit at either step
 // parity. It runs before the first sweep after construction or
-// RestoreFields, so it sees an initial condition written into the fields.
+// ClearScratch, so it sees an initial condition or a restored dump written
+// into the fields.
 func (s *Solver2D) pairGhosts() {
 	s.nRho.CopyFrom(s.Rho)
 	s.nVx.CopyFrom(s.Vx)

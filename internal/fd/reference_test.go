@@ -394,9 +394,7 @@ func TestRestoreParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := b.RestoreFields(a.DumpFields()); err != nil {
-				t.Fatal(err)
-			}
+			copyState(b, a)
 			for n := 0; n < more; n++ {
 				a.StepSerial(true, false)
 				b.StepSerial(true, false)
@@ -417,9 +415,7 @@ func TestRestoreParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := b.RestoreFields(a.DumpFields()); err != nil {
-				t.Fatal(err)
-			}
+			copyState(b, a)
 			for n := 0; n < more; n++ {
 				a.StepSerial(true, false, false)
 				b.StepSerial(true, false, false)

@@ -1,7 +1,5 @@
 package fd
 
-import "repro/internal/dump"
-
 // Method and field names in dump files.
 const (
 	method2D = "fd2d"
@@ -24,42 +22,43 @@ func DumpSchema3D() (method string, fields []string) { return method3D, fieldNam
 // MethodName identifies the 2D finite-difference method in dump files.
 func (s *Solver2D) MethodName() string { return method2D }
 
-// FluidFields returns the live storage (ghosts included) of the fluid
-// variables rho, vx, vy — which is also everything a dump holds, in
-// DumpSchema2D order. The driver fills and gathers through it.
-func (s *Solver2D) FluidFields() [][]float64 {
-	return [][]float64{s.Rho.Data(), s.Vx.Data(), s.Vy.Data()}
+// StateFields returns DumpSchema2D's field names and the live storage of
+// each, ghosts included, in that order: the fluid variables rho, vx, vy,
+// which are everything a dump holds. The driver fills, gathers, dumps and
+// restores a rank through it.
+func (s *Solver2D) StateFields() (names []string, arrays [][]float64) {
+	return fieldNames2D, [][]float64{s.Rho.Data(), s.Vx.Data(), s.Vy.Data()}
 }
 
-// DumpFields returns deep copies of the raw field storage (ghosts
-// included), keyed by canonical names.
-func (s *Solver2D) DumpFields() map[string][]float64 {
-	return dump.CopyFields(fieldNames2D, s.FluidFields())
-}
-
-// RestoreFields reloads raw field storage from a dump. The next-step
-// buffers are not in a dump; the next Compute pairs their ghosts with the
-// restored fields' (pairGhosts).
-func (s *Solver2D) RestoreFields(fields map[string][]float64) error {
+// ClearScratch zeroes what the solver holds beyond its StateFields — the
+// next-step buffers, the filter workspace and the exchange buffer — as
+// NewGeometry2D leaves them, so a solver restored after use equals a fresh
+// one restored from the same dump. The next Compute pairs the next-step
+// ghosts with the restored fields' again (pairGhosts).
+func (s *Solver2D) ClearScratch() {
+	clear(s.nVx.Data())
+	clear(s.nVy.Data())
+	clear(s.nRho.Data())
 	s.ghostsPaired = false
-	return dump.RestoreFields(fieldNames2D, s.FluidFields(), fields)
+	clear(s.scratch)
+	s.xbuf = s.xbuf[:0]
 }
 
 // MethodName identifies the 3D finite-difference method in dump files.
 func (s *Solver3D) MethodName() string { return method3D }
 
-// FluidFields is Solver2D.FluidFields for rho, vx, vy, vz.
-func (s *Solver3D) FluidFields() [][]float64 {
-	return [][]float64{s.Rho.Data(), s.Vx.Data(), s.Vy.Data(), s.Vz.Data()}
+// StateFields is Solver2D.StateFields for rho, vx, vy, vz.
+func (s *Solver3D) StateFields() (names []string, arrays [][]float64) {
+	return fieldNames3D, [][]float64{s.Rho.Data(), s.Vx.Data(), s.Vy.Data(), s.Vz.Data()}
 }
 
-// DumpFields returns deep copies of the raw 3D field storage.
-func (s *Solver3D) DumpFields() map[string][]float64 {
-	return dump.CopyFields(fieldNames3D, s.FluidFields())
-}
-
-// RestoreFields reloads raw 3D field storage from a dump (see the 2D one).
-func (s *Solver3D) RestoreFields(fields map[string][]float64) error {
+// ClearScratch is Solver2D.ClearScratch for the 3D buffers.
+func (s *Solver3D) ClearScratch() {
+	clear(s.nVx.Data())
+	clear(s.nVy.Data())
+	clear(s.nVz.Data())
+	clear(s.nRho.Data())
 	s.ghostsPaired = false
-	return dump.RestoreFields(fieldNames3D, s.FluidFields(), fields)
+	clear(s.scratch)
+	s.xbuf = s.xbuf[:0]
 }

@@ -50,7 +50,8 @@ type Plan struct {
 
 	// Per-Apply state consumed by the prebuilt sweep closures; set by
 	// Apply before handing the closures to the executor, so the
-	// steady-state step builds no new closures and allocates nothing.
+	// steady-state step builds no new closures and allocates nothing,
+	// and reset when it returns.
 	l       *grid.Layout
 	eps     float64
 	scratch []float64
@@ -217,7 +218,7 @@ func apply[F interface{ Layout() *grid.Layout }](p *Plan, fields []F, eps float6
 		run(p.units, p.correct)
 		run(p.units, p.update)
 	}
-	p.l, p.scratch = nil, nil
+	p.l, p.eps, p.scratch = nil, 0, nil
 }
 
 // Apply filters the fields in place (see Plan); scratch must hold at least

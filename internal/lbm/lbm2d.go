@@ -135,8 +135,8 @@ func NewSolver2D(nx, ny int, par fluid.Params, mask func(x, y int) fluid.CellTyp
 // NewGeometry2D builds everything about a solver that is not state: the
 // storage (all zero), the classified interior cell types and the filter
 // plan. The caller supplies the state — fluid variables followed by
-// InitEquilibrium for a fresh start, or RestoreFields from a dump, which
-// overwrites every array an initial condition writes.
+// InitEquilibrium for a fresh start, or a dump written into its
+// StateFields, which overwrites every array an initial condition writes.
 func NewGeometry2D(nx, ny int, par fluid.Params, mask func(x, y int) fluid.CellType) (*Solver2D, error) {
 	if err := par.Check(); err != nil {
 		return nil, err

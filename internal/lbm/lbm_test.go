@@ -2,7 +2,6 @@ package lbm
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 	"testing"
@@ -555,8 +554,20 @@ func TestInletOutletThroughflow(t *testing.T) {
 	}
 }
 
-// TestDumpRestoreRoundTrip: DumpFields/RestoreFields reproduce the 2D and
-// 3D solvers bit-for-bit, including ghost storage, mid-simulation.
+// copyState writes one solver's StateFields into another's: what a dump and
+// its restore carry, which the driver moves through the same accessor.
+func copyState(dst, src interface {
+	StateFields() ([]string, [][]float64)
+}) {
+	_, from := src.StateFields()
+	_, to := dst.StateFields()
+	for i := range from {
+		copy(to[i], from[i])
+	}
+}
+
+// TestDumpRestoreRoundTrip: the StateFields carry the 2D and 3D solvers
+// bit-for-bit, including ghost storage, mid-simulation.
 func TestDumpRestoreRoundTrip(t *testing.T) {
 	nx, ny := 12, 10
 	p := channelParams(0.08, 1e-5)
@@ -567,14 +578,11 @@ func TestDumpRestoreRoundTrip(t *testing.T) {
 	for i := 0; i < 37; i++ {
 		a.StepSerial(true, false)
 	}
-	fields := a.DumpFields()
 	b, err := NewSolver2D(nx, ny, p, maskFrom(fluid.ChannelMask2D(nx, ny)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.RestoreFields(fields); err != nil {
-		t.Fatal(err)
-	}
+	copyState(b, a)
 	for i := 0; i < 10; i++ {
 		a.StepSerial(true, false)
 		b.StepSerial(true, false)
@@ -583,15 +591,6 @@ func TestDumpRestoreRoundTrip(t *testing.T) {
 		if !a.F[i].InteriorEqual(b.F[i], 0) {
 			t.Fatalf("population %d diverged after restore", i)
 		}
-	}
-	// Restore rejects missing and mis-sized fields.
-	delete(fields, "f3")
-	if err := b.RestoreFields(fields); err == nil {
-		t.Error("restore with missing field accepted")
-	}
-	fields["f3"] = []float64{1, 2}
-	if err := b.RestoreFields(fields); err == nil {
-		t.Error("restore with short field accepted")
 	}
 
 	// 3D, restored after an odd and after an even step count: a step swaps
@@ -607,14 +606,11 @@ func TestDumpRestoreRoundTrip(t *testing.T) {
 		for i := 0; i < at; i++ {
 			a.StepSerial(false, false, true)
 		}
-		fields := a.DumpFields()
 		b, err := NewGeometry3D(9, 7, 6, p3, mask3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := b.RestoreFields(fields); err != nil {
-			t.Fatal(err)
-		}
+		copyState(b, a)
 		for i := 0; i < 10; i++ {
 			a.StepSerial(false, false, true)
 			b.StepSerial(false, false, true)
@@ -627,20 +623,11 @@ func TestDumpRestoreRoundTrip(t *testing.T) {
 		compareBits(t, name+"Vx", a.Vx.Data(), b.Vx.Data())
 		compareBits(t, name+"Vy", a.Vy.Data(), b.Vy.Data())
 		compareBits(t, name+"Vz", a.Vz.Data(), b.Vz.Data())
-
-		delete(fields, "vz")
-		if err := b.RestoreFields(fields); err == nil {
-			t.Error("3D restore with missing field accepted")
-		}
-		fields["vz"] = []float64{1, 2}
-		if err := b.RestoreFields(fields); err == nil {
-			t.Error("3D restore with short field accepted")
-		}
 	}
 }
 
-// TestDumpSchemaMatchesSolvers: DumpSchema2D/3D name exactly what the
-// solvers dump, and a geometry-only solver restored from a dump equals one
+// TestDumpSchemaMatchesSolvers: DumpSchema2D/3D name exactly the solvers'
+// StateFields, in order, and a geometry-only solver restored from a dump equals one
 // that was built at rest first.
 func TestDumpSchemaMatchesSolvers(t *testing.T) {
 	p := channelParams(0.08, 1e-5)
@@ -652,17 +639,26 @@ func TestDumpSchemaMatchesSolvers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	names2, arrays2 := s2.StateFields()
+	names3, arrays3 := s3.StateFields()
 	for _, c := range []struct {
 		schema func() (string, []string)
 		method string
-		fields map[string][]float64
+		names  []string
+		arrays [][]float64
+		n      int
 	}{
-		{DumpSchema2D, s2.MethodName(), s2.DumpFields()},
-		{DumpSchema3D, s3.MethodName(), s3.DumpFields()},
+		{DumpSchema2D, s2.MethodName(), names2, arrays2, len(s2.Rho.Data())},
+		{DumpSchema3D, s3.MethodName(), names3, arrays3, len(s3.Rho.Data())},
 	} {
 		method, names := c.schema()
-		if method != c.method || !slices.Equal(slices.Sorted(slices.Values(names)), slices.Sorted(maps.Keys(c.fields))) {
-			t.Errorf("schema (%q, %v), solver dumps (%q, %v)", method, names, c.method, slices.Sorted(maps.Keys(c.fields)))
+		if method != c.method || !slices.Equal(names, c.names) || len(c.arrays) != len(names) {
+			t.Errorf("schema (%q, %v), solver states (%q, %v, %d arrays)", method, names, c.method, c.names, len(c.arrays))
+		}
+		for k, a := range c.arrays {
+			if len(a) != c.n {
+				t.Errorf("%s state array %q has %d values, want %d", method, names[k], len(a), c.n)
+			}
 		}
 	}
 
@@ -670,9 +666,7 @@ func TestDumpSchemaMatchesSolvers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g3.RestoreFields(s3.DumpFields()); err != nil {
-		t.Fatal(err)
-	}
+	copyState(g3, s3)
 	for i := 0; i < Q3; i++ {
 		if !slices.Equal(g3.F[i].Data(), s3.F[i].Data()) || !slices.Equal(g3.nF[i].Data(), s3.nF[i].Data()) {
 			t.Fatalf("population %d of the restored geometry differs from the solver's", i)

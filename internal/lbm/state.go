@@ -1,10 +1,6 @@
 package lbm
 
-import (
-	"fmt"
-
-	"repro/internal/dump"
-)
+import "fmt"
 
 // Method names in dump files.
 const (
@@ -45,37 +41,44 @@ func DumpSchema3D() (method string, fields []string) { return method3D, fieldNam
 // MethodName identifies the 2D lattice Boltzmann method in dump files.
 func (s *Solver2D) MethodName() string { return method2D }
 
-// FluidFields returns the live storage (ghosts included) of the fluid
-// variables rho, vx, vy. The driver fills and gathers through it.
-func (s *Solver2D) FluidFields() [][]float64 {
-	return [][]float64{s.Rho.Data(), s.Vx.Data(), s.Vy.Data()}
+// StateFields returns DumpSchema2D's field names and the live storage of
+// each, ghosts included, in that order: the fluid variables rho, vx, vy,
+// then the populations. The driver fills, gathers, dumps and restores a
+// rank through it.
+func (s *Solver2D) StateFields() (names []string, arrays [][]float64) {
+	return fieldNames2D, populations([][]float64{s.Rho.Data(), s.Vx.Data(), s.Vy.Data()}, s.F[:])
 }
 
-// DumpFields returns deep copies of the populations and fluid variables
-// (raw storage, ghosts included).
-func (s *Solver2D) DumpFields() map[string][]float64 {
-	return dump.CopyFields(fieldNames2D, populations(s.FluidFields(), s.F[:]))
-}
-
-// RestoreFields reloads populations and fluid variables from a dump.
-func (s *Solver2D) RestoreFields(fields map[string][]float64) error {
-	return dump.RestoreFields(fieldNames2D, populations(s.FluidFields(), s.F[:]), fields)
+// ClearScratch zeroes what the solver holds beyond its StateFields — the
+// post-shift buffers, the exchange buffer and the phase-1 windows — as
+// NewGeometry2D leaves them, so a solver restored after use equals a fresh
+// one restored from the same dump.
+func (s *Solver2D) ClearScratch() {
+	for _, f := range s.nF {
+		clear(f.Data())
+	}
+	for _, w := range s.windows {
+		clear(w)
+	}
+	s.xbuf = s.xbuf[:0]
+	s.claimed.Store(0)
 }
 
 // MethodName identifies the 3D lattice Boltzmann method in dump files.
 func (s *Solver3D) MethodName() string { return method3D }
 
-// FluidFields is Solver2D.FluidFields for rho, vx, vy, vz.
-func (s *Solver3D) FluidFields() [][]float64 {
-	return [][]float64{s.Rho.Data(), s.Vx.Data(), s.Vy.Data(), s.Vz.Data()}
+// StateFields is Solver2D.StateFields for rho, vx, vy, vz and the
+// populations.
+func (s *Solver3D) StateFields() (names []string, arrays [][]float64) {
+	return fieldNames3D, populations([][]float64{s.Rho.Data(), s.Vx.Data(), s.Vy.Data(), s.Vz.Data()}, s.F[:])
 }
 
-// DumpFields returns deep copies of the 3D populations and fluid variables.
-func (s *Solver3D) DumpFields() map[string][]float64 {
-	return dump.CopyFields(fieldNames3D, populations(s.FluidFields(), s.F[:]))
-}
-
-// RestoreFields reloads the 3D populations and fluid variables.
-func (s *Solver3D) RestoreFields(fields map[string][]float64) error {
-	return dump.RestoreFields(fieldNames3D, populations(s.FluidFields(), s.F[:]), fields)
+// ClearScratch is Solver2D.ClearScratch for the post-shift buffers, the
+// filter workspace and the exchange buffer.
+func (s *Solver3D) ClearScratch() {
+	for _, f := range s.nF {
+		clear(f.Data())
+	}
+	clear(s.scratch)
+	s.xbuf = s.xbuf[:0]
 }
