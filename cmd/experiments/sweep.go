@@ -8,18 +8,11 @@ import (
 
 	"repro/farm"
 	"repro/farm/workload"
-	"repro/internal/perf"
 )
 
-const (
-	// sweepTimer is the registry name of the sweep's step timer: the
-	// perf discrete-event engine on the paper's shared 10 Mbps Ethernet,
-	// the same pricing the farm experiment uses.
-	sweepTimer = "perf-ethernet"
-	// sweepSeeds is the number of seeds per (spec, policy, backfill)
-	// cell, numbered 1..sweepSeeds.
-	sweepSeeds = 2
-)
+// sweepSeeds is the number of seeds per (spec, policy, backfill) cell,
+// numbered 1..sweepSeeds.
+const sweepSeeds = 2
 
 // sweepSpecs are the built-in scenario family: a quiet baseline, the
 // section-5.1 reclaim regime, and a bursty diurnal pool with churn and
@@ -141,7 +134,6 @@ type sweepTable struct {
 // byte-identical — the determinism regression pin), and reports the
 // run's metrics. The table prints as text and as JSON.
 func sweep(w io.Writer) error {
-	workload.RegisterTimer(sweepTimer, farm.PerfTimer(perf.Ethernet))
 	knobs := []struct {
 		policy   farm.Policy
 		backfill farm.BackfillMode
@@ -151,7 +143,7 @@ func sweep(w io.Writer) error {
 		{farm.Priority, farm.BackfillEASY},
 		{farm.WeightedFair, farm.BackfillEASY},
 	}
-	table := sweepTable{Format: "farm-sweep-summary", Version: 1, Timer: sweepTimer}
+	table := sweepTable{Format: "farm-sweep-summary", Version: 1, Timer: workload.TimerPerfEthernet}
 	for _, spec := range sweepSpecs() {
 		header(w, fmt.Sprintf("Sweep %q: %d knob sets x %d seeds (trace-verified)", spec.Name, len(knobs), sweepSeeds))
 		fmt.Fprintf(w, "%-10s %-12s %5s %5s %12s %12s %8s %9s %7s %6s\n",
@@ -159,7 +151,7 @@ func sweep(w io.Writer) error {
 		for _, k := range knobs {
 			for seed := int64(1); seed <= sweepSeeds; seed++ {
 				cfg := workload.RunConfig{
-					Seed: seed, Policy: k.policy, Backfill: k.backfill, Timer: sweepTimer,
+					Seed: seed, Policy: k.policy, Backfill: k.backfill, Timer: workload.TimerPerfEthernet,
 				}
 				tr, sum, err := workload.Record(spec, cfg)
 				if err != nil {

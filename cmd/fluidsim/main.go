@@ -8,16 +8,19 @@
 //
 //	fluidsim run    -dir DIR -steps S [-tcp]
 //	    the job-submit program: restarts every rank from its dump file
-//	    (one goroutine per rank; -tcp uses real TCP sockets on loopback
-//	    with the shared-file port registry), runs S steps, saves the
-//	    final dumps in an orderly staggered sequence, and writes the
-//	    gathered vorticity field to DIR/vorticity.pgm.
+//	    as a core.Job (one goroutine per rank; -tcp uses real TCP
+//	    sockets on loopback with the shared-file port registry), runs S
+//	    steps, suspends the job through the section-5.1 protocol (its
+//	    sync files under DIR/sync), saves the final dumps in an orderly
+//	    staggered sequence, and writes the gathered vorticity field to
+//	    DIR/vorticity.pgm.
 //
 //	fluidsim status -dir DIR
 //	    the monitoring program's read side: reports each rank's dump.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -33,6 +36,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/msg"
 	"repro/internal/registry"
+	"repro/internal/syncfile"
 	"repro/internal/viz"
 )
 
@@ -199,50 +203,42 @@ func cmdRun(args []string) error {
 		}
 	}
 
-	events := make(chan core.Event, 8*cfg.D.P())
-	workers := make([]*core.Worker, 0, cfg.D.P())
-	progs := make([]*core.Program2D, 0, cfg.D.P())
-	for _, st := range states {
-		p, err := cfg.RestoreProgram(st)
-		if err != nil {
-			return err
-		}
-		progs = append(progs, p)
-		w, err := core.NewWorkerAt(p, factory, st.Epoch, events, st.Step)
-		if err != nil {
-			return err
-		}
-		workers = append(workers, w)
+	sf, err := syncfile.New(filepath.Join(*dir, "sync"))
+	if err != nil {
+		return err
+	}
+	job, progs, err := core.NewJob2D(cfg, factory, sf, until)
+	if err != nil {
+		return err
 	}
 	t0 := time.Now()
-	errs := make(chan error, len(workers))
-	for _, w := range workers {
-		go func(w *core.Worker) { errs <- w.RunSteps(until) }(w)
+	if err := job.Resume(states); err != nil {
+		return err
 	}
-	for range workers {
-		if err := <-errs; err != nil {
-			return err
-		}
+	// An undisturbed run reports nothing before its ranks finish, so a
+	// silent wait is the run still computing, not a hung rank: wait on.
+	for err = job.WaitDone(); errors.Is(err, core.ErrWorkerSilent); err = job.WaitDone() {
 	}
-	for _, w := range workers {
-		w.Close()
+	if err != nil {
+		job.Shutdown()
+		return err
 	}
 	elapsed := time.Since(t0)
 	log.Printf("ran %d ranks from step %d to %d in %v (%.0f node-updates/s)",
-		len(workers), startStep, until, elapsed.Round(time.Millisecond),
+		job.P(), startStep, until, elapsed.Round(time.Millisecond),
 		float64(*steps)*float64(cfg.D.GX*cfg.D.GY)/elapsed.Seconds())
 
-	// Orderly staggered saving (section 5.2).
-	seq := dump.NewSequencer(0)
-	finals := make([]*dump.State, len(progs))
-	for i, p := range progs {
-		finals[i] = p.DumpState(until, 0)
+	// Every rank dumps its state and exits (section 5.1), and the dumps
+	// are saved in an orderly staggered sequence (section 5.2).
+	finals, err := job.Suspend()
+	if err != nil {
+		return err
 	}
-	if err := seq.SaveAll(*dir, finals); err != nil {
+	if err := dump.NewSequencer(0).SaveAll(*dir, finals); err != nil {
 		return err
 	}
 
-	res := core.Gather2D(cfg, progs, until)
+	res := progs.Gather(until)
 	out := filepath.Join(*dir, "vorticity.pgm")
 	f, err := os.Create(out)
 	if err != nil {

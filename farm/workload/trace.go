@@ -7,11 +7,11 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/farm"
 	"repro/farm/autoscale"
+	"repro/internal/perf"
 )
 
 // Trace file identification. A trace is self-describing: Format names
@@ -33,7 +33,7 @@ const (
 // Trace sentinels, checkable with errors.Is.
 var (
 	// ErrBadTrace: the trace is unreadable — wrong format or version,
-	// or it names a timer this process has not registered.
+	// or it names no known timer.
 	ErrBadTrace = errors.New("unsupported trace")
 	// ErrTraceDiverged: a Verify re-run produced a different event
 	// stream than the trace recorded.
@@ -48,8 +48,8 @@ var (
 //
 // Verify re-runs the recorded configuration on a fresh quiet paper pool
 // and asserts the stream is byte-identical — the regression pin. A
-// timer is a function, so the trace carries its registry name
-// (RegisterTimer), not a value; checkpoint directories are
+// timer is a function, so the trace carries its name (TimerCompute,
+// TimerPerfEthernet), not a value; checkpoint directories are
 // operator-local and deliberately absent (event String forms omit them
 // too), so Verify checkpoints into a throwaway directory on the
 // recorded virtual-time grid.
@@ -112,8 +112,8 @@ type RunConfig struct {
 	Seed     int64
 	Policy   farm.Policy
 	Backfill farm.BackfillMode
-	// Timer is a registry name (RegisterTimer); empty means
-	// TimerCompute.
+	// Timer is a timer name (TimerCompute, TimerPerfEthernet); empty
+	// means TimerCompute.
 	Timer string
 	// CheckpointEvery arms periodic checkpointing into CheckpointDir
 	// (Record requires a directory when the interval is set; Verify
@@ -128,26 +128,21 @@ type RunConfig struct {
 	Autoscale *AutoscalePlan
 }
 
-// TimerCompute is the registry name of the communication-free step
-// timer, the farm's default.
-const TimerCompute = "compute"
-
-// The timer registry. Traces reference timers by name so a trace file
-// stays a pure data artifact; a process verifying a trace that uses a
-// custom timer registers it first under the recorded name.
-var (
-	regMu  sync.Mutex
-	timers = map[string]farm.StepTimer{
-		TimerCompute: farm.ComputeTimer,
-	}
+// The timer names a trace may record: traces reference timers by name so a
+// trace file stays a pure data artifact.
+const (
+	// TimerCompute is the communication-free step timer, the farm's
+	// default.
+	TimerCompute = "compute"
+	// TimerPerfEthernet prices a step with the perf discrete-event engine
+	// on the paper's shared 10 Mbps Ethernet.
+	TimerPerfEthernet = "perf-ethernet"
 )
 
-// RegisterTimer names a step timer for traces. Registering a name
-// twice replaces it.
-func RegisterTimer(name string, t farm.StepTimer) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	timers[name] = t
+// timers maps every timer name to its step timer.
+var timers = map[string]farm.StepTimer{
+	TimerCompute:      farm.ComputeTimer,
+	TimerPerfEthernet: farm.PerfTimer(perf.Ethernet),
 }
 
 // timerFor resolves a timer name ("" = compute).
@@ -155,19 +150,17 @@ func timerFor(name string) (farm.StepTimer, error) {
 	if name == "" {
 		name = TimerCompute
 	}
-	regMu.Lock()
 	t, ok := timers[name]
-	regMu.Unlock()
 	if !ok {
-		return nil, fmt.Errorf("workload: %w: timer %q is not registered", ErrBadTrace, name)
+		return nil, fmt.Errorf("workload: %w: timer %q is not known", ErrBadTrace, name)
 	}
 	return t, nil
 }
 
 // build assembles the farm for one run: the quiet paper pool (the
 // paper's 25 hosts after 30 idle minutes — load averages decayed, every
-// user idle — the experiments' common starting condition), the timer
-// from the registry, the scenario compiled onto WithScenario,
+// user idle — the experiments' common starting condition), the named
+// timer, the scenario compiled onto WithScenario,
 // checkpointing on the given grid.
 func build(cfg RunConfig, sc *Scenario) (*farm.Farm, error) {
 	timer, err := timerFor(cfg.Timer)

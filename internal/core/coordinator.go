@@ -42,7 +42,7 @@ type Job struct {
 	done    map[int]bool
 
 	// rebuild restores a set of dumps into their ranks' live Programs, or
-	// into fresh ones (RestoreProgram) that become live, as JobPrograms has.
+	// into fresh ones (restoreProgram) that become live, as JobPrograms has.
 	rebuild func(states []*dump.State) ([]Program, error)
 
 	// resplit re-cuts a full set of same-step dumps onto a new decomposition
@@ -151,6 +151,9 @@ func newJob[C setup[P], P built, R any](cfg C, gather func(C, []P, int) R,
 		jp.progs[rank] = p
 		w, err := NewWorker(p, factory, 0, j.events)
 		if err != nil {
+			for _, rank := range j.ranks() {
+				j.workers[rank].retire()
+			}
 			return nil, nil, err
 		}
 		j.wireSync(w)
@@ -249,7 +252,9 @@ func (j *Job) pauseAll() error {
 			j.done[e.Rank] = true
 		}
 	}
-	return nil
+	// Every rank has read the round to pause, so its file goes: the next
+	// job over the same directory numbers its rounds from 1 again.
+	return j.Sync.Clear(j.round)
 }
 
 // collect is step 3: the given (paused) ranks save their state, then exit
@@ -278,11 +283,12 @@ func (j *Job) collect(ranks []int, exit bool) ([]*dump.State, error) {
 
 // launch is step 4: the ranks of a set of dumps are restored from them and
 // get fresh workers with channels at the current epoch, ready to start.
-// The workers they replace, whose compute loops have exited, shut down.
+// The workers they replace, whose compute loops have exited, retire, and
+// so do the fresh ones if a later rank cannot open its channels.
 func (j *Job) launch(states []*dump.State) error {
 	for _, st := range states {
 		if w := j.workers[st.Rank]; w != nil {
-			w.Shutdown()
+			w.retire()
 		}
 	}
 	progs, err := j.rebuild(states)
@@ -291,8 +297,11 @@ func (j *Job) launch(states []*dump.State) error {
 	}
 	for i, st := range states {
 		st.Epoch = j.epoch
-		w, err := NewWorkerAt(progs[i], j.Factory, j.epoch, j.events, st.Step)
+		w, err := newWorkerAt(progs[i], j.Factory, j.epoch, j.events, st.Step)
 		if err != nil {
+			for _, made := range states[:i] {
+				j.workers[made.Rank].retire()
+			}
 			return fmt.Errorf("restarting rank %d: %w", st.Rank, err)
 		}
 		j.wireSync(w)

@@ -10,9 +10,10 @@
 //     (cmd/fluidsim and the package examples construct masks and fields);
 //   - decomposition program   -> Decompose2D/Decompose3D, which produce one
 //     dump.State per active subregion;
-//   - job-submit program      -> NewJob2D/NewJob3D plus Job.Start, which
-//     create the workers, open their communication channels and run them
-//     (Config2D/3D.RestoreProgram + NewWorkerAt for a rank at a time);
+//   - job-submit program      -> Job: NewJob2D/NewJob3D create the
+//     workers and open their communication channels, Job.Start runs them
+//     from the initial condition and Job.Resume from a set of dumps.
+//     RunParallel2D/3D and cmd/fluidsim drive a Job too;
 //   - monitoring program      -> the farm (farm/reclaim.go), which moves
 //     ranks through the migration protocol in coordinator.go: this
 //     package runs a job, and the farm places it.

@@ -81,6 +81,45 @@ func TestMigrationPreservesSolution(t *testing.T) {
 	}
 }
 
+// TestSyncDirReusedByASecondJob: two jobs over one sync directory, one
+// after the other, migrate a rank at step 30 and then at step 7. Each
+// numbers its rounds from 1, so the second reads the first's announcements
+// as its own, and its ranks pick different sync steps and never all
+// pause, unless a round's file goes once every rank has paused.
+func TestSyncDirReusedByASecondJob(t *testing.T) {
+	const steps = 40
+	ref, _, err := RunSequential2D(channelConfig(t, MethodLB, 2, 2, 24, 16), steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sf, err := syncfile.New(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []int{30, 7} {
+		hold := newStepHold(step)
+		j, jp, err := NewJob2D(channelConfig(t, MethodLB, 2, 2, 24, 16), hold.over(HubFactory()), sf, steps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.WaitTimeout = 5 * time.Second
+		j.Start()
+		at := hold.wait(j)
+		dumps, err := migrated(j, 1)
+		if err != nil {
+			t.Fatalf("job migrating at step %d: %v", at, err)
+		}
+		midRun(t, "migration", dumps, at, steps)
+		if err := j.WaitDone(); err != nil {
+			t.Fatal(err)
+		}
+		j.Shutdown()
+		if ok, x, y, d := resultsEqual(ref, jp.Gather(steps), 0); !ok {
+			t.Errorf("job migrating at step %d differs from the reference at (%d,%d) by %g", at, x, y, d)
+		}
+	}
+}
+
 // TestSimultaneousMigration migrates two ranks in one round (the paper:
 // "the synchronization allows more than one process to migrate at the
 // same time if it is desired").

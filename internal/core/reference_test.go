@@ -711,14 +711,14 @@ func TestRebuildMatchesReference(t *testing.T) {
 					name: fmt.Sprintf("%s eps=%v 2D", method, eps), ranks: d2.P(),
 					fresh:   func(rank int) (Program, error) { return cfg2.NewProgram(rank) },
 					ref:     func(st *dump.State) (Program, error) { return refRebuild2D(cfg2, st) },
-					restore: func(st *dump.State) (Program, error) { return cfg2.RestoreProgram(st) },
+					restore: func(st *dump.State) (Program, error) { return restoreProgram(cfg2, st) },
 					solver:  func(p Program) any { return p.(*Program2D).M },
 				},
 				{
 					name: fmt.Sprintf("%s eps=%v 3D", method, eps), ranks: d3.P(),
 					fresh:   func(rank int) (Program, error) { return cfg3.NewProgram(rank) },
 					ref:     func(st *dump.State) (Program, error) { return refRebuild3D(cfg3, st) },
-					restore: func(st *dump.State) (Program, error) { return cfg3.RestoreProgram(st) },
+					restore: func(st *dump.State) (Program, error) { return restoreProgram(cfg3, st) },
 					solver:  func(p Program) any { return p.(*Program3D).M },
 				},
 			} {

@@ -68,20 +68,22 @@ func (r *reorderTransport) Recv() (msg.Message, error) {
 	return m, nil
 }
 
-// reordering runs the programs over one hub with every rank's endpoint
-// decorated.
-func reordering[P Program](k int, swapped *atomic.Int64) func([]P, int) error {
-	return func(progs []P, steps int) error {
-		hub := msg.NewHub()
-		factory := func(rank, epoch int) (msg.Transport, error) {
-			fanIn := make([]int, progs[rank].Phases())
-			for ph := range fanIn {
-				fanIn[ph] = len(progs[rank].Expects(ph))
-			}
-			return &reorderTransport{Transport: hub.Join(rank), k: k, fanIn: fanIn,
-				pulled: map[[2]int]int{}, swapped: swapped}, nil
+// reordering returns a factory over one hub with every rank's endpoint
+// decorated; program builds a rank's Program, whose exchanges give the
+// fan-in of each phase.
+func reordering[P Program](k int, swapped *atomic.Int64, program func(rank int) (P, error)) TransportFactory {
+	hub := msg.NewHub()
+	return func(rank, epoch int) (msg.Transport, error) {
+		p, err := program(rank)
+		if err != nil {
+			return nil, err
 		}
-		return overTransport[P](factory)(progs, steps)
+		fanIn := make([]int, p.Phases())
+		for ph := range fanIn {
+			fanIn[ph] = len(p.Expects(ph))
+		}
+		return &reorderTransport{Transport: hub.Join(rank), k: k, fanIn: fanIn,
+			pulled: map[[2]int]int{}, swapped: swapped}, nil
 	}
 }
 
@@ -147,7 +149,8 @@ func TestReorderedDeliveryIsInvisible(t *testing.T) {
 			t.Fatal(err)
 		}
 		var swapped atomic.Int64
-		got, _, err := run(channelConfig(t, MethodLB, 3, 2, 24, 16), steps, reordering[*Program2D](3, &swapped), Gather2D)
+		cfg := channelConfig(t, MethodLB, 3, 2, 24, 16)
+		got, err := RunParallel2D(cfg, steps, reordering(3, &swapped, cfg.NewProgram))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +184,8 @@ func TestReorderedDeliveryIsInvisible(t *testing.T) {
 			t.Fatal(err)
 		}
 		var swapped atomic.Int64
-		got, _, err := run(cfg(), steps, reordering[*Program3D](3, &swapped), Gather3D)
+		c := cfg()
+		got, err := RunParallel3D(c, steps, reordering(3, &swapped, c.NewProgram))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/decomp"
 	"repro/internal/dump"
 	"repro/internal/fluid"
+	"repro/internal/msg"
 	"repro/internal/syncfile"
 )
 
@@ -283,6 +285,128 @@ func TestReplacedWorkersLeakNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.Shutdown()
+}
+
+// transportLog opens TCP transports through open and keeps every one, so
+// a test can count those still open. The rank and epoch in refuse fail to
+// open ({-1, -1}: none).
+type transportLog struct {
+	open   TransportFactory
+	refuse [2]int
+
+	mu   sync.Mutex
+	made []*closeMark
+}
+
+// closeMark records whether its transport was closed.
+type closeMark struct {
+	msg.Transport
+	epoch  int
+	closed atomic.Bool
+}
+
+func (c *closeMark) Close() error {
+	c.closed.Store(true)
+	return c.Transport.Close()
+}
+
+func (l *transportLog) factory(rank, epoch int) (msg.Transport, error) {
+	if rank == l.refuse[0] && epoch == l.refuse[1] {
+		return nil, fmt.Errorf("rank %d epoch %d refused", rank, epoch)
+	}
+	tr, err := l.open(rank, epoch)
+	if err != nil {
+		return nil, err
+	}
+	m := &closeMark{Transport: tr, epoch: epoch}
+	l.mu.Lock()
+	l.made = append(l.made, m)
+	l.mu.Unlock()
+	return m, nil
+}
+
+// leftOpen fails the test if a transport of the epoch is still open.
+func (l *transportLog) leftOpen(t *testing.T, what string, epoch int) {
+	t.Helper()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := 0
+	for _, m := range l.made {
+		if m.epoch == epoch && !m.closed.Load() {
+			n++
+		}
+	}
+	if n > 0 {
+		t.Errorf("%s: %d transports of epoch %d left open", what, n, epoch)
+	}
+}
+
+// TestDroppedWorkersLeakNoTransport: a Job closes the transport of every
+// worker it drops before that worker ran: the ranks already made when a
+// later rank cannot open its channels, at NewJob and at a relaunch, and the
+// epoch-0 workers of a job resumed before it started (a farm job restored
+// from a checkpoint, fluidsim run). Over TCP an open transport is also an
+// accept loop, which the package's leak check finds.
+func TestDroppedWorkersLeakNoTransport(t *testing.T) {
+	const steps = 20
+	newSync := func() *syncfile.Sync {
+		sf, err := syncfile.New(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sf
+	}
+	t.Run("factory fails", func(t *testing.T) {
+		l := &transportLog{open: tcpFactory(t), refuse: [2]int{3, 0}}
+		if _, _, err := NewJob2D(resizeCfg2D(t, MethodLB, 2, 2), l.factory, newSync(), steps); err == nil {
+			t.Fatal("NewJob2D with rank 3 refused: no error")
+		}
+		l.leftOpen(t, "NewJob2D", 0)
+	})
+	t.Run("launch fails", func(t *testing.T) {
+		l := &transportLog{open: tcpFactory(t), refuse: [2]int{3, 1}}
+		j, _, err := NewJob2D(resizeCfg2D(t, MethodLB, 2, 2), l.factory, newSync(), steps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.Start()
+		states, err := j.Suspend()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Resume(states); err == nil {
+			t.Fatal("Resume with rank 3 refused: no error")
+		}
+		l.leftOpen(t, "Resume", 0)
+		l.leftOpen(t, "Resume", 1)
+	})
+	t.Run("resume before start", func(t *testing.T) {
+		cfg := resizeCfg2D(t, MethodLB, 2, 2)
+		ref, _, err := RunSequential2D(cfg, steps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		states, err := Decompose2D(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := &transportLog{open: tcpFactory(t), refuse: [2]int{-1, -1}}
+		j, jp, err := NewJob2D(cfg, l.factory, newSync(), steps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Resume(states); err != nil {
+			t.Fatal(err)
+		}
+		l.leftOpen(t, "Resume", 0)
+		if err := j.WaitDone(); err != nil {
+			t.Fatal(err)
+		}
+		j.Shutdown()
+		if ok, x, y, d := resultsEqual(ref, jp.Gather(steps), 0); !ok {
+			t.Errorf("resumed job differs from the reference at (%d,%d) by %g", x, y, d)
+		}
+	})
 }
 
 // TestShutdownIsIdempotent: Suspend has already retired every worker's

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/decomp"
@@ -126,18 +127,38 @@ func decompose[P built](c setup[P]) ([]*dump.State, error) {
 	return states, nil
 }
 
-// run builds the decomposed problem, integrates it with exec and gathers
-// the global solution.
-func run[C setup[P], P built, R any](c C, steps int, exec func([]P, int) error, gather func(C, []P, int) R) (R, []P, error) {
+// run builds the decomposed problem, integrates it in phase lockstep
+// (stepSequential) and gathers the global solution.
+func run[C setup[P], P built, R any](c C, steps int, gather func(C, []P, int) R) (R, []P, error) {
 	var none R
 	progs, err := buildAll[P](c)
 	if err != nil {
 		return none, nil, err
 	}
-	if err := exec(progs, steps); err != nil {
+	if err := stepSequential(progs, steps); err != nil {
 		return none, nil, err
 	}
 	return gather(c, progs, steps), progs, nil
+}
+
+// runJob runs the decomposed problem as an undisturbed Job over the
+// factory, one worker goroutine per rank, and gathers the global solution.
+func runJob[C setup[P], P built, R any](c C, steps int, factory TransportFactory, gather func(C, []P, int) R) (R, error) {
+	var none R
+	j, jp, err := newJob(c, gather, factory, nil, steps)
+	if err != nil {
+		return none, err
+	}
+	j.Start()
+	// An undisturbed run reports nothing before its ranks finish, so a
+	// silent wait is the run still computing, not a hung rank: wait on.
+	for err = j.WaitDone(); errors.Is(err, ErrWorkerSilent); err = j.WaitDone() {
+	}
+	j.Shutdown()
+	if err != nil {
+		return none, err
+	}
+	return jp.Gather(steps), nil
 }
 
 // stepSequential advances a set of programs in one goroutine, delivering
@@ -175,41 +196,6 @@ func stepSequential[P Program](progs []P, steps int) error {
 		}
 	}
 	return nil
-}
-
-// overTransport returns the parallel executor: one worker goroutine per
-// program over the given transport factory (channel hub or TCP) — the
-// job-submit program plus the parallel program of section 4. It returns
-// the first worker error once all of them have stopped.
-func overTransport[P Program](factory TransportFactory) func([]P, int) error {
-	return func(progs []P, steps int) error {
-		workers := make([]*Worker, len(progs))
-		events := make(chan Event, 4*len(progs))
-		for rank, p := range progs {
-			w, err := NewWorker(p, factory, 0, events)
-			if err != nil {
-				return err
-			}
-			workers[rank] = w
-		}
-		errs := make(chan error, len(workers))
-		for _, w := range workers {
-			//detlint:allow entropy -- rank goroutine: halo exchanges are rank-addressed, so the fields do not depend on the interleaving; only which of several rank errors is returned first does
-			go func(w *Worker) {
-				errs <- w.RunSteps(steps)
-			}(w)
-		}
-		var first error
-		for range workers {
-			if err := <-errs; err != nil && first == nil {
-				first = err
-			}
-		}
-		for _, w := range workers {
-			w.Close()
-		}
-		return first
-	}
 }
 
 // HubFactory returns a TransportFactory over a fresh in-process hub.
@@ -324,10 +310,6 @@ func (c *Config2D) workerBudget() int { return workerBudget(c.Workers, c.D.P()) 
 // NewProgram builds the Program for one rank at the initial condition.
 func (c *Config2D) NewProgram(rank int) (*Program2D, error) { return newProgram(c, rank) }
 
-// RestoreProgram builds the Program a dump belongs to, evaluating no
-// initial condition.
-func (c *Config2D) RestoreProgram(st *dump.State) (*Program2D, error) { return restoreProgram(c, st) }
-
 // Decompose2D is the decomposition program: one dump.State per active
 // subregion.
 func Decompose2D(c *Config2D) ([]*dump.State, error) { return decompose(c) }
@@ -375,12 +357,11 @@ func Gather2D(c *Config2D, progs []*Program2D, steps int) *Result2D {
 // RunSequential2D executes the decomposed problem in one goroutine, in
 // phase lockstep (stepSequential): the serial reference.
 func RunSequential2D(c *Config2D, steps int) (*Result2D, []*Program2D, error) {
-	return run(c, steps, stepSequential[*Program2D], Gather2D)
+	return run(c, steps, Gather2D)
 }
 
 // RunParallel2D runs the decomposed problem with one goroutine per
-// subregion over the given transport factory (overTransport).
+// subregion over the given transport factory: an undisturbed Job.
 func RunParallel2D(c *Config2D, steps int, factory TransportFactory) (*Result2D, error) {
-	res, _, err := run(c, steps, overTransport[*Program2D](factory), Gather2D)
-	return res, err
+	return runJob(c, steps, factory, Gather2D)
 }

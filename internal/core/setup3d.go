@@ -100,10 +100,6 @@ func (c *Config3D) workerBudget() int { return workerBudget(c.Workers, c.D.P()) 
 // NewProgram builds the Program for one rank at the initial condition.
 func (c *Config3D) NewProgram(rank int) (*Program3D, error) { return newProgram(c, rank) }
 
-// RestoreProgram builds the Program a dump belongs to, evaluating no
-// initial condition.
-func (c *Config3D) RestoreProgram(st *dump.State) (*Program3D, error) { return restoreProgram(c, st) }
-
 // Decompose3D produces one dump per active box.
 func Decompose3D(c *Config3D) ([]*dump.State, error) { return decompose(c) }
 
@@ -137,11 +133,10 @@ func Gather3D(c *Config3D, progs []*Program3D, steps int) *Result3D {
 
 // RunSequential3D executes the decomposed 3D problem in phase lockstep.
 func RunSequential3D(c *Config3D, steps int) (*Result3D, []*Program3D, error) {
-	return run(c, steps, stepSequential[*Program3D], Gather3D)
+	return run(c, steps, Gather3D)
 }
 
 // RunParallel3D runs the decomposed 3D problem with one goroutine per box.
 func RunParallel3D(c *Config3D, steps int, factory TransportFactory) (*Result3D, error) {
-	res, _, err := run(c, steps, overTransport[*Program3D](factory), Gather3D)
-	return res, err
+	return runJob(c, steps, factory, Gather3D)
 }

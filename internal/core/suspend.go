@@ -60,14 +60,18 @@ func (j *Job) Resume(states []*dump.State) error {
 	return nil
 }
 
-// restart replaces the whole worker set with one fresh worker per state, at
-// the next communication epoch, and starts them. Resume calls it with the
-// suspended rank set, Resize with the re-cut one. A set at mixed steps is
-// refused before anything changes: started, the ranks that are behind would
-// wait for messages their neighbours will never send.
+// restart retires the whole worker set, started or not, replaces it with
+// one fresh worker per state, at the next communication epoch, and starts
+// them. Resume calls it with the suspended rank set, Resize with the re-cut
+// one. A set at mixed steps is refused before anything changes: started,
+// the ranks that are behind would wait for messages their neighbours will
+// never send.
 func (j *Job) restart(states []*dump.State) error {
 	if _, err := dump.CommonStep(states); err != nil {
 		return err
+	}
+	for _, rank := range j.ranks() {
+		j.workers[rank].retire()
 	}
 	j.epoch++
 	j.p = len(states)

@@ -136,12 +136,12 @@ type Worker struct {
 
 // NewWorker creates a worker starting at step 0.
 func NewWorker(prog Program, factory TransportFactory, epoch int, events chan<- Event) (*Worker, error) {
-	return NewWorkerAt(prog, factory, epoch, events, 0)
+	return newWorkerAt(prog, factory, epoch, events, 0)
 }
 
-// NewWorkerAt creates a worker whose state is already at the given step
+// newWorkerAt creates a worker whose state is already at the given step
 // (a restart from a dump file).
-func NewWorkerAt(prog Program, factory TransportFactory, epoch int, events chan<- Event, step int) (*Worker, error) {
+func newWorkerAt(prog Program, factory TransportFactory, epoch int, events chan<- Event, step int) (*Worker, error) {
 	t, err := factory(prog.Rank(), epoch)
 	if err != nil {
 		return nil, err
@@ -241,17 +241,6 @@ func (w *Worker) awaited(want []Expect, phase int, m msg.Message) int {
 		}
 	}
 	return -1
-}
-
-// RunSteps advances until Step reaches until, without any control-plane
-// interaction. It is the simple path used by tests and cmd/fluidsim.
-func (w *Worker) RunSteps(until int) error {
-	for w.Step < until {
-		if err := w.RunStep(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Start runs the worker to completion of `until` steps while honouring the
@@ -431,3 +420,10 @@ func (w *Worker) Shutdown() {
 
 // Close tears down the worker's transport (used by simple non-Start runs).
 func (w *Worker) Close() error { return w.t.Close() }
+
+// retire shuts down and closes a worker whose compute loop has exited or
+// never started, so nothing it opened outlives it.
+func (w *Worker) retire() {
+	w.Shutdown()
+	w.Close()
+}

@@ -41,6 +41,17 @@ func (p *stubProgram) DumpState(step, epoch int) *dump.State {
 }
 func (p *stubProgram) RestoreState(st *dump.State) error { return nil }
 
+// runSteps advances a worker until its Step reaches until, with no
+// control plane.
+func runSteps(w *Worker, until int) error {
+	for w.Step < until {
+		if err := w.RunStep(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // TestWorkerBuffersEarlyMessages: a fast peer may run several steps ahead
 // (appendix A); its early messages must be buffered and consumed in step
 // order, not dropped or misapplied.
@@ -63,7 +74,7 @@ func TestWorkerBuffersEarlyMessages(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := w.RunSteps(5); err != nil {
+	if err := runSteps(w, 5); err != nil {
 		t.Fatal(err)
 	}
 	if len(prog.unpacked) != 5 {
@@ -124,13 +135,13 @@ func TestAwaitServedFromPending(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := w.RunSteps(1); err != nil {
+		if err := runSteps(w, 1); err != nil {
 			t.Fatal(err)
 		}
 		if rc.recvs != 5 {
 			t.Fatalf("step 0 received %d messages, want all 5", rc.recvs)
 		}
-		if err := w.RunSteps(5); err != nil {
+		if err := runSteps(w, 5); err != nil {
 			t.Fatal(err)
 		}
 		if rc.recvs != 5 {
@@ -242,7 +253,7 @@ func TestWorkerUnsyncDrift(t *testing.T) {
 	defer b.Close()
 	const steps = 50
 	errs := make(chan error, 2)
-	go func() { errs <- a.RunSteps(steps) }()
+	go func() { errs <- runSteps(a, steps) }()
 	go func() {
 		// The slow worker yields before every step.
 		for i := 0; i < steps; i++ {
@@ -344,13 +355,13 @@ func TestWorkerPauseWithoutSyncFuncFails(t *testing.T) {
 	}
 }
 
-// TestRestoredWorkerStartsAtDumpStep: NewWorkerAt seeds the step counter.
+// TestRestoredWorkerStartsAtDumpStep: newWorkerAt seeds the step counter.
 func TestRestoredWorkerStartsAtDumpStep(t *testing.T) {
 	hub := msg.NewHub()
 	factory := func(rank, epoch int) (msg.Transport, error) { return hub.Join(rank), nil }
 	events := make(chan Event, 8)
 	prog := &stubProgram{rank: 0, peer: 0}
-	w, err := NewWorkerAt(prog, factory, 3, events, 17)
+	w, err := newWorkerAt(prog, factory, 3, events, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +369,7 @@ func TestRestoredWorkerStartsAtDumpStep(t *testing.T) {
 	if w.Step != 17 || w.Epoch != 3 {
 		t.Errorf("worker at step %d epoch %d, want 17, 3", w.Step, w.Epoch)
 	}
-	if err := w.RunSteps(18); err != nil {
+	if err := runSteps(w, 18); err != nil {
 		t.Fatal(err)
 	}
 	if prog.computed != 1 {

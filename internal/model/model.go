@@ -61,15 +61,3 @@ func Speedup(f float64, p int) float64 { return f * float64(p) }
 func MigrationOverhead(costSec, intervalSec float64) float64 {
 	return costSec / (intervalSec + costSec)
 }
-
-// UnsyncWindowFull is equation 22: the largest step difference between two
-// processes under a full stencil, max(J,K)-1.
-func UnsyncWindowFull(j, k int) int {
-	if j > k {
-		return j - 1
-	}
-	return k - 1
-}
-
-// UnsyncWindowStar is equation 23: (J-1)+(K-1) under a star stencil.
-func UnsyncWindowStar(j, k int) int { return (j - 1) + (k - 1) }

@@ -84,13 +84,3 @@ func TestMigrationOverhead(t *testing.T) {
 		t.Errorf("MigrationOverhead = %v, want ~0.011", got)
 	}
 }
-
-func TestUnsyncWindows(t *testing.T) {
-	// The (6 x 4) example: full stencil max(6,4)-1 = 5, star 8.
-	if got := UnsyncWindowFull(6, 4); got != 5 {
-		t.Errorf("full window = %d, want 5", got)
-	}
-	if got := UnsyncWindowStar(6, 4); got != 8 {
-		t.Errorf("star window = %d, want 8", got)
-	}
-}
