@@ -97,6 +97,10 @@ type Farm struct {
 	// easyDegraded counts the scheduling rounds whose EASY shadow was
 	// incomputable, so backfill explicitly fell back to aggressive.
 	easyDegraded int
+	// Scratch reused across rounds: projectedStart's running jobs by
+	// finish, and chooseShape's per-rank host speeds.
+	byFinish []*jobState
+	speeds   []float64
 
 	// start anchors the farm-relative clock: the first Run sets it to
 	// the cluster time it was entered at, unless Restore pre-set it to

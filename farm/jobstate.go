@@ -32,7 +32,12 @@ type jobState struct {
 func (j *jobState) resized() bool { return j.CurJX > 0 }
 
 // ranks returns the job's current rank count.
-func (j *jobState) ranks() int { return j.espec().Ranks() }
+func (j *jobState) ranks() int {
+	if !j.resized() {
+		return j.spec.Ranks()
+	}
+	return j.espec().Ranks()
+}
 
 // espec returns the job's effective spec: the submitted spec until the
 // first resize, afterwards a copy carrying the current lattice with the

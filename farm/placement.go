@@ -1,47 +1,52 @@
 package farm
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/decomp"
 )
 
-// less orders the queue under the active policy; every policy falls back
-// to (Submit, ID) so rounds are deterministic.
-func (f *Farm) less(a, b *jobState) bool {
+// compare orders the queue under the active policy; every policy falls
+// back to (Submit, ID) so rounds are deterministic.
+func (f *Farm) compare(a, b *jobState) int {
 	switch f.policy {
 	case Priority:
-		if a.spec.Priority != b.spec.Priority {
-			return a.spec.Priority > b.spec.Priority
+		if c := cmp.Compare(b.spec.Priority, a.spec.Priority); c != 0 {
+			return c
 		}
 	case WeightedFair:
-		if fa, fb := f.fairShare(a), f.fairShare(b); fa != fb {
-			return fa < fb
+		if c := cmp.Compare(f.fairShare(a), f.fairShare(b)); c != 0 {
+			return c
 		}
 	}
-	if a.spec.Submit != b.spec.Submit {
-		return a.spec.Submit < b.spec.Submit
-	}
-	return a.spec.ID < b.spec.ID
+	return cmp.Or(cmp.Compare(a.spec.Submit, b.spec.Submit), strings.Compare(a.spec.ID, b.spec.ID))
 }
 
 // scheduleRound places as many queued jobs as capacity (and, under
-// Priority, preemption) allows. Each placement re-sorts the queue — a
-// placement changes capacity and, under WeightedFair, shares. Under
+// Priority, preemption) allows, one placement per pass. Under
 // BackfillEASY a candidate behind the blocked head must finish before the
 // head's projected start (its virtual-finish-time reservation).
+//
+// A pass does only the work that can change its outcome (DESIGN.md): it
+// sorts the queue only when the order broke, skips a job wider than the
+// pass's capacity (Reserve would refuse it before drawing from the RNG),
+// and keeps the head's shadow until the head is placed.
 func (f *Farm) scheduleRound(t time.Duration) error {
 	degradeCounted := false
+	shadow, shadowSet := time.Duration(-1), false
 	for {
-		sort.SliceStable(f.queue, func(i, j int) bool { return f.less(f.queue[i], f.queue[j]) })
+		if !slices.IsSortedFunc(f.queue, f.compare) {
+			slices.SortStableFunc(f.queue, f.compare)
+		}
+		free := f.cluster.Capacity(f.selection)
 		placed := -1
-		shadow, shadowSet := time.Duration(-1), false
 		for i, js := range f.queue {
 			deadline := time.Duration(-1)
 			if i > 0 && f.backfill == BackfillEASY {
@@ -54,7 +59,7 @@ func (f *Farm) scheduleRound(t time.Duration) error {
 						// Fall back to aggressive backfill for this round —
 						// explicitly, so operators can see the head's
 						// protection lapse instead of it eroding silently.
-						// (The shadow is re-derived after every placement;
+						// (The shadow is re-derived when the head changes;
 						// the round degrades once, however many passes run.)
 						degradeCounted = true
 						f.easyDegraded++
@@ -63,16 +68,18 @@ func (f *Farm) scheduleRound(t time.Duration) error {
 				}
 				deadline = shadow
 			}
-			ok, err := f.tryPlace(js, t, deadline)
-			if err != nil {
-				return err
-			}
-			if ok {
-				placed = i
-				break
+			if js.ranks() <= free {
+				ok, err := f.tryPlace(js, t, deadline)
+				if err != nil {
+					return err
+				}
+				if ok {
+					placed = i
+					break
+				}
 			}
 			if i == 0 && f.policy == Priority {
-				ok, err := f.tryPreempt(js, t)
+				ok, err := f.tryPreempt(js, t, free)
 				if err != nil {
 					return err
 				}
@@ -95,6 +102,7 @@ func (f *Farm) scheduleRound(t time.Duration) error {
 			f.emit(JobBackfilled{T: t, ID: js.spec.ID, Hosts: hostNames(js.res.Hosts),
 				StepSec: js.StepSec, Finish: js.FinishAt, Weighted: !js.shape.IsZero()})
 		} else {
+			shadowSet = false
 			f.emit(JobPlaced{T: t, ID: js.spec.ID, Hosts: hostNames(js.res.Hosts),
 				StepSec: js.StepSec, Finish: js.FinishAt, Weighted: !js.shape.IsZero()})
 		}
@@ -119,9 +127,9 @@ func (f *Farm) scheduleRound(t time.Duration) error {
 func (f *Farm) projectedStart(head *jobState) time.Duration {
 	free := f.cluster.Capacity(f.selection)
 	need := head.ranks()
-	run := append([]*jobState(nil), f.running...)
-	sort.SliceStable(run, func(i, j int) bool { return run[i].FinishAt < run[j].FinishAt })
-	for _, r := range run {
+	f.byFinish = append(f.byFinish[:0], f.running...)
+	slices.SortStableFunc(f.byFinish, func(a, b *jobState) int { return cmp.Compare(a.FinishAt, b.FinishAt) })
+	for _, r := range f.byFinish {
 		if free >= need {
 			break
 		}
@@ -165,23 +173,26 @@ func (f *Farm) reusable(js *jobState) int {
 // balanced compute saves; the comparison guarantees weighting never
 // prices a placement worse than the identical-spans split would have,
 // whichever timer the farm runs. Equal speeds produce a weighted shape
-// bit-identical to the uniform one, so homogeneous pools always fall
-// through to uniform. Returning the price lets tryPlace reuse it
-// instead of running the timer — a whole discrete-event simulation
-// under PerfTimer — a second time on the winning shape.
+// bit-identical to the uniform one, so hosts of one speed go straight to
+// uniform without building either. Returning the price lets tryPlace
+// reuse it instead of running the timer — a whole discrete-event
+// simulation under PerfTimer — a second time on the winning shape.
 func (f *Farm) chooseShape(spec JobSpec, hosts []*cluster.Host) (decomp.Shape, float64, error) {
-	uni := uniformShape(spec)
-	if w, err := WeightedShape(spec, hosts); err == nil && !w.Equal(uni) {
-		wb, errW := f.price(spec, w, hosts)
-		ub, errU := f.price(spec, uni, hosts)
-		if errW == nil && errU == nil && wb < ub {
-			return w, wb, nil
+	f.speeds = rankSpeeds(f.speeds[:0], spec, hosts)
+	if slices.Min(f.speeds) != slices.Max(f.speeds) {
+		uni := uniformShape(spec)
+		if w, err := weightedShape(spec, f.speeds); err == nil && !w.Equal(uni) {
+			wb, errW := f.price(spec, w, hosts)
+			ub, errU := f.price(spec, uni, hosts)
+			if errW == nil && errU == nil && wb < ub {
+				return w, wb, nil
+			}
+			if errU == nil {
+				return decomp.Shape{}, ub, nil
+			}
+			// The uniform pricing itself failed; re-run it below so the
+			// caller sees the error exactly as a direct pricing would.
 		}
-		if errU == nil {
-			return decomp.Shape{}, ub, nil
-		}
-		// The uniform pricing itself failed; re-run it below so the
-		// caller sees the error exactly as a direct pricing would.
 	}
 	sec, err := f.price(spec, decomp.Shape{}, hosts)
 	return decomp.Shape{}, sec, err
@@ -252,46 +263,40 @@ func (f *Farm) tryPlace(js *jobState, t time.Duration, deadline time.Duration) (
 
 // tryPreempt makes room for the blocked queue head by suspending running
 // jobs of strictly lower priority — lowest priority first, most recently
-// placed first among equals — then places the head.
-func (f *Farm) tryPreempt(js *jobState, t time.Duration) (bool, error) {
-	need := js.ranks() - f.cluster.Capacity(f.selection)
+// placed first among equals — then places the head. free is the pool's
+// capacity now. When every lower-priority job together frees too few
+// reusable hosts, it returns before choosing any.
+func (f *Farm) tryPreempt(js *jobState, t time.Duration, free int) (bool, error) {
+	need := js.ranks() - free
 	if need <= 0 {
+		return false, nil
+	}
+	total := 0
+	for _, r := range f.running {
+		if r.spec.Priority < js.spec.Priority {
+			total += f.reusable(r)
+		}
+	}
+	if total < need {
 		return false, nil
 	}
 	var victims []*jobState
 	for _, r := range f.running {
-		if r.spec.Priority < js.spec.Priority {
+		// Suspending a job that frees no reusable host would checkpoint
+		// it without unblocking the head.
+		if r.spec.Priority < js.spec.Priority && f.reusable(r) > 0 {
 			victims = append(victims, r)
 		}
 	}
-	sort.SliceStable(victims, func(i, j int) bool {
-		a, b := victims[i], victims[j]
-		if a.spec.Priority != b.spec.Priority {
-			return a.spec.Priority < b.spec.Priority
-		}
-		if a.PlacedAt != b.PlacedAt {
-			return a.PlacedAt > b.PlacedAt
-		}
-		return a.spec.ID > b.spec.ID
+	slices.SortStableFunc(victims, func(a, b *jobState) int {
+		return cmp.Or(cmp.Compare(a.spec.Priority, b.spec.Priority),
+			cmp.Compare(b.PlacedAt, a.PlacedAt), strings.Compare(b.spec.ID, a.spec.ID))
 	})
-	got := 0
-	var chosen []*jobState
-	for _, v := range victims {
-		// Suspending a victim that frees no reusable host would checkpoint
-		// a job without unblocking the head.
-		freed := f.reusable(v)
-		if freed == 0 {
-			continue
-		}
-		chosen = append(chosen, v)
-		if got += freed; got >= need {
-			break
-		}
+	n := 0
+	for got := 0; got < need; n++ {
+		got += f.reusable(victims[n])
 	}
-	if got < need {
-		return false, nil
-	}
-	for _, v := range chosen {
+	for _, v := range victims[:n] {
 		if err := f.preempt(v, t); err != nil {
 			return false, err
 		}

@@ -325,6 +325,49 @@ func TestPreemptSkipsUserBusyVictims(t *testing.T) {
 	}
 }
 
+// TestBlockedRoundCostsNothing: a round that can place nothing — the
+// head too wide for the free hosts and no lower-priority job to preempt,
+// every job behind it too wide as well — allocates nothing and draws
+// nothing from the RNG that Checkpoint persists.
+func TestBlockedRoundCostsNothing(t *testing.T) {
+	s := newFarm(idlePool(), Priority, 1)
+	for _, sp := range []JobSpec{
+		{ID: "runner", Method: "lb2d", JX: 5, JY: 4, Side: 40, Steps: 5000, Priority: 5},
+		{ID: "head", Method: "lb2d", JX: 5, JY: 5, Side: 40, Steps: 100, Priority: 1},
+		{ID: "tail", Method: "lb2d", JX: 4, JY: 2, Side: 40, Steps: 100, Priority: 1},
+	} {
+		if _, err := s.Submit(sp, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.admit(0)
+	if err := s.scheduleRound(0); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.running) != 1 || len(s.queue) != 2 {
+		t.Fatalf("%d running, %d queued; want the runner placed and two blocked", len(s.running), len(s.queue))
+	}
+	state := s.src.State()
+	var err error
+	allocs := testing.AllocsPerRun(100, func() {
+		if e := s.scheduleRound(0); e != nil {
+			err = e
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("a blocked round allocates %v times", allocs)
+	}
+	if got := s.src.State(); got != state {
+		t.Errorf("a blocked round moved the RNG from %#x to %#x", state, got)
+	}
+	if len(s.running) != 1 || len(s.queue) != 2 {
+		t.Errorf("a blocked round changed the farm: %d running, %d queued", len(s.running), len(s.queue))
+	}
+}
+
 // TestPerfTimerAddsCommunication: the perf-plane estimate includes the
 // network, so it prices a step at or above the compute-only bound.
 func TestPerfTimerAddsCommunication(t *testing.T) {

@@ -48,12 +48,22 @@ func WeightedShape(spec JobSpec, hosts []*cluster.Host) (decomp.Shape, error) {
 	if len(hosts) < spec.Ranks() {
 		return decomp.Shape{}, fmt.Errorf("farm: %d hosts for %d ranks of %s", len(hosts), spec.Ranks(), spec.ID)
 	}
-	speed := make([]float64, spec.Ranks())
-	for i := range speed {
-		speed[i] = hosts[i].Speed(spec.Method)
-	}
+	return weightedShape(spec, rankSpeeds(nil, spec, hosts))
+}
+
+// weightedShape is WeightedShape over the ranks' host speeds.
+func weightedShape(spec JobSpec, speed []float64) (decomp.Shape, error) {
 	gx, gy, gz := spec.Grid()
 	return decomp.WeightedShape(spec.JX, spec.JY, spec.JZ, gx, gy, gz, speed)
+}
+
+// rankSpeeds appends to buf the speed at which each rank's host runs the
+// spec's method; hosts holds at least one host per rank.
+func rankSpeeds(buf []float64, spec JobSpec, hosts []*cluster.Host) []float64 {
+	for _, h := range hosts[:spec.Ranks()] {
+		buf = append(buf, h.Speed(spec.Method))
+	}
+	return buf
 }
 
 // forEachRank walks the spec's lattice in rank order (row-major, planes

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -118,6 +119,9 @@ type Worker struct {
 
 	t       msg.Transport
 	pending map[pkey][]float64
+	// lost holds the peers whose channels ended in this epoch, with the
+	// error that said so (msg.ErrPeerLost).
+	lost map[int]error
 	// A phase exchanges at most one message per direction each way, so a
 	// phase's outgoing batch and await's outstanding messages fit in
 	// arrays the step loop reuses.
@@ -153,6 +157,7 @@ func newWorkerAt(prog Program, factory TransportFactory, epoch int, events chan<
 		Epoch:   epoch,
 		t:       t,
 		pending: make(map[pkey][]float64),
+		lost:    make(map[int]error),
 		ctrl:    make(chan ctrlMsg, 8),
 		paused:  make(chan ctrlMsg, 8),
 		wake:    make(chan struct{}, 1),
@@ -211,8 +216,20 @@ func (w *Worker) await(phase int) error {
 		want = want[:len(want)+1]
 		want[len(want)-1] = e
 	}
+	if err := w.lostAmong(want); err != nil {
+		return fmt.Errorf("rank %d step %d phase %d: recv: %w", w.Rank(), w.Step, phase, err)
+	}
 	for len(want) > 0 {
 		m, err := w.t.Recv()
+		if errors.Is(err, msg.ErrPeerLost) {
+			// A peer that paused closed its channels after sending all
+			// this rank needs from it before the pause (DESIGN.md): its
+			// loss fails only a phase that still expects it.
+			w.lost[m.From] = err
+			if err = w.lostAmong(want); err == nil {
+				continue
+			}
+		}
 		if err != nil {
 			return fmt.Errorf("rank %d step %d phase %d: recv: %w", w.Rank(), w.Step, phase, err)
 		}
@@ -225,6 +242,17 @@ func (w *Worker) await(phase int) error {
 		// A message for a later step: buffer it. Neighbours can run
 		// several steps ahead (appendix A).
 		w.pending[pkey{m.Step, m.Phase, m.Dir, m.From}] = m.Data
+	}
+	return nil
+}
+
+// lostAmong returns the loss of the first peer in want whose channels
+// ended in this epoch, or nil.
+func (w *Worker) lostAmong(want []Expect) error {
+	for _, e := range want {
+		if err := w.lost[e.Peer]; err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -365,6 +393,7 @@ func (w *Worker) holdPaused() bool {
 				return false
 			}
 			w.t = t
+			clear(w.lost)
 			w.Epoch = c.epoch
 			w.pauseAt.Store(pauseNone)
 			c.ok()

@@ -53,6 +53,13 @@ type Message struct {
 // ErrClosed is returned by Recv and Send after Close.
 var ErrClosed = errors.New("msg: transport closed")
 
+// ErrPeerLost is returned (wrapped, naming the peer and the cause) by a TCP
+// transport's Recv once a peer's connection has ended, after every frame
+// read from it before the end, and by Send when a write to the peer
+// fails. The Message that Recv returns with it has From set to the lost
+// peer.
+var ErrPeerLost = errors.New("msg: peer lost")
+
 // Transport sends and receives messages between ranks.
 type Transport interface {
 	// Send delivers m to rank m.To. It may block briefly for flow
@@ -219,7 +226,7 @@ type TCP struct {
 	reg   *registry.Registry
 	ln    net.Listener
 
-	recv chan Message
+	recv chan arrival
 
 	mu     sync.Mutex
 	peers  map[int]*peerConn
@@ -228,6 +235,13 @@ type TCP struct {
 	// for good by Close: a higher rank waits on it for its peer to dial.
 	joined chan struct{}
 	wg     sync.WaitGroup
+}
+
+// arrival is one item of a TCP transport's receive queue: a frame, or the
+// error that ended a peer's connection.
+type arrival struct {
+	m   Message
+	err error
 }
 
 type peerConn struct {
@@ -256,7 +270,7 @@ func NewTCP(rank, epoch int, reg *registry.Registry) (*TCP, error) {
 		epoch:  epoch,
 		reg:    reg,
 		ln:     ln,
-		recv:   make(chan Message, queueCap),
+		recv:   make(chan arrival, queueCap),
 		peers:  make(map[int]*peerConn),
 		joined: make(chan struct{}),
 	}
@@ -302,26 +316,36 @@ func (t *TCP) acceptLoop() {
 			return
 		}
 		t.wg.Add(1)
-		go t.readLoop(conn)
+		go t.readLoop(conn, from)
 	}
 }
 
-func (t *TCP) readLoop(conn net.Conn) {
+// readLoop queues the frames arriving from peer on conn. The error that
+// ends the connection — EOF, a reset, a bad frame — is queued behind them
+// as ErrPeerLost, unless this transport is closing or conn is no longer
+// the peer's connection.
+func (t *TCP) readLoop(conn net.Conn, peer int) {
 	defer t.wg.Done()
 	fr := newFrameReader(conn)
 	for {
 		m, err := fr.next()
-		if err != nil {
-			return
-		}
-		m.To = t.rank
 		t.mu.Lock()
 		closed := t.closed
+		if err != nil {
+			pc := t.peers[peer]
+			closed = closed || pc == nil || pc.conn != conn
+		}
 		t.mu.Unlock()
 		if closed {
 			return
 		}
-		t.recv <- m
+		if err != nil {
+			t.recv <- arrival{Message{From: peer, To: t.rank},
+				fmt.Errorf("msg: rank %d lost rank %d: %w: %w", t.rank, peer, ErrPeerLost, err)}
+			return
+		}
+		m.To = t.rank
+		t.recv <- arrival{m: m}
 	}
 }
 
@@ -386,7 +410,7 @@ func (t *TCP) dial(to int) (*peerConn, error) {
 	}
 	// Read responses arriving on the dialed connection too.
 	t.wg.Add(1)
-	go t.readLoop(conn)
+	go t.readLoop(conn, to)
 	return pc, nil
 }
 
@@ -437,18 +461,18 @@ func (t *TCP) write(to int, ms []Message) error {
 		}
 	}
 	if _, err := pc.conn.Write(pc.wbuf); err != nil {
-		return fmt.Errorf("msg: rank %d write to rank %d: %w", t.rank, to, err)
+		return fmt.Errorf("msg: rank %d write to rank %d: %w: %w", t.rank, to, ErrPeerLost, err)
 	}
 	return nil
 }
 
-// Recv blocks until any peer delivers a message (FCFS).
+// Recv blocks until any peer delivers a message (FCFS) or a peer is lost.
 func (t *TCP) Recv() (Message, error) {
-	m, ok := <-t.recv
+	a, ok := <-t.recv
 	if !ok {
 		return Message{}, ErrClosed
 	}
-	return m, nil
+	return a.m, a.err
 }
 
 // Close unpublishes the address, closes the listener and all connections,

@@ -3,6 +3,7 @@ package msg
 import (
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -348,5 +349,67 @@ func TestFrameRejectsGarbage(t *testing.T) {
 	}()
 	if _, err := newFrameReader(r).next(); !errors.Is(err, errBadFrame) {
 		t.Errorf("garbage frame: %v, want errBadFrame", err)
+	}
+}
+
+// recvWithin runs Recv and fails the test unless it returns within d.
+func recvWithin(t *testing.T, tr *TCP, d time.Duration) (Message, error) {
+	t.Helper()
+	type result struct {
+		m   Message
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		m, err := tr.Recv()
+		done <- result{m, err}
+	}()
+	select {
+	case r := <-done:
+		return r.m, r.err
+	case <-time.After(d):
+		tr.Close() // ends the Recv above
+		t.Fatalf("Recv still blocked after %v", d)
+		return Message{}, nil
+	}
+}
+
+// TestTCPPeerLostOnDrop: when a peer's connection drops, Recv first
+// hands over every frame that arrived before the drop, then fails with
+// ErrPeerLost naming the peer, at once instead of never.
+func TestTCPPeerLostOnDrop(t *testing.T) {
+	a, b := newTCPPair(t)
+	if err := a.Send(Message{To: 1, Step: 4, Data: []float64{1, 2}}); err != nil {
+		t.Fatal(err)
+	}
+	a.mu.Lock()
+	conn := a.peers[1].conn
+	a.mu.Unlock()
+	conn.Close()
+	if m, err := recvWithin(t, b, time.Second); err != nil || m.Step != 4 {
+		t.Fatalf("first Recv after the drop = step %d, %v; want the frame sent before it", m.Step, err)
+	}
+	m, err := recvWithin(t, b, time.Second)
+	if !errors.Is(err, ErrPeerLost) || m.From != 0 {
+		t.Errorf("Recv after the drop = from %d, %v; want ErrPeerLost from rank 0", m.From, err)
+	}
+}
+
+// TestTCPPeerLostOnCorruptFrame: a peer that writes something that is not
+// a frame is lost, with the bad frame as the cause.
+func TestTCPPeerLostOnCorruptFrame(t *testing.T) {
+	_, b := newTCPPair(t)
+	conn, err := net.Dial("tcp", b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var hello [4]byte // rank 0
+	if _, err := conn.Write(append(hello[:], "this is not a frame header......"...)); err != nil {
+		t.Fatal(err)
+	}
+	m, err := recvWithin(t, b, time.Second)
+	if !errors.Is(err, ErrPeerLost) || !errors.Is(err, errBadFrame) || m.From != 0 {
+		t.Errorf("Recv after a corrupt frame = from %d, %v; want ErrPeerLost from rank 0 caused by a bad frame", m.From, err)
 	}
 }
