@@ -59,6 +59,8 @@ type Program interface {
 	// direction.
 	Expects(phase int) []Expect
 	// Unpack consumes a received payload for a phase and direction code.
+	// data belongs to the transport, which reuses it once Unpack returns:
+	// it must not be kept.
 	Unpack(phase int, dirCode int, data []float64)
 	// DumpState serializes the full state for a dump file.
 	DumpState(step, epoch int) *dump.State

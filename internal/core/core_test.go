@@ -49,7 +49,7 @@ func resultsEqual(a, b *Result2D, tol float64) (bool, int, int, float64) {
 		for x := 0; x < a.NX; x++ {
 			i := y*a.NX + x
 			for _, pair := range [][2][]float64{{a.Rho, b.Rho}, {a.Vx, b.Vx}, {a.Vy, b.Vy}} {
-				if d := math.Abs(pair[0][i] - pair[1][i]); d > tol {
+				if d := math.Abs(pair[0][i] - pair[1][i]); !(d <= tol) { // a NaN differs too
 					return false, x, y, d
 				}
 			}

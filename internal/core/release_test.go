@@ -1,0 +1,230 @@
+package core
+
+import (
+	"math"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/decomp"
+	"repro/internal/fluid"
+	"repro/internal/msg"
+)
+
+// poisonTransport overwrites every payload handed back to it with NaN
+// before passing it on, so a payload read after its Release shows in the
+// bits. It numbers the payloads it receives and counts those released
+// after one received later: those waited in the worker's pending buffer.
+type poisonTransport struct {
+	msg.Transport
+	seq     map[*float64]int // a payload's first value -> its receive number
+	n, last int
+	held    *atomic.Int64
+}
+
+func (p *poisonTransport) Recv() (msg.Message, error) {
+	m, err := p.Transport.Recv()
+	if len(m.Data) > 0 {
+		p.n++
+		p.seq[&m.Data[0]] = p.n
+	}
+	return m, err
+}
+
+func (p *poisonTransport) Release(data []float64) {
+	if len(data) > 0 {
+		k := &data[0]
+		if p.seq[k] < p.last {
+			p.held.Add(1)
+		}
+		p.last = max(p.last, p.seq[k])
+		delete(p.seq, k)
+	}
+	for i := range data {
+		data[i] = math.NaN()
+	}
+	p.Transport.Release(data)
+}
+
+// poisoning decorates every transport a factory opens.
+func poisoning(over TransportFactory, held *atomic.Int64) TransportFactory {
+	return func(rank, epoch int) (msg.Transport, error) {
+		tr, err := over(rank, epoch)
+		return &poisonTransport{Transport: tr, seq: map[*float64]int{}, held: held}, err
+	}
+}
+
+// sameBits returns the first index at which two sets of fields differ in
+// their bits, or -1.
+func sameBits(want, got [][]float64) int {
+	for f := range want {
+		for i := range want[f] {
+			if math.Float64bits(want[f][i]) != math.Float64bits(got[f][i]) {
+				return i
+			}
+		}
+	}
+	return -1
+}
+
+// TestPayloadReleasedAfterUnpack: a worker hands each payload back to its
+// transport only once Unpack has returned, whether it came straight from
+// Recv or waited in pending. Every released payload is overwritten with
+// NaN, and delivery is reordered across peers so that payloads do wait;
+// a 2x2 FD2D and a 2x2x1 LB3D run over the hub and over TCP must still
+// end in the bits of the sequential run.
+func TestPayloadReleasedAfterUnpack(t *testing.T) {
+	transports := []struct {
+		name string
+		open func(t *testing.T) TransportFactory
+	}{
+		{"hub", func(*testing.T) TransportFactory { return HubFactory() }},
+		{"tcp", tcpFactory},
+	}
+	for _, tr := range transports {
+		t.Run("FD2D/"+tr.name, func(t *testing.T) {
+			const steps = 20
+			want, _, err := RunSequential2D(channelConfig(t, MethodFD, 2, 2, 24, 16), steps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var swapped, held atomic.Int64
+			cfg := channelConfig(t, MethodFD, 2, 2, 24, 16)
+			got, err := RunParallel2D(cfg, steps, poisoning(reordering(tr.open(t), 3, &swapped, cfg.NewProgram), &held))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if held.Load() == 0 {
+				t.Fatal("no payload waited in pending: the run exercised nothing")
+			}
+			t.Logf("%d payloads waited in pending, %d delivered behind another peer's", held.Load(), swapped.Load())
+			if i := sameBits([][]float64{want.Rho, want.Vx, want.Vy}, [][]float64{got.Rho, got.Vx, got.Vy}); i >= 0 {
+				t.Errorf("differs from the sequential run at index %d", i)
+			}
+		})
+		t.Run("LB3D/"+tr.name, func(t *testing.T) {
+			const steps = 10
+			cfg := func() *Config3D {
+				d, err := decomp.New3D(2, 2, 1, 12, 8, 6)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Periodic along X only: a rank that is its own neighbour
+				// would send to itself, which TCP does not carry.
+				d.PeriodicX = true
+				p := fluid.DefaultParams()
+				p.Nu, p.Eps, p.ForceX = 0.1, 0.005, 1e-5
+				return &Config3D{
+					Method: MethodLB, Par: p, Mask: fluid.ChannelMask3D(12, 8, 6), D: d,
+					InitRho: func(x, y, z int) float64 { return 1 + 0.001*math.Sin(2*math.Pi*float64(x+z)/12) },
+				}
+			}
+			want, _, err := RunSequential3D(cfg(), steps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var swapped, held atomic.Int64
+			c := cfg()
+			got, err := RunParallel3D(c, steps, poisoning(reordering(tr.open(t), 3, &swapped, c.NewProgram), &held))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if held.Load() == 0 {
+				t.Fatal("no payload waited in pending: the run exercised nothing")
+			}
+			t.Logf("%d payloads waited in pending, %d delivered behind another peer's", held.Load(), swapped.Load())
+			if i := sameBits([][]float64{want.Rho, want.Vx, want.Vy, want.Vz}, [][]float64{got.Rho, got.Vx, got.Vy, got.Vz}); i >= 0 {
+				t.Errorf("differs from the sequential run at index %d", i)
+			}
+		})
+	}
+}
+
+// lockstep builds a worker for each of two Programs and returns a function
+// that runs one step of both, rank 1 on its own goroutine, one step per
+// token; the hand-off is two channel operations, which allocate nothing.
+// The goroutine and the workers end with the test.
+func lockstep(t *testing.T, progs [2]Program, factory TransportFactory) func() {
+	t.Helper()
+	var ws [2]*Worker
+	for rank, p := range progs {
+		w, err := NewWorker(p, factory, 0, make(chan Event, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { w.Close() })
+		ws[rank] = w
+	}
+	token, done := make(chan struct{}), make(chan error, 1)
+	go func() {
+		for range token {
+			done <- ws[1].RunStep()
+		}
+	}()
+	t.Cleanup(func() { close(token) })
+	return func() {
+		token <- struct{}{}
+		if err := ws[0].RunStep(); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// programs builds the Programs of ranks 0 and 1.
+func programs[P Program](t *testing.T, build func(rank int) (P, error)) [2]Program {
+	t.Helper()
+	var ps [2]Program
+	for rank := range ps {
+		p, err := build(rank)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps[rank] = p
+	}
+	return ps
+}
+
+// TestParallelStepAllocatesNothing: once the transports' free lists hold
+// a buffer for every payload out at a time, a two-rank step allocates
+// nothing: not to send (the hub copies into a released buffer), not to
+// receive (TCP decodes into one) and not to await. The TCP case's
+// velocity messages are longer than a read buffer, so their first
+// payloads grew as they arrived before being released.
+func TestParallelStepAllocatesNothing(t *testing.T) {
+	fd3d := func(t *testing.T) [2]Program {
+		d, err := decomp.New3D(2, 1, 1, 16, 8, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.PeriodicX = true
+		p := fluid.DefaultParams()
+		p.Nu, p.Eps, p.ForceX = 0.1, 0.01, 1e-5
+		cfg := &Config3D{Method: MethodFD, Par: p, Mask: fluid.ChannelMask3D(16, 8, 8), D: d}
+		return programs(t, cfg.NewProgram)
+	}
+	for _, c := range []struct {
+		name    string
+		progs   func(t *testing.T) [2]Program
+		factory func(t *testing.T) TransportFactory
+	}{
+		{"FD3D/hub", fd3d, func(*testing.T) TransportFactory { return HubFactory() }},
+		{"LB2D/hub", func(t *testing.T) [2]Program {
+			return programs(t, channelConfig(t, MethodLB, 2, 1, 32, 16).NewProgram)
+		}, func(*testing.T) TransportFactory { return HubFactory() }},
+		{"FD2D/tcp", func(t *testing.T) [2]Program {
+			return programs(t, channelConfig(t, MethodFD, 2, 1, 8, 4200).NewProgram)
+		}, tcpFactory},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			step := lockstep(t, c.progs(t), c.factory(t))
+			for range 5 {
+				step() // dial, and fill the free lists
+			}
+			if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+				t.Errorf("%.2f allocations a step, want 0", allocs)
+			}
+		})
+	}
+}

@@ -68,11 +68,10 @@ func (r *reorderTransport) Recv() (msg.Message, error) {
 	return m, nil
 }
 
-// reordering returns a factory over one hub with every rank's endpoint
+// reordering returns a factory over another with every rank's endpoint
 // decorated; program builds a rank's Program, whose exchanges give the
 // fan-in of each phase.
-func reordering[P Program](k int, swapped *atomic.Int64, program func(rank int) (P, error)) TransportFactory {
-	hub := msg.NewHub()
+func reordering[P Program](over TransportFactory, k int, swapped *atomic.Int64, program func(rank int) (P, error)) TransportFactory {
 	return func(rank, epoch int) (msg.Transport, error) {
 		p, err := program(rank)
 		if err != nil {
@@ -82,7 +81,11 @@ func reordering[P Program](k int, swapped *atomic.Int64, program func(rank int) 
 		for ph := range fanIn {
 			fanIn[ph] = len(p.Expects(ph))
 		}
-		return &reorderTransport{Transport: hub.Join(rank), k: k, fanIn: fanIn,
+		tr, err := over(rank, epoch)
+		if err != nil {
+			return nil, err
+		}
+		return &reorderTransport{Transport: tr, k: k, fanIn: fanIn,
 			pulled: map[[2]int]int{}, swapped: swapped}, nil
 	}
 }
@@ -150,7 +153,7 @@ func TestReorderedDeliveryIsInvisible(t *testing.T) {
 		}
 		var swapped atomic.Int64
 		cfg := channelConfig(t, MethodLB, 3, 2, 24, 16)
-		got, err := RunParallel2D(cfg, steps, reordering(3, &swapped, cfg.NewProgram))
+		got, err := RunParallel2D(cfg, steps, reordering(HubFactory(), 3, &swapped, cfg.NewProgram))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +188,7 @@ func TestReorderedDeliveryIsInvisible(t *testing.T) {
 		}
 		var swapped atomic.Int64
 		c := cfg()
-		got, err := RunParallel3D(c, steps, reordering(3, &swapped, c.NewProgram))
+		got, err := RunParallel3D(c, steps, reordering(HubFactory(), 3, &swapped, c.NewProgram))
 		if err != nil {
 			t.Fatal(err)
 		}

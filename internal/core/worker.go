@@ -198,7 +198,8 @@ func (w *Worker) RunStep() error {
 }
 
 // await blocks until every expected message of (w.Step, phase) has been
-// unpacked, buffering messages that belong to later steps.
+// unpacked, buffering messages that belong to later steps. Each payload
+// goes back to the transport once Unpack has returned.
 func (w *Worker) await(phase int) error {
 	expects := w.Prog.Expects(phase)
 	if len(expects) > len(w.want) {
@@ -211,6 +212,7 @@ func (w *Worker) await(phase int) error {
 		if data, ok := w.pending[k]; ok {
 			delete(w.pending, k)
 			w.Prog.Unpack(phase, e.Dir, data)
+			w.t.Release(data)
 			continue
 		}
 		want = want[:len(want)+1]
@@ -237,6 +239,7 @@ func (w *Worker) await(phase int) error {
 			want[i] = want[len(want)-1]
 			want = want[:len(want)-1]
 			w.Prog.Unpack(phase, m.Dir, m.Data)
+			w.t.Release(m.Data)
 			continue
 		}
 		// A message for a later step: buffer it. Neighbours can run

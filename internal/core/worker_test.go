@@ -158,51 +158,25 @@ func TestAwaitServedFromPending(t *testing.T) {
 }
 
 // TestTCPStepAllocatesOnePerFrame: a two-rank finite-difference step over
-// TCP allocates one object per frame received, its payload (which may
-// wait in pending for a later step), and nothing to send or await.
+// TCP allocates nothing after warm-up, not even the payload of a frame
+// (the bound the name records): each frame is decoded into a buffer the
+// worker released after an earlier Unpack.
 func TestTCPStepAllocatesOnePerFrame(t *testing.T) {
-	cfg := channelConfig(t, MethodFD, 2, 1, 32, 16)
-	factory := tcpFactory(t)
-	var ws [2]*Worker
+	progs := programs(t, channelConfig(t, MethodFD, 2, 1, 32, 16).NewProgram)
 	frames := 0
-	for rank := range ws {
-		p, err := cfg.NewProgram(rank)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ws[rank], err = NewWorker(p, factory, 0, make(chan Event, 1)); err != nil {
-			t.Fatal(err)
-		}
-		defer ws[rank].Close()
+	for _, p := range progs {
 		for ph := 0; ph < p.Phases(); ph++ {
 			frames += len(p.Expects(ph))
 		}
 	}
-	// Rank 1 steps on its own goroutine, one step per token; the hand-off
-	// is two channel operations, which allocate nothing.
-	token, done := make(chan struct{}), make(chan error, 1)
-	go func() {
-		for range token {
-			done <- ws[1].RunStep()
-		}
-	}()
-	defer close(token)
-	step := func() {
-		token <- struct{}{}
-		if err := ws[0].RunStep(); err != nil {
-			t.Fatal(err)
-		}
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 5; i++ {
+	step := lockstep(t, progs, tcpFactory(t))
+	for range 5 {
 		step() // dial, and grow the buffers to size
 	}
 	allocs := testing.AllocsPerRun(50, step)
 	t.Logf("%.2f allocations a step for %d frames received", allocs, frames)
-	if allocs > float64(frames) {
-		t.Errorf("%.2f allocations a step, more than the %d frames received", allocs, frames)
+	if allocs != 0 {
+		t.Errorf("%.2f allocations a step for %d frames received, want 0", allocs, frames)
 	}
 }
 

@@ -150,12 +150,15 @@ func TestFrameReaderLargePayload(t *testing.T) {
 
 // FuzzReadFrame: any byte stream decodes to frames that re-encode to a
 // prefix of it, then stops with io.EOF, io.ErrUnexpectedEOF or
-// errBadFrame; it never panics. The seed corpus is in
-// testdata/fuzz/FuzzReadFrame: frames with and without payload, bad magic,
-// lengths at, past and far past the limit, and truncations.
+// errBadFrame; it never panics. Each payload is released back to the
+// reader's free list once re-encoded, so later frames decode into
+// recycled buffers. The seed corpus is in testdata/fuzz/FuzzReadFrame:
+// frames with and without payload, bad magic, lengths at, past and far
+// past the limit, and truncations.
 func FuzzReadFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
 		fr := newFrameReader(bytes.NewReader(in))
+		fr.free = make(freeList, freeCap)
 		var again []byte
 		for {
 			m, err := fr.next()
@@ -166,6 +169,7 @@ func FuzzReadFrame(f *testing.F) {
 				break
 			}
 			again = appendFrame(again, m)
+			fr.free.put(m.Data)
 		}
 		if !bytes.HasPrefix(in, again) {
 			t.Fatalf("decoded frames re-encode to %x, not a prefix of the input", again)

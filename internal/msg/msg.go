@@ -23,6 +23,13 @@
 // writes each peer's frames with one write; any other transport gets one
 // Send per message. The frames and their order on every connection are
 // the same either way.
+//
+// A received payload belongs to the transport. Send copies the sender's
+// buffer into a transport buffer (the hub's copy, or TCP's decode on the
+// receiving side); the receiver holds it until it has consumed it and then
+// hands it back with Release, which puts it on a bounded free list for the
+// next message to reuse. In a steady run every buffer comes off a free
+// list, so moving a message allocates nothing.
 package msg
 
 import (
@@ -56,8 +63,8 @@ var ErrClosed = errors.New("msg: transport closed")
 // ErrPeerLost is returned (wrapped, naming the peer and the cause) by a TCP
 // transport's Recv once a peer's connection has ended, after every frame
 // read from it before the end, and by Send when a write to the peer
-// fails. The Message that Recv returns with it has From set to the lost
-// peer.
+// fails, or when a hub peer's mailbox closed under the Send. The Message
+// that Recv returns with it has From set to the lost peer.
 var ErrPeerLost = errors.New("msg: peer lost")
 
 // Transport sends and receives messages between ranks.
@@ -65,8 +72,15 @@ type Transport interface {
 	// Send delivers m to rank m.To. It may block briefly for flow
 	// control but never waits for the receiver to call Recv.
 	Send(m Message) error
-	// Recv blocks until any message arrives (FCFS over all peers).
+	// Recv blocks until any message arrives (FCFS over all peers). The
+	// payload belongs to the transport: the caller may read it until it
+	// hands it back with Release.
 	Recv() (Message, error)
+	// Release hands a payload Recv returned back to the transport, which
+	// reuses it for a later message. The caller must not touch data
+	// afterwards. A payload that is never released is left to the
+	// garbage collector.
+	Release(data []float64)
 	// Close tears the transport down; blocked Recv calls return ErrClosed.
 	Close() error
 }
@@ -98,6 +112,41 @@ func SendAll(t Transport, ms []Message) error {
 // neighbour, so real runs stay far below this.
 const queueCap = 1024
 
+// freeCap bounds a free list of released payload buffers; a Release into a
+// full list drops the buffer. A list only ever holds buffers that were out
+// at once, and a rank's neighbours cannot get more than a step ahead of it
+// (each needs this rank's messages of its step to finish it), so at most
+// two steps' messages to one rank are out at a time: DESIGN.md has the
+// count.
+const freeCap = 64
+
+// freeList is a bounded list of payload buffers, safe for concurrent use.
+type freeList chan []float64
+
+// take returns the next buffer on the list, emptied, when it has room for
+// n values, and nil otherwise; a buffer too small is dropped.
+func (f freeList) take(n int) []float64 {
+	select {
+	case b := <-f:
+		if cap(b) >= n {
+			return b[:0]
+		}
+	default:
+	}
+	return nil
+}
+
+// put keeps b for reuse, unless the list is full.
+func (f freeList) put(b []float64) {
+	if cap(b) == 0 {
+		return
+	}
+	select {
+	case f <- b:
+	default:
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Channel transport
 
@@ -113,9 +162,14 @@ type Hub struct {
 	boxes map[int]*mailbox
 }
 
-// mailbox is one rank's queue; joined is set once a Chan reads it.
+// mailbox is one rank's queue; joined is set once a Chan reads it. Its
+// channel is never closed: the reading Chan's Close closes done, so a Send
+// that raced the Close fails instead of panicking. free holds the payload
+// buffers the reader released, for the senders to copy into.
 type mailbox struct {
 	ch     chan Message
+	done   chan struct{}
+	free   freeList
 	joined bool
 }
 
@@ -127,7 +181,7 @@ func NewHub() *Hub { return &Hub{boxes: make(map[int]*mailbox)} }
 func (h *Hub) box(rank int, join bool) *mailbox {
 	b, ok := h.boxes[rank]
 	if !ok || join && b.joined {
-		b = &mailbox{ch: make(chan Message, queueCap)}
+		b = &mailbox{ch: make(chan Message, queueCap), done: make(chan struct{}), free: make(freeList, freeCap)}
 		h.boxes[rank] = b
 	}
 	b.joined = b.joined || join
@@ -148,53 +202,66 @@ type Chan struct {
 	hub  *Hub
 	rank int
 	box  *mailbox
-
-	mu     sync.Mutex
-	closed bool
+	once sync.Once // closes box.done
 }
 
 // Send delivers m to the mailbox of rank m.To, which need not have joined
-// yet (it may be re-opening its channels after a migration).
+// yet (it may be re-opening its channels after a migration). The payload
+// is copied into a buffer the mailbox's reader released, so the sender
+// may reuse its pack buffer. A mailbox whose reader closed it under the
+// Send fails it with ErrPeerLost.
 func (c *Chan) Send(m Message) error {
-	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
+	if isDone(c.box.done) {
 		return ErrClosed
 	}
 	c.hub.mu.Lock()
-	box := c.hub.box(m.To, false).ch
+	box := c.hub.box(m.To, false)
 	c.hub.mu.Unlock()
 	m.From = c.rank
-	// Copy the payload: the sender reuses its pack buffer.
-	m.Data = append([]float64(nil), m.Data...)
-	box <- m
-	return nil
+	m.Data = append(box.free.take(len(m.Data)), m.Data...)
+	if !isDone(box.done) {
+		select {
+		case box.ch <- m:
+			return nil
+		case <-box.done:
+		}
+	}
+	return fmt.Errorf("msg: rank %d lost rank %d: %w: its mailbox closed", c.rank, m.To, ErrPeerLost)
 }
 
-// Recv blocks until a message arrives.
+// isDone reports whether done has been closed.
+func isDone(done chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
+}
+
+// Recv blocks until a message arrives or the Chan is closed.
 func (c *Chan) Recv() (Message, error) {
-	m, ok := <-c.box.ch
-	if !ok {
+	select {
+	case m := <-c.box.ch:
+		return m, nil
+	case <-c.box.done:
 		return Message{}, ErrClosed
 	}
-	return m, nil
 }
+
+// Release puts a received payload on the mailbox's free list.
+func (c *Chan) Release(data []float64) { c.box.free.put(data) }
 
 // Close closes the mailbox; pending messages are discarded.
 func (c *Chan) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil
-	}
-	c.closed = true
-	c.hub.mu.Lock()
-	if c.hub.boxes[c.rank] == c.box {
-		delete(c.hub.boxes, c.rank)
-	}
-	c.hub.mu.Unlock()
-	close(c.box.ch)
+	c.once.Do(func() {
+		c.hub.mu.Lock()
+		if c.hub.boxes[c.rank] == c.box {
+			delete(c.hub.boxes, c.rank)
+		}
+		c.hub.mu.Unlock()
+		close(c.box.done)
+	})
 	return nil
 }
 
@@ -227,6 +294,7 @@ type TCP struct {
 	ln    net.Listener
 
 	recv chan arrival
+	free freeList // released payload buffers, decoded into by the read loops
 
 	mu     sync.Mutex
 	peers  map[int]*peerConn
@@ -271,6 +339,7 @@ func NewTCP(rank, epoch int, reg *registry.Registry) (*TCP, error) {
 		reg:    reg,
 		ln:     ln,
 		recv:   make(chan arrival, queueCap),
+		free:   make(freeList, freeCap),
 		peers:  make(map[int]*peerConn),
 		joined: make(chan struct{}),
 	}
@@ -327,6 +396,7 @@ func (t *TCP) acceptLoop() {
 func (t *TCP) readLoop(conn net.Conn, peer int) {
 	defer t.wg.Done()
 	fr := newFrameReader(conn)
+	fr.free = t.free
 	for {
 		m, err := fr.next()
 		t.mu.Lock()
@@ -475,6 +545,10 @@ func (t *TCP) Recv() (Message, error) {
 	return a.m, a.err
 }
 
+// Release puts a received payload on the free list the read loops decode
+// into.
+func (t *TCP) Release(data []float64) { t.free.put(data) }
+
 // Close unpublishes the address, closes the listener and all connections,
 // and releases blocked receivers. It is the "close their TCP/IP
 // communication channels" step of the migration protocol.
@@ -523,19 +597,23 @@ func appendFrame(buf []byte, m Message) []byte {
 // frameReader decodes the frames arriving on one connection. Reads go
 // through a buffer, so one read usually takes in every frame that has
 // arrived; the header is copied into an array the reader owns and the
-// payload is decoded straight out of the buffer.
+// payload is decoded straight out of the buffer into a payload buffer
+// from free (which may be nil: then every payload is a new one).
 type frameReader struct {
-	r   *bufio.Reader
-	hdr [headerBytes]byte
+	r    *bufio.Reader
+	hdr  [headerBytes]byte
+	free freeList
 }
 
 func newFrameReader(r io.Reader) *frameReader {
 	return &frameReader{r: bufio.NewReaderSize(r, readBufBytes)}
 }
 
-// next decodes one frame. The only allocation is the payload, and it
-// grows with the bytes that have arrived, one buffer's worth at a time: a
-// header declaring more values than follow costs at most one buffer.
+// next decodes one frame into a released payload buffer when the next one
+// on the free list holds it. Otherwise the payload is a new one, and it
+// grows with the bytes that have arrived, one read buffer's worth at a
+// time: a header declaring more values than follow costs at most one read
+// buffer. A released buffer is never grown.
 func (fr *frameReader) next() (Message, error) {
 	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		return Message{}, err
@@ -555,7 +633,9 @@ func (fr *frameReader) next() (Message, error) {
 		return Message{}, fmt.Errorf("%w: implausible payload length %d", errBadFrame, n)
 	}
 	const chunk = readBufBytes / 8
-	m.Data = make([]float64, 0, min(n, chunk))
+	if m.Data = fr.free.take(n); m.Data == nil {
+		m.Data = make([]float64, 0, min(n, chunk))
+	}
 	for len(m.Data) < n {
 		k := min(n-len(m.Data), chunk)
 		p, err := fr.r.Peek(8 * k)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -412,4 +413,39 @@ func TestTCPPeerLostOnCorruptFrame(t *testing.T) {
 	if !errors.Is(err, ErrPeerLost) || !errors.Is(err, errBadFrame) || m.From != 0 {
 		t.Errorf("Recv after a corrupt frame = from %d, %v; want ErrPeerLost from rank 0 caused by a bad frame", m.From, err)
 	}
+}
+
+// TestHubSendRacesClose: a Send that races its receiver's Close either
+// delivers or fails with ErrPeerLost naming the peer; it never panics.
+// The hub never closes a mailbox's channel, so there is no send on a
+// closed channel to race into.
+func TestHubSendRacesClose(t *testing.T) {
+	lost := 0
+	for range 2000 {
+		hub := NewHub()
+		a, b := hub.Join(0), hub.Join(1)
+		started, errs := make(chan struct{}), make(chan error, 1)
+		go func() {
+			for i := range 50 {
+				if err := a.Send(Message{To: 1, Data: []float64{1}}); err != nil {
+					errs <- err
+					return
+				}
+				if i == 0 {
+					close(started)
+				}
+			}
+			errs <- nil
+		}()
+		<-started
+		b.Close()
+		if err := <-errs; err != nil {
+			if !errors.Is(err, ErrPeerLost) || !strings.Contains(err.Error(), "rank 1") {
+				t.Fatalf("Send into a closing mailbox: %v, want ErrPeerLost naming rank 1", err)
+			}
+			lost++
+		}
+		a.Close()
+	}
+	t.Logf("%d of 2000 senders met the Close", lost)
 }
