@@ -17,16 +17,6 @@ type Config struct {
 	// ErrorSurface packages are the supported public API: errwrap
 	// enforces %w wrapping and errors.Is-comparable sentinels here.
 	ErrorSurface []string
-
-	// AllocPath packages carry per-function allocation summaries in
-	// their facts; allocsteady walks the call graph they form.
-	AllocPath []string
-	// AllocRoots are the function keys (pkg.Name for functions,
-	// pkg.Recv.Name for methods, pointer markers stripped) anchoring
-	// the zero-alloc steady state: every function reachable from a
-	// root must not allocate. These are the collide-stream,
-	// halo-exchange and step-driver kernels bench/ measures per layer.
-	AllocRoots []string
 	// LockScope packages have their sync.Mutex/RWMutex acquisition
 	// orders summarized; lockorder flags a pair of locks taken in
 	// opposite orders anywhere across the scope.
@@ -53,39 +43,6 @@ func Default() *Config {
 			"repro/farm",
 			"repro/farm/workload",
 			"repro/farm/autoscale",
-		},
-		// Everything the steady-state kernels touch: the solvers, the
-		// halo copies, the worker step driver, and the small leaf
-		// packages (grids, filter plans, the shared pool) the hot loops
-		// call into.
-		AllocPath: []string{
-			"repro/internal/lbm",
-			"repro/internal/fd",
-			"repro/internal/halo",
-			"repro/internal/core",
-			"repro/internal/grid",
-			"repro/internal/filter",
-			"repro/internal/fluid",
-			"repro/internal/pool",
-		},
-		AllocRoots: []string{
-			"repro/internal/lbm.Solver2D.Compute",
-			"repro/internal/lbm.Solver2D.Pack",
-			"repro/internal/lbm.Solver2D.Unpack",
-			"repro/internal/lbm.Solver2D.StepSerial",
-			"repro/internal/lbm.Solver3D.Compute",
-			"repro/internal/lbm.Solver3D.Pack",
-			"repro/internal/lbm.Solver3D.Unpack",
-			"repro/internal/lbm.Solver3D.StepSerial",
-			"repro/internal/fd.Solver2D.Compute",
-			"repro/internal/fd.Solver2D.Pack",
-			"repro/internal/fd.Solver2D.Unpack",
-			"repro/internal/fd.Solver2D.StepSerial",
-			"repro/internal/fd.Solver3D.Compute",
-			"repro/internal/fd.Solver3D.Pack",
-			"repro/internal/fd.Solver3D.Unpack",
-			"repro/internal/fd.Solver3D.StepSerial",
-			"repro/internal/core.Worker.RunStep",
 		},
 		LockScope: []string{
 			"repro/internal/pool",
@@ -121,6 +78,5 @@ func Match(patterns []string, path string) bool {
 func (c *Config) InScope(path string) bool {
 	return Match(c.Deterministic, path) ||
 		Match(c.ErrorSurface, path) ||
-		Match(c.AllocPath, path) ||
 		Match(c.LockScope, path)
 }

@@ -1,12 +1,10 @@
-// Package dataflow is the shared substrate for detlint's cross-package
-// passes: a canonical naming scheme for functions and struct fields, a
-// per-function walker that pairs each declaration with its key, static
-// callee resolution, and a reachability closure over call-edge maps.
-// Passes build per-package summaries keyed by these names, export them
-// as facts, and stitch dependency summaries back in at the importing
-// package — which is how a pass that sees one package at a time
-// reasons about a call chain that crosses from internal/lbm through
-// internal/halo into internal/grid.
+// Package dataflow is the naming substrate of lockorder, detlint's one
+// cross-package pass: a canonical key for functions and struct fields, a
+// per-function walker that pairs each declaration with its key, and static
+// callee resolution. The pass builds per-package summaries keyed by these
+// names, exports them as facts, and stitches dependency summaries back in
+// at the importing package — which is how a pass that sees one package at
+// a time reasons about a lock taken in internal/msg under one held in farm.
 //
 // Keys are flat strings so they survive the JSON fact round trip:
 //
@@ -22,7 +20,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 
 	"repro/internal/analysis"
 )
@@ -161,54 +158,6 @@ func FieldKey(info *types.Info, sel *ast.SelectorExpr) (string, bool) {
 		return "", false
 	}
 	return v.Pkg().Path() + "." + name + "." + v.Name(), true
-}
-
-// Reach returns every key reachable from the roots over the edge map,
-// including the roots themselves when they appear in the graph, along
-// with a parent edge for reconstructing one witness path. Traversal
-// order is deterministic (sorted frontier).
-func Reach(roots []string, edges map[string][]string) (reached map[string]bool, parent map[string]string) {
-	reached = make(map[string]bool)
-	parent = make(map[string]string)
-	frontier := append([]string(nil), roots...)
-	sort.Strings(frontier)
-	for _, r := range frontier {
-		reached[r] = true
-	}
-	for len(frontier) > 0 {
-		var next []string
-		for _, k := range frontier {
-			for _, callee := range edges[k] {
-				if !reached[callee] {
-					reached[callee] = true
-					parent[callee] = k
-					next = append(next, callee)
-				}
-			}
-		}
-		sort.Strings(next)
-		frontier = next
-	}
-	return reached, parent
-}
-
-// Path reconstructs the witness chain root→…→key from Reach's parent
-// map.
-func Path(parent map[string]string, key string) []string {
-	var rev []string
-	for cur := key; ; {
-		rev = append(rev, cur)
-		p, ok := parent[cur]
-		if !ok {
-			break
-		}
-		cur = p
-	}
-	out := make([]string, len(rev))
-	for i, k := range rev {
-		out[len(rev)-1-i] = k
-	}
-	return out
 }
 
 // Posn formats a position for inclusion in a cross-package fact, where

@@ -8,8 +8,8 @@ import (
 
 // The facts layer is what turns detlint's single-file AST checks into
 // cross-package dataflow. Each analyzer may export one package fact — a
-// JSON-serializable summary of the package it just analyzed (function
-// call edges, allocation sites, lock acquisition orders) — and read the
+// JSON-serializable summary of the package it just analyzed (lockorder's
+// call edges and lock acquisition orders) — and read the
 // facts of the packages analyzed before it. Packages are walked
 // dependency-first through one FactStore, sealed after each, so
 // every dependency's facts are in view when a package is analyzed:

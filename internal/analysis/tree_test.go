@@ -18,8 +18,6 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/dataflow"
-	"repro/internal/analysis/passes/allocsteady"
 	"repro/internal/analysis/passes/entropy"
 	"repro/internal/analysis/passes/errwrap"
 	"repro/internal/analysis/passes/lockorder"
@@ -36,7 +34,7 @@ type listed struct {
 	Module     *struct{ GoVersion string }
 }
 
-// TestTreeIsClean is detlint's gate: the five passes over every
+// TestTreeIsClean is detlint's gate: the four passes over every
 // package analysis.Default() scopes, with zero findings. One
 // `go list -deps -export` names the module's packages dependency-first
 // together with the export data of everything they import; each
@@ -46,10 +44,8 @@ type listed struct {
 // facts. A finding fails the test as file:line: analyzer: message,
 // with the file named from the module root.
 //
-// It also fails when analysis.Default() names something the module
-// does not have: a scope pattern that matches no package, or an alloc
-// root that is not a function or method of its package. allocsteady
-// would skip either silently.
+// It also fails when analysis.Default() has a scope pattern that
+// matches no package, which every pass would skip silently.
 func TestTreeIsClean(t *testing.T) {
 	root, err := filepath.Abs("../..") // the module root, seen from this package
 	if err != nil {
@@ -57,7 +53,7 @@ func TestTreeIsClean(t *testing.T) {
 	}
 	pkgs := goList(t, root)
 	cfg := analysis.Default()
-	suite := []*analysis.Analyzer{entropy.Analyzer, maporder.Analyzer, errwrap.Analyzer, allocsteady.Analyzer, lockorder.Analyzer}
+	suite := []*analysis.Analyzer{entropy.Analyzer, maporder.Analyzer, errwrap.Analyzer, lockorder.Analyzer}
 
 	export := make(map[string]string, len(pkgs))
 	for _, p := range pkgs {
@@ -72,7 +68,6 @@ func TestTreeIsClean(t *testing.T) {
 	})
 
 	facts := analysis.NewFactStore()
-	declared := make(map[string]bool) // the AllocPath packages' functions, keyed as allocsteady keys roots
 	for _, p := range pkgs {
 		if !cfg.InScope(p.ImportPath) {
 			continue
@@ -87,23 +82,13 @@ func TestTreeIsClean(t *testing.T) {
 			posn := fset.Position(d.Pos)
 			t.Errorf("%s:%d: %s: %s", posn.Filename, posn.Line, d.Analyzer, d.Message)
 		}
-		if analysis.Match(cfg.AllocPath, p.ImportPath) {
-			for _, fn := range dataflow.Functions(&analysis.Pass{Fset: fset, Files: pkg.Files, PkgPath: p.ImportPath}) {
-				declared[fn.Key] = true
-			}
-		}
 	}
 
-	for _, scope := range [][]string{cfg.Deterministic, cfg.ErrorSurface, cfg.AllocPath, cfg.LockScope} {
+	for _, scope := range [][]string{cfg.Deterministic, cfg.ErrorSurface, cfg.LockScope} {
 		for _, pattern := range scope {
 			if !slices.ContainsFunc(pkgs, func(p listed) bool { return analysis.Match([]string{pattern}, p.ImportPath) }) {
 				t.Errorf("analysis.Default(): scope pattern %s matches no package", pattern)
 			}
-		}
-	}
-	for _, key := range cfg.AllocRoots {
-		if !declared[key] {
-			t.Errorf("analysis.Default(): alloc root %s is no function or method of an AllocPath package", key)
 		}
 	}
 }

@@ -188,6 +188,53 @@ func TestTCPMatchesHub(t *testing.T) {
 	}
 }
 
+// periodicConfig3D is a filtered 12x8x6 channel cut jx x jy x jz, periodic
+// in X and Z as asked. With one box along a periodic axis every rank is its
+// own neighbour across it and sends itself a message each exchange.
+func periodicConfig3D(t *testing.T, method string, jx, jy, jz int, px, pz bool) *Config3D {
+	t.Helper()
+	d, err := decomp.New3D(jx, jy, jz, 12, 8, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.PeriodicX, d.PeriodicZ = px, pz
+	p := fluid.DefaultParams()
+	p.Nu, p.Eps, p.ForceX = 0.1, 0.005, 1e-5
+	return &Config3D{
+		Method: method, Par: p, Mask: fluid.ChannelMask3D(12, 8, 6), D: d,
+		InitRho: func(x, y, z int) float64 { return 1 + 0.001*math.Sin(2*math.Pi*float64(x+z)/12) },
+	}
+}
+
+// TestTCPCarriesSelfMessages: over TCP a rank that is its own neighbour
+// receives its own messages, and the run ends in the hub's bits. An LB3D
+// 2x2x1 job is periodic in Z and an FD3D 1x2x1 job periodic in X.
+func TestTCPCarriesSelfMessages(t *testing.T) {
+	for _, c := range []struct {
+		method     string
+		jx, jy, jz int
+		px, pz     bool
+	}{
+		{MethodLB, 2, 2, 1, false, true},
+		{MethodFD, 1, 2, 1, true, false},
+	} {
+		t.Run(fmt.Sprintf("%s3D_%dx%dx%d", c.method, c.jx, c.jy, c.jz), func(t *testing.T) {
+			const steps = 8
+			hub, err := RunParallel3D(periodicConfig3D(t, c.method, c.jx, c.jy, c.jz, c.px, c.pz), steps, HubFactory())
+			if err != nil {
+				t.Fatal(err)
+			}
+			tcp, err := RunParallel3D(periodicConfig3D(t, c.method, c.jx, c.jy, c.jz, c.px, c.pz), steps, tcpFactory(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i := sameBits([][]float64{hub.Rho, hub.Vx, hub.Vy, hub.Vz}, [][]float64{tcp.Rho, tcp.Vx, tcp.Vy, tcp.Vz}); i >= 0 {
+				t.Errorf("TCP differs from the hub at index %d", i)
+			}
+		})
+	}
+}
+
 // TestPoiseuilleThroughDriver: physics through the full distributed stack.
 func TestPoiseuilleThroughDriver(t *testing.T) {
 	d, _ := decomp.New2D(2, 2, 16, 21, decomp.Full)

@@ -142,8 +142,9 @@ func (lat lattice) cut(global []float64, b box, outside float64) []float64 {
 //
 // Nodes beyond a non-periodic face get what a fresh rank holds there:
 // Rho0 in rho, zero in the velocities and in the populations
-// (InitEquilibrium zeroes ghost populations). Enclosed domains never read
-// them; the rule only keeps the cut equal to a fresh build, bit for bit.
+// (InitEquilibrium zeroes ghost populations). The rule keeps the cut equal
+// to a fresh build, bit for bit, which an open face needs
+// (TestOpenFacesSurviveDumps).
 func recut[P any](cfg, next setup[P], states []*dump.State) ([]*dump.State, error) {
 	par := cfg.physics()
 	if par.Eps != 0 {

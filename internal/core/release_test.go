@@ -5,8 +5,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/decomp"
-	"repro/internal/fluid"
 	"repro/internal/msg"
 )
 
@@ -70,8 +68,9 @@ func sameBits(want, got [][]float64) int {
 // transport only once Unpack has returned, whether it came straight from
 // Recv or waited in pending. Every released payload is overwritten with
 // NaN, and delivery is reordered across peers so that payloads do wait;
-// a 2x2 FD2D and a 2x2x1 LB3D run over the hub and over TCP must still
-// end in the bits of the sequential run.
+// a 2x2 FD2D and a 2x2x1 LB3D (whose ranks also send to themselves) run
+// over the hub and over TCP must still end in the bits of the sequential
+// run.
 func TestPayloadReleasedAfterUnpack(t *testing.T) {
 	transports := []struct {
 		name string
@@ -103,21 +102,8 @@ func TestPayloadReleasedAfterUnpack(t *testing.T) {
 		})
 		t.Run("LB3D/"+tr.name, func(t *testing.T) {
 			const steps = 10
-			cfg := func() *Config3D {
-				d, err := decomp.New3D(2, 2, 1, 12, 8, 6)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Periodic along X only: a rank that is its own neighbour
-				// would send to itself, which TCP does not carry.
-				d.PeriodicX = true
-				p := fluid.DefaultParams()
-				p.Nu, p.Eps, p.ForceX = 0.1, 0.005, 1e-5
-				return &Config3D{
-					Method: MethodLB, Par: p, Mask: fluid.ChannelMask3D(12, 8, 6), D: d,
-					InitRho: func(x, y, z int) float64 { return 1 + 0.001*math.Sin(2*math.Pi*float64(x+z)/12) },
-				}
-			}
+			// Periodic in Z too: each rank is its own neighbour there.
+			cfg := func() *Config3D { return periodicConfig3D(t, MethodLB, 2, 2, 1, true, true) }
 			want, _, err := RunSequential3D(cfg(), steps)
 			if err != nil {
 				t.Fatal(err)
@@ -188,34 +174,45 @@ func programs[P Program](t *testing.T, build func(rank int) (P, error)) [2]Progr
 
 // TestParallelStepAllocatesNothing: once the transports' free lists hold
 // a buffer for every payload out at a time, a two-rank step allocates
-// nothing: not to send (the hub copies into a released buffer), not to
-// receive (TCP decodes into one) and not to await. The TCP case's
-// velocity messages are longer than a read buffer, so their first
-// payloads grew as they arrived before being released.
+// nothing: not to send (the hub copies into a released buffer, TCP's
+// loopback into one), not to receive (TCP decodes into one), not to
+// compute, pack or unpack, and not to await. The table runs both methods
+// in both dimensions over both transports with the filter on, one run
+// with it off, and one run in which each rank is its own neighbour along
+// Z. The FD2D runs' velocity messages are longer than a TCP read buffer,
+// so their first payloads grew as they arrived before being released.
 func TestParallelStepAllocatesNothing(t *testing.T) {
-	fd3d := func(t *testing.T) [2]Program {
-		d, err := decomp.New3D(2, 1, 1, 16, 8, 8)
-		if err != nil {
-			t.Fatal(err)
+	plane := func(method string, eps float64) func(t *testing.T) [2]Program {
+		return func(t *testing.T) [2]Program {
+			cfg := channelConfig(t, method, 2, 1, 8, 4200)
+			if method == MethodLB {
+				cfg = channelConfig(t, method, 2, 1, 32, 16)
+			}
+			cfg.Par.Eps = eps
+			return programs(t, cfg.NewProgram)
 		}
-		d.PeriodicX = true
-		p := fluid.DefaultParams()
-		p.Nu, p.Eps, p.ForceX = 0.1, 0.01, 1e-5
-		cfg := &Config3D{Method: MethodFD, Par: p, Mask: fluid.ChannelMask3D(16, 8, 8), D: d}
-		return programs(t, cfg.NewProgram)
 	}
+	box := func(method string, pz bool) func(t *testing.T) [2]Program {
+		return func(t *testing.T) [2]Program {
+			return programs(t, periodicConfig3D(t, method, 2, 1, 1, true, pz).NewProgram)
+		}
+	}
+	hub := func(*testing.T) TransportFactory { return HubFactory() }
 	for _, c := range []struct {
 		name    string
 		progs   func(t *testing.T) [2]Program
 		factory func(t *testing.T) TransportFactory
 	}{
-		{"FD3D/hub", fd3d, func(*testing.T) TransportFactory { return HubFactory() }},
-		{"LB2D/hub", func(t *testing.T) [2]Program {
-			return programs(t, channelConfig(t, MethodLB, 2, 1, 32, 16).NewProgram)
-		}, func(*testing.T) TransportFactory { return HubFactory() }},
-		{"FD2D/tcp", func(t *testing.T) [2]Program {
-			return programs(t, channelConfig(t, MethodFD, 2, 1, 8, 4200).NewProgram)
-		}, tcpFactory},
+		{"LB2D/hub", plane(MethodLB, 0.01), hub},
+		{"LB2D/tcp", plane(MethodLB, 0.01), tcpFactory},
+		{"LB3D/hub", box(MethodLB, false), hub},
+		{"LB3D/tcp", box(MethodLB, false), tcpFactory},
+		{"FD2D/hub", plane(MethodFD, 0.01), hub},
+		{"FD2D/tcp", plane(MethodFD, 0.01), tcpFactory},
+		{"FD3D/hub", box(MethodFD, false), hub},
+		{"FD3D/tcp", box(MethodFD, false), tcpFactory},
+		{"FD2D/hub/filter-off", plane(MethodFD, 0), hub},
+		{"LB3D/tcp/self", box(MethodLB, true), tcpFactory},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			step := lockstep(t, c.progs(t), c.factory(t))

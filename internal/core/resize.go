@@ -26,14 +26,11 @@ import (
 // are filled with its new neighbours' edge values — exactly the state the
 // last halo exchange would have produced.
 //
-// Like every dump/restore path (migration, checkpointing), bit-identity
-// also requires an enclosed domain: every face of the global grid must be
-// periodic or covered by Wall/Inlet/Outlet cells. On an open face the
-// solvers read beyond-domain ghost values that live in their double-swap
-// buffers — only the current buffer is dumped, so no restore can
-// reproduce them (the hidden buffer's ghosts alternate with step parity).
-// Enclosed domains never read those ghosts, which is what makes the whole
-// dump-file protocol exact.
+// A face of the global grid need not be periodic or walled for this to
+// hold. What is pinned (TestOpenFacesSurviveDumps): a channel whose x faces
+// are open, resized 2x2 -> 3x2 with its dump at step 12, or suspended and
+// resumed with its dump at step 13, ends in the serial run's bits, for both
+// methods in 2D and in 3D. Other open-face geometries are not pinned.
 //
 // The shape must cover the job's global grid (spans summing to GX/GY[/GZ]);
 // the rank count after the resize is len(sh.X)*len(sh.Y)[*len(sh.Z)].

@@ -40,9 +40,8 @@ func resizeCfg3D(t *testing.T, method string, jx, jy, jz int) *Config3D {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The duct mask walls only the y faces; x and z must be periodic so
-	// the domain is enclosed — the dump/restore bit-identity precondition
-	// (see Resize's doc comment).
+	// The duct mask walls only the y faces; x and z are periodic here,
+	// and TestOpenFacesSurviveDumps opens x.
 	d.PeriodicX = true
 	d.PeriodicZ = true
 	par := fluid.DefaultParams()
@@ -272,6 +271,99 @@ func TestResplitFailureLeavesDecomposition3D(t *testing.T) {
 			}
 			if !reflect.DeepEqual(*cfg.D, before) {
 				t.Fatalf("%s %q: the refused re-split changed cfg.D", method, want)
+			}
+		}
+	}
+}
+
+// TestOpenFacesSurviveDumps: a channel whose x faces are open (neither
+// periodic nor walled) ends in the serial run's bits when it is resized
+// 2x2 -> 3x2 mid-run (dump at step 12) or suspended and resumed (dump at
+// step 13), for both methods in both dimensions. The 3D channel is
+// periodic in Z; its resize grows 2x2x1 -> 3x2x1.
+func TestOpenFacesSurviveDumps(t *testing.T) {
+	const steps = 20
+	open2D := func(method string, jx, jy int) *Config2D {
+		cfg := resizeCfg2D(t, method, jx, jy)
+		cfg.D.PeriodicX = false
+		return cfg
+	}
+	open3D := func(method string, jx, jy int) *Config3D {
+		cfg := resizeCfg3D(t, method, jx, jy, 1)
+		cfg.D.PeriodicX = false
+		return cfg
+	}
+	type job struct {
+		j      *Job
+		gather func() [][]float64
+	}
+	for _, method := range []string{MethodLB, MethodFD} {
+		cases := []struct {
+			dim    string
+			serial func() [][]float64
+			start  func(factory TransportFactory) job
+			grown  decomp.Shape
+		}{
+			{"2D", func() [][]float64 {
+				r, _, err := RunSequential2D(open2D(method, 1, 1), steps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return [][]float64{r.Rho, r.Vx, r.Vy}
+			}, func(factory TransportFactory) job {
+				j, jp := newTestJobOver(t, open2D(method, 2, 2), steps, factory)
+				return job{j, func() [][]float64 { r := jp.Gather(steps); return [][]float64{r.Rho, r.Vx, r.Vy} }}
+			}, decomp.UniformShape(3, 2, 0, 24, 16, 0)},
+			{"3D", func() [][]float64 {
+				r, _, err := RunSequential3D(open3D(method, 1, 1), steps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return [][]float64{r.Rho, r.Vx, r.Vy, r.Vz}
+			}, func(factory TransportFactory) job {
+				sf, err := syncfile.New(t.TempDir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				j, jp, err := NewJob3D(open3D(method, 2, 2), factory, sf, steps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return job{j, func() [][]float64 { r := jp.Gather(steps); return [][]float64{r.Rho, r.Vx, r.Vy, r.Vz} }}
+			}, decomp.UniformShape3D(3, 2, 1, 12, 10, 8)},
+		}
+		for _, c := range cases {
+			for _, op := range []struct {
+				name string
+				hold int
+				do   func(j *Job, dumpStep int) error
+			}{
+				{"resize", 11, func(j *Job, _ int) error { return j.Resize(c.grown) }},
+				{"suspend", 12, func(j *Job, dumpStep int) error {
+					states, err := j.Suspend()
+					if err != nil {
+						return err
+					}
+					midRun(t, "suspend", states, dumpStep, steps)
+					return j.Resume(states)
+				}},
+			} {
+				t.Run(method+c.dim+"/"+op.name, func(t *testing.T) {
+					want := c.serial()
+					hold := newStepHold(op.hold)
+					run := c.start(hold.over(HubFactory()))
+					run.j.Start()
+					if err := op.do(run.j, hold.wait(run.j)); err != nil {
+						t.Fatal(err)
+					}
+					if err := run.j.WaitDone(); err != nil {
+						t.Fatal(err)
+					}
+					run.j.Shutdown()
+					if i := sameBits(want, run.gather()); i >= 0 {
+						t.Errorf("differs from the serial run at index %d", i)
+					}
+				})
 			}
 		}
 	}

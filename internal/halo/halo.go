@@ -59,7 +59,7 @@ func start(l *grid.Layout, r Region) int { return l.Origin + r.Z0*l.SXY + r.Y0*l
 // value cost twice as much.
 func Extract(l *grid.Layout, r Region, buf []float64) []float64 {
 	n := len(buf)
-	buf = slices.Grow(buf, r.Len())[:n+r.Len()] //detlint:allow allocsteady -- grows only on the first exchange; steady-state callers reuse a full-capacity buffer
+	buf = slices.Grow(buf, r.Len())[:n+r.Len()] // grows only on a caller's first exchange
 	out, data, at, nx, sx := buf[n:], l.Data, start(l, r), r.NX, l.SX
 	for z := 0; z < r.NZ; z++ {
 		plane := out[z*nx*r.NY:][:nx*r.NY]

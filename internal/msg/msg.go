@@ -517,6 +517,9 @@ next:
 // write sends the frames of the messages in ms addressed to rank to with
 // one write on that peer's connection.
 func (t *TCP) write(to int, ms []Message) error {
+	if to == t.rank {
+		return t.loopback(ms)
+	}
 	pc, err := t.dial(to)
 	if err != nil {
 		return err
@@ -532,6 +535,27 @@ func (t *TCP) write(to int, ms []Message) error {
 	}
 	if _, err := pc.conn.Write(pc.wbuf); err != nil {
 		return fmt.Errorf("msg: rank %d write to rank %d: %w: %w", t.rank, to, ErrPeerLost, err)
+	}
+	return nil
+}
+
+// loopback queues the messages in ms addressed to this transport's own
+// rank, its neighbour across a periodic axis with one box, on its receive
+// queue, each copied into a buffer from the free list.
+func (t *TCP) loopback(ms []Message) error {
+	t.mu.Lock()
+	if t.closed {
+		t.mu.Unlock()
+		return ErrClosed
+	}
+	t.wg.Add(1) // Close closes t.recv only after Done
+	t.mu.Unlock()
+	defer t.wg.Done()
+	for _, m := range ms {
+		if m.To == t.rank {
+			m.From, m.Data = t.rank, append(t.free.take(len(m.Data)), m.Data...)
+			t.recv <- arrival{m: m}
+		}
 	}
 	return nil
 }

@@ -42,9 +42,9 @@ var (
 // queue bounded by GOMAXPROCS at first use; a saturated queue pushes
 // work back onto callers rather than growing.
 func start() {
-	startOnce.Do(func() { //detlint:allow allocsteady -- one-time slab spin-up under sync.Once, amortized over the run
+	startOnce.Do(func() {
 		n := runtime.GOMAXPROCS(0)
-		tasks = make(chan task, 4*n) //detlint:allow allocsteady -- one-time queue allocation under sync.Once
+		tasks = make(chan task, 4*n)
 		for i := 0; i < n; i++ {
 			go func() {
 				for t := range tasks {
