@@ -116,7 +116,7 @@ func jobSample(js *jobState, t time.Duration, running bool) JobSample {
 	}
 	return JobSample{
 		ID:        js.spec.ID,
-		Ranks:     js.ranks(),
+		Ranks:     js.espec().Ranks(),
 		SpecRanks: js.spec.Ranks(),
 		Steps:     js.spec.Steps,
 		Remaining: rem,

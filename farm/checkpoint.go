@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/cluster"
+	"repro/internal/decomp"
 	"repro/internal/dump"
 )
 
@@ -204,7 +205,10 @@ func (f *Farm) Checkpoint(dir string) error {
 // coordinator had not yet emitted.
 //
 // Corrupt, partial or mismatched checkpoints fail with descriptive
-// errors; on failure the cluster and any partially resumed workloads
+// errors. A record that does not fit its job's own spec (lattice,
+// spans, placement or rank-state count) fails before the pool is
+// touched; after a later failure (a missing or torn rank dump, a host
+// assigned elsewhere) the cluster and any partially resumed workloads
 // should be discarded.
 func Restore(dir string, c *cluster.Cluster, reg WorkloadRegistry, opts ...Option) (*Farm, error) {
 	// The manifest-owned knobs start at values no option writes, so a
@@ -235,6 +239,12 @@ func Restore(dir string, c *cluster.Cluster, reg WorkloadRegistry, opts ...Optio
 		return nil, fmt.Errorf("farm: restore: manifest clock disagrees with cluster snapshot (%v + %v != %v)",
 			m.Start, m.SavedAt, m.Cluster.Now)
 	}
+	jobs := make([]*jobState, len(m.Jobs))
+	for i, jr := range m.Jobs {
+		if jobs[i], err = checkRecord(jr); err != nil {
+			return nil, err
+		}
+	}
 	if err := c.RestoreSnapshot(m.Cluster); err != nil {
 		return nil, fmt.Errorf("farm: restore: %w", err)
 	}
@@ -261,9 +271,9 @@ func Restore(dir string, c *cluster.Cluster, reg WorkloadRegistry, opts ...Optio
 	}
 	maps.Copy(f.servedByUser, m.ServedByUser)
 
-	for _, jr := range m.Jobs {
-		js, err := restoreJob(dir, m.StatesDir, jr, c, reg)
-		if err != nil {
+	for i, jr := range m.Jobs {
+		js := jobs[i]
+		if err := rebuildJob(dir, m.StatesDir, jr, js, c, reg); err != nil {
 			return nil, err
 		}
 		// Restore replays bookkeeping the original run already announced:
@@ -294,12 +304,11 @@ func Restore(dir string, c *cluster.Cluster, reg WorkloadRegistry, opts ...Optio
 	return f, nil
 }
 
-// restoreJob rebuilds one job from its manifest record: spec and
-// accounting verbatim, workload from the registry, rank states from
-// disk, and — for a running job — the reservation re-established on the
-// snapshot-restored hosts, whose assignments must agree with the
-// manifest.
-func restoreJob(dir, statesDir string, jr ckpt.JobRecord, c *cluster.Cluster, reg WorkloadRegistry) (*jobState, error) {
+// checkRecord rebuilds a job's state from its manifest record and checks
+// the record through the job's own spec: the spec and its current
+// lattice are valid, the spans fit them, and a placement or a set of
+// rank states has one entry per current rank.
+func checkRecord(jr ckpt.JobRecord) (*jobState, error) {
 	spec := JobSpec{
 		ID: jr.ID, Method: jr.Method,
 		JX: jr.JX, JY: jr.JY, JZ: jr.JZ, Side: jr.Side, Steps: jr.Steps,
@@ -309,32 +318,45 @@ func restoreJob(dir, statesDir string, jr ckpt.JobRecord, c *cluster.Cluster, re
 	if err := spec.Validate(); err != nil {
 		return nil, fmt.Errorf("farm: restore: %w", err)
 	}
-	js := &jobState{spec: spec, shape: jr.Shape(), Accounting: jr.Accounting}
-	// The factory sees the job's effective geometry: the current lattice
-	// with the original grid pinned, when resizes moved the job off its
-	// spec.
+	js := &jobState{spec: spec, shape: decomp.Shape{X: jr.SpansX, Y: jr.SpansY, Z: jr.SpansZ}, Accounting: jr.Accounting}
 	espec := js.espec()
 	if err := espec.Validate(); err != nil {
-		return nil, fmt.Errorf("farm: restore %s: resized lattice: %w", jr.ID, err)
+		return nil, fmt.Errorf("farm: restore %s: current lattice: %w", jr.ID, err)
 	}
+	if _, err := shapeOrUniform(espec, js.shape); err != nil {
+		return nil, fmt.Errorf("farm: restore: %w", err)
+	}
+	n := espec.Ranks()
+	if jr.Phase == ckpt.PhaseRunning && len(jr.Hosts) != n {
+		return nil, fmt.Errorf("farm: restore %s: running job records %d hosts for %d ranks", jr.ID, len(jr.Hosts), n)
+	}
+	if k := len(jr.StateSteps); k != 0 && k != n {
+		return nil, fmt.Errorf("farm: restore %s: %d state steps for %d ranks", jr.ID, k, n)
+	}
+	return js, nil
+}
+
+// rebuildJob rebuilds a checked job's workload from the registry (fed
+// the effective spec) and its rank states from disk, and re-establishes
+// a running job's reservation on the snapshot-restored hosts, whose
+// assignments must agree with the manifest.
+func rebuildJob(dir, statesDir string, jr ckpt.JobRecord, js *jobState, c *cluster.Cluster, reg WorkloadRegistry) error {
 	var states []*dump.State
+	var err error
 	if len(jr.StateSteps) > 0 {
-		var err error
-		states, err = ckpt.LoadStates(dir, statesDir, jr.ID, jr.StateSteps)
-		if err != nil {
-			return nil, err
+		if states, err = ckpt.LoadStates(dir, statesDir, jr.ID, jr.StateSteps); err != nil {
+			return err
 		}
 	}
 
 	if f := reg[jr.ID]; f != nil {
-		var err error
-		if js.work, err = f(espec); err != nil {
-			return nil, fmt.Errorf("farm: restore %s: workload factory: %w", jr.ID, err)
+		if js.work, err = f(js.espec()); err != nil {
+			return fmt.Errorf("farm: restore %s: workload factory: %w", jr.ID, err)
 		}
 	}
 	if js.work == nil {
 		if len(states) > 0 {
-			return nil, fmt.Errorf(
+			return fmt.Errorf(
 				"farm: restore %s: checkpoint holds %d rank states but the registry has no workload factory for it",
 				jr.ID, len(states))
 		}
@@ -342,21 +364,21 @@ func restoreJob(dir, statesDir string, jr ckpt.JobRecord, c *cluster.Cluster, re
 	}
 	if len(states) > 0 {
 		if err := js.work.Restore(states); err != nil {
-			return nil, fmt.Errorf("farm: restore %s: %w", jr.ID, err)
+			return fmt.Errorf("farm: restore %s: %w", jr.ID, err)
 		}
 	}
 	if jr.Phase != ckpt.PhaseRunning {
-		return js, nil
+		return nil
 	}
 
 	hosts := make([]*cluster.Host, len(jr.Hosts))
 	for rank, name := range jr.Hosts {
 		h := c.ByName(name)
 		if h == nil {
-			return nil, fmt.Errorf("farm: restore %s: placement names unknown host %q", jr.ID, name)
+			return fmt.Errorf("farm: restore %s: placement names unknown host %q", jr.ID, name)
 		}
 		if h.Assigned() != rank || h.Owner() != jr.ID {
-			return nil, fmt.Errorf(
+			return fmt.Errorf(
 				"farm: restore %s: host %s assigned to rank %d of %q, manifest says rank %d of %q",
 				jr.ID, name, h.Assigned(), h.Owner(), rank, jr.ID)
 		}
@@ -364,9 +386,9 @@ func restoreJob(dir, statesDir string, jr ckpt.JobRecord, c *cluster.Cluster, re
 	}
 	js.res = &cluster.Reservation{Owner: jr.ID, Hosts: hosts}
 	if err := js.work.Resume(hosts); err != nil {
-		return nil, fmt.Errorf("farm: restore %s: resuming workload: %w", jr.ID, err)
+		return fmt.Errorf("farm: restore %s: resuming workload: %w", jr.ID, err)
 	}
-	return js, nil
+	return nil
 }
 
 // recordJob converts a jobState into its manifest record (StateSteps is

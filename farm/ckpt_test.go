@@ -408,20 +408,68 @@ func TestRestoreRejectsCorruptCheckpoints(t *testing.T) {
 		os.WriteFile(dump.Path(jd, 2), data, 0o644)
 	}, "3 rank dumps, expected 2")
 
-	maul("torn state", func(cp string) {
+	// editSim rewrites the sim job's manifest record. ckpt.Save checks
+	// the manifest's structure only, so a record that does not fit its
+	// job saves, and Restore must refuse it.
+	editSim := func(cp string, edit func(*ckpt.JobRecord)) {
+		t.Helper()
 		m, err := ckpt.Load(cp)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range m.Jobs {
 			if m.Jobs[i].ID == "sim" {
-				m.Jobs[i].StateSteps[1]++
+				edit(&m.Jobs[i])
 			}
 		}
 		if err := ckpt.Save(cp, m); err != nil {
 			t.Fatal(err)
 		}
+	}
+	maul("torn state", func(cp string) {
+		editSim(cp, func(jr *ckpt.JobRecord) { jr.StateSteps[1]++ })
 	}, "torn checkpoint")
+
+	// A record that does not fit its job's own spec (the sim is a
+	// running lb2d job on a 2x1 lattice over a 2000x1000 grid) is
+	// refused before the pool is touched.
+	for _, tc := range []struct {
+		name string
+		edit func(*ckpt.JobRecord)
+		want string
+	}{
+		{"host count", func(jr *ckpt.JobRecord) { jr.Hosts = jr.Hosts[:1] }, "1 hosts for 2 ranks"},
+		{"state steps", func(jr *ckpt.JobRecord) { jr.StateSteps = jr.StateSteps[:1] }, "1 state steps for 2 ranks"},
+		{"wrong span count", func(jr *ckpt.JobRecord) { jr.SpansX, jr.SpansY = []int{2000}, []int{1000} }, "1 x spans for 2 pieces"},
+		{"wrong span sum", func(jr *ckpt.JobRecord) { jr.SpansX, jr.SpansY = []int{1200, 801}, []int{1000} }, "x spans sum to 2001"},
+		{"zero span", func(jr *ckpt.JobRecord) { jr.SpansX, jr.SpansY = []int{2000, 0}, []int{1000} }, "0-node x span"},
+		{"z spans on 2D", func(jr *ckpt.JobRecord) {
+			jr.SpansX, jr.SpansY, jr.SpansZ = []int{1200, 800}, []int{1000}, []int{10}
+		}, "2D shape carries 1 z spans"},
+		{"missing y spans", func(jr *ckpt.JobRecord) { jr.SpansX = []int{1200, 800} }, "0 y spans"},
+		{"2D job with a 3D current lattice", func(jr *ckpt.JobRecord) {
+			jr.CurJX, jr.CurJY, jr.CurJZ = 2, 1, 1
+		}, "2D method with JZ = 1"},
+		{"3D job with a 2D current lattice", func(jr *ckpt.JobRecord) {
+			jr.Method, jr.JZ = "lb3d", 1
+			jr.CurJX, jr.CurJY = 2, 1
+		}, "3D method needs JZ >= 1"},
+		{"current lattice wider than the grid", func(jr *ckpt.JobRecord) {
+			jr.CurJX, jr.CurJY = 2001, 1
+		}, "cannot give every subregion"},
+	} {
+		cp := t.TempDir()
+		copyTree(t, dir, cp)
+		editSim(cp, tc.edit)
+		c := cluster.NewPaperCluster()
+		before := c.Snapshot()
+		if err := restore(cp, c, reg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v does not mention %q", tc.name, err, tc.want)
+		}
+		if !reflect.DeepEqual(c.Snapshot(), before) {
+			t.Errorf("%s: the refused restore changed the cluster", tc.name)
+		}
+	}
 
 	maul("garbage manifest", func(cp string) {
 		os.WriteFile(ckpt.ManifestPath(cp), []byte("not json"), 0o644)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -353,38 +354,39 @@ func TestWeightedJobCheckpointRestoreRoundTrip(t *testing.T) {
 }
 
 // TestManifestRejectsCorruptSpans: hand-mauled span records (wrong
-// count, wrong sum) must fail manifest validation, never rebuild a job
-// whose subregions disagree with its dumps.
+// count, wrong sum) must fail the restore's record check, never rebuild
+// a job whose subregions disagree with its dumps.
 func TestManifestRejectsCorruptSpans(t *testing.T) {
 	base := ckpt.JobRecord{
 		ID: "x", Method: "lb2d", JX: 2, JY: 1, Side: 10, Steps: 5,
 		Phase: ckpt.PhaseQueued, Accounting: ckpt.Accounting{Remaining: 5},
 	}
-	mk := func(mut func(*ckpt.JobRecord)) *ckpt.Manifest {
+	mk := func(mut func(*ckpt.JobRecord)) ckpt.JobRecord {
 		jr := base
 		mut(&jr)
-		return &ckpt.Manifest{Version: ckpt.Version, Jobs: []ckpt.JobRecord{jr}}
+		return jr
 	}
-	if err := mk(func(jr *ckpt.JobRecord) { jr.SpansX = []int{12, 8}; jr.SpansY = []int{10} }).Validate(); err != nil {
+	if _, err := checkRecord(mk(func(jr *ckpt.JobRecord) { jr.SpansX = []int{12, 8}; jr.SpansY = []int{10} })); err != nil {
 		t.Errorf("valid spans rejected: %v", err)
 	}
 	bad := []struct {
 		name string
 		mut  func(*ckpt.JobRecord)
+		want string
 	}{
-		{"wrong span count", func(jr *ckpt.JobRecord) { jr.SpansX = []int{20}; jr.SpansY = []int{10} }},
-		{"wrong span sum", func(jr *ckpt.JobRecord) { jr.SpansX = []int{12, 9}; jr.SpansY = []int{10} }},
-		{"zero span", func(jr *ckpt.JobRecord) { jr.SpansX = []int{20, 0}; jr.SpansY = []int{10} }},
+		{"wrong span count", func(jr *ckpt.JobRecord) { jr.SpansX = []int{20}; jr.SpansY = []int{10} }, "1 x spans for 2 pieces"},
+		{"wrong span sum", func(jr *ckpt.JobRecord) { jr.SpansX = []int{12, 9}; jr.SpansY = []int{10} }, "x spans sum to 21"},
+		{"zero span", func(jr *ckpt.JobRecord) { jr.SpansX = []int{20, 0}; jr.SpansY = []int{10} }, "0-node x span"},
 		{"z spans on 2D", func(jr *ckpt.JobRecord) {
 			jr.SpansX = []int{12, 8}
 			jr.SpansY = []int{10}
 			jr.SpansZ = []int{10}
-		}},
-		{"missing y spans", func(jr *ckpt.JobRecord) { jr.SpansX = []int{12, 8} }},
+		}, "2D shape carries 1 z spans"},
+		{"missing y spans", func(jr *ckpt.JobRecord) { jr.SpansX = []int{12, 8} }, "0 y spans"},
 	}
 	for _, tc := range bad {
-		if err := mk(tc.mut).Validate(); err == nil {
-			t.Errorf("%s accepted", tc.name)
+		if _, err := checkRecord(mk(tc.mut)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v does not mention %q", tc.name, err, tc.want)
 		}
 	}
 }

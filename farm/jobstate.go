@@ -27,24 +27,14 @@ type jobState struct {
 	ckpt.Accounting
 }
 
-// resized reports whether the job currently runs a lattice other than
-// its spec's.
-func (j *jobState) resized() bool { return j.CurJX > 0 }
-
-// ranks returns the job's current rank count.
-func (j *jobState) ranks() int {
-	if !j.resized() {
-		return j.spec.Ranks()
-	}
-	return j.espec().Ranks()
-}
-
 // espec returns the job's effective spec: the submitted spec until the
 // first resize, afterwards a copy carrying the current lattice with the
 // original global grid pinned, so every pricing, shape validation and
 // rank-count decision measures the same problem on the new rank count.
 func (j *jobState) espec() JobSpec {
-	if !j.resized() {
+	// A resize sets the whole current lattice. Any non-zero part of one
+	// counts, so a partial record fails the effective spec's Validate.
+	if j.CurJX == 0 && j.CurJY == 0 && j.CurJZ == 0 {
 		return j.spec
 	}
 	e := j.spec
@@ -110,7 +100,7 @@ func (j *jobState) retime(t time.Duration) { j.FinishAt = j.finish(t, j.StepSec)
 func metricsJob(js *jobState) JobMetrics {
 	return JobMetrics{
 		ID:          js.spec.ID,
-		Ranks:       js.ranks(),
+		Ranks:       js.espec().Ranks(),
 		Priority:    js.spec.Priority,
 		Submit:      js.spec.Submit,
 		FirstStart:  js.FirstStart,

@@ -63,12 +63,12 @@ func (f *Farm) scheduleRound(t time.Duration) error {
 						// the round degrades once, however many passes run.)
 						degradeCounted = true
 						f.easyDegraded++
-						f.emit(EASYDegraded{T: t, Head: f.queue[0].spec.ID, Ranks: f.queue[0].ranks()})
+						f.emit(EASYDegraded{T: t, Head: f.queue[0].spec.ID, Ranks: f.queue[0].espec().Ranks()})
 					}
 				}
 				deadline = shadow
 			}
-			if js.ranks() <= free {
+			if js.espec().Ranks() <= free {
 				ok, err := f.tryPlace(js, t, deadline)
 				if err != nil {
 					return err
@@ -126,7 +126,7 @@ func (f *Farm) scheduleRound(t time.Duration) error {
 // conditions change.
 func (f *Farm) projectedStart(head *jobState) time.Duration {
 	free := f.cluster.Capacity(f.selection)
-	need := head.ranks()
+	need := head.espec().Ranks()
 	f.byFinish = append(f.byFinish[:0], f.running...)
 	slices.SortStableFunc(f.byFinish, func(a, b *jobState) int { return cmp.Compare(a.FinishAt, b.FinishAt) })
 	for _, r := range f.byFinish {
@@ -211,7 +211,7 @@ func (f *Farm) chooseShape(spec JobSpec, hosts []*cluster.Host) (decomp.Shape, f
 // started before keeps the shape it dumped with — resumptions and
 // migrations reprice the same geometry on the new hosts.
 func (f *Farm) tryPlace(js *jobState, t time.Duration, deadline time.Duration) (bool, error) {
-	res, err := f.cluster.Reserve(js.spec.ID, js.ranks(), f.selection, f.rng)
+	res, err := f.cluster.Reserve(js.spec.ID, js.espec().Ranks(), f.selection, f.rng)
 	if errors.Is(err, cluster.ErrShortfall) {
 		return false, nil // Reserve draws nothing from the RNG on a shortfall
 	}
@@ -267,7 +267,7 @@ func (f *Farm) tryPlace(js *jobState, t time.Duration, deadline time.Duration) (
 // capacity now. When every lower-priority job together frees too few
 // reusable hosts, it returns before choosing any.
 func (f *Farm) tryPreempt(js *jobState, t time.Duration, free int) (bool, error) {
-	need := js.ranks() - free
+	need := js.espec().Ranks() - free
 	if need <= 0 {
 		return false, nil
 	}

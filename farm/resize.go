@@ -82,7 +82,7 @@ func (f *Farm) resizeByID(id string, n int, t time.Duration) error {
 // releases the extra hosts; a shrink re-splits before any host is
 // released, so its failure changes nothing.
 func (f *Farm) resize(js *jobState, n int, t time.Duration) error {
-	cur := js.ranks()
+	cur := js.espec().Ranks()
 	if n == cur {
 		return nil
 	}
@@ -123,7 +123,7 @@ func (f *Farm) resize(js *jobState, n int, t time.Duration) error {
 // regrid moves a running job's reservation and workload onto n ranks
 // of the next lattice; on failure the reservation is as it was.
 func (f *Farm) regrid(js *jobState, next JobSpec, n int) error {
-	cur := js.ranks()
+	cur := js.espec().Ranks()
 	if n < cur {
 		// Re-split onto the leading n hosts first — the workload refusing
 		// (filter on, deactivated subregions) must leave the reservation
@@ -190,23 +190,18 @@ func (f *Farm) applyResize(js *jobState, next JobSpec, hosts []*cluster.Host) er
 // at least one node. It fails when no factorization of n fits the grid
 // (n prime and longer than both axes, say).
 func chooseLattice(n int, spec JobSpec) (jx, jy, jz int, err error) {
+	// A 2D grid has gz = 0: its one layer takes c = 1 and is recorded
+	// as JZ = 0.
 	gx, gy, gz := spec.Grid()
-	if spec.Is3D() {
-		for c := rootFloor(n, 3); c >= 1; c-- {
-			if n%c != 0 || c > gz {
-				continue
-			}
-			if x, y, ok := lattice2D(n/c, gx, gy); ok {
-				return x, y, c, nil
-			}
+	for c := rootFloor(n, 3); c >= 1; c-- {
+		if n%c != 0 || c > max(gz, 1) {
+			continue
 		}
-		return 0, 0, 0, fmt.Errorf("no %d-rank lattice fits grid %dx%dx%d", n, gx, gy, gz)
+		if x, y, ok := lattice2D(n/c, gx, gy); ok {
+			return x, y, min(c, gz), nil
+		}
 	}
-	x, y, ok := lattice2D(n, gx, gy)
-	if !ok {
-		return 0, 0, 0, fmt.Errorf("no %d-rank lattice fits grid %dx%d", n, gx, gy)
-	}
-	return x, y, 0, nil
+	return 0, 0, 0, fmt.Errorf("no %d-rank lattice fits grid %dx%dx%d", n, gx, gy, gz)
 }
 
 // lattice2D picks the most nearly square factorization jx*jy = n that

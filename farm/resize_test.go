@@ -552,7 +552,7 @@ func TestChooseLattice(t *testing.T) {
 
 // TestJobSpecGrid covers the grid pinning introduced for malleability:
 // derivation from the lattice when unset, the pinned values when set,
-// and the validation failures for malformed grids.
+// and the validation failures for malformed grids and 2D lattices.
 func TestJobSpecGrid(t *testing.T) {
 	derived := JobSpec{ID: "d", Method: "lb2d", JX: 3, JY: 2, Side: 10, Steps: 1}
 	if gx, gy, gz := derived.Grid(); gx != 30 || gy != 20 || gz != 0 {
@@ -571,6 +571,11 @@ func TestJobSpecGrid(t *testing.T) {
 		{ID: "neg", Method: "lb2d", JX: 1, JY: 1, Side: 4, GX: -1, Steps: 1},
 		{ID: "gz2d", Method: "lb2d", JX: 1, JY: 1, Side: 4, GZ: 8, Steps: 1},
 		{ID: "thin", Method: "lb2d", JX: 4, JY: 1, Side: 4, GX: 2, Steps: 1},
+		// A 2D method's lattice is JZ = 0: with JZ = 1 the spec would be
+		// Is3D, Side*JZ deep and priced as a 3D job.
+		{ID: "lb2d-jz1", Method: "lb2d", JX: 2, JY: 2, JZ: 1, Side: 20, Steps: 1},
+		{ID: "fd2d-jz1", Method: "fd2d", JX: 2, JY: 2, JZ: 1, Side: 20, Steps: 1},
+		{ID: "lb2d-jz-1", Method: "lb2d", JX: 2, JY: 2, JZ: -1, Side: 20, Steps: 1},
 	}
 	for _, spec := range bad {
 		if err := spec.Validate(); !errors.Is(err, ErrInvalidSpec) {

@@ -500,12 +500,12 @@ func TestPolicyNames(t *testing.T) {
 // TestSpecWorkload sanity-checks the spec arithmetic.
 func TestSpecWorkload(t *testing.T) {
 	s2 := JobSpec{ID: "a", Method: "lb2d", JX: 3, JY: 2, Side: 10, Steps: 1}
-	if s2.Ranks() != 6 || s2.NodesPerRank() != 100 || s2.Is3D() {
-		t.Errorf("2D spec arithmetic: ranks %d nodes %d 3d %v", s2.Ranks(), s2.NodesPerRank(), s2.Is3D())
+	if s2.Ranks() != 6 || s2.Is3D() {
+		t.Errorf("2D spec arithmetic: ranks %d 3d %v", s2.Ranks(), s2.Is3D())
 	}
 	s3 := JobSpec{ID: "b", Method: "fd3d", JX: 2, JY: 2, JZ: 3, Side: 4, Steps: 1}
-	if s3.Ranks() != 12 || s3.NodesPerRank() != 64 || !s3.Is3D() {
-		t.Errorf("3D spec arithmetic: ranks %d nodes %d 3d %v", s3.Ranks(), s3.NodesPerRank(), s3.Is3D())
+	if s3.Ranks() != 12 || !s3.Is3D() {
+		t.Errorf("3D spec arithmetic: ranks %d 3d %v", s3.Ranks(), s3.Is3D())
 	}
 }
 

@@ -176,21 +176,7 @@ func (s JobSpec) Grid() (gx, gy, gz int) {
 }
 
 // Ranks returns the number of hosts the job needs.
-func (s JobSpec) Ranks() int {
-	jz := s.JZ
-	if jz < 1 {
-		jz = 1
-	}
-	return s.JX * s.JY * jz
-}
-
-// NodesPerRank returns the fluid nodes each rank integrates per step.
-func (s JobSpec) NodesPerRank() int {
-	if s.Is3D() {
-		return s.Side * s.Side * s.Side
-	}
-	return s.Side * s.Side
-}
+func (s JobSpec) Ranks() int { return s.JX * s.JY * max(s.JZ, 1) }
 
 // Validate checks the spec. Every failure wraps ErrInvalidSpec, so
 // callers distinguish a malformed spec from capacity or lifecycle
@@ -211,7 +197,7 @@ func (s JobSpec) Validate() error {
 	if dim == 3 && s.JZ < 1 {
 		return fmt.Errorf("farm: %w: job %s: 3D method needs JZ >= 1", ErrInvalidSpec, s.ID)
 	}
-	if dim == 2 && s.JZ > 1 {
+	if dim == 2 && s.JZ != 0 {
 		return fmt.Errorf("farm: %w: job %s: 2D method with JZ = %d", ErrInvalidSpec, s.ID, s.JZ)
 	}
 	if s.JX < 1 || s.JY < 1 {

@@ -87,10 +87,10 @@ func forEachRank(spec JobSpec, shape decomp.Shape, f func(rank, nodes int)) {
 // ComputeTimer is the communication-free estimate: the parallel step
 // runs at the pace of the slowest rank's local compute, each rank's node
 // count under the shape divided by its host's speed-table rate. With a
-// zero (uniform) shape every rank integrates NodesPerRank nodes and the
-// step is priced at the slowest host's pace — the pre-weighting
-// behaviour; a speed-weighted shape balances the per-rank loads so mixed
-// pools stop paying the worst-host penalty.
+// zero (uniform) shape every rank integrates its box of the uniform
+// split and the step is priced at the slowest host's pace — the
+// pre-weighting behaviour; a speed-weighted shape balances the per-rank
+// loads so mixed pools stop paying the worst-host penalty.
 func ComputeTimer(spec JobSpec, shape decomp.Shape, hosts []*cluster.Host) (float64, error) {
 	if len(hosts) < spec.Ranks() {
 		return 0, fmt.Errorf("farm: %d hosts for %d ranks of %s", len(hosts), spec.Ranks(), spec.ID)

@@ -135,20 +135,18 @@ func (a Arrivals) rate(t time.Duration) float64 {
 // cohort's job distribution.
 type ShapeChoice struct {
 	// Method is lb2d, fd2d, lb3d or fd3d; JX, JY, JZ the decomposition
-	// (JZ = 0 for 2D). Ranks = JX*JY*max(JZ,1) hosts are needed.
+	// (JZ = 0 for 2D), as in farm.JobSpec.
 	Method     string
 	JX, JY, JZ int
 	// Weight is the candidate's relative probability (<= 0 means 1).
 	Weight float64
 }
 
-// ranks returns the hosts the choice needs.
-func (sc ShapeChoice) ranks() int {
-	jz := sc.JZ
-	if jz < 1 {
-		jz = 1
-	}
-	return sc.JX * sc.JY * jz
+// probe returns a minimal job spec of the choice's method and lattice,
+// so its rank count and validity are the farm's.
+func (sc ShapeChoice) probe() farm.JobSpec {
+	return farm.JobSpec{ID: "probe", Method: sc.Method,
+		JX: sc.JX, JY: sc.JY, JZ: sc.JZ, Side: 4, Steps: 1}
 }
 
 // IntChoice is one weighted integer candidate (priorities).
@@ -187,7 +185,7 @@ func (s *Spec) MaxRanks() int {
 	max := 0
 	for _, c := range s.Cohorts {
 		for _, sc := range c.Jobs.Shapes {
-			if r := sc.ranks(); r > max {
+			if r := sc.probe().Ranks(); r > max {
 				max = r
 			}
 		}
@@ -254,9 +252,7 @@ func (c *Cohort) validate() error {
 		return fmt.Errorf("no shape candidates")
 	}
 	for _, sc := range c.Jobs.Shapes {
-		probe := farm.JobSpec{ID: "probe", Method: sc.Method,
-			JX: sc.JX, JY: sc.JY, JZ: sc.JZ, Side: 4, Steps: 1}
-		if err := probe.Validate(); err != nil {
+		if err := sc.probe().Validate(); err != nil {
 			return fmt.Errorf("shape %s %dx%dx%d: %w", sc.Method, sc.JX, sc.JY, sc.JZ, err)
 		}
 	}

@@ -189,6 +189,7 @@ func TestSpecValidation(t *testing.T) {
 		"bad diurnal":    func(s *workload.Spec) { s.Cohorts[0].Arrivals.Diurnal = []float64{1, 0} },
 		"no shapes":      func(s *workload.Spec) { s.Cohorts[0].Jobs.Shapes = nil },
 		"bad method":     func(s *workload.Spec) { s.Cohorts[0].Jobs.Shapes[0].Method = "lb4d" },
+		"2D with JZ":     func(s *workload.Spec) { s.Cohorts[0].Jobs.Shapes[0].JZ = 1 },
 		"no side":        func(s *workload.Spec) { s.Cohorts[0].Jobs.SideMin = 0 },
 		"side range":     func(s *workload.Spec) { s.Cohorts[0].Jobs.SideMax = s.Cohorts[0].Jobs.SideMin - 1 },
 		"no steps":       func(s *workload.Spec) { s.Cohorts[0].Jobs.Steps.Median = 0 },

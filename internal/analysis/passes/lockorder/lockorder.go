@@ -13,13 +13,16 @@
 // "pkg.name", a mutex struct field is "pkg.Type.field". Function-local
 // mutexes have no cross-function identity and are ignored. A deferred
 // Unlock releases nothing during simulation — the lock is held to the
-// end of the function, which is the pattern's meaning.
+// end of the function, which is the pattern's meaning. A block that
+// ends in return leaves the path after it alone: the held set after
+// `if dup { mu.Unlock(); return }` is the one before it.
 package lockorder
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 
 	"repro/internal/analysis"
@@ -52,9 +55,10 @@ type edge struct {
 	Via  string `json:"via,omitempty"` // callee that acquires To, for indirect edges
 }
 
-// item is one simulation step: a lock op or a call, in source order.
+// item is one simulation step: a lock op or a call, in source order,
+// or the bounds of a block that ends in return.
 type item struct {
-	kind byte // 'l' lock, 'u' unlock, 'c' call
+	kind byte // 'l' lock, 'u' unlock, 'c' call, 's' save, 'r' restore
 	name string
 	pos  token.Pos
 }
@@ -125,10 +129,10 @@ func run(pass *analysis.Pass) error {
 	}
 	sort.Strings(keys)
 	for _, fnKey := range keys {
-		held := make(map[string]token.Pos)
-		var order []string // held locks, acquisition order
+		var held []string    // held locks, acquisition order
+		var saved [][]string // held at the entry of each open returning block
 		addEdge := func(to string, pos token.Pos, via string) {
-			for _, from := range order {
+			for _, from := range held {
 				if from == to {
 					continue
 				}
@@ -141,27 +145,24 @@ func run(pass *analysis.Pass) error {
 		}
 		for _, it := range items[fnKey] {
 			switch it.kind {
+			case 's':
+				saved = append(saved, slices.Clone(held))
+			case 'r':
+				held, saved = saved[len(saved)-1], saved[:len(saved)-1]
 			case 'l':
 				if pass.Allowed(it.pos) {
 					continue
 				}
 				addEdge(it.name, it.pos, "")
-				if _, ok := held[it.name]; !ok {
-					held[it.name] = it.pos
-					order = append(order, it.name)
+				if !slices.Contains(held, it.name) {
+					held = append(held, it.name)
 				}
 			case 'u':
-				if _, ok := held[it.name]; ok {
-					delete(held, it.name)
-					for i, n := range order {
-						if n == it.name {
-							order = append(order[:i], order[i+1:]...)
-							break
-						}
-					}
+				if i := slices.Index(held, it.name); i >= 0 {
+					held = slices.Delete(held, i, i+1)
 				}
 			case 'c':
-				if len(order) == 0 {
+				if len(held) == 0 {
 					continue
 				}
 				if pass.Allowed(it.pos) {
@@ -271,11 +272,19 @@ func (a *acquirer) of(key string) []string {
 // collectItems walks one function and returns its lock operations and
 // calls in source order. Deferred Unlocks are dropped — the lock stays
 // held to function end — and deferred other calls are treated as calls
-// at the defer site, which is conservative in the right direction.
+// at the defer site, which is conservative in the right direction. A
+// block that ends in return is bracketed by a save and a restore of the
+// held set.
 func collectItems(pass *analysis.Pass, fd *ast.FuncDecl) []item {
 	var items []item
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
+		case *ast.BlockStmt:
+			if k := len(n.List); k > 0 {
+				if _, ok := n.List[k-1].(*ast.ReturnStmt); ok {
+					items = append(items, item{'s', "", n.Pos()}, item{'r', "", n.End()})
+				}
+			}
 		case *ast.DeferStmt:
 			if kind, _, ok := mutexOp(pass, n.Call); ok && (kind == "Unlock" || kind == "RUnlock") {
 				return false // held to end of function

@@ -4,9 +4,10 @@
 //
 // Go randomizes map iteration order on purpose, so a map range that
 // appends to an outer slice, calls out (emitting an event, formatting
-// an error, writing a trace or manifest field), sends on a channel, or
-// accumulates into a float/string is nondeterministic between two runs
-// of the same binary with the same inputs. Order-insensitive bodies —
+// an error, writing a trace or manifest field), sends on a channel,
+// accumulates into a float/string, or returns its first match (a return
+// that reads the key or value) is nondeterministic between two runs of
+// the same binary with the same inputs. Order-insensitive bodies —
 // writing into another map, deleting keys, integer counting — pass.
 //
 // The sanctioned pattern also passes: a loop that only collects keys
@@ -31,7 +32,7 @@ import (
 var Analyzer = analysis.Register(&analysis.Analyzer{
 	Name: "maporder",
 	Doc: "flag map ranges whose body is iteration-order sensitive " +
-		"(appends, calls, channel sends, float/string accumulation) unless the collected slice is sorted",
+		"(appends, calls, channel sends, float/string accumulation, a first match returned) unless the collected slice is sorted",
 	Run: run,
 })
 
@@ -137,6 +138,9 @@ func checkMapRange(pass *analysis.Pass, rs *ast.RangeStmt, fnBody *ast.BlockStmt
 		return true
 	})
 
+	if sensitive == "" && returnsElement(pass, rs) {
+		note("returns its first match in map order")
+	}
 	if sensitive != "" {
 		pass.Reportf(rs.For,
 			"range over a map %s; iteration order is nondeterministic — iterate sorted keys", sensitive)
@@ -150,6 +154,47 @@ func checkMapRange(pass *analysis.Pass, rs *ast.RangeStmt, fnBody *ast.BlockStmt
 			return
 		}
 	}
+}
+
+// returnsElement reports whether a return in the loop (not in a
+// function literal) reads the range's key or value, or a variable
+// assigned from one: the first match, in an order that differs between
+// runs.
+func returnsElement(pass *analysis.Pass, rs *ast.RangeStmt) bool {
+	from := make(map[types.Object]bool)
+	mark := func(es ...ast.Expr) {
+		for _, e := range es {
+			if id, ok := e.(*ast.Ident); ok && pass.TypesInfo.ObjectOf(id) != nil {
+				from[pass.TypesInfo.ObjectOf(id)] = true
+			}
+		}
+	}
+	reads := func(es []ast.Expr) (found bool) {
+		for _, e := range es {
+			ast.Inspect(e, func(n ast.Node) bool {
+				id, ok := n.(*ast.Ident)
+				found = found || ok && from[pass.TypesInfo.ObjectOf(id)]
+				return !found
+			})
+		}
+		return found
+	}
+	mark(rs.Key, rs.Value)
+	found := false
+	ast.Inspect(rs.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.AssignStmt:
+			if reads(n.Rhs) {
+				mark(n.Lhs...)
+			}
+		case *ast.ReturnStmt:
+			found = reads(n.Results)
+		}
+		return !found
+	})
+	return found
 }
 
 func typeOf(pass *analysis.Pass, e ast.Expr) (types.TypeAndValue, bool) {

@@ -148,3 +148,45 @@ func allowed(m map[string]int) {
 		emit(k)
 	}
 }
+
+// firstLost is census mutant O1: the first wanted peer that is lost,
+// taken from a map, is whichever the map order visits first.
+func firstLost(lost map[int]error, want []int) error {
+	for peer, err := range lost { // want `returns its first match in map order`
+		for _, w := range want {
+			if w == peer {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+func firstKeyVia(m map[string]int) string {
+	for k, v := range m { // want `returns its first match in map order`
+		name := k
+		if v > 0 {
+			return name
+		}
+	}
+	return ""
+}
+
+// anyNegative returns the same whichever element matches first.
+func anyNegative(m map[string]int) bool {
+	for _, v := range m {
+		if v < 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// A return in a function literal is the literal's own.
+func closures(m map[string]int) map[string]func() int {
+	fs := make(map[string]func() int, len(m))
+	for k, v := range m {
+		fs[k] = func() int { return v }
+	}
+	return fs
+}

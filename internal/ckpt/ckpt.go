@@ -19,6 +19,11 @@
 // reject version skew, missing or surplus rank files, and state files
 // that disagree with the manifest with errors that say exactly what is
 // wrong, rather than letting a restore build a wrong farm.
+//
+// The manifest is a format: this package checks its structure, not what
+// a job record means. Whether a record's lattice, spans, placement and
+// state count fit its job is the farm's question, answered by the job's
+// own spec when the farm restores it.
 package ckpt
 
 import (
@@ -30,7 +35,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/decomp"
 	"repro/internal/dump"
 )
 
@@ -131,100 +135,6 @@ type Accounting struct {
 	Imbalance float64 `json:",omitempty"`
 }
 
-// Ranks returns the number of hosts the recorded job's spec asks for.
-func (r JobRecord) Ranks() int {
-	jz := r.JZ
-	if jz < 1 {
-		jz = 1
-	}
-	return r.JX * r.JY * jz
-}
-
-// CurRanks returns the number of hosts the job needs right now: the
-// current (post-resize) lattice's rank count when one is recorded, the
-// spec's otherwise. Placement and state-file counts follow it.
-func (r JobRecord) CurRanks() int {
-	if r.CurJX < 1 {
-		return r.Ranks()
-	}
-	jz := r.CurJZ
-	if jz < 1 {
-		jz = 1
-	}
-	return r.CurJX * r.CurJY * jz
-}
-
-// grid returns the job's global grid extents: the pinned GridX/Y/Z when
-// set, Side times the spec lattice otherwise (gz is zero for 2D jobs) —
-// mirroring farm.JobSpec.Grid.
-func (r JobRecord) grid() (gx, gy, gz int) {
-	gx, gy, gz = r.GridX, r.GridY, r.GridZ
-	if gx == 0 {
-		gx = r.Side * r.JX
-	}
-	if gy == 0 {
-		gy = r.Side * r.JY
-	}
-	if r.JZ < 1 {
-		return gx, gy, 0
-	}
-	if gz == 0 {
-		gz = r.Side * r.JZ
-	}
-	return gx, gy, gz
-}
-
-// checkCur validates the recorded current lattice against the job's
-// dimensionality and grid.
-func (r JobRecord) checkCur() error {
-	if r.CurJX == 0 && r.CurJY == 0 && r.CurJZ == 0 {
-		return nil
-	}
-	if r.CurJX < 1 || r.CurJY < 1 {
-		return fmt.Errorf("ckpt: job %s: current lattice %dx%dx%d", r.ID, r.CurJX, r.CurJY, r.CurJZ)
-	}
-	if r.JZ < 1 && r.CurJZ != 0 {
-		return fmt.Errorf("ckpt: job %s: 2D job with 3D current lattice (CurJZ = %d)", r.ID, r.CurJZ)
-	}
-	if r.JZ >= 1 && r.CurJZ < 1 {
-		return fmt.Errorf("ckpt: job %s: 3D job with 2D current lattice", r.ID)
-	}
-	gx, gy, gz := r.grid()
-	if r.CurJX > gx || r.CurJY > gy || (r.JZ >= 1 && r.CurJZ > gz) {
-		return fmt.Errorf("ckpt: job %s: current lattice %dx%dx%d exceeds grid %dx%dx%d",
-			r.ID, r.CurJX, r.CurJY, r.CurJZ, gx, gy, gz)
-	}
-	return nil
-}
-
-// Shape returns the recorded decomposition shape (zero when the job
-// used the uniform split).
-func (r JobRecord) Shape() decomp.Shape {
-	return decomp.Shape{X: r.SpansX, Y: r.SpansY, Z: r.SpansZ}
-}
-
-// checkShape validates the recorded spans against the job's current
-// lattice and grid, so a torn or hand-edited manifest can never rebuild
-// a job whose subregions disagree with its rank dumps.
-func (r JobRecord) checkShape() error {
-	sh := r.Shape()
-	if sh.IsZero() {
-		return nil
-	}
-	jx, jy, jz := r.JX, r.JY, r.JZ
-	if r.CurJX > 0 {
-		jx, jy, jz = r.CurJX, r.CurJY, r.CurJZ
-	}
-	gx, gy, gz := r.grid()
-	if jz < 1 {
-		jz, gz = 0, 0
-	}
-	if err := sh.Check(jx, jy, jz, gx, gy, gz); err != nil {
-		return fmt.Errorf("ckpt: job %s: %w", r.ID, err)
-	}
-	return nil
-}
-
 // Manifest is one complete farm checkpoint. All job times are
 // farm-relative virtual times (relative to Start, the absolute cluster
 // time of the coordinator's Run entry), exactly as the scheduler accounts
@@ -274,7 +184,10 @@ func ParseStatesDir(name string) (int, error) {
 	return seq, nil
 }
 
-// Validate checks the manifest's internal consistency.
+// Validate checks the manifest's structure: its version, unique job
+// IDs, known phases, no placement on a job that is not running, and a
+// states directory that is named when a job records rank states and
+// well-formed when named.
 func (m *Manifest) Validate() error {
 	if m.Version != Version {
 		return fmt.Errorf("ckpt: manifest version %d, this build reads version %d", m.Version, Version)
@@ -293,25 +206,11 @@ func (m *Manifest) Validate() error {
 		default:
 			return fmt.Errorf("ckpt: job %s has unknown phase %q", jr.ID, jr.Phase)
 		}
-		if err := jr.checkCur(); err != nil {
-			return err
-		}
-		if jr.Phase == PhaseRunning && len(jr.Hosts) != jr.CurRanks() {
-			return fmt.Errorf("ckpt: running job %s records %d hosts for %d ranks",
-				jr.ID, len(jr.Hosts), jr.CurRanks())
-		}
 		if jr.Phase != PhaseRunning && len(jr.Hosts) != 0 {
 			return fmt.Errorf("ckpt: %s job %s records a placement", jr.Phase, jr.ID)
 		}
-		if n := len(jr.StateSteps); n != 0 && n != jr.CurRanks() {
-			return fmt.Errorf("ckpt: job %s records %d state steps for %d ranks",
-				jr.ID, n, jr.CurRanks())
-		}
 		if len(jr.StateSteps) > 0 && m.StatesDir == "" {
 			return fmt.Errorf("ckpt: job %s records rank states but the manifest names no states directory", jr.ID)
-		}
-		if err := jr.checkShape(); err != nil {
-			return err
 		}
 	}
 	if m.StatesDir != "" {

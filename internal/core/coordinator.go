@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/decomp"
 	"repro/internal/dump"
-	"repro/internal/pool"
 	"repro/internal/syncfile"
 )
 
@@ -96,7 +96,7 @@ func NewJob3D(cfg *Config3D, factory TransportFactory, sync *syncfile.Sync, unti
 // newJob is the body of NewJob2D and NewJob3D over the config's gather
 // program.
 func newJob[C setup[P], P built, R any](cfg C, gather func(C, []P, int) R,
-	factory TransportFactory, sync *syncfile.Sync, until int) (*Job, *jobPrograms[C, P, R], error) {
+	factory TransportFactory, sf *syncfile.Sync, until int) (*Job, *jobPrograms[C, P, R], error) {
 	progs, err := buildAll[P](cfg)
 	if err != nil {
 		return nil, nil, err
@@ -104,7 +104,7 @@ func newJob[C setup[P], P built, R any](cfg C, gather func(C, []P, int) R,
 	jp := &jobPrograms[C, P, R]{cfg: cfg, progs: make(map[int]P), gather: gather}
 	j := &Job{
 		Factory:     factory,
-		Sync:        sync,
+		Sync:        sf,
 		Until:       until,
 		WaitTimeout: 60 * time.Second,
 		events:      make(chan Event, 32*len(progs)),
@@ -113,21 +113,25 @@ func newJob[C setup[P], P built, R any](cfg C, gather func(C, []P, int) R,
 		done:        make(map[int]bool),
 	}
 	j.rebuild = func(states []*dump.State) ([]Program, error) {
-		// One rank a slab of the shared pool (a restore gives the pool no
-		// work of its own); the map is written on this goroutine. A rank
-		// in it has exited, and resplit empties it when the boxes change.
+		// One goroutine a rank, joined before any result is read; the
+		// map is written on this goroutine. A rank in it has exited, and
+		// resplit empties it when the boxes change.
 		built := make([]P, len(states))
 		errs := make([]error, len(states))
-		var r pool.Runner
-		r.Run(len(states), len(states), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if p, ok := jp.progs[states[i].Rank]; ok {
-					built[i], errs[i] = p, p.RestoreState(states[i])
+		var wg sync.WaitGroup
+		for i, st := range states {
+			wg.Add(1)
+			//detlint:allow entropy -- each goroutine writes only its own slot of built and errs, and all are joined before any slot is read
+			go func() {
+				defer wg.Done()
+				if p, ok := jp.progs[st.Rank]; ok {
+					built[i], errs[i] = p, p.RestoreState(st)
 				} else {
-					built[i], errs[i] = restoreProgram(cfg, states[i])
+					built[i], errs[i] = restoreProgram(cfg, st)
 				}
-			}
-		})
+			}()
+		}
+		wg.Wait()
 		progs := make([]Program, len(states))
 		for i, p := range built {
 			if errs[i] != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 
 	"repro/internal/decomp"
 	"repro/internal/dump"
@@ -10,7 +11,6 @@ import (
 	"repro/internal/fluid"
 	"repro/internal/lbm"
 	"repro/internal/msg"
-	"repro/internal/pool"
 )
 
 // Method names accepted by the configs.
@@ -55,13 +55,13 @@ type built interface {
 }
 
 // workerBudget resolves the intra-rank worker count: the config's Workers
-// knob if set, else an even share of GOMAXPROCS across the ranks so
-// co-scheduled ranks don't oversubscribe the machine.
+// knob if set, else an even share of GOMAXPROCS across the ranks (at
+// least 1), so co-scheduled ranks don't oversubscribe the machine.
 func workerBudget(workers, ranks int) int {
 	if workers > 0 {
 		return workers
 	}
-	return pool.DefaultPerRank(ranks)
+	return max(1, runtime.GOMAXPROCS(0)/max(1, ranks))
 }
 
 // newProgram builds the Program for one rank at the initial condition: the
@@ -217,7 +217,7 @@ type Config2D struct {
 
 	// Workers is the intra-rank worker-slab budget handed to each rank's
 	// solver; 0 means an even share of GOMAXPROCS across the ranks
-	// (pool.DefaultPerRank). Fields are bit-identical at every value.
+	// (workerBudget). Fields are bit-identical at every value.
 	Workers int
 
 	// Initial fields at global coordinates; nil means rho = Rho0, V = 0.

@@ -18,7 +18,7 @@ type Config3D struct {
 	D      *decomp.Decomp
 
 	// Workers is the intra-rank worker-slab budget per solver; 0 means an
-	// even share of GOMAXPROCS across ranks (pool.DefaultPerRank).
+	// even share of GOMAXPROCS across ranks (workerBudget).
 	Workers int
 
 	InitRho, InitVx, InitVy, InitVz func(x, y, z int) float64

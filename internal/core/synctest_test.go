@@ -9,22 +9,19 @@ import (
 	"repro/internal/pool"
 )
 
-// TestControlPlaneInBubbles runs the control-plane tests each inside a
-// testing/synctest bubble. There a goroutine left blocked for good is a
-// deadlock panic, not a leak found later, and a WaitTimeout costs no wall
-// clock. The shared pool's workers are started first, outside every
-// bubble: a bubble's goroutines may not wait on them, so the step runs
-// with GOMAXPROCS=1, where a rank's slabs stay on the rank's goroutine.
+// TestControlPlaneInBubbles runs the eleven control-plane tests each
+// inside a testing/synctest bubble. There a goroutine left blocked for
+// good is a deadlock panic, not a leak found later, and a WaitTimeout
+// costs no wall clock.
 //
-// Three control-plane tests are left out. TestSnapshotKeepsRunning failed
-// 1 run in 6 under GOMAXPROCS=1 when this probe was sized.
-// TestResize2DBitIdentical and TestResize3DBitIdentical pass in a process
-// of their own, but after the tests below they deadlock-panicked 9 runs
-// in 10: a resize rebuilds its ranks as slabs of the shared pool, and the
-// bubble's goroutine waiting for a slab that a pool worker, outside the
-// bubble, has not yet run counts as blocked for good. The fix is to run
-// every slab on its caller's goroutine (ROADMAP 24); then all eleven
-// should run, at the default GOMAXPROCS too.
+// A bubble's goroutines may not wait on goroutines outside it. The
+// control plane starts none it does not join: every rank runs on a
+// goroutine of its own, and a rebuild restores its ranks on goroutines
+// it waits for. The solvers' step slabs still go to the shared pool,
+// whose workers are started first, outside every bubble; a rank whose
+// worker budget is above 1 would wait on them. With GOMAXPROCS=1 every
+// budget is 1 and the slabs stay on the rank's goroutine, so the step
+// that runs this file sets it.
 //
 // Run it with GOEXPERIMENT=synctest GOMAXPROCS=1 go test -run Bubbles ./internal/core.
 func TestControlPlaneInBubbles(t *testing.T) {
@@ -41,6 +38,9 @@ func TestControlPlaneInBubbles(t *testing.T) {
 		{"SyncDirReusedByASecondJob", TestSyncDirReusedByASecondJob},
 		{"SimultaneousMigration", TestSimultaneousMigration},
 		{"SuspendResumePreservesSolution", TestSuspendResumePreservesSolution},
+		{"SnapshotKeepsRunning", TestSnapshotKeepsRunning},
+		{"Resize2DBitIdentical", TestResize2DBitIdentical},
+		{"Resize3DBitIdentical", TestResize3DBitIdentical},
 		{"ReplacedWorkersLeakNothing", TestReplacedWorkersLeakNothing},
 	} {
 		t.Run(c.name, func(t *testing.T) {

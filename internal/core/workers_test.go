@@ -2,10 +2,27 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/lbm"
 )
+
+// TestWorkerBudget: the Workers knob wins when set; otherwise each rank
+// gets an even share of GOMAXPROCS, at least 1.
+func TestWorkerBudget(t *testing.T) {
+	gmp := runtime.GOMAXPROCS(0)
+	for _, c := range []struct{ workers, ranks, want int }{
+		{0, 1, gmp},
+		{0, 10 * gmp, 1},
+		{0, 0, gmp},
+		{3, 10 * gmp, 3},
+	} {
+		if got := workerBudget(c.workers, c.ranks); got != c.want {
+			t.Errorf("workerBudget(%d, %d) = %d, want %d", c.workers, c.ranks, got, c.want)
+		}
+	}
+}
 
 // TestWorkerBudgetBitIdenticalThroughLifecycle is the tentpole identity
 // check at the job level: the same problem run at different intra-rank

@@ -120,19 +120,3 @@ func Slabs(workers, units, cellsPerUnit int) int {
 	unitsPerSlab := (minSlabCells + cellsPerUnit - 1) / cellsPerUnit
 	return min(workers, units/unitsPerSlab)
 }
-
-// DefaultPerRank returns the default intra-rank worker budget for a job
-// of `ranks` parallel subprocesses: an even share of GOMAXPROCS, at
-// least 1. Co-scheduled ranks run as goroutines in this process, so each
-// rank claiming the whole machine would oversubscribe it; the even share
-// keeps a P-rank job's total worker demand at about GOMAXPROCS.
-func DefaultPerRank(ranks int) int {
-	if ranks < 1 {
-		ranks = 1
-	}
-	n := runtime.GOMAXPROCS(0) / ranks
-	if n < 1 {
-		return 1
-	}
-	return n
-}

@@ -111,16 +111,3 @@ func TestRunZeroAlloc(t *testing.T) {
 		t.Errorf("Run allocates %.1f objects per call, want 0", allocs)
 	}
 }
-
-func TestDefaultPerRank(t *testing.T) {
-	gmp := runtime.GOMAXPROCS(0)
-	if got := DefaultPerRank(1); got != gmp {
-		t.Errorf("DefaultPerRank(1) = %d, want GOMAXPROCS = %d", got, gmp)
-	}
-	if got := DefaultPerRank(10 * gmp); got != 1 {
-		t.Errorf("DefaultPerRank(%d) = %d, want 1", 10*gmp, got)
-	}
-	if got := DefaultPerRank(0); got != gmp {
-		t.Errorf("DefaultPerRank(0) = %d, want %d", got, gmp)
-	}
-}
