@@ -205,11 +205,13 @@ func (f *Farm) Checkpoint(dir string) error {
 // coordinator had not yet emitted.
 //
 // Corrupt, partial or mismatched checkpoints fail with descriptive
-// errors. A record that does not fit its job's own spec (lattice,
-// spans, placement or rank-state count) fails before the pool is
-// touched; after a later failure (a missing or torn rank dump, a host
-// assigned elsewhere) the cluster and any partially resumed workloads
-// should be discarded.
+// errors before the pool is touched: a record that does not fit its
+// job's own spec (lattice, spans, placement or rank-state count), a
+// placement the manifest's cluster snapshot does not hold, rank states
+// with no workload factory, and a missing, surplus or torn rank dump.
+// Only a workload factory, Restore or Resume error fails after the
+// snapshot is applied; then the cluster and any partially resumed
+// workloads should be discarded.
 func Restore(dir string, c *cluster.Cluster, reg WorkloadRegistry, opts ...Option) (*Farm, error) {
 	// The manifest-owned knobs start at values no option writes, so a
 	// probe shows whether an option set them.
@@ -239,9 +241,25 @@ func Restore(dir string, c *cluster.Cluster, reg WorkloadRegistry, opts ...Optio
 		return nil, fmt.Errorf("farm: restore: manifest clock disagrees with cluster snapshot (%v + %v != %v)",
 			m.Start, m.SavedAt, m.Cluster.Now)
 	}
+	placed := make(map[string]cluster.HostState, len(m.Cluster.Hosts))
+	for _, hs := range m.Cluster.Hosts {
+		placed[hs.Name] = hs
+	}
 	jobs := make([]*jobState, len(m.Jobs))
+	states := make([][]*dump.State, len(m.Jobs))
 	for i, jr := range m.Jobs {
-		if jobs[i], err = checkRecord(jr); err != nil {
+		if jobs[i], err = checkRecord(jr, placed); err != nil {
+			return nil, err
+		}
+		if len(jr.StateSteps) == 0 {
+			continue
+		}
+		if reg[jr.ID] == nil {
+			return nil, fmt.Errorf(
+				"farm: restore %s: checkpoint holds %d rank states but the registry has no workload factory for it",
+				jr.ID, len(jr.StateSteps))
+		}
+		if states[i], err = ckpt.LoadStates(dir, m.StatesDir, jr.ID, jr.StateSteps); err != nil {
 			return nil, err
 		}
 	}
@@ -273,7 +291,7 @@ func Restore(dir string, c *cluster.Cluster, reg WorkloadRegistry, opts ...Optio
 
 	for i, jr := range m.Jobs {
 		js := jobs[i]
-		if err := rebuildJob(dir, m.StatesDir, jr, js, c, reg); err != nil {
+		if err := rebuildJob(jr, js, states[i], c, reg); err != nil {
 			return nil, err
 		}
 		// Restore replays bookkeeping the original run already announced:
@@ -306,9 +324,10 @@ func Restore(dir string, c *cluster.Cluster, reg WorkloadRegistry, opts ...Optio
 
 // checkRecord rebuilds a job's state from its manifest record and checks
 // the record through the job's own spec: the spec and its current
-// lattice are valid, the spans fit them, and a placement or a set of
-// rank states has one entry per current rank.
-func checkRecord(jr ckpt.JobRecord) (*jobState, error) {
+// lattice are valid, the spans fit them, a placement or a set of rank
+// states has one entry per current rank, and placed (the manifest's
+// cluster snapshot, by host name) assigns each placed host to its rank.
+func checkRecord(jr ckpt.JobRecord, placed map[string]cluster.HostState) (*jobState, error) {
 	spec := JobSpec{
 		ID: jr.ID, Method: jr.Method,
 		JX: jr.JX, JY: jr.JY, JZ: jr.JZ, Side: jr.Side, Steps: jr.Steps,
@@ -333,32 +352,33 @@ func checkRecord(jr ckpt.JobRecord) (*jobState, error) {
 	if k := len(jr.StateSteps); k != 0 && k != n {
 		return nil, fmt.Errorf("farm: restore %s: %d state steps for %d ranks", jr.ID, k, n)
 	}
+	for rank, name := range jr.Hosts {
+		hs, ok := placed[name]
+		if !ok {
+			return nil, fmt.Errorf("farm: restore %s: placement names unknown host %q", jr.ID, name)
+		}
+		if hs.Assigned != rank || hs.Owner != jr.ID {
+			return nil, fmt.Errorf(
+				"farm: restore %s: host %s assigned to rank %d of %q, manifest says rank %d of %q",
+				jr.ID, name, hs.Assigned, hs.Owner, rank, jr.ID)
+		}
+	}
 	return js, nil
 }
 
 // rebuildJob rebuilds a checked job's workload from the registry (fed
-// the effective spec) and its rank states from disk, and re-establishes
-// a running job's reservation on the snapshot-restored hosts, whose
-// assignments must agree with the manifest.
-func rebuildJob(dir, statesDir string, jr ckpt.JobRecord, js *jobState, c *cluster.Cluster, reg WorkloadRegistry) error {
-	var states []*dump.State
-	var err error
-	if len(jr.StateSteps) > 0 {
-		if states, err = ckpt.LoadStates(dir, statesDir, jr.ID, jr.StateSteps); err != nil {
-			return err
-		}
-	}
-
+// the effective spec) and its loaded rank states, and re-establishes a
+// running job's reservation on the snapshot-restored hosts.
+func rebuildJob(jr ckpt.JobRecord, js *jobState, states []*dump.State, c *cluster.Cluster, reg WorkloadRegistry) error {
 	if f := reg[jr.ID]; f != nil {
+		var err error
 		if js.work, err = f(js.espec()); err != nil {
 			return fmt.Errorf("farm: restore %s: workload factory: %w", jr.ID, err)
 		}
 	}
 	if js.work == nil {
 		if len(states) > 0 {
-			return fmt.Errorf(
-				"farm: restore %s: checkpoint holds %d rank states but the registry has no workload factory for it",
-				jr.ID, len(states))
+			return fmt.Errorf("farm: restore %s: workload factory returned no workload for %d rank states", jr.ID, len(states))
 		}
 		js.work = nullWorkload{}
 	}
@@ -373,16 +393,7 @@ func rebuildJob(dir, statesDir string, jr ckpt.JobRecord, js *jobState, c *clust
 
 	hosts := make([]*cluster.Host, len(jr.Hosts))
 	for rank, name := range jr.Hosts {
-		h := c.ByName(name)
-		if h == nil {
-			return fmt.Errorf("farm: restore %s: placement names unknown host %q", jr.ID, name)
-		}
-		if h.Assigned() != rank || h.Owner() != jr.ID {
-			return fmt.Errorf(
-				"farm: restore %s: host %s assigned to rank %d of %q, manifest says rank %d of %q",
-				jr.ID, name, h.Assigned(), h.Owner(), rank, jr.ID)
-		}
-		hosts[rank] = h
+		hosts[rank] = c.ByName(name)
 	}
 	js.res = &cluster.Reservation{Owner: jr.ID, Hosts: hosts}
 	if err := js.work.Resume(hosts); err != nil {

@@ -328,8 +328,8 @@ func copyTree(t *testing.T, src, dst string) {
 // 2-rank simulation running) and mauls copies of it: every corruption —
 // missing manifest, missing or surplus rank dumps, states disagreeing
 // with the manifest, a wrongly shaped pool, a missing workload factory —
-// must be rejected with an error naming the problem, never restored into
-// a wrong farm.
+// must be rejected with an error naming the problem, with the pool left
+// as it was, never restored into a wrong farm.
 func TestRestoreRejectsCorruptCheckpoints(t *testing.T) {
 	const steps = 30
 	dir := t.TempDir()
@@ -365,9 +365,15 @@ func TestRestoreRejectsCorruptCheckpoints(t *testing.T) {
 			return &CoreWorkload{Job: job2}, nil
 		},
 	}
+	// restore also checks that a refused restore leaves the cluster as
+	// it was: every refusal comes before the snapshot is applied.
 	restore := func(dir string, c *cluster.Cluster, reg WorkloadRegistry) error {
 		t.Helper()
+		before := c.Snapshot()
 		_, err := Restore(dir, c, reg)
+		if err != nil && !reflect.DeepEqual(c.Snapshot(), before) {
+			t.Errorf("the refused restore (%v) changed the cluster", err)
+		}
 		return err
 	}
 
@@ -431,8 +437,8 @@ func TestRestoreRejectsCorruptCheckpoints(t *testing.T) {
 	}, "torn checkpoint")
 
 	// A record that does not fit its job's own spec (the sim is a
-	// running lb2d job on a 2x1 lattice over a 2000x1000 grid) is
-	// refused before the pool is touched.
+	// running lb2d job on a 2x1 lattice over a 2000x1000 grid) or its
+	// cluster snapshot is refused too.
 	for _, tc := range []struct {
 		name string
 		edit func(*ckpt.JobRecord)
@@ -440,6 +446,8 @@ func TestRestoreRejectsCorruptCheckpoints(t *testing.T) {
 	}{
 		{"host count", func(jr *ckpt.JobRecord) { jr.Hosts = jr.Hosts[:1] }, "1 hosts for 2 ranks"},
 		{"state steps", func(jr *ckpt.JobRecord) { jr.StateSteps = jr.StateSteps[:1] }, "1 state steps for 2 ranks"},
+		{"swapped hosts", func(jr *ckpt.JobRecord) { jr.Hosts[0], jr.Hosts[1] = jr.Hosts[1], jr.Hosts[0] }, "manifest says rank 0"},
+		{"unknown host", func(jr *ckpt.JobRecord) { jr.Hosts[1] = "nowhere" }, `unknown host "nowhere"`},
 		{"wrong span count", func(jr *ckpt.JobRecord) { jr.SpansX, jr.SpansY = []int{2000}, []int{1000} }, "1 x spans for 2 pieces"},
 		{"wrong span sum", func(jr *ckpt.JobRecord) { jr.SpansX, jr.SpansY = []int{1200, 801}, []int{1000} }, "x spans sum to 2001"},
 		{"zero span", func(jr *ckpt.JobRecord) { jr.SpansX, jr.SpansY = []int{2000, 0}, []int{1000} }, "0-node x span"},
@@ -458,17 +466,7 @@ func TestRestoreRejectsCorruptCheckpoints(t *testing.T) {
 			jr.CurJX, jr.CurJY = 2001, 1
 		}, "cannot give every subregion"},
 	} {
-		cp := t.TempDir()
-		copyTree(t, dir, cp)
-		editSim(cp, tc.edit)
-		c := cluster.NewPaperCluster()
-		before := c.Snapshot()
-		if err := restore(cp, c, reg); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error %v does not mention %q", tc.name, err, tc.want)
-		}
-		if !reflect.DeepEqual(c.Snapshot(), before) {
-			t.Errorf("%s: the refused restore changed the cluster", tc.name)
-		}
+		maul(tc.name, func(cp string) { editSim(cp, tc.edit) }, tc.want)
 	}
 
 	maul("garbage manifest", func(cp string) {

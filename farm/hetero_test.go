@@ -366,7 +366,7 @@ func TestManifestRejectsCorruptSpans(t *testing.T) {
 		mut(&jr)
 		return jr
 	}
-	if _, err := checkRecord(mk(func(jr *ckpt.JobRecord) { jr.SpansX = []int{12, 8}; jr.SpansY = []int{10} })); err != nil {
+	if _, err := checkRecord(mk(func(jr *ckpt.JobRecord) { jr.SpansX = []int{12, 8}; jr.SpansY = []int{10} }), nil); err != nil {
 		t.Errorf("valid spans rejected: %v", err)
 	}
 	bad := []struct {
@@ -385,7 +385,7 @@ func TestManifestRejectsCorruptSpans(t *testing.T) {
 		{"missing y spans", func(jr *ckpt.JobRecord) { jr.SpansX = []int{12, 8} }, "0 y spans"},
 	}
 	for _, tc := range bad {
-		if _, err := checkRecord(mk(tc.mut)); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, err := checkRecord(mk(tc.mut), nil); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v does not mention %q", tc.name, err, tc.want)
 		}
 	}

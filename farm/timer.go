@@ -162,7 +162,7 @@ func PerfTimer(netFn func() netsim.Network) StepTimer {
 		if err != nil {
 			return 0, err
 		}
-		sec, _, err := perf.Measure(workers, netFn(), 0)
+		sec, _, err := perf.Measure(workers, netFn())
 		return sec, err
 	}
 }

@@ -1,14 +1,16 @@
-// Package netsim models the shared-bus 10 Mbps Ethernet of the paper's
-// testbed. On a shared bus exactly one frame is in flight at a time, so
-// the communication time seen by P simultaneously communicating processes
-// grows linearly with P — the (P-1) factor of equation 19 that makes 2D
-// simulations scale and 3D simulations collapse (figure 9).
+// Package netsim models the interconnect of the paper's testbed for the
+// performance plane. The shared-bus 10 Mbps Ethernet (Bus) carries
+// exactly one frame at a time, so the communication time seen by P
+// simultaneously communicating processes grows linearly with P — the
+// (P-1) factor of equation 19 that makes 2D simulations scale and 3D
+// simulations collapse (figure 9). Switch models the fabrics of the
+// paper's outlook; both are a Network.
 //
 // Every message costs a fixed per-message overhead (protocol and software
 // latency, the term the paper identifies as dominating for subregions
 // below 100^2 nodes) plus its serialization time bytes*8/bandwidth. The
-// model also reports backlog statistics: when the offered load exceeds the
-// bus capacity the backlog grows without bound, the regime in which the
+// bus also reports backlog statistics: when the offered load exceeds its
+// capacity the backlog grows without bound, the regime in which the
 // paper observed TCP/IP delivery failures after excessive retransmissions.
 package netsim
 
@@ -74,9 +76,10 @@ func (b *Bus) Duration(payloadBytes int) float64 {
 }
 
 // Transmit requests the bus at time t for a message of payloadBytes and
-// returns the delivery time. Calls must be made in non-decreasing t order
-// (the discrete-event engine guarantees this).
-func (b *Bus) Transmit(t float64, payloadBytes int) float64 {
+// returns the delivery time. The bus ignores the endpoints: every frame
+// occupies the single shared segment. Calls must be made in non-decreasing
+// t order (the discrete-event engine guarantees this).
+func (b *Bus) Transmit(t float64, src, dst, payloadBytes int) float64 {
 	if t < b.lastReq-1e-12 {
 		panic(fmt.Sprintf("netsim: transmit at %.9f after %.9f; events out of order", t, b.lastReq))
 	}
@@ -122,18 +125,6 @@ func (b *Bus) Stats() Stats {
 	}
 }
 
-// Utilization returns the fraction of the elapsed time the bus was busy.
-func (b *Bus) Utilization(elapsed float64) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	u := b.busySec / elapsed
-	if u > 1 {
-		u = 1
-	}
-	return u
-}
-
 // Reset clears the bus state between experiments.
 func (b *Bus) Reset() {
 	b.freeAt, b.busySec, b.maxBacklog, b.lastReq = 0, 0, 0, 0
@@ -157,9 +148,6 @@ type Queue struct {
 // NewQueue returns an empty event queue.
 func NewQueue() *Queue { return &Queue{} }
 
-// Now returns the current simulation time.
-func (q *Queue) Now() float64 { return q.now }
-
 // At schedules fn at absolute time t (>= now).
 func (q *Queue) At(t float64, fn func(t float64)) {
 	if t < q.now-1e-12 {
@@ -178,9 +166,6 @@ func (q *Queue) Run() float64 {
 	}
 	return q.now
 }
-
-// Empty reports whether all events have been processed.
-func (q *Queue) Empty() bool { return q.h.Len() == 0 }
 
 type eventHeap []*Event
 

@@ -19,7 +19,7 @@ func TestDuration(t *testing.T) {
 
 func TestTransmitIdleBus(t *testing.T) {
 	b := testBus()
-	at := b.Transmit(1.0, 1250)
+	at := b.Transmit(1.0, 0, 1, 1250)
 	if math.Abs(at-1.002) > 1e-12 {
 		t.Errorf("delivery at %v, want 1.002", at)
 	}
@@ -31,8 +31,8 @@ func TestTransmitIdleBus(t *testing.T) {
 
 func TestTransmitQueues(t *testing.T) {
 	b := testBus()
-	b.Transmit(0, 1250)       // bus busy until 0.002
-	at := b.Transmit(0, 1250) // queued behind the first
+	b.Transmit(0, 0, 1, 1250)       // bus busy until 0.002
+	at := b.Transmit(0, 0, 1, 1250) // queued behind the first
 	if math.Abs(at-0.004) > 1e-12 {
 		t.Errorf("second delivery at %v, want 0.004", at)
 	}
@@ -44,8 +44,8 @@ func TestTransmitQueues(t *testing.T) {
 func TestCollisionPenalty(t *testing.T) {
 	b := testBus()
 	b.CollisionFactor = 1.0
-	b.Transmit(0, 1250)
-	at := b.Transmit(0, 1250) // contended: pays double
+	b.Transmit(0, 0, 1, 1250)
+	at := b.Transmit(0, 0, 1, 1250) // contended: pays double
 	if math.Abs(at-(0.002+0.004)) > 1e-12 {
 		t.Errorf("contended delivery at %v, want 0.006", at)
 	}
@@ -58,7 +58,7 @@ func TestOverloadErrors(t *testing.T) {
 	b := testBus()
 	b.OverloadBacklogSec = 0.003
 	for i := 0; i < 5; i++ {
-		b.Transmit(0, 1250) // each adds 2ms of backlog
+		b.Transmit(0, 0, 1, 1250) // each adds 2ms of backlog
 	}
 	if st := b.Stats(); st.Errors == 0 {
 		t.Error("no errors despite backlog past the overload threshold")
@@ -67,37 +67,26 @@ func TestOverloadErrors(t *testing.T) {
 
 func TestTransmitOutOfOrderPanics(t *testing.T) {
 	b := testBus()
-	b.Transmit(1.0, 100)
+	b.Transmit(1.0, 0, 1, 100)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("out-of-order transmit did not panic")
 		}
 	}()
-	b.Transmit(0.5, 100)
+	b.Transmit(0.5, 0, 1, 100)
 }
 
 func TestReset(t *testing.T) {
 	b := testBus()
-	b.Transmit(5, 1000)
+	b.Transmit(5, 0, 1, 1000)
 	b.Reset()
 	st := b.Stats()
 	if st.Messages != 0 || st.BusySec != 0 {
 		t.Errorf("stats after reset: %+v", st)
 	}
 	// After reset, earlier times are legal again.
-	if at := b.Transmit(0, 1250); math.Abs(at-0.002) > 1e-12 {
+	if at := b.Transmit(0, 0, 1, 1250); math.Abs(at-0.002) > 1e-12 {
 		t.Errorf("post-reset delivery %v", at)
-	}
-}
-
-func TestUtilization(t *testing.T) {
-	b := testBus()
-	b.Transmit(0, 1250)
-	if u := b.Utilization(0.004); math.Abs(u-0.5) > 1e-9 {
-		t.Errorf("utilization = %v, want 0.5", u)
-	}
-	if u := b.Utilization(0); u != 0 {
-		t.Errorf("utilization at zero elapsed = %v", u)
 	}
 }
 

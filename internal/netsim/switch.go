@@ -13,22 +13,9 @@ type Network interface {
 	Transmit(t float64, src, dst, payloadBytes int) float64
 	// Stats returns accumulated counters.
 	Stats() Stats
-	// Utilization returns the busy fraction over an elapsed interval.
-	Utilization(elapsed float64) float64
 	// Reset clears state between experiments.
 	Reset()
 }
-
-// busNet wraps Bus as a Network. The bus ignores endpoints: every frame
-// occupies the single shared segment.
-type busNet struct{ *Bus }
-
-func (b busNet) Transmit(t float64, src, dst, payloadBytes int) float64 {
-	return b.Bus.Transmit(t, payloadBytes)
-}
-
-// AsNetwork exposes a Bus through the Network interface.
-func AsNetwork(b *Bus) Network { return busNet{b} }
 
 // Switch models a store-and-forward switched network: each host has a
 // dedicated full-duplex link into the fabric, so transmissions contend
@@ -44,7 +31,6 @@ type Switch struct {
 	rxFree  map[int]float64 // per-destination ingress availability
 	busySec float64
 	msgs    int
-	maxWait float64
 	lastReq float64
 }
 
@@ -94,37 +80,22 @@ func (s *Switch) Transmit(t float64, src, dst, payloadBytes int) float64 {
 		out = f
 	}
 	s.rxFree[dst] = out + dur
-	if wait := out + dur - t - 2*dur; wait > s.maxWait {
-		s.maxWait = wait
-	}
 	s.busySec += dur
 	s.msgs++
 	return out + dur
 }
 
-// Stats returns accumulated counters; switched fabrics drop nothing, so
-// Errors and Contended stay zero.
+// Stats returns the message count and busy time; a switched fabric
+// drops nothing and reports no backlog, so Errors, Contended and
+// MaxBacklogSec stay zero.
 func (s *Switch) Stats() Stats {
-	return Stats{Messages: s.msgs, BusySec: s.busySec, MaxBacklogSec: s.maxWait}
-}
-
-// Utilization reports the busiest-possible-port view: total serialization
-// time over elapsed time (can exceed 1 across many parallel links; clamp).
-func (s *Switch) Utilization(elapsed float64) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	u := s.busySec / elapsed
-	if u > 1 {
-		u = 1
-	}
-	return u
+	return Stats{Messages: s.msgs, BusySec: s.busySec}
 }
 
 // Reset clears the fabric between experiments.
 func (s *Switch) Reset() {
 	s.txFree = map[int]float64{}
 	s.rxFree = map[int]float64{}
-	s.busySec, s.maxWait, s.lastReq = 0, 0, 0
+	s.busySec, s.lastReq = 0, 0
 	s.msgs = 0
 }

@@ -19,8 +19,8 @@ func TestSwitchNoCrossTalk(t *testing.T) {
 	}
 
 	bus := &Bus{BandwidthBps: 10e6, OverheadSec: 0, FrameBytes: 0}
-	a = bus.Transmit(0, 12500)
-	b = bus.Transmit(0, 12500)
+	a = bus.Transmit(0, 0, 1, 12500)
+	b = bus.Transmit(0, 2, 3, 12500)
 	if b <= a {
 		t.Error("bus should serialize what the switch parallelizes")
 	}
@@ -77,17 +77,20 @@ func TestFabricPresets(t *testing.T) {
 	}
 }
 
-func TestAsNetworkAdapter(t *testing.T) {
-	var n Network = AsNetwork(DefaultEthernet())
-	at := n.Transmit(0, 3, 4, 1250)
-	if at <= 0 {
-		t.Error("adapter transmit failed")
-	}
-	if n.Stats().Messages != 1 {
-		t.Error("adapter stats missing")
-	}
+func TestBusIgnoresEndpoints(t *testing.T) {
+	// Every frame occupies the one shared segment, whoever sends it to
+	// whom: the same requests between other endpoints deliver alike.
+	var n Network = DefaultEthernet()
+	first := n.Transmit(0, 3, 4, 1250)
+	second := n.Transmit(0, 5, 6, 1250)
 	n.Reset()
-	if n.Stats().Messages != 0 {
-		t.Error("adapter reset missing")
+	if again := n.Transmit(0, 0, 1, 1250); again != first {
+		t.Errorf("delivery %v between other endpoints, want %v", again, first)
+	}
+	if contended := n.Transmit(0, 1, 0, 1250); contended != second {
+		t.Errorf("queued delivery %v between other endpoints, want %v", contended, second)
+	}
+	if st := n.Stats(); st.Messages != 2 || st.Contended != 1 {
+		t.Errorf("stats %+v, want 2 messages, 1 contended", st)
 	}
 }

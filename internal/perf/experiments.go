@@ -25,34 +25,22 @@ type Series struct {
 // consecutive integration steps".
 const MeasureSteps = 20
 
-// Measure applies the section-7 protocol to a pattern: run 20 consecutive
-// steps, repeat the measurement twice, and select the best performance (the
-// paper repeats to dodge moments when the Ethernet is loaded by an FTP).
-func Measure(workers []WorkerSpec, net netsim.Network, jitter float64) (float64, netsim.Stats, error) {
-	best := -1.0
-	var stats netsim.Stats
-	for rep := 0; rep < 2; rep++ {
-		res, err := Run(&Spec{
-			Workers:    workers,
-			Steps:      MeasureSteps,
-			Net:        net,
-			JitterFrac: jitter,
-			Seed:       int64(rep + 1),
-		})
-		if err != nil {
-			return 0, netsim.Stats{}, err
-		}
-		if best < 0 || res.PerStepSec < best {
-			best = res.PerStepSec
-			stats = res.Net
-		}
+// Measure applies the section-7 protocol to a pattern: time 20
+// consecutive steps. The paper repeats the measurement twice and keeps
+// the better number, to dodge moments when an FTP loads the Ethernet.
+// The engine is deterministic and nothing else loads its network, so a
+// repetition gives the same number and one run is the best of any number.
+func Measure(workers []WorkerSpec, net netsim.Network) (float64, netsim.Stats, error) {
+	res, err := Run(&Spec{Workers: workers, Steps: MeasureSteps, Net: net})
+	if err != nil {
+		return 0, netsim.Stats{}, err
 	}
-	return best, stats, nil
+	return res.PerStepSec, res.Net, nil
 }
 
 // Ethernet returns a fresh shared-bus 10 Mbps network, the paper's
-// testbed, wrapped for the experiment engine.
-func Ethernet() netsim.Network { return netsim.AsNetwork(netsim.DefaultEthernet()) }
+// testbed.
+func Ethernet() netsim.Network { return netsim.DefaultEthernet() }
 
 // PaperHosts selects p hosts from the paper's 25-workstation pool with the
 // section-4.1 policy: 715 models first, then 720s, then 710s.
@@ -62,45 +50,31 @@ func PaperHosts(p int) []*cluster.Host {
 	return c.SelectFree(p, cluster.DefaultPolicy())
 }
 
-// Efficiency2D measures parallel efficiency for a 2D decomposition with
-// square subregions of side l, following the paper: the problem grows with
-// the decomposition (grid = l*JX by l*JY), hosts come from the paper pool,
-// and T_1 is the 715/50 integrating the whole grid.
-func Efficiency2D(jx, jy, l int, method string, net netsim.Network) (f, speedup float64, stats netsim.Stats, err error) {
-	d, err := decomp.New2D(jx, jy, l*jx, l*jy, decomp.StencilFor(method))
-	if err != nil {
-		return 0, 0, netsim.Stats{}, err
+// Efficiency measures parallel efficiency for a (jx x jy x jz)
+// decomposition with subregions of side l, following the paper: the
+// problem grows with the decomposition (grid = l*jx by l*jy by l*jz),
+// hosts come from the paper pool, and T_1 is the 715/50 integrating the
+// whole grid. jz = 0 is a planar lattice, one plane thick.
+func Efficiency(jx, jy, jz, l int, method string, net netsim.Network) (f float64, stats netsim.Stats, err error) {
+	var d *decomp.Decomp
+	if jz == 0 {
+		d, err = decomp.New2D(jx, jy, l*jx, l*jy, decomp.StencilFor(method))
+	} else {
+		d, err = decomp.New3D(jx, jy, jz, l*jx, l*jy, l*jz)
 	}
-	return efficiency(d, method, net)
-}
-
-// Efficiency3D measures a 3D decomposition with cubic subregions of side l.
-func Efficiency3D(jx, jy, jz, l int, method string, net netsim.Network) (f, speedup float64, stats netsim.Stats, err error) {
-	d, err := decomp.New3D(jx, jy, jz, l*jx, l*jy, l*jz)
 	if err != nil {
-		return 0, 0, netsim.Stats{}, err
+		return 0, netsim.Stats{}, err
 	}
-	return efficiency(d, method, net)
-}
-
-// efficiency prices one step of d on the paper pool over net and compares
-// it with a 715/50 integrating the whole grid (a 2D grid is one plane thick).
-func efficiency(d *decomp.Decomp, method string, net netsim.Network) (f, speedup float64, stats netsim.Stats, err error) {
-	hosts := PaperHosts(d.P())
-	if len(hosts) < d.P() {
-		return 0, 0, netsim.Stats{}, fmt.Errorf("perf: pool exhausted at P=%d", d.P())
-	}
-	specs, err := Build(d, method, hosts)
+	specs, err := Build(d, method, PaperHosts(d.P()))
 	if err != nil {
-		return 0, 0, netsim.Stats{}, err
+		return 0, netsim.Stats{}, err
 	}
-	perStep, stats, err := Measure(specs, net, 0)
+	perStep, stats, err := Measure(specs, net)
 	if err != nil {
-		return 0, 0, netsim.Stats{}, err
+		return 0, netsim.Stats{}, err
 	}
 	t1 := SerialTime(d.GX*d.GY*d.GZ, method)
-	f = t1 / (float64(d.P()) * perStep)
-	return f, f * float64(d.P()), stats, nil
+	return t1 / (float64(d.P()) * perStep), stats, nil
 }
 
 // fig5Decomps are the decompositions of figures 5-8.
@@ -124,7 +98,7 @@ func FigEfficiency2D(method string) ([]Series, error) {
 	for _, dc := range fig5Decomps {
 		s := Series{Label: dc.label}
 		for _, l := range fig5Sides {
-			f, _, _, err := Efficiency2D(dc.jx, dc.jy, l, method, Ethernet())
+			f, _, err := Efficiency(dc.jx, dc.jy, 0, l, method, Ethernet())
 			if err != nil {
 				return nil, err
 			}
@@ -143,9 +117,8 @@ func FigSpeedup2D(method string) ([]Series, error) {
 		return nil, err
 	}
 	for i, dc := range fig5Decomps {
-		p := float64(dc.jx * dc.jy)
 		for j := range eff[i].Points {
-			eff[i].Points[j].Y = model.Speedup(eff[i].Points[j].Y, int(p))
+			eff[i].Points[j].Y = model.Speedup(eff[i].Points[j].Y, dc.jx*dc.jy)
 		}
 	}
 	return eff, nil
@@ -159,12 +132,12 @@ func Fig9() ([]Series, error) {
 	s2 := Series{Label: "2D (P x 1), 120^2 per processor"}
 	s3 := Series{Label: "3D (P x 1 x 1), 25^3 per processor"}
 	for _, p := range ps {
-		f2, _, _, err := Efficiency2D(p, 1, 120, LB2D, Ethernet())
+		f2, _, err := Efficiency(p, 1, 0, 120, LB2D, Ethernet())
 		if err != nil {
 			return nil, err
 		}
 		s2.Points = append(s2.Points, Point{X: float64(p), Y: f2})
-		f3, _, _, err := Efficiency3D(p, 1, 1, 25, LB3D, Ethernet())
+		f3, _, err := Efficiency(p, 1, 1, 25, LB3D, Ethernet())
 		if err != nil {
 			return nil, err
 		}
@@ -193,7 +166,7 @@ func Fig10() ([]Series, error) {
 	for _, dc := range fig10Decomps {
 		s := Series{Label: dc.label}
 		for _, l := range fig10Sides {
-			f, _, _, err := Efficiency3D(dc.jx, dc.jy, dc.jz, l, LB3D, Ethernet())
+			f, _, err := Efficiency(dc.jx, dc.jy, dc.jz, l, LB3D, Ethernet())
 			if err != nil {
 				return nil, err
 			}
@@ -288,9 +261,8 @@ func AblationFCFS(p, l int, spikeProb float64) (fcfs, strict float64, err error)
 		res, err := Run(&Spec{
 			Workers:     specs,
 			Steps:       5 * MeasureSteps, // long enough for pipeline stalls to accumulate
-			Bus:         netsim.DefaultEthernet(),
+			Net:         netsim.DefaultEthernet(),
 			SpikeProb:   spikeProb,
-			SpikeFrac:   1.0,
 			Seed:        7,
 			StrictOrder: strictOrder,
 		})
@@ -335,7 +307,7 @@ func FutureNetworks() ([]Series, error) {
 	for _, n := range nets {
 		s := Series{Label: n.label}
 		for _, p := range ps {
-			f, _, _, err := Efficiency3D(p, 1, 1, 25, LB3D, n.mk())
+			f, _, err := Efficiency(p, 1, 1, 25, LB3D, n.mk())
 			if err != nil {
 				return nil, err
 			}
@@ -376,7 +348,7 @@ func DynamicVsMigration(p, l, steps int, slowFactor float64) (ignore, migrate, d
 	}
 	t1 := SerialTime(d.GX*d.GY, LB2D)
 	perfOf := func(ws []WorkerSpec) (float64, error) {
-		per, _, err := Measure(ws, Ethernet(), 0)
+		per, _, err := Measure(ws, Ethernet())
 		if err != nil {
 			return 0, err
 		}

@@ -47,26 +47,18 @@ type WorkerSpec struct {
 type Spec struct {
 	Workers []WorkerSpec
 	Steps   int
-	// Net is the interconnect: netsim.AsNetwork(bus) for the paper's
-	// shared Ethernet, or a netsim.Switch for the conclusion's outlook
-	// technologies. The Bus field is a convenience that wraps a shared
-	// bus; set exactly one of the two.
+	// Net is the interconnect: a netsim.Bus for the paper's shared
+	// Ethernet, or a netsim.Switch for the conclusion's outlook
+	// technologies.
 	Net netsim.Network
-	Bus *netsim.Bus
 
-	// JitterFrac adds a uniform random [0, JitterFrac] fractional delay
-	// to every phase compute (time-sharing noise on real workstations);
-	// 0 disables it. Seed makes runs reproducible.
-	JitterFrac float64
-	Seed       int64
-
-	// SpikeProb and SpikeFrac model the occasional large delay of a
-	// time-shared workstation (another process briefly steals the CPU):
-	// with probability SpikeProb a phase takes (1+SpikeFrac) times
-	// longer. Appendix C's comparison of FCFS versus strict ordering
-	// hinges on how such delays propagate.
+	// SpikeProb models the occasional large delay of a time-shared
+	// workstation (another process briefly steals the CPU): with
+	// probability SpikeProb a phase takes twice as long. Appendix C's
+	// comparison of FCFS versus strict ordering hinges on how such
+	// delays propagate. Seed makes the draws reproducible.
 	SpikeProb float64
-	SpikeFrac float64
+	Seed      int64
 
 	// StrictOrder gates each worker's sends to higher ranks on the
 	// arrival of its lower neighbour's message (appendix C's strict
@@ -76,10 +68,8 @@ type Spec struct {
 
 // Result is the outcome of one simulated run.
 type Result struct {
-	ElapsedSec  float64
-	PerStepSec  float64
-	Net         netsim.Stats
-	Utilization float64
+	PerStepSec float64
+	Net        netsim.Stats
 }
 
 // hashUnit maps (seed, rank, step, phase) to a uniform value in [0, 1)
@@ -116,9 +106,6 @@ type worker struct {
 
 // Run executes the experiment and returns timing results.
 func Run(s *Spec) (*Result, error) {
-	if s.Net == nil && s.Bus != nil {
-		s.Net = netsim.AsNetwork(s.Bus)
-	}
 	if len(s.Workers) == 0 || s.Steps <= 0 || s.Net == nil {
 		return nil, fmt.Errorf("perf: incomplete spec")
 	}
@@ -152,14 +139,11 @@ func Run(s *Spec) (*Result, error) {
 
 	computeDur := func(w *worker) float64 {
 		d := w.spec.StepComputeSec * w.spec.PhaseFrac[w.phase]
-		if s.JitterFrac > 0 {
-			// Deterministic per-(rank, step, phase) noise so that two
-			// runs differing only in ordering policy (FCFS vs strict)
-			// see identical compute-time realizations.
-			d *= 1 + s.JitterFrac*hashUnit(s.Seed, w.spec.Rank, w.step, w.phase)
-		}
+		// The draw depends only on (rank, step, phase), so runs that
+		// differ only in ordering policy (FCFS vs strict) see identical
+		// delay realizations.
 		if s.SpikeProb > 0 && hashUnit(s.Seed+1, w.spec.Rank, w.step, w.phase) < s.SpikeProb {
-			d *= 1 + s.SpikeFrac
+			d *= 2
 		}
 		return d
 	}
@@ -261,10 +245,5 @@ func Run(s *Spec) (*Result, error) {
 			elapsed = w.finish
 		}
 	}
-	return &Result{
-		ElapsedSec:  elapsed,
-		PerStepSec:  elapsed / float64(s.Steps),
-		Net:         s.Net.Stats(),
-		Utilization: s.Net.Utilization(elapsed),
-	}, nil
+	return &Result{PerStepSec: elapsed / float64(s.Steps), Net: s.Net.Stats()}, nil
 }
