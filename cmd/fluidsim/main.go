@@ -244,8 +244,9 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	lo, hi := viz.SymmetricRange(res.Vorticity)
-	if err := viz.WritePGM(f, res.NX, res.NY, res.Vorticity, lo, hi); err != nil {
+	vort := res.Vorticity()
+	lo, hi := viz.SymmetricRange(vort)
+	if err := viz.WritePGM(f, res.NX, res.NY, vort, lo, hi); err != nil {
 		f.Close()
 		return err
 	}

@@ -98,8 +98,9 @@ func TestInitRunStatus(t *testing.T) {
 	samePGM := func(res *core.Result2D) {
 		t.Helper()
 		var want bytes.Buffer
-		lo, hi := viz.SymmetricRange(res.Vorticity)
-		if err := viz.WritePGM(&want, res.NX, res.NY, res.Vorticity, lo, hi); err != nil {
+		vort := res.Vorticity()
+		lo, hi := viz.SymmetricRange(vort)
+		if err := viz.WritePGM(&want, res.NX, res.NY, vort, lo, hi); err != nil {
 			t.Fatal(err)
 		}
 		got, err := os.ReadFile(filepath.Join(dir, "vorticity.pgm"))

@@ -116,7 +116,7 @@ func jobSample(js *jobState, t time.Duration, running bool) JobSample {
 	}
 	return JobSample{
 		ID:        js.spec.ID,
-		Ranks:     js.espec().Ranks(),
+		Ranks:     js.ranks(),
 		SpecRanks: js.spec.Ranks(),
 		Steps:     js.spec.Steps,
 		Remaining: rem,

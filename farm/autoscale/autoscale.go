@@ -25,8 +25,10 @@
 package autoscale
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/farm"
@@ -175,11 +177,8 @@ func (p SupplyDemand) shrinkForDemand(s farm.Sample) []Decision {
 			grown = append(grown, j)
 		}
 	}
-	sort.SliceStable(grown, func(i, k int) bool {
-		if grown[i].Progress != grown[k].Progress {
-			return grown[i].Progress > grown[k].Progress
-		}
-		return grown[i].ID < grown[k].ID
+	slices.SortStableFunc(grown, func(a, b farm.JobSample) int {
+		return cmp.Or(cmp.Compare(b.Progress, a.Progress), strings.Compare(a.ID, b.ID))
 	})
 	var decs []Decision
 	freed := 0

@@ -2,6 +2,9 @@ package autoscale_test
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
@@ -245,5 +248,45 @@ func TestEngineShrinksForArrival(t *testing.T) {
 	}
 	if !grew || !shrank || !placedWide {
 		t.Errorf("grew=%v shrank=%v placedWide=%v, want all true", grew, shrank, placedWide)
+	}
+}
+
+// TestShrinkOrderMatchesSortOracle: grown jobs give ranks back in the
+// order the frozen reflection sort gave them (most progress first, then
+// ID), equal progress and equal IDs included. The queued job is wider
+// than the pool, so every grown job gets a decision and the decisions
+// list the whole order.
+func TestShrinkOrderMatchesSortOracle(t *testing.T) {
+	oracle := func(grown []farm.JobSample) {
+		sort.SliceStable(grown, func(i, k int) bool {
+			if grown[i].Progress != grown[k].Progress {
+				return grown[i].Progress > grown[k].Progress
+			}
+			return grown[i].ID < grown[k].ID
+		})
+	}
+	r := rand.New(rand.NewSource(1))
+	p := autoscale.SupplyDemand{Chunk: 100}
+	for range 200 {
+		var running, grown []farm.JobSample
+		for i := range 1 + r.Intn(12) {
+			j := farm.JobSample{ID: fmt.Sprintf("j%d", r.Intn(5)), SpecRanks: 2, Ranks: 2 + r.Intn(2)*(i+1),
+				Progress: float64(r.Intn(4)) / 4}
+			running = append(running, j)
+			if j.Ranks > j.SpecRanks {
+				grown = append(grown, j)
+			}
+		}
+		oracle(grown)
+		decs := p.Decide(sample(1, 0, 1000, running, []farm.JobSample{{ID: "w", Ranks: 1000, SpecRanks: 1000}}))
+		if len(decs) != len(grown) {
+			t.Fatalf("%d decisions for %d grown jobs", len(decs), len(grown))
+		}
+		for i, d := range decs {
+			if d.Job != grown[i].ID || d.From != grown[i].Ranks {
+				t.Fatalf("decision %d shrinks %s from %d, the frozen sort puts %s (%d ranks) there",
+					i, d.Job, d.From, grown[i].ID, grown[i].Ranks)
+			}
+		}
 	}
 }

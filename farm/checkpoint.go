@@ -342,7 +342,7 @@ func checkRecord(jr ckpt.JobRecord, placed map[string]cluster.HostState) (*jobSt
 	if err := espec.Validate(); err != nil {
 		return nil, fmt.Errorf("farm: restore %s: current lattice: %w", jr.ID, err)
 	}
-	if _, err := shapeOrUniform(espec, js.shape); err != nil {
+	if err := checkShape(espec, js.shape); err != nil {
 		return nil, fmt.Errorf("farm: restore: %w", err)
 	}
 	n := espec.Ranks()

@@ -473,6 +473,23 @@ func TestRestoreRejectsCorruptCheckpoints(t *testing.T) {
 		os.WriteFile(ckpt.ManifestPath(cp), []byte("not json"), 0o644)
 	}, "decode manifest")
 
+	// A pool that differs from the snapshot only in its last host is
+	// refused before any of its hosts is written.
+	for _, tc := range []struct {
+		name   string
+		damage func(*cluster.Host)
+		want   string
+	}{
+		{"renamed host", func(h *cluster.Host) { h.Name = "stranger" }, "not in pool"},
+		{"different model", func(h *cluster.Host) { h.Model = cluster.HP715 }, "pool has a"},
+	} {
+		pool := cluster.NewPaperCluster()
+		tc.damage(pool.Hosts[len(pool.Hosts)-1])
+		if err := restore(dir, pool, reg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v does not mention %q", tc.name, err, tc.want)
+		}
+	}
+
 	if err := restore(dir, &cluster.Cluster{Hosts: []*cluster.Host{cluster.NewHost("solo", cluster.HP715)}}, reg); err == nil ||
 		!strings.Contains(err.Error(), "pool has 1") {
 		t.Errorf("wrong pool shape: %v", err)

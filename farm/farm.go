@@ -146,7 +146,8 @@ type Farm struct {
 	// on. It exists from construction (and is recycled at the next Run)
 	// so a Wait that starts before Run still observes the run ending,
 	// and a Wait that wakes on a superseded generation re-waits on the
-	// new one.
+	// new one. subs is only appended to in place (Close and a finished
+	// Run replace it), so emit ranges over a copy of it without hmu.
 	hmu  sync.Mutex
 	jobs map[string]*Job
 	subs []*Subscription

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -250,6 +252,52 @@ func TestEventTraceAcrossRestore(t *testing.T) {
 
 	if wantS, gotS := strings.Join(want, "\n"), strings.Join(got, "\n"); wantS != gotS {
 		t.Errorf("crash+restore event stream differs from the uninterrupted one:\n--- uninterrupted ---\n%s\n--- crashed+restored ---\n%s", wantS, gotS)
+	}
+}
+
+// TestSubscriptionChurnDuringRun: subscriptions opened and closed from
+// other goroutines while the round emits neither race with the fan-out
+// nor cost a steady subscriber an event: its stream is the one an
+// undisturbed run records. Run it under -race.
+func TestSubscriptionChurnDuringRun(t *testing.T) {
+	want, _ := collectTrace(t)
+	f := mustNew(t, quietPool(), farm.WithSeed(1), farm.WithScenario(time.Minute, storm))
+	steady := f.SubscribeBuffered(1 << 14)
+	for _, sp := range stormMix() {
+		if _, err := f.Submit(sp, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.Drain()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for range 3 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				f.SubscribeBuffered(4).Close()
+			}
+		}()
+	}
+	_, err := f.Run(context.Background())
+	close(stop)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for ev := range steady.Events() {
+		got = append(got, ev.String())
+	}
+	if steady.Dropped() != 0 || !slices.Equal(got, want) {
+		t.Errorf("with subscriptions churning, the steady subscriber saw %d events (%d dropped), want the %d of an undisturbed run",
+			len(got), steady.Dropped(), len(want))
 	}
 }
 

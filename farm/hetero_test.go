@@ -390,3 +390,49 @@ func TestManifestRejectsCorruptSpans(t *testing.T) {
 		}
 	}
 }
+
+// TestZeroShapeIsTheUniformSplit: the farm prices and measures the zero
+// shape from span arithmetic (axisSpan), without building it; every
+// answer must be the one the built uniform shape gives, on grids whose
+// extents leave remainders on every axis, and the zero shape's pricing
+// and measuring must allocate nothing.
+func TestZeroShapeIsTheUniformSplit(t *testing.T) {
+	hosts := mixedPool(cluster.HP715, cluster.HP710, cluster.HP720, cluster.HP715,
+		cluster.HP720, cluster.HP710, cluster.HP715, cluster.HP715, cluster.HP710,
+		cluster.HP720, cluster.HP715, cluster.HP715).Hosts
+	hosts[3].StartJob()
+	var specs []JobSpec
+	for _, l := range [][3]int{{1, 1, 0}, {3, 2, 0}, {4, 3, 0}, {2, 2, 2}, {3, 2, 2}, {1, 3, 4}} {
+		for _, g := range [][3]int{{0, 0, 0}, {37, 29, 23}, {50, 41, 17}} {
+			sp := JobSpec{ID: "u", Method: "lb3d", JX: l[0], JY: l[1], JZ: l[2], Side: 7, Steps: 1, GX: g[0], GY: g[1]}
+			if l[2] > 0 {
+				sp.GZ = g[2]
+			} else {
+				sp.Method = "fd2d"
+			}
+			specs = append(specs, sp)
+		}
+	}
+	for _, sp := range specs {
+		uni := uniformShape(sp)
+		var nodes []int
+		forEachRank(sp, decomp.Shape{}, func(rank, n int) { nodes = append(nodes, n) })
+		var want []int
+		forEachRank(sp, uni, func(rank, n int) { want = append(want, n) })
+		if !reflect.DeepEqual(nodes, want) {
+			t.Errorf("%+v: zero shape walks %v, the built uniform shape %v", sp, nodes, want)
+		}
+		for name, fn := range map[string]func(JobSpec, decomp.Shape, []*cluster.Host) (float64, error){
+			"ComputeTimer": ComputeTimer, "Imbalance": Imbalance,
+		} {
+			z, errZ := fn(sp, decomp.Shape{}, hosts)
+			u, errU := fn(sp, uni, hosts)
+			if errZ != nil || errU != nil || z != u {
+				t.Errorf("%+v: %s of the zero shape = %v (%v), of the built uniform shape %v (%v)", sp, name, z, errZ, u, errU)
+			}
+			if n := testing.AllocsPerRun(20, func() { fn(sp, decomp.Shape{}, hosts) }); n != 0 {
+				t.Errorf("%+v: %s of the zero shape allocates %v times", sp, name, n)
+			}
+		}
+	}
+}

@@ -43,6 +43,14 @@ func (j *jobState) espec() JobSpec {
 	return e
 }
 
+// ranks is espec().Ranks() without the copy: a pass asks every queued job.
+func (j *jobState) ranks() int {
+	if j.CurJX == 0 && j.CurJY == 0 && j.CurJZ == 0 {
+		return j.spec.Ranks()
+	}
+	return JobSpec{JX: j.CurJX, JY: j.CurJY, JZ: j.CurJZ}.Ranks()
+}
+
 // userKey returns the job's tenant; an unnamed user makes the job its
 // own tenant.
 func (j *jobState) userKey() string {
@@ -100,7 +108,7 @@ func (j *jobState) retime(t time.Duration) { j.FinishAt = j.finish(t, j.StepSec)
 func metricsJob(js *jobState) JobMetrics {
 	return JobMetrics{
 		ID:          js.spec.ID,
-		Ranks:       js.espec().Ranks(),
+		Ranks:       js.ranks(),
 		Priority:    js.spec.Priority,
 		Submit:      js.spec.Submit,
 		FirstStart:  js.FirstStart,

@@ -63,12 +63,12 @@ func (f *Farm) scheduleRound(t time.Duration) error {
 						// the round degrades once, however many passes run.)
 						degradeCounted = true
 						f.easyDegraded++
-						f.emit(EASYDegraded{T: t, Head: f.queue[0].spec.ID, Ranks: f.queue[0].espec().Ranks()})
+						f.emit(EASYDegraded{T: t, Head: f.queue[0].spec.ID, Ranks: f.queue[0].ranks()})
 					}
 				}
 				deadline = shadow
 			}
-			if js.espec().Ranks() <= free {
+			if js.ranks() <= free {
 				ok, err := f.tryPlace(js, t, deadline)
 				if err != nil {
 					return err
@@ -126,7 +126,7 @@ func (f *Farm) scheduleRound(t time.Duration) error {
 // conditions change.
 func (f *Farm) projectedStart(head *jobState) time.Duration {
 	free := f.cluster.Capacity(f.selection)
-	need := head.espec().Ranks()
+	need := head.ranks()
 	f.byFinish = append(f.byFinish[:0], f.running...)
 	slices.SortStableFunc(f.byFinish, func(a, b *jobState) int { return cmp.Compare(a.FinishAt, b.FinishAt) })
 	for _, r := range f.byFinish {
@@ -172,26 +172,23 @@ func (f *Farm) reusable(js *jobState) int {
 // shape's longer boundary spans can cost more in halo exchange than its
 // balanced compute saves; the comparison guarantees weighting never
 // prices a placement worse than the identical-spans split would have,
-// whichever timer the farm runs. Equal speeds produce a weighted shape
-// bit-identical to the uniform one, so hosts of one speed go straight to
-// uniform without building either. Returning the price lets tryPlace
-// reuse it instead of running the timer — a whole discrete-event
-// simulation under PerfTimer — a second time on the winning shape.
+// whichever timer the farm runs; a weighted shape that equals the
+// uniform split prices the same and so never strictly beats it. Equal
+// speeds produce a weighted shape bit-identical to the uniform one, so
+// hosts of one speed go straight to uniform without building either.
+// Returning the price lets tryPlace reuse it instead of running the
+// timer — a whole discrete-event simulation under PerfTimer — a second
+// time on the winning shape.
 func (f *Farm) chooseShape(spec JobSpec, hosts []*cluster.Host) (decomp.Shape, float64, error) {
 	f.speeds = rankSpeeds(f.speeds[:0], spec, hosts)
 	if slices.Min(f.speeds) != slices.Max(f.speeds) {
-		uni := uniformShape(spec)
-		if w, err := weightedShape(spec, f.speeds); err == nil && !w.Equal(uni) {
+		if w, err := weightedShape(spec, f.speeds); err == nil {
 			wb, errW := f.price(spec, w, hosts)
-			ub, errU := f.price(spec, uni, hosts)
+			ub, errU := f.price(spec, decomp.Shape{}, hosts)
 			if errW == nil && errU == nil && wb < ub {
 				return w, wb, nil
 			}
-			if errU == nil {
-				return decomp.Shape{}, ub, nil
-			}
-			// The uniform pricing itself failed; re-run it below so the
-			// caller sees the error exactly as a direct pricing would.
+			return decomp.Shape{}, ub, errU
 		}
 	}
 	sec, err := f.price(spec, decomp.Shape{}, hosts)
@@ -211,7 +208,7 @@ func (f *Farm) chooseShape(spec JobSpec, hosts []*cluster.Host) (decomp.Shape, f
 // started before keeps the shape it dumped with — resumptions and
 // migrations reprice the same geometry on the new hosts.
 func (f *Farm) tryPlace(js *jobState, t time.Duration, deadline time.Duration) (bool, error) {
-	res, err := f.cluster.Reserve(js.spec.ID, js.espec().Ranks(), f.selection, f.rng)
+	res, err := f.cluster.Reserve(js.spec.ID, js.ranks(), f.selection, f.rng)
 	if errors.Is(err, cluster.ErrShortfall) {
 		return false, nil // Reserve draws nothing from the RNG on a shortfall
 	}
@@ -267,7 +264,7 @@ func (f *Farm) tryPlace(js *jobState, t time.Duration, deadline time.Duration) (
 // capacity now. When every lower-priority job together frees too few
 // reusable hosts, it returns before choosing any.
 func (f *Farm) tryPreempt(js *jobState, t time.Duration, free int) (bool, error) {
-	need := js.espec().Ranks() - free
+	need := js.ranks() - free
 	if need <= 0 {
 		return false, nil
 	}

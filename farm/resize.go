@@ -82,7 +82,7 @@ func (f *Farm) resizeByID(id string, n int, t time.Duration) error {
 // releases the extra hosts; a shrink re-splits before any host is
 // released, so its failure changes nothing.
 func (f *Farm) resize(js *jobState, n int, t time.Duration) error {
-	cur := js.espec().Ranks()
+	cur := js.ranks()
 	if n == cur {
 		return nil
 	}
@@ -123,7 +123,7 @@ func (f *Farm) resize(js *jobState, n int, t time.Duration) error {
 // regrid moves a running job's reservation and workload onto n ranks
 // of the next lattice; on failure the reservation is as it was.
 func (f *Farm) regrid(js *jobState, next JobSpec, n int) error {
-	cur := js.espec().Ranks()
+	cur := js.ranks()
 	if n < cur {
 		// Re-split onto the leading n hosts first — the workload refusing
 		// (filter on, deactivated subregions) must leave the reservation

@@ -89,7 +89,8 @@ func (sub *Subscription) Close() {
 	f.hmu.Lock()
 	for i, s := range f.subs {
 		if s == sub {
-			f.subs = append(f.subs[:i], f.subs[i+1:]...)
+			// A fresh array: emit ranges over the old one unlocked.
+			f.subs = append(f.subs[:i:i], f.subs[i+1:]...)
 			break
 		}
 	}
@@ -128,7 +129,7 @@ func (sub *Subscription) shut() {
 func (f *Farm) emit(ev Event) {
 	f.track(ev)
 	f.hmu.Lock()
-	subs := append([]*Subscription(nil), f.subs...)
+	subs := f.subs
 	f.hmu.Unlock()
 	for _, sub := range subs {
 		sub.send(ev)

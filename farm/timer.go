@@ -25,11 +25,20 @@ func shapeOrUniform(spec JobSpec, shape decomp.Shape) (decomp.Shape, error) {
 	if shape.IsZero() {
 		return uniformShape(spec), nil
 	}
+	return shape, checkShape(spec, shape)
+}
+
+// checkShape validates a non-zero shape against the spec's lattice and
+// grid; the zero shape is the uniform split, which always fits.
+func checkShape(spec JobSpec, shape decomp.Shape) error {
+	if shape.IsZero() {
+		return nil
+	}
 	gx, gy, gz := spec.Grid()
 	if err := shape.Check(spec.JX, spec.JY, spec.JZ, gx, gy, gz); err != nil {
-		return decomp.Shape{}, fmt.Errorf("farm: job %s: %w", spec.ID, err)
+		return fmt.Errorf("farm: job %s: %w", spec.ID, err)
 	}
-	return shape, nil
+	return nil
 }
 
 // uniformShape returns the spec's uniform (equal-spans) shape, the
@@ -66,18 +75,35 @@ func rankSpeeds(buf []float64, spec JobSpec, hosts []*cluster.Host) []float64 {
 	return buf
 }
 
-// forEachRank walks the spec's lattice in rank order (row-major, planes
-// outermost) yielding each rank's node count under the shape.
-func forEachRank(spec JobSpec, shape decomp.Shape, f func(rank, nodes int)) {
-	jz := spec.JZ
-	if jz < 1 {
-		jz = 1
+// axisSpan returns piece i's nodes on an axis of p pieces over g nodes:
+// spans[i], or on a zero shape the uniform split's, as decomp splits, so
+// a uniform placement is priced and measured without building its shape.
+func axisSpan(spans []int, g, p, i int) int {
+	if len(spans) > 0 {
+		return spans[i]
 	}
+	n := g / p
+	if i < g%p {
+		n++
+	}
+	return n
+}
+
+// forEachRank walks the spec's lattice in rank order (row-major, planes
+// outermost) yielding each rank's node count under the shape, which is
+// zero or has passed checkShape.
+func forEachRank(spec JobSpec, shape decomp.Shape, f func(rank, nodes int)) {
+	gx, gy, gz := spec.Grid()
 	rank := 0
-	for k := 0; k < jz; k++ {
-		for j := 0; j < spec.JY; j++ {
-			for i := 0; i < spec.JX; i++ {
-				f(rank, shape.Nodes(i, j, k))
+	for k := range max(spec.JZ, 1) {
+		nz := 1
+		if spec.Is3D() {
+			nz = axisSpan(shape.Z, gz, spec.JZ, k)
+		}
+		for j := range spec.JY {
+			nyz := axisSpan(shape.Y, gy, spec.JY, j) * nz
+			for i := range spec.JX {
+				f(rank, axisSpan(shape.X, gx, spec.JX, i)*nyz)
 				rank++
 			}
 		}
@@ -95,12 +121,11 @@ func ComputeTimer(spec JobSpec, shape decomp.Shape, hosts []*cluster.Host) (floa
 	if len(hosts) < spec.Ranks() {
 		return 0, fmt.Errorf("farm: %d hosts for %d ranks of %s", len(hosts), spec.Ranks(), spec.ID)
 	}
-	sh, err := shapeOrUniform(spec, shape)
-	if err != nil {
+	if err := checkShape(spec, shape); err != nil {
 		return 0, err
 	}
 	worst := 0.0
-	forEachRank(spec, sh, func(rank, nodes int) {
+	forEachRank(spec, shape, func(rank, nodes int) {
 		if t := float64(nodes) / hosts[rank].Speed(spec.Method); t > worst {
 			worst = t
 		}
@@ -114,22 +139,17 @@ func ComputeTimer(spec JobSpec, shape decomp.Shape, hosts []*cluster.Host) (floa
 // a uniform split of a mixed-model pool sits strictly above it. The
 // farm records the ratio per job and internal/metrics aggregates it.
 func Imbalance(spec JobSpec, shape decomp.Shape, hosts []*cluster.Host) (float64, error) {
-	if len(hosts) < spec.Ranks() {
-		return 0, fmt.Errorf("farm: %d hosts for %d ranks of %s", len(hosts), spec.Ranks(), spec.ID)
-	}
-	sh, err := shapeOrUniform(spec, shape)
+	worst, err := ComputeTimer(spec, shape, hosts)
 	if err != nil {
 		return 0, err
 	}
-	worst, total, speed := 0.0, 0, 0.0
-	forEachRank(spec, sh, func(rank, nodes int) {
-		if t := float64(nodes) / hosts[rank].Speed(spec.Method); t > worst {
-			worst = t
-		}
-		total += nodes
-		speed += hosts[rank].Speed(spec.Method)
-	})
-	ideal := float64(total) / speed
+	// Every shape's spans sum to the grid, so the ranks hold all its nodes.
+	gx, gy, gz := spec.Grid()
+	speed := 0.0
+	for _, h := range hosts[:spec.Ranks()] {
+		speed += h.Speed(spec.Method)
+	}
+	ideal := float64(gx*gy*max(gz, 1)) / speed
 	if ideal <= 0 {
 		return 0, fmt.Errorf("farm: job %s: degenerate placement (no nodes or no speed)", spec.ID)
 	}

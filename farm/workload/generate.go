@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/farm"
@@ -57,11 +59,8 @@ func Generate(spec *Spec, seed int64) ([]farm.JobSpec, error) {
 			jobs = append(jobs, js)
 		}
 	}
-	sort.SliceStable(jobs, func(i, j int) bool {
-		if jobs[i].Submit != jobs[j].Submit {
-			return jobs[i].Submit < jobs[j].Submit
-		}
-		return jobs[i].ID < jobs[j].ID
+	slices.SortStableFunc(jobs, func(a, b farm.JobSpec) int {
+		return cmp.Or(cmp.Compare(a.Submit, b.Submit), strings.Compare(a.ID, b.ID))
 	})
 	return jobs, nil
 }

@@ -1,7 +1,9 @@
 package workload_test
 
 import (
+	"context"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -91,5 +93,59 @@ func BenchmarkRecordScaling(b *testing.B) {
 			}
 			b.ReportMetric(float64(jobs)*float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
 		})
+	}
+}
+
+// TestRunAllocationsPerJob pins what the farm loop allocates per job on
+// the scaling stream: mixed-model placements, preemptions and a reclaim
+// storm every five virtual minutes, with no subscriber. A placement
+// builds its tier order in the cluster's scratch and prices the uniform
+// split without building it, so what is left is each job's own records
+// (its state, its reservation and host list, its events' host names and
+// its weighted shape). The loop allocated 66-69 objects a job while the
+// tier order and the remainder order were reflection sorts and each
+// pricing of the uniform split built its spans.
+func TestRunAllocationsPerJob(t *testing.T) {
+	const budget = 25
+	spec := scalingSpec(2000)
+	every, hook, err := spec.Scenario.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range []int64{1000, 1001} {
+		jobs, err := workload.Generate(spec, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool := farm.NewPaperCluster()
+		pool.Advance(30 * time.Minute)
+		f, err := farm.New(pool, farm.WithPolicy(farm.Priority), farm.WithBackfill(farm.BackfillEASY),
+			farm.WithSeed(seed), farm.WithScenario(every, hook))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sp := range jobs {
+			if _, err := f.Submit(sp, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		f.Drain()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		sum, err := f.Run(context.Background())
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sum.Jobs) != len(jobs) || sum.Preemptions == 0 || sum.Migrations == 0 || sum.Weighted == 0 {
+			t.Fatalf("seed %d: %d of %d jobs done, %d preemptions, %d migrations, %d weighted: the stream no longer exercises the placement path",
+				seed, len(sum.Jobs), len(jobs), sum.Preemptions, sum.Migrations, sum.Weighted)
+		}
+		perJob := float64(after.Mallocs-before.Mallocs) / float64(len(jobs))
+		t.Logf("seed %d: %.1f allocations a job", seed, perJob)
+		if perJob > budget {
+			t.Errorf("seed %d: Run allocated %.1f objects a job, budget %d", seed, perJob, budget)
+		}
 	}
 }

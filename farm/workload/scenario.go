@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/farm"
+	"repro/internal/cluster"
 )
 
 // Scenario event kinds.
@@ -133,7 +134,7 @@ func (s *Scenario) Compile() (every time.Duration, fn func(time.Duration, *farm.
 
 // onset applies one firing's user activity, scanning hosts in pool
 // order so the effect is deterministic.
-func (e Event) onset(c *farm.Cluster) {
+func (e Event) onset(c *cluster.Cluster) {
 	n := e.hosts()
 	for _, h := range c.Hosts {
 		if n == 0 {
@@ -162,7 +163,7 @@ func (e Event) onset(c *farm.Cluster) {
 // release undoes one firing Dwell later: the first still-present users
 // pack up. Churn needs no release — the idle clocks it reset recover on
 // their own.
-func (e Event) release(c *farm.Cluster) {
+func (e Event) release(c *cluster.Cluster) {
 	if e.Kind == HostChurn {
 		return
 	}

@@ -1,9 +1,13 @@
 package workload_test
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"path/filepath"
+	"slices"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -409,5 +413,61 @@ func TestVerifyAcrossRestore(t *testing.T) {
 	want := strings.Join(tr.Events, "\n")
 	if g := strings.Join(got, "\n"); g != want {
 		t.Errorf("stitched crash+restore stream differs from the recorded trace:\nrecorded %d events, got %d", len(tr.Events), len(got))
+	}
+}
+
+// TestGenerateOrderMatchesSortOracle: Generate's (Submit, ID) order is
+// the frozen reflection sort's, on a stream whose nanosecond gaps make
+// most submit times equal within and across cohorts. The list before the
+// sort is cohort by cohort in spec order, each cohort's jobs in draw
+// order, which the IDs' sequence numbers recover.
+func TestGenerateOrderMatchesSortOracle(t *testing.T) {
+	oracle := func(jobs []farm.JobSpec) {
+		sort.SliceStable(jobs, func(i, j int) bool {
+			if jobs[i].Submit != jobs[j].Submit {
+				return jobs[i].Submit < jobs[j].Submit
+			}
+			return jobs[i].ID < jobs[j].ID
+		})
+	}
+	cohort := func(name string) workload.Cohort {
+		return workload.Cohort{Name: name,
+			Arrivals: workload.Arrivals{Process: workload.Poisson, MeanGap: 2},
+			Jobs: workload.JobDist{Shapes: []workload.ShapeChoice{{Method: "lb2d", JX: 2, JY: 1}},
+				SideMin: 8, Steps: workload.StepsDist{Median: 10}},
+			MaxJobs: 40}
+	}
+	spec := &workload.Spec{Name: "ties", Horizon: time.Hour,
+		Cohorts: []workload.Cohort{cohort("b"), cohort("a"), cohort("c")}}
+	for seed := int64(1); seed <= 20; seed++ {
+		got, err := workload.Generate(spec, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cohortOf := map[string]int{"b": 0, "a": 1, "c": 2}
+		seq := func(j farm.JobSpec) int {
+			n, err := strconv.Atoi(j.ID[strings.LastIndex(j.ID, "-")+1:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+		drawn := slices.Clone(got)
+		slices.SortFunc(drawn, func(x, y farm.JobSpec) int {
+			return cmp.Or(cmp.Compare(cohortOf[x.User], cohortOf[y.User]), cmp.Compare(seq(x), seq(y)))
+		})
+		ties := 0
+		for i := 1; i < len(drawn); i++ {
+			if drawn[i].Submit == drawn[i-1].Submit {
+				ties++
+			}
+		}
+		if ties == 0 {
+			t.Fatalf("seed %d: no equal submit times; the oracle sees no tie", seed)
+		}
+		oracle(drawn)
+		if !slices.Equal(got, drawn) {
+			t.Fatalf("seed %d: Generate's order differs from the frozen sort's", seed)
+		}
 	}
 }

@@ -12,10 +12,11 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
+	"strings"
 	"time"
 )
 
@@ -206,6 +207,7 @@ type Cluster struct {
 	// events is the pending host event stream (see events.go).
 	events       []HostEvent
 	idle, active []*Host // reservable's scratch (see reserve.go)
+	order        []*Host // take's scratch (see reserve.go)
 }
 
 // NewPaperCluster builds the paper's pool: sixteen 715/50s, six 720s and
@@ -272,36 +274,9 @@ func DefaultPolicy() SelectionPolicy {
 // slower 710 and 720 models"). Hosts already running a parallel subprocess
 // are never selected.
 func (c *Cluster) SelectFree(n int, pol SelectionPolicy) []*Host {
-	idleUser, activeUser := c.classify(pol, func(h *Host) float64 { return h.loads[2] })
-	prefer := func(hosts []*Host) {
-		sort.SliceStable(hosts, func(i, j int) bool {
-			pi, pj := modelPreference(hosts[i].Model), modelPreference(hosts[j].Model)
-			if pi != pj {
-				return pi < pj
-			}
-			return hosts[i].Name < hosts[j].Name
-		})
-	}
-	prefer(idleUser)
-	prefer(activeUser)
-	out := append(idleUser, activeUser...)
-	if len(out) > n {
-		out = out[:n]
-	}
-	return out
-}
-
-// classify splits the hosts with no parallel subprocess and a
-// fifteen-minute load (as read by loadOf) below the threshold into the
-// preferred idle-user group and the active-user group of section 4.1. It
-// is shared by SelectFree (blended uptime load) and the farm reservation
-// path (user-attributable load).
-func (c *Cluster) classify(pol SelectionPolicy, loadOf func(*Host) float64) (idle, active []*Host) {
+	var idle, active []*Host
 	for _, h := range c.Hosts {
-		if h.assigned >= 0 {
-			continue
-		}
-		if loadOf(h) >= pol.MaxLoad15 {
+		if h.assigned >= 0 || h.loads[2] >= pol.MaxLoad15 {
 			continue
 		}
 		if h.idleFor >= pol.MinIdle {
@@ -310,21 +285,25 @@ func (c *Cluster) classify(pol SelectionPolicy, loadOf func(*Host) float64) (idl
 			active = append(active, h)
 		}
 	}
-	return idle, active
+	byPreference := func(a, b *Host) int {
+		return cmp.Or(cmp.Compare(modelPreference(a.Model), modelPreference(b.Model)), strings.Compare(a.Name, b.Name))
+	}
+	slices.SortStableFunc(idle, byPreference)
+	slices.SortStableFunc(active, byPreference)
+	out := append(idle, active...)
+	return out[:min(n, len(out))]
 }
 
-// modelPreference orders 715 first, then 720, then 710 (the paper treats
-// 710 as the slowest).
+// modelPreference ranks 715 first (0), then 720 (1), then 710 and any
+// unknown model (2): the paper treats 710 as the slowest.
 func modelPreference(m Model) int {
-	switch m {
-	case HP715:
-		return 0
-	case HP720:
-		return 1
-	default:
-		return 2
+	if m >= 0 && int(m) < len(preferences) {
+		return preferences[m]
 	}
+	return 2
 }
+
+var preferences = [...]int{HP715: 0, HP720: 1, HP710: 2}
 
 // MigrationPolicy holds the section-5.1 migration trigger.
 type MigrationPolicy struct {

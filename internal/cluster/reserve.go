@@ -4,7 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // Reservation is a capacity claim on the pool: a set of hosts set aside
@@ -67,13 +68,12 @@ func (c *Cluster) Capacity(pol SelectionPolicy) int {
 	return len(idle) + len(active)
 }
 
-// take orders the two tiers for a reservation scan and returns a fresh
-// slice of the first n hosts, idle-user tier first.
-func take(n int, idle, active []*Host, rng *rand.Rand) []*Host {
-	orderTiers(idle, active, rng)
-	hosts := make([]*Host, n)
-	copy(hosts[copy(hosts, idle):], active)
-	return hosts
+// take orders the two tiers for a reservation scan in the cluster's
+// scratch and returns a fresh slice of the first n hosts.
+func (c *Cluster) take(n int, idle, active []*Host, rng *rand.Rand) []*Host {
+	c.order = appendTier(c.order[:0], idle, rng)
+	c.order = appendTier(c.order, active, rng)
+	return append([]*Host(nil), c.order[:n]...)
 }
 
 // Reserve claims n hosts for the named owner, assigning rank i to the
@@ -92,30 +92,37 @@ func (c *Cluster) Reserve(owner string, n int, pol SelectionPolicy, rng *rand.Ra
 	if len(idle)+len(active) < n {
 		return nil, ErrShortfall
 	}
-	r := &Reservation{Owner: owner, Hosts: take(n, idle, active, rng)}
+	r := &Reservation{Owner: owner, Hosts: c.take(n, idle, active, rng)}
 	for i, h := range r.Hosts {
 		h.AssignTo(owner, i)
 	}
 	return r, nil
 }
 
-// orderTiers arranges each preference group for a reservation scan: a
-// fresh random permutation from rng (or deterministic name order when rng
-// is nil), then a stable sort by model preference so the permutation
-// survives within each model tier.
-func orderTiers(idle, active []*Host, rng *rand.Rand) {
-	order := func(hosts []*Host) {
-		if rng != nil {
-			rng.Shuffle(len(hosts), func(i, j int) { hosts[i], hosts[j] = hosts[j], hosts[i] })
-		} else {
-			sort.SliceStable(hosts, func(i, j int) bool { return hosts[i].Name < hosts[j].Name })
-		}
-		sort.SliceStable(hosts, func(i, j int) bool {
-			return modelPreference(hosts[i].Model) < modelPreference(hosts[j].Model)
-		})
+// appendTier arranges one preference group for a reservation scan and
+// appends it to dst: a fresh random permutation from rng (or
+// deterministic name order when rng is nil), then a stable partition by
+// model preference (a counting sort), so the permutation survives within
+// each model tier.
+func appendTier(dst, hosts []*Host, rng *rand.Rand) []*Host {
+	if rng != nil {
+		rng.Shuffle(len(hosts), func(i, j int) { hosts[i], hosts[j] = hosts[j], hosts[i] })
+	} else {
+		slices.SortStableFunc(hosts, func(a, b *Host) int { return strings.Compare(a.Name, b.Name) })
 	}
-	order(idle)
-	order(active)
+	var count [3]int
+	for _, h := range hosts {
+		count[modelPreference(h.Model)]++
+	}
+	next := [3]int{0, count[0], count[0] + count[1]}
+	n := len(dst)
+	dst = append(dst, hosts...)
+	for _, h := range hosts {
+		p := modelPreference(h.Model)
+		dst[n+next[p]] = h
+		next[p]++
+	}
+	return dst
 }
 
 // Release frees every host still held by the reservation. Hosts whose
@@ -149,7 +156,7 @@ func (r *Reservation) Shrink(drop []*Host) []int {
 			ranks = append(ranks, rank)
 		}
 	}
-	sort.Ints(ranks)
+	slices.Sort(ranks)
 	return ranks
 }
 
@@ -171,7 +178,7 @@ func (c *Cluster) Migrate(r *Reservation, busy []*Host, pol SelectionPolicy, rng
 			len(busy), r.Owner, len(idle)+len(active), ErrShortfall)
 	}
 	ranks = r.Shrink(busy)
-	repl = take(len(ranks), idle, active, rng)
+	repl = c.take(len(ranks), idle, active, rng)
 	for i, rank := range ranks {
 		repl[i].AssignTo(r.Owner, rank)
 		r.Hosts[rank] = repl[i]

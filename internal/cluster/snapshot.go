@@ -68,9 +68,10 @@ func (c *Cluster) Snapshot() Snapshot {
 
 // RestoreSnapshot overwrites the cluster's state from a snapshot taken of
 // an identically shaped pool: hosts are matched by name and must agree on
-// model, and no host may be missing from either side. A shape mismatch
-// leaves the cluster partially restored and returns a descriptive error —
-// callers restore into a freshly built pool and discard it on failure.
+// model, no name may repeat, and no host may be missing from either side.
+// The whole snapshot, its events included, is checked before any host is
+// written, so a mismatch returns a descriptive error and leaves the
+// cluster as it was.
 func (c *Cluster) RestoreSnapshot(s Snapshot) error {
 	if len(s.Hosts) != len(c.Hosts) {
 		return fmt.Errorf("cluster: snapshot has %d hosts, pool has %d", len(s.Hosts), len(c.Hosts))
@@ -79,6 +80,7 @@ func (c *Cluster) RestoreSnapshot(s Snapshot) error {
 	for _, h := range c.Hosts {
 		byName[h.Name] = h
 	}
+	seen := make(map[string]bool, len(s.Hosts))
 	for _, hs := range s.Hosts {
 		h := byName[hs.Name]
 		if h == nil {
@@ -87,6 +89,18 @@ func (c *Cluster) RestoreSnapshot(s Snapshot) error {
 		if h.Model != hs.Model {
 			return fmt.Errorf("cluster: snapshot host %q is a %v, pool has a %v", hs.Name, hs.Model, h.Model)
 		}
+		if seen[hs.Name] {
+			return fmt.Errorf("cluster: snapshot host %q appears twice", hs.Name)
+		}
+		seen[hs.Name] = true
+	}
+	for _, ev := range s.Events {
+		if byName[ev.Host] == nil {
+			return fmt.Errorf("cluster: snapshot event for unknown host %q", ev.Host)
+		}
+	}
+	for _, hs := range s.Hosts {
+		h := byName[hs.Name]
 		h.jobs = hs.Jobs
 		h.loads = hs.Loads
 		h.userLoads = hs.UserLoads
@@ -98,11 +112,7 @@ func (c *Cluster) RestoreSnapshot(s Snapshot) error {
 	c.now = s.Now
 	c.events = nil
 	for _, ev := range s.Events {
-		h := byName[ev.Host]
-		if h == nil {
-			return fmt.Errorf("cluster: snapshot event for unknown host %q", ev.Host)
-		}
-		c.events = append(c.events, HostEvent{Kind: ev.Kind, Host: h, At: ev.At, Owner: ev.Owner})
+		c.events = append(c.events, HostEvent{Kind: ev.Kind, Host: byName[ev.Host], At: ev.At, Owner: ev.Owner})
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -84,5 +85,45 @@ func TestRestoreSnapshotShapeMismatch(t *testing.T) {
 	remodeled.Hosts[0].Model = HP710
 	if err := remodeled.RestoreSnapshot(snap); err == nil {
 		t.Error("restore with a model mismatch succeeded")
+	}
+}
+
+// TestRestoreSnapshotRefusedLeavesPool: a snapshot that does not fit the
+// pool is refused before any host is written, however late in the host
+// list (or the event list) the mismatch sits.
+func TestRestoreSnapshotRefusedLeavesPool(t *testing.T) {
+	src := NewPaperCluster()
+	src.Advance(12 * time.Minute)
+	src.Hosts[2].StartJob()
+	if _, err := src.Reserve("jobX", 3, DefaultPolicy(), rand.New(rand.NewSource(2))); err != nil {
+		t.Fatal(err)
+	}
+	src.Reclaim(src.Hosts[0])
+	src.Advance(time.Minute)
+
+	last := len(src.Hosts) - 1
+	cases := []struct {
+		name   string
+		damage func(s *Snapshot)
+	}{
+		{"foreign last host", func(s *Snapshot) { s.Hosts[last].Name = "foreign" }},
+		{"last host a different model", func(s *Snapshot) { s.Hosts[last].Model = HP715 }},
+		{"repeated name", func(s *Snapshot) { s.Hosts[last].Name = s.Hosts[0].Name }},
+		{"event on a foreign host", func(s *Snapshot) { s.Events[0].Host = "foreign" }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			snap := src.Snapshot()
+			tc.damage(&snap)
+			dst := NewPaperCluster()
+			dst.Advance(3 * time.Minute)
+			before := dst.Snapshot()
+			if err := dst.RestoreSnapshot(snap); err == nil {
+				t.Fatal("damaged snapshot restored")
+			}
+			if after := dst.Snapshot(); !reflect.DeepEqual(after, before) {
+				t.Errorf("a refused restore changed the pool:\nbefore %+v\nafter  %+v", before, after)
+			}
+		})
 	}
 }

@@ -318,13 +318,25 @@ func Decompose2D(c *Config2D) ([]*dump.State, error) { return decompose(c) }
 type Result2D struct {
 	NX, NY        int
 	Rho, Vx, Vy   []float64 // row-major interior fields
-	Vorticity     []float64 // curl of velocity (centered differences)
 	Steps         int
 	ActiveRegions int
 }
 
 // At indexes a gathered field.
 func (r *Result2D) At(f []float64, x, y int) float64 { return f[y*r.NX+x] }
+
+// Vorticity returns the curl of the gathered velocity by centered
+// differences, a fresh row-major field that is zero on the outer ring.
+func (r *Result2D) Vorticity() []float64 {
+	vort := make([]float64, r.NX*r.NY)
+	for y := 1; y < r.NY-1; y++ {
+		for x := 1; x < r.NX-1; x++ {
+			g := y*r.NX + x
+			vort[g] = 0.5*(r.Vy[g+1]-r.Vy[g-1]) - 0.5*(r.Vx[g+r.NX]-r.Vx[g-r.NX])
+		}
+	}
+	return vort
+}
 
 // Gather2D assembles the global fields from per-rank programs, inverting
 // the decomposition. Deactivated subregions read as fluid at rest.
@@ -333,7 +345,6 @@ func Gather2D(c *Config2D, progs []*Program2D, steps int) *Result2D {
 	res := &Result2D{
 		NX: c.D.GX, NY: c.D.GY,
 		Rho: make([]float64, n), Vx: make([]float64, n), Vy: make([]float64, n),
-		Vorticity:     make([]float64, n),
 		Steps:         steps,
 		ActiveRegions: c.D.P(),
 	}
@@ -343,13 +354,6 @@ func Gather2D(c *Config2D, progs []*Program2D, steps int) *Result2D {
 	lat, global := c.lattice(), [][]float64{res.Rho, res.Vx, res.Vy}
 	for _, p := range progs {
 		p.stitch(lat, global)
-	}
-	// Vorticity from the gathered velocity (interior nodes only).
-	for y := 1; y < res.NY-1; y++ {
-		for x := 1; x < res.NX-1; x++ {
-			g := y*res.NX + x
-			res.Vorticity[g] = 0.5*(res.Vy[g+1]-res.Vy[g-1]) - 0.5*(res.Vx[g+res.NX]-res.Vx[g-res.NX])
-		}
 	}
 	return res
 }

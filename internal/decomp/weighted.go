@@ -14,9 +14,9 @@
 package decomp
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // Shape is an explicit per-axis span assignment for a (JX x JY [x JZ])
@@ -119,36 +119,46 @@ func UniformShape3D(jx, jy, jz, gx, gy, gz int) Shape {
 // reproduce the uniform spans bit for bit: all quotas tie, so the leading
 // pieces take the remainder, exactly as the uniform splitter does.
 func WeightedSpans(g int, w []float64) ([]int, error) {
+	spans := make([]int, len(w))
+	if err := weightedSpans(spans, g, w); err != nil {
+		return nil, err
+	}
+	return spans, nil
+}
+
+// maxScratch is the longest axis kept on the stack; no 25-host job is longer.
+const maxScratch = 32
+
+// weightedSpans is WeightedSpans writing into spans (one per weight).
+func weightedSpans(spans []int, g int, w []float64) error {
 	p := len(w)
 	if p == 0 {
-		return nil, fmt.Errorf("decomp: no weights")
+		return fmt.Errorf("decomp: no weights")
 	}
 	if g < p {
-		return nil, fmt.Errorf("decomp: %d nodes for %d weighted pieces", g, p)
+		return fmt.Errorf("decomp: %d nodes for %d weighted pieces", g, p)
 	}
 	total := 0.0
 	for i, wi := range w {
 		if wi <= 0 {
-			return nil, fmt.Errorf("decomp: weight %d is %v, want > 0", i, wi)
+			return fmt.Errorf("decomp: weight %d is %v, want > 0", i, wi)
 		}
 		total += wi
 	}
-	spans := make([]int, p)
-	frac := make([]float64, p)
+	var fracBuf [maxScratch]float64
+	var orderBuf [maxScratch]int
+	frac, order := fracBuf[:0], orderBuf[:0]
 	assigned := 0
 	for i, wi := range w {
 		quota := float64(g) * wi / total
 		spans[i] = int(quota)
-		frac[i] = quota - float64(spans[i])
+		frac = append(frac, quota-float64(spans[i]))
+		order = append(order, i)
 		assigned += spans[i]
 	}
 	// Distribute the remainder by largest fractional part, lower index
 	// first among ties.
-	order := make([]int, p)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return frac[order[a]] > frac[order[b]] })
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(frac[b], frac[a]) })
 	for r := 0; r < g-assigned; r++ {
 		spans[order[r]]++
 	}
@@ -173,7 +183,7 @@ func WeightedSpans(g int, w []float64) ([]int, error) {
 			spans[i]++
 		}
 	}
-	return spans, nil
+	return nil
 }
 
 // WeightedShape computes the speed-weighted shape of a (jx x jy x jz)
@@ -189,7 +199,10 @@ func WeightedShape(jx, jy, jz, gx, gy, gz int, speed []float64) (Shape, error) {
 	if len(speed) != jx*jy*planes {
 		return Shape{}, fmt.Errorf("decomp: %d speeds for a (%d x %d x %d) lattice", len(speed), jx, jy, jz)
 	}
-	w := [3][]float64{make([]float64, jx), make([]float64, jy), make([]float64, planes)}
+	// Weights on the stack, spans in one array: the shape is all it allocates.
+	var wBuf [3 * maxScratch]float64
+	buf := slices.Grow(wBuf[:0], jx+jy+planes)[:jx+jy+planes]
+	w := [3][]float64{buf[:jx], buf[jx : jx+jy], buf[jx+jy:]}
 	for rank, s := range speed {
 		if s <= 0 {
 			return Shape{}, fmt.Errorf("decomp: speed of rank %d is %v, want > 0", rank, s)
@@ -199,12 +212,14 @@ func WeightedShape(jx, jy, jz, gx, gy, gz int, speed []float64) (Shape, error) {
 		w[2][rank/(jx*jy)] += s
 	}
 	var spans [3][]int
+	free := make([]int, len(buf))
 	for axis, g := range [3]int{gx, gy, gz} {
 		if axis == 2 && jz < 1 {
 			break
 		}
-		var err error
-		if spans[axis], err = WeightedSpans(g, w[axis]); err != nil {
+		n := len(w[axis])
+		spans[axis], free = free[:n:n], free[n:]
+		if err := weightedSpans(spans[axis], g, w[axis]); err != nil {
 			return Shape{}, err
 		}
 	}

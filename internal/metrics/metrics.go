@@ -7,8 +7,9 @@
 package metrics
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 )
@@ -96,11 +97,8 @@ type Summary struct {
 // a pool of the given size. Jobs are reported sorted by (Submit, ID).
 func Summarize(jobs []Job, hosts int) Summary {
 	s := Summary{Jobs: append([]Job(nil), jobs...)}
-	sort.SliceStable(s.Jobs, func(i, j int) bool {
-		if s.Jobs[i].Submit != s.Jobs[j].Submit {
-			return s.Jobs[i].Submit < s.Jobs[j].Submit
-		}
-		return s.Jobs[i].ID < s.Jobs[j].ID
+	slices.SortStableFunc(s.Jobs, func(a, b Job) int {
+		return cmp.Or(cmp.Compare(a.Submit, b.Submit), strings.Compare(a.ID, b.ID))
 	})
 	if len(s.Jobs) == 0 {
 		return s

@@ -1,6 +1,10 @@
 package metrics
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -64,6 +68,36 @@ func TestSummaryString(t *testing.T) {
 	for _, want := range []string{"j1", "makespan", "mean wait", "utilization", "preemptions", "backfills", "yes"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("summary table missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// summarizeOrderOracle is Summarize's job order as it was written with a
+// reflection sort, frozen.
+func summarizeOrderOracle(jobs []Job) []Job {
+	out := append([]Job(nil), jobs...)
+	sort.SliceStable(out, func(i, j int) bool {
+		if out[i].Submit != out[j].Submit {
+			return out[i].Submit < out[j].Submit
+		}
+		return out[i].ID < out[j].ID
+	})
+	return out
+}
+
+// TestSummarizeOrderMatchesSortOracle: jobs with equal submit times, and
+// now and then an equal ID too, come out in the frozen sort's order.
+func TestSummarizeOrderMatchesSortOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for range 200 {
+		jobs := make([]Job, 1+r.Intn(40))
+		for i := range jobs {
+			jobs[i] = Job{ID: fmt.Sprintf("j%d", r.Intn(8)), Ranks: i + 1,
+				Submit: time.Duration(r.Intn(4)) * time.Minute, Done: time.Hour}
+		}
+		got, want := Summarize(jobs, 25).Jobs, summarizeOrderOracle(jobs)
+		if !slices.Equal(got, want) {
+			t.Fatalf("Summarize ordered %v, the frozen sort %v", got, want)
 		}
 	}
 }
