@@ -2,7 +2,7 @@ package farm
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 	"time"
 
 	"repro/internal/cluster"
@@ -21,7 +21,7 @@ import (
 //
 // All times are farm-relative virtual times (the same clock the metrics
 // report), and String renders a stable single-line form — the trace
-// tests compare those strings.
+// tests compare those strings (DESIGN.md, "The event line").
 type Event interface {
 	// When returns the farm-relative virtual time of the decision.
 	When() time.Duration
@@ -35,10 +35,9 @@ type JobQueued struct {
 	ID string
 }
 
-func (e JobQueued) When() time.Duration { return e.T }
-func (e JobQueued) String() string {
-	return fmt.Sprintf("t=%v queued %s", e.T, e.ID)
-}
+func (e JobQueued) When() time.Duration        { return e.T }
+func (e JobQueued) String() string             { var b [lineCap]byte; return string(e.appendText(b[:0])) }
+func (e JobQueued) appendText(b []byte) []byte { return head(b, e.T, " queued ").s(e.ID) }
 
 // JobPlaced records the queue head starting (or resuming) on a fresh
 // reservation.
@@ -56,9 +55,9 @@ type JobPlaced struct {
 }
 
 func (e JobPlaced) When() time.Duration { return e.T }
-func (e JobPlaced) String() string {
-	return fmt.Sprintf("t=%v placed %s on [%s] step=%.6gs finish=%v weighted=%v",
-		e.T, e.ID, strings.Join(e.Hosts, " "), e.StepSec, e.Finish, e.Weighted)
+func (e JobPlaced) String() string      { var b [lineCap]byte; return string(e.appendText(b[:0])) }
+func (e JobPlaced) appendText(b []byte) []byte {
+	return head(b, e.T, " placed ").placement(e.ID, e.Hosts, e.StepSec, e.Finish, e.Weighted)
 }
 
 // JobBackfilled records a job behind the blocked queue head starting in
@@ -74,9 +73,9 @@ type JobBackfilled struct {
 }
 
 func (e JobBackfilled) When() time.Duration { return e.T }
-func (e JobBackfilled) String() string {
-	return fmt.Sprintf("t=%v backfilled %s on [%s] step=%.6gs finish=%v weighted=%v",
-		e.T, e.ID, strings.Join(e.Hosts, " "), e.StepSec, e.Finish, e.Weighted)
+func (e JobBackfilled) String() string      { var b [lineCap]byte; return string(e.appendText(b[:0])) }
+func (e JobBackfilled) appendText(b []byte) []byte {
+	return head(b, e.T, " backfilled ").placement(e.ID, e.Hosts, e.StepSec, e.Finish, e.Weighted)
 }
 
 // JobPreempted records a running job suspended off the pool — a
@@ -90,8 +89,9 @@ type JobPreempted struct {
 }
 
 func (e JobPreempted) When() time.Duration { return e.T }
-func (e JobPreempted) String() string {
-	return fmt.Sprintf("t=%v preempted %s remaining=%.6g", e.T, e.ID, e.Remaining)
+func (e JobPreempted) String() string      { var b [lineCap]byte; return string(e.appendText(b[:0])) }
+func (e JobPreempted) appendText(b []byte) []byte {
+	return head(b, e.T, " preempted ").s(e.ID).s(" remaining=").g(e.Remaining)
 }
 
 // JobMigrated records displaced ranks moving to replacement hosts
@@ -110,13 +110,16 @@ type JobMigrated struct {
 }
 
 func (e JobMigrated) When() time.Duration { return e.T }
-func (e JobMigrated) String() string {
-	parts := make([]string, len(e.Ranks))
+func (e JobMigrated) String() string      { var b [lineCap]byte; return string(e.appendText(b[:0])) }
+func (e JobMigrated) appendText(b []byte) []byte {
+	l := head(b, e.T, " migrated ").s(e.ID).s(" [")
 	for i, r := range e.Ranks {
-		parts[i] = fmt.Sprintf("%d>%s", r, e.Hosts[i])
+		if i > 0 {
+			l = l.s(" ")
+		}
+		l = l.d(r).s(">").s(e.Hosts[i])
 	}
-	return fmt.Sprintf("t=%v migrated %s [%s] step=%.6gs finish=%v",
-		e.T, e.ID, strings.Join(parts, " "), e.StepSec, e.Finish)
+	return l.s("]").price(e.StepSec, e.Finish)
 }
 
 // JobFinished records a job's completion, with its full metrics record.
@@ -127,9 +130,10 @@ type JobFinished struct {
 }
 
 func (e JobFinished) When() time.Duration { return e.T }
-func (e JobFinished) String() string {
-	return fmt.Sprintf("t=%v finished %s wait=%v served=%v preempts=%d migr=%d",
-		e.T, e.ID, e.Job.Wait(), e.Job.Served, e.Job.Preemptions, e.Job.Migrations)
+func (e JobFinished) String() string      { var b [lineCap]byte; return string(e.appendText(b[:0])) }
+func (e JobFinished) appendText(b []byte) []byte {
+	return head(b, e.T, " finished ").s(e.ID).s(" wait=").v(e.Job.Wait()).s(" served=").v(e.Job.Served).
+		s(" preempts=").d(e.Job.Preemptions).s(" migr=").d(e.Job.Migrations)
 }
 
 // JobResized records a running job re-decomposed onto a new rank count
@@ -148,9 +152,10 @@ type JobResized struct {
 }
 
 func (e JobResized) When() time.Duration { return e.T }
-func (e JobResized) String() string {
-	return fmt.Sprintf("t=%v resized %s %d>%d on [%s] step=%.6gs finish=%v",
-		e.T, e.ID, e.From, e.To, strings.Join(e.Hosts, " "), e.StepSec, e.Finish)
+func (e JobResized) String() string      { var b [lineCap]byte; return string(e.appendText(b[:0])) }
+func (e JobResized) appendText(b []byte) []byte {
+	return head(b, e.T, " resized ").s(e.ID).s(" ").d(e.From).s(">").d(e.To).
+		s(" on ").hosts(e.Hosts).price(e.StepSec, e.Finish)
 }
 
 // AutoscaleDecision records one control-loop decision — grow, shrink or
@@ -166,9 +171,10 @@ type AutoscaleDecision struct {
 }
 
 func (e AutoscaleDecision) When() time.Duration { return e.T }
-func (e AutoscaleDecision) String() string {
-	return fmt.Sprintf("t=%v autoscale %s %s %d>%d reason=%q",
-		e.T, e.Action, e.ID, e.From, e.To, e.Reason)
+func (e AutoscaleDecision) String() string      { var b [lineCap]byte; return string(e.appendText(b[:0])) }
+func (e AutoscaleDecision) appendText(b []byte) []byte {
+	return head(b, e.T, " autoscale ").s(e.Action).s(" ").s(e.ID).s(" ").d(e.From).s(">").d(e.To).
+		s(" reason=").q(e.Reason)
 }
 
 // HostReclaimed records a regular user sitting back down at a
@@ -183,8 +189,9 @@ type HostReclaimed struct {
 }
 
 func (e HostReclaimed) When() time.Duration { return e.T }
-func (e HostReclaimed) String() string {
-	return fmt.Sprintf("t=%v reclaimed %s owner=%q", e.T, e.Host, e.Owner)
+func (e HostReclaimed) String() string      { var b [lineCap]byte; return string(e.appendText(b[:0])) }
+func (e HostReclaimed) appendText(b []byte) []byte {
+	return head(b, e.T, " reclaimed ").s(e.Host).s(" owner=").q(e.Owner)
 }
 
 // CheckpointSaved records a committed farm checkpoint: the manifest was
@@ -200,8 +207,9 @@ type CheckpointSaved struct {
 }
 
 func (e CheckpointSaved) When() time.Duration { return e.T }
-func (e CheckpointSaved) String() string {
-	return fmt.Sprintf("t=%v checkpoint %s jobs=%d", e.T, e.Gen, e.Jobs)
+func (e CheckpointSaved) String() string      { var b [lineCap]byte; return string(e.appendText(b[:0])) }
+func (e CheckpointSaved) appendText(b []byte) []byte {
+	return head(b, e.T, " checkpoint ").s(e.Gen).s(" jobs=").d(e.Jobs)
 }
 
 // EASYDegraded records a scheduling round whose blocked head had no
@@ -216,8 +224,45 @@ type EASYDegraded struct {
 }
 
 func (e EASYDegraded) When() time.Duration { return e.T }
-func (e EASYDegraded) String() string {
-	return fmt.Sprintf("t=%v easy-degraded head=%s ranks=%d", e.T, e.Head, e.Ranks)
+func (e EASYDegraded) String() string      { var b [lineCap]byte; return string(e.appendText(b[:0])) }
+func (e EASYDegraded) appendText(b []byte) []byte {
+	return head(b, e.T, " easy-degraded head=").s(e.Head).s(" ranks=").d(e.Ranks)
+}
+
+const lineCap = 256 // a String's stack buffer; a longer line grows onto the heap
+
+// text is a line appended in its String's stack buffer (one allocation a
+// line). Each one-letter method renders a field as that fmt verb (g: %.6g).
+type text []byte
+
+func (b text) s(s string) text        { return append(b, s...) }
+func (b text) q(s string) text        { return strconv.AppendQuote(b, s) }
+func (b text) d(n int) text           { return strconv.AppendInt(b, int64(n), 10) }
+func (b text) g(x float64) text       { return strconv.AppendFloat(b, x, 'g', 6, 64) }
+func (b text) t(v bool) text          { return strconv.AppendBool(b, v) }
+func (b text) v(d time.Duration) text { return append(b, d.String()...) }
+func (b text) price(sec float64, finish time.Duration) text {
+	return b.s(" step=").g(sec).s("s finish=").v(finish)
+}
+
+// head starts a line: "t=<T>", then the kind with its own spaces.
+func head(b []byte, t time.Duration, kind string) text { return text(b).s("t=").v(t).s(kind) }
+
+// hosts appends a placement, "[h0 h1 ...]".
+func (b text) hosts(hosts []string) text {
+	b = b.s("[")
+	for i, h := range hosts {
+		if i > 0 {
+			b = b.s(" ")
+		}
+		b = b.s(h)
+	}
+	return b.s("]")
+}
+
+// placement is the body JobPlaced and JobBackfilled share.
+func (b text) placement(id string, hosts []string, sec float64, finish time.Duration, weighted bool) text {
+	return b.s(id).s(" on ").hosts(hosts).price(sec, finish).s(" weighted=").t(weighted)
 }
 
 // hostNames copies a placement's host names, indexed by rank.

@@ -213,16 +213,16 @@ func bySeq(jobs []*jobState) {
 // farm time, so its queue wait never counts time before it existed.
 func (f *Farm) admit(t time.Duration) {
 	f.mu.Lock()
-	var admitted []*jobState
+	n := len(f.queue)
 	for len(f.pending) > 0 && f.pending[0].spec.Submit <= t {
 		js := heap.Pop(&f.pending).(*jobState)
 		if js.Live && js.spec.Submit < t {
 			js.spec.Submit = t
 		}
-		admitted = append(admitted, js)
+		f.queue = append(f.queue, js)
 	}
+	admitted := f.queue[n:]
 	bySeq(admitted)
-	f.queue = append(f.queue, admitted...)
 	f.mu.Unlock()
 	// Emit outside the lock: emit takes the handle lock.
 	for _, js := range admitted {

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -40,8 +41,10 @@ func Generate(spec *Spec, seed int64) ([]farm.JobSpec, error) {
 				break
 			}
 			sc := shapeDraw(rng, c.Jobs.Shapes)
+			var num [20]byte // the ID is "%s-%04d" of the cohort and n, built with one allocation
+			digits := strconv.AppendInt(num[:0], int64(n), 10)
 			js := farm.JobSpec{
-				ID:       fmt.Sprintf("%s-%04d", c.Name, n),
+				ID:       c.Name + "-" + "000"[min(len(digits), 4)-1:] + string(digits),
 				Method:   sc.Method,
 				JX:       sc.JX,
 				JY:       sc.JY,

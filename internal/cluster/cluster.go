@@ -44,15 +44,14 @@ func (m Model) String() string {
 	return fmt.Sprintf("Model(%d)", int(m))
 }
 
-// speedTable is the section-7 table of relative speeds: a row per method,
-// in speedMethods' order, a column per Model.
+// speedTable is the section-7 table of relative speeds: a row per method
+// (lb2d, lb3d, fd2d, fd3d, as SpeedFactor switches), a column per Model.
 var speedTable = [4][3]float64{
 	{HP715: 1.0, HP710: 0.84, HP720: 0.86},
 	{HP715: 0.51, HP710: 0.40, HP720: 0.42},
 	{HP715: 1.24, HP710: 1.08, HP720: 1.17},
 	{HP715: 1.0, HP710: 0.85, HP720: 0.94},
 }
-var speedMethods = []string{"lb2d", "lb3d", "fd2d", "fd3d"}
 
 // SpeedFactor returns the model's relative speed for the given method and
 // dimensionality, from the section-7 speed table. An unknown method reads
@@ -61,7 +60,16 @@ func (m Model) SpeedFactor(method string) float64 {
 	if m < 0 || int(m) >= len(speedTable[0]) {
 		return 0
 	}
-	return speedTable[max(0, slices.Index(speedMethods, method))][m]
+	row := 0 // lb2d, and any unknown method
+	switch method {
+	case "lb3d":
+		row = 1
+	case "fd2d":
+		row = 2
+	case "fd3d":
+		row = 3
+	}
+	return speedTable[row][m]
 }
 
 // BaseNodesPerSecond is the absolute speed corresponding to relative speed
@@ -195,8 +203,7 @@ func (h *Host) advance(dt time.Duration, decay [3]float64) {
 // with k full-time competitors, the niced subprocess receives roughly
 // 1/(k+1) of the CPU.
 func (h *Host) Speed(method string) float64 {
-	s := BaseNodesPerSecond * h.Model.SpeedFactor(method)
-	return s / float64(h.jobs+1)
+	return BaseNodesPerSecond * h.Model.SpeedFactor(method) / float64(h.jobs+1)
 }
 
 // Cluster is a pool of hosts.

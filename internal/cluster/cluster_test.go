@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"math"
+	"slices"
 	"testing"
 	"time"
 )
@@ -16,6 +18,31 @@ func TestPaperClusterComposition(t *testing.T) {
 	}
 	if count[HP715] != 16 || count[HP720] != 6 || count[HP710] != 3 {
 		t.Errorf("composition %v, want 16/6/3", count)
+	}
+}
+
+// speedFactorByIndex is SpeedFactor as it was written before the switch:
+// the row found with slices.Index over the method names, frozen.
+func speedFactorByIndex(m Model, method string) float64 {
+	methods := []string{"lb2d", "lb3d", "fd2d", "fd3d"}
+	if m < 0 || int(m) >= len(speedTable[0]) {
+		return 0
+	}
+	return speedTable[max(0, slices.Index(methods, method))][m]
+}
+
+// TestSpeedFactorMatchesIndexOracle checks the switch against the
+// index lookup it replaced, bit for bit: every cell of the 4x3 table,
+// unknown methods (a near miss, the wrong case, empty) and models out
+// of range on both sides.
+func TestSpeedFactorMatchesIndexOracle(t *testing.T) {
+	for _, method := range []string{"lb2d", "lb3d", "fd2d", "fd3d", "fd2", "LB3D", "", "spectral"} {
+		for m := Model(-2); m <= Model(4); m++ {
+			got, want := m.SpeedFactor(method), speedFactorByIndex(m, method)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("Model(%d).SpeedFactor(%q) = %v, want %v", int(m), method, got, want)
+			}
+		}
 	}
 }
 

@@ -62,10 +62,15 @@ func (c *Cluster) reservable(pol SelectionPolicy) (idle, active []*Host) {
 	return idle, active
 }
 
-// Capacity returns how many hosts a Reserve call could claim right now.
+// Capacity counts the hosts a Reserve call could claim right now.
 func (c *Cluster) Capacity(pol SelectionPolicy) int {
-	idle, active := c.reservable(pol)
-	return len(idle) + len(active)
+	n := 0
+	for _, h := range c.Hosts {
+		if h.assigned < 0 && h.ReservableWhenFree(pol) {
+			n++
+		}
+	}
+	return n
 }
 
 // take orders the two tiers for a reservation scan in the cluster's

@@ -375,3 +375,34 @@ func TestReleaseRespectsNewOwner(t *testing.T) {
 		t.Error("release left job-a's host assigned")
 	}
 }
+
+// TestCapacityCountsReservable checks the counting Capacity against the
+// tiers Reserve builds, over seeded pools of claimed, reclaimed, loaded
+// and busy-user hosts, and checks that counting allocates nothing.
+func TestCapacityCountsReservable(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	pol := DefaultPolicy()
+	for trial := 0; trial < 200; trial++ {
+		c := NewPaperCluster()
+		for _, h := range c.Hosts {
+			switch rng.Intn(5) {
+			case 0:
+				h.Assign(0)
+			case 1:
+				h.reclaimed = true
+			case 2:
+				h.StartJob()
+			case 3:
+				h.TouchUser()
+			}
+		}
+		c.Advance(time.Duration(rng.Intn(40)) * time.Minute)
+		idle, active := c.reservable(pol)
+		if got, want := c.Capacity(pol), len(idle)+len(active); got != want {
+			t.Fatalf("trial %d: Capacity = %d, reservable holds %d", trial, got, want)
+		}
+		if n := testing.AllocsPerRun(10, func() { c.Capacity(pol) }); n != 0 {
+			t.Fatalf("trial %d: Capacity allocated %v objects", trial, n)
+		}
+	}
+}

@@ -59,3 +59,67 @@ func TestFilterStrengthPerCut(t *testing.T) {
 		}
 	}
 }
+
+// TestFilterKeepsShearLayerBounded pins what the filter is for (section
+// 6): a periodic 64x64 double shear layer at high Reynolds number
+// (layers at y = 16 and 48, U = 0.08, thickness 2, a 5% sine kick in
+// vy) goes unbounded without the filter and stays bounded with it, at
+// 1x1, for both methods. At 4x4 the filtered run diverges too: its
+// seams lie on both shear layers, and the filter skips every node within
+// 2 of a subregion's side, so the cut removes the filter where the run
+// needs it. That row is the "before" of ROADMAP 23(b), which filters the
+// seams and must turn it into bounded and bit-equal to 1x1. A run is
+// bounded when every speed is finite and below 0.5, over six times U;
+// a diverged one reads 1e3 or more, or NaN.
+func TestFilterKeepsShearLayerBounded(t *testing.T) {
+	const n, u, delta = 64, 0.08, 2.0
+	cases := []struct {
+		method  string
+		nu      float64
+		steps   int
+		eps     float64
+		cut     int
+		bounded bool
+	}{
+		{MethodLB, 0.0002, 1000, 0, 1, false},
+		{MethodLB, 0.0002, 1000, 0.02, 1, true},
+		{MethodLB, 0.0002, 1000, 0.02, 4, false}, // bounded once 23(b) lands
+		{MethodFD, 0.01, 1600, 0, 1, false},
+		{MethodFD, 0.01, 1600, 0.02, 1, true},
+		{MethodFD, 0.01, 1600, 0.02, 4, false}, // bounded once 23(b) lands
+	}
+	for _, c := range cases {
+		t.Run(fmt.Sprintf("%s/eps=%g/%dx%d", c.method, c.eps, c.cut, c.cut), func(t *testing.T) {
+			t.Parallel()
+			d, err := decomp.New2D(c.cut, c.cut, n, n, decomp.Full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.PeriodicX, d.PeriodicY = true, true
+			p := fluid.DefaultParams()
+			p.Nu, p.Eps = c.nu, c.eps
+			cfg := &Config2D{
+				Method: c.method, Par: p, Mask: fluid.NewMask2D(n, n), D: d,
+				InitVx: func(x, y int) float64 {
+					if y <= n/2 {
+						return u * math.Tanh((float64(y)-n/4)/delta)
+					}
+					return u * math.Tanh((3*n/4-float64(y))/delta)
+				},
+				InitVy: func(x, y int) float64 { return 0.05 * u * math.Sin(2*math.Pi*float64(x)/n) },
+			}
+			res, _, err := RunSequential2D(cfg, c.steps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			peak := 0.0
+			for i := range res.Vx {
+				peak = max(peak, math.Hypot(res.Vx[i], res.Vy[i])) // NaN wins
+			}
+			t.Logf("peak speed %.3g after %d steps", peak, c.steps)
+			if bounded := peak < 0.5; bounded != c.bounded {
+				t.Errorf("peak speed %.3g after %d steps: bounded %v, want %v", peak, c.steps, bounded, c.bounded)
+			}
+		})
+	}
+}

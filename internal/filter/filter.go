@@ -15,9 +15,9 @@
 // exchanges only one ghost layer per step (section 4.2: 3 variables per
 // boundary node in 2D). The filter therefore skips nodes within distance 2
 // of a subregion side or of a wall, where the full stencil is not
-// available. The skip zone is part of the numerical method's definition, so
-// serial and parallel runs of the same decomposition agree bitwise; the
-// physics tests confirm the skipped seam is numerically harmless.
+// available. Serial and parallel runs of one decomposition agree bitwise,
+// but the cut decides where the filter acts: a 4x4 cut of a high-Re shear
+// layer that 1x1 keeps bounded diverges (core.TestFilterKeepsShearLayerBounded).
 package filter
 
 import (
