@@ -98,9 +98,11 @@ type Farm struct {
 	// incomputable, so backfill explicitly fell back to aggressive.
 	easyDegraded int
 	// Scratch reused across rounds: projectedStart's running jobs by
-	// finish, and chooseShape's per-rank host speeds.
+	// finish, chooseShape's per-rank host speeds, and handleReclaims'
+	// busy hosts of one job (cluster.Migrate does not keep them).
 	byFinish []*jobState
 	speeds   []float64
+	owned    []*cluster.Host
 
 	// start anchors the farm-relative clock: the first Run sets it to
 	// the cluster time it was entered at, unless Restore pre-set it to

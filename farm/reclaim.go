@@ -25,18 +25,23 @@ func (f *Farm) handleReclaims(t time.Duration) error {
 	if len(busy) == 0 {
 		return nil
 	}
-	byOwner := make(map[string][]*cluster.Host)
-	for _, h := range busy {
-		byOwner[h.Owner()] = append(byOwner[h.Owner()], h)
-	}
-	// Iterate over a copy: a fallback suspension mutates s.running.
-	for _, js := range append([]*jobState(nil), f.running...) {
-		hosts := byOwner[js.spec.ID]
-		if len(hosts) == 0 {
-			continue
+	// A fallback suspension deletes the job from f.running in place, and
+	// the next job then stands at the same index.
+	for i := 0; i < len(f.running); {
+		js := f.running[i]
+		f.owned = f.owned[:0]
+		for _, h := range busy {
+			if h.Owner() == js.spec.ID {
+				f.owned = append(f.owned, h)
+			}
 		}
-		if err := f.migrateOff(js, hosts, t); err != nil {
-			return err
+		if len(f.owned) > 0 {
+			if err := f.migrateOff(js, f.owned, t); err != nil {
+				return err
+			}
+		}
+		if i < len(f.running) && f.running[i] == js {
+			i++
 		}
 	}
 	return nil

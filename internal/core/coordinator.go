@@ -45,8 +45,9 @@ type Job struct {
 	// into fresh ones (restoreProgram) that become live, as JobPrograms has.
 	rebuild func(states []*dump.State) ([]Program, error)
 
-	// resplit re-cuts a full set of same-step dumps onto a new decomposition
-	// shape (resplit over the config). See Job.Resize.
+	// resplit re-cuts a full set of same-step dumps into the live Programs
+	// of a new decomposition shape (resplit over the config) and returns
+	// their dumps, views that launch restores in place. See Job.Resize.
 	resplit func(states []*dump.State, sh decomp.Shape) ([]*dump.State, error)
 
 	// Migrations counts completed migrations.
@@ -113,42 +114,41 @@ func newJob[C setup[P], P built, R any](cfg C, gather func(C, []P, int) R,
 		done:        make(map[int]bool),
 	}
 	j.rebuild = func(states []*dump.State) ([]Program, error) {
-		// One goroutine a rank, joined before any result is read; the
-		// map is written on this goroutine. A rank in it has exited, and
-		// resplit empties it when the boxes change.
+		// The map is read on the rank goroutines and written on this one
+		// after the join. A rank in it has exited, and resplit refills it
+		// when the boxes change.
 		built := make([]P, len(states))
-		errs := make([]error, len(states))
-		var wg sync.WaitGroup
-		for i, st := range states {
-			wg.Add(1)
-			//detlint:allow entropy -- each goroutine writes only its own slot of built and errs, and all are joined before any slot is read
-			go func() {
-				defer wg.Done()
-				if p, ok := jp.progs[st.Rank]; ok {
-					built[i], errs[i] = p, p.RestoreState(st)
-				} else {
-					built[i], errs[i] = restoreProgram(cfg, st)
-				}
-			}()
+		if err := eachRank(len(states), func(i int) (err error) {
+			st := states[i]
+			if p, ok := jp.progs[st.Rank]; ok {
+				built[i], err = p, p.RestoreState(st)
+			} else {
+				built[i], err = restoreProgram(cfg, st)
+			}
+			if err != nil {
+				return fmt.Errorf("rebuilding rank %d: %w", st.Rank, err)
+			}
+			return nil
+		}); err != nil {
+			return nil, err
 		}
-		wg.Wait()
 		progs := make([]Program, len(states))
 		for i, p := range built {
-			if errs[i] != nil {
-				return nil, fmt.Errorf("rebuilding rank %d: %w", states[i].Rank, errs[i])
-			}
 			jp.progs[states[i].Rank], progs[i] = p, p
 		}
 		return progs, nil
 	}
 	j.resplit = func(states []*dump.State, sh decomp.Shape) ([]*dump.State, error) {
-		out, err := resplit[P](cfg, states, sh)
+		progs, out, err := resplit[P](cfg, states, sh)
 		if err != nil {
 			return nil, err
 		}
-		// The old rank set is gone; rebuild refills the map as Resize
-		// launches the new ranks.
+		// The old rank set is gone. The new ranks' Programs hold the
+		// re-cut state, and launch restores each one's dump in place.
 		clear(jp.progs)
+		for rank, p := range progs {
+			jp.progs[rank] = p
+		}
 		return out, nil
 	}
 	for rank, p := range progs {
@@ -164,6 +164,28 @@ func newJob[C setup[P], P built, R any](cfg C, gather func(C, []P, int) R,
 		j.workers[rank] = w
 	}
 	return j, jp, nil
+}
+
+// eachRank runs f(0) .. f(n-1), one goroutine each, joins them all and
+// returns the error of the lowest index that failed.
+func eachRank(n int, f func(i int) error) error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		//detlint:allow entropy -- each call writes only its own index's results, and all are joined before any is read
+		go func() {
+			defer wg.Done()
+			errs[i] = f(i)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (j *Job) wireSync(w *Worker) {

@@ -98,12 +98,12 @@ func (lat lattice) stitch(global []float64, b box, data []float64) {
 	}
 }
 
-// cut builds a new rank's dump array from the global one: interior rows by
-// copy, ghosts from the wrapped global coordinate — the new neighbour's
-// edge value, which is what the last exchange would have left there. A
-// node beyond a non-periodic face is in nobody's interior and gets outside.
-func (lat lattice) cut(global []float64, b box, outside float64) []float64 {
-	data := make([]float64, lat.values(b))
+// cut writes a new rank's array, lat.values(b) long, from the global one:
+// interior rows by copy, ghosts from the wrapped global coordinate — the
+// new neighbour's edge value, which is what the last exchange would have
+// left there. A node beyond a non-periodic face is in nobody's interior and
+// gets outside.
+func (lat lattice) cut(data, global []float64, b box, outside float64) {
 	west := wrapCoord(b.x0-1, lat.gx, lat.px)
 	east := wrapCoord(b.x0+b.nx, lat.gx, lat.px)
 	for z := -lat.hz; z < b.nz+lat.hz; z++ {
@@ -128,86 +128,97 @@ func (lat lattice) cut(global []float64, b box, outside float64) []float64 {
 			}
 		}
 	}
-	return data
 }
 
 // recut is the re-split of either dimension: one complete set of dumps over
-// the old lattice's boxes in, one dump per box of the next lattice out, at
-// the same step. It builds no Program and changes nothing it is given.
+// the old lattice's boxes in, one Program per box of the next lattice out,
+// holding the same step's state, with its dump: views of its own arrays,
+// which Job.launch restores in place. It changes nothing it is given.
 // Everything is validated first — the filter off, the next lattice over
 // the same grid, one dump per old rank at a common step, the config's
 // method and geometry, every field present at full length — so a bad set
-// is an error before anything is allocated. Then each field is stitched
-// into one global array and cut again.
+// is an error before anything is built. Then every new rank's geometry is
+// built, and each field is stitched into one global array and cut straight
+// into the new ranks' arrays, each on one goroutine a rank: every value is
+// written once, and no dump array is allocated.
 //
 // Nodes beyond a non-periodic face get what a fresh rank holds there:
 // Rho0 in rho, zero in the velocities and in the populations
 // (InitEquilibrium zeroes ghost populations). The rule keeps the cut equal
 // to a fresh build, bit for bit, which an open face needs
 // (TestOpenFacesSurviveDumps).
-func recut[P any](cfg, next setup[P], states []*dump.State) ([]*dump.State, error) {
+func recut[P built](cfg, next setup[P], states []*dump.State) ([]P, []*dump.State, error) {
 	par := cfg.physics()
 	if par.Eps != 0 {
-		return nil, fmt.Errorf("resize requires the fourth-order filter off (Par.Eps = %v, want 0): filter applicability is seam-dependent, so a re-split would change the results", par.Eps)
+		return nil, nil, fmt.Errorf("resize requires the fourth-order filter off (Par.Eps = %v, want 0): filter applicability is seam-dependent, so a re-split would change the results", par.Eps)
 	}
 	lat, to := cfg.lattice(), next.lattice()
 	if to.gx != lat.gx || to.gy != lat.gy || to.gz != lat.gz {
-		return nil, fmt.Errorf("shape covers %dx%dx%d, grid is %dx%dx%d", to.gx, to.gy, to.gz, lat.gx, lat.gy, lat.gz)
+		return nil, nil, fmt.Errorf("shape covers %dx%dx%d, grid is %dx%dx%d", to.gx, to.gy, to.gz, lat.gx, lat.gy, lat.gz)
 	}
 	if len(states) != len(lat.boxes) {
-		return nil, fmt.Errorf("%d dumps for %d ranks", len(states), len(lat.boxes))
+		return nil, nil, fmt.Errorf("%d dumps for %d ranks", len(states), len(lat.boxes))
 	}
-	if _, err := dump.CommonStep(states); err != nil {
-		return nil, err
+	step, err := dump.CommonStep(states)
+	if err != nil {
+		return nil, nil, err
 	}
 	method, fields := cfg.dumpSchema()
 	seen := make([]bool, len(lat.boxes))
 	for _, st := range states {
 		if st.Rank < 0 || st.Rank >= len(seen) || seen[st.Rank] {
-			return nil, fmt.Errorf("dump of rank %d is out of range or repeated (%d ranks)", st.Rank, len(seen))
+			return nil, nil, fmt.Errorf("dump of rank %d is out of range or repeated (%d ranks)", st.Rank, len(seen))
 		}
 		seen[st.Rank] = true
 		b := lat.boxes[st.Rank]
 		switch {
 		case st.Method != method:
-			return nil, fmt.Errorf("rank %d dump method %q, solver is %q", st.Rank, st.Method, method)
+			return nil, nil, fmt.Errorf("rank %d dump method %q, solver is %q", st.Rank, st.Method, method)
 		case st.NX != b.nx || st.NY != b.ny || st.NZ != b.nz:
-			return nil, fmt.Errorf("rank %d dump geometry %dx%dx%d, subregion is %dx%dx%d",
+			return nil, nil, fmt.Errorf("rank %d dump geometry %dx%dx%d, subregion is %dx%dx%d",
 				st.Rank, st.NX, st.NY, st.NZ, b.nx, b.ny, b.nz)
 		}
 		for _, name := range fields {
 			data, ok := st.Fields[name]
 			if !ok {
-				return nil, fmt.Errorf("old dumps lack field %q (rank %d)", name, st.Rank)
+				return nil, nil, fmt.Errorf("old dumps lack field %q (rank %d)", name, st.Rank)
 			}
 			if len(data) != lat.values(b) {
-				return nil, fmt.Errorf("rank %d field %q has %d values, want %d", st.Rank, name, len(data), lat.values(b))
+				return nil, nil, fmt.Errorf("rank %d field %q has %d values, want %d", st.Rank, name, len(data), lat.values(b))
 			}
 		}
 	}
 
-	out := make([]*dump.State, len(to.boxes))
-	for rank, b := range to.boxes {
-		out[rank] = &dump.State{
-			Rank: rank, Step: states[0].Step, Method: method,
-			NX: b.nx, NY: b.ny, NZ: b.nz,
-			Fields: make(map[string][]float64, len(fields)),
+	progs := make([]P, len(to.boxes))
+	if err := eachRank(len(progs), func(rank int) (err error) {
+		if progs[rank], err = next.geometry(rank); err != nil {
+			return fmt.Errorf("building rank %d: %w", rank, err)
 		}
+		return nil
+	}); err != nil {
+		return nil, nil, err
+	}
+	out := make([]*dump.State, len(progs))
+	for rank, p := range progs {
+		out[rank] = p.dump(step, 0, false)
 	}
 	// The old boxes tile the lattice, so every stitch overwrites the whole
-	// array and one serves all fields.
+	// array and one serves all fields. The stitches write disjoint rows of
+	// it, and each cut writes only its own rank's array.
 	global := make([]float64, lat.gx*lat.gy*lat.gz)
 	for _, name := range fields {
-		for _, st := range states {
-			lat.stitch(global, lat.boxes[st.Rank], st.Fields[name])
-		}
+		eachRank(len(states), func(i int) error {
+			lat.stitch(global, lat.boxes[states[i].Rank], states[i].Fields[name])
+			return nil
+		})
 		outside := 0.0
 		if name == "rho" {
 			outside = par.Rho0
 		}
-		for rank, b := range to.boxes {
-			out[rank].Fields[name] = to.cut(global, b, outside)
-		}
+		eachRank(len(out), func(rank int) error {
+			to.cut(out[rank].Fields[name], global, to.boxes[rank], outside)
+			return nil
+		})
 	}
-	return out, nil
+	return progs, out, nil
 }

@@ -63,30 +63,31 @@ func (j *Job) Resize(sh decomp.Shape) error {
 	return nil
 }
 
-// resplit is the re-split program of either dimension: old-shape dumps in,
-// new-shape dumps out, both at the same step (recut). The next
-// decomposition keeps the stencil, the periodic axes and the dimension of
-// the old one. On success, and only then, the config's decomposition is
-// replaced in place, so the job's Rebuild closure and the caller's gather
-// path follow the new lattice.
-func resplit[P any](cfg setup[P], states []*dump.State, sh decomp.Shape) ([]*dump.State, error) {
+// resplit is the re-split program of either dimension: old-shape dumps
+// in, one Program per new rank out, holding the state of the same step,
+// with its dump as views of its own arrays (recut). The next decomposition
+// keeps the stencil, the periodic axes and the dimension of the old one.
+// On success, and only then, the config's decomposition is replaced in
+// place, so the job's Rebuild closure and the caller's gather path follow
+// the new lattice.
+func resplit[P built](cfg setup[P], states []*dump.State, sh decomp.Shape) ([]P, []*dump.State, error) {
 	d := cfg.decomposition()
 	if d.P() != d.Total() {
-		return nil, fmt.Errorf("resize of a decomposition with %d of %d subregions deactivated",
+		return nil, nil, fmt.Errorf("resize of a decomposition with %d of %d subregions deactivated",
 			d.Total()-d.P(), d.Total())
 	}
 	newD, err := decomp.NewShaped(sh, d.Stencil)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if newD.Planar() != d.Planar() {
-		return nil, fmt.Errorf("shape with %d z spans for the decomposition %v", len(sh.Z), d)
+		return nil, nil, fmt.Errorf("shape with %d z spans for the decomposition %v", len(sh.Z), d)
 	}
 	newD.PeriodicX, newD.PeriodicY, newD.PeriodicZ = d.PeriodicX, d.PeriodicY, d.PeriodicZ
-	out, err := recut(cfg, cfg.over(newD), states)
+	progs, out, err := recut(cfg, cfg.over(newD), states)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	*d = *newD
-	return out, nil
+	return progs, out, nil
 }

@@ -4,6 +4,7 @@ import (
 	"maps"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -265,7 +266,7 @@ func TestResplitFailureLeavesDecomposition3D(t *testing.T) {
 		bad["out of range or repeated"] = []*dump.State{states[0], states[0]}
 		bad["dumps for"] = states[:1]
 		for want, set := range bad {
-			_, err := resplit[*Program3D](cfg, set, decomp.UniformShape3D(2, 2, 1, 12, 10, 8))
+			_, _, err := resplit[*Program3D](cfg, set, decomp.UniformShape3D(2, 2, 1, 12, 10, 8))
 			if err == nil || !strings.Contains(err.Error(), want) {
 				t.Errorf("%s %q: err = %v", method, want, err)
 			}
@@ -366,5 +367,112 @@ func TestOpenFacesSurviveDumps(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestResizeWritesEachValueOnce: a 3D grow and then a shrink, LB and FD.
+// Until its new ranks are handed to their workers, each resize allocates
+// at most their solver storage (what their geometry allocates), one global
+// field and a fixed allowance for the protocol (the pause round, dump
+// headers, maps); every new rank computes on the arrays the re-split
+// wrote; and the run ends in the sequential reference's bits. A re-split
+// that cut into dump arrays of its own and copied them into fresh geometry
+// allocated the state twice.
+func TestResizeWritesEachValueOnce(t *testing.T) {
+	const steps, allowance = 16, 192 << 10
+	const gx, gy, gz = 32, 24, 24
+	config := func(method string) *Config3D {
+		cfg := resizeCfg3D(t, method, 2, 1, 1)
+		d, err := decomp.New3D(2, 1, 1, gx, gy, gz)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.PeriodicX, d.PeriodicZ = true, true
+		cfg.D, cfg.Mask = d, fluid.ChannelMask3D(gx, gy, gz)
+		return cfg
+	}
+	totalAlloc := func() uint64 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.TotalAlloc
+	}
+	for _, method := range []string{MethodLB, MethodFD} {
+		t.Run(method, func(t *testing.T) {
+			ref, _, err := RunSequential3D(config(method), steps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := config(method)
+			sf, err := syncfile.New(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			hold := newStepHold(4, 9)
+			job, progs, err := NewJob3D(cfg, hold.over(HubFactory()), sf, steps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The new ranks' arrays are compared with what the re-split
+			// wrote as launch hands them to their workers: once a rank
+			// steps, its solver swaps buffers.
+			var wrote []*dump.State
+			resplit, rebuild := job.resplit, job.rebuild
+			job.resplit = func(states []*dump.State, sh decomp.Shape) ([]*dump.State, error) {
+				out, err := resplit(states, sh)
+				wrote = out
+				return out, err
+			}
+			var rebuilt uint64
+			job.rebuild = func(states []*dump.State) ([]Program, error) {
+				built, err := rebuild(states)
+				rebuilt = totalAlloc()
+				for i, p := range built {
+					names, arrays := p.(*Program3D).M.StateFields()
+					for k, name := range names {
+						if &arrays[k][0] != &wrote[states[i].Rank].Fields[name][0] {
+							t.Errorf("rank %d computes on a %s array the re-split did not write", states[i].Rank, name)
+						}
+					}
+				}
+				return built, err
+			}
+			job.Start()
+			for _, sh := range []decomp.Shape{decomp.UniformShape3D(2, 2, 1, gx, gy, gz), decomp.UniformShape3D(1, 2, 1, gx, gy, gz)} {
+				// The ranks are held, so nothing else allocates while the
+				// new ranks' storage is measured.
+				hold.wait(job)
+				next, err := decomp.NewShaped(sh, cfg.D.Stencil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				next.PeriodicX, next.PeriodicZ = true, true
+				before := totalAlloc()
+				for rank := range next.P() {
+					if _, err := cfg.over(next).geometry(rank); err != nil {
+						t.Fatal(err)
+					}
+				}
+				storage := totalAlloc() - before
+				before = totalAlloc()
+				if err := job.Resize(sh); err != nil {
+					t.Fatal(err)
+				}
+				used := rebuilt - before
+				global := uint64(8 * gx * gy * gz)
+				t.Logf("resize to %d ranks: %d B, storage %d B", next.P(), used, storage)
+				if used > storage+global+allowance {
+					t.Errorf("resize to %d ranks allocated %d B, want at most %d (storage) + %d (global field) + %d",
+						cfg.D.P(), used, storage, global, allowance)
+				}
+			}
+			if err := job.WaitDone(); err != nil {
+				t.Fatal(err)
+			}
+			job.Shutdown()
+			got := progs.Gather(steps)
+			if i := sameBits([][]float64{ref.Rho, ref.Vx, ref.Vy, ref.Vz}, [][]float64{got.Rho, got.Vx, got.Vy, got.Vz}); i >= 0 {
+				t.Errorf("resized run differs from the reference at index %d", i)
+			}
+		})
 	}
 }

@@ -147,6 +147,11 @@ func (c countedConfig2D) geometry(rank int) (*Program2D, error) {
 	return c.Config2D.geometry(rank)
 }
 
+// over keeps the count on the decomposition a resize builds for.
+func (c countedConfig2D) over(d *decomp.Decomp) setup[*Program2D] {
+	return countedConfig2D{c.Config2D.over(d).(*Config2D), c.built}
+}
+
 func gatherCounted(c countedConfig2D, progs []*Program2D, steps int) *Result2D {
 	return Gather2D(c.Config2D, progs, steps)
 }

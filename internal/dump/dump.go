@@ -28,7 +28,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
+	"sync"
 	"time"
 )
 
@@ -255,12 +257,14 @@ func (s *Sequencer) SaveAll(dir string, states []*State) error {
 	return nil
 }
 
-// LoadAll loads the dumps of ranks 0..p-1 from dir. A partial checkpoint
-// is reported by listing every missing rank (not just the first open
+// LoadAll loads the dumps of ranks 0..p-1 from dir, one goroutine a rank
+// and at most GOMAXPROCS files read at once. A partial checkpoint is
+// reported by listing every missing rank (not just the first open
 // failure), and a directory holding more rank dumps than the caller's
-// manifest expects is rejected — either way the caller learns the
-// checkpoint disagrees with what it believes about the simulation instead
-// of restarting a wrong one.
+// manifest expects is rejected before any file is read — either way the
+// caller learns the checkpoint disagrees with what it believes about the
+// simulation instead of restarting a wrong one. Of several damaged ranks,
+// the lowest is reported, however the reads interleave.
 func LoadAll(dir string, p int) ([]*State, error) {
 	extra, err := filepath.Glob(filepath.Join(dir, "dump-rank*.dump"))
 	if err != nil {
@@ -269,10 +273,21 @@ func LoadAll(dir string, p int) ([]*State, error) {
 	if len(extra) > p {
 		return nil, fmt.Errorf("dump: %s holds %d rank dumps, expected %d", dir, len(extra), p)
 	}
-	out := make([]*State, p)
+	out, errs := make([]*State, p), make([]error, p)
+	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for rank := range p {
+		slots <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[rank], errs[rank] = Load(Path(dir, rank))
+			<-slots
+		}()
+	}
+	wg.Wait()
 	var missing []int
-	for rank := 0; rank < p; rank++ {
-		st, err := Load(Path(dir, rank))
+	for rank, err := range errs {
 		if errors.Is(err, os.ErrNotExist) {
 			missing = append(missing, rank)
 			continue
@@ -280,10 +295,9 @@ func LoadAll(dir string, p int) ([]*State, error) {
 		if err != nil {
 			return nil, err
 		}
-		if st.Rank != rank {
-			return nil, fmt.Errorf("dump: file %s holds rank %d", Path(dir, rank), st.Rank)
+		if out[rank].Rank != rank {
+			return nil, fmt.Errorf("dump: file %s holds rank %d", Path(dir, rank), out[rank].Rank)
 		}
-		out[rank] = st
 	}
 	if len(missing) > 0 {
 		return nil, fmt.Errorf("dump: %s is a partial checkpoint: ranks %v missing (%d of %d present)",

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
@@ -260,6 +261,81 @@ func TestLoadAllRejectsExtraRanks(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "3 rank dumps, expected 2") {
 		t.Errorf("error %q does not describe the rank-count disagreement", err)
+	}
+}
+
+// savedRanks writes sample dumps of ranks 0..n-1 into a fresh directory.
+func savedRanks(t *testing.T, n int) string {
+	t.Helper()
+	dir := t.TempDir()
+	for rank := range n {
+		if err := Save(Path(dir, rank), sampleState(rank)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// TestLoadAllReportsLowestDamagedRank: of two damaged ranks, LoadAll
+// reports the lower one on every call, although the higher one fails
+// first: its file is a few bytes without the magic, while the lower one is
+// a large file whose checksum fails only once all of it is read.
+func TestLoadAllReportsLowestDamagedRank(t *testing.T) {
+	const ranks = 8
+	dir := savedRanks(t, ranks)
+	big := sampleState(2)
+	big.Fields["rho"] = make([]float64, 1<<17)
+	if err := Save(Path(dir, 2), big); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(Path(dir, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0xff
+	if err := os.WriteFile(Path(dir, 2), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(Path(dir, 6), []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for range 20 {
+		_, err := LoadAll(dir, ranks)
+		if !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), Path(dir, 2)) {
+			t.Fatalf("LoadAll over damaged ranks 2 and 6: %v, want rank 2's ErrFormat", err)
+		}
+	}
+}
+
+// TestLoadAllListsEveryMissingRank: with more ranks than files are read at
+// once, every absent rank is still listed, in rank order.
+func TestLoadAllListsEveryMissingRank(t *testing.T) {
+	ranks := 2*runtime.GOMAXPROCS(0) + 3
+	dir := savedRanks(t, ranks)
+	gone := []int{0, ranks / 2, ranks - 1}
+	for _, rank := range gone {
+		if err := os.Remove(Path(dir, rank)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := LoadAll(dir, ranks)
+	want := fmt.Sprintf("ranks %v missing (%d of %d present)", gone, ranks-len(gone), ranks)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("LoadAll: %v, want an error containing %q", err, want)
+	}
+}
+
+// TestLoadAllRefusesExtraBeforeReading: a directory with one rank file too
+// many is refused for its count, before any file is read, so a damaged
+// rank 0 does not decide the error.
+func TestLoadAllRefusesExtraBeforeReading(t *testing.T) {
+	dir := savedRanks(t, 3)
+	if err := os.WriteFile(Path(dir, 0), []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadAll(dir, 2)
+	if err == nil || errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), "3 rank dumps, expected 2") {
+		t.Fatalf("LoadAll of 2 ranks over 3 files, rank 0 damaged: %v, want the count refused", err)
 	}
 }
 
