@@ -106,7 +106,6 @@ func crashRecovery(w io.Writer) error {
 	if _, err := doomed.Run(context.Background()); !errors.Is(err, farm.ErrInterrupted) {
 		return fmt.Errorf("crashed run: %v (want ErrInterrupted)", err)
 	}
-	doomed.Drain() // hand the doomed pool's reservations back (idempotent)
 	if ckptErr != nil {
 		return ckptErr
 	}

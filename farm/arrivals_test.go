@@ -58,7 +58,7 @@ func TestAdmitOrderMatchesLinearScan(t *testing.T) {
 		var oracle []*jobState
 		n := 0
 		for now := time.Duration(0); now <= 12*time.Minute; now += time.Minute {
-			s.looping = now > 0 // submissions after the first round are live
+			s.ran = now > 0 // submissions after the first round are live
 			for k := rng.Intn(6); k > 0; k-- {
 				spec := JobSpec{ID: fmt.Sprintf("j%03d", n), Method: "lb2d", JX: 1, JY: 1, Side: 10, Steps: 10,
 					Submit: time.Duration(rng.Intn(7)) * 2 * time.Minute}
@@ -66,7 +66,7 @@ func TestAdmitOrderMatchesLinearScan(t *testing.T) {
 				if _, err := s.Submit(spec, nil); err != nil {
 					t.Fatal(err)
 				}
-				oracle = append(oracle, &jobState{spec: spec, Accounting: ckpt.Accounting{Live: s.looping}})
+				oracle = append(oracle, &jobState{spec: spec, Accounting: ckpt.Accounting{Live: s.ran}})
 			}
 
 			var want []string

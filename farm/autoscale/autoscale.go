@@ -6,7 +6,7 @@
 // in both directions — idle hosts go to waste while a job crawls on its
 // submitted width, and a grown job squats on capacity a queued job
 // needs. The control loop closes that gap over the farm's malleability
-// primitive (Job.Resize): analyze a per-tick Sample of the farm, decide
+// primitive (AutoscaleControl.Resize): analyze a per-tick Sample of the farm, decide
 // grow/shrink/hold per job with the SupplyDemand policy, and actuate
 // through the AutoscaleControl handle — all synchronously on the
 // scheduling goroutine at exact virtual times, so an autoscaled farm

@@ -42,27 +42,12 @@ func (f *Farm) interruptCheckpoint() {
 	f.wakeup()
 }
 
-// clearInterrupt discards a pending interrupt request no loop consumed.
-// Run calls it when its context was canceled: the cancellation watcher
-// may have fired just as the loop exited on its own, and the stale
-// request must not abort the next Run.
-func (f *Farm) clearInterrupt() {
-	f.mu.Lock()
-	f.interrupted = false
-	f.ckptOnInterrupt = false
-	f.mu.Unlock()
-}
-
 // interruptExit finishes an interrupted loop: when interruptCheckpoint
 // requested a final save and a checkpoint directory is configured, the
-// farm is persisted before the loop returns ErrInterrupted. The request
-// is consumed — the flags reset — so a later Run of the same farm is
-// not poisoned by an interrupt it already honored.
+// farm is persisted before the loop returns ErrInterrupted.
 func (f *Farm) interruptExit() error {
 	f.mu.Lock()
 	want := f.ckptOnInterrupt
-	f.interrupted = false
-	f.ckptOnInterrupt = false
 	f.mu.Unlock()
 	if want && f.ckptDir != "" {
 		if err := f.Checkpoint(f.ckptDir); err != nil {
@@ -109,12 +94,13 @@ type WorkloadRegistry map[string]WorkloadFactory
 // superseded generations are pruned after the commit.
 //
 // Checkpoint must run on the scheduling goroutine: before Run starts,
-// after it returns, or from a scenario callback at an exact virtual
-// time (the crash experiments do; periodic saves are WithCheckpoint's
-// job). It first retires every completion already due, so the
-// checkpoint lands on a settled round boundary; beyond that the farm's
-// virtual state is untouched, which is why a checkpointed run stays
-// bit-identical to an undisturbed one.
+// after it returns (the farm is closed then, and the manifest says so),
+// or from a scenario callback at an exact virtual time (the crash
+// experiments do; periodic saves are WithCheckpoint's job). It first
+// retires every completion already due, so the checkpoint lands on a
+// settled round boundary; beyond that the farm's virtual state is
+// untouched, which is why a checkpointed run stays bit-identical to an
+// undisturbed one.
 func (f *Farm) Checkpoint(dir string) error {
 	t := f.now()
 	if err := f.complete(t); err != nil {

@@ -501,69 +501,6 @@ func TestRestoreRejectsCorruptCheckpoints(t *testing.T) {
 	}
 }
 
-// TestCloseAfterFailedRunIdempotent: a Run that dies mid-flight leaves
-// the placed jobs holding their reservations; Close must hand every host
-// back, and a second Close must be a harmless no-op (no double release,
-// no panic) — the regression the restore path depends on when a crashed
-// coordinator's scheduler is torn down before being replaced.
-func TestCloseAfterFailedRunIdempotent(t *testing.T) {
-	pool := idlePool()
-	s := newFarm(pool, FIFO, 1)
-	s.scenarioEvery = time.Minute
-	fired := false
-	s.scenario = func(vt time.Duration, _ *cluster.Cluster) {
-		if !fired {
-			fired = true
-			s.Interrupt()
-		}
-	}
-	if _, err := s.Submit(JobSpec{
-		ID: "x", Method: "lb2d", JX: 3, JY: 2, Side: 200, Steps: 5000,
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.loop(); !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("run returned %v, want ErrInterrupted", err)
-	}
-
-	assigned := 0
-	for _, h := range pool.Hosts {
-		if h.Assigned() >= 0 {
-			assigned++
-		}
-	}
-	if assigned != 6 {
-		t.Fatalf("%d hosts assigned after the failed run, want 6 still held", assigned)
-	}
-
-	s.Drain()
-	for _, h := range pool.Hosts {
-		if h.Assigned() >= 0 {
-			t.Fatalf("host %s still assigned after Close", h.Name)
-		}
-	}
-	// Re-entry: nothing to release, nothing to panic on, and the pool is
-	// safe even if another job has since claimed the hosts.
-	if _, err := pool.Reserve("other", 6, cluster.DefaultPolicy(), nil); err != nil {
-		t.Fatal(err)
-	}
-	s.Drain()
-	reserved := 0
-	for _, h := range pool.Hosts {
-		if h.Assigned() >= 0 {
-			reserved++
-		}
-	}
-	if reserved != 6 {
-		t.Errorf("double Close disturbed another owner's reservation: %d hosts held, want 6", reserved)
-	}
-	if _, err := s.Submit(JobSpec{
-		ID: "late", Method: "lb2d", JX: 1, JY: 1, Side: 4, Steps: 1,
-	}, nil); err == nil {
-		t.Error("Submit accepted after Close")
-	}
-}
-
 // TestWeightedFairServiceRatio is the creditService/fairShare coverage:
 // two tenants with 3:1 weights submitting identical serializing jobs
 // receive service in exactly that ratio along the completion order, and

@@ -46,24 +46,23 @@ func ExampleNew() {
 	// demo ran on 4 hosts, status finished
 }
 
-// ExampleJob_Resize widens a running job from another goroutine: the
-// job suspends at a step boundary, re-splits its global grid onto six
-// subregions, and finishes on the wider placement with its numerics
-// unchanged. The scenario hook here only sequences the demo — it holds
-// the event loop at one virtual instant until the request is in
-// flight, so the example is deterministic.
-func ExampleJob_Resize() {
+// ExampleWithAutoscaler widens a running job from the control tick:
+// at ten virtual seconds the callback resizes it, so the job suspends at
+// a step boundary, re-splits its global grid onto six subregions, and
+// finishes on the wider placement with its numerics unchanged. The
+// callback runs on the scheduling goroutine, so the resize lands at
+// exactly that instant.
+func ExampleWithAutoscaler() {
 	pool := farm.NewPaperCluster()
 	pool.Advance(30 * time.Minute)
 
-	grow := make(chan struct{})
-	asked := make(chan struct{})
 	f, err := farm.New(pool,
 		farm.WithSeed(1),
-		farm.WithScenario(time.Second, func(t time.Duration, _ *farm.Cluster) {
-			if t == 10*time.Second { // ten virtual seconds in: widen the job
-				close(grow)
-				<-asked
+		farm.WithAutoscaler(time.Second, func(t time.Duration, ctl farm.AutoscaleControl) {
+			if t == 10*time.Second {
+				if err := ctl.Resize("elastic", 6); err != nil {
+					log.Fatal(err)
+				}
 			}
 		}))
 	if err != nil {
@@ -75,17 +74,8 @@ func ExampleJob_Resize() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	errc := make(chan error, 1)
-	go func() {
-		<-grow
-		close(asked)
-		errc <- job.Resize(context.Background(), 6)
-	}()
 	f.Drain()
 	if _, err := f.Run(context.Background()); err != nil {
-		log.Fatal(err)
-	}
-	if err := <-errc; err != nil {
 		log.Fatal(err)
 	}
 	rec, _ := job.Metrics()

@@ -37,6 +37,14 @@
 // Subscribe yields the structured event stream of every scheduling
 // decision, in a deterministic order for a fixed seed.
 //
+// The scheduling goroutine is the only place a farm's state changes:
+// Submit, Drain and Interrupt only queue work or raise a flag for it,
+// and a running job is resized from the WithAutoscaler control tick. A
+// farm runs once: when Run returns, for any reason, the farm is closed
+// and its subscriptions end. Continuing after an interrupt or a
+// cancellation is Restore from a checkpoint, as it is for the paper's
+// one submitting and monitoring workstation (section 4.1) after a crash.
+//
 // Everything runs in the cluster's virtual time, so multi-job traces —
 // and their event streams — replay deterministically regardless of how
 // fast the attached workloads really compute: job runtimes come from a
@@ -65,9 +73,10 @@ import (
 // preempts many jobs on one shared cluster. It is long-running and
 // online: Submit works before and during Run, the event loop idles
 // (blocking, with virtual time frozen) while the farm is empty, and
-// Drain lets it finish. Scheduling itself is single-threaded and runs in
-// the cluster's virtual time: the loop jumps between arrivals,
-// completions and scenario ticks. Build it with New or Restore.
+// Drain lets it finish. It runs once. Scheduling itself is
+// single-threaded and runs in the cluster's virtual time: the loop
+// jumps between arrivals, completions and scenario ticks. Build it with
+// New or Restore.
 type Farm struct {
 	cluster *cluster.Cluster
 	policy  Policy
@@ -104,14 +113,11 @@ type Farm struct {
 	speeds   []float64
 	owned    []*cluster.Host
 
-	// start anchors the farm-relative clock: the first Run sets it to
-	// the cluster time it was entered at, unless Restore pre-set it to
-	// the original run's anchor so a restored farm continues on the same
-	// clock. Later Runs of the same farm keep the anchor — every job
-	// time (Submit, PlacedAt, FinishAt) is relative to it, so a farm
-	// resumed after an interrupt must not re-base them.
+	// start anchors the farm-relative clock: Run sets it to the cluster
+	// time it was entered at, unless Restore pre-set it to the original
+	// run's anchor (restored) so a restored farm continues on the same
+	// clock. Every job time (Submit, PlacedAt, FinishAt) is relative to it.
 	start    time.Duration
-	anchored bool
 	restored bool
 	// ckptSeq numbers the save generations inside a checkpoint
 	// directory; each Checkpoint writes into a fresh states-<seq>
@@ -119,47 +125,37 @@ type Farm struct {
 	// checkpoint.
 	ckptSeq int
 
-	// mu guards the scheduling state shared with Submit, Drain,
-	// Interrupt and Job.Resize callers on other goroutines; everything
-	// else above is owned by the event loop.
+	// mu guards the scheduling state shared with Submit, Drain and
+	// Interrupt callers on other goroutines; everything else above is
+	// owned by the event loop.
 	mu          sync.Mutex
 	pending     arrivals // submitted, not yet admitted to the queue
 	submitted   int      // jobs ever put on pending; the next one's seq
 	closed      bool
-	looping     bool
+	ran         bool // Run was entered: a farm runs once
 	interrupted bool
 	// ckptOnInterrupt makes the interrupted loop persist the farm into
 	// ckptDir before returning ErrInterrupted — the context-cancellation
 	// path of Run.
 	ckptOnInterrupt bool
-	runFailed       bool // last Run exited with an error, reservations still held
 	wake            chan struct{}
-	// resizeReqs queues Job.Resize calls for the event loop, which
-	// drains them at the current virtual time each iteration.
-	resizeReqs []resizeReq
 
 	// servedByUser accumulates virtual service time per tenant, the
 	// WeightedFair bookkeeping.
 	servedByUser map[string]time.Duration
 
-	// hmu guards the handle bookkeeping: every accepted job's handle,
-	// the subscriptions, and the current run generation. run's done
-	// channel is closed when that Run returns, with err valid from then
-	// on. It exists from construction (and is recycled at the next Run)
-	// so a Wait that starts before Run still observes the run ending,
-	// and a Wait that wakes on a superseded generation re-waits on the
-	// new one. subs is only appended to in place (Close and a finished
-	// Run replace it), so emit ranges over a copy of it without hmu.
+	// hmu guards the handle bookkeeping: every accepted job's handle and
+	// the subscriptions. subs is only appended to in place (Close and the
+	// end of Run replace it), so emit ranges over a copy of it without
+	// hmu.
 	hmu  sync.Mutex
 	jobs map[string]*Job
 	subs []*Subscription
-	run  *runState
-}
-
-// runState is one Run generation's termination signal.
-type runState struct {
-	done chan struct{}
-	err  error // valid once done is closed
+	// runDone is closed when Run returns, with runErr valid from then on.
+	// It exists from construction, so a Wait or Subscribe that starts
+	// before Run still observes the run ending.
+	runDone chan struct{}
+	runErr  error
 }
 
 // New builds a farm over the cluster. Defaults: FIFO policy, EASY
@@ -195,7 +191,7 @@ func (f *Farm) prepare(c *cluster.Cluster) {
 	f.wake = make(chan struct{}, 1)
 	f.servedByUser = make(map[string]time.Duration)
 	f.jobs = make(map[string]*Job)
-	f.run = &runState{done: make(chan struct{})}
+	f.runDone = make(chan struct{})
 }
 
 // Submit queues a job and returns its handle. A nil workload replays
@@ -207,9 +203,10 @@ func (f *Farm) prepare(c *cluster.Cluster) {
 // Rejections are typed: branch with errors.Is against ErrInvalidSpec
 // (every spec-validation failure), ErrNoCapacity (more ranks than the
 // pool has hosts: no round could ever place the job, so it is refused
-// here instead of stalling the farm later), ErrClosed (after Drain) and
-// ErrDuplicateID — the sentinels are the contract; the error strings are
-// diagnostics and not stable across releases.
+// here instead of stalling the farm later), ErrClosed (after Drain or
+// once Run has returned) and ErrDuplicateID — the sentinels are the
+// contract; the error strings are diagnostics and not stable across
+// releases.
 func (f *Farm) Submit(spec JobSpec, w Workload) (*Job, error) {
 	j := newJob(f, spec.ID)
 	// Register the handle before the loop can emit events for the job: a
@@ -249,7 +246,7 @@ func (f *Farm) submit(spec JobSpec, w Workload) error {
 		return fmt.Errorf("farm: submit %s: %w", spec.ID, ErrClosed)
 	}
 	f.arrive(&jobState{spec: spec, work: w, Accounting: ckpt.Accounting{
-		Remaining: float64(spec.Steps), FirstStart: -1, Live: f.looping}})
+		Remaining: float64(spec.Steps), FirstStart: -1, Live: f.ran}})
 	f.mu.Unlock()
 	f.wakeup()
 	return nil
@@ -264,29 +261,11 @@ func (f *Farm) Job(id string) (*Job, bool) {
 }
 
 // Drain closes the farm to new submissions: Run finishes every job
-// already accepted and returns. Safe from any goroutine; Submit after
-// Drain fails with ErrClosed.
-//
-// Draining after a Run returned with an error — a workload failure, a
-// stall, an interrupt — also finalizes the farm: the placed jobs'
-// reservations are handed back to the pool, so a later Run reports an
-// error instead of resuming — use Restore to continue from a
-// checkpoint. To resume in memory instead, call Run again without
-// draining in between. Drain is idempotent: a second call releases
-// nothing twice. The release happens under the farm's lock and only
-// once a Run has actually exited with an error, never while the loop is
-// live.
+// already accepted and returns. Safe from any goroutine and idempotent;
+// Submit after Drain fails with ErrClosed.
 func (f *Farm) Drain() {
 	f.mu.Lock()
 	f.closed = true
-	if f.runFailed && !f.looping {
-		for _, js := range f.running {
-			if js.res != nil {
-				js.res.Release()
-				js.res = nil
-			}
-		}
-	}
 	f.mu.Unlock()
 	f.wakeup()
 }
@@ -296,29 +275,29 @@ func (f *Farm) Drain() {
 // virtual time, and the loop blocks (virtual time frozen) whenever the
 // farm is empty and still open. After Drain it returns the metrics
 // summary once everything accepted has finished. All reported times are
-// relative to the cluster clock at the first Run.
+// relative to the cluster clock Run was entered at (or, on a restored
+// farm, the original run's).
 //
-// Cancelling the context stops the farm: when a checkpoint directory is
-// configured (WithCheckpoint) the farm is persisted first, so the run
-// is restorable, and Run returns an error wrapping context.Canceled
-// (or the context's cause). Run must not be called concurrently with
-// itself.
+// A farm runs once. When Run returns, for any reason, the farm is
+// closed and every subscription ends; a second Run, like a Submit,
+// fails with ErrClosed at once. An errored Run releases nothing: its
+// placed jobs keep their hosts, as a crashed coordinator's would, and
+// the way to continue is Restore from a checkpoint. Cancelling the
+// context stops the farm: when a checkpoint directory is configured
+// (WithCheckpoint) the farm is persisted first, so the run is
+// restorable, and Run returns an error wrapping context.Canceled (or
+// the context's cause).
 func (f *Farm) Run(ctx context.Context) (Summary, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	f.hmu.Lock()
-	select {
-	case <-f.run.done:
-		// A previous Run already retired; this run is a new generation.
-		// Waiters still holding the old one re-check and move over.
-		f.run = &runState{done: make(chan struct{})}
-	default:
-		// First Run: keep the construction-time generation, which
-		// waiters that started before Run already hold.
+	f.mu.Lock()
+	ran := f.ran
+	f.ran = true
+	f.mu.Unlock()
+	if ran {
+		return Summary{}, fmt.Errorf("farm: run: %w", ErrClosed)
 	}
-	rs := f.run
-	f.hmu.Unlock()
 
 	// An already-canceled context stops the run at its first check,
 	// deterministically; the watcher goroutine handles cancellation
@@ -340,11 +319,6 @@ func (f *Farm) Run(ctx context.Context) (Summary, error) {
 	sum, err := f.loop()
 	close(stop)
 	<-watcherDone
-	if ctx.Err() != nil {
-		// The watcher may have fired just as the loop exited on its own;
-		// a stale, unconsumed interrupt must not poison the next Run.
-		f.clearInterrupt()
-	}
 	if errors.Is(err, ErrInterrupted) && ctx.Err() != nil {
 		// Wrap both chains: errors.Is finds the context cause, and a
 		// failed cancellation checkpoint stays diagnosable through the
@@ -352,19 +326,14 @@ func (f *Farm) Run(ctx context.Context) (Summary, error) {
 		err = fmt.Errorf("farm: run canceled: %w (%w)", context.Cause(ctx), err)
 	}
 
+	f.mu.Lock()
+	f.closed = true
+	f.mu.Unlock()
 	f.hmu.Lock()
-	rs.err = err
-	// A Run only returns nil once the farm is drained and every job has
-	// finished — the farm is over for good, so closing the channels ends
-	// every subscriber's range loop. An errored Run (interrupt,
-	// cancellation, workload failure) may be followed by another, so its
-	// subscriptions stay attached and observe the next run.
-	var subs []*Subscription
-	if err == nil {
-		subs = f.subs
-		f.subs = nil
-	}
-	close(rs.done)
+	f.runErr = err
+	subs := f.subs
+	f.subs = nil
+	close(f.runDone)
 	f.hmu.Unlock()
 	for _, sub := range subs {
 		sub.shut()

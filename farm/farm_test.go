@@ -227,10 +227,8 @@ func TestEventTraceAcrossRestore(t *testing.T) {
 	if _, err := doomed.Run(context.Background()); !errors.Is(err, farm.ErrInterrupted) {
 		t.Fatalf("doomed run: %v, want ErrInterrupted", err)
 	}
-	// An interrupted farm's stream stays open (the farm could Run
-	// again); this coordinator is dead, so detach explicitly — the
-	// buffered events stay readable and the range ends.
-	subA.Close()
+	// Run's return ended the stream; the buffered events stay readable
+	// and the range ends.
 	var got []string
 	for ev := range subA.Events() {
 		got = append(got, ev.String())
@@ -541,97 +539,74 @@ func TestSubscribeAfterRunIsClosed(t *testing.T) {
 	}
 }
 
-// TestRunAgainAfterInterrupt: an interrupt is consumed by the Run that
-// honors it — a later Run of the same farm starts clean instead of
-// being aborted by the stale request.
-func TestRunAgainAfterInterrupt(t *testing.T) {
-	f := mustNew(t, quietPool())
-	j, err := f.Submit(farm.JobSpec{ID: "late-bloomer", Method: "lb2d", JX: 2, JY: 2, Side: 40, Steps: 100}, nil)
-	if err != nil {
-		t.Fatal(err)
+// TestRunOnce: a farm runs once. Whether its Run drained or was
+// interrupted, a second Run and a Submit fail with ErrClosed at once,
+// and the second Run changes no host's assignment: the interrupted
+// run's job keeps its hosts, as a dead coordinator's would. A Subscribe
+// after the errored Run arrives closed, and a Wait that started before
+// Run reports ErrStopped wrapping the run's error.
+func TestRunOnce(t *testing.T) {
+	assignments := func(c *cluster.Cluster) []string {
+		var out []string
+		for _, h := range c.Hosts {
+			out = append(out, fmt.Sprintf("%s:%s/%d", h.Name, h.Owner(), h.Assigned()))
+		}
+		return out
 	}
-	f.Interrupt()
-	if _, err := f.Run(context.Background()); !errors.Is(err, farm.ErrInterrupted) {
-		t.Fatalf("interrupted Run: %v", err)
-	}
-	f.Drain()
-	sum, err := f.Run(context.Background())
-	if err != nil {
-		t.Fatalf("re-Run after a consumed interrupt: %v", err)
-	}
-	if len(sum.Jobs) != 1 || j.Status() != farm.StatusFinished {
-		t.Errorf("re-Run finished %d jobs, handle status %v", len(sum.Jobs), j.Status())
-	}
-}
-
-// TestRunAfterDrainFinalized: draining a farm whose Run was interrupted
-// hands its placed jobs' reservations back, so a later Run refuses with
-// a descriptive error instead of panicking on the missing reservations.
-func TestRunAfterDrainFinalized(t *testing.T) {
-	interrupted := false
-	var f *farm.Farm
-	f = mustNew(t, quietPool(),
-		farm.WithSeed(1),
-		farm.WithScenario(time.Minute, func(tt time.Duration, c *cluster.Cluster) {
-			if tt >= 2*time.Minute && !interrupted {
-				interrupted = true
-				f.Interrupt()
-			}
-		}))
-	if _, err := f.Submit(farm.JobSpec{ID: "held", Method: "lb2d", JX: 2, JY: 2, Side: 40, Steps: 100000}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Run(context.Background()); !errors.Is(err, farm.ErrInterrupted) {
-		t.Fatalf("interrupted run: %v", err)
-	}
-	f.Drain() // finalizes: the held reservations go back to the pool
-	if _, err := f.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "finalized") {
-		t.Fatalf("Run after finalizing Drain: %v, want the finalized-farm refusal", err)
-	}
-}
-
-// TestRunResumesBitIdentical: interrupting a farm mid-storm — with
-// virtual time elapsed and jobs placed — and calling Run again on the
-// same in-memory farm finishes bit-identically to an uninterrupted run:
-// the resumed Run keeps the original clock anchor and re-enters the
-// loop exactly at the round boundary the interrupt cut.
-func TestRunResumesBitIdentical(t *testing.T) {
-	const stopAt = 12 * time.Minute
-
-	run := func(interrupt bool) farm.Summary {
-		interrupted := false
+	for _, interrupt := range []bool{false, true} {
+		pool := quietPool()
 		var f *farm.Farm
-		f = mustNew(t, quietPool(),
-			farm.WithSeed(1),
-			farm.WithScenario(time.Minute, func(tt time.Duration, c *cluster.Cluster) {
-				storm(tt, c)
-				if interrupt && tt >= stopAt && !interrupted {
-					interrupted = true
+		f = mustNew(t, pool, farm.WithSeed(1),
+			farm.WithScenario(time.Minute, func(tt time.Duration, _ *cluster.Cluster) {
+				if interrupt && tt == 2*time.Minute {
 					f.Interrupt()
 				}
 			}))
-		for _, sp := range stormMix() {
-			if _, err := f.Submit(sp, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		f.Drain()
-		if interrupt {
-			if _, err := f.Run(context.Background()); !errors.Is(err, farm.ErrInterrupted) {
-				t.Fatalf("interrupted run: %v", err)
-			}
-		}
-		sum, err := f.Run(context.Background())
+		j, err := f.Submit(farm.JobSpec{ID: "held", Method: "lb2d", JX: 2, JY: 2, Side: 40, Steps: 20000}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sum
-	}
-
-	want := run(false)
-	got := run(true)
-	if !reflect.DeepEqual(want, got) {
-		t.Errorf("resumed farm differs from the uninterrupted one\nwant:\n%v\ngot:\n%v", want, got)
+		early := make(chan error, 1)
+		go func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			early <- j.Wait(ctx)
+		}()
+		f.Drain()
+		_, runErr := f.Run(context.Background())
+		if interrupt != errors.Is(runErr, farm.ErrInterrupted) {
+			t.Fatalf("interrupt=%v: first Run returned %v", interrupt, runErr)
+		}
+		if interrupt {
+			if j.Status() != farm.StatusRunning {
+				t.Fatalf("interrupted job is %v, want running", j.Status())
+			}
+			select {
+			case _, open := <-f.Subscribe().Events():
+				if open {
+					t.Error("Subscribe after an errored Run delivered an event")
+				}
+			default:
+				t.Error("Subscribe after an errored Run arrived open")
+			}
+		}
+		before := assignments(pool)
+		if _, err := f.Submit(farm.JobSpec{ID: "late", Method: "lb2d", JX: 1, JY: 1, Side: 4, Steps: 1}, nil); !errors.Is(err, farm.ErrClosed) {
+			t.Errorf("interrupt=%v: Submit after Run: %v, want ErrClosed", interrupt, err)
+		}
+		if _, err := f.Run(context.Background()); !errors.Is(err, farm.ErrClosed) {
+			t.Errorf("interrupt=%v: second Run: %v, want ErrClosed", interrupt, err)
+		}
+		if after := assignments(pool); !slices.Equal(before, after) {
+			t.Errorf("interrupt=%v: second Run changed the pool's assignments\nbefore %v\nafter  %v", interrupt, before, after)
+		}
+		err = <-early
+		if interrupt && (!errors.Is(err, farm.ErrStopped) || !errors.Is(err, farm.ErrInterrupted)) {
+			t.Errorf("Wait started before Run: %v, want ErrStopped wrapping ErrInterrupted", err)
+		}
+		if !interrupt && err != nil {
+			t.Errorf("Wait started before a drained Run: %v, want nil", err)
+		}
 	}
 }
 
@@ -733,5 +708,28 @@ func TestFarmExampleBitIdentical(t *testing.T) {
 	const want = "the simulation survived 1 preemption(s) and 1 mid-run migration(s)\n"
 	if !strings.Contains(b.String(), want) {
 		t.Errorf("scenario output lacks %q:\n%s", want, b.String())
+	}
+}
+
+// TestWithAutoscalerValidation: the autoscaler option is validated at
+// construction like WithScenario — an interval that would never tick,
+// or a tick with no callback, is refused with ErrInvalidSpec.
+func TestWithAutoscalerValidation(t *testing.T) {
+	noop := func(time.Duration, farm.AutoscaleControl) {}
+	cases := []struct {
+		name string
+		opt  farm.Option
+	}{
+		{"zero-interval", farm.WithAutoscaler(0, noop)},
+		{"negative-interval", farm.WithAutoscaler(-time.Second, noop)},
+		{"nil-callback", farm.WithAutoscaler(time.Second, nil)},
+	}
+	for _, tc := range cases {
+		if _, err := farm.New(quietPool(), tc.opt); !errors.Is(err, farm.ErrInvalidSpec) {
+			t.Errorf("%s: New returned %v, want ErrInvalidSpec", tc.name, err)
+		}
+	}
+	if _, err := farm.New(quietPool(), farm.WithAutoscaler(time.Second, noop)); err != nil {
+		t.Errorf("valid autoscaler refused: %v", err)
 	}
 }

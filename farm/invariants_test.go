@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"maps"
@@ -154,7 +155,7 @@ func TestCheckpointFixedPoint(t *testing.T) {
 		}
 		s.Interrupt()
 	})
-	if _, err := s1.loop(); !errors.Is(err, ErrInterrupted) {
+	if _, err := s1.Run(context.Background()); !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("Run returned %v, want ErrInterrupted at the checkpoint tick", err)
 	}
 	m1, err := ckpt.Load(dir1)

@@ -85,77 +85,28 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 // Wait blocks until the job finishes (nil), the context is done
 // (ctx.Err()), or the farm's Run returns without finishing it (an error
 // wrapping ErrStopped, and the run's own error when it failed). Wait
-// may start before Run does, and a waiter that outlives one Run re-arms
-// on the next: it reports ErrStopped only for the run generation that
-// actually ended without finishing the job.
+// may start before Run does.
 func (j *Job) Wait(ctx context.Context) error {
-	_, err := awaitRun(ctx, j.f, j.done, "job "+j.id)
-	return err
-}
-
-// Resize asks the farm to re-decompose the running job onto n ranks at
-// the event loop's current virtual time: the job suspends at a step
-// boundary, re-splits onto a near-square lattice of n subregions within
-// its original global grid, and continues bit-identically on the new
-// placement (growing claims extra hosts, shrinking releases the tail).
-// Resizing to the current rank count is a no-op.
-//
-// Safe from any goroutine; the request is processed by the next loop
-// iteration and Resize blocks until it is answered, the context is done
-// (ctx.Err()), or the farm's Run returns without answering (an error
-// wrapping ErrStopped). Failures are typed — ErrUnknownJob,
-// ErrNotRunning, ErrNoCapacity, or the workload's refusal (a simulation
-// with the seam-dependent filter enabled cannot resize) — and leave the
-// job running on its old decomposition.
-func (j *Job) Resize(ctx context.Context, n int) error {
-	answer, err := awaitRun(ctx, j.f, j.f.requestResize(j.id, n), "resize "+j.id)
-	if err != nil {
-		return err
-	}
-	return answer
-}
-
-// awaitRun receives from ch, or returns ctx.Err() when the context is
-// done first, or an error wrapping ErrStopped (and the run's own error
-// when it failed) when the farm's Run returns without ch delivering.
-// what names the waiter in that error. A waiter that outlives one Run
-// re-arms on the next: ErrStopped is reported only for the run
-// generation that actually ended.
-func awaitRun[T any](ctx context.Context, f *Farm, ch <-chan T, what string) (T, error) {
 	if ctx == nil {
 		ctx = context.Background() // tolerate nil like Farm.Run does
 	}
-	var zero T
-	for {
-		f.hmu.Lock()
-		rs := f.run
-		f.hmu.Unlock()
-		select {
-		case v := <-ch:
-			return v, nil
-		case <-ctx.Done():
-			return zero, ctx.Err()
-		case <-rs.done:
-			// That run returned; ch may have delivered in its last round.
-			select {
-			case v := <-ch:
-				return v, nil
-			default:
-			}
-			f.hmu.Lock()
-			superseded := f.run != rs
-			f.hmu.Unlock()
-			if superseded {
-				// A newer Run took over while this waiter slept; wait on
-				// it instead of reporting a stale generation's ending.
-				continue
-			}
-			if rs.err != nil {
-				return zero, fmt.Errorf("farm: %s: %w: %w", what, ErrStopped, rs.err)
-			}
-			return zero, fmt.Errorf("farm: %s: %w", what, ErrStopped)
-		}
+	select {
+	case <-j.done:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-j.f.runDone:
 	}
+	// Run has returned; the job may have finished in its last round.
+	select {
+	case <-j.done:
+		return nil
+	default:
+	}
+	if err := j.f.runErr; err != nil {
+		return fmt.Errorf("farm: job %s: %w: %w", j.id, ErrStopped, err)
+	}
+	return fmt.Errorf("farm: job %s: %w", j.id, ErrStopped)
 }
 
 // finish records the job's completion.

@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -199,7 +200,7 @@ func TestSubmitDuringRun(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		sum, err := s.loop()
+		sum, err := s.Run(context.Background())
 		done <- result{sum, err}
 	}()
 

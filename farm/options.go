@@ -110,7 +110,8 @@ func WithScenario(every time.Duration, fn func(t time.Duration, c *cluster.Clust
 // the farm has work, right after the scenario tick of the same instant,
 // so the controller observes the scripted user activity it must react
 // to. The control handle samples queue depth, pool utilization and
-// per-job progress, and actuates grow/shrink decisions synchronously —
+// per-job progress, and actuates grow/shrink decisions synchronously
+// (AutoscaleControl.Resize, the farm's one way to resize a job) —
 // farm/autoscale provides a ready-made supply/demand policy with
 // hysteresis and cooldown to plug in here; this hook is only its
 // deterministic clock. The interval must be positive when fn is set:

@@ -20,43 +20,6 @@ var (
 	ErrNotRunning = errors.New("job is not running")
 )
 
-// resizeReq is one queued Job.Resize call, answered on ch.
-type resizeReq struct {
-	id string
-	n  int
-	ch chan error
-}
-
-// requestResize asks the event loop to resize the running job to n ranks
-// at the loop's current virtual time. It is safe from any goroutine —
-// Job.Resize calls it — and returns a buffered
-// channel that receives exactly one result: nil once the resize
-// committed, or the typed error (ErrUnknownJob, ErrNotRunning,
-// ErrNoCapacity, or a workload refusal) if it did not. The request is
-// processed in the next loop iteration, after reclaims and before the
-// scheduling round, so a resize never interleaves with a migration of
-// the same job inside one round.
-func (f *Farm) requestResize(id string, n int) <-chan error {
-	ch := make(chan error, 1)
-	f.mu.Lock()
-	f.resizeReqs = append(f.resizeReqs, resizeReq{id: id, n: n, ch: ch})
-	f.mu.Unlock()
-	f.wakeup()
-	return ch
-}
-
-// handleResizeRequests drains the queued requestResize calls at the
-// current virtual time, answering each caller's channel.
-func (f *Farm) handleResizeRequests(t time.Duration) {
-	f.mu.Lock()
-	reqs := f.resizeReqs
-	f.resizeReqs = nil
-	f.mu.Unlock()
-	for _, r := range reqs {
-		r.ch <- f.resizeByID(r.id, r.n, t)
-	}
-}
-
 // resizeByID locates a running job by ID and resizes it; jobs the farm
 // knows but is not running get ErrNotRunning, strangers ErrUnknownJob.
 func (f *Farm) resizeByID(id string, n int, t time.Duration) error {

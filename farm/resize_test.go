@@ -161,8 +161,7 @@ func TestResizeLifecycleBitIdentical(t *testing.T) {
 // to the current size is a silent no-op, a queued job and a finished job
 // are ErrNotRunning, a stranger is ErrUnknownJob, a rank count beyond
 // the pool — or beyond its free hosts — is ErrNoCapacity and leaves the
-// job untouched, and the asynchronous RequestResize path commits a grow
-// at the next loop iteration.
+// job untouched, and a later tick's grow commits at that tick's time.
 func TestResizeSentinelsAndNoOp(t *testing.T) {
 	s := newFarm(idlePool(), FIFO, 7)
 	s.timer = fixedTimer
@@ -174,7 +173,6 @@ func TestResizeSentinelsAndNoOp(t *testing.T) {
 		want error // nil = any non-nil error is wrong
 	}
 	var got []verdict
-	var async []<-chan error
 	s.autoscaleEvery = 5 * time.Second
 	s.autoscale = func(vt time.Duration, ctl AutoscaleControl) {
 		switch vt {
@@ -203,10 +201,10 @@ func TestResizeSentinelsAndNoOp(t *testing.T) {
 				}
 			}
 		case 10 * time.Second:
-			// The asynchronous path: answered by the next loop iteration.
-			async = append(async,
-				s.requestResize("small", 4),
-				s.requestResize("ghost", 1))
+			got = append(got,
+				verdict{"grow", ctl.Resize("small", 4), nil},
+				verdict{"stranger later", ctl.Resize("ghost", 1), ErrUnknownJob},
+			)
 		case 35 * time.Second:
 			got = append(got, verdict{"finished", ctl.Resize("big", 4), ErrNotRunning})
 		}
@@ -240,14 +238,8 @@ func TestResizeSentinelsAndNoOp(t *testing.T) {
 			t.Errorf("%s: %v, want the reservation's cluster.ErrShortfall kept in the chain", v.name, v.err)
 		}
 	}
-	if len(async) != 2 {
-		t.Fatalf("%d async requests recorded, want 2", len(async))
-	}
-	if err := <-async[0]; err != nil {
-		t.Errorf("RequestResize(small, 4): %v", err)
-	}
-	if err := <-async[1]; !errors.Is(err, ErrUnknownJob) {
-		t.Errorf("RequestResize(ghost, 1): %v, want ErrUnknownJob", err)
+	if len(got) != 8 {
+		t.Fatalf("%d verdicts recorded, want 8", len(got))
 	}
 
 	if len(sum.Jobs) != 3 {

@@ -53,43 +53,11 @@ func (f *Farm) drained() bool {
 // the farm goes empty the loop blocks until another Submit or Drain
 // arrives; after Drain it returns the metrics summary once everything
 // accepted has finished.
-func (f *Farm) loop() (sum Summary, err error) {
-	f.mu.Lock()
-	// An interrupted farm may Run again — unless Drain already finalized
-	// it: Drain after a failed Run hands the placed jobs' reservations
-	// back to the pool, so those jobs can no longer be completed or
-	// migrated in memory. Refuse cleanly here instead of panicking on a
-	// nil reservation rounds later. The check lives in the same critical
-	// section that raises looping, so it serializes with Drain's
-	// !looping finalize path.
-	for _, js := range f.running {
-		if js.res == nil {
-			f.mu.Unlock()
-			return Summary{}, fmt.Errorf(
-				"farm: running job %s holds no reservation (Drain finalized this farm after an interrupted run); Restore from a checkpoint instead of re-running",
-				js.spec.ID)
-		}
-	}
-	if f.restored {
-		// A restored farm continues on the interrupted run's clock.
-		f.restored = false
-	} else if !f.anchored {
+func (f *Farm) loop() (Summary, error) {
+	if !f.restored {
 		f.start = f.cluster.Now()
 	}
-	f.anchored = true
-	f.looping = true
-	f.runFailed = false
-	f.mu.Unlock()
 	now := f.now
-	defer func() {
-		// Flag an early exit in the same critical section that retires
-		// the loop, so a concurrent Drain never observes the loop gone
-		// without also seeing whether reservations need handing back.
-		f.mu.Lock()
-		f.looping = false
-		f.runFailed = err != nil
-		f.mu.Unlock()
-	}()
 	stallSince := time.Duration(-1)
 	for {
 		if f.isInterrupted() {
@@ -100,7 +68,6 @@ func (f *Farm) loop() (sum Summary, err error) {
 		if err := f.handleReclaims(t); err != nil {
 			return Summary{}, err
 		}
-		f.handleResizeRequests(t)
 		if err := f.scheduleRound(t); err != nil {
 			return Summary{}, err
 		}
@@ -135,7 +102,7 @@ func (f *Farm) loop() (sum Summary, err error) {
 		// scripted user activity, control-loop samples and periodic saves
 		// land at exact virtual times. At one instant they run in that
 		// order, then completions retire; the loop top follows (interrupt
-		// check, admissions, reclaims, resize requests, placement).
+		// check, admissions, reclaims, placement).
 		tick, scale, save := time.Duration(-1), time.Duration(-1), time.Duration(-1)
 		if f.scenario != nil && f.scenarioEvery > 0 {
 			tick = nextTick(t, f.scenarioEvery)

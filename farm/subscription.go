@@ -17,14 +17,10 @@ const DefaultSubscriptionBuffer = 1024
 // buffer for the trace (SubscribeBuffered) or drains concurrently; a
 // slow or abandoned subscriber costs the farm nothing.
 //
-// The channel is closed when the stream is over — a drained farm's Run
-// returned successfully, ending any range loop over Events. A farm
-// whose Run returned an error may Run again (after an interrupt or
-// cancellation), so its subscriptions survive the gap and observe the
-// next run; the farm cannot know whether a resume is coming, so a
-// consumer that will not resume after an errored Run must Close its
-// subscription to end the stream — ranging on without closing parks
-// that goroutine forever.
+// The channel is closed when the stream is over: the farm's Run
+// returned, whether drained, interrupted, canceled or failed, which ends
+// any range loop over Events. A farm runs once, so no later event can
+// follow; a restored farm is a new stream (Restore).
 type Subscription struct {
 	f *Farm
 
@@ -43,35 +39,28 @@ func (f *Farm) Subscribe() *Subscription {
 
 // SubscribeBuffered taps the farm's event stream with an explicit
 // buffer capacity (minimum 1). See Subscription for the overflow
-// policy. A subscription made after a drained farm's Run has returned
-// arrives already closed: the stream it would have observed is over,
-// so a range over Events ends immediately instead of blocking on a
-// channel nothing will ever close.
+// policy. A subscription made after the farm's Run has returned arrives
+// already closed: the stream it would have observed is over, so a range
+// over Events ends immediately instead of blocking on a channel nothing
+// will ever close.
 func (f *Farm) SubscribeBuffered(n int) *Subscription {
 	if n < 1 {
 		n = 1
 	}
 	sub := &Subscription{f: f, ch: make(chan Event, n)}
 	f.hmu.Lock()
+	defer f.hmu.Unlock()
 	select {
-	case <-f.run.done:
-		// rs.err is valid once done is closed; a nil error means the
-		// farm drained to completion and no further run will come.
-		if f.run.err == nil {
-			f.hmu.Unlock()
-			sub.shut()
-			return sub
-		}
+	case <-f.runDone:
+		sub.shut()
 	default:
+		f.subs = append(f.subs, sub)
 	}
-	f.subs = append(f.subs, sub)
-	f.hmu.Unlock()
 	return sub
 }
 
 // Events returns the subscription's channel. It is closed when the
-// stream ends — a drained farm's Run returned — or the subscription is
-// closed.
+// stream ends (the farm's Run returned) or the subscription is closed.
 func (sub *Subscription) Events() <-chan Event { return sub.ch }
 
 // Dropped reports how many events overflowed the buffer and were

@@ -178,21 +178,6 @@ type JobDist struct {
 	Steps StepsDist
 }
 
-// MaxRanks returns the widest job the spec can generate — callers check
-// it against the pool before submitting (the farm rejects wider jobs
-// with ErrNoCapacity).
-func (s *Spec) MaxRanks() int {
-	max := 0
-	for _, c := range s.Cohorts {
-		for _, sc := range c.Jobs.Shapes {
-			if r := sc.probe().Ranks(); r > max {
-				max = r
-			}
-		}
-	}
-	return max
-}
-
 // Validate checks the spec; every failure wraps farm.ErrInvalidSpec so
 // callers branch with errors.Is, mirroring JobSpec validation.
 func (s *Spec) Validate() error {

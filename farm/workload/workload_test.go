@@ -388,7 +388,6 @@ func TestVerifyAcrossRestore(t *testing.T) {
 	if _, err := doomed.Run(nil); !errors.Is(err, farm.ErrInterrupted) {
 		t.Fatalf("doomed run: %v, want ErrInterrupted", err)
 	}
-	subA.Close()
 	var got []string
 	for ev := range subA.Events() {
 		got = append(got, ev.String())
