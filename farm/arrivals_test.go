@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -152,7 +153,7 @@ func arrivalFarm(t *testing.T, tick func(s *Farm, vt time.Duration)) *Farm {
 func TestQueuedOrderDuringRun(t *testing.T) {
 	s := arrivalFarm(t, func(*Farm, time.Duration) {})
 	events := tap(t, s)
-	if _, err := s.loop(); err != nil {
+	if _, err := s.loop(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	var queued []string
@@ -181,7 +182,7 @@ func TestCheckpointKeepsPendingOrder(t *testing.T) {
 	const at = 3 * time.Minute
 	ref := arrivalFarm(t, func(*Farm, time.Duration) {})
 	refEvents := tap(t, ref)
-	if _, err := ref.loop(); err != nil {
+	if _, err := ref.loop(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	whole := traceOf(refEvents())
@@ -197,7 +198,7 @@ func TestCheckpointKeepsPendingOrder(t *testing.T) {
 		s.Interrupt()
 	})
 	s1Events := tap(t, s1)
-	if _, err := s1.loop(); !errors.Is(err, ErrInterrupted) {
+	if _, err := s1.loop(context.Background()); !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("Run returned %v, want ErrInterrupted at the checkpoint tick", err)
 	}
 	head := traceOf(s1Events())
@@ -219,7 +220,7 @@ func TestCheckpointKeepsPendingOrder(t *testing.T) {
 	s2Events := tap(t, s2)
 	s2.scenarioEvery = time.Minute
 	s2.scenario = func(time.Duration, *cluster.Cluster) {}
-	if _, err := s2.loop(); err != nil {
+	if _, err := s2.loop(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	tail := traceOf(s2Events())

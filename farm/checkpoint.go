@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"maps"
@@ -29,35 +30,28 @@ func (f *Farm) Interrupt() {
 	f.wakeup()
 }
 
-// interruptCheckpoint aborts the event loop like Interrupt, but asks it
-// to persist the farm into the checkpoint directory first (when one is
-// configured) so the abandoned run is restorable: Run's path for a
-// canceled context. Safe from any goroutine; the checkpoint itself runs
-// on the scheduling goroutine at the loop's next interrupt check.
-func (f *Farm) interruptCheckpoint() {
-	f.mu.Lock()
-	f.interrupted = true
-	f.ckptOnInterrupt = true
-	f.mu.Unlock()
-	f.wakeup()
-}
-
-// interruptExit finishes an interrupted loop: when interruptCheckpoint
-// requested a final save and a checkpoint directory is configured, the
-// farm is persisted before the loop returns ErrInterrupted.
-func (f *Farm) interruptExit() error {
-	f.mu.Lock()
-	want := f.ckptOnInterrupt
-	f.mu.Unlock()
-	if want && f.ckptDir != "" {
+// stopped reports how the event loop ends at this check, or nil when it
+// goes on. After Run's context is canceled the farm is persisted into its
+// checkpoint directory first, when one is configured, so the run is
+// restorable; after Interrupt nothing is saved, as in a crash. Either way
+// the error wraps ErrInterrupted.
+func (f *Farm) stopped(ctx context.Context) error {
+	if ctx.Err() != nil {
+		if f.ckptDir == "" {
+			return ErrInterrupted
+		}
 		if err := f.Checkpoint(f.ckptDir); err != nil {
 			// Keep the sentinel in the chain: callers branching on
 			// errors.Is(err, ErrInterrupted) must still recognize an
 			// interrupted run whose final save failed.
 			return fmt.Errorf("farm: checkpoint on interrupt: %w (%w)", err, ErrInterrupted)
 		}
+		return ErrInterrupted
 	}
-	return ErrInterrupted
+	if f.isInterrupted() {
+		return ErrInterrupted
+	}
+	return nil
 }
 
 // WorkloadFactory rebuilds the functional side of one restored job from

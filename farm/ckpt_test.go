@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"context"
 	"errors"
 	"io"
 	"os"
@@ -104,7 +105,7 @@ func TestKillAndRestoreBitIdentical(t *testing.T) {
 			}
 		}
 		s.Drain()
-		sum, err := s.loop()
+		sum, err := s.loop(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +143,7 @@ func TestKillAndRestoreBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	s1.Drain()
-	if _, err := s1.loop(); !errors.Is(err, ErrInterrupted) {
+	if _, err := s1.loop(context.Background()); !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("crashed run returned %v, want ErrInterrupted", err)
 	}
 	if !crashed {
@@ -188,7 +189,7 @@ func TestKillAndRestoreBitIdentical(t *testing.T) {
 	}
 	s2.scenarioEvery = time.Minute
 	s2.scenario = func(time.Duration, *cluster.Cluster) {}
-	got, err := s2.loop()
+	got, err := s2.loop(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +240,7 @@ func TestAutoCheckpointRestore(t *testing.T) {
 			}
 		}
 		s.Drain()
-		sum, err := s.loop()
+		sum, err := s.loop(context.Background())
 		return sum, s, err
 	}
 
@@ -279,7 +280,7 @@ func TestAutoCheckpointRestore(t *testing.T) {
 	s2.ckptDir = t.TempDir()
 	s2.scenarioEvery = time.Minute
 	s2.scenario = func(time.Duration, *cluster.Cluster) {}
-	got, err := s2.loop()
+	got, err := s2.loop(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +356,7 @@ func TestRestoreRejectsCorruptCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Drain()
-	if _, err := s.loop(); !errors.Is(err, ErrInterrupted) {
+	if _, err := s.loop(context.Background()); !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("run returned %v, want ErrInterrupted", err)
 	}
 
@@ -522,7 +523,7 @@ func TestWeightedFairServiceRatio(t *testing.T) {
 		}
 	}
 	s.Drain()
-	sum, err := s.loop()
+	sum, err := s.loop(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -194,7 +195,7 @@ func TestEASYHeadWaitBoundUnderReclaimStorm(t *testing.T) {
 			}
 		}
 		s.Drain()
-		sum, err := s.loop()
+		sum, err := s.loop(context.Background())
 		if err != nil {
 			t.Fatalf("backfill %v: %v", mode, err)
 		}

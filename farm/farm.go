@@ -134,11 +134,7 @@ type Farm struct {
 	closed      bool
 	ran         bool // Run was entered: a farm runs once
 	interrupted bool
-	// ckptOnInterrupt makes the interrupted loop persist the farm into
-	// ckptDir before returning ErrInterrupted — the context-cancellation
-	// path of Run.
-	ckptOnInterrupt bool
-	wake            chan struct{}
+	wake        chan struct{}
 
 	// servedByUser accumulates virtual service time per tenant, the
 	// WeightedFair bookkeeping.
@@ -299,26 +295,9 @@ func (f *Farm) Run(ctx context.Context) (Summary, error) {
 		return Summary{}, fmt.Errorf("farm: run: %w", ErrClosed)
 	}
 
-	// An already-canceled context stops the run at its first check,
-	// deterministically; the watcher goroutine handles cancellation
-	// arriving mid-run.
-	if ctx.Err() != nil {
-		f.interruptCheckpoint()
-	}
-	stop := make(chan struct{})
-	watcherDone := make(chan struct{})
-	//detlint:allow entropy -- the watcher only forwards ctx cancellation to interruptCheckpoint, which the loop applies at its next step boundary; it cannot reorder scheduling decisions
-	go func() {
-		defer close(watcherDone)
-		select {
-		case <-ctx.Done():
-			f.interruptCheckpoint()
-		case <-stop:
-		}
-	}()
-	sum, err := f.loop()
-	close(stop)
-	<-watcherDone
+	// The loop reads ctx itself, at the checks where it reads Interrupt:
+	// a cancellation stops the run at the next one.
+	sum, err := f.loop(ctx)
 	if errors.Is(err, ErrInterrupted) && ctx.Err() != nil {
 		// Wrap both chains: errors.Is finds the context cause, and a
 		// failed cancellation checkpoint stays diagnosable through the

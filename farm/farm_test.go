@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/farm"
+	"repro/internal/ckpt"
 	"repro/internal/cluster"
 	"repro/internal/dump"
 )
@@ -515,6 +516,41 @@ func TestRunContextCancelCheckpoints(t *testing.T) {
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("restored-after-cancel summary differs from the uninterrupted run\nwant:\n%v\ngot:\n%v", want, got)
+	}
+}
+
+// TestRunCancelInScenarioSavesThere: a cancel called from a scenario
+// callback stops the run at the check that follows the callback, so the
+// cancellation checkpoint is taken at that tick's virtual time on every
+// run, whatever the goroutine scheduler does.
+func TestRunCancelInScenarioSavesThere(t *testing.T) {
+	dir := t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	f := mustNew(t, quietPool(),
+		farm.WithSeed(1),
+		farm.WithCheckpoint(dir, 0, 0), // cancellation saves only
+		farm.WithScenario(time.Minute, func(tt time.Duration, c *cluster.Cluster) {
+			storm(tt, c)
+			if tt == 5*time.Minute {
+				cancel()
+			}
+		}))
+	for _, sp := range stormMix() {
+		if _, err := f.Submit(sp, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.Drain()
+	if _, err := f.Run(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled Run: %v, want context.Canceled", err)
+	}
+	m, err := ckpt.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.SavedAt != 5*time.Minute {
+		t.Errorf("cancellation checkpoint at %v, want 5m, the tick that canceled", m.SavedAt)
 	}
 }
 

@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -256,7 +257,7 @@ func TestWeightedJobCheckpointRestoreRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.Drain()
-		sum, err := s.loop()
+		sum, err := s.loop(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,7 +290,7 @@ func TestWeightedJobCheckpointRestoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	s1.Drain()
-	if _, err := s1.loop(); !errors.Is(err, ErrInterrupted) {
+	if _, err := s1.loop(context.Background()); !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("crashed run returned %v, want ErrInterrupted", err)
 	}
 	if !crashed {
@@ -335,7 +336,7 @@ func TestWeightedJobCheckpointRestoreRoundTrip(t *testing.T) {
 	}
 	s2.scenarioEvery = time.Minute
 	s2.scenario = func(time.Duration, *cluster.Cluster) {}
-	got, err := s2.loop()
+	got, err := s2.loop(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -328,7 +328,7 @@ func TestEventsSufficient(t *testing.T) {
 		}
 	})
 	events = tap(t, s)
-	sum, err := s.loop()
+	sum, err := s.loop(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

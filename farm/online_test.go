@@ -103,7 +103,7 @@ func reclaimMidRun(t *testing.T, disturb func(*cluster.Cluster, *cluster.Host), 
 		}
 	}
 	s.Drain()
-	sum, err := s.loop()
+	sum, err := s.loop(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestReclaimFallsBackToSuspend(t *testing.T) {
 		}
 	}
 	s.Drain()
-	sum, err := s.loop()
+	sum, err := s.loop(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestEASYBoundsHeadWait(t *testing.T) {
 			}
 		}
 		s.Drain()
-		sum, err := s.loop()
+		sum, err := s.loop(context.Background())
 		if err != nil {
 			t.Fatalf("backfill %v: %v", mode, err)
 		}

@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -110,7 +111,7 @@ func TestResizeLifecycleBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Drain()
-	sum, err := s.loop()
+	sum, err := s.loop(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +222,7 @@ func TestResizeSentinelsAndNoOp(t *testing.T) {
 		}
 	}
 	s.Drain()
-	sum, err := s.loop()
+	sum, err := s.loop(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +314,7 @@ func TestResizeWithReclaimSameRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Drain()
-	sum, err := s.loop()
+	sum, err := s.loop(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +384,7 @@ func TestCheckpointRestoreAcrossResize(t *testing.T) {
 		t.Fatal(err)
 	}
 	refFarm.Drain()
-	want, err := refFarm.loop()
+	want, err := refFarm.loop(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +415,7 @@ func TestCheckpointRestoreAcrossResize(t *testing.T) {
 		t.Fatal(err)
 	}
 	s1.Drain()
-	if _, err := s1.loop(); !errors.Is(err, ErrInterrupted) {
+	if _, err := s1.loop(context.Background()); !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("crashed run returned %v, want ErrInterrupted", err)
 	}
 	if !crashed {
@@ -475,7 +476,7 @@ func TestCheckpointRestoreAcrossResize(t *testing.T) {
 	s2.scenario = func(time.Duration, *cluster.Cluster) {}
 	s2.autoscaleEvery = 5 * time.Second
 	s2.autoscale = growAt5
-	got, err := s2.loop()
+	got, err := s2.loop(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -619,7 +620,7 @@ func TestScenarioBeforeAutoscale(t *testing.T) {
 			sampled = ctl.Sample().FreeHosts
 		}
 	}
-	if _, err := s.loop(); err != nil {
+	if _, err := s.loop(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if afterReclaim != before-1 {

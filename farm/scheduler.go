@@ -3,6 +3,7 @@ package farm
 import (
 	"cmp"
 	"container/heap"
+	"context"
 	"fmt"
 	"slices"
 	"time"
@@ -53,15 +54,15 @@ func (f *Farm) drained() bool {
 // the farm goes empty the loop blocks until another Submit or Drain
 // arrives; after Drain it returns the metrics summary once everything
 // accepted has finished.
-func (f *Farm) loop() (Summary, error) {
+func (f *Farm) loop(ctx context.Context) (Summary, error) {
 	if !f.restored {
 		f.start = f.cluster.Now()
 	}
 	now := f.now
 	stallSince := time.Duration(-1)
 	for {
-		if f.isInterrupted() {
-			return Summary{}, f.interruptExit()
+		if err := f.stopped(ctx); err != nil {
+			return Summary{}, err
 		}
 		t := now()
 		f.admit(t)
@@ -76,9 +77,13 @@ func (f *Farm) loop() (Summary, error) {
 				break
 			}
 			// Idle: no work anywhere and the farm is still open. Block
-			// until a submission or Drain arrives; virtual time stands
-			// still while nobody is computing.
-			<-f.wake
+			// until a submission, Drain, Interrupt or cancellation
+			// arrives; virtual time stands still while nobody is
+			// computing.
+			select {
+			case <-f.wake:
+			case <-ctx.Done():
+			}
 			continue
 		}
 		next, ok := f.nextEvent()
@@ -122,8 +127,8 @@ func (f *Farm) loop() (Summary, error) {
 		t = now()
 		if tick >= 0 && t == tick {
 			f.scenario(t, f.cluster)
-			if f.isInterrupted() {
-				return Summary{}, f.interruptExit()
+			if err := f.stopped(ctx); err != nil {
+				return Summary{}, err
 			}
 		}
 		if scale >= 0 && t == scale {

@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"context"
 	"errors"
 	"math"
 	"reflect"
@@ -248,7 +249,7 @@ func TestFarmPreemptsRealCoreJob(t *testing.T) {
 	}
 
 	s.Drain()
-	sum, err := s.loop()
+	sum, err := s.loop(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +425,7 @@ func TestStalledFarmReportsError(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Drain()
-	_, err := s.loop()
+	_, err := s.loop(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "stalled for a simulated week") {
 		t.Fatalf("fully reclaimed pool: err = %v, want the week-long-stall report", err)
 	}

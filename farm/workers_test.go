@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -56,7 +57,7 @@ func TestSchedulerWorkersBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Drain()
-	if _, err := s.loop(); err != nil {
+	if _, err := s.loop(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 

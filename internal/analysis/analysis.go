@@ -4,9 +4,11 @@
 // to the standard library, so rather than vendoring x/tools the package
 // defines the same shapes — Analyzer, Pass, Diagnostic — over go/ast and
 // go/types, plus the //detlint:allow escape-hatch filtering every driver
-// shares. Two tests run analyzers: analysistest runs one over golden
-// fixtures, and TestTreeIsClean runs the suite over the module as part
-// of `go test ./...`.
+// shares. Two tests run analyzers, both through Run: analysistest runs
+// one over golden fixtures, and TestTreeIsClean runs the suite over the
+// module as part of `go test ./...`. Either way every package is fully
+// type-checked, and the packages are walked dependency-first in one
+// process over one FileSet.
 package analysis
 
 import (
@@ -29,11 +31,9 @@ type Analyzer struct {
 	Run func(*Pass) error
 }
 
-// A Package is one parsed, type-checked package ready for analysis.
-// Type information may be partial (the analysistest harness checks
-// against stub imports); analyzers must tolerate nil entries in Info.
+// A Package is one parsed, fully type-checked package ready for
+// analysis.
 type Package struct {
-	Fset  *token.FileSet
 	Files []*ast.File
 	// Path is the import path used for config scope matching.
 	Path  string
@@ -51,9 +51,9 @@ type Pass struct {
 	TypesInfo *types.Info
 	Config    *Config
 
-	diags *[]Diagnostic
-	facts *FactStore
-	allow *allowIndex
+	diags  *[]Diagnostic
+	shared map[*Analyzer]any
+	allow  *allowIndex
 }
 
 // A Diagnostic is one finding, attributed to the analyzer that made it.
@@ -72,9 +72,22 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
+// Shared returns the one value the analyzer keeps for the whole run,
+// made by mk when the first package asks for it. Packages are analyzed
+// dependency-first, so what a pass stores there while analyzing a
+// package is in view when it analyzes every package that imports it.
+func (p *Pass) Shared(mk func() any) any {
+	v, ok := p.shared[p.Analyzer]
+	if !ok {
+		v = mk()
+		p.shared[p.Analyzer] = v
+	}
+	return v
+}
+
 // Allowed reports whether a well-formed //detlint:allow directive for
-// this analyzer covers pos. Passes that export facts consult it at
-// summary-build time: a site suppressed in its home package must not
+// this analyzer covers pos. A pass that builds shared state consults it
+// while building: a site suppressed in its home package must not
 // resurface as a cross-package finding at every caller.
 func (p *Pass) Allowed(pos token.Pos) bool {
 	if p.allow == nil {
@@ -97,35 +110,39 @@ func (p *Pass) IsTestFile(f *ast.File) bool {
 	return strings.HasSuffix(p.Fset.Position(f.Package).Filename, "_test.go")
 }
 
-// RunFacts applies the analyzers to the package, filters the findings
-// through the //detlint:allow directives in the source, validates those
-// directives (a directive must carry a reason, and must name a
-// registered analyzer), and returns the surviving diagnostics ordered
-// by position. Analyzers see the facts the store's dependencies
-// exported and their own exports land in it.
-func RunFacts(pkg *Package, cfg *Config, analyzers []*Analyzer, facts *FactStore) ([]Diagnostic, error) {
-	idx := buildAllowIndex(pkg.Fset, pkg.Files)
+// Run applies the analyzers to the packages, in the order given, which
+// must be dependency-first; every package's files are parsed into fset.
+// Each analyzer keeps one value across the run (Pass.Shared). Findings
+// are filtered through the //detlint:allow directives in the source, the
+// directives themselves are validated (a directive must carry a reason,
+// and must name a registered analyzer), and the surviving diagnostics
+// are returned ordered by position.
+func Run(fset *token.FileSet, cfg *Config, analyzers []*Analyzer, pkgs ...*Package) ([]Diagnostic, error) {
+	shared := make(map[*Analyzer]any)
 	var out []Diagnostic
-	for _, a := range analyzers {
-		var diags []Diagnostic
-		pass := &Pass{
-			Analyzer:  a,
-			Fset:      pkg.Fset,
-			Files:     pkg.Files,
-			PkgPath:   pkg.Path,
-			Pkg:       pkg.Types,
-			TypesInfo: pkg.Info,
-			Config:    cfg,
-			diags:     &diags,
-			facts:     facts,
-			allow:     idx,
+	for _, pkg := range pkgs {
+		idx := buildAllowIndex(fset, pkg.Files)
+		for _, a := range analyzers {
+			var diags []Diagnostic
+			pass := &Pass{
+				Analyzer:  a,
+				Fset:      fset,
+				Files:     pkg.Files,
+				PkgPath:   pkg.Path,
+				Pkg:       pkg.Types,
+				TypesInfo: pkg.Info,
+				Config:    cfg,
+				diags:     &diags,
+				shared:    shared,
+				allow:     idx,
+			}
+			if err := a.Run(pass); err != nil {
+				return nil, fmt.Errorf("%s: analyzer %s: %w", pkg.Path, a.Name, err)
+			}
+			out = append(out, idx.filter(fset, a.Name, diags)...)
 		}
-		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("analyzer %s: %w", a.Name, err)
-		}
-		out = append(out, idx.filter(pkg.Fset, a.Name, diags)...)
+		out = append(out, idx.validate(analyzers)...)
 	}
-	out = append(out, idx.validate(analyzers)...)
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Pos < out[j].Pos })
 	return out, nil
 }
@@ -148,16 +165,14 @@ func Register(a *Analyzer) *Analyzer {
 // PkgFuncOf resolves a package-qualified selector (time.Now,
 // rand.Intn, fmt.Errorf) to its package import path and member name.
 // It returns ok=false for anything else — method calls, locals, dot
-// imports. Resolution needs only the package-name binding, which the
-// type checker records even when the imported package's contents are
-// unavailable, so it works under analysistest's stub imports too.
+// imports.
 func PkgFuncOf(info *types.Info, e ast.Expr) (pkgPath, name string, ok bool) {
 	sel, okSel := e.(*ast.SelectorExpr)
 	if !okSel {
 		return "", "", false
 	}
 	x, okIdent := sel.X.(*ast.Ident)
-	if !okIdent || info == nil {
+	if !okIdent {
 		return "", "", false
 	}
 	pn, okPkg := info.Uses[x].(*types.PkgName)
@@ -173,46 +188,20 @@ func CalleeOf(info *types.Info, call *ast.CallExpr) (pkgPath, name string, ok bo
 }
 
 // BuiltinNameOf returns the name of the builtin a call invokes
-// (append, delete, make, …), or "" if the callee is not a builtin. An
-// unresolved bare identifier with a builtin's name is treated as the
-// builtin, so the classification degrades safely under partial type
-// information.
+// (append, delete, make, …), or "" if the callee is not a builtin.
 func BuiltinNameOf(info *types.Info, fun ast.Expr) string {
 	id, ok := fun.(*ast.Ident)
 	if !ok {
 		return ""
 	}
-	if info != nil {
-		if obj := info.Uses[id]; obj != nil {
-			if _, isB := obj.(*types.Builtin); isB {
-				return id.Name
-			}
-			return "" // shadowed
-		}
+	if _, isB := info.Uses[id].(*types.Builtin); !isB {
+		return ""
 	}
-	switch id.Name {
-	case "append", "cap", "clear", "copy", "delete", "len", "make", "max", "min", "new", "panic", "print", "println":
-		return id.Name
-	}
-	return ""
+	return id.Name
 }
 
 // IsErrorType reports whether t is the error interface or a type
 // implementing it.
 func IsErrorType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if b, ok := t.(*types.Basic); ok && b.Kind() == types.Invalid {
-		return false
-	}
-	errType := types.Universe.Lookup("error").Type()
-	if types.Identical(t, errType) {
-		return true
-	}
-	iface, _ := errType.Underlying().(*types.Interface)
-	if iface == nil {
-		return false
-	}
-	return types.Implements(t, iface)
+	return types.Implements(t, types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
 }

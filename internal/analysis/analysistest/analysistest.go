@@ -12,17 +12,16 @@
 // line; diagnostics without a matching want, and wants without a
 // matching diagnostic, fail the test.
 //
-// Golden packages are type-checked against stub imports: each import
-// resolves to an empty package, undefined-member errors are ignored,
-// and analyzers see exactly the partial type information they must
-// tolerate. This keeps the harness hermetic — no export data, no
-// GOPATH, no network — which is what lets the suite run in this repo's
-// offline build.
+// Golden packages are type-checked in full, as TestTreeIsClean checks
+// the module: the standard library resolves through its export data, an
+// import of an earlier golden package resolves to that package as
+// checked, and a type error fails the test.
 package analysistest
 
 import (
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -37,57 +36,49 @@ import (
 	"repro/internal/analysis"
 )
 
-// Run analyzes each named package under dir/src, in order, and checks
-// the findings against the // want comments in its sources.
+// Run analyzes the named packages under dir/src, in order, in one
+// analysis.Run, and checks the findings against the // want comments in
+// their sources.
 //
-// Packages share one fact store and one importer: a later package that
-// imports an earlier one (by its directory name as import path) sees
-// both its real type information and the facts the analyzer exported
-// for it, the way TestTreeIsClean threads facts through the module.
-// Order the packages dependency-first.
+// A later package that imports an earlier one (by its directory name as
+// import path) sees its type information and whatever the analyzer kept
+// for it (analysis.Pass.Shared), the way TestTreeIsClean walks the
+// module. Order the packages dependency-first.
 func Run(t *testing.T, dir string, a *analysis.Analyzer, cfg *analysis.Config, pkgs ...string) {
 	t.Helper()
-	imp := stubImporter{make(map[string]*types.Package)}
-	facts := analysis.NewFactStore()
-	for _, pkg := range pkgs {
-		runOne(t, filepath.Join(dir, "src", pkg), pkg, a, cfg, imp, facts)
-		facts.Seal(pkg)
-	}
-}
-
-func runOne(t *testing.T, dir, pkgPath string, a *analysis.Analyzer, cfg *analysis.Config, imp stubImporter, facts *analysis.FactStore) {
-	t.Helper()
 	fset := token.NewFileSet()
-	files, err := parseDir(fset, dir)
+	std := importer.ForCompiler(fset, "gc", nil)
+	checked := make(map[string]*types.Package)
+	tc := &types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+		if p := checked[path]; p != nil {
+			return p, nil
+		}
+		return std.Import(path)
+	})}
+	var all []*analysis.Package
+	var files []*ast.File
+	for _, path := range pkgs {
+		fs, err := parseDir(fset, filepath.Join(dir, "src", path))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		info := &types.Info{
+			Types:      make(map[ast.Expr]types.TypeAndValue),
+			Defs:       make(map[*ast.Ident]types.Object),
+			Uses:       make(map[*ast.Ident]types.Object),
+			Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		}
+		pkg, err := tc.Check(path, fset, fs, info)
+		if err != nil {
+			t.Fatalf("type-checking %s: %v", path, err)
+		}
+		checked[path] = pkg
+		all = append(all, &analysis.Package{Files: fs, Path: path, Types: pkg, Info: info})
+		files = append(files, fs...)
+	}
+	diags, err := analysis.Run(fset, cfg, []*analysis.Analyzer{a}, all...)
 	if err != nil {
-		t.Fatalf("%s: %v", pkgPath, err)
-	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-	}
-	tc := &types.Config{
-		Importer: imp,
-		Error:    func(error) {}, // stub imports guarantee errors; analyzers must cope
-	}
-	pkg, _ := tc.Check(pkgPath, fset, files, info)
-	if pkg != nil {
-		// Later fixture packages import this one for real.
-		pkg.MarkComplete()
-		imp.pkgs[pkgPath] = pkg
-	}
-	diags, err := analysis.RunFacts(&analysis.Package{
-		Fset:  fset,
-		Files: files,
-		Path:  pkgPath,
-		Types: pkg,
-		Info:  info,
-	}, cfg, []*analysis.Analyzer{a}, facts)
-	if err != nil {
-		t.Fatalf("%s: %v", pkgPath, err)
+		t.Fatal(err)
 	}
 
 	wants := collectWants(t, fset, files)
@@ -106,6 +97,10 @@ func runOne(t *testing.T, dir, pkgPath string, a *analysis.Analyzer, cfg *analys
 		}
 	}
 }
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
 	entries, err := os.ReadDir(dir)
@@ -131,29 +126,6 @@ func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
 		files = append(files, f)
 	}
 	return files, nil
-}
-
-// stubImporter resolves every import to an empty, complete package
-// named after the path's last element.
-type stubImporter struct {
-	pkgs map[string]*types.Package
-}
-
-func (s stubImporter) Import(path string) (*types.Package, error) {
-	if path == "unsafe" {
-		return types.Unsafe, nil
-	}
-	if p := s.pkgs[path]; p != nil {
-		return p, nil
-	}
-	name := path
-	if i := strings.LastIndex(name, "/"); i >= 0 {
-		name = name[i+1:]
-	}
-	p := types.NewPackage(path, name)
-	p.MarkComplete()
-	s.pkgs[path] = p
-	return p, nil
 }
 
 type lineKey struct {

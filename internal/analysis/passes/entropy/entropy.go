@@ -154,14 +154,7 @@ func isRandRand(pass *analysis.Pass, e ast.Expr) bool {
 // fedByRNG reports whether the expression's static type is *RNG (the
 // farm package's serializable source).
 func fedByRNG(pass *analysis.Pass, e ast.Expr) bool {
-	if pass.TypesInfo == nil {
-		return false
-	}
-	tv, ok := pass.TypesInfo.Types[e]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	t := tv.Type
+	t := pass.TypesInfo.TypeOf(e)
 	if p, okP := t.Underlying().(*types.Pointer); okP {
 		t = p.Elem()
 	}

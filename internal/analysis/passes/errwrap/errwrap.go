@@ -75,7 +75,7 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
 // checkErrorf lines the format verbs up with the arguments and flags
 // error-typed arguments rendered by anything but %w.
 func checkErrorf(pass *analysis.Pass, call *ast.CallExpr) {
-	if len(call.Args) < 2 || pass.TypesInfo == nil {
+	if len(call.Args) < 2 {
 		return
 	}
 	tv, ok := pass.TypesInfo.Types[call.Args[0]]
@@ -135,9 +135,6 @@ func verbs(format string) []rune {
 
 func checkCompare(pass *analysis.Pass, be *ast.BinaryExpr) {
 	if be.Op != token.EQL && be.Op != token.NEQ {
-		return
-	}
-	if pass.TypesInfo == nil {
 		return
 	}
 	x, okx := pass.TypesInfo.Types[be.X]

@@ -1,10 +1,10 @@
 // Package lockorder enforces a consistent mutex acquisition order
-// across the packages in Config.LockScope. Each package exports two
-// summaries as facts: per-function lock operations and call edges (so
-// a callee's acquisitions count against the locks its caller holds),
-// and the resulting order edges "A held while B acquired". A package
-// reports a conflict when one of its own edges opposes any edge in
-// view: its own, or one exported by a package analyzed before it
+// across the packages in Config.LockScope. The run keeps one graph
+// (Pass.Shared): every analyzed function's lock operations and calls, so
+// a callee's acquisitions count against the locks its caller holds, and
+// the first order edge "A held while B acquired" of every pair. A
+// package reports a conflict when one of its own edges opposes an edge
+// in the graph: its own, or one added by a package analyzed before it
 // (every dependency is). That is where cross-package inversions become
 // visible, since holding a lock across a call into another package is
 // exactly the importing side's doing.
@@ -16,43 +16,51 @@
 // end of the function, which is the pattern's meaning. A block that
 // ends in return leaves the path after it alone: the held set after
 // `if dup { mu.Unlock(); return }` is the one before it.
+//
+// Functions and calls are keyed by flat names:
+//
+//	pkgpath.FuncName         top-level function
+//	pkgpath.Recv.Name        method (pointer markers stripped)
+//
+// Pointer receivers are stripped because Go forbids declaring the same
+// method name on both T and *T, so the short form is unambiguous.
 package lockorder
 
 import (
+	"cmp"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"slices"
 	"sort"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/dataflow"
 )
 
 var Analyzer = analysis.Register(&analysis.Analyzer{
 	Name: "lockorder",
 	Doc: "flag pairs of mutexes acquired in opposite orders anywhere across the " +
-		"LockScope packages, following calls through exported summaries",
+		"LockScope packages, following calls through the run's shared summaries",
 	Run: run,
 })
 
-type fact struct {
-	Funcs map[string]funcSummary `json:"funcs"`
-	Edges []edge                 `json:"edges,omitempty"`
+// graph is the run's lock-order state, shared by every package.
+type graph struct {
+	// funcs holds every analyzed function's lock operations and calls,
+	// by function key.
+	funcs map[string][]item
+	// edges holds, for each ordered pair (held, acquired), the first
+	// edge the run found.
+	edges map[[2]string]edge
 }
 
-type funcSummary struct {
-	Locks []string `json:"locks,omitempty"` // locks acquired directly, deduped
-	Calls []string `json:"calls,omitempty"`
-}
-
-// An edge records "From was held when To was acquired".
+// An edge records where its pair's second lock was acquired while the
+// first was held.
 type edge struct {
-	From string `json:"from"`
-	To   string `json:"to"`
-	Func string `json:"func"` // function whose body created the edge
-	Posn string `json:"posn"`
-	Via  string `json:"via,omitempty"` // callee that acquires To, for indirect edges
+	fn  string // function whose body created the edge
+	pos token.Pos
+	via string // callee that acquires the lock, for indirect edges
 }
 
 // item is one simulation step: a lock op or a call, in source order,
@@ -67,83 +75,40 @@ func run(pass *analysis.Pass) error {
 	if !analysis.Match(pass.Config.LockScope, pass.PkgPath) {
 		return nil
 	}
+	g := pass.Shared(func() any {
+		return &graph{funcs: make(map[string][]item), edges: make(map[[2]string]edge)}
+	}).(*graph)
 
-	funcs := dataflow.Functions(pass)
-	items := make(map[string][]item, len(funcs))
-	out := fact{Funcs: make(map[string]funcSummary, len(funcs))}
-	for _, fn := range funcs {
-		its := collectItems(pass, fn.Decl)
-		items[fn.Key] = its
-		sum := funcSummary{}
-		seenL, seenC := make(map[string]bool), make(map[string]bool)
-		for _, it := range its {
-			switch it.kind {
-			case 'l':
-				if !seenL[it.name] {
-					seenL[it.name] = true
-					sum.Locks = append(sum.Locks, it.name)
-				}
-			case 'c':
-				if !seenC[it.name] {
-					seenC[it.name] = true
-					sum.Calls = append(sum.Calls, it.name)
-				}
-			}
-		}
-		sort.Strings(sum.Locks)
-		sort.Strings(sum.Calls)
-		out.Funcs[fn.Key] = sum
-	}
-
-	// Merge dependency summaries for the transitive-acquisition closure
-	// and collect their edges.
-	merged := make(map[string]funcSummary)
-	var depEdges []edge
-	for _, dep := range pass.FactPackages() {
-		var f fact
-		if ok, err := pass.ImportFact(dep, &f); err != nil {
-			return err
-		} else if !ok {
+	own := make(map[string][]item)
+	for _, f := range pass.Files {
+		if pass.IsTestFile(f) {
 			continue
 		}
-		for key, sum := range f.Funcs {
-			merged[key] = sum
+		for _, decl := range f.Decls {
+			// Declarations without bodies (assembly stubs) have nothing
+			// to simulate.
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				own[funcKey(pass.TypesInfo.Defs[fd.Name].(*types.Func))] = collectItems(pass, fd)
+			}
 		}
-		depEdges = append(depEdges, f.Edges...)
 	}
-	for key, sum := range out.Funcs {
-		merged[key] = sum
-	}
-	acq := &acquirer{funcs: merged, memo: make(map[string][]string)}
+	maps.Copy(g.funcs, own)
+	acq := &acquirer{funcs: g.funcs, memo: make(map[string][]string), visiting: make(map[string]bool)}
 
-	// Simulate each local function to produce this package's edges.
-	var ownEdges []edge
-	type witness struct {
-		pos token.Pos
-		via string
-	}
-	witnesses := make(map[[2]string]witness)
-	keys := make([]string, 0, len(items))
-	for k := range items {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, fnKey := range keys {
+	// Simulate each local function; found keeps this package's first
+	// edge of each pair, in key order, then source order.
+	found := make(map[[2]string]edge)
+	for _, fnKey := range slices.Sorted(maps.Keys(own)) {
 		var held []string    // held locks, acquisition order
 		var saved [][]string // held at the entry of each open returning block
 		addEdge := func(to string, pos token.Pos, via string) {
 			for _, from := range held {
-				if from == to {
-					continue
-				}
-				e := edge{From: from, To: to, Func: fnKey, Posn: dataflow.Posn(pass.Fset, pos), Via: via}
-				ownEdges = append(ownEdges, e)
-				if _, ok := witnesses[[2]string{from, to}]; !ok {
-					witnesses[[2]string{from, to}] = witness{pos, via}
+				if _, ok := found[[2]string{from, to}]; from != to && !ok {
+					found[[2]string{from, to}] = edge{fnKey, pos, via}
 				}
 			}
 		}
-		for _, it := range items[fnKey] {
+		for _, it := range own[fnKey] {
 			switch it.kind {
 			case 's':
 				saved = append(saved, slices.Clone(held))
@@ -162,10 +127,7 @@ func run(pass *analysis.Pass) error {
 					held = slices.Delete(held, i, i+1)
 				}
 			case 'c':
-				if len(held) == 0 {
-					continue
-				}
-				if pass.Allowed(it.pos) {
+				if len(held) == 0 || pass.Allowed(it.pos) {
 					continue
 				}
 				for _, to := range acq.of(it.name) {
@@ -174,97 +136,67 @@ func run(pass *analysis.Pass) error {
 			}
 		}
 	}
-	out.Edges = dedupeEdges(ownEdges)
-	if err := pass.ExportFact(&out); err != nil {
-		return err
-	}
 
-	// An own edge conflicting with any visible opposite edge is a
-	// finding, reported at the local witness.
-	oppose := make(map[[2]string]edge)
-	for _, e := range append(depEdges, out.Edges...) {
-		key := [2]string{e.From, e.To}
-		if _, ok := oppose[key]; !ok {
-			oppose[key] = e
+	// An own edge opposed by an edge in view is a finding, reported at
+	// its first site here. An earlier package's edge is cited before
+	// this package's own.
+	pairs := slices.SortedFunc(maps.Keys(found), func(a, b [2]string) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+	})
+	for _, pair := range pairs {
+		e := found[pair]
+		rev, ok := g.edges[[2]string{pair[1], pair[0]}]
+		if !ok {
+			rev, ok = found[[2]string{pair[1], pair[0]}]
 		}
-	}
-	reported := make(map[[2]string]bool)
-	for _, e := range out.Edges {
-		rev, ok := oppose[[2]string{e.To, e.From}]
-		if !ok || reported[[2]string{e.From, e.To}] {
+		if !ok {
 			continue
 		}
-		reported[[2]string{e.From, e.To}] = true
-		w := witnesses[[2]string{e.From, e.To}]
-		if w.via != "" {
-			pass.Reportf(w.pos, "call to %s acquires %s while holding %s, but %s (%s) acquires them in the opposite order",
-				w.via, e.To, e.From, rev.Func, rev.Posn)
+		if e.via != "" {
+			pass.Reportf(e.pos, "call to %s acquires %s while holding %s, but %s (%s) acquires them in the opposite order",
+				e.via, pair[1], pair[0], rev.fn, pass.Fset.Position(rev.pos))
 		} else {
-			pass.Reportf(w.pos, "acquires %s while holding %s, but %s (%s) acquires them in the opposite order",
-				e.To, e.From, rev.Func, rev.Posn)
+			pass.Reportf(e.pos, "acquires %s while holding %s, but %s (%s) acquires them in the opposite order",
+				pair[1], pair[0], rev.fn, pass.Fset.Position(rev.pos))
+		}
+	}
+	for _, pair := range pairs {
+		if _, ok := g.edges[pair]; !ok {
+			g.edges[pair] = found[pair]
 		}
 	}
 	return nil
 }
 
-func dedupeEdges(edges []edge) []edge {
-	sort.Slice(edges, func(i, j int) bool {
-		a, b := edges[i], edges[j]
-		if a.From != b.From {
-			return a.From < b.From
-		}
-		if a.To != b.To {
-			return a.To < b.To
-		}
-		return a.Posn < b.Posn
-	})
-	var out []edge
-	seen := make(map[[2]string]bool)
-	for _, e := range edges {
-		key := [2]string{e.From, e.To}
-		if !seen[key] {
-			seen[key] = true
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // acquirer computes the set of locks a function acquires transitively,
-// memoized and cycle-safe over the merged summaries.
+// memoized and cycle-safe over the run's summaries.
 type acquirer struct {
-	funcs   map[string]funcSummary
-	memo    map[string][]string
-	visitng map[string]bool
+	funcs    map[string][]item
+	memo     map[string][]string
+	visiting map[string]bool
 }
 
 func (a *acquirer) of(key string) []string {
 	if locks, ok := a.memo[key]; ok {
 		return locks
 	}
-	if a.visitng == nil {
-		a.visitng = make(map[string]bool)
-	}
-	if a.visitng[key] {
+	if a.visiting[key] {
 		return nil
 	}
-	a.visitng[key] = true
+	a.visiting[key] = true
 	set := make(map[string]bool)
-	sum := a.funcs[key]
-	for _, l := range sum.Locks {
-		set[l] = true
-	}
-	for _, c := range sum.Calls {
-		for _, l := range a.of(c) {
-			set[l] = true
+	for _, it := range a.funcs[key] {
+		switch it.kind {
+		case 'l':
+			set[it.name] = true
+		case 'c':
+			for _, l := range a.of(it.name) {
+				set[l] = true
+			}
 		}
 	}
-	delete(a.visitng, key)
-	locks := make([]string, 0, len(set))
-	for l := range set {
-		locks = append(locks, l)
-	}
-	sort.Strings(locks)
+	delete(a.visiting, key)
+	locks := slices.Sorted(maps.Keys(set))
 	a.memo[key] = locks
 	return locks
 }
@@ -300,7 +232,7 @@ func collectItems(pass *analysis.Pass, fd *ast.FuncDecl) []item {
 				}
 				return true
 			}
-			if key, ok := dataflow.CalleeKey(pass, n); ok {
+			if key, ok := calleeKey(pass.TypesInfo, n); ok {
 				items = append(items, item{'c', key, n.Pos()})
 			}
 		}
@@ -361,7 +293,7 @@ func lockKey(pass *analysis.Pass, e ast.Expr) (string, bool) {
 			return v.Pkg().Path() + "." + v.Name(), true
 		}
 	case *ast.SelectorExpr:
-		if key, ok := dataflow.FieldKey(pass.TypesInfo, e); ok {
+		if key, ok := fieldKey(pass.TypesInfo, e); ok {
 			return key, true
 		}
 		// Package-qualified variable: pkg.Mu.
@@ -374,4 +306,68 @@ func lockKey(pass *analysis.Pass, e ast.Expr) (string, bool) {
 
 func pkgLevel(v *types.Var) bool {
 	return v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
+}
+
+// funcKey returns the key of a resolved function object.
+// The universe's error.Error has no package.
+func funcKey(fn *types.Func) string {
+	pkg := ""
+	if fn.Pkg() != nil {
+		pkg = fn.Pkg().Path()
+	}
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+		if name := namedRecvName(recv.Type()); name != "" {
+			return pkg + "." + name + "." + fn.Name()
+		}
+	}
+	return pkg + "." + fn.Name()
+}
+
+func namedRecvName(t types.Type) string {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if n, ok := t.(*types.Named); ok {
+		return n.Obj().Name()
+	}
+	return ""
+}
+
+// calleeKey resolves a call's static callee to its key. ok is false for
+// builtins, conversions and function-typed values. An interface method
+// stays resolvable: the key names the interface method, which is as
+// precise as a static summary gets.
+func calleeKey(info *types.Info, call *ast.CallExpr) (string, bool) {
+	var id *ast.Ident
+	switch e := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = e
+	case *ast.SelectorExpr:
+		id = e.Sel
+	case *ast.IndexExpr: // generic instantiation f[T](...)
+		if sub, ok := ast.Unparen(e.X).(*ast.Ident); ok {
+			id = sub
+		} else if sel, ok := ast.Unparen(e.X).(*ast.SelectorExpr); ok {
+			id = sel.Sel
+		}
+	}
+	if fn, ok := info.Uses[id].(*types.Func); ok {
+		return funcKey(fn), true
+	}
+	return "", false
+}
+
+// fieldKey resolves a selector expression to a struct-field key
+// (pkg.Type.Field), or ok=false when the selector is not a field access
+// on a named struct type.
+func fieldKey(info *types.Info, sel *ast.SelectorExpr) (string, bool) {
+	s, ok := info.Selections[sel]
+	if !ok || s.Kind() != types.FieldVal {
+		return "", false
+	}
+	name := namedRecvName(s.Recv())
+	if name == "" {
+		return "", false
+	}
+	return s.Obj().Pkg().Path() + "." + name + "." + s.Obj().Name(), true
 }

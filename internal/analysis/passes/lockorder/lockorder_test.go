@@ -12,8 +12,8 @@ func TestLockOrder(t *testing.T) {
 	analysistest.Run(t, "testdata", Analyzer, cfg, "l")
 }
 
-// TestCrossPackage: dep exports the MuX→MuY order edge; kern inverts
-// it by holding MuY across a call into dep.
+// TestCrossPackage: dep adds the MuX→MuY order edge to the run's graph;
+// kern inverts it by holding MuY across a call into dep.
 func TestCrossPackage(t *testing.T) {
 	cfg := &analysis.Config{LockScope: []string{"dep", "kern"}}
 	analysistest.Run(t, "testdata", Analyzer, cfg, "dep", "kern")

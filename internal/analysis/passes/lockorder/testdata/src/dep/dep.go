@@ -1,5 +1,5 @@
 // Package dep is the upstream half of the cross-package fixture: it
-// establishes the MuX-before-MuY order and exports it as an edge fact.
+// establishes the MuX-before-MuY order in the run's lock graph.
 package dep
 
 type Mutex struct{}

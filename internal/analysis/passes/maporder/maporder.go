@@ -77,14 +77,7 @@ func run(pass *analysis.Pass) error {
 }
 
 func isMapRange(pass *analysis.Pass, rs *ast.RangeStmt) bool {
-	if pass.TypesInfo == nil {
-		return false
-	}
-	tv, ok := pass.TypesInfo.Types[rs.X]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	_, isMap := tv.Type.Underlying().(*types.Map)
+	_, isMap := pass.TypesInfo.TypeOf(rs.X).Underlying().(*types.Map)
 	return isMap
 }
 
@@ -123,7 +116,7 @@ func checkMapRange(pass *analysis.Pass, rs *ast.RangeStmt, fnBody *ast.BlockStmt
 			if consumed[n] {
 				return true
 			}
-			if tv, ok := typeOf(pass, n.Fun); ok && tv.IsType() {
+			if pass.TypesInfo.Types[n.Fun].IsType() {
 				return true // conversion
 			}
 			switch analysis.BuiltinNameOf(pass.TypesInfo, n.Fun) {
@@ -197,14 +190,6 @@ func returnsElement(pass *analysis.Pass, rs *ast.RangeStmt) bool {
 	return found
 }
 
-func typeOf(pass *analysis.Pass, e ast.Expr) (types.TypeAndValue, bool) {
-	if pass.TypesInfo == nil {
-		return types.TypeAndValue{}, false
-	}
-	tv, ok := pass.TypesInfo.Types[e]
-	return tv, ok
-}
-
 // selfAppend matches `s = append(s, ...)` and returns s's object.
 func selfAppend(pass *analysis.Pass, as *ast.AssignStmt) (types.Object, *ast.CallExpr, bool) {
 	if len(as.Lhs) != 1 || len(as.Rhs) != 1 {
@@ -219,7 +204,7 @@ func selfAppend(pass *analysis.Pass, as *ast.AssignStmt) (types.Object, *ast.Cal
 		return nil, nil, false
 	}
 	first, ok := call.Args[0].(*ast.Ident)
-	if !ok || first.Name != lhs.Name || pass.TypesInfo == nil {
+	if !ok || first.Name != lhs.Name {
 		return nil, nil, false
 	}
 	obj := pass.TypesInfo.ObjectOf(lhs)
@@ -241,11 +226,7 @@ func declaredBefore(obj types.Object, rs *ast.RangeStmt) bool {
 // non-associative in finite precision, string += concatenates in
 // visit order. Integer accumulation commutes and passes.
 func accumulatesOrderSensitively(pass *analysis.Pass, lhs ast.Expr) bool {
-	tv, ok := typeOf(pass, lhs)
-	if !ok || tv.Type == nil {
-		return false
-	}
-	b, ok := tv.Type.Underlying().(*types.Basic)
+	b, ok := pass.TypesInfo.TypeOf(lhs).Underlying().(*types.Basic)
 	if !ok {
 		return false
 	}

@@ -1,5 +1,5 @@
-// Package x starts the facts round trip: it is in scope and exports a
-// fact, and nothing before it does, so it reports nothing.
+// Package x starts the round trip: it is in scope and stores itself in
+// the shared value, and nothing before it does, so it reports nothing.
 package x
 
 func X() {}

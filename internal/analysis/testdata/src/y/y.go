@@ -1,5 +1,6 @@
 // Package y reaches x only through the unanalyzed z, and still sees
-// x's fact. A fact from z would be a second, unexpected diagnostic.
+// what x stored. An entry from z would be a second, unexpected
+// diagnostic.
 package y // want `sees fact from x$`
 
 import "z"

@@ -1,5 +1,5 @@
 // Package z sits between x and y outside every scope: it is not
-// analyzed, so it neither reports x's fact nor exports one of its own.
+// analyzed, so it neither reports what x stored nor stores itself.
 package z
 
 import "x"

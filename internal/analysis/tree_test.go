@@ -39,10 +39,11 @@ type listed struct {
 // `go list -deps -export` names the module's packages dependency-first
 // together with the export data of everything they import; each
 // in-scope package is type-checked from its non-test source against
-// that export data and analyzed through one FactStore, sealed after
-// every package, so the cross-package passes see each dependency's
-// facts. A finding fails the test as file:line: analyzer: message,
-// with the file named from the module root.
+// that export data, and one analysis.Run walks them all in that order,
+// so lockorder's one graph holds each dependency's summaries before
+// its importers are analyzed. A finding fails the test as
+// file:line: analyzer: message, with the file named from the module
+// root.
 //
 // It also fails when analysis.Default() has a scope pattern that
 // matches no package, which every pass would skip silently.
@@ -67,21 +68,19 @@ func TestTreeIsClean(t *testing.T) {
 		return os.Open(export[path])
 	})
 
-	facts := analysis.NewFactStore()
+	var scoped []*analysis.Package
 	for _, p := range pkgs {
-		if !cfg.InScope(p.ImportPath) {
-			continue
+		if cfg.InScope(p.ImportPath) {
+			scoped = append(scoped, typeCheck(t, fset, gc, root, p))
 		}
-		pkg := typeCheck(t, fset, gc, root, p)
-		diags, err := analysis.RunFacts(pkg, cfg, suite, facts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		facts.Seal(p.ImportPath)
-		for _, d := range diags {
-			posn := fset.Position(d.Pos)
-			t.Errorf("%s:%d: %s: %s", posn.Filename, posn.Line, d.Analyzer, d.Message)
-		}
+	}
+	diags, err := analysis.Run(fset, cfg, suite, scoped...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diags {
+		posn := fset.Position(d.Pos)
+		t.Errorf("%s:%d: %s: %s", posn.Filename, posn.Line, d.Analyzer, d.Message)
 	}
 
 	for _, scope := range [][]string{cfg.Deterministic, cfg.ErrorSurface, cfg.LockScope} {
@@ -162,7 +161,7 @@ func typeCheck(t *testing.T, fset *token.FileSet, gc types.Importer, root string
 	if err != nil {
 		t.Fatalf("type-checking %s: %v", p.ImportPath, err)
 	}
-	return &analysis.Package{Fset: fset, Files: files, Path: p.ImportPath, Types: pkg, Info: info}
+	return &analysis.Package{Files: files, Path: p.ImportPath, Types: pkg, Info: info}
 }
 
 type importerFunc func(path string) (*types.Package, error)

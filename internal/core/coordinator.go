@@ -41,8 +41,8 @@ type Job struct {
 	round   int
 	done    map[int]bool
 
-	// rebuild restores a set of dumps into their ranks' live Programs, or
-	// into fresh ones (restoreProgram) that become live, as JobPrograms has.
+	// rebuild restores a set of dumps into their ranks' live Programs, the
+	// ones JobPrograms has.
 	rebuild func(states []*dump.State) ([]Program, error)
 
 	// resplit re-cuts a full set of same-step dumps into the live Programs
@@ -114,27 +114,27 @@ func newJob[C setup[P], P built, R any](cfg C, gather func(C, []P, int) R,
 		done:        make(map[int]bool),
 	}
 	j.rebuild = func(states []*dump.State) ([]Program, error) {
-		// The map is read on the rank goroutines and written on this one
-		// after the join. A rank in it has exited, and resplit refills it
-		// when the boxes change.
-		built := make([]P, len(states))
-		if err := eachRank(len(states), func(i int) (err error) {
-			st := states[i]
-			if p, ok := jp.progs[st.Rank]; ok {
-				built[i], err = p, p.RestoreState(st)
-			} else {
-				built[i], err = restoreProgram(cfg, st)
+		// Every rank a set names has a live Program: newJob built one for
+		// each, resplit replaces them all, and restart refuses a set that
+		// is not one dump per rank. Each restores its dump in place, once
+		// every dump of the set is known to fit: the caller's suspended
+		// states are views of these arrays, so a set refused half-way
+		// would have overwritten them.
+		progs := make([]Program, len(states))
+		for i, st := range states {
+			p := jp.progs[st.Rank]
+			if err := p.fits(st); err != nil {
+				return nil, fmt.Errorf("rebuilding rank %d: %w", st.Rank, err)
 			}
-			if err != nil {
-				return fmt.Errorf("rebuilding rank %d: %w", st.Rank, err)
+			progs[i] = p
+		}
+		if err := eachRank(len(states), func(i int) error {
+			if err := progs[i].RestoreState(states[i]); err != nil {
+				return fmt.Errorf("rebuilding rank %d: %w", states[i].Rank, err)
 			}
 			return nil
 		}); err != nil {
 			return nil, err
-		}
-		progs := make([]Program, len(states))
-		for i, p := range built {
-			jp.progs[states[i].Rank], progs[i] = p, p
 		}
 		return progs, nil
 	}

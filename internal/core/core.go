@@ -211,21 +211,13 @@ func (p *program) dump(step, epoch int, copied bool) *dump.State {
 // Program ends equal to a fresh one restored from the same dump. A dump
 // that does not fit is refused before anything changes.
 func (p *program) RestoreState(st *dump.State) error {
-	if st.Method != p.M.MethodName() {
-		return fmt.Errorf("core: dump method %q, solver is %q", st.Method, p.M.MethodName())
-	}
-	if st.NX != p.at.nx || st.NY != p.at.ny || st.NZ != p.at.nz {
-		return fmt.Errorf("core: dump geometry %dx%dx%d, subregion is %dx%dx%d",
-			st.NX, st.NY, st.NZ, p.at.nx, p.at.ny, p.at.nz)
+	if err := p.fits(st); err != nil {
+		return err
 	}
 	names, arrays := p.M.StateFields()
 	inPlace := true
 	for i, name := range names {
-		src, ok := st.Fields[name]
-		if !ok || len(src) != len(arrays[i]) {
-			return fmt.Errorf("core: dump field %q missing or not %d values long", name, len(arrays[i]))
-		}
-		inPlace = inPlace && &src[0] == &arrays[i][0]
+		inPlace = inPlace && &st.Fields[name][0] == &arrays[i][0]
 	}
 	if inPlace {
 		return nil
@@ -234,6 +226,25 @@ func (p *program) RestoreState(st *dump.State) error {
 	p.buf, p.sends, p.expects = p.buf[:0], p.sends[:0], p.expects[:0]
 	for i, name := range names {
 		copy(arrays[i], st.Fields[name])
+	}
+	return nil
+}
+
+// fits refuses a dump RestoreState cannot load: another method, another
+// subregion, or a field missing or of another length.
+func (p *program) fits(st *dump.State) error {
+	if st.Method != p.M.MethodName() {
+		return fmt.Errorf("core: dump method %q, solver is %q", st.Method, p.M.MethodName())
+	}
+	if st.NX != p.at.nx || st.NY != p.at.ny || st.NZ != p.at.nz {
+		return fmt.Errorf("core: dump geometry %dx%dx%d, subregion is %dx%dx%d",
+			st.NX, st.NY, st.NZ, p.at.nx, p.at.ny, p.at.nz)
+	}
+	names, arrays := p.M.StateFields()
+	for i, name := range names {
+		if src, ok := st.Fields[name]; !ok || len(src) != len(arrays[i]) {
+			return fmt.Errorf("core: dump field %q missing or not %d values long", name, len(arrays[i]))
+		}
 	}
 	return nil
 }

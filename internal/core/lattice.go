@@ -159,17 +159,12 @@ func recut[P built](cfg, next setup[P], states []*dump.State) ([]P, []*dump.Stat
 	if len(states) != len(lat.boxes) {
 		return nil, nil, fmt.Errorf("%d dumps for %d ranks", len(states), len(lat.boxes))
 	}
-	step, err := dump.CommonStep(states)
+	step, err := checkSet(states)
 	if err != nil {
 		return nil, nil, err
 	}
 	method, fields := cfg.dumpSchema()
-	seen := make([]bool, len(lat.boxes))
 	for _, st := range states {
-		if st.Rank < 0 || st.Rank >= len(seen) || seen[st.Rank] {
-			return nil, nil, fmt.Errorf("dump of rank %d is out of range or repeated (%d ranks)", st.Rank, len(seen))
-		}
-		seen[st.Rank] = true
 		b := lat.boxes[st.Rank]
 		switch {
 		case st.Method != method:

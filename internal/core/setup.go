@@ -31,10 +31,10 @@ type setup[P any] interface {
 	// lattice describes the decomposition (valid once Validate passed).
 	lattice() lattice
 	// geometry builds a rank's Program with everything that is not state:
-	// storage allocated (all zero), mask classified, worker budget set. The
-	// two ways to a live Program start here — newProgram adds the initial
-	// condition, restoreProgram loads a dump — so a rebuild never computes
-	// a state it is about to overwrite.
+	// storage allocated (all zero), mask classified, worker budget set.
+	// newProgram adds the initial condition, recut stitches a re-cut state
+	// in, and restoreProgram (the tests' fresh reference) loads a dump, so
+	// no rank computes a state it is about to overwrite.
 	geometry(rank int) (P, error)
 	// initial returns the initial fluid variables in StateFields order.
 	initial() []initField
@@ -49,6 +49,7 @@ type setup[P any] interface {
 // (Program2D and Program3D).
 type built interface {
 	Program
+	fits(st *dump.State) error
 	start(lat lattice, initial []initField, rho0 float64)
 	stitch(lat lattice, global [][]float64)
 	dump(step, epoch int, copied bool) *dump.State

@@ -49,7 +49,8 @@ func (j *Job) Snapshot() ([]*dump.State, error) {
 // Resume restarts a suspended job from the states Suspend returned: every
 // rank's Program is restored from its dump and a fresh worker starts at
 // the next communication epoch, exactly as step 4 of the migration
-// protocol restarts a single migrated process.
+// protocol restarts a single migrated process. A set that is not one dump
+// per rank, all at one step, is refused, and the job stays suspended.
 func (j *Job) Resume(states []*dump.State) error {
 	if len(states) != j.P() {
 		return fmt.Errorf("core: resume: %d states for %d ranks", len(states), j.P())
@@ -63,11 +64,11 @@ func (j *Job) Resume(states []*dump.State) error {
 // restart retires the whole worker set, started or not, replaces it with
 // one fresh worker per state, at the next communication epoch, and starts
 // them. Resume calls it with the suspended rank set, Resize with the re-cut
-// one. A set at mixed steps is refused before anything changes: started,
-// the ranks that are behind would wait for messages their neighbours will
-// never send.
+// one. A set that is not one dump per rank, all at one step, is refused
+// before anything changes: started, the ranks that are behind, or whose
+// neighbour has no dump, would wait for messages that never come.
 func (j *Job) restart(states []*dump.State) error {
-	if _, err := dump.CommonStep(states); err != nil {
+	if _, err := checkSet(states); err != nil {
 		return err
 	}
 	for _, rank := range j.ranks() {
@@ -82,4 +83,17 @@ func (j *Job) restart(states []*dump.State) error {
 	}
 	j.Start()
 	return nil
+}
+
+// checkSet refuses a dump set that is not one dump per rank 0..len-1, all
+// at one step, and returns that step.
+func checkSet(states []*dump.State) (int, error) {
+	seen := make([]bool, len(states))
+	for _, st := range states {
+		if st.Rank < 0 || st.Rank >= len(seen) || seen[st.Rank] {
+			return 0, fmt.Errorf("dump of rank %d is out of range or repeated (%d ranks)", st.Rank, len(seen))
+		}
+		seen[st.Rank] = true
+	}
+	return dump.CommonStep(states)
 }

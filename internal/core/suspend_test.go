@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -91,6 +92,75 @@ func TestResumeRefusesMixedSteps(t *testing.T) {
 	}
 	if j.Epoch() != 0 {
 		t.Errorf("epoch = %d after the refused resume, want 0", j.Epoch())
+	}
+	if err := j.Resume(states); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.WaitDone(); err != nil {
+		t.Fatal(err)
+	}
+	j.Shutdown()
+	if ok, x, y, d := resultsEqual(ref, jp.Gather(steps), 0); !ok {
+		t.Errorf("run differs from reference at (%d,%d) by %g", x, y, d)
+	}
+}
+
+// TestResumeRefusesRankSet: a dump set that is not one dump per rank — a
+// rank repeated, or one outside the decomposition — is refused with an
+// error naming the rank, before anything is retired, instead of starting
+// workers of which some wait for a neighbour that never runs (the job then
+// dies a WaitTimeout later as ErrWorkerSilent, its rank goroutines left
+// behind). A set with one dump that does not fit its rank is refused
+// before any rank is restored: the suspended states are views of the
+// ranks' arrays, so restoring the other dumps first would change them.
+// The job stays suspended, and the proper set still ends in the serial
+// run's bits.
+func TestResumeRefusesRankSet(t *testing.T) {
+	const steps = 40
+	ref, _, err := RunSequential2D(channelConfig(t, MethodLB, 2, 2, 24, 16), steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, jp := newTestJob(t, channelConfig(t, MethodLB, 2, 2, 24, 16), steps)
+	j.WaitTimeout = 2 * time.Second // what an accepted bad set costs to find out
+	j.Start()
+	states, err := j.Suspend()
+	if err != nil {
+		t.Fatal(err)
+	}
+	outside := *states[3]
+	outside.Rank = 4
+	for _, c := range []struct {
+		name string
+		set  []*dump.State
+		rank string // what the refusal must name
+	}{
+		{"repeated", []*dump.State{states[0], states[0], states[2], states[3]}, "rank 0"},
+		{"out of range", []*dump.State{states[0], states[1], states[2], &outside}, "rank 4"},
+	} {
+		err := j.Resume(c.set)
+		if err == nil {
+			t.Fatalf("resume from a %s rank: accepted, then %v", c.name, j.WaitDone())
+		}
+		if !strings.Contains(err.Error(), c.rank) {
+			t.Errorf("resume from a %s rank: %v, want an error naming %s", c.name, err, c.rank)
+		}
+		if j.Epoch() != 0 {
+			t.Errorf("epoch = %d after the refused %s set, want 0", j.Epoch(), c.name)
+		}
+	}
+	misfit := make([]*dump.State, len(states))
+	for i, st := range states {
+		c := *st
+		c.Fields = make(map[string][]float64, len(st.Fields))
+		for name, data := range st.Fields {
+			c.Fields[name] = make([]float64, len(data)) // all zero: restored, it would change the bits
+		}
+		misfit[i] = &c
+	}
+	misfit[3].NX++
+	if err := j.Resume(misfit); err == nil || !strings.Contains(err.Error(), "rank 3") {
+		t.Fatalf("resume from a set whose rank 3 does not fit: %v, want an error naming rank 3", err)
 	}
 	if err := j.Resume(states); err != nil {
 		t.Fatal(err)
