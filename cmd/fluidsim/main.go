@@ -175,6 +175,9 @@ func cmdRun(args []string) error {
 	if *dir == "" {
 		return fmt.Errorf("run: -dir is required")
 	}
+	if *steps < 0 {
+		return fmt.Errorf("run: -steps %d is negative", *steps)
+	}
 	_, cfg, err := loadProblem(*dir)
 	if err != nil {
 		return err

@@ -149,6 +149,28 @@ func TestInitRunStatus(t *testing.T) {
 	}
 }
 
+// TestRunRefusesNegativeSteps: run -steps -1 is an error naming the flag,
+// and no rank file is rewritten; run -steps 0 succeeds.
+func TestRunRefusesNegativeSteps(t *testing.T) {
+	dir := t.TempDir()
+	if err := cmdInit([]string{"-dir", dir, "-geom", "channel", "-nx", "24", "-ny", "12", "-jx", "2", "-jy", "2"}); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(dump.Path(dir, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdRun([]string{"-dir", dir, "-steps", "-1"}); err == nil || !strings.Contains(err.Error(), "-steps") {
+		t.Fatalf("run -steps -1 returned %v, want an error naming -steps", err)
+	}
+	if after, err := os.ReadFile(dump.Path(dir, 0)); err != nil || !bytes.Equal(after, before) {
+		t.Errorf("run -steps -1 changed rank 0's dump (%v)", err)
+	}
+	if err := cmdRun([]string{"-dir", dir, "-steps", "0"}); err != nil {
+		t.Errorf("run -steps 0: %v", err)
+	}
+}
+
 // TestStatusRejectsDamagedSet: a rank file that does not decode, or one
 // that is missing, is an error naming it, not the end of the set.
 func TestStatusRejectsDamagedSet(t *testing.T) {

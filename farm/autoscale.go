@@ -14,9 +14,6 @@ type AutoscaleControl struct {
 	t time.Duration
 }
 
-// Now returns the virtual time of this control tick.
-func (c AutoscaleControl) Now() time.Duration { return c.t }
-
 // Sample captures the farm's state at this tick: queue depth, free and
 // total hosts, and one JobSample per running and queued job, with
 // progress extrapolated to the tick's instant.
@@ -66,18 +63,6 @@ type Sample struct {
 	TotalHosts int
 	Running    []JobSample
 	Queued     []JobSample
-}
-
-// Utilization is the fraction of the pool serving ranks at this tick.
-func (s Sample) Utilization() float64 {
-	if s.TotalHosts == 0 {
-		return 0
-	}
-	busy := 0
-	for _, j := range s.Running {
-		busy += j.Ranks
-	}
-	return float64(busy) / float64(s.TotalHosts)
 }
 
 // JobSample is one job's state inside a Sample.

@@ -577,6 +577,18 @@ func TestJobSpecGrid(t *testing.T) {
 	}
 }
 
+// Utilization is the fraction of the pool serving ranks at this tick.
+func (s Sample) Utilization() float64 {
+	if s.TotalHosts == 0 {
+		return 0
+	}
+	busy := 0
+	for _, j := range s.Running {
+		busy += j.Ranks
+	}
+	return float64(busy) / float64(s.TotalHosts)
+}
+
 // TestSampleUtilization pins the control-loop arithmetic on a handmade
 // sample (no farm involved).
 func TestSampleUtilization(t *testing.T) {

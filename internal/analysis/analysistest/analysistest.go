@@ -13,21 +13,26 @@
 // matching diagnostic, fail the test.
 //
 // Golden packages are type-checked in full, as TestTreeIsClean checks
-// the module: the standard library resolves through its export data, an
-// import of an earlier golden package resolves to that package as
-// checked, and a type error fails the test.
+// the module: the standard library resolves through the export data one
+// GoList names, an import of an earlier golden package resolves to that
+// package as checked, and a type error fails the test.
 package analysistest
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -35,6 +40,63 @@ import (
 
 	"repro/internal/analysis"
 )
+
+// Listed is the part of a `go list -json` record the loaders read.
+type Listed struct {
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	Export     string
+	ImportMap  map[string]string
+	Module     *struct{ GoVersion string }
+}
+
+// GoList runs one `go list -deps -export -json` over the patterns in
+// dir and decodes its records, dependency-first, each with the export
+// data of its package. The module has no requirements, so module and
+// toolchain downloads are switched off: the listing never touches the
+// network.
+func GoList(t *testing.T, dir string, patterns ...string) []Listed {
+	t.Helper()
+	cmd := exec.Command("go", append([]string{"list", "-deps", "-export", "-json"}, patterns...)...)
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), "GOPROXY=off", "GOTOOLCHAIN=local")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list: %v\n%s", err, stderr.Bytes())
+	}
+	var pkgs []Listed
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var p Listed
+		if err := dec.Decode(&p); err != nil {
+			t.Fatal(err)
+		}
+		pkgs = append(pkgs, p)
+	}
+	return pkgs
+}
+
+// Exports is a gc importer over the export data of listed packages.
+func Exports(fset *token.FileSet, pkgs []Listed) types.Importer {
+	export := make(map[string]string, len(pkgs))
+	for _, p := range pkgs {
+		export[p.ImportPath] = p.Export
+	}
+	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if export[path] == "" {
+			return nil, fmt.Errorf("no export data for %s", path)
+		}
+		return os.Open(export[path])
+	})
+}
+
+// ImporterFunc is a function that is a types.Importer.
+type ImporterFunc func(path string) (*types.Package, error)
+
+// Import calls f.
+func (f ImporterFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // Run analyzes the named packages under dir/src, in order, in one
 // analysis.Run, and checks the findings against the // want comments in
@@ -47,9 +109,32 @@ import (
 func Run(t *testing.T, dir string, a *analysis.Analyzer, cfg *analysis.Config, pkgs ...string) {
 	t.Helper()
 	fset := token.NewFileSet()
-	std := importer.ForCompiler(fset, "gc", nil)
+	parsed := make([][]*ast.File, len(pkgs))
+	var imports []string
+	for i, path := range pkgs {
+		fs, err := parseDir(fset, filepath.Join(dir, "src", path))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		parsed[i] = fs
+		for _, f := range fs {
+			for _, spec := range f.Imports {
+				imp, _ := strconv.Unquote(spec.Path.Value)
+				if !slices.Contains(pkgs, imp) {
+					imports = append(imports, imp)
+				}
+			}
+		}
+	}
+	// One listing for every import outside the golden packages: the gc
+	// importer's own lookup would run one `go list` per import.
+	var listed []Listed
+	if len(imports) > 0 {
+		listed = GoList(t, ".", imports...)
+	}
+	std := Exports(fset, listed)
 	checked := make(map[string]*types.Package)
-	tc := &types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+	tc := &types.Config{Importer: ImporterFunc(func(path string) (*types.Package, error) {
 		if p := checked[path]; p != nil {
 			return p, nil
 		}
@@ -57,11 +142,8 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, cfg *analysis.Config, p
 	})}
 	var all []*analysis.Package
 	var files []*ast.File
-	for _, path := range pkgs {
-		fs, err := parseDir(fset, filepath.Join(dir, "src", path))
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
+	for i, path := range pkgs {
+		fs := parsed[i]
 		info := &types.Info{
 			Types:      make(map[ast.Expr]types.TypeAndValue),
 			Defs:       make(map[*ast.Ident]types.Object),
@@ -97,10 +179,6 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, cfg *analysis.Config, p
 		}
 	}
 }
-
-type importerFunc func(path string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
 	entries, err := os.ReadDir(dir)

@@ -1,38 +1,23 @@
 package analysis_test
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
 	"go/ast"
 	"go/build"
-	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
-	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"slices"
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/analysis/analysistest"
 	"repro/internal/analysis/passes/entropy"
 	"repro/internal/analysis/passes/errwrap"
 	"repro/internal/analysis/passes/lockorder"
 	"repro/internal/analysis/passes/maporder"
 )
-
-// listed is the part of a `go list -json` record the loader reads.
-type listed struct {
-	ImportPath string
-	Dir        string
-	GoFiles    []string
-	Export     string
-	ImportMap  map[string]string
-	Module     *struct{ GoVersion string }
-}
 
 // TestTreeIsClean is detlint's gate: the four passes over every
 // package analysis.Default() scopes, with zero findings. One
@@ -52,21 +37,11 @@ func TestTreeIsClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs := goList(t, root)
+	pkgs := analysistest.GoList(t, root, "./...")
 	cfg := analysis.Default()
 	suite := []*analysis.Analyzer{entropy.Analyzer, maporder.Analyzer, errwrap.Analyzer, lockorder.Analyzer}
-
-	export := make(map[string]string, len(pkgs))
-	for _, p := range pkgs {
-		export[p.ImportPath] = p.Export
-	}
 	fset := token.NewFileSet()
-	gc := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		if export[path] == "" {
-			return nil, fmt.Errorf("no export data for %s", path)
-		}
-		return os.Open(export[path])
-	})
+	gc := analysistest.Exports(fset, pkgs)
 
 	var scoped []*analysis.Package
 	for _, p := range pkgs {
@@ -85,44 +60,18 @@ func TestTreeIsClean(t *testing.T) {
 
 	for _, scope := range [][]string{cfg.Deterministic, cfg.ErrorSurface, cfg.LockScope} {
 		for _, pattern := range scope {
-			if !slices.ContainsFunc(pkgs, func(p listed) bool { return analysis.Match([]string{pattern}, p.ImportPath) }) {
+			if !slices.ContainsFunc(pkgs, func(p analysistest.Listed) bool { return analysis.Match([]string{pattern}, p.ImportPath) }) {
 				t.Errorf("analysis.Default(): scope pattern %s matches no package", pattern)
 			}
 		}
 	}
 }
 
-// goList runs `go list -deps -export -json ./...` in the module root
-// and decodes its stream of records. The module has no requirements,
-// so module and toolchain downloads are switched off: the listing
-// never touches the network.
-func goList(t *testing.T, root string) []listed {
-	t.Helper()
-	cmd := exec.Command("go", "list", "-deps", "-export", "-json", "./...")
-	cmd.Dir = root
-	cmd.Env = append(os.Environ(), "GOPROXY=off", "GOTOOLCHAIN=local")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
-	if err != nil {
-		t.Fatalf("go list: %v\n%s", err, stderr.Bytes())
-	}
-	var pkgs []listed
-	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
-		var p listed
-		if err := dec.Decode(&p); err != nil {
-			t.Fatal(err)
-		}
-		pkgs = append(pkgs, p)
-	}
-	return pkgs
-}
-
 // typeCheck parses a listed package's non-test files, naming them by
 // their path from the module root, and type-checks them, resolving
 // imports through the package's ImportMap to the export data go list
 // produced.
-func typeCheck(t *testing.T, fset *token.FileSet, gc types.Importer, root string, p listed) *analysis.Package {
+func typeCheck(t *testing.T, fset *token.FileSet, gc types.Importer, root string, p analysistest.Listed) *analysis.Package {
 	t.Helper()
 	var files []*ast.File
 	for _, name := range p.GoFiles {
@@ -148,7 +97,7 @@ func typeCheck(t *testing.T, fset *token.FileSet, gc types.Importer, root string
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
 	tc := &types.Config{
-		Importer: importerFunc(func(path string) (*types.Package, error) {
+		Importer: analysistest.ImporterFunc(func(path string) (*types.Package, error) {
 			if mapped, ok := p.ImportMap[path]; ok {
 				path = mapped
 			}
@@ -163,7 +112,3 @@ func typeCheck(t *testing.T, fset *token.FileSet, gc types.Importer, root string
 	}
 	return &analysis.Package{Files: files, Path: p.ImportPath, Types: pkg, Info: info}
 }
-
-type importerFunc func(path string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

@@ -128,9 +128,6 @@ func (h *Host) Uptime() (l1, l5, l15 float64) {
 	return h.loads[0], h.loads[1], h.loads[2]
 }
 
-// IdleFor returns how long the interactive user has been idle.
-func (h *Host) IdleFor() time.Duration { return h.idleFor }
-
 // UserIdle reports whether the user has been idle for more than 20 minutes,
 // the section-4.1 threshold separating idle-user from active-user hosts.
 func (h *Host) UserIdle() bool { return h.idleFor >= 20*time.Minute }
@@ -154,9 +151,6 @@ func (h *Host) TouchUser() { h.idleFor = 0 }
 
 // Assigned returns the rank of the parallel subprocess on this host, or -1.
 func (h *Host) Assigned() int { return h.assigned }
-
-// Assign places a parallel subprocess on the host.
-func (h *Host) Assign(rank int) { h.AssignTo("", rank) }
 
 // AssignTo places a parallel subprocess owned by a named job on the host.
 // The owner lets a multi-job scheduler tell its jobs' subprocesses apart.

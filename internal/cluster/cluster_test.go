@@ -109,7 +109,7 @@ func TestLoadAverageConverges(t *testing.T) {
 
 func TestAssignedSubprocessContributesLoad(t *testing.T) {
 	h := NewHost("x", HP715)
-	h.Assign(3)
+	h.AssignTo("", 3)
 	for i := 0; i < 1200; i++ {
 		tick(h)
 	}
@@ -171,7 +171,7 @@ func TestSelectFreeSkipsLoadedAndAssigned(t *testing.T) {
 	// A host with a long-running job exceeds the 0.6 load threshold.
 	c.Hosts[5].StartJob()
 	c.Advance(30 * time.Minute)
-	c.Hosts[6].Assign(0)
+	c.Hosts[6].AssignTo("", 0)
 	got := c.SelectFree(25, DefaultPolicy())
 	for _, h := range got {
 		if h.Name == c.Hosts[5].Name {
@@ -190,7 +190,7 @@ func TestNeedsMigration(t *testing.T) {
 	c := NewPaperCluster()
 	c.Advance(30 * time.Minute)
 	h := c.Hosts[3]
-	h.Assign(7)
+	h.AssignTo("", 7)
 	// Subprocess alone: load ~1, no migration.
 	c.Advance(20 * time.Minute)
 	if busy := c.NeedsMigration(DefaultMigrationPolicy()); len(busy) != 0 {

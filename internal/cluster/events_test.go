@@ -26,8 +26,8 @@ func TestReclaimEventStream(t *testing.T) {
 	if !h.Reclaimed() {
 		t.Error("host not marked reclaimed")
 	}
-	if h.IdleFor() != 0 {
-		t.Errorf("idle clock = %v after user returned", h.IdleFor())
+	if h.idleFor != 0 {
+		t.Errorf("idle clock = %v after user returned", h.idleFor)
 	}
 	if h.Jobs() != 1 {
 		t.Errorf("user jobs = %d, want 1", h.Jobs())

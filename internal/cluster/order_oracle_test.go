@@ -80,7 +80,7 @@ func tiedPool(seed int64) *Cluster {
 		case 1:
 			h.StartJob()
 		case 2:
-			h.Assign(i)
+			h.AssignTo("", i)
 		}
 		c.Hosts = append(c.Hosts, h)
 	}

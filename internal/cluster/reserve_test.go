@@ -34,7 +34,7 @@ func TestSelectFreeFewerThanRequested(t *testing.T) {
 	// Occupy all but three hosts with parallel subprocesses.
 	for i, h := range c.Hosts {
 		if i >= 3 {
-			h.Assign(i)
+			h.AssignTo("", i)
 		}
 	}
 	got := c.SelectFree(10, DefaultPolicy())
@@ -94,7 +94,7 @@ func TestNeedsMigrationEmptyAndUnassigned(t *testing.T) {
 func TestNeedsMigrationThresholdBoundary(t *testing.T) {
 	c := NewPaperCluster()
 	h := c.Hosts[0]
-	h.Assign(0)
+	h.AssignTo("", 0)
 	h.StartJob() // blended load target: 2 (subprocess + user job)
 	c.Advance(time.Hour)
 	if got := c.NeedsMigration(MigrationPolicy{MaxLoad5: 2.5}); len(got) != 0 {
@@ -387,7 +387,7 @@ func TestCapacityCountsReservable(t *testing.T) {
 		for _, h := range c.Hosts {
 			switch rng.Intn(5) {
 			case 0:
-				h.Assign(0)
+				h.AssignTo("", 0)
 			case 1:
 				h.reclaimed = true
 			case 2:

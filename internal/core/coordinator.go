@@ -84,7 +84,8 @@ func (jp *jobPrograms[C, P, R]) Gather(steps int) R {
 }
 
 // NewJob2D prepares a job for a 2D config. Workers are created immediately
-// (channels open at epoch 0) but do not run until Start.
+// (channels open at epoch 0) but do not run until Start. A job runs to
+// step until, which must not be negative.
 func NewJob2D(cfg *Config2D, factory TransportFactory, sync *syncfile.Sync, until int) (*Job, *JobPrograms2D, error) {
 	return newJob(cfg, Gather2D, factory, sync, until)
 }
@@ -98,6 +99,11 @@ func NewJob3D(cfg *Config3D, factory TransportFactory, sync *syncfile.Sync, unti
 // program.
 func newJob[C setup[P], P built, R any](cfg C, gather func(C, []P, int) R,
 	factory TransportFactory, sf *syncfile.Sync, until int) (*Job, *jobPrograms[C, P, R], error) {
+	// A worker's pause step is clamped to until, and the negative pause
+	// steps are its sentinels: a job below step 0 would never pause.
+	if until < 0 {
+		return nil, nil, fmt.Errorf("core: a job cannot run until step %d", until)
+	}
 	progs, err := buildAll[P](cfg)
 	if err != nil {
 		return nil, nil, err
@@ -197,9 +203,6 @@ func (j *Job) wireSync(w *Worker) {
 
 // P returns the number of parallel subprocesses; only Resize changes it.
 func (j *Job) P() int { return j.p }
-
-// Worker returns the current worker of a rank (it changes on migration).
-func (j *Job) Worker(rank int) *Worker { return j.workers[rank] }
 
 // Epoch returns the current communication epoch.
 func (j *Job) Epoch() int { return j.epoch }

@@ -8,7 +8,7 @@
 //
 //   - initialization program  -> the caller builds a global initial state
 //     (cmd/fluidsim and the package examples construct masks and fields);
-//   - decomposition program   -> Decompose2D/Decompose3D, which produce one
+//   - decomposition program   -> Decompose2D, which produces one
 //     dump.State per active subregion;
 //   - job-submit program      -> Job: NewJob2D/NewJob3D create the
 //     workers and open their communication channels, Job.Start runs them

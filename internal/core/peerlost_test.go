@@ -154,7 +154,7 @@ func TestTCPJobFailsOnPeerLost(t *testing.T) {
 	// Closing every rank's channels and releasing rank 3 ends the ranks
 	// that are still waiting; then every rank has failed.
 	for _, rank := range j.ranks() {
-		j.Worker(rank).Close()
+		j.workers[rank].Close()
 	}
 	close(release)
 	for failed := 1; failed < j.P(); failed++ {

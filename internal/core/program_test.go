@@ -99,7 +99,7 @@ func TestNeighbourTableMatchesDecomposition(t *testing.T) {
 		}
 		d.PeriodicX, d.PeriodicY = trial&1 != 0, trial&2 != 0
 		mask := fluid.NewMask2D(gx, gy)
-		for _, s := range d.Subregions() {
+		for _, s := range d.ActiveSubregions() {
 			if (s.I != 0 || s.J != 0) && rng.Intn(4) == 0 {
 				for y := s.Y0; y < s.Y0+s.NY; y++ {
 					for x := s.X0; x < s.X0+s.NX; x++ {
@@ -140,7 +140,7 @@ func TestNeighbourTableMatchesDecomposition(t *testing.T) {
 			t.Fatal(err)
 		}
 		d.PeriodicX, d.PeriodicY, d.PeriodicZ = trial&1 != 0, trial&2 != 0, trial&4 != 0
-		for _, s := range d.Subregions() {
+		for _, s := range d.ActiveSubregions() {
 			if (s.I != 0 || s.J != 0 || s.K != 0) && rng.Intn(4) == 0 {
 				d.Deactivate(s.I, s.J, s.K)
 			}

@@ -607,7 +607,7 @@ func TestResplitMatchesReference3D(t *testing.T) {
 					InitRho: func(x, y, z int) float64 { return 1 + 0.01*float64(x) + 0.001*float64(y-z) },
 					InitVz:  func(x, y, z int) float64 { return 0.001 * float64(x+z) },
 				}
-				old, err := Decompose3D(cfg)
+				old, err := decompose(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -641,7 +641,7 @@ func TestResplitOutsideGhostIsRho0(t *testing.T) {
 	cfg := resizeCfg3D(t, MethodLB, 2, 1, 1)
 	cfg.D.PeriodicX, cfg.D.PeriodicZ = false, false
 	cfg.Par.Rho0 = 1.25
-	old, err := Decompose3D(cfg)
+	old, err := decompose(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

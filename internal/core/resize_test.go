@@ -257,7 +257,7 @@ func TestResizeFailureLeavesJobIntact(t *testing.T) {
 func TestResplitFailureLeavesDecomposition3D(t *testing.T) {
 	for _, method := range []string{MethodLB, MethodFD} {
 		cfg := resizeCfg3D(t, method, 2, 1, 1)
-		states, err := Decompose3D(cfg)
+		states, err := decompose(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

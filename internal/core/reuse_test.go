@@ -18,6 +18,17 @@ import (
 	"repro/internal/syncfile"
 )
 
+// restoreProgram builds the Program a dump belongs to anew: the
+// rank's geometry with the dumped state loaded into it. It is the fresh
+// reference the tests compare a reused or re-cut rank with.
+func restoreProgram[P built](c setup[P], st *dump.State) (P, error) {
+	p, err := c.geometry(st.Rank)
+	if err != nil {
+		return p, err
+	}
+	return p, p.RestoreState(st)
+}
+
 // TestReusedRankEqualsFresh: a copied dump restored into the used Program
 // it came from leaves that Program equal, in every field the reflection
 // walk reaches, to restoreProgram of the same dump — hidden double-swap
@@ -189,7 +200,7 @@ func TestMigrationRebuildsNothing(t *testing.T) {
 					t.Errorf("%s: geometry ran %d times after NewJob, want 0", what, n-int64(len(live)))
 				}
 				for rank, p := range live {
-					if jp.progs[rank] != p || j.Worker(rank).Prog != Program(p) {
+					if jp.progs[rank] != p || j.workers[rank].Prog != Program(p) {
 						t.Errorf("%s: rank %d has a new Program", what, rank)
 					}
 				}
@@ -197,11 +208,11 @@ func TestMigrationRebuildsNothing(t *testing.T) {
 			j.Start()
 
 			hold.wait(j)
-			moved := j.Worker(1)
+			moved := j.workers[1]
 			if err := j.MigrateRanks([]int{1}, nil); err != nil {
 				t.Fatal(err)
 			}
-			if j.Worker(1) == moved {
+			if j.workers[1] == moved {
 				t.Error("migration kept the rank's worker")
 			}
 			same("migration")
@@ -261,13 +272,13 @@ func TestReplacedWorkersLeakNothing(t *testing.T) {
 			}
 		}
 	}
-	old := j.Worker(2)
+	old := j.workers[2]
 	if err := j.MigrateRanks([]int{2}, nil); err != nil {
 		t.Fatal(err)
 	}
 	ended("migration", old)
 
-	olds := []*Worker{j.Worker(0), j.Worker(1), j.Worker(2), j.Worker(3)}
+	olds := []*Worker{j.workers[0], j.workers[1], j.workers[2], j.workers[3]}
 	states, err := j.Suspend()
 	if err != nil {
 		t.Fatal(err)
@@ -279,7 +290,7 @@ func TestReplacedWorkersLeakNothing(t *testing.T) {
 		ended("suspend and resume", w)
 	}
 
-	olds = []*Worker{j.Worker(0), j.Worker(1), j.Worker(2), j.Worker(3)}
+	olds = []*Worker{j.workers[0], j.workers[1], j.workers[2], j.workers[3]}
 	if err := j.Resize(decomp.UniformShape(3, 2, 0, 24, 16, 0)); err != nil {
 		t.Fatal(err)
 	}

@@ -77,25 +77,6 @@ func newProgram[P built](c setup[P], rank int) (P, error) {
 	return p, nil
 }
 
-// restoreProgram builds the Program a dump belongs to: the rank's geometry
-// with the dumped state loaded into it. No initial condition is evaluated —
-// the dump overwrites every array one would write, ghosts included, and
-// everything else a solver owns is zero after either construction.
-func restoreProgram[P built](c setup[P], st *dump.State) (P, error) {
-	var none P
-	if ranks := len(c.lattice().boxes); st.Rank < 0 || st.Rank >= ranks {
-		return none, fmt.Errorf("core: dump of rank %d, decomposition has %d ranks", st.Rank, ranks)
-	}
-	p, err := c.geometry(st.Rank)
-	if err != nil {
-		return none, err
-	}
-	if err := p.RestoreState(st); err != nil {
-		return none, err
-	}
-	return p, nil
-}
-
 // buildAll validates the config and builds every rank at the initial
 // condition.
 func buildAll[P built](c setup[P]) ([]P, error) {

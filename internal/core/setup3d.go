@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/decomp"
-	"repro/internal/dump"
 	"repro/internal/fd"
 	"repro/internal/fluid"
 	"repro/internal/lbm"
@@ -99,9 +98,6 @@ func (c *Config3D) workerBudget() int { return workerBudget(c.Workers, c.D.P()) 
 
 // NewProgram builds the Program for one rank at the initial condition.
 func (c *Config3D) NewProgram(rank int) (*Program3D, error) { return newProgram(c, rank) }
-
-// Decompose3D produces one dump per active box.
-func Decompose3D(c *Config3D) ([]*dump.State, error) { return decompose(c) }
 
 // Result3D is a gathered global 3D solution.
 type Result3D struct {

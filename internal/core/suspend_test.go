@@ -105,6 +105,25 @@ func TestResumeRefusesMixedSteps(t *testing.T) {
 	}
 }
 
+// TestNewJobRefusesNegativeUntil: a job to a step below 0 is refused when
+// it is made. A worker clamps its pause step to until, and the negative
+// pause steps are its sentinels, so such a job would never pause and a
+// suspend would wait out the job's WaitTimeout.
+func TestNewJobRefusesNegativeUntil(t *testing.T) {
+	sf, err := syncfile.New(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j, _, err := NewJob2D(channelConfig(t, MethodLB, 2, 2, 24, 16), HubFactory(), sf, -1); err == nil {
+		j.Shutdown()
+		t.Error("NewJob2D accepted until = -1")
+	}
+	if j, _, err := NewJob3D(periodicConfig3D(t, MethodFD, 2, 1, 1, true, false), HubFactory(), sf, -2); err == nil {
+		j.Shutdown()
+		t.Error("NewJob3D accepted until = -2")
+	}
+}
+
 // TestResumeRefusesRankSet: a dump set that is not one dump per rank — a
 // rank repeated, or one outside the decomposition — is refused with an
 // error naming the rank, before anything is retired, instead of starting
@@ -299,7 +318,7 @@ func snapshotInPlace(t *testing.T, job *Job, live func(rank int) Program) {
 	progs := make([]Program, job.P())
 	workers := make([]*Worker, job.P())
 	for rank := range progs {
-		progs[rank], workers[rank] = live(rank), job.Worker(rank)
+		progs[rank], workers[rank] = live(rank), job.workers[rank]
 	}
 	job.Start()
 	for k := 0; k < 2; k++ {
@@ -319,7 +338,7 @@ func snapshotInPlace(t *testing.T, job *Job, live func(rank int) Program) {
 		t.Errorf("two snapshots rebuilt %d Programs, want 0", rebuilt)
 	}
 	for rank, p := range progs {
-		if live(rank) != p || job.Worker(rank) != workers[rank] || job.Worker(rank).Prog != p {
+		if live(rank) != p || job.workers[rank] != workers[rank] || job.workers[rank].Prog != p {
 			t.Errorf("rank %d: the snapshot replaced its live Program or its worker", rank)
 		}
 	}

@@ -259,27 +259,6 @@ func NewShaped(sh Shape, st Stencil) (*Decomp, error) {
 	return d, nil
 }
 
-// ShapeOf extracts the per-axis spans of the decomposition (row 0's
-// columns, column 0's rows, and for a box lattice the planes; shaped
-// decompositions are lattice-aligned by construction). A planar
-// decomposition's shape carries no z spans, so it reads as it was written.
-func (d *Decomp) ShapeOf() Shape {
-	sh := Shape{X: make([]int, d.JX), Y: make([]int, d.JY)}
-	for i := range sh.X {
-		sh.X[i] = d.Sub(i, 0, 0).NX
-	}
-	for j := range sh.Y {
-		sh.Y[j] = d.Sub(0, j, 0).NY
-	}
-	if !d.planar {
-		sh.Z = make([]int, d.JZ)
-		for k := range sh.Z {
-			sh.Z[k] = d.Sub(0, 0, k).NZ
-		}
-	}
-	return sh
-}
-
 // Planar reports whether the decomposition is one plane thick by
 // construction: built by New2D or from a shape without z spans.
 func (d *Decomp) Planar() bool { return d.planar }
@@ -298,9 +277,6 @@ func (d *Decomp) Sub(i, j, k int) *Subregion {
 	}
 	return &d.subs[(k*d.JY+j)*d.JX+i]
 }
-
-// Subregions returns all subregions in deterministic row-major order.
-func (d *Decomp) Subregions() []Subregion { return d.subs }
 
 // ActiveSubregions returns only the active subregions, rank order.
 func (d *Decomp) ActiveSubregions() []Subregion {
@@ -485,17 +461,6 @@ func (d *Decomp) PaperM() int {
 		}
 	}
 	return d.SurfaceFactor()
-}
-
-// MaxUnsyncSteps returns the largest possible difference in integration
-// step between two processes when one process stops (appendix A):
-// max(J,K)-1 under a full stencil (eq. 22), (J-1)+(K-1) under a star
-// stencil (eq. 23); a box lattice adds its third axis to either.
-func (d *Decomp) MaxUnsyncSteps() int {
-	if d.Stencil == Full {
-		return max(d.JX, d.JY, d.JZ) - 1
-	}
-	return (d.JX - 1) + (d.JY - 1) + (d.JZ - 1)
 }
 
 func (d *Decomp) String() string {

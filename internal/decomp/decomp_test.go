@@ -5,6 +5,9 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/fluid"
+	"repro/internal/geom"
 )
 
 func TestSpanCoversGridExactly(t *testing.T) {
@@ -63,7 +66,7 @@ func TestNew2DBasic(t *testing.T) {
 	}
 	// Ranks must be dense and unique.
 	seen := map[int]bool{}
-	for _, s := range d.Subregions() {
+	for _, s := range d.subs {
 		if seen[s.Rank] {
 			t.Fatalf("duplicate rank %d", s.Rank)
 		}
@@ -182,8 +185,8 @@ func TestNeighborReciprocity(t *testing.T) {
 			name := fmt.Sprintf("%s periodic %03b", l.name, periodic)
 
 			rank := 0
-			for idx := range d.Subregions() {
-				s := &d.Subregions()[idx]
+			for idx := range d.subs {
+				s := &d.subs[idx]
 				if s != d.Sub(s.I, s.J, s.K) || idx != (s.K*d.JY+s.J)*d.JX+s.I {
 					t.Fatalf("%s: subregion %d sits at (%d,%d,%d)", name, idx, s.I, s.J, s.K)
 				}
@@ -228,8 +231,8 @@ func TestPlanarIsABoxOnePlaneThick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(planar.Subregions(), box.Subregions()) {
-		t.Errorf("boxes differ:\n%+v\n%+v", planar.Subregions(), box.Subregions())
+	if !reflect.DeepEqual(planar.subs, box.subs) {
+		t.Errorf("boxes differ:\n%+v\n%+v", planar.subs, box.subs)
 	}
 	if !planar.Planar() || box.Planar() {
 		t.Errorf("Planar() = %v, %v; want true, false", planar.Planar(), box.Planar())
@@ -346,17 +349,92 @@ func TestMeanSideCount(t *testing.T) {
 	}
 }
 
+// TestUnsynchronizationBounds: appendix A bounds how far two ranks drift
+// apart when one of them stops. A rank computes step n+1 only from its
+// neighbours' step-n halos, so a direct neighbour is at most one step
+// ahead, and two ranks drift at most their hop distance: the bound is
+// the hop diameter of the active subregions. On a non-periodic lattice,
+// figures 1 and 2 with their all-wall subregions deactivated included,
+// it is eq. 22's max(J,K)-1 under a full stencil and eq. 23's
+// (J-1)+(K-1) under a star stencil. A periodic wrap shortens it, and
+// there the closed forms overstate it: a periodic 4 x 4 lattice drifts
+// at most 4 and 2 steps, where they give 6 and 3.
 func TestUnsynchronizationBounds(t *testing.T) {
-	// Appendix A: full stencil DN = max(J,K)-1 (eq. 22); star stencil
-	// DN = (J-1)+(K-1) (eq. 23).
-	full, _ := New2D(6, 4, 120, 80, Full)
-	if got := full.MaxUnsyncSteps(); got != 5 {
-		t.Errorf("full-stencil unsync = %d, want 5", got)
+	const nx, ny = 240, 160
+	for _, c := range []struct {
+		name       string
+		jx, jy     int
+		mask       *fluid.Mask2D
+		periodic   bool
+		star, full int
+	}{
+		{"6x4", 6, 4, nil, false, 8, 5},
+		{"figure 1, walls deactivated", 5, 4, geom.FluePipe(nx, ny), false, 7, 4},
+		{"figure 2, walls deactivated", 6, 4, geom.FluePipeChannel(nx, ny), false, 8, 5},
+		{"periodic 4x4", 4, 4, nil, true, 4, 2},
+	} {
+		for _, st := range []Stencil{Star, Full} {
+			d, err := New2D(c.jx, c.jy, nx, ny, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.mask != nil {
+				d.DeactivateWalls(c.mask.Solid)
+			}
+			d.PeriodicX, d.PeriodicY = c.periodic, c.periodic
+			want, closed := c.star, (c.jx-1)+(c.jy-1) // eq. 23
+			if st == Full {
+				want, closed = c.full, max(c.jx, c.jy)-1 // eq. 22
+			}
+			got := hopDiameter(d)
+			if got != want {
+				t.Errorf("%s, %s stencil: hop diameter %d, want %d", c.name, st, got, want)
+			}
+			if !c.periodic && got != closed {
+				t.Errorf("%s, %s stencil: hop diameter %d, eq. 22/23 give %d", c.name, st, got, closed)
+			}
+		}
 	}
-	star, _ := New2D(6, 4, 120, 80, Star)
-	if got := star.MaxUnsyncSteps(); got != 8 {
-		t.Errorf("star-stencil unsync = %d, want 8", got)
+	// A box exchanges across its six faces only: eq. 23 with the third
+	// axis added.
+	box, err := New3D(3, 2, 2, 30, 20, 20)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if got := hopDiameter(box); got != 2+1+1 {
+		t.Errorf("3x2x2 box: hop diameter %d, want 4", got)
+	}
+}
+
+// hopDiameter is the largest hop distance between two active
+// subregions: the fewest Neighbor steps that join them, along the
+// stencil's directions in a plane and the six faces in a box.
+func hopDiameter(d *Decomp) int {
+	dirs := Faces()
+	if d.planar {
+		dirs = Dirs(d.Stencil)
+	}
+	diam := 0
+	for _, src := range d.ActiveSubregions() {
+		dist := make([]int, d.P())
+		for i := range dist {
+			dist[i] = -1
+		}
+		dist[src.Rank] = 0
+		queue := []*Subregion{d.ByRank(src.Rank)}
+		for len(queue) > 0 {
+			s := queue[0]
+			queue = queue[1:]
+			for _, dir := range dirs {
+				if n := d.Neighbor(s, dir); n != nil && dist[n.Rank] < 0 {
+					dist[n.Rank] = dist[s.Rank] + 1
+					diam = max(diam, dist[n.Rank])
+					queue = append(queue, n)
+				}
+			}
+		}
+	}
+	return diam
 }
 
 func TestNew3DBasic(t *testing.T) {
@@ -373,7 +451,7 @@ func TestNew3DBasic(t *testing.T) {
 	}
 	// Full coverage: node counts sum to the grid volume.
 	total := 0
-	for _, s := range d.Subregions() {
+	for _, s := range d.subs {
 		total += s.Nodes()
 	}
 	if total != 75*50*50 {
@@ -408,4 +486,25 @@ func Test3DNeighborsAndFaces(t *testing.T) {
 	if got := p.SurfaceFactor(); got != 2 {
 		t.Errorf("pencil SurfaceFactor = %d, want 2", got)
 	}
+}
+
+// ShapeOf extracts the per-axis spans of the decomposition (row 0's
+// columns, column 0's rows, and for a box lattice the planes; shaped
+// decompositions are lattice-aligned by construction). A planar
+// decomposition's shape carries no z spans, so it reads as it was written.
+func (d *Decomp) ShapeOf() Shape {
+	sh := Shape{X: make([]int, d.JX), Y: make([]int, d.JY)}
+	for i := range sh.X {
+		sh.X[i] = d.Sub(i, 0, 0).NX
+	}
+	for j := range sh.Y {
+		sh.Y[j] = d.Sub(0, j, 0).NY
+	}
+	if !d.planar {
+		sh.Z = make([]int, d.JZ)
+		for k := range sh.Z {
+			sh.Z[k] = d.Sub(0, 0, k).NZ
+		}
+	}
+	return sh
 }

@@ -113,7 +113,7 @@ func TestWeightedShapeMatchesSortOracle(t *testing.T) {
 		if jz > 0 {
 			want.Z = weightedSpansOracle(gz, wz)
 		}
-		if !sh.Equal(want) || sh.Is3D() != want.Is3D() {
+		if !sh.Equal(want) {
 			t.Fatalf("WeightedShape(%d, %d, %d, %d, %d, %d, %v) = %+v, the frozen sort gives %+v",
 				jx, jy, jz, gx, gy, gz, speed, sh, want)
 		}

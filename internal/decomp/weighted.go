@@ -9,8 +9,8 @@
 // Sends/Expects) is untouched: a weighted decomposition exchanges exactly
 // the same messages as a uniform one, just with different boundary
 // lengths. Uniform splitting is the degenerate equal-weights case, bit
-// for bit: WeightedSpans with equal weights reproduces the uniform spans, so
-// homogeneous pools see no change at all.
+// for bit: equal weights reproduce the uniform spans, so homogeneous pools
+// see no change at all.
 package decomp
 
 import (
@@ -31,19 +31,6 @@ type Shape struct {
 
 // IsZero reports whether the shape is unset (uniform splitting applies).
 func (s Shape) IsZero() bool { return len(s.X) == 0 && len(s.Y) == 0 && len(s.Z) == 0 }
-
-// Is3D reports whether the shape carries a z axis.
-func (s Shape) Is3D() bool { return len(s.Z) > 0 }
-
-// Nodes returns the interior node count of the subregion at lattice
-// position (i, j) in 2D or (i, j, k) in 3D (pass k = 0 for 2D shapes).
-func (s Shape) Nodes(i, j, k int) int {
-	n := s.X[i] * s.Y[j]
-	if s.Is3D() {
-		n *= s.Z[k]
-	}
-	return n
-}
 
 // Equal reports whether two shapes assign identical spans.
 func (s Shape) Equal(o Shape) bool {
@@ -111,25 +98,17 @@ func UniformShape3D(jx, jy, jz, gx, gy, gz int) Shape {
 	return UniformShape(jx, jy, jz, gx, gy, gz)
 }
 
-// WeightedSpans splits g nodes into len(w) contiguous pieces with piece i
-// proportional to weight w[i], by the largest-remainder method: each
-// piece gets the floor of its exact quota, and the leftover nodes go one
-// each to the pieces with the largest fractional parts (ties to the
-// lower index). Every piece gets at least one node. Equal weights
-// reproduce the uniform spans bit for bit: all quotas tie, so the leading
-// pieces take the remainder, exactly as the uniform splitter does.
-func WeightedSpans(g int, w []float64) ([]int, error) {
-	spans := make([]int, len(w))
-	if err := weightedSpans(spans, g, w); err != nil {
-		return nil, err
-	}
-	return spans, nil
-}
-
 // maxScratch is the longest axis kept on the stack; no 25-host job is longer.
 const maxScratch = 32
 
-// weightedSpans is WeightedSpans writing into spans (one per weight).
+// weightedSpans splits g nodes into len(w) contiguous pieces, written
+// into spans, with piece i proportional to weight w[i], by the
+// largest-remainder method: each piece gets the floor of its exact quota,
+// and the leftover nodes go one each to the pieces with the largest
+// fractional parts (ties to the lower index). Every piece gets at least
+// one node. Equal weights reproduce the uniform spans bit for bit: all
+// quotas tie, so the leading pieces take the remainder, exactly as the
+// uniform splitter does.
 func weightedSpans(spans []int, g int, w []float64) error {
 	p := len(w)
 	if p == 0 {

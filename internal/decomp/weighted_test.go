@@ -166,7 +166,7 @@ func TestWeightedNeighborsAligned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range d.Subregions() {
+	for _, s := range d.subs {
 		us := u.Sub(s.I, s.J, 0)
 		for _, dir := range Dirs(Full) {
 			n := d.Neighbor(d.Sub(s.I, s.J, 0), dir)
@@ -272,16 +272,10 @@ func TestShapeCheck(t *testing.T) {
 	}
 }
 
-// TestShapeNodesAndEqual covers the Shape arithmetic helpers.
-func TestShapeNodesAndEqual(t *testing.T) {
+// TestShapeEqualAndIsZero covers Shape's comparisons.
+func TestShapeEqualAndIsZero(t *testing.T) {
 	s2 := Shape{X: []int{3, 2}, Y: []int{4, 1}}
-	if s2.Nodes(0, 0, 0) != 12 || s2.Nodes(1, 1, 0) != 2 {
-		t.Errorf("2D Nodes: %d, %d", s2.Nodes(0, 0, 0), s2.Nodes(1, 1, 0))
-	}
 	s3 := Shape{X: []int{3}, Y: []int{4}, Z: []int{5, 2}}
-	if s3.Nodes(0, 0, 1) != 24 {
-		t.Errorf("3D Nodes = %d, want 24", s3.Nodes(0, 0, 1))
-	}
 	if !s2.Equal(Shape{X: []int{3, 2}, Y: []int{4, 1}}) {
 		t.Error("equal shapes compare unequal")
 	}
@@ -290,9 +284,6 @@ func TestShapeNodesAndEqual(t *testing.T) {
 	}
 	if !(Shape{}).IsZero() || s2.IsZero() {
 		t.Error("IsZero wrong")
-	}
-	if s2.Is3D() || !s3.Is3D() {
-		t.Error("Is3D wrong")
 	}
 }
 
@@ -310,4 +301,13 @@ func TestNew3DWeightedSpans(t *testing.T) {
 	if d.SurfaceFactor() != 1 {
 		t.Errorf("surface factor %d, want 1 (one communicating face each)", d.SurfaceFactor())
 	}
+}
+
+// WeightedSpans is weightedSpans into a new slice.
+func WeightedSpans(g int, w []float64) ([]int, error) {
+	spans := make([]int, len(w))
+	if err := weightedSpans(spans, g, w); err != nil {
+		return nil, err
+	}
+	return spans, nil
 }

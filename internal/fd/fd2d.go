@@ -354,17 +354,3 @@ func (s *Solver2D) selfExchange(phase int, periodicX, periodicY bool) {
 		s.Unpack(phase, decomp.North, s.xbuf)
 	}
 }
-
-// MaxVelocity returns the maximum interior |V| component, a stability probe.
-func (s *Solver2D) MaxVelocity() float64 {
-	mx, my := s.Vx.MaxAbsInterior(), s.Vy.MaxAbsInterior()
-	if mx > my {
-		return mx
-	}
-	return my
-}
-
-// Vorticity computes the curl dVy/dx - dVx/dy at interior node (x, y).
-func (s *Solver2D) Vorticity(x, y int) float64 {
-	return 0.5*(s.Vy.At(x+1, y)-s.Vy.At(x-1, y)) - 0.5*(s.Vx.At(x, y+1)-s.Vx.At(x, y-1))
-}

@@ -67,7 +67,7 @@ func Apply2D(fields []*grid.Field2D, eps float64, mask func(x, y int) fluid.Cell
 		for y := 0; y < ny; y++ {
 			for x := 0; x < nx; x++ {
 				if c := scratch[y*nx+x]; c != 0 {
-					f.Add(x, y, -eps*c)
+					f.Set(x, y, f.At(x, y)-eps*c)
 				}
 			}
 		}

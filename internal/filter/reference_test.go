@@ -33,7 +33,7 @@ func refApply2D(p *Plan2D, fields []*grid.Field2D, eps float64) {
 		for y := 0; y < p.ny; y++ {
 			for x := 0; x < p.nx; x++ {
 				if c := scratch[y*p.nx+x]; c != 0 {
-					f.Add(x, y, -eps*c)
+					f.Set(x, y, f.At(x, y)-eps*c)
 				}
 			}
 		}

@@ -232,9 +232,6 @@ func (f *Field2D) At(x, y int) float64 { return f.lay.Data[f.Idx(x, y)] }
 // Set stores v at node (x, y); ghost offsets are legal.
 func (f *Field2D) Set(x, y int, v float64) { f.lay.Data[f.Idx(x, y)] = v }
 
-// Add adds v to node (x, y).
-func (f *Field2D) Add(x, y int, v float64) { f.lay.Data[f.Idx(x, y)] += v }
-
 // Clone returns a deep copy of the field.
 func (f *Field2D) Clone() *Field2D { return &Field2D{f.clone()} }
 
@@ -252,9 +249,6 @@ func (f *Field3D) At(x, y, z int) float64 { return f.lay.Data[f.Idx(x, y, z)] }
 
 // Set stores v at node (x, y, z).
 func (f *Field3D) Set(x, y, z int, v float64) { f.lay.Data[f.Idx(x, y, z)] = v }
-
-// Add adds v to node (x, y, z).
-func (f *Field3D) Add(x, y, z int, v float64) { f.lay.Data[f.Idx(x, y, z)] += v }
 
 // Clone returns a deep copy.
 func (f *Field3D) Clone() *Field3D { return &Field3D{f.clone()} }

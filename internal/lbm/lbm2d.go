@@ -76,11 +76,9 @@ var outgoing2 = [decomp.NumDirs][]int{
 	decomp.SouthEast: {8},
 }
 
-// NuFromTau returns the kinematic viscosity of the BGK lattice with
-// relaxation time tau: nu = (tau - 1/2) / 3 (dx = dt = 1, c_s^2 = 1/3).
-func NuFromTau(tau float64) float64 { return (tau - 0.5) / 3 }
-
-// TauFromNu is the inverse of NuFromTau.
+// TauFromNu returns the relaxation time of the BGK lattice with kinematic
+// viscosity nu, the inverse of nu = (tau - 1/2) / 3 (dx = dt = 1,
+// c_s^2 = 1/3).
 func TauFromNu(nu float64) float64 { return 3*nu + 0.5 }
 
 // Solver2D integrates one subregion with the D2Q9 lattice Boltzmann method.
@@ -554,10 +552,4 @@ func (s *Solver2D) selfExchange(periodicX, periodicY bool) {
 		wrap(decomp.SouthEast)
 		wrap(decomp.SouthWest)
 	}
-}
-
-// Vorticity computes the curl at interior node (x, y) by centered
-// differences of the fluid velocity.
-func (s *Solver2D) Vorticity(x, y int) float64 {
-	return 0.5*(s.Vy.At(x+1, y)-s.Vy.At(x-1, y)) - 0.5*(s.Vx.At(x, y+1)-s.Vx.At(x, y-1))
 }

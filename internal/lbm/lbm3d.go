@@ -173,10 +173,6 @@ func feq3(i int, rho, vx, vy, vz float64) float64 {
 // follows the relax phase.
 func (s *Solver3D) Phases() int { return 4 }
 
-// Exchanges reports whether an exchange follows the phase; ExchangeDirs
-// says on which faces.
-func (s *Solver3D) Exchanges(phase int) bool { return phase <= 2 }
-
 // Face pairs exchanged after each compute phase, fixed at package level
 // so ExchangeDirs stays allocation-free on the step path.
 var (

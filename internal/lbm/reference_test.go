@@ -52,7 +52,7 @@ func refRelax(s *Solver2D) {
 			if forced {
 				for i := 1; i < Q2; i++ {
 					cg := float64(cx2[i])*p.ForceX + float64(cy2[i])*p.ForceY
-					s.F[i].Add(x, y, 3*w2[i]*rho*cg)
+					s.F[i].Set(x, y, s.F[i].At(x, y)+3*w2[i]*rho*cg)
 				}
 			}
 		}
@@ -276,7 +276,7 @@ func refRelax3(s *Solver3D) {
 				if forced {
 					for i := 1; i < Q3; i++ {
 						cg := float64(cx3[i])*p.ForceX + float64(cy3[i])*p.ForceY + float64(cz3[i])*p.ForceZ
-						s.F[i].Add(x, y, z, 3*w3[i]*rho*cg)
+						s.F[i].Set(x, y, z, s.F[i].At(x, y, z)+3*w3[i]*rho*cg)
 					}
 				}
 			}

@@ -8,13 +8,6 @@ package model
 
 import "math"
 
-// Efficiency computes f = (1 + Tcom/Tcalc)^-1, equation 12: for a
-// completely parallelizable computation whose communication does not
-// overlap computation, efficiency equals processor utilization.
-func Efficiency(tcom, tcalc float64) float64 {
-	return 1 / (1 + tcom/tcalc)
-}
-
 // SurfaceNodes2D returns N_c = m sqrt(N), equation 15.
 func SurfaceNodes2D(m int, n float64) float64 { return float64(m) * math.Sqrt(n) }
 

@@ -6,13 +6,16 @@ import (
 	"testing/quick"
 )
 
+// TestEfficiencyLimits reads equation 12, f = (1 + Tcom/Tcalc)^-1, at
+// its two limits through equation 17, where Tcom/Tcalc = N^-1/2 m
+// Ucalc/Ucom.
 func TestEfficiencyLimits(t *testing.T) {
 	// No communication: perfect efficiency.
-	if f := Efficiency(0, 1); f != 1 {
+	if f := Efficiency2D(1, 0, 1); f != 1 {
 		t.Errorf("f = %v, want 1", f)
 	}
-	// Communication equal to computation: f = 1/2 (equation 12).
-	if f := Efficiency(1, 1); f != 0.5 {
+	// Communication equal to computation: f = 1/2.
+	if f := Efficiency2D(1, 1, 1); f != 0.5 {
 		t.Errorf("f = %v, want 0.5", f)
 	}
 }

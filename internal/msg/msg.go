@@ -107,9 +107,10 @@ func SendAll(t Transport, ms []Message) error {
 	return nil
 }
 
-// queueCap bounds in-flight messages per transport. The un-synchronization
-// window of appendix A is (J-1)+(K-1) steps with <= 2 messages per step per
-// neighbour, so real runs stay far below this.
+// queueCap bounds in-flight messages per transport. A direct neighbour
+// runs at most one step ahead (appendix A), so a rank's neighbours have
+// at most two steps' messages out to it, 24 for an interior FD3D rank:
+// real runs stay far below this.
 const queueCap = 1024
 
 // freeCap bounds a free list of released payload buffers; a Release into a

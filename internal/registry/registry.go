@@ -93,18 +93,3 @@ func (r *Registry) Unpublish(epoch, rank int) error {
 	}
 	return nil
 }
-
-// ClearEpoch removes every entry of an epoch, preparing the directory for
-// the re-opened channels after a migration.
-func (r *Registry) ClearEpoch(epoch int) error {
-	matches, err := filepath.Glob(filepath.Join(r.Dir, fmt.Sprintf("ep%04d-rank*.addr", epoch)))
-	if err != nil {
-		return fmt.Errorf("registry: clear epoch %d: %w", epoch, err)
-	}
-	for _, m := range matches {
-		if err := os.Remove(m); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("registry: clear epoch %d: %w", epoch, err)
-		}
-	}
-	return nil
-}

@@ -59,14 +59,14 @@ func TestEpochNamespacing(t *testing.T) {
 	if a0 != "old" || a1 != "new" {
 		t.Errorf("epoch confusion: %q %q", a0, a1)
 	}
-	if err := r.ClearEpoch(0); err != nil {
+	if err := r.Unpublish(0, 1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.Lookup(0, 1, 20*time.Millisecond); err == nil {
-		t.Error("cleared epoch still resolves")
+		t.Error("unpublished entry still resolves")
 	}
 	if got, _ := r.Lookup(1, 1, time.Second); got != "new" {
-		t.Error("ClearEpoch removed the wrong epoch")
+		t.Error("Unpublish removed the other epoch's entry")
 	}
 }
 
