@@ -16,15 +16,12 @@ import (
 )
 
 // linearAdmit is the admission scan the scheduler ran before pending
-// became a heap, kept verbatim as the oracle for the order of JobQueued:
-// walk every pending job in submission order, clamp a live one's arrival
-// to now, admit what is due and keep the rest in order.
+// became a heap, kept as the oracle for the order of JobQueued: walk
+// every pending job in submission order, admit what is due and keep the
+// rest in order.
 func linearAdmit(pending []*jobState, t time.Duration) (admitted, keep []*jobState) {
 	keep = pending[:0]
 	for _, js := range pending {
-		if js.Live && js.spec.Submit < t {
-			js.spec.Submit = t
-		}
 		if js.spec.Submit <= t {
 			admitted = append(admitted, js)
 		} else {
@@ -47,10 +44,10 @@ func linearNext(pending []*jobState) time.Duration {
 
 // TestAdmitOrderMatchesLinearScan drives admit with seeded batches of
 // submissions — arrival times out of submission order, drawn from a
-// handful of values so most tie, some submitted live with arrivals
-// already past — and requires the JobQueued order, every clamped arrival
-// time, the next arrival nextEvent sees and the pending listing to equal
-// the linear scan's at every step.
+// handful of values so most tie, some already due when admit runs — and
+// requires the JobQueued order, every admitted spec, the next arrival
+// nextEvent sees and the pending listing to equal the linear scan's at
+// every step.
 func TestAdmitOrderMatchesLinearScan(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -59,7 +56,6 @@ func TestAdmitOrderMatchesLinearScan(t *testing.T) {
 		var oracle []*jobState
 		n := 0
 		for now := time.Duration(0); now <= 12*time.Minute; now += time.Minute {
-			s.ran = now > 0 // submissions after the first round are live
 			for k := rng.Intn(6); k > 0; k-- {
 				spec := JobSpec{ID: fmt.Sprintf("j%03d", n), Method: "lb2d", JX: 1, JY: 1, Side: 10, Steps: 10,
 					Submit: time.Duration(rng.Intn(7)) * 2 * time.Minute}
@@ -67,7 +63,7 @@ func TestAdmitOrderMatchesLinearScan(t *testing.T) {
 				if _, err := s.Submit(spec, nil); err != nil {
 					t.Fatal(err)
 				}
-				oracle = append(oracle, &jobState{spec: spec, Accounting: ckpt.Accounting{Live: s.ran}})
+				oracle = append(oracle, &jobState{spec: spec})
 			}
 
 			var want []string
@@ -113,10 +109,9 @@ func TestAdmitOrderMatchesLinearScan(t *testing.T) {
 }
 
 // arrivalFarm is a small FIFO farm whose submissions arrive out of
-// order, tie, and come in live while it runs: three jobs share the 4m
-// arrival, one submitted before an earlier arrival; at 2m two more are
-// submitted live, one already overdue (clamped to 2m) and one due at 4m
-// with the others. tick runs after the script's actions.
+// order and tie: four jobs share the 4m arrival, one submitted before
+// an earlier arrival and one after the 2m pair, which ties too. tick
+// runs at every scenario instant.
 func arrivalFarm(t *testing.T, tick func(s *Farm, vt time.Duration)) *Farm {
 	t.Helper()
 	s := newFarm(idlePool(), FIFO, 3)
@@ -133,23 +128,17 @@ func arrivalFarm(t *testing.T, tick func(s *Farm, vt time.Duration)) *Farm {
 	submit("k-now", 0)
 	submit("a-tie4", 4*time.Minute)
 	submit("b-first1", time.Minute)
+	submit("y-tie2", 2*time.Minute)
+	submit("d-tie4", 4*time.Minute)
+	submit("x-tie2", 2*time.Minute)
 	s.scenarioEvery = time.Minute
-	s.scenario = func(vt time.Duration, _ *cluster.Cluster) {
-		if vt == 2*time.Minute {
-			submit("y-overdue", time.Minute)
-			submit("d-tie4", 4*time.Minute)
-			submit("x-overdue", 0)
-			s.Drain()
-		}
-		tick(s, vt)
-	}
+	s.scenario = func(vt time.Duration, _ *cluster.Cluster) { tick(s, vt) }
 	return s
 }
 
 // TestQueuedOrderDuringRun pins the admission order of a whole Run
 // against what the linear scan gave: at each instant, the jobs due in
-// the order they were submitted, a live overdue job at the time it
-// appeared.
+// the order they were submitted.
 func TestQueuedOrderDuringRun(t *testing.T) {
 	s := arrivalFarm(t, func(*Farm, time.Duration) {})
 	events := tap(t, s)
@@ -165,7 +154,7 @@ func TestQueuedOrderDuringRun(t *testing.T) {
 	want := []string{
 		"t=0s queued k-now",
 		"t=1m0s queued b-first1",
-		"t=2m0s queued y-overdue", "t=2m0s queued x-overdue",
+		"t=2m0s queued y-tie2", "t=2m0s queued x-tie2",
 		"t=4m0s queued m-tie4", "t=4m0s queued z-tie4", "t=4m0s queued a-tie4", "t=4m0s queued d-tie4",
 		"t=9m0s queued c-late9",
 	}
@@ -175,7 +164,7 @@ func TestQueuedOrderDuringRun(t *testing.T) {
 }
 
 // TestCheckpointKeepsPendingOrder: a checkpoint taken while jobs still
-// wait on pending — out of arrival order, tied, one of them live —
+// wait on pending — out of arrival order and tied —
 // restores to the same listing of jobs and handles, and the restored farm emits
 // exactly the events the original had left.
 func TestCheckpointKeepsPendingOrder(t *testing.T) {

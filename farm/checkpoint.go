@@ -16,19 +16,15 @@ import (
 // context) aborts the event loop.
 var ErrInterrupted = errors.New("farm: run interrupted")
 
-// Interrupt aborts a running event loop without draining it: Run
-// returns an error wrapping ErrInterrupted at its next check,
-// abandoning the in-memory farm the way a coordinator crash would.
+// Interrupt aborts a running event loop without finishing its jobs: it
+// raises a flag, and Run returns an error wrapping ErrInterrupted at
+// the loop's next check, abandoning the in-memory farm the way a
+// coordinator crash would.
 // Pair it with Checkpoint (from a scenario callback) to script crash
 // experiments — persist the farm, interrupt the loop, discard the farm
 // and Restore a fresh one from disk; prefer cancelling Run's context
 // for graceful shutdown. Safe from any goroutine.
-func (f *Farm) Interrupt() {
-	f.mu.Lock()
-	f.interrupted = true
-	f.mu.Unlock()
-	f.wakeup()
-}
+func (f *Farm) Interrupt() { f.interrupted.Store(true) }
 
 // stopped reports how the event loop ends at this check, or nil when it
 // goes on. After Run's context is canceled the farm is persisted into its
@@ -48,7 +44,7 @@ func (f *Farm) stopped(ctx context.Context) error {
 		}
 		return ErrInterrupted
 	}
-	if f.isInterrupted() {
+	if f.interrupted.Load() {
 		return ErrInterrupted
 	}
 	return nil
@@ -107,7 +103,7 @@ func (f *Farm) Checkpoint(dir string) error {
 		Policy:       f.policy.String(),
 		Backfill:     f.backfill.String(),
 		RNG:          f.src.State(),
-		Closed:       f.isClosed(),
+		Closed:       f.closed,
 		Reclaims:     f.reclaims,
 		EASYDegraded: f.easyDegraded,
 		ServedByUser: maps.Clone(f.servedByUser),

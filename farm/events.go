@@ -28,8 +28,8 @@ type Event interface {
 	fmt.Stringer
 }
 
-// JobQueued records a job's admission: its arrival time passed (or it
-// was submitted live) and it now waits in the queue.
+// JobQueued records a job's admission: its arrival time passed and it
+// now waits in the queue.
 type JobQueued struct {
 	T  time.Duration
 	ID string

@@ -33,8 +33,7 @@ func ExampleNew() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	f.Drain() // no more submissions: Run returns once the farm is empty
-	sum, err := f.Run(context.Background())
+	sum, err := f.Run(context.Background()) // returns once every job has finished
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -74,7 +73,6 @@ func ExampleWithAutoscaler() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	f.Drain()
 	if _, err := f.Run(context.Background()); err != nil {
 		log.Fatal(err)
 	}
@@ -85,8 +83,8 @@ func ExampleWithAutoscaler() {
 }
 
 // ExampleJob_Wait drives the farm on one goroutine and blocks on the
-// job handle from another — the supported pattern for a long-running
-// farm serving live submissions.
+// job handle from another — the supported pattern for waiting on one
+// job while the farm runs.
 func ExampleJob_Wait() {
 	pool := farm.NewPaperCluster()
 	pool.Advance(30 * time.Minute)
@@ -101,7 +99,6 @@ func ExampleJob_Wait() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	f.Drain()
 	go func() {
 		_, _ = f.Run(context.Background())
 	}()
@@ -252,7 +249,6 @@ func preemptAndMigrate(w io.Writer) error {
 	}
 
 	fmt.Fprintln(w, "running the farm (priority policy, EASY backfill, seed 42)...")
-	f.Drain()
 	sum, err := f.Run(context.Background())
 	if err != nil {
 		return err

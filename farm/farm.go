@@ -30,20 +30,22 @@
 // Submit returns a typed *Job handle whose Wait, Status and Metrics
 // track the job through the farm; rejections are sentinel errors
 // (ErrClosed, ErrDuplicateID, ErrNoCapacity, ErrInvalidSpec) checkable
-// with errors.Is. Run drives the event loop under a context: cancelling
-// the context checkpoints the farm (when a checkpoint directory is
-// configured) and interrupts the loop, while Drain closes the farm
-// gracefully so Run returns once every accepted job has finished.
+// with errors.Is. Every job is submitted before Run, as on the paper's
+// one workstation (section 4.1) the job-submit program runs before the
+// monitoring one: Run closes the farm to submissions as it starts and
+// returns once every accepted job has finished. It drives the event
+// loop under a context: cancelling the context checkpoints the farm
+// (when a checkpoint directory is configured) and interrupts the loop.
 // Subscribe yields the structured event stream of every scheduling
 // decision, in a deterministic order for a fixed seed.
 //
-// The scheduling goroutine is the only place a farm's state changes:
-// Submit, Drain and Interrupt only queue work or raise a flag for it,
-// and a running job is resized from the WithAutoscaler control tick. A
-// farm runs once: when Run returns, for any reason, the farm is closed
-// and its subscriptions end. Continuing after an interrupt or a
-// cancellation is Restore from a checkpoint, as it is for the paper's
-// one submitting and monitoring workstation (section 4.1) after a crash.
+// Once Run has begun, its event loop owns every piece of scheduling
+// state and takes no lock: Interrupt only raises a flag for it, and a
+// running job is resized from the WithAutoscaler control tick. A farm
+// runs once: when Run returns, for any reason, its subscriptions end.
+// Continuing after an interrupt or a cancellation is Restore from a
+// checkpoint, as it is for the paper's one submitting and monitoring
+// workstation (section 4.1) after a crash.
 //
 // Everything runs in the cluster's virtual time, so multi-job traces —
 // and their event streams — replay deterministically regardless of how
@@ -63,6 +65,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/ckpt"
@@ -70,13 +73,12 @@ import (
 )
 
 // Farm is one simulation farm: it admits, queues, places, runs and
-// preempts many jobs on one shared cluster. It is long-running and
-// online: Submit works before and during Run, the event loop idles
-// (blocking, with virtual time frozen) while the farm is empty, and
-// Drain lets it finish. It runs once. Scheduling itself is
-// single-threaded and runs in the cluster's virtual time: the loop
-// jumps between arrivals, completions and scenario ticks. Build it with
-// New or Restore.
+// preempts many jobs on one shared cluster. It takes its jobs before
+// it runs: Submit queues them, each with its arrival time, and Run
+// closes the farm to submissions, then plays them out until every one
+// has finished. It runs once. Scheduling itself is single-threaded and
+// runs in the cluster's virtual time: the loop jumps between arrivals,
+// completions and scenario ticks. Build it with New or Restore.
 type Farm struct {
 	cluster *cluster.Cluster
 	policy  Policy
@@ -125,27 +127,28 @@ type Farm struct {
 	// checkpoint.
 	ckptSeq int
 
-	// mu guards the scheduling state shared with Submit, Drain and
-	// Interrupt callers on other goroutines; everything else above is
-	// owned by the event loop.
-	mu          sync.Mutex
-	pending     arrivals // submitted, not yet admitted to the queue
-	submitted   int      // jobs ever put on pending; the next one's seq
-	closed      bool
-	ran         bool // Run was entered: a farm runs once
-	interrupted bool
-	wake        chan struct{}
+	// mu guards what Submit, Drain and Job share with Run's entry: the
+	// jobs not yet admitted, the handles and the two flags. Run closes the
+	// farm as it starts, so from then on nothing writes them but the event
+	// loop, which takes no lock.
+	mu        sync.Mutex
+	pending   arrivals // submitted, not yet admitted to the queue
+	submitted int      // jobs ever put on pending; the next one's seq
+	jobs      map[string]*Job
+	closed    bool // Drain was called or Run has begun: Submit fails
+	ran       bool // Run was entered: a farm runs once
+
+	// interrupted is raised by Interrupt, from any goroutine.
+	interrupted atomic.Bool
 
 	// servedByUser accumulates virtual service time per tenant, the
 	// WeightedFair bookkeeping.
 	servedByUser map[string]time.Duration
 
-	// hmu guards the handle bookkeeping: every accepted job's handle and
-	// the subscriptions. subs is only appended to in place (Close and the
-	// end of Run replace it), so emit ranges over a copy of it without
-	// hmu.
+	// hmu guards the subscriptions and runErr. subs is only appended to
+	// in place (Close and the end of Run replace it), so emit ranges over
+	// a copy of it without hmu.
 	hmu  sync.Mutex
-	jobs map[string]*Job
 	subs []*Subscription
 	// runDone is closed when Run returns, with runErr valid from then on.
 	// It exists from construction, so a Wait or Subscribe that starts
@@ -184,7 +187,6 @@ func (f *Farm) prepare(c *cluster.Cluster) {
 	f.selection = cluster.DefaultPolicy()
 	f.migration = cluster.DefaultMigrationPolicy()
 	f.rng = rand.New(f.src)
-	f.wake = make(chan struct{}, 1)
 	f.servedByUser = make(map[string]time.Duration)
 	f.jobs = make(map[string]*Job)
 	f.runDone = make(chan struct{})
@@ -192,104 +194,85 @@ func (f *Farm) prepare(c *cluster.Cluster) {
 
 // Submit queues a job and returns its handle. A nil workload replays
 // the spec in virtual time without running a simulation. Submit is safe
-// from any goroutine and works while Run is active: a live submission
-// whose arrival time has already passed on the farm clock is admitted
-// at the current virtual time.
+// from any goroutine, and works until Drain is called or Run begins:
+// a farm takes its jobs before it runs.
 //
 // Rejections are typed: branch with errors.Is against ErrInvalidSpec
 // (every spec-validation failure), ErrNoCapacity (more ranks than the
 // pool has hosts: no round could ever place the job, so it is refused
 // here instead of stalling the farm later), ErrClosed (after Drain or
-// once Run has returned) and ErrDuplicateID — the sentinels are the
+// once Run has begun) and ErrDuplicateID — the sentinels are the
 // contract; the error strings are diagnostics and not stable across
 // releases.
 func (f *Farm) Submit(spec JobSpec, w Workload) (*Job, error) {
-	j := newJob(f, spec.ID)
-	// Register the handle before the loop can emit events for the job: a
-	// live submission may be admitted (and finish) while Submit is still
-	// returning.
-	f.hmu.Lock()
-	if f.jobs[spec.ID] != nil {
-		f.hmu.Unlock()
-		return nil, fmt.Errorf("farm: submit %q: %w", spec.ID, ErrDuplicateID)
-	}
-	f.jobs[spec.ID] = j
-	f.hmu.Unlock()
-	if err := f.submit(spec, w); err != nil {
-		f.hmu.Lock()
-		delete(f.jobs, spec.ID)
-		f.hmu.Unlock()
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	return j, nil
-}
-
-// submit validates the spec and puts the job on pending.
-func (f *Farm) submit(spec JobSpec, w Workload) error {
-	if err := spec.Validate(); err != nil {
-		return err
-	}
 	if n := spec.Ranks(); n > len(f.cluster.Hosts) {
-		return fmt.Errorf("farm: submit %s: %d ranks on a %d-host pool: %w",
+		return nil, fmt.Errorf("farm: submit %s: %d ranks on a %d-host pool: %w",
 			spec.ID, n, len(f.cluster.Hosts), ErrNoCapacity)
 	}
 	if w == nil {
 		w = nullWorkload{}
 	}
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	if f.closed {
-		f.mu.Unlock()
-		return fmt.Errorf("farm: submit %s: %w", spec.ID, ErrClosed)
+		return nil, fmt.Errorf("farm: submit %s: %w", spec.ID, ErrClosed)
 	}
+	if f.jobs[spec.ID] != nil {
+		return nil, fmt.Errorf("farm: submit %q: %w", spec.ID, ErrDuplicateID)
+	}
+	j := newJob(f, spec.ID)
+	f.jobs[spec.ID] = j
 	f.arrive(&jobState{spec: spec, work: w, Accounting: ckpt.Accounting{
-		Remaining: float64(spec.Steps), FirstStart: -1, Live: f.ran}})
-	f.mu.Unlock()
-	f.wakeup()
-	return nil
+		Remaining: float64(spec.Steps), FirstStart: -1}})
+	return j, nil
 }
 
 // Job returns the handle of a previously submitted (or restored) job.
 func (f *Farm) Job(id string) (*Job, bool) {
-	f.hmu.Lock()
-	defer f.hmu.Unlock()
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	j, ok := f.jobs[id]
 	return j, ok
 }
 
-// Drain closes the farm to new submissions: Run finishes every job
-// already accepted and returns. Safe from any goroutine and idempotent;
-// Submit after Drain fails with ErrClosed.
+// Drain closes the farm to new submissions before Run, which closes it
+// anyway as it starts. Safe from any goroutine and idempotent; Submit
+// after Drain fails with ErrClosed.
 func (f *Farm) Drain() {
 	f.mu.Lock()
-	f.closed = true
-	f.mu.Unlock()
-	f.wakeup()
+	defer f.mu.Unlock()
+	// Once Run has begun the farm is closed already, and the event loop
+	// reads closed without the lock: write it only while it is open.
+	if !f.closed {
+		f.closed = true
+	}
 }
 
-// Run drives the farm: jobs are admitted as their arrival times pass,
-// reclaimed hosts are vacated by migration, completions retire in
-// virtual time, and the loop blocks (virtual time frozen) whenever the
-// farm is empty and still open. After Drain it returns the metrics
-// summary once everything accepted has finished. All reported times are
-// relative to the cluster clock Run was entered at (or, on a restored
-// farm, the original run's).
+// Run drives the farm: it closes the farm to submissions, then admits
+// jobs as their arrival times pass, vacates reclaimed hosts by
+// migration and retires completions in virtual time, and returns the
+// metrics summary once every accepted job has finished. All reported
+// times are relative to the cluster clock Run was entered at (or, on a
+// restored farm, the original run's).
 //
-// A farm runs once. When Run returns, for any reason, the farm is
-// closed and every subscription ends; a second Run, like a Submit,
-// fails with ErrClosed at once. An errored Run releases nothing: its
-// placed jobs keep their hosts, as a crashed coordinator's would, and
-// the way to continue is Restore from a checkpoint. Cancelling the
-// context stops the farm: when a checkpoint directory is configured
-// (WithCheckpoint) the farm is persisted first, so the run is
-// restorable, and Run returns an error wrapping context.Canceled (or
-// the context's cause).
+// A farm runs once. When Run returns, for any reason, every
+// subscription ends; a second Run, like a Submit, fails with ErrClosed
+// at once. An errored Run releases nothing: its placed jobs keep their
+// hosts, as a crashed coordinator's would, and the way to continue is
+// Restore from a checkpoint. Cancelling the context stops the farm:
+// when a checkpoint directory is configured (WithCheckpoint) the farm
+// is persisted first, so the run is restorable, and Run returns an
+// error wrapping context.Canceled (or the context's cause).
 func (f *Farm) Run(ctx context.Context) (Summary, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	f.mu.Lock()
 	ran := f.ran
-	f.ran = true
+	f.ran, f.closed = true, true
 	f.mu.Unlock()
 	if ran {
 		return Summary{}, fmt.Errorf("farm: run: %w", ErrClosed)
@@ -305,9 +288,6 @@ func (f *Farm) Run(ctx context.Context) (Summary, error) {
 		err = fmt.Errorf("farm: run canceled: %w (%w)", context.Cause(ctx), err)
 	}
 
-	f.mu.Lock()
-	f.closed = true
-	f.mu.Unlock()
 	f.hmu.Lock()
 	f.runErr = err
 	subs := f.subs
@@ -321,9 +301,9 @@ func (f *Farm) Run(ctx context.Context) (Summary, error) {
 }
 
 // Replay is the trace-replay convenience: it submits every spec without
-// a workload, drains the farm and runs it to completion — the
-// deterministic policy-comparison entry point the experiments use. A
-// nil timer keeps the compute-only default.
+// a workload and runs the farm to completion — the deterministic
+// policy-comparison entry point the experiments use. A nil timer keeps
+// the compute-only default.
 func Replay(c *cluster.Cluster, policy Policy, seed int64, timer StepTimer, specs []JobSpec) (Summary, error) {
 	f, err := New(c, WithPolicy(policy), WithSeed(seed), WithTimer(timer))
 	if err != nil {
@@ -334,6 +314,5 @@ func Replay(c *cluster.Cluster, policy Policy, seed int64, timer StepTimer, spec
 			return Summary{}, err
 		}
 	}
-	f.Drain()
 	return f.Run(context.Background())
 }

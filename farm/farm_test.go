@@ -1,10 +1,12 @@
 package farm_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"os"
 	"reflect"
 	"slices"
 	"strings"
@@ -517,6 +519,32 @@ func TestRunContextCancelCheckpoints(t *testing.T) {
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("restored-after-cancel summary differs from the uninterrupted run\nwant:\n%v\ngot:\n%v", want, got)
 	}
+
+	// A manifest written while a farm still took submissions during Run
+	// may mark a pending job "Live". The key is retired: such a
+	// checkpoint still loads, and the run restored from it is the same.
+	data, err := os.ReadFile(ckpt.ManifestPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := bytes.Replace(data, []byte(`"Phase": "pending",`), []byte(`"Phase": "pending", "Live": true,`), 1)
+	if bytes.Equal(legacy, data) {
+		t.Fatal("the cancellation checkpoint holds no pending job")
+	}
+	if err := os.WriteFile(ckpt.ManifestPath(dir), legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	restored, err = farm.Restore(dir, cluster.NewPaperCluster(), nil,
+		farm.WithScenario(time.Minute, storm))
+	if err != nil {
+		t.Fatalf("restore from a manifest with a Live job: %v", err)
+	}
+	if got, err = restored.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("restored from a manifest with a Live job, the summary differs from the uninterrupted run\nwant:\n%v\ngot:\n%v", want, got)
+	}
 }
 
 // TestRunCancelInScenarioSavesThere: a cancel called from a scenario
@@ -642,6 +670,80 @@ func TestRunOnce(t *testing.T) {
 		}
 		if !interrupt && err != nil {
 			t.Errorf("Wait started before a drained Run: %v, want nil", err)
+		}
+	}
+}
+
+// TestScenarioSubmitIsClosed: Run closes the farm to submissions as
+// it starts, so a Submit from a scenario callback fails with ErrClosed
+// and the run emits the events of the same run without the call. The
+// farm is never drained; the deadline turns a Run that waits for more
+// submissions into a failure instead of a hang.
+func TestScenarioSubmitIsClosed(t *testing.T) {
+	want, _ := collectTrace(t)
+	var (
+		f       *farm.Farm
+		lateErr error
+	)
+	f = mustNew(t, quietPool(), farm.WithSeed(1),
+		farm.WithScenario(time.Minute, func(tt time.Duration, c *cluster.Cluster) {
+			if tt == 3*time.Minute {
+				_, lateErr = f.Submit(farm.JobSpec{ID: "late", Method: "lb2d", JX: 1, JY: 1, Side: 4, Steps: 1}, nil)
+			}
+			storm(tt, c)
+		}))
+	sub := f.SubscribeBuffered(1 << 14)
+	for _, sp := range stormMix() {
+		if _, err := f.Submit(sp, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := f.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(lateErr, farm.ErrClosed) {
+		t.Errorf("Submit from a scenario callback: %v, want ErrClosed", lateErr)
+	}
+	var got []string
+	for ev := range sub.Events() {
+		got = append(got, ev.String())
+	}
+	if wantS, gotS := strings.Join(want, "\n"), strings.Join(got, "\n"); wantS != gotS {
+		t.Errorf("the refused Submit changed the event stream:\n--- without it ---\n%s\n--- with it ---\n%s", wantS, gotS)
+	}
+}
+
+// TestRunReturnsWithoutDrain: a farm that was never drained returns
+// from Run once every job it took has finished, a late arrival too.
+// The deadline turns a Run that waits for more submissions into a
+// failure instead of a hang.
+func TestRunReturnsWithoutDrain(t *testing.T) {
+	f := mustNew(t, quietPool(), farm.WithSeed(1))
+	var jobs []*farm.Job
+	for _, sp := range []farm.JobSpec{
+		{ID: "now", Method: "lb2d", JX: 2, JY: 2, Side: 40, Steps: 100},
+		{ID: "later", Method: "fd2d", JX: 1, JY: 1, Side: 40, Steps: 100, Submit: 30 * time.Minute},
+	} {
+		j, err := f.Submit(sp, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	sum, err := f.Run(ctx)
+	if err != nil {
+		t.Fatalf("undrained Run: %v, want it to return once its jobs finish", err)
+	}
+	if len(sum.Jobs) != len(jobs) {
+		t.Errorf("%d jobs finished, want %d", len(sum.Jobs), len(jobs))
+	}
+	for _, j := range jobs {
+		if j.Status() != farm.StatusFinished {
+			t.Errorf("job %s is %v after Run, want finished", j.ID(), j.Status())
 		}
 	}
 }

@@ -45,7 +45,7 @@ func (w *stateWorkload) Restore(states []*dump.State) error                 { w.
 //	0m  a-wide, b-quick, c-box (3D, pinned grid), d-victim placed
 //	1m  a host of a-wide reclaimed: one rank migrates
 //	2m  c-box grows 4 -> 6
-//	3m  e-urgent submitted live and placed by preempting d-victim; Close
+//	3m  e-urgent arrives and is placed by preempting d-victim
 //	4m  c-box shrinks 6 -> 4
 //	5m  f-head (whole pool, so no EASY shadow is computable while a user
 //	    sits at a host) arrives and blocks; g-fill backfills behind it
@@ -73,6 +73,8 @@ func stormFarm(t *testing.T, tick func(s *Farm, vt time.Duration)) *Farm {
 	submit(JobSpec{ID: "c-box", Method: "lb3d", JX: 2, JY: 2, JZ: 1, Side: 16, GX: 32, GY: 32, GZ: 16,
 		Steps: 6000, Priority: 1}, &stateWorkload{})
 	submit(JobSpec{ID: "d-victim", Method: "lb2d", JX: 3, JY: 2, Side: 40, Steps: 30000}, &stateWorkload{})
+	submit(JobSpec{ID: "e-urgent", Method: "lb2d", JX: 2, JY: 2, Side: 40, Steps: 6000,
+		Priority: 9, Submit: 3 * time.Minute}, nil)
 	submit(JobSpec{ID: "f-head", Method: "lb2d", JX: 5, JY: 5, Side: 40, Steps: 3000,
 		Priority: 1, Submit: 5 * time.Minute}, nil)
 	submit(JobSpec{ID: "g-fill", Method: "fd2d", JX: 1, JY: 1, Side: 40, Steps: 3000,
@@ -105,10 +107,6 @@ func stormFarm(t *testing.T, tick func(s *Farm, vt time.Duration)) *Farm {
 			c.Reclaim(firstUser)
 		case 2 * time.Minute:
 			resize(vt, "c-box", 6)
-		case 3 * time.Minute:
-			submit(JobSpec{ID: "e-urgent", Method: "lb2d", JX: 2, JY: 2, Side: 40, Steps: 6000,
-				Priority: 9}, nil)
-			s.Drain()
 		case 4 * time.Minute:
 			resize(vt, "c-box", 4)
 		case 6 * time.Minute:
@@ -140,7 +138,7 @@ func stormFarm(t *testing.T, tick func(s *Farm, vt time.Duration)) *Farm {
 // restore side drops differs between the two; a field the save side
 // never writes is zero in every record of the first — and the fixture
 // holds a job in every phase, weighted, resized, preempted, migrated,
-// backfilled and live-submitted jobs, reclaimed hosts and undrained
+// backfilled and late-arriving jobs, reclaimed hosts and undrained
 // cluster events precisely so that no field of the five record types is
 // zero everywhere for any other reason. A field added to one of them
 // fails here until the fixture exercises it and both sides carry it.
@@ -293,10 +291,7 @@ func checkShadow(t *testing.T, s *Farm, shadow map[string]*shadowJob, when strin
 			}
 		}
 	}
-	s.mu.Lock()
-	pending := append([]*jobState(nil), s.pending...)
-	s.mu.Unlock()
-	check(pending, StatusPending)
+	check(s.pending, StatusPending)
 	check(s.queue, StatusQueued)
 	check(s.running, StatusRunning)
 	check(s.finished, StatusFinished)

@@ -12,7 +12,7 @@ import (
 	"repro/internal/syncfile"
 )
 
-// TestReclaimMigratesBitIdentical is the online farm's acceptance
+// TestReclaimMigratesBitIdentical is the farm's acceptance
 // scenario and section 5.1's migration end to end: a real 2D LB simulation
 // runs on four hosts, a regular user comes back to one of them mid-run,
 // and the farm migrates the displaced rank to a fresh host within the next
@@ -187,60 +187,6 @@ func TestReclaimFallsBackToSuspend(t *testing.T) {
 	}
 	if len(sum.Jobs) != 2 {
 		t.Errorf("%d jobs finished, want 2", len(sum.Jobs))
-	}
-}
-
-// TestSubmitDuringRun: the farm accepts and schedules work submitted
-// after Run started, idles while empty, and drains cleanly on Close.
-func TestSubmitDuringRun(t *testing.T) {
-	s := newFarm(idlePool(), FIFO, 7)
-	type result struct {
-		sum Summary
-		err error
-	}
-	done := make(chan result, 1)
-	go func() {
-		sum, err := s.Run(context.Background())
-		done <- result{sum, err}
-	}()
-
-	if _, err := s.Submit(JobSpec{
-		ID: "live-a", Method: "lb2d", JX: 2, JY: 2, Side: 40, Steps: 100,
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Submit(JobSpec{
-		ID: "live-b", Method: "fd2d", JX: 1, JY: 1, Side: 40, Steps: 100,
-		Submit: 30 * time.Second,
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-	s.Drain()
-
-	if _, err := s.Submit(JobSpec{
-		ID: "late", Method: "lb2d", JX: 1, JY: 1, Side: 4, Steps: 1,
-	}, nil); err == nil {
-		t.Error("Submit accepted after Close")
-	}
-
-	select {
-	case r := <-done:
-		if r.err != nil {
-			t.Fatal(r.err)
-		}
-		if len(r.sum.Jobs) != 2 {
-			t.Fatalf("%d jobs finished, want 2", len(r.sum.Jobs))
-		}
-		for _, j := range r.sum.Jobs {
-			if j.Wait() < 0 {
-				t.Errorf("job %s has negative queue wait %v", j.ID, j.Wait())
-			}
-			if j.Done <= j.FirstStart {
-				t.Errorf("job %s done %v <= start %v", j.ID, j.Done, j.FirstStart)
-			}
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("Run did not return after Close")
 	}
 }
 

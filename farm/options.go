@@ -93,8 +93,9 @@ func WithCheckpoint(dir string, every, gap time.Duration) Option {
 // WithScenario invokes fn on the scheduling goroutine at every multiple
 // of every of virtual time while the farm has work, before completions
 // are retired. Experiments script user activity through it
-// (cluster.Reclaim / cluster.UserGone storms) and may Submit new jobs
-// (live arrivals) or call Farm.Checkpoint / Farm.Interrupt;
+// (cluster.Reclaim / cluster.UserGone storms) and may call
+// Farm.Checkpoint / Farm.Interrupt (a Submit fails: Run has closed the
+// farm);
 // farm/workload compiles declarative scenario scripts onto this hook.
 // The interval must be positive when fn is set: New and Restore reject
 // every <= 0 with ErrInvalidSpec instead of arming a callback that

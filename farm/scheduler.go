@@ -11,49 +11,18 @@ import (
 	"repro/internal/metrics"
 )
 
-// wakeup nudges an idle event loop; the buffered token makes the signal
-// level-triggered, so it is never lost between the loop's empty-check
-// and its block.
-func (f *Farm) wakeup() {
-	select {
-	case f.wake <- struct{}{}:
-	default:
-	}
-}
-
-// isClosed reports whether Drain was called.
-func (f *Farm) isClosed() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.closed
-}
-
-// isInterrupted reports whether Interrupt was called.
-func (f *Farm) isInterrupted() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.interrupted
-}
-
 // now returns the farm-relative virtual time.
 func (f *Farm) now() time.Duration { return f.cluster.Now() - f.start }
 
 // drained reports whether the farm holds no work at all.
 func (f *Farm) drained() bool {
-	if len(f.queue) > 0 || len(f.running) > 0 {
-		return false
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.pending) == 0
+	return len(f.pending) == 0 && len(f.queue) == 0 && len(f.running) == 0
 }
 
 // loop is Run's event loop: jobs are admitted as their arrival times
-// pass (or the moment they are submitted live), reclaimed hosts are
-// vacated by migration, and completions retire in virtual time. When
-// the farm goes empty the loop blocks until another Submit or Drain
-// arrives; after Drain it returns the metrics summary once everything
-// accepted has finished.
+// pass, reclaimed hosts are vacated by migration, and completions retire
+// in virtual time. It returns the metrics summary once the farm holds
+// no work at all.
 func (f *Farm) loop(ctx context.Context) (Summary, error) {
 	if !f.restored {
 		f.start = f.cluster.Now()
@@ -73,18 +42,7 @@ func (f *Farm) loop(ctx context.Context) (Summary, error) {
 			return Summary{}, err
 		}
 		if f.drained() {
-			if f.isClosed() {
-				break
-			}
-			// Idle: no work anywhere and the farm is still open. Block
-			// until a submission, Drain, Interrupt or cancellation
-			// arrives; virtual time stands still while nobody is
-			// computing.
-			select {
-			case <-f.wake:
-			case <-ctx.Done():
-			}
-			continue
+			break
 		}
 		next, ok := f.nextEvent()
 		if !ok {
@@ -181,22 +139,14 @@ func bySeq(jobs []*jobState) {
 }
 
 // admit moves every job whose arrival time has passed into the queue, in
-// submission order. A live submission's arrival is clamped to the current
-// farm time, so its queue wait never counts time before it existed.
+// submission order.
 func (f *Farm) admit(t time.Duration) {
-	f.mu.Lock()
 	n := len(f.queue)
 	for len(f.pending) > 0 && f.pending[0].spec.Submit <= t {
-		js := heap.Pop(&f.pending).(*jobState)
-		if js.Live && js.spec.Submit < t {
-			js.spec.Submit = t
-		}
-		f.queue = append(f.queue, js)
+		f.queue = append(f.queue, heap.Pop(&f.pending).(*jobState))
 	}
 	admitted := f.queue[n:]
 	bySeq(admitted)
-	f.mu.Unlock()
-	// Emit outside the lock: emit takes the handle lock.
 	for _, js := range admitted {
 		f.emit(JobQueued{T: t, ID: js.spec.ID})
 	}
@@ -205,11 +155,9 @@ func (f *Farm) admit(t time.Duration) {
 // nextEvent returns the earliest upcoming arrival or completion.
 func (f *Farm) nextEvent() (time.Duration, bool) {
 	best := time.Duration(-1)
-	f.mu.Lock()
 	if len(f.pending) > 0 {
 		best = f.pending[0].spec.Submit
 	}
-	f.mu.Unlock()
 	for _, js := range f.running {
 		if best < 0 || js.FinishAt < best {
 			best = js.FinishAt
@@ -257,9 +205,7 @@ func (f *Farm) summary() Summary {
 // byPhase lists every job the farm holds, indexed by Status: pending in
 // submission order, then the queue, running and finished lists in order.
 func (f *Farm) byPhase() [4][]*jobState {
-	f.mu.Lock()
 	pending := slices.Clone([]*jobState(f.pending))
-	f.mu.Unlock()
 	bySeq(pending)
 	return [4][]*jobState{pending, f.queue, f.running, f.finished}
 }

@@ -125,7 +125,9 @@ func (f *Farm) emit(ev Event) {
 	}
 }
 
-// track folds one event into the job-handle lifecycle.
+// track folds one event into the job-handle lifecycle. It reads the
+// handle map without a lock: Run closed the farm to submissions, so the
+// map no longer changes.
 func (f *Farm) track(ev Event) {
 	var (
 		id string
@@ -141,20 +143,14 @@ func (f *Farm) track(ev Event) {
 	case JobPreempted:
 		id, st = e.ID, StatusQueued
 	case JobFinished:
-		f.hmu.Lock()
-		j := f.jobs[e.ID]
-		f.hmu.Unlock()
-		if j != nil {
+		if j := f.jobs[e.ID]; j != nil {
 			j.finish(e.Job)
 		}
 		return
 	default:
 		return // migrations and resizes keep the job running; host/checkpoint/autoscale events carry no job state
 	}
-	f.hmu.Lock()
-	j := f.jobs[id]
-	f.hmu.Unlock()
-	if j != nil {
+	if j := f.jobs[id]; j != nil {
 		j.setStatus(st)
 	}
 }

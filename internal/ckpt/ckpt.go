@@ -101,7 +101,7 @@ type JobRecord struct {
 }
 
 // Accounting is the scheduler's per-job bookkeeping: the one field set
-// the live scheduler (embedded in its job state) and the manifest
+// the running scheduler (embedded in its job state) and the manifest
 // (embedded in JobRecord) share, so a checkpoint copies it whole.
 type Accounting struct {
 	// Remaining counts the steps left (fractional across preemptions);
@@ -111,12 +111,11 @@ type Accounting struct {
 	PlacedAt   time.Duration `json:",omitempty"`
 	FinishAt   time.Duration `json:",omitempty"`
 	Started    bool          `json:",omitempty"`
-	Live       bool          `json:",omitempty"` // submitted while the farm was running
+	Backfilled bool          `json:",omitempty"`
 	FirstStart time.Duration
 	DoneAt     time.Duration `json:",omitempty"`
 	Served     time.Duration `json:",omitempty"`
 	Preempts   int           `json:",omitempty"`
-	Backfilled bool          `json:",omitempty"`
 	Migrations int           `json:",omitempty"`
 	Repricings int           `json:",omitempty"`
 

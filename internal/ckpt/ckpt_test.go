@@ -272,7 +272,7 @@ func TestJobRecordKeys(t *testing.T) {
 	want := []string{
 		"Backfilled", "CurJX", "CurJY", "CurJZ", "DoneAt", "FinishAt", "FirstStart",
 		"GridX", "GridY", "GridZ", "GrowRanks", "Hosts", "ID", "Imbalance", "JX", "JY", "JZ",
-		"Live", "Method", "Migrations", "Phase", "PlacedAt", "Preempts", "Priority",
+		"Method", "Migrations", "Phase", "PlacedAt", "Preempts", "Priority",
 		"Remaining", "Repricings", "Resizes", "Served", "ShrinkRanks", "Side",
 		"SpansX", "SpansY", "SpansZ", "Started", "StateSteps", "StepSec", "Steps",
 		"Submit", "User", "Weight",

@@ -27,9 +27,9 @@ import (
 // workstation of section 4.1 that performs initialization, decomposition,
 // submission and monitoring).
 type Job struct {
-	Factory TransportFactory
-	Sync    *syncfile.Sync
-	Until   int
+	factory TransportFactory
+	sf      *syncfile.Sync
+	until   int // the step every worker runs to; newJob refuses one below 0
 
 	// WaitTimeout bounds every coordination wait (default 60s).
 	WaitTimeout time.Duration
@@ -110,9 +110,9 @@ func newJob[C setup[P], P built, R any](cfg C, gather func(C, []P, int) R,
 	}
 	jp := &jobPrograms[C, P, R]{cfg: cfg, progs: make(map[int]P), gather: gather}
 	j := &Job{
-		Factory:     factory,
-		Sync:        sf,
-		Until:       until,
+		factory:     factory,
+		sf:          sf,
+		until:       until,
 		WaitTimeout: 60 * time.Second,
 		events:      make(chan Event, 32*len(progs)),
 		workers:     make(map[int]*Worker),
@@ -197,7 +197,7 @@ func eachRank(n int, f func(i int) error) error {
 func (j *Job) wireSync(w *Worker) {
 	p := j.P()
 	w.Sync = func(round, rank, step int) (int, error) {
-		return j.Sync.SyncStep(round, rank, step, p, j.WaitTimeout)
+		return j.sf.SyncStep(round, rank, step, p, j.WaitTimeout)
 	}
 }
 
@@ -214,7 +214,7 @@ func (j *Job) Start() { j.start(j.ranks()) }
 func (j *Job) start(ranks []int) {
 	for _, rank := range ranks {
 		//detlint:allow entropy -- rank goroutine, one per workstation process: every exchange is rank-addressed and the coordinator acts on events by rank, and a relaunched rank resumes from its dump at the agreed sync step, so the interleaving never reaches the bits
-		go j.workers[rank].Start(j.Until)
+		go j.workers[rank].Start(j.until)
 	}
 }
 
@@ -283,7 +283,7 @@ func (j *Job) pauseAll() error {
 	}
 	// Every rank has read the round to pause, so its file goes: the next
 	// job over the same directory numbers its rounds from 1 again.
-	return j.Sync.Clear(j.round)
+	return j.sf.Clear(j.round)
 }
 
 // collect is step 3: the given (paused) ranks save their state, then exit
@@ -326,7 +326,7 @@ func (j *Job) launch(states []*dump.State) error {
 	}
 	for i, st := range states {
 		st.Epoch = j.epoch
-		w, err := newWorkerAt(progs[i], j.Factory, j.epoch, j.events, st.Step)
+		w, err := newWorkerAt(progs[i], j.factory, j.epoch, j.events, st.Step)
 		if err != nil {
 			for _, made := range states[:i] {
 				j.workers[made.Rank].retire()
