@@ -56,10 +56,9 @@ func crashRecovery(w io.Writer) error {
 	fmt.Fprintf(w, "%d jobs; a user reclaims a reserved host every 10 virtual minutes and\n", len(specs))
 	fmt.Fprintf(w, "leaves at the +5 marks; the coordinator dies at t=%v and is restored\n\n", crashAt)
 
-	setup := func(scenario func(time.Duration, *cluster.Cluster)) (*farm.Farm, error) {
+	setup := func(scenario func(time.Duration, *cluster.Cluster), opts ...farm.Option) (*farm.Farm, error) {
 		f, err := farm.New(quietPaperPool(),
-			farm.WithSeed(1),
-			farm.WithScenario(time.Minute, scenario))
+			append([]farm.Option{farm.WithSeed(1), farm.WithScenario(time.Minute, scenario)}, opts...)...)
 		if err != nil {
 			return nil, err
 		}
@@ -82,32 +81,27 @@ func crashRecovery(w io.Writer) error {
 		return err
 	}
 
-	// The doomed coordinator: same trace, but at crashAt it persists the
-	// farm and "dies" (the in-memory farm is discarded).
+	// The doomed coordinator: same trace, but at crashAt its Run is
+	// canceled, which persists the farm into dir, and it "dies" (the
+	// in-memory farm is discarded).
 	dir, err := os.MkdirTemp("", "fluidsim-crash-*")
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(dir)
-	var doomed *farm.Farm
-	var ckptErr error
-	crashed := false
-	doomed, err = setup(func(t time.Duration, c *cluster.Cluster) {
+	ctx, crash := context.WithCancel(context.Background())
+	defer crash()
+	doomed, err := setup(func(t time.Duration, c *cluster.Cluster) {
 		crashStorm(t, c)
-		if t >= crashAt && !crashed {
-			crashed = true
-			ckptErr = doomed.Checkpoint(dir)
-			doomed.Interrupt()
+		if t >= crashAt {
+			crash()
 		}
-	})
+	}, farm.WithCheckpoint(dir, 0, 0))
 	if err != nil {
 		return err
 	}
-	if _, err := doomed.Run(context.Background()); !errors.Is(err, farm.ErrInterrupted) {
-		return fmt.Errorf("crashed run: %v (want ErrInterrupted)", err)
-	}
-	if ckptErr != nil {
-		return ckptErr
+	if _, err := doomed.Run(ctx); !errors.Is(err, context.Canceled) {
+		return fmt.Errorf("crashed run: %v (want context.Canceled)", err)
 	}
 
 	m, err := ckpt.Load(dir)

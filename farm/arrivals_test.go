@@ -177,18 +177,17 @@ func TestCheckpointKeepsPendingOrder(t *testing.T) {
 	whole := traceOf(refEvents())
 
 	dir := t.TempDir()
-	s1 := arrivalFarm(t, func(s *Farm, vt time.Duration) {
-		if vt != at {
-			return
+	ctx, crash := context.WithCancel(context.Background())
+	defer crash()
+	s1 := arrivalFarm(t, func(_ *Farm, vt time.Duration) {
+		if vt == at {
+			crash()
 		}
-		if err := s.Checkpoint(dir); err != nil {
-			t.Errorf("checkpoint: %v", err)
-		}
-		s.Interrupt()
 	})
+	s1.ckptDir = dir // the cancel saves there
 	s1Events := tap(t, s1)
-	if _, err := s1.loop(context.Background()); !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("Run returned %v, want ErrInterrupted at the checkpoint tick", err)
+	if _, err := s1.loop(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run returned %v, want context.Canceled at the checkpoint tick", err)
 	}
 	head := traceOf(s1Events())
 	var pending []string

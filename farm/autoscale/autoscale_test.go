@@ -127,7 +127,7 @@ func TestEngineHysteresisAndCooldown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub := f.Subscribe()
+	sub := f.SubscribeBuffered(1024)
 	job, err := f.Submit(farm.JobSpec{
 		ID: "solo", Method: "lb2d", JX: 2, JY: 2, Side: 10, Steps: 60,
 	}, nil)
@@ -203,7 +203,7 @@ func TestEngineShrinksForArrival(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub := f.Subscribe()
+	sub := f.SubscribeBuffered(1024)
 	if _, err := f.Submit(farm.JobSpec{
 		ID: "elastic", Method: "lb2d", JX: 2, JY: 2, Side: 10, Steps: 120,
 	}, nil); err != nil {

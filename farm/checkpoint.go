@@ -2,7 +2,6 @@ package farm
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"maps"
 
@@ -12,42 +11,22 @@ import (
 	"repro/internal/dump"
 )
 
-// ErrInterrupted is wrapped by Run when Interrupt (or a canceled
-// context) aborts the event loop.
-var ErrInterrupted = errors.New("farm: run interrupted")
-
-// Interrupt aborts a running event loop without finishing its jobs: it
-// raises a flag, and Run returns an error wrapping ErrInterrupted at
-// the loop's next check, abandoning the in-memory farm the way a
-// coordinator crash would.
-// Pair it with Checkpoint (from a scenario callback) to script crash
-// experiments — persist the farm, interrupt the loop, discard the farm
-// and Restore a fresh one from disk; prefer cancelling Run's context
-// for graceful shutdown. Safe from any goroutine.
-func (f *Farm) Interrupt() { f.interrupted.Store(true) }
-
 // stopped reports how the event loop ends at this check, or nil when it
-// goes on. After Run's context is canceled the farm is persisted into its
+// goes on. Once Run's context is canceled the farm is persisted into its
 // checkpoint directory first, when one is configured, so the run is
-// restorable; after Interrupt nothing is saved, as in a crash. Either way
-// the error wraps ErrInterrupted.
+// restorable. The error wraps the context's cause, and a failed save's
+// error too.
 func (f *Farm) stopped(ctx context.Context) error {
-	if ctx.Err() != nil {
-		if f.ckptDir == "" {
-			return ErrInterrupted
-		}
-		if err := f.Checkpoint(f.ckptDir); err != nil {
-			// Keep the sentinel in the chain: callers branching on
-			// errors.Is(err, ErrInterrupted) must still recognize an
-			// interrupted run whose final save failed.
-			return fmt.Errorf("farm: checkpoint on interrupt: %w (%w)", err, ErrInterrupted)
-		}
-		return ErrInterrupted
+	if ctx.Err() == nil {
+		return nil
 	}
-	if f.interrupted.Load() {
-		return ErrInterrupted
+	err := fmt.Errorf("farm: run canceled: %w", context.Cause(ctx))
+	if f.ckptDir != "" {
+		if cerr := f.checkpoint(); cerr != nil {
+			err = fmt.Errorf("%w (checkpoint on cancel: %w)", err, cerr)
+		}
 	}
-	return nil
+	return err
 }
 
 // WorkloadFactory rebuilds the functional side of one restored job from
@@ -70,29 +49,26 @@ type WorkloadFactory func(spec JobSpec) (Workload, error)
 // simulation's state on the floor is an error, not a default.
 type WorkloadRegistry map[string]WorkloadFactory
 
-// Checkpoint persists the whole farm into dir — every job's accounting
-// and rank states, the queue order, the RNG state, the fair-share
-// credit and a full cluster snapshot, versioned under ckpt.Version —
-// committed atomically, so a crash at any point leaves the previous
-// complete checkpoint restorable by Restore. Running jobs are
-// checkpointed through Workload.Checkpoint — the suspend protocol
-// followed by an immediate resume, so they keep their hosts and lose no
-// placement — and their dump files are written one at a time with the
-// WithCheckpoint gap between them (the section-5.2 etiquette for the
-// shared file server). Each save writes its states into a fresh
+// checkpoint persists the whole farm into its checkpoint directory —
+// every job's accounting and rank states, the queue order, the RNG
+// state, the fair-share credit and a full cluster snapshot, versioned
+// under ckpt.Version — committed atomically, so a crash at any point
+// leaves the previous complete checkpoint restorable by Restore. Running
+// jobs are checkpointed through Workload.Checkpoint — the suspend
+// protocol followed by an immediate resume, so they keep their hosts and
+// lose no placement — and their dump files are written one at a time
+// with the WithCheckpoint gap between them (the section-5.2 etiquette
+// for the shared file server). Each save writes its states into a fresh
 // generation directory and commits by renaming the manifest last;
 // superseded generations are pruned after the commit.
 //
-// Checkpoint must run on the scheduling goroutine: before Run starts,
-// after it returns (the farm is closed then, and the manifest says so),
-// or from a scenario callback at an exact virtual time (the crash
-// experiments do; periodic saves are WithCheckpoint's job). It first
-// retires every completion already due, so the checkpoint lands on a
-// settled round boundary; beyond that the farm's virtual state is
-// untouched, which is why a checkpointed run stays bit-identical to an
-// undisturbed one.
-func (f *Farm) Checkpoint(dir string) error {
-	t := f.now()
+// Only the event loop calls it: at WithCheckpoint's interval, and once
+// more when Run's context is canceled. It first retires every completion
+// already due, so the checkpoint lands on a settled round boundary;
+// beyond that the farm's virtual state is untouched, which is why a
+// checkpointed run stays bit-identical to an undisturbed one.
+func (f *Farm) checkpoint() error {
+	dir, t := f.ckptDir, f.now()
 	if err := f.complete(t); err != nil {
 		return fmt.Errorf("farm: checkpoint: %w", err)
 	}
@@ -103,7 +79,6 @@ func (f *Farm) Checkpoint(dir string) error {
 		Policy:       f.policy.String(),
 		Backfill:     f.backfill.String(),
 		RNG:          f.src.State(),
-		Closed:       f.closed,
 		Reclaims:     f.reclaims,
 		EASYDegraded: f.easyDegraded,
 		ServedByUser: maps.Clone(f.servedByUser),
@@ -153,13 +128,13 @@ func (f *Farm) Checkpoint(dir string) error {
 	if err := ckpt.Prune(dir, gen); err != nil {
 		return err
 	}
-	f.emit(CheckpointSaved{T: t, Dir: dir, Gen: gen, Jobs: len(m.Jobs)})
+	f.emit(CheckpointSaved{T: t, Gen: gen, Jobs: len(m.Jobs)})
 	return nil
 }
 
 // Restore rebuilds a farm from a checkpoint directory written by a
-// previous farm's checkpointing (periodic, scenario-driven, or the
-// cancellation path of Run): the cluster — an identically shaped,
+// previous farm's Run (a WithCheckpoint interval save, or the save when
+// its context was canceled): the cluster — an identically shaped,
 // typically freshly built pool — is overwritten from the manifest's
 // snapshot, every job is reconstructed in its checkpointed phase (with
 // handles: Farm.Job finds them, and finished jobs already carry their
@@ -176,9 +151,11 @@ func (f *Farm) Checkpoint(dir string) error {
 // operator-local paths); re-attach them exactly as originally
 // configured, or the restored run's virtual-time grid — and with it the
 // bit-identity guarantee — changes. Subscriptions do not survive a
-// coordinator either: Subscribe on the restored farm before Run to
-// re-attach; the stream continues with exactly the events the dead
-// coordinator had not yet emitted.
+// coordinator either: SubscribeBuffered on the restored farm before Run
+// to re-attach; the stream continues with exactly the events the dead
+// coordinator had not yet emitted. A restored farm holds the
+// checkpoint's jobs and no others: every checkpoint is written after
+// Run has closed its farm, so Submit fails with ErrClosed.
 //
 // Corrupt, partial or mismatched checkpoints fail with descriptive
 // errors before the pool is touched: a record that does not fit its
@@ -251,7 +228,7 @@ func Restore(dir string, c *cluster.Cluster, reg WorkloadRegistry, opts ...Optio
 	f.src.SetState(m.RNG)
 	f.start = m.Start
 	f.restored = true
-	f.closed = m.Closed
+	f.closed = true // every checkpoint is written once Run has closed the farm
 	f.reclaims = m.Reclaims
 	f.easyDegraded = m.EASYDegraded
 	if m.StatesDir != "" {

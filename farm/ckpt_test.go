@@ -124,17 +124,14 @@ func TestKillAndRestoreBitIdentical(t *testing.T) {
 	s1 := newFarm(pool1, Priority, 42)
 	job1, _ := newSimJob(t, simConfig(t, 2, 2), steps)
 	stopAbandoned(t, job1)
+	ctx, crash := context.WithCancel(context.Background())
+	defer crash()
+	s1.ckptDir = dir // the cancel saves there
 	s1.scenarioEvery = time.Minute
-	crashed := false
 	s1.scenario = func(vt time.Duration, _ *cluster.Cluster) {
-		if vt < 5*time.Minute || crashed {
-			return
+		if vt >= 5*time.Minute {
+			crash()
 		}
-		crashed = true
-		if err := s1.Checkpoint(dir); err != nil {
-			t.Errorf("checkpoint: %v", err)
-		}
-		s1.Interrupt()
 	}
 	if _, err := s1.Submit(specs[0], nil); err != nil {
 		t.Fatal(err)
@@ -143,11 +140,8 @@ func TestKillAndRestoreBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	s1.Drain()
-	if _, err := s1.loop(context.Background()); !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("crashed run returned %v, want ErrInterrupted", err)
-	}
-	if !crashed {
-		t.Fatal("scenario never checkpointed; the farm drained before 5 virtual minutes")
+	if _, err := s1.loop(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("crashed run returned %v, want context.Canceled (nil: the farm drained before 5 virtual minutes)", err)
 	}
 
 	// The manifest must show the mid-storm shape: sim running with rank
@@ -227,11 +221,13 @@ func TestAutoCheckpointRestore(t *testing.T) {
 		s.ckptEvery = 2 * time.Minute
 		s.ckptDir = dir
 		s.scenarioEvery = time.Minute
-		crashed := false
+		ctx, crash := context.WithCancel(context.Background())
+		defer crash()
 		s.scenario = func(vt time.Duration, _ *cluster.Cluster) {
-			if crashAt > 0 && vt >= crashAt && !crashed {
-				crashed = true
-				s.Interrupt()
+			if crashAt > 0 && vt >= crashAt {
+				// A crash saves nothing: the last auto-save must do.
+				s.ckptDir = ""
+				crash()
 			}
 		}
 		for _, sp := range specs {
@@ -240,7 +236,7 @@ func TestAutoCheckpointRestore(t *testing.T) {
 			}
 		}
 		s.Drain()
-		sum, err := s.loop(context.Background())
+		sum, err := s.loop(ctx)
 		return sum, s, err
 	}
 
@@ -250,8 +246,8 @@ func TestAutoCheckpointRestore(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	if _, _, err := run(dir, 5*time.Minute); !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("crashed run returned %v, want ErrInterrupted", err)
+	if _, _, err := run(dir, 5*time.Minute); !errors.Is(err, context.Canceled) {
+		t.Fatalf("crashed run returned %v, want context.Canceled", err)
 	}
 	m, err := ckpt.Load(dir)
 	if err != nil {
@@ -338,17 +334,14 @@ func TestRestoreRejectsCorruptCheckpoints(t *testing.T) {
 	s := newFarm(pool, FIFO, 3)
 	job, _ := newSimJob(t, simConfig(t, 2, 1), steps)
 	stopAbandoned(t, job)
-	done := false
+	ctx, crash := context.WithCancel(context.Background())
+	defer crash()
+	s.ckptDir = dir // the cancel saves there
 	s.scenarioEvery = time.Minute
 	s.scenario = func(vt time.Duration, _ *cluster.Cluster) {
-		if vt < 2*time.Minute || done {
-			return
+		if vt >= 2*time.Minute {
+			crash()
 		}
-		done = true
-		if err := s.Checkpoint(dir); err != nil {
-			t.Errorf("checkpoint: %v", err)
-		}
-		s.Interrupt()
 	}
 	if _, err := s.Submit(JobSpec{
 		ID: "sim", Method: "lb2d", JX: 2, JY: 1, Side: 1000, Steps: steps,
@@ -356,8 +349,8 @@ func TestRestoreRejectsCorruptCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Drain()
-	if _, err := s.loop(context.Background()); !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("run returned %v, want ErrInterrupted", err)
+	if _, err := s.loop(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("run returned %v, want context.Canceled", err)
 	}
 
 	reg := WorkloadRegistry{

@@ -19,12 +19,11 @@ import (
 // restored farm emits exactly the events the dead coordinator had not
 // yet emitted, never the ones it had).
 //
-// All times are farm-relative virtual times (the same clock the metrics
-// report), and String renders a stable single-line form — the trace
-// tests compare those strings (DESIGN.md, "The event line").
+// Each event's T is the farm-relative virtual time of the decision (the
+// same clock the metrics report), and String renders a stable
+// single-line form — the trace tests compare those strings (DESIGN.md,
+// "The event line").
 type Event interface {
-	// When returns the farm-relative virtual time of the decision.
-	When() time.Duration
 	fmt.Stringer
 }
 
@@ -35,7 +34,6 @@ type JobQueued struct {
 	ID string
 }
 
-func (e JobQueued) When() time.Duration        { return e.T }
 func (e JobQueued) String() string             { var b [lineCap]byte; return string(e.appendText(b[:0])) }
 func (e JobQueued) appendText(b []byte) []byte { return head(b, e.T, " queued ").s(e.ID) }
 
@@ -54,8 +52,7 @@ type JobPlaced struct {
 	Weighted bool
 }
 
-func (e JobPlaced) When() time.Duration { return e.T }
-func (e JobPlaced) String() string      { var b [lineCap]byte; return string(e.appendText(b[:0])) }
+func (e JobPlaced) String() string { var b [lineCap]byte; return string(e.appendText(b[:0])) }
 func (e JobPlaced) appendText(b []byte) []byte {
 	return head(b, e.T, " placed ").placement(e.ID, e.Hosts, e.StepSec, e.Finish, e.Weighted)
 }
@@ -72,8 +69,7 @@ type JobBackfilled struct {
 	Weighted bool
 }
 
-func (e JobBackfilled) When() time.Duration { return e.T }
-func (e JobBackfilled) String() string      { var b [lineCap]byte; return string(e.appendText(b[:0])) }
+func (e JobBackfilled) String() string { var b [lineCap]byte; return string(e.appendText(b[:0])) }
 func (e JobBackfilled) appendText(b []byte) []byte {
 	return head(b, e.T, " backfilled ").placement(e.ID, e.Hosts, e.StepSec, e.Finish, e.Weighted)
 }
@@ -88,8 +84,7 @@ type JobPreempted struct {
 	Remaining float64
 }
 
-func (e JobPreempted) When() time.Duration { return e.T }
-func (e JobPreempted) String() string      { var b [lineCap]byte; return string(e.appendText(b[:0])) }
+func (e JobPreempted) String() string { var b [lineCap]byte; return string(e.appendText(b[:0])) }
 func (e JobPreempted) appendText(b []byte) []byte {
 	return head(b, e.T, " preempted ").s(e.ID).s(" remaining=").g(e.Remaining)
 }
@@ -109,8 +104,7 @@ type JobMigrated struct {
 	Finish  time.Duration
 }
 
-func (e JobMigrated) When() time.Duration { return e.T }
-func (e JobMigrated) String() string      { var b [lineCap]byte; return string(e.appendText(b[:0])) }
+func (e JobMigrated) String() string { var b [lineCap]byte; return string(e.appendText(b[:0])) }
 func (e JobMigrated) appendText(b []byte) []byte {
 	l := head(b, e.T, " migrated ").s(e.ID).s(" [")
 	for i, r := range e.Ranks {
@@ -129,8 +123,7 @@ type JobFinished struct {
 	Job JobMetrics
 }
 
-func (e JobFinished) When() time.Duration { return e.T }
-func (e JobFinished) String() string      { var b [lineCap]byte; return string(e.appendText(b[:0])) }
+func (e JobFinished) String() string { var b [lineCap]byte; return string(e.appendText(b[:0])) }
 func (e JobFinished) appendText(b []byte) []byte {
 	return head(b, e.T, " finished ").s(e.ID).s(" wait=").v(e.Job.Wait()).s(" served=").v(e.Job.Served).
 		s(" preempts=").d(e.Job.Preemptions).s(" migr=").d(e.Job.Migrations)
@@ -151,8 +144,7 @@ type JobResized struct {
 	Finish  time.Duration
 }
 
-func (e JobResized) When() time.Duration { return e.T }
-func (e JobResized) String() string      { var b [lineCap]byte; return string(e.appendText(b[:0])) }
+func (e JobResized) String() string { var b [lineCap]byte; return string(e.appendText(b[:0])) }
 func (e JobResized) appendText(b []byte) []byte {
 	return head(b, e.T, " resized ").s(e.ID).s(" ").d(e.From).s(">").d(e.To).
 		s(" on ").hosts(e.Hosts).price(e.StepSec, e.Finish)
@@ -170,8 +162,7 @@ type AutoscaleDecision struct {
 	Reason   string
 }
 
-func (e AutoscaleDecision) When() time.Duration { return e.T }
-func (e AutoscaleDecision) String() string      { var b [lineCap]byte; return string(e.appendText(b[:0])) }
+func (e AutoscaleDecision) String() string { var b [lineCap]byte; return string(e.appendText(b[:0])) }
 func (e AutoscaleDecision) appendText(b []byte) []byte {
 	return head(b, e.T, " autoscale ").s(e.Action).s(" ").s(e.ID).s(" ").d(e.From).s(">").d(e.To).
 		s(" reason=").q(e.Reason)
@@ -188,26 +179,22 @@ type HostReclaimed struct {
 	Owner string
 }
 
-func (e HostReclaimed) When() time.Duration { return e.T }
-func (e HostReclaimed) String() string      { var b [lineCap]byte; return string(e.appendText(b[:0])) }
+func (e HostReclaimed) String() string { var b [lineCap]byte; return string(e.appendText(b[:0])) }
 func (e HostReclaimed) appendText(b []byte) []byte {
 	return head(b, e.T, " reclaimed ").s(e.Host).s(" owner=").q(e.Owner)
 }
 
 // CheckpointSaved records a committed farm checkpoint: the manifest was
-// atomically renamed into place pointing at generation Gen, with Jobs
-// job records. The directory path is deliberately omitted from String —
-// it is operator-local and would break trace comparison across runs.
+// atomically renamed into place in the WithCheckpoint directory,
+// pointing at generation Gen, with Jobs job records.
 type CheckpointSaved struct {
 	T   time.Duration
-	Dir string
 	Gen string
 	// Jobs counts the job records in the committed manifest.
 	Jobs int
 }
 
-func (e CheckpointSaved) When() time.Duration { return e.T }
-func (e CheckpointSaved) String() string      { var b [lineCap]byte; return string(e.appendText(b[:0])) }
+func (e CheckpointSaved) String() string { var b [lineCap]byte; return string(e.appendText(b[:0])) }
 func (e CheckpointSaved) appendText(b []byte) []byte {
 	return head(b, e.T, " checkpoint ").s(e.Gen).s(" jobs=").d(e.Jobs)
 }
@@ -223,8 +210,7 @@ type EASYDegraded struct {
 	Ranks int
 }
 
-func (e EASYDegraded) When() time.Duration { return e.T }
-func (e EASYDegraded) String() string      { var b [lineCap]byte; return string(e.appendText(b[:0])) }
+func (e EASYDegraded) String() string { var b [lineCap]byte; return string(e.appendText(b[:0])) }
 func (e EASYDegraded) appendText(b []byte) []byte {
 	return head(b, e.T, " easy-degraded head=").s(e.Head).s(" ranks=").d(e.Ranks)
 }

@@ -79,7 +79,7 @@ func FuzzEventString(f *testing.F) {
 			JobResized{T: T, ID: id, From: int(at), To: int(d), Hosts: hosts, StepSec: x, Finish: D},
 			AutoscaleDecision{T: T, ID: id, Action: text, From: int(d), To: len(ranks), Reason: text},
 			HostReclaimed{T: T, Host: id, Owner: text},
-			CheckpointSaved{T: T, Dir: text, Gen: id, Jobs: int(d)},
+			CheckpointSaved{T: T, Gen: id, Jobs: int(d)},
 			EASYDegraded{T: T, Head: id, Ranks: int(at)},
 		}
 		for _, ev := range events {

@@ -230,7 +230,7 @@ func preemptAndMigrate(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	sub := f.Subscribe()
+	sub := f.SubscribeBuffered(1024)
 
 	// Side inflates the simulation's virtual workload so that the burst
 	// arrives mid-run on the scheduler's clock. Only 21 hosts are free

@@ -34,16 +34,17 @@
 // one workstation (section 4.1) the job-submit program runs before the
 // monitoring one: Run closes the farm to submissions as it starts and
 // returns once every accepted job has finished. It drives the event
-// loop under a context: cancelling the context checkpoints the farm
-// (when a checkpoint directory is configured) and interrupts the loop.
-// Subscribe yields the structured event stream of every scheduling
-// decision, in a deterministic order for a fixed seed.
+// loop under a context, and cancelling that context is the one way to
+// stop it: the farm is checkpointed into the WithCheckpoint directory,
+// when one is configured, and the loop returns. SubscribeBuffered yields
+// the structured event stream of every scheduling decision, in a
+// deterministic order for a fixed seed.
 //
 // Once Run has begun, its event loop owns every piece of scheduling
-// state and takes no lock: Interrupt only raises a flag for it, and a
-// running job is resized from the WithAutoscaler control tick. A farm
-// runs once: when Run returns, for any reason, its subscriptions end.
-// Continuing after an interrupt or a cancellation is Restore from a
+// state and takes no lock: it reads the context's cancellation at its
+// checks, and a running job is resized from the WithAutoscaler control
+// tick. A farm runs once: when Run returns, for any reason, its
+// subscriptions end. Continuing after a cancellation is Restore from a
 // checkpoint, as it is for the paper's one submitting and monitoring
 // workstation (section 4.1) after a crash.
 //
@@ -61,11 +62,9 @@ package farm
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/ckpt"
@@ -100,7 +99,7 @@ type Farm struct {
 	migration cluster.MigrationPolicy
 
 	rng      *rand.Rand
-	src      *RNG // rng's source, persisted by Checkpoint
+	src      *RNG // rng's source, persisted by checkpoint
 	queue    []*jobState
 	running  []*jobState
 	finished []*jobState
@@ -122,7 +121,7 @@ type Farm struct {
 	start    time.Duration
 	restored bool
 	// ckptSeq numbers the save generations inside a checkpoint
-	// directory; each Checkpoint writes into a fresh states-<seq>
+	// directory; each checkpoint writes into a fresh states-<seq>
 	// directory so a crash mid-save never damages the last committed
 	// checkpoint.
 	ckptSeq int
@@ -135,11 +134,8 @@ type Farm struct {
 	pending   arrivals // submitted, not yet admitted to the queue
 	submitted int      // jobs ever put on pending; the next one's seq
 	jobs      map[string]*Job
-	closed    bool // Drain was called or Run has begun: Submit fails
+	closed    bool // Drain, Run or Restore closed it: Submit fails
 	ran       bool // Run was entered: a farm runs once
-
-	// interrupted is raised by Interrupt, from any goroutine.
-	interrupted atomic.Bool
 
 	// servedByUser accumulates virtual service time per tenant, the
 	// WeightedFair bookkeeping.
@@ -151,7 +147,7 @@ type Farm struct {
 	hmu  sync.Mutex
 	subs []*Subscription
 	// runDone is closed when Run returns, with runErr valid from then on.
-	// It exists from construction, so a Wait or Subscribe that starts
+	// It exists from construction, so a Wait or subscription that starts
 	// before Run still observes the run ending.
 	runDone chan struct{}
 	runErr  error
@@ -244,11 +240,7 @@ func (f *Farm) Job(id string) (*Job, bool) {
 func (f *Farm) Drain() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	// Once Run has begun the farm is closed already, and the event loop
-	// reads closed without the lock: write it only while it is open.
-	if !f.closed {
-		f.closed = true
-	}
+	f.closed = true
 }
 
 // Run drives the farm: it closes the farm to submissions, then admits
@@ -262,10 +254,11 @@ func (f *Farm) Drain() {
 // subscription ends; a second Run, like a Submit, fails with ErrClosed
 // at once. An errored Run releases nothing: its placed jobs keep their
 // hosts, as a crashed coordinator's would, and the way to continue is
-// Restore from a checkpoint. Cancelling the context stops the farm:
-// when a checkpoint directory is configured (WithCheckpoint) the farm
-// is persisted first, so the run is restorable, and Run returns an
-// error wrapping context.Canceled (or the context's cause).
+// Restore from a checkpoint. Cancelling the context, from any goroutine
+// or from a WithScenario callback, stops the farm at the loop's next
+// check: when a checkpoint directory is configured (WithCheckpoint) the
+// farm is persisted first, so the run is restorable, and Run returns an
+// error wrapping context.Cause(ctx).
 func (f *Farm) Run(ctx context.Context) (Summary, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -278,16 +271,7 @@ func (f *Farm) Run(ctx context.Context) (Summary, error) {
 		return Summary{}, fmt.Errorf("farm: run: %w", ErrClosed)
 	}
 
-	// The loop reads ctx itself, at the checks where it reads Interrupt:
-	// a cancellation stops the run at the next one.
 	sum, err := f.loop(ctx)
-	if errors.Is(err, ErrInterrupted) && ctx.Err() != nil {
-		// Wrap both chains: errors.Is finds the context cause, and a
-		// failed cancellation checkpoint stays diagnosable through the
-		// loop's error.
-		err = fmt.Errorf("farm: run canceled: %w (%w)", context.Cause(ctx), err)
-	}
-
 	f.hmu.Lock()
 	f.runErr = err
 	subs := f.subs

@@ -3,10 +3,12 @@ package farm_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -169,23 +171,15 @@ func TestEventTraceDeterministic(t *testing.T) {
 func TestEventTraceAcrossRestore(t *testing.T) {
 	const crashAt = 12 * time.Minute
 
-	// Reference: uninterrupted, but checkpointing at the same virtual
-	// time so the CheckpointSaved event appears in both streams.
-	refDir := t.TempDir()
-	saved := false
-	var ref *farm.Farm
+	// Reference: uninterrupted, but saving every crashAt, so the
+	// CheckpointSaved events appear in both streams: the doomed run's
+	// cancel saves at crashAt, and the restored farm saves on the same
+	// grid after it.
 	refTraceRun := func() []string {
-		ref = mustNew(t, quietPool(),
+		ref := mustNew(t, quietPool(),
 			farm.WithSeed(1),
-			farm.WithScenario(time.Minute, func(tt time.Duration, c *cluster.Cluster) {
-				storm(tt, c)
-				if tt >= crashAt && !saved {
-					saved = true
-					if err := ref.Checkpoint(refDir); err != nil {
-						t.Error(err)
-					}
-				}
-			}))
+			farm.WithCheckpoint(t.TempDir(), crashAt, 0),
+			farm.WithScenario(time.Minute, storm))
 		sub := ref.SubscribeBuffered(1 << 14)
 		for _, sp := range stormMix() {
 			if _, err := ref.Submit(sp, nil); err != nil {
@@ -204,20 +198,17 @@ func TestEventTraceAcrossRestore(t *testing.T) {
 	}
 	want := refTraceRun()
 
-	// The doomed run: checkpoint at crashAt, then die.
+	// The doomed run: canceled at crashAt, which saves, then dies.
 	dir := t.TempDir()
-	crashed := false
-	var doomed *farm.Farm
-	doomed = mustNew(t, quietPool(),
+	ctx, crash := context.WithCancel(context.Background())
+	defer crash()
+	doomed := mustNew(t, quietPool(),
 		farm.WithSeed(1),
+		farm.WithCheckpoint(dir, 0, 0),
 		farm.WithScenario(time.Minute, func(tt time.Duration, c *cluster.Cluster) {
 			storm(tt, c)
-			if tt >= crashAt && !crashed {
-				crashed = true
-				if err := doomed.Checkpoint(dir); err != nil {
-					t.Error(err)
-				}
-				doomed.Interrupt()
+			if tt >= crashAt {
+				crash()
 			}
 		}))
 	subA := doomed.SubscribeBuffered(1 << 14)
@@ -227,8 +218,8 @@ func TestEventTraceAcrossRestore(t *testing.T) {
 		}
 	}
 	doomed.Drain()
-	if _, err := doomed.Run(context.Background()); !errors.Is(err, farm.ErrInterrupted) {
-		t.Fatalf("doomed run: %v, want ErrInterrupted", err)
+	if _, err := doomed.Run(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("doomed run: %v, want context.Canceled", err)
 	}
 	// Run's return ended the stream; the buffered events stay readable
 	// and the range ends.
@@ -239,6 +230,7 @@ func TestEventTraceAcrossRestore(t *testing.T) {
 
 	// The restored continuation re-attaches a fresh subscriber.
 	restored, err := farm.Restore(dir, cluster.NewPaperCluster(), nil,
+		farm.WithCheckpoint(t.TempDir(), crashAt, 0),
 		farm.WithScenario(time.Minute, storm))
 	if err != nil {
 		t.Fatal(err)
@@ -397,8 +389,8 @@ func TestJobHandleLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.ID() != "solo" || j.Status() != farm.StatusPending {
-		t.Fatalf("fresh handle: id %q status %v", j.ID(), j.Status())
+	if j.Status() != farm.StatusPending {
+		t.Fatalf("fresh handle: status %v", j.Status())
 	}
 	if _, ok := j.Metrics(); ok {
 		t.Error("metrics available before the job ran")
@@ -438,10 +430,10 @@ func TestJobHandleLifecycle(t *testing.T) {
 	}
 }
 
-// TestWaitAfterInterruptedRun: when Run returns without finishing a
-// job, Wait reports ErrStopped (wrapping the run's error) instead of
-// hanging — including a Wait that started before Run was ever called.
-func TestWaitAfterInterruptedRun(t *testing.T) {
+// TestWaitAfterCanceledRun: when Run returns without finishing a job,
+// Wait reports ErrStopped (wrapping the run's error) instead of hanging
+// — including a Wait that started before Run was ever called.
+func TestWaitAfterCanceledRun(t *testing.T) {
 	f := mustNew(t, quietPool())
 	j, err := f.Submit(farm.JobSpec{ID: "orphan", Method: "lb2d", JX: 2, JY: 2, Side: 40, Steps: 1000}, nil)
 	if err != nil {
@@ -454,15 +446,16 @@ func TestWaitAfterInterruptedRun(t *testing.T) {
 		defer cancel()
 		earlyErr <- j.Wait(ctx)
 	}()
-	f.Interrupt()
-	if _, err := f.Run(context.Background()); !errors.Is(err, farm.ErrInterrupted) {
-		t.Fatalf("interrupted Run: %v", err)
+	canceled, cancelRun := context.WithCancel(context.Background())
+	cancelRun()
+	if _, err := f.Run(canceled); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled Run: %v", err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	err = j.Wait(ctx)
-	if !errors.Is(err, farm.ErrStopped) || !errors.Is(err, farm.ErrInterrupted) {
-		t.Errorf("Wait after interrupted run: %v, want ErrStopped wrapping ErrInterrupted", err)
+	if !errors.Is(err, farm.ErrStopped) || !errors.Is(err, context.Canceled) {
+		t.Errorf("Wait after canceled run: %v, want ErrStopped wrapping context.Canceled", err)
 	}
 	if err := <-earlyErr; !errors.Is(err, farm.ErrStopped) {
 		t.Errorf("Wait started before Run: %v, want ErrStopped (not a context timeout)", err)
@@ -582,6 +575,64 @@ func TestRunCancelInScenarioSavesThere(t *testing.T) {
 	}
 }
 
+// TestRunCancelSaveFailure: when the save on cancel fails, Run's error
+// still wraps the context's cause, and it names the failed save.
+func TestRunCancelSaveFailure(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	f := mustNew(t, quietPool(), farm.WithCheckpoint(filepath.Join(file, "ckpt"), 0, 0))
+	if _, err := f.Run(ctx); !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "checkpoint on cancel") {
+		t.Errorf("Run saving under a file: %v, want context.Canceled and the failed save", err)
+	}
+}
+
+// TestRestoredFarmIsClosed: every checkpoint is written after Run has
+// closed its farm, so a restored farm refuses Submit with ErrClosed. A
+// manifest in the older format, which carried "Closed": false when it
+// was saved before Run, still loads, and the farm restored from it is
+// closed too.
+func TestRestoredFarmIsClosed(t *testing.T) {
+	dir := t.TempDir()
+	ctx, crash := context.WithCancel(context.Background())
+	defer crash()
+	f := mustNew(t, quietPool(), farm.WithSeed(1),
+		farm.WithCheckpoint(dir, 0, 0),
+		farm.WithScenario(time.Minute, func(time.Duration, *cluster.Cluster) { crash() }))
+	if _, err := f.Submit(farm.JobSpec{ID: "a", Method: "lb2d", JX: 2, JY: 1, Side: 40, Steps: 10000}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Run(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("checkpointing run: %v, want context.Canceled", err)
+	}
+
+	data, err := os.ReadFile(ckpt.ManifestPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	m["Closed"] = json.RawMessage("false")
+	if data, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(ckpt.ManifestPath(dir), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := farm.Restore(dir, cluster.NewPaperCluster(), nil)
+	if err != nil {
+		t.Fatalf("restore from a manifest with \"Closed\": false: %v", err)
+	}
+	if _, err := restored.Submit(farm.JobSpec{ID: "late", Method: "lb2d", JX: 1, JY: 1, Side: 4, Steps: 1}, nil); !errors.Is(err, farm.ErrClosed) {
+		t.Errorf("Submit to a restored farm: %v, want ErrClosed", err)
+	}
+}
+
 // TestSubscribeAfterRunIsClosed: a subscription made once the stream is
 // over arrives pre-closed instead of blocking its reader forever; one
 // made before the next Run observes that run and closes with it.
@@ -594,7 +645,7 @@ func TestSubscribeAfterRunIsClosed(t *testing.T) {
 	if _, err := f.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	late := f.Subscribe()
+	late := f.SubscribeBuffered(1024)
 	for range late.Events() {
 		t.Error("pre-closed subscription delivered an event")
 	}
@@ -604,9 +655,9 @@ func TestSubscribeAfterRunIsClosed(t *testing.T) {
 }
 
 // TestRunOnce: a farm runs once. Whether its Run drained or was
-// interrupted, a second Run and a Submit fail with ErrClosed at once,
-// and the second Run changes no host's assignment: the interrupted
-// run's job keeps its hosts, as a dead coordinator's would. A Subscribe
+// canceled, a second Run and a Submit fail with ErrClosed at once, and
+// the second Run changes no host's assignment: the canceled run's job
+// keeps its hosts, as a dead coordinator's would. A subscription made
 // after the errored Run arrives closed, and a Wait that started before
 // Run reports ErrStopped wrapping the run's error.
 func TestRunOnce(t *testing.T) {
@@ -617,13 +668,14 @@ func TestRunOnce(t *testing.T) {
 		}
 		return out
 	}
-	for _, interrupt := range []bool{false, true} {
+	for _, crash := range []bool{false, true} {
 		pool := quietPool()
-		var f *farm.Farm
-		f = mustNew(t, pool, farm.WithSeed(1),
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		f := mustNew(t, pool, farm.WithSeed(1),
 			farm.WithScenario(time.Minute, func(tt time.Duration, _ *cluster.Cluster) {
-				if interrupt && tt == 2*time.Minute {
-					f.Interrupt()
+				if crash && tt == 2*time.Minute {
+					cancel()
 				}
 			}))
 		j, err := f.Submit(farm.JobSpec{ID: "held", Method: "lb2d", JX: 2, JY: 2, Side: 40, Steps: 20000}, nil)
@@ -637,38 +689,38 @@ func TestRunOnce(t *testing.T) {
 			early <- j.Wait(ctx)
 		}()
 		f.Drain()
-		_, runErr := f.Run(context.Background())
-		if interrupt != errors.Is(runErr, farm.ErrInterrupted) {
-			t.Fatalf("interrupt=%v: first Run returned %v", interrupt, runErr)
+		_, runErr := f.Run(ctx)
+		if crash != errors.Is(runErr, context.Canceled) {
+			t.Fatalf("crash=%v: first Run returned %v", crash, runErr)
 		}
-		if interrupt {
+		if crash {
 			if j.Status() != farm.StatusRunning {
-				t.Fatalf("interrupted job is %v, want running", j.Status())
+				t.Fatalf("canceled job is %v, want running", j.Status())
 			}
 			select {
-			case _, open := <-f.Subscribe().Events():
+			case _, open := <-f.SubscribeBuffered(1024).Events():
 				if open {
-					t.Error("Subscribe after an errored Run delivered an event")
+					t.Error("a subscription after an errored Run delivered an event")
 				}
 			default:
-				t.Error("Subscribe after an errored Run arrived open")
+				t.Error("a subscription after an errored Run arrived open")
 			}
 		}
 		before := assignments(pool)
 		if _, err := f.Submit(farm.JobSpec{ID: "late", Method: "lb2d", JX: 1, JY: 1, Side: 4, Steps: 1}, nil); !errors.Is(err, farm.ErrClosed) {
-			t.Errorf("interrupt=%v: Submit after Run: %v, want ErrClosed", interrupt, err)
+			t.Errorf("crash=%v: Submit after Run: %v, want ErrClosed", crash, err)
 		}
 		if _, err := f.Run(context.Background()); !errors.Is(err, farm.ErrClosed) {
-			t.Errorf("interrupt=%v: second Run: %v, want ErrClosed", interrupt, err)
+			t.Errorf("crash=%v: second Run: %v, want ErrClosed", crash, err)
 		}
 		if after := assignments(pool); !slices.Equal(before, after) {
-			t.Errorf("interrupt=%v: second Run changed the pool's assignments\nbefore %v\nafter  %v", interrupt, before, after)
+			t.Errorf("crash=%v: second Run changed the pool's assignments\nbefore %v\nafter  %v", crash, before, after)
 		}
 		err = <-early
-		if interrupt && (!errors.Is(err, farm.ErrStopped) || !errors.Is(err, farm.ErrInterrupted)) {
-			t.Errorf("Wait started before Run: %v, want ErrStopped wrapping ErrInterrupted", err)
+		if crash && (!errors.Is(err, farm.ErrStopped) || !errors.Is(err, context.Canceled)) {
+			t.Errorf("Wait started before Run: %v, want ErrStopped wrapping context.Canceled", err)
 		}
-		if !interrupt && err != nil {
+		if !crash && err != nil {
 			t.Errorf("Wait started before a drained Run: %v, want nil", err)
 		}
 	}
@@ -721,16 +773,17 @@ func TestScenarioSubmitIsClosed(t *testing.T) {
 // failure instead of a hang.
 func TestRunReturnsWithoutDrain(t *testing.T) {
 	f := mustNew(t, quietPool(), farm.WithSeed(1))
-	var jobs []*farm.Job
-	for _, sp := range []farm.JobSpec{
+	specs := []farm.JobSpec{
 		{ID: "now", Method: "lb2d", JX: 2, JY: 2, Side: 40, Steps: 100},
 		{ID: "later", Method: "fd2d", JX: 1, JY: 1, Side: 40, Steps: 100, Submit: 30 * time.Minute},
-	} {
+	}
+	jobs := make([]*farm.Job, len(specs))
+	for i, sp := range specs {
 		j, err := f.Submit(sp, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		jobs = append(jobs, j)
+		jobs[i] = j
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -741,9 +794,9 @@ func TestRunReturnsWithoutDrain(t *testing.T) {
 	if len(sum.Jobs) != len(jobs) {
 		t.Errorf("%d jobs finished, want %d", len(sum.Jobs), len(jobs))
 	}
-	for _, j := range jobs {
+	for i, j := range jobs {
 		if j.Status() != farm.StatusFinished {
-			t.Errorf("job %s is %v after Run, want finished", j.ID(), j.Status())
+			t.Errorf("job %s is %v after Run, want finished", specs[i].ID, j.Status())
 		}
 	}
 }
@@ -779,19 +832,16 @@ func (w *stateProbe) Restore(states []*dump.State) error    { w.states = states;
 // reserved none of its hosts and resumed no worker.
 func TestRestoreRejectsManifestOptions(t *testing.T) {
 	dir := t.TempDir()
-	var f *farm.Farm
-	f = mustNew(t, quietPool(), farm.WithSeed(7),
-		farm.WithScenario(time.Minute, func(time.Duration, *cluster.Cluster) {
-			if err := f.Checkpoint(dir); err != nil {
-				t.Error(err)
-			}
-			f.Interrupt()
-		}))
+	ctx, crash := context.WithCancel(context.Background())
+	defer crash()
+	f := mustNew(t, quietPool(), farm.WithSeed(7),
+		farm.WithCheckpoint(dir, 0, 0),
+		farm.WithScenario(time.Minute, func(time.Duration, *cluster.Cluster) { crash() }))
 	if _, err := f.Submit(farm.JobSpec{ID: "a", Method: "lb2d", JX: 2, JY: 1, Side: 40, Steps: 10000}, &stateProbe{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Run(context.Background()); !errors.Is(err, farm.ErrInterrupted) {
-		t.Fatalf("checkpointing run: %v, want ErrInterrupted", err)
+	if _, err := f.Run(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("checkpointing run: %v, want context.Canceled", err)
 	}
 
 	restore := func(opts ...farm.Option) (*cluster.Cluster, *stateProbe, error) {

@@ -274,27 +274,21 @@ func TestWeightedJobCheckpointRestoreRoundTrip(t *testing.T) {
 	s1 := newFarm(pool1, FIFO, 9)
 	job1, _ := newSimJob(t, weightedSimConfig(t), steps)
 	stopAbandoned(t, job1)
-	crashed := false
+	ctx, crash := context.WithCancel(context.Background())
+	defer crash()
+	s1.ckptDir = dir // the cancel saves there
 	s1.scenarioEvery = time.Minute
 	s1.scenario = func(vt time.Duration, _ *cluster.Cluster) {
-		if vt < 5*time.Minute || crashed {
-			return
+		if vt >= 5*time.Minute {
+			crash()
 		}
-		crashed = true
-		if err := s1.Checkpoint(dir); err != nil {
-			t.Errorf("checkpoint: %v", err)
-		}
-		s1.Interrupt()
 	}
 	if _, err := s1.Submit(spec, &CoreWorkload{Job: job1}); err != nil {
 		t.Fatal(err)
 	}
 	s1.Drain()
-	if _, err := s1.loop(context.Background()); !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("crashed run returned %v, want ErrInterrupted", err)
-	}
-	if !crashed {
-		t.Fatal("scenario never checkpointed; the sim drained before 5 virtual minutes")
+	if _, err := s1.loop(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("crashed run returned %v, want context.Canceled (nil: the sim drained before 5 virtual minutes)", err)
 	}
 
 	// The manifest records the weighted spans: the 715's column is

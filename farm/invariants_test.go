@@ -144,17 +144,16 @@ func stormFarm(t *testing.T, tick func(s *Farm, vt time.Duration)) *Farm {
 // fails here until the fixture exercises it and both sides carry it.
 func TestCheckpointFixedPoint(t *testing.T) {
 	dir1, dir2 := t.TempDir(), t.TempDir()
-	s1 := stormFarm(t, func(s *Farm, vt time.Duration) {
-		if vt != 6*time.Minute {
-			return
+	ctx, crash := context.WithCancel(context.Background())
+	defer crash()
+	s1 := stormFarm(t, func(_ *Farm, vt time.Duration) {
+		if vt == 6*time.Minute {
+			crash()
 		}
-		if err := s.Checkpoint(dir1); err != nil {
-			t.Errorf("checkpoint: %v", err)
-		}
-		s.Interrupt()
 	})
-	if _, err := s1.Run(context.Background()); !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("Run returned %v, want ErrInterrupted at the checkpoint tick", err)
+	s1.ckptDir = dir1 // the cancel saves there
+	if _, err := s1.Run(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run returned %v, want context.Canceled at the checkpoint tick", err)
 	}
 	m1, err := ckpt.Load(dir1)
 	if err != nil {
@@ -167,12 +166,14 @@ func TestCheckpointFixedPoint(t *testing.T) {
 			reg[jr.ID] = func(JobSpec) (Workload, error) { return &stateWorkload{}, nil }
 		}
 	}
-	s2, err := Restore(dir1, cluster.NewPaperCluster(), reg)
+	// The restored farm saves again at its Run's first check: its
+	// context is canceled before Run.
+	s2, err := Restore(dir1, cluster.NewPaperCluster(), reg, WithCheckpoint(dir2, 0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.Checkpoint(dir2); err != nil {
-		t.Fatal(err)
+	if _, err := s2.Run(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("restored Run with a canceled context returned %v, want context.Canceled", err)
 	}
 	m2, err := ckpt.Load(dir2)
 	if err != nil {

@@ -8,7 +8,7 @@ import (
 )
 
 // ErrStopped is returned by Job.Wait when the farm's Run returned —
-// drained, interrupted or failed — before the job finished.
+// canceled or failed — before the job finished.
 var ErrStopped = errors.New("farm run ended before the job finished")
 
 // Status is a job's position in the farm lifecycle. Its names are the
@@ -58,9 +58,6 @@ func newJob(f *Farm, id string) *Job {
 	return &Job{id: id, f: f, done: make(chan struct{})}
 }
 
-// ID returns the job's identifier.
-func (j *Job) ID() string { return j.id }
-
 // Status returns the job's current lifecycle position, maintained from
 // the farm's event stream (preemption moves a job back to
 // StatusQueued; migration keeps it StatusRunning).
@@ -77,10 +74,6 @@ func (j *Job) Metrics() (JobMetrics, bool) {
 	defer j.mu.Unlock()
 	return j.rec, j.hasRec
 }
-
-// Done returns a channel closed when the job finishes — the select-able
-// form of Wait.
-func (j *Job) Done() <-chan struct{} { return j.done }
 
 // Wait blocks until the job finishes (nil), the context is done
 // (ctx.Err()), or the farm's Run returns without finishing it (an error

@@ -78,13 +78,13 @@ func WithSeed(seed int64) Option {
 	return func(f *Farm) { f.src = NewRNG(seed) }
 }
 
-// WithCheckpoint makes the farm durable in dir: the event loop persists
-// the whole farm at every multiple of every in virtual time (while the
-// farm has work), so a crashed coordinator loses at most one interval,
-// and Run's cancellation path saves a final checkpoint before
-// interrupting. gap paces the per-rank dump writes (the section-5.2
-// etiquette for a shared file server); zero writes back to back. An
-// every of zero arms the directory for cancellation saves only. Not
+// WithCheckpoint makes the farm durable in dir, the one way a farm
+// saves: the event loop persists the whole farm at every multiple of
+// every in virtual time (while the farm has work), so a crashed
+// coordinator loses at most one interval, and once more when Run's
+// context is canceled, before the loop returns. gap paces the per-rank
+// dump writes (the section-5.2 etiquette for a shared file server); zero
+// writes back to back. An every of zero saves on cancellation only. Not
 // persisted in checkpoints — re-pass it to Restore.
 func WithCheckpoint(dir string, every, gap time.Duration) Option {
 	return func(f *Farm) { f.ckptDir, f.ckptEvery, f.ckptGap = dir, every, gap }
@@ -93,10 +93,11 @@ func WithCheckpoint(dir string, every, gap time.Duration) Option {
 // WithScenario invokes fn on the scheduling goroutine at every multiple
 // of every of virtual time while the farm has work, before completions
 // are retired. Experiments script user activity through it
-// (cluster.Reclaim / cluster.UserGone storms) and may call
-// Farm.Checkpoint / Farm.Interrupt (a Submit fails: Run has closed the
-// farm);
-// farm/workload compiles declarative scenario scripts onto this hook.
+// (cluster.Reclaim / cluster.UserGone storms), and a crash experiment
+// cancels Run's context from it, which saves into the WithCheckpoint
+// directory at that exact virtual time (a Submit fails: Run has closed
+// the farm); farm/workload compiles declarative scenario scripts onto
+// this hook.
 // The interval must be positive when fn is set: New and Restore reject
 // every <= 0 with ErrInvalidSpec instead of arming a callback that
 // never fires. Not persisted in checkpoints — re-attach the same

@@ -9,7 +9,7 @@ package farm
 // default source lacks:
 //
 //   - The state is serializable. A checkpoint must persist the
-//     generator mid-run: State/SetState let Farm.Checkpoint write
+//     generator mid-run: State/SetState let the farm's checkpoint write
 //     the word into the manifest and Restore resume the exact
 //     permutation stream, which is part of what makes a
 //     killed-and-restored farm finish bit-identically to an

@@ -93,7 +93,7 @@ func (f *Farm) loop(ctx context.Context) (Summary, error) {
 			f.autoscale(t, AutoscaleControl{f: f, t: t})
 		}
 		if save >= 0 && t == save {
-			if err := f.Checkpoint(f.ckptDir); err != nil {
+			if err := f.checkpoint(); err != nil {
 				return Summary{}, fmt.Errorf("farm: auto-checkpoint at %v: %w", t, err)
 			}
 		}

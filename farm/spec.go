@@ -11,7 +11,8 @@ import (
 // Sentinel errors returned (wrapped, with job context) by Submit;
 // callers branch on them with errors.Is.
 var (
-	// ErrClosed rejects a submission after Drain or once Run has begun.
+	// ErrClosed rejects a submission after Drain, once Run has begun,
+	// or on a restored farm.
 	ErrClosed = errors.New("farm is closed to new submissions")
 	// ErrDuplicateID rejects a job ID the farm has already accepted.
 	ErrDuplicateID = errors.New("duplicate job ID")

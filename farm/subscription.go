@@ -2,25 +2,19 @@ package farm
 
 import "sync"
 
-// DefaultSubscriptionBuffer is Subscribe's channel capacity. A farm
-// emits a handful of events per scheduling round, so the default rides
-// out a subscriber that drains in batches; size it explicitly with
-// SubscribeBuffered when collecting full traces of long storms.
-const DefaultSubscriptionBuffer = 1024
-
 // Subscription is one bounded tap on the farm's event stream.
 //
 // Delivery never blocks the scheduling round: events are sent
 // non-blockingly into the subscription's buffered channel, and when the
 // buffer is full the new event is dropped and counted — Dropped
 // reports how many. A subscriber that must see every event sizes its
-// buffer for the trace (SubscribeBuffered) or drains concurrently; a
-// slow or abandoned subscriber costs the farm nothing.
+// buffer for the trace or drains concurrently; a slow or abandoned
+// subscriber costs the farm nothing.
 //
 // The channel is closed when the stream is over: the farm's Run
-// returned, whether drained, interrupted, canceled or failed, which ends
-// any range loop over Events. A farm runs once, so no later event can
-// follow; a restored farm is a new stream (Restore).
+// returned, whether drained, canceled or failed, which ends any range
+// loop over Events. A farm runs once, so no later event can follow; a
+// restored farm is a new stream (Restore).
 type Subscription struct {
 	f *Farm
 
@@ -30,16 +24,13 @@ type Subscription struct {
 	closed  bool
 }
 
-// Subscribe taps the farm's event stream with the default buffer.
+// SubscribeBuffered taps the farm's event stream with a buffer of n
+// events (minimum 1); see Subscription for the overflow policy.
 // Subscribe before Run to see the whole stream; a subscription made
-// mid-run starts at the current round.
-func (f *Farm) Subscribe() *Subscription {
-	return f.SubscribeBuffered(DefaultSubscriptionBuffer)
-}
-
-// SubscribeBuffered taps the farm's event stream with an explicit
-// buffer capacity (minimum 1). See Subscription for the overflow
-// policy. A subscription made after the farm's Run has returned arrives
+// mid-run starts at the current round. A farm emits a handful of events
+// per scheduling round, so a buffer of a thousand rides out a subscriber
+// that drains in batches; size it for the trace to collect one whole.
+// A subscription made after the farm's Run has returned arrives
 // already closed: the stream it would have observed is over, so a range
 // over Events ends immediately instead of blocking on a channel nothing
 // will ever close.

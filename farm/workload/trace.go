@@ -41,7 +41,7 @@ var (
 )
 
 // Trace is one recorded farm run, v1: the full scheduling decision
-// stream (the farm.Subscribe surface, one stable String line per
+// stream (the farm.SubscribeBuffered surface, one stable String line per
 // event) together with everything needed to reproduce it — the job
 // list, the scheduling knobs, the cluster-side scenario and the
 // checkpoint grid. Durations serialize as nanoseconds.

@@ -27,7 +27,7 @@
 //     farm restored from a checkpoint.
 //
 //   - Traces. Record captures a run's structured event stream (the
-//     farm.Subscribe surface) together with everything needed to
+//     farm.SubscribeBuffered surface) together with everything needed to
 //     reproduce it into a versioned, self-describing Trace file.
 //     Verify re-runs the recorded configuration and asserts the event
 //     stream is byte-identical, the regression pin CI runs

@@ -2,6 +2,7 @@ package workload_test
 
 import (
 	"cmp"
+	"context"
 	"encoding/json"
 	"errors"
 	"path/filepath"
@@ -356,23 +357,18 @@ func TestVerifyAcrossRestore(t *testing.T) {
 	}
 
 	// The doomed run: periodic checkpoints on the recorded grid, then at
-	// crashAt an explicit save (standing in for the periodic one its
-	// death preempts — same virtual time, same generation number) and an
-	// interrupt.
+	// crashAt a cancel of its Run, whose save stands in for the periodic
+	// one its death preempts (same virtual time, same generation number).
 	dir := t.TempDir()
-	crashed := false
-	var doomed *farm.Farm
-	doomed, err = farm.New(pool(),
+	ctx, crash := context.WithCancel(context.Background())
+	defer crash()
+	doomed, err := farm.New(pool(),
 		farm.WithPolicy(policy), farm.WithBackfill(backfill), farm.WithSeed(tr.Seed),
 		farm.WithCheckpoint(dir, tr.CheckpointEvery, tr.CheckpointGap),
 		farm.WithScenario(every, func(tt time.Duration, c *farm.Cluster) {
 			scenario(tt, c)
-			if tt >= crashAt && !crashed {
-				crashed = true
-				if err := doomed.Checkpoint(dir); err != nil {
-					t.Error(err)
-				}
-				doomed.Interrupt()
+			if tt >= crashAt {
+				crash()
 			}
 		}))
 	if err != nil {
@@ -385,8 +381,8 @@ func TestVerifyAcrossRestore(t *testing.T) {
 		}
 	}
 	doomed.Drain()
-	if _, err := doomed.Run(nil); !errors.Is(err, farm.ErrInterrupted) {
-		t.Fatalf("doomed run: %v, want ErrInterrupted", err)
+	if _, err := doomed.Run(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("doomed run: %v, want context.Canceled", err)
 	}
 	var got []string
 	for ev := range subA.Events() {

@@ -142,7 +142,7 @@ type Manifest struct {
 	Version int
 
 	// SavedAt is the farm-relative virtual time of the checkpoint; Start
-	// is the absolute cluster time the interrupted Run began at.
+	// is the absolute cluster time the checkpointed farm's Run began at.
 	SavedAt time.Duration
 	Start   time.Duration
 
@@ -150,8 +150,7 @@ type Manifest struct {
 	Backfill string
 	// RNG is the scheduler's complete generator state (the splitmix64
 	// word), so the restored farm draws the same placement permutations.
-	RNG    uint64
-	Closed bool
+	RNG uint64
 
 	Reclaims int
 	// EASYDegraded counts the scheduling rounds whose EASY backfill

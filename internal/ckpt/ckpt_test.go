@@ -25,7 +25,6 @@ func sampleManifest() *Manifest {
 		Policy:    "fifo",
 		Backfill:  "easy",
 		RNG:       0xdeadbeef,
-		Closed:    true,
 		Reclaims:  2,
 		StatesDir: StatesDirName(1),
 		ServedByUser: map[string]time.Duration{
@@ -68,7 +67,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	if got.Version != Version || got.SavedAt != want.SavedAt || got.Start != want.Start {
 		t.Errorf("header mismatch: %+v", got)
 	}
-	if got.RNG != want.RNG || got.Policy != want.Policy || got.Backfill != want.Backfill || !got.Closed {
+	if got.RNG != want.RNG || got.Policy != want.Policy || got.Backfill != want.Backfill {
 		t.Errorf("config mismatch: %+v", got)
 	}
 	if got.ServedByUser["cfd"] != 3*time.Minute || got.Reclaims != 2 {
@@ -92,6 +91,37 @@ func TestManifestRoundTrip(t *testing.T) {
 		if h != sampleManifest().Cluster.Hosts[i] {
 			t.Errorf("host %d snapshot differs after the JSON round trip", i)
 		}
+	}
+}
+
+// TestLoadIgnoresRetiredClosed: a manifest written before Closed was
+// retired, with "Closed": false, still loads, because encoding/json
+// skips an unknown key; every checkpoint is now written once Run has
+// closed its farm, so farm.Restore closes the restored one anyway.
+func TestLoadIgnoresRetiredClosed(t *testing.T) {
+	dir := t.TempDir()
+	want := sampleManifest()
+	if err := Save(dir, want); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(ManifestPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := fmt.Sprintf(`"RNG": %d,`, want.RNG)
+	old := strings.Replace(string(data), rng, rng+` "Closed": false,`, 1)
+	if old == string(data) {
+		t.Fatalf("manifest has no %s line:\n%s", rng, data)
+	}
+	if err := os.WriteFile(ManifestPath(dir), []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(dir)
+	if err != nil {
+		t.Fatalf("manifest with the retired Closed key: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("manifest with the retired Closed key loads as\n%+v\nwant\n%+v", got, want)
 	}
 }
 
