@@ -575,6 +575,47 @@ func TestRunCancelInScenarioSavesThere(t *testing.T) {
 	}
 }
 
+// TestRunCancelOnSaveTickSavesOnce: a scenario that cancels at the
+// instant of an interval save stops the run at the check after the
+// callback, before the interval save runs, so exactly one checkpoint is
+// saved at that instant. Without that check the interval save and then
+// the loop top's cancellation save would both run.
+func TestRunCancelOnSaveTickSavesOnce(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	f := mustNew(t, quietPool(),
+		farm.WithSeed(1),
+		farm.WithCheckpoint(t.TempDir(), 5*time.Minute, 0),
+		farm.WithScenario(time.Minute, func(tt time.Duration, c *cluster.Cluster) {
+			storm(tt, c)
+			if tt == 5*time.Minute {
+				cancel()
+			}
+		}))
+	sub := f.SubscribeBuffered(1 << 14)
+	for _, sp := range stormMix() {
+		if _, err := f.Submit(sp, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.Drain()
+	if _, err := f.Run(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled Run: %v, want context.Canceled", err)
+	}
+	if sub.Dropped() != 0 {
+		t.Fatalf("subscriber dropped %d events; grow the buffer", sub.Dropped())
+	}
+	saves := 0
+	for ev := range sub.Events() {
+		if cs, ok := ev.(farm.CheckpointSaved); ok && cs.T == 5*time.Minute {
+			saves++
+		}
+	}
+	if saves != 1 {
+		t.Errorf("%d checkpoints saved at 5m, want 1", saves)
+	}
+}
+
 // TestRunCancelSaveFailure: when the save on cancel fails, Run's error
 // still wraps the context's cause, and it names the failed save.
 func TestRunCancelSaveFailure(t *testing.T) {

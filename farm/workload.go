@@ -127,7 +127,8 @@ func (c *CoreWorkload) Resize(shape decomp.Shape, _ []*cluster.Host) error {
 // suspended job hands over the checkpoint it already holds; a running job
 // snapshots through core.Job.Snapshot — every rank pauses at the sync
 // step, dumps and continues in place, so the job never leaves its machines,
-// nothing is rebuilt and the results stay bit-identical.
+// nothing is rebuilt and the results stay bit-identical. Its states are
+// valid until the job's next Snapshot.
 func (c *CoreWorkload) Checkpoint() ([]*dump.State, error) {
 	if c.Job == nil {
 		return nil, fmt.Errorf("farm: CoreWorkload without a Job")

@@ -50,6 +50,12 @@ type Job struct {
 	// their dumps, views that launch restores in place. See Job.Resize.
 	resplit func(states []*dump.State, sh decomp.Shape) ([]*dump.State, error)
 
+	// retired holds the Programs (a []P) the last resize replaced, by
+	// rank, for a resize back onto their boxes; kept the last Snapshot's
+	// dumps, for the next to copy into. Both go when every rank is done.
+	retired any
+	kept    []*dump.State
+
 	// Migrations counts completed migrations.
 	Migrations int
 }
@@ -60,28 +66,22 @@ func (j *Job) ranks() []int {
 	return slices.Sorted(maps.Keys(j.workers))
 }
 
-// jobPrograms tracks the live Program of every rank across migrations and
-// resizes, so the final solution can be gathered.
+// jobPrograms tracks the live Program of every rank, by rank, across
+// migrations and resizes, so the final solution can be gathered.
 type jobPrograms[C any, P Program, R any] struct {
 	cfg    C
-	progs  map[int]P
+	progs  []P
 	gather func(C, []P, int) R
 }
 
-// JobPrograms2D is the live rank -> Program2D map of a 2D job.
+// JobPrograms2D is the live Program2D of each rank of a 2D job.
 type JobPrograms2D = jobPrograms[*Config2D, *Program2D, *Result2D]
 
-// JobPrograms3D is the live rank -> Program3D map of a 3D job.
+// JobPrograms3D is the live Program3D of each rank of a 3D job.
 type JobPrograms3D = jobPrograms[*Config3D, *Program3D, *Result3D]
 
 // Gather assembles the global solution from the current programs.
-func (jp *jobPrograms[C, P, R]) Gather(steps int) R {
-	ordered := make([]P, 0, len(jp.progs))
-	for _, rank := range slices.Sorted(maps.Keys(jp.progs)) {
-		ordered = append(ordered, jp.progs[rank])
-	}
-	return jp.gather(jp.cfg, ordered, steps)
-}
+func (jp *jobPrograms[C, P, R]) Gather(steps int) R { return jp.gather(jp.cfg, jp.progs, steps) }
 
 // NewJob2D prepares a job for a 2D config. Workers are created immediately
 // (channels open at epoch 0) but do not run until Start. A job runs to
@@ -108,7 +108,7 @@ func newJob[C setup[P], P built, R any](cfg C, gather func(C, []P, int) R,
 	if err != nil {
 		return nil, nil, err
 	}
-	jp := &jobPrograms[C, P, R]{cfg: cfg, progs: make(map[int]P), gather: gather}
+	jp := &jobPrograms[C, P, R]{cfg: cfg, progs: progs, gather: gather}
 	j := &Job{
 		factory:     factory,
 		sf:          sf,
@@ -145,20 +145,17 @@ func newJob[C setup[P], P built, R any](cfg C, gather func(C, []P, int) R,
 		return progs, nil
 	}
 	j.resplit = func(states []*dump.State, sh decomp.Shape) ([]*dump.State, error) {
-		progs, out, err := resplit[P](cfg, states, sh)
+		retired, _ := j.retired.([]P)
+		progs, out, err := resplit(cfg, states, sh, retired)
 		if err != nil {
 			return nil, err
 		}
-		// The old rank set is gone. The new ranks' Programs hold the
+		// The old rank set retires. The new ranks' Programs hold the
 		// re-cut state, and launch restores each one's dump in place.
-		clear(jp.progs)
-		for rank, p := range progs {
-			jp.progs[rank] = p
-		}
+		j.retired, jp.progs = jp.progs, progs
 		return out, nil
 	}
 	for rank, p := range progs {
-		jp.progs[rank] = p
 		w, err := NewWorker(p, factory, 0, j.events)
 		if err != nil {
 			for _, rank := range j.ranks() {
@@ -246,10 +243,18 @@ func (j *Job) WaitDone() error {
 			return err
 		}
 		if e.Kind == EventDone {
-			j.done[e.Rank] = true
+			j.finished(e.Rank)
 		}
 	}
 	return nil
+}
+
+// finished records a rank's completion; the last drops what the job keeps.
+func (j *Job) finished(rank int) {
+	j.done[rank] = true
+	if len(j.done) == j.P() {
+		j.retired, j.kept = nil, nil
+	}
 }
 
 // Shutdown stops all workers' control planes after completion.
@@ -278,7 +283,7 @@ func (j *Job) pauseAll() error {
 		case EventPaused:
 			paused[e.Rank] = true
 		case EventDone:
-			j.done[e.Rank] = true
+			j.finished(e.Rank)
 		}
 	}
 	// Every rank has read the round to pause, so its file goes: the next
@@ -287,11 +292,19 @@ func (j *Job) pauseAll() error {
 }
 
 // collect is step 3: the given (paused) ranks save their state, then exit
-// (a migration) or keep holding (a snapshot). The dumps come back in the
-// order the ranks were given.
+// (a migration) or keep holding (a snapshot, copied into the arrays of the
+// last one where they fit). The dumps come back in the order the ranks were
+// given.
 func (j *Job) collect(ranks []int, exit bool) ([]*dump.State, error) {
 	for _, r := range ranks {
-		j.workers[r].requestDump(exit)
+		var into *dump.State
+		if !exit {
+			into = new(dump.State)
+			if r < len(j.kept) {
+				into = j.kept[r]
+			}
+		}
+		j.workers[r].requestDump(into)
 	}
 	byRank := map[int]*dump.State{}
 	for len(byRank) < len(ranks) {

@@ -33,7 +33,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/decomp"
 	"repro/internal/dump"
@@ -186,16 +185,17 @@ func (p *program) Unpack(phase int, dirCode int, data []float64) {
 
 // DumpState serializes the subregion state as deep copies, which stay
 // valid while the rank computes on.
-func (p *program) DumpState(step, epoch int) *dump.State { return p.dump(step, epoch, true) }
+func (p *program) DumpState(step, epoch int) *dump.State { return p.dump(step, epoch, new(dump.State)) }
 
-// dump is DumpState with the fields copied or, for a rank that stops
-// computing, as views of its live arrays, valid until it is restored.
-func (p *program) dump(step, epoch int, copied bool) *dump.State {
+// dump is DumpState with the fields copied into into's arrays where they
+// fit or, with into nil for a rank that stops computing, as views of its
+// live arrays, valid until it is restored.
+func (p *program) dump(step, epoch int, into *dump.State) *dump.State {
 	names, arrays := p.M.StateFields()
 	fields := make(map[string][]float64, len(names))
 	for i, name := range names {
-		if copied {
-			arrays[i] = slices.Clone(arrays[i])
+		if into != nil {
+			arrays[i] = append(into.Fields[name][:0], arrays[i]...)
 		}
 		fields[name] = arrays[i]
 	}
@@ -229,6 +229,16 @@ func (p *program) RestoreState(st *dump.State) error {
 	}
 	return nil
 }
+
+// rebind binds a retired Program to the same box of another decomposition
+// and clears all but its state arrays, which the caller writes whole.
+func (p *program) rebind(d *decomp.Decomp) {
+	*p = bind(p.M, d, p.Sub.Rank)
+	p.M.ClearScratch()
+}
+
+// interior is the box the Program computes.
+func (p *program) interior() box { return p.at }
 
 // fits refuses a dump RestoreState cannot load: another method, another
 // subregion, or a field missing or of another length.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/decomp"
 	"repro/internal/dump"
@@ -133,21 +134,23 @@ func (lat lattice) cut(data, global []float64, b box, outside float64) {
 // recut is the re-split of either dimension: one complete set of dumps over
 // the old lattice's boxes in, one Program per box of the next lattice out,
 // holding the same step's state, with its dump: views of its own arrays,
-// which Job.launch restores in place. It changes nothing it is given.
-// Everything is validated first — the filter off, the next lattice over
-// the same grid, one dump per old rank at a common step, the config's
-// method and geometry, every field present at full length — so a bad set
-// is an error before anything is built. Then every new rank's geometry is
-// built, and each field is stitched into one global array and cut straight
-// into the new ranks' arrays, each on one goroutine a rank: every value is
-// written once, and no dump array is allocated.
+// which Job.launch restores in place. It changes nothing it is given but
+// the retired Programs it reuses. Everything is validated first — the
+// filter off, the next lattice over the same grid, one dump per old rank
+// at a common step, the config's method and geometry, every field present
+// at full length — so a bad set is an error before anything is touched.
+// The new ranks are the retired ones, rebound, if those held the next
+// lattice's boxes, or else fresh geometry, one goroutine a rank. Each
+// field is stitched into one global array and cut straight into the new
+// ranks' arrays, each on one goroutine a rank: every value is written
+// once, and no dump array is allocated.
 //
 // Nodes beyond a non-periodic face get what a fresh rank holds there:
 // Rho0 in rho, zero in the velocities and in the populations
 // (InitEquilibrium zeroes ghost populations). The rule keeps the cut equal
 // to a fresh build, bit for bit, which an open face needs
 // (TestOpenFacesSurviveDumps).
-func recut[P built](cfg, next setup[P], states []*dump.State) ([]P, []*dump.State, error) {
+func recut[P built](cfg, next setup[P], states []*dump.State, retired []P) ([]P, []*dump.State, error) {
 	par := cfg.physics()
 	if par.Eps != 0 {
 		return nil, nil, fmt.Errorf("resize requires the fourth-order filter off (Par.Eps = %v, want 0): filter applicability is seam-dependent, so a re-split would change the results", par.Eps)
@@ -184,18 +187,21 @@ func recut[P built](cfg, next setup[P], states []*dump.State) ([]P, []*dump.Stat
 		}
 	}
 
-	progs := make([]P, len(to.boxes))
-	if err := eachRank(len(progs), func(rank int) (err error) {
-		if progs[rank], err = next.geometry(rank); err != nil {
-			return fmt.Errorf("building rank %d: %w", rank, err)
+	progs := reuse(retired, to, next.decomposition())
+	if progs == nil {
+		progs = make([]P, len(to.boxes))
+		if err := eachRank(len(progs), func(rank int) (err error) {
+			if progs[rank], err = next.geometry(rank); err != nil {
+				return fmt.Errorf("building rank %d: %w", rank, err)
+			}
+			return nil
+		}); err != nil {
+			return nil, nil, err
 		}
-		return nil
-	}); err != nil {
-		return nil, nil, err
 	}
 	out := make([]*dump.State, len(progs))
 	for rank, p := range progs {
-		out[rank] = p.dump(step, 0, false)
+		out[rank] = p.dump(step, 0, nil)
 	}
 	// The old boxes tile the lattice, so every stitch overwrites the whole
 	// array and one serves all fields. The stitches write disjoint rows of
@@ -216,4 +222,15 @@ func recut[P built](cfg, next setup[P], states []*dump.State) ([]P, []*dump.Stat
 		})
 	}
 	return progs, out, nil
+}
+
+// reuse returns the retired Programs, rebound to d, if each held its rank's box in to.
+func reuse[P built](retired []P, to lattice, d *decomp.Decomp) []P {
+	if !slices.EqualFunc(retired, to.boxes, func(p P, b box) bool { return p.interior() == b }) {
+		return nil
+	}
+	for _, p := range retired {
+		p.rebind(d)
+	}
+	return retired
 }

@@ -563,7 +563,7 @@ func TestResplitMatchesReference2D(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: reference: %v", name, err)
 				}
-				_, got, err := resplit[*Program2D](&newCfg, old, mv.to)
+				_, got, err := resplit[*Program2D](&newCfg, old, mv.to, nil)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -622,7 +622,7 @@ func TestResplitMatchesReference3D(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: reference: %v", name, err)
 				}
-				_, got, err := resplit[*Program3D](&newCfg, old, mv.to)
+				_, got, err := resplit[*Program3D](&newCfg, old, mv.to, nil)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -646,7 +646,7 @@ func TestResplitOutsideGhostIsRho0(t *testing.T) {
 		t.Fatal(err)
 	}
 	randomize(rand.New(rand.NewSource(5)), old)
-	_, got, err := resplit[*Program3D](cfg, old, decomp.UniformShape3D(1, 2, 1, 12, 10, 8))
+	_, got, err := resplit[*Program3D](cfg, old, decomp.UniformShape3D(1, 2, 1, 12, 10, 8), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

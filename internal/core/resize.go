@@ -15,6 +15,10 @@ import (
 // extension of migration — migration moves ranks between hosts, Resize
 // changes how many ranks there are.
 //
+// The job keeps the ranks a resize replaced, one shape's worth, until it
+// finishes: a resize back onto exactly their boxes cuts the state into
+// them instead of allocating and zeroing every rank's storage anew.
+//
 // The continued computation is bitwise identical to an uninterrupted run,
 // under one precondition enforced here: the fourth-order filter must be off
 // (Par.Eps == 0). The filter's applicability test is seam-dependent — it
@@ -65,12 +69,14 @@ func (j *Job) Resize(sh decomp.Shape) error {
 
 // resplit is the re-split program of either dimension: old-shape dumps
 // in, one Program per new rank out, holding the state of the same step,
-// with its dump as views of its own arrays (recut). The next decomposition
-// keeps the stencil, the periodic axes and the dimension of the old one.
+// with its dump as views of its own arrays (recut, which reuses the
+// retired Programs when the new lattice is the one they held). The next
+// decomposition keeps the stencil, the periodic axes and the dimension of
+// the old one.
 // On success, and only then, the config's decomposition is replaced in
 // place, so the job's Rebuild closure and the caller's gather path follow
 // the new lattice.
-func resplit[P built](cfg setup[P], states []*dump.State, sh decomp.Shape) ([]P, []*dump.State, error) {
+func resplit[P built](cfg setup[P], states []*dump.State, sh decomp.Shape, retired []P) ([]P, []*dump.State, error) {
 	d := cfg.decomposition()
 	if d.P() != d.Total() {
 		return nil, nil, fmt.Errorf("resize of a decomposition with %d of %d subregions deactivated",
@@ -84,7 +90,7 @@ func resplit[P built](cfg setup[P], states []*dump.State, sh decomp.Shape) ([]P,
 		return nil, nil, fmt.Errorf("shape with %d z spans for the decomposition %v", len(sh.Z), d)
 	}
 	newD.PeriodicX, newD.PeriodicY, newD.PeriodicZ = d.PeriodicX, d.PeriodicY, d.PeriodicZ
-	progs, out, err := recut(cfg, cfg.over(newD), states)
+	progs, out, err := recut(cfg, cfg.over(newD), states, retired)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -252,6 +253,78 @@ func TestResizeFailureLeavesJobIntact(t *testing.T) {
 	}
 }
 
+// TestResizeBackReusesRetiredRanks: a grow retires the job's Programs, a
+// refused resize back onto their boxes leaves the retired set as it was,
+// and the resize back that succeeds makes them the live ranks again, with
+// the grown ones retired in their place. A snapshot in between is kept.
+// Once every rank is done the job keeps neither, and the run ends in the
+// sequential reference's bits.
+func TestResizeBackReusesRetiredRanks(t *testing.T) {
+	const steps = 30
+	for _, method := range []string{MethodLB, MethodFD} {
+		t.Run(method, func(t *testing.T) {
+			ref, _, err := RunSequential2D(resizeCfg2D(t, method, 2, 2), steps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := decomp.UniformShape(2, 2, 0, 24, 16, 0)
+			// Each operation is held mid-run, so no rank is done before
+			// the last one.
+			hold := newStepHold(4, 8, 12, 16)
+			job, jp := newTestJobOver(t, resizeCfg2D(t, method, 2, 2), steps, hold.over(HubFactory()))
+			job.Start()
+			retired := func() []*Program2D { r, _ := job.retired.([]*Program2D); return r }
+			first := jp.progs
+			hold.wait(job)
+			if err := job.Resize(decomp.UniformShape(3, 2, 0, 24, 16, 0)); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(retired(), first) {
+				t.Fatal("the grow did not retire the job's Programs")
+			}
+			grown := jp.progs
+
+			resplit := job.resplit
+			job.resplit = func(states []*dump.State, sh decomp.Shape) ([]*dump.State, error) {
+				return resplit(badDumps(states)["values, want"], sh)
+			}
+			hold.wait(job)
+			if err := job.Resize(base); err == nil {
+				t.Fatal("a resize over bad dumps succeeded")
+			}
+			job.resplit = resplit
+			if !slices.Equal(retired(), first) || !slices.Equal(jp.progs, grown) {
+				t.Fatal("the refused resize changed the retired or the live ranks")
+			}
+
+			hold.wait(job)
+			if _, err := job.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+			hold.wait(job)
+			if err := job.Resize(base); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(jp.progs, first) || !slices.Equal(retired(), grown) {
+				t.Error("the resize back did not make the retired Programs live and retire the grown ones")
+			}
+			if job.kept == nil {
+				t.Error("the job dropped its snapshot before finishing")
+			}
+			if err := job.WaitDone(); err != nil {
+				t.Fatal(err)
+			}
+			job.Shutdown()
+			if job.retired != nil || job.kept != nil {
+				t.Error("the finished job still keeps its retired ranks or its snapshot")
+			}
+			if ok, x, y, d := resultsEqual(ref, jp.Gather(steps), 0); !ok {
+				t.Errorf("run differs from the reference at (%d,%d) by %g", x, y, d)
+			}
+		})
+	}
+}
+
 // TestResplitFailureLeavesDecomposition3D calls the 3D re-split directly
 // with each bad dump set: an error, no panic, cfg.D as it was.
 func TestResplitFailureLeavesDecomposition3D(t *testing.T) {
@@ -266,7 +339,7 @@ func TestResplitFailureLeavesDecomposition3D(t *testing.T) {
 		bad["out of range or repeated"] = []*dump.State{states[0], states[0]}
 		bad["dumps for"] = states[:1]
 		for want, set := range bad {
-			_, _, err := resplit[*Program3D](cfg, set, decomp.UniformShape3D(2, 2, 1, 12, 10, 8))
+			_, _, err := resplit[*Program3D](cfg, set, decomp.UniformShape3D(2, 2, 1, 12, 10, 8), nil)
 			if err == nil || !strings.Contains(err.Error(), want) {
 				t.Errorf("%s %q: err = %v", method, want, err)
 			}
@@ -279,9 +352,10 @@ func TestResplitFailureLeavesDecomposition3D(t *testing.T) {
 
 // TestOpenFacesSurviveDumps: a channel whose x faces are open (neither
 // periodic nor walled) ends in the serial run's bits when it is resized
-// 2x2 -> 3x2 mid-run (dump at step 12) or suspended and resumed (dump at
-// step 13), for both methods in both dimensions. The 3D channel is
-// periodic in Z; its resize grows 2x2x1 -> 3x2x1.
+// 2x2 -> 3x2 mid-run (dump at step 12), resized 2x2 -> 3x2 and straight
+// back onto its retired 2x2 ranks, or suspended and resumed (dump at step
+// 13), for both methods in both dimensions. The 3D channel is periodic in
+// Z; its resize grows 2x2x1 -> 3x2x1.
 func TestOpenFacesSurviveDumps(t *testing.T) {
 	const steps = 20
 	open2D := func(method string, jx, jy int) *Config2D {
@@ -304,6 +378,7 @@ func TestOpenFacesSurviveDumps(t *testing.T) {
 			serial func() [][]float64
 			start  func(factory TransportFactory) job
 			grown  decomp.Shape
+			base   decomp.Shape
 		}{
 			{"2D", func() [][]float64 {
 				r, _, err := RunSequential2D(open2D(method, 1, 1), steps)
@@ -314,7 +389,7 @@ func TestOpenFacesSurviveDumps(t *testing.T) {
 			}, func(factory TransportFactory) job {
 				j, jp := newTestJobOver(t, open2D(method, 2, 2), steps, factory)
 				return job{j, func() [][]float64 { r := jp.Gather(steps); return [][]float64{r.Rho, r.Vx, r.Vy} }}
-			}, decomp.UniformShape(3, 2, 0, 24, 16, 0)},
+			}, decomp.UniformShape(3, 2, 0, 24, 16, 0), decomp.UniformShape(2, 2, 0, 24, 16, 0)},
 			{"3D", func() [][]float64 {
 				r, _, err := RunSequential3D(open3D(method, 1, 1), steps)
 				if err != nil {
@@ -331,16 +406,37 @@ func TestOpenFacesSurviveDumps(t *testing.T) {
 					t.Fatal(err)
 				}
 				return job{j, func() [][]float64 { r := jp.Gather(steps); return [][]float64{r.Rho, r.Vx, r.Vy, r.Vz} }}
-			}, decomp.UniformShape3D(3, 2, 1, 12, 10, 8)},
+			}, decomp.UniformShape3D(3, 2, 1, 12, 10, 8), decomp.UniformShape3D(2, 2, 1, 12, 10, 8)},
 		}
 		for _, c := range cases {
 			for _, op := range []struct {
-				name string
-				hold int
-				do   func(j *Job, dumpStep int) error
+				name  string
+				holds []int
+				do    func(j *Job, hold *stepHold) error
 			}{
-				{"resize", 11, func(j *Job, _ int) error { return j.Resize(c.grown) }},
-				{"suspend", 12, func(j *Job, dumpStep int) error {
+				{"resize", []int{11}, func(j *Job, hold *stepHold) error {
+					hold.wait(j)
+					return j.Resize(c.grown)
+				}},
+				{"resize back", []int{11, 15}, func(j *Job, hold *stepHold) error {
+					hold.wait(j)
+					if err := j.Resize(c.grown); err != nil {
+						return err
+					}
+					retired := reflect.ValueOf(j.retired)
+					hold.wait(j)
+					if err := j.Resize(c.base); err != nil {
+						return err
+					}
+					for rank, w := range j.workers {
+						if w.Prog != retired.Index(rank).Interface() {
+							t.Errorf("rank %d is not the Program the grow retired", rank)
+						}
+					}
+					return nil
+				}},
+				{"suspend", []int{12}, func(j *Job, hold *stepHold) error {
+					dumpStep := hold.wait(j)
 					states, err := j.Suspend()
 					if err != nil {
 						return err
@@ -351,10 +447,10 @@ func TestOpenFacesSurviveDumps(t *testing.T) {
 			} {
 				t.Run(method+c.dim+"/"+op.name, func(t *testing.T) {
 					want := c.serial()
-					hold := newStepHold(op.hold)
+					hold := newStepHold(op.holds...)
 					run := c.start(hold.over(HubFactory()))
 					run.j.Start()
-					if err := op.do(run.j, hold.wait(run.j)); err != nil {
+					if err := op.do(run.j, hold); err != nil {
 						t.Fatal(err)
 					}
 					if err := run.j.WaitDone(); err != nil {
@@ -370,16 +466,18 @@ func TestOpenFacesSurviveDumps(t *testing.T) {
 	}
 }
 
-// TestResizeWritesEachValueOnce: a 3D grow and then a shrink, LB and FD.
-// Until its new ranks are handed to their workers, each resize allocates
-// at most their solver storage (what their geometry allocates), one global
-// field and a fixed allowance for the protocol (the pause round, dump
-// headers, maps); every new rank computes on the arrays the re-split
-// wrote; and the run ends in the sequential reference's bits. A re-split
-// that cut into dump arrays of its own and copied them into fresh geometry
-// allocated the state twice.
+// TestResizeWritesEachValueOnce: a 3D grow, a shrink, and a grow back
+// onto the ranks the first grow built, LB and FD. Until its new ranks are
+// handed to their workers, each resize allocates at most their solver
+// storage (what their geometry allocates), one global field and a fixed
+// allowance for the protocol (the pause round, dump headers, maps); the
+// warm grow reuses the retired ranks and allocates no storage at all.
+// Every new rank computes on the arrays the re-split wrote, and the run
+// ends in the sequential reference's bits. A re-split that cut into dump
+// arrays of its own and copied them into fresh geometry allocated the
+// state twice.
 func TestResizeWritesEachValueOnce(t *testing.T) {
-	const steps, allowance = 16, 192 << 10
+	const steps, allowance = 20, 192 << 10
 	const gx, gy, gz = 32, 24, 24
 	config := func(method string) *Config3D {
 		cfg := resizeCfg3D(t, method, 2, 1, 1)
@@ -407,7 +505,7 @@ func TestResizeWritesEachValueOnce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			hold := newStepHold(4, 9)
+			hold := newStepHold(4, 9, 14)
 			job, progs, err := NewJob3D(cfg, hold.over(HubFactory()), sf, steps)
 			if err != nil {
 				t.Fatal(err)
@@ -437,7 +535,8 @@ func TestResizeWritesEachValueOnce(t *testing.T) {
 				return built, err
 			}
 			job.Start()
-			for _, sh := range []decomp.Shape{decomp.UniformShape3D(2, 2, 1, gx, gy, gz), decomp.UniformShape3D(1, 2, 1, gx, gy, gz)} {
+			grown := decomp.UniformShape3D(2, 2, 1, gx, gy, gz)
+			for k, sh := range []decomp.Shape{grown, decomp.UniformShape3D(1, 2, 1, gx, gy, gz), grown} {
 				// The ranks are held, so nothing else allocates while the
 				// new ranks' storage is measured.
 				hold.wait(job)
@@ -446,23 +545,33 @@ func TestResizeWritesEachValueOnce(t *testing.T) {
 					t.Fatal(err)
 				}
 				next.PeriodicX, next.PeriodicZ = true, true
-				before := totalAlloc()
-				for rank := range next.P() {
-					if _, err := cfg.over(next).geometry(rank); err != nil {
-						t.Fatal(err)
+				warm := k == 2
+				retired, _ := job.retired.([]*Program3D)
+				var storage uint64 // the warm grow builds no geometry
+				if !warm {
+					before := totalAlloc()
+					for rank := range next.P() {
+						if _, err := cfg.over(next).geometry(rank); err != nil {
+							t.Fatal(err)
+						}
 					}
+					storage = totalAlloc() - before
 				}
-				storage := totalAlloc() - before
-				before = totalAlloc()
+				before := totalAlloc()
 				if err := job.Resize(sh); err != nil {
 					t.Fatal(err)
 				}
 				used := rebuilt - before
 				global := uint64(8 * gx * gy * gz)
-				t.Logf("resize to %d ranks: %d B, storage %d B", next.P(), used, storage)
+				t.Logf("resize to %d ranks (warm %v): %d B, storage %d B", next.P(), warm, used, storage)
 				if used > storage+global+allowance {
 					t.Errorf("resize to %d ranks allocated %d B, want at most %d (storage) + %d (global field) + %d",
 						cfg.D.P(), used, storage, global, allowance)
+				}
+				for rank, p := range progs.progs {
+					if reused := len(retired) == next.P() && p == retired[rank]; reused != warm {
+						t.Errorf("resize %d: rank %d reused a retired Program: %v, want %v", k, rank, reused, warm)
+					}
 				}
 			}
 			if err := job.WaitDone(); err != nil {

@@ -52,7 +52,9 @@ type built interface {
 	fits(st *dump.State) error
 	start(lat lattice, initial []initField, rho0 float64)
 	stitch(lat lattice, global [][]float64)
-	dump(step, epoch int, copied bool) *dump.State
+	dump(step, epoch int, into *dump.State) *dump.State
+	interior() box
+	rebind(d *decomp.Decomp)
 }
 
 // workerBudget resolves the intra-rank worker count: the config's Workers

@@ -35,14 +35,16 @@ func (j *Job) Suspend() ([]*dump.State, error) {
 // dumps its state and keeps holding, and the whole job continues at the
 // next epoch — section 5.1's protocol with no process moving, so every
 // rank keeps its Program and its host, and nothing is rebuilt. The dumps
-// are deep copies frozen at the save point, so a farm coordinator can
-// persist them to disk while the computation continues, and taking a
+// are copies frozen at the save point, so a farm coordinator can persist
+// them while the computation continues, valid until the job's next
+// Snapshot, which copies into the same arrays where they fit; taking a
 // snapshot never changes the results.
 func (j *Job) Snapshot() ([]*dump.State, error) {
 	states, err := j.cycle(j.ranks(), false, nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: snapshot: %w", err)
 	}
+	j.kept = states
 	return states, nil
 }
 

@@ -306,7 +306,9 @@ func TestSnapshotRebuildsNothing(t *testing.T) {
 }
 
 // snapshotInPlace starts the job, snapshots it twice while it runs, checks
-// that nothing was rebuilt or replaced, and waits for it to finish.
+// that nothing was rebuilt or replaced and that the second snapshot came
+// back in the first one's arrays, waits for it to finish, and checks that
+// the job let go of the snapshot it kept.
 func snapshotInPlace(t *testing.T, job *Job, live func(rank int) Program) {
 	t.Helper()
 	rebuilt := 0
@@ -321,6 +323,7 @@ func snapshotInPlace(t *testing.T, job *Job, live func(rank int) Program) {
 		progs[rank], workers[rank] = live(rank), job.workers[rank]
 	}
 	job.Start()
+	var first []*dump.State
 	for k := 0; k < 2; k++ {
 		epoch := job.Epoch()
 		states, err := job.Snapshot()
@@ -333,6 +336,14 @@ func snapshotInPlace(t *testing.T, job *Job, live func(rank int) Program) {
 		if job.Epoch() != epoch+1 {
 			t.Errorf("snapshot %d: epoch %d -> %d, want one step", k, epoch, job.Epoch())
 		}
+		for rank, st := range states {
+			for name, data := range st.Fields {
+				if k == 1 && &data[0] != &first[rank].Fields[name][0] {
+					t.Errorf("rank %d: the second snapshot's %s is a new array", rank, name)
+				}
+			}
+		}
+		first = states
 	}
 	if rebuilt != 0 {
 		t.Errorf("two snapshots rebuilt %d Programs, want 0", rebuilt)
@@ -346,6 +357,9 @@ func snapshotInPlace(t *testing.T, job *Job, live func(rank int) Program) {
 		t.Fatal(err)
 	}
 	job.Shutdown()
+	if job.kept != nil {
+		t.Error("the finished job still keeps its last snapshot")
+	}
 }
 
 // TestSuspendTwice exercises repeated preemption of the same job.

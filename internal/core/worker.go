@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/decomp"
+	"repro/internal/dump"
 	"repro/internal/msg"
 )
 
@@ -30,18 +31,18 @@ type SyncFunc func(round, rank, step int) (int, error)
 // to resume).
 type ctrlMsg struct {
 	kind  ctrlKind
-	round int        // sync round for ctrlPause
-	epoch int        // new communication epoch for ctrlResume
-	reply chan error // signalled when the command has taken effect
+	round int         // sync round for ctrlPause
+	epoch int         // new communication epoch for ctrlResume
+	into  *dump.State // for ctrlDump: nil to exit, else the dump to copy into
+	reply chan error  // signalled when the command has taken effect
 }
 
 type ctrlKind int
 
 const (
-	ctrlPause   ctrlKind = iota // sync, run to the sync step, then hold
-	ctrlResume                  // re-open channels and continue
-	ctrlMigrate                 // dump state and exit (while paused)
-	ctrlDump                    // dump state and keep holding (while paused)
+	ctrlPause  ctrlKind = iota // sync, run to the sync step, then hold
+	ctrlResume                 // re-open channels and continue
+	ctrlDump                   // dump state, then exit or keep holding (while paused)
 )
 
 // Event is a worker lifecycle notification to the coordinator.
@@ -401,16 +402,15 @@ func (w *Worker) holdPaused() bool {
 			w.pauseAt.Store(pauseNone)
 			c.ok()
 			return true
-		case ctrlMigrate:
-			// The rank stops computing, so its Program (one a Job built)
-			// hands its arrays over as views.
-			st := w.Prog.(built).dump(w.Step, w.Epoch, false)
-			c.ok()
-			w.events <- Event{Rank: w.Rank(), Kind: EventMigrated, Step: w.Step, State: st}
-			return false
 		case ctrlDump:
-			st := w.Prog.DumpState(w.Step, w.Epoch)
+			// A rank that stops computing hands its Program's (one a Job
+			// built) arrays over as views; one that holds copies them.
+			st := w.Prog.(built).dump(w.Step, w.Epoch, c.into)
 			c.ok()
+			if c.into == nil {
+				w.events <- Event{Rank: w.Rank(), Kind: EventMigrated, Step: w.Step, State: st}
+				return false
+			}
 			w.events <- Event{Rank: w.Rank(), Kind: eventDumped, Step: w.Step, State: st}
 		default:
 			c.fail(fmt.Errorf("rank %d: unexpected control %d while paused", w.Rank(), c.kind))
@@ -433,15 +433,9 @@ func (w *Worker) RequestResume(epoch int) chan error {
 	return reply
 }
 
-// requestDump tells a paused worker to dump its state, then exit (a
-// migration) or keep holding (a snapshot).
-func (w *Worker) requestDump(exit bool) {
-	if exit {
-		w.ctrl <- ctrlMsg{kind: ctrlMigrate}
-		return
-	}
-	w.ctrl <- ctrlMsg{kind: ctrlDump}
-}
+// requestDump tells a paused worker to dump its state and exit (into nil,
+// a migration) or to copy it into into and keep holding (a snapshot).
+func (w *Worker) requestDump(into *dump.State) { w.ctrl <- ctrlMsg{kind: ctrlDump, into: into} }
 
 // Shutdown closes the control plane; a running worker finishes its steps,
 // a done worker exits. Its controller goroutine ends either way, and a

@@ -20,16 +20,20 @@
 package dump
 
 import (
+	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"maps"
 	"math"
 	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 )
@@ -105,14 +109,19 @@ func Save(path string, st *State) error {
 	return nil
 }
 
-// Load reads a dump file in one read and decodes it; a malformed file is
-// an ErrFormat.
+// Load decodes a dump file as it reads it, through a small buffer; a
+// malformed file is an ErrFormat, as is one whose size changes under it.
 func Load(path string) (*State, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("dump: load: %w", err)
 	}
-	st, err := decode(data)
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("dump: load: %w", err)
+	}
+	st, err := decodeFrom(f, fi.Size())
 	if err != nil {
 		return nil, fmt.Errorf("dump: %s: %w", path, err)
 	}
@@ -149,62 +158,100 @@ func encode(st *State) []byte {
 	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli)))
 }
 
-// decode parses a dump file's bytes. Every length is checked against the
-// bytes present before anything is allocated for it, so a file cannot make
-// decode allocate more than its own size.
-func decode(data []byte) (*State, error) {
-	end := len(data) - 4 // the checksum's offset
-	if end < len(magic) || string(data[:len(magic)]) != magic {
+// readBufBytes bounds the buffer Load decodes a file through.
+const readBufBytes = 32 << 10
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// decodeFrom parses a dump file of size bytes from r, checksumming the
+// bytes as they go by. Every length is checked against the bytes left
+// before the checksum before anything is allocated for it, so a file
+// cannot make decodeFrom allocate more than its own size and its buffer.
+// A reader that ends before size bytes, or holds more, is an ErrFormat.
+func decodeFrom(r io.Reader, size int64) (*State, error) {
+	left := size - 4 // the bytes before the checksum not yet claimed
+	if left < int64(len(magic)) {
 		return nil, fmt.Errorf("%w: no %q magic", ErrFormat, magic)
 	}
-	rest, short := data[len(magic):end], false
-	next := func(n uint64) []byte { // the next n bytes, or nil once they are not all present
-		if short || n > uint64(len(rest)) {
-			short = true
-			return nil
+	br := bufio.NewReaderSize(r, int(min(size, readBufBytes)))
+	var err error // the first failure, which fails every later claim
+	var crc uint32
+	claim := func(n uint64) bool { // takes n bytes off left, if they are there
+		if err == nil && n > uint64(left) {
+			err = fmt.Errorf("%w: a length runs past the end of the file", ErrFormat)
 		}
-		b := rest[:n]
-		rest = rest[n:]
-		return b
+		left -= int64(n)
+		return err == nil
 	}
-	u64 := func() uint64 {
-		if b := next(8); b != nil {
-			return binary.LittleEndian.Uint64(b)
+	read := func(n uint64, use func(b []byte)) { // the next n claimed bytes, a buffer at a time
+		for k := 0; n > 0 && err == nil; n -= uint64(k) {
+			k = int(min(n, readBufBytes)) // a multiple of 8
+			var b []byte
+			if b, err = br.Peek(k); err == nil {
+				crc = crc32.Update(crc, castagnoli, b)
+				use(b)
+				_, _ = br.Discard(k) // cannot fail: Peek has buffered these bytes
+			}
 		}
-		return 0
+	}
+	u64 := func() (v uint64) {
+		if claim(8) {
+			read(8, func(b []byte) { v = binary.LittleEndian.Uint64(b) })
+		}
+		return v
 	}
 	num := func() int { return int(int64(u64())) }
-	str := func() string { return string(next(u64())) }
-	if v := u64(); !short && v != version {
+	str := func() string { // built in place: a name is copied once
+		var s strings.Builder
+		if n := u64(); claim(n) {
+			s.Grow(int(n))
+			read(n, func(p []byte) { s.Write(p) })
+		}
+		return s.String()
+	}
+	if u64() != binary.LittleEndian.Uint64([]byte(magic)) {
+		return nil, fmt.Errorf("%w: no %q magic", ErrFormat, magic)
+	}
+	if v := u64(); err == nil && v != version {
 		return nil, fmt.Errorf("%w: layout version %d, this build reads %d", ErrFormat, v, version)
 	}
 	// A struct literal's reads run in the order written: the file's order.
 	st := &State{Rank: num(), Step: num(), Epoch: num(), Method: str(), NX: num(), NY: num(), NZ: num(),
 		Fields: map[string][]float64{}}
 	prev := ""
-	for i, fields := uint64(0), u64(); i < fields && !short; i++ {
+	for i, fields := uint64(0), u64(); i < fields && err == nil; i++ {
 		name, n := str(), u64()
-		if i > 0 && name <= prev {
+		if err == nil && i > 0 && name <= prev {
 			return nil, fmt.Errorf("%w: field %q after %q, not in name order", ErrFormat, name, prev)
 		}
-		short = short || n > uint64(len(rest))/8
-		b := next(8 * n)
-		if short {
+		if !claim(8 * min(n, math.MaxUint64/8)) {
 			break
 		}
-		vals := make([]float64, n)
-		for k := range vals {
-			vals[k] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*k:]))
-		}
+		vals := make([]float64, 0, n)
+		read(8*n, func(b []byte) {
+			for ; len(b) > 0; b = b[8:] {
+				vals = append(vals, math.Float64frombits(binary.LittleEndian.Uint64(b)))
+			}
+		})
 		st.Fields[name], prev = vals, name
 	}
+	var sum []byte
+	if err == nil && left == 0 {
+		sum, err = br.Peek(4)
+	}
 	switch {
-	case short:
-		return nil, fmt.Errorf("%w: a length runs past the end of the file", ErrFormat)
-	case len(rest) != 0:
-		return nil, fmt.Errorf("%w: %d bytes after the last field", ErrFormat, len(rest))
-	case crc32.Checksum(data[:end], crc32.MakeTable(crc32.Castagnoli)) != binary.LittleEndian.Uint32(data[end:]):
+	case err == io.EOF:
+		return nil, fmt.Errorf("%w: the file ends short of its %d bytes", ErrFormat, size)
+	case err != nil:
+		return nil, err
+	case left != 0:
+		return nil, fmt.Errorf("%w: %d bytes after the last field", ErrFormat, left)
+	case binary.LittleEndian.Uint32(sum) != crc:
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrFormat)
+	}
+	_, _ = br.Discard(4)
+	if _, err := br.Peek(1); err != io.EOF {
+		return nil, cmp.Or(err, fmt.Errorf("%w: the file runs past its %d bytes", ErrFormat, size))
 	}
 	if err := st.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrFormat, err)

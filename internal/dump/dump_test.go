@@ -15,6 +15,11 @@ import (
 	"time"
 )
 
+// decode parses a dump file's bytes with the decoder Load runs.
+func decode(data []byte) (*State, error) {
+	return decodeFrom(bytes.NewReader(data), int64(len(data)))
+}
+
 func sampleState(rank int) *State {
 	return &State{
 		Rank:   rank,
@@ -156,10 +161,70 @@ func TestDecodeBoundsAllocation(t *testing.T) {
 	}
 }
 
+// multiBuffer is a state whose file spans several of Load's read buffers:
+// a name longer than one, and fields that start and end inside them.
+func multiBuffer() *State {
+	st := sampleState(2)
+	st.Fields["rho"] = make([]float64, 3*readBufBytes/8+5)
+	for i := range st.Fields["rho"] {
+		st.Fields["rho"][i] = math.Float64frombits(0x3ff0_0000_0000_0000 + uint64(i)*0x9e37_79b9)
+	}
+	st.Fields[strings.Repeat("n", readBufBytes+3)] = []float64{math.Inf(1), -0.0}
+	return st
+}
+
+// TestLoadMatchesDecodeAcrossBuffers: Load of a rank file whose name and
+// fields span several read buffers returns the state decode returns from
+// the file's bytes, bit for bit.
+func TestLoadMatchesDecodeAcrossBuffers(t *testing.T) {
+	path := Path(t.TempDir(), 2)
+	if err := Save(path, multiBuffer()); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) < 3*readBufBytes {
+		t.Fatalf("the file is %d bytes, want several %d-byte buffers", len(data), readBufBytes)
+	}
+	if !bytes.Equal(encode(got), encode(want)) || !bytes.Equal(encode(got), data) {
+		t.Error("Load and decode of the same file differ")
+	}
+}
+
+// TestLoadRefusesCutAndResizedFiles: a file cut off in the middle of a
+// field is an ErrFormat, and so is a reader that ends before the size Stat
+// gave, or holds more.
+func TestLoadRefusesCutAndResizedFiles(t *testing.T) {
+	data := encode(multiBuffer())
+	path := filepath.Join(t.TempDir(), "cut.dump")
+	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(path); !errors.Is(err, ErrFormat) {
+		t.Errorf("a file cut in the middle of a field: %v, want ErrFormat", err)
+	}
+	for _, read := range [][]byte{data[:len(data)-8], append(data[:len(data):len(data)], 0)} {
+		if _, err := decodeFrom(bytes.NewReader(read), int64(len(data))); !errors.Is(err, ErrFormat) {
+			t.Errorf("%d bytes read as a file of %d: %v, want ErrFormat", len(read), len(data), err)
+		}
+	}
+}
+
 // FuzzDecode: any bytes decode to an ErrFormat or to a State that encodes
 // back to exactly those bytes. The committed corpus (testdata/fuzz) holds
-// a rank file of a 2x2x2 LB3D job and damaged copies of it, plus a file in
-// the gob encoding dumps used before this layout.
+// a rank file of a 2x2x2 LB3D job and damaged copies of it, a file whose
+// field spans two read buffers, and a file in the gob encoding dumps used
+// before this layout.
 func FuzzDecode(f *testing.F) {
 	f.Add(encode(sampleState(0)))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -52,7 +52,7 @@ type Solver2D struct {
 
 	nVx, nVy, nRho *grid.Field2D // next-step buffers
 	ghostsPaired   bool          // next-step ghost shells equal the current ones (pairGhosts)
-	scratch        []float64     // filter workspace
+	scratch        []float64     // filter workspace; nil when Par.Eps is 0
 
 	// Static per-node structure cached at construction: interior cell
 	// types and per-row all-Interior flags (the branch-light fast path).
@@ -101,19 +101,20 @@ func NewGeometry2D(nx, ny int, par fluid.Params, mask func(x, y int) fluid.CellT
 		return nil, fmt.Errorf("fd: nil mask")
 	}
 	s := &Solver2D{
-		Par:  par,
-		Rho:  grid.NewField2D(nx, ny, 1),
-		Vx:   grid.NewField2D(nx, ny, 1),
-		Vy:   grid.NewField2D(nx, ny, 1),
-		nVx:  grid.NewField2D(nx, ny, 1),
-		nVy:  grid.NewField2D(nx, ny, 1),
-		nRho: grid.NewField2D(nx, ny, 1),
-
-		scratch: make([]float64, nx*ny),
-		cells:   fluid.Classify(nx, ny, 1, func(x, y, _ int) fluid.CellType { return mask(x, y) }),
+		Par:   par,
+		Rho:   grid.NewField2D(nx, ny, 1),
+		Vx:    grid.NewField2D(nx, ny, 1),
+		Vy:    grid.NewField2D(nx, ny, 1),
+		nVx:   grid.NewField2D(nx, ny, 1),
+		nVy:   grid.NewField2D(nx, ny, 1),
+		nRho:  grid.NewField2D(nx, ny, 1),
+		cells: fluid.Classify(nx, ny, 1, func(x, y, _ int) fluid.CellType { return mask(x, y) }),
 	}
 	s.rowOpen = openRows(s.cells, nx)
 	s.plan = filter.NewPlan2DFromCells(nx, ny, s.cells)
+	if par.Eps != 0 { // the filter alone reads scratch, and not at eps = 0
+		s.scratch = make([]float64, nx*ny)
+	}
 	s.filterFields = []*grid.Field2D{s.Rho, s.Vx, s.Vy}
 	s.phaseLayouts = [2][]*grid.Layout{{s.Vx.Layout(), s.Vy.Layout()}, {s.Rho.Layout()}}
 	s.velFn = s.velocityRows

@@ -27,8 +27,8 @@ type Solver3D struct {
 	Rho, Vx, Vy, Vz *grid.Field3D
 
 	nVx, nVy, nVz, nRho *grid.Field3D
-	ghostsPaired        bool // see Solver2D.pairGhosts
-	scratch             []float64
+	ghostsPaired        bool      // see Solver2D.pairGhosts
+	scratch             []float64 // filter workspace; nil when Par.Eps is 0
 
 	// Static per-node structure cached at construction (see Solver2D).
 	cells   []fluid.CellType
@@ -67,20 +67,22 @@ func NewGeometry3D(nx, ny, nz int, par fluid.Params, mask func(x, y, z int) flui
 		return nil, fmt.Errorf("fd: nil mask")
 	}
 	s := &Solver3D{
-		Par:     par,
-		Rho:     grid.NewField3D(nx, ny, nz, 1),
-		Vx:      grid.NewField3D(nx, ny, nz, 1),
-		Vy:      grid.NewField3D(nx, ny, nz, 1),
-		Vz:      grid.NewField3D(nx, ny, nz, 1),
-		nVx:     grid.NewField3D(nx, ny, nz, 1),
-		nVy:     grid.NewField3D(nx, ny, nz, 1),
-		nVz:     grid.NewField3D(nx, ny, nz, 1),
-		nRho:    grid.NewField3D(nx, ny, nz, 1),
-		scratch: make([]float64, nx*ny*nz),
-		cells:   fluid.Classify(nx, ny, nz, mask),
+		Par:   par,
+		Rho:   grid.NewField3D(nx, ny, nz, 1),
+		Vx:    grid.NewField3D(nx, ny, nz, 1),
+		Vy:    grid.NewField3D(nx, ny, nz, 1),
+		Vz:    grid.NewField3D(nx, ny, nz, 1),
+		nVx:   grid.NewField3D(nx, ny, nz, 1),
+		nVy:   grid.NewField3D(nx, ny, nz, 1),
+		nVz:   grid.NewField3D(nx, ny, nz, 1),
+		nRho:  grid.NewField3D(nx, ny, nz, 1),
+		cells: fluid.Classify(nx, ny, nz, mask),
 	}
 	s.rowOpen = openRows(s.cells, nx)
 	s.plan = filter.NewPlan3DFromCells(nx, ny, nz, s.cells)
+	if par.Eps != 0 { // the filter alone reads scratch, and not at eps = 0
+		s.scratch = make([]float64, nx*ny*nz)
+	}
 	s.filterFields = []*grid.Field3D{s.Rho, s.Vx, s.Vy, s.Vz}
 	s.phaseLayouts = [2][]*grid.Layout{{s.Vx.Layout(), s.Vy.Layout(), s.Vz.Layout()}, {s.Rho.Layout()}}
 	s.velFn = s.velocityPlanes

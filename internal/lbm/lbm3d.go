@@ -69,7 +69,7 @@ type Solver3D struct {
 
 	Rho, Vx, Vy, Vz *grid.Field3D
 
-	scratch []float64
+	scratch []float64 // filter workspace; nil when Par.Eps is 0
 
 	// Static per-node structure cached at construction (see Solver2D).
 	cells []fluid.CellType
@@ -107,16 +107,18 @@ func NewGeometry3D(nx, ny, nz int, par fluid.Params, mask func(x, y, z int) flui
 		return nil, fmt.Errorf("lbm: nil mask")
 	}
 	s := &Solver3D{
-		Par:     par,
-		Tau:     TauFromNu(par.Nu),
-		Rho:     grid.NewField3D(nx, ny, nz, 1),
-		Vx:      grid.NewField3D(nx, ny, nz, 1),
-		Vy:      grid.NewField3D(nx, ny, nz, 1),
-		Vz:      grid.NewField3D(nx, ny, nz, 1),
-		scratch: make([]float64, nx*ny*nz),
-		cells:   fluid.Classify(nx, ny, nz, mask),
+		Par:   par,
+		Tau:   TauFromNu(par.Nu),
+		Rho:   grid.NewField3D(nx, ny, nz, 1),
+		Vx:    grid.NewField3D(nx, ny, nz, 1),
+		Vy:    grid.NewField3D(nx, ny, nz, 1),
+		Vz:    grid.NewField3D(nx, ny, nz, 1),
+		cells: fluid.Classify(nx, ny, nz, mask),
 	}
 	s.plan = filter.NewPlan3DFromCells(nx, ny, nz, s.cells)
+	if par.Eps != 0 { // the filter alone reads scratch, and not at eps = 0
+		s.scratch = make([]float64, nx*ny*nz)
+	}
 	s.filterFields = []*grid.Field3D{s.Rho, s.Vx, s.Vy, s.Vz}
 	for i := 0; i < Q3; i++ {
 		s.F[i] = grid.NewField3D(nx, ny, nz, 1)
