@@ -43,7 +43,10 @@ func (f *Farm) SubscribeBuffered(n int) *Subscription {
 	defer f.hmu.Unlock()
 	select {
 	case <-f.runDone:
-		sub.shut()
+		// Nothing else holds the fresh subscription, so its channel
+		// closes without sub.mu: no farm lock is taken under another.
+		sub.closed = true
+		close(sub.ch)
 	default:
 		f.subs = append(f.subs, sub)
 	}

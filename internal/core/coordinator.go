@@ -163,7 +163,6 @@ func newJob[C setup[P], P built, R any](cfg C, gather func(C, []P, int) R,
 			}
 			return nil, nil, err
 		}
-		j.wireSync(w)
 		j.workers[rank] = w
 	}
 	return j, jp, nil
@@ -189,13 +188,6 @@ func eachRank(n int, f func(i int) error) error {
 		}
 	}
 	return nil
-}
-
-func (j *Job) wireSync(w *Worker) {
-	p := j.P()
-	w.Sync = func(round, rank, step int) (int, error) {
-		return j.sf.SyncStep(round, rank, step, p, j.WaitTimeout)
-	}
 }
 
 // P returns the number of parallel subprocesses; only Resize changes it.
@@ -266,12 +258,30 @@ func (j *Job) Shutdown() {
 
 // pauseAll is steps 1-2 of the protocol: signal every process to
 // synchronize (kill -USR2 to all) and wait until all of them have reached
-// the synchronization step. Done events from finishing workers may
-// interleave.
+// the synchronization step. The coordinator is every process's signal
+// handler (appendix B): it holds each rank at its next step boundary,
+// appends the rank's step to the round's shared file, reads back T_max and
+// holds every rank at T_max + 1, clamped to the run's end (a rank that
+// already finished cannot advance further). A rank's announced step may
+// lag its true one by the step in flight, never more, so no rank is past
+// the sync step. Done events from finishing workers may interleave. A round
+// that fails releases every hold, takes its file away and returns the
+// cause.
 func (j *Job) pauseAll() error {
 	j.round++
-	for _, rank := range j.ranks() {
-		j.workers[rank].RequestPause(j.round)
+	ranks := j.ranks()
+	for _, rank := range ranks {
+		j.workers[rank].pauseAt.Store(pausePending)
+	}
+	s, err := j.syncStep(ranks)
+	if err != nil {
+		for _, rank := range ranks {
+			j.workers[rank].hold(pauseNone)
+		}
+		return errors.Join(err, j.sf.Clear(j.round))
+	}
+	for _, rank := range ranks {
+		j.workers[rank].hold(int64(min(s, j.until)))
 	}
 	paused := map[int]bool{}
 	for len(paused) < j.P() {
@@ -289,6 +299,17 @@ func (j *Job) pauseAll() error {
 	// Every rank has read the round to pause, so its file goes: the next
 	// job over the same directory numbers its rounds from 1 again.
 	return j.sf.Clear(j.round)
+}
+
+// syncStep announces every rank's step in this round's file and returns
+// the sync step all of them read back.
+func (j *Job) syncStep(ranks []int) (int, error) {
+	for _, rank := range ranks {
+		if err := j.sf.Announce(j.round, rank, int(j.workers[rank].step.Load())); err != nil {
+			return 0, err
+		}
+	}
+	return j.sf.WaitAll(j.round, j.P(), j.WaitTimeout)
 }
 
 // collect is step 3: the given (paused) ranks save their state, then exit
@@ -312,8 +333,8 @@ func (j *Job) collect(ranks []int, exit bool) ([]*dump.State, error) {
 		if err != nil {
 			return nil, fmt.Errorf("waiting for dumps: %w", err)
 		}
-		if st, ok := e.State.(*dump.State); ok {
-			byRank[e.Rank] = st
+		if e.Kind == EventDumped {
+			byRank[e.Rank] = e.State
 		}
 	}
 	states := make([]*dump.State, len(ranks))
@@ -346,7 +367,6 @@ func (j *Job) launch(states []*dump.State) error {
 			}
 			return fmt.Errorf("restarting rank %d: %w", st.Rank, err)
 		}
-		j.wireSync(w)
 		j.workers[st.Rank] = w
 		delete(j.done, st.Rank)
 	}
@@ -384,7 +404,7 @@ func (j *Job) cycle(ranks []int, move bool, onDump func(rank int, st *dump.State
 		if move && slices.Contains(ranks, rank) {
 			continue
 		}
-		if err := <-j.workers[rank].RequestResume(j.epoch); err != nil {
+		if err := <-j.workers[rank].requestResume(j.epoch); err != nil {
 			return nil, fmt.Errorf("resuming rank %d: %w", rank, err)
 		}
 		delete(j.done, rank) // resumed workers re-announce completion

@@ -253,31 +253,35 @@ func (t holdingTransport) Send(m msg.Message) error {
 }
 
 // wait blocks until every rank of j is held at the current step, moves the
-// hold on to the next listed step, and wraps each worker's SyncFunc so the
-// held ranks go on once the pause round that follows has been announced.
-// It returns the step the next disturbance dumps at.
+// hold on to the next listed step, and lets the held ranks go on once the
+// pause round that follows has been announced. It returns the step the
+// next disturbance dumps at.
 func (h *stepHold) wait(j *Job) int {
+	at, release := h.held(j)
+	round, p, timeout := j.round+1, j.P(), j.WaitTimeout
+	go func() {
+		// The round reads back once every rank has announced. A round
+		// that fails lets the ranks go too; the coordinator reports it.
+		j.sf.WaitAll(round, p, timeout)
+		close(release)
+	}()
+	return at
+}
+
+// held blocks until every rank of j is held at the current step, moves the
+// hold on to the next listed step and returns the step after the held one
+// with the channel that releases the held ranks.
+func (h *stepHold) held(j *Job) (int, chan struct{}) {
 	for range j.P() {
 		<-h.arrived
 	}
 	h.mu.Lock()
+	defer h.mu.Unlock()
 	at := h.steps[0]
 	h.steps = h.steps[1:]
 	release := h.release
 	h.release = make(chan struct{})
-	h.mu.Unlock()
-	var once sync.Once
-	for _, rank := range j.ranks() {
-		w := j.workers[rank]
-		inner := w.Sync
-		w.Sync = func(round, rank, step int) (int, error) {
-			s, err := inner(round, rank, step)
-			// Every rank has announced once any rank's sync returns.
-			once.Do(func() { close(release) })
-			return s, err
-		}
-	}
-	return at + 1
+	return at + 1, release
 }
 
 // migrated migrates the given ranks and returns their dumps.

@@ -329,8 +329,8 @@ func TestMigrationRebuildsNothing(t *testing.T) {
 }
 
 // TestReplacedWorkersLeakNothing: every worker a migration, a resume or a
-// resize replaces has its controller goroutine ended, and with it its hold
-// on the rank's Program.
+// resize replaces is shut down, so a compute loop still holding there
+// ends, and with it its hold on the rank's Program.
 func TestReplacedWorkersLeakNothing(t *testing.T) {
 	const steps = 30
 	j, _ := startJob2D(t, resizeCfg2D(t, MethodLB, 2, 2), steps)
@@ -339,12 +339,12 @@ func TestReplacedWorkersLeakNothing(t *testing.T) {
 		bound := time.After(5 * time.Second)
 		for {
 			select {
-			case _, open := <-w.wake: // closed by the controller as it returns
+			case _, open := <-w.wake: // closed by Shutdown
 				if !open {
 					return
 				}
 			case <-bound:
-				t.Errorf("%s: the replaced worker's controller is still running", what)
+				t.Errorf("%s: the replaced worker was not shut down", what)
 				return
 			}
 		}

@@ -26,7 +26,7 @@ func (j *Job) Suspend() ([]*dump.State, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: suspend: %w", err)
 	}
-	// The compute goroutines have exited; retire their controllers too.
+	// The compute goroutines have exited; close their control channels.
 	j.Shutdown()
 	return states, nil
 }

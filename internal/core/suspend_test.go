@@ -3,7 +3,10 @@ package core
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -427,5 +430,89 @@ func TestSuspendAfterCompletion(t *testing.T) {
 	got := jp.Gather(steps)
 	if ok, x, y, d := resultsEqual(ref, got, 0); !ok {
 		t.Errorf("post-completion suspend corrupted state at (%d,%d) by %g", x, y, d)
+	}
+}
+
+// TestSuspendFailedRoundReturnsItsCause: a pause round whose shared file
+// cannot be written fails Suspend with the file's own error at once, not
+// with ErrWorkerSilent after the wait timeout. The round takes its file
+// away and releases every hold, so the job runs on to the serial run's
+// bits.
+func TestSuspendFailedRoundReturnsItsCause(t *testing.T) {
+	const steps = 30
+	ref, _, err := RunSequential2D(channelConfig(t, MethodLB, 2, 1, 24, 16), steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	sf, err := syncfile.New(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A directory where the first round's file goes: Announce cannot
+	// open it for appending.
+	round := filepath.Join(dir, "sync-000001")
+	if err := os.Mkdir(round, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	hold := newStepHold(10)
+	j, jp, err := NewJob2D(channelConfig(t, MethodLB, 2, 1, 24, 16), hold.over(HubFactory()), sf, steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.WaitTimeout = 300 * time.Millisecond
+	j.Start()
+	_, release := hold.held(j)
+	begun := time.Now()
+	_, err = j.Suspend()
+	took := time.Since(begun)
+	close(release)
+
+	var pe *fs.PathError
+	if !errors.As(err, &pe) || pe.Path != round || errors.Is(err, ErrWorkerSilent) {
+		t.Errorf("Suspend over an unwritable round file: %v, want the round file's own error", err)
+	}
+	if took >= j.WaitTimeout {
+		t.Errorf("Suspend failed after %v, want before the %v wait timeout", took, j.WaitTimeout)
+	}
+	if _, err := os.Stat(round); !os.IsNotExist(err) {
+		t.Errorf("the failed round left its file behind (stat: %v)", err)
+	}
+	j.WaitTimeout = 30 * time.Second
+	if err := j.WaitDone(); err != nil {
+		t.Fatal(err)
+	}
+	j.Shutdown()
+	if ok, x, y, d := resultsEqual(ref, jp.Gather(steps), 0); !ok {
+		t.Errorf("the job after a failed round differs from the reference at (%d,%d) by %g", x, y, d)
+	}
+}
+
+// TestSnapshotsBackToBackHoldOneStep: a hundred snapshots in a row, then a
+// suspend, each catch every rank at one step. A resumed rank clears its
+// hold before it answers, so a round that starts on the last answer
+// cannot lose its hold on that rank.
+func TestSnapshotsBackToBackHoldOneStep(t *testing.T) {
+	j, _ := newTestJob(t, channelConfig(t, MethodFD, 4, 1, 32, 8), 1<<20)
+	// A rank that lost its hold runs past the sync step and the round
+	// waits for a pause that never comes; fail that well before the
+	// test's deadline.
+	j.WaitTimeout = 5 * time.Second
+	j.Start()
+	for i := range 100 {
+		states, err := j.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dump.CommonStep(states); err != nil {
+			t.Fatalf("snapshot %d: %v", i, err)
+		}
+	}
+	states, err := j.Suspend()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dump.CommonStep(states); err != nil {
+		t.Fatalf("suspend after the snapshots: %v", err)
 	}
 }

@@ -18,31 +18,20 @@ import (
 // re-opened").
 type TransportFactory func(rank, epoch int) (msg.Transport, error)
 
-// SyncFunc announces a rank's current step for a synchronization round and
-// returns the chosen synchronization step (appendix B: every process
-// announces, T_max is read back, and T_max + 1 is the sync step). It is
-// called from the worker's control goroutine, never from the compute loop,
-// mirroring the paper's use of UNIX signal handlers: a process blocked in
-// a receive still announces promptly.
-type SyncFunc func(round, rank, step int) (int, error)
-
-// ctrl messages from the coordinator to a worker: the in-process stand-in
-// for the paper's UNIX signals (kill -USR2 to request migration sync, CONT
-// to resume).
+// ctrl messages from the coordinator to a paused worker: the in-process
+// stand-in for the paper's CONT signal and its dump request.
 type ctrlMsg struct {
 	kind  ctrlKind
-	round int         // sync round for ctrlPause
 	epoch int         // new communication epoch for ctrlResume
 	into  *dump.State // for ctrlDump: nil to exit, else the dump to copy into
-	reply chan error  // signalled when the command has taken effect
+	reply chan error  // for ctrlResume: signalled once the resume has taken effect
 }
 
 type ctrlKind int
 
 const (
-	ctrlPause  ctrlKind = iota // sync, run to the sync step, then hold
-	ctrlResume                 // re-open channels and continue
-	ctrlDump                   // dump state, then exit or keep holding (while paused)
+	ctrlResume ctrlKind = iota // re-open channels and continue
+	ctrlDump                   // dump state, then exit or keep holding
 )
 
 // Event is a worker lifecycle notification to the coordinator.
@@ -51,7 +40,7 @@ type Event struct {
 	Kind  EventKind
 	Step  int
 	Err   error
-	State interface{} // *dump.State for EventMigrated and eventDumped
+	State *dump.State // for EventDumped
 }
 
 // EventKind enumerates worker notifications.
@@ -63,12 +52,11 @@ const (
 	// EventPaused: the worker reached the synchronization step, closed
 	// its channels and holds.
 	EventPaused
-	// EventMigrated: the worker dumped its state and exited.
-	EventMigrated
+	// EventDumped: the paused worker dumped its state, then exited (a
+	// migration or a suspend) or holds on (a snapshot).
+	EventDumped
 	// EventError: the worker failed.
 	EventError
-	// eventDumped: the paused worker dumped its state and holds on.
-	eventDumped
 )
 
 func (k EventKind) String() string {
@@ -77,12 +65,10 @@ func (k EventKind) String() string {
 		return "done"
 	case EventPaused:
 		return "paused"
-	case EventMigrated:
-		return "migrated"
+	case EventDumped:
+		return "dumped"
 	case EventError:
 		return "error"
-	case eventDumped:
-		return "dumped"
 	}
 	return fmt.Sprintf("EventKind(%d)", int(k))
 }
@@ -113,7 +99,6 @@ const (
 type Worker struct {
 	Prog    Program
 	Factory TransportFactory
-	Sync    SyncFunc // nil disables the pause protocol
 
 	Step  int
 	Epoch int
@@ -129,13 +114,12 @@ type Worker struct {
 	out  [decomp.NumDirs]msg.Message
 	want [decomp.NumDirs]Expect
 
-	step    atomic.Int64 // mirror of Step, readable by the controller
+	step    atomic.Int64 // mirror of Step, readable by the coordinator
 	pauseAt atomic.Int64 // sync step to hold at; pauseNone / pausePending
 
-	ctrl   chan ctrlMsg
-	stop   sync.Once     // closes ctrl once (Shutdown)
-	paused chan ctrlMsg  // resume/migrate/stop commands, forwarded
-	wake   chan struct{} // nudges a done worker to re-check pauseAt
+	ctrl   chan ctrlMsg  // resume and dump commands to a paused worker
+	stop   sync.Once     // closes ctrl and wake once (Shutdown)
+	wake   chan struct{} // nudges a holding or done worker to re-check pauseAt
 	events chan<- Event
 }
 
@@ -160,7 +144,6 @@ func newWorkerAt(prog Program, factory TransportFactory, epoch int, events chan<
 		pending: make(map[pkey][]float64),
 		lost:    make(map[int]error),
 		ctrl:    make(chan ctrlMsg, 8),
-		paused:  make(chan ctrlMsg, 8),
 		wake:    make(chan struct{}, 1),
 		events:  events,
 	}
@@ -277,12 +260,10 @@ func (w *Worker) awaited(want []Expect, phase int, m msg.Message) int {
 
 // Start runs the worker to completion of `until` steps while honouring the
 // migration control protocol. It blocks; run it in its own goroutine (one
-// goroutine = one workstation process). The controller goroutine plays the
-// role of the UNIX signal handler: it services synchronization requests
-// even while the compute loop is blocked in a receive.
+// goroutine = one workstation process). The coordinator plays the role of
+// the UNIX signal handler (Job.pauseAll): it reads the rank's step and
+// names the step to hold at, even while this loop is blocked in a receive.
 func (w *Worker) Start(until int) {
-	//detlint:allow entropy -- the section-5.1 signal handler: it only services sync requests, which take effect at the step boundary the coordinator names, never mid-step
-	go w.controller(until)
 	doneSent := false
 	for {
 		pa := w.pauseAt.Load()
@@ -310,8 +291,8 @@ func (w *Worker) Start(until int) {
 				w.events <- Event{Rank: w.Rank(), Kind: EventDone, Step: w.Step}
 				doneSent = true
 			}
-			// Wait for a pause request (a migration elsewhere still
-			// needs this worker) or shutdown.
+			// Wait for a pause (a migration elsewhere still needs this
+			// worker) or shutdown.
 			if _, ok := <-w.wake; !ok {
 				w.t.Close()
 				return
@@ -325,109 +306,53 @@ func (w *Worker) Start(until int) {
 	}
 }
 
-// controller services control commands asynchronously. Pause requests are
-// resolved through the shared synchronization file and clamped to `until`
-// (a worker that already finished cannot advance further, so the sync step
-// never exceeds the run length).
-func (w *Worker) controller(until int) {
-	for c := range w.ctrl {
-		switch c.kind {
-		case ctrlPause:
-			if w.Sync == nil {
-				c.fail(fmt.Errorf("rank %d: no SyncFunc configured", w.Rank()))
-				continue
-			}
-			// Block the compute loop at its next boundary, then announce.
-			// The announced step may lag the true step by at most the one
-			// step in flight, and the sync step is T_max + 1 >= announced
-			// + 1, so the worker never overshoots it.
-			w.pauseAt.Store(pausePending)
-			s, err := w.Sync(c.round, w.Rank(), int(w.step.Load()))
-			if err != nil {
-				w.pauseAt.Store(pauseNone)
-				w.nudge()
-				c.fail(err)
-				continue
-			}
-			if s > until {
-				s = until
-			}
-			w.pauseAt.Store(int64(s))
-			w.nudge()
-			c.ok()
-		default:
-			// Resume/migrate/dump apply to a paused worker.
-			w.paused <- c
-		}
-	}
-	close(w.wake)
-	close(w.paused)
-}
-
-// nudge wakes the compute loop if it is holding.
-func (w *Worker) nudge() {
+// hold sets the step the compute loop holds at and wakes it if it is
+// holding already.
+func (w *Worker) hold(at int64) {
+	w.pauseAt.Store(at)
 	select {
 	case w.wake <- struct{}{}:
 	default:
 	}
 }
 
-func (c ctrlMsg) ok() {
-	if c.reply != nil {
-		c.reply <- nil
-	}
-}
-
-func (c ctrlMsg) fail(err error) {
-	if c.reply != nil {
-		c.reply <- err
-	}
-}
-
 // holdPaused processes commands while paused at the sync step. It returns
-// false when the worker exits (migration).
+// false when the worker exits (a migration, or Shutdown).
 func (w *Worker) holdPaused() bool {
-	for c := range w.paused {
+	for c := range w.ctrl {
 		switch c.kind {
 		case ctrlResume:
 			t, err := w.Factory(w.Rank(), c.epoch)
 			if err != nil {
-				c.fail(err)
+				c.reply <- err
 				w.events <- Event{Rank: w.Rank(), Kind: EventError, Step: w.Step, Err: err}
 				return false
 			}
 			w.t = t
 			clear(w.lost)
 			w.Epoch = c.epoch
+			// Clear the hold before replying: once the reply is in, the
+			// coordinator may start the next round, whose pausePending
+			// a later store here would overwrite.
 			w.pauseAt.Store(pauseNone)
-			c.ok()
+			c.reply <- nil
 			return true
 		case ctrlDump:
 			// A rank that stops computing hands its Program's (one a Job
 			// built) arrays over as views; one that holds copies them.
 			st := w.Prog.(built).dump(w.Step, w.Epoch, c.into)
-			c.ok()
+			w.events <- Event{Rank: w.Rank(), Kind: EventDumped, Step: w.Step, State: st}
 			if c.into == nil {
-				w.events <- Event{Rank: w.Rank(), Kind: EventMigrated, Step: w.Step, State: st}
 				return false
 			}
-			w.events <- Event{Rank: w.Rank(), Kind: eventDumped, Step: w.Step, State: st}
-		default:
-			c.fail(fmt.Errorf("rank %d: unexpected control %d while paused", w.Rank(), c.kind))
 		}
 	}
 	return false
 }
 
-// RequestPause asks the worker to synchronize (round) and hold at the sync
-// step. It is the coordinator's "kill -USR2".
-func (w *Worker) RequestPause(round int) {
-	w.ctrl <- ctrlMsg{kind: ctrlPause, round: round}
-}
-
-// RequestResume re-opens the worker's channels under a new epoch. The
+// requestResume re-opens a paused worker's channels under a new epoch. The
 // returned channel yields the outcome; it is the coordinator's "CONT".
-func (w *Worker) RequestResume(epoch int) chan error {
+func (w *Worker) requestResume(epoch int) chan error {
 	reply := make(chan error, 1)
 	w.ctrl <- ctrlMsg{kind: ctrlResume, epoch: epoch, reply: reply}
 	return reply
@@ -437,11 +362,13 @@ func (w *Worker) RequestResume(epoch int) chan error {
 // a migration) or to copy it into into and keep holding (a snapshot).
 func (w *Worker) requestDump(into *dump.State) { w.ctrl <- ctrlMsg{kind: ctrlDump, into: into} }
 
-// Shutdown closes the control plane; a running worker finishes its steps,
-// a done worker exits. Its controller goroutine ends either way, and a
-// second Shutdown does nothing.
+// Shutdown closes the control plane: a running worker finishes its steps,
+// and a done, holding or paused one exits. A second Shutdown does nothing.
 func (w *Worker) Shutdown() {
-	w.stop.Do(func() { close(w.ctrl) })
+	w.stop.Do(func() {
+		close(w.ctrl)
+		close(w.wake)
+	})
 }
 
 // Close tears down the worker's transport (used by simple non-Start runs).

@@ -296,39 +296,6 @@ func (r *recvSignal) Recv() (msg.Message, error) {
 	return r.Transport.Recv()
 }
 
-// TestWorkerPauseWithoutSyncFuncFails: the pause path requires the
-// shared-file sync machinery; without it the control command reports an
-// error instead of wedging the worker.
-func TestWorkerPauseWithoutSyncFuncFails(t *testing.T) {
-	hub := msg.NewHub()
-	factory := func(rank, epoch int) (msg.Transport, error) { return hub.Join(rank), nil }
-	events := make(chan Event, 8)
-	prog := &stubProgram{rank: 0, peer: 0} // self-loop so steps complete
-	w, err := NewWorker(prog, factory, 0, events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exited := make(chan struct{})
-	go func() {
-		w.Start(2)
-		close(exited)
-	}()
-	// Wait for completion.
-	for e := range events {
-		if e.Kind == EventDone {
-			break
-		}
-	}
-	w.RequestPause(1) // no SyncFunc wired
-	// The refused pause leaves the worker responsive: Shutdown ends it.
-	w.Shutdown()
-	select {
-	case <-exited:
-	case <-time.After(5 * time.Second):
-		t.Fatal("worker still running 5s after Shutdown that followed a refused pause")
-	}
-}
-
 // TestRestoredWorkerStartsAtDumpStep: newWorkerAt seeds the step counter.
 func TestRestoredWorkerStartsAtDumpStep(t *testing.T) {
 	hub := msg.NewHub()
