@@ -124,8 +124,8 @@ func reclaimMidRun(t *testing.T, disturb func(*cluster.Cluster, *cluster.Host), 
 	if sim.Preemptions != 0 {
 		t.Errorf("sim preemptions = %d, want 0 (migration, not suspension)", sim.Preemptions)
 	}
-	if job.Migrations != 1 {
-		t.Errorf("core job recorded %d migrations, want 1", job.Migrations)
+	if job.Epoch() != 1 {
+		t.Errorf("core job at epoch %d, want 1 (one migration round)", job.Epoch())
 	}
 
 	got := progs.Gather(steps)

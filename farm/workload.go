@@ -81,8 +81,7 @@ func (c *CoreWorkload) Start([]*cluster.Host) error {
 	if c.Job == nil {
 		return fmt.Errorf("farm: CoreWorkload without a Job")
 	}
-	c.Job.Start()
-	return nil
+	return c.Job.Start()
 }
 
 // Suspend checkpoints the whole job and stops its workers.
@@ -97,9 +96,6 @@ func (c *CoreWorkload) Suspend() error {
 
 // Resume restarts the job from its checkpoint on the new hosts.
 func (c *CoreWorkload) Resume([]*cluster.Host) error {
-	if c.states == nil {
-		return fmt.Errorf("farm: resume of %d-rank job without a checkpoint", c.Job.P())
-	}
 	err := c.Job.Resume(c.states)
 	c.states = nil
 	return err

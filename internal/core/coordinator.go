@@ -31,15 +31,14 @@ type Job struct {
 	sf      *syncfile.Sync
 	until   int // the step every worker runs to; newJob refuses one below 0
 
-	// WaitTimeout bounds every coordination wait (default 60s).
-	WaitTimeout time.Duration
-
-	events  chan Event
-	workers map[int]*Worker
-	p       int // rank count; changes only in Resize
-	epoch   int
-	round   int
-	done    map[int]bool
+	waitTimeout time.Duration // bounds every coordination wait (60s)
+	events      chan Event
+	workers     map[int]*Worker
+	p           int // rank count; changes only in Resize
+	epoch       int
+	round       int
+	state       jobState
+	ndone       int // ranks done since the state last entered running
 
 	// rebuild restores a set of dumps into their ranks' live Programs, the
 	// ones JobPrograms has.
@@ -52,12 +51,33 @@ type Job struct {
 
 	// retired holds the Programs (a []P) the last resize replaced, by
 	// rank, for a resize back onto their boxes; kept the last Snapshot's
-	// dumps, for the next to copy into. Both go when every rank is done.
+	// dumps, for the next to copy into. Both go when the job finishes.
 	retired any
 	kept    []*dump.State
+}
 
-	// Migrations counts completed migrations.
-	Migrations int
+// jobState is where a job stands in section 5.1's protocol.
+type jobState string
+
+const (
+	ready     jobState = "ready"     // built, no worker started
+	running   jobState = "running"   // some rank has steps to go
+	finished  jobState = "finished"  // every rank reported done
+	suspended jobState = "suspended" // every rank dumped and exited
+	failed    jobState = "failed"    // an op failed part-way: only Shutdown is valid
+	closed    jobState = "closed"    // shut down
+)
+
+// ErrJobState, wrapped with the op and the state, is returned by an op the
+// job's state does not accept, which leaves the job as it was.
+var ErrJobState = errors.New("core: op not valid in the job's state")
+
+// check returns ErrJobState unless the job is in one of the states ok.
+func (j *Job) check(op string, ok ...jobState) error {
+	if slices.Contains(ok, j.state) {
+		return nil
+	}
+	return fmt.Errorf("%w: cannot %s a %s job", ErrJobState, op, j.state)
 }
 
 // ranks returns the job's worker ranks in ascending order, so every
@@ -113,11 +133,11 @@ func newJob[C setup[P], P built, R any](cfg C, gather func(C, []P, int) R,
 		factory:     factory,
 		sf:          sf,
 		until:       until,
-		WaitTimeout: 60 * time.Second,
+		waitTimeout: 60 * time.Second,
 		events:      make(chan Event, 32*len(progs)),
 		workers:     make(map[int]*Worker),
 		p:           len(progs),
-		done:        make(map[int]bool),
+		state:       ready,
 	}
 	j.rebuild = func(states []*dump.State) ([]Program, error) {
 		// Every rank a set names has a live Program: newJob built one for
@@ -196,8 +216,15 @@ func (j *Job) P() int { return j.p }
 // Epoch returns the current communication epoch.
 func (j *Job) Epoch() int { return j.epoch }
 
-// Start launches every worker on its own goroutine.
-func (j *Job) Start() { j.start(j.ranks()) }
+// Start launches every worker of a ready job on its own goroutine.
+func (j *Job) Start() error {
+	if err := j.check("start", ready); err != nil {
+		return err
+	}
+	j.start(j.ranks())
+	j.state = running
+	return nil
+}
 
 // start launches the given ranks' workers, each on its own goroutine.
 func (j *Job) start(ranks []int) {
@@ -208,7 +235,7 @@ func (j *Job) start(ranks []int) {
 }
 
 // ErrWorkerSilent is returned (wrapped) by every coordination wait when no
-// rank reports within the job's WaitTimeout: a hung or dead rank fails
+// rank reports within the job's wait timeout: a hung or dead rank fails
 // its job instead of hanging it. Callers branch with errors.Is.
 var ErrWorkerSilent = errors.New("core: no worker event within the wait timeout")
 
@@ -217,43 +244,46 @@ func (j *Job) nextEvent() (Event, error) {
 	select {
 	case e := <-j.events:
 		if e.Kind == EventError {
+			j.state = failed
 			return e, fmt.Errorf("core: rank %d failed at step %d: %w", e.Rank, e.Step, e.Err)
 		}
 		return e, nil
 	//detlint:allow entropy -- liveness timeout: it only bounds how long we wait for a worker event, and a firing aborts the run; it never reorders or changes delivered events
-	case <-time.After(j.WaitTimeout):
-		return Event{}, fmt.Errorf("%w (%v)", ErrWorkerSilent, j.WaitTimeout)
+	case <-time.After(j.waitTimeout):
+		return Event{}, fmt.Errorf("%w (%v)", ErrWorkerSilent, j.waitTimeout)
 	}
 }
 
 // WaitDone blocks until every rank reports completion, servicing nothing
-// else.
+// else. A wait that ends in ErrWorkerSilent leaves the job running.
 func (j *Job) WaitDone() error {
-	for len(j.done) < j.P() {
+	if err := j.check("wait on", running, finished); err != nil {
+		return err
+	}
+	for j.ndone < j.P() {
 		e, err := j.nextEvent()
 		if err != nil {
 			return err
 		}
 		if e.Kind == EventDone {
-			j.finished(e.Rank)
+			j.ndone++
 		}
 	}
+	j.state, j.retired, j.kept = finished, nil, nil
 	return nil
 }
 
-// finished records a rank's completion; the last drops what the job keeps.
-func (j *Job) finished(rank int) {
-	j.done[rank] = true
-	if len(j.done) == j.P() {
-		j.retired, j.kept = nil, nil
-	}
-}
-
-// Shutdown stops all workers' control planes after completion.
+// Shutdown closes the job in any state, once: running workers finish their
+// steps, done, holding or paused ones exit, and a ready job's workers,
+// never started, close their channels.
 func (j *Job) Shutdown() {
 	for _, rank := range j.ranks() {
+		if j.state == ready {
+			j.workers[rank].Close()
+		}
 		j.workers[rank].Shutdown()
 	}
+	j.state = closed
 }
 
 // pauseAll is steps 1-2 of the protocol: signal every process to
@@ -264,10 +294,15 @@ func (j *Job) Shutdown() {
 // holds every rank at T_max + 1, clamped to the run's end (a rank that
 // already finished cannot advance further). A rank's announced step may
 // lag its true one by the step in flight, never more, so no rank is past
-// the sync step. Done events from finishing workers may interleave. A round
-// that fails releases every hold, takes its file away and returns the
-// cause.
-func (j *Job) pauseAll() error {
+// the sync step. Done events from finishing workers may interleave, each
+// before its rank's pause; the op restarts the count. A round that fails
+// releases every hold, takes its file away and returns the cause. It
+// accepts a running or a finished job; from its holds on, the job is
+// failed until the op completes.
+func (j *Job) pauseAll(op string) error {
+	if err := j.check(op, running, finished); err != nil {
+		return err
+	}
 	j.round++
 	ranks := j.ranks()
 	for _, rank := range ranks {
@@ -280,6 +315,7 @@ func (j *Job) pauseAll() error {
 		}
 		return errors.Join(err, j.sf.Clear(j.round))
 	}
+	j.state = failed
 	for _, rank := range ranks {
 		j.workers[rank].hold(int64(min(s, j.until)))
 	}
@@ -289,11 +325,8 @@ func (j *Job) pauseAll() error {
 		if err != nil {
 			return fmt.Errorf("waiting for pause: %w", err)
 		}
-		switch e.Kind {
-		case EventPaused:
+		if e.Kind == EventPaused {
 			paused[e.Rank] = true
-		case EventDone:
-			j.finished(e.Rank)
 		}
 	}
 	// Every rank has read the round to pause, so its file goes: the next
@@ -309,7 +342,7 @@ func (j *Job) syncStep(ranks []int) (int, error) {
 			return 0, err
 		}
 	}
-	return j.sf.WaitAll(j.round, j.P(), j.WaitTimeout)
+	return j.sf.WaitAll(j.round, j.P(), j.waitTimeout)
 }
 
 // collect is step 3: the given (paused) ranks save their state, then exit
@@ -344,19 +377,15 @@ func (j *Job) collect(ranks []int, exit bool) ([]*dump.State, error) {
 	return states, nil
 }
 
-// launch is step 4: the ranks of a set of dumps are restored from them and
-// get fresh workers with channels at the current epoch, ready to start.
-// The workers they replace, whose compute loops have exited, retire, and
-// so do the fresh ones if a later rank cannot open its channels.
-func (j *Job) launch(states []*dump.State) error {
+// launch is step 4: the ranks of a set of dumps, restored into progs, get
+// fresh workers with channels at the current epoch, ready to start. The
+// workers they replace, whose compute loops have exited, retire, and so
+// do the fresh ones if a later rank cannot open its channels.
+func (j *Job) launch(states []*dump.State, progs []Program) error {
 	for _, st := range states {
 		if w := j.workers[st.Rank]; w != nil {
 			w.retire()
 		}
-	}
-	progs, err := j.rebuild(states)
-	if err != nil {
-		return err
 	}
 	for i, st := range states {
 		st.Epoch = j.epoch
@@ -368,7 +397,6 @@ func (j *Job) launch(states []*dump.State) error {
 			return fmt.Errorf("restarting rank %d: %w", st.Rank, err)
 		}
 		j.workers[st.Rank] = w
-		delete(j.done, st.Rank)
 	}
 	return nil
 }
@@ -378,8 +406,8 @@ func (j *Job) launch(states []*dump.State) error {
 // the epoch advances, and the given ranks save their state (step 3). With
 // move they exit and are relaunched from their dumps (step 4), onDump
 // seeing each first; every rank that held continues as it was (step 5).
-func (j *Job) cycle(ranks []int, move bool, onDump func(rank int, st *dump.State)) ([]*dump.State, error) {
-	if err := j.pauseAll(); err != nil {
+func (j *Job) cycle(op string, ranks []int, move bool, onDump func(rank int, st *dump.State)) ([]*dump.State, error) {
+	if err := j.pauseAll(op); err != nil {
 		return nil, err
 	}
 	j.epoch++
@@ -393,7 +421,11 @@ func (j *Job) cycle(ranks []int, move bool, onDump func(rank int, st *dump.State
 				onDump(st.Rank, st)
 			}
 		}
-		if err := j.launch(states); err != nil {
+		progs, err := j.rebuild(states)
+		if err != nil {
+			return nil, err
+		}
+		if err := j.launch(states, progs); err != nil {
 			return nil, err
 		}
 		j.start(ranks)
@@ -407,8 +439,8 @@ func (j *Job) cycle(ranks []int, move bool, onDump func(rank int, st *dump.State
 		if err := <-j.workers[rank].requestResume(j.epoch); err != nil {
 			return nil, fmt.Errorf("resuming rank %d: %w", rank, err)
 		}
-		delete(j.done, rank) // resumed workers re-announce completion
 	}
+	j.state, j.ndone = running, 0 // every rank is to report done anew
 	return states, nil
 }
 
@@ -427,9 +459,8 @@ func (j *Job) MigrateRanks(ranks []int, onDump func(rank int, st *dump.State)) e
 			return fmt.Errorf("core: no worker with rank %d", r)
 		}
 	}
-	if _, err := j.cycle(ranks, true, onDump); err != nil {
+	if _, err := j.cycle("migrate", ranks, true, onDump); err != nil {
 		return fmt.Errorf("core: migrate: %w", err)
 	}
-	j.Migrations += len(ranks)
 	return nil
 }

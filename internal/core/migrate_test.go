@@ -28,7 +28,7 @@ func newTestJobOver(t *testing.T, cfg *Config2D, until int, factory TransportFac
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.WaitTimeout = 30 * time.Second
+	j.waitTimeout = 30 * time.Second
 	return j, jp
 }
 
@@ -66,9 +66,6 @@ func TestMigrationPreservesSolution(t *testing.T) {
 	}
 	j.Shutdown()
 
-	if j.Migrations != 2 {
-		t.Errorf("Migrations = %d, want 2", j.Migrations)
-	}
 	if len(dumps) != 1 || dumps[0].Rank != 1 {
 		t.Errorf("onDump saw %v", dumps)
 	}
@@ -102,7 +99,7 @@ func TestSyncDirReusedByASecondJob(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		j.WaitTimeout = 5 * time.Second
+		j.waitTimeout = 5 * time.Second
 		j.Start()
 		at := hold.wait(j)
 		dumps, err := migrated(j, 1)
@@ -258,7 +255,7 @@ func (t holdingTransport) Send(m msg.Message) error {
 // next disturbance dumps at.
 func (h *stepHold) wait(j *Job) int {
 	at, release := h.held(j)
-	round, p, timeout := j.round+1, j.P(), j.WaitTimeout
+	round, p, timeout := j.round+1, j.P(), j.waitTimeout
 	go func() {
 		// The round reads back once every rank has announced. A round
 		// that fails lets the ranks go too; the coordinator reports it.
@@ -302,7 +299,7 @@ func midRun(t *testing.T, what string, states []*dump.State, want, until int) {
 	}
 }
 
-// TestSilentRanksFailTyped: when no rank reports within WaitTimeout the
+// TestSilentRanksFailTyped: when no rank reports within the wait timeout the
 // coordination wait fails with ErrWorkerSilent, checkable with errors.Is,
 // instead of hanging the job. Every rank is held in its first Recv, so
 // the timeout is the only thing that can end the wait.
@@ -315,7 +312,7 @@ func TestSilentRanksFailTyped(t *testing.T) {
 			tr, err := hub(rank, epoch)
 			return heldTransport{tr, gate}, err
 		})
-	j.WaitTimeout = 20 * time.Millisecond
+	j.waitTimeout = 20 * time.Millisecond
 	j.Start()
 	if err := j.WaitDone(); !errors.Is(err, ErrWorkerSilent) {
 		t.Errorf("WaitDone over silent ranks returned %v, want ErrWorkerSilent", err)
@@ -323,7 +320,7 @@ func TestSilentRanksFailTyped(t *testing.T) {
 	// Release the ranks and let the run drain so no goroutine outlives
 	// the test.
 	close(gate)
-	j.WaitTimeout = 30 * time.Second
+	j.waitTimeout = 30 * time.Second
 	if err := j.WaitDone(); err != nil {
 		t.Fatal(err)
 	}

@@ -106,7 +106,7 @@ func (w watched) Send(m msg.Message) error {
 // TestTCPJobFailsOnPeerLost: a running 2x2 TCP job loses every
 // connection to rank 3 at step 5, after the other ranks wrote to it and
 // while they wait to read from it. The job fails at once with
-// msg.ErrPeerLost, not a WaitTimeout later with ErrWorkerSilent.
+// msg.ErrPeerLost, not a wait timeout later with ErrWorkerSilent.
 func TestTCPJobFailsOnPeerLost(t *testing.T) {
 	const step, lost = 5, 3
 	shared, err := registry.New(t.TempDir())
@@ -135,7 +135,7 @@ func TestTCPJobFailsOnPeerLost(t *testing.T) {
 		return watched{tr, rank, step, lost, sent, release}, err
 	}
 	j, _ := newTestJobOver(t, channelConfig(t, MethodLB, 2, 2, 24, 16), 100000, factory)
-	j.WaitTimeout = 5 * time.Second
+	j.waitTimeout = 5 * time.Second
 	j.Start()
 	for range j.P() - 1 {
 		<-sent
@@ -174,7 +174,7 @@ func TestTCPJobFailsOnPeerLost(t *testing.T) {
 func TestTCPPauseIsNoPeerLost(t *testing.T) {
 	for range 3 {
 		j, _ := newTestJobOver(t, channelConfig(t, MethodFD, 6, 1, 72, 12), 400, tcpFactory(t))
-		j.WaitTimeout = 5 * time.Second
+		j.waitTimeout = 5 * time.Second
 		j.Start()
 		for range 3 {
 			if _, err := j.Snapshot(); err != nil {

@@ -51,6 +51,65 @@ func poisoning(over TransportFactory, held *atomic.Int64) TransportFactory {
 	}
 }
 
+// aheadTransport makes a payload wait in its rank's pending buffer: the
+// first time the rank awaits the last exchange of a step before the run's
+// last, its Recv pulls messages until one of the next step comes (a peer
+// ran a step ahead) and hands that one over first, the rest after it in
+// order. The rank has sent all of its step by then, so every peer can
+// finish the step and send the next one's first phase: the pull ends.
+type aheadTransport struct {
+	msg.Transport
+	last, steps int    // the last phase that exchanges; the run's steps
+	sent        [2]int // step and phase of the latest send
+	fired       bool
+	next        []msg.Message
+}
+
+func (a *aheadTransport) Send(m msg.Message) error {
+	a.sent = [2]int{m.Step, m.Phase}
+	return a.Transport.Send(m)
+}
+
+func (a *aheadTransport) Recv() (msg.Message, error) {
+	if !a.fired && a.sent[1] == a.last && a.sent[0]+1 < a.steps {
+		a.fired = true
+		for {
+			m, err := a.Transport.Recv()
+			if err != nil || m.Step > a.sent[0] {
+				return m, err
+			}
+			a.next = append(a.next, m)
+		}
+	}
+	if len(a.next) > 0 {
+		m := a.next[0]
+		a.next = a.next[1:]
+		return m, nil
+	}
+	return a.Transport.Recv()
+}
+
+// ahead decorates rank 0's transport with an aheadTransport for a run of
+// the given steps; program builds the rank's Program, whose exchanges
+// give the last phase that has one.
+func ahead[P Program](over TransportFactory, steps int, program func(rank int) (P, error)) TransportFactory {
+	return func(rank, epoch int) (msg.Transport, error) {
+		tr, err := over(rank, epoch)
+		if rank != 0 || err != nil {
+			return tr, err
+		}
+		p, err := program(rank)
+		if err != nil {
+			return nil, err
+		}
+		last := p.Phases() - 1
+		for len(p.Expects(last)) == 0 {
+			last--
+		}
+		return &aheadTransport{Transport: tr, last: last, steps: steps, sent: [2]int{-1, -1}}, nil
+	}
+}
+
 // sameBits returns the first index at which two sets of fields differ in
 // their bits, or -1.
 func sameBits(want, got [][]float64) int {
@@ -67,10 +126,11 @@ func sameBits(want, got [][]float64) int {
 // TestPayloadReleasedAfterUnpack: a worker hands each payload back to its
 // transport only once Unpack has returned, whether it came straight from
 // Recv or waited in pending. Every released payload is overwritten with
-// NaN, and delivery is reordered across peers so that payloads do wait;
-// a 2x2 FD2D and a 2x2x1 LB3D (whose ranks also send to themselves) run
-// over the hub and over TCP must still end in the bits of the sequential
-// run.
+// NaN, delivery is reordered across peers, and rank 0 takes a payload of
+// the next step before the last of its current one, so that payloads do
+// wait; a 2x2 FD2D and a 2x2x1 LB3D (whose ranks also send to themselves)
+// run over the hub and over TCP must still end in the bits of the
+// sequential run.
 func TestPayloadReleasedAfterUnpack(t *testing.T) {
 	transports := []struct {
 		name string
@@ -88,7 +148,7 @@ func TestPayloadReleasedAfterUnpack(t *testing.T) {
 			}
 			var swapped, held atomic.Int64
 			cfg := channelConfig(t, MethodFD, 2, 2, 24, 16)
-			got, err := RunParallel2D(cfg, steps, poisoning(reordering(tr.open(t), 3, &swapped, cfg.NewProgram), &held))
+			got, err := RunParallel2D(cfg, steps, poisoning(ahead(reordering(tr.open(t), 3, &swapped, cfg.NewProgram), steps, cfg.NewProgram), &held))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,7 +170,7 @@ func TestPayloadReleasedAfterUnpack(t *testing.T) {
 			}
 			var swapped, held atomic.Int64
 			c := cfg()
-			got, err := RunParallel3D(c, steps, poisoning(reordering(tr.open(t), 3, &swapped, c.NewProgram), &held))
+			got, err := RunParallel3D(c, steps, poisoning(ahead(reordering(tr.open(t), 3, &swapped, c.NewProgram), steps, c.NewProgram), &held))
 			if err != nil {
 				t.Fatal(err)
 			}

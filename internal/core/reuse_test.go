@@ -270,7 +270,7 @@ func TestMigrationRebuildsNothing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			j.WaitTimeout = 30 * time.Second
+			j.waitTimeout = 30 * time.Second
 			live := slices.Clone(jp.progs)
 			same := func(what string) {
 				t.Helper()

@@ -6,7 +6,7 @@ import (
 	"repro/internal/dump"
 )
 
-// Suspend halts the whole job through the section-5.1 migration protocol
+// Suspend halts a running or finished job through the section-5.1 protocol
 // applied to every rank at once: all processes synchronize, each saves its
 // state into a dump and exits. The returned states (ordered by rank) are
 // the complete checkpoint; Resume restarts the job from them, and the
@@ -16,10 +16,9 @@ import (
 //
 // The states' fields are views of the ranks' live arrays, valid until the
 // next Resume or Resize; Resume restores them in place, copying nothing.
-//
-// After Suspend no workers are running; only Resume is valid next.
+// The suspended job accepts only Resume and Shutdown.
 func (j *Job) Suspend() ([]*dump.State, error) {
-	if err := j.pauseAll(); err != nil {
+	if err := j.pauseAll("suspend"); err != nil {
 		return nil, fmt.Errorf("core: suspend: %w", err)
 	}
 	states, err := j.collect(j.ranks(), true)
@@ -27,7 +26,10 @@ func (j *Job) Suspend() ([]*dump.State, error) {
 		return nil, fmt.Errorf("core: suspend: %w", err)
 	}
 	// The compute goroutines have exited; close their control channels.
-	j.Shutdown()
+	for _, rank := range j.ranks() {
+		j.workers[rank].Shutdown()
+	}
+	j.state = suspended
 	return states, nil
 }
 
@@ -40,7 +42,7 @@ func (j *Job) Suspend() ([]*dump.State, error) {
 // Snapshot, which copies into the same arrays where they fit; taking a
 // snapshot never changes the results.
 func (j *Job) Snapshot() ([]*dump.State, error) {
-	states, err := j.cycle(j.ranks(), false, nil)
+	states, err := j.cycle("snapshot", j.ranks(), false, nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: snapshot: %w", err)
 	}
@@ -48,16 +50,22 @@ func (j *Job) Snapshot() ([]*dump.State, error) {
 	return states, nil
 }
 
-// Resume restarts a suspended job from the states Suspend returned: every
-// rank's Program is restored from its dump and a fresh worker starts at
-// the next communication epoch, exactly as step 4 of the migration
-// protocol restarts a single migrated process. A set that is not one dump
-// per rank, all at one step, is refused, and the job stays suspended.
+// Resume restarts a suspended job from the states Suspend returned, or a
+// ready one from a saved set (a restore): every rank's Program is restored
+// from its dump and a fresh worker starts at the next communication epoch,
+// exactly as step 4 of the migration protocol restarts a single migrated
+// process. A set that is not one dump per rank, all at one step, or does
+// not fit is refused, as is a running or finished job (no caller rewinds
+// one), and the job stays as it was.
 func (j *Job) Resume(states []*dump.State) error {
-	if len(states) != j.P() {
-		return fmt.Errorf("core: resume: %d states for %d ranks", len(states), j.P())
+	err := j.check("resume", ready, suspended)
+	if err == nil && len(states) != j.P() {
+		err = fmt.Errorf("%d states for %d ranks", len(states), j.P())
 	}
-	if err := j.restart(states); err != nil {
+	if err == nil {
+		err = j.restart(states)
+	}
+	if err != nil {
 		return fmt.Errorf("core: resume: %w", err)
 	}
 	return nil
@@ -66,24 +74,29 @@ func (j *Job) Resume(states []*dump.State) error {
 // restart retires the whole worker set, started or not, replaces it with
 // one fresh worker per state, at the next communication epoch, and starts
 // them. Resume calls it with the suspended rank set, Resize with the re-cut
-// one. A set that is not one dump per rank, all at one step, is refused
-// before anything changes: started, the ranks that are behind, or whose
-// neighbour has no dump, would wait for messages that never come.
+// one. A set that is not one dump per rank, all at one step, or does not
+// fit is refused before anything changes: started, the ranks behind, or
+// whose neighbour has no dump, would wait for messages that never come.
 func (j *Job) restart(states []*dump.State) error {
 	if _, err := checkSet(states); err != nil {
 		return err
 	}
+	progs, err := j.rebuild(states)
+	if err != nil {
+		return err
+	}
+	j.state = failed // until every rank is relaunched
 	for _, rank := range j.ranks() {
 		j.workers[rank].retire()
 	}
 	j.epoch++
 	j.p = len(states)
-	j.done = make(map[int]bool)
 	j.workers = make(map[int]*Worker, len(states))
-	if err := j.launch(states); err != nil {
+	if err := j.launch(states, progs); err != nil {
 		return err
 	}
-	j.Start()
+	j.start(j.ranks())
+	j.state, j.ndone = running, 0
 	return nil
 }
 

@@ -69,7 +69,7 @@ func TestSuspendResumePreservesSolution(t *testing.T) {
 // a rank-by-rank save killed part-way leaves behind — is refused up front
 // with dump.ErrMixedSteps and nothing changed, instead of starting workers
 // of which the one behind waits for a message its neighbour will never
-// send (the job then dies a WaitTimeout later as ErrWorkerSilent). The job
+// send (the job then dies a wait timeout later as ErrWorkerSilent). The job
 // still resumes from the consistent set and ends in the reference's bits.
 func TestResumeRefusesMixedSteps(t *testing.T) {
 	const steps = 40
@@ -78,7 +78,7 @@ func TestResumeRefusesMixedSteps(t *testing.T) {
 		t.Fatal(err)
 	}
 	j, jp := newTestJob(t, channelConfig(t, MethodLB, 2, 2, 24, 16), steps)
-	j.WaitTimeout = 2 * time.Second // what an accepted mixed set costs to find out
+	j.waitTimeout = 2 * time.Second // what an accepted mixed set costs to find out
 	j.Start()
 	states, err := j.Suspend()
 	if err != nil {
@@ -111,7 +111,7 @@ func TestResumeRefusesMixedSteps(t *testing.T) {
 // TestNewJobRefusesNegativeUntil: a job to a step below 0 is refused when
 // it is made. A worker clamps its pause step to until, and the negative
 // pause steps are its sentinels, so such a job would never pause and a
-// suspend would wait out the job's WaitTimeout.
+// suspend would wait out the job's wait timeout.
 func TestNewJobRefusesNegativeUntil(t *testing.T) {
 	sf, err := syncfile.New(t.TempDir())
 	if err != nil {
@@ -131,7 +131,7 @@ func TestNewJobRefusesNegativeUntil(t *testing.T) {
 // rank repeated, or one outside the decomposition — is refused with an
 // error naming the rank, before anything is retired, instead of starting
 // workers of which some wait for a neighbour that never runs (the job then
-// dies a WaitTimeout later as ErrWorkerSilent, its rank goroutines left
+// dies a wait timeout later as ErrWorkerSilent, its rank goroutines left
 // behind). A set with one dump that does not fit its rank is refused
 // before any rank is restored: the suspended states are views of the
 // ranks' arrays, so restoring the other dumps first would change them.
@@ -144,7 +144,7 @@ func TestResumeRefusesRankSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	j, jp := newTestJob(t, channelConfig(t, MethodLB, 2, 2, 24, 16), steps)
-	j.WaitTimeout = 2 * time.Second // what an accepted bad set costs to find out
+	j.waitTimeout = 2 * time.Second // what an accepted bad set costs to find out
 	j.Start()
 	states, err := j.Suspend()
 	if err != nil {
@@ -460,7 +460,7 @@ func TestSuspendFailedRoundReturnsItsCause(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.WaitTimeout = 300 * time.Millisecond
+	j.waitTimeout = 300 * time.Millisecond
 	j.Start()
 	_, release := hold.held(j)
 	begun := time.Now()
@@ -472,13 +472,13 @@ func TestSuspendFailedRoundReturnsItsCause(t *testing.T) {
 	if !errors.As(err, &pe) || pe.Path != round || errors.Is(err, ErrWorkerSilent) {
 		t.Errorf("Suspend over an unwritable round file: %v, want the round file's own error", err)
 	}
-	if took >= j.WaitTimeout {
-		t.Errorf("Suspend failed after %v, want before the %v wait timeout", took, j.WaitTimeout)
+	if took >= j.waitTimeout {
+		t.Errorf("Suspend failed after %v, want before the %v wait timeout", took, j.waitTimeout)
 	}
 	if _, err := os.Stat(round); !os.IsNotExist(err) {
 		t.Errorf("the failed round left its file behind (stat: %v)", err)
 	}
-	j.WaitTimeout = 30 * time.Second
+	j.waitTimeout = 30 * time.Second
 	if err := j.WaitDone(); err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +497,7 @@ func TestSnapshotsBackToBackHoldOneStep(t *testing.T) {
 	// A rank that lost its hold runs past the sync step and the round
 	// waits for a pause that never comes; fail that well before the
 	// test's deadline.
-	j.WaitTimeout = 5 * time.Second
+	j.waitTimeout = 5 * time.Second
 	j.Start()
 	for i := range 100 {
 		states, err := j.Snapshot()

@@ -11,7 +11,7 @@ import (
 
 // TestControlPlaneInBubbles runs the eleven control-plane tests each
 // inside a testing/synctest bubble. There a goroutine left blocked for
-// good is a deadlock panic, not a leak found later, and a WaitTimeout
+// good is a deadlock panic, not a leak found later, and a wait timeout
 // costs no wall clock.
 //
 // A bubble's goroutines may not wait on goroutines outside it. The

@@ -59,20 +59,6 @@ const (
 	EventError
 )
 
-func (k EventKind) String() string {
-	switch k {
-	case EventDone:
-		return "done"
-	case EventPaused:
-		return "paused"
-	case EventDumped:
-		return "dumped"
-	case EventError:
-		return "error"
-	}
-	return fmt.Sprintf("EventKind(%d)", int(k))
-}
-
 // pkey identifies a not-yet-consumed message slot.
 type pkey struct {
 	step, phase, dir, peer int
