@@ -175,15 +175,12 @@ func newJob[C setup[P], P built, R any](cfg C, gather func(C, []P, int) R,
 		j.retired, jp.progs = jp.progs, progs
 		return out, nil
 	}
+	ts, err := j.open(len(progs))
+	if err != nil {
+		return nil, nil, err
+	}
 	for rank, p := range progs {
-		w, err := NewWorker(p, factory, 0, j.events)
-		if err != nil {
-			for _, rank := range j.ranks() {
-				j.workers[rank].retire()
-			}
-			return nil, nil, err
-		}
-		j.workers[rank] = w
+		j.workers[rank] = newWorker(p, ts[rank], 0, j.events, 0)
 	}
 	return j, jp, nil
 }
@@ -377,35 +374,13 @@ func (j *Job) collect(ranks []int, exit bool) ([]*dump.State, error) {
 	return states, nil
 }
 
-// launch is step 4: the ranks of a set of dumps, restored into progs, get
-// fresh workers with channels at the current epoch, ready to start. The
-// workers they replace, whose compute loops have exited, retire, and so
-// do the fresh ones if a later rank cannot open its channels.
-func (j *Job) launch(states []*dump.State, progs []Program) error {
-	for _, st := range states {
-		if w := j.workers[st.Rank]; w != nil {
-			w.retire()
-		}
-	}
-	for i, st := range states {
-		st.Epoch = j.epoch
-		w, err := newWorkerAt(progs[i], j.factory, j.epoch, j.events, st.Step)
-		if err != nil {
-			for _, made := range states[:i] {
-				j.workers[made.Rank].retire()
-			}
-			return fmt.Errorf("restarting rank %d: %w", st.Rank, err)
-		}
-		j.workers[st.Rank] = w
-	}
-	return nil
-}
-
 // cycle is the section-5.1 protocol around a set of dumps, the body of
 // MigrateRanks and Snapshot: every rank synchronizes and holds (steps 1-2),
 // the epoch advances, and the given ranks save their state (step 3). With
 // move they exit and are relaunched from their dumps (step 4), onDump
 // seeing each first; every rank that held continues as it was (step 5).
+// Every rank's channels open before any rank computes on, so a cycle whose
+// channels fail leaves the job failed with every rank held, none waiting.
 func (j *Job) cycle(op string, ranks []int, move bool, onDump func(rank int, st *dump.State)) ([]*dump.State, error) {
 	if err := j.pauseAll(op); err != nil {
 		return nil, err
@@ -415,29 +390,31 @@ func (j *Job) cycle(op string, ranks []int, move bool, onDump func(rank int, st 
 	if err != nil {
 		return nil, err
 	}
+	var progs []Program
 	if move {
 		for _, st := range states {
 			if onDump != nil {
 				onDump(st.Rank, st)
 			}
 		}
-		progs, err := j.rebuild(states)
-		if err != nil {
+		if progs, err = j.rebuild(states); err != nil {
 			return nil, err
 		}
-		if err := j.launch(states, progs); err != nil {
-			return nil, err
-		}
+	}
+	ts, err := j.open(j.P())
+	if err != nil {
+		return nil, err
+	}
+	if move {
+		j.launch(states, progs, ts)
 		j.start(ranks)
 	}
-	// 5. CONT: the waiting processes re-open their channels and the
-	// distributed computation continues.
+	// 5. CONT: the waiting processes, their holds cleared, take their
+	// channels at the new epoch and the distributed computation continues.
 	for _, rank := range j.ranks() {
-		if move && slices.Contains(ranks, rank) {
-			continue
-		}
-		if err := <-j.workers[rank].requestResume(j.epoch); err != nil {
-			return nil, fmt.Errorf("resuming rank %d: %w", rank, err)
+		if w := j.workers[rank]; !move || !slices.Contains(ranks, rank) {
+			w.pauseAt.Store(pauseNone)
+			w.ctrl <- ctrlMsg{kind: ctrlResume, epoch: j.epoch, t: ts[rank]}
 		}
 	}
 	j.state, j.ndone = running, 0 // every rank is to report done anew

@@ -99,33 +99,79 @@ func (lat lattice) stitch(global []float64, b box, data []float64) {
 	}
 }
 
-// cut writes a new rank's array, lat.values(b) long, from the global one:
-// interior rows by copy, ghosts from the wrapped global coordinate — the
-// new neighbour's edge value, which is what the last exchange would have
-// left there. A node beyond a non-periodic face is in nobody's interior and
-// gets outside.
-func (lat lattice) cut(data, global []float64, b box, outside float64) {
-	west := wrapCoord(b.x0-1, lat.gx, lat.px)
-	east := wrapCoord(b.x0+b.nx, lat.gx, lat.px)
-	for z := -lat.hz; z < b.nz+lat.hz; z++ {
-		gz := wrapCoord(b.z0+z, lat.gz, lat.pz)
-		for y := -1; y <= b.ny; y++ {
-			gy := wrapCoord(b.y0+y, lat.gy, lat.py)
-			row := data[lat.row(b, y, z):][:b.nx+2]
-			if gz < 0 || gz >= lat.gz || gy < 0 || gy >= lat.gy {
-				for i := range row {
-					row[i] = outside
+// span places a global coordinate of one axis in a lattice: its offset at
+// in the span of boxes that holds it, and of, that span's index times the
+// axis's stride in a table of ranks (-1: beyond a non-periodic face).
+type span struct{ of, at int }
+
+// cutter returns the cut of box b of the next lattice to (over the same
+// grid) from the arrays of this one's ranks, by rank: each node, ghosts
+// included, gets the old interior value at its wrapped global coordinate
+// (for a ghost, what the last exchange would have left there), and a node
+// beyond a non-periodic face gets outside. The boxes are a tensor product
+// of their spans, so every row of b reads the same x runs.
+func (lat lattice) cutter(to lattice, b box) func(data []float64, src [][]float64, outside float64) {
+	stride := 1
+	axis := func(g int, lo func(b box) (int, int)) []span {
+		s := make([]span, g)
+		for _, b := range lat.boxes {
+			o, n := lo(b)
+			for i := range n {
+				s[o+i].at = i
+			}
+		}
+		k := -stride
+		for i := range s {
+			if s[i].at == 0 {
+				k += stride
+			}
+			s[i].of = k
+		}
+		stride = k + stride
+		return s
+	}
+	ox, oy, oz := axis(lat.gx, func(b box) (int, int) { return b.x0, b.nx }),
+		axis(lat.gy, func(b box) (int, int) { return b.y0, b.ny }),
+		axis(lat.gz, func(b box) (int, int) { return b.z0, b.nz })
+	owner := make([]int, len(lat.boxes))
+	for r, b := range lat.boxes {
+		owner[ox[b.x0].of+oy[b.y0].of+oz[b.z0].of] = r
+	}
+	along := func(lo, n, halo, g int, periodic bool, s []span) (out []span) {
+		for v := lo - halo; v < lo+n+halo; v++ {
+			out = append(out, span{-1, 0})
+			if w := wrapCoord(v, g, periodic); w >= 0 && w < g {
+				out[len(out)-1] = s[w]
+			}
+		}
+		return out
+	}
+	// A run is n nodes of a row from at, read from offset from in span of.
+	type xrun struct{ at, n, of, from int }
+	var runs []xrun
+	for i, s := range along(b.x0, b.nx, 1, to.gx, to.px, ox) {
+		if k := len(runs) - 1; k >= 0 && runs[k].of == s.of && runs[k].from+runs[k].n == s.at {
+			runs[k].n++
+		} else {
+			runs = append(runs, xrun{i, 1, s.of, s.at})
+		}
+	}
+	ys, zs := along(b.y0, b.ny, 1, to.gy, to.py, oy), along(b.z0, b.nz, to.hz, to.gz, to.pz, oz)
+	return func(data []float64, src [][]float64, outside float64) {
+		for _, z := range zs {
+			for _, y := range ys {
+				for _, r := range runs {
+					dst := data[r.at : r.at+r.n]
+					if r.of < 0 || y.of < 0 || z.of < 0 {
+						for i := range dst {
+							dst[i] = outside
+						}
+						continue
+					}
+					rank := owner[r.of+y.of+z.of]
+					copy(dst, src[rank][lat.row(lat.boxes[rank], y.at, z.at)+1+r.from:])
 				}
-				continue
-			}
-			g := global[(gz*lat.gy+gy)*lat.gx:][:lat.gx]
-			copy(row[1:], g[b.x0:b.x0+b.nx])
-			row[0], row[b.nx+1] = outside, outside
-			if west >= 0 {
-				row[0] = g[west]
-			}
-			if east < lat.gx {
-				row[b.nx+1] = g[east]
+				data = data[b.nx+2:]
 			}
 		}
 	}
@@ -139,11 +185,10 @@ func (lat lattice) cut(data, global []float64, b box, outside float64) {
 // filter off, the next lattice over the same grid, one dump per old rank
 // at a common step, the config's method and geometry, every field present
 // at full length — so a bad set is an error before anything is touched.
-// The new ranks are the retired ones, rebound, if those held the next
-// lattice's boxes, or else fresh geometry, one goroutine a rank. Each
-// field is stitched into one global array and cut straight into the new
-// ranks' arrays, each on one goroutine a rank: every value is written
-// once, and no dump array is allocated.
+// Then one goroutine a new rank rebinds its retired Program, if those held
+// the next lattice's boxes, or builds fresh geometry, and cuts every field
+// into its arrays straight from the old ranks' dumps: every value is
+// copied once, and no array is allocated for it.
 //
 // Nodes beyond a non-periodic face get what a fresh rank holds there:
 // Rho0 in rho, zero in the velocities and in the populations
@@ -187,50 +232,29 @@ func recut[P built](cfg, next setup[P], states []*dump.State, retired []P) ([]P,
 		}
 	}
 
-	progs := reuse(retired, to, next.decomposition())
-	if progs == nil {
-		progs = make([]P, len(to.boxes))
-		if err := eachRank(len(progs), func(rank int) (err error) {
-			if progs[rank], err = next.geometry(rank); err != nil {
-				return fmt.Errorf("building rank %d: %w", rank, err)
+	// Each goroutine writes only its own rank's Program and arrays.
+	reuse := slices.EqualFunc(retired, to.boxes, func(p P, b box) bool { return p.interior() == b })
+	progs, out := make([]P, len(to.boxes)), make([]*dump.State, len(to.boxes))
+	return progs, out, eachRank(len(progs), func(rank int) (err error) {
+		var p P
+		if reuse {
+			p = retired[rank]
+			p.rebind(next.decomposition())
+		} else if p, err = next.geometry(rank); err != nil {
+			return fmt.Errorf("building rank %d: %w", rank, err)
+		}
+		progs[rank], out[rank] = p, p.dump(step, 0, nil)
+		cut, src := lat.cutter(to, to.boxes[rank]), make([][]float64, len(states))
+		for _, name := range fields {
+			for _, st := range states {
+				src[st.Rank] = st.Fields[name]
 			}
-			return nil
-		}); err != nil {
-			return nil, nil, err
+			outside := 0.0
+			if name == "rho" {
+				outside = par.Rho0
+			}
+			cut(out[rank].Fields[name], src, outside)
 		}
-	}
-	out := make([]*dump.State, len(progs))
-	for rank, p := range progs {
-		out[rank] = p.dump(step, 0, nil)
-	}
-	// The old boxes tile the lattice, so every stitch overwrites the whole
-	// array and one serves all fields. The stitches write disjoint rows of
-	// it, and each cut writes only its own rank's array.
-	global := make([]float64, lat.gx*lat.gy*lat.gz)
-	for _, name := range fields {
-		eachRank(len(states), func(i int) error {
-			lat.stitch(global, lat.boxes[states[i].Rank], states[i].Fields[name])
-			return nil
-		})
-		outside := 0.0
-		if name == "rho" {
-			outside = par.Rho0
-		}
-		eachRank(len(out), func(rank int) error {
-			to.cut(out[rank].Fields[name], global, to.boxes[rank], outside)
-			return nil
-		})
-	}
-	return progs, out, nil
-}
-
-// reuse returns the retired Programs, rebound to d, if each held its rank's box in to.
-func reuse[P built](retired []P, to lattice, d *decomp.Decomp) []P {
-	if !slices.EqualFunc(retired, to.boxes, func(p P, b box) bool { return p.interior() == b }) {
 		return nil
-	}
-	for _, p := range retired {
-		p.rebind(d)
-	}
-	return retired
+	})
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -377,5 +378,42 @@ func TestMigration3D(t *testing.T) {
 			ref.Vy[i] != got.Vy[i] || ref.Vz[i] != got.Vz[i] {
 			t.Fatalf("3D migrated run differs at node %d", i)
 		}
+	}
+}
+
+// TestResumeOpenFailureLeavesNoRankRunning: a 2x1 hub job whose factory
+// fails for one rank at epoch 1. A Snapshot, or a MigrateRanks of either
+// rank, returns that failure before any rank computes on at the new epoch:
+// no channel of epoch 1 is left open, the job is failed, and every rank
+// still holds, so Shutdown ends them all. A rank continued or relaunched
+// beside the failing one would wait in a receive for good, and TestMain's
+// leak check would find it.
+func TestResumeOpenFailureLeavesNoRankRunning(t *testing.T) {
+	cases := []struct {
+		name   string
+		refuse [2]int // the (rank, epoch) whose channels fail to open
+		op     func(j *Job) error
+	}{
+		{"snapshot", [2]int{1, 1}, func(j *Job) error { _, err := j.Snapshot(); return err }},
+		{"migrate 0", [2]int{1, 1}, func(j *Job) error { return j.MigrateRanks([]int{0}, nil) }},
+		{"migrate 1", [2]int{0, 1}, func(j *Job) error { return j.MigrateRanks([]int{1}, nil) }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			l := &transportLog{open: HubFactory(), refuse: c.refuse}
+			hold := newStepHold(4)
+			j, _ := newTestJobOver(t, resizeCfg2D(t, MethodFD, 2, 1), 20, hold.over(l.factory))
+			j.Start()
+			hold.wait(j)
+			err := c.op(j)
+			if err == nil || !strings.Contains(err.Error(), "refused") {
+				t.Fatalf("err = %v, want the refused channels", err)
+			}
+			l.leftOpen(t, c.name, 1)
+			if j.state != failed {
+				t.Errorf("job %s after the failed %s, want %s", j.state, c.name, failed)
+			}
+			j.Shutdown()
+		})
 	}
 }

@@ -9,11 +9,11 @@ import (
 
 // Resize re-decomposes a running job onto a new lattice of subregions at a
 // step boundary: every process synchronizes and dumps (the section-5.1
-// suspend protocol), the dumped interiors are stitched back into the global
-// fields, the global grid is split again under the new shape, and one fresh
-// worker per new rank restarts at the same step. It is the malleable-job
-// extension of migration — migration moves ranks between hosts, Resize
-// changes how many ranks there are.
+// suspend protocol), each rank of the new shape's split has its state cut
+// straight from the dumps of the old ranks that hold its nodes, and one
+// fresh worker per new rank restarts at the same step. It is the
+// malleable-job extension of migration — migration moves ranks between
+// hosts, Resize changes how many ranks there are.
 //
 // The job keeps the ranks a resize replaced, one shape's worth, until it
 // finishes: a resize back onto exactly their boxes cuts the state into

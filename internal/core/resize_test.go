@@ -469,13 +469,14 @@ func TestOpenFacesSurviveDumps(t *testing.T) {
 // TestResizeWritesEachValueOnce: a 3D grow, a shrink, and a grow back
 // onto the ranks the first grow built, LB and FD. Until its new ranks are
 // handed to their workers, each resize allocates at most their solver
-// storage (what their geometry allocates), one global field and a fixed
-// allowance for the protocol (the pause round, dump headers, maps); the
-// warm grow reuses the retired ranks and allocates no storage at all.
-// Every new rank computes on the arrays the re-split wrote, and the run
-// ends in the sequential reference's bits. A re-split that cut into dump
-// arrays of its own and copied them into fresh geometry allocated the
-// state twice.
+// storage (what their geometry allocates) and a fixed allowance for the
+// protocol (the pause round, dump headers, maps, each new rank's source
+// runs); the warm grow reuses the retired ranks and allocates no storage
+// at all. Every new rank computes on the arrays the re-split wrote, and
+// the run ends in the sequential reference's bits. A re-split that cut
+// into dump arrays of its own and copied them into fresh geometry
+// allocated the state twice, and one that passed every value through a
+// global field allocated that field.
 func TestResizeWritesEachValueOnce(t *testing.T) {
 	const steps, allowance = 20, 192 << 10
 	const gx, gy, gz = 32, 24, 24
@@ -562,11 +563,10 @@ func TestResizeWritesEachValueOnce(t *testing.T) {
 					t.Fatal(err)
 				}
 				used := rebuilt - before
-				global := uint64(8 * gx * gy * gz)
 				t.Logf("resize to %d ranks (warm %v): %d B, storage %d B", next.P(), warm, used, storage)
-				if used > storage+global+allowance {
-					t.Errorf("resize to %d ranks allocated %d B, want at most %d (storage) + %d (global field) + %d",
-						cfg.D.P(), used, storage, global, allowance)
+				if used > storage+allowance {
+					t.Errorf("resize to %d ranks allocated %d B, want at most %d (storage) + %d",
+						cfg.D.P(), used, storage, allowance)
 				}
 				for rank, p := range progs.progs {
 					if reused := len(retired) == next.P() && p == retired[rank]; reused != warm {
@@ -583,5 +583,109 @@ func TestResizeWritesEachValueOnce(t *testing.T) {
 				t.Errorf("resized run differs from the reference at index %d", i)
 			}
 		})
+	}
+}
+
+// TestResizeRefusalsResumeAtOldWidth: a resize the re-split refuses — a
+// shape over another grid, dumps of another method or geometry, a new
+// rank whose geometry cannot be built, a decomposition with a deactivated
+// subregion, a shape decomp refuses, a 3D shape for a 2D job — returns
+// why and resumes the job at its old width, its live and its retired
+// ranks as they were. The job, grown once before (but the deactivated
+// one, which no resize accepts), ends in the sequential reference's bits.
+func TestResizeRefusalsResumeAtOldWidth(t *testing.T) {
+	const steps = 20
+	cases := []struct {
+		want    string
+		sh      decomp.Shape
+		walled  bool                       // subregion (1, 1) solid and deactivated
+		corrupt func(st *dump.State)       // applied to a copy of the last dump
+		during  func(cfg *Config2D) func() // around the resize; returns the undo
+	}{
+		{want: "grid is", sh: decomp.UniformShape(3, 2, 0, 24, 18, 0)},
+		{want: "dump method", sh: decomp.UniformShape(4, 2, 0, 24, 16, 0),
+			corrupt: func(st *dump.State) { st.Method = "xx" }},
+		{want: "dump geometry", sh: decomp.UniformShape(4, 2, 0, 24, 16, 0),
+			corrupt: func(st *dump.State) { st.NX++ }},
+		{want: "building rank", sh: decomp.UniformShape(4, 2, 0, 24, 16, 0),
+			during: func(cfg *Config2D) func() {
+				nu := cfg.Par.Nu
+				cfg.Par.Nu = 0
+				return func() { cfg.Par.Nu = nu }
+			}},
+		{want: "deactivated", sh: decomp.UniformShape(3, 2, 0, 24, 16, 0), walled: true},
+		{want: "shape needs x and y spans", sh: decomp.Shape{X: []int{24}}},
+		{want: "z spans", sh: decomp.Shape{X: []int{12, 12}, Y: []int{16}, Z: []int{1}}},
+	}
+	config := func(method string, walled bool) *Config2D {
+		cfg := resizeCfg2D(t, method, 2, 2)
+		if walled {
+			for y := 8; y < 16; y++ {
+				for x := 12; x < 24; x++ {
+					cfg.Mask.Set(x, y, fluid.Wall)
+				}
+			}
+			cfg.D.DeactivateWalls(cfg.Mask.Solid)
+		}
+		return cfg
+	}
+	for _, method := range []string{MethodLB, MethodFD} {
+		for _, c := range cases {
+			t.Run(method+" "+c.want, func(t *testing.T) {
+				ref, _, err := RunSequential2D(config(method, c.walled), steps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := config(method, c.walled)
+				holds := []int{8}
+				if !c.walled {
+					holds = []int{4, 8}
+				}
+				hold := newStepHold(holds...)
+				job, jp := newTestJobOver(t, cfg, steps, hold.over(HubFactory()))
+				job.Start()
+				if !c.walled {
+					hold.wait(job)
+					if err := job.Resize(decomp.UniformShape(3, 2, 0, 24, 16, 0)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				width, live := job.P(), jp.progs
+				retired, _ := job.retired.([]*Program2D)
+				resplit := job.resplit
+				job.resplit = func(states []*dump.State, sh decomp.Shape) ([]*dump.State, error) {
+					if c.corrupt != nil {
+						bad := slices.Clone(states)
+						st := *states[len(states)-1]
+						c.corrupt(&st)
+						bad[len(bad)-1] = &st
+						states = bad
+					}
+					return resplit(states, sh)
+				}
+				hold.wait(job)
+				undo := func() {}
+				if c.during != nil {
+					undo = c.during(cfg)
+				}
+				err = job.Resize(c.sh)
+				undo()
+				if err == nil || !strings.Contains(err.Error(), c.want) {
+					t.Fatalf("resize: err = %v, want one containing %q", err, c.want)
+				}
+				now, _ := job.retired.([]*Program2D)
+				if job.P() != width || cfg.D.P() != width || !slices.Equal(jp.progs, live) || !slices.Equal(now, retired) {
+					t.Fatalf("after the refused resize: %d ranks (decomposition %d), want %d; live ranks kept %v, retired kept %v",
+						job.P(), cfg.D.P(), width, slices.Equal(jp.progs, live), slices.Equal(now, retired))
+				}
+				if err := job.WaitDone(); err != nil {
+					t.Fatal(err)
+				}
+				job.Shutdown()
+				if ok, x, y, d := resultsEqual(ref, jp.Gather(steps), 0); !ok {
+					t.Errorf("run differs from the reference at (%d,%d) by %g", x, y, d)
+				}
+			})
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/dump"
+	"repro/internal/msg"
 )
 
 // Suspend halts a running or finished job through the section-5.1 protocol
@@ -90,14 +91,46 @@ func (j *Job) restart(states []*dump.State) error {
 		j.workers[rank].retire()
 	}
 	j.epoch++
-	j.p = len(states)
-	j.workers = make(map[int]*Worker, len(states))
-	if err := j.launch(states, progs); err != nil {
+	ts, err := j.open(len(states))
+	if err != nil {
 		return err
 	}
+	j.p = len(states)
+	j.workers = make(map[int]*Worker, len(states))
+	j.launch(states, progs, ts)
 	j.start(j.ranks())
 	j.state, j.ndone = running, 0
 	return nil
+}
+
+// open opens the channels of ranks 0..n-1 at the current epoch, by rank,
+// or closes those it opened and returns why a rank's failed.
+func (j *Job) open(n int) ([]msg.Transport, error) {
+	ts := make([]msg.Transport, n)
+	for rank := range ts {
+		t, err := j.factory(rank, j.epoch)
+		if err != nil {
+			for _, t := range ts[:rank] {
+				t.Close()
+			}
+			return nil, fmt.Errorf("opening rank %d's channels at epoch %d: %w", rank, j.epoch, err)
+		}
+		ts[rank] = t
+	}
+	return ts, nil
+}
+
+// launch is step 4: the ranks of a set of dumps, restored into progs, get
+// fresh workers over their channels ts, by rank, ready to start. The
+// workers they replace, whose compute loops have exited, retire.
+func (j *Job) launch(states []*dump.State, progs []Program, ts []msg.Transport) {
+	for i, st := range states {
+		if w := j.workers[st.Rank]; w != nil {
+			w.retire()
+		}
+		st.Epoch = j.epoch
+		j.workers[st.Rank] = newWorker(progs[i], ts[st.Rank], j.epoch, j.events, st.Step)
+	}
 }
 
 // checkSet refuses a dump set that is not one dump per rank 0..len-1, all

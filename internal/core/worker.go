@@ -22,15 +22,15 @@ type TransportFactory func(rank, epoch int) (msg.Transport, error)
 // stand-in for the paper's CONT signal and its dump request.
 type ctrlMsg struct {
 	kind  ctrlKind
-	epoch int         // new communication epoch for ctrlResume
-	into  *dump.State // for ctrlDump: nil to exit, else the dump to copy into
-	reply chan error  // for ctrlResume: signalled once the resume has taken effect
+	epoch int           // for ctrlResume: the new communication epoch
+	t     msg.Transport // for ctrlResume: the rank's channels, opened at epoch
+	into  *dump.State   // for ctrlDump: nil to exit, else the dump to copy into
 }
 
 type ctrlKind int
 
 const (
-	ctrlResume ctrlKind = iota // re-open channels and continue
+	ctrlResume ctrlKind = iota // take the new epoch's channels and continue
 	ctrlDump                   // dump state, then exit or keep holding
 )
 
@@ -83,8 +83,7 @@ const (
 // does not depend on it. Neighbouring subregions may drift several steps
 // apart (appendix A); the pending buffer absorbs the early messages.
 type Worker struct {
-	Prog    Program
-	Factory TransportFactory
+	Prog Program
 
 	Step  int
 	Epoch int
@@ -101,7 +100,7 @@ type Worker struct {
 	want [decomp.NumDirs]Expect
 
 	step    atomic.Int64 // mirror of Step, readable by the coordinator
-	pauseAt atomic.Int64 // sync step to hold at; pauseNone / pausePending
+	pauseAt atomic.Int64 // sync step to hold at; pauseNone / pausePending; the coordinator's alone
 
 	ctrl   chan ctrlMsg  // resume and dump commands to a paused worker
 	stop   sync.Once     // closes ctrl and wake once (Shutdown)
@@ -111,19 +110,18 @@ type Worker struct {
 
 // NewWorker creates a worker starting at step 0.
 func NewWorker(prog Program, factory TransportFactory, epoch int, events chan<- Event) (*Worker, error) {
-	return newWorkerAt(prog, factory, epoch, events, 0)
-}
-
-// newWorkerAt creates a worker whose state is already at the given step
-// (a restart from a dump file).
-func newWorkerAt(prog Program, factory TransportFactory, epoch int, events chan<- Event, step int) (*Worker, error) {
 	t, err := factory(prog.Rank(), epoch)
 	if err != nil {
 		return nil, err
 	}
+	return newWorker(prog, t, epoch, events, 0), nil
+}
+
+// newWorker creates a worker over channels t, opened at epoch, whose state
+// is already at the given step (a restart from a dump file).
+func newWorker(prog Program, t msg.Transport, epoch int, events chan<- Event, step int) *Worker {
 	w := &Worker{
 		Prog:    prog,
-		Factory: factory,
 		Step:    step,
 		Epoch:   epoch,
 		t:       t,
@@ -135,7 +133,7 @@ func newWorkerAt(prog Program, factory TransportFactory, epoch int, events chan<
 	}
 	w.step.Store(int64(step))
 	w.pauseAt.Store(pauseNone)
-	return w, nil
+	return w
 }
 
 // Rank returns the worker's rank.
@@ -308,20 +306,9 @@ func (w *Worker) holdPaused() bool {
 	for c := range w.ctrl {
 		switch c.kind {
 		case ctrlResume:
-			t, err := w.Factory(w.Rank(), c.epoch)
-			if err != nil {
-				c.reply <- err
-				w.events <- Event{Rank: w.Rank(), Kind: EventError, Step: w.Step, Err: err}
-				return false
-			}
-			w.t = t
+			w.t = c.t
 			clear(w.lost)
 			w.Epoch = c.epoch
-			// Clear the hold before replying: once the reply is in, the
-			// coordinator may start the next round, whose pausePending
-			// a later store here would overwrite.
-			w.pauseAt.Store(pauseNone)
-			c.reply <- nil
 			return true
 		case ctrlDump:
 			// A rank that stops computing hands its Program's (one a Job
@@ -334,14 +321,6 @@ func (w *Worker) holdPaused() bool {
 		}
 	}
 	return false
-}
-
-// requestResume re-opens a paused worker's channels under a new epoch. The
-// returned channel yields the outcome; it is the coordinator's "CONT".
-func (w *Worker) requestResume(epoch int) chan error {
-	reply := make(chan error, 1)
-	w.ctrl <- ctrlMsg{kind: ctrlResume, epoch: epoch, reply: reply}
-	return reply
 }
 
 // requestDump tells a paused worker to dump its state and exit (into nil,

@@ -296,16 +296,12 @@ func (r *recvSignal) Recv() (msg.Message, error) {
 	return r.Transport.Recv()
 }
 
-// TestRestoredWorkerStartsAtDumpStep: newWorkerAt seeds the step counter.
+// TestRestoredWorkerStartsAtDumpStep: newWorker seeds the step counter.
 func TestRestoredWorkerStartsAtDumpStep(t *testing.T) {
 	hub := msg.NewHub()
-	factory := func(rank, epoch int) (msg.Transport, error) { return hub.Join(rank), nil }
 	events := make(chan Event, 8)
 	prog := &stubProgram{rank: 0, peer: 0}
-	w, err := newWorkerAt(prog, factory, 3, events, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := newWorker(prog, hub.Join(0), 3, events, 17)
 	defer w.Close()
 	if w.Step != 17 || w.Epoch != 3 {
 		t.Errorf("worker at step %d epoch %d, want 17, 3", w.Step, w.Epoch)
