@@ -31,7 +31,7 @@ func restoreProgram[P built](c setup[P], st *dump.State) (P, error) {
 // TestReusedRankEqualsFresh: a copied dump restored into the used Program
 // it came from leaves that Program equal, in every field the reflection
 // walk reaches, to restoreProgram of the same dump — hidden double-swap
-// buffers, filter scratch and exchange slices included. A dump of views
+// buffers, filter rings and exchange slices included. A dump of views
 // (the handover of an exiting rank) is already in place and changes
 // nothing. Either way the two step on to equal Programs. Both methods,
 // both dimensions, the filter on and off, restored after an odd and an

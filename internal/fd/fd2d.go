@@ -21,10 +21,13 @@
 // that drive its efficiency behaviour in figures 7-8.
 //
 // Like the lattice Boltzmann method, every inner phase writes each node
-// from its own neighbourhood reads of the previous-step fields, so a
-// rank's subregion is cut into row slabs (z-plane slabs in 3D) on the
-// shared worker pool when Workers > 1; results are bit-identical to the
-// serial sweep at any worker count (see internal/pool).
+// from its own neighbourhood reads of the previous-step fields. A rank
+// keeps one copy of its state: each phase writes its fields in place
+// through a filter.Ring of rows (z-planes in 3D), so every read still sees
+// the previous values. A rank's subregion is cut into row slabs (z-plane
+// slabs in 3D) on the shared worker pool when Workers > 1; results are
+// bit-identical to the serial sweep at any worker count (see
+// internal/pool).
 package fd
 
 import (
@@ -44,15 +47,16 @@ import (
 type Solver2D struct {
 	Par fluid.Params
 
-	// Workers is the intra-rank slab count; <= 1 runs the serial sweeps.
-	// Results are bit-identical at every value.
+	// Workers is the intra-rank slab count, set through SetWorkers; <= 1
+	// runs the serial sweeps. Results are bit-identical at every value.
 	Workers int
 
-	Rho, Vx, Vy *grid.Field2D // current state, ghost depth 1
+	Rho, Vx, Vy *grid.Field2D // the state, ghost depth 1
 
-	nVx, nVy, nRho *grid.Field2D // next-step buffers
-	ghostsPaired   bool          // next-step ghost shells equal the current ones (pairGhosts)
-	scratch        []float64     // filter workspace; nil when Par.Eps is 0
+	// The in-place sweeps' ring and its storage, sized by SetWorkers for
+	// every slab a cut can make; the filter takes the same storage.
+	ring filter.Ring
+	buf  []float64
 
 	// Static per-node structure cached at construction: interior cell
 	// types and per-row all-Interior flags (the branch-light fast path).
@@ -69,9 +73,7 @@ type Solver2D struct {
 	xbuf         []float64
 
 	// Field and layout lists built once at construction so the
-	// steady-state step allocates nothing; Swap exchanges field contents,
-	// never these pointers, and a field's Layout follows its Swaps, so
-	// they stay valid across steps.
+	// steady-state step allocates nothing.
 	filterFields []*grid.Field2D
 	phaseLayouts [2][]*grid.Layout
 }
@@ -105,21 +107,16 @@ func NewGeometry2D(nx, ny int, par fluid.Params, mask func(x, y int) fluid.CellT
 		Rho:   grid.NewField2D(nx, ny, 1),
 		Vx:    grid.NewField2D(nx, ny, 1),
 		Vy:    grid.NewField2D(nx, ny, 1),
-		nVx:   grid.NewField2D(nx, ny, 1),
-		nVy:   grid.NewField2D(nx, ny, 1),
-		nRho:  grid.NewField2D(nx, ny, 1),
 		cells: fluid.Classify(nx, ny, 1, func(x, y, _ int) fluid.CellType { return mask(x, y) }),
 	}
 	s.rowOpen = openRows(s.cells, nx)
 	s.plan = filter.NewPlan2DFromCells(nx, ny, s.cells)
-	if par.Eps != 0 { // the filter alone reads scratch, and not at eps = 0
-		s.scratch = make([]float64, nx*ny)
-	}
 	s.filterFields = []*grid.Field2D{s.Rho, s.Vx, s.Vy}
 	s.phaseLayouts = [2][]*grid.Layout{{s.Vx.Layout(), s.Vy.Layout()}, {s.Rho.Layout()}}
 	s.velFn = s.velocityRows
 	s.denFn = s.densityRows
 	s.runFn = s.run
+	s.SetWorkers(0)
 	return s, nil
 }
 
@@ -133,8 +130,13 @@ func openRows(cells []fluid.CellType, nx int) []bool {
 }
 
 // SetWorkers sets the intra-rank slab count (the core setup threads the
-// per-rank budget through here).
-func (s *Solver2D) SetWorkers(n int) { s.Workers = n }
+// per-rank budget through here) and sizes the ring for every slab a cut
+// can make: the velocity sweep's two fields at depth 1, which is more
+// than the density's one and the filter's one at depth 2 need.
+func (s *Solver2D) SetWorkers(n int) {
+	s.Workers = n
+	s.buf = make([]float64, filter.RingLen(n, s.Rho.NY, 1, 2*s.Rho.NX))
+}
 
 // run executes fn over n rows cut into at most Workers slabs, fewer on a
 // lattice too small to pay for the hand-off (pool.Slabs).
@@ -161,9 +163,6 @@ func (s *Solver2D) ExchangeDirs(phase int) []decomp.Dir {
 
 // Compute runs one compute phase on the interior nodes.
 func (s *Solver2D) Compute(phase int) {
-	if !s.ghostsPaired {
-		s.pairGhosts()
-	}
 	switch phase {
 	case 0:
 		s.computeVelocity()
@@ -176,30 +175,11 @@ func (s *Solver2D) Compute(phase int) {
 	}
 }
 
-// pairGhosts copies the current fields over the next-step buffers, ghosts
-// included. A sweep writes interior nodes and swaps the pair, so a ghost
-// that no exchange fills (one beyond a non-periodic domain face) shows the
-// current buffer's value on one step and the next-step buffer's on the
-// other. With the two shells equal such a ghost is constant, and a dump,
-// which holds the current fields only, restores bit for bit at either step
-// parity. It runs before the first sweep after construction or
-// ClearScratch, so it sees an initial condition or a restored dump written
-// into the fields.
-func (s *Solver2D) pairGhosts() {
-	s.nRho.CopyFrom(s.Rho)
-	s.nVx.CopyFrom(s.Vx)
-	s.nVy.CopyFrom(s.Vy)
-	s.ghostsPaired = true
-}
-
 // computeVelocity advances Vx, Vy by one forward-Euler step of the momentum
-// equations 2-3 and applies the velocity boundary conditions. Every node
-// writes only nVx/nVy at its own coordinates, so row slabs are
-// write-disjoint; the swap happens after all slabs finish.
+// equations 2-3 and applies the velocity boundary conditions, in place
+// through the ring: a row's new values read rows one away.
 func (s *Solver2D) computeVelocity() {
-	s.runFn(s.Vx.NY, s.velFn)
-	s.Vx.Swap(s.nVx)
-	s.Vy.Swap(s.nVy)
+	s.ring.Sweep(s.buf, s.phaseLayouts[0], 1, 1, s.runFn, s.velFn)
 }
 
 // velocityRows updates the velocity of rows [y0, y1) over raw rows: one
@@ -212,7 +192,7 @@ func (s *Solver2D) velocityRows(y0, y1 int) {
 	dt, nu, cs2 := p.Dt, p.Nu, p.Cs*p.Cs
 	nx, sx := s.Vx.NX, s.Vx.Layout().SX
 	vxA, vyA, rhoA := s.Vx.Data(), s.Vy.Data(), s.Rho.Data()
-	nvxA, nvyA := s.nVx.Data(), s.nVy.Data()
+	w := s.ring.Slab(y0, y1)
 	for y := y0; y < y1; y++ {
 		open := s.rowOpen[y]
 		cells := s.cells[y*nx:][:nx]
@@ -220,7 +200,8 @@ func (s *Solver2D) velocityRows(y0, y1 int) {
 		vxC, vxE, vxW, vxN, vxS := vxA[b:][:nx], vxA[b+1:][:nx], vxA[b-1:][:nx], vxA[b+sx:][:nx], vxA[b-sx:][:nx]
 		vyC, vyE, vyW, vyN, vyS := vyA[b:][:nx], vyA[b+1:][:nx], vyA[b-1:][:nx], vyA[b+sx:][:nx], vyA[b-sx:][:nx]
 		rhoC, rhoE, rhoW, rhoN, rhoS := rhoA[b:][:nx], rhoA[b+1:][:nx], rhoA[b-1:][:nx], rhoA[b+sx:][:nx], rhoA[b-sx:][:nx]
-		nvx, nvy := nvxA[b:][:nx], nvyA[b:][:nx]
+		out := w.Out(y)
+		nvx, nvy := out[:nx], out[nx:][:nx]
 		for x := 0; x < nx; x++ {
 			vx, vy := vxC[x], vyC[x]
 			if !open {
@@ -260,8 +241,7 @@ func (s *Solver2D) velocityRows(y0, y1 int) {
 // just-updated velocities, then applies the density boundary conditions.
 // The flux form conserves mass exactly over the interior.
 func (s *Solver2D) computeDensity() {
-	s.runFn(s.Rho.NY, s.denFn)
-	s.Rho.Swap(s.nRho)
+	s.ring.Sweep(s.buf, s.phaseLayouts[1], 1, 1, s.runFn, s.denFn)
 }
 
 // densityRows updates the density of rows [y0, y1) over raw rows (see
@@ -270,14 +250,15 @@ func (s *Solver2D) densityRows(y0, y1 int) {
 	p := s.Par
 	dt := p.Dt
 	nx, sx := s.Rho.NX, s.Rho.Layout().SX
-	rhoA, vxA, vyA, nrhoA := s.Rho.Data(), s.Vx.Data(), s.Vy.Data(), s.nRho.Data()
+	rhoA, vxA, vyA := s.Rho.Data(), s.Vx.Data(), s.Vy.Data()
+	w := s.ring.Slab(y0, y1)
 	for y := y0; y < y1; y++ {
 		open := s.rowOpen[y]
 		cells := s.cells[y*nx:][:nx]
 		b := s.Rho.Idx(0, y)
 		rhoC, rhoE, rhoW, rhoN, rhoS := rhoA[b:][:nx], rhoA[b+1:][:nx], rhoA[b-1:][:nx], rhoA[b+sx:][:nx], rhoA[b-sx:][:nx]
 		vxE, vxW, vyN, vyS := vxA[b+1:][:nx], vxA[b-1:][:nx], vyA[b+sx:][:nx], vyA[b-sx:][:nx]
-		nrho := nrhoA[b:][:nx]
+		nrho := w.Out(y)[:nx]
 		for x := 0; x < nx; x++ {
 			if !open {
 				switch cells[x] {
@@ -301,28 +282,20 @@ func (s *Solver2D) densityRows(y0, y1 int) {
 
 // applyFilter runs the shared fourth-order filter on rho, Vx, Vy.
 func (s *Solver2D) applyFilter() {
-	s.plan.Apply(s.filterFields, s.Par.Eps, s.scratch, s.runFn)
-}
-
-// layouts returns the state fields' layouts in the fixed exchange order.
-func (s *Solver2D) layouts(phase int) []*grid.Layout {
-	if phase == 0 {
-		return s.phaseLayouts[0]
-	}
-	return s.phaseLayouts[1]
+	s.plan.Apply(s.filterFields, s.Par.Eps, s.buf, s.runFn)
 }
 
 // Pack extracts the boundary data sent to the neighbour at dir after the
 // given phase: the interior edge strips of the fields updated in that
 // phase (ghost-fill convention).
 func (s *Solver2D) Pack(phase int, dir decomp.Dir, buf []float64) []float64 {
-	return halo.PackSend(s.layouts(phase), dir, true, buf)
+	return halo.PackSend(s.phaseLayouts[min(phase, 1)], dir, true, buf)
 }
 
 // Unpack stores boundary data received from the neighbour at dir into the
 // ghost strips on that side.
 func (s *Solver2D) Unpack(phase int, dir decomp.Dir, buf []float64) {
-	halo.UnpackRecv(s.layouts(phase), dir, true, buf)
+	halo.UnpackRecv(s.phaseLayouts[min(phase, 1)], dir, true, buf)
 }
 
 // StepSerial advances a standalone (single-subregion) solver one full step,

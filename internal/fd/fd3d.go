@@ -21,14 +21,13 @@ import (
 type Solver3D struct {
 	Par fluid.Params
 
-	// Workers is the intra-rank slab count; <= 1 runs the serial sweeps.
+	// Workers is the intra-rank slab count (set through SetWorkers).
 	Workers int
 
 	Rho, Vx, Vy, Vz *grid.Field3D
 
-	nVx, nVy, nVz, nRho *grid.Field3D
-	ghostsPaired        bool      // see Solver2D.pairGhosts
-	scratch             []float64 // filter workspace; nil when Par.Eps is 0
+	ring filter.Ring // of z-planes (see Solver2D)
+	buf  []float64
 
 	// Static per-node structure cached at construction (see Solver2D).
 	cells   []fluid.CellType
@@ -72,27 +71,25 @@ func NewGeometry3D(nx, ny, nz int, par fluid.Params, mask func(x, y, z int) flui
 		Vx:    grid.NewField3D(nx, ny, nz, 1),
 		Vy:    grid.NewField3D(nx, ny, nz, 1),
 		Vz:    grid.NewField3D(nx, ny, nz, 1),
-		nVx:   grid.NewField3D(nx, ny, nz, 1),
-		nVy:   grid.NewField3D(nx, ny, nz, 1),
-		nVz:   grid.NewField3D(nx, ny, nz, 1),
-		nRho:  grid.NewField3D(nx, ny, nz, 1),
 		cells: fluid.Classify(nx, ny, nz, mask),
 	}
 	s.rowOpen = openRows(s.cells, nx)
 	s.plan = filter.NewPlan3DFromCells(nx, ny, nz, s.cells)
-	if par.Eps != 0 { // the filter alone reads scratch, and not at eps = 0
-		s.scratch = make([]float64, nx*ny*nz)
-	}
 	s.filterFields = []*grid.Field3D{s.Rho, s.Vx, s.Vy, s.Vz}
 	s.phaseLayouts = [2][]*grid.Layout{{s.Vx.Layout(), s.Vy.Layout(), s.Vz.Layout()}, {s.Rho.Layout()}}
 	s.velFn = s.velocityPlanes
 	s.denFn = s.densityPlanes
 	s.runFn = s.run
+	s.SetWorkers(0)
 	return s, nil
 }
 
-// SetWorkers sets the intra-rank slab count.
-func (s *Solver3D) SetWorkers(n int) { s.Workers = n }
+// SetWorkers sets the intra-rank slab count and sizes the ring of planes
+// (see Solver2D.SetWorkers).
+func (s *Solver3D) SetWorkers(n int) {
+	s.Workers = n
+	s.buf = make([]float64, filter.RingLen(n, s.Rho.NZ, 1, 3*s.Rho.NX*s.Rho.NY))
+}
 
 // run executes fn over n z-planes (see Solver2D.run).
 func (s *Solver3D) run(n int, fn func(lo, hi int)) {
@@ -116,9 +113,6 @@ func (s *Solver3D) ExchangeDirs(phase int) []decomp.Dir {
 
 // Compute runs one compute phase.
 func (s *Solver3D) Compute(phase int) {
-	if !s.ghostsPaired {
-		s.pairGhosts()
-	}
 	switch phase {
 	case 0:
 		s.computeVelocity()
@@ -131,20 +125,8 @@ func (s *Solver3D) Compute(phase int) {
 	}
 }
 
-// pairGhosts is Solver2D.pairGhosts for the 3D fields.
-func (s *Solver3D) pairGhosts() {
-	s.nRho.CopyFrom(s.Rho)
-	s.nVx.CopyFrom(s.Vx)
-	s.nVy.CopyFrom(s.Vy)
-	s.nVz.CopyFrom(s.Vz)
-	s.ghostsPaired = true
-}
-
 func (s *Solver3D) computeVelocity() {
-	s.runFn(s.Vx.NZ, s.velFn)
-	s.Vx.Swap(s.nVx)
-	s.Vy.Swap(s.nVy)
-	s.Vz.Swap(s.nVz)
+	s.ring.Sweep(s.buf, s.phaseLayouts[0], s.Vx.NY, 1, s.runFn, s.velFn)
 }
 
 // velocityPlanes updates the velocity of z-planes [z0, z1) over raw rows:
@@ -158,8 +140,9 @@ func (s *Solver3D) velocityPlanes(z0, z1 int) {
 	nx, ny := s.Vx.NX, s.Vx.NY
 	sx, sxy := s.Vx.Layout().SX, s.Vx.Layout().SXY
 	vxA, vyA, vzA, rhoA := s.Vx.Data(), s.Vy.Data(), s.Vz.Data(), s.Rho.Data()
-	nvxA, nvyA, nvzA := s.nVx.Data(), s.nVy.Data(), s.nVz.Data()
+	w := s.ring.Slab(z0, z1)
 	for z := z0; z < z1; z++ {
+		out := w.Out(z)
 		for y := 0; y < ny; y++ {
 			open := s.rowOpen[z*ny+y]
 			cells := s.cells[(z*ny+y)*nx:][:nx]
@@ -172,7 +155,7 @@ func (s *Solver3D) velocityPlanes(z0, z1 int) {
 			vzN, vzS, vzU, vzD := vzA[b+sx:][:nx], vzA[b-sx:][:nx], vzA[b+sxy:][:nx], vzA[b-sxy:][:nx]
 			rhoC, rhoE, rhoW := rhoA[b:][:nx], rhoA[b+1:][:nx], rhoA[b-1:][:nx]
 			rhoN, rhoS, rhoU, rhoD := rhoA[b+sx:][:nx], rhoA[b-sx:][:nx], rhoA[b+sxy:][:nx], rhoA[b-sxy:][:nx]
-			nvx, nvy, nvz := nvxA[b:][:nx], nvyA[b:][:nx], nvzA[b:][:nx]
+			nvx, nvy, nvz := out[y*nx:][:nx], out[(ny+y)*nx:][:nx], out[(2*ny+y)*nx:][:nx]
 			for x := 0; x < nx; x++ {
 				vx, vy, vz := vxC[x], vyC[x], vzC[x]
 				if !open {
@@ -218,8 +201,7 @@ func (s *Solver3D) velocityPlanes(z0, z1 int) {
 }
 
 func (s *Solver3D) computeDensity() {
-	s.runFn(s.Rho.NZ, s.denFn)
-	s.Rho.Swap(s.nRho)
+	s.ring.Sweep(s.buf, s.phaseLayouts[1], s.Rho.NY, 1, s.runFn, s.denFn)
 }
 
 // densityPlanes updates the density of z-planes [z0, z1) over raw rows
@@ -229,8 +211,10 @@ func (s *Solver3D) densityPlanes(z0, z1 int) {
 	dt := p.Dt
 	nx, ny := s.Rho.NX, s.Rho.NY
 	sx, sxy := s.Rho.Layout().SX, s.Rho.Layout().SXY
-	rhoA, vxA, vyA, vzA, nrhoA := s.Rho.Data(), s.Vx.Data(), s.Vy.Data(), s.Vz.Data(), s.nRho.Data()
+	rhoA, vxA, vyA, vzA := s.Rho.Data(), s.Vx.Data(), s.Vy.Data(), s.Vz.Data()
+	w := s.ring.Slab(z0, z1)
 	for z := z0; z < z1; z++ {
+		out := w.Out(z)
 		for y := 0; y < ny; y++ {
 			open := s.rowOpen[z*ny+y]
 			cells := s.cells[(z*ny+y)*nx:][:nx]
@@ -240,7 +224,7 @@ func (s *Solver3D) densityPlanes(z0, z1 int) {
 			vxE, vxW := vxA[b+1:][:nx], vxA[b-1:][:nx]
 			vyN, vyS := vyA[b+sx:][:nx], vyA[b-sx:][:nx]
 			vzU, vzD := vzA[b+sxy:][:nx], vzA[b-sxy:][:nx]
-			nrho := nrhoA[b:][:nx]
+			nrho := out[y*nx:][:nx]
 			for x := 0; x < nx; x++ {
 				if !open {
 					switch cells[x] {
@@ -262,26 +246,19 @@ func (s *Solver3D) densityPlanes(z0, z1 int) {
 }
 
 func (s *Solver3D) applyFilter() {
-	s.plan.Apply(s.filterFields, s.Par.Eps, s.scratch, s.runFn)
-}
-
-func (s *Solver3D) layouts(phase int) []*grid.Layout {
-	if phase == 0 {
-		return s.phaseLayouts[0]
-	}
-	return s.phaseLayouts[1]
+	s.plan.Apply(s.filterFields, s.Par.Eps, s.buf, s.runFn)
 }
 
 // Pack extracts the interior face strip sent to the neighbour at dir after
 // the given phase (ghost-fill convention; star stencil, faces only).
 func (s *Solver3D) Pack(phase int, dir decomp.Dir, buf []float64) []float64 {
-	return halo.PackSend(s.layouts(phase), dir, true, buf)
+	return halo.PackSend(s.phaseLayouts[min(phase, 1)], dir, true, buf)
 }
 
 // Unpack stores data received from the neighbour at dir into the ghost
 // face strip on that side.
 func (s *Solver3D) Unpack(phase int, dir decomp.Dir, buf []float64) {
-	halo.UnpackRecv(s.layouts(phase), dir, true, buf)
+	halo.UnpackRecv(s.phaseLayouts[min(phase, 1)], dir, true, buf)
 }
 
 // StepSerial advances a standalone solver one step with periodic wrapping

@@ -54,12 +54,12 @@ func workerCounts() []int {
 // lattices in these tests are far below the minimum, and the seams between
 // slabs are what the tests are about.
 func (s *Solver2D) cutAlways(w int) {
-	s.Workers = w
+	s.SetWorkers(w)
 	s.runFn = func(n int, fn func(lo, hi int)) { s.par.Run(w, n, fn) }
 }
 
 func (s *Solver3D) cutAlways(w int) {
-	s.Workers = w
+	s.SetWorkers(w)
 	s.runFn = func(n int, fn func(lo, hi int)) { s.par.Run(w, n, fn) }
 }
 
@@ -141,7 +141,7 @@ func compareBits(t *testing.T, name string, want, got []float64) {
 // TestStepZeroAlloc pins the steady-state allocation budget of the hot
 // step at zero, on the serial and the parallel path, under every periodic
 // pattern, so each side, edge and corner of the in-place exchange runs.
-// The filter scratch and exchange buffers are all preallocated.
+// The ring storage and exchange buffers are all preallocated.
 func TestStepZeroAlloc(t *testing.T) {
 	m2 := jetMask2D(24, 19)
 	s2, err := NewSolver2D(24, 19, testParams(), func(x, y int) fluid.CellType { return m2.At(x, y) })

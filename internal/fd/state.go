@@ -31,16 +31,11 @@ func (s *Solver2D) StateFields() (names []string, arrays [][]float64) {
 }
 
 // ClearScratch zeroes what the solver holds beyond its StateFields — the
-// next-step buffers, the filter workspace and the exchange buffer — as
-// NewGeometry2D leaves them, so a solver restored after use equals a fresh
-// one restored from the same dump. The next Compute pairs the next-step
-// ghosts with the restored fields' again (pairGhosts).
+// ring's storage and the exchange buffer — as NewGeometry2D leaves them,
+// so a solver restored after use equals a fresh one restored from the
+// same dump.
 func (s *Solver2D) ClearScratch() {
-	clear(s.nVx.Data())
-	clear(s.nVy.Data())
-	clear(s.nRho.Data())
-	s.ghostsPaired = false
-	clear(s.scratch)
+	clear(s.buf)
 	s.xbuf = s.xbuf[:0]
 }
 
@@ -52,13 +47,8 @@ func (s *Solver3D) StateFields() (names []string, arrays [][]float64) {
 	return fieldNames3D, [][]float64{s.Rho.Data(), s.Vx.Data(), s.Vy.Data(), s.Vz.Data()}
 }
 
-// ClearScratch is Solver2D.ClearScratch for the 3D buffers.
+// ClearScratch is Solver2D.ClearScratch for the 3D ring.
 func (s *Solver3D) ClearScratch() {
-	clear(s.nVx.Data())
-	clear(s.nVy.Data())
-	clear(s.nVz.Data())
-	clear(s.nRho.Data())
-	s.ghostsPaired = false
-	clear(s.scratch)
+	clear(s.buf)
 	s.xbuf = s.xbuf[:0]
 }

@@ -18,6 +18,11 @@
 // available. Serial and parallel runs of one decomposition agree bitwise,
 // but the cut decides where the filter acts: a 4x4 cut of a high-Re shear
 // layer that 1x1 keeps bounded diverges (core.TestFilterKeepsShearLayerBounded).
+//
+// Plan.Apply filters each field in place through a Ring of three rows
+// (planes in 3D): no lattice-sized scratch, and every node still reads
+// unfiltered values. The FD solvers' velocity and density sweeps write
+// their fields in place through the same Ring.
 package filter
 
 import (
@@ -37,26 +42,23 @@ func Serial(n int, fn func(lo, hi int)) { fn(0, n) }
 // precomputed: applicability depends only on the mask and the subregion
 // geometry, both fixed for a solver's lifetime, so the plan replaces the
 // per-node mask probe with one bitmap lookup. A planar plan is one plane:
-// no z term, no z sides. The sweeps run over rows, cut into the units the
-// solver sizes its slabs by (rows of a planar plan, planes of a box one),
-// with a barrier between the correction and update sweeps of each field.
-// No node reads another's written value within a sweep, so the result is
-// bit-identical for every executor and worker count.
+// no z term, no z sides. Apply sweeps each field in units the solver sizes
+// its slabs by (rows of a planar plan, planes of a box one) and writes it
+// in place through a Ring of depth 2, so every node reads unfiltered
+// values and the result is bit-identical for every executor and worker
+// count.
 type Plan struct {
 	nx, ny, nz int
 	planar     bool
 	ok         []bool // applicability of the full stencil, (z*ny+y)*nx+x
 	units, per int    // the sweeps' slab units and the rows in each
 
-	// Per-Apply state consumed by the prebuilt sweep closures; set by
-	// Apply before handing the closures to the executor, so the
-	// steady-state step builds no new closures and allocates nothing,
-	// and reset when it returns.
-	l       *grid.Layout
-	eps     float64
-	scratch []float64
-	correct func(lo, hi int)
-	update  func(lo, hi int)
+	// Per-Apply state read by the sweep, prebuilt so the steady-state step
+	// builds no closure and allocates nothing.
+	field [1]*grid.Layout
+	eps   float64
+	ring  Ring
+	sweep func(lo, hi int)
 }
 
 // Plan2D and Plan3D are the plan applied to fields of one arity.
@@ -111,86 +113,69 @@ func newPlan(nx, ny, nz int, planar bool, cells []fluid.CellType) *Plan {
 			}
 		}
 	}
-	p.correct, p.update = p.correctRows, p.updateRows
+	p.sweep = p.sweepUnits
 	return p
 }
 
 // d4 is the fourth difference along one axis.
 func d4(m2, m1, c, p1, p2 float64) float64 { return m2 - 4*m1 + 6*c - 4*p1 + p2 }
 
-// correctRows computes the fourth-difference correction of units
-// [lo, hi) into scratch; nodes outside the stencil's reach get zero.
-//
-// The stencil is read through row slices of the raw storage, one per
-// neighbour offset, all indexed by x. A row within two of an edge holds no
-// applicable node, so it is cleared before any neighbour row is cut.
-func (p *Plan) correctRows(lo, hi int) {
-	nx, d, sx, sxy := p.nx, p.l.Data, p.l.SX, p.l.SXY
-	for r := lo * p.per; r < hi*p.per; r++ {
-		y, z := r%p.ny, r/p.ny
-		row := p.scratch[r*nx:][:nx]
-		if y < 2 || y >= p.ny-2 || !p.planar && (z < 2 || z >= p.nz-2) {
-			clear(row)
-			continue
-		}
-		okRow := p.ok[r*nx:][:nx]
-		at := p.l.Origin + z*sxy + y*sx
-		c, w2, w1, e1, e2 := d[at:][:nx], d[at-2:][:nx], d[at-1:][:nx], d[at+1:][:nx], d[at+2:][:nx]
-		s2, s1, n1, n2 := d[at-2*sx:][:nx], d[at-sx:][:nx], d[at+sx:][:nx], d[at+2*sx:][:nx]
-		if p.planar {
-			for x := range row {
-				if !okRow[x] {
-					row[x] = 0
-					continue
-				}
-				row[x] = d4(w2[x], w1[x], c[x], e1[x], e2[x]) + d4(s2[x], s1[x], c[x], n1[x], n2[x])
-			}
-			continue
-		}
-		b2, b1, t1, t2 := d[at-2*sxy:][:nx], d[at-sxy:][:nx], d[at+sxy:][:nx], d[at+2*sxy:][:nx]
-		for x := range row {
-			if !okRow[x] {
-				row[x] = 0
+// sweepUnits filters units [lo, hi) of the field in place through the
+// ring. A row is read through slices of the raw storage, one per
+// neighbour offset, all indexed by x; a row within two of an edge holds no
+// applicable node and is copied before any neighbour row is cut.
+func (p *Plan) sweepUnits(lo, hi int) {
+	l, nx, w := p.field[0], p.nx, p.ring.Slab(lo, hi)
+	d, sx, sxy := l.Data, l.SX, l.SXY
+	var arms [8][]float64 // the z arms stay nil on a planar plan
+	for u := lo; u < hi; u++ {
+		out := w.Out(u)
+		for r := u * p.per; r < (u+1)*p.per; r++ {
+			y, z := r%p.ny, r/p.ny
+			at, o := l.Origin+z*sxy+y*sx, out[(r-u*p.per)*nx:][:nx]
+			if nx < 5 || y < 2 || y >= p.ny-2 || !p.planar && (z < 2 || z >= p.nz-2) {
+				copy(o, d[at:][:nx])
 				continue
 			}
-			row[x] = d4(w2[x], w1[x], c[x], e1[x], e2[x]) + d4(s2[x], s1[x], c[x], n1[x], n2[x]) +
-				d4(b2[x], b1[x], c[x], t1[x], t2[x])
-		}
-	}
-}
-
-// updateRows applies the stored corrections to units [lo, hi).
-func (p *Plan) updateRows(lo, hi int) {
-	nx, eps := p.nx, p.eps
-	for r := lo * p.per; r < hi*p.per; r++ {
-		out := p.l.Data[p.l.Origin+r/p.ny*p.l.SXY+r%p.ny*p.l.SX:][:nx]
-		for x, c := range p.scratch[r*nx:][:nx] {
-			if c != 0 {
-				out[x] -= eps * c
+			arms[0], arms[1], arms[2], arms[3] = d[at-2*sx:], d[at-sx:], d[at+sx:], d[at+2*sx:]
+			if !p.planar {
+				arms[4], arms[5], arms[6], arms[7] = d[at-2*sxy:], d[at-sxy:], d[at+sxy:], d[at+2*sxy:]
 			}
+			filterRow(p.ok[r*nx:][:nx], p.eps, d[at:][:nx], &arms, o)
 		}
 	}
 }
 
-// Row writes row y of the filtered field into out from the unfiltered
-// rows y-2 .. y+2 in win, each nx long, by Apply's per-node expression
-// and with no scratch. Only win[2] is read at eps = 0 or within two rows
-// of a side. Its loop is kept apart from correctRows, which FD runs.
-func (p *Plan2D) Row(y int, eps float64, win [5][]float64, out []float64) {
-	nx, c := p.nx, win[2]
-	if eps == 0 || y < 2 || y >= p.ny-2 || nx < 5 {
-		copy(out[:nx], c[:nx])
+// filterRow writes the row c, nx >= 5 long, filtered into out by the
+// per-node expression: where the row's ok allows, u - eps*c only when the
+// correction c = d4(x-arm) + d4(y-arm) [+ d4(z-arm)] is not zero, so a -0
+// whose correction is a zero of either sign stays -0. arms holds the rows
+// at -2, -1, +1, +2 along y and, off a planar plan, along z, each indexed
+// like c.
+func filterRow(ok []bool, eps float64, c []float64, arms *[8][]float64, out []float64) {
+	nx := len(c)
+	copy(out[:2], c)
+	copy(out[nx-2:nx], c[nx-2:])
+	m := nx - 4 // every slice is indexed by x-2, over the nodes Apply may filter
+	ok, o := ok[2:][:m], out[2:][:m]
+	w2, w1, u, e1, e2 := c[:m], c[1:][:m], c[2:][:m], c[3:][:m], c[4:][:m]
+	s2, s1, n1, n2 := arms[0][2:][:m], arms[1][2:][:m], arms[2][2:][:m], arms[3][2:][:m]
+	if arms[4] == nil {
+		for j, v := range u {
+			if ok[j] {
+				if d := d4(w2[j], w1[j], v, e1[j], e2[j]) + d4(s2[j], s1[j], v, n1[j], n2[j]); d != 0 {
+					v -= eps * d
+				}
+			}
+			o[j] = v
+		}
 		return
 	}
-	copy(out[:2], c)
-	copy(out[nx-2:nx], c[nx-2:nx])
-	m := nx - 4 // every slice is indexed by x-2, over the nodes Apply may filter
-	ok, o := p.ok[y*nx+2:][:m], out[2:][:m]
-	w2, w1, u, e1, e2 := c[:m], c[1:][:m], c[2:][:m], c[3:][:m], c[4:][:m]
-	s2, s1, n1, n2 := win[0][2:][:m], win[1][2:][:m], win[3][2:][:m], win[4][2:][:m]
+	b2, b1, t1, t2 := arms[4][2:][:m], arms[5][2:][:m], arms[6][2:][:m], arms[7][2:][:m]
 	for j, v := range u {
 		if ok[j] {
-			if d := d4(w2[j], w1[j], v, e1[j], e2[j]) + d4(s2[j], s1[j], v, n1[j], n2[j]); d != 0 {
+			if d := d4(w2[j], w1[j], v, e1[j], e2[j]) + d4(s2[j], s1[j], v, n1[j], n2[j]) +
+				d4(b2[j], b1[j], v, t1[j], t2[j]); d != 0 {
 				v -= eps * d
 			}
 		}
@@ -198,36 +183,49 @@ func (p *Plan2D) Row(y int, eps float64, win [5][]float64, out []float64) {
 	}
 }
 
-// apply filters the fields in place with strength eps. scratch must hold
-// at least nx*ny*nz values; run executes the sweeps (Serial for the serial
-// path). The correction sweep of a field completes before its update
-// sweep starts, so no node reads a filtered value.
+// Row writes row y of the filtered field into out from the unfiltered
+// rows y-2 .. y+2 in win, each nx long, by Apply's per-node expression
+// and with no scratch. Only win[2] is read at eps = 0 or within two rows
+// of a side.
+func (p *Plan2D) Row(y int, eps float64, win [5][]float64, out []float64) {
+	nx, c := p.nx, win[2][:p.nx]
+	if eps == 0 || y < 2 || y >= p.ny-2 || nx < 5 {
+		copy(out[:nx], c)
+		return
+	}
+	filterRow(p.ok[y*nx:][:nx], eps, c, &[8][]float64{win[0], win[1], win[3], win[4]}, out)
+}
+
+// apply filters the fields in place with strength eps, one sweep of run
+// per field, with scratch as the ring: the serial sweep needs three rows
+// (planes), and nx*ny*nz values serve any run (RingLen).
 func apply[F interface{ Layout() *grid.Layout }](p *Plan, fields []F, eps float64, scratch []float64, run RunFunc) {
 	if eps == 0 || len(fields) == 0 {
 		return
 	}
-	if len(scratch) < p.nx*p.ny*p.nz {
+	if len(scratch) < RingLen(1, p.units, 2, p.per*p.nx) {
 		panic("filter: scratch buffer too small")
 	}
-	p.eps, p.scratch = eps, scratch
+	p.eps = eps
 	for _, f := range fields {
-		p.l = f.Layout()
-		if p.l.NX != p.nx || p.l.NY != p.ny || p.l.NZ != p.nz {
+		l := f.Layout()
+		if l.NX != p.nx || l.NY != p.ny || l.NZ != p.nz {
 			panic("filter: field geometry mismatch")
 		}
-		run(p.units, p.correct)
-		run(p.units, p.update)
+		p.field[0] = l
+		p.ring.Sweep(scratch, p.field[:], p.per, 2, run, p.sweep)
 	}
-	p.l, p.eps, p.scratch = nil, 0, nil
+	p.field[0], p.eps = nil, 0
 }
 
-// Apply filters the fields in place (see Plan); scratch must hold at least
-// nx*ny values.
+// Apply filters the fields in place (see Plan and apply); scratch must
+// hold at least RingLen(1, ny, 2, nx) values, and a ring per slab of run.
 func (p *Plan2D) Apply(fields []*grid.Field2D, eps float64, scratch []float64, run RunFunc) {
 	apply((*Plan)(p), fields, eps, scratch, run)
 }
 
-// Apply filters the 3D fields in place; scratch must hold nx*ny*nz values.
+// Apply filters the 3D fields in place; scratch must hold at least
+// RingLen(1, nz, 2, nx*ny) values, and a ring per slab of run.
 func (p *Plan3D) Apply(fields []*grid.Field3D, eps float64, scratch []float64, run RunFunc) {
 	apply((*Plan)(p), fields, eps, scratch, run)
 }

@@ -254,8 +254,8 @@ func TestPlanApplicabilityMatchesApplicable(t *testing.T) {
 	}
 }
 
-// TestPlanCutsInSolverUnits: a plan hands its sweeps to the runner in the
-// units the solvers size their slabs by, rows of a planar plan and planes
+// TestPlanCutsInSolverUnits: a plan hands each field's one sweep to the
+// runner in the units the solvers size their slabs by, rows of a planar plan and planes
 // of a box one. Were a planar plan cut by its one plane, a multi-slab
 // runner would run its filter as one slab.
 func TestPlanCutsInSolverUnits(t *testing.T) {
@@ -272,13 +272,13 @@ func TestPlanCutsInSolverUnits(t *testing.T) {
 	}
 	p2 := NewPlan2D(16, 12, allFluid)
 	p2.Apply([]*grid.Field2D{grid.NewField2D(16, 12, 1)}, 0.01, make([]float64, 16*12), count)
-	if len(units) != 2 || units[0] != 12 || units[1] != 12 || slabs != 8 {
-		t.Errorf("planar 16x12: runner saw units %v in %d slabs, want rows [12 12] in 8", units, slabs)
+	if len(units) != 1 || units[0] != 12 || slabs != 4 {
+		t.Errorf("planar 16x12: runner saw units %v in %d slabs, want rows [12] in 4", units, slabs)
 	}
 	units, slabs = nil, 0
 	p3 := NewPlan3D(10, 9, 8, allFluid3)
 	p3.Apply([]*grid.Field3D{grid.NewField3D(10, 9, 8, 1)}, 0.01, make([]float64, 10*9*8), count)
-	if len(units) != 2 || units[0] != 8 || units[1] != 8 || slabs != 8 {
-		t.Errorf("box 10x9x8: runner saw units %v in %d slabs, want planes [8 8] in 8", units, slabs)
+	if len(units) != 1 || units[0] != 8 || slabs != 4 {
+		t.Errorf("box 10x9x8: runner saw units %v in %d slabs, want planes [8] in 4", units, slabs)
 	}
 }

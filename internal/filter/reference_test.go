@@ -70,16 +70,25 @@ func refApply3D(p *Plan3D, fields []*grid.Field3D, eps float64) {
 	}
 }
 
-// slabs is a RunFunc that cuts [0, n) into k uneven pieces, run in turn.
+// slabs is a RunFunc that cuts [0, n) into k uneven pieces, run in turn:
+// the odd-numbered ones first, so that at one seam the slab below runs
+// first and at the next the slab above, and a slab that wrote a unit its
+// neighbour reads before the neighbour ran would show on either side.
 func slabs(k int) RunFunc {
 	return func(n int, fn func(lo, hi int)) {
-		for i := 0; i < k; i++ {
-			if lo, hi := i*n/k, (i+1)*n/k; lo < hi {
-				fn(lo, hi)
+		for _, first := range []int{1, 0} {
+			for i := first; i < k; i += 2 {
+				if lo, hi := i*n/k, (i+1)*n/k; lo < hi {
+					fn(lo, hi)
+				}
 			}
 		}
 	}
 }
+
+// cuts are the slab counts the reference tests cut n units into: three
+// fixed ones, one slab per unit, and slabs of two (and one, when n is odd).
+func cuts(n int) []int { return []int{1, 2, 3, n, (n + 1) / 2} }
 
 func sameBits(t *testing.T, name string, want, got []float64) {
 	t.Helper()
@@ -93,7 +102,9 @@ func sameBits(t *testing.T, name string, want, got []float64) {
 // TestPlanMatchesReference filters random fields (ghosts filled too) under
 // random wall masks and requires the plans to leave the same bits as the
 // frozen sweeps, ghosts included, for sizes down to the smallest that
-// holds one applicable node and below, and for several slab cuts.
+// holds one applicable node and below, and for several slab cuts: among
+// them one slab per row (plane) and slabs of two, where every unit of a
+// slab sits within the stencil's reach of a seam.
 func TestPlanMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	fill := func(d []float64) {
@@ -109,15 +120,16 @@ func TestPlanMatchesReference(t *testing.T) {
 			m3.Set(rng.Intn(nx), rng.Intn(ny), rng.Intn(nz), fluid.Wall)
 		}
 		for _, h := range []int{1, 2} {
-			for _, k := range []int{1, 2, 3} {
-				name := fmt.Sprintf("%dx%dx%d h%d k%d", nx, ny, nz, h, k)
+			for i := range cuts(0) {
+				k2, k3 := cuts(ny)[i], cuts(nz)[i]
+				name := fmt.Sprintf("%dx%dx%d h%d k%d/%d", nx, ny, nz, h, k2, k3)
 				p2 := NewPlan2D(nx, ny, m2.At)
 				a2, b2 := grid.NewField2D(nx, ny, h), grid.NewField2D(nx, ny, h)
 				fill(a2.Data())
 				fill(b2.Data())
 				want2, got2 := []*grid.Field2D{a2, b2}, []*grid.Field2D{a2.Clone(), b2.Clone()}
 				refApply2D(p2, want2, 0.02)
-				p2.Apply(got2, 0.02, make([]float64, nx*ny), slabs(k))
+				p2.Apply(got2, 0.02, make([]float64, nx*ny), slabs(k2))
 				for i := range want2 {
 					sameBits(t, name+" 2D", want2[i].Data(), got2[i].Data())
 				}
@@ -128,7 +140,7 @@ func TestPlanMatchesReference(t *testing.T) {
 				fill(b3.Data())
 				want3, got3 := []*grid.Field3D{a3, b3}, []*grid.Field3D{a3.Clone(), b3.Clone()}
 				refApply3D(p3, want3, 0.02)
-				p3.Apply(got3, 0.02, make([]float64, nx*ny*nz), slabs(k))
+				p3.Apply(got3, 0.02, make([]float64, nx*ny*nz), slabs(k3))
 				for i := range want3 {
 					sameBits(t, name+" 3D", want3[i].Data(), got3[i].Data())
 				}
@@ -180,6 +192,55 @@ func TestRowMatchesApply(t *testing.T) {
 				p.Row(y, eps, win, got)
 				sameBits(t, fmt.Sprintf("%dx%d eps %v row %d", nx, ny, eps, y), want.Data()[want.Idx(0, y):][:nx], got)
 			}
+		}
+	}
+}
+
+// TestRingSizedScratch: Apply with a scratch of RingLen values — three
+// rows (planes) for the serial sweep, a ring per slab and the held-back
+// units of each seam for a cut — leaves the bits Apply with a whole field
+// of scratch leaves, and a scratch one value short of the serial ring
+// panics.
+func TestRingSizedScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(63))
+	panics := func(f func()) (p bool) {
+		defer func() { p = recover() != nil }()
+		f()
+		return false
+	}
+	for _, size := range [][3]int{{1, 1, 1}, {3, 3, 3}, {5, 6, 7}, {9, 12, 5}, {17, 8, 10}} {
+		nx, ny, nz := size[0], size[1], size[2]
+		m2, m3 := fluid.NewMask2D(nx, ny), fluid.NewMask3D(nx, ny, nz)
+		m2.Set(rng.Intn(nx), rng.Intn(ny), fluid.Wall)
+		m3.Set(rng.Intn(nx), rng.Intn(ny), rng.Intn(nz), fluid.Wall)
+		p2, p3 := NewPlan2D(nx, ny, m2.At), NewPlan3D(nx, ny, nz, m3.At)
+		for i := range cuts(0) {
+			k2, k3 := cuts(ny)[i], cuts(nz)[i]
+			name := fmt.Sprintf("%dx%dx%d k%d/%d", nx, ny, nz, k2, k3)
+			f2 := grid.NewField2D(nx, ny, 1)
+			for j := range f2.Data() {
+				f2.Data()[j] = rng.Float64()
+			}
+			want2, got2 := f2.Clone(), f2.Clone()
+			p2.Apply([]*grid.Field2D{want2}, 0.02, make([]float64, nx*ny), slabs(k2))
+			p2.Apply([]*grid.Field2D{got2}, 0.02, make([]float64, RingLen(k2, ny, 2, nx)), slabs(k2))
+			sameBits(t, name+" 2D", want2.Data(), got2.Data())
+
+			f3 := grid.NewField3D(nx, ny, nz, 1)
+			for j := range f3.Data() {
+				f3.Data()[j] = rng.Float64()
+			}
+			want3, got3 := f3.Clone(), f3.Clone()
+			p3.Apply([]*grid.Field3D{want3}, 0.02, make([]float64, nx*ny*nz), slabs(k3))
+			p3.Apply([]*grid.Field3D{got3}, 0.02, make([]float64, RingLen(k3, nz, 2, nx*ny)), slabs(k3))
+			sameBits(t, name+" 3D", want3.Data(), got3.Data())
+		}
+		f2, f3 := grid.NewField2D(nx, ny, 1), grid.NewField3D(nx, ny, nz, 1)
+		if !panics(func() { p2.Apply([]*grid.Field2D{f2}, 0.02, make([]float64, RingLen(1, ny, 2, nx)-1), Serial) }) {
+			t.Errorf("%v: a 2D scratch one short of the ring did not panic", size)
+		}
+		if !panics(func() { p3.Apply([]*grid.Field3D{f3}, 0.02, make([]float64, RingLen(1, nz, 2, nx*ny)-1), Serial) }) {
+			t.Errorf("%v: a 3D scratch one short of the ring did not panic", size)
 		}
 	}
 }

@@ -61,7 +61,8 @@ type Solver3D struct {
 	Par fluid.Params
 	Tau float64
 
-	// Workers is the intra-rank slab count; <= 1 runs the serial sweeps.
+	// Workers is the intra-rank slab count, set through SetWorkers; <= 1
+	// runs the serial sweeps.
 	Workers int
 
 	F  [Q3]*grid.Field3D
@@ -69,7 +70,7 @@ type Solver3D struct {
 
 	Rho, Vx, Vy, Vz *grid.Field3D
 
-	scratch []float64 // filter workspace; nil when Par.Eps is 0
+	filterBuf []float64 // the filter's ring, sized by SetWorkers; nil when Par.Eps is 0
 
 	// Static per-node structure cached at construction (see Solver2D).
 	cells []fluid.CellType
@@ -116,9 +117,6 @@ func NewGeometry3D(nx, ny, nz int, par fluid.Params, mask func(x, y, z int) flui
 		cells: fluid.Classify(nx, ny, nz, mask),
 	}
 	s.plan = filter.NewPlan3DFromCells(nx, ny, nz, s.cells)
-	if par.Eps != 0 { // the filter alone reads scratch, and not at eps = 0
-		s.scratch = make([]float64, nx*ny*nz)
-	}
 	s.filterFields = []*grid.Field3D{s.Rho, s.Vx, s.Vy, s.Vz}
 	for i := 0; i < Q3; i++ {
 		s.F[i] = grid.NewField3D(nx, ny, nz, 1)
@@ -127,11 +125,18 @@ func NewGeometry3D(nx, ny, nz int, par fluid.Params, mask func(x, y, z int) flui
 	s.relaxFn = s.relaxPlanes
 	s.streamFn = s.streamPlanes
 	s.runFn = s.run
+	s.SetWorkers(0)
 	return s, nil
 }
 
-// SetWorkers sets the intra-rank slab count.
-func (s *Solver3D) SetWorkers(n int) { s.Workers = n }
+// SetWorkers sets the intra-rank slab count and sizes the filter's ring for
+// every slab a cut can make (filter.RingLen).
+func (s *Solver3D) SetWorkers(n int) {
+	s.Workers = n
+	if s.Par.Eps != 0 { // the filter alone reads it, and not at eps = 0
+		s.filterBuf = make([]float64, filter.RingLen(n, s.Rho.NZ, 2, s.Rho.NX*s.Rho.NY))
+	}
+}
 
 // run executes fn over n z-planes (see Solver2D.run).
 func (s *Solver3D) run(n int, fn func(lo, hi int)) {
@@ -206,7 +211,7 @@ func (s *Solver3D) Compute(phase int) {
 		// Sweep barriers: no local work, only the y/z face exchanges.
 	case 3:
 		s.stream()
-		s.plan.Apply(s.filterFields, s.Par.Eps, s.scratch, s.runFn)
+		s.plan.Apply(s.filterFields, s.Par.Eps, s.filterBuf, s.runFn)
 	default:
 		panic(fmt.Sprintf("lbm: invalid phase %d", phase))
 	}

@@ -62,7 +62,7 @@ func (s *Solver2D) cutAlways(w int) {
 }
 
 func (s *Solver3D) cutAlways(w int) {
-	s.Workers = w
+	s.SetWorkers(w)
 	s.runFn = func(n int, fn func(lo, hi int)) { s.par.Run(w, n, fn) }
 }
 

@@ -338,7 +338,7 @@ func refStep3(s *Solver3D, mask func(x, y, z int) fluid.CellType, px, py, pz boo
 	}
 	refShift3(s)
 	refMacro3(s)
-	filterOracle3D([]*grid.Field3D{s.Rho, s.Vx, s.Vy, s.Vz}, s.Par.Eps, mask, s.scratch)
+	filterOracle3D([]*grid.Field3D{s.Rho, s.Vx, s.Vy, s.Vz}, s.Par.Eps, mask, make([]float64, s.Rho.NX*s.Rho.NY*s.Rho.NZ))
 }
 
 // randomMask3D is randomMask2D a dimension up: solid planes on faces, full

@@ -74,11 +74,11 @@ func (s *Solver3D) StateFields() (names []string, arrays [][]float64) {
 }
 
 // ClearScratch is Solver2D.ClearScratch for the post-shift buffers, the
-// filter workspace and the exchange buffer.
+// filter's ring and the exchange buffer.
 func (s *Solver3D) ClearScratch() {
 	for _, f := range s.nF {
 		clear(f.Data())
 	}
-	clear(s.scratch)
+	clear(s.filterBuf)
 	s.xbuf = s.xbuf[:0]
 }
