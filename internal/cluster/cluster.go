@@ -209,12 +209,6 @@ type Cluster struct {
 	events       []HostEvent
 	idle, active []*Host // reservable's scratch (see reserve.go)
 	order        []*Host // take's scratch (see reserve.go)
-
-	// The decay factors of the last Advance and its dt, kept because the
-	// callers advance by the same few steps again and again. The zero
-	// value is right: a zero dt closes no gap.
-	decayDt time.Duration
-	decay   [3]float64
 }
 
 // NewPaperCluster builds the paper's pool: sixteen 715/50s, six 720s and
@@ -239,14 +233,12 @@ func (c *Cluster) Now() time.Duration { return c.now }
 // Advance moves simulated time forward, evolving every host.
 func (c *Cluster) Advance(dt time.Duration) {
 	c.now += dt
-	if dt != c.decayDt {
-		for i, tau := range loadTaus {
-			c.decay[i] = 1 - math.Exp(-dt.Seconds()/tau.Seconds())
-		}
-		c.decayDt = dt
+	var decay [3]float64
+	for i, tau := range loadTaus {
+		decay[i] = 1 - math.Exp(-dt.Seconds()/tau.Seconds())
 	}
 	for _, h := range c.Hosts {
-		h.advance(dt, c.decay)
+		h.advance(dt, decay)
 	}
 }
 

@@ -130,12 +130,12 @@ func openRows(cells []fluid.CellType, nx int) []bool {
 }
 
 // SetWorkers sets the intra-rank slab count (the core setup threads the
-// per-rank budget through here) and sizes the ring for every slab a cut
-// can make: the velocity sweep's two fields at depth 1, which is more
-// than the density's one and the filter's one at depth 2 need.
+// per-rank budget through here) and sizes the ring for the slabs run cuts:
+// the velocity sweep's two fields at depth 1, which is more than the
+// density's one and the filter's one at depth 2 need.
 func (s *Solver2D) SetWorkers(n int) {
 	s.Workers = n
-	s.buf = make([]float64, filter.RingLen(n, s.Rho.NY, 1, 2*s.Rho.NX))
+	s.buf = make([]float64, filter.RingLen(pool.Slabs(n, s.Rho.NY, s.Rho.NX), s.Rho.NY, 1, 2*s.Rho.NX))
 }
 
 // run executes fn over n rows cut into at most Workers slabs, fewer on a

@@ -88,7 +88,7 @@ func NewGeometry3D(nx, ny, nz int, par fluid.Params, mask func(x, y, z int) flui
 // (see Solver2D.SetWorkers).
 func (s *Solver3D) SetWorkers(n int) {
 	s.Workers = n
-	s.buf = make([]float64, filter.RingLen(n, s.Rho.NZ, 1, 3*s.Rho.NX*s.Rho.NY))
+	s.buf = make([]float64, filter.RingLen(pool.Slabs(n, s.Rho.NZ, s.Rho.NX*s.Rho.NY), s.Rho.NZ, 1, 3*s.Rho.NX*s.Rho.NY))
 }
 
 // run executes fn over n z-planes (see Solver2D.run).

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/filter"
 	"repro/internal/fluid"
 )
 
@@ -52,14 +53,17 @@ func workerCounts() []int {
 // cutAlways sets the worker count and replaces the solver's parallel-for
 // with one that has no minimum slab size, as it was before pool.Slabs: the
 // lattices in these tests are far below the minimum, and the seams between
-// slabs are what the tests are about.
+// slabs are what the tests are about. SetWorkers sizes the ring for the
+// cut pool.Slabs allows, so the ring is sized again for w slabs.
 func (s *Solver2D) cutAlways(w int) {
 	s.SetWorkers(w)
+	s.buf = make([]float64, filter.RingLen(w, s.Rho.NY, 1, 2*s.Rho.NX))
 	s.runFn = func(n int, fn func(lo, hi int)) { s.par.Run(w, n, fn) }
 }
 
 func (s *Solver3D) cutAlways(w int) {
 	s.SetWorkers(w)
+	s.buf = make([]float64, filter.RingLen(w, s.Rho.NZ, 1, 3*s.Rho.NX*s.Rho.NY))
 	s.runFn = func(n int, fn func(lo, hi int)) { s.par.Run(w, n, fn) }
 }
 

@@ -197,8 +197,8 @@ func (p *Plan2D) Row(y int, eps float64, win [5][]float64, out []float64) {
 }
 
 // apply filters the fields in place with strength eps, one sweep of run
-// per field, with scratch as the ring: the serial sweep needs three rows
-// (planes), and nx*ny*nz values serve any run (RingLen).
+// per field, with scratch as the ring: three rows (planes), checked before
+// anything is written; a slab past them takes its ring from the heap.
 func apply[F interface{ Layout() *grid.Layout }](p *Plan, fields []F, eps float64, scratch []float64, run RunFunc) {
 	if eps == 0 || len(fields) == 0 {
 		return
@@ -219,13 +219,13 @@ func apply[F interface{ Layout() *grid.Layout }](p *Plan, fields []F, eps float6
 }
 
 // Apply filters the fields in place (see Plan and apply); scratch must
-// hold at least RingLen(1, ny, 2, nx) values, and a ring per slab of run.
+// hold RingLen(1, ny, 2, nx) values, RingLen(slabs, ny, 2, nx) for no heap.
 func (p *Plan2D) Apply(fields []*grid.Field2D, eps float64, scratch []float64, run RunFunc) {
 	apply((*Plan)(p), fields, eps, scratch, run)
 }
 
 // Apply filters the 3D fields in place; scratch must hold at least
-// RingLen(1, nz, 2, nx*ny) values, and a ring per slab of run.
+// RingLen(1, nz, 2, nx*ny) values (see Plan2D.Apply).
 func (p *Plan3D) Apply(fields []*grid.Field3D, eps float64, scratch []float64, run RunFunc) {
 	apply((*Plan)(p), fields, eps, scratch, run)
 }

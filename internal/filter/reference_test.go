@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/fluid"
@@ -199,14 +200,27 @@ func TestRowMatchesApply(t *testing.T) {
 // TestRingSizedScratch: Apply with a scratch of RingLen values — three
 // rows (planes) for the serial sweep, a ring per slab and the held-back
 // units of each seam for a cut — leaves the bits Apply with a whole field
-// of scratch leaves, and a scratch one value short of the serial ring
-// panics.
+// of scratch leaves; so does the serial ring under a cut on goroutines,
+// whose slabs past it take their rings from the heap; and a scratch one
+// value short of the serial ring panics.
 func TestRingSizedScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	panics := func(f func()) (p bool) {
 		defer func() { p = recover() != nil }()
 		f()
 		return false
+	}
+	goroutines := func(k int) RunFunc {
+		return func(n int, fn func(lo, hi int)) {
+			var wg sync.WaitGroup
+			for i := range k {
+				if lo, hi := i*n/k, (i+1)*n/k; lo < hi {
+					wg.Add(1)
+					go func() { defer wg.Done(); fn(lo, hi) }()
+				}
+			}
+			wg.Wait()
+		}
 	}
 	for _, size := range [][3]int{{1, 1, 1}, {3, 3, 3}, {5, 6, 7}, {9, 12, 5}, {17, 8, 10}} {
 		nx, ny, nz := size[0], size[1], size[2]
@@ -221,19 +235,23 @@ func TestRingSizedScratch(t *testing.T) {
 			for j := range f2.Data() {
 				f2.Data()[j] = rng.Float64()
 			}
-			want2, got2 := f2.Clone(), f2.Clone()
+			want2, got2, heap2 := f2.Clone(), f2.Clone(), f2.Clone()
 			p2.Apply([]*grid.Field2D{want2}, 0.02, make([]float64, nx*ny), slabs(k2))
 			p2.Apply([]*grid.Field2D{got2}, 0.02, make([]float64, RingLen(k2, ny, 2, nx)), slabs(k2))
 			sameBits(t, name+" 2D", want2.Data(), got2.Data())
+			p2.Apply([]*grid.Field2D{heap2}, 0.02, make([]float64, RingLen(1, ny, 2, nx)), goroutines(k2))
+			sameBits(t, name+" 2D serial ring", want2.Data(), heap2.Data())
 
 			f3 := grid.NewField3D(nx, ny, nz, 1)
 			for j := range f3.Data() {
 				f3.Data()[j] = rng.Float64()
 			}
-			want3, got3 := f3.Clone(), f3.Clone()
+			want3, got3, heap3 := f3.Clone(), f3.Clone(), f3.Clone()
 			p3.Apply([]*grid.Field3D{want3}, 0.02, make([]float64, nx*ny*nz), slabs(k3))
 			p3.Apply([]*grid.Field3D{got3}, 0.02, make([]float64, RingLen(k3, nz, 2, nx*ny)), slabs(k3))
 			sameBits(t, name+" 3D", want3.Data(), got3.Data())
+			p3.Apply([]*grid.Field3D{heap3}, 0.02, make([]float64, RingLen(1, nz, 2, nx*ny)), goroutines(k3))
+			sameBits(t, name+" 3D serial ring", want3.Data(), heap3.Data())
 		}
 		f2, f3 := grid.NewField2D(nx, ny, 1), grid.NewField3D(nx, ny, nz, 1)
 		if !panics(func() { p2.Apply([]*grid.Field2D{f2}, 0.02, make([]float64, RingLen(1, ny, 2, nx)-1), Serial) }) {

@@ -27,18 +27,16 @@ type Ring struct {
 }
 
 // RingLen is the buffer a Ring needs to sweep units units of values values
-// each (over all fields) at depth depth, cut into at most slabs slabs: a
-// ring per slab and the units held back above each seam, but never more
-// than the units, since a slab takes at most its own.
+// each (over all fields) at depth depth in at most slabs slabs: a ring per
+// slab and the units held back above each seam, never more than the units.
 func RingLen(slabs, units, depth, values int) int {
 	return min(units, max(1, slabs)*(2*depth+1)-depth) * values
 }
 
 // Sweep runs fn over the units of fields, all of one geometry, through
 // run, with buf as the ring; fn begins its slab with Ring.Slab and
-// computes each unit into Slab.Out. The units still pending when run
-// returns, those held back and each slab's last depth+1, then go into the
-// fields.
+// computes each unit into Slab.Out. The units held back and each slab's
+// last depth+1 go into the fields once run returns.
 func (r *Ring) Sweep(buf []float64, fields []*grid.Layout, per, depth int, run RunFunc, fn func(lo, hi int)) {
 	r.buf, r.fields, r.per, r.depth = buf, fields, per, depth
 	r.units, r.size = fields[0].NY*fields[0].NZ/per, len(fields)*per*fields[0].NX
@@ -66,10 +64,12 @@ func (r *Ring) Sweep(buf []float64, fields []*grid.Layout, per, depth int, run R
 type Slab struct {
 	r                *Ring
 	lo, hi, a, slots int
-	off              int // where the slab's storage starts
+	buf              []float64 // the units held back, then the ring
 }
 
-// Slab begins a slab of units [lo, hi) and takes its storage.
+// Slab begins a slab of units [lo, hi) and takes its storage from the
+// buffer, or the heap if it is used up: a slab that failed would leave its
+// neighbours' units written.
 func (r *Ring) Slab(lo, hi int) *Slab {
 	s := &r.slabs[r.claimed.Add(1)-1]
 	a := lo
@@ -78,10 +78,11 @@ func (r *Ring) Slab(lo, hi int) *Slab {
 	}
 	need := (a - lo + min(r.depth+1, hi-a)) * r.size
 	off := int(r.used.Add(int64(need))) - need
-	if off+need > len(r.buf) {
-		panic("filter: ring buffer too small")
+	buf := r.buf[min(off, len(r.buf)):min(off+need, len(r.buf))]
+	if len(buf) < need {
+		buf = make([]float64, need)
 	}
-	*s = Slab{r: r, lo: lo, hi: hi, a: a, slots: min(r.depth+1, hi-a), off: off}
+	*s = Slab{r: r, lo: lo, hi: hi, a: a, slots: min(r.depth+1, hi-a), buf: buf}
 	return s
 }
 
@@ -102,7 +103,7 @@ func (s *Slab) slot(u int) []float64 {
 	if u >= s.a {
 		k = s.a - s.lo + (u-s.a)%s.slots
 	}
-	return s.r.buf[s.off+k*s.r.size:][:s.r.size]
+	return s.buf[k*s.r.size:][:s.r.size]
 }
 
 // put copies unit u's new values from src into the fields. A unit is a

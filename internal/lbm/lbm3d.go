@@ -130,12 +130,13 @@ func NewGeometry3D(nx, ny, nz int, par fluid.Params, mask func(x, y, z int) flui
 }
 
 // SetWorkers sets the intra-rank slab count and sizes the filter's ring for
-// every slab a cut can make (filter.RingLen).
+// the slabs run cuts (filter.RingLen).
 func (s *Solver3D) SetWorkers(n int) {
 	s.Workers = n
-	if s.Par.Eps != 0 { // the filter alone reads it, and not at eps = 0
-		s.filterBuf = make([]float64, filter.RingLen(n, s.Rho.NZ, 2, s.Rho.NX*s.Rho.NY))
+	if s.Par.Eps == 0 { // the filter alone reads it, and not at eps = 0
+		return
 	}
+	s.filterBuf = make([]float64, filter.RingLen(pool.Slabs(n, s.Rho.NZ, s.Rho.NX*s.Rho.NY), s.Rho.NZ, 2, s.Rho.NX*s.Rho.NY))
 }
 
 // run executes fn over n z-planes (see Solver2D.run).

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/filter"
 	"repro/internal/fluid"
 )
 
@@ -63,6 +64,9 @@ func (s *Solver2D) cutAlways(w int) {
 
 func (s *Solver3D) cutAlways(w int) {
 	s.SetWorkers(w)
+	if s.Par.Eps != 0 { // the filter's ring, for w slabs rather than pool.Slabs' cut
+		s.filterBuf = make([]float64, filter.RingLen(w, s.Rho.NZ, 2, s.Rho.NX*s.Rho.NY))
+	}
 	s.runFn = func(n int, fn func(lo, hi int)) { s.par.Run(w, n, fn) }
 }
 
