@@ -294,6 +294,7 @@ func (e *Engine) Tick(t time.Duration, ctl farm.AutoscaleControl) {
 	}
 	// A job the policy stopped proposing for loses its streak: the
 	// hysteresis counts consecutive ticks, not lifetime occurrences.
+	//detlint:allow maporder -- the body only deletes from the map it ranges over
 	for id := range e.streaks {
 		if !proposed[id] {
 			delete(e.streaks, id)

@@ -53,7 +53,6 @@ type Pass struct {
 
 	diags  *[]Diagnostic
 	shared map[*Analyzer]any
-	allow  *allowIndex
 }
 
 // A Diagnostic is one finding, attributed to the analyzer that made it.
@@ -85,23 +84,6 @@ func (p *Pass) Shared(mk func() any) any {
 	return v
 }
 
-// Allowed reports whether a well-formed //detlint:allow directive for
-// this analyzer covers pos. A pass that builds shared state consults it
-// while building: a site suppressed in its home package must not
-// resurface as a cross-package finding at every caller.
-func (p *Pass) Allowed(pos token.Pos) bool {
-	if p.allow == nil {
-		return false
-	}
-	posn := p.Fset.Position(pos)
-	for _, d := range p.allow.byLine[posn.Filename][posn.Line] {
-		if d.covers(p.Analyzer.Name) && d.reason != "" {
-			return true
-		}
-	}
-	return false
-}
-
 // IsTestFile reports whether the file's name marks it as a _test.go
 // file. The determinism invariants bind the shipping simulation path;
 // tests legitimately use wall-clock timeouts, goroutines and seeded
@@ -121,7 +103,7 @@ func Run(fset *token.FileSet, cfg *Config, analyzers []*Analyzer, pkgs ...*Packa
 	shared := make(map[*Analyzer]any)
 	var out []Diagnostic
 	for _, pkg := range pkgs {
-		idx := buildAllowIndex(fset, pkg.Files)
+		allows := allowDirectives(fset, pkg.Files)
 		for _, a := range analyzers {
 			var diags []Diagnostic
 			pass := &Pass{
@@ -134,14 +116,13 @@ func Run(fset *token.FileSet, cfg *Config, analyzers []*Analyzer, pkgs ...*Packa
 				Config:    cfg,
 				diags:     &diags,
 				shared:    shared,
-				allow:     idx,
 			}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s: analyzer %s: %w", pkg.Path, a.Name, err)
 			}
-			out = append(out, idx.filter(fset, a.Name, diags)...)
+			out = append(out, filter(fset, allows, a.Name, diags)...)
 		}
-		out = append(out, idx.validate(analyzers)...)
+		out = append(out, validate(allows, analyzers)...)
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Pos < out[j].Pos })
 	return out, nil

@@ -11,15 +11,15 @@ import "strings"
 type Config struct {
 	// Deterministic packages form the simulation path whose results
 	// must replay bit-identically: entropy (clocks, RNG state outside
-	// farm.RNG, go statements) and maporder (map-iteration order) apply
-	// here.
+	// farm.RNG, go statements) and maporder (any range over a map)
+	// apply here.
 	Deterministic []string
 	// ErrorSurface packages are the supported public API: errwrap
 	// enforces %w wrapping and errors.Is-comparable sentinels here.
 	ErrorSurface []string
-	// LockScope packages have their sync.Mutex/RWMutex acquisition
-	// orders summarized; lockorder flags a pair of locks taken in
-	// opposite orders anywhere across the scope.
+	// LockScope packages have their sync.Mutex/RWMutex acquisitions
+	// summarized; lockorder flags a lock taken while another is held,
+	// directly or through a call anywhere across the scope.
 	LockScope []string
 }
 

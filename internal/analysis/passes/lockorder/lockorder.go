@@ -1,13 +1,10 @@
-// Package lockorder enforces a consistent mutex acquisition order
-// across the packages in Config.LockScope. The run keeps one graph
-// (Pass.Shared): every analyzed function's lock operations and calls, so
-// a callee's acquisitions count against the locks its caller holds, and
-// the first order edge "A held while B acquired" of every pair. A
-// package reports a conflict when one of its own edges opposes an edge
-// in the graph: its own, or one added by a package analyzed before it
-// (every dependency is). That is where cross-package inversions become
-// visible, since holding a lock across a call into another package is
-// exactly the importing side's doing.
+// Package lockorder enforces the rule the LockScope packages keep:
+// every lock is a leaf. A lock taken while another is held is a
+// finding, whether the function takes it itself or a call takes it,
+// so no two locks can ever be taken in opposite orders. The run keeps
+// every analyzed function's lock operations and calls (Pass.Shared),
+// so a callee in a package analyzed before (every dependency is)
+// counts against the locks its caller holds.
 //
 // Lock identity is structural: a package-level mutex variable is
 // "pkg.name", a mutex struct field is "pkg.Type.field". Function-local
@@ -27,41 +24,22 @@
 package lockorder
 
 import (
-	"cmp"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"maps"
 	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/analysis"
 )
 
 var Analyzer = analysis.Register(&analysis.Analyzer{
 	Name: "lockorder",
-	Doc: "flag pairs of mutexes acquired in opposite orders anywhere across the " +
-		"LockScope packages, following calls through the run's shared summaries",
+	Doc: "flag a mutex acquired while another is held, directly or through a call, " +
+		"across the LockScope packages: every lock is a leaf",
 	Run: run,
 })
-
-// graph is the run's lock-order state, shared by every package.
-type graph struct {
-	// funcs holds every analyzed function's lock operations and calls,
-	// by function key.
-	funcs map[string][]item
-	// edges holds, for each ordered pair (held, acquired), the first
-	// edge the run found.
-	edges map[[2]string]edge
-}
-
-// An edge records where its pair's second lock was acquired while the
-// first was held.
-type edge struct {
-	fn  string // function whose body created the edge
-	pos token.Pos
-	via string // callee that acquires the lock, for indirect edges
-}
 
 // item is one simulation step: a lock op or a call, in source order,
 // or the bounds of a block that ends in return.
@@ -75,11 +53,9 @@ func run(pass *analysis.Pass) error {
 	if !analysis.Match(pass.Config.LockScope, pass.PkgPath) {
 		return nil
 	}
-	g := pass.Shared(func() any {
-		return &graph{funcs: make(map[string][]item), edges: make(map[[2]string]edge)}
-	}).(*graph)
+	funcs := pass.Shared(func() any { return make(map[string][]item) }).(map[string][]item)
 
-	own := make(map[string][]item)
+	var own [][]item
 	for _, f := range pass.Files {
 		if pass.IsTestFile(f) {
 			continue
@@ -88,37 +64,29 @@ func run(pass *analysis.Pass) error {
 			// Declarations without bodies (assembly stubs) have nothing
 			// to simulate.
 			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				own[funcKey(pass.TypesInfo.Defs[fd.Name].(*types.Func))] = collectItems(pass, fd)
+				items := collectItems(pass, fd)
+				funcs[funcKey(pass.TypesInfo.Defs[fd.Name].(*types.Func))] = items
+				own = append(own, items)
 			}
 		}
 	}
-	maps.Copy(g.funcs, own)
-	acq := &acquirer{funcs: g.funcs, memo: make(map[string][]string), visiting: make(map[string]bool)}
-
-	// Simulate each local function; found keeps this package's first
-	// edge of each pair, in key order, then source order.
-	found := make(map[[2]string]edge)
-	for _, fnKey := range slices.Sorted(maps.Keys(own)) {
+	for _, items := range own {
 		var held []string    // held locks, acquisition order
 		var saved [][]string // held at the entry of each open returning block
-		addEdge := func(to string, pos token.Pos, via string) {
-			for _, from := range held {
-				if _, ok := found[[2]string{from, to}]; from != to && !ok {
-					found[[2]string{from, to}] = edge{fnKey, pos, via}
-				}
+		report := func(pos token.Pos, via string, locks []string) {
+			if len(held) > 0 && len(locks) > 0 {
+				pass.Reportf(pos, "%sacquires %s while holding %s: every lock must be a leaf",
+					via, strings.Join(locks, ", "), strings.Join(held, ", "))
 			}
 		}
-		for _, it := range own[fnKey] {
+		for _, it := range items {
 			switch it.kind {
 			case 's':
 				saved = append(saved, slices.Clone(held))
 			case 'r':
 				held, saved = saved[len(saved)-1], saved[:len(saved)-1]
 			case 'l':
-				if pass.Allowed(it.pos) {
-					continue
-				}
-				addEdge(it.name, it.pos, "")
+				report(it.pos, "", []string{it.name})
 				if !slices.Contains(held, it.name) {
 					held = append(held, it.name)
 				}
@@ -127,77 +95,36 @@ func run(pass *analysis.Pass) error {
 					held = slices.Delete(held, i, i+1)
 				}
 			case 'c':
-				if len(held) == 0 || pass.Allowed(it.pos) {
-					continue
-				}
-				for _, to := range acq.of(it.name) {
-					addEdge(to, it.pos, it.name)
+				if len(held) > 0 {
+					report(it.pos, "call to "+it.name+" ", acquires(funcs, it.name))
 				}
 			}
-		}
-	}
-
-	// An own edge opposed by an edge in view is a finding, reported at
-	// its first site here. An earlier package's edge is cited before
-	// this package's own.
-	pairs := slices.SortedFunc(maps.Keys(found), func(a, b [2]string) int {
-		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
-	})
-	for _, pair := range pairs {
-		e := found[pair]
-		rev, ok := g.edges[[2]string{pair[1], pair[0]}]
-		if !ok {
-			rev, ok = found[[2]string{pair[1], pair[0]}]
-		}
-		if !ok {
-			continue
-		}
-		if e.via != "" {
-			pass.Reportf(e.pos, "call to %s acquires %s while holding %s, but %s (%s) acquires them in the opposite order",
-				e.via, pair[1], pair[0], rev.fn, pass.Fset.Position(rev.pos))
-		} else {
-			pass.Reportf(e.pos, "acquires %s while holding %s, but %s (%s) acquires them in the opposite order",
-				pair[1], pair[0], rev.fn, pass.Fset.Position(rev.pos))
-		}
-	}
-	for _, pair := range pairs {
-		if _, ok := g.edges[pair]; !ok {
-			g.edges[pair] = found[pair]
 		}
 	}
 	return nil
 }
 
-// acquirer computes the set of locks a function acquires transitively,
-// memoized and cycle-safe over the run's summaries.
-type acquirer struct {
-	funcs    map[string][]item
-	memo     map[string][]string
-	visiting map[string]bool
-}
-
-func (a *acquirer) of(key string) []string {
-	if locks, ok := a.memo[key]; ok {
-		return locks
-	}
-	if a.visiting[key] {
-		return nil
-	}
-	a.visiting[key] = true
-	set := make(map[string]bool)
-	for _, it := range a.funcs[key] {
-		switch it.kind {
-		case 'l':
-			set[it.name] = true
-		case 'c':
-			for _, l := range a.of(it.name) {
-				set[l] = true
+// acquires returns the locks the function key takes, itself or
+// through its calls, sorted. Each query walks the summaries afresh: a
+// memo filled while a recursive callee was still being walked would
+// keep that callee's partial set.
+func acquires(funcs map[string][]item, key string) []string {
+	seen := map[string]bool{key: true}
+	var locks []string
+	var walk func(key string)
+	walk = func(key string) {
+		for _, it := range funcs[key] {
+			switch {
+			case it.kind == 'l' && !slices.Contains(locks, it.name):
+				locks = append(locks, it.name)
+			case it.kind == 'c' && !seen[it.name]:
+				seen[it.name] = true
+				walk(it.name)
 			}
 		}
 	}
-	delete(a.visiting, key)
-	locks := slices.Sorted(maps.Keys(set))
-	a.memo[key] = locks
+	walk(key)
+	slices.Sort(locks)
 	return locks
 }
 

@@ -12,8 +12,8 @@ func TestLockOrder(t *testing.T) {
 	analysistest.Run(t, "testdata", Analyzer, cfg, "l")
 }
 
-// TestCrossPackage: dep adds the MuX→MuY order edge to the run's graph;
-// kern inverts it by holding MuY across a call into dep.
+// TestCrossPackage: kern holds MuY across a call into dep, and only
+// dep's summary of the callee, kept for the run, shows MuX taken there.
 func TestCrossPackage(t *testing.T) {
 	cfg := &analysis.Config{LockScope: []string{"dep", "kern"}}
 	analysistest.Run(t, "testdata", Analyzer, cfg, "dep", "kern")

@@ -1,5 +1,5 @@
-// Package dep is the upstream half of the cross-package fixture: it
-// establishes the MuX-before-MuY order in the run's lock graph.
+// Package dep is the upstream half of the cross-package fixture: its
+// summary of GrabX is what kern's call is checked against.
 package dep
 
 type Mutex struct{}
@@ -11,7 +11,7 @@ var MuX, MuY Mutex
 
 func BothForward() {
 	MuX.Lock()
-	MuY.Lock()
+	MuY.Lock() // want `acquires dep\.MuY while holding dep\.MuX`
 	MuY.Unlock()
 	MuX.Unlock()
 }

@@ -2,11 +2,10 @@ package kern
 
 import "dep"
 
-// Backward holds MuY across a call that acquires MuX — the opposite of
-// dep's established order, visible only through the edges dep left in
-// the run's lock graph.
+// Backward holds MuY across a call that acquires MuX, which only dep's
+// summary of GrabX, kept for the run, shows.
 func Backward() {
 	dep.MuY.Lock()
-	dep.GrabX() // want `call to dep\.GrabX acquires dep\.MuX while holding dep\.MuY, but dep\.BothForward \(.*\) acquires them in the opposite order`
+	dep.GrabX() // want `^call to dep\.GrabX acquires dep\.MuX while holding dep\.MuY: every lock must be a leaf$`
 	dep.MuY.Unlock()
 }

@@ -20,14 +20,14 @@ func (f *Farm) Submit(id string) bool {
 		return false
 	}
 	f.jobs[id] = true
-	f.submit() // want `call to l\.Farm\.submit acquires l\.Farm\.mu while holding l\.Farm\.hmu, but l\.Farm\.Drain \(.*\) acquires them in the opposite order`
+	f.submit() // want `^call to l\.Farm\.submit acquires l\.Farm\.mu while holding l\.Farm\.hmu: every lock must be a leaf$`
 	f.hmu.Unlock()
 	return true
 }
 
 func (f *Farm) Drain() {
 	f.mu.Lock()
-	f.hmu.Lock() // want `acquires l\.Farm\.hmu while holding l\.Farm\.mu, but l\.Farm\.Submit \(.*\) acquires them in the opposite order`
+	f.hmu.Lock() // want `acquires l\.Farm\.hmu while holding l\.Farm\.mu`
 	f.hmu.Unlock()
 	f.mu.Unlock()
 }
@@ -47,7 +47,7 @@ type peerConn struct {
 func (t *TCP) write(pc *peerConn) bool {
 	pc.wmu.Lock()
 	defer pc.wmu.Unlock()
-	t.mu.Lock() // want `acquires l\.TCP\.mu while holding l\.peerConn\.wmu, but l\.TCP\.Close \(.*\) acquires them in the opposite order`
+	t.mu.Lock() // want `acquires l\.TCP\.mu while holding l\.peerConn\.wmu`
 	closed := t.closed
 	t.mu.Unlock()
 	return closed
@@ -61,8 +61,29 @@ func (t *TCP) Close() {
 	}
 	t.closed = true
 	for _, pc := range t.peers {
-		pc.wmu.Lock() // want `acquires l\.peerConn\.wmu while holding l\.TCP\.mu, but l\.TCP\.write \(.*\) acquires them in the opposite order`
+		pc.wmu.Lock() // want `acquires l\.peerConn\.wmu while holding l\.TCP\.mu`
 		pc.wmu.Unlock()
 	}
 	t.mu.Unlock()
+}
+
+// acceptLoop is census mutant L3, with write's half of L2: a peer
+// that reconnects replaces the old connection, which is closed under
+// its wmu while t.mu is held.
+func (t *TCP) acceptLoop(i int, pc *peerConn) {
+	t.mu.Lock()
+	old := t.peers[i]
+	t.peers[i] = pc
+	old.wmu.Lock() // want `acquires l\.peerConn\.wmu while holding l\.TCP\.mu`
+	old.wmu.Unlock()
+	t.mu.Unlock()
+}
+
+// Relock takes a mutex it already holds: a deadlock on its own,
+// directly or through a call.
+func (f *Farm) Relock() {
+	f.mu.Lock()
+	f.mu.Lock() // want `acquires l\.Farm\.mu while holding l\.Farm\.mu`
+	f.submit()  // want `call to l\.Farm\.submit acquires l\.Farm\.mu while holding l\.Farm\.mu`
+	f.mu.Unlock()
 }

@@ -9,14 +9,14 @@ var a, b Mutex
 
 func AB() {
 	a.Lock()
-	b.Lock() // want `acquires l\.b while holding l\.a, but l\.BA \(.*\) acquires them in the opposite order`
+	b.Lock() // want `^acquires l\.b while holding l\.a: every lock must be a leaf$`
 	b.Unlock()
 	a.Unlock()
 }
 
 func BA() {
 	b.Lock()
-	a.Lock() // want `acquires l\.a while holding l\.b, but l\.AB \(.*\) acquires them in the opposite order`
+	a.Lock() // want `^acquires l\.a while holding l\.b: every lock must be a leaf$`
 	a.Unlock()
 	b.Unlock()
 }
@@ -26,23 +26,24 @@ type S struct {
 	next Mutex
 }
 
-// Fine and AlsoFine take the struct locks in the same order; a
-// deferred Unlock holds mu to function end without upsetting it.
+// Fine and AlsoFine take the struct locks in the same order, which no
+// longer makes them fine: next is taken under mu. A deferred Unlock
+// holds mu to function end.
 func (s *S) Fine() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.next.Lock()
+	s.next.Lock() // want `acquires l\.S\.next while holding l\.S\.mu`
 	s.next.Unlock()
 }
 
 func (s *S) AlsoFine() {
 	s.mu.Lock()
-	s.next.Lock()
+	s.next.Lock() // want `acquires l\.S\.next while holding l\.S\.mu`
 	s.next.Unlock()
 	s.mu.Unlock()
 }
 
-// Sequential acquisition after release creates no edge.
+// Sequential acquisition after release holds one lock at a time.
 func Sequential() {
 	b.Lock()
 	b.Unlock()
@@ -58,3 +59,30 @@ func Local() {
 	a.Unlock()
 	mu.Unlock()
 }
+
+var c, d Mutex
+
+// HoldAcrossF holds d across f, and HoldAcrossG across g, which f and
+// g reach through each other: both take c. Asking for f's locks first
+// walks g while f is still open, so a memo of g would miss c.
+func HoldAcrossF() {
+	d.Lock()
+	f(1) // want `call to l\.f acquires l\.c while holding l\.d`
+	d.Unlock()
+}
+
+func HoldAcrossG() {
+	d.Lock()
+	g(1) // want `call to l\.g acquires l\.c while holding l\.d`
+	d.Unlock()
+}
+
+func f(n int) {
+	c.Lock()
+	c.Unlock()
+	if n > 0 {
+		g(n - 1)
+	}
+}
+
+func g(n int) { f(n) }

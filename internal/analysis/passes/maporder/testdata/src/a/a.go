@@ -1,23 +1,27 @@
-// Package a is maporder golden input: map ranges whose bodies are and
-// are not iteration-order sensitive.
+// Package a is maporder golden input: every range over a map is a
+// finding, whatever its body does, and ranging over the sorted keys is
+// not.
 package a
 
 import (
+	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
+	"strings"
 )
 
 func emit(string) {}
 
 func callsOut(m map[string]int) {
-	for k := range m { // want `calls out in map order`
+	for k := range m { // want `range over a map: iteration order is nondeterministic; range over slices\.Sorted\(maps\.Keys\(m\)\)`
 		emit(k)
 	}
 }
 
 func errorPick(m map[string]int) error {
-	for k, v := range m { // want `calls out in map order`
+	for k, v := range m { // want `range over a map`
 		if v < 0 {
 			return fmt.Errorf("bad %s", k)
 		}
@@ -27,16 +31,17 @@ func errorPick(m map[string]int) error {
 
 func appendNoSort(m map[string]int) []string {
 	var keys []string
-	for k := range m { // want `appends to keys in map order`
+	for k := range m { // want `range over a map`
 		keys = append(keys, k)
 	}
 	return keys
 }
 
-// appendSorted is the sanctioned collect-then-sort pattern.
+// appendSorted and appendSlicesSorted collect the keys, then sort
+// them. The loop still ranges over the map; sortedKeys is the form.
 func appendSorted(m map[string]int) []string {
 	keys := make([]string, 0, len(m))
-	for k := range m {
+	for k := range m { // want `range over a map`
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
@@ -45,18 +50,16 @@ func appendSorted(m map[string]int) []string {
 
 func appendSlicesSorted(m map[string]int) []string {
 	var keys []string
-	for k := range m {
+	for k := range m { // want `range over a map`
 		keys = append(keys, k)
 	}
 	slices.Sort(keys)
 	return keys
 }
 
-// Only a sorting call proves the slice sorted: these read it, still
-// in map order.
 func appendContains(m map[string]int, x string) ([]string, bool) {
 	var keys []string
-	for k := range m { // want `appends to keys in map order`
+	for k := range m { // want `range over a map`
 		keys = append(keys, k)
 	}
 	return keys, slices.Contains(keys, x)
@@ -64,7 +67,7 @@ func appendContains(m map[string]int, x string) ([]string, bool) {
 
 func appendClone(m map[string]int) []string {
 	var keys []string
-	for k := range m { // want `appends to keys in map order`
+	for k := range m { // want `range over a map`
 		keys = append(keys, k)
 	}
 	return slices.Clone(keys)
@@ -72,7 +75,7 @@ func appendClone(m map[string]int) []string {
 
 func appendSearch(m map[string]int, x string) ([]string, int) {
 	var keys []string
-	for k := range m { // want `appends to keys in map order`
+	for k := range m { // want `range over a map`
 		keys = append(keys, k)
 	}
 	return keys, sort.SearchStrings(keys, x)
@@ -80,16 +83,16 @@ func appendSearch(m map[string]int, x string) ([]string, int) {
 
 func floatAccumulate(m map[string]float64) float64 {
 	var sum float64
-	for _, v := range m { // want `accumulates into a float/string in map order`
+	for _, v := range m { // want `range over a map`
 		sum += v
 	}
 	return sum
 }
 
-// intAccumulate commutes; integer sums are order-insensitive.
+// An integer sum commutes, but the loop is a map range all the same.
 func intAccumulate(m map[string]int) int {
 	var n int
-	for _, v := range m {
+	for _, v := range m { // want `range over a map`
 		n += v
 	}
 	return n
@@ -97,37 +100,35 @@ func intAccumulate(m map[string]int) int {
 
 func stringAccumulate(m map[string]string) string {
 	var all string
-	for _, v := range m { // want `accumulates into a float/string in map order`
+	for _, v := range m { // want `range over a map`
 		all += v
 	}
 	return all
 }
 
 func channelSend(m map[string]int, ch chan string) {
-	for k := range m { // want `sends on a channel in map order`
+	for k := range m { // want `range over a map`
 		ch <- k
 	}
 }
 
-// mapToMap re-keys deterministically: each write lands at its own key.
 func mapToMap(dst, src map[string]int) {
-	for k, v := range src {
+	for k, v := range src { // want `range over a map`
 		dst[k] = v
 	}
 }
 
-// clearAll deletes from the ranged map; order cannot be observed.
+// clearAll only deletes from the ranged map, so its order cannot be
+// observed; a tree loop like it carries a directive (allowed below).
 func clearAll(m map[string]int) {
-	for k := range m {
+	for k := range m { // want `range over a map`
 		delete(m, k)
 	}
 }
 
-// localCollect appends to a slice that dies inside the loop body, so
-// the map order never escapes.
 func localCollect(m map[string][]int) int {
 	n := 0
-	for _, vs := range m {
+	for _, vs := range m { // want `range over a map`
 		var grown []int
 		grown = append(grown, vs...)
 		n += len(grown)
@@ -142,6 +143,26 @@ func sliceRange(xs []string) {
 	}
 }
 
+// sortedKeys is the form the pass asks for.
+func sortedKeys(m map[string]int) {
+	for _, k := range slices.Sorted(maps.Keys(m)) {
+		emit(k)
+	}
+}
+
+// The maps iterators visit in map order too.
+func iterators(m map[string]int) {
+	for k, v := range maps.All(m) { // want `range over a map`
+		emit(k + fmt.Sprint(v))
+	}
+	for k := range maps.Keys(m) { // want `range over a map`
+		emit(k)
+	}
+	for v := range maps.Values(m) { // want `range over a map`
+		emit(fmt.Sprint(v))
+	}
+}
+
 func allowed(m map[string]int) {
 	//detlint:allow maporder -- golden test: diagnostic order of this debug dump is immaterial
 	for k := range m {
@@ -152,7 +173,7 @@ func allowed(m map[string]int) {
 // firstLost is census mutant O1: the first wanted peer that is lost,
 // taken from a map, is whichever the map order visits first.
 func firstLost(lost map[int]error, want []int) error {
-	for peer, err := range lost { // want `returns its first match in map order`
+	for peer, err := range lost { // want `range over a map`
 		for _, w := range want {
 			if w == peer {
 				return err
@@ -162,8 +183,60 @@ func firstLost(lost map[int]error, want []int) error {
 	return nil
 }
 
+// reclaimOrder is census mutant O2: the jobs to migrate, appended in
+// the order a map of owners visits them.
+func reclaimOrder(byOwner map[string][]int) []int {
+	var order []int
+	for _, jobs := range byOwner { // want `range over a map`
+		order = append(order, jobs...)
+	}
+	return order
+}
+
+// fairShare is census mutant O3: a float sum over a map of tenants.
+func fairShare(servedByUser map[string]float64, mine float64) float64 {
+	total := 0.0
+	for _, s := range servedByUser { // want `range over a map`
+		total += s
+	}
+	return mine / (1 + total)
+}
+
+// busySeconds is census mutant O4: host-seconds summed per job in a
+// map, then over the map.
+func busySeconds(spans [][2]float64, jobOf []string) float64 {
+	perJob := make(map[string]float64)
+	for i, s := range spans {
+		perJob[jobOf[i]] += s[1] - s[0]
+	}
+	busy := 0.0
+	for _, sec := range perJob { // want `range over a map`
+		busy += sec
+	}
+	return busy
+}
+
+// repeated is census mutant O5: one error naming every repeated
+// cohort, its text built over a count map.
+func repeated(names []string) error {
+	count := make(map[string]int)
+	for _, n := range names {
+		count[n]++
+	}
+	var dup []string
+	for n, c := range count { // want `range over a map`
+		if c > 1 {
+			dup = append(dup, n)
+		}
+	}
+	if len(dup) > 0 {
+		return errors.New("repeated cohorts: " + strings.Join(dup, ", "))
+	}
+	return nil
+}
+
 func firstKeyVia(m map[string]int) string {
-	for k, v := range m { // want `returns its first match in map order`
+	for k, v := range m { // want `range over a map`
 		name := k
 		if v > 0 {
 			return name
@@ -172,9 +245,8 @@ func firstKeyVia(m map[string]int) string {
 	return ""
 }
 
-// anyNegative returns the same whichever element matches first.
 func anyNegative(m map[string]int) bool {
-	for _, v := range m {
+	for _, v := range m { // want `range over a map`
 		if v < 0 {
 			return true
 		}
@@ -182,10 +254,9 @@ func anyNegative(m map[string]int) bool {
 	return false
 }
 
-// A return in a function literal is the literal's own.
 func closures(m map[string]int) map[string]func() int {
 	fs := make(map[string]func() int, len(m))
-	for k, v := range m {
+	for k, v := range m { // want `range over a map`
 		fs[k] = func() int { return v }
 	}
 	return fs

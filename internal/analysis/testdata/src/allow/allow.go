@@ -1,8 +1,8 @@
-// Package allow exercises every form of the detlint:allow directive:
-// trailing vs line-above placement, multi-name lists split on commas or
-// spaces, block comments (single- and multi-line), directives naming a
-// registered pass that is not part of the current invocation, and the
-// malformed shapes that are themselves findings.
+// Package allow exercises the one form of the detlint:allow directive,
+// trailing or on the line above, a directive naming a registered pass
+// that is not part of the current invocation, and the shapes that
+// suppress nothing: name lists, block comments and the malformed
+// directives that are themselves findings.
 package allow
 
 func boom() {}
@@ -16,26 +16,28 @@ func lineAbove() {
 	boom()
 }
 
+// A directive names one analyzer: a list, split on commas or spaces,
+// reads as one unknown name and suppresses nothing.
 func multiComma() {
-	//detlint:allow maporder,allowtest -- comma-separated name list
-	boom()
+	//detlint:allow maporder,allowtest -- comma-separated name list // want `detlint:allow names unknown analyzer maporder,allowtest$`
+	boom() // want `boom called`
 }
 
 func multiSpace() {
-	//detlint:allow maporder allowtest -- space-separated name list
-	boom()
+	//detlint:allow maporder allowtest -- space-separated name list // want `detlint:allow names unknown analyzer maporder allowtest$`
+	boom() // want `boom called`
 }
 
+// A block comment is no directive at all.
 func blockForm() {
 	/*detlint:allow allowtest -- block-comment form */
-	boom()
+	boom() // want `boom called`
 }
 
 func blockMultiLine() {
 	/*detlint:allow allowtest --
-	a block directive covers every line it spans and the line
-	after its end, so it reaches the statement below */
-	boom()
+	a block comment spanning lines is no directive either */
+	boom() // want `boom called`
 }
 
 // A directive naming a registered pass that is not in the running
@@ -75,6 +77,8 @@ func typo() {
 // The three passes entropy replaced are not registered any more: a
 // directive still naming them is reported, not silently obeyed.
 func retiredNames() {
-	//detlint:allow nodeterm,strayrng,goentropy -- names from before entropy // want `unknown analyzer nodeterm` `unknown analyzer strayrng` `unknown analyzer goentropy`
+	//detlint:allow nodeterm -- a name from before entropy // want `unknown analyzer nodeterm$`
+	//detlint:allow strayrng -- a name from before entropy // want `unknown analyzer strayrng$`
+	//detlint:allow goentropy -- a name from before entropy // want `unknown analyzer goentropy$`
 	boom() // want `boom called`
 }

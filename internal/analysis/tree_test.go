@@ -25,7 +25,7 @@ import (
 // together with the export data of everything they import; each
 // in-scope package is type-checked from its non-test source against
 // that export data, and one analysis.Run walks them all in that order,
-// so lockorder's one graph holds each dependency's summaries before
+// so lockorder's summaries hold each dependency's functions before
 // its importers are analyzed. A finding fails the test as
 // file:line: analyzer: message, with the file named from the module
 // root.

@@ -160,12 +160,13 @@ func TestLoadRejectsCorruption(t *testing.T) {
 // rejected at save time too. Whether a record fits its job's lattice is
 // farm.Restore's check (farm's TestRestoreRejectsCorruptCheckpoints).
 func TestValidateCatchesInconsistencies(t *testing.T) {
-	dir := t.TempDir()
+	dir := filepath.Join(t.TempDir(), "ckpt")
 	cases := []struct {
 		name   string
 		mutate func(*Manifest)
 		want   string
 	}{
+		{"job with no ID", func(m *Manifest) { m.Jobs[1].ID = "" }, "job 1 has no ID"},
 		{"duplicate IDs", func(m *Manifest) { m.Jobs[0].ID = "active" }, "duplicate job ID"},
 		{"bad phase", func(m *Manifest) { m.Jobs[0].Phase = "zombie" }, "unknown phase"},
 		{"queued with placement", func(m *Manifest) { m.Jobs[0].Hosts = []string{"hp715-00"} }, "records a placement"},
@@ -178,6 +179,48 @@ func TestValidateCatchesInconsistencies(t *testing.T) {
 		err := Save(dir, m)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v does not mention %q", tc.name, err, tc.want)
+		}
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Errorf("%s: the refused save made %s (%v)", tc.name, dir, err)
+		}
+	}
+}
+
+// TestStatesRefuseBadNames: SaveStates and LoadStates refuse a
+// malformed generation name, or a job ID that cannot name a directory,
+// before they touch dir. The refused save leaves dir's parent empty.
+// The refused load has a whole set of dumps planted where the bad name
+// leads, which it would have loaded, so it read none of them.
+func TestStatesRefuseBadNames(t *testing.T) {
+	gen := StatesDirName(1)
+	cases := []struct{ gen, id, want string }{
+		{"", "active", "malformed states directory"},
+		{"states-1", "active", "malformed states directory"},
+		{"../" + gen, "active", "malformed states directory"},
+		{gen + "/..", "active", "malformed states directory"},
+		{gen, "", "cannot name a checkpoint directory"},
+		{gen, ".", "cannot name a checkpoint directory"},
+		{gen, "..", "cannot name a checkpoint directory"},
+		{gen, "a/b", "cannot name a checkpoint directory"},
+		{gen, `a\b`, "cannot name a checkpoint directory"},
+	}
+	states := []*dump.State{sampleState(0, 80), sampleState(1, 79)}
+	for _, tc := range cases {
+		root := t.TempDir()
+		dir := filepath.Join(root, "ckpt")
+		err := SaveStates(dir, tc.gen, tc.id, states, dump.NewSequencer(0))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("SaveStates(%q, %q): %v, want %q", tc.gen, tc.id, err, tc.want)
+		}
+		if made, _ := os.ReadDir(root); len(made) != 0 {
+			t.Errorf("the refused SaveStates(%q, %q) made %s", tc.gen, tc.id, made[0].Name())
+		}
+
+		if err := dump.NewSequencer(0).SaveAll(JobDir(dir, tc.gen, tc.id), states); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadStates(dir, tc.gen, tc.id, []int{80, 79}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("LoadStates(%q, %q): %v, want %q", tc.gen, tc.id, err, tc.want)
 		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 	"repro/internal/msg"
 )
 
-// stateCase is one job of the call matrix, put in a state before one op.
+// stateCase is one job of the call matrix, put in a state before its ops.
 type stateCase struct {
 	j     *Job
 	jp    *JobPrograms2D
@@ -21,7 +21,8 @@ type stateCase struct {
 	gate  chan struct{} // closed: the ranks receive
 }
 
-// TestJobStateMatrix calls every op of a job in each of its six states.
+// TestJobStateMatrix calls every op of a job in each of its six states,
+// and after each op that succeeds, every op again (pairs of length 2).
 // Each call either succeeds, leaves the job in the state the op names
 // and lets it end in the serial run's bits, or returns ErrJobState and
 // leaves the job in the state it found. None panics, waits out the
@@ -139,60 +140,79 @@ func TestJobStateMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, s := range []jobState{ready, running, finished, suspended, failed, closed} {
-			for _, op := range ops {
-				t.Run(job.name+"/"+string(s)+"/"+op.name, func(t *testing.T) {
-					c := &stateCase{shape: job.shape, gate: make(chan struct{})}
-					if s != failed {
-						close(c.gate)
-					}
-					if s == running || s == suspended {
-						c.hold = newStepHold(at)
-					} else {
-						c.hold = newStepHold()
-					}
-					hub := HubFactory()
-					c.j, c.jp = newTestJobOver(t, cfg(), until, c.hold.over(func(rank, epoch int) (msg.Transport, error) {
-						tr, err := hub(rank, epoch)
-						return heldTransport{tr, c.gate}, err
-					}))
-					c.j.waitTimeout = 5 * time.Second
-					for _, p := range c.jp.progs {
-						c.set = append(c.set, p.dump(0, 0, nil))
-					}
-					reach(t, c, s)
+		// play puts a fresh job in state s and calls the ops in turn, each
+		// checked against valid from the state the one before left, up to
+		// the first refusal; then the job runs to its end where its state
+		// lets it, in the serial run's bits.
+		play := func(t *testing.T, s jobState, seq ...int) {
+			c := &stateCase{shape: job.shape, gate: make(chan struct{})}
+			if s != failed {
+				close(c.gate)
+			}
+			if s == running || s == suspended {
+				c.hold = newStepHold(at)
+			} else {
+				c.hold = newStepHold()
+			}
+			hub := HubFactory()
+			c.j, c.jp = newTestJobOver(t, cfg(), until, c.hold.over(func(rank, epoch int) (msg.Transport, error) {
+				tr, err := hub(rank, epoch)
+				return heldTransport{tr, c.gate}, err
+			}))
+			c.j.waitTimeout = 5 * time.Second
+			for _, p := range c.jp.progs {
+				c.set = append(c.set, p.dump(0, 0, nil))
+			}
+			reach(t, c, s)
 
-					if s == running {
-						// A pausing op lets the held ranks go once its
-						// round is announced; any other call finds them
-						// running on.
-						if slices.Contains(pausing, op.name) {
-							c.hold.wait(c.j)
-						} else {
-							_, release := c.hold.held(c.j)
-							close(release)
-						}
+			if s == running {
+				// A pausing op lets the held ranks go once its round is
+				// announced; any other call finds them running on.
+				if slices.Contains(pausing, ops[seq[0]].name) {
+					c.hold.wait(c.j)
+				} else {
+					_, release := c.hold.held(c.j)
+					close(release)
+				}
+			}
+			for _, i := range seq {
+				op, from := ops[i], c.j.state
+				err := op.do(c)
+				switch {
+				case err == nil && !slices.Contains(valid[from], op.name):
+					t.Errorf("%s on a %s job succeeded, want ErrJobState", op.name, from)
+				case err == nil && c.j.state != op.to:
+					t.Errorf("%s on a %s job left it %s, want %s", op.name, from, c.j.state, op.to)
+				case err != nil && !errors.Is(err, ErrJobState):
+					t.Errorf("%s on a %s job: %v, want nil or ErrJobState", op.name, from, err)
+				case err != nil && slices.Contains(valid[from], op.name):
+					t.Errorf("%s on a %s job refused: %v", op.name, from, err)
+				case err != nil && c.j.state != from:
+					t.Errorf("the refused %s moved a %s job to %s", op.name, from, c.j.state)
+				}
+				if err != nil {
+					break
+				}
+			}
+			if end(t, c) {
+				if ok, x, y, d := resultsEqual(ref, c.jp.Gather(until), 0); !ok {
+					t.Errorf("the job differs from the serial run at (%d,%d) by %g", x, y, d)
+				}
+			}
+			if s == failed {
+				close(c.gate)
+			}
+		}
+		for _, s := range []jobState{ready, running, finished, suspended, failed, closed} {
+			for i, op := range ops {
+				t.Run(job.name+"/"+string(s)+"/"+op.name, func(t *testing.T) {
+					play(t, s, i)
+					if !slices.Contains(valid[s], op.name) {
+						return
 					}
-					err := op.do(c)
-					switch {
-					case err == nil && !slices.Contains(valid[s], op.name):
-						t.Errorf("%s on a %s job succeeded, want ErrJobState", op.name, s)
-					case err == nil && c.j.state != op.to:
-						t.Errorf("%s on a %s job left it %s, want %s", op.name, s, c.j.state, op.to)
-					case err != nil && !errors.Is(err, ErrJobState):
-						t.Errorf("%s on a %s job: %v, want nil or ErrJobState", op.name, s, err)
-					case err != nil && slices.Contains(valid[s], op.name):
-						t.Errorf("%s on a %s job refused: %v", op.name, s, err)
-					case err != nil && c.j.state != s:
-						t.Errorf("the refused %s moved a %s job to %s", op.name, s, c.j.state)
-					}
-					if end(t, c) {
-						if ok, x, y, d := resultsEqual(ref, c.jp.Gather(until), 0); !ok {
-							t.Errorf("the job differs from the serial run at (%d,%d) by %g", x, y, d)
-						}
-					}
-					if s == failed {
-						close(c.gate)
+					// Pairs: after an op that succeeds, each op again.
+					for k, next := range ops {
+						t.Run(next.name, func(t *testing.T) { play(t, s, i, k) })
 					}
 				})
 			}
